@@ -8,8 +8,8 @@
 //! `--des` or `--mac-only` for the real-crypto variants.
 //!
 //! Measures the zero-copy `seal_into`/`BufferPool` path against the legacy
-//! allocating `send`/`encode_payload` path, and the `ParallelSealer` at
-//! 1/2/4 workers (pooled vs unpooled). A counting global allocator lives
+//! allocating `send`/`encode_payload` path, and the sharded IP mapping
+//! through the worker runtime. A counting global allocator lives
 //! here, in the binary: the library crates `forbid(unsafe_code)`, and a
 //! `#[global_allocator]` needs `unsafe impl GlobalAlloc`.
 
@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// System allocator wrapper counting every alloc/realloc across all
-/// threads (sealer workers included).
+/// threads (mapping workers included).
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -69,19 +69,6 @@ fn main() {
         [vec!["inline pooled".into()], fmt(&report.inline_pooled)].concat(),
         [vec!["inline unpooled".into()], fmt(&report.inline_unpooled)].concat(),
     ];
-    for s in &report.sealer {
-        rows.push(
-            [
-                vec![format!(
-                    "sealer {}w {}",
-                    s.workers,
-                    if s.pooled { "pooled" } else { "unpooled" }
-                )],
-                fmt(&s.rate),
-            ]
-            .concat(),
-        );
-    }
     rows.push([vec!["open legacy".into()], fmt(&report.open_legacy)].concat());
     rows.push(
         [
@@ -90,9 +77,6 @@ fn main() {
         ]
         .concat(),
     );
-    for o in &report.opener {
-        rows.push([vec![format!("opener {}w pooled", o.workers)], fmt(&o.rate)].concat());
-    }
     for m in &report.mapping {
         rows.push(
             [
@@ -140,10 +124,6 @@ fn main() {
     println!(
         "speedup (open inline pooled vs legacy input): {:.2}x",
         report.speedup_open_inline_vs_legacy
-    );
-    println!(
-        "speedup (open batch 4w vs legacy input): {:.2}x",
-        report.speedup_open_batch_4w_vs_legacy
     );
     println!(
         "sharding cost (mapping 1t sharded vs unsharded): {:.2}x",

@@ -33,79 +33,6 @@ pub fn endpoint_pair(cfg: FbsConfig, group: DhGroup) -> (FbsEndpoint, FbsEndpoin
     (tx, rx, clock)
 }
 
-/// `n` sender endpoints sharing the `bench-src` identity — same key
-/// material, distinct confounder seeds (§5.3: each initialisation of the
-/// sending side must seed its confounder stream differently) — plus one
-/// receiver and the shared clock. Worker `i`'s seed depends only on `i`,
-/// so two fleets produce bit-identical wire bytes worker-for-worker;
-/// this is what [`fbs_core::ParallelSealer`] expects to be built from.
-pub fn sender_fleet(cfg: FbsConfig, n: usize) -> (Vec<FbsEndpoint>, FbsEndpoint, ManualClock) {
-    let clock = ManualClock::starting_at(100_000);
-    let group = DhGroup::test_group();
-    let s_priv = PrivateValue::from_entropy(group.clone(), b"bench-sender-entropy!!");
-    let d_priv = PrivateValue::from_entropy(group, b"bench-receiver-entropy");
-    let (s, d) = principals();
-    let senders = (0..n)
-        .map(|i| {
-            let mut dir_s = PinnedDirectory::new();
-            dir_s.pin(d.clone(), d_priv.public_value());
-            FbsEndpoint::new(
-                s.clone(),
-                cfg.clone(),
-                Arc::new(clock.clone()),
-                0xBE9C4 + (i as u64) * 0x10000,
-                MasterKeyDaemon::new(s_priv.clone(), Box::new(dir_s)),
-            )
-        })
-        .collect();
-    let mut dir_d = PinnedDirectory::new();
-    dir_d.pin(s.clone(), s_priv.public_value());
-    let rx = FbsEndpoint::new(
-        d,
-        cfg,
-        Arc::new(clock.clone()),
-        0xFACE,
-        MasterKeyDaemon::new(d_priv, Box::new(dir_d)),
-    );
-    (senders, rx, clock)
-}
-
-/// One sender plus `n` receiver endpoints sharing the `bench-dst`
-/// identity — the open-side mirror of [`sender_fleet`], shaped for
-/// [`fbs_core::ParallelSealer::open_batch`]. Receivers derive the same
-/// flow keys (key material is symmetric in the DH shared secret), so any
-/// worker can open any of the sender's wires.
-pub fn receiver_fleet(cfg: FbsConfig, n: usize) -> (FbsEndpoint, Vec<FbsEndpoint>, ManualClock) {
-    let clock = ManualClock::starting_at(100_000);
-    let group = DhGroup::test_group();
-    let s_priv = PrivateValue::from_entropy(group.clone(), b"bench-sender-entropy!!");
-    let d_priv = PrivateValue::from_entropy(group, b"bench-receiver-entropy");
-    let (s, d) = principals();
-    let mut dir_s = PinnedDirectory::new();
-    dir_s.pin(d.clone(), d_priv.public_value());
-    let tx = FbsEndpoint::new(
-        s.clone(),
-        cfg.clone(),
-        Arc::new(clock.clone()),
-        0xBE9C4,
-        MasterKeyDaemon::new(s_priv.clone(), Box::new(dir_s)),
-    );
-    let receivers = (0..n)
-        .map(|i| {
-            let mut dir_d = PinnedDirectory::new();
-            dir_d.pin(s.clone(), s_priv.public_value());
-            FbsEndpoint::new(
-                d.clone(),
-                cfg.clone(),
-                Arc::new(clock.clone()),
-                0xFACE + (i as u64) * 0x10000,
-                MasterKeyDaemon::new(d_priv.clone(), Box::new(dir_d)),
-            )
-        })
-        .collect();
-    (tx, receivers, clock)
-}
-
 /// Source and destination principals used by [`endpoint_pair`].
 pub fn principals() -> (Principal, Principal) {
     (Principal::named("bench-src"), Principal::named("bench-dst"))

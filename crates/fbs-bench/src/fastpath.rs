@@ -1,6 +1,6 @@
 //! Fast-path throughput: zero-copy `seal_into` + `BufferPool` vs the
-//! legacy allocating `send`/`encode_payload` path, plus the sharded
-//! [`ParallelSealer`] at 1/2/4 workers.
+//! legacy allocating `send`/`encode_payload` path, plus the sharded IP
+//! mapping driven through the fbs-ip worker runtime.
 //!
 //! Emits the `BENCH_fastpath.json` report. Allocation counts come from a
 //! counting `#[global_allocator]` that only the `fastpath_bench` binary
@@ -8,16 +8,13 @@
 //! counter that always returns 0 and the alloc columns read as 0.
 //!
 //! Single-CPU honesty: the report carries a `cpus` field. On a one-core
-//! host the sealer rows measure sharding/channel overhead, not
-//! parallel speedup — the headline comparison is the in-thread pooled
-//! seal path vs the legacy path.
+//! host the multi-worker mapping rows measure sharding/ring overhead,
+//! not parallel speedup — the headline comparison is the in-thread
+//! pooled seal path vs the legacy path.
 
-use crate::endpoints::{endpoint_pair, principals, receiver_fleet, sender_fleet};
+use crate::endpoints::{endpoint_pair, principals};
 use fbs_cert::{CertificateAuthority, Directory};
-use fbs_core::{
-    BufferPool, Datagram, FbsConfig, ManualClock, OpenJob, ParallelSealer, ProtectedDatagram,
-    SealJob,
-};
+use fbs_core::{BufferPool, Datagram, FbsConfig, ManualClock, ProtectedDatagram};
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::CipherSuite;
 use fbs_ip::hooks::IpMappingConfig;
@@ -100,26 +97,6 @@ pub struct SuiteRate {
     pub pool_balanced: bool,
 }
 
-/// A [`ParallelSealer`] measurement at a worker count.
-#[derive(Clone, Copy, Debug)]
-pub struct SealerRate {
-    /// Worker threads.
-    pub workers: usize,
-    /// Whether wire buffers were recycled back into worker pools.
-    pub pooled: bool,
-    /// The measured rate.
-    pub rate: Rate,
-}
-
-/// An [`ParallelSealer::open_batch`] measurement at a worker count.
-#[derive(Clone, Copy, Debug)]
-pub struct OpenerRate {
-    /// Worker threads.
-    pub workers: usize,
-    /// The measured rate (plaintext buffers recycled back to the pools).
-    pub rate: Rate,
-}
-
 /// A sharded-IP-mapping measurement: N threads driving output batches
 /// through cloned handles of ONE shared `FbsIpHooks`, per-thread pools.
 #[derive(Clone, Debug)]
@@ -131,8 +108,6 @@ pub struct MappingRate {
     pub shards: usize,
     /// Shard-owning worker threads the runtime was built with.
     pub workers: usize,
-    /// SPSC ring depth between the submitting thread and each worker.
-    pub ring_depth: usize,
     /// Every thread's pool take/put ledger balanced: no buffer leaked on
     /// any path the run exercised.
     pub pool_balanced: bool,
@@ -155,7 +130,8 @@ pub struct FastpathReport {
     pub payload_bytes: usize,
     /// Datagrams per measured configuration.
     pub count: usize,
-    /// Host parallelism (1 ⇒ sealer rows measure overhead, not speedup).
+    /// Host parallelism (1 ⇒ multi-worker mapping rows measure overhead,
+    /// not speedup).
     pub cpus: usize,
     /// Crypto mode the grid ran under.
     pub mode: Mode,
@@ -165,14 +141,10 @@ pub struct FastpathReport {
     pub inline_pooled: Rate,
     /// In-thread `seal_into` into a fresh `Vec` every datagram.
     pub inline_unpooled: Rate,
-    /// Sealer grid: 1/2/4 workers × pooled/unpooled.
-    pub sealer: Vec<SealerRate>,
     /// Legacy scalar input: `decode_payload` + `receive` per datagram.
     pub open_legacy: Rate,
     /// In-thread `open_into` with a recycled [`BufferPool`] buffer.
     pub open_inline_pooled: Rate,
-    /// Opener grid: `open_batch` at 1/2/4 workers, buffers recycled.
-    pub opener: Vec<OpenerRate>,
     /// Cipher-suite grid: pooled inline seal/open per profile.
     pub suites: Vec<SuiteRate>,
     /// Sharded-mapping grid: (threads, shards, workers) points against
@@ -188,10 +160,6 @@ pub struct FastpathReport {
     /// path — the allocation/copy-elimination win, meaningful on any
     /// core count.
     pub speedup_open_inline_vs_legacy: f64,
-    /// 4-worker batched open over the legacy scalar input path. On a
-    /// single-CPU host this measures sharding/channel overhead, not
-    /// parallel speedup (see `cpus`).
-    pub speedup_open_batch_4w_vs_legacy: f64,
     /// Single-thread sharded mapping (8 shards, 1 worker) over the
     /// `shards = workers = 1` baseline: the cost of partitioning +
     /// sharding itself at fixed worker count, which must stay near 1.0.
@@ -247,35 +215,6 @@ fn merge_snapshot(acc: &mut MetricsSnapshot, s: &MetricsSnapshot) {
 impl FastpathReport {
     /// Render as the `BENCH_fastpath.json` document.
     pub fn to_json(&self) -> String {
-        let sealer_rows: Vec<String> = self
-            .sealer
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"workers\": {}, \"pooled\": {}, \"datagrams_per_sec\": {:.1}, \
-                     \"bytes_per_sec\": {:.1}, \"allocs_per_datagram\": {:.2}}}",
-                    s.workers,
-                    s.pooled,
-                    s.rate.datagrams_per_sec,
-                    s.rate.bytes_per_sec,
-                    s.rate.allocs_per_datagram
-                )
-            })
-            .collect();
-        let opener_rows: Vec<String> = self
-            .opener
-            .iter()
-            .map(|o| {
-                format!(
-                    "    {{\"workers\": {}, \"datagrams_per_sec\": {:.1}, \
-                     \"bytes_per_sec\": {:.1}, \"allocs_per_datagram\": {:.2}}}",
-                    o.workers,
-                    o.rate.datagrams_per_sec,
-                    o.rate.bytes_per_sec,
-                    o.rate.allocs_per_datagram
-                )
-            })
-            .collect();
         let suite_rows: Vec<String> = self
             .suites
             .iter()
@@ -312,14 +251,13 @@ impl FastpathReport {
                     .collect();
                 format!(
                     "    {{\"threads\": {}, \"shards\": {}, \"workers\": {}, \
-                     \"ring_depth\": {}, \"pool_balanced\": {}, \
+                     \"pool_balanced\": {}, \
                      \"datagrams_per_sec\": {:.1}, \"bytes_per_sec\": {:.1}, \
                      \"allocs_per_datagram\": {:.2}, \"stages\": {{{}}}, \
                      \"occupancy\": [{}]}}",
                     m.threads,
                     m.shards,
                     m.workers,
-                    m.ring_depth,
                     m.pool_balanced,
                     m.rate.datagrams_per_sec,
                     m.rate.bytes_per_sec,
@@ -332,14 +270,13 @@ impl FastpathReport {
         format!(
             "{{\n  \"bench\": \"fastpath\",\n  \"payload_bytes\": {},\n  \"count\": {},\n  \
              \"cpus\": {},\n  \"mode\": \"{}\",\n  \"legacy\": {},\n  \"inline_pooled\": {},\n  \
-             \"inline_unpooled\": {},\n  \"sealer\": [\n{}\n  ],\n  \
-             \"open_legacy\": {},\n  \"open_inline_pooled\": {},\n  \"opener\": [\n{}\n  ],\n  \
+             \"inline_unpooled\": {},\n  \
+             \"open_legacy\": {},\n  \"open_inline_pooled\": {},\n  \
              \"suites\": [\n{}\n  ],\n  \
              \"mapping\": [\n{}\n  ],\n  \
              \"speedup_pooled_1w_vs_legacy\": {:.3},\n  \
              \"speedup_fast_vs_paper\": {:.3},\n  \
              \"speedup_open_inline_vs_legacy\": {:.3},\n  \
-             \"speedup_open_batch_4w_vs_legacy\": {:.3},\n  \
              \"mapping_sharded_vs_unsharded_1t\": {:.3}\n}}\n",
             self.payload_bytes,
             self.count,
@@ -348,16 +285,13 @@ impl FastpathReport {
             json_rate(&self.legacy),
             json_rate(&self.inline_pooled),
             json_rate(&self.inline_unpooled),
-            sealer_rows.join(",\n"),
             json_rate(&self.open_legacy),
             json_rate(&self.open_inline_pooled),
-            opener_rows.join(",\n"),
             suite_rows.join(",\n"),
             mapping_rows.join(",\n"),
             self.speedup_pooled_1w_vs_legacy,
             self.speedup_fast_vs_paper,
             self.speedup_open_inline_vs_legacy,
-            self.speedup_open_batch_4w_vs_legacy,
             self.mapping_sharded_vs_unsharded_1t
         )
     }
@@ -493,92 +427,6 @@ pub fn measure_open_inline_suite(
     (r, st.hits + st.misses == st.returns + st.discards)
 }
 
-/// Batch size for [`measure_sealer`]: large enough that the per-batch
-/// dispatch scratch (chunk table, channel messages) amortises to ~0
-/// allocations per datagram, matching [`OPEN_BATCH`] on the input side.
-const SEAL_BATCH: usize = 8192;
-
-/// A [`ParallelSealer`] run: `count` datagrams in [`SEAL_BATCH`]-sized
-/// batches, flow labels cycling over `0..8` so every worker shard stays
-/// busy.
-///
-/// The `pooled` variant runs a **circular buffer economy**: each batch's
-/// job bodies come from the previous batch's returned wires, while the
-/// spent bodies are absorbed into the worker pools and come back as the
-/// next wires. Every buffer stays in circulation, so the steady-state
-/// loop performs zero heap allocations per datagram — the figure CI
-/// gates on. The unpooled variant allocates a fresh body per job and
-/// drops every wire: the explicit allocating baseline.
-pub fn measure_sealer(
-    payload: usize,
-    count: usize,
-    mode: Mode,
-    workers: usize,
-    pooled: bool,
-    alloc: &dyn Fn() -> u64,
-) -> Rate {
-    let (senders, _, _) = sender_fleet(mode.config(), workers);
-    let secret = mode.secret();
-    let mut sealer = ParallelSealer::new(senders);
-    let (_, d) = principals();
-    let batch = SEAL_BATCH.min(count.max(1));
-    // The circulating body stock (pooled mode): starts as `batch` fresh
-    // buffers, thereafter refilled by returned wires.
-    let mut bodies: Vec<Vec<u8>> = (0..batch).map(|_| vec![0xA5u8; payload]).collect();
-    let mut jobs: Vec<SealJob> = Vec::with_capacity(batch);
-    let mut out: Vec<Result<Vec<u8>, fbs_core::FbsError>> = Vec::with_capacity(batch);
-    let fill = |bodies: &mut Vec<Vec<u8>>, jobs: &mut Vec<SealJob>, n: usize| {
-        for i in 0..n {
-            let mut body = if pooled {
-                bodies.pop().expect("stock holds a full batch")
-            } else {
-                Vec::with_capacity(payload)
-            };
-            body.clear();
-            body.resize(payload, 0xA5);
-            jobs.push(SealJob {
-                sfl: (i % 8) as u64,
-                destination: d.clone(),
-                body,
-                secret,
-            });
-        }
-    };
-    // Warm two full rounds before timing: flow keys derive on every
-    // shard, worker pools grow their freelists, and every circulating
-    // buffer reaches full wire capacity.
-    for _ in 0..2 {
-        fill(&mut bodies, &mut jobs, batch);
-        sealer.seal_batch_in_place(&mut jobs, &mut out);
-        for wire in out.drain(..) {
-            let wire = wire.expect("warm seal succeeds");
-            if pooled {
-                bodies.push(wire);
-            } else {
-                sealer.recycle(wire);
-            }
-        }
-    }
-    let mut done = 0usize;
-    let a0 = alloc();
-    let start = Instant::now();
-    while done < count {
-        let n = batch.min(count - done);
-        fill(&mut bodies, &mut jobs, n);
-        sealer.seal_batch_in_place(&mut jobs, &mut out);
-        for wire in out.drain(..) {
-            let wire = wire.expect("seal succeeds");
-            if pooled {
-                bodies.push(wire);
-            } else {
-                std::hint::black_box(&wire);
-            }
-        }
-        done += n;
-    }
-    rate(count, payload, start.elapsed().as_secs_f64(), alloc() - a0)
-}
-
 /// Pre-seal `count` distinct wires (sfl cycling `0..8`): open-side runs
 /// measure a realistic stream of distinct datagrams, not one cache-hot
 /// wire replayed.
@@ -659,77 +507,6 @@ pub fn measure_open_inline(
     rate(count, payload, start.elapsed().as_secs_f64(), alloc() - a0)
 }
 
-/// Batch size for [`measure_open_batch`]: large enough that the
-/// per-batch dispatch vectors amortise to ~0 allocations per datagram.
-const OPEN_BATCH: usize = 8192;
-
-/// The batched input path: wires pre-sealed (arrival is not the input
-/// path's cost), then opened through [`ParallelSealer::open_batch`] in
-/// [`OPEN_BATCH`]-sized batches with every plaintext buffer recycled.
-/// Spent wires are absorbed into the worker pools by `open_batch` itself,
-/// so the steady-state loop allocates nothing per datagram.
-pub fn measure_open_batch(
-    payload: usize,
-    count: usize,
-    mode: Mode,
-    workers: usize,
-    alloc: &dyn Fn() -> u64,
-) -> Rate {
-    let (mut tx, receivers, _) = receiver_fleet(mode.config(), workers);
-    let secret = mode.secret();
-    let (s, d) = principals();
-    let body = vec![0xA5u8; payload];
-    let batch = OPEN_BATCH.min(count.max(1));
-    // Per-worker pools sized so a full batch's wires + plaintexts all fit
-    // on the freelists instead of being discarded and re-allocated.
-    let mut opener = ParallelSealer::with_pool_limit(receivers, 2 * batch / workers + 2, None);
-    // Warm every worker's flow-key cache and pool before timing.
-    let warm: Vec<OpenJob> = sealed_stream(&mut tx, &d, &body, secret, 8 * workers)
-        .into_iter()
-        .map(|wire| OpenJob {
-            source: s.clone(),
-            wire,
-        })
-        .collect();
-    let warmed: Vec<Vec<u8>> = opener
-        .open_batch(warm)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-    opener.recycle_batch(warmed);
-    // Pre-seal all wires and pre-assemble the job batches: sealing is the
-    // output path's cost, already measured above.
-    let mut wires = sealed_stream(&mut tx, &d, &body, secret, count).into_iter();
-    let mut batches: Vec<Vec<OpenJob>> = Vec::new();
-    let mut remaining = count;
-    while remaining > 0 {
-        let n = batch.min(remaining);
-        batches.push(
-            wires
-                .by_ref()
-                .take(n)
-                .map(|wire| OpenJob {
-                    source: s.clone(),
-                    wire,
-                })
-                .collect(),
-        );
-        remaining -= n;
-    }
-    let a0 = alloc();
-    let start = Instant::now();
-    for jobs in batches {
-        let opened: Vec<Vec<u8>> = opener
-            .open_batch(jobs)
-            .into_iter()
-            .map(|r| r.expect("pre-sealed wire opens"))
-            .collect();
-        std::hint::black_box(&opened);
-        opener.recycle_batch(opened);
-    }
-    rate(count, payload, start.elapsed().as_secs_f64(), alloc() - a0)
-}
-
 /// Batch size for [`measure_mapping`]: large enough that the per-batch
 /// vectors (the caller's batch and the hook's returned outcomes — the
 /// partition scratch itself is reused across calls) amortise to ~0
@@ -741,10 +518,6 @@ const MAPPING_BATCH: usize = 1024;
 /// several flows — consecutive same-flow datagrams would serialise on
 /// one table entry and understate per-shard throughput.
 const MAPPING_FLOWS: usize = 64;
-
-/// SPSC ring depth for every mapping row (the `IpMappingConfig`
-/// default): deep enough that `threads ≤ 4` producers rarely stall.
-const MAPPING_RING_DEPTH: usize = 4;
 
 /// The sharded endpoint under concurrent submitters: `threads` cloned
 /// handles of ONE `FbsIpHooks` (built with `shards` shards owned by
@@ -807,7 +580,6 @@ pub fn measure_mapping_with(
         encrypt: mode.secret(),
         shards,
         workers,
-        ring_depth: MAPPING_RING_DEPTH,
         fst_size,
         fbs: fbs_cfg,
         ..IpMappingConfig::default()
@@ -919,34 +691,8 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
     let legacy = best_of(REPS, || measure_legacy(payload, count, mode, alloc));
     let inline_pooled = best_of(REPS, || measure_inline(payload, count, mode, true, alloc));
     let inline_unpooled = best_of(REPS, || measure_inline(payload, count, mode, false, alloc));
-    let mut sealer = Vec::new();
-    for workers in [1usize, 2, 4] {
-        for pooled in [true, false] {
-            sealer.push(SealerRate {
-                workers,
-                pooled,
-                rate: best_of(REPS, || {
-                    measure_sealer(payload, count, mode, workers, pooled, alloc)
-                }),
-            });
-        }
-    }
     let open_legacy = best_of(REPS, || measure_open_legacy(payload, count, mode, alloc));
     let open_inline_pooled = best_of(REPS, || measure_open_inline(payload, count, mode, alloc));
-    let opener: Vec<OpenerRate> = [1usize, 2, 4]
-        .into_iter()
-        .map(|workers| OpenerRate {
-            workers,
-            rate: best_of(REPS, || {
-                measure_open_batch(payload, count, mode, workers, alloc)
-            }),
-        })
-        .collect();
-    let open_4w = opener
-        .iter()
-        .find(|o| o.workers == 4)
-        .expect("grid includes 4 workers")
-        .rate;
     // Suite grid: pooled inline seal/open per profile, side by side.
     let suites: Vec<SuiteRate> = CipherSuite::ALL
         .iter()
@@ -1028,7 +774,6 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
                 threads,
                 shards,
                 workers,
-                ring_depth: MAPPING_RING_DEPTH,
                 pool_balanced,
                 rate: best.expect("reps > 0"),
                 stages,
@@ -1053,15 +798,12 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
         speedup_fast_vs_paper,
         speedup_open_inline_vs_legacy: open_inline_pooled.datagrams_per_sec
             / open_legacy.datagrams_per_sec,
-        speedup_open_batch_4w_vs_legacy: open_4w.datagrams_per_sec / open_legacy.datagrams_per_sec,
         mapping_sharded_vs_unsharded_1t: mapping_rate(1, 8) / mapping_rate(1, 1),
         legacy,
         inline_pooled,
         inline_unpooled,
-        sealer,
         open_legacy,
         open_inline_pooled,
-        opener,
         suites,
         mapping,
         obs,
@@ -1078,11 +820,8 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"bench\": \"fastpath\""));
         assert!(json.contains("\"speedup_pooled_1w_vs_legacy\""));
-        assert!(json.contains("\"speedup_open_batch_4w_vs_legacy\""));
         assert!(json.contains("\"open_legacy\""));
         assert!(json.contains("\"open_inline_pooled\""));
-        assert_eq!(r.sealer.len(), 6);
-        assert_eq!(r.opener.len(), 3);
         assert_eq!(r.mapping.len(), 4);
         assert!(json.contains("\"mapping\""));
         assert!(json.contains("\"mapping_sharded_vs_unsharded_1t\""));
@@ -1121,7 +860,6 @@ mod tests {
         }
         assert!(json.contains("\"stages\""));
         assert!(json.contains("\"occupancy\""));
-        assert!(json.contains("\"ring_depth\""));
         assert!(json.contains("\"ring_wait_ns\""));
         // The merged snapshot feeds --prom: it must carry the stage
         // histograms and per-worker counters the rows were built from.
@@ -1136,9 +874,6 @@ mod tests {
         );
         assert!(r.open_legacy.datagrams_per_sec > 0.0);
         assert!(r.open_inline_pooled.datagrams_per_sec > 0.0);
-        for o in &r.opener {
-            assert!(o.rate.datagrams_per_sec > 0.0);
-        }
         // Balanced braces/brackets — cheap well-formedness check without
         // a JSON parser in the dependency set.
         let opens = json.matches('{').count() + json.matches('[').count();

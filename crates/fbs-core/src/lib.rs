@@ -42,7 +42,6 @@ pub mod protocol;
 pub mod replay;
 pub mod retry;
 pub mod ring;
-pub mod sealer;
 pub mod sfl;
 
 pub use batchauth::{BatchVerifier, ResolveStats};
@@ -67,5 +66,4 @@ pub use protocol::{
 pub use replay::FreshnessWindow;
 pub use retry::{RetryOutcome, RetryPolicy};
 pub use ring::SpscRing;
-pub use sealer::{OpenJob, ParallelSealer, SealJob, SealerStats};
 pub use sfl::SflAllocator;

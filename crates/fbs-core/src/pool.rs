@@ -44,9 +44,9 @@ impl PoolStats {
 
 /// A freelist of recycled `Vec<u8>` output buffers.
 ///
-/// Not thread-safe by itself — each worker owns its own pool (the
-/// parallel sealer gives every worker one), which keeps `take`/`put` free
-/// of any synchronisation.
+/// Not thread-safe by itself — a pool never crosses a thread (the
+/// fbs-ip worker runtime ships supply buffers inside each sub-batch
+/// instead), which keeps `take`/`put` free of any synchronisation.
 pub struct BufferPool {
     free: Vec<Vec<u8>>,
     max_pooled: usize,

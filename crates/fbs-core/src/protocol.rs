@@ -245,6 +245,13 @@ impl FbsConfig {
         self.mac_truncate
             .map_or(full, |n| full.min(n.max(MIN_SHIPPED_MAC)))
     }
+
+    /// Bytes of security flow header this configuration puts on the
+    /// wire: the fixed prefix plus the shipped MAC of the suite's
+    /// algorithm — the length `seal_with_key_into` frames with.
+    pub fn wire_header_len(&self) -> usize {
+        FIXED_PREFIX_LEN + self.shipped_mac_len(self.suite_mac_alg().output_len())
+    }
 }
 
 /// Endpoint-level counters (cache hit rates live in the cache stats).
@@ -1296,14 +1303,14 @@ fn open_body_into(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::clock::ManualClock;
     use crate::mkd::PinnedDirectory;
     use fbs_crypto::dh::{DhGroup, PrivateValue};
 
     /// Build a connected pair of endpoints sharing a manual clock.
-    pub(crate) fn endpoint_pair(cfg: FbsConfig) -> (FbsEndpoint, FbsEndpoint, ManualClock) {
+    fn endpoint_pair(cfg: FbsConfig) -> (FbsEndpoint, FbsEndpoint, ManualClock) {
         let clock = ManualClock::starting_at(1_000_000);
         let group = DhGroup::test_group();
         let s_priv = PrivateValue::from_entropy(group.clone(), b"source-entropy-20-bytes");
@@ -1329,85 +1336,6 @@ pub(crate) mod tests {
             MasterKeyDaemon::new(d_priv, Box::new(dir_d)),
         );
         (ep_s, ep_d, clock)
-    }
-
-    /// Build `n` sender endpoints sharing principal "S"'s identity (same
-    /// DH private value, same directory) but with DISTINCT confounder
-    /// seeds (§5.3), plus one receiver "D" that verifies them all. Worker
-    /// `i`'s seed depends only on `i`, so a second call yields bit-wise
-    /// reference endpoints.
-    pub(crate) fn sender_fleet(
-        cfg: FbsConfig,
-        n: usize,
-    ) -> (Vec<FbsEndpoint>, FbsEndpoint, ManualClock) {
-        let clock = ManualClock::starting_at(1_000_000);
-        let group = DhGroup::test_group();
-        let s_priv = PrivateValue::from_entropy(group.clone(), b"source-entropy-20-bytes");
-        let d_priv = PrivateValue::from_entropy(group, b"dest-entropy-20-bytes!!");
-        let s = Principal::named("S");
-        let d = Principal::named("D");
-        let senders = (0..n)
-            .map(|i| {
-                let mut dir = PinnedDirectory::new();
-                dir.pin(d.clone(), d_priv.public_value());
-                FbsEndpoint::new(
-                    s.clone(),
-                    cfg.clone(),
-                    Arc::new(clock.clone()),
-                    0x1111 + (i as u64) * 0x10000,
-                    MasterKeyDaemon::new(s_priv.clone(), Box::new(dir)),
-                )
-            })
-            .collect();
-        let mut dir_d = PinnedDirectory::new();
-        dir_d.pin(s.clone(), s_priv.public_value());
-        let receiver = FbsEndpoint::new(
-            d,
-            cfg,
-            Arc::new(clock.clone()),
-            0x2222,
-            MasterKeyDaemon::new(d_priv, Box::new(dir_d)),
-        );
-        (senders, receiver, clock)
-    }
-
-    /// Mirror image of [`sender_fleet`]: one sender "S" plus `n` receiver
-    /// endpoints sharing principal "D"'s identity, for the parallel open
-    /// path (any worker can derive any flow's receive key from the shared
-    /// master key, §5.2's zero-message property).
-    pub(crate) fn receiver_fleet(
-        cfg: FbsConfig,
-        n: usize,
-    ) -> (FbsEndpoint, Vec<FbsEndpoint>, ManualClock) {
-        let clock = ManualClock::starting_at(1_000_000);
-        let group = DhGroup::test_group();
-        let s_priv = PrivateValue::from_entropy(group.clone(), b"source-entropy-20-bytes");
-        let d_priv = PrivateValue::from_entropy(group, b"dest-entropy-20-bytes!!");
-        let s = Principal::named("S");
-        let d = Principal::named("D");
-        let receivers = (0..n)
-            .map(|i| {
-                let mut dir = PinnedDirectory::new();
-                dir.pin(s.clone(), s_priv.public_value());
-                FbsEndpoint::new(
-                    d.clone(),
-                    cfg.clone(),
-                    Arc::new(clock.clone()),
-                    0x2222 + (i as u64) * 0x10000,
-                    MasterKeyDaemon::new(d_priv.clone(), Box::new(dir)),
-                )
-            })
-            .collect();
-        let mut dir_s = PinnedDirectory::new();
-        dir_s.pin(d.clone(), d_priv.public_value());
-        let sender = FbsEndpoint::new(
-            s,
-            cfg,
-            Arc::new(clock.clone()),
-            0x1111,
-            MasterKeyDaemon::new(s_priv, Box::new(dir_s)),
-        );
-        (sender, receivers, clock)
     }
 
     fn dgram(body: &[u8]) -> Datagram {

@@ -245,31 +245,6 @@ mod protocol_props {
         pair_with(FbsConfig::default())
     }
 
-    /// `n` sender endpoints sharing principal "A"'s identity with distinct
-    /// confounder seeds — worker `i`'s seed depends only on `i`, so a
-    /// fresh fleet reproduces the same wire bytes.
-    fn fleet(cfg: FbsConfig, n: usize) -> Vec<FbsEndpoint> {
-        let clock = ManualClock::starting_at(77_777);
-        let group = DhGroup::test_group();
-        let a_priv = PrivateValue::from_entropy(group.clone(), b"prop-alice-entropy!!");
-        let b_priv = PrivateValue::from_entropy(group, b"prop-bob-entropy!!!!");
-        let alice = Principal::named("A");
-        let bob = Principal::named("B");
-        (0..n)
-            .map(|i| {
-                let mut da = PinnedDirectory::new();
-                da.pin(bob.clone(), b_priv.public_value());
-                FbsEndpoint::new(
-                    alice.clone(),
-                    cfg.clone(),
-                    Arc::new(clock.clone()),
-                    1 + (i as u64) * 0x1000,
-                    MasterKeyDaemon::new(a_priv.clone(), Box::new(da)),
-                )
-            })
-            .collect()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -348,49 +323,6 @@ mod protocol_props {
             let mut opened = Vec::new();
             rx.open_into(&Principal::named("A"), &fast_wire, &mut opened).unwrap();
             prop_assert_eq!(opened, body);
-        }
-
-        #[test]
-        fn parallel_sealer_preserves_per_flow_order_under_load(
-            flows in proptest::collection::vec(0u64..8, 1..120),
-            secret in any::<bool>(),
-        ) {
-            // Shard-route an arbitrary flow mix through 3 workers, then
-            // replay each worker's subsequence through a fresh same-seed
-            // serial endpoint: byte equality proves per-flow FIFO order
-            // survived the concurrency.
-            use fbs_core::{ParallelSealer, SealJob};
-            const WORKERS: usize = 3;
-            let jobs: Vec<SealJob> = flows
-                .iter()
-                .enumerate()
-                .map(|(i, &sfl)| SealJob {
-                    sfl,
-                    destination: Principal::named("B"),
-                    body: format!("flow {sfl} seq {i}").into_bytes(),
-                    secret,
-                })
-                .collect();
-            let mut sealer =
-                ParallelSealer::new(fleet(FbsConfig::default(), WORKERS));
-            let sealed = sealer.seal_batch(jobs.clone());
-            prop_assert_eq!(sealed.len(), jobs.len());
-
-            let mut reference = fleet(FbsConfig::default(), WORKERS);
-            for w in 0..WORKERS {
-                let serial = &mut reference[w];
-                for (job, wire) in jobs
-                    .iter()
-                    .zip(&sealed)
-                    .filter(|(j, _)| (j.sfl % WORKERS as u64) as usize == w)
-                {
-                    let mut expect = Vec::new();
-                    serial
-                        .seal_into(job.sfl, &job.destination, &job.body, job.secret, &mut expect)
-                        .unwrap();
-                    prop_assert_eq!(wire.as_ref().unwrap(), &expect);
-                }
-            }
         }
 
         #[test]

@@ -34,7 +34,7 @@
 //! * **Transmit** datagrams shard by `crc32(five_tuple) % N`. Each
 //!   shard's [`SflAllocator`] is strided so every sfl it issues is
 //!   congruent to the shard index mod `N` — the same `sfl % N` function
-//!   the parallel sealer partitions by.
+//!   the receive side partitions by.
 //! * **Receive** datagrams shard by the wire sfl (first 8 payload
 //!   bytes) mod `N`, so a flow's RFKC entries stay in one shard.
 //! * Per-shard tables keep the FULL configured geometry (`fst_size`,
@@ -136,7 +136,7 @@ use crate::combined::{AtomicCombinedStats, CombinedTable};
 use crate::policy::FiveTuplePolicy;
 use crate::tuple::FiveTuple;
 use fbs_core::breaker::BreakerState;
-use fbs_core::header::{HeaderView, FIXED_PREFIX_LEN};
+use fbs_core::header::HeaderView;
 use fbs_core::protocol::EndpointStats;
 use fbs_core::{
     derive_flow_key, AtomicCacheStats, BatchVerifier, BudgetKind, BudgetSnapshot, BufferPool,
@@ -175,6 +175,12 @@ const CONTROL_DEADLINE: Duration = Duration::from_secs(10);
 /// Hard cap on an injected worker stall, keeping chaos runs bounded no
 /// matter what a fault plan asks for.
 const MAX_INJECTED_STALL_US: u64 = 20_000;
+
+/// Slots per SPSC ring. `process_batch` is synchronous — it pushes at
+/// most one sub-batch per worker per lane, then waits for every reply —
+/// so depth buys no throughput; the spare slots only absorb sub-batches
+/// stranded behind a dead worker before the producer starts shedding.
+const RING_DEPTH: usize = 4;
 
 /// Estimated resident bytes per flow-key cache entry, charged against
 /// the shard's [`MemoryBudget`]: the SoA slot (key + value `Arc` + LRU
@@ -253,9 +259,6 @@ pub struct IpMappingConfig {
     /// Number of shard-owning worker threads (clamped to `1..=shards`).
     /// Fixed at construction, like the shard geometry.
     pub workers: usize,
-    /// Per-worker SPSC ring depth (sub-batches in flight per lane;
-    /// minimum 1). Fixed at construction.
-    pub ring_depth: usize,
     /// Supervision policy applied when a worker loop panics. Read per
     /// panic, so it can be changed through
     /// [`FbsIpHooks::update_config`].
@@ -288,7 +291,6 @@ impl Default for IpMappingConfig {
             park_deadline_us: 2_000_000,
             shards: 8,
             workers: 2,
-            ring_depth: 4,
             worker_fault: WorkerFaultPolicy::default(),
             shed_deadline_us: 5_000,
             shard_budget_bytes: 0,
@@ -434,13 +436,13 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(workers: usize, depth: usize) -> Self {
+    fn new(workers: usize) -> Self {
         Lane {
             to_worker: (0..workers)
-                .map(|_| SpscRing::with_capacity(depth))
+                .map(|_| SpscRing::with_capacity(RING_DEPTH))
                 .collect(),
             from_worker: (0..workers)
-                .map(|_| SpscRing::with_capacity(depth))
+                .map(|_| SpscRing::with_capacity(RING_DEPTH))
                 .collect(),
             producer: Mutex::new(None),
         }
@@ -548,7 +550,6 @@ struct HookShared {
     /// Shard / worker geometry (fixed at construction).
     n_shards: usize,
     n_workers: usize,
-    ring_depth: usize,
     /// Registry of live lanes (control plane: mutated on handle
     /// create/drop only).
     lanes: Mutex<Vec<Arc<Lane>>>,
@@ -1385,15 +1386,17 @@ struct BatchAuth {
 /// Resolve every deferred MAC comparison of the current sub-batch:
 /// one constant-time fold accepts the whole clean batch; a dirty fold
 /// bisects, and each isolated failure flips its already-staged `Pass`
-/// verdict to `Reject` (recycling the recovered body, so the buffer
-/// ledger stays balanced). MUST run before the sub-batch's reply ships
-/// — including on the quarantine path, or tentatively-passed datagrams
-/// would escape unverified.
+/// verdict in `done` to `Reject` (recycling the recovered body, so the
+/// buffer ledger stays balanced). MUST run before the verdicts leave the
+/// worker — including on the quarantine path and for parked datagrams
+/// released one at a time — or tentatively-passed datagrams would
+/// escape unverified.
 fn resolve_batch_auth(
     shared: &HookShared,
     shards: &[Shard],
     auth: &mut BatchAuth,
-    cur: &mut CurrentSub,
+    done: &mut [DoneItem],
+    recycle: &mut Vec<Vec<u8>>,
     obs: &Option<Arc<MetricsRegistry>>,
 ) {
     if auth.verifier.is_empty() && auth.deferred.is_empty() {
@@ -1404,7 +1407,7 @@ fn resolve_batch_auth(
     let stats = auth.verifier.resolve(&mut auth.failed);
     for d in auth.deferred.drain(..) {
         let codec = &shards[d.shard_local].codec;
-        let entry = &mut cur.done[d.done_idx];
+        let entry = &mut done[d.done_idx];
         if !matches!(entry.2, HookOutcome::Pass(_)) {
             // A supervised panic struck between the tag enqueue and the
             // verdict push: the item already carries the supervisor's
@@ -1418,7 +1421,7 @@ fn resolve_batch_auth(
                 HookOutcome::Reject("bad MAC (batch verify)".into()),
             );
             if let HookOutcome::Pass(body) = old {
-                cur.recycle.push(body);
+                recycle.push(body);
             }
             shared.stats.input_errors.fetch_add(1, Ordering::Relaxed);
             record(
@@ -1524,14 +1527,17 @@ fn begin_current(state: &mut WorkerState, lane: &Arc<Lane>, sub: SubBatch) {
     });
 }
 
-/// Run the current sub-batch to completion against the worker's owned
-/// shards and ship the reply. Shard `si` lives at local index `si / W`
-/// (the partition stage only routes `si ≡ w (mod W)` here). Unused
-/// supplies ride home on the recycle list so the producer's pool ledger
-/// stays balanced. Processing happens IN PLACE on `state.current`: if an
-/// item panics, the unwind leaves the cursor and every untouched buffer
-/// intact for the supervisor.
-fn run_current(shared: &HookShared, w: usize, state: &mut WorkerState) {
+/// Finish the current sub-batch against the worker's owned shards and
+/// ship the reply: run its remaining items to completion, or — with
+/// `reject`, the quarantine path — give every one of them a `Reject`
+/// verdict, so the producer unblocks with a complete verdict set either
+/// way. Shard `si` lives at local index `si / W` (the partition stage
+/// only routes `si ≡ w (mod W)` here). Unused supplies ride home on the
+/// recycle list so the producer's pool ledger stays balanced. Processing
+/// happens IN PLACE on `state.current`: if an item panics, the unwind
+/// leaves the cursor and every untouched buffer intact for the
+/// supervisor.
+fn finish_current(shared: &HookShared, w: usize, state: &mut WorkerState, reject: bool) {
     let WorkerState {
         shards,
         current,
@@ -1542,29 +1548,40 @@ fn run_current(shared: &HookShared, w: usize, state: &mut WorkerState) {
     let Some(cur) = current.as_mut() else {
         return;
     };
-    // Chaos taps come first, so an injected panic unwinds with the
-    // cursor at the first unprocessed item — the supervisor then pays
-    // exactly one Reject for it. Stalls are wall-clock sleeps: they add
-    // latency (visible in stage spans) but touch no virtual-time
-    // counter, keeping seeded runs byte-identical.
-    if let Some(chaos) = (*shared.chaos.load()).clone() {
-        let stall = chaos
-            .take_stall_us(w, cur.now_us)
-            .min(MAX_INJECTED_STALL_US);
-        if stall > 0 {
-            std::thread::sleep(Duration::from_micros(stall));
-        }
-        if chaos.take_panic(w, cur.now_us) {
-            panic!("injected worker panic (chaos)");
-        }
-    }
-    let cfg = shared.cfg.load();
     let obs = shared.obs_handle();
-    let busy = obs.as_ref().map(|_| StageTimer::start());
-    if let Some(reg) = &obs {
-        reg.incr(Counter::WorkerBatches);
-    }
-    {
+    let mut busy = None;
+    if reject {
+        let from = cur.next;
+        for (slot, _si, header, payload, _tuple) in cur.items.drain(from..) {
+            cur.recycle.push(payload);
+            cur.done.push((
+                slot,
+                header,
+                HookOutcome::Reject("worker quarantined after panic".into()),
+            ));
+        }
+    } else {
+        // Chaos taps come first, so an injected panic unwinds with the
+        // cursor at the first unprocessed item — the supervisor then pays
+        // exactly one Reject for it. Stalls are wall-clock sleeps: they add
+        // latency (visible in stage spans) but touch no virtual-time
+        // counter, keeping seeded runs byte-identical.
+        if let Some(chaos) = (*shared.chaos.load()).clone() {
+            let stall = chaos
+                .take_stall_us(w, cur.now_us)
+                .min(MAX_INJECTED_STALL_US);
+            if stall > 0 {
+                std::thread::sleep(Duration::from_micros(stall));
+            }
+            if chaos.take_panic(w, cur.now_us) {
+                panic!("injected worker panic (chaos)");
+            }
+        }
+        let cfg = shared.cfg.load();
+        busy = obs.as_ref().map(|_| StageTimer::start());
+        if let Some(reg) = &obs {
+            reg.incr(Counter::WorkerBatches);
+        }
         let CurrentSub {
             dir,
             now_us,
@@ -1612,9 +1629,10 @@ fn run_current(shared: &HookShared, w: usize, state: &mut WorkerState) {
             *next += 1;
         }
     }
-    // Deferred MAC comparisons resolve BEFORE the reply ships, so the
-    // producer only ever sees final verdicts.
-    resolve_batch_auth(shared, shards, auth, cur, &obs);
+    // Deferred MAC comparisons resolve BEFORE the reply ships — on the
+    // reject path too, for items processed before the quarantine — so
+    // the producer only ever sees final verdicts.
+    resolve_batch_auth(shared, shards, auth, &mut cur.done, &mut cur.recycle, &obs);
     let mut fin = current.take().expect("current sub-batch still staged");
     fin.items.clear();
     fin.recycle.append(&mut fin.supplies);
@@ -1671,50 +1689,6 @@ fn abort_current_item(state: &mut WorkerState) {
             .push(Vec::with_capacity(fbs_core::pool::DEFAULT_BUF_CAPACITY));
     }
     cur.supply_mark = cur.supplies.len();
-}
-
-/// Reject every remaining item of the current sub-batch (quarantine
-/// path) and ship the reply so the producer unblocks with a complete
-/// verdict set and a balanced buffer ledger. Deferred MAC comparisons
-/// from items processed BEFORE the quarantine still resolve here —
-/// their tentative `Pass` verdicts would otherwise ship unverified.
-fn reject_all_current(shared: &HookShared, w: usize, state: &mut WorkerState) {
-    let WorkerState {
-        shards,
-        current,
-        pending_recycle,
-        auth,
-        ..
-    } = state;
-    let Some(cur) = current.as_mut() else {
-        return;
-    };
-    let obs = shared.obs_handle();
-    resolve_batch_auth(shared, shards, auth, cur, &obs);
-    let from = cur.next;
-    for (slot, _si, header, payload, _tuple) in cur.items.drain(from..) {
-        cur.recycle.push(payload);
-        cur.done.push((
-            slot,
-            header,
-            HookOutcome::Reject("worker quarantined after panic".into()),
-        ));
-    }
-    let mut fin = current.take().expect("current sub-batch still staged");
-    fin.items.clear();
-    fin.recycle.append(&mut fin.supplies);
-    fin.recycle.append(pending_recycle);
-    let lane = Arc::clone(&fin.lane);
-    push_reply(
-        &lane,
-        w,
-        SubReply {
-            done: fin.done,
-            recycle: fin.recycle,
-            items: fin.items,
-            supplies: fin.supplies,
-        },
-    );
 }
 
 /// Rebuild every shard this worker owns after a supervised panic. Hard
@@ -1894,7 +1868,8 @@ fn release_input_worker(shared: &HookShared, shards: &mut [Shard], now_us: u64) 
     // Park release is a slow path: deferred comparisons resolve
     // immediately as batches of one, reusing one scratch verifier.
     let mut auth = BatchAuth::default();
-    for (shard_local, shard) in shards.iter_mut().enumerate() {
+    for shard_local in 0..shards.len() {
+        let shard = &mut shards[shard_local];
         for expired in shard.in_park.take_expired(now_us) {
             let (header, payload) = expired.item;
             if let Some(sfl) = wire_sfl(&payload) {
@@ -1908,6 +1883,7 @@ fn release_input_worker(shared: &HookShared, shards: &mut [Shard], now_us: u64) 
             continue;
         }
         for entry in shard.in_park.take_all() {
+            let shard = &mut shards[shard_local];
             did_work = true;
             let Parked {
                 item: (mut header, payload),
@@ -1945,36 +1921,31 @@ fn release_input_worker(shared: &HookShared, shards: &mut [Shard], now_us: u64) 
             };
             match res {
                 Ok((body, deferred)) => {
-                    if deferred {
-                        auth.failed.clear();
-                        auth.deferred.clear();
-                        auth.verifier.resolve(&mut auth.failed);
-                        if !auth.failed.is_empty() {
-                            shard.codec.note_deferred_mac_drop();
-                            shared.stats.input_errors.fetch_add(1, Ordering::Relaxed);
-                            record(
-                                &obs,
-                                Event::HookExit {
-                                    dir: Direction::Input,
-                                    ok: false,
-                                },
-                            );
-                            recycle.push(payload);
-                            recycle.push(body);
-                            continue;
-                        }
-                        shard.codec.note_deferred_pass(body.len() as u64);
+                    // The tentative verdict goes through the same
+                    // resolver as a sub-batch's: it accounts a deferred
+                    // pass, or flips a forgery to `Reject` and recycles
+                    // the body.
+                    let mut done = [(0, header, HookOutcome::Pass(body))];
+                    resolve_batch_auth(shared, shards, &mut auth, &mut done, &mut recycle, &obs);
+                    let [(_, header, outcome)] = done;
+                    let HookOutcome::Pass(body) = outcome else {
+                        recycle.push(payload);
+                        continue;
+                    };
+                    if !deferred {
+                        shared.stats.verified.fetch_add(1, Ordering::Relaxed);
+                        record(
+                            &obs,
+                            Event::HookExit {
+                                dir: Direction::Input,
+                                ok: true,
+                            },
+                        );
                     }
-                    let waited_us = shard.in_park.note_released(parked_at_us, now_us);
-                    shared.stats.verified.fetch_add(1, Ordering::Relaxed);
+                    let waited_us = shards[shard_local]
+                        .in_park
+                        .note_released(parked_at_us, now_us);
                     record(&obs, Event::ParkReleased { waited_us });
-                    record(
-                        &obs,
-                        Event::HookExit {
-                            dir: Direction::Input,
-                            ok: true,
-                        },
-                    );
                     if let Some(sfl) = wire_sfl(&payload) {
                         trace_span(&obs, sfl, header.dst, SpanKind::Released, now_us, waited_us);
                     }
@@ -2015,18 +1986,6 @@ fn release_input_worker(shared: &HookShared, shards: &mut [Shard], now_us: u64) 
     }
     recycle.append(&mut supplies);
     (ready, recycle)
-}
-
-/// Reload the worker's lane snapshot if the registry epoch moved.
-fn reload_lanes(shared: &HookShared, state: &mut WorkerState) {
-    let epoch = shared.lanes_epoch.load(Ordering::Acquire);
-    if epoch != state.seen_epoch {
-        state.seen_epoch = epoch;
-        state.lanes.clear();
-        state
-            .lanes
-            .extend(shared.lanes_snapshot.load().iter().cloned());
-    }
 }
 
 /// Handle one control-plane message on the worker thread. A quarantined
@@ -2098,36 +2057,52 @@ fn handle_control(
             let _ = reply.send(result);
         }
         Control::Drain(ack) => {
-            reload_lanes(shared, state);
-            for li in 0..state.lanes.len() {
-                let lane = Arc::clone(&state.lanes[li]);
-                while let Some(sub) = lane.to_worker[w].try_pop() {
-                    begin_current(state, &lane, sub);
-                    if quarantined {
-                        reject_all_current(shared, w, state);
-                    } else {
-                        run_current(shared, w, state);
-                    }
-                }
-            }
+            drain_lanes(shared, w, state, quarantined);
             let _ = ack.send(());
         }
     }
 }
 
-/// One supervised pass structure: the run-to-completion worker loop.
-/// Drains the control mailbox, reloads the lane snapshot when its epoch
-/// moved, drains every ingress ring, and spins/parks when idle. Returns
-/// (instead of breaking out of `worker_main`) only when `shutdown` is
-/// set AND a full pass found nothing to do — so every buffered sub-batch
-/// is processed before the thread dies (drain-then-shutdown). A panic
-/// anywhere inside unwinds to the supervisor in `worker_main` with
-/// `state` intact.
+/// Reload the lane snapshot if its epoch moved, then pop every ingress
+/// ring dry, finishing each sub-batch as it comes off (rejecting it
+/// whole when `quarantined`). The only consumer of `to_worker[w]`.
+/// Returns whether anything was popped.
+fn drain_lanes(shared: &HookShared, w: usize, state: &mut WorkerState, quarantined: bool) -> bool {
+    let epoch = shared.lanes_epoch.load(Ordering::Acquire);
+    if epoch != state.seen_epoch {
+        state.seen_epoch = epoch;
+        state.lanes.clear();
+        state
+            .lanes
+            .extend(shared.lanes_snapshot.load().iter().cloned());
+    }
+    let mut did_work = false;
+    for li in 0..state.lanes.len() {
+        let lane = Arc::clone(&state.lanes[li]);
+        while let Some(sub) = lane.to_worker[w].try_pop() {
+            begin_current(state, &lane, sub);
+            finish_current(shared, w, state, quarantined);
+            did_work = true;
+        }
+    }
+    did_work
+}
+
+/// The run-to-completion worker loop, in both of its modes: live
+/// (supervised by `worker_main`) and `quarantined` (fail-closed terminal
+/// mode — same loop, every datagram rejected). Finishes a sub-batch a
+/// supervised panic interrupted, drains the control mailbox, reloads
+/// the lane snapshot when its epoch moved, drains every ingress ring,
+/// and spins/parks when idle. Returns only when `shutdown` is set AND a
+/// full pass found nothing to do — so every buffered sub-batch is
+/// processed before the thread dies (drain-then-shutdown). A panic
+/// anywhere inside unwinds to the caller with `state` intact.
 fn worker_loop(
     shared: &HookShared,
     w: usize,
     state: &mut WorkerState,
     ctl: &mpsc::Receiver<Control>,
+    quarantined: bool,
 ) {
     let mut idle = 0u32;
     loop {
@@ -2136,22 +2111,14 @@ fn worker_loop(
         // anything new is taken on — its producer is still parked on the
         // reply.
         if state.current.is_some() {
-            run_current(shared, w, state);
+            finish_current(shared, w, state, quarantined);
             did_work = true;
         }
         while let Ok(msg) = ctl.try_recv() {
-            handle_control(shared, w, state, msg, false);
+            handle_control(shared, w, state, msg, quarantined);
             did_work = true;
         }
-        reload_lanes(shared, state);
-        for li in 0..state.lanes.len() {
-            let lane = Arc::clone(&state.lanes[li]);
-            while let Some(sub) = lane.to_worker[w].try_pop() {
-                begin_current(state, &lane, sub);
-                run_current(shared, w, state);
-                did_work = true;
-            }
-        }
+        did_work |= drain_lanes(shared, w, state, quarantined);
         if did_work {
             idle = 0;
             continue;
@@ -2181,7 +2148,7 @@ fn quarantine(
     shared.quarantined[w].store(true, Ordering::Release);
     // Finish (by rejecting) any sub-batch the panic interrupted, so its
     // producer unblocks with a complete verdict set.
-    reject_all_current(shared, w, state);
+    finish_current(shared, w, state, true);
     for shard in state.shards.iter_mut() {
         for p in shard.out_park.take_all() {
             state.pending_recycle.push(p.item.1);
@@ -2191,36 +2158,7 @@ fn quarantine(
         }
     }
     refresh_park_depths(shared, w, &state.shards);
-    let mut idle = 0u32;
-    loop {
-        let mut did_work = false;
-        while let Ok(msg) = ctl.try_recv() {
-            handle_control(shared, w, state, msg, true);
-            did_work = true;
-        }
-        reload_lanes(shared, state);
-        for li in 0..state.lanes.len() {
-            let lane = Arc::clone(&state.lanes[li]);
-            while let Some(sub) = lane.to_worker[w].try_pop() {
-                begin_current(state, &lane, sub);
-                reject_all_current(shared, w, state);
-                did_work = true;
-            }
-        }
-        if did_work {
-            idle = 0;
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        idle += 1;
-        if idle < 64 {
-            std::thread::yield_now();
-        } else {
-            std::thread::park_timeout(Duration::from_millis(1));
-        }
-    }
+    worker_loop(shared, w, state, ctl, true);
 }
 
 /// Worker thread entry point: run [`worker_loop`] under in-thread panic
@@ -2263,7 +2201,7 @@ fn worker_main(
         // via `abort_current_item`, shard state via `rebuild_shards`)
         // before anyone observes them.
         match catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(&shared, w, &mut state, &ctl)
+            worker_loop(&shared, w, &mut state, &ctl, false)
         })) {
             Ok(()) => break,
             Err(_payload) => {
@@ -2389,8 +2327,6 @@ impl FbsIpHooks {
         cfg.shards = n;
         let workers = cfg.workers.clamp(1, n);
         cfg.workers = workers;
-        cfg.ring_depth = cfg.ring_depth.max(1);
-        let ring_depth = cfg.ring_depth;
         let budget_bytes = cfg.shard_budget_bytes;
         let keying = KeyingService::new(mkd, ep_cfg.mkc_slots, n);
         let mut controls = Vec::with_capacity(workers);
@@ -2423,7 +2359,6 @@ impl FbsIpHooks {
             obs: Published::new(None),
             n_shards: n,
             n_workers: workers,
-            ring_depth,
             lanes: Mutex::new(Vec::new()),
             lanes_snapshot: Published::new(Vec::new()),
             lanes_epoch: AtomicU64::new(0),
@@ -2476,7 +2411,7 @@ impl FbsIpHooks {
         if let Some(l) = &self.lane {
             return Arc::clone(l);
         }
-        let lane = Arc::new(Lane::new(self.shared.n_workers, self.shared.ring_depth));
+        let lane = Arc::new(Lane::new(self.shared.n_workers));
         {
             let mut reg = self.shared.lanes.lock();
             reg.push(Arc::clone(&lane));
@@ -2504,7 +2439,7 @@ impl FbsIpHooks {
     /// Publish a modified configuration snapshot (swap-on-update): in-
     /// flight batches finish under the snapshot they loaded; the next
     /// batch sees the new one. Only policy-ish fields take effect —
-    /// geometry (`shards`, `workers`, `ring_depth`, `fst_size`, cache
+    /// geometry (`shards`, `workers`, `fst_size`, cache
     /// dimensions, park capacity) is fixed at construction.
     pub fn update_config(&self, mutate: impl FnOnce(&mut IpMappingConfig)) {
         let mut next = (*self.shared.cfg.load()).clone();
@@ -2778,13 +2713,12 @@ impl FbsIpHooks {
             .count()
     }
 
-    /// Worst-case payload growth for the configured algorithms: the fixed
-    /// header prefix, the (possibly truncated) MAC, and up to 7 bytes of
-    /// DES block padding.
+    /// Worst-case payload growth for the configured algorithms: the
+    /// security flow header exactly as the codec frames it, and up to 7
+    /// bytes of DES block padding.
     fn overhead_of(cfg: &IpMappingConfig) -> usize {
-        let mac_len = cfg.fbs.mac_truncate.unwrap_or(cfg.fbs.mac_alg.output_len());
         let padding = if cfg.encrypt { 7 } else { 0 };
-        FIXED_PREFIX_LEN + mac_len + padding
+        cfg.fbs.wire_header_len() + padding
     }
 }
 
@@ -3194,6 +3128,57 @@ mod tests {
     }
 
     #[test]
+    fn max_overhead_bounds_sealed_growth_across_the_config_grid() {
+        // The MSS fix reserves `max_overhead()` bytes per segment, so it
+        // must bound what the codec really adds — including where
+        // normalisation clamps the truncation up and where the suite
+        // overrides the configured MAC.
+        use fbs_crypto::MacAlgorithm;
+        let world = World::new();
+        let _b = world.host(B); // publishes B's certificate
+        for suite in CipherSuite::ALL {
+            for mac_alg in [
+                MacAlgorithm::KeyedMd5,
+                MacAlgorithm::KeyedSha1,
+                MacAlgorithm::HmacMd5,
+                MacAlgorithm::HmacSha1,
+                MacAlgorithm::Poly1305,
+            ] {
+                for mac_truncate in [None, Some(2), Some(4), Some(8), Some(32)] {
+                    for encrypt in [false, true] {
+                        let cfg = IpMappingConfig {
+                            encrypt,
+                            shards: 1,
+                            workers: 1,
+                            fbs: FbsConfig {
+                                suite,
+                                mac_alg,
+                                mac_truncate,
+                                ..FbsConfig::default()
+                            },
+                            ..IpMappingConfig::default()
+                        };
+                        let mut hooks = hooks_with(&world, cfg);
+                        // 25 bytes: the worst case for block padding.
+                        let (mut header, plain) = udp_datagram(A, B);
+                        let sealed = match hooks.output(&mut header, plain.clone(), 1_000) {
+                            HookOutcome::Pass(bytes) => bytes,
+                            other => panic!("seal failed: {other:?}"),
+                        };
+                        assert!(
+                            sealed.len() - plain.len() <= hooks.max_overhead(),
+                            "{suite:?} {mac_alg:?} {mac_truncate:?} encrypt={encrypt}: \
+                             grew {} > reserved {}",
+                            sealed.len() - plain.len(),
+                            hooks.max_overhead()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn crypto_failures_never_degrade() {
         // Even under fail-open, a framed datagram with a bad MAC is
         // rejected: crypto verdicts are final.
@@ -3346,47 +3331,39 @@ mod tests {
         assert_eq!(pool.stats().returns, 1);
     }
 
-    #[test]
-    fn input_park_releases_after_sender_cert_appears() {
-        // Receiver-side parking: the wire datagram arrives before the
-        // receiver can fetch the sender's public value.
+    /// Receiver-side parking fixture: receiver A parks, and its
+    /// directory (`receiver_world`) is a SEPARATE one that never saw
+    /// sender B's certificate; B lives in `world` with both
+    /// certificates present.
+    fn parking_receiver_and_sender() -> (World, World, FbsIpHooks, FbsIpHooks) {
         let world = World::new();
         let park_cfg = IpMappingConfig {
             key_unavailable: KeyUnavailableVerdict::Park,
             park_deadline_us: 10_000_000,
             ..IpMappingConfig::default()
         };
-        // Receiver A parks; its directory view is a SEPARATE directory
-        // that never saw the sender's certificate.
         let receiver_world = World::new();
-        let mut receiver = hooks_with(&receiver_world, park_cfg);
-
-        // Sender B lives in `world` with both certificates present —
-        // publish A's certificate there by building A's endpoint too.
+        let receiver = hooks_with(&receiver_world, park_cfg);
+        // Publish A's certificate in the sender's world by building A's
+        // endpoint there too.
         let _a_in_world = world.host(A);
-        let (_host_b, _) = build_secure_host(
-            B,
-            1500,
-            IpMappingConfig::default(),
-            world.clock.clone(),
-            &world.group,
-            &world.ca,
-            &world.directory,
-            42,
-        );
-        let mut sender = {
-            let (_h, hooks) = build_secure_host(
-                B,
-                1500,
-                IpMappingConfig::default(),
-                world.clock.clone(),
-                &world.group,
-                &world.ca,
-                &world.directory,
-                43,
-            );
-            hooks
-        };
+        let sender = world.host(B);
+        (world, receiver_world, receiver, sender)
+    }
+
+    /// Sender B's certificate reaches the receiver's directory; both
+    /// worlds sign with the same CA key, so the receiver's verifier
+    /// accepts it.
+    fn publish_sender_cert(world: &World, receiver_world: &World) {
+        let b_cert = world.directory.fetch(&Principal::from_ipv4(B)).unwrap();
+        receiver_world.directory.publish(b_cert);
+    }
+
+    #[test]
+    fn input_park_releases_after_sender_cert_appears() {
+        // Receiver-side parking: the wire datagram arrives before the
+        // receiver can fetch the sender's public value.
+        let (world, receiver_world, mut receiver, mut sender) = parking_receiver_and_sender();
         let (mut header, payload) = udp_datagram(B, A);
         let wire = match sender.output(&mut header, payload.clone(), 1_000) {
             HookOutcome::Pass(bytes) => bytes,
@@ -3398,11 +3375,7 @@ mod tests {
         assert!(matches!(out, HookOutcome::Park), "{out:?}");
         assert_eq!(receiver.parked_depths(), (0, 1));
 
-        // Sender's certificate reaches the receiver's directory; note
-        // the sender in `world` signs with the same CA key, so the
-        // receiver's verifier accepts it.
-        let b_cert = world.directory.fetch(&Principal::from_ipv4(B)).unwrap();
-        receiver_world.directory.publish(b_cert);
+        publish_sender_cert(&world, &receiver_world);
         let mut pool = BufferPool::new();
         let released = receiver.release_input(2_000, &mut pool);
         assert_eq!(released.len(), 1);
@@ -3411,6 +3384,70 @@ mod tests {
         assert_eq!(receiver.stats().verified, 1);
         // The consumed wire payload went back to the pool.
         assert_eq!(pool.stats().returns, 1);
+    }
+
+    #[test]
+    fn forged_parked_input_is_rejected_at_release_like_a_batch_item() {
+        // A forgery that parks (its key was unavailable on arrival) meets
+        // the MAC check only at release. That check is the same deferred
+        // resolution a sub-batch gets: same verdict, same counters.
+        let (world, receiver_world, mut receiver, mut sender) = parking_receiver_and_sender();
+        let reg = Arc::new(MetricsRegistry::new());
+        receiver.attach_obs(Arc::clone(&reg)).unwrap();
+        let mut pool = BufferPool::new();
+        let mut wire_for = |sport: u8| {
+            let (mut header, mut plain) = udp_datagram(B, A);
+            plain[1] = sport; // distinct flows
+            match sender.output(&mut header, plain, 1_000) {
+                // Pool-drawn wire, so the ledger below is exact.
+                HookOutcome::Pass(bytes) => {
+                    let mut wire = pool.take();
+                    wire.extend_from_slice(&bytes);
+                    (header, wire)
+                }
+                other => panic!("sender should protect, got {other:?}"),
+            }
+        };
+        let (clean_header, clean) = wire_for(1);
+        let (forged_header, mut forged) = wire_for(2);
+        *forged.last_mut().unwrap() ^= 0x5A;
+        let batch = vec![
+            Datagram {
+                header: clean_header,
+                payload: clean,
+            },
+            Datagram {
+                header: forged_header,
+                payload: forged,
+            },
+        ];
+        for (_, out) in receiver.process_batch(Direction::Input, batch, &mut pool, 1_000) {
+            assert!(matches!(out, HookOutcome::Park), "{out:?}");
+        }
+        assert_eq!(receiver.parked_depths(), (0, 2));
+
+        publish_sender_cert(&world, &receiver_world);
+        let released = receiver.release_input(2_000, &mut pool);
+        assert_eq!(released.len(), 1, "only the clean datagram is released");
+        assert_eq!(receiver.parked_depths(), (0, 0));
+        let stats = receiver.stats();
+        assert_eq!((stats.verified, stats.input_errors), (1, 1));
+        assert_eq!(receiver.endpoint_stats().mac_drops, 1);
+        assert_eq!(receiver.endpoint_stats().receives, 1);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("batchauth.checked"), 2);
+        assert_eq!(snap.counter("batchauth.rejected"), 1);
+        assert_eq!(snap.counter("hooks.input_errors"), 1);
+        assert!(reg.stage_histogram(Stage::BatchVerify).count() > 0);
+        // The control plane ships no supplies, so release recovers each
+        // body into a fresh buffer: two enter the books here (the
+        // forgery's recycled, the clean one's returned below). With them
+        // counted, every buffer is back in the pool.
+        for (_, body) in released {
+            pool.put(body);
+        }
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses + 2, s.returns + s.discards, "{s:?}");
     }
 
     #[test]

@@ -28,7 +28,9 @@ pub fn fragment(packet: Packet, mtu: usize) -> Result<Vec<Packet>> {
 /// [`fragment`] with buffer reuse: every fragment payload is drawn from
 /// `pool`, and when the packet is actually split, the parent payload is
 /// returned to `pool` — so a steady stream of oversized datagrams recycles
-/// its fragment buffers instead of allocating one per fragment.
+/// its fragment buffers instead of allocating one per fragment. The
+/// DF-oversize failure consumes the packet too, so its payload goes back
+/// to `pool` rather than leaking from the ledger.
 pub fn fragment_pooled(packet: Packet, mtu: usize, pool: &mut BufferPool) -> Result<Vec<Packet>> {
     assert!(mtu >= IPV4_HEADER_LEN + 8, "MTU too small to carry data");
     let total = IPV4_HEADER_LEN + packet.payload.len();
@@ -36,6 +38,7 @@ pub fn fragment_pooled(packet: Packet, mtu: usize, pool: &mut BufferPool) -> Res
         return Ok(vec![packet]);
     }
     if packet.header.dont_fragment {
+        pool.put(packet.payload);
         return Err(NetError::WouldFragment { len: total, mtu });
     }
     // Fragment payload sizes must be multiples of 8 (offsets are in 8-byte

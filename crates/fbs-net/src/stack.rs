@@ -1153,4 +1153,33 @@ mod tests {
         );
         assert!(steady.hits > warm.hits, "pool takes served from freelist");
     }
+
+    #[test]
+    fn pool_ledger_closes_after_df_oversize_drops() {
+        // The unpatched-MSS scenario of §7.2 at the host boundary: DF
+        // datagrams that no longer fit the MTU die in fragmentation.
+        // Every payload handed to `ip_output` becomes the pool's to
+        // recycle, on that failure path too.
+        const BURST: u64 = 32;
+        let mut host = Host::new(A, 1500);
+        for i in 0..BURST {
+            let mut header = Ipv4Header::new(A, B, Proto::Udp, 4000);
+            header.dont_fragment = true;
+            let res = host.ip_output(header, vec![i as u8; 4000], 0);
+            assert!(
+                matches!(res, Err(NetError::WouldFragment { .. })),
+                "{res:?}"
+            );
+            // A deliverable datagram in between keeps the pool in use.
+            host.udp_send(1, B, 53, b"fits", 0).unwrap();
+        }
+        assert_eq!(host.take_frames().len() as u64, BURST);
+        let s = host.pool_stats();
+        // 2 × BURST caller-allocated payloads entered the books.
+        assert_eq!(
+            s.hits + s.misses + 2 * BURST,
+            s.returns + s.discards,
+            "a dropped DF datagram leaked its payload: {s:?}"
+        );
+    }
 }

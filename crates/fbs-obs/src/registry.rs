@@ -80,14 +80,6 @@ pub enum Counter {
     PoolHits,
     /// Buffer-pool takes that had to allocate a fresh buffer.
     PoolMisses,
-    /// Datagrams dispatched to parallel-sealer workers.
-    SealerJobs,
-    /// Batches submitted to the parallel sealer.
-    SealerBatches,
-    /// Wire payloads dispatched to parallel-sealer workers for opening.
-    SealerOpenJobs,
-    /// Open batches submitted to the parallel sealer.
-    SealerOpenBatches,
     /// Output batches run through the host pipeline's security hooks.
     PipelineOutputBatches,
     /// Input batches run through the host pipeline's security hooks.
@@ -176,7 +168,7 @@ pub enum Counter {
 }
 
 /// Number of scalar counters.
-const NUM_COUNTERS: usize = 72;
+const NUM_COUNTERS: usize = 68;
 
 impl Counter {
     /// All counters, in snapshot order.
@@ -211,10 +203,6 @@ impl Counter {
         Counter::PvcVerifyFailures,
         Counter::PoolHits,
         Counter::PoolMisses,
-        Counter::SealerJobs,
-        Counter::SealerBatches,
-        Counter::SealerOpenJobs,
-        Counter::SealerOpenBatches,
         Counter::PipelineOutputBatches,
         Counter::PipelineInputBatches,
         Counter::PipelineBatchDatagrams,
@@ -288,10 +276,6 @@ impl Counter {
             Counter::PvcVerifyFailures => "pvc.verify_failures",
             Counter::PoolHits => "pool.hits",
             Counter::PoolMisses => "pool.misses",
-            Counter::SealerJobs => "sealer.jobs",
-            Counter::SealerBatches => "sealer.batches",
-            Counter::SealerOpenJobs => "sealer.open_jobs",
-            Counter::SealerOpenBatches => "sealer.open_batches",
             Counter::PipelineOutputBatches => "pipeline.output_batches",
             Counter::PipelineInputBatches => "pipeline.input_batches",
             Counter::PipelineBatchDatagrams => "pipeline.batch_datagrams",
@@ -333,8 +317,10 @@ impl Counter {
         }
     }
 
+    /// `ALL` lists the variants in declaration order (pinned by a
+    /// test), so the discriminant is the slot.
     fn index(self) -> usize {
-        Counter::ALL.iter().position(|c| *c == self).unwrap()
+        self as usize
     }
 }
 
@@ -1163,6 +1149,15 @@ mod tests {
         for c in Counter::ALL {
             assert_eq!(reg.counter(c), 0);
             assert_eq!(snap.counter(c.name()), 0);
+        }
+    }
+
+    #[test]
+    fn counter_discriminants_follow_all_order() {
+        // `Counter::index` is `self as usize`: a variant declared out of
+        // `ALL` order would silently count into a neighbour's slot.
+        for (i, c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i, "{c:?}");
         }
     }
 
