@@ -461,16 +461,34 @@ fn apply_pulse(scope: FlushScope, a: &ChaosHost, b: &ChaosHost) -> u64 {
     }
 }
 
-/// One registry snapshot with both hosts' hook-layer verdict counters
-/// folded in. The registry tracks worker-runtime and resilience
-/// counters natively, but the final per-datagram verdict tallies live
-/// in each hook's own atomics; rate-based health conditions (shed rate
-/// reads offered load from `hooks.*_entries`) need both.
-fn observed_snapshot(registry: &MetricsRegistry, a: &ChaosHost, b: &ChaosHost) -> MetricsSnapshot {
-    let mut snap = registry.snapshot();
-    a.hooks.stats().contribute(&mut snap);
-    b.hooks.stats().contribute(&mut snap);
-    snap
+/// The live (non-counter) half of a phase-end health evaluation, read
+/// off both hosts; the counter half is the registry's phase delta.
+fn health_inputs(
+    a: &ChaosHost,
+    b: &ChaosHost,
+    ip_cfg: &IpMappingConfig,
+    phase: usize,
+    tallies: &[PhaseTally],
+) -> HealthInputs {
+    let ad = a.hooks.parked_depths();
+    let bd = b.hooks.parked_depths();
+    HealthInputs {
+        // The deepest single queue vs the per-queue bound: one full
+        // queue is turning work away even while its three siblings
+        // sit empty, and a summed-depth-vs-summed-capacity ratio
+        // would mask that.
+        park_depth: [ad.0, ad.1, bd.0, bd.1].into_iter().max().unwrap_or(0) as u64,
+        park_capacity: ip_cfg.park_capacity as u64,
+        recovery_ratio_pct: (phase == 3).then(|| {
+            (tallies[3].goodput_per_sec * 100.0 / tallies[0].goodput_per_sec.max(1e-9)) as u64
+        }),
+        workers_quarantined: (a.hooks.quarantined_workers() + b.hooks.quarantined_workers()) as u64,
+        workers_total: (a.hooks.num_workers() + b.hooks.num_workers()) as u64,
+        // Worst single shard budget across both hosts, same
+        // per-queue logic as park_depth.
+        mem_used_bytes: a.hooks.mem_bytes().0.max(b.hooks.mem_bytes().0),
+        mem_limit_bytes: a.hooks.mem_bytes().1.max(b.hooks.mem_bytes().1),
+    }
 }
 
 /// Everything one soak produces beyond the committed report: the
@@ -625,28 +643,8 @@ pub fn run_soak(cfg: SoakConfig, trace_rate_log2: Option<u32>) -> SoakOutput {
         // critical without smearing criticality over the recovery
         // phases that follow (counters are cumulative; phase health is
         // not).
-        let snap = observed_snapshot(&registry, &a, &b);
-        let delta = delta_tracker.delta(&snap);
-        let ad = a.hooks.parked_depths();
-        let bd = b.hooks.parked_depths();
-        let inputs = HealthInputs {
-            // The deepest single queue vs the per-queue bound: one full
-            // queue is turning work away even while its three siblings
-            // sit empty, and a summed-depth-vs-summed-capacity ratio
-            // would mask that.
-            park_depth: [ad.0, ad.1, bd.0, bd.1].into_iter().max().unwrap_or(0) as u64,
-            park_capacity: ip_cfg.park_capacity as u64,
-            recovery_ratio_pct: (phase == 3).then(|| {
-                (tallies[3].goodput_per_sec * 100.0 / tallies[0].goodput_per_sec.max(1e-9)) as u64
-            }),
-            workers_quarantined: (a.hooks.quarantined_workers() + b.hooks.quarantined_workers())
-                as u64,
-            workers_total: (a.hooks.num_workers() + b.hooks.num_workers()) as u64,
-            // Worst single shard budget across both hosts, same
-            // per-queue logic as park_depth.
-            mem_used_bytes: a.hooks.mem_bytes().0.max(b.hooks.mem_bytes().0),
-            mem_limit_bytes: a.hooks.mem_bytes().1.max(b.hooks.mem_bytes().1),
-        };
+        let delta = delta_tracker.delta(&registry.snapshot());
+        let inputs = health_inputs(&a, &b, &ip_cfg, phase, &tallies);
         health.push((PHASES[phase], health_model.evaluate(&delta, &inputs)));
         deltas.push((PHASES[phase], delta));
     }
@@ -867,22 +865,8 @@ pub fn run_worker_fault(cfg: SoakConfig) -> WorkerFaultReport {
             tallies[phase].delivered as f64 / (len as f64 / 1_000_000.0);
         delivered_before = delivered_total;
 
-        let snap = observed_snapshot(&registry, &a, &b);
-        let delta = delta_tracker.delta(&snap);
-        let ad = a.hooks.parked_depths();
-        let bd = b.hooks.parked_depths();
-        let inputs = HealthInputs {
-            park_depth: [ad.0, ad.1, bd.0, bd.1].into_iter().max().unwrap_or(0) as u64,
-            park_capacity: ip_cfg.park_capacity as u64,
-            recovery_ratio_pct: (phase == 3).then(|| {
-                (tallies[3].goodput_per_sec * 100.0 / tallies[0].goodput_per_sec.max(1e-9)) as u64
-            }),
-            workers_quarantined: (a.hooks.quarantined_workers() + b.hooks.quarantined_workers())
-                as u64,
-            workers_total: (a.hooks.num_workers() + b.hooks.num_workers()) as u64,
-            mem_used_bytes: a.hooks.mem_bytes().0.max(b.hooks.mem_bytes().0),
-            mem_limit_bytes: a.hooks.mem_bytes().1.max(b.hooks.mem_bytes().1),
-        };
+        let delta = delta_tracker.delta(&registry.snapshot());
+        let inputs = health_inputs(&a, &b, &ip_cfg, phase, &tallies);
         health.push((WF_PHASES[phase], health_model.evaluate(&delta, &inputs)));
     }
 

@@ -19,6 +19,18 @@ fn balanced(text: &str) {
     );
 }
 
+/// Every value `"key":<n>` takes in `text`, in order of appearance.
+fn values_of(text: &str, key: &str) -> Vec<u64> {
+    let needle = format!("\"{key}\":");
+    text.match_indices(&needle)
+        .map(|(at, _)| {
+            let digits = text[at + needle.len()..].trim_start();
+            let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap();
+            digits[..end].parse().unwrap()
+        })
+        .collect()
+}
+
 #[test]
 fn fig11_metrics_flag_writes_parseable_snapshot() {
     let path = tmp("fig11_metrics.json");
@@ -43,6 +55,7 @@ fn chaos_soak_trace_matches_committed_sample() {
     let trace_path = tmp("flow_trace.json");
     let report_path = tmp("chaos_report.json");
     let prom_path = tmp("chaos.prom");
+    let deltas_path = tmp("chaos_deltas.json");
     let out = Command::new(env!("CARGO_BIN_EXE_chaos_soak"))
         .args([
             "--short",
@@ -54,6 +67,8 @@ fn chaos_soak_trace_matches_committed_sample() {
             trace_path.to_str().unwrap(),
             "--prom",
             prom_path.to_str().unwrap(),
+            "--deltas",
+            deltas_path.to_str().unwrap(),
         ])
         .output()
         .expect("chaos_soak runs");
@@ -95,4 +110,15 @@ fn chaos_soak_trace_matches_committed_sample() {
     let report = std::fs::read_to_string(&report_path).expect("report written");
     assert!(report.contains("\"health\""));
     assert!(report.contains("\"breaker_open\""));
+
+    // Verdicts are counted once: the hooks' own tallies are not added
+    // on top of the registry they already write to. The baseline phase
+    // offers `sent` datagrams to the output hook, and every datagram the
+    // output hook passes is one endpoint send.
+    let deltas = std::fs::read_to_string(&deltas_path).expect("deltas written");
+    let baseline_sent = values_of(&report, "sent")[0];
+    assert_eq!(values_of(&deltas, "hooks.output_entries")[0], baseline_sent);
+    let output_ok: u64 = values_of(&deltas, "hooks.output_ok").iter().sum();
+    let sends: u64 = values_of(&deltas, "endpoint.sends").iter().sum();
+    assert_eq!(output_ok, sends);
 }

@@ -51,15 +51,6 @@ pub trait FlowPolicy<A> {
     /// Has this flow expired (sweeper predicate)? The Fig. 7 policy expires
     /// entries whose last datagram is more than THRESHOLD seconds old.
     fn expired(&self, entry: &FstEntry<A>, now_secs: u64) -> bool;
-
-    /// What to do with a datagram whose flow key cannot be derived right
-    /// now (MKD/directory outage, open circuit breaker). Policy modules
-    /// are the natural owner of this security/availability trade-off —
-    /// FAM mechanics never interpret it. Defaults to fail-closed, the
-    /// paper-faithful behaviour (an unprotectable datagram is an error).
-    fn key_unavailable(&self) -> KeyUnavailableVerdict {
-        KeyUnavailableVerdict::FailClosed
-    }
 }
 
 /// Graceful-degradation verdict for key-unavailable datagrams.

@@ -36,6 +36,16 @@ pub struct ParkStats {
 }
 
 impl ParkStats {
+    /// Fold another queue's counters into these: events add, the depth
+    /// high-water mark takes the deeper queue's.
+    pub fn merge(&mut self, other: &ParkStats) {
+        self.parked += other.parked;
+        self.released += other.released;
+        self.expired += other.expired;
+        self.overflow += other.overflow;
+        self.peak_depth = self.peak_depth.max(other.peak_depth);
+    }
+
     /// Fold these counters into a snapshot under the `park.*` names a
     /// live `MetricsRegistry` uses.
     pub fn contribute(&self, snap: &mut MetricsSnapshot) {

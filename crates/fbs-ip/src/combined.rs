@@ -12,7 +12,7 @@
 use crate::tuple::FiveTuple;
 use fbs_core::{SealedFlowKey, SflAllocator};
 use fbs_crypto::crc32;
-use fbs_obs::{CacheKind, CacheOutcome, Event, MetricsRegistry, MetricsSnapshot};
+use fbs_obs::{CacheKind, CacheOutcome, Event, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,20 +45,6 @@ pub struct CombinedStats {
     pub new_flows: u64,
     /// New flows that displaced a still-active different tuple.
     pub collisions: u64,
-}
-
-impl CombinedStats {
-    /// Fold these counters into a snapshot under the `cache.combined.*`
-    /// names a live [`MetricsRegistry`] uses: new flows that displaced an
-    /// active entry count as collision misses, the rest as cold misses.
-    pub fn contribute(&self, snap: &mut MetricsSnapshot) {
-        snap.add("cache.combined.hits", self.hits);
-        snap.add(
-            "cache.combined.cold_misses",
-            self.new_flows.saturating_sub(self.collisions),
-        );
-        snap.add("cache.combined.collision_misses", self.collisions);
-    }
 }
 
 /// Lock-free counters backing [`CombinedTable::stats`]. The per-shard

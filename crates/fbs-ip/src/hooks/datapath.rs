@@ -1,0 +1,842 @@
+//! Everything that touches one datagram: a [`Shard`]'s flow state, the
+//! §7.2 protect path and the verify path, the verdict wrappers that
+//! apply the degradation policy, deferred batch authentication, and the
+//! park release loop. Nothing here knows who runs it or how datagrams
+//! arrive — the worker runtime hands in a [`Pass`] and a [`WorkerCtx`].
+
+use super::config::IpMappingConfig;
+use super::{record, HookShared};
+use crate::combined::CombinedTable;
+use crate::tuple::FiveTuple;
+use fbs_core::header::HeaderView;
+use fbs_core::{
+    derive_flow_key, BatchVerifier, BudgetKind, FbsError, FlowCodec, FlowKeyId, FstEntry,
+    KeyUnavailableVerdict, Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
+};
+use fbs_crypto::{crc32, CipherSuite};
+use fbs_net::ip::Proto;
+use fbs_net::{HookOutcome, Ipv4Header};
+use fbs_obs::{
+    CacheKind, Counter, Direction, Event, MetricsRegistry, SpanKind, Stage, StageTimer, TraceSpan,
+};
+use std::sync::Arc;
+
+/// Multiplier decorrelating per-shard confounder seeds (golden-ratio
+/// constant; shard 0 keeps the endpoint's original seed).
+const SHARD_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Mixed into rebuilt shards' sfl-allocator salt and confounder seed on
+/// every supervised respawn, so a respawned shard never re-issues sfls
+/// or confounder bytes from its previous life.
+const GENERATION_MIX: u64 = 0xD1B5_4A32_D192_ED03;
+
+/// Estimated resident bytes per flow-key cache entry, charged against
+/// the shard's [`MemoryBudget`]: the SoA slot (key + value `Arc` + LRU
+/// tick + control byte) plus the [`SealedFlowKey`] allocation the `Arc`
+/// points at. An estimate is the right tool — the budget bounds
+/// steady-state residency, it is not an allocator.
+const FLOW_KEY_ENTRY_BYTES: u64 = (std::mem::size_of::<Option<FlowKeyId>>()
+    + std::mem::size_of::<Option<Arc<SealedFlowKey>>>()
+    + std::mem::size_of::<u64>()
+    + 1
+    + std::mem::size_of::<SealedFlowKey>()) as u64;
+
+/// Static bytes one shard's FST-shaped table occupies (the §7.2
+/// combined table keeps `fst_size` slots resident whether or not flows
+/// occupy them), charged up front under [`BudgetKind::Fam`] so
+/// `mem.shard.<i>.*` reflects the real floor.
+fn fst_static_bytes(fst_size: usize) -> u64 {
+    (fst_size * std::mem::size_of::<Option<FstEntry<FiveTuple>>>()) as u64
+}
+
+/// One shard's slice of the mutable flow state, owned exclusively by one
+/// worker thread (no lock — ownership IS the exclusion). All counters
+/// inside are share-stats'd into the lock-free aggregates in
+/// [`HookShared`].
+pub(super) struct Shard {
+    /// Index in the owning worker's shard vector (`si / W`), so a
+    /// deferred verdict can find this shard's codec again.
+    local: usize,
+    /// Seal/open engine with this shard's confounder stream.
+    codec: FlowCodec,
+    /// The §7.2 send path: flow association and the transmit flow key
+    /// in one table, one probe per datagram.
+    pub(super) combined: CombinedTable,
+    /// Receive flow key cache slice for sfls ≡ shard index (mod N).
+    pub(super) rfkc: SoftCache<FlowKeyId, Arc<SealedFlowKey>>,
+    /// Output datagrams awaiting key derivation: (header, plaintext).
+    pub(super) out_park: ParkingQueue<(Ipv4Header, Vec<u8>)>,
+    /// Input datagrams awaiting key derivation: (header, wire payload).
+    pub(super) in_park: ParkingQueue<(Ipv4Header, Vec<u8>)>,
+}
+
+impl Shard {
+    /// The parking queue for `dir`.
+    pub(super) fn park(&mut self, dir: Direction) -> &mut ParkingQueue<(Ipv4Header, Vec<u8>)> {
+        match dir {
+            Direction::Output => &mut self.out_park,
+            Direction::Input => &mut self.in_park,
+        }
+    }
+}
+
+/// One finished datagram on its way back: submission slot, (possibly
+/// length-fixed) header, and the verdict.
+pub(super) type DoneItem = (usize, Ipv4Header, HookOutcome);
+
+/// What a release control round-trip returns: the released datagrams
+/// plus every buffer the worker consumed (to be recycled into the
+/// caller's pool).
+pub(super) type ReleasedBatch = (Vec<(Ipv4Header, Vec<u8>)>, Vec<Vec<u8>>);
+
+/// A worker's view of the buffer economy while processing one
+/// sub-batch: `take` pops a supply (falling back to a fresh allocation),
+/// `put` stages a buffer for recycling into the producer's pool.
+pub(super) struct WorkerCtx<'a> {
+    pub(super) supplies: &'a mut Vec<Vec<u8>>,
+    pub(super) recycle: &'a mut Vec<Vec<u8>>,
+}
+
+impl WorkerCtx<'_> {
+    fn take(&mut self) -> Vec<u8> {
+        match self.supplies.pop() {
+            Some(mut buf) => {
+                buf.clear();
+                buf
+            }
+            None => Vec::with_capacity(fbs_core::pool::DEFAULT_BUF_CAPACITY),
+        }
+    }
+
+    fn put(&mut self, buf: Vec<u8>) {
+        self.recycle.push(buf);
+    }
+}
+
+impl HookShared {
+    /// Build shard `si` from scratch. `generation` 0 reproduces the
+    /// construction-time shards exactly; a respawned worker bumps it so
+    /// rebuilt confounder streams and sfl ranges cannot collide with
+    /// anything issued before the panic. The generation salt multiplies
+    /// into the stride base, so `sfl % n_shards == si` still holds — the
+    /// receive-side partition stays consistent across respawns.
+    pub(super) fn build_shard(&self, si: usize, generation: u64) -> Shard {
+        let cfg = self.cfg.load();
+        let n = self.n_shards as u64;
+        let salt = self
+            .sfl_seed
+            .wrapping_add(generation.wrapping_mul(0x9E37_79B9));
+        let stride_base = salt.wrapping_mul(n).wrapping_add(si as u64);
+        let mut codec = FlowCodec::new(
+            self.local.clone(),
+            self.ep_cfg.clone(),
+            Arc::clone(&self.clock),
+            self.codec_seed
+                ^ (si as u64).wrapping_mul(SHARD_SEED_MIX)
+                ^ generation.wrapping_mul(GENERATION_MIX),
+        );
+        codec.share_stats(Arc::clone(&self.endpoint_stats));
+        let mut combined = CombinedTable::new(
+            cfg.fst_size,
+            cfg.threshold_secs,
+            SflAllocator::with_stride(stride_base, n),
+        );
+        combined.share_stats(Arc::clone(&self.combined_stats));
+        let mut rfkc = SoftCache::new(
+            self.ep_cfg.rfkc_sets,
+            self.ep_cfg.rfkc_assoc,
+            fbs_core::flow_key_hash,
+        );
+        rfkc.share_stats(Arc::clone(&self.rfkc_stats));
+        // The shard enforces its own budget: reset the (possibly
+        // carried-over) ledger, charge the static FST footprint, and
+        // attach the key cache so it evicts before allocating past it.
+        let budget = self.budgets[si].clone();
+        budget.reset();
+        budget.charge(BudgetKind::Fam, fst_static_bytes(cfg.fst_size));
+        rfkc.set_budget(budget, BudgetKind::Rfkc, FLOW_KEY_ENTRY_BYTES);
+        Shard {
+            local: si / self.n_workers,
+            codec,
+            combined,
+            rfkc,
+            out_park: ParkingQueue::new(cfg.park_capacity, cfg.park_deadline_us),
+            in_park: ParkingQueue::new(cfg.park_capacity, cfg.park_deadline_us),
+        }
+    }
+}
+
+/// Cascade a metrics registry into one shard's components (used both by
+/// the AttachObs control message and by post-panic shard rebuilds).
+pub(super) fn cascade_obs(shard: &mut Shard, reg: &Arc<MetricsRegistry>) {
+    shard.codec.set_obs(Arc::clone(reg));
+    shard.combined.set_obs(Arc::clone(reg));
+    shard.rfkc.set_obs(Arc::clone(reg), CacheKind::Rfkc);
+}
+
+/// Record a flow-trace span when a tracer is attached AND sampling
+/// selects the flow. The untraced path costs one `Option` check plus one
+/// atomic load; an unsampled flow adds a hash of its sfl — no locking,
+/// no allocation.
+fn trace_span(
+    obs: &Option<Arc<MetricsRegistry>>,
+    sfl: u64,
+    host: [u8; 4],
+    kind: SpanKind,
+    t_us: u64,
+    info: u64,
+) {
+    if let Some(tracer) = obs.as_ref().and_then(|reg| reg.tracer()) {
+        if tracer.sampled(sfl) {
+            tracer.record(TraceSpan {
+                sfl,
+                host: u32::from_be_bytes(host),
+                kind,
+                t_us,
+                info,
+            });
+        }
+    }
+}
+
+/// The wire sfl: the first 8 big-endian payload bytes of a framed
+/// datagram (the same prefix `rx_shard` partitions by).
+fn wire_sfl(payload: &[u8]) -> Option<u64> {
+    payload
+        .get(..8)
+        .map(|b| u64::from_be_bytes(b.try_into().expect("8 bytes")))
+}
+
+/// The policy's key-unavailable verdict, downgraded to fail-closed when
+/// fail-open would leak traffic configured for confidentiality.
+fn degrade_verdict(cfg: &IpMappingConfig) -> KeyUnavailableVerdict {
+    if cfg.encrypt && cfg.key_unavailable == KeyUnavailableVerdict::FailOpen {
+        KeyUnavailableVerdict::FailClosed
+    } else {
+        cfg.key_unavailable
+    }
+}
+
+/// The outgoing datagram's flow identity. `None` = a transport datagram
+/// too short for 5-tuple extraction (rejected later as malformed).
+pub(super) fn tuple_for(header: &Ipv4Header, payload: &[u8]) -> Option<FiveTuple> {
+    let is_transport = matches!(Proto::from_number(header.proto), Proto::Mrt | Proto::Udp);
+    if is_transport {
+        FiveTuple::extract(header.proto, header.src, header.dst, payload)
+    } else {
+        // Footnote-10 extension: raw IP forms host-level flows — the
+        // "5-tuple" degenerates to (proto, saddr, daddr).
+        Some(FiveTuple {
+            proto: header.proto,
+            saddr: header.src,
+            sport: 0,
+            daddr: header.dst,
+            dport: 0,
+        })
+    }
+}
+
+/// Transmit shard: derived from `crc32(tuple)` like the tables' slot
+/// indices, but from the HIGH bits — the tables reduce the crc mod their
+/// size (low bits), and taking the shard from the same low bits would
+/// leave each shard's tuples able to reach only `1/N` of its full-size
+/// table. Extraction failures go to shard 0; they only touch shared
+/// counters on their reject path.
+pub(super) fn tx_shard(n: usize, tuple: Option<&FiveTuple>) -> usize {
+    tuple.map_or(0, |t| {
+        (crc32(&t.canonical_array()) >> 16) as usize & (n - 1)
+    })
+}
+
+/// Receive shard: the wire sfl (first 8 payload bytes, big-endian) mod
+/// the shard count — the transmit side's strided allocators guarantee
+/// `sfl % N` IS the owning shard there, and any consistent partition
+/// works here. Short payloads go to shard 0 and fail header parsing.
+pub(super) fn rx_shard(n: usize, payload: &[u8]) -> usize {
+    wire_sfl(payload).map_or(0, |sfl| sfl as usize & (n - 1))
+}
+
+/// What every per-datagram function reads, loaded once per sub-batch
+/// (or control action) by the owning worker: the shared runtime state,
+/// the config snapshot and registry handle in force for this pass, and
+/// the caller's virtual time.
+pub(super) struct Pass<'a> {
+    pub(super) shared: &'a HookShared,
+    pub(super) cfg: &'a IpMappingConfig,
+    pub(super) obs: &'a Option<Arc<MetricsRegistry>>,
+    pub(super) now_us: u64,
+}
+
+impl Pass<'_> {
+    /// A flow-trace span stamped with this pass's virtual time.
+    fn span(&self, sfl: u64, host: [u8; 4], kind: SpanKind, info: u64) {
+        trace_span(self.obs, sfl, host, kind, self.now_us, info);
+    }
+
+    /// Mark a park-lifecycle step in the flow trace. A parked *input*
+    /// datagram carries its wire sfl, so the mark is a span (`kind`) on
+    /// that flow; an *output* park has no flow identity yet (keying
+    /// failed before an sfl could resolve), so it is a global `note`.
+    fn trace_park(
+        &self,
+        dir: Direction,
+        header: &Ipv4Header,
+        sfl: Option<u64>,
+        kind: SpanKind,
+        note: &'static str,
+        info: u64,
+    ) {
+        match (dir, sfl) {
+            (Direction::Output, _) => {
+                if let Some(tracer) = self.obs.as_ref().and_then(|reg| reg.tracer()) {
+                    tracer.annotate(note, "output", self.now_us, info);
+                }
+            }
+            (Direction::Input, Some(sfl)) => self.span(sfl, header.dst, kind, info),
+            (Direction::Input, None) => {}
+        }
+    }
+}
+
+/// Zero-message key derivation via the shared keying service. `peer` is
+/// the remote principal, `(src, dst)` the derivation direction.
+fn derive_key(
+    pass: &Pass<'_>,
+    sfl: u64,
+    peer: &Principal,
+    src: &Principal,
+    dst: &Principal,
+) -> Result<Arc<SealedFlowKey>, FbsError> {
+    let Pass { shared, obs, .. } = *pass;
+    let t0 = obs.as_ref().map(|_| shared.clock.now_micros());
+    let timer = obs.as_ref().map(|_| StageTimer::start());
+    let master = shared.keying.master_key(peer)?;
+    // seal_for (via seal_key) pre-builds every schedule the configured
+    // suite needs — TDEA subkeys, the ChaCha key, the cached MAC key
+    // prefix — so the per-datagram path never initializes lazily.
+    let k = Arc::new(shared.ep_cfg.seal_key(derive_flow_key(
+        shared.ep_cfg.key_derivation,
+        sfl,
+        &master,
+        src,
+        dst,
+    )));
+    if let (Some(reg), Some(t0)) = (obs.as_ref(), t0) {
+        reg.record(Event::KeyDerivation {
+            micros: shared.clock.now_micros().saturating_sub(t0),
+        });
+        if let Some(timer) = timer {
+            reg.observe_stage(Stage::KeyDerive, timer.elapsed_ns());
+        }
+    }
+    Ok(k)
+}
+
+/// Resolve the transmit (sfl, key) for `tuple` — §7.2's single lookup.
+/// A hit completes immediately; a miss reserves the sfl, derives via the
+/// keying service, and installs unconditionally — the worker is the
+/// shard's only writer, so there is no racing insert to re-check for (a
+/// failed derivation burns the reserved sfl).
+fn resolve_tx_key(
+    pass: &Pass<'_>,
+    shard: &mut Shard,
+    tuple: &FiveTuple,
+    destination: &Principal,
+) -> Result<(u64, Arc<SealedFlowKey>), FbsError> {
+    let now_secs = pass.now_us / 1_000_000;
+    if let Some(hit) = shard.combined.probe(tuple, now_secs) {
+        return Ok((hit.sfl, hit.key));
+    }
+    let sfl = shard.combined.reserve_sfl();
+    let local = &pass.shared.local;
+    let key = derive_key(pass, sfl, destination, local, destination)?;
+    shard
+        .combined
+        .insert(*tuple, sfl, Arc::clone(&key), now_secs);
+    Ok((sfl, key))
+}
+
+/// The §7.2 protect path, with no verdict handling: classify the datagram
+/// into a flow, derive/look up its key, and seal the borrowed plaintext
+/// into a supply buffer (fixing up `header`'s length on success). The
+/// caller keeps ownership of the original bytes, so no snapshot copy is
+/// ever needed for park/fail-open fallbacks.
+fn protect(
+    pass: &Pass<'_>,
+    shard: &mut Shard,
+    header: &mut Ipv4Header,
+    payload: &[u8],
+    tuple: Option<FiveTuple>,
+    ctx: &mut WorkerCtx<'_>,
+) -> Result<Vec<u8>, FbsError> {
+    let Pass {
+        shared, cfg, obs, ..
+    } = *pass;
+    let Some(tuple) = tuple else {
+        return Err(FbsError::MalformedHeader("payload too short for 5-tuple"));
+    };
+    let destination = Principal::from_ipv4(header.dst);
+    let (sfl, key) = resolve_tx_key(pass, shard, &tuple, &destination)?;
+    pass.span(sfl, header.src, SpanKind::Classify, payload.len() as u64);
+    let mut out = ctx.take();
+    let timer = obs.as_ref().map(|_| StageTimer::start());
+    match shard
+        .codec
+        .seal_with_key_into(sfl, &key, payload, cfg.encrypt, &mut out)
+    {
+        Ok(()) => {
+            if let Some(reg) = obs.as_ref() {
+                if let Some(timer) = timer {
+                    reg.observe_stage(Stage::Seal, timer.elapsed_ns());
+                }
+                reg.incr(suite_counter(shared.ep_cfg.suite, Direction::Output));
+            }
+            pass.span(sfl, header.src, SpanKind::Seal, out.len() as u64);
+            let delta = out.len() as isize - payload.len() as isize;
+            header.grow_payload(delta);
+            Ok(out)
+        }
+        Err(e) => {
+            ctx.put(out);
+            Err(e)
+        }
+    }
+}
+
+/// The verify path, with no verdict handling: parse the FBS framing,
+/// resolve the receive flow key, and recover the borrowed wire payload
+/// into a supply buffer (fixing up `header`'s length on success). The
+/// MAC *comparison* is deferred into `auth` (MABS-style batch
+/// verification): on `Ok((body, true))` the accept/reject decision
+/// lands at sub-batch resolution, keyed by `token` (the item's index in
+/// the `done` list).
+fn verify(
+    pass: &Pass<'_>,
+    shard: &mut Shard,
+    header: &mut Ipv4Header,
+    payload: &[u8],
+    ctx: &mut WorkerCtx<'_>,
+    token: usize,
+    auth: &mut BatchAuth,
+) -> Result<(Vec<u8>, bool), FbsError> {
+    let Pass { shared, obs, .. } = *pass;
+    let source = Principal::from_ipv4(header.src);
+    let (view, used) = HeaderView::parse(payload)?;
+    // R3-4: freshness before key lookup, so a stale datagram is rejected
+    // as stale even when its key is unavailable.
+    shard.codec.check_freshness(view.timestamp)?;
+    let id: FlowKeyId = (view.sfl, source.clone(), shared.local.clone());
+    let key = if let Some(k) = shard.rfkc.get_ref(&id) {
+        Arc::clone(k)
+    } else {
+        let key = derive_key(pass, view.sfl, &source, &source, &shared.local)?;
+        shard.rfkc.insert(id, Arc::clone(&key));
+        key
+    };
+    let mut body = ctx.take();
+    let timer = obs.as_ref().map(|_| StageTimer::start());
+    match shard.codec.open_with_key_deferred(
+        &view,
+        &key,
+        &payload[used..],
+        &mut body,
+        token,
+        &mut auth.verifier,
+    ) {
+        Ok(deferred) => {
+            if let Some(reg) = obs.as_ref() {
+                if let Some(timer) = timer {
+                    reg.observe_stage(Stage::Open, timer.elapsed_ns());
+                }
+                reg.incr(suite_counter(shared.ep_cfg.suite, Direction::Input));
+            }
+            trace_span(
+                obs,
+                view.sfl,
+                header.dst,
+                SpanKind::Open,
+                shared.clock.now_micros(),
+                body.len() as u64,
+            );
+            if deferred {
+                auth.deferred.push(DeferredOpen {
+                    done_idx: token,
+                    shard_local: shard.local,
+                    bytes: body.len() as u64,
+                });
+            }
+            let delta = payload.len() as isize - body.len() as isize;
+            header.grow_payload(-delta);
+            Ok((body, deferred))
+        }
+        Err(e) => {
+            ctx.put(body);
+            Err(e)
+        }
+    }
+}
+
+/// Hold a key-unavailable datagram in `dir`'s bounded parking queue
+/// until [`release_parked`] can retry it. Overflow hands the datagram
+/// back: it is rejected and its pooled payload recycled, not leaked.
+fn park_or_reject(
+    pass: &Pass<'_>,
+    shard: &mut Shard,
+    dir: Direction,
+    header: &Ipv4Header,
+    payload: Vec<u8>,
+    ctx: &mut WorkerCtx<'_>,
+    e: &FbsError,
+) -> HookOutcome {
+    let obs = pass.obs;
+    let sfl = wire_sfl(&payload);
+    let timer = obs.as_ref().map(|_| StageTimer::start());
+    let queue = shard.park(dir);
+    match queue.park((header.clone(), payload), pass.now_us) {
+        Ok(()) => {
+            if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
+                reg.observe_stage(Stage::Park, timer.elapsed_ns());
+            }
+            let queued = queue.len() as u32;
+            record(obs, Event::Parked { queued });
+            pass.trace_park(dir, header, sfl, SpanKind::Parked, "parked", queued as u64);
+            HookOutcome::Park
+        }
+        Err((_, payload)) => {
+            ctx.put(payload);
+            record(obs, Event::ParkOverflow);
+            pass.shared.exit(obs, dir, false);
+            HookOutcome::Reject(format!("park queue full: {e}"))
+        }
+    }
+}
+
+/// The final-rejection tail of both verdict wrappers: recycle the
+/// payload, account a fail-closed degradation when the cause was
+/// missing key material, and close the datagram's ledger entry.
+fn reject(
+    pass: &Pass<'_>,
+    dir: Direction,
+    payload: Vec<u8>,
+    ctx: &mut WorkerCtx<'_>,
+    e: &FbsError,
+) -> HookOutcome {
+    ctx.put(payload);
+    if e.is_key_unavailable() {
+        pass.shared.degraded(pass.obs, dir, false);
+    }
+    pass.shared.exit(pass.obs, dir, false);
+    HookOutcome::Reject(e.to_string())
+}
+
+/// Output verdict wrapper: protect, and on a *key-unavailable* failure
+/// apply the policy's degradation verdict. Fail-open passes the original
+/// plaintext (never under `encrypt` — see [`degrade_verdict`]).
+pub(super) fn output_item(
+    pass: &Pass<'_>,
+    shard: &mut Shard,
+    header: &mut Ipv4Header,
+    payload: Vec<u8>,
+    tuple: Option<FiveTuple>,
+    ctx: &mut WorkerCtx<'_>,
+) -> HookOutcome {
+    let Pass { shared, obs, .. } = *pass;
+    let dir = Direction::Output;
+    record(obs, Event::HookEntry { dir });
+    let verdict = degrade_verdict(pass.cfg);
+    // protect borrows the payload, so the original bytes are still owned
+    // here for the fall-back verdicts — no snapshot copy needed.
+    match protect(pass, shard, header, &payload, tuple, ctx) {
+        Ok(out) => {
+            ctx.put(payload);
+            shared.exit(obs, dir, true);
+            HookOutcome::Pass(out)
+        }
+        Err(e) if e.is_key_unavailable() && verdict == KeyUnavailableVerdict::FailOpen => {
+            shared.degraded(obs, dir, true);
+            shared.exit(obs, dir, true); // it did exit the hook ok
+            HookOutcome::Pass(payload)
+        }
+        Err(e) if e.is_key_unavailable() && verdict == KeyUnavailableVerdict::Park => {
+            park_or_reject(pass, shard, dir, header, payload, ctx, &e)
+        }
+        Err(e) => reject(pass, dir, payload, ctx, &e),
+    }
+}
+
+/// Input verdict wrapper. Degradation applies narrowly here:
+///
+/// * an **unframed** datagram (no FBS header parses) is admitted as-is
+///   under fail-open — the counterpart of a fail-open sender;
+/// * a **framed** datagram that fails with key-unavailable may be
+///   parked; fail-open never admits it (it cannot be verified, and under
+///   encryption it is unreadable anyway);
+/// * cryptographic failures (MAC, freshness) always reject.
+pub(super) fn input_item(
+    pass: &Pass<'_>,
+    shard: &mut Shard,
+    header: &mut Ipv4Header,
+    payload: Vec<u8>,
+    ctx: &mut WorkerCtx<'_>,
+    token: usize,
+    auth: &mut BatchAuth,
+) -> HookOutcome {
+    let Pass { shared, obs, .. } = *pass;
+    let dir = Direction::Input;
+    record(obs, Event::HookEntry { dir });
+    let verdict = degrade_verdict(pass.cfg);
+    match verify(pass, shard, header, &payload, ctx, token, auth) {
+        Ok((body, deferred)) => {
+            // The wire buffer is recycled either way: the deferred
+            // verifier copied the shipped tag out of it.
+            ctx.put(payload);
+            // A deferred item's success accounting (or its flip to
+            // Reject) happens at batch resolution.
+            if !deferred {
+                shared.exit(obs, dir, true);
+            }
+            HookOutcome::Pass(body)
+        }
+        Err(FbsError::MalformedHeader(_) | FbsError::UnknownAlgorithm(_))
+            if verdict == KeyUnavailableVerdict::FailOpen =>
+        {
+            shared.degraded(obs, dir, true);
+            shared.exit(obs, dir, true);
+            HookOutcome::Pass(payload)
+        }
+        Err(e) if e.is_key_unavailable() && verdict == KeyUnavailableVerdict::Park => {
+            park_or_reject(pass, shard, dir, header, payload, ctx, &e)
+        }
+        Err(e) => reject(pass, dir, payload, ctx, &e),
+    }
+}
+
+/// Suite-labelled crypto counter: which profile sealed/opened the
+/// datagram.
+fn suite_counter(suite: CipherSuite, dir: Direction) -> Counter {
+    match (dir, suite) {
+        (Direction::Output, CipherSuite::Paper) => Counter::SealSuitePaper,
+        (Direction::Output, CipherSuite::FastDes) => Counter::SealSuiteFastDes,
+        (Direction::Output, CipherSuite::AeadChaPoly) => Counter::SealSuiteAead,
+        (Direction::Input, CipherSuite::Paper) => Counter::OpenSuitePaper,
+        (Direction::Input, CipherSuite::FastDes) => Counter::OpenSuiteFastDes,
+        (Direction::Input, CipherSuite::AeadChaPoly) => Counter::OpenSuiteAead,
+    }
+}
+
+/// Deferred-verification bookkeeping for one tentatively-passed input
+/// datagram: which reply slot to flip if batch verification fails, and
+/// which shard's codec accounts for the outcome.
+struct DeferredOpen {
+    /// Index into the current sub-batch's `done` list.
+    done_idx: usize,
+    /// Local shard index (`si / W`) whose codec opened the datagram.
+    shard_local: usize,
+    /// Recovered body length, accounted on pass.
+    bytes: u64,
+}
+
+/// Per-worker batch-authentication state: the MABS-style deferred MAC
+/// comparisons of a sub-batch, resolved with one fold (bisection on a
+/// dirty fold) before the reply ships. The verifier and scratch vectors
+/// are retained across sub-batches, so steady-state resolution
+/// allocates nothing.
+#[derive(Default)]
+pub(super) struct BatchAuth {
+    verifier: BatchVerifier,
+    deferred: Vec<DeferredOpen>,
+    failed: Vec<usize>,
+}
+
+/// Resolve every deferred MAC comparison of the current sub-batch:
+/// one constant-time fold accepts the whole clean batch; a dirty fold
+/// bisects, and each isolated failure flips its already-staged `Pass`
+/// verdict in `done` to `Reject` (recycling the recovered body, so the
+/// buffer ledger stays balanced). MUST run before the verdicts leave the
+/// worker — including on the quarantine path and for parked datagrams
+/// released one at a time — or tentatively-passed datagrams would
+/// escape unverified.
+pub(super) fn resolve_batch_auth(
+    pass: &Pass<'_>,
+    shards: &[Shard],
+    auth: &mut BatchAuth,
+    done: &mut [DoneItem],
+    recycle: &mut Vec<Vec<u8>>,
+) {
+    let Pass { shared, obs, .. } = *pass;
+    if auth.verifier.is_empty() && auth.deferred.is_empty() {
+        return;
+    }
+    let timer = obs.as_ref().map(|_| StageTimer::start());
+    auth.failed.clear();
+    let stats = auth.verifier.resolve(&mut auth.failed);
+    for d in auth.deferred.drain(..) {
+        let codec = &shards[d.shard_local].codec;
+        let entry = &mut done[d.done_idx];
+        if !matches!(entry.2, HookOutcome::Pass(_)) {
+            // A supervised panic struck between the tag enqueue and the
+            // verdict push: the item already carries the supervisor's
+            // Reject, nothing to account here.
+            continue;
+        }
+        if auth.failed.contains(&d.done_idx) {
+            codec.note_deferred_mac_drop();
+            let old = std::mem::replace(
+                &mut entry.2,
+                HookOutcome::Reject("bad MAC (batch verify)".into()),
+            );
+            if let HookOutcome::Pass(body) = old {
+                recycle.push(body);
+            }
+            shared.exit(obs, Direction::Input, false);
+        } else {
+            codec.note_deferred_pass(d.bytes);
+            shared.exit(obs, Direction::Input, true);
+        }
+    }
+    if let Some(reg) = obs.as_ref() {
+        reg.incr(Counter::BatchAuthResolutions);
+        reg.add(Counter::BatchAuthChecked, stats.checked as u64);
+        reg.add(Counter::BatchAuthFolds, stats.folds);
+        reg.add(Counter::BatchAuthBisections, stats.bisections);
+        reg.add(Counter::BatchAuthRejected, stats.rejected as u64);
+        if let Some(timer) = timer {
+            reg.observe_stage(Stage::BatchVerify, timer.elapsed_ns());
+        }
+    }
+}
+
+/// Park release loop for one worker's owned shards in one direction:
+/// expire the overdue, then retry the rest — skipping (and re-parking)
+/// everything whose peer's circuit breaker would fast-fail, so a wall of
+/// parked traffic cannot hammer a known-broken keying path. Output
+/// retries `protect` towards `header.dst`; input retries `verify` from
+/// `header.src` and settles the MAC through [`resolve_batch_auth`] as a
+/// batch of one. Returns released datagrams plus consumed buffers for
+/// the caller's pool; retries draw fresh buffers (the control plane
+/// ships no supplies — releases are rare).
+pub(super) fn release_parked(
+    shared: &HookShared,
+    shards: &mut [Shard],
+    dir: Direction,
+    now_us: u64,
+) -> ReleasedBatch {
+    let cfg = shared.cfg.load();
+    let obs = shared.obs_handle();
+    let pass = Pass {
+        shared,
+        cfg: &cfg,
+        obs: &obs,
+        now_us,
+    };
+    let mut ready = Vec::new();
+    let mut recycle = Vec::new();
+    let mut supplies: Vec<Vec<u8>> = Vec::new();
+    let mut auth = BatchAuth::default();
+    let timer = obs.as_ref().map(|_| StageTimer::start());
+    let mut did_work = false;
+    for local in 0..shards.len() {
+        for expired in shards[local].park(dir).take_expired(now_us) {
+            let (header, payload) = expired.item;
+            let sfl = wire_sfl(&payload);
+            pass.trace_park(dir, &header, sfl, SpanKind::Expired, "park_expired", 0);
+            recycle.push(payload);
+            record(&obs, Event::ParkExpired);
+            did_work = true;
+        }
+        for entry in shards[local].park(dir).take_all() {
+            did_work = true;
+            let Parked {
+                item: (mut header, payload),
+                parked_at_us,
+                deadline_us,
+            } = entry;
+            // Back to the queue with the original deadline (drops at
+            // expiry, never grows unbounded).
+            let repark = |shard: &mut Shard, header, payload, recycle: &mut Vec<Vec<u8>>| {
+                if let Err((_, payload)) = shard.park(dir).repark(Parked {
+                    item: (header, payload),
+                    parked_at_us,
+                    deadline_us,
+                }) {
+                    recycle.push(payload);
+                    record(&obs, Event::ParkOverflow);
+                }
+            };
+            let peer = Principal::from_ipv4(match dir {
+                Direction::Output => header.dst,
+                Direction::Input => header.src,
+            });
+            if shared.keying.would_fast_fail(&peer) {
+                repark(&mut shards[local], header, payload, &mut recycle);
+                continue;
+            }
+            let mut ctx = WorkerCtx {
+                supplies: &mut supplies,
+                recycle: &mut recycle,
+            };
+            // Both attempts only borrow the parked bytes, so they are
+            // still owned here for a repark.
+            let shard = &mut shards[local];
+            let res = match dir {
+                Direction::Output => {
+                    let tuple = tuple_for(&header, &payload);
+                    protect(&pass, shard, &mut header, &payload, tuple, &mut ctx)
+                        .map(|sealed| (sealed, false))
+                }
+                Direction::Input => {
+                    verify(&pass, shard, &mut header, &payload, &mut ctx, 0, &mut auth)
+                }
+            };
+            match res {
+                Ok((out, deferred)) => {
+                    // The tentative verdict goes through the same
+                    // resolver as a sub-batch's: it accounts a deferred
+                    // pass, or flips a forgery to `Reject` and recycles
+                    // the body. (Nothing is ever deferred on output.)
+                    let mut done = [(0, header, HookOutcome::Pass(out))];
+                    resolve_batch_auth(&pass, shards, &mut auth, &mut done, &mut recycle);
+                    let [(_, header, outcome)] = done;
+                    let HookOutcome::Pass(out) = outcome else {
+                        recycle.push(payload);
+                        continue;
+                    };
+                    if !deferred {
+                        shared.exit(&obs, dir, true);
+                    }
+                    let waited_us = shards[local].park(dir).note_released(parked_at_us, now_us);
+                    record(&obs, Event::ParkReleased { waited_us });
+                    // The flow's sfl leads the framed bytes: what was
+                    // just sealed (the park itself had no identity to
+                    // trace) or the wire payload that was parked.
+                    let (framed, host) = match dir {
+                        Direction::Output => (&out, header.src),
+                        Direction::Input => (&payload, header.dst),
+                    };
+                    if let Some(sfl) = wire_sfl(framed) {
+                        pass.span(sfl, host, SpanKind::Released, waited_us);
+                    }
+                    recycle.push(payload);
+                    ready.push((header, out));
+                }
+                Err(e) if e.is_key_unavailable() => {
+                    // Still no key.
+                    let sfl = wire_sfl(&payload);
+                    pass.trace_park(dir, &header, sfl, SpanKind::Reparked, "reparked", 0);
+                    repark(&mut shards[local], header, payload, &mut recycle);
+                }
+                Err(_) => {
+                    shared.exit(&obs, dir, false);
+                    recycle.push(payload);
+                }
+            }
+        }
+    }
+    if did_work {
+        if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
+            reg.observe_stage(Stage::Release, timer.elapsed_ns());
+        }
+    }
+    recycle.append(&mut supplies);
+    (ready, recycle)
+}

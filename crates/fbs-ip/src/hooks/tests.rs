@@ -1,0 +1,867 @@
+use super::*;
+use crate::host::build_secure_host;
+use fbs_cert::{CertificateAuthority, Directory};
+use fbs_core::{KeyUnavailableVerdict, ManualClock};
+use fbs_crypto::dh::DhGroup;
+use fbs_crypto::CipherSuite;
+use fbs_net::ip::Ipv4Addr;
+use std::time::Duration;
+
+const A: Ipv4Addr = [10, 9, 0, 1];
+const B: Ipv4Addr = [10, 9, 0, 2];
+
+struct World {
+    clock: ManualClock,
+    ca: CertificateAuthority,
+    directory: Arc<Directory>,
+    group: DhGroup,
+}
+
+impl World {
+    fn new() -> Self {
+        World {
+            clock: ManualClock::starting_at(0),
+            ca: CertificateAuthority::new("degrade-test-ca", [0xD6; 16]),
+            directory: Arc::new(Directory::new(Duration::ZERO)),
+            group: DhGroup::test_group(),
+        }
+    }
+
+    /// Build hooks for `addr` (publishing its certificate).
+    fn host(&self, addr: Ipv4Addr) -> FbsIpHooks {
+        self.host_with(addr, IpMappingConfig::default())
+    }
+
+    fn host_with(&self, addr: Ipv4Addr, cfg: IpMappingConfig) -> FbsIpHooks {
+        let (_host, hooks) = build_secure_host(
+            addr,
+            1500,
+            cfg,
+            self.clock.clone(),
+            &self.group,
+            &self.ca,
+            &self.directory,
+            42,
+        );
+        hooks
+    }
+}
+
+fn udp_datagram(src: Ipv4Addr, dst: Ipv4Addr) -> (Ipv4Header, Vec<u8>) {
+    // 4-byte port prefix so the 5-tuple extracts, then a body.
+    let mut payload = vec![0x0F, 0xA0, 0x00, 0x35];
+    payload.extend_from_slice(b"degradation test body");
+    let header = Ipv4Header::new(src, dst, Proto::Udp, payload.len());
+    (header, payload)
+}
+
+fn hooks_with(world: &World, cfg: IpMappingConfig) -> FbsIpHooks {
+    world.host_with(A, cfg)
+}
+
+fn fail_open_cfg(encrypt: bool) -> IpMappingConfig {
+    IpMappingConfig {
+        encrypt,
+        key_unavailable: KeyUnavailableVerdict::FailOpen,
+        ..IpMappingConfig::default()
+    }
+}
+
+/// A registry attached before the first datagram, so it has seen
+/// everything `IpHookStats` has.
+fn observe(hooks: &FbsIpHooks) -> Arc<MetricsRegistry> {
+    let reg = Arc::new(MetricsRegistry::new());
+    hooks.attach_obs(Arc::clone(&reg)).unwrap();
+    reg
+}
+
+/// The verdict ledger's contract: an attached registry's `hooks.*` /
+/// `degrade.*` counters and the always-on [`IpHookStats`] have one
+/// writer, so they never disagree.
+fn assert_ledger_agrees(reg: &MetricsRegistry, hooks: &FbsIpHooks) {
+    let snap = reg.snapshot();
+    let s = hooks.stats();
+    for (name, want) in [
+        ("hooks.output_ok", s.protected),
+        ("hooks.output_errors", s.output_errors),
+        ("hooks.input_ok", s.verified),
+        ("hooks.input_errors", s.input_errors),
+        ("degrade.fail_open", s.fail_open),
+        ("degrade.fail_closed", s.fail_closed),
+    ] {
+        assert_eq!(snap.counter(name), want, "{name} vs {s:?}");
+    }
+}
+
+#[test]
+fn key_unavailable_fails_closed_by_default() {
+    let world = World::new();
+    let mut hooks = world.host(A); // B's certificate never published
+    let reg = observe(&hooks);
+    let (mut header, payload) = udp_datagram(A, B);
+    let out = hooks.output(&mut header, payload, 1_000);
+    assert!(matches!(out, HookOutcome::Reject(_)), "{out:?}");
+    let s = hooks.stats();
+    assert_eq!(s.fail_closed, 1);
+    assert_eq!(s.output_errors, 1);
+    assert_eq!(s.fail_open, 0);
+    assert_ledger_agrees(&reg, &hooks);
+}
+
+#[test]
+fn fail_open_passes_plaintext_when_not_confidential() {
+    let world = World::new();
+    let mut hooks = hooks_with(&world, fail_open_cfg(false));
+    let reg = observe(&hooks);
+    let (mut header, payload) = udp_datagram(A, B);
+    let before = header.total_len;
+    let out = hooks.output(&mut header, payload.clone(), 1_000);
+    match out {
+        HookOutcome::Pass(bytes) => assert_eq!(bytes, payload, "original plaintext"),
+        other => panic!("expected fail-open pass, got {other:?}"),
+    }
+    assert_eq!(header.total_len, before, "no FBS overhead added");
+    assert_eq!(hooks.stats().fail_open, 1);
+    assert_ledger_agrees(&reg, &hooks);
+}
+
+#[test]
+fn fail_open_downgrades_to_fail_closed_under_encryption() {
+    let world = World::new();
+    let mut hooks = hooks_with(&world, fail_open_cfg(true));
+    let reg = observe(&hooks);
+    let (mut header, payload) = udp_datagram(A, B);
+    let out = hooks.output(&mut header, payload, 1_000);
+    assert!(matches!(out, HookOutcome::Reject(_)), "{out:?}");
+    assert_eq!(hooks.stats().fail_closed, 1);
+    assert_eq!(hooks.stats().fail_open, 0);
+    assert_ledger_agrees(&reg, &hooks);
+}
+
+#[test]
+fn fail_open_input_admits_only_unframed_datagrams() {
+    let world = World::new();
+    let mut hooks = hooks_with(&world, fail_open_cfg(false));
+    let reg = observe(&hooks);
+    // A bare datagram with no FBS framing: decode fails, fail-open
+    // admits it untouched.
+    let (mut header, payload) = udp_datagram(B, A);
+    let out = hooks.input(&mut header, payload.clone(), 1_000);
+    match out {
+        HookOutcome::Pass(bytes) => assert_eq!(bytes, payload),
+        other => panic!("expected fail-open admit, got {other:?}"),
+    }
+    assert_eq!(hooks.stats().fail_open, 1);
+    assert_ledger_agrees(&reg, &hooks);
+}
+
+#[test]
+fn max_overhead_bounds_sealed_growth_across_the_config_grid() {
+    // The MSS fix reserves `max_overhead()` bytes per segment, so it
+    // must bound what the codec really adds — including where
+    // normalisation clamps the truncation up and where the suite
+    // overrides the configured MAC.
+    use fbs_crypto::MacAlgorithm;
+    let world = World::new();
+    let _b = world.host(B); // publishes B's certificate
+    let check = |mut hooks: FbsIpHooks, row: String| {
+        // 25 bytes: the worst case for block padding.
+        let (mut header, plain) = udp_datagram(A, B);
+        let sealed = match hooks.output(&mut header, plain.clone(), 1_000) {
+            HookOutcome::Pass(bytes) => bytes,
+            other => panic!("{row}: seal failed: {other:?}"),
+        };
+        assert!(
+            sealed.len() - plain.len() <= hooks.max_overhead(),
+            "{row}: grew {} > reserved {}",
+            sealed.len() - plain.len(),
+            hooks.max_overhead()
+        );
+    };
+    for suite in CipherSuite::ALL {
+        for mac_alg in [
+            MacAlgorithm::KeyedMd5,
+            MacAlgorithm::KeyedSha1,
+            MacAlgorithm::HmacMd5,
+            MacAlgorithm::HmacSha1,
+            MacAlgorithm::Poly1305,
+        ] {
+            for mac_truncate in [None, Some(2), Some(4), Some(8), Some(32)] {
+                for encrypt in [false, true] {
+                    let cfg = IpMappingConfig {
+                        encrypt,
+                        shards: 1,
+                        workers: 1,
+                        fbs: FbsConfig {
+                            suite,
+                            mac_alg,
+                            mac_truncate,
+                            ..FbsConfig::default()
+                        },
+                        ..IpMappingConfig::default()
+                    };
+                    check(
+                        hooks_with(&world, cfg),
+                        format!("{suite:?} {mac_alg:?} {mac_truncate:?} encrypt={encrypt}"),
+                    );
+                }
+            }
+        }
+    }
+    // One more row, off the grid's diagonal: `FbsIpHooks::new` is
+    // public, so the endpoint's configuration (a 20-byte MAC) and
+    // the mapping's `cfg.fbs` (the 16-byte default) can differ. The
+    // codecs frame with the endpoint's; the reservation must too.
+    let endpoint = crate::host::build_endpoint(
+        A,
+        FbsConfig {
+            mac_alg: MacAlgorithm::HmacSha1,
+            ..FbsConfig::default()
+        },
+        &world.clock,
+        &world.group,
+        &world.ca,
+        &world.directory,
+        42,
+    );
+    check(
+        FbsIpHooks::new(endpoint, IpMappingConfig::default(), 42),
+        "endpoint HmacSha1, mapping default".into(),
+    );
+}
+
+#[test]
+fn crypto_failures_never_degrade() {
+    // Even under fail-open, a framed datagram with a bad MAC is
+    // rejected: crypto verdicts are final.
+    let world = World::new();
+    let mut sender = hooks_with(&world, fail_open_cfg(false));
+    let mut receiver = world.host(B);
+    let reg = observe(&receiver);
+    let (mut header, payload) = udp_datagram(A, B);
+    let out = sender.output(&mut header, payload, 1_000);
+    let mut wire = match out {
+        HookOutcome::Pass(bytes) => bytes,
+        other => panic!("sender should protect, got {other:?}"),
+    };
+    // Flip a bit in the MAC region (the tail).
+    let last = wire.len() - 1;
+    wire[last] ^= 0x40;
+    let mut rx_header = header.clone();
+    rx_header.src = A;
+    rx_header.dst = B;
+    let got = receiver.input(&mut rx_header, wire, 1_000);
+    assert!(matches!(got, HookOutcome::Reject(_)), "{got:?}");
+    assert_eq!(receiver.stats().input_errors, 1);
+    assert_eq!(
+        receiver.stats().fail_open,
+        0,
+        "MAC failure must not degrade"
+    );
+    assert_ledger_agrees(&reg, &receiver);
+}
+
+/// Both sides of a parked conversation. Host A parks in `dir`: its
+/// directory (`lonely`) never saw peer B's certificate. B lives in
+/// `full`, where both certificates are present, so B can seal real
+/// wire bytes for A's input path.
+struct ParkRig {
+    dir: Direction,
+    hooks: FbsIpHooks,
+    reg: Arc<MetricsRegistry>,
+    pool: BufferPool,
+    peer: FbsIpHooks,
+    full: World,
+    lonely: World,
+    /// Released bodies handed to the pool: each was recovered into a
+    /// fresh buffer (the control plane ships no supplies).
+    foreign: u64,
+}
+
+fn park_cfg(park_capacity: usize, park_deadline_us: u64) -> IpMappingConfig {
+    IpMappingConfig {
+        key_unavailable: KeyUnavailableVerdict::Park,
+        park_capacity,
+        park_deadline_us,
+        ..IpMappingConfig::default()
+    }
+}
+
+impl ParkRig {
+    fn new(dir: Direction, cfg: IpMappingConfig) -> Self {
+        let (full, lonely) = (World::new(), World::new());
+        let hooks = hooks_with(&lonely, cfg);
+        let _a_in_full = full.host(A); // publishes A's certificate for B
+        ParkRig {
+            dir,
+            reg: observe(&hooks),
+            hooks,
+            pool: BufferPool::new(),
+            peer: full.host(B),
+            full,
+            lonely,
+            foreign: 0,
+        }
+    }
+
+    /// One pool-drawn datagram of flow `sport` that parks in `dir`:
+    /// plaintext A→B on output, B's sealed wire bytes B→A on input.
+    fn datagram(&mut self, sport: u8, now_us: u64) -> Datagram {
+        let (src, dst) = match self.dir {
+            Direction::Output => (A, B),
+            Direction::Input => (B, A),
+        };
+        let (mut header, mut bytes) = udp_datagram(src, dst);
+        bytes[1] = sport;
+        if self.dir == Direction::Input {
+            bytes = match self.peer.output(&mut header, bytes, now_us) {
+                HookOutcome::Pass(wire) => wire,
+                other => panic!("peer should protect, got {other:?}"),
+            };
+        }
+        let mut payload = self.pool.take();
+        payload.extend_from_slice(&bytes);
+        Datagram { header, payload }
+    }
+
+    /// Submit `n` datagrams of one flow as one batch.
+    fn submit(&mut self, n: usize, now_us: u64) -> Vec<HookOutcome> {
+        let batch = (0..n).map(|_| self.datagram(0xA0, now_us)).collect();
+        let out = self
+            .hooks
+            .process_batch(self.dir, batch, &mut self.pool, now_us);
+        out.into_iter().map(|(_, outcome)| outcome).collect()
+    }
+
+    /// One release pass; a copy of each released body goes to the pool.
+    fn release(&mut self, now_us: u64) -> Vec<(Ipv4Header, Vec<u8>)> {
+        let released = match self.dir {
+            Direction::Output => self.hooks.release_output(now_us, &mut self.pool),
+            Direction::Input => self.hooks.release_input(now_us, &mut self.pool),
+        };
+        for (_, body) in &released {
+            self.pool.put(body.clone());
+            self.foreign += 1;
+        }
+        released
+    }
+
+    /// B's certificate reaches A's directory; both worlds sign with
+    /// the same CA key, so A's verifier accepts it.
+    fn key_arrives(&self) {
+        let b_cert = self.full.directory.fetch(&Principal::from_ipv4(B));
+        self.lonely.directory.publish(b_cert.unwrap());
+    }
+
+    fn depth(&self) -> usize {
+        let (out, inp) = self.hooks.parked_depths();
+        match self.dir {
+            Direction::Output => out,
+            Direction::Input => inp,
+        }
+    }
+
+    /// What the run left behind, direction-neutral: `dir`'s park
+    /// counters and `[ok, errors, fail_open, fail_closed]`. Checks
+    /// on the way out that the registry agrees with `IpHookStats`
+    /// and that the pool ledger closes once the still-parked
+    /// payloads are counted.
+    fn account(self) -> (ParkStats, [u64; 4]) {
+        assert_ledger_agrees(&self.reg, &self.hooks);
+        let p = self.pool.stats();
+        assert_eq!(
+            p.hits + p.misses + self.foreign,
+            p.returns + p.discards + self.depth() as u64,
+            "{:?}: {p:?}",
+            self.dir
+        );
+        let (out, inp) = self.hooks.park_stats().unwrap();
+        let s = self.hooks.stats();
+        match self.dir {
+            Direction::Output => (
+                out,
+                [s.protected, s.output_errors, s.fail_open, s.fail_closed],
+            ),
+            Direction::Input => (
+                inp,
+                [s.verified, s.input_errors, s.fail_open, s.fail_closed],
+            ),
+        }
+    }
+}
+
+/// Run one park scenario against the output queue and against the
+/// input queue. The release loop is one function, so the two runs
+/// must leave identical accounts.
+fn in_both_directions(
+    cfg: IpMappingConfig,
+    scenario: impl Fn(&mut ParkRig),
+) -> (ParkStats, [u64; 4]) {
+    let [out, inp] = [Direction::Output, Direction::Input].map(|dir| {
+        let mut rig = ParkRig::new(dir, cfg.clone());
+        scenario(&mut rig);
+        rig.account()
+    });
+    assert_eq!(out, inp, "output and input parks diverged");
+    out
+}
+
+#[test]
+fn park_holds_then_releases_when_key_arrives() {
+    let (park, verdicts) = in_both_directions(park_cfg(64, 10_000_000), |rig| {
+        let out = rig.submit(1, 1_000);
+        assert!(matches!(out[0], HookOutcome::Park), "{out:?}");
+        assert_eq!(rig.depth(), 1);
+
+        // Still keyless: the release pass re-parks, does not drop.
+        assert!(rig.release(2_000).is_empty());
+        assert_eq!(rig.depth(), 1);
+
+        // B's certificate appears; the parked datagram is processed
+        // and released on the next poll.
+        rig.key_arrives();
+        let released = rig.release(3_000);
+        assert_eq!(released.len(), 1);
+        let (rel_header, rel_payload) = &released[0];
+        let (_, plain) = udp_datagram(A, B);
+        match rig.dir {
+            Direction::Output => {
+                assert!(rel_payload.len() > plain.len(), "released protected");
+                assert_eq!(rel_header.dst, B);
+            }
+            Direction::Input => assert_eq!(rel_payload, &plain, "verified plaintext"),
+        }
+        assert_eq!(rig.depth(), 0);
+    });
+    assert_eq!((park.parked, park.released, park.expired), (1, 1, 0));
+    assert_eq!(verdicts, [1, 0, 0, 0]);
+}
+
+#[test]
+fn park_queue_overflow_rejects() {
+    let (park, verdicts) = in_both_directions(park_cfg(2, 2_000_000), |rig| {
+        for i in 0..2 {
+            let out = rig.submit(1, 1_000 + i);
+            assert!(matches!(out[0], HookOutcome::Park));
+        }
+        let out = rig.submit(1, 2_000);
+        assert!(matches!(out[0], HookOutcome::Reject(_)), "{out:?}");
+        assert_eq!(rig.depth(), 2);
+    });
+    assert_eq!(park.overflow, 1);
+    assert_eq!(verdicts, [0, 1, 0, 0]);
+}
+
+#[test]
+fn park_overflow_recycles_the_rejected_payload() {
+    // Same scenario as above, but as one batch with the pool
+    // watched: the overflow reject must hand the payload buffer back
+    // instead of leaking it. Three payloads and three supplies are
+    // drawn; no supply is consumed (every datagram parks or rejects
+    // before sealing), so the supplies and the overflowed payload
+    // come back and two payloads stay parked — `account` closes
+    // exactly that ledger.
+    let (park, _) = in_both_directions(park_cfg(2, 2_000_000), |rig| {
+        let out = rig.submit(3, 1_000);
+        assert!(matches!(out[0], HookOutcome::Park));
+        assert!(matches!(out[1], HookOutcome::Park));
+        assert!(matches!(out[2], HookOutcome::Reject(_)));
+        let p = rig.pool.stats();
+        assert_eq!(p.hits + p.misses, 6, "a payload and a supply each");
+        assert_eq!(p.returns, 4, "3 unused supplies + the overflowed payload");
+    });
+    assert_eq!(park.overflow, 1);
+}
+
+#[test]
+fn parked_datagrams_expire_at_their_deadline() {
+    let (park, verdicts) = in_both_directions(park_cfg(64, 5_000), |rig| {
+        let out = rig.submit(1, 1_000);
+        assert!(matches!(out[0], HookOutcome::Park));
+        // Repeated keyless release passes must not reset the deadline.
+        assert!(rig.release(3_000).is_empty());
+        assert!(rig.release(5_000).is_empty());
+        assert!(rig.release(6_001).is_empty());
+        assert_eq!(rig.depth(), 0, "expired, not retained");
+        // Expiry recycled the parked payload buffer into the pool.
+        assert_eq!(rig.pool.stats().returns, 2, "the supply and the payload");
+    });
+    assert_eq!((park.expired, park.released), (1, 0));
+    assert_eq!(verdicts, [0, 0, 0, 0], "expiry is loss, not a verdict");
+}
+
+#[test]
+fn forged_parked_input_is_rejected_at_release_like_a_batch_item() {
+    // A forgery that parks (its key was unavailable on arrival) meets
+    // the MAC check only at release. That check is the same deferred
+    // resolution a sub-batch gets: same verdict, same counters.
+    let mut rig = ParkRig::new(Direction::Input, park_cfg(64, 10_000_000));
+    let clean = rig.datagram(1, 1_000);
+    let mut forged = rig.datagram(2, 1_000); // a distinct flow
+    *forged.payload.last_mut().unwrap() ^= 0x5A;
+    let batch = vec![clean, forged];
+    for (_, out) in rig
+        .hooks
+        .process_batch(Direction::Input, batch, &mut rig.pool, 1_000)
+    {
+        assert!(matches!(out, HookOutcome::Park), "{out:?}");
+    }
+    assert_eq!(rig.depth(), 2);
+
+    rig.key_arrives();
+    let released = rig.release(2_000);
+    assert_eq!(released.len(), 1, "only the clean datagram is released");
+    assert_eq!(rig.depth(), 0);
+    assert_eq!(rig.hooks.endpoint_stats().mac_drops, 1);
+    assert_eq!(rig.hooks.endpoint_stats().receives, 1);
+    let snap = rig.reg.snapshot();
+    assert_eq!(snap.counter("batchauth.checked"), 2);
+    assert_eq!(snap.counter("batchauth.rejected"), 1);
+    assert!(rig.reg.stage_histogram(Stage::BatchVerify).count() > 0);
+    // Release recovers each body into a fresh buffer; the forgery's
+    // is recycled by the worker, so it is foreign to the pool too.
+    rig.foreign += 1;
+    let (_, verdicts) = rig.account();
+    assert_eq!(verdicts, [1, 1, 0, 0]);
+}
+
+#[test]
+fn stats_reads_stay_lock_free_while_batches_run() {
+    // The worker-runtime version of the old "stats never touch
+    // shard locks" promise: every accessor below completes while a
+    // background thread continuously drives batches through the
+    // shared runtime. Nothing here can deadlock — the scrape path
+    // is atomics only — and the final counts prove the batches all
+    // landed.
+    let world = World::new();
+    let hooks = world.host(A);
+    let _hb = world.host(B); // publishes B's certificate
+    let mut worker_handle = hooks.clone();
+    let driver = std::thread::spawn(move || {
+        let mut pool = BufferPool::new();
+        for round in 0..50u64 {
+            let batch: Vec<Datagram> = (0..8u16)
+                .map(|i| {
+                    let mut payload = vec![0x0F, (0xA0 + i) as u8, 0x00, 0x35];
+                    payload.extend_from_slice(b"stats scrape body");
+                    let header = Ipv4Header::new(A, B, Proto::Udp, payload.len());
+                    Datagram { header, payload }
+                })
+                .collect();
+            let out = worker_handle.process_batch(Direction::Output, batch, &mut pool, round * 100);
+            assert!(out.iter().all(|(_, o)| matches!(o, HookOutcome::Pass(_))));
+        }
+    });
+    for _ in 0..100 {
+        let _ = hooks.stats();
+        let _ = hooks.endpoint_stats();
+        let _ = hooks.rfkc_stats();
+        let _ = hooks.mkd_stats();
+        let _ = hooks.combined_stats();
+        let _ = hooks.ring_stalls();
+        let _ = hooks.parked_depths();
+        let _ = hooks.num_shards();
+        let _ = hooks.num_workers();
+    }
+    driver.join().expect("driver thread");
+    assert_eq!(hooks.stats().protected, 400);
+}
+
+#[test]
+fn config_snapshot_swaps_without_rebuilding_state() {
+    // Publish-on-update: the same hooks flip from fail-closed to
+    // fail-open at runtime; no shard state is rebuilt.
+    let world = World::new();
+    let mut hooks = world.host(A); // B never published → keyless
+    let (mut header, payload) = udp_datagram(A, B);
+    let out = hooks.output(&mut header, payload, 1_000);
+    assert!(matches!(out, HookOutcome::Reject(_)), "{out:?}");
+    hooks.update_config(|c| {
+        c.encrypt = false;
+        c.key_unavailable = KeyUnavailableVerdict::FailOpen;
+    });
+    let (mut header, payload) = udp_datagram(A, B);
+    let out = hooks.output(&mut header, payload, 2_000);
+    assert!(matches!(out, HookOutcome::Pass(_)), "{out:?}");
+    assert_eq!(hooks.stats().fail_open, 1);
+    assert_eq!(hooks.stats().fail_closed, 1);
+}
+
+#[test]
+fn batch_outcomes_stay_in_submission_order_across_shards() {
+    // Flows with different tuples land in different shards (and
+    // different workers); the returned vec must still be
+    // positionally aligned with the submitted batch.
+    let world = World::new();
+    let mut sender = world.host(A);
+    let _receiver = world.host(B); // publishes B's certificate
+    let mut pool = BufferPool::new();
+    let batch: Vec<Datagram> = (0..16u16)
+        .map(|i| {
+            let mut payload = vec![0x0F, (0xA0 + i) as u8, 0x00, 0x35];
+            payload.extend_from_slice(b"order test body");
+            let mut header = Ipv4Header::new(A, B, Proto::Udp, payload.len());
+            header.id = i; // tag each datagram through its header
+            Datagram { header, payload }
+        })
+        .collect();
+    let out = sender.process_batch(Direction::Output, batch, &mut pool, 1_000);
+    assert_eq!(out.len(), 16);
+    for (i, (header, outcome)) in out.iter().enumerate() {
+        assert_eq!(header.id as usize, i, "submission order preserved");
+        assert!(matches!(outcome, HookOutcome::Pass(_)), "{outcome:?}");
+    }
+    let cs = sender.combined_stats().unwrap();
+    assert_eq!(cs.new_flows as usize, 16);
+    assert!(
+        sender.num_shards() > 1,
+        "default config must actually shard"
+    );
+    assert!(
+        sender.num_workers() > 1,
+        "default config must use the worker runtime"
+    );
+}
+
+#[test]
+fn workers_clamp_to_shard_count() {
+    let world = World::new();
+    let cfg = IpMappingConfig {
+        shards: 1,
+        workers: 8,
+        ..IpMappingConfig::default()
+    };
+    let mut hooks = hooks_with(&world, cfg);
+    assert_eq!(hooks.num_shards(), 1);
+    assert_eq!(hooks.num_workers(), 1, "workers clamp to shards");
+    let _hb = world.host(B);
+    let (mut header, payload) = udp_datagram(A, B);
+    assert!(matches!(
+        hooks.output(&mut header, payload, 1_000),
+        HookOutcome::Pass(_)
+    ));
+}
+
+#[test]
+fn drain_then_shutdown_flushes_and_balances() {
+    // The deterministic drain-then-shutdown story: parks survive
+    // batches, drain() leaves no buffered work, the pool ledger
+    // balances, and dropping every handle joins the workers without
+    // losing the parked entries' buffers (they drain on release).
+    let world = World::new();
+    let mut hooks = hooks_with(&world, park_cfg(64, 10_000_000));
+    let mut pool = BufferPool::new();
+    let batch: Vec<Datagram> = (0..4)
+        .map(|_| {
+            let (header, payload) = udp_datagram(A, B);
+            Datagram { header, payload }
+        })
+        .collect();
+    let out = hooks.process_batch(Direction::Output, batch, &mut pool, 1_000);
+    assert!(out.iter().all(|(_, o)| matches!(o, HookOutcome::Park)));
+    // Synchronous drain: nothing may still be buffered in any ring.
+    hooks.drain().unwrap();
+    assert_eq!(hooks.parked_depths(), (4, 0), "parks survive the drain");
+    // Ledger: 4 supplies drawn, none consumed (all parked), so all
+    // 4 came back; the 4 parked payloads are held by the runtime.
+    let s = pool.stats();
+    assert_eq!(s.hits + s.misses, 4);
+    assert_eq!(s.returns + s.discards, 4);
+    // Key arrives; release returns the parked datagrams and their
+    // payload buffers, balancing the ledger completely.
+    let _hb = world.host(B);
+    let released = hooks.release_output(2_000, &mut pool);
+    assert_eq!(released.len(), 4);
+    let s = pool.stats();
+    assert_eq!(
+        s.returns + s.discards,
+        8,
+        "4 supplies + 4 released payloads recycled"
+    );
+    assert_eq!(hooks.parked_depths(), (0, 0));
+    // Finally: dropping the last handle must join the workers (the
+    // test would hang here if shutdown lost the wakeup).
+    drop(hooks);
+}
+
+/// Deterministic one-shot fault injector for the supervision tests:
+/// the first worker to start a sub-batch takes the (single) panic;
+/// saturation pins worker 0's ring full from the producer's view.
+struct TestChaos {
+    panic_once: std::sync::atomic::AtomicBool,
+    saturate_w0: bool,
+}
+
+impl TestChaos {
+    fn panicking() -> Arc<Self> {
+        Arc::new(TestChaos {
+            panic_once: std::sync::atomic::AtomicBool::new(true),
+            saturate_w0: false,
+        })
+    }
+
+    fn saturating() -> Arc<Self> {
+        Arc::new(TestChaos {
+            panic_once: std::sync::atomic::AtomicBool::new(false),
+            saturate_w0: true,
+        })
+    }
+}
+
+impl WorkerFaultInjector for TestChaos {
+    fn take_panic(&self, _worker: usize, _now_us: u64) -> bool {
+        self.panic_once.swap(false, Ordering::AcqRel)
+    }
+    fn take_stall_us(&self, _worker: usize, _now_us: u64) -> u64 {
+        0
+    }
+    fn ring_saturated(&self, worker: usize, _now_us: u64) -> bool {
+        self.saturate_w0 && worker == 0
+    }
+}
+
+/// Spread a batch over many 5-tuples so every worker gets work.
+fn spread_batch(n: usize) -> Vec<Datagram> {
+    (0..n)
+        .map(|i| {
+            let mut payload = vec![0x0F, 0xA0 + i as u8, 0x00, 0x35];
+            payload.extend_from_slice(b"fault containment body");
+            let header = Ipv4Header::new(A, B, Proto::Udp, payload.len());
+            Datagram { header, payload }
+        })
+        .collect()
+}
+
+#[test]
+fn supervised_panic_respawns_worker_and_batch_completes() {
+    let world = World::new();
+    let mut hooks = world.host(A);
+    let _hb = world.host(B); // publish B's certificate
+    hooks.set_worker_chaos(Some(TestChaos::panicking()));
+    let mut pool = BufferPool::new();
+    let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 1_000);
+    assert_eq!(out.len(), 16, "every datagram got a verdict");
+    let rejects = out
+        .iter()
+        .filter(|(_, o)| matches!(o, HookOutcome::Reject(_)))
+        .count();
+    assert_eq!(rejects, 1, "exactly the poisoned datagram rejects");
+    assert_eq!(hooks.worker_panics(), 1);
+    assert_eq!(hooks.worker_respawns(), 1);
+    assert_eq!(hooks.quarantined_workers(), 0);
+    assert_eq!(
+        hooks.workers_alive(),
+        hooks.num_workers(),
+        "supervised panic never kills the thread"
+    );
+    // The rebuilt worker serves the next batch cleanly (soft state
+    // re-warms through misses).
+    let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 2_000);
+    assert!(
+        out.iter().all(|(_, o)| matches!(o, HookOutcome::Pass(_))),
+        "post-respawn batch all passes"
+    );
+    // Ledger across the panic: every Pass consumes its supply and
+    // returns its (foreign) payload — net zero; every Reject
+    // returns BOTH, so returns exceed takes by exactly the reject
+    // count. The poisoned datagram's freed payload was made whole
+    // by the supervisor's replacement buffer.
+    let s = pool.stats();
+    assert_eq!(s.returns + s.discards, s.hits + s.misses + rejects as u64);
+    drop(hooks);
+}
+
+#[test]
+fn fail_closed_policy_quarantines_but_keeps_control_plane() {
+    let world = World::new();
+    let cfg = IpMappingConfig {
+        worker_fault: WorkerFaultPolicy::FailClosed,
+        ..IpMappingConfig::default()
+    };
+    let mut hooks = hooks_with(&world, cfg);
+    let _hb = world.host(B);
+    hooks.set_worker_chaos(Some(TestChaos::panicking()));
+    let mut pool = BufferPool::new();
+    let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 1_000);
+    assert_eq!(out.len(), 16);
+    let rejects = out
+        .iter()
+        .filter(|(_, o)| matches!(o, HookOutcome::Reject(_)))
+        .count();
+    assert!(rejects >= 1, "the panicked worker's sub-batch fails closed");
+    assert!(
+        out.iter().any(|(_, o)| matches!(o, HookOutcome::Pass(_))),
+        "unaffected workers keep passing traffic"
+    );
+    assert_eq!(hooks.worker_panics(), 1);
+    assert_eq!(hooks.worker_respawns(), 0, "FailClosed never respawns");
+    assert_eq!(hooks.quarantined_workers(), 1);
+    assert_eq!(
+        hooks.workers_alive(),
+        hooks.num_workers(),
+        "quarantined workers stay joinable"
+    );
+    // The control plane still answers on the quarantined worker.
+    hooks.flush_flow_keys().unwrap();
+    hooks.drain().unwrap();
+    let _ = hooks.park_stats().unwrap();
+    let _ = hooks.active_flows(1).unwrap();
+    // Traffic routed at the quarantined worker keeps failing closed;
+    // the rest still passes — and the ledger stays balanced.
+    let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 2_000);
+    assert!(out
+        .iter()
+        .any(|(_, o)| matches!(o, HookOutcome::Reject(r) if r.contains("quarantined"))));
+    assert!(out.iter().any(|(_, o)| matches!(o, HookOutcome::Pass(_))));
+    let rejects2 = out
+        .iter()
+        .filter(|(_, o)| matches!(o, HookOutcome::Reject(_)))
+        .count();
+    // Rejects return payload AND unused supply (see the respawn
+    // test): the ledger offset is exactly the total reject count.
+    let s = pool.stats();
+    assert_eq!(
+        s.returns + s.discards,
+        s.hits + s.misses + (rejects + rejects2) as u64
+    );
+    drop(hooks);
+}
+
+#[test]
+fn saturated_ring_sheds_per_datagram_with_counters() {
+    let world = World::new();
+    let cfg = IpMappingConfig {
+        // Shed immediately on backpressure: the test pins worker 0's
+        // ring full via chaos, so any positive deadline only adds
+        // wall time.
+        shed_deadline_us: 0,
+        ..IpMappingConfig::default()
+    };
+    let mut hooks = hooks_with(&world, cfg);
+    let _hb = world.host(B);
+    hooks.set_worker_chaos(Some(TestChaos::saturating()));
+    let mut pool = BufferPool::new();
+    let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 1_000);
+    assert_eq!(out.len(), 16);
+    let shed = out
+        .iter()
+        .filter(|(_, o)| matches!(o, HookOutcome::Reject(r) if r.contains("shed")))
+        .count();
+    assert!(shed >= 1, "worker 0's share of the batch sheds");
+    assert!(
+        out.iter().any(|(_, o)| matches!(o, HookOutcome::Pass(_))),
+        "other workers' traffic is untouched"
+    );
+    let (rejected, batches) = hooks.shed_counts();
+    assert_eq!(rejected, shed as u64);
+    assert!(batches >= 1);
+    // Shed buffers all returned to the pool: payload and supply per
+    // shed datagram (the same reject offset as the respawn test).
+    let s = pool.stats();
+    assert_eq!(s.returns + s.discards, s.hits + s.misses + shed as u64);
+    // Lifting the saturation restores full service.
+    hooks.set_worker_chaos(None);
+    let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 2_000);
+    assert!(out.iter().all(|(_, o)| matches!(o, HookOutcome::Pass(_))));
+    drop(hooks);
+}

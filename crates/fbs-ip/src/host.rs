@@ -7,7 +7,7 @@
 
 use crate::hooks::{FbsIpHooks, IpMappingConfig};
 use fbs_cert::{CertificateAuthority, Directory, Pvc};
-use fbs_core::{FbsEndpoint, ManualClock, MasterKeyDaemon, Principal};
+use fbs_core::{FbsConfig, FbsEndpoint, ManualClock, MasterKeyDaemon, Principal};
 use fbs_crypto::dh::{DhGroup, PrivateValue};
 use fbs_net::ip::Ipv4Addr;
 use fbs_net::segment::Impairments;
@@ -18,20 +18,17 @@ use std::time::Duration;
 /// Default MTU (Ethernet).
 pub const DEFAULT_MTU: usize = 1500;
 
-/// Build one secure host: private value, certificate, PVC, MKD, endpoint,
-/// hooks, stack. Returns the host (hooks installed) and a hooks handle for
-/// statistics.
-#[allow(clippy::too_many_arguments)]
-pub fn build_secure_host(
+/// The keying half of a secure host: private value, published
+/// certificate, PVC, MKD, and the endpoint configured from `fbs`.
+pub(crate) fn build_endpoint(
     addr: Ipv4Addr,
-    mtu: usize,
-    cfg: IpMappingConfig,
-    clock: ManualClock,
+    fbs: FbsConfig,
+    clock: &ManualClock,
     group: &DhGroup,
     ca: &CertificateAuthority,
     directory: &Arc<Directory>,
     seed: u64,
-) -> (Host, FbsIpHooks) {
+) -> FbsEndpoint {
     let principal = Principal::from_ipv4(addr);
     // Per-host entropy: seed ⊕ address. A real deployment would use OS
     // entropy; the simulation needs reproducibility.
@@ -52,15 +49,36 @@ pub fn build_secure_host(
         Arc::new(clock.clone()),
     );
     let mkd = MasterKeyDaemon::new(private, Box::new(pvc));
-    let addr_hash = u32::from_be_bytes(addr) as u64;
-    let endpoint = FbsEndpoint::new(
+    FbsEndpoint::new(
         principal,
-        cfg.fbs.clone(),
+        fbs,
         Arc::new(clock.clone()),
-        seed ^ (addr_hash << 16) ^ 0x5DEECE66D,
+        seed ^ (addr_hash(addr) << 16) ^ 0x5DEECE66D,
         mkd,
-    );
-    let hooks = FbsIpHooks::new(endpoint, cfg, seed.rotate_left(17) ^ addr_hash);
+    )
+}
+
+fn addr_hash(addr: Ipv4Addr) -> u64 {
+    u32::from_be_bytes(addr) as u64
+}
+
+/// Build one secure host: private value, certificate, PVC, MKD, endpoint,
+/// hooks, stack. Returns the host (hooks installed) and a hooks handle for
+/// statistics.
+#[allow(clippy::too_many_arguments)]
+pub fn build_secure_host(
+    addr: Ipv4Addr,
+    mtu: usize,
+    cfg: IpMappingConfig,
+    clock: ManualClock,
+    group: &DhGroup,
+    ca: &CertificateAuthority,
+    directory: &Arc<Directory>,
+    seed: u64,
+) -> (Host, FbsIpHooks) {
+    let fbs = cfg.fbs.clone();
+    let endpoint = build_endpoint(addr, fbs, &clock, group, ca, directory, seed);
+    let hooks = FbsIpHooks::new(endpoint, cfg, seed.rotate_left(17) ^ addr_hash(addr));
 
     let mut host = Host::new(addr, mtu);
     host.install_hooks(Box::new(hooks.clone()));
@@ -230,26 +248,6 @@ mod tests {
         assert_eq!(cs.new_flows, 1, "one flow for the whole conversation");
         assert_eq!(cs.hits, 19);
         assert_eq!(ha.mkd_stats().upcalls, 1, "one DH computation per pair");
-    }
-
-    #[test]
-    fn separate_path_matches_combined_semantics() {
-        let cfg = IpMappingConfig {
-            combined: false,
-            ..IpMappingConfig::default()
-        };
-        let (mut net, ha, _) = secure_pair(cfg);
-        net.host_mut(B).udp.bind(53).unwrap();
-        for _ in 0..5 {
-            let now = net.now_us();
-            net.host_mut(A)
-                .udp_send(4000, B, 53, b"textbook path", now)
-                .unwrap();
-            net.run(5_000, 1_000);
-        }
-        assert_eq!(net.host_mut(B).udp.pending(53), 5);
-        assert_eq!(ha.tfkc_stats().misses(), 1);
-        assert_eq!(ha.tfkc_stats().hits, 4);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! sweeper invalidates entries idle longer than THRESHOLD.
 
 use crate::tuple::FiveTuple;
-use fbs_core::fam::{FlowPolicy, FstEntry, KeyUnavailableVerdict};
+use fbs_core::fam::{FlowPolicy, FstEntry};
 use fbs_crypto::crc32;
 
 /// Default THRESHOLD: the paper's experiments centre on 300-600 s and find
@@ -24,34 +24,18 @@ pub const DEFAULT_FST_SIZE: usize = 64;
 pub struct FiveTuplePolicy {
     /// Flow idle expiry in seconds.
     pub threshold_secs: u64,
-    /// What happens to a datagram whose flow key cannot be derived
-    /// right now (directory/MKD outage, open circuit breaker). The
-    /// paper's behaviour — and the safe default — is fail-closed.
-    pub key_unavailable: KeyUnavailableVerdict,
 }
 
 impl Default for FiveTuplePolicy {
     fn default() -> Self {
-        FiveTuplePolicy {
-            threshold_secs: DEFAULT_THRESHOLD_SECS,
-            key_unavailable: KeyUnavailableVerdict::FailClosed,
-        }
+        FiveTuplePolicy::new(DEFAULT_THRESHOLD_SECS)
     }
 }
 
 impl FiveTuplePolicy {
     /// Policy with an explicit THRESHOLD (the Fig. 13/14 sweep parameter).
     pub fn new(threshold_secs: u64) -> Self {
-        FiveTuplePolicy {
-            threshold_secs,
-            ..FiveTuplePolicy::default()
-        }
-    }
-
-    /// Override the key-unavailable degradation verdict.
-    pub fn with_key_unavailable(mut self, verdict: KeyUnavailableVerdict) -> Self {
-        self.key_unavailable = verdict;
-        self
+        FiveTuplePolicy { threshold_secs }
     }
 }
 
@@ -59,10 +43,6 @@ impl FlowPolicy<FiveTuple> for FiveTuplePolicy {
     fn index(&self, attrs: &FiveTuple, table_size: usize) -> usize {
         // Fig. 7: i = CRC-32(saddr, sport, daddr, dport, proto) mod FSTSIZE
         crc32(&attrs.canonical_array()) as usize % table_size
-    }
-
-    fn key_unavailable(&self) -> KeyUnavailableVerdict {
-        self.key_unavailable
     }
 
     fn same_flow(&self, entry_attrs: &FiveTuple, attrs: &FiveTuple) -> bool {

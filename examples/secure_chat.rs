@@ -132,7 +132,7 @@ fn demo() {
     println!(
         "\nalice sent {} datagrams, {} flow(s), {} DH computation(s)",
         alice.stats().sends,
-        alice.tfkc_stats().misses(),
+        fam_a.stats().flows_started,
         alice.mkd_stats().upcalls
     );
 }

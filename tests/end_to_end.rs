@@ -158,28 +158,6 @@ fn authentication_only_mode() {
 }
 
 #[test]
-fn textbook_and_combined_paths_interoperate() {
-    // Sender uses the separate FAM+TFKC path, receiver is identical
-    // either way — the wire format does not change.
-    let cfg = IpMappingConfig {
-        combined: false,
-        ..IpMappingConfig::default()
-    };
-    let mut net = lan(6, Impairments::default(), cfg);
-    net.add_host(A);
-    net.add_host(B);
-    net.host_mut(B).udp.bind(53).unwrap();
-    for _ in 0..3 {
-        let now = net.now_us();
-        net.host_mut(A)
-            .udp_send(4000, B, 53, b"textbook wire format", now)
-            .unwrap();
-        net.run(20_000, 1_000);
-    }
-    assert_eq!(net.host_mut(B).udp.pending(53), 3);
-}
-
-#[test]
 fn long_run_many_flows_stay_bounded() {
     // Soak: hundreds of short conversations; soft state must not grow
     // without bound and every datagram must arrive.
