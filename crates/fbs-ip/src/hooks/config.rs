@@ -61,8 +61,10 @@ pub struct IpMappingConfig {
     /// Fixed at construction: changing it through
     /// [`FbsIpHooks::update_config`](super::FbsIpHooks::update_config) has no effect.
     pub shards: usize,
-    /// Number of shard-owning worker threads (clamped to `1..=shards`).
-    /// Fixed at construction, like the shard geometry.
+    /// Number of shard owners (clamped to `1..=shards`): `>= 2` spawns
+    /// that many worker threads; `1` spawns none — the submitting thread
+    /// runs the datapath to completion under one lock. Fixed at
+    /// construction, like the shard geometry.
     pub workers: usize,
     /// Supervision policy applied when a worker loop panics. Read per
     /// panic, so it can be changed through
@@ -71,7 +73,7 @@ pub struct IpMappingConfig {
     /// How long (wall microseconds) `process_batch` spins on a full
     /// worker ring before shedding the sub-batch per-datagram
     /// (`Reject` + recycle, counted as `hooks.shed.*`). 0 sheds on the
-    /// first failed push. Read per batch.
+    /// first failed push. Read per batch; idle at `workers == 1`.
     pub shed_deadline_us: u64,
     /// Per-shard soft-state byte budget (0 = unbudgeted). Bounds what
     /// one shard's RFKC and FST keep resident: a table that would

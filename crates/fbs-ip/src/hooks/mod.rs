@@ -17,7 +17,7 @@
 //! combined FST/TFKC (§7.2), its RFKC slice, its [`FlowCodec`](fbs_core::FlowCodec)
 //! (confounder stream + seal/open), and its parking queues. Shards are
 //! **owned outright** by long-lived run-to-completion worker threads
-//! (worker `w` of `W` owns shards `{ si : si % W == w }`): no mutex
+//! (worker `w` of `W >= 2` owns shards `{ si : si % W == w }`): no mutex
 //! guards a shard, because exactly one thread can ever reach it.
 //!
 //! [`SecurityHooks::process_batch`] is the ingress/egress stage. It
@@ -61,10 +61,28 @@
 //! outputs are bit-identical to the single-threaded path and per-flow
 //! FIFO is preserved regardless of inter-shard interleaving.
 //!
-//! **Lock-ordering rules** (see also `fbs_core::concurrent`): shard
-//! state is unlocked by construction (rule 1 — never hold shard state
-//! behind a lock across an MKD/directory call — is now vacuous); inside
-//! the keying service the order is mkd → mkc-shard; [`Published`] reads
+//! ## Run-to-completion mode (`workers = 1`)
+//!
+//! One worker has nobody to share with, so nothing is handed off:
+//! [`FbsIpHooks::new`] spawns no thread, and the worker's state (every
+//! shard, its deferred MACs, its respawn count) sits behind ONE mutex.
+//! `process_batch` partitions, draws supplies, takes the lock and
+//! finishes the sub-batch on the calling thread — FBS inside
+//! `ip_output()`/`ip_input()`, as in §7.2 — with no lane, ring, wake-up,
+//! wait or shed deadline. Whoever holds the lock *is* the shard owner:
+//! clones on other threads serialise on it, the control plane answers
+//! its own message under it, and `drain` has nothing to drain. The
+//! supervisor is the one a worker thread runs under, so a panic still
+//! costs one `Reject`, respawns or quarantines, and never unwinds into
+//! the caller. Bytes, verdicts and counters equal the threaded modes';
+//! only `ring_enqueue`/`ring_wait`, `hooks.ring_stalls` and
+//! `hooks.shed.*` never move (`shed_deadline_us` and the
+//! `ring_saturated` chaos tap have no ring to act on).
+//!
+//! **Lock-ordering rules** (see also `fbs_core::concurrent`): the
+//! run-to-completion lock is outermost (held across a flow birth's
+//! keying calls; its other takers want the same shards); inside the
+//! keying service the order is mkd → mkc-shard; [`Published`] reads
 //! nest inside anything (leaf). Worker control mailboxes are leaves: a
 //! worker never sends control messages, only answers them.
 //!
@@ -156,7 +174,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
-use worker::{worker_main, Control, Lane, SubBatch};
+use worker::{worker_main, Control, Lane, SubBatch, WorkerState};
 
 /// Deadline for a control round-trip (stats scrape, flush, release):
 /// generous against injected stalls, but bounded so a wedged worker
@@ -232,6 +250,10 @@ struct HookShared {
     threads: OnceLock<Box<[std::thread::Thread]>>,
     /// Per-worker control mailboxes.
     control: Box<[Mutex<mpsc::Sender<Control>>]>,
+    /// Run-to-completion mode (`workers == 1`): the one worker's state.
+    /// Whoever holds the lock — a batch, a control call — *is* the
+    /// worker. `None` when worker threads own the shards.
+    inline: Option<Mutex<WorkerState>>,
     /// Per-worker cached parking-queue depths.
     park_depths: Box<[ParkDepths]>,
     /// One [`MemoryBudget`] per shard, stable across worker respawns
@@ -277,13 +299,17 @@ impl HookShared {
     /// build the message around a fresh reply channel, send, and wait.
     /// A worker that stops answering (stalled, or died between send and
     /// reply) surfaces as a typed error instead of a hang or panic.
+    /// Run to completion, the caller answers its own message first.
     fn control_roundtrip<T>(
         &self,
         w: usize,
         make: impl FnOnce(mpsc::Sender<T>) -> Control,
     ) -> Result<T, RuntimeError> {
         let (tx, rx) = mpsc::channel();
-        self.send_control(w, make(tx))?;
+        match &self.inline {
+            Some(state) => worker::control_inline(self, &mut state.lock(), make(tx)),
+            None => self.send_control(w, make(tx))?,
+        }
         match rx.recv_timeout(CONTROL_DEADLINE) {
             Ok(v) => Ok(v),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(RuntimeError::ControlTimeout { worker: w }),
@@ -343,6 +369,18 @@ struct Scratch {
     headers: Vec<Ipv4Header>,
 }
 
+impl Scratch {
+    /// Worker `w`'s finished sub-batch comes home: verdicts to their
+    /// slots, spent buffers to the pool, emptied vectors kept for reuse.
+    fn absorb(&mut self, w: usize, mut reply: SubBatch, pool: &mut BufferPool) {
+        for (slot, header, outcome) in reply.done.drain(..) {
+            self.slots[slot] = Some((header, outcome));
+        }
+        pool.put_all(&mut reply.recycle);
+        self.subs[w] = reply;
+    }
+}
+
 /// FBS security hooks for an IP-like stack. Cheaply cloneable: clones
 /// share all flow state and the worker runtime, so keep a handle for
 /// statistics after installing one into a [`fbs_net::Host`] — and clones
@@ -382,8 +420,8 @@ impl FbsIpHooks {
     /// sfl counters' initial values (§5.3). The endpoint is decomposed:
     /// its MKD moves into the shared [`KeyingService`], and each shard
     /// gets its own [`FlowCodec`](fbs_core::FlowCodec) and full-geometry table slices. Spawns
-    /// the `workers` shard-owning threads; they are joined when the last
-    /// clone of the returned handle drops.
+    /// the `workers` shard-owning threads (none for `workers == 1`); they
+    /// are joined when the last clone of the returned handle drops.
     pub fn new(endpoint: FbsEndpoint, cfg: IpMappingConfig, sfl_seed: u64) -> Self {
         let (local, ep_cfg, clock, seed, mkd) = endpoint.into_keying_parts();
         let mut cfg = cfg;
@@ -393,11 +431,13 @@ impl FbsIpHooks {
         cfg.workers = workers;
         let budget_bytes = cfg.shard_budget_bytes;
         let keying = KeyingService::new(mkd, ep_cfg.mkc_slots, n);
-        let (controls, receivers): (Vec<_>, Vec<_>) = (0..workers)
+        // One worker runs to completion on its callers' threads.
+        let spawned = if workers == 1 { 0 } else { workers };
+        let (controls, receivers): (Vec<_>, Vec<_>) = (0..spawned)
             .map(|_| mpsc::channel())
             .map(|(tx, rx)| (Mutex::new(tx), rx))
             .unzip();
-        let shared = Arc::new(HookShared {
+        let mut shared = HookShared {
             keying,
             local,
             clock,
@@ -426,11 +466,12 @@ impl FbsIpHooks {
             workers_alive: AtomicUsize::new(workers),
             threads: OnceLock::new(),
             control: controls.into_boxed_slice(),
+            inline: None,
             park_depths: (0..workers).map(|_| ParkDepths::default()).collect(),
             budgets: (0..n)
                 .map(|_| MemoryBudget::bounded(budget_bytes))
                 .collect(),
-        });
+        };
         // Worker w owns shards { si : si % workers == w }, stored at
         // local index si / workers. Generation 0: the same shards a
         // post-panic rebuild derives, so supervised respawns change
@@ -439,8 +480,12 @@ impl FbsIpHooks {
         for i in 0..n {
             per_worker[i % workers].push(shared.build_shard(i, 0));
         }
-        let mut joins = Vec::with_capacity(workers);
-        let mut threads = Vec::with_capacity(workers);
+        if spawned == 0 {
+            shared.inline = per_worker.pop().map(WorkerState::new).map(Mutex::new);
+        }
+        let shared = Arc::new(shared);
+        let mut joins = Vec::with_capacity(spawned);
+        let mut threads = Vec::with_capacity(spawned);
         for (w, (shards, ctl)) in per_worker.into_iter().zip(receivers).enumerate() {
             let sh = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
@@ -539,14 +584,14 @@ impl FbsIpHooks {
         self.shared.n_shards
     }
 
-    /// Number of shard-owning worker threads.
+    /// Number of shard owners: worker threads, or 1 for the callers'
+    /// own (run-to-completion mode).
     pub fn num_workers(&self) -> usize {
         self.shared.n_workers
     }
 
     /// Times a batch found a worker's ingress ring full and had to
-    /// stall — lock-free. The worker-runtime analogue of the old
-    /// shard-lock contention counter.
+    /// stall — lock-free. Never moves at `workers == 1` (no ring).
     pub fn ring_stalls(&self) -> u64 {
         self.shared.ring_stalls.load(Ordering::Relaxed)
     }
@@ -605,7 +650,8 @@ impl FbsIpHooks {
     pub fn drain_with_deadline(&self, deadline: Duration) -> Result<(), RuntimeError> {
         let budget = Instant::now() + deadline;
         let mut pending = 0usize;
-        for w in 0..self.shared.n_workers {
+        // Per mailbox: run to completion has none, and nothing buffered.
+        for w in 0..self.shared.control.len() {
             let (tx, rx) = mpsc::channel();
             if self.shared.send_control(w, Control::Drain(tx)).is_err() {
                 pending += 1;
@@ -782,10 +828,10 @@ impl SecurityHooks for FbsIpHooks {
 
     /// The single processing entry point (the scalar `output`/`input`
     /// trait defaults wrap it): partition the batch into per-worker
-    /// sub-batches ONCE, ship them over this handle's SPSC lane with one
-    /// supply buffer per datagram, then collect replies and re-thread
-    /// the outcomes into submission order. Synchronous at batch
-    /// granularity; acquires no shard lock anywhere.
+    /// sub-batches ONCE, run the one sub-batch here (`workers == 1`) or
+    /// ship them over this handle's SPSC lane, one supply buffer per
+    /// datagram either way, then re-thread the outcomes into submission
+    /// order. Synchronous at batch granularity.
     fn process_batch(
         &mut self,
         dir: Direction,
@@ -796,7 +842,6 @@ impl SecurityHooks for FbsIpHooks {
         if batch.is_empty() {
             return Vec::new();
         }
-        let lane = self.lane();
         let shared = Arc::clone(&self.shared);
         let cfg_obs = shared.obs_handle();
         let obs = &cfg_obs;
@@ -828,139 +873,149 @@ impl SecurityHooks for FbsIpHooks {
         if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
             reg.observe_stage(Stage::Partition, timer.elapsed_ns());
         }
-        // Register as this lane's producer so workers can unpark us when
-        // a reply lands.
-        *lane.producer.lock() = Some(std::thread::current());
-        let timer = obs.as_ref().map(|_| StageTimer::start());
-        let cfg = shared.cfg.load();
-        let chaos = (*shared.chaos.load()).clone();
-        let mut outstanding = 0usize;
-        for w in 0..nw {
-            if scratch.subs[w].items.is_empty() {
-                continue;
-            }
-            // A sub-batch stranded in a dead worker's ring never comes
-            // home; the empty stand-in left here takes its place.
-            let mut sub = std::mem::replace(&mut scratch.subs[w], SubBatch::new(dir, now_us));
+        if let Some(state) = &shared.inline {
+            // Run to completion: this thread is the worker while it holds
+            // the state lock, dropped before the verdicts are re-threaded.
+            let mut sub = std::mem::replace(&mut scratch.subs[0], SubBatch::new(dir, now_us));
             (sub.dir, sub.now_us) = (dir, now_us);
             pool.take_n_into(sub.items.len(), &mut sub.supplies);
-            // Chaos can pin a ring "full" from the producer side (the
-            // worker keeps draining at virtual time, so seeded runs stay
-            // deterministic); it exercises exactly the shed path a truly
-            // wedged worker would.
-            let mut shed_sub = None;
-            // One failed push: counted, with the time spent waiting it out.
-            let note_stall = |waited_ns: u64| {
-                shared.ring_stalls.fetch_add(1, Ordering::Relaxed);
-                if let Some(reg) = obs.as_ref() {
-                    reg.incr(Counter::RingStalls);
-                    reg.worker_stall(w, waited_ns);
+            let reply = worker::run_inline(&shared, &mut state.lock(), sub);
+            if let Some(reply) = reply {
+                scratch.absorb(0, reply, pool);
+            }
+        } else {
+            let lane = self.lane();
+            let scratch = &mut self.scratch;
+            // Register as this lane's producer so workers can unpark us when
+            // a reply lands.
+            *lane.producer.lock() = Some(std::thread::current());
+            let timer = obs.as_ref().map(|_| StageTimer::start());
+            let cfg = shared.cfg.load();
+            let chaos = (*shared.chaos.load()).clone();
+            let mut outstanding = 0usize;
+            for w in 0..nw {
+                if scratch.subs[w].items.is_empty() {
+                    continue;
                 }
-            };
-            if chaos.as_ref().is_some_and(|c| c.ring_saturated(w, now_us)) {
-                note_stall(0);
-                shed_sub = Some(sub);
-            } else {
-                // Bounded backpressure: spin against the shed deadline,
-                // never forever — a worker that stopped draining (wedged
-                // in a stall, quarantine racing shutdown, unsupervised
-                // death) must not wedge the producer with it.
-                let mut deadline: Option<Instant> = None;
-                loop {
-                    match lane.to_worker[w].try_push(sub) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            sub = back;
-                            let stall = obs.as_ref().map(|_| StageTimer::start());
-                            shared.wake_worker(w);
-                            std::thread::yield_now();
-                            note_stall(stall.map_or(0, |t| t.elapsed_ns()));
-                            let d = *deadline.get_or_insert_with(|| {
-                                Instant::now() + Duration::from_micros(cfg.shed_deadline_us)
-                            });
-                            if Instant::now() >= d {
-                                shed_sub = Some(sub);
-                                break;
+                // A sub-batch stranded in a dead worker's ring never comes
+                // home; the empty stand-in left here takes its place.
+                let mut sub = std::mem::replace(&mut scratch.subs[w], SubBatch::new(dir, now_us));
+                (sub.dir, sub.now_us) = (dir, now_us);
+                pool.take_n_into(sub.items.len(), &mut sub.supplies);
+                // Chaos can pin a ring "full" from the producer side (the
+                // worker keeps draining at virtual time, so seeded runs stay
+                // deterministic); it exercises exactly the shed path a truly
+                // wedged worker would.
+                let mut shed_sub = None;
+                // One failed push: counted, with the time spent waiting it out.
+                let note_stall = |waited_ns: u64| {
+                    shared.ring_stalls.fetch_add(1, Ordering::Relaxed);
+                    if let Some(reg) = obs.as_ref() {
+                        reg.incr(Counter::RingStalls);
+                        reg.worker_stall(w, waited_ns);
+                    }
+                };
+                if chaos.as_ref().is_some_and(|c| c.ring_saturated(w, now_us)) {
+                    note_stall(0);
+                    shed_sub = Some(sub);
+                } else {
+                    // Bounded backpressure: spin against the shed deadline,
+                    // never forever — a worker that stopped draining (wedged
+                    // in a stall, quarantine racing shutdown, unsupervised
+                    // death) must not wedge the producer with it.
+                    let mut deadline: Option<Instant> = None;
+                    loop {
+                        match lane.to_worker[w].try_push(sub) {
+                            Ok(()) => break,
+                            Err(back) => {
+                                sub = back;
+                                let stall = obs.as_ref().map(|_| StageTimer::start());
+                                shared.wake_worker(w);
+                                std::thread::yield_now();
+                                note_stall(stall.map_or(0, |t| t.elapsed_ns()));
+                                let d = *deadline.get_or_insert_with(|| {
+                                    Instant::now() + Duration::from_micros(cfg.shed_deadline_us)
+                                });
+                                if Instant::now() >= d {
+                                    shed_sub = Some(sub);
+                                    break;
+                                }
                             }
                         }
                     }
                 }
-            }
-            if let Some(mut sub) = shed_sub {
-                // Shed per-datagram: every item gets a Reject verdict in
-                // its submission slot and every buffer goes back to the
-                // pool — counted, never silently dropped.
-                pool.put_all(&mut sub.supplies);
-                let shed_n = sub.items.len() as u64;
-                for (slot, _si, header, payload, _tuple) in sub.items.drain(..) {
-                    pool.put(payload);
-                    scratch.slots[slot] = Some((
-                        header,
-                        HookOutcome::Reject("shed: worker ring saturated".into()),
-                    ));
-                }
-                shared.shed_rejected.fetch_add(shed_n, Ordering::Relaxed);
-                shared.shed_batches.fetch_add(1, Ordering::Relaxed);
-                if let Some(reg) = obs.as_ref() {
-                    reg.add(Counter::ShedRejected, shed_n);
-                    reg.incr(Counter::ShedBatches);
-                }
-                scratch.subs[w] = sub;
-                continue;
-            }
-            shared.wake_worker(w);
-            outstanding += 1;
-        }
-        if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
-            reg.observe_stage(Stage::RingEnqueue, timer.elapsed_ns());
-        }
-        let timer = obs.as_ref().map(|_| StageTimer::start());
-        let mut replies = 0usize;
-        let mut spins = 0u32;
-        let mut dead_spins = 0u32;
-        while replies < outstanding {
-            let mut progressed = false;
-            for w in 0..nw {
-                while let Some(mut reply) = lane.from_worker[w].try_pop() {
-                    for (slot, header, outcome) in reply.done.drain(..) {
-                        scratch.slots[slot] = Some((header, outcome));
+                if let Some(mut sub) = shed_sub {
+                    // Shed per-datagram: every item gets a Reject verdict in
+                    // its submission slot and every buffer goes back to the
+                    // pool — counted, never silently dropped.
+                    pool.put_all(&mut sub.supplies);
+                    let shed_n = sub.items.len() as u64;
+                    for (slot, _si, header, payload, _tuple) in sub.items.drain(..) {
+                        pool.put(payload);
+                        scratch.slots[slot] = Some((
+                            header,
+                            HookOutcome::Reject("shed: worker ring saturated".into()),
+                        ));
                     }
-                    pool.put_all(&mut reply.recycle);
-                    scratch.subs[w] = reply;
-                    replies += 1;
-                    progressed = true;
+                    shared.shed_rejected.fetch_add(shed_n, Ordering::Relaxed);
+                    shared.shed_batches.fetch_add(1, Ordering::Relaxed);
+                    if let Some(reg) = obs.as_ref() {
+                        reg.add(Counter::ShedRejected, shed_n);
+                        reg.incr(Counter::ShedBatches);
+                    }
+                    scratch.subs[w] = sub;
+                    continue;
+                }
+                shared.wake_worker(w);
+                outstanding += 1;
+            }
+            if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
+                reg.observe_stage(Stage::RingEnqueue, timer.elapsed_ns());
+            }
+            let timer = obs.as_ref().map(|_| StageTimer::start());
+            let mut replies = 0usize;
+            let mut spins = 0u32;
+            let mut dead_spins = 0u32;
+            while replies < outstanding {
+                let mut progressed = false;
+                for w in 0..nw {
+                    while let Some(reply) = lane.from_worker[w].try_pop() {
+                        scratch.absorb(w, reply, pool);
+                        replies += 1;
+                        progressed = true;
+                    }
+                }
+                if progressed {
+                    spins = 0;
+                    dead_spins = 0;
+                    continue;
+                }
+                if shared.workers_alive.load(Ordering::Acquire) < nw {
+                    // A worker thread is GONE (unsupervised death — a panic
+                    // the in-thread supervisor itself could not contain).
+                    // Live workers may still have replies in flight, so give
+                    // them a grace window before failing the rest closed.
+                    dead_spins += 1;
+                    if dead_spins > 512 {
+                        break;
+                    }
+                }
+                spins += 1;
+                if spins < 32 {
+                    std::thread::yield_now();
+                } else {
+                    // Timed park, never bare: a wakeup racing the park is
+                    // then at worst a 200µs hiccup, not a hang.
+                    std::thread::park_timeout(Duration::from_micros(200));
                 }
             }
-            if progressed {
-                spins = 0;
-                dead_spins = 0;
-                continue;
+            *lane.producer.lock() = None;
+            if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
+                reg.observe_stage(Stage::RingWait, timer.elapsed_ns());
             }
-            if shared.workers_alive.load(Ordering::Acquire) < nw {
-                // A worker thread is GONE (unsupervised death — a panic
-                // the in-thread supervisor itself could not contain).
-                // Live workers may still have replies in flight, so give
-                // them a grace window before failing the rest closed.
-                dead_spins += 1;
-                if dead_spins > 512 {
-                    break;
-                }
-            }
-            spins += 1;
-            if spins < 32 {
-                std::thread::yield_now();
-            } else {
-                // Timed park, never bare: a wakeup racing the park is
-                // then at worst a 200µs hiccup, not a hang.
-                std::thread::park_timeout(Duration::from_micros(200));
-            }
-        }
-        *lane.producer.lock() = None;
-        if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
-            reg.observe_stage(Stage::RingWait, timer.elapsed_ns());
         }
         let timer = obs.as_ref().map(|_| StageTimer::start());
-        let Scratch { slots, headers, .. } = &mut *scratch;
+        let Scratch { slots, headers, .. } = &mut self.scratch;
         let out: Vec<(Ipv4Header, HookOutcome)> = slots
             .drain(..)
             .enumerate()

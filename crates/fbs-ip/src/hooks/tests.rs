@@ -59,6 +59,17 @@ fn hooks_with(world: &World, cfg: IpMappingConfig) -> FbsIpHooks {
     world.host_with(A, cfg)
 }
 
+/// Both runtime modes: run to completion on the submitting thread, and
+/// the smallest threaded runtime.
+const MODES: [usize; 2] = [1, 2];
+
+fn mode_cfg(workers: usize) -> IpMappingConfig {
+    IpMappingConfig {
+        workers,
+        ..IpMappingConfig::default()
+    }
+}
+
 fn fail_open_cfg(encrypt: bool) -> IpMappingConfig {
     IpMappingConfig {
         encrypt,
@@ -391,18 +402,32 @@ impl ParkRig {
 }
 
 /// Run one park scenario against the output queue and against the
-/// input queue. The release loop is one function, so the two runs
-/// must leave identical accounts.
+/// input queue, in both runtime modes. The release loop is one function
+/// and so is the datapath, so the four runs must leave identical
+/// accounts.
 fn in_both_directions(
     cfg: IpMappingConfig,
     scenario: impl Fn(&mut ParkRig),
 ) -> (ParkStats, [u64; 4]) {
-    let [out, inp] = [Direction::Output, Direction::Input].map(|dir| {
-        let mut rig = ParkRig::new(dir, cfg.clone());
-        scenario(&mut rig);
-        rig.account()
+    let accounts = MODES.map(|workers| {
+        [Direction::Output, Direction::Input].map(|dir| {
+            let cfg = IpMappingConfig {
+                workers,
+                ..cfg.clone()
+            };
+            let mut rig = ParkRig::new(dir, cfg);
+            assert_eq!(rig.hooks.num_workers(), workers);
+            scenario(&mut rig);
+            rig.account()
+        })
     });
+    let [[out, inp], threaded] = accounts;
     assert_eq!(out, inp, "output and input parks diverged");
+    assert_eq!(
+        [out, inp],
+        threaded,
+        "run-to-completion and threaded diverged"
+    );
     out
 }
 
@@ -495,7 +520,15 @@ fn forged_parked_input_is_rejected_at_release_like_a_batch_item() {
     // A forgery that parks (its key was unavailable on arrival) meets
     // the MAC check only at release. That check is the same deferred
     // resolution a sub-batch gets: same verdict, same counters.
-    let mut rig = ParkRig::new(Direction::Input, park_cfg(64, 10_000_000));
+    MODES.into_iter().for_each(forged_parked_input_in_mode);
+}
+
+fn forged_parked_input_in_mode(workers: usize) {
+    let cfg = IpMappingConfig {
+        workers,
+        ..park_cfg(64, 10_000_000)
+    };
+    let mut rig = ParkRig::new(Direction::Input, cfg);
     let clean = rig.datagram(1, 1_000);
     let mut forged = rig.datagram(2, 1_000); // a distinct flow
     *forged.payload.last_mut().unwrap() ^= 0x5A;
@@ -648,8 +681,18 @@ fn drain_then_shutdown_flushes_and_balances() {
     // batches, drain() leaves no buffered work, the pool ledger
     // balances, and dropping every handle joins the workers without
     // losing the parked entries' buffers (they drain on release).
+    // Run to completion buffers nothing, so there drain() is trivially
+    // true and the rest of the story must read the same.
+    MODES.into_iter().for_each(drain_then_shutdown_in_mode);
+}
+
+fn drain_then_shutdown_in_mode(workers: usize) {
     let world = World::new();
-    let mut hooks = hooks_with(&world, park_cfg(64, 10_000_000));
+    let cfg = IpMappingConfig {
+        workers,
+        ..park_cfg(64, 10_000_000)
+    };
+    let mut hooks = hooks_with(&world, cfg);
     let mut pool = BufferPool::new();
     let batch: Vec<Datagram> = (0..4)
         .map(|_| {
@@ -690,26 +733,37 @@ fn drain_then_shutdown_flushes_and_balances() {
 struct TestChaos {
     panic_once: std::sync::atomic::AtomicBool,
     saturate_w0: bool,
+    /// The thread the last sub-batch-entry tap ran on: whoever runs
+    /// the datapath.
+    tapped_on: Mutex<Option<std::thread::ThreadId>>,
 }
 
 impl TestChaos {
-    fn panicking() -> Arc<Self> {
+    fn new(panic_once: bool, saturate_w0: bool) -> Arc<Self> {
         Arc::new(TestChaos {
-            panic_once: std::sync::atomic::AtomicBool::new(true),
-            saturate_w0: false,
+            panic_once: std::sync::atomic::AtomicBool::new(panic_once),
+            saturate_w0,
+            tapped_on: Mutex::new(None),
         })
     }
 
+    fn panicking() -> Arc<Self> {
+        Self::new(true, false)
+    }
+
     fn saturating() -> Arc<Self> {
-        Arc::new(TestChaos {
-            panic_once: std::sync::atomic::AtomicBool::new(false),
-            saturate_w0: true,
-        })
+        Self::new(false, true)
+    }
+
+    /// Whether the datapath ran on the calling thread.
+    fn tapped_here(&self) -> bool {
+        *self.tapped_on.lock() == Some(std::thread::current().id())
     }
 }
 
 impl WorkerFaultInjector for TestChaos {
     fn take_panic(&self, _worker: usize, _now_us: u64) -> bool {
+        *self.tapped_on.lock() = Some(std::thread::current().id());
         self.panic_once.swap(false, Ordering::AcqRel)
     }
     fn take_stall_us(&self, _worker: usize, _now_us: u64) -> u64 {
@@ -734,10 +788,15 @@ fn spread_batch(n: usize) -> Vec<Datagram> {
 
 #[test]
 fn supervised_panic_respawns_worker_and_batch_completes() {
+    MODES.into_iter().for_each(supervised_panic_in_mode);
+}
+
+fn supervised_panic_in_mode(workers: usize) {
     let world = World::new();
-    let mut hooks = world.host(A);
+    let mut hooks = hooks_with(&world, mode_cfg(workers));
     let _hb = world.host(B); // publish B's certificate
-    hooks.set_worker_chaos(Some(TestChaos::panicking()));
+    let chaos = TestChaos::panicking();
+    hooks.set_worker_chaos(Some(chaos.clone()));
     let mut pool = BufferPool::new();
     let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 1_000);
     assert_eq!(out.len(), 16, "every datagram got a verdict");
@@ -749,11 +808,17 @@ fn supervised_panic_respawns_worker_and_batch_completes() {
     assert_eq!(hooks.worker_panics(), 1);
     assert_eq!(hooks.worker_respawns(), 1);
     assert_eq!(hooks.quarantined_workers(), 0);
+    assert_eq!(hooks.num_workers(), workers);
     assert_eq!(
         hooks.workers_alive(),
         hooks.num_workers(),
         "supervised panic never kills the thread"
     );
+    // Run to completion means what it says: the submitting thread ran
+    // the datapath, panic and all, and no worker thread exists.
+    assert_eq!(chaos.tapped_here(), workers == 1);
+    let threads = if workers == 1 { 0 } else { workers };
+    assert_eq!(hooks.owner.joins.lock().len(), threads);
     // The rebuilt worker serves the next batch cleanly (soft state
     // re-warms through misses).
     let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 2_000);
@@ -773,26 +838,33 @@ fn supervised_panic_respawns_worker_and_batch_completes() {
 
 #[test]
 fn fail_closed_policy_quarantines_but_keeps_control_plane() {
+    MODES.into_iter().for_each(fail_closed_in_mode);
+}
+
+fn fail_closed_in_mode(workers: usize) {
     let world = World::new();
     let cfg = IpMappingConfig {
         worker_fault: WorkerFaultPolicy::FailClosed,
-        ..IpMappingConfig::default()
+        ..mode_cfg(workers)
     };
     let mut hooks = hooks_with(&world, cfg);
     let _hb = world.host(B);
     hooks.set_worker_chaos(Some(TestChaos::panicking()));
     let mut pool = BufferPool::new();
+    let count = |out: &[(Ipv4Header, HookOutcome)]| {
+        let rejects = out
+            .iter()
+            .filter(|(_, o)| matches!(o, HookOutcome::Reject(_)))
+            .count();
+        (rejects, out.len() - rejects)
+    };
     let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 1_000);
     assert_eq!(out.len(), 16);
-    let rejects = out
-        .iter()
-        .filter(|(_, o)| matches!(o, HookOutcome::Reject(_)))
-        .count();
+    let (rejects, passes) = count(&out);
     assert!(rejects >= 1, "the panicked worker's sub-batch fails closed");
-    assert!(
-        out.iter().any(|(_, o)| matches!(o, HookOutcome::Pass(_))),
-        "unaffected workers keep passing traffic"
-    );
+    // Quarantine is per worker: the other workers keep passing traffic,
+    // and the one worker of run-to-completion mode has no others.
+    assert_eq!(passes > 0, workers > 1, "{out:?}");
     assert_eq!(hooks.worker_panics(), 1);
     assert_eq!(hooks.worker_respawns(), 0, "FailClosed never respawns");
     assert_eq!(hooks.quarantined_workers(), 1);
@@ -812,11 +884,12 @@ fn fail_closed_policy_quarantines_but_keeps_control_plane() {
     assert!(out
         .iter()
         .any(|(_, o)| matches!(o, HookOutcome::Reject(r) if r.contains("quarantined"))));
-    assert!(out.iter().any(|(_, o)| matches!(o, HookOutcome::Pass(_))));
-    let rejects2 = out
-        .iter()
-        .filter(|(_, o)| matches!(o, HookOutcome::Reject(_)))
-        .count();
+    let (rejects2, passes2) = count(&out);
+    assert_eq!(
+        (rejects2, passes2),
+        (rejects, passes),
+        "same shards, same split"
+    );
     // Rejects return payload AND unused supply (see the respawn
     // test): the ledger offset is exactly the total reject count.
     let s = pool.stats();
@@ -864,4 +937,64 @@ fn saturated_ring_sheds_per_datagram_with_counters() {
     let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 2_000);
     assert!(out.iter().all(|(_, o)| matches!(o, HookOutcome::Pass(_))));
     drop(hooks);
+}
+
+#[test]
+fn run_to_completion_records_no_ring_span_and_cannot_shed() {
+    // One worker, so no thread, no lane, no ring: a registry sees the
+    // datapath's stages and worker 0's occupancy but never a ring
+    // stage, and a chaos plan that pins "the ring" full pins nothing.
+    let world = World::new();
+    let cfg = IpMappingConfig {
+        shed_deadline_us: 0,
+        ..mode_cfg(1)
+    };
+    let mut hooks = hooks_with(&world, cfg);
+    let mut peer = world.host(B);
+    let reg = observe(&hooks);
+    let chaos = TestChaos::saturating();
+    hooks.set_worker_chaos(Some(chaos.clone()));
+    assert!(hooks.shared.inline.is_some() && hooks.lane.is_none());
+    assert!(hooks.owner.joins.lock().is_empty(), "no worker thread");
+
+    let mut pool = BufferPool::new();
+    let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 1_000);
+    assert!(out.iter().all(|(_, o)| matches!(o, HookOutcome::Pass(_))));
+    assert!(chaos.tapped_here(), "the submitter ran the datapath");
+    // And the way back in, through the same mode on the input side.
+    let (mut header, payload) = udp_datagram(B, A);
+    let HookOutcome::Pass(wire) = peer.output(&mut header, payload, 1_000) else {
+        panic!("peer should protect");
+    };
+    let got = hooks.input(&mut header, wire, 1_000);
+    assert!(matches!(got, HookOutcome::Pass(_)), "{got:?}");
+    assert!(hooks.lane.is_none(), "still no lane");
+
+    assert_eq!(hooks.shed_counts(), (0, 0));
+    assert_eq!(hooks.ring_stalls(), 0);
+    for stage in [Stage::RingEnqueue, Stage::RingWait] {
+        assert_eq!(reg.stage_histogram(stage).count(), 0, "{stage:?}");
+    }
+    for stage in [
+        Stage::Partition,
+        Stage::Seal,
+        Stage::Open,
+        Stage::BatchVerify,
+        Stage::Dispatch,
+    ] {
+        assert!(reg.stage_histogram(stage).count() > 0, "{stage:?}");
+    }
+    let snap = reg.snapshot();
+    assert_eq!(snap.counter("hooks.worker_batches"), 2);
+    for name in [
+        "hooks.ring_stalls",
+        "hooks.shed.rejected",
+        "hooks.shed.batches",
+    ] {
+        assert_eq!(snap.counter(name), 0, "{name}");
+    }
+    let rows = reg.worker_occupancy_table();
+    assert_eq!(rows.len(), 1);
+    assert_eq!((rows[0].worker, rows[0].batches, rows[0].stalls), (0, 2, 0));
+    assert_ledger_agrees(&reg, &hooks);
 }

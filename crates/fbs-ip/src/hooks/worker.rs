@@ -1,7 +1,8 @@
-//! The thread-per-core runtime around the datapath: the SPSC lanes and
-//! the sub-batches that ride them, the worker loop with its in-thread
-//! panic supervision (respawn or quarantine), and the control plane a
-//! worker answers between sub-batches.
+//! The runtime around the datapath. For both modes: the sub-batch a
+//! worker finishes, its panic supervision (respawn or quarantine), the
+//! control plane it answers. For `workers >= 2`: the SPSC lanes and the
+//! worker thread's loop. At `workers == 1` the submitting thread is the
+//! worker ([`run_inline`], [`control_inline`]).
 
 use super::config::WorkerFaultPolicy;
 use super::datapath::{
@@ -159,8 +160,9 @@ fn refresh_shard_mem(shared: &HookShared, w: usize) {
 /// and resume the remaining items — so one poisoned datagram costs one
 /// verdict, never a batch or a worker.
 struct CurrentSub {
-    /// The lane this sub-batch arrived on (its reply goes back here).
-    lane: Arc<Lane>,
+    /// The lane this sub-batch arrived on (its reply goes back here);
+    /// `None` in run-to-completion mode.
+    lane: Option<Arc<Lane>>,
     sub: SubBatch,
     /// Index of the first unprocessed item.
     next: usize,
@@ -170,13 +172,19 @@ struct CurrentSub {
     supply_mark: usize,
 }
 
+/// A finished sub-batch and the lane (if any) its reply rides home on.
+type Finished = (Option<Arc<Lane>>, SubBatch);
+
 /// Everything a worker owns across panic-supervision boundaries. Held
-/// by `worker_main` outside `catch_unwind`, so a supervised panic never
-/// loses shard state, the in-flight sub-batch, or buffers staged for
+/// outside `catch_unwind` — by `worker_main`, or behind
+/// `HookShared::inline`'s mutex — so a supervised panic never loses
+/// shard state, the in-flight sub-batch, or buffers staged for
 /// recycling.
-struct WorkerState {
+#[derive(Default)]
+pub(super) struct WorkerState {
     shards: Vec<Shard>,
     lanes: Vec<Arc<Lane>>,
+    /// Epoch of `lanes`; 0 is the registry's own start, with no lane.
     seen_epoch: u64,
     current: Option<CurrentSub>,
     /// Buffers with no sub-batch to ride home on yet (e.g. park
@@ -193,13 +201,22 @@ struct WorkerState {
     auth: BatchAuth,
 }
 
-/// Stage a freshly popped sub-batch as the worker's current work.
-fn begin_current(state: &mut WorkerState, lane: &Arc<Lane>, mut sub: SubBatch) {
+impl WorkerState {
+    pub(super) fn new(shards: Vec<Shard>) -> Self {
+        WorkerState {
+            shards,
+            ..WorkerState::default()
+        }
+    }
+}
+
+/// Stage a fresh sub-batch as the worker's current work.
+fn begin_current(state: &mut WorkerState, lane: Option<&Arc<Lane>>, mut sub: SubBatch) {
     sub.done.clear();
     sub.done.reserve(sub.items.len());
     sub.recycle.clear();
     state.current = Some(CurrentSub {
-        lane: Arc::clone(lane),
+        lane: lane.cloned(),
         next: 0,
         supply_mark: sub.supplies.len(),
         sub,
@@ -207,16 +224,21 @@ fn begin_current(state: &mut WorkerState, lane: &Arc<Lane>, mut sub: SubBatch) {
 }
 
 /// Finish the current sub-batch against the worker's owned shards and
-/// ship the reply: run its remaining items to completion, or — with
+/// hand it back: run its remaining items to completion, or — with
 /// `reject`, the quarantine path — give every one of them a `Reject`
-/// verdict, so the producer unblocks with a complete verdict set either
-/// way. Shard `si` lives at local index `si / W` (the partition stage
-/// only routes `si ≡ w (mod W)` here). Unused supplies ride home on the
-/// recycle list so the producer's pool ledger stays balanced. Processing
-/// happens IN PLACE on `state.current`: if an item panics, the unwind
-/// leaves the cursor and every untouched buffer intact for the
-/// supervisor.
-fn finish_current(shared: &HookShared, w: usize, state: &mut WorkerState, reject: bool) {
+/// verdict, so the producer gets a complete verdict set either way
+/// (`None`: nothing was staged). Shard `si` lives at local index `si / W`
+/// (the partition stage only routes `si ≡ w (mod W)` here). Unused
+/// supplies ride home on the recycle list so the producer's pool ledger
+/// stays balanced. Processing happens IN PLACE on `state.current`: if an
+/// item panics, the unwind leaves the cursor and every untouched buffer
+/// intact for the supervisor.
+fn finish_current(
+    shared: &HookShared,
+    w: usize,
+    state: &mut WorkerState,
+    reject: bool,
+) -> Option<Finished> {
     let WorkerState {
         shards,
         current,
@@ -224,9 +246,7 @@ fn finish_current(shared: &HookShared, w: usize, state: &mut WorkerState, reject
         auth,
         ..
     } = state;
-    let Some(cur) = current.as_mut() else {
-        return;
-    };
+    let cur = current.as_mut()?;
     let obs = shared.obs_handle();
     let cfg = shared.cfg.load();
     let pass = Pass {
@@ -290,7 +310,7 @@ fn finish_current(shared: &HookShared, w: usize, state: &mut WorkerState, reject
             cur.next += 1;
         }
     }
-    // Deferred MAC comparisons resolve BEFORE the reply ships — on the
+    // Deferred MAC comparisons resolve BEFORE the reply leaves — on the
     // reject path too, for items processed before the quarantine — so
     // the producer only ever sees final verdicts.
     resolve_batch_auth(&pass, shards, auth, &mut cur.sub.done, &mut cur.sub.recycle);
@@ -304,7 +324,7 @@ fn finish_current(shared: &HookShared, w: usize, state: &mut WorkerState, reject
     if let (Some(reg), Some(busy)) = (obs.as_ref(), busy) {
         reg.worker_busy(w, busy.elapsed_ns());
     }
-    push_reply(&lane, w, fin);
+    Some((lane, fin))
 }
 
 /// Post-panic cleanup for the item the unwind interrupted: give it a
@@ -369,10 +389,14 @@ fn rebuild_shards(shared: &HookShared, w: usize, state: &mut WorkerState) {
     refresh_park_depths(shared, w, &state.shards);
 }
 
-/// Push a reply to the producer, then wake it. The reply ring can hold
-/// as many sub-batches as the ingress ring, so this never blocks in the
-/// steady protocol; the spin is a defensive fallback.
-fn push_reply(lane: &Lane, w: usize, mut reply: SubBatch) {
+/// Threaded mode: push a finished sub-batch down the lane it came on,
+/// then wake the producer. The reply ring can hold as many sub-batches
+/// as the ingress ring, so this never blocks in the steady protocol; the
+/// spin is a defensive fallback.
+fn reply(w: usize, fin: Option<Finished>) {
+    let Some((Some(lane), mut reply)) = fin else {
+        return;
+    };
     loop {
         match lane.from_worker[w].try_push(reply) {
             Ok(()) => break,
@@ -382,12 +406,13 @@ fn push_reply(lane: &Lane, w: usize, mut reply: SubBatch) {
             }
         }
     }
-    if let Some(t) = lane.producer.lock().as_ref() {
+    let producer = lane.producer.lock();
+    if let Some(t) = producer.as_ref() {
         t.unpark();
     }
 }
 
-/// Handle one control-plane message on the worker thread. A quarantined
+/// Handle one control-plane message as the worker. A quarantined
 /// worker still answers everything — statistics, flushes, and drains
 /// stay observable — but drained sub-batches get rejected rather than
 /// processed (its shard state is no longer trusted).
@@ -464,8 +489,8 @@ fn drain_lanes(shared: &HookShared, w: usize, state: &mut WorkerState, quarantin
     for li in 0..state.lanes.len() {
         let lane = Arc::clone(&state.lanes[li]);
         while let Some(sub) = lane.to_worker[w].try_pop() {
-            begin_current(state, &lane, sub);
-            finish_current(shared, w, state, quarantined);
+            begin_current(state, Some(&lane), sub);
+            reply(w, finish_current(shared, w, state, quarantined));
             did_work = true;
         }
     }
@@ -495,7 +520,7 @@ fn worker_loop(
         // anything new is taken on — its producer is still parked on the
         // reply.
         if state.current.is_some() {
-            finish_current(shared, w, state, quarantined);
+            reply(w, finish_current(shared, w, state, quarantined));
             did_work = true;
         }
         while let Ok(msg) = ctl.try_recv() {
@@ -519,20 +544,13 @@ fn worker_loop(
     }
 }
 
-/// Fail-closed terminal mode: keep the thread (and its mailbox, rings,
-/// and buffer ledger) alive, but reject every datagram. Parked datagrams
-/// are evicted up front — their keys will never arrive on a worker that
-/// stopped processing — and their buffers ride the next reply home.
-fn quarantine(
-    shared: &HookShared,
-    w: usize,
-    state: &mut WorkerState,
-    ctl: &mpsc::Receiver<Control>,
-) {
+/// Enter fail-closed terminal mode: the worker (threaded: its mailbox,
+/// rings and buffer ledger too) stays, but rejects every datagram —
+/// first what is left of the sub-batch the panic interrupted. Parked
+/// datagrams are evicted — their keys will never arrive on a worker that
+/// stopped processing — and their buffers ride that reply home.
+fn quarantine(shared: &HookShared, w: usize, state: &mut WorkerState) {
     shared.quarantined[w].store(true, Ordering::Release);
-    // Finish (by rejecting) any sub-batch the panic interrupted, so its
-    // producer unblocks with a complete verdict set.
-    finish_current(shared, w, state, true);
     for shard in state.shards.iter_mut() {
         for dir in [Direction::Output, Direction::Input] {
             let evicted = shard.park(dir).take_all();
@@ -542,17 +560,58 @@ fn quarantine(
         }
     }
     refresh_park_depths(shared, w, &state.shards);
-    worker_loop(shared, w, state, ctl, true);
 }
 
-/// Worker thread entry point: run [`worker_loop`] under in-thread panic
-/// supervision. Catching the unwind HERE — rather than letting the
-/// thread die and respawning a new one — keeps every externally visible
-/// invariant intact across a panic: the SPSC consumer identity, the
-/// control mailbox, the parked thread handle, and `workers_alive` (which
-/// therefore only moves on real shutdown, making it a meaningful
-/// liveness gate). Respawn is a rebuild of shard state inside the same
-/// thread; quarantine is a mode switch, not an exit.
+/// The one panic supervisor: run `body` inside `catch_unwind`; on a
+/// panic count it, give the interrupted datagram its `Reject`, respawn
+/// or quarantine per [`WorkerFaultPolicy`], and return `None` — the
+/// caller runs again under a fresh boundary, where the interrupted
+/// sub-batch (cursor already past the poisoned item) finishes first.
+/// Catching the unwind HERE — rather than letting a thread die — keeps
+/// the SPSC consumer identity, the control mailbox, the parked thread
+/// handle and `workers_alive` (a liveness gate: it only moves on real
+/// shutdown) intact. Respawn rebuilds shard state in place; quarantine
+/// is a mode switch, not an exit.
+fn supervise<T>(
+    shared: &HookShared,
+    w: usize,
+    state: &mut WorkerState,
+    body: impl FnOnce(&mut WorkerState, bool) -> T,
+) -> Option<T> {
+    let quarantined = shared.quarantined[w].load(Ordering::Acquire);
+    // AssertUnwindSafe: `state` lives outside the boundary by design —
+    // the supervisor's whole job is to repair the potentially
+    // inconsistent pieces (the current item's buffers via
+    // `abort_current_item`, shard state via `rebuild_shards`) before
+    // anyone observes them.
+    if let Ok(v) = catch_unwind(AssertUnwindSafe(|| body(&mut *state, quarantined))) {
+        return Some(v);
+    }
+    shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+    let obs = shared.obs_handle();
+    if let Some(reg) = &obs {
+        reg.worker_panic(w);
+    }
+    abort_current_item(state);
+    let respawn = match shared.cfg.load().worker_fault {
+        WorkerFaultPolicy::Respawn { max_respawns } => state.respawns < max_respawns,
+        WorkerFaultPolicy::FailClosed => false,
+    };
+    if respawn {
+        state.respawns += 1;
+        shared.worker_respawns.fetch_add(1, Ordering::Relaxed);
+        if let Some(reg) = &obs {
+            reg.incr(Counter::WorkerRespawns);
+        }
+        rebuild_shards(shared, w, state);
+    } else {
+        quarantine(shared, w, state);
+    }
+    None
+}
+
+/// Worker thread entry point: [`worker_loop`] under [`supervise`] until
+/// it returns, which it does on shutdown only.
 pub(super) fn worker_main(
     shared: Arc<HookShared>,
     w: usize,
@@ -568,52 +627,36 @@ pub(super) fn worker_main(
         }
     }
     let _alive = Alive(&shared);
-    let mut state = WorkerState {
-        shards,
-        lanes: Vec::new(),
-        seen_epoch: u64::MAX,
-        current: None,
-        pending_recycle: Vec::new(),
-        generation: 0,
-        respawns: 0,
-        auth: BatchAuth::default(),
-    };
-    loop {
-        // AssertUnwindSafe: `state` lives outside the boundary by
-        // design — the supervisor's whole job is to repair the
-        // potentially inconsistent pieces (the current item's buffers
-        // via `abort_current_item`, shard state via `rebuild_shards`)
-        // before anyone observes them.
-        match catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(&shared, w, &mut state, &ctl, false)
-        })) {
-            Ok(()) => break,
-            Err(_payload) => {
-                shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                let obs = shared.obs_handle();
-                if let Some(reg) = &obs {
-                    reg.worker_panic(w);
-                }
-                abort_current_item(&mut state);
-                let respawn = match shared.cfg.load().worker_fault {
-                    WorkerFaultPolicy::Respawn { max_respawns } => state.respawns < max_respawns,
-                    WorkerFaultPolicy::FailClosed => false,
-                };
-                if respawn {
-                    state.respawns += 1;
-                    shared.worker_respawns.fetch_add(1, Ordering::Relaxed);
-                    if let Some(reg) = &obs {
-                        reg.incr(Counter::WorkerRespawns);
-                    }
-                    rebuild_shards(&shared, w, &mut state);
-                    // Loop back under a fresh unwind boundary; the
-                    // interrupted sub-batch (cursor already advanced
-                    // past the poisoned item) finishes first.
-                } else {
-                    quarantine(&shared, w, &mut state, &ctl);
-                    break;
-                }
-            }
+    let mut state = WorkerState::new(shards);
+    let pass = |st: &mut WorkerState, quarantined| worker_loop(&shared, w, st, &ctl, quarantined);
+    while supervise(&shared, w, &mut state, pass).is_none() {}
+}
+
+/// Run-to-completion mode: finish `sub` on the calling thread, which
+/// holds the lock on the one worker's state, under the same supervisor —
+/// a panic costs its datagram a `Reject` and never unwinds into the
+/// caller. `None` only if a panic took the staged sub-batch with it; the
+/// caller then fails its slots closed.
+pub(super) fn run_inline(
+    shared: &HookShared,
+    state: &mut WorkerState,
+    sub: SubBatch,
+) -> Option<SubBatch> {
+    begin_current(state, None, sub);
+    while state.current.is_some() {
+        let pass = |st: &mut WorkerState, rej| finish_current(shared, 0, st, rej);
+        if let Some(fin) = supervise(shared, 0, state, pass) {
+            return fin.map(|(_, sub)| sub);
         }
     }
+    None
+}
+
+/// Run-to-completion mode's control plane: answer `msg` on the calling
+/// thread, lock held, supervised. A panic drops `msg`'s reply sender,
+/// which the caller reads as `WorkerUnavailable`.
+pub(super) fn control_inline(shared: &HookShared, state: &mut WorkerState, msg: Control) {
+    supervise(shared, 0, state, |st, quarantined| {
+        handle_control(shared, 0, st, msg, quarantined)
+    });
 }

@@ -2,18 +2,22 @@
 //! datagrams through [`Host::ip_output_batch`] / [`Host::deliver_frames`]
 //! (one `process_batch` hook call) is bit-identical to pushing the same
 //! datagrams one at a time through the scalar `ip_output` /
-//! `deliver_frame` wrappers — across padding edges, every cipher mode,
-//! MAC truncation, and batches mixing covered (UDP) and uncovered
-//! (bypass) protocols.
+//! `deliver_frame` wrappers, and running the mapping to completion on
+//! the submitting thread (`workers = 1`) is bit-identical to handing it
+//! to worker threads (`workers = 2`) — across padding edges, every
+//! cipher suite and mode, MAC truncation, and batches mixing covered
+//! (UDP) and uncovered (bypass) protocols.
 
 // Property tests are opt-in: run with `cargo test --features props`.
 #![cfg(feature = "props")]
 
 use fbs_cert::{CertificateAuthority, Directory};
 use fbs_core::header::EncAlgorithm;
+use fbs_core::protocol::EndpointStats;
 use fbs_core::ManualClock;
 use fbs_crypto::dh::DhGroup;
-use fbs_ip::hooks::IpMappingConfig;
+use fbs_crypto::CipherSuite;
+use fbs_ip::hooks::{FbsIpHooks, IpHookStats, IpMappingConfig};
 use fbs_ip::host::build_secure_host;
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::Host;
@@ -56,40 +60,41 @@ impl Item {
 }
 
 /// Build a deterministic sender/receiver pair sharing one CA, directory,
-/// and clock. Called twice with the same config it yields bit-identical
-/// twins (all key material derives from the fixed seeds).
-fn world(cfg: &IpMappingConfig) -> (Host, Host) {
+/// and clock, each with its hooks handle. Called twice with the same
+/// config it yields bit-identical twins (all key material derives from
+/// the fixed seeds).
+fn world(cfg: &IpMappingConfig) -> [(Host, FbsIpHooks); 2] {
     let clock = ManualClock::starting_at(3);
     let ca = CertificateAuthority::new("props-ca", [0x5A; 16]);
     let directory = Arc::new(Directory::new(Duration::ZERO));
     let group = DhGroup::test_group();
-    let (sender, _) = build_secure_host(
-        A,
-        1500,
-        cfg.clone(),
-        clock.clone(),
-        &group,
-        &ca,
-        &directory,
-        7,
-    );
-    let (mut receiver, _) = build_secure_host(
-        B,
-        1500,
-        cfg.clone(),
-        clock.clone(),
-        &group,
-        &ca,
-        &directory,
-        8,
-    );
-    receiver.udp.bind(53).unwrap();
-    (sender, receiver)
+    let mut pair = [(A, 7), (B, 8)].map(|(addr, seed)| {
+        build_secure_host(
+            addr,
+            1500,
+            cfg.clone(),
+            clock.clone(),
+            &group,
+            &ca,
+            &directory,
+            seed,
+        )
+    });
+    pair[1].0.udp.bind(53).unwrap();
+    pair
 }
 
-fn cfg_for(enc_id: u8, encrypt: bool, truncate: bool) -> IpMappingConfig {
+fn cfg_for(
+    workers: usize,
+    suite: usize,
+    enc_id: u8,
+    encrypt: bool,
+    truncate: bool,
+) -> IpMappingConfig {
     let mut cfg = IpMappingConfig::default();
+    cfg.workers = workers;
     cfg.encrypt = encrypt;
+    cfg.fbs.suite = CipherSuite::ALL[suite];
     cfg.fbs.enc_alg = EncAlgorithm::from_wire_id(enc_id).expect("valid wire id");
     cfg.fbs.mac_truncate = truncate.then_some(8);
     cfg
@@ -106,74 +111,85 @@ fn item_strategy() -> impl Strategy<Value = Item> {
     })
 }
 
-/// The pipeline equivalence law: batch and scalar submission produce
-/// byte-identical wire frames, and batch and scalar delivery produce
-/// byte-identical plaintexts in the same order.
+/// Everything an observer can tell one run from another by.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// `ip_output`'s verdict per item, as text.
+    verdicts: Vec<String>,
+    frames: Vec<Vec<u8>>,
+    /// What the receiver handed up per item (`None`: nothing).
+    delivered: Vec<Option<Vec<u8>>>,
+    /// Sender's then receiver's.
+    hook_stats: [IpHookStats; 2],
+    endpoint_stats: [EndpointStats; 2],
+    input_rejects: u64,
+    dispatched: u64,
+}
+
+/// Push `items` through a fresh world: one at a time through the scalar
+/// entry points, or as one batch each way.
+fn observe(items: &[Item], cfg: &IpMappingConfig, batch: bool) -> Observed {
+    let [(mut tx, tx_hooks), (mut rx, rx_hooks)] = world(cfg);
+    let datagrams = items.iter().map(|item| {
+        let payload = item.payload();
+        (item.header(payload.len()), payload)
+    });
+    let results = if batch {
+        tx.ip_output_batch(datagrams.collect(), NOW_US)
+    } else {
+        datagrams
+            .map(|(header, payload)| tx.ip_output(header, payload, NOW_US))
+            .collect()
+    };
+    let frames = tx.take_frames();
+    if batch {
+        rx.deliver_frames(&frames, NOW_US);
+    } else {
+        for f in &frames {
+            rx.deliver_frame(f, NOW_US);
+        }
+    }
+    let delivered = items
+        .iter()
+        .map(|item| match item.covered {
+            true => rx.udp.recv(53).map(|d| d.data),
+            false => rx.bypass_recv().map(|(_, body)| body),
+        })
+        .collect();
+    assert!(rx.udp.recv(53).is_none(), "no extra datagrams");
+    Observed {
+        verdicts: results.iter().map(|r| format!("{r:?}")).collect(),
+        frames,
+        delivered,
+        hook_stats: [tx_hooks.stats(), rx_hooks.stats()],
+        endpoint_stats: [tx_hooks.endpoint_stats(), rx_hooks.endpoint_stats()],
+        input_rejects: rx.stats().hook_input_rejects,
+        dispatched: rx.stats().dispatched,
+    }
+}
+
+/// The pipeline equivalence law: scalar and batch submission, run to
+/// completion (`workers = 1`) or on worker threads (`workers = 2`, both
+/// over 8 shards), produce the same verdicts, byte-identical wire frames,
+/// byte-identical plaintexts in the same order, and the same counters.
 fn check_equivalence(
     items: &[Item],
+    suite: usize,
     enc_id: u8,
     encrypt: bool,
     truncate: bool,
 ) -> Result<(), TestCaseError> {
-    let cfg = cfg_for(enc_id, encrypt, truncate);
-    let (mut tx_scalar, mut rx_scalar) = world(&cfg);
-    let (mut tx_batch, mut rx_batch) = world(&cfg);
-
-    // ---- output: scalar loop vs one batch call ----
-    let mut scalar_results = Vec::new();
-    for item in items {
-        let payload = item.payload();
-        let header = item.header(payload.len());
-        scalar_results.push(tx_scalar.ip_output(header, payload, NOW_US).is_ok());
-    }
-    let batch_items: Vec<_> = items
-        .iter()
-        .map(|item| {
-            let payload = item.payload();
-            let header = item.header(payload.len());
-            (header, payload)
-        })
-        .collect();
-    let batch_results: Vec<bool> = tx_batch
-        .ip_output_batch(batch_items, NOW_US)
-        .into_iter()
-        .map(|r| r.is_ok())
-        .collect();
-    prop_assert_eq!(&scalar_results, &batch_results, "per-datagram verdicts");
-
-    let scalar_frames = tx_scalar.take_frames();
-    let batch_frames = tx_batch.take_frames();
-    prop_assert_eq!(&scalar_frames, &batch_frames, "wire frames bit-identical");
-
-    // ---- input: scalar loop vs one batch call ----
-    for f in &scalar_frames {
-        rx_scalar.deliver_frame(f, NOW_US);
-    }
-    rx_batch.deliver_frames(&batch_frames, NOW_US);
-
+    let cfg = |workers| cfg_for(workers, suite, enc_id, encrypt, truncate);
+    let reference = observe(items, &cfg(2), false);
     // Every covered datagram decrypts back to the original body, in
-    // submission order, on both receivers; bypass datagrams arrive
-    // untouched.
-    for item in items {
-        if item.covered {
-            let s = rx_scalar.udp.recv(53).expect("scalar delivery");
-            let b = rx_batch.udp.recv(53).expect("batch delivery");
-            prop_assert_eq!(&s.data, &b.data, "plaintexts bit-identical");
-            prop_assert_eq!(&s.data, &vec![item.fill; item.data_len]);
-        } else {
-            let (_, s) = rx_scalar.bypass_recv().expect("scalar bypass");
-            let (_, b) = rx_batch.bypass_recv().expect("batch bypass");
-            prop_assert_eq!(&s, &b);
-            prop_assert_eq!(&s, &vec![item.fill; item.data_len]);
-        }
+    // submission order; bypass datagrams arrive untouched.
+    for (item, got) in items.iter().zip(&reference.delivered) {
+        prop_assert_eq!(got.as_ref(), Some(&vec![item.fill; item.data_len]));
     }
-    prop_assert!(rx_scalar.udp.recv(53).is_none(), "no extra datagrams");
-    prop_assert!(rx_batch.udp.recv(53).is_none());
-    prop_assert_eq!(
-        rx_scalar.stats().hook_input_rejects,
-        rx_batch.stats().hook_input_rejects
-    );
-    prop_assert_eq!(rx_scalar.stats().dispatched, rx_batch.stats().dispatched);
+    for (workers, batch) in [(2, true), (1, false), (1, true)] {
+        let got = observe(items, &cfg(workers), batch);
+        prop_assert_eq!(&got, &reference, "workers {} batch {}", workers, batch);
+    }
     Ok(())
 }
 
@@ -183,10 +199,11 @@ proptest! {
     #[test]
     fn batch_pipeline_is_bit_identical_to_scalar(
         items in proptest::collection::vec(item_strategy(), 1..5),
+        suite in 0usize..CipherSuite::ALL.len(),
         enc_id in 0u8..6,
         encrypt in any::<bool>(),
         truncate in any::<bool>(),
     ) {
-        check_equivalence(&items, enc_id, encrypt, truncate)?;
+        check_equivalence(&items, suite, enc_id, encrypt, truncate)?;
     }
 }

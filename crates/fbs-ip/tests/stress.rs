@@ -1,7 +1,8 @@
 //! Threaded stress test for the worker-runtime hook state: four OS
 //! threads drive mixed flows through ONE shared IP mapping (cloned
 //! handles — each clone gets its own SPSC lane into the shared
-//! shard-owning workers; one `BufferPool` per thread, pools are
+//! shard-owning workers, or at `workers = 1` takes its turn at the one
+//! run-to-completion lock; one `BufferPool` per thread, pools are
 //! deliberately not thread-safe) while a scraper thread hammers the
 //! lock-free statistics accessors.
 //!
@@ -41,14 +42,14 @@ const NOW_US: u64 = 1_000_000;
 /// Deterministic world: both endpoints share one CA, directory, and
 /// clock, so certificates are mutually available and all key material
 /// derives from the fixed seeds.
-fn build_pair() -> (FbsIpHooks, FbsIpHooks) {
+fn build_pair(workers: usize) -> (FbsIpHooks, FbsIpHooks) {
     let clock = ManualClock::starting_at(0);
     let ca = CertificateAuthority::new("stress-test-ca", [0x57; 16]);
     let directory = Arc::new(Directory::new(Duration::ZERO));
     let group = DhGroup::test_group();
     let cfg = IpMappingConfig {
         encrypt: true,
-        workers: 2,
+        workers,
         ..IpMappingConfig::default()
     };
     let (_ha, sender) = build_secure_host(
@@ -81,9 +82,17 @@ fn payload_for(sport: u16, seq: u32) -> Vec<u8> {
 
 #[test]
 fn four_threads_share_one_mapping_without_loss_reorder_or_miscount() {
-    let (sender, receiver) = build_pair();
+    // Both runtimes: four submitters contending for one lock, and four
+    // lanes into two worker threads.
+    for workers in [1, 2] {
+        four_threads_share_one_mapping(workers);
+    }
+}
+
+fn four_threads_share_one_mapping(workers: usize) {
+    let (sender, receiver) = build_pair(workers);
     assert!(sender.num_shards() > 1, "test requires real sharding");
-    assert_eq!(sender.num_workers(), 2, "test requires the worker runtime");
+    assert_eq!(sender.num_workers(), workers);
     let done = Arc::new(AtomicBool::new(false));
 
     // Scraper: reads every lock-free accessor in a tight loop while the

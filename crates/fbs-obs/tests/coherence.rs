@@ -5,9 +5,14 @@
 //! promises per-cell atomicity, not cross-cell consistency, so the
 //! invariants a scraper may rely on are: (1) every counter is
 //! monotone across successive snapshots, and (2) a histogram whose
-//! observations all have the same value keeps `sum` within one
-//! in-flight sample per writer of `value × count` (bucket and sum are
-//! two separate relaxed adds).
+//! observations all have the same value brackets `sum` between two
+//! counts. A writer adds to the bucket, then to `sum`; `snapshot()`
+//! loads the buckets, then `sum`, at two instants that a descheduled
+//! scraper can hold arbitrarily far apart. So `sum` may trail
+//! `value × count` by one in-flight sample per writer, and may run
+//! ahead of it by any amount — but never ahead of `value × count` as
+//! the NEXT snapshot sees it, because every sample in `sum` was in a
+//! bucket first.
 
 use fbs_obs::{Counter, Histogram, MetricsRegistry, Stage};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,8 +51,21 @@ fn snapshots_stay_monotone_and_sum_consistent_under_writers() {
     let mut last: Option<fbs_obs::MetricsSnapshot> = None;
     let mut last_rows: Vec<fbs_obs::WorkerOccupancyRow> = Vec::new();
     let mut hist_seen = false;
-    for _ in 0..SNAPSHOTS {
+    let hist_keys = ["send_bytes", "stage.seal_ns"];
+    // `sum` as the previous snapshot read it, per key.
+    let mut last_sums = [0u64; 2];
+    // Only a snapshot the writers moved under counts towards SNAPSHOTS:
+    // on a small host the scraper can otherwise finish before a writer
+    // has been scheduled at all, having checked nothing.
+    let mut raced = 0;
+    while raced < SNAPSHOTS {
         let snap = reg.snapshot();
+        match &last {
+            Some(prev) if snap.counter("endpoint.sends") == prev.counter("endpoint.sends") => {
+                thread::yield_now();
+            }
+            _ => raced += 1,
+        }
         if let Some(prev) = &last {
             for (name, v) in &prev.counters {
                 assert!(
@@ -57,17 +75,21 @@ fn snapshots_stay_monotone_and_sum_consistent_under_writers() {
                 );
             }
         }
-        for key in ["send_bytes", "stage.seal_ns"] {
-            if let Some(h) = snap.histograms.get(key) {
+        for (key, last_sum) in hist_keys.iter().zip(&mut last_sums) {
+            if let Some(h) = snap.histograms.get(*key) {
                 hist_seen = true;
-                let count = h.count();
-                let ideal = SAMPLE_VALUE * count;
-                let diff = h.sum.abs_diff(ideal);
+                let ideal = SAMPLE_VALUE * h.count();
                 assert!(
-                    diff <= (WRITERS as u64) * SAMPLE_VALUE,
-                    "{key}: sum {} vs {count} x {SAMPLE_VALUE} (diff {diff})",
-                    h.sum
+                    h.sum + (WRITERS as u64) * SAMPLE_VALUE >= ideal,
+                    "{key}: sum {} trails {} x {SAMPLE_VALUE} by more than the writers in flight",
+                    h.sum,
+                    h.count()
                 );
+                assert!(
+                    *last_sum <= ideal,
+                    "{key}: the previous sum {last_sum} holds samples no bucket has yet ({ideal})"
+                );
+                *last_sum = h.sum;
             }
         }
         // The worker table rows must be internally plausible. Each
@@ -104,9 +126,12 @@ fn snapshots_stay_monotone_and_sum_consistent_under_writers() {
     let snap = reg.snapshot();
     assert_eq!(snap.counter("endpoint.sends"), total);
     assert_eq!(snap.counter("pipeline.batch_datagrams"), 3 * total);
-    let h = &snap.histograms["send_bytes"];
-    assert_eq!(h.count(), total);
-    assert_eq!(h.sum, SAMPLE_VALUE * total);
+    for (key, last_sum) in hist_keys.iter().zip(last_sums) {
+        let h = &snap.histograms[*key];
+        assert_eq!(h.count(), total);
+        assert_eq!(h.sum, SAMPLE_VALUE * total);
+        assert!(last_sum <= h.sum);
+    }
     for row in reg.worker_occupancy_table() {
         let expected = spins[row.worker];
         assert_eq!(row.batches, expected);
