@@ -80,16 +80,12 @@ fn main() {
     }
     let wf = report.worker_fault.as_ref().expect("scenario just ran");
     println!(
-        "\nworker-fault scenario — panics {}, respawns {}, quarantined {}, \
-         workers alive {}/{}, shed {} ({} batches), verdict loss {}, \
-         pool balanced {}, recovery ratio {:.3}",
+        "\nworker-fault scenario — panics {}, respawns {}, quarantined {} of {} workers, \
+         verdict loss {}, pool balanced {}, recovery ratio {:.3}",
         wf.panics,
         wf.respawns,
         wf.quarantined,
-        wf.workers_alive,
         wf.workers,
-        wf.sheds.rejected,
-        wf.sheds.batches,
         wf.verdict_loss,
         wf.pool_balanced,
         wf.recovery_ratio

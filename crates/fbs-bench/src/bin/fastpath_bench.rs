@@ -104,7 +104,13 @@ fn main() {
             ]
             .concat(),
         );
-        rows.push([vec![format!("suite {} open", s.suite.name())], fmt(&s.open_pooled)].concat());
+        rows.push(
+            [
+                vec![format!("suite {} open", s.suite.name())],
+                fmt(&s.open_pooled),
+            ]
+            .concat(),
+        );
     }
     emit(
         &format!(
@@ -142,8 +148,8 @@ fn main() {
         );
         for o in &m.occupancy {
             println!(
-                "  worker {:2}: {:6} stalls {:10} stall-ns  {:8} batches {:12} busy-ns",
-                o.worker, o.stalls, o.stall_ns, o.batches, o.busy_ns
+                "  worker {:2}: {:8} batches {:12} busy-ns",
+                o.worker, o.batches, o.busy_ns
             );
         }
     }

@@ -8,7 +8,7 @@
 //! counter that always returns 0 and the alloc columns read as 0.
 //!
 //! Single-CPU honesty: the report carries a `cpus` field. On a one-core
-//! host the multi-worker mapping rows measure sharding/ring overhead,
+//! host the multi-worker mapping rows measure sharding/lock overhead,
 //! not parallel speedup — the headline comparison is the in-thread
 //! pooled seal path vs the legacy path.
 
@@ -106,7 +106,7 @@ pub struct MappingRate {
     /// Shard count the mapping was built with (1 = the pre-shard
     /// single-table shape, the sharding-overhead baseline).
     pub shards: usize,
-    /// Shard-owning worker threads the runtime was built with.
+    /// Shard owners (locks) the runtime was built with.
     pub workers: usize,
     /// Every thread's pool take/put ledger balanced: no buffer leaked on
     /// any path the run exercised.
@@ -114,11 +114,10 @@ pub struct MappingRate {
     /// The measured rate (wire buffers recycled back to the pools).
     pub rate: Rate,
     /// Per-stage latency histograms (name, snapshot) accumulated over
-    /// every rep of this row: partition, ring enqueue/wait, seal, key
-    /// derivation, dispatch. Nanosecond log2 buckets.
+    /// every rep of this row: partition, seal, key derivation,
+    /// dispatch. Nanosecond log2 buckets.
     pub stages: Vec<(&'static str, HistogramSnapshot)>,
-    /// Per-worker occupancy rows (ring stalls and stall-ns on the
-    /// producer side, sub-batches and busy-ns on the worker side)
+    /// Per-worker occupancy rows (sub-batches and busy-ns)
     /// accumulated over every rep of this row.
     pub occupancy: Vec<WorkerOccupancyRow>,
 }
@@ -243,9 +242,8 @@ impl FastpathReport {
                     .iter()
                     .map(|r| {
                         format!(
-                            "{{\"worker\": {}, \"stalls\": {}, \"stall_ns\": {}, \
-                             \"batches\": {}, \"busy_ns\": {}}}",
-                            r.worker, r.stalls, r.stall_ns, r.batches, r.busy_ns
+                            "{{\"worker\": {}, \"batches\": {}, \"busy_ns\": {}}}",
+                            r.worker, r.batches, r.busy_ns
                         )
                     })
                     .collect();
@@ -850,10 +848,6 @@ mod tests {
             for want in ["partition", "seal", "dispatch"] {
                 assert!(stage_names.contains(&want), "row missing stage {want}");
             }
-            // A ring stage is recorded exactly where a ring exists.
-            for ring in ["ring_enqueue", "ring_wait"] {
-                assert_eq!(stage_names.contains(&ring), m.workers >= 2, "{ring}");
-            }
             assert!(!m.occupancy.is_empty(), "row has no occupancy rows");
             assert!(m.occupancy.iter().all(|o| o.batches > 0));
             assert!(
@@ -864,7 +858,9 @@ mod tests {
         }
         assert!(json.contains("\"stages\""));
         assert!(json.contains("\"occupancy\""));
-        assert!(json.contains("\"ring_wait_ns\""));
+        // No row crosses a ring (there is none): no ring stage, no
+        // stall column.
+        assert!(!json.contains("ring_") && !json.contains("stall"));
         // The merged snapshot feeds --prom: it must carry the stage
         // histograms and per-worker counters the rows were built from.
         assert!(r.obs.histograms.contains_key("stage.seal_ns"));

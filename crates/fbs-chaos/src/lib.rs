@@ -8,8 +8,8 @@
 //! upcall path ([`ChaosPvs`]), the flow-key caches (flush pulses /
 //! eviction storms driven by [`FaultPlan::cache_pulses`]), and the
 //! datagram-plane worker runtime itself ([`WorkerChaos`]: scheduled
-//! worker panics, stalls, and ring saturation), all on a shared
-//! microsecond [`VirtualClock`].
+//! worker panics and stalls), all on a shared microsecond
+//! [`VirtualClock`].
 //!
 //! Everything is a pure function of `(seed, schedule, virtual time)` —
 //! no wall-clock, no OS entropy — so a chaos soak that fails once fails

@@ -68,13 +68,6 @@ pub enum FaultKind {
         /// Stall length in wall microseconds (the runtime caps it).
         stall_us: u64,
     },
-    /// The named worker's ingress ring reads as saturated for the whole
-    /// window (level-triggered, producer side): every sub-batch routed
-    /// to it sheds per the overload policy.
-    RingSaturation {
-        /// Target worker index.
-        worker: usize,
-    },
 }
 
 impl FaultKind {
@@ -91,7 +84,6 @@ impl FaultKind {
             FaultKind::EvictionStorm { .. } => "eviction_storm",
             FaultKind::WorkerPanic { .. } => "worker_panic",
             FaultKind::WorkerStall { .. } => "worker_stall",
-            FaultKind::RingSaturation { .. } => "ring_saturation",
         }
     }
 }

@@ -1,17 +1,13 @@
-//! Datagram-plane worker faults: scheduled panics, stalls, and ring
-//! saturation.
+//! Datagram-plane worker faults: scheduled panics and stalls.
 //!
 //! [`WorkerChaos`] adapts a [`FaultPlan`]'s worker windows to the
 //! runtime's [`WorkerFaultInjector`] taps. The determinism contract is
 //! the trait's: panic and stall taps are **edge-triggered** — at most
 //! one firing per `(window, worker)` no matter how often the worker
-//! polls — while saturation is **level-triggered** on the producer side
-//! (the worker keeps draining at virtual time, so a seeded soak's
-//! virtual-time outputs stay byte-identical; only wall-clock latency
-//! moves).
+//! polls.
 //!
 //! Edge state is a per-window fired flag behind a CAS, so concurrent
-//! polls from a worker and its producer cannot double-fire a pulse.
+//! polls cannot double-fire a pulse.
 
 use crate::plan::{FaultKind, FaultPlan};
 use fbs_core::WorkerFaultInjector;
@@ -37,12 +33,10 @@ impl Pulse {
 }
 
 /// A [`WorkerFaultInjector`] scripted by a [`FaultPlan`]'s
-/// `WorkerPanic` / `WorkerStall` / `RingSaturation` windows.
+/// `WorkerPanic` / `WorkerStall` windows.
 pub struct WorkerChaos {
     panics: Vec<Pulse>,
     stalls: Vec<Pulse>,
-    /// Saturation is stateless: `(start, end, worker)` levels.
-    saturations: Vec<(u64, u64, usize)>,
 }
 
 impl WorkerChaos {
@@ -52,7 +46,6 @@ impl WorkerChaos {
     pub fn from_plan(plan: &FaultPlan) -> Self {
         let mut panics = Vec::new();
         let mut stalls = Vec::new();
-        let mut saturations = Vec::new();
         for w in plan.windows() {
             match w.kind {
                 FaultKind::WorkerPanic { worker } => panics.push(Pulse {
@@ -69,17 +62,10 @@ impl WorkerChaos {
                     stall_us,
                     fired: AtomicBool::new(false),
                 }),
-                FaultKind::RingSaturation { worker } => {
-                    saturations.push((w.start_us, w.end_us, worker));
-                }
                 _ => {}
             }
         }
-        WorkerChaos {
-            panics,
-            stalls,
-            saturations,
-        }
+        WorkerChaos { panics, stalls }
     }
 
     /// Number of armed panic windows (for report/gate plumbing).
@@ -99,12 +85,6 @@ impl WorkerFaultInjector for WorkerChaos {
             .filter(|p| p.take(worker, now_us))
             .map(|p| p.stall_us)
             .sum()
-    }
-
-    fn ring_saturated(&self, worker: usize, now_us: u64) -> bool {
-        self.saturations
-            .iter()
-            .any(|&(s, e, w)| w == worker && s <= now_us && now_us < e)
     }
 }
 
@@ -153,24 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn saturation_is_level_triggered() {
-        let plan = FaultPlan::new(7).with_window(100, 200, FaultKind::RingSaturation { worker: 0 });
-        let chaos = WorkerChaos::from_plan(&plan);
-        assert!(!chaos.ring_saturated(0, 99));
-        assert!(chaos.ring_saturated(0, 100));
-        assert!(chaos.ring_saturated(0, 150), "level: true for the window");
-        assert!(chaos.ring_saturated(0, 199));
-        assert!(!chaos.ring_saturated(0, 200), "half-open end");
-        assert!(!chaos.ring_saturated(1, 150));
-    }
-
-    #[test]
     fn non_worker_windows_are_ignored() {
         let plan = FaultPlan::new(7).with_window(0, 1_000, FaultKind::DirectoryOutage);
         let chaos = WorkerChaos::from_plan(&plan);
         assert_eq!(chaos.scheduled_panics(), 0);
         assert!(!chaos.take_panic(0, 500));
         assert_eq!(chaos.take_stall_us(0, 500), 0);
-        assert!(!chaos.ring_saturated(0, 500));
     }
 }

@@ -12,12 +12,13 @@
 //!
 //! # Lock-ordering rules
 //!
-//! 1. Endpoint flow-state shards are not locked at all: each is owned
-//!    outright by one worker thread (`fbs-ip`'s worker runtime), so a
-//!    key derivation on a miss runs on the owning worker with no
-//!    endpoint lock held — only the [`KeyingService`] locks below are
-//!    taken, and the sfl is reserved before the derive so a failure
-//!    burns it (sfls are never reused).
+//! 1. Endpoint flow-state shards sit behind their owner's lock
+//!    (`fbs-ip`'s worker runtime: owner `w` of `W` holds shards
+//!    `{si : si % W == w}`). A caller holds at most ONE owner lock at a
+//!    time and takes it outermost: a key derivation on a miss runs
+//!    under it and takes only the [`KeyingService`] locks below, and
+//!    the sfl is reserved before the derive so a failure burns it
+//!    (sfls are never reused).
 //! 2. Inside [`KeyingService`], the order is `mkd` lock → MKC shard
 //!    lock. The fast path touches only an MKC shard lock and releases
 //!    it before any `mkd` acquisition, so no cycle exists.

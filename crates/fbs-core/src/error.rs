@@ -91,35 +91,19 @@ impl std::error::Error for FbsError {}
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, FbsError>;
 
-/// Errors surfaced by a worker runtime's control and data planes.
+/// Errors surfaced by a worker runtime's control plane.
 ///
 /// Distinct from [`FbsError`]: these are not protocol verdicts but
-/// infrastructure failures — a worker thread that died, a control
-/// round-trip that timed out, a drain that could not finish before its
-/// deadline. Callers decide whether to fail closed, retry, or surface
-/// the error; the runtime itself never panics on these paths.
+/// infrastructure failures. Callers decide whether to fail closed,
+/// retry, or surface the error; the runtime itself never panics on
+/// these paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// The worker's control mailbox or reply channel is gone: the
-    /// thread exited (panicked past its supervisor, or the runtime is
-    /// shutting down) and can no longer serve requests.
+    /// The worker could not answer: the operation panicked under its
+    /// supervisor, which respawned or quarantined the worker instead.
     WorkerUnavailable {
         /// Index of the unreachable worker.
         worker: usize,
-    },
-    /// A control round-trip (stats scrape, flush, config op) did not
-    /// complete within the runtime's control deadline. The worker may
-    /// be stalled rather than dead; the operation must not block the
-    /// caller forever either way.
-    ControlTimeout {
-        /// Index of the worker that failed to acknowledge in time.
-        worker: usize,
-    },
-    /// `drain_with_deadline` ran out of time with work still parked or
-    /// in flight on some workers.
-    DrainTimeout {
-        /// Number of workers that had not finished draining.
-        pending_workers: usize,
     },
 }
 
@@ -127,19 +111,7 @@ impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RuntimeError::WorkerUnavailable { worker } => {
-                write!(f, "worker {worker} is unavailable (thread exited)")
-            }
-            RuntimeError::ControlTimeout { worker } => {
-                write!(
-                    f,
-                    "worker {worker} did not acknowledge a control op in time"
-                )
-            }
-            RuntimeError::DrainTimeout { pending_workers } => {
-                write!(
-                    f,
-                    "drain deadline expired with {pending_workers} worker(s) pending"
-                )
+                write!(f, "worker {worker} is unavailable (control op panicked)")
             }
         }
     }

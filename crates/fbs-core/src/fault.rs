@@ -1,25 +1,24 @@
 //! Worker-fault injection interface for the datagram-plane runtime.
 //!
-//! A worker runtime (the thread-per-core pipeline in `fbs-ip`) consults
-//! an optional [`WorkerFaultInjector`] at well-defined points so a chaos
-//! harness can schedule worker panics, stalls, and ring saturation
-//! deterministically. The trait lives here — not in `fbs-chaos` — so the
-//! runtime crate never depends on the chaos crate; `fbs-chaos` provides
-//! the production implementation (`WorkerChaos`) driven by a seeded
-//! fault plan over virtual time.
+//! A worker runtime (the shard owners in `fbs-ip`, each run to
+//! completion by whichever caller holds its lock) consults an optional
+//! [`WorkerFaultInjector`] at sub-batch entry so a chaos harness can
+//! schedule worker panics and stalls deterministically. The trait
+//! lives here — not in `fbs-chaos` — so the runtime crate never depends
+//! on the chaos crate; `fbs-chaos` provides the production
+//! implementation (`WorkerChaos`) driven by a seeded fault plan over
+//! virtual time.
 //!
 //! Determinism contract: every decision is a pure function of
 //! `(worker, now_us)` plus internal edge-trigger state, never of wall
 //! clock. Panics and stalls are *edge-triggered* — they fire once per
-//! scheduled fault window — while ring saturation is *level-triggered*
-//! (true for every query inside the window), because the producer polls
-//! it per sub-batch and the shed counters must scale with offered load.
+//! scheduled fault window.
 
 /// Fault decisions a worker runtime polls before processing work.
 ///
 /// All methods take the worker index and the current virtual time in
-/// microseconds (as carried by the work being processed, so the worker
-/// thread itself needs no clock). The no-op default is "no injector
+/// microseconds (as carried by the work being processed, so the
+/// runtime itself needs no clock). The no-op default is "no injector
 /// attached": implementations decide everything; callers must tolerate
 /// any combination of answers.
 pub trait WorkerFaultInjector: Send + Sync {
@@ -37,13 +36,4 @@ pub trait WorkerFaultInjector: Send + Sync {
     ///
     /// [`take_panic`]: WorkerFaultInjector::take_panic
     fn take_stall_us(&self, worker: usize, now_us: u64) -> u64;
-
-    /// True while worker `worker`'s ingress ring should be treated as
-    /// saturated. Level-triggered: the *producer* consults this before
-    /// pushing and sheds as if `try_push` had failed for the whole
-    /// window. Modelling saturation producer-side keeps virtual time
-    /// advancing (a blocked producer would freeze the clock that ends
-    /// the window) and exercises the same shed path real backpressure
-    /// takes.
-    fn ring_saturated(&self, worker: usize, now_us: u64) -> bool;
 }

@@ -354,14 +354,14 @@ If I could offer you only one tip for the future, sunscreen would be it.";
         let mut key = [0u8; 32];
         key[..16].copy_from_slice(
             &[
-                0x85, 0xd6, 0xbe, 0x78, 0x57, 0x55, 0x6d, 0x33, 0x7f, 0x44, 0x52, 0xfe, 0x42,
-                0xd5, 0x06, 0xa8,
+                0x85, 0xd6, 0xbe, 0x78, 0x57, 0x55, 0x6d, 0x33, 0x7f, 0x44, 0x52, 0xfe, 0x42, 0xd5,
+                0x06, 0xa8,
             ][..],
         );
         key[16..].copy_from_slice(
             &[
-                0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf, 0xf6, 0xaf, 0x41,
-                0x49, 0xf5, 0x1b,
+                0x01, 0x03, 0x80, 0x8a, 0xfb, 0x0d, 0xb2, 0xfd, 0x4a, 0xbf, 0xf6, 0xaf, 0x41, 0x49,
+                0xf5, 0x1b,
             ][..],
         );
         let tag = poly1305(&key, &[b"Cryptographic Forum Research Group"]);

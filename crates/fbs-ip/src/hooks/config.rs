@@ -9,8 +9,7 @@ use fbs_obs::{Direction, Event, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What the in-thread supervisor does with a worker whose loop
-/// panicked.
+/// What the supervisor does with a worker (shard owner) that panicked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerFaultPolicy {
     /// Rebuild the worker's shard state and resume (soft state re-warms
@@ -20,9 +19,9 @@ pub enum WorkerFaultPolicy {
         /// Supervised respawns allowed before quarantining.
         max_respawns: u32,
     },
-    /// Quarantine immediately: keep draining rings and answering
-    /// control messages, but reject every datagram routed to the
-    /// worker's shards (buffers recycled, never silently dropped).
+    /// Quarantine immediately: keep answering the control plane, but
+    /// reject every datagram routed to the worker's shards (buffers
+    /// recycled, never silently dropped).
     FailClosed,
 }
 
@@ -61,20 +60,16 @@ pub struct IpMappingConfig {
     /// Fixed at construction: changing it through
     /// [`FbsIpHooks::update_config`](super::FbsIpHooks::update_config) has no effect.
     pub shards: usize,
-    /// Number of shard owners (clamped to `1..=shards`): `>= 2` spawns
-    /// that many worker threads; `1` spawns none — the submitting thread
-    /// runs the datapath to completion under one lock. Fixed at
-    /// construction, like the shard geometry.
+    /// Number of shard owners (clamped to `1..=shards`), each one lock
+    /// under which the submitting thread runs the datapath to
+    /// completion: handles on different threads run in parallel where
+    /// their batches touch different owners. No thread is started.
+    /// Fixed at construction, like the shard geometry.
     pub workers: usize,
-    /// Supervision policy applied when a worker loop panics. Read per
+    /// Supervision policy applied when a worker panics. Read per
     /// panic, so it can be changed through
     /// [`FbsIpHooks::update_config`](super::FbsIpHooks::update_config).
     pub worker_fault: WorkerFaultPolicy,
-    /// How long (wall microseconds) `process_batch` spins on a full
-    /// worker ring before shedding the sub-batch per-datagram
-    /// (`Reject` + recycle, counted as `hooks.shed.*`). 0 sheds on the
-    /// first failed push. Read per batch; idle at `workers == 1`.
-    pub shed_deadline_us: u64,
     /// Per-shard soft-state byte budget (0 = unbudgeted). Bounds what
     /// one shard's RFKC and FST keep resident: a table that would
     /// allocate past the budget evicts its own entries first. Enforced
@@ -100,7 +95,6 @@ impl Default for IpMappingConfig {
             shards: 8,
             workers: 2,
             worker_fault: WorkerFaultPolicy::default(),
-            shed_deadline_us: 5_000,
             shard_budget_bytes: 0,
             fbs: FbsConfig::default(),
         }
@@ -136,8 +130,8 @@ impl IpHookStats {
     }
 }
 
-/// Lock-free live counters behind [`FbsIpHooks::stats`]: updated from
-/// worker threads with relaxed atomics, snapshotted by readers without
+/// Lock-free live counters behind [`FbsIpHooks::stats`]: updated with
+/// relaxed atomics, snapshotted by readers without
 /// blocking any batch in flight. Written only by the verdict ledger
 /// ([`HookShared::exit`], [`HookShared::degraded`]).
 #[derive(Debug, Default)]

@@ -49,8 +49,8 @@ fn fst_static_bytes(fst_size: usize) -> u64 {
     (fst_size * std::mem::size_of::<Option<FstEntry<FiveTuple>>>()) as u64
 }
 
-/// One shard's slice of the mutable flow state, owned exclusively by one
-/// worker thread (no lock — ownership IS the exclusion). All counters
+/// One shard's slice of the mutable flow state, reachable only through
+/// its owner's lock (`HookShared::owners`). All counters
 /// inside are share-stats'd into the lock-free aggregates in
 /// [`HookShared`].
 pub(super) struct Shard {

@@ -59,9 +59,20 @@ fn hooks_with(world: &World, cfg: IpMappingConfig) -> FbsIpHooks {
     world.host_with(A, cfg)
 }
 
-/// Both runtime modes: run to completion on the submitting thread, and
-/// the smallest threaded runtime.
-const MODES: [usize; 2] = [1, 2];
+/// Owner counts: one lock over every shard, the default, and more.
+const MODES: [usize; 3] = [1, 2, 4];
+
+/// Threads of this process named like the worker threads the runtime
+/// once spawned (`/proc`; 0 where there is none to read).
+fn worker_threads() -> usize {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("fbs-worker"))
+        .count()
+}
 
 fn mode_cfg(workers: usize) -> IpMappingConfig {
     IpMappingConfig {
@@ -402,9 +413,8 @@ impl ParkRig {
 }
 
 /// Run one park scenario against the output queue and against the
-/// input queue, in both runtime modes. The release loop is one function
-/// and so is the datapath, so the four runs must leave identical
-/// accounts.
+/// input queue, at every owner count. The release loop is one function
+/// and so is the datapath, so all runs must leave identical accounts.
 fn in_both_directions(
     cfg: IpMappingConfig,
     scenario: impl Fn(&mut ParkRig),
@@ -421,13 +431,9 @@ fn in_both_directions(
             rig.account()
         })
     });
-    let [[out, inp], threaded] = accounts;
+    let [out, inp] = accounts[0];
     assert_eq!(out, inp, "output and input parks diverged");
-    assert_eq!(
-        [out, inp],
-        threaded,
-        "run-to-completion and threaded diverged"
-    );
+    assert_eq!(accounts, [[out, inp]; 3], "owner counts diverged");
     out
 }
 
@@ -560,10 +566,9 @@ fn forged_parked_input_in_mode(workers: usize) {
 
 #[test]
 fn stats_reads_stay_lock_free_while_batches_run() {
-    // The worker-runtime version of the old "stats never touch
-    // shard locks" promise: every accessor below completes while a
-    // background thread continuously drives batches through the
-    // shared runtime. Nothing here can deadlock — the scrape path
+    // The "stats never touch shard locks" promise: every accessor
+    // below completes while a background thread continuously drives
+    // batches through the shared owners. Nothing here can deadlock — the scrape path
     // is atomics only — and the final counts prove the batches all
     // landed.
     let world = World::new();
@@ -591,7 +596,6 @@ fn stats_reads_stay_lock_free_while_batches_run() {
         let _ = hooks.rfkc_stats();
         let _ = hooks.mkd_stats();
         let _ = hooks.combined_stats();
-        let _ = hooks.ring_stalls();
         let _ = hooks.parked_depths();
         let _ = hooks.num_shards();
         let _ = hooks.num_workers();
@@ -623,7 +627,7 @@ fn config_snapshot_swaps_without_rebuilding_state() {
 #[test]
 fn batch_outcomes_stay_in_submission_order_across_shards() {
     // Flows with different tuples land in different shards (and
-    // different workers); the returned vec must still be
+    // different owners); the returned vec must still be
     // positionally aligned with the submitted batch.
     let world = World::new();
     let mut sender = world.host(A);
@@ -652,7 +656,7 @@ fn batch_outcomes_stay_in_submission_order_across_shards() {
     );
     assert!(
         sender.num_workers() > 1,
-        "default config must use the worker runtime"
+        "default config must split the shards over owners"
     );
 }
 
@@ -678,11 +682,9 @@ fn workers_clamp_to_shard_count() {
 #[test]
 fn drain_then_shutdown_flushes_and_balances() {
     // The deterministic drain-then-shutdown story: parks survive
-    // batches, drain() leaves no buffered work, the pool ledger
-    // balances, and dropping every handle joins the workers without
-    // losing the parked entries' buffers (they drain on release).
-    // Run to completion buffers nothing, so there drain() is trivially
-    // true and the rest of the story must read the same.
+    // batches, drain() has nothing buffered to wait for, the pool
+    // ledger balances, and the parked entries' buffers come back on
+    // release.
     MODES.into_iter().for_each(drain_then_shutdown_in_mode);
 }
 
@@ -702,7 +704,6 @@ fn drain_then_shutdown_in_mode(workers: usize) {
         .collect();
     let out = hooks.process_batch(Direction::Output, batch, &mut pool, 1_000);
     assert!(out.iter().all(|(_, o)| matches!(o, HookOutcome::Park)));
-    // Synchronous drain: nothing may still be buffered in any ring.
     hooks.drain().unwrap();
     assert_eq!(hooks.parked_depths(), (4, 0), "parks survive the drain");
     // Ledger: 4 supplies drawn, none consumed (all parked), so all
@@ -722,37 +723,27 @@ fn drain_then_shutdown_in_mode(workers: usize) {
         "4 supplies + 4 released payloads recycled"
     );
     assert_eq!(hooks.parked_depths(), (0, 0));
-    // Finally: dropping the last handle must join the workers (the
-    // test would hang here if shutdown lost the wakeup).
-    drop(hooks);
 }
 
 /// Deterministic one-shot fault injector for the supervision tests:
-/// the first worker to start a sub-batch takes the (single) panic;
-/// saturation pins worker 0's ring full from the producer's view.
+/// the first worker to start a sub-batch takes the (single) panic.
 struct TestChaos {
     panic_once: std::sync::atomic::AtomicBool,
-    saturate_w0: bool,
     /// The thread the last sub-batch-entry tap ran on: whoever runs
     /// the datapath.
     tapped_on: Mutex<Option<std::thread::ThreadId>>,
 }
 
 impl TestChaos {
-    fn new(panic_once: bool, saturate_w0: bool) -> Arc<Self> {
+    fn new(panic_once: bool) -> Arc<Self> {
         Arc::new(TestChaos {
             panic_once: std::sync::atomic::AtomicBool::new(panic_once),
-            saturate_w0,
             tapped_on: Mutex::new(None),
         })
     }
 
     fn panicking() -> Arc<Self> {
-        Self::new(true, false)
-    }
-
-    fn saturating() -> Arc<Self> {
-        Self::new(false, true)
+        Self::new(true)
     }
 
     /// Whether the datapath ran on the calling thread.
@@ -768,9 +759,6 @@ impl WorkerFaultInjector for TestChaos {
     }
     fn take_stall_us(&self, _worker: usize, _now_us: u64) -> u64 {
         0
-    }
-    fn ring_saturated(&self, worker: usize, _now_us: u64) -> bool {
-        self.saturate_w0 && worker == 0
     }
 }
 
@@ -809,16 +797,10 @@ fn supervised_panic_in_mode(workers: usize) {
     assert_eq!(hooks.worker_respawns(), 1);
     assert_eq!(hooks.quarantined_workers(), 0);
     assert_eq!(hooks.num_workers(), workers);
-    assert_eq!(
-        hooks.workers_alive(),
-        hooks.num_workers(),
-        "supervised panic never kills the thread"
-    );
     // Run to completion means what it says: the submitting thread ran
     // the datapath, panic and all, and no worker thread exists.
-    assert_eq!(chaos.tapped_here(), workers == 1);
-    let threads = if workers == 1 { 0 } else { workers };
-    assert_eq!(hooks.owner.joins.lock().len(), threads);
+    assert!(chaos.tapped_here());
+    assert_eq!(worker_threads(), 0);
     // The rebuilt worker serves the next batch cleanly (soft state
     // re-warms through misses).
     let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 2_000);
@@ -826,6 +808,7 @@ fn supervised_panic_in_mode(workers: usize) {
         out.iter().all(|(_, o)| matches!(o, HookOutcome::Pass(_))),
         "post-respawn batch all passes"
     );
+    assert!(chaos.tapped_here());
     // Ledger across the panic: every Pass consumes its supply and
     // returns its (foreign) payload — net zero; every Reject
     // returns BOTH, so returns exceed takes by exactly the reject
@@ -833,7 +816,6 @@ fn supervised_panic_in_mode(workers: usize) {
     // by the supervisor's replacement buffer.
     let s = pool.stats();
     assert_eq!(s.returns + s.discards, s.hits + s.misses + rejects as u64);
-    drop(hooks);
 }
 
 #[test]
@@ -862,17 +844,12 @@ fn fail_closed_in_mode(workers: usize) {
     assert_eq!(out.len(), 16);
     let (rejects, passes) = count(&out);
     assert!(rejects >= 1, "the panicked worker's sub-batch fails closed");
-    // Quarantine is per worker: the other workers keep passing traffic,
-    // and the one worker of run-to-completion mode has no others.
+    // Quarantine is per owner: the other owners keep passing traffic,
+    // and a lone owner has no others.
     assert_eq!(passes > 0, workers > 1, "{out:?}");
     assert_eq!(hooks.worker_panics(), 1);
     assert_eq!(hooks.worker_respawns(), 0, "FailClosed never respawns");
     assert_eq!(hooks.quarantined_workers(), 1);
-    assert_eq!(
-        hooks.workers_alive(),
-        hooks.num_workers(),
-        "quarantined workers stay joinable"
-    );
     // The control plane still answers on the quarantined worker.
     hooks.flush_flow_keys().unwrap();
     hooks.drain().unwrap();
@@ -897,84 +874,46 @@ fn fail_closed_in_mode(workers: usize) {
         s.returns + s.discards,
         s.hits + s.misses + (rejects + rejects2) as u64
     );
-    drop(hooks);
 }
 
 #[test]
-fn saturated_ring_sheds_per_datagram_with_counters() {
-    let world = World::new();
-    let cfg = IpMappingConfig {
-        // Shed immediately on backpressure: the test pins worker 0's
-        // ring full via chaos, so any positive deadline only adds
-        // wall time.
-        shed_deadline_us: 0,
-        ..IpMappingConfig::default()
-    };
-    let mut hooks = hooks_with(&world, cfg);
-    let _hb = world.host(B);
-    hooks.set_worker_chaos(Some(TestChaos::saturating()));
-    let mut pool = BufferPool::new();
-    let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 1_000);
-    assert_eq!(out.len(), 16);
-    let shed = out
-        .iter()
-        .filter(|(_, o)| matches!(o, HookOutcome::Reject(r) if r.contains("shed")))
-        .count();
-    assert!(shed >= 1, "worker 0's share of the batch sheds");
-    assert!(
-        out.iter().any(|(_, o)| matches!(o, HookOutcome::Pass(_))),
-        "other workers' traffic is untouched"
-    );
-    let (rejected, batches) = hooks.shed_counts();
-    assert_eq!(rejected, shed as u64);
-    assert!(batches >= 1);
-    // Shed buffers all returned to the pool: payload and supply per
-    // shed datagram (the same reject offset as the respawn test).
-    let s = pool.stats();
-    assert_eq!(s.returns + s.discards, s.hits + s.misses + shed as u64);
-    // Lifting the saturation restores full service.
-    hooks.set_worker_chaos(None);
-    let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 2_000);
-    assert!(out.iter().all(|(_, o)| matches!(o, HookOutcome::Pass(_))));
-    drop(hooks);
+fn every_owner_count_records_the_same_stages_on_the_callers_thread() {
+    MODES.into_iter().for_each(stages_in_mode);
 }
 
-#[test]
-fn run_to_completion_records_no_ring_span_and_cannot_shed() {
-    // One worker, so no thread, no lane, no ring: a registry sees the
-    // datapath's stages and worker 0's occupancy but never a ring
-    // stage, and a chaos plan that pins "the ring" full pins nothing.
+fn stages_in_mode(workers: usize) {
+    // No thread at any owner count: a registry sees the datapath's
+    // stages, one `worker_batches` per sub-batch and one occupancy row
+    // per owner that saw work.
     let world = World::new();
-    let cfg = IpMappingConfig {
-        shed_deadline_us: 0,
-        ..mode_cfg(1)
-    };
-    let mut hooks = hooks_with(&world, cfg);
+    let mut hooks = hooks_with(&world, mode_cfg(workers));
     let mut peer = world.host(B);
     let reg = observe(&hooks);
-    let chaos = TestChaos::saturating();
+    let chaos = TestChaos::new(false);
     hooks.set_worker_chaos(Some(chaos.clone()));
-    assert!(hooks.shared.inline.is_some() && hooks.lane.is_none());
-    assert!(hooks.owner.joins.lock().is_empty(), "no worker thread");
+    assert_eq!(worker_threads(), 0, "no worker thread");
 
     let mut pool = BufferPool::new();
-    let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 1_000);
+    let batch = spread_batch(16);
+    let mut owners: std::collections::BTreeSet<usize> = batch
+        .iter()
+        .map(|dg| tx_shard(8, tuple_for(&dg.header, &dg.payload).as_ref()) % workers)
+        .collect();
+    let out = hooks.process_batch(Direction::Output, batch, &mut pool, 1_000);
     assert!(out.iter().all(|(_, o)| matches!(o, HookOutcome::Pass(_))));
     assert!(chaos.tapped_here(), "the submitter ran the datapath");
-    // And the way back in, through the same mode on the input side.
+    // And the way back in, on the input side.
     let (mut header, payload) = udp_datagram(B, A);
     let HookOutcome::Pass(wire) = peer.output(&mut header, payload, 1_000) else {
         panic!("peer should protect");
     };
+    // One sub-batch per owner the 16 tuples reach, one for the input.
+    let sub_batches = owners.len() as u64 + 1;
+    owners.insert(rx_shard(8, &wire) % workers);
     let got = hooks.input(&mut header, wire, 1_000);
     assert!(matches!(got, HookOutcome::Pass(_)), "{got:?}");
-    assert!(hooks.lane.is_none(), "still no lane");
+    assert!(chaos.tapped_here());
 
-    assert_eq!(hooks.shed_counts(), (0, 0));
-    assert_eq!(hooks.ring_stalls(), 0);
-    for stage in [Stage::RingEnqueue, Stage::RingWait] {
-        assert_eq!(reg.stage_histogram(stage).count(), 0, "{stage:?}");
-    }
     for stage in [
         Stage::Partition,
         Stage::Seal,
@@ -984,17 +923,113 @@ fn run_to_completion_records_no_ring_span_and_cannot_shed() {
     ] {
         assert!(reg.stage_histogram(stage).count() > 0, "{stage:?}");
     }
-    let snap = reg.snapshot();
-    assert_eq!(snap.counter("hooks.worker_batches"), 2);
-    for name in [
-        "hooks.ring_stalls",
-        "hooks.shed.rejected",
-        "hooks.shed.batches",
-    ] {
-        assert_eq!(snap.counter(name), 0, "{name}");
-    }
     let rows = reg.worker_occupancy_table();
-    assert_eq!(rows.len(), 1);
-    assert_eq!((rows[0].worker, rows[0].batches, rows[0].stalls), (0, 2, 0));
+    let seen = rows.iter().map(|r| r.worker).collect();
+    assert_eq!(owners, seen, "a row per owner that saw work");
+    assert_eq!(rows.iter().map(|r| r.batches).sum::<u64>(), sub_batches);
+    assert_eq!(reg.snapshot().counter("hooks.worker_batches"), sub_batches);
+    if workers > 1 {
+        assert!(owners.len() > 1, "the batch must actually spread");
+    }
     assert_ledger_agrees(&reg, &hooks);
+}
+
+/// A stall tap that blocks owner 0 on a channel: it reports where it is
+/// (`entered`), then waits to be let go (`release`). Other owners and
+/// later calls pass straight through.
+struct BlockOwner0 {
+    armed: std::sync::atomic::AtomicBool,
+    entered: Mutex<std::sync::mpsc::Sender<()>>,
+    release: Mutex<std::sync::mpsc::Receiver<()>>,
+}
+
+impl WorkerFaultInjector for BlockOwner0 {
+    fn take_panic(&self, _worker: usize, _now_us: u64) -> bool {
+        false
+    }
+    fn take_stall_us(&self, worker: usize, _now_us: u64) -> u64 {
+        if worker == 0 && self.armed.swap(false, Ordering::AcqRel) {
+            self.entered.lock().send(()).unwrap();
+            self.release.lock().recv().unwrap();
+        }
+        0
+    }
+}
+
+/// `n` datagrams of distinct flows that all shard to `owner`
+/// (`workers = 2`, the default 8 shards).
+fn batch_for_owner(owner: usize, n: usize) -> Vec<Datagram> {
+    let picked: Vec<Datagram> = spread_batch(96)
+        .into_iter()
+        .filter(|dg| tx_shard(8, tuple_for(&dg.header, &dg.payload).as_ref()) % 2 == owner)
+        .take(n)
+        .collect();
+    assert_eq!(picked.len(), n, "96 tuples cover both owners");
+    picked
+}
+
+#[test]
+fn owners_are_independent_lock_domains() {
+    // Thread A sits inside owner 0 (blocked in the stall tap, lock
+    // held). A batch that only touches owner 1 must complete meanwhile;
+    // one that touches owner 0 must wait for A.
+    for b_touches_owner_0 in [false, true] {
+        let world = World::new();
+        let mut hooks_a = hooks_with(&world, mode_cfg(2));
+        let _hb = world.host(B);
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        hooks_a.set_worker_chaos(Some(Arc::new(BlockOwner0 {
+            armed: std::sync::atomic::AtomicBool::new(true),
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        })));
+        let mut hooks_b = hooks_a.clone();
+        let closes = |pool: &BufferPool| {
+            // Every Pass consumes its supply and returns its (foreign)
+            // payload: the ledger closes at net zero.
+            let s = pool.stats();
+            s.returns + s.discards == s.hits + s.misses
+        };
+        let all_pass = |out: &[(Ipv4Header, HookOutcome)]| {
+            out.len() == 8 && out.iter().all(|(_, o)| matches!(o, HookOutcome::Pass(_)))
+        };
+        std::thread::scope(|scope| {
+            let a = scope.spawn(move || {
+                let mut pool = BufferPool::new();
+                let batch = batch_for_owner(0, 8);
+                let out = hooks_a.process_batch(Direction::Output, batch, &mut pool, 1_000);
+                (all_pass(&out), closes(&pool))
+            });
+            entered.recv().expect("A is inside owner 0");
+            let (done_tx, done) = std::sync::mpsc::channel();
+            let b = scope.spawn(move || {
+                let mut pool = BufferPool::new();
+                let mut batch = batch_for_owner(1, 8);
+                if b_touches_owner_0 {
+                    batch.splice(4.., batch_for_owner(0, 4));
+                }
+                let out = hooks_b.process_batch(Direction::Output, batch, &mut pool, 1_000);
+                done_tx.send(()).unwrap();
+                (all_pass(&out), closes(&pool))
+            });
+            if b_touches_owner_0 {
+                // B parks on owner 0's lock: it cannot finish until A is
+                // let go. (The wait can only ever make this stricter: a
+                // correct runtime never sends `done` before `release`.)
+                assert!(
+                    done.recv_timeout(Duration::from_millis(50)).is_err(),
+                    "B finished through a held owner"
+                );
+                release.send(()).unwrap();
+                done.recv().expect("B finishes once A releases owner 0");
+            } else {
+                // B finishes while A still holds owner 0.
+                done.recv().expect("B finishes while owner 0 is held");
+                release.send(()).unwrap();
+            }
+            assert_eq!(a.join().unwrap(), (true, true), "A: passes, ledger");
+            assert_eq!(b.join().unwrap(), (true, true), "B: passes, ledger");
+        });
+    }
 }

@@ -1,8 +1,8 @@
-//! The runtime around the datapath. For both modes: the sub-batch a
-//! worker finishes, its panic supervision (respawn or quarantine), the
-//! control plane it answers. For `workers >= 2`: the SPSC lanes and the
-//! worker thread's loop. At `workers == 1` the submitting thread is the
-//! worker ([`run_inline`], [`control_inline`]).
+//! The runtime around the datapath: the sub-batch a shard owner
+//! finishes, its panic supervision (respawn or quarantine), and the
+//! control plane. An owner ("worker" `w`) is a [`WorkerState`] behind a
+//! mutex in [`HookShared`]; whoever holds the lock runs it to completion
+//! on their own thread ([`run_inline`], [`HookShared::with_owner`]).
 
 use super::config::WorkerFaultPolicy;
 use super::datapath::{
@@ -11,36 +11,29 @@ use super::datapath::{
 };
 use super::HookShared;
 use crate::tuple::FiveTuple;
-use fbs_core::{ParkStats, SpscRing};
+use fbs_core::{ParkStats, RuntimeError};
 use fbs_net::{HookOutcome, Ipv4Header};
 use fbs_obs::{Counter, Direction, MetricsRegistry, ShardMemSample, StageTimer};
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Hard cap on an injected worker stall, keeping chaos runs bounded no
 /// matter what a fault plan asks for.
 const MAX_INJECTED_STALL_US: u64 = 20_000;
 
-/// Slots per SPSC ring. `process_batch` is synchronous — it pushes at
-/// most one sub-batch per worker per lane, then waits for every reply —
-/// so depth buys no throughput; the spare slots only absorb sub-batches
-/// stranded behind a dead worker before the producer starts shedding.
-const RING_DEPTH: usize = 4;
-
-/// One partitioned datagram in flight to a worker: submission slot,
+/// One partitioned datagram on its way to a shard owner: submission slot,
 /// shard index, header, payload, and the pre-extracted 5-tuple (output
 /// direction only).
 type WorkItem = (usize, usize, Ipv4Header, Vec<u8>, Option<FiveTuple>);
 
-/// A unit of work shipped over a [`Lane`] and, finished, shipped back:
-/// the items, one supply buffer per item (drawn from the caller's
-/// pool), and the reply vectors being lent to the worker so nothing
-/// allocates per sub-batch. On the way home `done` carries the verdicts
-/// and `recycle` the spent buffers; `items` and `supplies` ride along
-/// emptied, for reuse.
+/// One owner's share of a batch, handed to [`run_inline`] and handed
+/// back finished: the items, one supply buffer per item (drawn from the
+/// caller's pool), and the reply vectors, lent so nothing allocates per
+/// sub-batch. On the way home `done` carries the verdicts and `recycle`
+/// the spent buffers; `items` and `supplies` ride along emptied, for
+/// reuse.
 pub(super) struct SubBatch {
     pub(super) dir: Direction,
     pub(super) now_us: u64,
@@ -61,57 +54,6 @@ impl SubBatch {
             recycle: Vec::new(),
         }
     }
-}
-
-/// One handle's private ring pair per worker. `&mut self` on
-/// [`SecurityHooks::process_batch`] makes the producer side single by
-/// construction; the worker is the only consumer of `to_worker[w]` and
-/// the only producer of `from_worker[w]`.
-pub(super) struct Lane {
-    pub(super) to_worker: Box<[SpscRing<SubBatch>]>,
-    pub(super) from_worker: Box<[SpscRing<SubBatch>]>,
-    /// The thread currently blocked in `process_batch` on this lane, for
-    /// worker→producer wakeups (control-plane mutex; set once per batch).
-    pub(super) producer: Mutex<Option<std::thread::Thread>>,
-}
-
-impl Lane {
-    pub(super) fn new(workers: usize) -> Self {
-        let rings = || {
-            (0..workers)
-                .map(|_| SpscRing::with_capacity(RING_DEPTH))
-                .collect()
-        };
-        Lane {
-            to_worker: rings(),
-            from_worker: rings(),
-            producer: Mutex::new(None),
-        }
-    }
-}
-
-/// Control-plane messages to a worker. Every variant carries an ack /
-/// reply channel: the control plane is synchronous, so callers observe
-/// effects (flush, release) before returning — exactly like the old
-/// lock-per-shard accessors did.
-pub(super) enum Control {
-    /// Cascade a metrics registry into every owned shard's components.
-    AttachObs(Arc<MetricsRegistry>, mpsc::Sender<()>),
-    /// Drop all flow-key soft state in owned shards.
-    FlushKeys(mpsc::Sender<()>),
-    /// Per owned shard `(shard_index, active_flows(now_secs))`.
-    Occupancy(u64, mpsc::Sender<Vec<(usize, usize)>>),
-    /// Summed (output, input) parking counters over owned shards.
-    ParkStats(mpsc::Sender<(ParkStats, ParkStats)>),
-    /// Run the park release loop for one direction.
-    Release {
-        dir: Direction,
-        now_us: u64,
-        reply: mpsc::Sender<ReleasedBatch>,
-    },
-    /// Drain every pending sub-batch from every known lane, then ack:
-    /// after the ack, no datagram handed to this worker is still buffered.
-    Drain(mpsc::Sender<()>),
 }
 
 /// Refresh worker `w`'s cached parking depths from its owned shards,
@@ -160,9 +102,6 @@ fn refresh_shard_mem(shared: &HookShared, w: usize) {
 /// and resume the remaining items — so one poisoned datagram costs one
 /// verdict, never a batch or a worker.
 struct CurrentSub {
-    /// The lane this sub-batch arrived on (its reply goes back here);
-    /// `None` in run-to-completion mode.
-    lane: Option<Arc<Lane>>,
     sub: SubBatch,
     /// Index of the first unprocessed item.
     next: usize,
@@ -172,20 +111,13 @@ struct CurrentSub {
     supply_mark: usize,
 }
 
-/// A finished sub-batch and the lane (if any) its reply rides home on.
-type Finished = (Option<Arc<Lane>>, SubBatch);
-
-/// Everything a worker owns across panic-supervision boundaries. Held
-/// outside `catch_unwind` — by `worker_main`, or behind
-/// `HookShared::inline`'s mutex — so a supervised panic never loses
-/// shard state, the in-flight sub-batch, or buffers staged for
-/// recycling.
+/// Everything a shard owner keeps across panic-supervision boundaries.
+/// Held outside `catch_unwind` — behind its `HookShared::owners` mutex —
+/// so a supervised panic never loses shard state, the in-flight
+/// sub-batch, or buffers staged for recycling.
 #[derive(Default)]
 pub(super) struct WorkerState {
     shards: Vec<Shard>,
-    lanes: Vec<Arc<Lane>>,
-    /// Epoch of `lanes`; 0 is the registry's own start, with no lane.
-    seen_epoch: u64,
     current: Option<CurrentSub>,
     /// Buffers with no sub-batch to ride home on yet (e.g. park
     /// evictions during quarantine); appended to the next reply.
@@ -211,12 +143,11 @@ impl WorkerState {
 }
 
 /// Stage a fresh sub-batch as the worker's current work.
-fn begin_current(state: &mut WorkerState, lane: Option<&Arc<Lane>>, mut sub: SubBatch) {
+fn begin_current(state: &mut WorkerState, mut sub: SubBatch) {
     sub.done.clear();
     sub.done.reserve(sub.items.len());
     sub.recycle.clear();
     state.current = Some(CurrentSub {
-        lane: lane.cloned(),
         next: 0,
         supply_mark: sub.supplies.len(),
         sub,
@@ -238,7 +169,7 @@ fn finish_current(
     w: usize,
     state: &mut WorkerState,
     reject: bool,
-) -> Option<Finished> {
+) -> Option<SubBatch> {
     let WorkerState {
         shards,
         current,
@@ -314,9 +245,7 @@ fn finish_current(
     // reject path too, for items processed before the quarantine — so
     // the producer only ever sees final verdicts.
     resolve_batch_auth(&pass, shards, auth, &mut cur.sub.done, &mut cur.sub.recycle);
-    let CurrentSub {
-        lane, sub: mut fin, ..
-    } = current.take().expect("current sub-batch still staged");
+    let mut fin = current.take().expect("current sub-batch still staged").sub;
     fin.items.clear();
     fin.recycle.append(&mut fin.supplies);
     fin.recycle.append(pending_recycle);
@@ -324,7 +253,7 @@ fn finish_current(
     if let (Some(reg), Some(busy)) = (obs.as_ref(), busy) {
         reg.worker_busy(w, busy.elapsed_ns());
     }
-    Some((lane, fin))
+    Some(fin)
 }
 
 /// Post-panic cleanup for the item the unwind interrupted: give it a
@@ -389,166 +318,70 @@ fn rebuild_shards(shared: &HookShared, w: usize, state: &mut WorkerState) {
     refresh_park_depths(shared, w, &state.shards);
 }
 
-/// Threaded mode: push a finished sub-batch down the lane it came on,
-/// then wake the producer. The reply ring can hold as many sub-batches
-/// as the ingress ring, so this never blocks in the steady protocol; the
-/// spin is a defensive fallback.
-fn reply(w: usize, fin: Option<Finished>) {
-    let Some((Some(lane), mut reply)) = fin else {
-        return;
-    };
-    loop {
-        match lane.from_worker[w].try_push(reply) {
-            Ok(()) => break,
-            Err(back) => {
-                reply = back;
-                std::thread::yield_now();
-            }
+/// The control plane: what a caller may do to an owner besides hand it
+/// a sub-batch. Each runs through [`HookShared::with_owner`], so a
+/// quarantined owner still answers all of them.
+impl WorkerState {
+    /// Cascade a metrics registry into every owned shard's components.
+    pub(super) fn attach_obs(&mut self, reg: &Arc<MetricsRegistry>) {
+        for s in self.shards.iter_mut() {
+            cascade_obs(s, reg);
         }
     }
-    let producer = lane.producer.lock();
-    if let Some(t) = producer.as_ref() {
-        t.unpark();
+
+    /// Drop all flow-key soft state in owned shards.
+    pub(super) fn flush_keys(&mut self) {
+        for s in self.shards.iter_mut() {
+            s.rfkc.clear();
+            s.combined.clear();
+        }
+    }
+
+    /// Per owned shard `(shard_index, active_flows(now_secs))`, as
+    /// owner `w`.
+    pub(super) fn occupancy(
+        &self,
+        shared: &HookShared,
+        w: usize,
+        now_secs: u64,
+    ) -> Vec<(usize, usize)> {
+        let row = |(local, s): (usize, &Shard)| {
+            let si = w + local * shared.n_workers;
+            (si, s.combined.active_flows(now_secs))
+        };
+        self.shards.iter().enumerate().map(row).collect()
+    }
+
+    /// Summed (output, input) parking counters over owned shards.
+    pub(super) fn park_stats(&self) -> (ParkStats, ParkStats) {
+        let mut out = ParkStats::default();
+        let mut inp = ParkStats::default();
+        for s in self.shards.iter() {
+            out.merge(&s.out_park.stats());
+            inp.merge(&s.in_park.stats());
+        }
+        (out, inp)
+    }
+
+    /// Run the park release loop for one direction, as owner `w`.
+    pub(super) fn release(
+        &mut self,
+        shared: &HookShared,
+        w: usize,
+        dir: Direction,
+        now_us: u64,
+    ) -> ReleasedBatch {
+        let result = release_parked(shared, &mut self.shards, dir, now_us);
+        refresh_park_depths(shared, w, &self.shards);
+        result
     }
 }
 
-/// Handle one control-plane message as the worker. A quarantined
-/// worker still answers everything — statistics, flushes, and drains
-/// stay observable — but drained sub-batches get rejected rather than
-/// processed (its shard state is no longer trusted).
-fn handle_control(
-    shared: &HookShared,
-    w: usize,
-    state: &mut WorkerState,
-    msg: Control,
-    quarantined: bool,
-) {
-    match msg {
-        Control::AttachObs(reg, ack) => {
-            for s in state.shards.iter_mut() {
-                cascade_obs(s, &reg);
-            }
-            let _ = ack.send(());
-        }
-        Control::FlushKeys(ack) => {
-            for s in state.shards.iter_mut() {
-                s.rfkc.clear();
-                s.combined.clear();
-            }
-            let _ = ack.send(());
-        }
-        Control::Occupancy(now_secs, reply) => {
-            let rows = state
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(idx, s)| {
-                    (
-                        w + idx * shared.n_workers,
-                        s.combined.active_flows(now_secs),
-                    )
-                })
-                .collect();
-            let _ = reply.send(rows);
-        }
-        Control::ParkStats(reply) => {
-            let mut out = ParkStats::default();
-            let mut inp = ParkStats::default();
-            for s in state.shards.iter() {
-                out.merge(&s.out_park.stats());
-                inp.merge(&s.in_park.stats());
-            }
-            let _ = reply.send((out, inp));
-        }
-        Control::Release { dir, now_us, reply } => {
-            let result = release_parked(shared, &mut state.shards, dir, now_us);
-            refresh_park_depths(shared, w, &state.shards);
-            let _ = reply.send(result);
-        }
-        Control::Drain(ack) => {
-            drain_lanes(shared, w, state, quarantined);
-            let _ = ack.send(());
-        }
-    }
-}
-
-/// Reload the lane snapshot if its epoch moved, then pop every ingress
-/// ring dry, finishing each sub-batch as it comes off (rejecting it
-/// whole when `quarantined`). The only consumer of `to_worker[w]`.
-/// Returns whether anything was popped.
-fn drain_lanes(shared: &HookShared, w: usize, state: &mut WorkerState, quarantined: bool) -> bool {
-    let epoch = shared.lanes_epoch.load(Ordering::Acquire);
-    if epoch != state.seen_epoch {
-        state.seen_epoch = epoch;
-        state.lanes.clear();
-        state
-            .lanes
-            .extend(shared.lanes_snapshot.load().iter().cloned());
-    }
-    let mut did_work = false;
-    for li in 0..state.lanes.len() {
-        let lane = Arc::clone(&state.lanes[li]);
-        while let Some(sub) = lane.to_worker[w].try_pop() {
-            begin_current(state, Some(&lane), sub);
-            reply(w, finish_current(shared, w, state, quarantined));
-            did_work = true;
-        }
-    }
-    did_work
-}
-
-/// The run-to-completion worker loop, in both of its modes: live
-/// (supervised by `worker_main`) and `quarantined` (fail-closed terminal
-/// mode — same loop, every datagram rejected). Finishes a sub-batch a
-/// supervised panic interrupted, drains the control mailbox, reloads
-/// the lane snapshot when its epoch moved, drains every ingress ring,
-/// and spins/parks when idle. Returns only when `shutdown` is set AND a
-/// full pass found nothing to do — so every buffered sub-batch is
-/// processed before the thread dies (drain-then-shutdown). A panic
-/// anywhere inside unwinds to the caller with `state` intact.
-fn worker_loop(
-    shared: &HookShared,
-    w: usize,
-    state: &mut WorkerState,
-    ctl: &mpsc::Receiver<Control>,
-    quarantined: bool,
-) {
-    let mut idle = 0u32;
-    loop {
-        let mut did_work = false;
-        // A sub-batch interrupted by a supervised panic finishes before
-        // anything new is taken on — its producer is still parked on the
-        // reply.
-        if state.current.is_some() {
-            reply(w, finish_current(shared, w, state, quarantined));
-            did_work = true;
-        }
-        while let Ok(msg) = ctl.try_recv() {
-            handle_control(shared, w, state, msg, quarantined);
-            did_work = true;
-        }
-        did_work |= drain_lanes(shared, w, state, quarantined);
-        if did_work {
-            idle = 0;
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        idle += 1;
-        if idle < 64 {
-            std::thread::yield_now();
-        } else {
-            std::thread::park_timeout(Duration::from_millis(1));
-        }
-    }
-}
-
-/// Enter fail-closed terminal mode: the worker (threaded: its mailbox,
-/// rings and buffer ledger too) stays, but rejects every datagram —
-/// first what is left of the sub-batch the panic interrupted. Parked
-/// datagrams are evicted — their keys will never arrive on a worker that
-/// stopped processing — and their buffers ride that reply home.
+/// Enter fail-closed terminal mode: the worker and its buffer ledger
+/// stay, but it rejects every datagram — first what is left of the
+/// sub-batch the panic interrupted. Parked datagrams are evicted — their
+/// keys will never arrive on a worker that stopped processing — and
+/// their buffers ride that reply home.
 fn quarantine(shared: &HookShared, w: usize, state: &mut WorkerState) {
     shared.quarantined[w].store(true, Ordering::Release);
     for shard in state.shards.iter_mut() {
@@ -567,11 +400,9 @@ fn quarantine(shared: &HookShared, w: usize, state: &mut WorkerState) {
 /// or quarantine per [`WorkerFaultPolicy`], and return `None` — the
 /// caller runs again under a fresh boundary, where the interrupted
 /// sub-batch (cursor already past the poisoned item) finishes first.
-/// Catching the unwind HERE — rather than letting a thread die — keeps
-/// the SPSC consumer identity, the control mailbox, the parked thread
-/// handle and `workers_alive` (a liveness gate: it only moves on real
-/// shutdown) intact. Respawn rebuilds shard state in place; quarantine
-/// is a mode switch, not an exit.
+/// Catching the unwind HERE keeps it out of the caller's stack and the
+/// owner's mutex unpoisoned. Respawn rebuilds shard state in place;
+/// quarantine is a mode switch, not an exit.
 fn supervise<T>(
     shared: &HookShared,
     w: usize,
@@ -610,53 +441,38 @@ fn supervise<T>(
     None
 }
 
-/// Worker thread entry point: [`worker_loop`] under [`supervise`] until
-/// it returns, which it does on shutdown only.
-pub(super) fn worker_main(
-    shared: Arc<HookShared>,
-    w: usize,
-    shards: Vec<Shard>,
-    ctl: mpsc::Receiver<Control>,
-) {
-    /// Decrements `workers_alive` even on an unsupervised death, so a
-    /// stuck producer detects it instead of spinning forever.
-    struct Alive<'a>(&'a HookShared);
-    impl Drop for Alive<'_> {
-        fn drop(&mut self) {
-            self.0.workers_alive.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    let _alive = Alive(&shared);
-    let mut state = WorkerState::new(shards);
-    let pass = |st: &mut WorkerState, quarantined| worker_loop(&shared, w, st, &ctl, quarantined);
-    while supervise(&shared, w, &mut state, pass).is_none() {}
-}
-
-/// Run-to-completion mode: finish `sub` on the calling thread, which
-/// holds the lock on the one worker's state, under the same supervisor —
-/// a panic costs its datagram a `Reject` and never unwinds into the
-/// caller. `None` only if a panic took the staged sub-batch with it; the
-/// caller then fails its slots closed.
+/// Finish `sub` as owner `w` on the calling thread, which holds the
+/// lock on `state`, under the supervisor — a panic costs its datagram a
+/// `Reject` and never unwinds into the caller. `None` only if a panic
+/// took the staged sub-batch with it; the caller then fails its slots
+/// closed.
 pub(super) fn run_inline(
     shared: &HookShared,
+    w: usize,
     state: &mut WorkerState,
     sub: SubBatch,
 ) -> Option<SubBatch> {
-    begin_current(state, None, sub);
+    begin_current(state, sub);
     while state.current.is_some() {
-        let pass = |st: &mut WorkerState, rej| finish_current(shared, 0, st, rej);
-        if let Some(fin) = supervise(shared, 0, state, pass) {
-            return fin.map(|(_, sub)| sub);
+        let pass = |st: &mut WorkerState, rej| finish_current(shared, w, st, rej);
+        if let Some(fin) = supervise(shared, w, state, pass) {
+            return fin;
         }
     }
     None
 }
 
-/// Run-to-completion mode's control plane: answer `msg` on the calling
-/// thread, lock held, supervised. A panic drops `msg`'s reply sender,
-/// which the caller reads as `WorkerUnavailable`.
-pub(super) fn control_inline(shared: &HookShared, state: &mut WorkerState, msg: Control) {
-    supervise(shared, 0, state, |st, quarantined| {
-        handle_control(shared, 0, st, msg, quarantined)
-    });
+impl HookShared {
+    /// The control plane's one entry: lock owner `w`, run `op` on its
+    /// state on the calling thread, supervised. A panic inside `op` is
+    /// handled like any other (respawn or quarantine) and reads as
+    /// `WorkerUnavailable`.
+    pub(super) fn with_owner<T>(
+        &self,
+        w: usize,
+        op: impl FnOnce(&mut WorkerState) -> T,
+    ) -> Result<T, RuntimeError> {
+        supervise(self, w, &mut self.owners[w].lock(), |st, _| op(st))
+            .ok_or(RuntimeError::WorkerUnavailable { worker: w })
+    }
 }

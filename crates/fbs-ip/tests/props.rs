@@ -2,9 +2,8 @@
 //! datagrams through [`Host::ip_output_batch`] / [`Host::deliver_frames`]
 //! (one `process_batch` hook call) is bit-identical to pushing the same
 //! datagrams one at a time through the scalar `ip_output` /
-//! `deliver_frame` wrappers, and running the mapping to completion on
-//! the submitting thread (`workers = 1`) is bit-identical to handing it
-//! to worker threads (`workers = 2`) — across padding edges, every
+//! `deliver_frame` wrappers, and splitting the shards over 1, 2 or 4
+//! owners (`workers`) changes no byte — across padding edges, every
 //! cipher suite and mode, MAC truncation, and batches mixing covered
 //! (UDP) and uncovered (bypass) protocols.
 
@@ -168,9 +167,9 @@ fn observe(items: &[Item], cfg: &IpMappingConfig, batch: bool) -> Observed {
     }
 }
 
-/// The pipeline equivalence law: scalar and batch submission, run to
-/// completion (`workers = 1`) or on worker threads (`workers = 2`, both
-/// over 8 shards), produce the same verdicts, byte-identical wire frames,
+/// The pipeline equivalence law: scalar and batch submission, under 1, 2
+/// or 4 shard owners (`workers`, all over 8 shards), produce the same
+/// verdicts, byte-identical wire frames,
 /// byte-identical plaintexts in the same order, and the same counters.
 fn check_equivalence(
     items: &[Item],
@@ -186,7 +185,7 @@ fn check_equivalence(
     for (item, got) in items.iter().zip(&reference.delivered) {
         prop_assert_eq!(got.as_ref(), Some(&vec![item.fill; item.data_len]));
     }
-    for (workers, batch) in [(2, true), (1, false), (1, true)] {
+    for (workers, batch) in [(2, true), (1, false), (1, true), (4, false), (4, true)] {
         let got = observe(items, &cfg(workers), batch);
         prop_assert_eq!(&got, &reference, "workers {} batch {}", workers, batch);
     }

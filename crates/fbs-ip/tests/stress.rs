@@ -1,9 +1,8 @@
 //! Threaded stress test for the worker-runtime hook state: four OS
 //! threads drive mixed flows through ONE shared IP mapping (cloned
-//! handles — each clone gets its own SPSC lane into the shared
-//! shard-owning workers, or at `workers = 1` takes its turn at the one
-//! run-to-completion lock; one `BufferPool` per thread, pools are
-//! deliberately not thread-safe) while a scraper thread hammers the
+//! handles — each clone runs its batches on its own thread, taking its
+//! turn at each shard owner's lock; one `BufferPool` per thread, pools
+//! are deliberately not thread-safe) while a scraper thread hammers the
 //! lock-free statistics accessors.
 //!
 //! Invariants checked under contention:
@@ -82,9 +81,9 @@ fn payload_for(sport: u16, seq: u32) -> Vec<u8> {
 
 #[test]
 fn four_threads_share_one_mapping_without_loss_reorder_or_miscount() {
-    // Both runtimes: four submitters contending for one lock, and four
-    // lanes into two worker threads.
-    for workers in [1, 2] {
+    // Four submitters contending for one owner lock, for two, and one
+    // lock each.
+    for workers in [1, 2, 4] {
         four_threads_share_one_mapping(workers);
     }
 }
@@ -97,7 +96,9 @@ fn four_threads_share_one_mapping(workers: usize) {
 
     // Scraper: reads every lock-free accessor in a tight loop while the
     // workers run. A deadlock or a torn read here fails the test by
-    // hanging or panicking.
+    // hanging or panicking. Traffic starts once it is scraping: the
+    // batches can be over before a fresh thread is first scheduled.
+    let (scraping_tx, scraping) = std::sync::mpsc::channel();
     let scraper = {
         let sender = sender.clone();
         let receiver = receiver.clone();
@@ -105,6 +106,9 @@ fn four_threads_share_one_mapping(workers: usize) {
         thread::spawn(move || {
             let mut scrapes = 0u64;
             while !done.load(Ordering::Relaxed) {
+                if scrapes == 1 {
+                    let _ = scraping_tx.send(());
+                }
                 let s = sender.stats();
                 assert!(s.output_errors == 0, "no sender rejects expected: {s:?}");
                 let cs = receiver.rfkc_stats();
@@ -116,13 +120,13 @@ fn four_threads_share_one_mapping(workers: usize) {
                 let _ = sender.endpoint_stats();
                 let _ = sender.combined_stats();
                 let _ = sender.mkd_stats();
-                let _ = sender.ring_stalls();
                 let _ = sender.parked_depths();
                 scrapes += 1;
             }
             scrapes
         })
     };
+    scraping.recv().expect("scraper is scraping");
 
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {
@@ -289,6 +293,7 @@ fn shard_budgets_hold_their_ceilings_under_multi_worker_pressure() {
     // moment, not just at rest — a worker that charges before evicting
     // would be caught mid-flight here.
     let done = Arc::new(AtomicBool::new(false));
+    let (scraping_tx, scraping) = std::sync::mpsc::channel();
     let scraper = {
         let sender = sender.clone();
         let receiver = receiver.clone();
@@ -296,6 +301,9 @@ fn shard_budgets_hold_their_ceilings_under_multi_worker_pressure() {
         thread::spawn(move || {
             let mut scrapes = 0u64;
             while !done.load(Ordering::Relaxed) {
+                if scrapes == 1 {
+                    let _ = scraping_tx.send(());
+                }
                 for h in [&sender, &receiver] {
                     let (worst, limit) = h.mem_bytes();
                     assert_eq!(limit, BUDGET);
@@ -310,6 +318,9 @@ fn shard_budgets_hold_their_ceilings_under_multi_worker_pressure() {
             scrapes
         })
     };
+    // The traffic below can be over before a fresh thread is first
+    // scheduled: start it once the scraper is scraping.
+    scraping.recv().expect("scraper is scraping");
 
     // 512 distinct flows spread across all shards: far more resident
     // key state than the budgets allow, so the receive-side flow key

@@ -62,10 +62,6 @@ pub enum ConditionKind {
     /// budget (fail-closed on their shards). Degraded while any worker
     /// is quarantined; critical once every worker is.
     WorkerQuarantined,
-    /// Overload shedding rejected datagrams in the evaluated window.
-    /// Degraded on any shed; critical once the shed fraction of
-    /// offered load passes the model threshold.
-    ShedRateHigh,
     /// Soft-state memory budgets under pressure. Degraded once usage
     /// passes the near-limit percentage of the worst shard's budget;
     /// critical once usage is past the limit itself (budget-driven
@@ -84,7 +80,6 @@ impl ConditionKind {
             ConditionKind::RecoveryRatioLow => "recovery_ratio_low",
             ConditionKind::EventsDropped => "events_dropped",
             ConditionKind::WorkerQuarantined => "worker_quarantined",
-            ConditionKind::ShedRateHigh => "shed_rate_high",
             ConditionKind::MemoryBudgetExceeded => "memory_budget_exceeded",
         }
     }
@@ -191,9 +186,6 @@ pub struct HealthModel {
     /// Outstanding pool buffers (takes − returns − discards) above
     /// which the ledger condition degrades.
     pub max_outstanding_buffers: u64,
-    /// Shed fraction of offered load (percent) past which shedding
-    /// turns critical (any shed at all is already degraded).
-    pub max_shed_pct: u64,
     /// Memory budget usage (percent of the shard limit) at which the
     /// memory condition degrades; past 100% it is critical.
     pub mem_budget_pct: u64,
@@ -205,7 +197,6 @@ impl Default for HealthModel {
             park_near_capacity_pct: 80,
             min_recovery_ratio_pct: 90,
             max_outstanding_buffers: 4096,
-            max_shed_pct: 10,
             mem_budget_pct: 90,
         }
     }
@@ -335,28 +326,6 @@ impl HealthModel {
             threshold: inputs.workers_total,
         });
 
-        // Overload shedding: shed datagrams vs offered load. Shed
-        // datagrams never reach the hook-entry counters (they are
-        // rejected before the worker sees them), so offered load is
-        // entries + sheds.
-        let shed = snap.counter("hooks.shed.rejected");
-        let offered =
-            snap.counter("hooks.output_entries") + snap.counter("hooks.input_entries") + shed;
-        let shed_critical_at = offered * self.max_shed_pct / 100;
-        let shed_status = if shed == 0 {
-            HealthStatus::Ok
-        } else if shed * 100 > offered * self.max_shed_pct {
-            HealthStatus::Critical
-        } else {
-            HealthStatus::Degraded
-        };
-        conditions.push(Condition {
-            kind: ConditionKind::ShedRateHigh,
-            status: shed_status,
-            value: shed,
-            threshold: shed_critical_at,
-        });
-
         // Memory budget: live resident bytes of the worst shard vs its
         // ceiling. Soft state keeps serving past the limit (eviction,
         // never allocation failure), so over-limit is critical pressure
@@ -400,7 +369,7 @@ mod tests {
         let report =
             HealthModel::default().evaluate(&MetricsSnapshot::new(), &HealthInputs::default());
         assert_eq!(report.overall, HealthStatus::Ok);
-        assert_eq!(report.conditions.len(), 8);
+        assert_eq!(report.conditions.len(), 7);
         assert!(report
             .conditions
             .iter()
@@ -545,28 +514,6 @@ mod tests {
             .to_json();
         assert!(json.contains("\"kind\":\"memory_budget_exceeded\""));
         assert!(json.contains("\"overall\":\"critical\""));
-    }
-
-    #[test]
-    fn shed_rate_bands() {
-        let model = HealthModel::default();
-        let status = |shed: u64, entries: u64| {
-            let mut s = MetricsSnapshot::new();
-            if shed > 0 {
-                s.add("hooks.shed.rejected", shed);
-            }
-            s.add("hooks.output_entries", entries);
-            model
-                .evaluate(&s, &HealthInputs::default())
-                .condition(ConditionKind::ShedRateHigh)
-                .unwrap()
-                .status
-        };
-        assert_eq!(status(0, 1_000), HealthStatus::Ok);
-        // 5 shed of 1005 offered ≈ 0.5% — degraded, not critical.
-        assert_eq!(status(5, 1_000), HealthStatus::Degraded);
-        // 200 shed of 1200 offered ≈ 17% — past the 10% threshold.
-        assert_eq!(status(200, 1_000), HealthStatus::Critical);
     }
 
     #[test]

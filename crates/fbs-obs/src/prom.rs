@@ -151,8 +151,8 @@ mod tests {
     fn sample() -> MetricsSnapshot {
         let mut s = MetricsSnapshot::new();
         s.add("endpoint.sends", 5);
-        s.add("hooks.worker.0.ring_stalls", 2);
-        s.add("hooks.worker.1.ring_stalls", 3);
+        s.add("hooks.worker.0.batches", 2);
+        s.add("hooks.worker.1.batches", 3);
         s.histograms.insert(
             "send_bytes".into(),
             HistogramSnapshot {
@@ -168,13 +168,10 @@ mod tests {
         let text = render(&sample());
         assert!(text.contains("# TYPE fbs_endpoint_sends counter"));
         assert!(text.contains("fbs_endpoint_sends 5"));
-        assert!(text.contains("fbs_hooks_worker_ring_stalls{worker=\"0\"} 2"));
-        assert!(text.contains("fbs_hooks_worker_ring_stalls{worker=\"1\"} 3"));
+        assert!(text.contains("fbs_hooks_worker_batches{worker=\"0\"} 2"));
+        assert!(text.contains("fbs_hooks_worker_batches{worker=\"1\"} 3"));
         // One TYPE line for the whole worker family.
-        assert_eq!(
-            text.matches("# TYPE fbs_hooks_worker_ring_stalls").count(),
-            1
-        );
+        assert_eq!(text.matches("# TYPE fbs_hooks_worker_batches").count(), 1);
         assert!(text.contains("# TYPE fbs_send_bytes histogram"));
         assert!(text.contains("fbs_send_bytes_bucket{le=\"127\"} 2"));
         assert!(text.contains("fbs_send_bytes_bucket{le=\"255\"} 3"));
@@ -231,7 +228,7 @@ mod tests {
         second.histograms.get_mut("send_bytes").unwrap().sum = 600;
         let d2 = tracker.delta(&second);
         assert_eq!(d2.counter("endpoint.sends"), 4);
-        assert_eq!(d2.counter("hooks.worker.0.ring_stalls"), 0);
+        assert_eq!(d2.counter("hooks.worker.0.batches"), 0);
         let dh = &d2.histograms["send_bytes"];
         assert_eq!(dh.buckets, vec![(64, 127, 2)]);
         assert_eq!(dh.sum, 200);

@@ -112,15 +112,6 @@ pub enum Counter {
     DegradeFailClosed,
     /// Per-worker sub-batches processed by the worker runtime.
     WorkerBatches,
-    /// Sub-batch pushes that found a worker ring full and had to back
-    /// off (producer-side backpressure).
-    RingStalls,
-    /// Datagrams rejected by the overload-shed policy after the
-    /// producer's bounded spin on a saturated ring expired. Every shed
-    /// datagram still receives a Reject verdict — never a silent drop.
-    ShedRejected,
-    /// Sub-batches shed whole by the overload policy.
-    ShedBatches,
     /// Worker-loop panics caught by the in-thread supervisor.
     WorkerPanics,
     /// Supervised respawns: a panicked worker rebuilt its shard state
@@ -168,7 +159,7 @@ pub enum Counter {
 }
 
 /// Number of scalar counters.
-const NUM_COUNTERS: usize = 68;
+const NUM_COUNTERS: usize = 65;
 
 impl Counter {
     /// All counters, in snapshot order.
@@ -219,9 +210,6 @@ impl Counter {
         Counter::DegradeFailOpen,
         Counter::DegradeFailClosed,
         Counter::WorkerBatches,
-        Counter::RingStalls,
-        Counter::ShedRejected,
-        Counter::ShedBatches,
         Counter::WorkerPanics,
         Counter::WorkerRespawns,
         Counter::EventsDropped,
@@ -292,9 +280,6 @@ impl Counter {
             Counter::DegradeFailOpen => "degrade.fail_open",
             Counter::DegradeFailClosed => "degrade.fail_closed",
             Counter::WorkerBatches => "hooks.worker_batches",
-            Counter::RingStalls => "hooks.ring_stalls",
-            Counter::ShedRejected => "hooks.shed.rejected",
-            Counter::ShedBatches => "hooks.shed.batches",
             Counter::WorkerPanics => "hooks.worker_panics",
             Counter::WorkerRespawns => "hooks.worker_respawns",
             Counter::EventsDropped => "obs.events_dropped",
@@ -431,8 +416,6 @@ impl AtomicLogHistogram {
 /// relaxed `fetch_add`s with no allocation).
 #[derive(Default)]
 struct WorkerOccCell {
-    stalls: AtomicU64,
-    stall_ns: AtomicU64,
     batches: AtomicU64,
     busy_ns: AtomicU64,
     panics: AtomicU64,
@@ -658,14 +641,6 @@ impl MetricsRegistry {
         self.stages[s.index()].observe(ns);
     }
 
-    /// Record a producer stall on worker `worker`'s ring: `ns`
-    /// nanoseconds of backpressure delay before the push succeeded.
-    pub fn worker_stall(&self, worker: usize, ns: u64) {
-        let cell = &self.workers[worker.min(MAX_WORKERS - 1)];
-        cell.stalls.fetch_add(1, Ordering::Relaxed);
-        cell.stall_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Record a sub-batch processed by worker `worker` that kept it
     /// busy for `ns` nanoseconds.
     pub fn worker_busy(&self, worker: usize, ns: u64) {
@@ -688,8 +663,6 @@ impl MetricsRegistry {
         for (i, cell) in self.workers.iter().enumerate() {
             let row = WorkerOccupancyRow {
                 worker: i,
-                stalls: cell.stalls.load(Ordering::Relaxed),
-                stall_ns: cell.stall_ns.load(Ordering::Relaxed),
                 batches: cell.batches.load(Ordering::Relaxed),
                 busy_ns: cell.busy_ns.load(Ordering::Relaxed),
                 panics: cell.panics.load(Ordering::Relaxed),
@@ -911,8 +884,6 @@ impl MetricsRegistry {
         }
         for row in self.worker_occupancy_table() {
             let pre = format!("hooks.worker.{}", row.worker);
-            snap.add(&format!("{pre}.ring_stalls"), row.stalls);
-            snap.add(&format!("{pre}.ring_stall_ns"), row.stall_ns);
             snap.add(&format!("{pre}.batches"), row.batches);
             snap.add(&format!("{pre}.busy_ns"), row.busy_ns);
             if row.panics > 0 {
@@ -1026,14 +997,11 @@ mod tests {
         reg.observe_stage(Stage::Partition, 100);
         reg.observe_stage(Stage::Partition, 200);
         reg.observe_stage(Stage::Seal, 1_000);
-        reg.worker_stall(3, 500);
         reg.worker_busy(3, 2_000);
         reg.worker_busy(3, 2_000);
         let table = reg.worker_occupancy_table();
         assert_eq!(table.len(), 1);
         assert_eq!(table[0].worker, 3);
-        assert_eq!(table[0].stalls, 1);
-        assert_eq!(table[0].stall_ns, 500);
         assert_eq!(table[0].batches, 2);
         assert_eq!(table[0].busy_ns, 4_000);
         let snap = reg.snapshot();
@@ -1041,7 +1009,7 @@ mod tests {
         assert_eq!(part.count(), 2);
         assert_eq!(part.sum, 300);
         assert_eq!(snap.histograms["stage.seal_ns"].count(), 1);
-        assert_eq!(snap.counter("hooks.worker.3.ring_stalls"), 1);
+        assert_eq!(snap.counter("hooks.worker.3.batches"), 2);
         assert_eq!(snap.counter("hooks.worker.3.busy_ns"), 4_000);
         // Out-of-range worker indices fold into the last row.
         reg.worker_busy(1_000, 7);

@@ -4,12 +4,10 @@
 //! but the time spent *inside* `process_batch` stayed a black box.
 //! This module names the stages of the batch pipeline ([`Stage`]) so
 //! the registry can keep one log2 nanosecond histogram per stage, plus
-//! a per-worker occupancy table (ring stalls and stall nanoseconds vs
-//! sub-batches and busy nanoseconds, per worker index) that attributes
-//! queueing and load to the worker that caused it. PR 7 replaced the
-//! mutex-shard path with run-to-completion workers, so the old lock
-//! wait/hold spans became ring enqueue/wait spans and the per-shard
-//! lock table became this per-worker occupancy table.
+//! a per-owner occupancy table (sub-batches, busy nanoseconds and
+//! supervised panics, per shard-owner index) that attributes load to
+//! the owner that carried it. Every stage runs on the submitting
+//! thread: a shard owner is a lock its caller takes, not a thread.
 //!
 //! Recording is two relaxed `fetch_add`s per sample and the tables are
 //! fixed-size atomic arrays inside the registry, so instrumented runs
@@ -18,9 +16,9 @@
 
 use std::time::Instant;
 
-/// Maximum worker index tracked by the per-worker occupancy table.
+/// Maximum owner index tracked by the per-owner occupancy table.
 /// Anything beyond this folds into the last slot (the endpoint
-/// currently defaults to 2 workers).
+/// currently defaults to 2 owners).
 pub const MAX_WORKERS: usize = 64;
 
 /// One instrumented stage of the batch datagram pipeline, in pipeline
@@ -28,15 +26,8 @@ pub const MAX_WORKERS: usize = 64;
 /// `stage.<name>_ns` in snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Splitting a submitted batch into per-worker sub-batches (runs
-    /// on the submitting thread, before any ring handoff).
+    /// Splitting a submitted batch into per-owner sub-batches.
     Partition,
-    /// Pushing sub-batches onto worker rings, including any
-    /// backpressure spinning on a full ring.
-    RingEnqueue,
-    /// Waiting for worker replies after all sub-batches are enqueued
-    /// (the egress barrier of one `process_batch` call).
-    RingWait,
     /// The seal crypto core: MAC + optional encrypt on output.
     Seal,
     /// The open crypto core: parse + verify + optional decrypt on
@@ -45,27 +36,25 @@ pub enum Stage {
     /// Resolving a sub-batch's deferred MAC comparisons (one fold in
     /// the clean case, bisection when a tag mismatches).
     BatchVerify,
-    /// Zero-message flow-key derivation (cache-miss path, runs inside
-    /// the owning worker with no locks held).
+    /// Zero-message flow-key derivation (cache-miss path, runs under
+    /// the shard owner's lock).
     KeyDerive,
     /// Parking a datagram that could not be processed (key pending).
     Park,
     /// A release pass over a parking queue (expiry sweep + retries).
     Release,
-    /// Re-threading per-worker outcomes back into submission order and
+    /// Re-threading per-owner outcomes back into submission order and
     /// returning them to the stack.
     Dispatch,
 }
 
 /// Number of instrumented stages.
-pub(crate) const NUM_STAGES: usize = 10;
+pub(crate) const NUM_STAGES: usize = 8;
 
 impl Stage {
     /// All stages, in pipeline order.
     pub const ALL: [Stage; NUM_STAGES] = [
         Stage::Partition,
-        Stage::RingEnqueue,
-        Stage::RingWait,
         Stage::Seal,
         Stage::Open,
         Stage::BatchVerify,
@@ -79,8 +68,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Partition => "partition",
-            Stage::RingEnqueue => "ring_enqueue",
-            Stage::RingWait => "ring_wait",
             Stage::Seal => "seal",
             Stage::Open => "open",
             Stage::BatchVerify => "batch_verify",
@@ -126,24 +113,18 @@ pub struct WorkerOccupancyRow {
     /// Worker index (row `MAX_WORKERS - 1` also absorbs any higher
     /// indices).
     pub worker: usize,
-    /// Sub-batch pushes that found this worker's ring full and had to
-    /// back off before retrying.
-    pub stalls: u64,
-    /// Total nanoseconds the producer spent stalled on this worker's
-    /// ring.
-    pub stall_ns: u64,
-    /// Sub-batches this worker drained from its ring.
+    /// Sub-batches this owner finished.
     pub batches: u64,
     /// Total nanoseconds this worker spent processing sub-batches.
     pub busy_ns: u64,
-    /// Worker-loop panics caught by this worker's in-thread supervisor.
+    /// Panics caught by the supervisor while this owner's lock was held.
     pub panics: u64,
 }
 
 impl WorkerOccupancyRow {
     /// True when the row recorded no activity at all.
     pub fn is_empty(&self) -> bool {
-        self.stalls == 0 && self.batches == 0 && self.panics == 0
+        self.batches == 0 && self.panics == 0
     }
 }
 

@@ -61,9 +61,13 @@ fn suite_cfg(suite: CipherSuite) -> FbsConfig {
 fn every_suite_roundtrips_end_to_end() {
     for &suite in CipherSuite::ALL.iter() {
         let (mut tx, mut rx) = pair(suite_cfg(suite), suite_cfg(suite));
-        for (i, body) in [b"first datagram".as_slice(), b"", b"third, longer datagram body"]
-            .iter()
-            .enumerate()
+        for (i, body) in [
+            b"first datagram".as_slice(),
+            b"",
+            b"third, longer datagram body",
+        ]
+        .iter()
+        .enumerate()
         {
             let pd = tx.send(1, dgram(body), true).unwrap();
             assert_eq!(pd.header.suite, suite, "suite must ride the header");
@@ -84,8 +88,13 @@ fn zero_copy_seal_is_bit_identical_to_scalar_send_per_suite() {
         let (mut batch_tx, mut rx) = pair(suite_cfg(suite), suite_cfg(suite));
         let bob = Principal::named("bob");
         for round in 0..8u8 {
-            let body: Vec<u8> = (0..(round as usize) * 17 + 3).map(|i| i as u8 ^ round).collect();
-            let wire_scalar = scalar_tx.send(1, dgram(&body), true).unwrap().encode_payload();
+            let body: Vec<u8> = (0..(round as usize) * 17 + 3)
+                .map(|i| i as u8 ^ round)
+                .collect();
+            let wire_scalar = scalar_tx
+                .send(1, dgram(&body), true)
+                .unwrap()
+                .encode_payload();
             let mut wire_batch = Vec::new();
             batch_tx
                 .seal_into(1, &bob, &body, true, &mut wire_batch)
