@@ -13,12 +13,13 @@
 //! # Lock-ordering rules
 //!
 //! 1. Endpoint flow-state shards sit behind their owner's lock
-//!    (`fbs-ip`'s worker runtime: owner `w` of `W` holds shards
-//!    `{si : si % W == w}`). A caller holds at most ONE owner lock at a
-//!    time and takes it outermost: a key derivation on a miss runs
-//!    under it and takes only the [`KeyingService`] locks below, and
-//!    the sfl is reserved before the derive so a failure burns it
-//!    (sfls are never reused).
+//!    (`fbs-ip`'s hooks: owner `w` of `W` holds shards
+//!    `{si : si % W == w}`, and the caller runs its batch in place
+//!    under that lock, with its own buffer pool). A caller holds at
+//!    most ONE owner lock at a time and takes it outermost: a key
+//!    derivation on a miss runs under it and takes only the
+//!    [`KeyingService`] locks below, and the sfl is reserved before the
+//!    derive so a failure burns it (sfls are never reused).
 //! 2. Inside [`KeyingService`], the order is `mkd` lock → MKC shard
 //!    lock. The fast path touches only an MKC shard lock and releases
 //!    it before any `mkd` acquisition, so no cycle exists.

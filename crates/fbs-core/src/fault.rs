@@ -2,8 +2,10 @@
 //!
 //! A worker runtime (the shard owners in `fbs-ip`, each run to
 //! completion by whichever caller holds its lock) consults an optional
-//! [`WorkerFaultInjector`] at sub-batch entry so a chaos harness can
-//! schedule worker panics and stalls deterministically. The trait
+//! [`WorkerFaultInjector`] at the entry of every supervised pass over
+//! its share of a batch (a quarantined owner's passes included) so a
+//! chaos harness can schedule worker panics and stalls
+//! deterministically. The trait
 //! lives here — not in `fbs-chaos` — so the runtime crate never depends
 //! on the chaos crate; `fbs-chaos` provides the production
 //! implementation (`WorkerChaos`) driven by a seeded fault plan over

@@ -45,8 +45,8 @@ impl PoolStats {
 /// A freelist of recycled `Vec<u8>` output buffers.
 ///
 /// Not thread-safe by itself — a pool never crosses a thread (the
-/// fbs-ip worker runtime ships supply buffers inside each sub-batch
-/// instead), which keeps `take`/`put` free of any synchronisation.
+/// fbs-ip datapath runs on the caller's thread and uses the caller's
+/// pool), which keeps `take`/`put` free of any synchronisation.
 pub struct BufferPool {
     free: Vec<Vec<u8>>,
     max_pooled: usize,
@@ -117,16 +117,6 @@ impl BufferPool {
             if let Some(reg) = &self.obs {
                 reg.incr(Counter::PoolDiscards);
             }
-        }
-    }
-
-    /// Push `n` buffers onto `out` (recycled where available, fresh
-    /// otherwise). The batch-supply mirror of [`Self::take`]: the worker
-    /// runtime ships one supply buffer per datagram with each sub-batch.
-    pub fn take_n_into(&mut self, n: usize, out: &mut Vec<Vec<u8>>) {
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(self.take());
         }
     }
 
@@ -202,16 +192,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_take_and_put_balance_the_ledger() {
+    fn put_all_balances_the_ledger() {
         let mut pool = BufferPool::with_limits(8, 64);
-        let mut supplies = Vec::new();
-        pool.take_n_into(3, &mut supplies);
-        assert_eq!(supplies.len(), 3);
-        pool.put_all(&mut supplies);
-        assert!(supplies.is_empty());
+        let mut bufs: Vec<Vec<u8>> = (0..3).map(|_| pool.take()).collect();
+        pool.put_all(&mut bufs);
+        assert!(bufs.is_empty());
         let s = pool.stats();
         assert_eq!((s.misses, s.returns), (3, 3));
-        pool.take_n_into(2, &mut supplies);
+        let _again = [pool.take(), pool.take()];
         assert_eq!(pool.stats().hits, 2);
     }
 

@@ -484,8 +484,11 @@ impl FlowCodec {
             body.len()
         };
         // One resize: zero-fills the header region and any padding; the
-        // plaintext is copied in exactly once.
+        // plaintext is copied in exactly once. Sized exactly first: a
+        // recycled buffer a few bytes short (an exact-capacity payload
+        // that came back through the pool) would otherwise double.
         out.clear();
+        out.reserve_exact(header_len + wire_body_len);
         out.resize(header_len + wire_body_len, 0);
         out[header_len..header_len + body.len()].copy_from_slice(body);
         let (head, wire_body) = out.split_at_mut(header_len);

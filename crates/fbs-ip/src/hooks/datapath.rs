@@ -2,7 +2,8 @@
 //! §7.2 protect path and the verify path, the verdict wrappers that
 //! apply the degradation policy, deferred batch authentication, and the
 //! park release loop. Nothing here knows who runs it or how datagrams
-//! arrive — the worker runtime hands in a [`Pass`] and a [`WorkerCtx`].
+//! arrive — the runtime hands in a [`Pass`] and the caller's
+//! [`BufferPool`], which whoever holds the owner lock may use directly.
 
 use super::config::IpMappingConfig;
 use super::{record, HookShared};
@@ -10,8 +11,9 @@ use crate::combined::CombinedTable;
 use crate::tuple::FiveTuple;
 use fbs_core::header::HeaderView;
 use fbs_core::{
-    derive_flow_key, BatchVerifier, BudgetKind, FbsError, FlowCodec, FlowKeyId, FstEntry,
-    KeyUnavailableVerdict, Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
+    derive_flow_key, BatchVerifier, BudgetKind, BufferPool, FbsError, FlowCodec, FlowKeyId,
+    FstEntry, KeyUnavailableVerdict, Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator,
+    SoftCache,
 };
 use fbs_crypto::{crc32, CipherSuite};
 use fbs_net::ip::Proto;
@@ -77,39 +79,6 @@ impl Shard {
             Direction::Output => &mut self.out_park,
             Direction::Input => &mut self.in_park,
         }
-    }
-}
-
-/// One finished datagram on its way back: submission slot, (possibly
-/// length-fixed) header, and the verdict.
-pub(super) type DoneItem = (usize, Ipv4Header, HookOutcome);
-
-/// What a release control round-trip returns: the released datagrams
-/// plus every buffer the worker consumed (to be recycled into the
-/// caller's pool).
-pub(super) type ReleasedBatch = (Vec<(Ipv4Header, Vec<u8>)>, Vec<Vec<u8>>);
-
-/// A worker's view of the buffer economy while processing one
-/// sub-batch: `take` pops a supply (falling back to a fresh allocation),
-/// `put` stages a buffer for recycling into the producer's pool.
-pub(super) struct WorkerCtx<'a> {
-    pub(super) supplies: &'a mut Vec<Vec<u8>>,
-    pub(super) recycle: &'a mut Vec<Vec<u8>>,
-}
-
-impl WorkerCtx<'_> {
-    fn take(&mut self) -> Vec<u8> {
-        match self.supplies.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf
-            }
-            None => Vec::with_capacity(fbs_core::pool::DEFAULT_BUF_CAPACITY),
-        }
-    }
-
-    fn put(&mut self, buf: Vec<u8>) {
-        self.recycle.push(buf);
     }
 }
 
@@ -256,8 +225,8 @@ pub(super) fn rx_shard(n: usize, payload: &[u8]) -> usize {
     wire_sfl(payload).map_or(0, |sfl| sfl as usize & (n - 1))
 }
 
-/// What every per-datagram function reads, loaded once per sub-batch
-/// (or control action) by the owning worker: the shared runtime state,
+/// What every per-datagram function reads, loaded once per supervised
+/// pass (or control action) by the owning worker: the shared runtime state,
 /// the config snapshot and registry handle in force for this pass, and
 /// the caller's virtual time.
 pub(super) struct Pass<'a> {
@@ -358,7 +327,7 @@ fn resolve_tx_key(
 
 /// The §7.2 protect path, with no verdict handling: classify the datagram
 /// into a flow, derive/look up its key, and seal the borrowed plaintext
-/// into a supply buffer (fixing up `header`'s length on success). The
+/// into a pool buffer (fixing up `header`'s length on success). The
 /// caller keeps ownership of the original bytes, so no snapshot copy is
 /// ever needed for park/fail-open fallbacks.
 fn protect(
@@ -367,7 +336,7 @@ fn protect(
     header: &mut Ipv4Header,
     payload: &[u8],
     tuple: Option<FiveTuple>,
-    ctx: &mut WorkerCtx<'_>,
+    pool: &mut BufferPool,
 ) -> Result<Vec<u8>, FbsError> {
     let Pass {
         shared, cfg, obs, ..
@@ -378,7 +347,7 @@ fn protect(
     let destination = Principal::from_ipv4(header.dst);
     let (sfl, key) = resolve_tx_key(pass, shard, &tuple, &destination)?;
     pass.span(sfl, header.src, SpanKind::Classify, payload.len() as u64);
-    let mut out = ctx.take();
+    let mut out = pool.take();
     let timer = obs.as_ref().map(|_| StageTimer::start());
     match shard
         .codec
@@ -397,7 +366,7 @@ fn protect(
             Ok(out)
         }
         Err(e) => {
-            ctx.put(out);
+            pool.put(out);
             Err(e)
         }
     }
@@ -405,17 +374,17 @@ fn protect(
 
 /// The verify path, with no verdict handling: parse the FBS framing,
 /// resolve the receive flow key, and recover the borrowed wire payload
-/// into a supply buffer (fixing up `header`'s length on success). The
+/// into a pool buffer (fixing up `header`'s length on success). The
 /// MAC *comparison* is deferred into `auth` (MABS-style batch
 /// verification): on `Ok((body, true))` the accept/reject decision
-/// lands at sub-batch resolution, keyed by `token` (the item's index in
-/// the `done` list).
+/// lands at batch resolution, keyed by `token` (the item's submission
+/// index, i.e. its place in the verdict ledger).
 fn verify(
     pass: &Pass<'_>,
     shard: &mut Shard,
     header: &mut Ipv4Header,
     payload: &[u8],
-    ctx: &mut WorkerCtx<'_>,
+    pool: &mut BufferPool,
     token: usize,
     auth: &mut BatchAuth,
 ) -> Result<(Vec<u8>, bool), FbsError> {
@@ -433,7 +402,7 @@ fn verify(
         shard.rfkc.insert(id, Arc::clone(&key));
         key
     };
-    let mut body = ctx.take();
+    let mut body = pool.take();
     let timer = obs.as_ref().map(|_| StageTimer::start());
     match shard.codec.open_with_key_deferred(
         &view,
@@ -460,7 +429,7 @@ fn verify(
             );
             if deferred {
                 auth.deferred.push(DeferredOpen {
-                    done_idx: token,
+                    idx: token,
                     shard_local: shard.local,
                     bytes: body.len() as u64,
                 });
@@ -470,7 +439,7 @@ fn verify(
             Ok((body, deferred))
         }
         Err(e) => {
-            ctx.put(body);
+            pool.put(body);
             Err(e)
         }
     }
@@ -485,7 +454,7 @@ fn park_or_reject(
     dir: Direction,
     header: &Ipv4Header,
     payload: Vec<u8>,
-    ctx: &mut WorkerCtx<'_>,
+    pool: &mut BufferPool,
     e: &FbsError,
 ) -> HookOutcome {
     let obs = pass.obs;
@@ -503,7 +472,7 @@ fn park_or_reject(
             HookOutcome::Park
         }
         Err((_, payload)) => {
-            ctx.put(payload);
+            pool.put(payload);
             record(obs, Event::ParkOverflow);
             pass.shared.exit(obs, dir, false);
             HookOutcome::Reject(format!("park queue full: {e}"))
@@ -518,10 +487,10 @@ fn reject(
     pass: &Pass<'_>,
     dir: Direction,
     payload: Vec<u8>,
-    ctx: &mut WorkerCtx<'_>,
+    pool: &mut BufferPool,
     e: &FbsError,
 ) -> HookOutcome {
-    ctx.put(payload);
+    pool.put(payload);
     if e.is_key_unavailable() {
         pass.shared.degraded(pass.obs, dir, false);
     }
@@ -538,7 +507,7 @@ pub(super) fn output_item(
     header: &mut Ipv4Header,
     payload: Vec<u8>,
     tuple: Option<FiveTuple>,
-    ctx: &mut WorkerCtx<'_>,
+    pool: &mut BufferPool,
 ) -> HookOutcome {
     let Pass { shared, obs, .. } = *pass;
     let dir = Direction::Output;
@@ -546,9 +515,9 @@ pub(super) fn output_item(
     let verdict = degrade_verdict(pass.cfg);
     // protect borrows the payload, so the original bytes are still owned
     // here for the fall-back verdicts — no snapshot copy needed.
-    match protect(pass, shard, header, &payload, tuple, ctx) {
+    match protect(pass, shard, header, &payload, tuple, pool) {
         Ok(out) => {
-            ctx.put(payload);
+            pool.put(payload);
             shared.exit(obs, dir, true);
             HookOutcome::Pass(out)
         }
@@ -558,9 +527,9 @@ pub(super) fn output_item(
             HookOutcome::Pass(payload)
         }
         Err(e) if e.is_key_unavailable() && verdict == KeyUnavailableVerdict::Park => {
-            park_or_reject(pass, shard, dir, header, payload, ctx, &e)
+            park_or_reject(pass, shard, dir, header, payload, pool, &e)
         }
-        Err(e) => reject(pass, dir, payload, ctx, &e),
+        Err(e) => reject(pass, dir, payload, pool, &e),
     }
 }
 
@@ -577,7 +546,7 @@ pub(super) fn input_item(
     shard: &mut Shard,
     header: &mut Ipv4Header,
     payload: Vec<u8>,
-    ctx: &mut WorkerCtx<'_>,
+    pool: &mut BufferPool,
     token: usize,
     auth: &mut BatchAuth,
 ) -> HookOutcome {
@@ -585,11 +554,11 @@ pub(super) fn input_item(
     let dir = Direction::Input;
     record(obs, Event::HookEntry { dir });
     let verdict = degrade_verdict(pass.cfg);
-    match verify(pass, shard, header, &payload, ctx, token, auth) {
+    match verify(pass, shard, header, &payload, pool, token, auth) {
         Ok((body, deferred)) => {
             // The wire buffer is recycled either way: the deferred
             // verifier copied the shipped tag out of it.
-            ctx.put(payload);
+            pool.put(payload);
             // A deferred item's success accounting (or its flip to
             // Reject) happens at batch resolution.
             if !deferred {
@@ -605,9 +574,9 @@ pub(super) fn input_item(
             HookOutcome::Pass(payload)
         }
         Err(e) if e.is_key_unavailable() && verdict == KeyUnavailableVerdict::Park => {
-            park_or_reject(pass, shard, dir, header, payload, ctx, &e)
+            park_or_reject(pass, shard, dir, header, payload, pool, &e)
         }
-        Err(e) => reject(pass, dir, payload, ctx, &e),
+        Err(e) => reject(pass, dir, payload, pool, &e),
     }
 }
 
@@ -625,22 +594,22 @@ fn suite_counter(suite: CipherSuite, dir: Direction) -> Counter {
 }
 
 /// Deferred-verification bookkeeping for one tentatively-passed input
-/// datagram: which reply slot to flip if batch verification fails, and
+/// datagram: which verdict to flip if batch verification fails, and
 /// which shard's codec accounts for the outcome.
 struct DeferredOpen {
-    /// Index into the current sub-batch's `done` list.
-    done_idx: usize,
+    /// The datagram's submission index in the verdict ledger.
+    idx: usize,
     /// Local shard index (`si / W`) whose codec opened the datagram.
     shard_local: usize,
     /// Recovered body length, accounted on pass.
     bytes: u64,
 }
 
-/// Per-worker batch-authentication state: the MABS-style deferred MAC
-/// comparisons of a sub-batch, resolved with one fold (bisection on a
-/// dirty fold) before the reply ships. The verifier and scratch vectors
-/// are retained across sub-batches, so steady-state resolution
-/// allocates nothing.
+/// Per-owner batch-authentication state: the MABS-style deferred MAC
+/// comparisons of the owner's share of a batch, resolved with one fold
+/// (bisection on a dirty fold) before the owner lock is released. The
+/// verifier and scratch vectors are retained across batches, so
+/// steady-state resolution allocates nothing.
 #[derive(Default)]
 pub(super) struct BatchAuth {
     verifier: BatchVerifier,
@@ -648,20 +617,20 @@ pub(super) struct BatchAuth {
     failed: Vec<usize>,
 }
 
-/// Resolve every deferred MAC comparison of the current sub-batch:
-/// one constant-time fold accepts the whole clean batch; a dirty fold
-/// bisects, and each isolated failure flips its already-staged `Pass`
-/// verdict in `done` to `Reject` (recycling the recovered body, so the
-/// buffer ledger stays balanced). MUST run before the verdicts leave the
-/// worker — including on the quarantine path and for parked datagrams
-/// released one at a time — or tentatively-passed datagrams would
-/// escape unverified.
+/// Resolve every deferred MAC comparison the owner has pending: one
+/// constant-time fold accepts the whole clean batch; a dirty fold
+/// bisects, and each isolated failure flips its tentative `Pass` in the
+/// verdict ledger `out` to `Reject` (the recovered body goes back to the
+/// pool, so the buffer ledger stays balanced). MUST run before the
+/// verdicts leave the owner lock — including on the quarantine path and
+/// for parked datagrams released one at a time — or tentatively-passed
+/// datagrams would escape unverified.
 pub(super) fn resolve_batch_auth(
     pass: &Pass<'_>,
     shards: &[Shard],
     auth: &mut BatchAuth,
-    done: &mut [DoneItem],
-    recycle: &mut Vec<Vec<u8>>,
+    out: &mut [(Ipv4Header, HookOutcome)],
+    pool: &mut BufferPool,
 ) {
     let Pass { shared, obs, .. } = *pass;
     if auth.verifier.is_empty() && auth.deferred.is_empty() {
@@ -672,21 +641,21 @@ pub(super) fn resolve_batch_auth(
     let stats = auth.verifier.resolve(&mut auth.failed);
     for d in auth.deferred.drain(..) {
         let codec = &shards[d.shard_local].codec;
-        let entry = &mut done[d.done_idx];
-        if !matches!(entry.2, HookOutcome::Pass(_)) {
+        let verdict = &mut out[d.idx].1;
+        if !matches!(verdict, HookOutcome::Pass(_)) {
             // A supervised panic struck between the tag enqueue and the
-            // verdict push: the item already carries the supervisor's
+            // verdict write: the item already carries the supervisor's
             // Reject, nothing to account here.
             continue;
         }
-        if auth.failed.contains(&d.done_idx) {
+        if auth.failed.contains(&d.idx) {
             codec.note_deferred_mac_drop();
             let old = std::mem::replace(
-                &mut entry.2,
+                verdict,
                 HookOutcome::Reject("bad MAC (batch verify)".into()),
             );
             if let HookOutcome::Pass(body) = old {
-                recycle.push(body);
+                pool.put(body);
             }
             shared.exit(obs, Direction::Input, false);
         } else {
@@ -712,15 +681,15 @@ pub(super) fn resolve_batch_auth(
 /// parked traffic cannot hammer a known-broken keying path. Output
 /// retries `protect` towards `header.dst`; input retries `verify` from
 /// `header.src` and settles the MAC through [`resolve_batch_auth`] as a
-/// batch of one. Returns released datagrams plus consumed buffers for
-/// the caller's pool; retries draw fresh buffers (the control plane
-/// ships no supplies — releases are rare).
+/// batch of one. Returns the released datagrams, their bodies drawn from
+/// `pool`; every consumed or expired buffer goes back into it.
 pub(super) fn release_parked(
     shared: &HookShared,
     shards: &mut [Shard],
     dir: Direction,
     now_us: u64,
-) -> ReleasedBatch {
+    pool: &mut BufferPool,
+) -> Vec<(Ipv4Header, Vec<u8>)> {
     let cfg = shared.cfg.load();
     let obs = shared.obs_handle();
     let pass = Pass {
@@ -730,8 +699,6 @@ pub(super) fn release_parked(
         now_us,
     };
     let mut ready = Vec::new();
-    let mut recycle = Vec::new();
-    let mut supplies: Vec<Vec<u8>> = Vec::new();
     let mut auth = BatchAuth::default();
     let timer = obs.as_ref().map(|_| StageTimer::start());
     let mut did_work = false;
@@ -740,7 +707,7 @@ pub(super) fn release_parked(
             let (header, payload) = expired.item;
             let sfl = wire_sfl(&payload);
             pass.trace_park(dir, &header, sfl, SpanKind::Expired, "park_expired", 0);
-            recycle.push(payload);
+            pool.put(payload);
             record(&obs, Event::ParkExpired);
             did_work = true;
         }
@@ -753,13 +720,13 @@ pub(super) fn release_parked(
             } = entry;
             // Back to the queue with the original deadline (drops at
             // expiry, never grows unbounded).
-            let repark = |shard: &mut Shard, header, payload, recycle: &mut Vec<Vec<u8>>| {
+            let repark = |shard: &mut Shard, header, payload, pool: &mut BufferPool| {
                 if let Err((_, payload)) = shard.park(dir).repark(Parked {
                     item: (header, payload),
                     parked_at_us,
                     deadline_us,
                 }) {
-                    recycle.push(payload);
+                    pool.put(payload);
                     record(&obs, Event::ParkOverflow);
                 }
             };
@@ -768,37 +735,31 @@ pub(super) fn release_parked(
                 Direction::Input => header.src,
             });
             if shared.keying.would_fast_fail(&peer) {
-                repark(&mut shards[local], header, payload, &mut recycle);
+                repark(&mut shards[local], header, payload, pool);
                 continue;
             }
-            let mut ctx = WorkerCtx {
-                supplies: &mut supplies,
-                recycle: &mut recycle,
-            };
             // Both attempts only borrow the parked bytes, so they are
             // still owned here for a repark.
             let shard = &mut shards[local];
             let res = match dir {
                 Direction::Output => {
                     let tuple = tuple_for(&header, &payload);
-                    protect(&pass, shard, &mut header, &payload, tuple, &mut ctx)
+                    protect(&pass, shard, &mut header, &payload, tuple, pool)
                         .map(|sealed| (sealed, false))
                 }
-                Direction::Input => {
-                    verify(&pass, shard, &mut header, &payload, &mut ctx, 0, &mut auth)
-                }
+                Direction::Input => verify(&pass, shard, &mut header, &payload, pool, 0, &mut auth),
             };
             match res {
                 Ok((out, deferred)) => {
                     // The tentative verdict goes through the same
-                    // resolver as a sub-batch's: it accounts a deferred
+                    // resolver as a batch's: it accounts a deferred
                     // pass, or flips a forgery to `Reject` and recycles
                     // the body. (Nothing is ever deferred on output.)
-                    let mut done = [(0, header, HookOutcome::Pass(out))];
-                    resolve_batch_auth(&pass, shards, &mut auth, &mut done, &mut recycle);
-                    let [(_, header, outcome)] = done;
+                    let mut ledger = [(header, HookOutcome::Pass(out))];
+                    resolve_batch_auth(&pass, shards, &mut auth, &mut ledger, pool);
+                    let [(header, outcome)] = ledger;
                     let HookOutcome::Pass(out) = outcome else {
-                        recycle.push(payload);
+                        pool.put(payload);
                         continue;
                     };
                     if !deferred {
@@ -816,18 +777,18 @@ pub(super) fn release_parked(
                     if let Some(sfl) = wire_sfl(framed) {
                         pass.span(sfl, host, SpanKind::Released, waited_us);
                     }
-                    recycle.push(payload);
+                    pool.put(payload);
                     ready.push((header, out));
                 }
                 Err(e) if e.is_key_unavailable() => {
                     // Still no key.
                     let sfl = wire_sfl(&payload);
                     pass.trace_park(dir, &header, sfl, SpanKind::Reparked, "reparked", 0);
-                    repark(&mut shards[local], header, payload, &mut recycle);
+                    repark(&mut shards[local], header, payload, pool);
                 }
                 Err(_) => {
                     shared.exit(&obs, dir, false);
-                    recycle.push(payload);
+                    pool.put(payload);
                 }
             }
         }
@@ -837,6 +798,5 @@ pub(super) fn release_parked(
             reg.observe_stage(Stage::Release, timer.elapsed_ns());
         }
     }
-    recycle.append(&mut supplies);
-    (ready, recycle)
+    ready
 }

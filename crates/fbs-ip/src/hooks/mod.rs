@@ -21,14 +21,15 @@
 //! FBS runs inside `ip_output()`/`ip_input()`, in the caller's context,
 //! as in §7.2.
 //!
-//! [`SecurityHooks::process_batch`] partitions the batch into per-owner
-//! sub-batches **once**, then for each non-empty one draws supplies,
-//! locks that owner, finishes the sub-batch on the calling thread,
-//! unlocks, and re-threads the verdicts into submission order. Whoever
-//! holds an owner's lock *is* that worker: clones of a handle on other
-//! threads meet only where their batches touch the same owner, which is
-//! the parallelism `workers` buys; the control plane (flush, occupancy,
-//! park statistics, release) takes the same lock the same way.
+//! [`SecurityHooks::process_batch`] runs the caller's batch **in
+//! place**: it stages the datagrams beside a fail-closed verdict ledger
+//! by submission index, groups the indices by owner, then locks each
+//! owner with work, runs its share on the calling thread, and unlocks;
+//! the ledger is the return value. Whoever holds an owner's lock *is*
+//! that worker: clones of a handle on other threads meet only where
+//! their batches touch the same owner, which is the parallelism
+//! `workers` buys; the control plane (flush, occupancy, park
+//! statistics, release) takes the same lock the same way.
 //!
 //! * **Transmit** datagrams shard by `crc32(five_tuple) % N`. Each
 //!   shard's [`SflAllocator`](fbs_core::SflAllocator) is strided so every sfl it issues is
@@ -42,21 +43,18 @@
 //!
 //! ## Buffer economy
 //!
-//! The caller's [`BufferPool`] stays outside the owner locks:
-//! `process_batch` draws one **supply** buffer per datagram
-//! (`take_n_into`) into the sub-batch before locking; the datapath
-//! seals/opens into supplies and pushes every consumed or unused buffer
-//! onto the sub-batch's **recycle** list, which goes back into the pool
-//! (`put_all`) after unlocking. The sub-batch vectors are kept per
-//! handle, so steady-state batching allocates nothing per datagram.
+//! The caller's [`BufferPool`] comes along under the owner lock (the
+//! caller is the thread holding it): the datapath `take`s a buffer when
+//! it seals or opens into one and `put`s each spent payload straight
+//! back, so the default pool covers a burst of any size. The staging
+//! vectors are kept per handle: no allocation per datagram.
 //!
 //! ## Ordering and determinism
 //!
 //! A datagram's bytes depend only on its own shard's codec state, which
-//! advances in per-shard submission order (one sub-batch per owner,
-//! scanned in order), so outputs are bit-identical for every `workers`
-//! and per-flow FIFO is preserved regardless of inter-shard
-//! interleaving.
+//! advances in per-shard submission order (the grouping is stable), so
+//! outputs are bit-identical for every `workers` and per-flow FIFO is
+//! preserved regardless of inter-shard interleaving.
 //!
 //! **Lock-ordering rules** (see also `fbs_core::concurrent`): never two
 //! owner locks at once; an owner lock is outermost (held across a flow
@@ -73,12 +71,10 @@
 //! poisons the endpoint or unwinds into the caller.
 //!
 //! * **Supervision.** Everything done under an owner lock runs inside
-//!   one `catch_unwind`. The sub-batch being processed lives in a
-//!   cursor *outside* the unwind boundary: the datagram that panicked
-//!   gets a `Reject` verdict (with replacement buffers covering
-//!   whatever the unwind freed, so the caller's pool ledger stays
-//!   balanced), and the rest of the sub-batch is finished after
-//!   recovery — zero verdict loss.
+//!   one `catch_unwind`, the batch in flight and its cursor outside it:
+//!   the datagram that panicked gets a `Reject` (and the pool whatever
+//!   the unwind freed, so its ledger closes), and the rest of the batch
+//!   is finished after recovery — zero verdict loss.
 //! * **Respawn or quarantine** ([`WorkerFaultPolicy`]). Under `Respawn`
 //!   the owner's shards are rebuilt fresh (soft state re-warms through
 //!   ordinary FST/RFKC misses — the paper's §5.3 argument; parked
@@ -89,11 +85,11 @@
 //!   answering the control plane but rejects every datagram —
 //!   fail-closed on its shards, invisible to the others.
 //! * **Typed errors, no runtime panics.** Control calls return
-//!   [`RuntimeError`], and `process_batch` fails closed — missing
-//!   verdicts become `Reject` — should a sub-batch ever be lost past
-//!   its supervisor. A [`WorkerFaultInjector`] (see `fbs-chaos`'s
-//!   `WorkerChaos`) can schedule panics and stalls deterministically on
-//!   virtual time.
+//!   [`RuntimeError`], and `process_batch` always returns, fail-closed:
+//!   a ledger entry reads `Reject` until its item writes a final
+//!   verdict, and an owner that cannot finish has its share rejected. A
+//!   [`WorkerFaultInjector`] (see `fbs-chaos`'s `WorkerChaos`) can
+//!   schedule panics and stalls deterministically on virtual time.
 //!
 //! # Graceful degradation
 //!
@@ -129,7 +125,7 @@ pub use config::{IpHookStats, IpMappingConfig, WorkerFaultPolicy};
 
 use crate::combined::AtomicCombinedStats;
 use config::AtomicHookStats;
-use datapath::{rx_shard, tuple_for, tx_shard, Shard};
+use datapath::Shard;
 use fbs_core::breaker::BreakerState;
 use fbs_core::protocol::EndpointStats;
 use fbs_core::{
@@ -142,10 +138,10 @@ use fbs_obs::{Direction, Event, MetricsRegistry, Stage, StageTimer};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use worker::{SubBatch, WorkerState};
+use worker::{Flight, Run, WorkerState};
 
 /// Cached per-worker parking-queue depths, refreshed under the owner's
-/// lock after every sub-batch/release. Lets `release_output`/`_input`
+/// lock after every batch/release. Lets `release_output`/`_input`
 /// (driven every [`fbs_net::Host::poll`]) skip the owner lock entirely
 /// when nothing is parked.
 #[derive(Default)]
@@ -213,47 +209,22 @@ fn record(obs: &Option<Arc<MetricsRegistry>>, event: Event) {
     }
 }
 
-/// Per-handle reusable batch buffers: cleared-but-kept between
-/// [`SecurityHooks::process_batch`] calls, so steady-state batching does
-/// not allocate. Never shared — each clone starts its own (empty) set.
-#[derive(Default)]
-struct Scratch {
-    /// One sub-batch per worker: filled by the partition stage, lent to
-    /// the owner, and put back (vectors emptied, capacity kept).
-    subs: Vec<SubBatch>,
-    slots: Vec<Option<(Ipv4Header, HookOutcome)>>,
-    /// Submission-order header copies, so a slot whose sub-batch was
-    /// lost past the supervisor can still be failed closed with its real
-    /// header (plain-old-data copy, no allocation).
-    headers: Vec<Ipv4Header>,
-}
-
-impl Scratch {
-    /// Worker `w`'s finished sub-batch comes home: verdicts to their
-    /// slots, spent buffers to the pool, emptied vectors kept for reuse.
-    fn absorb(&mut self, w: usize, mut reply: SubBatch, pool: &mut BufferPool) {
-        for (slot, header, outcome) in reply.done.drain(..) {
-            self.slots[slot] = Some((header, outcome));
-        }
-        pool.put_all(&mut reply.recycle);
-        self.subs[w] = reply;
-    }
-}
-
 /// FBS security hooks for an IP-like stack. Cheaply cloneable: clones
 /// share all flow state, so keep a handle for statistics after
 /// installing one into a [`fbs_net::Host`] — and clones may be driven
 /// from different threads; they serialise per shard owner.
 pub struct FbsIpHooks {
     shared: Arc<HookShared>,
-    scratch: Scratch,
+    /// The batch in flight. Never shared — each clone starts its own
+    /// (empty) one.
+    run: Run,
 }
 
 impl Clone for FbsIpHooks {
     fn clone(&self) -> Self {
         FbsIpHooks {
             shared: Arc::clone(&self.shared),
-            scratch: Scratch::default(),
+            run: Run::default(),
         }
     }
 }
@@ -310,7 +281,7 @@ impl FbsIpHooks {
             .collect();
         FbsIpHooks {
             shared: Arc::new(shared),
-            scratch: Scratch::default(),
+            run: Run::default(),
         }
     }
 
@@ -459,8 +430,8 @@ impl FbsIpHooks {
 
     /// Release loop shared by both directions: skip workers whose cached
     /// park depth is zero (the common case — one atomic load per worker
-    /// per poll), otherwise run the release under the owner's lock and
-    /// recycle the consumed buffers.
+    /// per poll), otherwise run the release under the owner's lock, on
+    /// the caller's pool.
     fn release_dir(
         &self,
         dir: Direction,
@@ -482,21 +453,16 @@ impl FbsIpHooks {
             // best-effort by contract, so errors are skipped, not
             // propagated.
             let shared = &*self.shared;
-            let Ok((mut released, mut recycle)) =
-                shared.with_owner(w, |st| st.release(shared, w, dir, now_us))
-            else {
-                continue;
-            };
-            ready.append(&mut released);
-            pool.put_all(&mut recycle);
+            let released = shared.with_owner(w, |st| st.release(shared, w, dir, now_us, pool));
+            ready.extend(released.unwrap_or_default());
         }
         ready
     }
 
     /// Install (or clear) a deterministic worker-fault injector. Chaos
     /// only: every tap is on an already-slow or failure path, so the
-    /// production hot path pays one published-pointer load per
-    /// sub-batch.
+    /// production hot path pays one published-pointer load per owner
+    /// per batch.
     pub fn set_worker_chaos(&self, injector: Option<Arc<dyn WorkerFaultInjector>>) {
         self.shared.chaos.store(Arc::new(injector));
     }
@@ -571,10 +537,10 @@ impl SecurityHooks for FbsIpHooks {
     }
 
     /// The single processing entry point (the scalar `output`/`input`
-    /// trait defaults wrap it): partition the batch into per-owner
-    /// sub-batches ONCE, run each under its owner's lock on this thread
-    /// with one supply buffer per datagram, then re-thread the outcomes
-    /// into submission order.
+    /// trait defaults wrap it): stage the batch and its verdict ledger
+    /// ONCE, run each owner's share under its lock on this thread with
+    /// the caller's pool, and return the ledger — already in submission
+    /// order.
     fn process_batch(
         &mut self,
         dir: Direction,
@@ -585,72 +551,26 @@ impl SecurityHooks for FbsIpHooks {
         if batch.is_empty() {
             return Vec::new();
         }
-        let shared = Arc::clone(&self.shared);
-        let cfg_obs = shared.obs_handle();
-        let obs = &cfg_obs;
-        let n = shared.n_shards;
-        let nw = shared.n_workers;
-        let total = batch.len();
-        let scratch = &mut self.scratch;
-        if scratch.subs.len() < nw {
-            scratch.subs.resize_with(nw, || SubBatch::new(dir, now_us));
-        }
+        let shared = &*self.shared;
+        let obs = shared.obs_handle();
         let timer = obs.as_ref().map(|_| StageTimer::start());
-        scratch.headers.clear();
-        for (slot, dg) in batch.into_iter().enumerate() {
-            let Datagram { header, payload } = dg;
-            let (si, tuple) = match dir {
-                Direction::Output => {
-                    let tuple = tuple_for(&header, &payload);
-                    (tx_shard(n, tuple.as_ref()), tuple)
-                }
-                Direction::Input => (rx_shard(n, &payload), None),
-            };
-            scratch.headers.push(header.clone());
-            scratch.subs[si % nw]
-                .items
-                .push((slot, si, header, payload, tuple));
-        }
-        scratch.slots.clear();
-        scratch.slots.resize_with(total, || None);
+        let mut out = Vec::with_capacity(batch.len());
+        self.run.fill(shared, dir, batch, &mut out);
         if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
             reg.observe_stage(Stage::Partition, timer.elapsed_ns());
         }
-        for w in 0..nw {
-            if scratch.subs[w].items.is_empty() {
-                continue;
+        let mut flight = Flight {
+            dir,
+            now_us,
+            run: &mut self.run,
+            out: &mut out,
+            pool,
+        };
+        for w in 0..shared.n_workers {
+            if flight.run.has_work(w) {
+                // This thread is worker `w` while it holds the lock.
+                worker::run_inline(shared, w, &mut shared.owners[w].lock(), &mut flight);
             }
-            // A sub-batch lost past the supervisor never comes home; the
-            // empty stand-in left here takes its place.
-            let mut sub = std::mem::replace(&mut scratch.subs[w], SubBatch::new(dir, now_us));
-            (sub.dir, sub.now_us) = (dir, now_us);
-            pool.take_n_into(sub.items.len(), &mut sub.supplies);
-            // This thread is worker `w` while it holds the lock, dropped
-            // before the verdicts are re-threaded.
-            let reply = worker::run_inline(&shared, w, &mut shared.owners[w].lock(), sub);
-            if let Some(reply) = reply {
-                scratch.absorb(w, reply, pool);
-            }
-        }
-        let timer = obs.as_ref().map(|_| StageTimer::start());
-        let Scratch { slots, headers, .. } = &mut self.scratch;
-        let out: Vec<(Ipv4Header, HookOutcome)> = slots
-            .drain(..)
-            .enumerate()
-            .map(|(slot, s)| match s {
-                Some(v) => v,
-                // Verdict lost past the supervisor: fail the datagram
-                // closed with its captured header rather than panicking
-                // the submitting thread.
-                None => (
-                    headers[slot].clone(),
-                    HookOutcome::Reject("worker runtime unavailable".into()),
-                ),
-            })
-            .collect();
-        headers.clear();
-        if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
-            reg.observe_stage(Stage::Dispatch, timer.elapsed_ns());
         }
         out
     }

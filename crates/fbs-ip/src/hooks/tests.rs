@@ -1,7 +1,8 @@
 use super::*;
 use crate::host::build_secure_host;
+use datapath::{rx_shard, tuple_for, tx_shard};
 use fbs_cert::{CertificateAuthority, Directory};
-use fbs_core::{KeyUnavailableVerdict, ManualClock};
+use fbs_core::{Clock, KeyUnavailableVerdict, ManualClock};
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::CipherSuite;
 use fbs_net::ip::Ipv4Addr;
@@ -44,6 +45,22 @@ impl World {
             42,
         );
         hooks
+    }
+
+    /// Hooks for `addr` on a caller-supplied clock (no stack behind
+    /// them): the fault tests' seam into the middle of an item.
+    fn host_on(&self, addr: Ipv4Addr, cfg: IpMappingConfig, clock: Arc<dyn Clock>) -> FbsIpHooks {
+        let fbs = cfg.fbs.clone();
+        let endpoint = crate::host::build_endpoint(
+            addr,
+            fbs,
+            clock,
+            &self.group,
+            &self.ca,
+            &self.directory,
+            42,
+        );
+        FbsIpHooks::new(endpoint, cfg, 42)
     }
 }
 
@@ -240,7 +257,7 @@ fn max_overhead_bounds_sealed_growth_across_the_config_grid() {
             mac_alg: MacAlgorithm::HmacSha1,
             ..FbsConfig::default()
         },
-        &world.clock,
+        Arc::new(world.clock.clone()),
         &world.group,
         &world.ca,
         &world.directory,
@@ -295,9 +312,6 @@ struct ParkRig {
     peer: FbsIpHooks,
     full: World,
     lonely: World,
-    /// Released bodies handed to the pool: each was recovered into a
-    /// fresh buffer (the control plane ships no supplies).
-    foreign: u64,
 }
 
 fn park_cfg(park_capacity: usize, park_deadline_us: u64) -> IpMappingConfig {
@@ -322,7 +336,6 @@ impl ParkRig {
             peer: full.host(B),
             full,
             lonely,
-            foreign: 0,
         }
     }
 
@@ -355,17 +368,18 @@ impl ParkRig {
         out.into_iter().map(|(_, outcome)| outcome).collect()
     }
 
-    /// One release pass; a copy of each released body goes to the pool.
+    /// One release pass. Each released body was drawn from the pool
+    /// and goes back there; the caller gets a copy to look at.
     fn release(&mut self, now_us: u64) -> Vec<(Ipv4Header, Vec<u8>)> {
         let released = match self.dir {
             Direction::Output => self.hooks.release_output(now_us, &mut self.pool),
             Direction::Input => self.hooks.release_input(now_us, &mut self.pool),
         };
-        for (_, body) in &released {
-            self.pool.put(body.clone());
-            self.foreign += 1;
+        let look = released.clone();
+        for (_, body) in released {
+            self.pool.put(body);
         }
-        released
+        look
     }
 
     /// B's certificate reaches A's directory; both worlds sign with
@@ -392,7 +406,7 @@ impl ParkRig {
         assert_ledger_agrees(&self.reg, &self.hooks);
         let p = self.pool.stats();
         assert_eq!(
-            p.hits + p.misses + self.foreign,
+            p.hits + p.misses,
             p.returns + p.discards + self.depth() as u64,
             "{:?}: {p:?}",
             self.dir
@@ -487,19 +501,19 @@ fn park_queue_overflow_rejects() {
 fn park_overflow_recycles_the_rejected_payload() {
     // Same scenario as above, but as one batch with the pool
     // watched: the overflow reject must hand the payload buffer back
-    // instead of leaking it. Three payloads and three supplies are
-    // drawn; no supply is consumed (every datagram parks or rejects
-    // before sealing), so the supplies and the overflowed payload
-    // come back and two payloads stay parked — `account` closes
-    // exactly that ledger.
+    // instead of leaking it. Three payloads are drawn and nothing
+    // else (every datagram parks or rejects before it would take a
+    // buffer to seal or open into), so the overflowed payload comes
+    // back and two payloads stay parked — `account` closes exactly
+    // that ledger.
     let (park, _) = in_both_directions(park_cfg(2, 2_000_000), |rig| {
         let out = rig.submit(3, 1_000);
         assert!(matches!(out[0], HookOutcome::Park));
         assert!(matches!(out[1], HookOutcome::Park));
         assert!(matches!(out[2], HookOutcome::Reject(_)));
         let p = rig.pool.stats();
-        assert_eq!(p.hits + p.misses, 6, "a payload and a supply each");
-        assert_eq!(p.returns, 4, "3 unused supplies + the overflowed payload");
+        assert_eq!(p.hits + p.misses, 3, "the three payloads");
+        assert_eq!(p.returns, 1, "the overflowed payload");
     });
     assert_eq!(park.overflow, 1);
 }
@@ -515,7 +529,7 @@ fn parked_datagrams_expire_at_their_deadline() {
         assert!(rig.release(6_001).is_empty());
         assert_eq!(rig.depth(), 0, "expired, not retained");
         // Expiry recycled the parked payload buffer into the pool.
-        assert_eq!(rig.pool.stats().returns, 2, "the supply and the payload");
+        assert_eq!(rig.pool.stats().returns, 1, "the payload");
     });
     assert_eq!((park.expired, park.released), (1, 0));
     assert_eq!(verdicts, [0, 0, 0, 0], "expiry is loss, not a verdict");
@@ -557,9 +571,8 @@ fn forged_parked_input_in_mode(workers: usize) {
     assert_eq!(snap.counter("batchauth.checked"), 2);
     assert_eq!(snap.counter("batchauth.rejected"), 1);
     assert!(rig.reg.stage_histogram(Stage::BatchVerify).count() > 0);
-    // Release recovers each body into a fresh buffer; the forgery's
-    // is recycled by the worker, so it is foreign to the pool too.
-    rig.foreign += 1;
+    // Both bodies were recovered into pool buffers; the forgery's went
+    // straight back, so `account` closes with nothing foreign.
     let (_, verdicts) = rig.account();
     assert_eq!(verdicts, [1, 1, 0, 0]);
 }
@@ -706,22 +719,22 @@ fn drain_then_shutdown_in_mode(workers: usize) {
     assert!(out.iter().all(|(_, o)| matches!(o, HookOutcome::Park)));
     hooks.drain().unwrap();
     assert_eq!(hooks.parked_depths(), (4, 0), "parks survive the drain");
-    // Ledger: 4 supplies drawn, none consumed (all parked), so all
-    // 4 came back; the 4 parked payloads are held by the runtime.
-    let s = pool.stats();
-    assert_eq!(s.hits + s.misses, 4);
-    assert_eq!(s.returns + s.discards, 4);
-    // Key arrives; release returns the parked datagrams and their
-    // payload buffers, balancing the ledger completely.
+    // Ledger: a datagram that parks takes no buffer, and the 4 parked
+    // (foreign) payloads are held by the runtime: the pool is untouched.
+    assert_eq!(pool.stats(), fbs_core::PoolStats::default());
+    // Key arrives; release seals each into a pool buffer and hands the
+    // 4 parked payloads to the pool. With the released wires returned
+    // the ledger closes over exactly those 4 foreign buffers.
     let _hb = world.host(B);
     let released = hooks.release_output(2_000, &mut pool);
     assert_eq!(released.len(), 4);
     let s = pool.stats();
-    assert_eq!(
-        s.returns + s.discards,
-        8,
-        "4 supplies + 4 released payloads recycled"
-    );
+    assert_eq!((s.hits + s.misses, s.returns + s.discards), (4, 4));
+    for (_, wire) in released {
+        pool.put(wire);
+    }
+    let s = pool.stats();
+    assert_eq!(s.returns + s.discards, s.hits + s.misses + 4);
     assert_eq!(hooks.parked_depths(), (0, 0));
 }
 
@@ -809,13 +822,234 @@ fn supervised_panic_in_mode(workers: usize) {
         "post-respawn batch all passes"
     );
     assert!(chaos.tapped_here());
-    // Ledger across the panic: every Pass consumes its supply and
-    // returns its (foreign) payload — net zero; every Reject
-    // returns BOTH, so returns exceed takes by exactly the reject
-    // count. The poisoned datagram's freed payload was made whole
-    // by the supervisor's replacement buffer.
+    // Ledger across the panic: every Pass takes the buffer it seals
+    // into and returns its (foreign) payload — net zero; a Reject
+    // takes nothing and returns its payload, so returns exceed takes
+    // by exactly the reject count.
     let s = pool.stats();
     assert_eq!(s.returns + s.discards, s.hits + s.misses + rejects as u64);
+}
+
+/// A clock whose `now_minutes` panics on its `n`th call after `arm(n)`:
+/// a fault in the middle of an item. The seal reads the timestamp after
+/// `protect` took its output buffer; the open checks freshness first.
+struct TripClock {
+    inner: ManualClock,
+    countdown: std::sync::atomic::AtomicI64,
+    tripped: AtomicBool,
+}
+
+impl TripClock {
+    fn new(world: &World) -> Arc<Self> {
+        Arc::new(TripClock {
+            inner: world.clock.clone(),
+            countdown: std::sync::atomic::AtomicI64::new(0),
+            tripped: AtomicBool::new(false),
+        })
+    }
+
+    fn arm(&self, n: i64) {
+        self.countdown.store(n, Ordering::SeqCst);
+    }
+}
+
+impl Clock for TripClock {
+    fn now_secs(&self) -> u64 {
+        self.inner.now_secs()
+    }
+    fn now_minutes(&self) -> u32 {
+        if self.countdown.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.tripped.store(true, Ordering::SeqCst);
+            panic!("injected clock fault");
+        }
+        (self.now_secs() / 60) as u32
+    }
+}
+
+/// An injector that panics at the entry of every supervised pass `when`
+/// says so — the tail-only passes too.
+struct PanicWhen<F>(F);
+
+impl<F: Fn(usize) -> bool + Send + Sync> WorkerFaultInjector for PanicWhen<F> {
+    fn take_panic(&self, worker: usize, _now_us: u64) -> bool {
+        (self.0)(worker)
+    }
+    fn take_stall_us(&self, _worker: usize, _now_us: u64) -> u64 {
+        0
+    }
+}
+
+fn is_pass(o: &HookOutcome) -> bool {
+    matches!(o, HookOutcome::Pass(_))
+}
+
+fn is_unavailable(o: &HookOutcome) -> bool {
+    matches!(o, HookOutcome::Reject(why) if why == "worker runtime unavailable")
+}
+
+/// Hand every `Pass` buffer of a finished batch back and check that the
+/// pool ledger closes over the `foreign` payloads it never issued.
+fn close_ledger(pool: &mut BufferPool, out: Vec<(Ipv4Header, HookOutcome)>, foreign: u64) {
+    for (_, outcome) in out {
+        if let HookOutcome::Pass(buf) = outcome {
+            pool.put(buf);
+        }
+    }
+    let s = pool.stats();
+    assert_eq!(s.hits + s.misses + foreign, s.returns + s.discards, "{s:?}");
+}
+
+#[test]
+fn panic_inside_an_item_closes_the_pool_ledger() {
+    // The entry tap fires before any buffer moves. This fault strikes
+    // after the item took the buffer it seals into, so the unwind frees
+    // that buffer and the payload both.
+    for workers in MODES {
+        let world = World::new();
+        let clock = TripClock::new(&world);
+        let mut hooks = world.host_on(A, mode_cfg(workers), clock.clone());
+        let _hb = world.host(B);
+        let mut pool = BufferPool::new();
+        clock.arm(1);
+        let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 1_000);
+        assert_eq!(
+            out.iter().filter(|(_, o)| is_pass(o)).count(),
+            15,
+            "{out:?}"
+        );
+        assert_eq!(hooks.worker_panics(), 1);
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses, 16, "the dying item had its buffer");
+        close_ledger(&mut pool, out, 16);
+    }
+}
+
+#[test]
+fn an_owner_that_cannot_finish_fails_its_share_closed() {
+    // Owner 0 panics at the entry of every pass: each one costs the
+    // datagram at the cursor, and once none is left the tail is retried
+    // a fixed number of times. `process_batch` still returns, with owner
+    // 0's whole share rejected and everyone else's untouched.
+    for workers in MODES {
+        let world = World::new();
+        let mut hooks = hooks_with(&world, mode_cfg(workers));
+        let _hb = world.host(B);
+        hooks.set_worker_chaos(Some(Arc::new(PanicWhen(|w| w == 0))));
+        let mut pool = BufferPool::new();
+        let batch = spread_batch(16);
+        let owner: Vec<usize> = batch
+            .iter()
+            .map(|dg| tx_shard(8, tuple_for(&dg.header, &dg.payload).as_ref()) % workers)
+            .collect();
+        let out = hooks.process_batch(Direction::Output, batch, &mut pool, 1_000);
+        for (w, (_, outcome)) in owner.iter().zip(&out) {
+            assert_eq!(is_unavailable(outcome), *w == 0, "{outcome:?}");
+            assert_eq!(is_pass(outcome), *w != 0, "{outcome:?}");
+        }
+        let share = owner.iter().filter(|w| **w == 0).count() as u64;
+        assert_eq!(hooks.worker_panics(), share + 3, "one per item, 3 tails");
+        close_ledger(&mut pool, out, 16);
+    }
+}
+
+#[test]
+fn tentative_passes_never_escape_an_unfinished_tail() {
+    // Input: owner 0 opens all of its share but the last datagram — each
+    // a tentative `Pass` with its MAC comparison deferred — then that
+    // last one panics and so does every pass after it. The deferred MACs
+    // are never resolved, so none of those verdicts may read `Pass`.
+    for workers in MODES {
+        let world = World::new();
+        let clock = TripClock::new(&world);
+        let mut hooks = world.host_on(B, mode_cfg(workers), clock.clone());
+        let mut peer = world.host(A);
+        let tripped = clock.clone();
+        hooks.set_worker_chaos(Some(Arc::new(PanicWhen(move |w| {
+            w == 0 && tripped.tripped.load(Ordering::SeqCst)
+        }))));
+        let sealed = peer.process_batch(
+            Direction::Output,
+            spread_batch(16),
+            &mut BufferPool::new(),
+            1_000,
+        );
+        let batch: Vec<Datagram> = sealed
+            .into_iter()
+            .map(|(header, outcome)| match outcome {
+                HookOutcome::Pass(payload) => Datagram { header, payload },
+                other => panic!("peer should protect, got {other:?}"),
+            })
+            .collect();
+        let owner: Vec<usize> = batch
+            .iter()
+            .map(|dg| rx_shard(8, &dg.payload) % workers)
+            .collect();
+        let share = owner.iter().filter(|w| **w == 0).count();
+        assert!(share > 1, "owner 0 needs a datagram to pass tentatively");
+        clock.arm(share as i64);
+        let mut pool = BufferPool::new();
+        let out = hooks.process_batch(Direction::Input, batch, &mut pool, 1_000);
+        for (w, (_, outcome)) in owner.iter().zip(&out) {
+            assert_eq!(is_unavailable(outcome), *w == 0, "{outcome:?}");
+            assert_eq!(is_pass(outcome), *w != 0, "{outcome:?}");
+        }
+        assert_eq!(
+            hooks.endpoint_stats().receives as usize,
+            16 - share,
+            "nothing of owner 0's was accounted as received"
+        );
+        close_ledger(&mut pool, out, 16);
+    }
+}
+
+#[test]
+fn a_default_pool_covers_a_burst_of_any_size() {
+    // Steady state against the default 32-buffer pools: the datapath
+    // takes a buffer when it needs one and puts the spent payload
+    // straight back, so whatever the burst size it misses at most once
+    // per pass — the very first take, before any payload has come back.
+    let world = World::new();
+    let mut tx = world.host(A);
+    let mut rx = world.host(B);
+    let (mut pool_a, mut pool_b) = (BufferPool::new(), BufferPool::new());
+    let mut own_misses = (0, 0);
+    for burst in 1..=3u64 {
+        let batch: Vec<Datagram> = (0..1024)
+            .map(|i| {
+                let (header, mut bytes) = udp_datagram(A, B);
+                bytes[1] = (i % 16) as u8;
+                let mut payload = pool_a.take();
+                payload.extend_from_slice(&bytes);
+                Datagram { header, payload }
+            })
+            .collect();
+        let before = pool_a.stats().misses;
+        let sealed = tx.process_batch(Direction::Output, batch, &mut pool_a, burst * 1_000);
+        own_misses.0 = pool_a.stats().misses - before;
+        // Onto B's pool, as its stack's ingest would.
+        let batch: Vec<Datagram> = sealed
+            .into_iter()
+            .map(|(header, outcome)| {
+                let HookOutcome::Pass(wire) = outcome else {
+                    panic!("sender should protect, got {outcome:?}");
+                };
+                let mut payload = pool_b.take();
+                payload.extend_from_slice(&wire);
+                pool_a.put(wire);
+                Datagram { header, payload }
+            })
+            .collect();
+        let before = pool_b.stats().misses;
+        let opened = rx.process_batch(Direction::Input, batch, &mut pool_b, burst * 1_000);
+        own_misses.1 = pool_b.stats().misses - before;
+        assert!(opened.iter().all(|(_, o)| is_pass(o)));
+        close_ledger(&mut pool_b, opened, 0);
+    }
+    assert!(
+        own_misses.0 <= 1 && own_misses.1 <= 1,
+        "hooks' own misses in the third burst: {own_misses:?}"
+    );
+    close_ledger(&mut pool_a, Vec::new(), 0);
 }
 
 #[test]
@@ -867,8 +1101,8 @@ fn fail_closed_in_mode(workers: usize) {
         (rejects, passes),
         "same shards, same split"
     );
-    // Rejects return payload AND unused supply (see the respawn
-    // test): the ledger offset is exactly the total reject count.
+    // A Reject returns its (foreign) payload and holds no buffer (see
+    // the respawn test): the ledger offset is exactly the reject count.
     let s = pool.stats();
     assert_eq!(
         s.returns + s.discards,
@@ -919,7 +1153,6 @@ fn stages_in_mode(workers: usize) {
         Stage::Seal,
         Stage::Open,
         Stage::BatchVerify,
-        Stage::Dispatch,
     ] {
         assert!(reg.stage_histogram(stage).count() > 0, "{stage:?}");
     }
@@ -986,8 +1219,8 @@ fn owners_are_independent_lock_domains() {
         })));
         let mut hooks_b = hooks_a.clone();
         let closes = |pool: &BufferPool| {
-            // Every Pass consumes its supply and returns its (foreign)
-            // payload: the ledger closes at net zero.
+            // Every Pass takes the buffer it seals into and returns its
+            // (foreign) payload: the ledger closes at net zero.
             let s = pool.stats();
             s.returns + s.discards == s.hits + s.misses
         };

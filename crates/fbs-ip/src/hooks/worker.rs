@@ -1,18 +1,19 @@
-//! The runtime around the datapath: the sub-batch a shard owner
-//! finishes, its panic supervision (respawn or quarantine), and the
-//! control plane. An owner ("worker" `w`) is a [`WorkerState`] behind a
-//! mutex in [`HookShared`]; whoever holds the lock runs it to completion
-//! on their own thread ([`run_inline`], [`HookShared::with_owner`]).
+//! The runtime around the datapath: the batch in flight ([`Run`]) a
+//! shard owner finishes in place, its panic supervision (respawn or
+//! quarantine), and the control plane. An owner ("worker" `w`) is a
+//! [`WorkerState`] behind a mutex in [`HookShared`]; whoever holds the
+//! lock runs it to completion on their own thread, with their own
+//! [`BufferPool`] ([`run_inline`], [`HookShared::with_owner`]).
 
 use super::config::WorkerFaultPolicy;
 use super::datapath::{
-    cascade_obs, input_item, output_item, release_parked, resolve_batch_auth, BatchAuth, DoneItem,
-    Pass, ReleasedBatch, Shard, WorkerCtx,
+    cascade_obs, input_item, output_item, release_parked, resolve_batch_auth, rx_shard, tuple_for,
+    tx_shard, BatchAuth, Pass, Shard,
 };
 use super::HookShared;
 use crate::tuple::FiveTuple;
-use fbs_core::{ParkStats, RuntimeError};
-use fbs_net::{HookOutcome, Ipv4Header};
+use fbs_core::{BufferPool, ParkStats, RuntimeError};
+use fbs_net::{Datagram, HookOutcome, Ipv4Header};
 use fbs_obs::{Counter, Direction, MetricsRegistry, ShardMemSample, StageTimer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -23,43 +24,118 @@ use std::time::Duration;
 /// matter what a fault plan asks for.
 const MAX_INJECTED_STALL_US: u64 = 20_000;
 
-/// One partitioned datagram on its way to a shard owner: submission slot,
-/// shard index, header, payload, and the pre-extracted 5-tuple (output
-/// direction only).
-type WorkItem = (usize, usize, Ipv4Header, Vec<u8>, Option<FiveTuple>);
+/// Supervised passes that may panic with no datagram left to process
+/// (only the pass's tail: deferred-MAC resolution, gauge refresh)
+/// before the owner's share of the batch is failed closed.
+const TAIL_RETRIES: u32 = 3;
 
-/// One owner's share of a batch, handed to [`run_inline`] and handed
-/// back finished: the items, one supply buffer per item (drawn from the
-/// caller's pool), and the reply vectors, lent so nothing allocates per
-/// sub-batch. On the way home `done` carries the verdicts and `recycle`
-/// the spent buffers; `items` and `supplies` ride along emptied, for
-/// reuse.
-pub(super) struct SubBatch {
-    pub(super) dir: Direction,
-    pub(super) now_us: u64,
-    pub(super) items: Vec<WorkItem>,
-    pub(super) supplies: Vec<Vec<u8>>,
-    pub(super) done: Vec<DoneItem>,
-    pub(super) recycle: Vec<Vec<u8>>,
+/// One datagram of the batch in flight. Its header lives in the verdict
+/// ledger, at the same submission index.
+struct Item {
+    payload: Vec<u8>,
+    /// Owning shard.
+    si: usize,
+    /// Pre-extracted 5-tuple (output direction only).
+    tuple: Option<FiveTuple>,
 }
 
-impl SubBatch {
-    pub(super) fn new(dir: Direction, now_us: u64) -> Self {
-        SubBatch {
-            dir,
-            now_us,
-            items: Vec::new(),
-            supplies: Vec::new(),
-            done: Vec::new(),
-            recycle: Vec::new(),
+/// The batch in flight, kept per handle (vectors emptied, capacity
+/// kept). It never crosses the panic boundary: after an unwind the
+/// cursor stands on exactly the datagram that died, so one poisoned
+/// datagram costs one verdict, never a batch or an owner.
+#[derive(Default)]
+pub(super) struct Run {
+    /// The datagrams, in submission order.
+    items: Vec<Item>,
+    /// Submission indices grouped by owner (stable, so each shard sees
+    /// its datagrams in submission order).
+    order: Vec<usize>,
+    /// `order[..ends[0]]` is owner 0's share, `order[ends[0]..ends[1]]`
+    /// owner 1's, and so on.
+    ends: Vec<usize>,
+    /// Cursor into `order`: the first datagram without a final verdict.
+    next: usize,
+    /// The pool's outstanding-buffer count when the item at `next` (or
+    /// the pass, before its first item) started; what an unwind freed is
+    /// made whole against it.
+    mark: i64,
+}
+
+impl Run {
+    /// Stage `batch` for `shared`'s owners: items and the fail-closed
+    /// verdict ledger `out` in one pass, then one stable counting pass
+    /// that groups the submission indices by owner.
+    pub(super) fn fill(
+        &mut self,
+        shared: &HookShared,
+        dir: Direction,
+        batch: Vec<Datagram>,
+        out: &mut Vec<(Ipv4Header, HookOutcome)>,
+    ) {
+        let (n, nw) = (shared.n_shards, shared.n_workers);
+        self.next = 0;
+        self.items.clear();
+        self.ends.clear();
+        self.ends.resize(nw, 0);
+        for Datagram { header, payload } in batch {
+            let (si, tuple) = match dir {
+                Direction::Output => {
+                    let tuple = tuple_for(&header, &payload);
+                    (tx_shard(n, tuple.as_ref()), tuple)
+                }
+                Direction::Input => (rx_shard(n, &payload), None),
+            };
+            self.ends[si % nw] += 1;
+            self.items.push(Item { payload, si, tuple });
+            // Fail-closed (and allocation-free) until the item that owns
+            // the index writes its final verdict.
+            out.push((header, HookOutcome::Reject(String::new())));
+        }
+        // Counts -> starts; the placement below walks each start up to
+        // its share's end.
+        let mut start = 0;
+        for e in self.ends.iter_mut() {
+            let count = std::mem::replace(e, start);
+            start += count;
+        }
+        self.order.clear();
+        self.order.resize(self.items.len(), 0);
+        for (i, item) in self.items.iter().enumerate() {
+            let at = &mut self.ends[item.si % nw];
+            self.order[*at] = i;
+            *at += 1;
         }
     }
+
+    /// Whether owner `w` has work. The cursor stands at the start of its
+    /// share: shares are run in owner order, each to its end.
+    pub(super) fn has_work(&self, w: usize) -> bool {
+        self.next < self.ends[w]
+    }
+}
+
+/// The caller's side of a batch in flight, lent to whichever owner is
+/// running: the staged batch, the verdict ledger by submission index,
+/// and the caller's pool.
+pub(super) struct Flight<'a> {
+    pub(super) dir: Direction,
+    pub(super) now_us: u64,
+    pub(super) run: &'a mut Run,
+    pub(super) out: &'a mut [(Ipv4Header, HookOutcome)],
+    pub(super) pool: &'a mut BufferPool,
+}
+
+/// Buffers drawn from `pool` and not yet back (negative once it has
+/// been handed buffers it never issued).
+fn outstanding(pool: &BufferPool) -> i64 {
+    let s = pool.stats();
+    (s.hits + s.misses) as i64 - (s.returns + s.discards) as i64
 }
 
 /// Refresh worker `w`'s cached parking depths from its owned shards,
 /// and mirror its shards' budget ledgers into the `mem.shard.<i>.*`
-/// gauges while we are here (same cadence: once per finished sub-batch
-/// or control action, never per datagram).
+/// gauges while we are here (same cadence: once per finished share of
+/// a batch or control action, never per datagram).
 fn refresh_park_depths(shared: &HookShared, w: usize, shards: &[Shard]) {
     let mut out = 0usize;
     let mut inp = 0usize;
@@ -95,40 +171,24 @@ fn refresh_shard_mem(shared: &HookShared, w: usize) {
     }
 }
 
-/// The sub-batch a worker is processing right now, with an explicit
-/// cursor (`next`). The cursor lives OUTSIDE the panic boundary: when an
-/// item panics mid-processing, the supervisor can see exactly which
-/// datagram died, give it a `Reject` verdict plus replacement buffers,
-/// and resume the remaining items — so one poisoned datagram costs one
-/// verdict, never a batch or a worker.
-struct CurrentSub {
-    sub: SubBatch,
-    /// Index of the first unprocessed item.
-    next: usize,
-    /// `supplies.len()` as of the start of the item at `next` — the
-    /// difference after an unwind is the number of supply buffers the
-    /// dying item consumed and the unwind freed.
-    supply_mark: usize,
-}
-
 /// Everything a shard owner keeps across panic-supervision boundaries.
 /// Held outside `catch_unwind` — behind its `HookShared::owners` mutex —
-/// so a supervised panic never loses shard state, the in-flight
-/// sub-batch, or buffers staged for recycling.
+/// so a supervised panic never loses shard state or buffers staged for
+/// recycling.
 #[derive(Default)]
 pub(super) struct WorkerState {
     shards: Vec<Shard>,
-    current: Option<CurrentSub>,
-    /// Buffers with no sub-batch to ride home on yet (e.g. park
-    /// evictions during quarantine); appended to the next reply.
+    /// Buffers with no pool in hand to go back to (park evictions when
+    /// a control call quarantines); the next batch or release drains
+    /// them into its caller's pool.
     pending_recycle: Vec<Vec<u8>>,
     /// Bumped per respawn; salts rebuilt shard seeds.
     generation: u64,
     /// Supervised respawns so far (compared against the policy budget).
     respawns: u32,
-    /// Deferred MAC comparisons for the current sub-batch. Lives here —
+    /// Deferred MAC comparisons for the share being run. Lives here —
     /// outside the panic boundary — so a supervised panic never loses
-    /// pending tags: they resolve when the sub-batch finishes or is
+    /// pending tags: they resolve when the share finishes or is
     /// quarantine-rejected.
     auth: BatchAuth,
 }
@@ -142,157 +202,110 @@ impl WorkerState {
     }
 }
 
-/// Stage a fresh sub-batch as the worker's current work.
-fn begin_current(state: &mut WorkerState, mut sub: SubBatch) {
-    sub.done.clear();
-    sub.done.reserve(sub.items.len());
-    sub.recycle.clear();
-    state.current = Some(CurrentSub {
-        next: 0,
-        supply_mark: sub.supplies.len(),
-        sub,
-    });
-}
-
-/// Finish the current sub-batch against the worker's owned shards and
-/// hand it back: run its remaining items to completion, or — with
-/// `reject`, the quarantine path — give every one of them a `Reject`
-/// verdict, so the producer gets a complete verdict set either way
-/// (`None`: nothing was staged). Shard `si` lives at local index `si / W`
-/// (the partition stage only routes `si ≡ w (mod W)` here). Unused
-/// supplies ride home on the recycle list so the producer's pool ledger
-/// stays balanced. Processing happens IN PLACE on `state.current`: if an
-/// item panics, the unwind leaves the cursor and every untouched buffer
-/// intact for the supervisor.
+/// One supervised pass over what is left of owner `w`'s share
+/// (`order[next..ends[w]]`): run the remaining items to completion, or —
+/// with `reject`, the quarantine path — give every one of them a
+/// `Reject`, so the ledger is complete either way. Shard `si` lives at
+/// local index `si / W` (the grouping only routes `si ≡ w (mod W)`
+/// here). Everything happens IN PLACE on the caller's flight: an unwind
+/// leaves the cursor and every untouched buffer intact for
+/// [`abort_current_item`].
 fn finish_current(
     shared: &HookShared,
     w: usize,
     state: &mut WorkerState,
+    flight: &mut Flight<'_>,
     reject: bool,
-) -> Option<SubBatch> {
+) {
     let WorkerState {
         shards,
-        current,
         pending_recycle,
         auth,
         ..
     } = state;
-    let cur = current.as_mut()?;
     let obs = shared.obs_handle();
     let cfg = shared.cfg.load();
     let pass = Pass {
         shared,
         cfg: &cfg,
         obs: &obs,
-        now_us: cur.sub.now_us,
+        now_us: flight.now_us,
     };
-    let mut busy = None;
-    if reject {
-        let from = cur.next;
-        for (slot, _si, header, payload, _tuple) in cur.sub.items.drain(from..) {
-            cur.sub.recycle.push(payload);
-            cur.sub.done.push((
-                slot,
-                header,
-                HookOutcome::Reject("worker quarantined after panic".into()),
-            ));
+    flight.run.mark = outstanding(flight.pool);
+    // Chaos taps come first, on every pass (a quarantined owner's and
+    // a tail-only retry too), so an injected panic unwinds with the
+    // cursor at the first unprocessed item — it then costs exactly one
+    // Reject. Stalls are wall-clock sleeps: they add
+    // latency (visible in stage spans) but touch no virtual-time
+    // counter, keeping seeded runs byte-identical.
+    if let Some(chaos) = (*shared.chaos.load()).clone() {
+        let stall = chaos
+            .take_stall_us(w, pass.now_us)
+            .min(MAX_INJECTED_STALL_US);
+        if stall > 0 {
+            std::thread::sleep(Duration::from_micros(stall));
         }
-    } else {
-        // Chaos taps come first, so an injected panic unwinds with the
-        // cursor at the first unprocessed item — the supervisor then pays
-        // exactly one Reject for it. Stalls are wall-clock sleeps: they add
-        // latency (visible in stage spans) but touch no virtual-time
-        // counter, keeping seeded runs byte-identical.
-        if let Some(chaos) = (*shared.chaos.load()).clone() {
-            let stall = chaos
-                .take_stall_us(w, pass.now_us)
-                .min(MAX_INJECTED_STALL_US);
-            if stall > 0 {
-                std::thread::sleep(Duration::from_micros(stall));
-            }
-            if chaos.take_panic(w, pass.now_us) {
-                panic!("injected worker panic (chaos)");
-            }
-        }
-        busy = obs.as_ref().map(|_| StageTimer::start());
-        if let Some(reg) = &obs {
-            reg.incr(Counter::WorkerBatches);
-        }
-        let sub = &mut cur.sub;
-        while cur.next < sub.items.len() {
-            cur.supply_mark = sub.supplies.len();
-            let (slot, si, header, payload, tuple) = &mut sub.items[cur.next];
-            let payload = std::mem::take(payload);
-            let shard = &mut shards[*si / shared.n_workers];
-            let mut ctx = WorkerCtx {
-                supplies: &mut sub.supplies,
-                recycle: &mut sub.recycle,
-            };
-            // The item's verdict will land at this `done` index; the
-            // deferred verifier uses it as the correlation token.
-            let token = sub.done.len();
-            let outcome = match sub.dir {
-                Direction::Output => output_item(&pass, shard, header, payload, *tuple, &mut ctx),
-                Direction::Input => {
-                    input_item(&pass, shard, header, payload, &mut ctx, token, auth)
-                }
-            };
-            sub.done.push((*slot, header.clone(), outcome));
-            cur.next += 1;
+        if chaos.take_panic(w, pass.now_us) {
+            panic!("injected worker panic (chaos)");
         }
     }
-    // Deferred MAC comparisons resolve BEFORE the reply leaves — on the
-    // reject path too, for items processed before the quarantine — so
-    // the producer only ever sees final verdicts.
-    resolve_batch_auth(&pass, shards, auth, &mut cur.sub.done, &mut cur.sub.recycle);
-    let mut fin = current.take().expect("current sub-batch still staged").sub;
-    fin.items.clear();
-    fin.recycle.append(&mut fin.supplies);
-    fin.recycle.append(pending_recycle);
+    let busy = obs.as_ref().filter(|_| !reject).map(|reg| {
+        reg.incr(Counter::WorkerBatches);
+        StageTimer::start()
+    });
+    while flight.run.next < flight.run.ends[w] {
+        flight.run.mark = outstanding(flight.pool);
+        let i = flight.run.order[flight.run.next];
+        let item = &mut flight.run.items[i];
+        let payload = std::mem::take(&mut item.payload);
+        let (header, verdict) = &mut flight.out[i];
+        *verdict = if reject {
+            flight.pool.put(payload);
+            HookOutcome::Reject("worker quarantined after panic".into())
+        } else {
+            let shard = &mut shards[item.si / shared.n_workers];
+            match flight.dir {
+                Direction::Output => {
+                    output_item(&pass, shard, header, payload, item.tuple, flight.pool)
+                }
+                // The submission index doubles as the deferred
+                // verifier's correlation token.
+                Direction::Input => input_item(&pass, shard, header, payload, flight.pool, i, auth),
+            }
+        };
+        flight.run.next += 1;
+    }
+    // Deferred MAC comparisons resolve BEFORE the owner lock is released
+    // — on the reject path too, for items processed before the
+    // quarantine — so the caller only ever sees final verdicts.
+    resolve_batch_auth(&pass, shards, auth, flight.out, flight.pool);
+    flight.pool.put_all(pending_recycle);
     refresh_park_depths(shared, w, shards);
     if let (Some(reg), Some(busy)) = (obs.as_ref(), busy) {
         reg.worker_busy(w, busy.elapsed_ns());
     }
-    Some(fin)
 }
 
 /// Post-panic cleanup for the item the unwind interrupted: give it a
-/// `Reject` verdict and rebalance the buffer ledger. The item's payload
-/// (and any supplies it popped) were freed by the unwind, so replacement
-/// buffers of the pool's standard capacity ride the recycle list home —
-/// the producer's pool only counts buffers, not identities.
-fn abort_current_item(state: &mut WorkerState) {
-    let Some(cur) = state.current.as_mut() else {
-        return;
-    };
-    if cur.next < cur.sub.items.len() {
-        let (slot, _si, header, payload, _tuple) = &mut cur.sub.items[cur.next];
-        let taken = std::mem::take(payload);
-        if taken.capacity() == 0 {
-            // The unwind freed the real payload mid-item: replace it.
-            cur.sub
-                .recycle
-                .push(Vec::with_capacity(fbs_core::pool::DEFAULT_BUF_CAPACITY));
-        } else {
-            // The panic struck before the item's payload was taken
-            // (e.g. an injected panic at sub-batch entry): the original
-            // buffer is intact, recycle it directly.
-            cur.sub.recycle.push(taken);
-        }
-        cur.sub.done.push((
-            *slot,
-            header.clone(),
-            HookOutcome::Reject("worker panicked mid-datagram".into()),
-        ));
-        cur.next += 1;
+/// `Reject` verdict and close its pool ledger entry. A rejected item
+/// holds no buffer, so exactly one buffer fewer must be outstanding than
+/// at its start: the payload goes back if the unwind left it intact
+/// (the panic struck before the item took it), and fresh buffers of the
+/// pool's standard capacity stand in for whatever the unwind freed —
+/// the pool only counts buffers, not identities.
+fn abort_current_item(flight: &mut Flight<'_>) {
+    let i = flight.run.order[flight.run.next];
+    let payload = std::mem::take(&mut flight.run.items[i].payload);
+    if payload.capacity() != 0 {
+        flight.pool.put(payload);
     }
-    let lost = cur.supply_mark.saturating_sub(cur.sub.supplies.len());
-    for _ in 0..lost {
-        cur.sub
-            .recycle
-            .push(Vec::with_capacity(fbs_core::pool::DEFAULT_BUF_CAPACITY));
+    flight.out[i].1 = HookOutcome::Reject("worker panicked mid-datagram".into());
+    while outstanding(flight.pool) >= flight.run.mark {
+        flight
+            .pool
+            .put(Vec::with_capacity(fbs_core::pool::DEFAULT_BUF_CAPACITY));
     }
-    cur.supply_mark = cur.sub.supplies.len();
+    flight.run.next += 1;
 }
 
 /// Rebuild every shard this worker owns after a supervised panic. Hard
@@ -318,8 +331,8 @@ fn rebuild_shards(shared: &HookShared, w: usize, state: &mut WorkerState) {
     refresh_park_depths(shared, w, &state.shards);
 }
 
-/// The control plane: what a caller may do to an owner besides hand it
-/// a sub-batch. Each runs through [`HookShared::with_owner`], so a
+/// The control plane: what a caller may do to an owner besides run a
+/// batch through it. Each runs through [`HookShared::with_owner`], so a
 /// quarantined owner still answers all of them.
 impl WorkerState {
     /// Cascade a metrics registry into every owned shard's components.
@@ -363,25 +376,28 @@ impl WorkerState {
         (out, inp)
     }
 
-    /// Run the park release loop for one direction, as owner `w`.
+    /// Run the park release loop for one direction, as owner `w`, on
+    /// the caller's `pool`.
     pub(super) fn release(
         &mut self,
         shared: &HookShared,
         w: usize,
         dir: Direction,
         now_us: u64,
-    ) -> ReleasedBatch {
-        let result = release_parked(shared, &mut self.shards, dir, now_us);
+        pool: &mut BufferPool,
+    ) -> Vec<(Ipv4Header, Vec<u8>)> {
+        let released = release_parked(shared, &mut self.shards, dir, now_us, pool);
+        pool.put_all(&mut self.pending_recycle);
         refresh_park_depths(shared, w, &self.shards);
-        result
+        released
     }
 }
 
-/// Enter fail-closed terminal mode: the worker and its buffer ledger
-/// stay, but it rejects every datagram — first what is left of the
-/// sub-batch the panic interrupted. Parked datagrams are evicted — their
-/// keys will never arrive on a worker that stopped processing — and
-/// their buffers ride that reply home.
+/// Enter fail-closed terminal mode: the worker stays, but it rejects
+/// every datagram — first what is left of the share the panic
+/// interrupted. Parked datagrams are evicted — their keys will never
+/// arrive on a worker that stopped processing — and their buffers wait
+/// in `pending_recycle` for the next caller with a pool.
 fn quarantine(shared: &HookShared, w: usize, state: &mut WorkerState) {
     shared.quarantined[w].store(true, Ordering::Release);
     for shard in state.shards.iter_mut() {
@@ -396,13 +412,13 @@ fn quarantine(shared: &HookShared, w: usize, state: &mut WorkerState) {
 }
 
 /// The one panic supervisor: run `body` inside `catch_unwind`; on a
-/// panic count it, give the interrupted datagram its `Reject`, respawn
-/// or quarantine per [`WorkerFaultPolicy`], and return `None` — the
-/// caller runs again under a fresh boundary, where the interrupted
-/// sub-batch (cursor already past the poisoned item) finishes first.
-/// Catching the unwind HERE keeps it out of the caller's stack and the
-/// owner's mutex unpoisoned. Respawn rebuilds shard state in place;
-/// quarantine is a mode switch, not an exit.
+/// panic count it, respawn or quarantine per [`WorkerFaultPolicy`], and
+/// return `None` — the caller decides what the panic cost (a batch in
+/// flight: [`run_inline`] rejects the interrupted datagram and runs the
+/// rest under a fresh boundary). Catching the unwind HERE keeps it out
+/// of the caller's stack and the owner's mutex unpoisoned. Respawn
+/// rebuilds shard state in place; quarantine is a mode switch, not an
+/// exit.
 fn supervise<T>(
     shared: &HookShared,
     w: usize,
@@ -410,11 +426,11 @@ fn supervise<T>(
     body: impl FnOnce(&mut WorkerState, bool) -> T,
 ) -> Option<T> {
     let quarantined = shared.quarantined[w].load(Ordering::Acquire);
-    // AssertUnwindSafe: `state` lives outside the boundary by design —
-    // the supervisor's whole job is to repair the potentially
-    // inconsistent pieces (the current item's buffers via
-    // `abort_current_item`, shard state via `rebuild_shards`) before
-    // anyone observes them.
+    // AssertUnwindSafe: `state` (and whatever `body` borrows of the
+    // caller's flight) lives outside the boundary by design — the
+    // potentially inconsistent pieces are repaired before anyone
+    // observes them: shard state here via `rebuild_shards`, the
+    // interrupted item's verdict and buffers by `abort_current_item`.
     if let Ok(v) = catch_unwind(AssertUnwindSafe(|| body(&mut *state, quarantined))) {
         return Some(v);
     }
@@ -423,7 +439,6 @@ fn supervise<T>(
     if let Some(reg) = &obs {
         reg.worker_panic(w);
     }
-    abort_current_item(state);
     let respawn = match shared.cfg.load().worker_fault {
         WorkerFaultPolicy::Respawn { max_respawns } => state.respawns < max_respawns,
         WorkerFaultPolicy::FailClosed => false,
@@ -441,25 +456,44 @@ fn supervise<T>(
     None
 }
 
-/// Finish `sub` as owner `w` on the calling thread, which holds the
-/// lock on `state`, under the supervisor — a panic costs its datagram a
-/// `Reject` and never unwinds into the caller. `None` only if a panic
-/// took the staged sub-batch with it; the caller then fails its slots
-/// closed.
+/// Finish owner `w`'s share of the batch in flight on the calling
+/// thread, which holds the lock on `state`, under the supervisor — a
+/// panic costs its datagram a `Reject` and never unwinds into the
+/// caller. Always terminates: every panic with a datagram left consumes
+/// that datagram, and one with none left (the pass's tail) is retried
+/// [`TAIL_RETRIES`] times. An owner that still cannot finish fails its
+/// whole share closed — tentative `Pass` buffers go back to the pool and
+/// pending deferred tags are dropped — so nothing escapes unverified.
 pub(super) fn run_inline(
     shared: &HookShared,
     w: usize,
     state: &mut WorkerState,
-    sub: SubBatch,
-) -> Option<SubBatch> {
-    begin_current(state, sub);
-    while state.current.is_some() {
-        let pass = |st: &mut WorkerState, rej| finish_current(shared, w, st, rej);
-        if let Some(fin) = supervise(shared, w, state, pass) {
-            return fin;
+    flight: &mut Flight<'_>,
+) {
+    let start = flight.run.next;
+    let mut tail_panics = 0;
+    while tail_panics < TAIL_RETRIES {
+        let pass = |st: &mut WorkerState, rej| finish_current(shared, w, st, flight, rej);
+        if supervise(shared, w, state, pass).is_some() {
+            return;
+        }
+        if flight.run.next < flight.run.ends[w] {
+            abort_current_item(flight);
+        } else {
+            tail_panics += 1;
         }
     }
-    None
+    state.auth = BatchAuth::default();
+    for &i in &flight.run.order[start..flight.run.ends[w]] {
+        // A parked datagram is held by its queue; that verdict stands.
+        if matches!(flight.out[i].1, HookOutcome::Park) {
+            continue;
+        }
+        let reject = HookOutcome::Reject("worker runtime unavailable".into());
+        if let HookOutcome::Pass(buf) = std::mem::replace(&mut flight.out[i].1, reject) {
+            flight.pool.put(buf);
+        }
+    }
 }
 
 impl HookShared {

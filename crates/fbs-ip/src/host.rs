@@ -7,7 +7,7 @@
 
 use crate::hooks::{FbsIpHooks, IpMappingConfig};
 use fbs_cert::{CertificateAuthority, Directory, Pvc};
-use fbs_core::{FbsConfig, FbsEndpoint, ManualClock, MasterKeyDaemon, Principal};
+use fbs_core::{Clock, FbsConfig, FbsEndpoint, ManualClock, MasterKeyDaemon, Principal};
 use fbs_crypto::dh::{DhGroup, PrivateValue};
 use fbs_net::ip::Ipv4Addr;
 use fbs_net::segment::Impairments;
@@ -23,7 +23,7 @@ pub const DEFAULT_MTU: usize = 1500;
 pub(crate) fn build_endpoint(
     addr: Ipv4Addr,
     fbs: FbsConfig,
-    clock: &ManualClock,
+    clock: Arc<dyn Clock>,
     group: &DhGroup,
     ca: &CertificateAuthority,
     directory: &Arc<Directory>,
@@ -46,13 +46,13 @@ pub(crate) fn build_endpoint(
         32,
         Arc::clone(directory) as Arc<dyn fbs_cert::CertSource>,
         ca.verifier(),
-        Arc::new(clock.clone()),
+        Arc::clone(&clock),
     );
     let mkd = MasterKeyDaemon::new(private, Box::new(pvc));
     FbsEndpoint::new(
         principal,
         fbs,
-        Arc::new(clock.clone()),
+        clock,
         seed ^ (addr_hash(addr) << 16) ^ 0x5DEECE66D,
         mkd,
     )
@@ -77,7 +77,7 @@ pub fn build_secure_host(
     seed: u64,
 ) -> (Host, FbsIpHooks) {
     let fbs = cfg.fbs.clone();
-    let endpoint = build_endpoint(addr, fbs, &clock, group, ca, directory, seed);
+    let endpoint = build_endpoint(addr, fbs, Arc::new(clock), group, ca, directory, seed);
     let hooks = FbsIpHooks::new(endpoint, cfg, seed.rotate_left(17) ^ addr_hash(addr));
 
     let mut host = Host::new(addr, mtu);

@@ -337,70 +337,85 @@ impl Host {
         now_us: u64,
     ) -> Vec<Result<()>> {
         // Part 1: assign datagram identifications in submission order.
-        let mut items = items;
-        for (header, _) in &mut items {
-            header.id = self.ip_id;
-            self.ip_id = self.ip_id.wrapping_add(1);
-        }
+        let batch = items
+            .into_iter()
+            .map(|(mut header, payload)| {
+                header.id = self.ip_id;
+                self.ip_id = self.ip_id.wrapping_add(1);
+                Datagram { header, payload }
+            })
+            .collect();
 
         // Security hook between parts 1 and 2 — one call for the whole
         // covered subset, so hooks amortise locking and dispatch.
-        type Staged = (Ipv4Header, HookOutcome);
-        let mut slots: Vec<Option<Staged>> = items.iter().map(|_| None).collect();
-        match &mut self.hooks {
-            Some(h) => {
-                let mut batch = Vec::new();
-                let mut batch_idx = Vec::new();
-                for (i, (header, payload)) in items.into_iter().enumerate() {
-                    if h.covers(header.proto) {
-                        batch_idx.push(i);
-                        batch.push(Datagram { header, payload });
-                    } else {
-                        slots[i] = Some((header, HookOutcome::Pass(payload)));
-                    }
-                }
-                if !batch.is_empty() {
-                    if let Some(reg) = &self.obs {
-                        reg.incr(Counter::PipelineOutputBatches);
-                        reg.add(Counter::PipelineBatchDatagrams, batch.len() as u64);
-                    }
-                    let staged = h.process_batch(Direction::Output, batch, &mut self.pool, now_us);
-                    for (i, s) in batch_idx.into_iter().zip(staged) {
-                        if let HookOutcome::Pass(payload) = &s.1 {
-                            // A protected payload leads with its sfl:
-                            // the wire span marks the flow leaving this
-                            // host for the medium.
-                            trace_wire_span(&self.obs, self.addr, SpanKind::Wire, now_us, payload);
-                        }
-                        slots[i] = Some(s);
-                    }
-                }
-            }
-            None => {
-                for (i, (header, payload)) in items.into_iter().enumerate() {
-                    slots[i] = Some((header, HookOutcome::Pass(payload)));
-                }
+        let (staged, hooked) = self.through_hooks(Direction::Output, batch, now_us);
+        for &i in &hooked {
+            if let HookOutcome::Pass(payload) = &staged[i].1 {
+                // A protected payload leads with its sfl: the wire span
+                // marks the flow leaving this host for the medium.
+                trace_wire_span(&self.obs, self.addr, SpanKind::Wire, now_us, payload);
             }
         }
 
         // Parts 2-3 per datagram, preserving submission order.
-        slots
+        staged
             .into_iter()
-            .map(|slot| {
-                let (header, res) = slot.expect("every datagram staged exactly once");
-                match res {
-                    HookOutcome::Pass(payload) => self.fragment_and_send(header, payload),
-                    HookOutcome::Reject(why) => {
-                        self.stats.hook_output_rejects += 1;
-                        Err(NetError::SecurityReject(why))
-                    }
-                    HookOutcome::Park => {
-                        self.stats.hook_output_parked += 1;
-                        Ok(())
-                    }
+            .map(|(header, res)| match res {
+                HookOutcome::Pass(payload) => self.fragment_and_send(header, payload),
+                HookOutcome::Reject(why) => {
+                    self.stats.hook_output_rejects += 1;
+                    Err(NetError::SecurityReject(why))
+                }
+                HookOutcome::Park => {
+                    self.stats.hook_output_parked += 1;
+                    Ok(())
                 }
             })
             .collect()
+    }
+
+    /// The hook step of both directions: ONE
+    /// [`SecurityHooks::process_batch`] call for the covered subset of
+    /// `items`; uncovered datagrams — all of them on a host without
+    /// hooks — pass as they are. Returns the verdicts in `items`' order,
+    /// and the indices of those the hooks gave.
+    fn through_hooks(
+        &mut self,
+        dir: Direction,
+        items: Vec<Datagram>,
+        now_us: u64,
+    ) -> (Vec<(Ipv4Header, HookOutcome)>, Vec<usize>) {
+        let mut out = Vec::with_capacity(items.len());
+        let mut batch = Vec::new();
+        let mut hooked = Vec::new();
+        for (i, dg) in items.into_iter().enumerate() {
+            if self
+                .hooks
+                .as_ref()
+                .is_some_and(|h| h.covers(dg.header.proto))
+            {
+                // Fail-closed until the hooks answer for it.
+                out.push((dg.header.clone(), HookOutcome::Reject(String::new())));
+                hooked.push(i);
+                batch.push(dg);
+            } else {
+                out.push((dg.header, HookOutcome::Pass(dg.payload)));
+            }
+        }
+        if let (Some(h), false) = (&mut self.hooks, batch.is_empty()) {
+            if let Some(reg) = &self.obs {
+                reg.incr(match dir {
+                    Direction::Output => Counter::PipelineOutputBatches,
+                    Direction::Input => Counter::PipelineInputBatches,
+                });
+                reg.add(Counter::PipelineBatchDatagrams, batch.len() as u64);
+            }
+            let staged = h.process_batch(dir, batch, &mut self.pool, now_us);
+            for (&i, s) in hooked.iter().zip(staged) {
+                out[i] = s;
+            }
+        }
+        (out, hooked)
     }
 
     /// Parts 2 (fragmentation) and 3 (transmission) of IP output.
@@ -492,68 +507,34 @@ impl Host {
         if ready.is_empty() {
             return;
         }
-        type Staged = (Ipv4Header, HookOutcome);
-        let mut slots: Vec<Option<Staged>> = ready.iter().map(|_| None).collect();
-        match &mut self.hooks {
-            Some(h) => {
-                let mut batch = Vec::new();
-                let mut batch_idx = Vec::new();
-                for (i, dg) in ready.into_iter().enumerate() {
-                    if h.covers(dg.header.proto) {
-                        batch_idx.push(i);
-                        batch.push(dg);
-                    } else {
-                        slots[i] = Some((dg.header, HookOutcome::Pass(dg.payload)));
-                    }
-                }
-                if !batch.is_empty() {
-                    if let Some(reg) = &self.obs {
-                        reg.incr(Counter::PipelineInputBatches);
-                        reg.add(Counter::PipelineBatchDatagrams, batch.len() as u64);
-                    }
-                    // Pre-capture each covered datagram's wire sfl: the
-                    // opened plaintext no longer carries it, and the
-                    // deliver span must join the flow keyed by the wire
-                    // label. Only paid when a tracer is attached.
-                    let batch_sfls: Option<Vec<u64>> =
-                        self.obs.as_ref().and_then(|r| r.tracer()).map(|_| {
-                            batch
-                                .iter()
-                                .map(|dg| {
-                                    dg.payload.get(..8).map_or(0, |b| {
-                                        u64::from_be_bytes(b.try_into().expect("8 bytes"))
-                                    })
-                                })
-                                .collect()
+        // Pre-capture each datagram's wire sfl: the opened plaintext no
+        // longer carries it, and the deliver span must join the flow
+        // keyed by the wire label. Only paid when a tracer is attached.
+        let tracer = self.obs.as_ref().and_then(|r| r.tracer()).cloned();
+        let sfls: Option<Vec<u64>> = tracer.as_ref().map(|_| {
+            let sfl = |dg: &Datagram| {
+                let lead = dg.payload.get(..8);
+                lead.map_or(0, |b| u64::from_be_bytes(b.try_into().expect("8 bytes")))
+            };
+            ready.iter().map(sfl).collect()
+        });
+        let (staged, hooked) = self.through_hooks(Direction::Input, ready, now_us);
+        if let (Some(tracer), Some(sfls)) = (tracer, sfls) {
+            for &i in &hooked {
+                if let HookOutcome::Pass(payload) = &staged[i].1 {
+                    if sfls[i] != 0 && tracer.sampled(sfls[i]) {
+                        tracer.record(TraceSpan {
+                            sfl: sfls[i],
+                            host: u32::from_be_bytes(self.addr),
+                            kind: SpanKind::Deliver,
+                            t_us: now_us,
+                            info: payload.len() as u64,
                         });
-                    let staged = h.process_batch(Direction::Input, batch, &mut self.pool, now_us);
-                    for (bi, (i, s)) in batch_idx.into_iter().zip(staged).enumerate() {
-                        if let (Some(sfls), HookOutcome::Pass(payload)) = (&batch_sfls, &s.1) {
-                            if let Some(tracer) = self.obs.as_ref().and_then(|r| r.tracer()) {
-                                let sfl = sfls[bi];
-                                if sfl != 0 && tracer.sampled(sfl) {
-                                    tracer.record(TraceSpan {
-                                        sfl,
-                                        host: u32::from_be_bytes(self.addr),
-                                        kind: SpanKind::Deliver,
-                                        t_us: now_us,
-                                        info: payload.len() as u64,
-                                    });
-                                }
-                            }
-                        }
-                        slots[i] = Some(s);
                     }
-                }
-            }
-            None => {
-                for (i, dg) in ready.into_iter().enumerate() {
-                    slots[i] = Some((dg.header, HookOutcome::Pass(dg.payload)));
                 }
             }
         }
-        for slot in slots {
-            let (header, res) = slot.expect("every datagram staged exactly once");
+        for (header, res) in staged {
             match res {
                 HookOutcome::Pass(payload) => self.dispatch(header, payload, now_us),
                 HookOutcome::Reject(_) => {

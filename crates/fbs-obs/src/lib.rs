@@ -20,7 +20,7 @@
 //!   the same counter namespace);
 //! * **stage spans** ([`Stage`]) — per-stage log2 nanosecond latency
 //!   histograms over the batch pipeline (partition, seal/open,
-//!   batch verify, keying, park/release, dispatch) plus a per-worker
+//!   batch verify, keying, park/release) plus a per-worker
 //!   occupancy table, recorded with two relaxed `fetch_add`s and no
 //!   allocation;
 //! * a **flow tracer** ([`FlowTracer`]) — deterministic sfl-sampled

@@ -26,7 +26,8 @@ pub const MAX_WORKERS: usize = 64;
 /// `stage.<name>_ns` in snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Splitting a submitted batch into per-owner sub-batches.
+    /// Staging a submitted batch and its verdict ledger, and grouping
+    /// the datagrams by owner.
     Partition,
     /// The seal crypto core: MAC + optional encrypt on output.
     Seal,
@@ -43,13 +44,10 @@ pub enum Stage {
     Park,
     /// A release pass over a parking queue (expiry sweep + retries).
     Release,
-    /// Re-threading per-owner outcomes back into submission order and
-    /// returning them to the stack.
-    Dispatch,
 }
 
 /// Number of instrumented stages.
-pub(crate) const NUM_STAGES: usize = 8;
+pub(crate) const NUM_STAGES: usize = 7;
 
 impl Stage {
     /// All stages, in pipeline order.
@@ -61,7 +59,6 @@ impl Stage {
         Stage::KeyDerive,
         Stage::Park,
         Stage::Release,
-        Stage::Dispatch,
     ];
 
     /// Snake-case stage name used in snapshot keys (`stage.<name>_ns`).
@@ -74,7 +71,6 @@ impl Stage {
             Stage::KeyDerive => "key_derive",
             Stage::Park => "park",
             Stage::Release => "release",
-            Stage::Dispatch => "dispatch",
         }
     }
 
