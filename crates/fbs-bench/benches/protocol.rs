@@ -79,8 +79,8 @@ fn bench_lookup_paths(c: &mut Criterion) {
     let mut combined = CombinedTable::new(64, 600, SflAllocator::new(1));
     combined
         .lookup(tuple, 0, |sfl| {
-            Ok::<_, ()>(Arc::new(SealedFlowKey::seal(FlowKey(
-                sfl.to_be_bytes().repeat(2),
+            Ok::<_, ()>(Arc::new(SealedFlowKey::seal(FlowKey::new(
+                &sfl.to_be_bytes().repeat(2),
             ))))
         })
         .unwrap();
@@ -88,8 +88,8 @@ fn bench_lookup_paths(c: &mut Criterion) {
         b.iter(|| {
             combined
                 .lookup(black_box(tuple), 1, |sfl| {
-                    Ok::<_, ()>(Arc::new(SealedFlowKey::seal(FlowKey(
-                        sfl.to_be_bytes().repeat(2),
+                    Ok::<_, ()>(Arc::new(SealedFlowKey::seal(FlowKey::new(
+                        &sfl.to_be_bytes().repeat(2),
                     ))))
                 })
                 .unwrap()
@@ -102,7 +102,7 @@ fn bench_lookup_paths(c: &mut Criterion) {
         fbs_core::SoftCache::new(64, 1, |k: &u64| fbs_crypto::crc32(&k.to_be_bytes()));
     let attrs: Vec<u8> = b"10.0.0.1:4321->10.0.0.2:53/17".to_vec();
     let class = fam.classify(attrs.clone(), 0, 100);
-    tfkc.insert(class.sfl, FlowKey(vec![0; 16]));
+    tfkc.insert(class.sfl, FlowKey::new(&[0; 16]));
     g.bench_function("separate-fam-then-tfkc", |b| {
         b.iter(|| {
             let class = fam.classify(black_box(attrs.clone()), 1, 100);

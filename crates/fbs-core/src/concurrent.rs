@@ -180,7 +180,7 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
 /// concurrently — the paper's amortisation argument would be defeated
 /// by a thundering herd of modular exponentiations.
 pub struct KeyingService {
-    mkc: ShardedCache<Principal, Vec<u8>>,
+    mkc: ShardedCache<Principal, Arc<[u8]>>,
     mkd: Mutex<MasterKeyDaemon>,
     mkd_stats: AtomicMkdStats,
     obs: Mutex<Option<Arc<MetricsRegistry>>>,
@@ -211,7 +211,8 @@ impl KeyingService {
 
     /// Pair master key via the MKC, upcalling the MKD on a miss
     /// (Fig. 6). Thread-safe; at most one upcall per peer under races.
-    pub fn master_key(&self, peer: &Principal) -> Result<Vec<u8>> {
+    /// Every caller shares the one cached copy: a hit is a refcount bump.
+    pub fn master_key(&self, peer: &Principal) -> Result<Arc<[u8]>> {
         if let Some(k) = self.mkc.get(peer) {
             return Ok(k);
         }
@@ -231,7 +232,8 @@ impl KeyingService {
         self.mkd_stats.publish(&mkd.stats());
         match result {
             Ok(k) => {
-                self.mkc.insert(peer.clone(), k.clone());
+                let k: Arc<[u8]> = k.into();
+                self.mkc.insert(peer.clone(), Arc::clone(&k));
                 Ok(k)
             }
             Err(e) => {
@@ -353,7 +355,7 @@ mod tests {
         let (svc, d, fetches) = service_with_peer();
         let k1 = svc.master_key(&d).unwrap();
         let k2 = svc.master_key(&d).unwrap();
-        assert_eq!(k1, k2);
+        assert!(Arc::ptr_eq(&k1, &k2), "a hit shares the cached key");
         assert_eq!(fetches.load(Ordering::SeqCst), 1, "one upcall, then MKC");
         assert_eq!(svc.mkd_stats().upcalls, 1);
         assert_eq!(svc.mkc_stats().hits, 1);
@@ -366,7 +368,7 @@ mod tests {
     fn keying_service_single_upcall_under_contention() {
         let (svc, d, fetches) = service_with_peer();
         let svc = Arc::new(svc);
-        let keys: Vec<Vec<u8>> = std::thread::scope(|scope| {
+        let keys: Vec<Arc<[u8]>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let svc = Arc::clone(&svc);

@@ -21,7 +21,7 @@ use crate::clock::Clock;
 use crate::error::{FbsError, Result};
 use crate::fam::{Fam, FlowPolicy};
 use crate::header::{EncAlgorithm, HeaderView, SecurityFlowHeader, FIXED_PREFIX_LEN};
-use crate::keying::{derive_flow_key, KeyDerivation, SealedFlowKey};
+use crate::keying::{derive_flow_key, DesMaterial, KeyDerivation, KeyMaterial, SealedFlowKey};
 use crate::mkd::{MasterKeyDaemon, MkdStats};
 use crate::principal::Principal;
 use crate::replay::FreshnessWindow;
@@ -456,9 +456,9 @@ impl FlowCodec {
     ) -> Result<()> {
         let confounder = self.confounder.next_u32();
         let timestamp = self.clock.now_minutes();
-        // Dispatch on the suite sealed into the key (falling back to the
-        // config for compatibility keys): the profile travels with the key
-        // schedule, so a worker never branches on mutable config mid-batch.
+        // Dispatch on the suite sealed into the key: the profile travels
+        // with the key material, so a worker never branches on mutable
+        // config mid-batch.
         let suite = key.suite();
         let mac_alg = match suite {
             CipherSuite::AeadChaPoly => MacAlgorithm::Poly1305,
@@ -496,7 +496,6 @@ impl FlowCodec {
         let mac_len = seal_core(
             &self.cfg,
             key,
-            suite,
             sfl,
             confounder,
             timestamp,
@@ -593,7 +592,8 @@ impl FlowCodec {
     }
 
     /// Recover the body into `out` and compute the expected MAC, dispatched
-    /// on the (authenticated) suite id. Returns `None` in NOP-crypto mode
+    /// on the (authenticated) suite id and the key's material, which must
+    /// agree. Returns `None` in NOP-crypto mode
     /// (body recovered, nothing to verify), otherwise the expected tag and
     /// its untruncated length.
     fn open_compute(
@@ -612,9 +612,9 @@ impl FlowCodec {
             return Err(FbsError::BadMac);
         }
         let mut expected = [0u8; MAX_MAC_SIZE];
-        let full = match h.suite {
-            CipherSuite::Paper => {
-                if let Err(e) = open_body_into(h, key, body, out) {
+        let full = match (h.suite, key.material()) {
+            (CipherSuite::Paper, KeyMaterial::Paper(m)) => {
+                if let Err(e) = open_body_into(h, m, key, body, out) {
                     self.note_malformed();
                     return Err(e);
                 }
@@ -630,7 +630,7 @@ impl FlowCodec {
                 ctx.update(out);
                 ctx.finalize_into(&mut expected)
             }
-            CipherSuite::FastDes => {
+            (CipherSuite::FastDes, KeyMaterial::FastDes(m)) => {
                 if !matches!(h.enc_alg, EncAlgorithm::None | EncAlgorithm::DesCtr)
                     || h.plaintext_len as usize != body.len()
                 {
@@ -640,7 +640,7 @@ impl FlowCodec {
                 out.clear();
                 out.extend_from_slice(body);
                 if h.enc_alg == EncAlgorithm::DesCtr {
-                    ctr_xor_at(key.des(), ctr_base(h.confounder, h.timestamp), 0, out);
+                    ctr_xor_at(m.des(), ctr_base(h.confounder, h.timestamp), 0, out);
                 }
                 self.note_decrypted(h);
                 if self.cfg.nop_crypto {
@@ -653,7 +653,7 @@ impl FlowCodec {
                 ctx.update(out);
                 ctx.finalize_into(&mut expected)
             }
-            CipherSuite::AeadChaPoly => {
+            (CipherSuite::AeadChaPoly, KeyMaterial::Aead(chacha)) => {
                 if !matches!(h.enc_alg, EncAlgorithm::None | EncAlgorithm::ChaCha20)
                     || h.plaintext_len as usize != body.len()
                 {
@@ -662,10 +662,7 @@ impl FlowCodec {
                 }
                 out.clear();
                 out.extend_from_slice(body);
-                let cc = ChaCha20::new(
-                    key.chacha_key(),
-                    &aead_nonce(h.sfl, h.confounder, h.timestamp),
-                );
+                let cc = ChaCha20::new(chacha, &aead_nonce(h.sfl, h.confounder, h.timestamp));
                 if self.cfg.nop_crypto {
                     if h.enc_alg == EncAlgorithm::ChaCha20 {
                         cc.xor_keystream(1, out);
@@ -686,6 +683,14 @@ impl FlowCodec {
                 }
                 self.note_decrypted(h);
                 16
+            }
+            // A key sealed for another suite than the endpoint's: keys
+            // are sealed under the endpoint's own config, so only a
+            // caller handing in a foreign key gets here. It opens
+            // nothing, like a frame naming the wrong suite.
+            _ => {
+                self.note_mac_drop();
+                return Err(FbsError::BadMac);
             }
         };
         Ok(Some((expected, full)))
@@ -747,7 +752,7 @@ pub struct FbsEndpoint {
     codec: FlowCodec,
     seed: u64,
     mkd: MasterKeyDaemon,
-    mkc: SoftCache<Principal, Vec<u8>>,
+    mkc: SoftCache<Principal, Arc<[u8]>>,
     tfkc: SoftCache<FlowKeyId, Arc<SealedFlowKey>>,
     rfkc: SoftCache<FlowKeyId, Arc<SealedFlowKey>>,
     /// Optional metrics registry; `None` (the default) keeps the datagram
@@ -816,15 +821,15 @@ impl FbsEndpoint {
     }
 
     /// Pair master key via MKC, upcalling the MKD on a miss (Fig. 6).
-    fn master_key(&mut self, peer: &Principal) -> Result<Vec<u8>> {
+    fn master_key(&mut self, peer: &Principal) -> Result<Arc<[u8]>> {
         if let Some(k) = self.mkc.get(peer) {
             return Ok(k);
         }
         if let Some(reg) = &self.obs {
             reg.incr(Counter::MkdUpcalls);
         }
-        let k = match self.mkd.master_key(peer) {
-            Ok(k) => k,
+        let k: Arc<[u8]> = match self.mkd.master_key(peer) {
+            Ok(k) => k.into(),
             Err(e) => {
                 if let Some(reg) = &self.obs {
                     reg.incr(Counter::MkdFailures);
@@ -832,13 +837,13 @@ impl FbsEndpoint {
                 return Err(e);
             }
         };
-        self.mkc.insert(peer.clone(), k.clone());
+        self.mkc.insert(peer.clone(), Arc::clone(&k));
         Ok(k)
     }
 
     /// Transmit-side flow key via TFKC (Fig. 6, replacing Fig. 4 line S3).
     /// A hit is an `Arc` refcount bump — no key bytes are copied and the
-    /// cached DES key schedule rides along.
+    /// key material its suite reads rides along.
     fn flow_key_tx(&mut self, sfl: u64, destination: &Principal) -> Result<Arc<SealedFlowKey>> {
         let id = (sfl, destination.clone(), self.codec.local.clone());
         if let Some(k) = self.tfkc.get_ref(&id) {
@@ -892,8 +897,8 @@ impl FbsEndpoint {
     /// Derive a transmit flow key WITHOUT consulting the TFKC. Used by the
     /// combined FST/TFKC optimisation of §7.2, where the caller keeps the
     /// flow key in its own merged table and only needs the derivation
-    /// (MKC → MKD upcall → hash). The returned key carries its expanded
-    /// DES schedule, so the caller's table amortises subkey expansion too.
+    /// (MKC → MKD upcall → hash). The returned key carries its suite's
+    /// expanded material, so the caller's table amortises that too.
     pub fn derive_flow_key_tx(
         &mut self,
         sfl: u64,
@@ -1098,20 +1103,20 @@ impl FbsEndpoint {
     }
 }
 
-/// The cipher a flow key materialises into, per the header's algorithm-ID.
-/// Borrows the key schedule cached inside [`SealedFlowKey`], so selecting a
-/// cipher costs nothing per datagram.
+/// The cipher a DES-suite flow key materialises into, per the header's
+/// algorithm-ID. Borrows the schedule cached in the key's
+/// [`DesMaterial`], so selecting a cipher costs nothing per datagram.
 enum FlowCipher<'a> {
     Single(&'a Des),
     Triple(&'a TripleDes),
 }
 
 impl<'a> FlowCipher<'a> {
-    fn for_alg(alg: EncAlgorithm, key: &'a SealedFlowKey) -> FlowCipher<'a> {
+    fn for_alg(alg: EncAlgorithm, m: &'a DesMaterial, key: &SealedFlowKey) -> FlowCipher<'a> {
         if alg.is_triple() {
-            FlowCipher::Triple(key.tdea())
+            FlowCipher::Triple(m.tdea(key.key()))
         } else {
-            FlowCipher::Single(key.des())
+            FlowCipher::Single(m.des())
         }
     }
 }
@@ -1159,13 +1164,13 @@ const CTR_FUSE_CHUNK: usize = 256;
 /// `body[..plaintext_len]` holds the plaintext, the remainder (zeroed
 /// padding, present only when a block cipher is selected) completes the
 /// final block. The MAC lands in `mac_out`; the untruncated length is
-/// returned. Dispatch is per [`CipherSuite`]; the paper suite's output is
-/// bit-identical to the pre-suite implementation.
+/// returned. Dispatch is on the key's material, i.e. its
+/// [`CipherSuite`]; the paper suite's output is bit-identical to the
+/// pre-suite implementation.
 #[allow(clippy::too_many_arguments)]
 fn seal_core(
     cfg: &FbsConfig,
     key: &SealedFlowKey,
-    suite: CipherSuite,
     sfl: u64,
     confounder: u32,
     timestamp: u32,
@@ -1182,15 +1187,15 @@ fn seal_core(
         return out_len;
     }
 
-    match suite {
-        CipherSuite::Paper => {}
-        CipherSuite::FastDes => {
+    let m = match key.material() {
+        KeyMaterial::Paper(m) => m,
+        KeyMaterial::FastDes(m) => {
             // Fast profile: prefix-keyed MAC (cached key prefix) over
             // suite | confounder | timestamp | plaintext, fused with the
             // 4-wide DES-CTR keystream XOR in one pass over the data.
             debug_assert_eq!(body.len(), plaintext_len);
             let mut ctx = key.mac_begin(mac_alg);
-            ctx.update(&[suite.wire_id()]);
+            ctx.update(&[CipherSuite::FastDes.wire_id()]);
             ctx.update(&confounder.to_be_bytes());
             ctx.update(&timestamp.to_be_bytes());
             if enc_alg == EncAlgorithm::DesCtr {
@@ -1201,7 +1206,7 @@ fn seal_core(
                     let chunk = &mut body[off..off + n];
                     // Plaintext enters the MAC, then is encrypted in place.
                     ctx.update(chunk);
-                    ctr_xor_at(key.des(), base, (off / BLOCK_SIZE) as u64, chunk);
+                    ctr_xor_at(m.des(), base, (off / BLOCK_SIZE) as u64, chunk);
                     off += n;
                 }
             } else {
@@ -1209,24 +1214,24 @@ fn seal_core(
             }
             return ctx.finalize_into(mac_out);
         }
-        CipherSuite::AeadChaPoly => {
+        KeyMaterial::Aead(chacha) => {
             // AEAD profile: ChaCha20 from keystream block 1, Poly1305 tag
             // (one-time key from block 0) over suite | confounder |
             // timestamp | ciphertext — encrypt-then-MAC per RFC 8439.
             debug_assert_eq!(body.len(), plaintext_len);
-            let cc = ChaCha20::new(key.chacha_key(), &aead_nonce(sfl, confounder, timestamp));
+            let cc = ChaCha20::new(chacha, &aead_nonce(sfl, confounder, timestamp));
             if enc_alg == EncAlgorithm::ChaCha20 {
                 cc.xor_keystream(1, body);
             }
             let mut p = Poly1305::new(&cc.poly1305_key());
-            p.update(&[suite.wire_id()]);
+            p.update(&[CipherSuite::AeadChaPoly.wire_id()]);
             p.update(&confounder.to_be_bytes());
             p.update(&timestamp.to_be_bytes());
             p.update(body);
             mac_out[..Poly1305::TAG_LEN].copy_from_slice(&p.finalize());
             return Poly1305::TAG_LEN;
         }
-    }
+    };
 
     let Some(mode) = enc_alg.des_mode() else {
         // MAC-only path: single data touch by construction.
@@ -1239,7 +1244,7 @@ fn seal_core(
     };
 
     debug_assert_eq!(body.len(), padded_len(plaintext_len));
-    let des = FlowCipher::for_alg(enc_alg, key);
+    let des = FlowCipher::for_alg(enc_alg, m, key);
     let iv = ((confounder as u64) << 32) | confounder as u64;
     if !cfg.single_pass {
         // Two-pass ablation: MAC sweep, then encryption sweep.
@@ -1270,10 +1275,11 @@ fn seal_core(
     ctx.finalize_into(mac_out)
 }
 
-/// Recover the plaintext body into `out` (decrypting in place inside `out`
-/// if needed) and validate framing.
+/// Recover a paper-suite body into `out` (decrypting in place inside
+/// `out` if needed) and validate framing.
 fn open_body_into(
     h: &HeaderView<'_>,
+    m: &DesMaterial,
     key: &SealedFlowKey,
     body: &[u8],
     out: &mut Vec<u8>,
@@ -1295,7 +1301,7 @@ fn open_body_into(
             {
                 return Err(FbsError::MalformedCiphertext);
             }
-            let des = FlowCipher::for_alg(h.enc_alg, key);
+            let des = FlowCipher::for_alg(h.enc_alg, m, key);
             out.clear();
             out.extend_from_slice(body);
             decrypt_in_place(&des, h.iv64(), mode, out);

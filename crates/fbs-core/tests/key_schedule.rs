@@ -2,16 +2,23 @@
 //! cached inside `SealedFlowKey`, subkey expansion runs once per flow (per
 //! side), not once per datagram.
 //!
+//! A key sealed for a suite that reads no DES schedule builds none.
+//!
 //! This lives in its own integration-test binary because it asserts exact
 //! deltas of the process-global schedule counter in `fbs-crypto`; sharing a
-//! process with other tests would race it.
+//! process with other tests would race it. The tests here take `SERIAL`
+//! for the same reason.
 
 use fbs_core::{
-    Datagram, FbsConfig, FbsEndpoint, ManualClock, MasterKeyDaemon, PinnedDirectory, Principal,
+    derive_flow_key, Datagram, EncAlgorithm, FbsConfig, FbsEndpoint, KeyDerivation, ManualClock,
+    MasterKeyDaemon, PinnedDirectory, Principal, SealedFlowKey,
 };
 use fbs_crypto::des::key_schedule_count;
 use fbs_crypto::dh::{DhGroup, PrivateValue};
-use std::sync::Arc;
+use fbs_crypto::{CipherSuite, MacAlgorithm};
+use std::sync::{Arc, Mutex};
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn endpoint_pair() -> (FbsEndpoint, FbsEndpoint) {
     let clock = ManualClock::starting_at(1_000_000);
@@ -43,6 +50,7 @@ fn endpoint_pair() -> (FbsEndpoint, FbsEndpoint) {
 
 #[test]
 fn des_subkey_expansion_runs_once_per_flow_not_per_datagram() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (mut s, mut d) = endpoint_pair();
     let dgram = |i: u32| {
         Datagram::new(
@@ -81,4 +89,24 @@ fn des_subkey_expansion_runs_once_per_flow_not_per_datagram() {
     let pd = s.send(43, dgram(100), true).unwrap();
     d.receive(pd).unwrap();
     assert!(key_schedule_count() - before_new >= 2);
+}
+
+#[test]
+fn an_aead_flow_birth_builds_no_des_schedule() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (s, d) = (Principal::named("S"), Principal::named("D"));
+    let before = key_schedule_count();
+    let key = derive_flow_key(KeyDerivation::Md5, 9, b"master", &s, &d);
+    let sealed = SealedFlowKey::seal_for(
+        key,
+        CipherSuite::AeadChaPoly,
+        MacAlgorithm::Poly1305,
+        EncAlgorithm::ChaCha20,
+    );
+    assert!(sealed.chacha_key().is_some());
+    assert_eq!(
+        key_schedule_count(),
+        before,
+        "the AEAD suite reads no DES schedule, so sealing must build none"
+    );
 }

@@ -29,7 +29,7 @@ struct Entry {
 pub struct CombinedHit {
     /// The flow's sfl.
     pub sfl: u64,
-    /// The flow key to use, with its DES schedule pre-expanded; cloning is
+    /// The flow key to use, with its suite's key material pre-expanded; cloning is
     /// a refcount bump.
     pub key: Arc<SealedFlowKey>,
     /// True when this datagram started a new flow (key was derived).
@@ -84,6 +84,10 @@ pub struct CombinedTable {
 }
 
 impl CombinedTable {
+    /// Bytes one slot occupies, empty or not — the table's resident floor
+    /// per slot.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<Entry>>();
+
     /// Create a table with `size` direct-mapped slots and the given
     /// THRESHOLD.
     ///
@@ -281,8 +285,8 @@ mod tests {
     }
 
     fn fake_key(sfl: u64) -> Result<Arc<SealedFlowKey>, ()> {
-        Ok(Arc::new(SealedFlowKey::seal(FlowKey(
-            sfl.to_be_bytes().repeat(2),
+        Ok(Arc::new(SealedFlowKey::seal(FlowKey::new(
+            &sfl.to_be_bytes().repeat(2),
         ))))
     }
 

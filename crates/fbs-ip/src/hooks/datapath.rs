@@ -12,8 +12,7 @@ use crate::tuple::FiveTuple;
 use fbs_core::header::HeaderView;
 use fbs_core::{
     derive_flow_key, BatchVerifier, BudgetKind, BufferPool, FbsError, FlowCodec, FlowKeyId,
-    FstEntry, KeyUnavailableVerdict, Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator,
-    SoftCache,
+    KeyUnavailableVerdict, Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
 };
 use fbs_crypto::{crc32, CipherSuite};
 use fbs_net::ip::Proto;
@@ -32,23 +31,27 @@ const SHARD_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 /// or confounder bytes from its previous life.
 const GENERATION_MIX: u64 = 0xD1B5_4A32_D192_ED03;
 
-/// Estimated resident bytes per flow-key cache entry, charged against
-/// the shard's [`MemoryBudget`]: the SoA slot (key + value `Arc` + LRU
-/// tick + control byte) plus the [`SealedFlowKey`] allocation the `Arc`
-/// points at. An estimate is the right tool — the budget bounds
-/// steady-state residency, it is not an allocator.
-const FLOW_KEY_ENTRY_BYTES: u64 = (std::mem::size_of::<Option<FlowKeyId>>()
-    + std::mem::size_of::<Option<Arc<SealedFlowKey>>>()
-    + std::mem::size_of::<u64>()
-    + 1
-    + std::mem::size_of::<SealedFlowKey>()) as u64;
+/// Resident bytes per receive flow-key cache entry under `suite`,
+/// charged against the shard's [`MemoryBudget`]: the SoA slot (key +
+/// value `Arc` + LRU tick + control byte) plus the allocation the `Arc`
+/// points at — the key and, for the DES suites, its boxed schedules
+/// ([`SealedFlowKey::arc_bytes`]). Allocator rounding is not counted: the
+/// budget bounds steady-state residency, it is not an allocator.
+pub(super) fn flow_key_entry_bytes(suite: CipherSuite) -> u64 {
+    (std::mem::size_of::<Option<FlowKeyId>>()
+        + std::mem::size_of::<Option<Arc<SealedFlowKey>>>()
+        + std::mem::size_of::<u64>()
+        + 1
+        + SealedFlowKey::arc_bytes(suite)) as u64
+}
 
-/// Static bytes one shard's FST-shaped table occupies (the §7.2
-/// combined table keeps `fst_size` slots resident whether or not flows
-/// occupy them), charged up front under [`BudgetKind::Fam`] so
-/// `mem.shard.<i>.*` reflects the real floor.
-fn fst_static_bytes(fst_size: usize) -> u64 {
-    (fst_size * std::mem::size_of::<Option<FstEntry<FiveTuple>>>()) as u64
+/// Static bytes one shard's combined table occupies (the §7.2 table
+/// keeps `fst_size` slots resident whether or not flows occupy them),
+/// charged up front under [`BudgetKind::Fam`] so `mem.shard.<i>.*`
+/// reflects the real floor. The keys occupied slots point at are not
+/// charged (DESIGN.md, "Memory & Scale").
+pub(super) fn fst_static_bytes(fst_size: usize) -> u64 {
+    (fst_size * CombinedTable::SLOT_BYTES) as u64
 }
 
 /// One shard's slice of the mutable flow state, reachable only through
@@ -123,7 +126,11 @@ impl HookShared {
         let budget = self.budgets[si].clone();
         budget.reset();
         budget.charge(BudgetKind::Fam, fst_static_bytes(cfg.fst_size));
-        rfkc.set_budget(budget, BudgetKind::Rfkc, FLOW_KEY_ENTRY_BYTES);
+        rfkc.set_budget(
+            budget,
+            BudgetKind::Rfkc,
+            flow_key_entry_bytes(self.ep_cfg.suite),
+        );
         Shard {
             local: si / self.n_workers,
             codec,
@@ -280,9 +287,9 @@ fn derive_key(
     let t0 = obs.as_ref().map(|_| shared.clock.now_micros());
     let timer = obs.as_ref().map(|_| StageTimer::start());
     let master = shared.keying.master_key(peer)?;
-    // seal_for (via seal_key) pre-builds every schedule the configured
-    // suite needs — TDEA subkeys, the ChaCha key, the cached MAC key
-    // prefix — so the per-datagram path never initializes lazily.
+    // seal_for (via seal_key) pre-builds the material the configured
+    // suite reads — the ChaCha key, or the DES schedules and the cached
+    // MAC key prefix — so the per-datagram path never initializes lazily.
     let k = Arc::new(shared.ep_cfg.seal_key(derive_flow_key(
         shared.ep_cfg.key_derivation,
         sfl,
