@@ -16,7 +16,7 @@ use fbs_core::{
 };
 use fbs_crypto::{crc32, CipherSuite};
 use fbs_net::ip::Proto;
-use fbs_net::{HookOutcome, Ipv4Header};
+use fbs_net::{HookOutcome, Ipv4Header, RejectReason};
 use fbs_obs::{
     CacheKind, Counter, Direction, Event, MetricsRegistry, SpanKind, Stage, StageTimer, TraceSpan,
 };
@@ -462,7 +462,6 @@ fn park_or_reject(
     header: &Ipv4Header,
     payload: Vec<u8>,
     pool: &mut BufferPool,
-    e: &FbsError,
 ) -> HookOutcome {
     let obs = pass.obs;
     let sfl = wire_sfl(&payload);
@@ -482,8 +481,23 @@ fn park_or_reject(
             pool.put(payload);
             record(obs, Event::ParkOverflow);
             pass.shared.exit(obs, dir, false);
-            HookOutcome::Reject(format!("park queue full: {e}"))
+            HookOutcome::Reject(RejectReason::ParkQueueFull)
         }
+    }
+}
+
+/// The stack's name for why `e` rejects a datagram.
+fn reject_reason(e: &FbsError) -> RejectReason {
+    match e {
+        FbsError::StaleTimestamp { .. } => RejectReason::Stale,
+        FbsError::BadMac => RejectReason::BadMac,
+        FbsError::MalformedHeader(_) => RejectReason::MalformedHeader,
+        FbsError::UnknownAlgorithm(_) => RejectReason::UnknownAlgorithm,
+        FbsError::MalformedCiphertext => RejectReason::MalformedCiphertext,
+        FbsError::PrincipalUnknown(_)
+        | FbsError::CertificateInvalid(_)
+        | FbsError::Transport(_)
+        | FbsError::CircuitOpen(_) => RejectReason::KeyUnavailable,
     }
 }
 
@@ -502,7 +516,7 @@ fn reject(
         pass.shared.degraded(pass.obs, dir, false);
     }
     pass.shared.exit(pass.obs, dir, false);
-    HookOutcome::Reject(e.to_string())
+    HookOutcome::Reject(reject_reason(e))
 }
 
 /// Output verdict wrapper: protect, and on a *key-unavailable* failure
@@ -534,7 +548,7 @@ pub(super) fn output_item(
             HookOutcome::Pass(payload)
         }
         Err(e) if e.is_key_unavailable() && verdict == KeyUnavailableVerdict::Park => {
-            park_or_reject(pass, shard, dir, header, payload, pool, &e)
+            park_or_reject(pass, shard, dir, header, payload, pool)
         }
         Err(e) => reject(pass, dir, payload, pool, &e),
     }
@@ -581,7 +595,7 @@ pub(super) fn input_item(
             HookOutcome::Pass(payload)
         }
         Err(e) if e.is_key_unavailable() && verdict == KeyUnavailableVerdict::Park => {
-            park_or_reject(pass, shard, dir, header, payload, pool, &e)
+            park_or_reject(pass, shard, dir, header, payload, pool)
         }
         Err(e) => reject(pass, dir, payload, pool, &e),
     }
@@ -657,10 +671,7 @@ pub(super) fn resolve_batch_auth(
         }
         if auth.failed.contains(&d.idx) {
             codec.note_deferred_mac_drop();
-            let old = std::mem::replace(
-                verdict,
-                HookOutcome::Reject("bad MAC (batch verify)".into()),
-            );
+            let old = std::mem::replace(verdict, HookOutcome::Reject(RejectReason::BadMac));
             if let HookOutcome::Pass(body) = old {
                 pool.put(body);
             }

@@ -6,6 +6,7 @@ use fbs_core::{Clock, KeyUnavailableVerdict, ManualClock};
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::CipherSuite;
 use fbs_net::ip::Ipv4Addr;
+use fbs_net::RejectReason;
 use std::time::Duration;
 
 const A: Ipv4Addr = [10, 9, 0, 1];
@@ -139,7 +140,10 @@ fn key_unavailable_fails_closed_by_default() {
     let reg = observe(&hooks);
     let (mut header, payload) = udp_datagram(A, B);
     let out = hooks.output(&mut header, payload, 1_000);
-    assert!(matches!(out, HookOutcome::Reject(_)), "{out:?}");
+    assert!(
+        matches!(out, HookOutcome::Reject(RejectReason::KeyUnavailable)),
+        "{out:?}"
+    );
     let s = hooks.stats();
     assert_eq!(s.fail_closed, 1);
     assert_eq!(s.output_errors, 1);
@@ -171,7 +175,10 @@ fn fail_open_downgrades_to_fail_closed_under_encryption() {
     let reg = observe(&hooks);
     let (mut header, payload) = udp_datagram(A, B);
     let out = hooks.output(&mut header, payload, 1_000);
-    assert!(matches!(out, HookOutcome::Reject(_)), "{out:?}");
+    assert!(
+        matches!(out, HookOutcome::Reject(RejectReason::KeyUnavailable)),
+        "{out:?}"
+    );
     assert_eq!(hooks.stats().fail_closed, 1);
     assert_eq!(hooks.stats().fail_open, 0);
     assert_ledger_agrees(&reg, &hooks);
@@ -194,29 +201,10 @@ fn fail_open_input_admits_only_unframed_datagrams() {
     assert_ledger_agrees(&reg, &hooks);
 }
 
-#[test]
-fn max_overhead_bounds_sealed_growth_across_the_config_grid() {
-    // The MSS fix reserves `max_overhead()` bytes per segment, so it
-    // must bound what the codec really adds — including where
-    // normalisation clamps the truncation up and where the suite
-    // overrides the configured MAC.
+/// Hooks for every row of the suite × MAC × truncation × encrypt grid,
+/// then one row off its diagonal, each with its name.
+fn for_each_config(world: &World, mut check: impl FnMut(FbsIpHooks, String)) {
     use fbs_crypto::MacAlgorithm;
-    let world = World::new();
-    let _b = world.host(B); // publishes B's certificate
-    let check = |mut hooks: FbsIpHooks, row: String| {
-        // 25 bytes: the worst case for block padding.
-        let (mut header, plain) = udp_datagram(A, B);
-        let sealed = match hooks.output(&mut header, plain.clone(), 1_000) {
-            HookOutcome::Pass(bytes) => bytes,
-            other => panic!("{row}: seal failed: {other:?}"),
-        };
-        assert!(
-            sealed.len() - plain.len() <= hooks.max_overhead(),
-            "{row}: grew {} > reserved {}",
-            sealed.len() - plain.len(),
-            hooks.max_overhead()
-        );
-    };
     for suite in CipherSuite::ALL {
         for mac_alg in [
             MacAlgorithm::KeyedMd5,
@@ -240,7 +228,7 @@ fn max_overhead_bounds_sealed_growth_across_the_config_grid() {
                         ..IpMappingConfig::default()
                     };
                     check(
-                        hooks_with(&world, cfg),
+                        hooks_with(world, cfg),
                         format!("{suite:?} {mac_alg:?} {mac_truncate:?} encrypt={encrypt}"),
                     );
                 }
@@ -270,6 +258,46 @@ fn max_overhead_bounds_sealed_growth_across_the_config_grid() {
 }
 
 #[test]
+fn max_overhead_bounds_sealed_growth_across_the_config_grid() {
+    // The MSS fix reserves `max_overhead()` bytes per segment, so it
+    // must bound what the codec really adds — including where
+    // normalisation clamps the truncation up and where the suite
+    // overrides the configured MAC.
+    let world = World::new();
+    let _b = world.host(B); // publishes B's certificate
+    for_each_config(&world, |mut hooks, row| {
+        // 25 bytes: the worst case for block padding.
+        let (mut header, plain) = udp_datagram(A, B);
+        let sealed = match hooks.output(&mut header, plain.clone(), 1_000) {
+            HookOutcome::Pass(bytes) => bytes,
+            other => panic!("{row}: seal failed: {other:?}"),
+        };
+        assert!(
+            sealed.len() - plain.len() <= hooks.max_overhead(),
+            "{row}: grew {} > reserved {}",
+            sealed.len() - plain.len(),
+            hooks.max_overhead()
+        );
+    });
+}
+
+#[test]
+fn tx_headroom_covers_max_overhead_across_the_config_grid() {
+    // `udp::encode` leaves `TX_HEADROOM` spare bytes so a segment
+    // recycled through the pool seals without regrowing: it must cover
+    // the most any configuration's header and padding add.
+    let world = World::new();
+    for_each_config(&world, |hooks, row| {
+        assert!(
+            hooks.max_overhead() <= fbs_net::udp::TX_HEADROOM,
+            "{row}: max_overhead {} > TX_HEADROOM {}",
+            hooks.max_overhead(),
+            fbs_net::udp::TX_HEADROOM
+        );
+    });
+}
+
+#[test]
 fn crypto_failures_never_degrade() {
     // Even under fail-open, a framed datagram with a bad MAC is
     // rejected: crypto verdicts are final.
@@ -290,7 +318,10 @@ fn crypto_failures_never_degrade() {
     rx_header.src = A;
     rx_header.dst = B;
     let got = receiver.input(&mut rx_header, wire, 1_000);
-    assert!(matches!(got, HookOutcome::Reject(_)), "{got:?}");
+    assert!(
+        matches!(got, HookOutcome::Reject(RejectReason::BadMac)),
+        "{got:?}"
+    );
     assert_eq!(receiver.stats().input_errors, 1);
     assert_eq!(
         receiver.stats().fail_open,
@@ -490,7 +521,10 @@ fn park_queue_overflow_rejects() {
             assert!(matches!(out[0], HookOutcome::Park));
         }
         let out = rig.submit(1, 2_000);
-        assert!(matches!(out[0], HookOutcome::Reject(_)), "{out:?}");
+        assert!(
+            matches!(out[0], HookOutcome::Reject(RejectReason::ParkQueueFull)),
+            "{out:?}"
+        );
         assert_eq!(rig.depth(), 2);
     });
     assert_eq!(park.overflow, 1);
@@ -510,7 +544,10 @@ fn park_overflow_recycles_the_rejected_payload() {
         let out = rig.submit(3, 1_000);
         assert!(matches!(out[0], HookOutcome::Park));
         assert!(matches!(out[1], HookOutcome::Park));
-        assert!(matches!(out[2], HookOutcome::Reject(_)));
+        assert!(matches!(
+            out[2],
+            HookOutcome::Reject(RejectReason::ParkQueueFull)
+        ));
         let p = rig.pool.stats();
         assert_eq!(p.hits + p.misses, 3, "the three payloads");
         assert_eq!(p.returns, 1, "the overflowed payload");
@@ -625,7 +662,10 @@ fn config_snapshot_swaps_without_rebuilding_state() {
     let mut hooks = world.host(A); // B never published → keyless
     let (mut header, payload) = udp_datagram(A, B);
     let out = hooks.output(&mut header, payload, 1_000);
-    assert!(matches!(out, HookOutcome::Reject(_)), "{out:?}");
+    assert!(
+        matches!(out, HookOutcome::Reject(RejectReason::KeyUnavailable)),
+        "{out:?}"
+    );
     hooks.update_config(|c| {
         c.encrypt = false;
         c.key_unavailable = KeyUnavailableVerdict::FailOpen;
@@ -884,7 +924,7 @@ fn is_pass(o: &HookOutcome) -> bool {
 }
 
 fn is_unavailable(o: &HookOutcome) -> bool {
-    matches!(o, HookOutcome::Reject(why) if why == "worker runtime unavailable")
+    matches!(o, HookOutcome::Reject(RejectReason::OwnerUnavailable))
 }
 
 /// Hand every `Pass` buffer of a finished batch back and check that the
@@ -1094,7 +1134,7 @@ fn fail_closed_in_mode(workers: usize) {
     let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 2_000);
     assert!(out
         .iter()
-        .any(|(_, o)| matches!(o, HookOutcome::Reject(r) if r.contains("quarantined"))));
+        .any(|(_, o)| matches!(o, HookOutcome::Reject(RejectReason::OwnerQuarantined))));
     let (rejects2, passes2) = count(&out);
     assert_eq!(
         (rejects2, passes2),

@@ -13,7 +13,7 @@ use super::datapath::{
 use super::HookShared;
 use crate::tuple::FiveTuple;
 use fbs_core::{BufferPool, ParkStats, RuntimeError};
-use fbs_net::{Datagram, HookOutcome, Ipv4Header};
+use fbs_net::{Datagram, HookOutcome, Ipv4Header, RejectReason};
 use fbs_obs::{Counter, Direction, MetricsRegistry, ShardMemSample, StageTimer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -89,7 +89,7 @@ impl Run {
             self.items.push(Item { payload, si, tuple });
             // Fail-closed (and allocation-free) until the item that owns
             // the index writes its final verdict.
-            out.push((header, HookOutcome::Reject(String::new())));
+            out.push((header, HookOutcome::Reject(RejectReason::Unanswered)));
         }
         // Counts -> starts; the placement below walks each start up to
         // its share's end.
@@ -261,7 +261,7 @@ fn finish_current(
         let (header, verdict) = &mut flight.out[i];
         *verdict = if reject {
             flight.pool.put(payload);
-            HookOutcome::Reject("worker quarantined after panic".into())
+            HookOutcome::Reject(RejectReason::OwnerQuarantined)
         } else {
             let shard = &mut shards[item.si / shared.n_workers];
             match flight.dir {
@@ -299,7 +299,7 @@ fn abort_current_item(flight: &mut Flight<'_>) {
     if payload.capacity() != 0 {
         flight.pool.put(payload);
     }
-    flight.out[i].1 = HookOutcome::Reject("worker panicked mid-datagram".into());
+    flight.out[i].1 = HookOutcome::Reject(RejectReason::OwnerPanicked);
     while outstanding(flight.pool) >= flight.run.mark {
         flight
             .pool
@@ -489,7 +489,7 @@ pub(super) fn run_inline(
         if matches!(flight.out[i].1, HookOutcome::Park) {
             continue;
         }
-        let reject = HookOutcome::Reject("worker runtime unavailable".into());
+        let reject = HookOutcome::Reject(RejectReason::OwnerUnavailable);
         if let HookOutcome::Pass(buf) = std::mem::replace(&mut flight.out[i].1, reject) {
             flight.pool.put(buf);
         }

@@ -25,7 +25,7 @@ use fbs_ip::hooks::FbsIpHooks;
 use fbs_ip::hooks::IpMappingConfig;
 use fbs_ip::host::build_secure_host;
 use fbs_net::ip::{Ipv4Header, Proto};
-use fbs_net::{Datagram, HookOutcome, SecurityHooks};
+use fbs_net::{Datagram, HookOutcome, RejectReason, SecurityHooks};
 use fbs_obs::{Direction, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Duration;
@@ -171,12 +171,11 @@ fn bisection_rejects_corrupt_datagrams_and_balances_the_pool_ledger() {
         for (i, (_, outcome)) in opened.into_iter().enumerate() {
             if corrupt_idx.contains(&i) {
                 match outcome {
-                    HookOutcome::Reject(reason) => {
-                        assert!(
-                            reason.contains("bad MAC"),
-                            "corrupt datagram must fail authentication, got {reason:?}"
-                        );
-                    }
+                    HookOutcome::Reject(reason) => assert_eq!(
+                        reason,
+                        RejectReason::BadMac,
+                        "corrupt datagram must fail authentication"
+                    ),
                     other => panic!("forged datagram {i} must be rejected, got {other:?}"),
                 }
             } else {

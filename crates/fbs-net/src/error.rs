@@ -24,7 +24,7 @@ pub enum NetError {
     /// All ephemeral ports are in use (or quarantined).
     PortsExhausted,
     /// The security hook rejected the packet.
-    SecurityReject(String),
+    SecurityReject(RejectReason),
     /// Reassembly gave up (timeout or resource limits).
     ReassemblyTimeout,
     /// Connection-level failure in the mini reliable transport.
@@ -55,6 +55,56 @@ impl fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
+
+/// Why a security hook rejected a datagram: a closed vocabulary the
+/// substrate defines and a hook maps its own errors onto, so a reject
+/// carries its reason without allocating one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum RejectReason {
+    /// No hook has answered for the datagram yet: the fail-closed
+    /// placeholder a verdict ledger starts from.
+    Unanswered,
+    /// The timestamp fell outside the freshness window (replay defence).
+    Stale,
+    /// MAC verification failed, inline or at batch resolution.
+    BadMac,
+    /// The security header (or the flow identity under it) did not parse.
+    MalformedHeader,
+    /// The header names an algorithm this endpoint does not support.
+    UnknownAlgorithm,
+    /// The protected body is not a whole number of cipher blocks.
+    MalformedCiphertext,
+    /// Key material is unavailable (unknown principal, invalid
+    /// certificate, keying transport failure or open circuit breaker)
+    /// and the policy does not degrade.
+    KeyUnavailable,
+    /// Key material is unavailable and the parking queue is full.
+    ParkQueueFull,
+    /// The owner of the datagram's flow state panicked while processing it.
+    OwnerPanicked,
+    /// The owner is quarantined after panics and rejects everything.
+    OwnerQuarantined,
+    /// The owner could not finish its share of the batch.
+    OwnerUnavailable,
+}
+
+impl fmt::Display for RejectReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            RejectReason::Unanswered => "no verdict from the security hook",
+            RejectReason::Stale => "stale timestamp",
+            RejectReason::BadMac => "bad MAC",
+            RejectReason::MalformedHeader => "malformed security header",
+            RejectReason::UnknownAlgorithm => "unknown algorithm",
+            RejectReason::MalformedCiphertext => "malformed ciphertext",
+            RejectReason::KeyUnavailable => "key unavailable",
+            RejectReason::ParkQueueFull => "key unavailable and park queue full",
+            RejectReason::OwnerPanicked => "worker panicked mid-datagram",
+            RejectReason::OwnerQuarantined => "worker quarantined after panic",
+            RejectReason::OwnerUnavailable => "worker runtime unavailable",
+        })
+    }
+}
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, NetError>;

@@ -113,6 +113,12 @@ impl Ipv4Header {
         self.total_len = (self.total_len as isize + delta) as u16;
     }
 
+    /// Is this one fragment of a larger datagram (more follow, or it
+    /// does not start at offset 0)?
+    pub(crate) fn is_fragment(&self) -> bool {
+        self.more_fragments || self.frag_offset > 0
+    }
+
     /// Serialise, computing the header checksum.
     pub fn encode(&self) -> [u8; IPV4_HEADER_LEN] {
         let mut b = [0u8; IPV4_HEADER_LEN];
@@ -169,13 +175,31 @@ impl Ipv4Header {
 /// Computing it over a header whose checksum field holds the transmitted
 /// checksum yields zero for an intact header.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u16::from_be_bytes([c[0], c[1]]) as u32;
-    }
-    if let [odd] = chunks.remainder() {
-        sum += (*odd as u32) << 8;
+    internet_checksum_parts(&[data])
+}
+
+/// [`internet_checksum`] of the concatenation of `parts`, without
+/// building it: the UDP pseudo-header and its segment are summed where
+/// they lie. Every part but the last must have even length, so that each
+/// starts on a 16-bit word boundary of the whole.
+pub(crate) fn internet_checksum_parts(parts: &[&[u8]]) -> u16 {
+    let mut sum: u64 = 0;
+    for (i, part) in parts.iter().enumerate() {
+        debug_assert!(
+            part.len() % 2 == 0 || i + 1 == parts.len(),
+            "only the last part may have odd length"
+        );
+        // A u32 holds the word sum of up to 128 KiB: every part here is
+        // a header or an IP payload, below 64 KiB.
+        let mut part_sum: u32 = 0;
+        let mut words = part.chunks_exact(2);
+        for w in &mut words {
+            part_sum += u16::from_be_bytes([w[0], w[1]]) as u32;
+        }
+        if let [odd] = words.remainder() {
+            part_sum += (*odd as u32) << 8;
+        }
+        sum += part_sum as u64;
     }
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
@@ -201,33 +225,46 @@ impl Packet {
 
     /// Serialise header + payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(IPV4_HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.header.encode());
-        out.extend_from_slice(&self.payload);
-        out
+        encode_frame(&self.header, &self.payload)
     }
 
     /// Parse a packet, verifying the checksum and length.
     pub fn decode(buf: &[u8]) -> Result<Self> {
-        let header = Ipv4Header::decode(buf)?;
-        if header.total_len as usize > buf.len() {
-            return Err(NetError::Malformed("frame shorter than total_len"));
-        }
-        let payload = buf[IPV4_HEADER_LEN..header.total_len as usize].to_vec();
-        Ok(Packet { header, payload })
+        let (header, payload) = parse_frame(buf)?;
+        Ok(Packet {
+            header,
+            payload: payload.to_vec(),
+        })
     }
 
     /// Parse a packet like [`Self::decode`], but draw the payload buffer
     /// from `pool` instead of allocating a fresh one.
     pub fn decode_pooled(buf: &[u8], pool: &mut BufferPool) -> Result<Self> {
-        let header = Ipv4Header::decode(buf)?;
-        if header.total_len as usize > buf.len() {
-            return Err(NetError::Malformed("frame shorter than total_len"));
-        }
+        let (header, bytes) = parse_frame(buf)?;
         let mut payload = pool.take();
-        payload.extend_from_slice(&buf[IPV4_HEADER_LEN..header.total_len as usize]);
+        payload.extend_from_slice(bytes);
         Ok(Packet { header, payload })
     }
+}
+
+/// Serialise `header` as it stands, then `payload`, into one exactly
+/// sized frame: a packet's wire form without the packet.
+pub(crate) fn encode_frame(header: &Ipv4Header, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
+    out.extend_from_slice(&header.encode());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Parse and checksum-verify a frame's header and borrow its payload
+/// (up to `total_len`; link padding beyond it is ignored).
+pub(crate) fn parse_frame(buf: &[u8]) -> Result<(Ipv4Header, &[u8])> {
+    let header = Ipv4Header::decode(buf)?;
+    if header.total_len as usize > buf.len() {
+        return Err(NetError::Malformed("frame shorter than total_len"));
+    }
+    let payload = &buf[IPV4_HEADER_LEN..header.total_len as usize];
+    Ok((header, payload))
 }
 
 #[cfg(test)]
@@ -274,6 +311,19 @@ mod tests {
     fn odd_length_checksum() {
         // Pads the trailing byte as the high octet.
         assert_eq!(internet_checksum(&[0xFF]), !0xFF00u16);
+    }
+
+    #[test]
+    fn checksum_parts_equal_the_concatenation() {
+        let data: Vec<u8> = (0..41u8).map(|i| i.wrapping_mul(97)).collect();
+        for split in (0..data.len()).step_by(2) {
+            let (head, tail) = data.split_at(split);
+            assert_eq!(
+                internet_checksum_parts(&[head, tail]),
+                internet_checksum(&data),
+                "split at {split}"
+            );
+        }
     }
 
     #[test]

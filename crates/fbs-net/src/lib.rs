@@ -47,7 +47,7 @@ pub mod stack;
 pub mod transport;
 pub mod udp;
 
-pub use error::NetError;
+pub use error::{NetError, RejectReason};
 pub use ip::{Ipv4Addr, Ipv4Header, Proto};
 pub use segment::{Impairments, Segment};
 pub use stack::{Datagram, HookOutcome, Host, SecurityHooks};

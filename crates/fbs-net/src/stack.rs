@@ -12,20 +12,28 @@
 //! Both directions are **batch-first**: the scalar entry points
 //! ([`Host::ip_output`], [`Host::deliver_frame`]) are one-element wrappers
 //! over the batch pipeline ([`Host::ip_output_batch`],
-//! [`Host::deliver_frames`]), and the security hooks see one
-//! [`SecurityHooks::process_batch`] call per batch per direction. Payload
-//! buffers travel as [`Datagram`]s drawn from the host's [`BufferPool`]
-//! and are recycled at every point the old path dropped them: after
-//! fragment encode, after UDP/MRT dispatch copies out, and inside the
-//! hooks themselves.
+//! [`Host::deliver_frames`]). The security hooks see one
+//! [`SecurityHooks::process_batch`] call per output batch, and one per
+//! pool-sized chunk of an input batch: input takes a pooled buffer per
+//! datagram before the hooks run, so it ingests only as many datagrams as
+//! the host's [`BufferPool`] can serve, runs the hooks over them, and
+//! then ingests the next chunk.
+//!
+//! Payload buffers travel as [`Datagram`]s drawn from the host's pool
+//! and go back to it wherever a layer is done with them: after the frames
+//! are encoded, after UDP/MRT dispatch copies out, and inside the hooks
+//! themselves. What leaves the host — a frame on the wire, a payload in a
+//! socket queue — is a fresh copy, never a pool buffer, so the pool's
+//! ledger closes on both ends of a link.
 
-use crate::error::{NetError, Result};
-use crate::frag::{fragment_pooled, Reassembler};
-use crate::ip::{Ipv4Addr, Ipv4Header, Packet, Proto};
+use crate::error::{NetError, RejectReason, Result};
+use crate::frag::{Fragments, Reassembler};
+use crate::ip::{encode_frame, parse_frame, Ipv4Addr, Ipv4Header, Proto};
 use crate::mrt::MrtLayer;
 use crate::ports::PortAllocator;
 use crate::segment::{Impairments, Segment};
 use crate::udp::UdpLayer;
+use fbs_core::pool::DEFAULT_MAX_POOLED;
 use fbs_core::BufferPool;
 use fbs_obs::{Counter, Direction, Event, MetricsRegistry, SpanKind, TraceSpan};
 use std::collections::{HashMap, VecDeque};
@@ -60,7 +68,7 @@ pub enum HookOutcome {
     /// Processed; continue down (or up) the stack with this payload.
     Pass(Vec<u8>),
     /// Rejected; drop the datagram and surface the reason.
-    Reject(String),
+    Reject(RejectReason),
     /// Held by the hook for later release; the datagram leaves the
     /// synchronous path.
     Park,
@@ -93,6 +101,12 @@ fn trace_wire_span(
     }
 }
 
+/// Buffers taken from `pool` so far, hits and misses alike.
+fn pool_takes(pool: &BufferPool) -> u64 {
+    let s = pool.stats();
+    s.hits + s.misses
+}
+
 /// Security processing plugged into the stack (implemented by `fbs-ip`).
 ///
 /// The trait is batch-first: implementations provide the single
@@ -100,8 +114,9 @@ fn trace_wire_span(
 /// [`Self::input`] methods are thin one-element wrappers over it, so
 /// exactly one processing path exists per implementation.
 ///
-/// Errors are strings so this substrate stays ignorant of the security
-/// layer's error vocabulary.
+/// A rejection names a [`RejectReason`], the substrate's own vocabulary:
+/// the security layer maps its errors onto it, and this crate stays
+/// ignorant of them.
 pub trait SecurityHooks: Send {
     /// Which protocol numbers this hook protects. Uncovered protocols pass
     /// through untouched — that is how the secure-flow bypass (certificate
@@ -244,6 +259,14 @@ pub struct Host {
     /// Raw-IP datagrams received (ICMP-like protocols): (proto, src, data).
     raw_rx: VecDeque<(u8, Ipv4Addr, Vec<u8>)>,
     out: VecDeque<Vec<u8>>,
+    /// Scratch kept across batches (emptied, capacity kept), so a batch
+    /// or an input chunk pays only for the two vectors that cross
+    /// [`SecurityHooks::process_batch`] by value: the whole datagrams of
+    /// an input chunk, the verdicts in submission order, and the indices
+    /// of those the hooks gave.
+    ready: Vec<Datagram>,
+    verdicts: Vec<(Ipv4Header, HookOutcome)>,
+    hooked: Vec<usize>,
     stats: HostStats,
     obs: Option<Arc<MetricsRegistry>>,
 }
@@ -264,6 +287,9 @@ impl Host {
             bypass_rx: VecDeque::new(),
             raw_rx: VecDeque::new(),
             out: VecDeque::new(),
+            ready: Vec::new(),
+            verdicts: Vec::new(),
+            hooked: Vec::new(),
             stats: HostStats::default(),
             obs: None,
         }
@@ -333,22 +359,22 @@ impl Host {
     /// `items`.
     pub fn ip_output_batch(
         &mut self,
-        items: Vec<(Ipv4Header, Vec<u8>)>,
+        mut items: Vec<(Ipv4Header, Vec<u8>)>,
         now_us: u64,
     ) -> Vec<Result<()>> {
         // Part 1: assign datagram identifications in submission order.
-        let batch = items
+        for (header, _) in items.iter_mut() {
+            header.id = self.ip_id;
+            self.ip_id = self.ip_id.wrapping_add(1);
+        }
+        let mut batch: Vec<Datagram> = items
             .into_iter()
-            .map(|(mut header, payload)| {
-                header.id = self.ip_id;
-                self.ip_id = self.ip_id.wrapping_add(1);
-                Datagram { header, payload }
-            })
+            .map(|(header, payload)| Datagram { header, payload })
             .collect();
 
         // Security hook between parts 1 and 2 — one call for the whole
         // covered subset, so hooks amortise locking and dispatch.
-        let (staged, hooked) = self.through_hooks(Direction::Output, batch, now_us);
+        let (mut staged, hooked) = self.through_hooks(Direction::Output, &mut batch, now_us);
         for &i in &hooked {
             if let HookOutcome::Pass(payload) = &staged[i].1 {
                 // A protected payload leads with its sfl: the wire span
@@ -358,8 +384,8 @@ impl Host {
         }
 
         // Parts 2-3 per datagram, preserving submission order.
-        staged
-            .into_iter()
+        let results = staged
+            .drain(..)
             .map(|(header, res)| match res {
                 HookOutcome::Pass(payload) => self.fragment_and_send(header, payload),
                 HookOutcome::Reject(why) => {
@@ -371,31 +397,38 @@ impl Host {
                     Ok(())
                 }
             })
-            .collect()
+            .collect();
+        self.verdicts = staged;
+        self.hooked = hooked;
+        results
     }
 
     /// The hook step of both directions: ONE
     /// [`SecurityHooks::process_batch`] call for the covered subset of
-    /// `items`; uncovered datagrams — all of them on a host without
-    /// hooks — pass as they are. Returns the verdicts in `items`' order,
-    /// and the indices of those the hooks gave.
+    /// `items`, which it drains; uncovered datagrams — all of them on a
+    /// host without hooks — pass as they are. Returns the verdicts in
+    /// `items`' order, and the indices of those the hooks gave, in the
+    /// host's scratch vectors: the caller empties them and puts them back.
     fn through_hooks(
         &mut self,
         dir: Direction,
-        items: Vec<Datagram>,
+        items: &mut Vec<Datagram>,
         now_us: u64,
     ) -> (Vec<(Ipv4Header, HookOutcome)>, Vec<usize>) {
-        let mut out = Vec::with_capacity(items.len());
-        let mut batch = Vec::new();
-        let mut hooked = Vec::new();
-        for (i, dg) in items.into_iter().enumerate() {
+        let mut out = std::mem::take(&mut self.verdicts);
+        let mut hooked = std::mem::take(&mut self.hooked);
+        out.clear();
+        hooked.clear();
+        let mut batch = Vec::with_capacity(items.len());
+        for (i, dg) in items.drain(..).enumerate() {
             if self
                 .hooks
                 .as_ref()
                 .is_some_and(|h| h.covers(dg.header.proto))
             {
                 // Fail-closed until the hooks answer for it.
-                out.push((dg.header.clone(), HookOutcome::Reject(String::new())));
+                let unanswered = HookOutcome::Reject(RejectReason::Unanswered);
+                out.push((dg.header.clone(), unanswered));
                 hooked.push(i);
                 batch.push(dg);
             } else {
@@ -418,82 +451,114 @@ impl Host {
         (out, hooked)
     }
 
-    /// Parts 2 (fragmentation) and 3 (transmission) of IP output.
-    /// Fragment payloads come from the pool and return there once encoded
-    /// onto the wire.
+    /// Parts 2 (fragmentation) and 3 (transmission) of IP output: each
+    /// frame is encoded straight from its range of `payload`, which then
+    /// returns to the pool — on the DF-oversize failure too.
     fn fragment_and_send(&mut self, header: Ipv4Header, payload: Vec<u8>) -> Result<()> {
-        let frags = fragment_pooled(Packet::new(header, payload), self.mtu, &mut self.pool)?;
-        if frags.len() > 1 {
+        let sent = Fragments::new(header, payload.len(), self.mtu).map(|frags| {
+            let n = frags.len();
+            for (h, range) in frags {
+                self.out.push_back(encode_frame(&h, &payload[range]));
+            }
+            n
+        });
+        self.pool.put(payload);
+        let n = sent?;
+        self.stats.frames_sent += n as u64;
+        if n > 1 {
             if let Some(reg) = &self.obs {
                 reg.record(Event::Fragmented {
-                    fragments: frags.len() as u32,
+                    fragments: n as u32,
                 });
             }
-        }
-        for f in frags {
-            let wire = f.encode();
-            self.out.push_back(wire);
-            self.stats.frames_sent += 1;
-            self.pool.put(f.payload);
         }
         Ok(())
     }
 
     /// IP input for one frame: a one-element [`Self::deliver_frames`].
     pub fn deliver_frame(&mut self, frame: &[u8], now_us: u64) {
-        if let Some(dg) = self.ingest(frame, now_us) {
-            self.process_input_batch(vec![dg], now_us);
-        }
+        self.deliver_chunked(std::iter::once(frame), now_us);
     }
 
-    /// IP input for a batch of frames arriving together (same link tick):
-    /// parts 1-2 per frame, then ONE [`SecurityHooks::process_batch`] call
-    /// for every whole datagram that emerged, then part-3 dispatch in
-    /// arrival order.
+    /// IP input for a batch of frames arriving together (same link tick),
+    /// in pool-sized chunks: parts 1-2 per frame while the pool can still
+    /// serve the chunk's hook pass, then ONE
+    /// [`SecurityHooks::process_batch`] call for every whole datagram of
+    /// the chunk and part-3 dispatch in arrival order — which returns the
+    /// chunk's buffers — then the next chunk. A burst of any size runs
+    /// off the pool's freelist.
     pub fn deliver_frames(&mut self, frames: &[Vec<u8>], now_us: u64) {
-        let mut ready = Vec::new();
-        for f in frames {
-            if let Some(dg) = self.ingest(f, now_us) {
-                ready.push(dg);
+        self.deliver_chunked(frames.iter().map(Vec::as_slice), now_us);
+    }
+
+    /// The body of [`Self::deliver_frames`], over borrowed frames.
+    fn deliver_chunked<'a>(&mut self, frames: impl Iterator<Item = &'a [u8]>, now_us: u64) {
+        let mut frames = frames.peekable();
+        let mut ready = std::mem::take(&mut self.ready);
+        while frames.peek().is_some() {
+            let budget = self.chunk_takes();
+            let start = pool_takes(&self.pool);
+            for f in frames.by_ref() {
+                if let Some(dg) = self.ingest(f, now_us) {
+                    ready.push(dg);
+                }
+                if pool_takes(&self.pool) - start >= budget {
+                    break;
+                }
             }
+            self.process_input_batch(&mut ready, now_us);
         }
-        self.process_input_batch(ready, now_us);
+        self.ready = ready;
+    }
+
+    /// How many pool buffers one input chunk may take before its hook
+    /// pass: all the pool holds idle but one — the pass takes a buffer
+    /// for each datagram it opens before it returns the datagram's own —
+    /// read off the pool as a chunk starts. A pool below its capacity by
+    /// more than the buffers reassembly holds (a cold one) is read as
+    /// full: its first chunk misses and fills it, where reading it as it
+    /// is would run one-datagram chunks from then on.
+    fn chunk_takes(&self) -> u64 {
+        let full = DEFAULT_MAX_POOLED.saturating_sub(self.reasm.pending());
+        (self.pool.idle().max(full).max(2) - 1) as u64
     }
 
     /// Parts 1 (checks) and 2 (reassembly) of IP input for one frame.
-    /// Returns a whole datagram when one completes; its payload buffer is
-    /// drawn from the host pool (frames not for us and consumed fragment
-    /// buffers are recycled immediately).
+    /// Returns a whole datagram when one completes, its payload in a
+    /// buffer drawn from the host pool: an unfragmented datagram's bytes
+    /// are copied into one as it arrives; a fragment's are copied into
+    /// its datagram's reassembly buffer. Frames not for us take nothing.
     fn ingest(&mut self, frame: &[u8], now_us: u64) -> Option<Datagram> {
         self.stats.frames_seen += 1;
         // Part 1: parse and verify.
-        let Ok(packet) = Packet::decode_pooled(frame, &mut self.pool) else {
+        let Ok((header, bytes)) = parse_frame(frame) else {
             self.stats.header_drops += 1;
             return None;
         };
-        if packet.header.dst != self.addr {
-            self.pool.put(packet.payload);
+        if header.dst != self.addr {
             return None; // not ours (shared medium)
         }
         self.stats.frames_for_us += 1;
+        if !header.is_fragment() {
+            let mut payload = self.pool.take();
+            payload.extend_from_slice(bytes);
+            return Some(Datagram { header, payload });
+        }
 
         // Part 2: reassembly.
-        let was_fragment = packet.header.more_fragments || packet.header.frag_offset > 0;
-        let packet = self.reasm.push_pooled(packet, now_us, &mut self.pool)?;
-        if was_fragment {
-            // A true fragment completing reassembly (whole datagrams pass
-            // straight through and are not counted).
-            if let Some(reg) = &self.obs {
-                reg.record(Event::Reassembled);
-            }
-            trace_wire_span(
-                &self.obs,
-                self.addr,
-                SpanKind::Reassembled,
-                now_us,
-                &packet.payload,
-            );
+        let packet = self
+            .reasm
+            .push_fragment(&header, bytes, now_us, &mut self.pool)?;
+        if let Some(reg) = &self.obs {
+            reg.record(Event::Reassembled);
         }
+        trace_wire_span(
+            &self.obs,
+            self.addr,
+            SpanKind::Reassembled,
+            now_us,
+            &packet.payload,
+        );
         Some(Datagram {
             header: packet.header,
             payload: packet.payload,
@@ -502,8 +567,8 @@ impl Host {
 
     /// The input half of the hook pipeline: one
     /// [`SecurityHooks::process_batch`] call for the covered subset of
-    /// `ready`, then part-3 dispatch in arrival order.
-    fn process_input_batch(&mut self, ready: Vec<Datagram>, now_us: u64) {
+    /// `ready`, which it drains, then part-3 dispatch in arrival order.
+    fn process_input_batch(&mut self, ready: &mut Vec<Datagram>, now_us: u64) {
         if ready.is_empty() {
             return;
         }
@@ -518,7 +583,7 @@ impl Host {
             };
             ready.iter().map(sfl).collect()
         });
-        let (staged, hooked) = self.through_hooks(Direction::Input, ready, now_us);
+        let (mut staged, hooked) = self.through_hooks(Direction::Input, ready, now_us);
         if let (Some(tracer), Some(sfls)) = (tracer, sfls) {
             for &i in &hooked {
                 if let HookOutcome::Pass(payload) = &staged[i].1 {
@@ -534,7 +599,7 @@ impl Host {
                 }
             }
         }
-        for (header, res) in staged {
+        for (header, res) in staged.drain(..) {
             match res {
                 HookOutcome::Pass(payload) => self.dispatch(header, payload, now_us),
                 HookOutcome::Reject(_) => {
@@ -547,28 +612,26 @@ impl Host {
                 }
             }
         }
+        self.verdicts = staged;
+        self.hooked = hooked;
     }
 
     /// Part 3 of IP input: hand a fully-processed datagram to its upper
     /// layer. Also the landing point for parked input datagrams released
-    /// from the security hook. Layers that copy the payload out (UDP, MRT)
-    /// let us recycle the buffer; queue-backed layers keep it.
+    /// from the security hook. Every layer gets its bytes copied out, so
+    /// the pooled buffer goes back to the pool.
     fn dispatch(&mut self, header: Ipv4Header, payload: Vec<u8>, now_us: u64) {
         self.stats.dispatched += 1;
+        let mut responses = Vec::new();
         match Proto::from_number(header.proto) {
-            Proto::Udp => {
-                self.udp.deliver(header.src, header.dst, &payload);
-                self.pool.put(payload);
-            }
-            Proto::Mrt => {
-                let responses = self.mrt.deliver(header.src, &payload, now_us);
-                self.pool.put(payload);
-                for o in responses {
-                    self.send_mrt_segment(o, now_us);
-                }
-            }
-            Proto::Bypass => self.bypass_rx.push_back((header.src, payload)),
-            Proto::Other(p) => self.raw_rx.push_back((p, header.src, payload)),
+            Proto::Udp => self.udp.deliver(header.src, header.dst, &payload),
+            Proto::Mrt => responses = self.mrt.deliver(header.src, &payload, now_us),
+            Proto::Bypass => self.bypass_rx.push_back((header.src, payload.to_vec())),
+            Proto::Other(p) => self.raw_rx.push_back((p, header.src, payload.to_vec())),
+        }
+        self.pool.put(payload);
+        for o in responses {
+            self.send_mrt_segment(o, now_us);
         }
     }
 
@@ -1133,6 +1196,34 @@ mod tests {
             "steady-state input path allocates no new payload buffers"
         );
         assert!(steady.hits > warm.hits, "pool takes served from freelist");
+    }
+
+    #[test]
+    fn duplicated_frames_close_the_receivers_pool_ledger() {
+        // Every frame arrives twice. A duplicate fragment is copied over
+        // bytes its datagram already holds, or starts a partial of its
+        // own that expires; its frame's buffer goes back either way.
+        let imp = Impairments {
+            duplicate: 1.0,
+            ..Impairments::default()
+        };
+        let mut net = two_hosts(imp);
+        net.host_mut(B).udp.bind(53).unwrap();
+        let big: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
+        net.host_mut(A).udp_send(1, B, 53, &big, 0).unwrap();
+        net.host_mut(A).udp_send(1, B, 53, b"small", 0).unwrap();
+        net.run(50_000, 1_000);
+        // Past the reassembly timeout: a leftover partial is expired.
+        net.run(31_000_000, 1_000_000);
+        let rx = net.host_mut(B);
+        let mut got = Vec::new();
+        while let Some(d) = rx.udp.recv(53) {
+            got.push(d.data);
+        }
+        assert!(got.contains(&big) && got.contains(&b"small".to_vec()));
+        assert!(got.iter().all(|d| *d == big || d == b"small"));
+        let s = rx.pool_stats();
+        assert_eq!(s.hits + s.misses, s.returns + s.discards, "{s:?}");
     }
 
     #[test]

@@ -2,11 +2,19 @@
 //! per-socket receive queues.
 
 use crate::error::{NetError, Result};
-use crate::ip::{internet_checksum, Ipv4Addr};
+use crate::ip::{internet_checksum_parts, Ipv4Addr};
 use std::collections::{HashMap, VecDeque};
 
 /// UDP header length.
 pub const UDP_HEADER_LEN: usize = 8;
+
+/// Spare capacity [`encode`] leaves behind every segment: room for the
+/// most a security hook may add
+/// ([`SecurityHooks::max_overhead`](crate::SecurityHooks::max_overhead),
+/// which the hooks' own tests hold to this bound). A segment that comes
+/// back through a buffer pool then holds a protected datagram without
+/// regrowing.
+pub const TX_HEADROOM: usize = 64;
 
 /// A UDP datagram header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,16 +29,26 @@ pub struct UdpHeader {
     pub checksum: u16,
 }
 
+/// The RFC 768 pseudo-header: addresses, protocol and segment length.
+fn pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> [u8; 12] {
+    let mut p = [0u8; 12];
+    p[..4].copy_from_slice(&src);
+    p[4..8].copy_from_slice(&dst);
+    p[9] = 17; // protocol UDP
+    p[10..].copy_from_slice(&(segment.len() as u16).to_be_bytes());
+    p
+}
+
+/// One's-complement checksum over the pseudo-header and `segment`,
+/// summed as two slices (the pseudo-header is even-length, so the sum is
+/// that of their concatenation).
+fn pseudo_checksum(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
+    internet_checksum_parts(&[&pseudo_header(src, dst, segment), segment])
+}
+
 /// Compute the UDP checksum (RFC 768 pseudo-header form).
 pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
-    let mut pseudo = Vec::with_capacity(12 + segment.len());
-    pseudo.extend_from_slice(&src);
-    pseudo.extend_from_slice(&dst);
-    pseudo.push(0);
-    pseudo.push(17); // protocol UDP
-    pseudo.extend_from_slice(&(segment.len() as u16).to_be_bytes());
-    pseudo.extend_from_slice(segment);
-    let ck = internet_checksum(&pseudo);
+    let ck = pseudo_checksum(src, dst, segment);
     // RFC 768: transmitted 0 means "no checksum"; an all-zero result is
     // sent as all-ones.
     if ck == 0 {
@@ -40,10 +58,11 @@ pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> u16 {
     }
 }
 
-/// Encode a UDP segment (header + data) with a valid checksum.
+/// Encode a UDP segment (header + data) with a valid checksum, with
+/// [`TX_HEADROOM`] bytes of spare capacity.
 pub fn encode(src: Ipv4Addr, dst: Ipv4Addr, src_port: u16, dst_port: u16, data: &[u8]) -> Vec<u8> {
     let len = (UDP_HEADER_LEN + data.len()) as u16;
-    let mut seg = Vec::with_capacity(len as usize);
+    let mut seg = Vec::with_capacity(len as usize + TX_HEADROOM);
     seg.extend_from_slice(&src_port.to_be_bytes());
     seg.extend_from_slice(&dst_port.to_be_bytes());
     seg.extend_from_slice(&len.to_be_bytes());
@@ -70,17 +89,8 @@ pub fn decode(src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) -> Result<(UdpHeader
     }
     // Checksum over the segment as transmitted verifies to zero (or the
     // sender sent 0 = "no checksum", which we accept per RFC 768).
-    if header.checksum != 0 {
-        let mut pseudo = Vec::with_capacity(12 + segment.len());
-        pseudo.extend_from_slice(&src);
-        pseudo.extend_from_slice(&dst);
-        pseudo.push(0);
-        pseudo.push(17);
-        pseudo.extend_from_slice(&(segment.len() as u16).to_be_bytes());
-        pseudo.extend_from_slice(segment);
-        if internet_checksum(&pseudo) != 0 {
-            return Err(NetError::BadChecksum);
-        }
+    if header.checksum != 0 && pseudo_checksum(src, dst, segment) != 0 {
+        return Err(NetError::BadChecksum);
     }
     Ok((header, &segment[UDP_HEADER_LEN..]))
 }
@@ -127,6 +137,8 @@ impl UdpLayer {
     }
 
     /// Deliver an incoming UDP segment (called by the stack's dispatch).
+    /// The data is copied out: the segment's buffer goes back to the
+    /// stack's pool, so a queued datagram owns its bytes.
     pub fn deliver(&mut self, src: Ipv4Addr, dst: Ipv4Addr, segment: &[u8]) {
         match decode(src, dst, segment) {
             Ok((header, data)) => match self.sockets.get_mut(&header.dst_port) {
@@ -166,6 +178,13 @@ mod tests {
         assert_eq!(h.src_port, 1234);
         assert_eq!(h.dst_port, 80);
         assert_eq!(data, b"hello udp");
+    }
+
+    #[test]
+    fn encode_leaves_tx_headroom() {
+        let seg = encode(A, B, 1234, 80, &[7; 64]);
+        assert_eq!(seg.len(), UDP_HEADER_LEN + 64);
+        assert!(seg.capacity() >= seg.len() + TX_HEADROOM);
     }
 
     #[test]

@@ -123,6 +123,54 @@ proptest! {
     }
 
     #[test]
+    fn udp_checksum_over_slices_equals_the_concatenation(
+        src in any::<[u8; 4]>(),
+        dst in any::<[u8; 4]>(),
+        sport in any::<u16>(),
+        dport in any::<u16>(),
+        seed in any::<u64>(),
+        flip_at in any::<usize>(),
+        flip_bit in 0u8..8,
+    ) {
+        // Every segment length 0-300 (odd ones included): the checksum
+        // summed over the pseudo-header and the segment where they lie
+        // equals a plain 16-bit-word checksum of their concatenation, and
+        // any one-bit flip fails decode.
+        let mut s = seed;
+        for len in 0..=300usize {
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (s >> 56) as u8
+                })
+                .collect();
+            let seg = udp::encode(src, dst, sport, dport, &data);
+            let mut unsummed = seg.clone();
+            unsummed[6..8].fill(0);
+            let mut concat = Vec::new();
+            concat.extend_from_slice(&src);
+            concat.extend_from_slice(&dst);
+            concat.extend_from_slice(&[0, 17]);
+            concat.extend_from_slice(&(seg.len() as u16).to_be_bytes());
+            concat.extend_from_slice(&unsummed);
+            let want = match reference_checksum(&concat) {
+                0 => 0xFFFF,
+                ck => ck,
+            };
+            prop_assert_eq!(udp::udp_checksum(src, dst, &unsummed), want, "length {}", len);
+            prop_assert_eq!(u16::from_be_bytes([seg[6], seg[7]]), want);
+            prop_assert!(udp::decode(src, dst, &seg).is_ok());
+            let mut bad = seg.clone();
+            let at = flip_at % bad.len();
+            bad[at] ^= 1 << flip_bit;
+            // A flip that zeroes the checksum field turns it off (RFC 768).
+            if bad[6..8] != [0, 0] {
+                prop_assert!(udp::decode(src, dst, &bad).is_err(), "length {} byte {}", len, at);
+            }
+        }
+    }
+
+    #[test]
     fn udp_decode_never_panics(
         src in any::<[u8; 4]>(),
         bytes in proptest::collection::vec(any::<u8>(), 0..64),
@@ -186,6 +234,17 @@ proptest! {
     }
 }
 
+/// RFC 1071 the slow way: 16-bit big-endian words, the odd byte padded.
+fn reference_checksum(data: &[u8]) -> u16 {
+    let mut sum = 0u32;
+    for pair in data.chunks(2) {
+        let word = (pair[0] as u32) << 8 | pair.get(1).copied().unwrap_or(0) as u32;
+        sum += word;
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
 /// Body of `stale_partials_expire_under_sustained_loss`, kept as a plain
 /// function so the `proptest!` macro expansion stays shallow.
 fn check_stale_partials(
@@ -205,7 +264,6 @@ fn check_stale_partials(
     let mut r = Reassembler::new(timeout_us);
     let reg = fbs_obs::MetricsRegistry::new();
     let mut incomplete = 0usize;
-    let mut held_pieces = 0usize;
     for i in 0..n {
         let payload_len = 1600 + (next() as usize % 4000);
         let mut h = Ipv4Header::new([10, 0, 0, 1], [10, 0, 0, 2], Proto::Udp, payload_len);
@@ -228,7 +286,6 @@ fn check_stale_partials(
         } else if survivors > 0 {
             prop_assert!(survivors < total, "intact datagram must assemble");
             incomplete += 1;
-            held_pieces += survivors;
         }
     }
     // Exactly the loss-struck datagrams are pending; completed ones
@@ -244,20 +301,20 @@ fn check_stale_partials(
     prop_assert_eq!(pool.stats().returns, 0);
 
     // One tick past everyone's deadline: all stale partials purged, and
-    // every fragment payload they held goes back to the pool — the
-    // expiry path must balance, not leak.
+    // the one buffer each copied its surviving fragments into goes back
+    // to the pool — the expiry path must balance, not leak.
     let dropped = r.expire(last_push + timeout_us + 1, &mut pool);
     prop_assert_eq!(dropped, incomplete);
     prop_assert_eq!(r.pending(), 0);
     prop_assert_eq!(r.timeouts, incomplete as u64);
     let recycled = pool.stats().returns + pool.stats().discards;
-    prop_assert_eq!(recycled, held_pieces as u64);
+    prop_assert_eq!(recycled, incomplete as u64);
 
     // A second purge pass finds nothing (no double counting)...
     prop_assert_eq!(r.expire(last_push + 2 * timeout_us + 2, &mut pool), 0);
     prop_assert_eq!(r.timeouts, incomplete as u64);
     let recycled = pool.stats().returns + pool.stats().discards;
-    prop_assert_eq!(recycled, held_pieces as u64);
+    prop_assert_eq!(recycled, incomplete as u64);
 
     // ...and the fbs-obs counter fed one event per expiry agrees with
     // the reassembler's own ledger, as `Host::poll` wires it.
