@@ -1,14 +1,13 @@
 //! Batch-amortized MAC verification (MABS-style, PAPERS.md arxiv
 //! 1311.6001) with bisection fallback.
 //!
-//! Each datagram still carries its own tag — datagrams must stay
-//! independently deliverable — but the receive side defers the
-//! accept/reject *decision*: a worker's sub-batch accumulates
-//! (computed, shipped) tag pairs into a [`BatchVerifier`] and resolves
-//! them with ONE fold over the XOR-differences. The clean case (every tag
-//! matches, by far the common one) costs a single branch for the whole
-//! sub-batch instead of one comparison-and-branch per datagram, and keeps
-//! the per-datagram loop free of the reject control-flow.
+//! A [`BatchVerifier`] accumulates (computed, shipped) tag pairs and
+//! resolves them with ONE fold over the XOR-differences: a clean batch
+//! costs a single branch instead of one comparison-and-branch per tag.
+//! The datapath does not use it — it verifies each datagram's MAC inline
+//! with `mac_eq` (DESIGN.md, "History and rationale: batch-amortised
+//! authentication"). `benchmark/src/replay.rs` is now its only caller,
+//! which pins it until ROADMAP item 1(a) deletes both.
 //!
 //! On a dirty fold the verifier bisects: ranges whose fold is clean are
 //! accepted wholesale, dirty ranges split until single datagrams are
@@ -62,9 +61,9 @@ pub struct ResolveStats {
     pub rejected: usize,
 }
 
-/// Reusable accumulator for deferred tag comparisons. Workers keep one per
-/// worker and `resolve` it at sub-batch boundaries; the backing storage is
-/// retained across batches, so steady-state operation allocates nothing.
+/// Reusable accumulator for deferred tag comparisons, `resolve`d at batch
+/// boundaries; the backing storage is retained across batches, so
+/// steady-state operation allocates nothing.
 #[derive(Default)]
 pub struct BatchVerifier {
     pending: Vec<TagPair>,

@@ -15,7 +15,6 @@
 //! [`FbsConfig::single_pass`] the MAC absorption and block encryption
 //! proceed block-by-block in one loop over the payload.
 
-use crate::batchauth::BatchVerifier;
 use crate::cache::{CacheStats, SoftCache};
 use crate::clock::Clock;
 use crate::error::{FbsError, Result};
@@ -547,48 +546,6 @@ impl FlowCodec {
         self.note_received(out.len() as u64);
         // R12: `out` holds the datagram body.
         Ok(())
-    }
-
-    /// [`Self::open_with_key_into`] with the MAC *comparison* deferred into
-    /// `verifier` (MABS-style batch verification): the body is recovered
-    /// and the expected tag computed now, but the accept/reject decision —
-    /// and the receive/mac-drop accounting — happens when the caller
-    /// resolves the verifier over the whole sub-batch. Returns `true` when
-    /// a tag was enqueued (the caller MUST resolve the verifier and then
-    /// call [`Self::note_deferred_pass`] or
-    /// [`Self::note_deferred_mac_drop`] per datagram), `false` when the
-    /// datagram was fully accepted here (NOP-crypto mode).
-    pub fn open_with_key_deferred(
-        &self,
-        h: &HeaderView<'_>,
-        key: &SealedFlowKey,
-        body: &[u8],
-        out: &mut Vec<u8>,
-        token: usize,
-        verifier: &mut BatchVerifier,
-    ) -> Result<bool> {
-        let Some((expected, full)) = self.open_compute(h, key, body, out)? else {
-            self.note_received(out.len() as u64);
-            return Ok(false);
-        };
-        let used = self.cfg.shipped_mac_len(full);
-        // The shipped MAC is copied out of the wire buffer: by resolution
-        // time the payload buffer has been recycled into the pool.
-        verifier.push(&expected[..used], h.mac, token);
-        Ok(true)
-    }
-
-    /// Deferred-verification bookkeeping: the datagram whose tag was
-    /// enqueued by [`Self::open_with_key_deferred`] passed batch
-    /// verification.
-    pub fn note_deferred_pass(&self, bytes: u64) {
-        self.note_received(bytes);
-    }
-
-    /// Deferred-verification bookkeeping: the datagram failed batch
-    /// verification (isolated by bisection).
-    pub fn note_deferred_mac_drop(&self) {
-        self.note_mac_drop();
     }
 
     /// Recover the body into `out` and compute the expected MAC, dispatched

@@ -1,7 +1,11 @@
-//! Bounded single-producer/single-consumer rings for the worker runtime.
+//! Bounded single-producer/single-consumer rings.
 //!
-//! `SpscRing` carries sub-batches from the ingress/partition stage to a
-//! shard-owning worker (and replies back). It is written in safe Rust —
+//! `SpscRing` is a bounded FIFO between one producer thread and one
+//! consumer thread. The datapath no longer uses it: it runs each batch to
+//! completion on the submitting thread, so nothing crosses a thread
+//! inside the hooks. `benchmark/src/replay.rs` is now its only caller,
+//! which pins it until ROADMAP item 1(a) deletes both. It is written in
+//! safe Rust —
 //! the library crates `forbid(unsafe_code)` — so each slot is a
 //! `Mutex<Option<T>>` rather than an `UnsafeCell`. The protocol keeps
 //! those locks uncontended:

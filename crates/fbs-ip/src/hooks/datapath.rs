@@ -1,9 +1,9 @@
 //! Everything that touches one datagram: a [`Shard`]'s flow state, the
 //! §7.2 protect path and the verify path, the verdict wrappers that
-//! apply the degradation policy, deferred batch authentication, and the
-//! park release loop. Nothing here knows who runs it or how datagrams
-//! arrive — the runtime hands in a [`Pass`] and the caller's
-//! [`BufferPool`], which whoever holds the owner lock may use directly.
+//! apply the degradation policy, and the park release loop. Nothing
+//! here knows who runs it or how datagrams arrive — the runtime hands
+//! in a [`Pass`] and the caller's [`BufferPool`], which whoever holds
+//! the owner lock may use directly.
 
 use super::config::IpMappingConfig;
 use super::{record, HookShared};
@@ -11,8 +11,8 @@ use crate::combined::CombinedTable;
 use crate::tuple::FiveTuple;
 use fbs_core::header::HeaderView;
 use fbs_core::{
-    derive_flow_key, BatchVerifier, BudgetKind, BufferPool, FbsError, FlowCodec, FlowKeyId,
-    KeyUnavailableVerdict, Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
+    derive_flow_key, BudgetKind, BufferPool, FbsError, FlowCodec, FlowKeyId, KeyUnavailableVerdict,
+    Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
 };
 use fbs_crypto::{crc32, CipherSuite};
 use fbs_net::ip::Proto;
@@ -59,9 +59,6 @@ pub(super) fn fst_static_bytes(fst_size: usize) -> u64 {
 /// inside are share-stats'd into the lock-free aggregates in
 /// [`HookShared`].
 pub(super) struct Shard {
-    /// Index in the owning worker's shard vector (`si / W`), so a
-    /// deferred verdict can find this shard's codec again.
-    local: usize,
     /// Seal/open engine with this shard's confounder stream.
     codec: FlowCodec,
     /// The §7.2 send path: flow association and the transmit flow key
@@ -132,7 +129,6 @@ impl HookShared {
             flow_key_entry_bytes(self.ep_cfg.suite),
         );
         Shard {
-            local: si / self.n_workers,
             codec,
             combined,
             rfkc,
@@ -381,20 +377,15 @@ fn protect(
 
 /// The verify path, with no verdict handling: parse the FBS framing,
 /// resolve the receive flow key, and recover the borrowed wire payload
-/// into a pool buffer (fixing up `header`'s length on success). The
-/// MAC *comparison* is deferred into `auth` (MABS-style batch
-/// verification): on `Ok((body, true))` the accept/reject decision
-/// lands at batch resolution, keyed by `token` (the item's submission
-/// index, i.e. its place in the verdict ledger).
+/// into a pool buffer, verifying its MAC there and then (R7-9, one
+/// constant-time compare); `header`'s length is fixed up on success.
 fn verify(
     pass: &Pass<'_>,
     shard: &mut Shard,
     header: &mut Ipv4Header,
     payload: &[u8],
     pool: &mut BufferPool,
-    token: usize,
-    auth: &mut BatchAuth,
-) -> Result<(Vec<u8>, bool), FbsError> {
+) -> Result<Vec<u8>, FbsError> {
     let Pass { shared, obs, .. } = *pass;
     let source = Principal::from_ipv4(header.src);
     let (view, used) = HeaderView::parse(payload)?;
@@ -411,15 +402,11 @@ fn verify(
     };
     let mut body = pool.take();
     let timer = obs.as_ref().map(|_| StageTimer::start());
-    match shard.codec.open_with_key_deferred(
-        &view,
-        &key,
-        &payload[used..],
-        &mut body,
-        token,
-        &mut auth.verifier,
-    ) {
-        Ok(deferred) => {
+    match shard
+        .codec
+        .open_with_key_into(&view, &key, &payload[used..], &mut body)
+    {
+        Ok(()) => {
             if let Some(reg) = obs.as_ref() {
                 if let Some(timer) = timer {
                     reg.observe_stage(Stage::Open, timer.elapsed_ns());
@@ -434,16 +421,9 @@ fn verify(
                 shared.clock.now_micros(),
                 body.len() as u64,
             );
-            if deferred {
-                auth.deferred.push(DeferredOpen {
-                    idx: token,
-                    shard_local: shard.local,
-                    bytes: body.len() as u64,
-                });
-            }
             let delta = payload.len() as isize - body.len() as isize;
             header.grow_payload(-delta);
-            Ok((body, deferred))
+            Ok(body)
         }
         Err(e) => {
             pool.put(body);
@@ -568,23 +548,15 @@ pub(super) fn input_item(
     header: &mut Ipv4Header,
     payload: Vec<u8>,
     pool: &mut BufferPool,
-    token: usize,
-    auth: &mut BatchAuth,
 ) -> HookOutcome {
     let Pass { shared, obs, .. } = *pass;
     let dir = Direction::Input;
     record(obs, Event::HookEntry { dir });
     let verdict = degrade_verdict(pass.cfg);
-    match verify(pass, shard, header, &payload, pool, token, auth) {
-        Ok((body, deferred)) => {
-            // The wire buffer is recycled either way: the deferred
-            // verifier copied the shipped tag out of it.
+    match verify(pass, shard, header, &payload, pool) {
+        Ok(body) => {
             pool.put(payload);
-            // A deferred item's success accounting (or its flip to
-            // Reject) happens at batch resolution.
-            if !deferred {
-                shared.exit(obs, dir, true);
-            }
+            shared.exit(obs, dir, true);
             HookOutcome::Pass(body)
         }
         Err(FbsError::MalformedHeader(_) | FbsError::UnknownAlgorithm(_))
@@ -614,93 +586,14 @@ fn suite_counter(suite: CipherSuite, dir: Direction) -> Counter {
     }
 }
 
-/// Deferred-verification bookkeeping for one tentatively-passed input
-/// datagram: which verdict to flip if batch verification fails, and
-/// which shard's codec accounts for the outcome.
-struct DeferredOpen {
-    /// The datagram's submission index in the verdict ledger.
-    idx: usize,
-    /// Local shard index (`si / W`) whose codec opened the datagram.
-    shard_local: usize,
-    /// Recovered body length, accounted on pass.
-    bytes: u64,
-}
-
-/// Per-owner batch-authentication state: the MABS-style deferred MAC
-/// comparisons of the owner's share of a batch, resolved with one fold
-/// (bisection on a dirty fold) before the owner lock is released. The
-/// verifier and scratch vectors are retained across batches, so
-/// steady-state resolution allocates nothing.
-#[derive(Default)]
-pub(super) struct BatchAuth {
-    verifier: BatchVerifier,
-    deferred: Vec<DeferredOpen>,
-    failed: Vec<usize>,
-}
-
-/// Resolve every deferred MAC comparison the owner has pending: one
-/// constant-time fold accepts the whole clean batch; a dirty fold
-/// bisects, and each isolated failure flips its tentative `Pass` in the
-/// verdict ledger `out` to `Reject` (the recovered body goes back to the
-/// pool, so the buffer ledger stays balanced). MUST run before the
-/// verdicts leave the owner lock — including on the quarantine path and
-/// for parked datagrams released one at a time — or tentatively-passed
-/// datagrams would escape unverified.
-pub(super) fn resolve_batch_auth(
-    pass: &Pass<'_>,
-    shards: &[Shard],
-    auth: &mut BatchAuth,
-    out: &mut [(Ipv4Header, HookOutcome)],
-    pool: &mut BufferPool,
-) {
-    let Pass { shared, obs, .. } = *pass;
-    if auth.verifier.is_empty() && auth.deferred.is_empty() {
-        return;
-    }
-    let timer = obs.as_ref().map(|_| StageTimer::start());
-    auth.failed.clear();
-    let stats = auth.verifier.resolve(&mut auth.failed);
-    for d in auth.deferred.drain(..) {
-        let codec = &shards[d.shard_local].codec;
-        let verdict = &mut out[d.idx].1;
-        if !matches!(verdict, HookOutcome::Pass(_)) {
-            // A supervised panic struck between the tag enqueue and the
-            // verdict write: the item already carries the supervisor's
-            // Reject, nothing to account here.
-            continue;
-        }
-        if auth.failed.contains(&d.idx) {
-            codec.note_deferred_mac_drop();
-            let old = std::mem::replace(verdict, HookOutcome::Reject(RejectReason::BadMac));
-            if let HookOutcome::Pass(body) = old {
-                pool.put(body);
-            }
-            shared.exit(obs, Direction::Input, false);
-        } else {
-            codec.note_deferred_pass(d.bytes);
-            shared.exit(obs, Direction::Input, true);
-        }
-    }
-    if let Some(reg) = obs.as_ref() {
-        reg.incr(Counter::BatchAuthResolutions);
-        reg.add(Counter::BatchAuthChecked, stats.checked as u64);
-        reg.add(Counter::BatchAuthFolds, stats.folds);
-        reg.add(Counter::BatchAuthBisections, stats.bisections);
-        reg.add(Counter::BatchAuthRejected, stats.rejected as u64);
-        if let Some(timer) = timer {
-            reg.observe_stage(Stage::BatchVerify, timer.elapsed_ns());
-        }
-    }
-}
-
 /// Park release loop for one worker's owned shards in one direction:
 /// expire the overdue, then retry the rest — skipping (and re-parking)
 /// everything whose peer's circuit breaker would fast-fail, so a wall of
 /// parked traffic cannot hammer a known-broken keying path. Output
 /// retries `protect` towards `header.dst`; input retries `verify` from
-/// `header.src` and settles the MAC through [`resolve_batch_auth`] as a
-/// batch of one. Returns the released datagrams, their bodies drawn from
-/// `pool`; every consumed or expired buffer goes back into it.
+/// `header.src`, MAC check included. Returns the released datagrams,
+/// their bodies drawn from `pool`; every consumed or expired buffer goes
+/// back into it.
 pub(super) fn release_parked(
     shared: &HookShared,
     shards: &mut [Shard],
@@ -717,11 +610,10 @@ pub(super) fn release_parked(
         now_us,
     };
     let mut ready = Vec::new();
-    let mut auth = BatchAuth::default();
     let timer = obs.as_ref().map(|_| StageTimer::start());
     let mut did_work = false;
-    for local in 0..shards.len() {
-        for expired in shards[local].park(dir).take_expired(now_us) {
+    for shard in shards.iter_mut() {
+        for expired in shard.park(dir).take_expired(now_us) {
             let (header, payload) = expired.item;
             let sfl = wire_sfl(&payload);
             pass.trace_park(dir, &header, sfl, SpanKind::Expired, "park_expired", 0);
@@ -729,7 +621,7 @@ pub(super) fn release_parked(
             record(&obs, Event::ParkExpired);
             did_work = true;
         }
-        for entry in shards[local].park(dir).take_all() {
+        for entry in shard.park(dir).take_all() {
             did_work = true;
             let Parked {
                 item: (mut header, payload),
@@ -753,37 +645,22 @@ pub(super) fn release_parked(
                 Direction::Input => header.src,
             });
             if shared.keying.would_fast_fail(&peer) {
-                repark(&mut shards[local], header, payload, pool);
+                repark(shard, header, payload, pool);
                 continue;
             }
             // Both attempts only borrow the parked bytes, so they are
             // still owned here for a repark.
-            let shard = &mut shards[local];
             let res = match dir {
                 Direction::Output => {
                     let tuple = tuple_for(&header, &payload);
                     protect(&pass, shard, &mut header, &payload, tuple, pool)
-                        .map(|sealed| (sealed, false))
                 }
-                Direction::Input => verify(&pass, shard, &mut header, &payload, pool, 0, &mut auth),
+                Direction::Input => verify(&pass, shard, &mut header, &payload, pool),
             };
             match res {
-                Ok((out, deferred)) => {
-                    // The tentative verdict goes through the same
-                    // resolver as a batch's: it accounts a deferred
-                    // pass, or flips a forgery to `Reject` and recycles
-                    // the body. (Nothing is ever deferred on output.)
-                    let mut ledger = [(header, HookOutcome::Pass(out))];
-                    resolve_batch_auth(&pass, shards, &mut auth, &mut ledger, pool);
-                    let [(header, outcome)] = ledger;
-                    let HookOutcome::Pass(out) = outcome else {
-                        pool.put(payload);
-                        continue;
-                    };
-                    if !deferred {
-                        shared.exit(&obs, dir, true);
-                    }
-                    let waited_us = shards[local].park(dir).note_released(parked_at_us, now_us);
+                Ok(out) => {
+                    shared.exit(&obs, dir, true);
+                    let waited_us = shard.park(dir).note_released(parked_at_us, now_us);
                     record(&obs, Event::ParkReleased { waited_us });
                     // The flow's sfl leads the framed bytes: what was
                     // just sealed (the park itself had no identity to
@@ -802,7 +679,7 @@ pub(super) fn release_parked(
                     // Still no key.
                     let sfl = wire_sfl(&payload);
                     pass.trace_park(dir, &header, sfl, SpanKind::Reparked, "reparked", 0);
-                    repark(&mut shards[local], header, payload, pool);
+                    repark(shard, header, payload, pool);
                 }
                 Err(_) => {
                     shared.exit(&obs, dir, false);

@@ -575,8 +575,8 @@ fn parked_datagrams_expire_at_their_deadline() {
 #[test]
 fn forged_parked_input_is_rejected_at_release_like_a_batch_item() {
     // A forgery that parks (its key was unavailable on arrival) meets
-    // the MAC check only at release. That check is the same deferred
-    // resolution a sub-batch gets: same verdict, same counters.
+    // the MAC check only at release. That check is the same inline one
+    // a batch item gets: same verdict, same counters.
     MODES.into_iter().for_each(forged_parked_input_in_mode);
 }
 
@@ -601,13 +601,14 @@ fn forged_parked_input_in_mode(workers: usize) {
     rig.key_arrives();
     let released = rig.release(2_000);
     assert_eq!(released.len(), 1, "only the clean datagram is released");
+    let (_, mut plain) = udp_datagram(B, A);
+    plain[1] = 1;
+    assert_eq!(released[0].1, plain, "the clean body, intact");
     assert_eq!(rig.depth(), 0);
     assert_eq!(rig.hooks.endpoint_stats().mac_drops, 1);
     assert_eq!(rig.hooks.endpoint_stats().receives, 1);
-    let snap = rig.reg.snapshot();
-    assert_eq!(snap.counter("batchauth.checked"), 2);
-    assert_eq!(snap.counter("batchauth.rejected"), 1);
-    assert!(rig.reg.stage_histogram(Stage::BatchVerify).count() > 0);
+    // Only the open that verified is counted as one.
+    assert_eq!(rig.reg.snapshot().counter("crypto.open.paper"), 1);
     // Both bodies were recovered into pool buffers; the forgery's went
     // straight back, so `account` closes with nothing foreign.
     let (_, verdicts) = rig.account();
@@ -923,8 +924,8 @@ fn is_pass(o: &HookOutcome) -> bool {
     matches!(o, HookOutcome::Pass(_))
 }
 
-fn is_unavailable(o: &HookOutcome) -> bool {
-    matches!(o, HookOutcome::Reject(RejectReason::OwnerUnavailable))
+fn is_panicked(o: &HookOutcome) -> bool {
+    matches!(o, HookOutcome::Reject(RejectReason::OwnerPanicked))
 }
 
 /// Hand every `Pass` buffer of a finished batch back and check that the
@@ -965,11 +966,12 @@ fn panic_inside_an_item_closes_the_pool_ledger() {
 }
 
 #[test]
-fn an_owner_that_cannot_finish_fails_its_share_closed() {
+fn an_owner_that_always_panics_loses_its_share_one_datagram_per_panic() {
     // Owner 0 panics at the entry of every pass: each one costs the
     // datagram at the cursor, and once none is left the tail is retried
-    // a fixed number of times. `process_batch` still returns, with owner
-    // 0's whole share rejected and everyone else's untouched.
+    // a fixed number of times. `process_batch` still returns, with each
+    // of owner 0's datagrams rejected by the panic that consumed it and
+    // everyone else's untouched.
     for workers in MODES {
         let world = World::new();
         let mut hooks = hooks_with(&world, mode_cfg(workers));
@@ -983,7 +985,7 @@ fn an_owner_that_cannot_finish_fails_its_share_closed() {
             .collect();
         let out = hooks.process_batch(Direction::Output, batch, &mut pool, 1_000);
         for (w, (_, outcome)) in owner.iter().zip(&out) {
-            assert_eq!(is_unavailable(outcome), *w == 0, "{outcome:?}");
+            assert_eq!(is_panicked(outcome), *w == 0, "{outcome:?}");
             assert_eq!(is_pass(outcome), *w != 0, "{outcome:?}");
         }
         let share = owner.iter().filter(|w| **w == 0).count() as u64;
@@ -993,11 +995,11 @@ fn an_owner_that_cannot_finish_fails_its_share_closed() {
 }
 
 #[test]
-fn tentative_passes_never_escape_an_unfinished_tail() {
-    // Input: owner 0 opens all of its share but the last datagram — each
-    // a tentative `Pass` with its MAC comparison deferred — then that
-    // last one panics and so does every pass after it. The deferred MACs
-    // are never resolved, so none of those verdicts may read `Pass`.
+fn verdicts_written_before_an_unfinished_tail_stand() {
+    // Input: owner 0 opens and verifies all of its share but the last
+    // datagram, then that last one panics and so does every pass after
+    // it. Each verdict an item writes is final, MAC check included, so
+    // the passes written before the tail gave up stand.
     for workers in MODES {
         let world = World::new();
         let clock = TripClock::new(&world);
@@ -1025,19 +1027,23 @@ fn tentative_passes_never_escape_an_unfinished_tail() {
             .map(|dg| rx_shard(8, &dg.payload) % workers)
             .collect();
         let share = owner.iter().filter(|w| **w == 0).count();
-        assert!(share > 1, "owner 0 needs a datagram to pass tentatively");
+        assert!(share > 1, "owner 0 needs a datagram to pass first");
+        // Owner 0 runs first; the open checks freshness once per item,
+        // so the clock trips on the last datagram of its share.
+        let last = (0..owner.len()).rfind(|&i| owner[i] == 0).unwrap();
         clock.arm(share as i64);
         let mut pool = BufferPool::new();
         let out = hooks.process_batch(Direction::Input, batch, &mut pool, 1_000);
-        for (w, (_, outcome)) in owner.iter().zip(&out) {
-            assert_eq!(is_unavailable(outcome), *w == 0, "{outcome:?}");
-            assert_eq!(is_pass(outcome), *w != 0, "{outcome:?}");
+        let plain = spread_batch(16);
+        for (i, (_, outcome)) in out.iter().enumerate() {
+            assert_eq!(is_panicked(outcome), i == last, "{i}: {outcome:?}");
+            assert_eq!(is_pass(outcome), i != last, "{i}: {outcome:?}");
+            if let HookOutcome::Pass(body) = outcome {
+                assert_eq!(body, &plain[i].payload, "{i}: body intact");
+            }
         }
-        assert_eq!(
-            hooks.endpoint_stats().receives as usize,
-            16 - share,
-            "nothing of owner 0's was accounted as received"
-        );
+        assert_eq!(hooks.endpoint_stats().receives, 15);
+        assert_eq!(hooks.worker_panics(), 1 + 3, "the tripped item, 3 tails");
         close_ledger(&mut pool, out, 16);
     }
 }
@@ -1188,12 +1194,7 @@ fn stages_in_mode(workers: usize) {
     assert!(matches!(got, HookOutcome::Pass(_)), "{got:?}");
     assert!(chaos.tapped_here());
 
-    for stage in [
-        Stage::Partition,
-        Stage::Seal,
-        Stage::Open,
-        Stage::BatchVerify,
-    ] {
+    for stage in [Stage::Partition, Stage::Seal, Stage::Open] {
         assert!(reg.stage_histogram(stage).count() > 0, "{stage:?}");
     }
     let rows = reg.worker_occupancy_table();

@@ -7,8 +7,8 @@
 
 use super::config::WorkerFaultPolicy;
 use super::datapath::{
-    cascade_obs, input_item, output_item, release_parked, resolve_batch_auth, rx_shard, tuple_for,
-    tx_shard, BatchAuth, Pass, Shard,
+    cascade_obs, input_item, output_item, release_parked, rx_shard, tuple_for, tx_shard, Pass,
+    Shard,
 };
 use super::HookShared;
 use crate::tuple::FiveTuple;
@@ -25,8 +25,9 @@ use std::time::Duration;
 const MAX_INJECTED_STALL_US: u64 = 20_000;
 
 /// Supervised passes that may panic with no datagram left to process
-/// (only the pass's tail: deferred-MAC resolution, gauge refresh)
-/// before the owner's share of the batch is failed closed.
+/// (only the pass's tail: recycling, gauge refresh) before the owner
+/// gives up on the tail. Every datagram of its share already holds its
+/// final verdict by then; the bound only guarantees termination.
 const TAIL_RETRIES: u32 = 3;
 
 /// One datagram of the batch in flight. Its header lives in the verdict
@@ -186,11 +187,6 @@ pub(super) struct WorkerState {
     generation: u64,
     /// Supervised respawns so far (compared against the policy budget).
     respawns: u32,
-    /// Deferred MAC comparisons for the share being run. Lives here —
-    /// outside the panic boundary — so a supervised panic never loses
-    /// pending tags: they resolve when the share finishes or is
-    /// quarantine-rejected.
-    auth: BatchAuth,
 }
 
 impl WorkerState {
@@ -220,7 +216,6 @@ fn finish_current(
     let WorkerState {
         shards,
         pending_recycle,
-        auth,
         ..
     } = state;
     let obs = shared.obs_handle();
@@ -268,17 +263,11 @@ fn finish_current(
                 Direction::Output => {
                     output_item(&pass, shard, header, payload, item.tuple, flight.pool)
                 }
-                // The submission index doubles as the deferred
-                // verifier's correlation token.
-                Direction::Input => input_item(&pass, shard, header, payload, flight.pool, i, auth),
+                Direction::Input => input_item(&pass, shard, header, payload, flight.pool),
             }
         };
         flight.run.next += 1;
     }
-    // Deferred MAC comparisons resolve BEFORE the owner lock is released
-    // — on the reject path too, for items processed before the
-    // quarantine — so the caller only ever sees final verdicts.
-    resolve_batch_auth(&pass, shards, auth, flight.out, flight.pool);
     flight.pool.put_all(pending_recycle);
     refresh_park_depths(shared, w, shards);
     if let (Some(reg), Some(busy)) = (obs.as_ref(), busy) {
@@ -461,16 +450,14 @@ fn supervise<T>(
 /// panic costs its datagram a `Reject` and never unwinds into the
 /// caller. Always terminates: every panic with a datagram left consumes
 /// that datagram, and one with none left (the pass's tail) is retried
-/// [`TAIL_RETRIES`] times. An owner that still cannot finish fails its
-/// whole share closed — tentative `Pass` buffers go back to the pool and
-/// pending deferred tags are dropped — so nothing escapes unverified.
+/// [`TAIL_RETRIES`] times. Every verdict an item writes is final, so one
+/// written before an unfinished tail stands.
 pub(super) fn run_inline(
     shared: &HookShared,
     w: usize,
     state: &mut WorkerState,
     flight: &mut Flight<'_>,
 ) {
-    let start = flight.run.next;
     let mut tail_panics = 0;
     while tail_panics < TAIL_RETRIES {
         let pass = |st: &mut WorkerState, rej| finish_current(shared, w, st, flight, rej);
@@ -481,17 +468,6 @@ pub(super) fn run_inline(
             abort_current_item(flight);
         } else {
             tail_panics += 1;
-        }
-    }
-    state.auth = BatchAuth::default();
-    for &i in &flight.run.order[start..flight.run.ends[w]] {
-        // A parked datagram is held by its queue; that verdict stands.
-        if matches!(flight.out[i].1, HookOutcome::Park) {
-            continue;
-        }
-        let reject = HookOutcome::Reject(RejectReason::OwnerUnavailable);
-        if let HookOutcome::Pass(buf) = std::mem::replace(&mut flight.out[i].1, reject) {
-            flight.pool.put(buf);
         }
     }
 }

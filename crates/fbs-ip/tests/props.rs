@@ -13,7 +13,7 @@
 use fbs_cert::{CertificateAuthority, Directory};
 use fbs_core::header::EncAlgorithm;
 use fbs_core::protocol::EndpointStats;
-use fbs_core::ManualClock;
+use fbs_core::{FbsConfig, ManualClock};
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::CipherSuite;
 use fbs_ip::hooks::{FbsIpHooks, IpHookStats, IpMappingConfig};
@@ -90,13 +90,18 @@ fn cfg_for(
     encrypt: bool,
     truncate: bool,
 ) -> IpMappingConfig {
-    let mut cfg = IpMappingConfig::default();
-    cfg.workers = workers;
-    cfg.encrypt = encrypt;
-    cfg.fbs.suite = CipherSuite::ALL[suite];
-    cfg.fbs.enc_alg = EncAlgorithm::from_wire_id(enc_id).expect("valid wire id");
-    cfg.fbs.mac_truncate = truncate.then_some(8);
-    cfg
+    let base = IpMappingConfig::default();
+    IpMappingConfig {
+        workers,
+        encrypt,
+        fbs: FbsConfig {
+            suite: CipherSuite::ALL[suite],
+            enc_alg: EncAlgorithm::from_wire_id(enc_id).expect("valid wire id"),
+            mac_truncate: truncate.then_some(8),
+            ..base.fbs
+        },
+        ..base
+    }
 }
 
 /// Padding edges: empty, sub-block, one-off-block, exact block, and a

@@ -66,7 +66,7 @@ pub enum RejectReason {
     Unanswered,
     /// The timestamp fell outside the freshness window (replay defence).
     Stale,
-    /// MAC verification failed, inline or at batch resolution.
+    /// MAC verification failed.
     BadMac,
     /// The security header (or the flow identity under it) did not parse.
     MalformedHeader,
@@ -84,8 +84,6 @@ pub enum RejectReason {
     OwnerPanicked,
     /// The owner is quarantined after panics and rejects everything.
     OwnerQuarantined,
-    /// The owner could not finish its share of the batch.
-    OwnerUnavailable,
 }
 
 impl fmt::Display for RejectReason {
@@ -101,7 +99,6 @@ impl fmt::Display for RejectReason {
             RejectReason::ParkQueueFull => "key unavailable and park queue full",
             RejectReason::OwnerPanicked => "worker panicked mid-datagram",
             RejectReason::OwnerQuarantined => "worker quarantined after panic",
-            RejectReason::OwnerUnavailable => "worker runtime unavailable",
         })
     }
 }

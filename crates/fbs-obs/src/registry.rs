@@ -146,20 +146,10 @@ pub enum Counter {
     OpenSuiteFastDes,
     /// Datagrams opened under the ChaCha20-Poly1305 AEAD profile.
     OpenSuiteAead,
-    /// Sub-batch resolutions run by the deferred batch verifier.
-    BatchAuthResolutions,
-    /// Datagrams covered by batch-verify resolutions.
-    BatchAuthChecked,
-    /// Range folds performed while resolving (1 per clean sub-batch).
-    BatchAuthFolds,
-    /// Bisection steps taken isolating corrupt datagrams.
-    BatchAuthBisections,
-    /// Datagrams rejected by batch verification.
-    BatchAuthRejected,
 }
 
 /// Number of scalar counters.
-const NUM_COUNTERS: usize = 65;
+const NUM_COUNTERS: usize = 60;
 
 impl Counter {
     /// All counters, in snapshot order.
@@ -224,11 +214,6 @@ impl Counter {
         Counter::OpenSuitePaper,
         Counter::OpenSuiteFastDes,
         Counter::OpenSuiteAead,
-        Counter::BatchAuthResolutions,
-        Counter::BatchAuthChecked,
-        Counter::BatchAuthFolds,
-        Counter::BatchAuthBisections,
-        Counter::BatchAuthRejected,
     ];
 
     /// The hierarchical counter key.
@@ -294,11 +279,6 @@ impl Counter {
             Counter::OpenSuitePaper => "crypto.open.paper",
             Counter::OpenSuiteFastDes => "crypto.open.fast_des",
             Counter::OpenSuiteAead => "crypto.open.aead_chacha_poly",
-            Counter::BatchAuthResolutions => "batchauth.resolutions",
-            Counter::BatchAuthChecked => "batchauth.checked",
-            Counter::BatchAuthFolds => "batchauth.folds",
-            Counter::BatchAuthBisections => "batchauth.bisections",
-            Counter::BatchAuthRejected => "batchauth.rejected",
         }
     }
 

@@ -34,9 +34,6 @@ pub enum Stage {
     /// The open crypto core: parse + verify + optional decrypt on
     /// input.
     Open,
-    /// Resolving a sub-batch's deferred MAC comparisons (one fold in
-    /// the clean case, bisection when a tag mismatches).
-    BatchVerify,
     /// Zero-message flow-key derivation (cache-miss path, runs under
     /// the shard owner's lock).
     KeyDerive,
@@ -47,7 +44,7 @@ pub enum Stage {
 }
 
 /// Number of instrumented stages.
-pub(crate) const NUM_STAGES: usize = 7;
+pub(crate) const NUM_STAGES: usize = 6;
 
 impl Stage {
     /// All stages, in pipeline order.
@@ -55,7 +52,6 @@ impl Stage {
         Stage::Partition,
         Stage::Seal,
         Stage::Open,
-        Stage::BatchVerify,
         Stage::KeyDerive,
         Stage::Park,
         Stage::Release,
@@ -67,7 +63,6 @@ impl Stage {
             Stage::Partition => "partition",
             Stage::Seal => "seal",
             Stage::Open => "open",
-            Stage::BatchVerify => "batch_verify",
             Stage::KeyDerive => "key_derive",
             Stage::Park => "park",
             Stage::Release => "release",
