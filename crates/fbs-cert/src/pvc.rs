@@ -104,9 +104,11 @@ impl Pvc {
         self.inner.lock().stats
     }
 
-    /// Attach a metrics registry: cache lookups emit
-    /// [`fbs_obs::Event::CacheLookup`] under [`CacheKind::Pvc`] and per-use
-    /// verification failures bump [`Counter::PvcVerifyFailures`].
+    /// Attach a metrics registry: it reads the certificate cache's
+    /// counts under [`CacheKind::Pvc`], lookups emit
+    /// [`fbs_obs::Event::CacheLookup`], and fetch retries and per-use
+    /// verification failures bump the registry's `retry.*` and
+    /// [`Counter::PvcVerifyFailures`] counters.
     pub fn attach_obs(&self, registry: Arc<MetricsRegistry>) {
         let mut inner = self.inner.lock();
         inner.cache.set_obs(Arc::clone(&registry), CacheKind::Pvc);
@@ -133,6 +135,7 @@ impl PublicValueSource for Pvc {
                         for (i, backoff_us) in outcome.backoffs_us.iter().enumerate() {
                             inner.stats.retries += 1;
                             if let Some(reg) = &inner.obs {
+                                reg.incr(Counter::RetryAttempts);
                                 reg.record(Event::RetryAttempt {
                                     attempt: i as u32 + 1,
                                     backoff_us: *backoff_us,
@@ -145,6 +148,7 @@ impl PublicValueSource for Pvc {
                                 if outcome.exhausted && outcome.attempts > 1 {
                                     inner.stats.retry_exhausted += 1;
                                     if let Some(reg) = &inner.obs {
+                                        reg.incr(Counter::RetryExhausted);
                                         reg.record(Event::RetryExhausted {
                                             attempts: outcome.attempts,
                                         });

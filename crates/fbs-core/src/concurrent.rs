@@ -26,12 +26,12 @@
 //! 3. [`Published`] reads/writes nest inside anything (leaf lock, held
 //!    only for an `Arc` clone or swap).
 
-use crate::cache::{AtomicCacheStats, CacheStats, SoftCache};
+use crate::cache::{CacheStats, SoftCache};
 use crate::error::Result;
-use crate::mkd::{AtomicMkdStats, MasterKeyDaemon, MkdStats};
+use crate::mkd::{MasterKeyDaemon, MkdStats};
 use crate::principal::Principal;
 use fbs_crypto::crc32;
-use fbs_obs::{Counter, MetricsRegistry};
+use fbs_obs::{CacheKind, CounterBlock, MetricsRegistry};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -72,7 +72,7 @@ impl<T> Published<T> {
 
 /// A sharded, internally-locked wrapper over [`SoftCache`]: N inner
 /// caches (N rounded up to a power of two), each behind its own small
-/// mutex, all feeding one shared [`AtomicCacheStats`] handle so
+/// mutex, all counting into one block under one [`CacheKind`], so
 /// `stats()` is a single lock-free aggregate with the usual coherence
 /// invariant (`hits + misses == lookups`).
 ///
@@ -84,26 +84,29 @@ pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<SoftCache<K, V>>>,
     mask: u32,
     hash: Arc<dyn Fn(&K) -> u32 + Send + Sync>,
-    stats: Arc<AtomicCacheStats>,
+    counts: Arc<CounterBlock>,
+    kind: CacheKind,
 }
 
 impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
     /// `num_shards` (rounded up to a power of two, min 1) inner caches,
-    /// each of `num_sets × assoc` geometry, indexed by `hash`.
+    /// each of `num_sets × assoc` geometry, indexed by `hash`, counting
+    /// into `counts` under `kind`.
     pub fn new(
         num_shards: usize,
         num_sets: usize,
         assoc: usize,
+        counts: Arc<CounterBlock>,
+        kind: CacheKind,
         hash: impl Fn(&K) -> u32 + Send + Sync + 'static,
     ) -> Self {
         let n = num_shards.max(1).next_power_of_two();
         let hash: Arc<dyn Fn(&K) -> u32 + Send + Sync> = Arc::new(hash);
-        let stats = Arc::new(AtomicCacheStats::new());
         let shards = (0..n)
             .map(|_| {
                 let h = Arc::clone(&hash);
-                let mut cache = SoftCache::new(num_sets, assoc, move |k: &K| h(k));
-                cache.share_stats(Arc::clone(&stats));
+                let cache = SoftCache::new(num_sets, assoc, move |k: &K| h(k))
+                    .with_counts(Arc::clone(&counts), kind);
                 Mutex::new(cache)
             })
             .collect();
@@ -111,7 +114,8 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
             shards,
             mask: (n - 1) as u32,
             hash,
-            stats,
+            counts,
+            kind,
         }
     }
 
@@ -144,12 +148,7 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
 
     /// Aggregate statistics across all shards — lock-free.
     pub fn stats(&self) -> CacheStats {
-        self.stats.snapshot()
-    }
-
-    /// The shared live counter handle.
-    pub fn stats_handle(&self) -> Arc<AtomicCacheStats> {
-        Arc::clone(&self.stats)
+        self.counts.cache(self.kind)
     }
 
     /// Number of shards.
@@ -171,7 +170,7 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
 /// The shared keying service of a sharded endpoint: the master key
 /// cache (sharded, lock-free stats) in front of the one
 /// [`MasterKeyDaemon`] (its own mutex — upcalls are rare and expensive,
-/// §5.3's whole point). Shard workers call
+/// §5.3's whole point). Both count into the daemon's block. Shard workers call
 /// [`master_key`](Self::master_key) with their shard lock RELEASED
 /// (lock-ordering rule 1).
 ///
@@ -182,31 +181,33 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
 pub struct KeyingService {
     mkc: ShardedCache<Principal, Arc<[u8]>>,
     mkd: Mutex<MasterKeyDaemon>,
-    mkd_stats: AtomicMkdStats,
-    obs: Mutex<Option<Arc<MetricsRegistry>>>,
+    counts: Arc<CounterBlock>,
 }
 
 impl KeyingService {
     /// Wrap `mkd` behind an MKC of `mkc_slots` direct-mapped slots,
     /// sharded `mkc_shards` ways.
     pub fn new(mkd: MasterKeyDaemon, mkc_slots: usize, mkc_shards: usize) -> Self {
-        let mkd_stats = AtomicMkdStats::new();
-        mkd_stats.publish(&mkd.stats());
+        let counts = Arc::clone(mkd.counts());
         KeyingService {
-            mkc: ShardedCache::new(mkc_shards, mkc_slots, 1, |p: &Principal| {
-                crc32(p.as_bytes())
-            }),
+            mkc: ShardedCache::new(
+                mkc_shards,
+                mkc_slots,
+                1,
+                Arc::clone(&counts),
+                CacheKind::Mkc,
+                |p: &Principal| crc32(p.as_bytes()),
+            ),
             mkd: Mutex::new(mkd),
-            mkd_stats,
-            obs: Mutex::new(None),
+            counts,
         }
     }
 
-    /// Attach a metrics registry: MKD upcalls/failures are counted and
-    /// the daemon emits its retry/breaker events into it.
+    /// Attach a metrics registry: it reads the service's block (MKC and
+    /// MKD counts), and the daemon emits its retry/breaker events into
+    /// it.
     pub fn attach_obs(&self, registry: Arc<MetricsRegistry>) {
-        self.mkd.lock().set_obs(Arc::clone(&registry));
-        *self.obs.lock() = Some(registry);
+        self.mkd.lock().set_obs(registry);
     }
 
     /// Pair master key via the MKC, upcalling the MKD on a miss
@@ -224,25 +225,9 @@ impl KeyingService {
         if let Some(k) = self.mkc.get(peer) {
             return Ok(k);
         }
-        let obs = self.obs.lock().clone();
-        if let Some(reg) = &obs {
-            reg.incr(Counter::MkdUpcalls);
-        }
-        let result = mkd.master_key(peer);
-        self.mkd_stats.publish(&mkd.stats());
-        match result {
-            Ok(k) => {
-                let k: Arc<[u8]> = k.into();
-                self.mkc.insert(peer.clone(), Arc::clone(&k));
-                Ok(k)
-            }
-            Err(e) => {
-                if let Some(reg) = &obs {
-                    reg.incr(Counter::MkdFailures);
-                }
-                Err(e)
-            }
-        }
+        let k: Arc<[u8]> = mkd.master_key(peer)?.into();
+        self.mkc.insert(peer.clone(), Arc::clone(&k));
+        Ok(k)
     }
 
     /// Would an upcall for `peer` fail fast right now? Takes the `mkd`
@@ -267,9 +252,9 @@ impl KeyingService {
         self.mkc.stats()
     }
 
-    /// MKD statistics — lock-free (published after each upcall).
+    /// MKD statistics — lock-free.
     pub fn mkd_stats(&self) -> MkdStats {
-        self.mkd_stats.snapshot()
+        MkdStats::read(&self.counts)
     }
 }
 
@@ -279,6 +264,10 @@ mod tests {
     use crate::mkd::PinnedDirectory;
     use fbs_crypto::dh::{DhGroup, PrivateValue};
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    fn block() -> Arc<CounterBlock> {
+        Arc::new(CounterBlock::new())
+    }
 
     #[test]
     fn published_snapshot_swap() {
@@ -292,7 +281,9 @@ mod tests {
     #[test]
     fn sharded_cache_roundtrip_and_shared_stats() {
         let c: ShardedCache<u64, u64> =
-            ShardedCache::new(4, 8, 1, |k: &u64| crc32(&k.to_be_bytes()));
+            ShardedCache::new(4, 8, 1, block(), CacheKind::Mkc, |k: &u64| {
+                crc32(&k.to_be_bytes())
+            });
         assert_eq!(c.num_shards(), 4);
         for k in 0..32u64 {
             assert_eq!(c.get(&k), None);
@@ -315,9 +306,9 @@ mod tests {
 
     #[test]
     fn sharded_cache_rounds_shards_to_power_of_two() {
-        let c: ShardedCache<u64, u64> = ShardedCache::new(3, 4, 1, |_| 0);
+        let c: ShardedCache<u64, u64> = ShardedCache::new(3, 4, 1, block(), CacheKind::Mkc, |_| 0);
         assert_eq!(c.num_shards(), 4);
-        let c: ShardedCache<u64, u64> = ShardedCache::new(0, 4, 1, |_| 0);
+        let c: ShardedCache<u64, u64> = ShardedCache::new(0, 4, 1, block(), CacheKind::Mkc, |_| 0);
         assert_eq!(c.num_shards(), 1);
     }
 

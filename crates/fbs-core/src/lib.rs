@@ -46,7 +46,7 @@ pub mod sfl;
 
 pub use batchauth::{BatchVerifier, ResolveStats};
 pub use breaker::{Allow, BreakerConfig, BreakerState, CircuitBreaker, Transition};
-pub use cache::{AtomicCacheStats, CacheStats, Lookup, MissKind, SoftCache};
+pub use cache::{CacheStats, Lookup, MissKind, SoftCache};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use concurrent::{KeyingService, Published, ShardedCache};
 pub use error::{FbsError, Result, RuntimeError};
@@ -55,13 +55,13 @@ pub use fault::WorkerFaultInjector;
 pub use header::{EncAlgorithm, HeaderView, SecurityFlowHeader};
 pub use keying::{derive_flow_key, FlowKey, KeyDerivation, SealedFlowKey};
 pub use mem::{BudgetKind, BudgetSnapshot, MemoryBudget};
-pub use mkd::{AtomicMkdStats, MasterKeyDaemon, PinnedDirectory, PublicValueSource, Resilience};
+pub use mkd::{MasterKeyDaemon, PinnedDirectory, PublicValueSource, Resilience};
 pub use park::{ParkStats, Parked, ParkingQueue};
 pub use pool::{BufferPool, PoolStats};
 pub use principal::Principal;
 pub use protocol::{
-    flow_key_hash, AtomicEndpointStats, Datagram, FbsConfig, FbsEndpoint, FlowCodec, FlowKeyId,
-    ProtectedDatagram, MIN_SHIPPED_MAC,
+    flow_key_hash, Datagram, FbsConfig, FbsEndpoint, FlowCodec, FlowKeyId, ProtectedDatagram,
+    MIN_SHIPPED_MAC,
 };
 pub use replay::FreshnessWindow;
 pub use retry::{RetryOutcome, RetryPolicy};

@@ -21,7 +21,7 @@ use crate::error::{FbsError, Result};
 use crate::principal::Principal;
 use crate::retry::RetryPolicy;
 use fbs_crypto::dh::{PrivateValue, PublicValue};
-use fbs_obs::{BreakerStateKind, Event, MetricsRegistry};
+use fbs_obs::{BreakerStateKind, Counter, CounterBlock, Event, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -75,7 +75,8 @@ impl PublicValueSource for PinnedDirectory {
     }
 }
 
-/// MKD statistics.
+/// MKD statistics: a view over the `mkd.*`, `retry.*` and `breaker.*`
+/// cells the daemon writes in its counter block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MkdStats {
     /// Upcalls received (one per MKC miss).
@@ -98,72 +99,17 @@ pub struct MkdStats {
 }
 
 impl MkdStats {
-    /// Fold these counters into a snapshot under the `mkd.*` /
-    /// `retry.*` / `breaker.*` names a live `fbs_obs::MetricsRegistry`
-    /// uses.
-    pub fn contribute(&self, snap: &mut fbs_obs::MetricsSnapshot) {
-        snap.add("mkd.upcalls", self.upcalls);
-        snap.add("mkd.failures", self.failures);
-        snap.add("retry.attempts", self.retries);
-        snap.add("retry.exhausted", self.retry_exhausted);
-        snap.add("breaker.opened", self.breaker_opens);
-        snap.add("breaker.half_open", self.breaker_half_opens);
-        snap.add("breaker.closed", self.breaker_closes);
-        snap.add("breaker.fast_fails", self.breaker_fast_fails);
-    }
-}
-
-/// Lock-free published view of [`MkdStats`]: the owner re-publishes the
-/// whole struct after each upcall (under whatever lock guards the MKD),
-/// and readers snapshot it without taking that lock. Because every field
-/// is stored in one publish pass and the struct is only ever written by
-/// the lock holder, a snapshot is at worst one upcall stale — never torn
-/// in a way that breaks monotonicity of any individual counter.
-#[derive(Debug, Default)]
-pub struct AtomicMkdStats {
-    upcalls: std::sync::atomic::AtomicU64,
-    failures: std::sync::atomic::AtomicU64,
-    retries: std::sync::atomic::AtomicU64,
-    retry_exhausted: std::sync::atomic::AtomicU64,
-    breaker_opens: std::sync::atomic::AtomicU64,
-    breaker_half_opens: std::sync::atomic::AtomicU64,
-    breaker_closes: std::sync::atomic::AtomicU64,
-    breaker_fast_fails: std::sync::atomic::AtomicU64,
-}
-
-impl AtomicMkdStats {
-    /// A fresh zeroed handle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Re-publish `stats` (called by the MKD's owner after each upcall).
-    pub fn publish(&self, stats: &MkdStats) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.upcalls.store(stats.upcalls, Relaxed);
-        self.failures.store(stats.failures, Relaxed);
-        self.retries.store(stats.retries, Relaxed);
-        self.retry_exhausted.store(stats.retry_exhausted, Relaxed);
-        self.breaker_opens.store(stats.breaker_opens, Relaxed);
-        self.breaker_half_opens
-            .store(stats.breaker_half_opens, Relaxed);
-        self.breaker_closes.store(stats.breaker_closes, Relaxed);
-        self.breaker_fast_fails
-            .store(stats.breaker_fast_fails, Relaxed);
-    }
-
-    /// Read the most recently published counters.
-    pub fn snapshot(&self) -> MkdStats {
-        use std::sync::atomic::Ordering::Relaxed;
+    /// Read the view off `counts`.
+    pub fn read(counts: &CounterBlock) -> Self {
         MkdStats {
-            upcalls: self.upcalls.load(Relaxed),
-            failures: self.failures.load(Relaxed),
-            retries: self.retries.load(Relaxed),
-            retry_exhausted: self.retry_exhausted.load(Relaxed),
-            breaker_opens: self.breaker_opens.load(Relaxed),
-            breaker_half_opens: self.breaker_half_opens.load(Relaxed),
-            breaker_closes: self.breaker_closes.load(Relaxed),
-            breaker_fast_fails: self.breaker_fast_fails.load(Relaxed),
+            upcalls: counts.counter(Counter::MkdUpcalls),
+            failures: counts.counter(Counter::MkdFailures),
+            retries: counts.counter(Counter::RetryAttempts),
+            retry_exhausted: counts.counter(Counter::RetryExhausted),
+            breaker_opens: counts.counter(Counter::BreakerOpens),
+            breaker_half_opens: counts.counter(Counter::BreakerHalfOpens),
+            breaker_closes: counts.counter(Counter::BreakerCloses),
+            breaker_fast_fails: counts.counter(Counter::BreakerFastFails),
         }
     }
 }
@@ -197,20 +143,23 @@ impl Resilience {
 pub struct MasterKeyDaemon {
     private: PrivateValue,
     source: Box<dyn PublicValueSource>,
-    stats: MkdStats,
+    /// The block this daemon counts into — and, once an endpoint is
+    /// built around it, the whole endpoint.
+    counts: Arc<CounterBlock>,
     resilience: Option<Resilience>,
     obs: Option<Arc<MetricsRegistry>>,
 }
 
 impl MasterKeyDaemon {
     /// Create an MKD for a principal holding `private`, resolving peers
-    /// through `source`. Upcalls are single-shot; add
-    /// [`with_resilience`](Self::with_resilience) for retry + breaker.
+    /// through `source`, with a fresh counter block. Upcalls are
+    /// single-shot; add [`with_resilience`](Self::with_resilience) for
+    /// retry + breaker.
     pub fn new(private: PrivateValue, source: Box<dyn PublicValueSource>) -> Self {
         MasterKeyDaemon {
             private,
             source,
-            stats: MkdStats::default(),
+            counts: Arc::new(CounterBlock::new()),
             resilience: None,
             obs: None,
         }
@@ -223,10 +172,18 @@ impl MasterKeyDaemon {
         self
     }
 
-    /// Attach a metrics registry: retry attempts, breaker transitions,
-    /// and fast-fails are recorded as flight-recorder events.
+    /// Attach a metrics registry: it reads the daemon's counter block,
+    /// and retry attempts, breaker transitions and fast-fails are
+    /// recorded as flight-recorder events.
     pub fn set_obs(&mut self, registry: Arc<MetricsRegistry>) {
+        registry.attach(Arc::clone(&self.counts));
         self.obs = Some(registry);
+    }
+
+    /// The counter block this daemon writes; an endpoint built around
+    /// the daemon counts into it too.
+    pub fn counts(&self) -> &Arc<CounterBlock> {
+        &self.counts
     }
 
     fn record(&self, event: Event) {
@@ -238,15 +195,15 @@ impl MasterKeyDaemon {
     fn note_transition(&mut self, t: TransitionEvent) {
         let to = match t.transition {
             Transition::Opened => {
-                self.stats.breaker_opens += 1;
+                self.counts.incr(Counter::BreakerOpens);
                 BreakerStateKind::Open
             }
             Transition::HalfOpened => {
-                self.stats.breaker_half_opens += 1;
+                self.counts.incr(Counter::BreakerHalfOpens);
                 BreakerStateKind::HalfOpen
             }
             Transition::Closed => {
-                self.stats.breaker_closes += 1;
+                self.counts.incr(Counter::BreakerCloses);
                 BreakerStateKind::Closed
             }
         };
@@ -271,10 +228,10 @@ impl MasterKeyDaemon {
     /// configured, the fetch is retried per the policy and the peer's
     /// circuit breaker may fail the upcall fast while open.
     pub fn master_key(&mut self, peer: &Principal) -> Result<Vec<u8>> {
-        self.stats.upcalls += 1;
+        self.counts.incr(Counter::MkdUpcalls);
         let Some(res) = &mut self.resilience else {
             let public = self.source.fetch(peer).inspect_err(|_| {
-                self.stats.failures += 1;
+                self.counts.incr(Counter::MkdFailures);
             })?;
             return Ok(self.private.master_key(&public));
         };
@@ -295,8 +252,8 @@ impl MasterKeyDaemon {
             self.note_transition(t);
         }
         if allow == Allow::FastFail {
-            self.stats.failures += 1;
-            self.stats.breaker_fast_fails += 1;
+            self.counts.incr(Counter::MkdFailures);
+            self.counts.incr(Counter::BreakerFastFails);
             self.record(Event::BreakerFastFail);
             return Err(FbsError::CircuitOpen(peer.to_string()));
         }
@@ -305,7 +262,7 @@ impl MasterKeyDaemon {
         let source = &self.source;
         let outcome = res.retry.run(|| source.fetch(peer));
         for (i, backoff_us) in outcome.backoffs_us.iter().enumerate() {
-            self.stats.retries += 1;
+            self.counts.incr(Counter::RetryAttempts);
             self.record(Event::RetryAttempt {
                 attempt: i as u32 + 1,
                 backoff_us: *backoff_us,
@@ -330,9 +287,9 @@ impl MasterKeyDaemon {
                 // attempt would have finished.
                 let failed_at = now_us.saturating_add(outcome.total_backoff_us);
                 let transition = breaker.on_failure(failed_at);
-                self.stats.failures += 1;
+                self.counts.incr(Counter::MkdFailures);
                 if outcome.exhausted && outcome.attempts > 1 {
-                    self.stats.retry_exhausted += 1;
+                    self.counts.incr(Counter::RetryExhausted);
                     self.record(Event::RetryExhausted {
                         attempts: outcome.attempts,
                     });
@@ -371,9 +328,9 @@ impl MasterKeyDaemon {
         self.private.public_value()
     }
 
-    /// Accumulated statistics.
+    /// Accumulated statistics, read off the counter block.
     pub fn stats(&self) -> MkdStats {
-        self.stats
+        MkdStats::read(&self.counts)
     }
 }
 

@@ -33,9 +33,8 @@ use fbs_crypto::des::{
 use fbs_crypto::mac::MAX_MAC_SIZE;
 use fbs_crypto::rng::Lcg64;
 use fbs_crypto::{crc32, mac_eq, CipherSuite, MacAlgorithm};
-use fbs_obs::{CacheKind, Counter, Event, MetricsRegistry, MetricsSnapshot};
+use fbs_obs::{CacheKind, Counter, CounterBlock, Event, MetricsRegistry};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An unprotected datagram as handed to FBS by the upper layer: header
@@ -253,7 +252,8 @@ impl FbsConfig {
     }
 }
 
-/// Endpoint-level counters (cache hit rates live in the cache stats).
+/// Endpoint-level counters (cache hit rates live in the cache stats): a
+/// view over the `endpoint.*` cells of a counter block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EndpointStats {
     /// Datagrams sent.
@@ -273,17 +273,17 @@ pub struct EndpointStats {
 }
 
 impl EndpointStats {
-    /// Fold these counters into a snapshot under the `endpoint.*` names a
-    /// live [`MetricsRegistry`] uses, so a sum of per-endpoint legacy
-    /// stats and a registry snapshot land in the same namespace.
-    pub fn contribute(&self, snap: &mut MetricsSnapshot) {
-        snap.add("endpoint.sends", self.sends);
-        snap.add("endpoint.receives", self.receives);
-        snap.add("endpoint.replay_drops", self.replay_drops);
-        snap.add("endpoint.mac_drops", self.mac_drops);
-        snap.add("endpoint.malformed_drops", self.malformed_drops);
-        snap.add("endpoint.encryptions", self.encryptions);
-        snap.add("endpoint.decryptions", self.decryptions);
+    /// Read the view off `counts`.
+    pub fn read(counts: &CounterBlock) -> Self {
+        EndpointStats {
+            sends: counts.counter(Counter::Sends),
+            receives: counts.counter(Counter::Receives),
+            replay_drops: counts.counter(Counter::ReplayDrops),
+            mac_drops: counts.counter(Counter::MacDrops),
+            malformed_drops: counts.counter(Counter::MalformedDrops),
+            encryptions: counts.counter(Counter::Encryptions),
+            decryptions: counts.counter(Counter::Decryptions),
+        }
     }
 }
 
@@ -303,56 +303,6 @@ pub fn flow_key_hash(id: &FlowKeyId) -> u32 {
     h.finalize()
 }
 
-/// Lock-free endpoint counters backing [`FlowCodec::stats`]. Multiple
-/// codecs (the per-shard slices of a sharded endpoint) can share one
-/// handle via [`FlowCodec::share_stats`], so a scrape reads a single
-/// coherent aggregate without taking any shard lock. All updates are
-/// relaxed: these are independent monotone event counts.
-#[derive(Debug, Default)]
-pub struct AtomicEndpointStats {
-    sends: AtomicU64,
-    receives: AtomicU64,
-    replay_drops: AtomicU64,
-    mac_drops: AtomicU64,
-    malformed_drops: AtomicU64,
-    encryptions: AtomicU64,
-    decryptions: AtomicU64,
-}
-
-impl AtomicEndpointStats {
-    /// A fresh zeroed handle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Read the counters into a plain [`EndpointStats`] value.
-    pub fn snapshot(&self) -> EndpointStats {
-        EndpointStats {
-            sends: self.sends.load(Ordering::Relaxed),
-            receives: self.receives.load(Ordering::Relaxed),
-            replay_drops: self.replay_drops.load(Ordering::Relaxed),
-            mac_drops: self.mac_drops.load(Ordering::Relaxed),
-            malformed_drops: self.malformed_drops.load(Ordering::Relaxed),
-            encryptions: self.encryptions.load(Ordering::Relaxed),
-            decryptions: self.decryptions.load(Ordering::Relaxed),
-        }
-    }
-
-    fn absorb(&self, prior: EndpointStats) {
-        self.sends.fetch_add(prior.sends, Ordering::Relaxed);
-        self.receives.fetch_add(prior.receives, Ordering::Relaxed);
-        self.replay_drops
-            .fetch_add(prior.replay_drops, Ordering::Relaxed);
-        self.mac_drops.fetch_add(prior.mac_drops, Ordering::Relaxed);
-        self.malformed_drops
-            .fetch_add(prior.malformed_drops, Ordering::Relaxed);
-        self.encryptions
-            .fetch_add(prior.encryptions, Ordering::Relaxed);
-        self.decryptions
-            .fetch_add(prior.decryptions, Ordering::Relaxed);
-    }
-}
-
 /// The key-agnostic half of an endpoint: confounder generation, header
 /// encode/seal, decrypt/MAC-verify, freshness, and the endpoint-level
 /// counters — everything `FBSSend`/`FBSReceive` do *except* key lookup
@@ -364,7 +314,9 @@ pub struct FlowCodec {
     cfg: FbsConfig,
     clock: Arc<dyn Clock>,
     confounder: Lcg64,
-    stats: Arc<AtomicEndpointStats>,
+    /// Where the `endpoint.*` counts go: a private block by default, or
+    /// the endpoint's ([`with_counts`](Self::with_counts)).
+    counts: Arc<CounterBlock>,
     obs: Option<Arc<MetricsRegistry>>,
 }
 
@@ -381,13 +333,22 @@ impl FlowCodec {
             cfg: cfg.normalized(),
             clock,
             confounder: Lcg64::new(seed),
-            stats: Arc::new(AtomicEndpointStats::new()),
+            counts: Arc::new(CounterBlock::new()),
             obs: None,
         }
     }
 
-    /// Attach a metrics registry for datagram-path events.
+    /// Count into `counts` (builder style, before the first datagram):
+    /// how an endpoint's codecs share its block.
+    pub fn with_counts(mut self, counts: Arc<CounterBlock>) -> Self {
+        self.counts = counts;
+        self
+    }
+
+    /// Attach a metrics registry: it reads this codec's block, and the
+    /// codec emits datagram-path events into it.
     pub fn set_obs(&mut self, registry: Arc<MetricsRegistry>) {
+        registry.attach(Arc::clone(&self.counts));
         self.obs = Some(registry);
     }
 
@@ -406,22 +367,10 @@ impl FlowCodec {
         &self.clock
     }
 
-    /// Endpoint counters (a snapshot of the live atomic counters).
+    /// Endpoint counters, read off the counter block (every codec
+    /// sharing the block counts into the same cells).
     pub fn stats(&self) -> EndpointStats {
-        self.stats.snapshot()
-    }
-
-    /// The live counter handle, for lock-free scrapes.
-    pub fn stats_handle(&self) -> Arc<AtomicEndpointStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Point this codec's counters at `shared`, folding in anything
-    /// accumulated so far — how per-shard codecs aggregate into one
-    /// endpoint-wide handle.
-    pub fn share_stats(&mut self, shared: Arc<AtomicEndpointStats>) {
-        shared.absorb(self.stats.snapshot());
-        self.stats = shared;
+        EndpointStats::read(&self.counts)
     }
 
     /// R3-4 of Fig. 4: reject a stale or future timestamp, counting the
@@ -430,7 +379,7 @@ impl FlowCodec {
     pub fn check_freshness(&self, timestamp: u32) -> Result<()> {
         let now_minutes = self.clock.now_minutes();
         if let Err(e) = self.cfg.freshness.check(timestamp, now_minutes) {
-            self.stats.replay_drops.fetch_add(1, Ordering::Relaxed);
+            self.counts.incr(Counter::ReplayDrops);
             if let Some(reg) = &self.obs {
                 reg.record(Event::ReplayDrop {
                     datagram_minutes: timestamp,
@@ -656,40 +605,34 @@ impl FlowCodec {
     /// Decryption accounting, fired once per secret body.
     fn note_decrypted(&self, h: &HeaderView<'_>) {
         if h.enc_alg.is_secret() {
-            self.stats.decryptions.fetch_add(1, Ordering::Relaxed);
-            if let Some(reg) = &self.obs {
-                reg.incr(Counter::Decryptions);
-            }
+            self.counts.incr(Counter::Decryptions);
         }
     }
 
-    /// Malformed-frame accounting (stats + event).
+    /// Malformed-frame accounting (count + event).
     fn note_malformed(&self) {
-        self.stats.malformed_drops.fetch_add(1, Ordering::Relaxed);
+        self.counts.incr(Counter::MalformedDrops);
         if let Some(reg) = &self.obs {
             reg.record(Event::MalformedDrop);
         }
     }
 
-    /// MAC-mismatch accounting (stats + event).
+    /// MAC-mismatch accounting (count + event).
     fn note_mac_drop(&self) {
-        self.stats.mac_drops.fetch_add(1, Ordering::Relaxed);
+        self.counts.incr(Counter::MacDrops);
         if let Some(reg) = &self.obs {
             reg.record(Event::MacDrop);
         }
     }
 
-    /// Shared send-side accounting (stats + observation), identical for
-    /// the legacy and zero-copy paths.
+    /// Shared send-side accounting (counts + observation), identical
+    /// for the legacy and zero-copy paths.
     fn note_sealed(&self, enc_alg: EncAlgorithm, plaintext_bytes: u64) {
         if enc_alg.is_secret() {
-            self.stats.encryptions.fetch_add(1, Ordering::Relaxed);
+            self.counts.incr(Counter::Encryptions);
         }
-        self.stats.sends.fetch_add(1, Ordering::Relaxed);
+        self.counts.incr(Counter::Sends);
         if let Some(reg) = &self.obs {
-            if enc_alg.is_secret() {
-                reg.incr(Counter::Encryptions);
-            }
             reg.record(Event::Send {
                 bytes: plaintext_bytes,
             });
@@ -697,7 +640,7 @@ impl FlowCodec {
     }
 
     fn note_received(&self, bytes: u64) {
-        self.stats.receives.fetch_add(1, Ordering::Relaxed);
+        self.counts.incr(Counter::Receives);
         if let Some(reg) = &self.obs {
             reg.record(Event::Receive { bytes });
         }
@@ -720,7 +663,8 @@ pub struct FbsEndpoint {
 impl FbsEndpoint {
     /// Create an endpoint for `local`. `seed` randomises the confounder
     /// generator (must differ across initialisations, §5.3); `mkd` carries
-    /// the principal's private value and certificate access.
+    /// the principal's private value and certificate access, and the
+    /// counter block the whole endpoint counts into.
     pub fn new(
         local: Principal,
         cfg: FbsConfig,
@@ -728,11 +672,15 @@ impl FbsEndpoint {
         seed: u64,
         mkd: MasterKeyDaemon,
     ) -> Self {
-        let mkc = SoftCache::new(cfg.mkc_slots, 1, |p: &Principal| crc32(p.as_bytes()));
-        let tfkc = SoftCache::new(cfg.tfkc_sets, cfg.tfkc_assoc, flow_key_hash);
-        let rfkc = SoftCache::new(cfg.rfkc_sets, cfg.rfkc_assoc, flow_key_hash);
+        let counts = mkd.counts();
+        let mkc = SoftCache::new(cfg.mkc_slots, 1, |p: &Principal| crc32(p.as_bytes()))
+            .with_counts(Arc::clone(counts), CacheKind::Mkc);
+        let tfkc = SoftCache::new(cfg.tfkc_sets, cfg.tfkc_assoc, flow_key_hash)
+            .with_counts(Arc::clone(counts), CacheKind::Tfkc);
+        let rfkc = SoftCache::new(cfg.rfkc_sets, cfg.rfkc_assoc, flow_key_hash)
+            .with_counts(Arc::clone(counts), CacheKind::Rfkc);
         FbsEndpoint {
-            codec: FlowCodec::new(local, cfg, clock, seed),
+            codec: FlowCodec::new(local, cfg, clock, seed).with_counts(Arc::clone(counts)),
             seed,
             mkd,
             mkc,
@@ -742,10 +690,11 @@ impl FbsEndpoint {
         }
     }
 
-    /// Attach a metrics registry: the endpoint emits datagram-path events
-    /// (send/receive, drops, key-derivation latency) and cascades the
-    /// registry into its MKC/TFKC/RFKC so cache lookups are observed under
-    /// their own [`CacheKind`]s.
+    /// Attach a metrics registry: it reads the endpoint's counter block
+    /// (lifetime counts, pre-attach included), the endpoint emits
+    /// datagram-path events (send/receive, drops, key-derivation
+    /// latency), and its MKC/TFKC/RFKC emit lookups under their own
+    /// [`CacheKind`]s.
     pub fn attach_obs(&mut self, registry: Arc<MetricsRegistry>) {
         self.mkc.set_obs(Arc::clone(&registry), CacheKind::Mkc);
         self.tfkc.set_obs(Arc::clone(&registry), CacheKind::Tfkc);
@@ -782,18 +731,7 @@ impl FbsEndpoint {
         if let Some(k) = self.mkc.get(peer) {
             return Ok(k);
         }
-        if let Some(reg) = &self.obs {
-            reg.incr(Counter::MkdUpcalls);
-        }
-        let k: Arc<[u8]> = match self.mkd.master_key(peer) {
-            Ok(k) => k.into(),
-            Err(e) => {
-                if let Some(reg) = &self.obs {
-                    reg.incr(Counter::MkdFailures);
-                }
-                return Err(e);
-            }
-        };
+        let k: Arc<[u8]> = self.mkd.master_key(peer)?.into();
         self.mkc.insert(peer.clone(), Arc::clone(&k));
         Ok(k)
     }
@@ -1022,8 +960,7 @@ impl FbsEndpoint {
         self.codec.stats()
     }
 
-    /// The codec half (confounder, seal/open, freshness, counters) —
-    /// read access for callers that want its lock-free stats handle.
+    /// The codec half (confounder, seal/open, freshness, counters).
     pub fn codec(&self) -> &FlowCodec {
         &self.codec
     }
@@ -1274,6 +1211,7 @@ mod tests {
     use crate::clock::ManualClock;
     use crate::mkd::PinnedDirectory;
     use fbs_crypto::dh::{DhGroup, PrivateValue};
+    use fbs_obs::MetricsSnapshot;
 
     /// Build a connected pair of endpoints sharing a manual clock.
     fn endpoint_pair(cfg: FbsConfig) -> (FbsEndpoint, FbsEndpoint, ManualClock) {
@@ -1615,6 +1553,32 @@ mod tests {
         assert_eq!(pd.overhead(), 40 + 7);
     }
 
+    /// The registry names of every `EndpointStats` and `MkdStats` field,
+    /// filled from the endpoint's accessors.
+    fn endpoint_and_mkd_views(ep: &FbsEndpoint, snap: &mut MetricsSnapshot) {
+        let e = ep.stats();
+        let m = ep.mkd_stats();
+        for (name, v) in [
+            ("endpoint.sends", e.sends),
+            ("endpoint.receives", e.receives),
+            ("endpoint.replay_drops", e.replay_drops),
+            ("endpoint.mac_drops", e.mac_drops),
+            ("endpoint.malformed_drops", e.malformed_drops),
+            ("endpoint.encryptions", e.encryptions),
+            ("endpoint.decryptions", e.decryptions),
+            ("mkd.upcalls", m.upcalls),
+            ("mkd.failures", m.failures),
+            ("retry.attempts", m.retries),
+            ("retry.exhausted", m.retry_exhausted),
+            ("breaker.opened", m.breaker_opens),
+            ("breaker.half_open", m.breaker_half_opens),
+            ("breaker.closed", m.breaker_closes),
+            ("breaker.fast_fails", m.breaker_fast_fails),
+        ] {
+            snap.add(name, v);
+        }
+    }
+
     #[test]
     fn registry_mirrors_legacy_stats_mid_run() {
         // Both endpoints share one registry; mid-run and at the end, the
@@ -1628,8 +1592,7 @@ mod tests {
         let check = |s: &FbsEndpoint, d: &FbsEndpoint, reg: &MetricsRegistry| {
             let mut legacy = MetricsSnapshot::new();
             for ep in [s, d] {
-                ep.stats().contribute(&mut legacy);
-                ep.mkd_stats().contribute(&mut legacy);
+                endpoint_and_mkd_views(ep, &mut legacy);
                 ep.tfkc_stats().contribute(CacheKind::Tfkc, &mut legacy);
                 ep.rfkc_stats().contribute(CacheKind::Rfkc, &mut legacy);
                 ep.mkc_stats().contribute(CacheKind::Mkc, &mut legacy);

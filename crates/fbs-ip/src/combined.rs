@@ -12,8 +12,7 @@
 use crate::tuple::FiveTuple;
 use fbs_core::{SealedFlowKey, SflAllocator};
 use fbs_crypto::crc32;
-use fbs_obs::{CacheKind, CacheOutcome, Event, MetricsRegistry};
-use std::sync::atomic::{AtomicU64, Ordering};
+use fbs_obs::{CacheKind, CacheOutcome, CounterBlock, Event, MetricsRegistry};
 use std::sync::Arc;
 
 /// One merged FST/TFKC entry: flow identity + its cached key.
@@ -36,40 +35,29 @@ pub struct CombinedHit {
     pub new_flow: bool,
 }
 
-/// Statistics for the combined table.
+/// Statistics for the combined table: a view over the
+/// `cache.combined.*` cells of a counter block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CombinedStats {
-    /// Datagrams that reused an active entry (single lookup, no crypto).
+    /// Datagrams that reused an active entry (single lookup, no crypto):
+    /// `cache.combined.hits`.
     pub hits: u64,
-    /// New flows started (expired entry, empty slot, or collision).
+    /// New flows started (expired entry, empty slot, or collision):
+    /// `cache.combined.insertions`.
     pub new_flows: u64,
-    /// New flows that displaced a still-active different tuple.
+    /// New flows that displaced a still-active different tuple:
+    /// `cache.combined.collision_misses`.
     pub collisions: u64,
 }
 
-/// Lock-free counters backing [`CombinedTable::stats`]. The per-shard
-/// tables of a sharded endpoint share one handle (via
-/// [`CombinedTable::share_stats`]) so a scrape reads one aggregate
-/// without taking any shard lock.
-#[derive(Debug, Default)]
-pub struct AtomicCombinedStats {
-    hits: AtomicU64,
-    new_flows: AtomicU64,
-    collisions: AtomicU64,
-}
-
-impl AtomicCombinedStats {
-    /// A fresh zeroed handle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Read the counters into a plain [`CombinedStats`] value.
-    pub fn snapshot(&self) -> CombinedStats {
+impl CombinedStats {
+    /// Read the view off `counts`.
+    pub fn read(counts: &CounterBlock) -> Self {
+        let c = counts.cache(CacheKind::Combined);
         CombinedStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            new_flows: self.new_flows.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
+            hits: c.hits,
+            new_flows: c.insertions,
+            collisions: c.collision_misses,
         }
     }
 }
@@ -79,7 +67,9 @@ pub struct CombinedTable {
     slots: Vec<Option<Entry>>,
     threshold_secs: u64,
     alloc: SflAllocator,
-    stats: Arc<AtomicCombinedStats>,
+    /// Where the counts go: a private block by default, or the
+    /// endpoint's ([`with_counts`](Self::with_counts)).
+    counts: Arc<CounterBlock>,
     obs: Option<Arc<MetricsRegistry>>,
 }
 
@@ -99,30 +89,40 @@ impl CombinedTable {
             slots: (0..size).map(|_| None).collect(),
             threshold_secs,
             alloc,
-            stats: Arc::new(AtomicCombinedStats::new()),
+            counts: Arc::new(CounterBlock::new()),
             obs: None,
         }
     }
 
-    /// Attach a metrics registry: lookups emit [`Event::CacheLookup`]
-    /// under [`CacheKind::Combined`].
+    /// Count into `counts` (builder style, before the first lookup): how
+    /// the per-shard tables share their endpoint's block.
+    pub fn with_counts(mut self, counts: Arc<CounterBlock>) -> Self {
+        self.counts = counts;
+        self
+    }
+
+    /// Attach a metrics registry: it reads this table's block, and
+    /// lookups emit [`Event::CacheLookup`] under [`CacheKind::Combined`].
     pub fn set_obs(&mut self, registry: Arc<MetricsRegistry>) {
+        registry.attach(Arc::clone(&self.counts));
         self.obs = Some(registry);
     }
 
-    /// Point this table's counters at `shared`, folding in anything
-    /// accumulated so far — how per-shard tables aggregate into one
-    /// endpoint-wide handle for lock-free scrapes.
-    pub fn share_stats(&mut self, shared: Arc<AtomicCombinedStats>) {
-        let prior = self.stats.snapshot();
-        shared.hits.fetch_add(prior.hits, Ordering::Relaxed);
-        shared
-            .new_flows
-            .fetch_add(prior.new_flows, Ordering::Relaxed);
-        shared
-            .collisions
-            .fetch_add(prior.collisions, Ordering::Relaxed);
-        self.stats = shared;
+    /// Count a lookup outcome, and emit it when observed. A plain miss
+    /// (no live entry displaced) is counted only under observation, as
+    /// the no-registry datapath always has: it would be one more atomic
+    /// per flow birth, and [`CombinedStats`] does not read it.
+    fn note_lookup(&self, outcome: CacheOutcome) {
+        let observed = self.obs.as_ref();
+        if outcome != CacheOutcome::MissCold || observed.is_some() {
+            self.counts.cache_lookup(CacheKind::Combined, outcome);
+        }
+        if let Some(reg) = observed {
+            reg.record(Event::CacheLookup {
+                kind: CacheKind::Combined,
+                outcome,
+            });
+        }
     }
 
     fn slot_of(&self, tuple: &FiveTuple) -> usize {
@@ -169,37 +169,23 @@ impl CombinedTable {
             let active = now_secs.saturating_sub(e.last_secs) <= self.threshold_secs;
             if active && e.tuple == *tuple {
                 e.last_secs = now_secs;
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 let hit = CombinedHit {
                     sfl: e.sfl,
                     key: Arc::clone(&e.key),
                     new_flow: false,
                 };
-                if let Some(reg) = &self.obs {
-                    reg.record(Event::CacheLookup {
-                        kind: CacheKind::Combined,
-                        outcome: CacheOutcome::Hit,
-                    });
-                }
+                self.note_lookup(CacheOutcome::Hit);
                 return Some(hit);
             }
-            if active {
-                // A live different flow is displaced: premature termination
-                // by hash collision (harmless for security, footnote 11).
-                self.stats.collisions.fetch_add(1, Ordering::Relaxed);
-                displaced_live = true;
-            }
+            // A live different flow is displaced: premature termination
+            // by hash collision (harmless for security, footnote 11).
+            displaced_live = active;
         }
-        if let Some(reg) = &self.obs {
-            reg.record(Event::CacheLookup {
-                kind: CacheKind::Combined,
-                outcome: if displaced_live {
-                    CacheOutcome::MissCollision
-                } else {
-                    CacheOutcome::MissCold
-                },
-            });
-        }
+        self.note_lookup(if displaced_live {
+            CacheOutcome::MissCollision
+        } else {
+            CacheOutcome::MissCold
+        });
         None
     }
 
@@ -232,7 +218,7 @@ impl CombinedTable {
             key,
             last_secs: now_secs,
         });
-        self.stats.new_flows.fetch_add(1, Ordering::Relaxed);
+        self.counts.cache_insertion(CacheKind::Combined);
     }
 
     /// Invalidate every entry (e.g. after a rekey of the local principal).
@@ -252,16 +238,9 @@ impl CombinedTable {
             .count()
     }
 
-    /// Accumulated statistics (a lock-free snapshot of the atomic
-    /// counters).
+    /// Accumulated statistics, read off the counter block.
     pub fn stats(&self) -> CombinedStats {
-        self.stats.snapshot()
-    }
-
-    /// A handle to the underlying atomic counters, readable without
-    /// borrowing (or locking) the table itself.
-    pub fn stats_handle(&self) -> Arc<AtomicCombinedStats> {
-        Arc::clone(&self.stats)
+        CombinedStats::read(&self.counts)
     }
 }
 

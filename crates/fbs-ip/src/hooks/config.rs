@@ -1,35 +1,12 @@
 //! The IP mapping's configuration and its verdict ledger: what the
-//! operator sets ([`IpMappingConfig`], [`WorkerFaultPolicy`]), what the
-//! hooks count ([`IpHookStats`]), and the two functions through which
-//! every count is made.
+//! operator sets ([`IpMappingConfig`]), what the hooks count
+//! ([`IpHookStats`]), and the two functions through which every count is
+//! made.
 
 use super::{record, HookShared};
 use fbs_core::{FbsConfig, KeyUnavailableVerdict};
-use fbs_obs::{Direction, Event, MetricsRegistry};
-use std::sync::atomic::{AtomicU64, Ordering};
+use fbs_obs::{Counter, CounterBlock, Direction, Event, MetricsRegistry};
 use std::sync::Arc;
-
-/// What the supervisor does with a worker (shard owner) that panicked.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkerFaultPolicy {
-    /// Rebuild the worker's shard state and resume (soft state re-warms
-    /// through normal cache misses). After `max_respawns` supervised
-    /// panics the worker falls back to [`WorkerFaultPolicy::FailClosed`].
-    Respawn {
-        /// Supervised respawns allowed before quarantining.
-        max_respawns: u32,
-    },
-    /// Quarantine immediately: keep answering the control plane, but
-    /// reject every datagram routed to the worker's shards (buffers
-    /// recycled, never silently dropped).
-    FailClosed,
-}
-
-impl Default for WorkerFaultPolicy {
-    fn default() -> Self {
-        WorkerFaultPolicy::Respawn { max_respawns: 3 }
-    }
-}
 
 /// Configuration of the IP mapping.
 #[derive(Clone, Debug)]
@@ -66,10 +43,6 @@ pub struct IpMappingConfig {
     /// their batches touch different owners. No thread is started.
     /// Fixed at construction, like the shard geometry.
     pub workers: usize,
-    /// Supervision policy applied when a worker panics. Read per
-    /// panic, so it can be changed through
-    /// [`FbsIpHooks::update_config`](super::FbsIpHooks::update_config).
-    pub worker_fault: WorkerFaultPolicy,
     /// Per-shard soft-state byte budget (0 = unbudgeted). Bounds what
     /// one shard's RFKC and FST keep resident: a table that would
     /// allocate past the budget evicts its own entries first. Enforced
@@ -94,14 +67,14 @@ impl Default for IpMappingConfig {
             park_deadline_us: 2_000_000,
             shards: 8,
             workers: 2,
-            worker_fault: WorkerFaultPolicy::default(),
             shard_budget_bytes: 0,
             fbs: FbsConfig::default(),
         }
     }
 }
 
-/// Counters for the hook layer.
+/// Counters for the hook layer: a view over the `hooks.*_ok`,
+/// `hooks.*_errors` and `degrade.*` cells of the hooks' counter block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IpHookStats {
     /// Datagrams protected on output.
@@ -119,6 +92,18 @@ pub struct IpHookStats {
 }
 
 impl IpHookStats {
+    /// Read the view off `counts`.
+    pub(super) fn read(counts: &CounterBlock) -> Self {
+        IpHookStats {
+            protected: counts.counter(Counter::HookOutputOk),
+            verified: counts.counter(Counter::HookInputOk),
+            output_errors: counts.counter(Counter::HookOutputErrors),
+            input_errors: counts.counter(Counter::HookInputErrors),
+            fail_open: counts.counter(Counter::DegradeFailOpen),
+            fail_closed: counts.counter(Counter::DegradeFailClosed),
+        }
+    }
+
     /// Total output-hook invocations that reached a final verdict.
     pub fn output_entries(&self) -> u64 {
         self.protected + self.output_errors
@@ -130,59 +115,29 @@ impl IpHookStats {
     }
 }
 
-/// Lock-free live counters behind [`FbsIpHooks::stats`]: updated with
-/// relaxed atomics, snapshotted by readers without
-/// blocking any batch in flight. Written only by the verdict ledger
-/// ([`HookShared::exit`], [`HookShared::degraded`]).
-#[derive(Debug, Default)]
-pub(super) struct AtomicHookStats {
-    protected: AtomicU64,
-    verified: AtomicU64,
-    output_errors: AtomicU64,
-    input_errors: AtomicU64,
-    fail_open: AtomicU64,
-    fail_closed: AtomicU64,
-}
-
-impl AtomicHookStats {
-    pub(super) fn snapshot(&self) -> IpHookStats {
-        IpHookStats {
-            protected: self.protected.load(Ordering::Relaxed),
-            verified: self.verified.load(Ordering::Relaxed),
-            output_errors: self.output_errors.load(Ordering::Relaxed),
-            input_errors: self.input_errors.load(Ordering::Relaxed),
-            fail_open: self.fail_open.load(Ordering::Relaxed),
-            fail_closed: self.fail_closed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The verdict ledger: the only writers of [`AtomicHookStats`] and the
-/// only constructors of the registry's verdict events, so
-/// [`IpHookStats`] and an attached registry's `hooks.*` / `degrade.*`
-/// counters move together or not at all.
+/// The verdict ledger: the only writers of the verdict counts and the
+/// only constructors of the registry's verdict events. [`IpHookStats`]
+/// and an attached registry read the same cells.
 impl HookShared {
     /// A datagram left the `dir` hook with its final verdict.
     pub(super) fn exit(&self, obs: &Option<Arc<MetricsRegistry>>, dir: Direction, ok: bool) {
-        let stat = match (dir, ok) {
-            (Direction::Output, true) => &self.stats.protected,
-            (Direction::Output, false) => &self.stats.output_errors,
-            (Direction::Input, true) => &self.stats.verified,
-            (Direction::Input, false) => &self.stats.input_errors,
-        };
-        stat.fetch_add(1, Ordering::Relaxed);
+        self.counts.incr(match (dir, ok) {
+            (Direction::Output, true) => Counter::HookOutputOk,
+            (Direction::Output, false) => Counter::HookOutputErrors,
+            (Direction::Input, true) => Counter::HookInputOk,
+            (Direction::Input, false) => Counter::HookInputErrors,
+        });
         record(obs, Event::HookExit { dir, ok });
     }
 
     /// A key-unavailable datagram took a degradation verdict: admitted
     /// unprotected (`open`) or dropped fail-closed.
     pub(super) fn degraded(&self, obs: &Option<Arc<MetricsRegistry>>, dir: Direction, open: bool) {
-        let stat = if open {
-            &self.stats.fail_open
+        self.counts.incr(if open {
+            Counter::DegradeFailOpen
         } else {
-            &self.stats.fail_closed
-        };
-        stat.fetch_add(1, Ordering::Relaxed);
+            Counter::DegradeFailClosed
+        });
         record(obs, Event::Degraded { dir, open });
     }
 }

@@ -55,9 +55,8 @@ pub(super) fn fst_static_bytes(fst_size: usize) -> u64 {
 }
 
 /// One shard's slice of the mutable flow state, reachable only through
-/// its owner's lock (`HookShared::owners`). All counters
-/// inside are share-stats'd into the lock-free aggregates in
-/// [`HookShared`].
+/// its owner's lock (`HookShared::owners`). Every counter inside writes
+/// the endpoint's one block in [`HookShared`].
 pub(super) struct Shard {
     /// Seal/open engine with this shard's confounder stream.
     codec: FlowCodec,
@@ -96,27 +95,27 @@ impl HookShared {
             .sfl_seed
             .wrapping_add(generation.wrapping_mul(0x9E37_79B9));
         let stride_base = salt.wrapping_mul(n).wrapping_add(si as u64);
-        let mut codec = FlowCodec::new(
+        let codec = FlowCodec::new(
             self.local.clone(),
             self.ep_cfg.clone(),
             Arc::clone(&self.clock),
             self.codec_seed
                 ^ (si as u64).wrapping_mul(SHARD_SEED_MIX)
                 ^ generation.wrapping_mul(GENERATION_MIX),
-        );
-        codec.share_stats(Arc::clone(&self.endpoint_stats));
-        let mut combined = CombinedTable::new(
+        )
+        .with_counts(Arc::clone(&self.counts));
+        let combined = CombinedTable::new(
             cfg.fst_size,
             cfg.threshold_secs,
             SflAllocator::with_stride(stride_base, n),
-        );
-        combined.share_stats(Arc::clone(&self.combined_stats));
+        )
+        .with_counts(Arc::clone(&self.counts));
         let mut rfkc = SoftCache::new(
             self.ep_cfg.rfkc_sets,
             self.ep_cfg.rfkc_assoc,
             fbs_core::flow_key_hash,
-        );
-        rfkc.share_stats(Arc::clone(&self.rfkc_stats));
+        )
+        .with_counts(Arc::clone(&self.counts), CacheKind::Rfkc);
         // The shard enforces its own budget: reset the (possibly
         // carried-over) ledger, charge the static FST footprint, and
         // attach the key cache so it evicts before allocating past it.

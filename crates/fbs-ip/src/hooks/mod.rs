@@ -62,8 +62,10 @@
 //! the keying service the order is mkd → mkc-shard; [`Published`] reads
 //! nest inside anything (leaf).
 //!
-//! All hook/endpoint/cache counters are lock-free atomics shared across
-//! shards, so a stats scrape never blocks a batch in flight.
+//! Every shard, the keying service and the verdict ledger count into
+//! the endpoint's one [`CounterBlock`] of relaxed atomics, so a stats
+//! scrape never blocks a batch in flight, and the accessors and an
+//! attached registry read the same cells.
 //!
 //! # Fault containment
 //!
@@ -75,15 +77,15 @@
 //!   the datagram that panicked gets a `Reject` (and the pool whatever
 //!   the unwind freed, so its ledger closes), and the rest of the batch
 //!   is finished after recovery — zero verdict loss.
-//! * **Respawn or quarantine** ([`WorkerFaultPolicy`]). Under `Respawn`
-//!   the owner's shards are rebuilt fresh (soft state re-warms through
-//!   ordinary FST/RFKC misses — the paper's §5.3 argument; parked
-//!   datagrams are carried over, and rebuilt sfl allocators are
-//!   generation-salted while preserving `sfl ≡ shard (mod N)`). After
-//!   `max_respawns`, or immediately under `FailClosed`, the owner is
-//!   **quarantined**: parked buffers are recycled, and it keeps
-//!   answering the control plane but rejects every datagram —
-//!   fail-closed on its shards, invisible to the others.
+//! * **Respawn, then quarantine.** A panicked owner's shards are
+//!   rebuilt fresh (soft state re-warms through ordinary FST/RFKC
+//!   misses — the paper's §5.3 argument; parked datagrams are carried
+//!   over, and rebuilt sfl allocators are generation-salted while
+//!   preserving `sfl ≡ shard (mod N)`). After a fixed budget of three
+//!   respawns the owner is **quarantined**: parked buffers are
+//!   recycled, and it keeps answering the control plane but rejects
+//!   every datagram — fail-closed on its shards, invisible to the
+//!   others.
 //! * **Typed errors, no runtime panics.** Control calls return
 //!   [`RuntimeError`], and `process_batch` always returns, fail-closed:
 //!   a ledger entry reads `Reject` until its item writes a final
@@ -121,22 +123,24 @@ mod datapath;
 mod tests;
 mod worker;
 
-pub use config::{IpHookStats, IpMappingConfig, WorkerFaultPolicy};
+pub use config::{IpHookStats, IpMappingConfig};
 
-use crate::combined::AtomicCombinedStats;
-use config::AtomicHookStats;
+use crate::combined::CombinedStats;
 use datapath::Shard;
 use fbs_core::breaker::BreakerState;
+use fbs_core::mkd::MkdStats;
 use fbs_core::protocol::EndpointStats;
 use fbs_core::{
-    AtomicCacheStats, BudgetSnapshot, BufferPool, Clock, FbsConfig, FbsEndpoint, KeyingService,
-    MemoryBudget, ParkStats, Principal, Published, RuntimeError, WorkerFaultInjector,
+    BudgetSnapshot, BufferPool, Clock, FbsConfig, FbsEndpoint, KeyingService, MemoryBudget,
+    ParkStats, Principal, Published, RuntimeError, WorkerFaultInjector,
 };
 use fbs_net::ip::Proto;
 use fbs_net::{Datagram, HookOutcome, Ipv4Header, SecurityHooks};
-use fbs_obs::{Direction, Event, MetricsRegistry, Stage, StageTimer};
+use fbs_obs::{
+    CacheKind, Counter, CounterBlock, Direction, Event, MetricsRegistry, Stage, StageTimer,
+};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use worker::{Flight, Run, WorkerState};
 
@@ -151,8 +155,8 @@ struct ParkDepths {
 }
 
 /// State shared by every clone of [`FbsIpHooks`]: the keying service,
-/// the published config snapshot, the lock-free counter aggregates, and
-/// the shard owners.
+/// the published config snapshot, the counter block, and the shard
+/// owners.
 struct HookShared {
     keying: KeyingService,
     local: Principal,
@@ -166,16 +170,12 @@ struct HookShared {
     /// Base sfl allocator seed (pre shard/generation mixing).
     sfl_seed: u64,
     cfg: Published<IpMappingConfig>,
-    stats: AtomicHookStats,
-    endpoint_stats: Arc<fbs_core::AtomicEndpointStats>,
-    rfkc_stats: Arc<AtomicCacheStats>,
-    combined_stats: Arc<AtomicCombinedStats>,
-    /// Panics caught by the supervisor.
-    worker_panics: AtomicU64,
-    /// Supervised respawns (shard state rebuilt, worker resumed).
-    worker_respawns: AtomicU64,
-    /// Workers that exhausted their respawn budget (or run under
-    /// [`WorkerFaultPolicy::FailClosed`]) and now reject everything.
+    /// The endpoint's block (taken over from its MKD): verdicts,
+    /// supervisor panics and respawns, and every shard's codec, combined
+    /// table and RFKC count here.
+    counts: Arc<CounterBlock>,
+    /// Workers that exhausted their respawn budget and now reject
+    /// everything.
     quarantined: Box<[AtomicBool]>,
     /// Deterministic fault injector for chaos runs (`None` in
     /// production; swap-on-update like `cfg`).
@@ -243,6 +243,7 @@ impl FbsIpHooks {
         let workers = cfg.workers.clamp(1, n);
         cfg.workers = workers;
         let budget_bytes = cfg.shard_budget_bytes;
+        let counts = Arc::clone(mkd.counts());
         let keying = KeyingService::new(mkd, ep_cfg.mkc_slots, n);
         let mut shared = HookShared {
             keying,
@@ -252,12 +253,7 @@ impl FbsIpHooks {
             codec_seed: seed,
             sfl_seed,
             cfg: Published::new(cfg),
-            stats: AtomicHookStats::default(),
-            endpoint_stats: Arc::new(fbs_core::AtomicEndpointStats::new()),
-            rfkc_stats: Arc::new(AtomicCacheStats::new()),
-            combined_stats: Arc::new(AtomicCombinedStats::new()),
-            worker_panics: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
+            counts,
             quarantined: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             chaos: Published::new(None),
             obs: Published::new(None),
@@ -285,11 +281,13 @@ impl FbsIpHooks {
         }
     }
 
-    /// Attach a metrics registry: the hooks emit entry/exit events, and
-    /// the registry cascades into every shard's codec, combined table
-    /// and RFKC (under each owner's lock), plus the shared keying
-    /// service.
+    /// Attach a metrics registry: it reads the hooks' counter block
+    /// (lifetime counts, pre-attach included), the hooks emit entry/exit
+    /// events, and the registry cascades into every shard's codec,
+    /// combined table and RFKC (under each owner's lock), plus the
+    /// shared keying service, for their events.
     pub fn attach_obs(&self, registry: Arc<MetricsRegistry>) -> Result<(), RuntimeError> {
+        registry.attach(Arc::clone(&self.shared.counts));
         self.shared.keying.attach_obs(Arc::clone(&registry));
         for w in 0..self.shared.n_workers {
             self.shared.with_owner(w, |st| st.attach_obs(&registry))?;
@@ -309,31 +307,32 @@ impl FbsIpHooks {
         self.shared.cfg.store(Arc::new(next));
     }
 
-    /// Hook-level statistics — a lock-free atomic snapshot.
+    /// Hook-level statistics — lock-free, read off the counter block
+    /// like every accessor below.
     pub fn stats(&self) -> IpHookStats {
-        self.shared.stats.snapshot()
+        IpHookStats::read(&self.shared.counts)
     }
 
     /// Endpoint statistics (sends, drops...) — lock-free.
     pub fn endpoint_stats(&self) -> EndpointStats {
-        self.shared.endpoint_stats.snapshot()
+        EndpointStats::read(&self.shared.counts)
     }
 
     /// RFKC statistics — lock-free.
     pub fn rfkc_stats(&self) -> fbs_core::CacheStats {
-        self.shared.rfkc_stats.snapshot()
+        self.shared.counts.cache(CacheKind::Rfkc)
     }
 
     /// MKD statistics (upcalls = master key computations) — lock-free.
-    pub fn mkd_stats(&self) -> fbs_core::mkd::MkdStats {
-        self.shared.keying.mkd_stats()
+    pub fn mkd_stats(&self) -> MkdStats {
+        MkdStats::read(&self.shared.counts)
     }
 
     /// Combined-table statistics (the §7.2 send path) — lock-free.
     /// Always `Some`: the `Option` is kept for callers written when the
     /// path was selectable.
-    pub fn combined_stats(&self) -> Option<crate::combined::CombinedStats> {
-        Some(self.shared.combined_stats.snapshot())
+    pub fn combined_stats(&self) -> Option<CombinedStats> {
+        Some(CombinedStats::read(&self.shared.counts))
     }
 
     /// Number of flow-state shards (a power of two).
@@ -469,13 +468,13 @@ impl FbsIpHooks {
 
     /// Panics caught by the supervisor — lock-free.
     pub fn worker_panics(&self) -> u64 {
-        self.shared.worker_panics.load(Ordering::Relaxed)
+        self.shared.counts.counter(Counter::WorkerPanics)
     }
 
     /// Supervised worker respawns (shard state rebuilt in place) —
     /// lock-free.
     pub fn worker_respawns(&self) -> u64 {
-        self.shared.worker_respawns.load(Ordering::Relaxed)
+        self.shared.counts.counter(Counter::WorkerRespawns)
     }
 
     /// Always `(0, 0)`: nothing is ever shed. Kept because the frozen

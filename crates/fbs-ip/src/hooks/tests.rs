@@ -331,6 +331,116 @@ fn crypto_failures_never_degrade() {
     assert_ledger_agrees(&reg, &receiver);
 }
 
+/// Every count an accessor of `hosts` reports, summed, by its registry
+/// name.
+fn accessor_counts(hosts: &[&FbsIpHooks]) -> Vec<(String, u64)> {
+    let mut sums = std::collections::BTreeMap::<String, u64>::new();
+    for h in hosts {
+        let (s, e, m) = (h.stats(), h.endpoint_stats(), h.mkd_stats());
+        let (r, c) = (h.rfkc_stats(), h.combined_stats().unwrap());
+        for (name, v) in [
+            ("hooks.output_ok", s.protected),
+            ("hooks.output_errors", s.output_errors),
+            ("hooks.input_ok", s.verified),
+            ("hooks.input_errors", s.input_errors),
+            ("degrade.fail_open", s.fail_open),
+            ("degrade.fail_closed", s.fail_closed),
+            ("endpoint.sends", e.sends),
+            ("endpoint.receives", e.receives),
+            ("endpoint.replay_drops", e.replay_drops),
+            ("endpoint.mac_drops", e.mac_drops),
+            ("endpoint.malformed_drops", e.malformed_drops),
+            ("endpoint.encryptions", e.encryptions),
+            ("endpoint.decryptions", e.decryptions),
+            ("cache.rfkc.hits", r.hits),
+            ("cache.rfkc.cold_misses", r.cold_misses),
+            ("cache.rfkc.capacity_misses", r.capacity_misses),
+            ("cache.rfkc.collision_misses", r.collision_misses),
+            ("cache.rfkc.insertions", r.insertions),
+            ("cache.rfkc.evictions", r.evictions),
+            ("cache.combined.hits", c.hits),
+            ("cache.combined.insertions", c.new_flows),
+            ("cache.combined.collision_misses", c.collisions),
+            ("mkd.upcalls", m.upcalls),
+            ("mkd.failures", m.failures),
+        ] {
+            *sums.entry(name.to_string()).or_insert(0) += v;
+        }
+    }
+    sums.into_iter().collect()
+}
+
+/// Seal `batch` on `tx` and open it on `rx`, returning `rx`'s verdicts;
+/// `forge` flips a bit in the wire bytes of that submission index.
+fn exchange(
+    tx: &mut FbsIpHooks,
+    rx: &mut FbsIpHooks,
+    batch: Vec<Datagram>,
+    forge: Option<usize>,
+    now_us: u64,
+) -> Vec<(Ipv4Header, HookOutcome)> {
+    let sealed = tx.process_batch(Direction::Output, batch, &mut BufferPool::new(), now_us);
+    let wire: Vec<Datagram> = sealed
+        .into_iter()
+        .enumerate()
+        .map(|(i, (header, outcome))| {
+            let HookOutcome::Pass(mut payload) = outcome else {
+                panic!("sender should protect, got {outcome:?}");
+            };
+            if forge == Some(i) {
+                let last = payload.len() - 1;
+                payload[last] ^= 0x40;
+            }
+            Datagram { header, payload }
+        })
+        .collect();
+    rx.process_batch(Direction::Input, wire, &mut BufferPool::new(), now_us)
+}
+
+#[test]
+fn a_registry_attached_mid_run_reads_what_the_accessors_read() {
+    let world = World::new();
+    let mut a = world.host(A);
+    let mut b = world.host(B);
+    // Traffic nobody observes.
+    let opened = exchange(&mut a, &mut b, spread_batch(16), None, 1_000);
+    assert!(opened.iter().all(|(_, o)| is_pass(o)));
+    // A registry attached now reads the whole life of both hosts.
+    let reg = Arc::new(MetricsRegistry::new());
+    a.attach_obs(Arc::clone(&reg)).unwrap();
+    b.attach_obs(Arc::clone(&reg)).unwrap();
+    let opened = exchange(&mut a, &mut b, spread_batch(16), Some(3), 2_000);
+    assert!(matches!(
+        opened[3].1,
+        HookOutcome::Reject(RejectReason::BadMac)
+    ));
+    // C never published a certificate: its key is unavailable.
+    let (mut header, payload) = udp_datagram(A, [10, 9, 0, 3]);
+    let out = a.output(&mut header, payload, 3_000);
+    assert!(matches!(
+        out,
+        HookOutcome::Reject(RejectReason::KeyUnavailable)
+    ));
+    let snap = reg.snapshot();
+    let want = accessor_counts(&[&a, &b]);
+    for (name, v) in &want {
+        assert_eq!(snap.counter(name), *v, "{name}");
+    }
+    // The run reached every kind of count the check reads.
+    for name in [
+        "hooks.output_ok",
+        "hooks.input_errors",
+        "degrade.fail_closed",
+        "endpoint.mac_drops",
+        "cache.rfkc.hits",
+        "cache.combined.insertions",
+        "mkd.failures",
+    ] {
+        assert!(snap.counter(name) > 0, "{name}");
+    }
+    assert_eq!(snap.counter("hooks.output_ok"), 32, "pre-attach included");
+}
+
 /// Both sides of a parked conversation. Host A parks in `dir`: its
 /// directory (`lonely`) never saw peer B's certificate. B lives in
 /// `full`, where both certificates are present, so B can seal real
@@ -1099,19 +1209,30 @@ fn a_default_pool_covers_a_burst_of_any_size() {
 }
 
 #[test]
-fn fail_closed_policy_quarantines_but_keeps_control_plane() {
-    MODES.into_iter().for_each(fail_closed_in_mode);
+fn an_exhausted_respawn_budget_quarantines_but_keeps_control_plane() {
+    MODES.into_iter().for_each(quarantine_in_mode);
 }
 
-fn fail_closed_in_mode(workers: usize) {
+fn quarantine_in_mode(workers: usize) {
     let world = World::new();
-    let cfg = IpMappingConfig {
-        worker_fault: WorkerFaultPolicy::FailClosed,
-        ..mode_cfg(workers)
-    };
-    let mut hooks = hooks_with(&world, cfg);
+    let mut hooks = hooks_with(&world, mode_cfg(workers));
     let _hb = world.host(B);
-    hooks.set_worker_chaos(Some(TestChaos::panicking()));
+    let chaos = TestChaos::panicking();
+    hooks.set_worker_chaos(Some(chaos.clone()));
+    // Spend the respawn budget: the first owner to run takes one panic
+    // per batch, on a pool of its own.
+    for _ in 0..worker::MAX_RESPAWNS {
+        chaos.panic_once.store(true, Ordering::Release);
+        hooks.process_batch(
+            Direction::Output,
+            spread_batch(16),
+            &mut BufferPool::new(),
+            500,
+        );
+    }
+    assert_eq!(hooks.quarantined_workers(), 0);
+    let panics_before = hooks.worker_panics();
+    chaos.panic_once.store(true, Ordering::Release);
     let mut pool = BufferPool::new();
     let count = |out: &[(Ipv4Header, HookOutcome)]| {
         let rejects = out
@@ -1127,8 +1248,12 @@ fn fail_closed_in_mode(workers: usize) {
     // Quarantine is per owner: the other owners keep passing traffic,
     // and a lone owner has no others.
     assert_eq!(passes > 0, workers > 1, "{out:?}");
-    assert_eq!(hooks.worker_panics(), 1);
-    assert_eq!(hooks.worker_respawns(), 0, "FailClosed never respawns");
+    assert_eq!(hooks.worker_panics() - panics_before, 1);
+    assert_eq!(
+        hooks.worker_respawns(),
+        u64::from(worker::MAX_RESPAWNS),
+        "the budget, then no more respawns"
+    );
     assert_eq!(hooks.quarantined_workers(), 1);
     // The control plane still answers on the quarantined worker.
     hooks.flush_flow_keys().unwrap();

@@ -5,7 +5,6 @@
 //! lock runs it to completion on their own thread, with their own
 //! [`BufferPool`] ([`run_inline`], [`HookShared::with_owner`]).
 
-use super::config::WorkerFaultPolicy;
 use super::datapath::{
     cascade_obs, input_item, output_item, release_parked, rx_shard, tuple_for, tx_shard, Pass,
     Shard,
@@ -19,6 +18,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Supervised respawns an owner gets; the next panic quarantines it.
+pub(super) const MAX_RESPAWNS: u32 = 3;
 
 /// Hard cap on an injected worker stall, keeping chaos runs bounded no
 /// matter what a fault plan asks for.
@@ -185,7 +187,7 @@ pub(super) struct WorkerState {
     pending_recycle: Vec<Vec<u8>>,
     /// Bumped per respawn; salts rebuilt shard seeds.
     generation: u64,
-    /// Supervised respawns so far (compared against the policy budget).
+    /// Supervised respawns so far (compared against [`MAX_RESPAWNS`]).
     respawns: u32,
 }
 
@@ -401,7 +403,7 @@ fn quarantine(shared: &HookShared, w: usize, state: &mut WorkerState) {
 }
 
 /// The one panic supervisor: run `body` inside `catch_unwind`; on a
-/// panic count it, respawn or quarantine per [`WorkerFaultPolicy`], and
+/// panic count it, respawn (within [`MAX_RESPAWNS`]) or quarantine, and
 /// return `None` — the caller decides what the panic cost (a batch in
 /// flight: [`run_inline`] rejects the interrupted datagram and runs the
 /// rest under a fresh boundary). Catching the unwind HERE keeps it out
@@ -423,21 +425,13 @@ fn supervise<T>(
     if let Ok(v) = catch_unwind(AssertUnwindSafe(|| body(&mut *state, quarantined))) {
         return Some(v);
     }
-    shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-    let obs = shared.obs_handle();
-    if let Some(reg) = &obs {
+    shared.counts.incr(Counter::WorkerPanics);
+    if let Some(reg) = shared.obs_handle() {
         reg.worker_panic(w);
     }
-    let respawn = match shared.cfg.load().worker_fault {
-        WorkerFaultPolicy::Respawn { max_respawns } => state.respawns < max_respawns,
-        WorkerFaultPolicy::FailClosed => false,
-    };
-    if respawn {
+    if state.respawns < MAX_RESPAWNS {
         state.respawns += 1;
-        shared.worker_respawns.fetch_add(1, Ordering::Relaxed);
-        if let Some(reg) = &obs {
-            reg.incr(Counter::WorkerRespawns);
-        }
+        shared.counts.incr(Counter::WorkerRespawns);
         rebuild_shards(shared, w, state);
     } else {
         quarantine(shared, w, state);

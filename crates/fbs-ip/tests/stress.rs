@@ -3,7 +3,8 @@
 //! handles — each clone runs its batches on its own thread, taking its
 //! turn at each shard owner's lock; one `BufferPool` per thread, pools
 //! are deliberately not thread-safe) while a scraper thread hammers the
-//! lock-free statistics accessors.
+//! lock-free statistics accessors and a registry attached to each
+//! handle.
 //!
 //! Invariants checked under contention:
 //!
@@ -15,7 +16,9 @@
 //!   exactly one cold miss per flow (the quiet post-derivation re-check
 //!   must not double-count);
 //! * **keying economy**: one MKD upcall per peer, total, across all
-//!   threads (the double-checked master-key probe holds up).
+//!   threads (the double-checked master-key probe holds up);
+//! * **one writer per count**: every registry name an accessor also
+//!   reports is monotone across scrapes and, at quiesce, equals it.
 
 use fbs_cert::{CertificateAuthority, Directory};
 use fbs_core::{BufferPool, ManualClock};
@@ -24,7 +27,7 @@ use fbs_ip::hooks::{FbsIpHooks, IpMappingConfig};
 use fbs_ip::host::build_secure_host;
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::{Datagram, HookOutcome, SecurityHooks};
-use fbs_obs::Direction;
+use fbs_obs::{Direction, MetricsRegistry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -79,6 +82,35 @@ fn payload_for(sport: u16, seq: u32) -> Vec<u8> {
     p
 }
 
+/// Every count an accessor of `h` reports, by its registry name.
+fn accessor_counts(h: &FbsIpHooks) -> Vec<(&'static str, u64)> {
+    let (s, e, m) = (h.stats(), h.endpoint_stats(), h.mkd_stats());
+    let (r, c) = (h.rfkc_stats(), h.combined_stats().unwrap());
+    vec![
+        ("hooks.output_ok", s.protected),
+        ("hooks.output_errors", s.output_errors),
+        ("hooks.input_ok", s.verified),
+        ("hooks.input_errors", s.input_errors),
+        ("degrade.fail_open", s.fail_open),
+        ("degrade.fail_closed", s.fail_closed),
+        ("endpoint.sends", e.sends),
+        ("endpoint.receives", e.receives),
+        ("endpoint.mac_drops", e.mac_drops),
+        ("endpoint.encryptions", e.encryptions),
+        ("endpoint.decryptions", e.decryptions),
+        ("cache.rfkc.hits", r.hits),
+        ("cache.rfkc.cold_misses", r.cold_misses),
+        ("cache.rfkc.capacity_misses", r.capacity_misses),
+        ("cache.rfkc.insertions", r.insertions),
+        ("cache.rfkc.evictions", r.evictions),
+        ("cache.combined.hits", c.hits),
+        ("cache.combined.insertions", c.new_flows),
+        ("cache.combined.collision_misses", c.collisions),
+        ("mkd.upcalls", m.upcalls),
+        ("mkd.failures", m.failures),
+    ]
+}
+
 #[test]
 fn four_threads_share_one_mapping_without_loss_reorder_or_miscount() {
     // Four submitters contending for one owner lock, for two, and one
@@ -93,19 +125,37 @@ fn four_threads_share_one_mapping(workers: usize) {
     assert!(sender.num_shards() > 1, "test requires real sharding");
     assert_eq!(sender.num_workers(), workers);
     let done = Arc::new(AtomicBool::new(false));
+    // One registry per handle, flight recorder off: what it scrapes are
+    // the counter blocks the accessors read.
+    let regs = [&sender, &receiver].map(|h| {
+        let reg = Arc::new(MetricsRegistry::with_event_capacity(0));
+        h.attach_obs(Arc::clone(&reg)).unwrap();
+        reg
+    });
 
-    // Scraper: reads every lock-free accessor in a tight loop while the
-    // workers run. A deadlock or a torn read here fails the test by
-    // hanging or panicking. Traffic starts once it is scraping: the
-    // batches can be over before a fresh thread is first scheduled.
+    // Scraper: reads every lock-free accessor and both registries in a
+    // tight loop while the workers run. A deadlock or a torn read here
+    // fails the test by hanging or panicking. Traffic starts once it is
+    // scraping: the batches can be over before a fresh thread is first
+    // scheduled.
     let (scraping_tx, scraping) = std::sync::mpsc::channel();
     let scraper = {
         let sender = sender.clone();
         let receiver = receiver.clone();
+        let regs = regs.clone();
         let done = Arc::clone(&done);
         thread::spawn(move || {
             let mut scrapes = 0u64;
+            let mut last = [&sender, &receiver].map(accessor_counts);
             while !done.load(Ordering::Relaxed) {
+                for (reg, prev) in regs.iter().zip(last.iter_mut()) {
+                    let snap = reg.snapshot();
+                    for (name, v) in prev.iter_mut() {
+                        let now = snap.counter(name);
+                        assert!(now >= *v, "{name} went backwards: {now} < {v}");
+                        *v = now;
+                    }
+                }
                 if scrapes == 1 {
                     let _ = scraping_tx.send(());
                 }
@@ -243,6 +293,14 @@ fn four_threads_share_one_mapping(workers: usize) {
     // concurrent misses collapse onto a single MKD upcall.
     assert_eq!(sender.mkd_stats().upcalls, 1);
     assert_eq!(receiver.mkd_stats().upcalls, 1);
+
+    // At quiesce each registry reads exactly what the accessors read.
+    for (h, reg) in [&sender, &receiver].into_iter().zip(&regs) {
+        let snap = reg.snapshot();
+        for (name, v) in accessor_counts(h) {
+            assert_eq!(snap.counter(name), v, "{name}");
+        }
+    }
 }
 
 /// Per-shard memory budgets under multi-worker pressure: hundreds of

@@ -5,8 +5,13 @@
 //! counts, per-paradigm key-setup costs. This crate gives the
 //! reproduction one pipeline for all of that:
 //!
-//! * [`MetricsRegistry`] — a set of lock-free atomic counters, per-cache
-//!   3C counters, and log2 latency/size histograms, shared across
+//! * [`CounterBlock`] — one endpoint's counts (every [`Counter`] and the
+//!   per-cache 3C counters) as relaxed atomics: the only place a
+//!   component writes them. The legacy stats structs are views over a
+//!   block;
+//! * [`MetricsRegistry`] — its own block for counts no component keeps,
+//!   the blocks [attached](MetricsRegistry::attach) to it (summed at
+//!   scrape time), and log2 latency/size histograms, shared across
 //!   components via `Arc`;
 //! * a **flight recorder** — a fixed-capacity ring buffer of typed
 //!   [`Event`]s (hook entry/exit, FAM classify decisions, cache lookups
@@ -15,9 +20,9 @@
 //!   pluggable time source so instrumented runs stay deterministic under
 //!   the workspace's simulated clock;
 //! * [`MetricsSnapshot`] — a point-in-time view with text-table and JSON
-//!   exporters, buildable both live from a registry and from the legacy
-//!   per-component stats structs (which makes those structs *views* of
-//!   the same counter namespace);
+//!   exporters, built live from a registry, or from the stats of
+//!   components no registry reads (the figure simulators' caches and
+//!   FAMs) through their `contribute` methods;
 //! * **stage spans** ([`Stage`]) — per-stage log2 nanosecond latency
 //!   histograms over the batch pipeline (partition, seal/open,
 //!   batch verify, keying, park/release) plus a per-worker
@@ -32,13 +37,14 @@
 //!
 //! Observability is opt-in: components hold `Option<Arc<MetricsRegistry>>`
 //! defaulting to `None`, so the disabled per-datagram cost is a single
-//! branch. The crate has zero dependencies (it sits below `fbs-core` in
+//! branch on top of the block counts the component makes anyway. The crate has zero dependencies (it sits below `fbs-core` in
 //! the dependency order) and performs no I/O of its own — exporters
 //! return `String`s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod block;
 pub mod event;
 pub mod health;
 pub mod prom;
@@ -47,6 +53,7 @@ pub mod snapshot;
 pub mod span;
 pub mod trace;
 
+pub use block::{CacheStats, CounterBlock};
 pub use event::{
     BreakerStateKind, CacheKind, CacheOutcome, Direction, Event, EventRecord, FlowStartKind,
 };

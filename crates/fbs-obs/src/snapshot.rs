@@ -1,11 +1,11 @@
 //! Point-in-time metric views and exporters.
 //!
 //! A [`MetricsSnapshot`] can be produced two ways: live from a
-//! [`crate::MetricsRegistry`], or assembled from the legacy
-//! per-component stats structs via their `contribute` methods (defined
-//! next to each struct in `fbs-core` / `fbs-ip` / `fbs-net` /
-//! `fbs-cert`). Both paths use the same counter namespace, so every
-//! figure binary and example reports through one pipeline regardless of
+//! [`crate::MetricsRegistry`] (its own counter block plus every attached
+//! one), or assembled from the stats of components no registry reads
+//! via their `contribute` methods (the figure simulators' caches and
+//! FAMs). Both paths use the same counter namespace, so every figure
+//! binary and example reports through one pipeline regardless of
 //! whether it ran instrumented.
 
 use crate::event::EventRecord;
