@@ -4,7 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fbs_crypto::dh::{DhGroup, PrivateValue};
-use fbs_crypto::{crc32, des, keyed_digest, md5, sha1, Bbs, Des, DesMode, Lcg64};
+use fbs_crypto::{crc32, des, keyed_digest, md5, sha1, Bbs, CipherSuite, Des, DesMode, Lcg64};
+use std::sync::Arc;
 
 fn bench_ciphers(c: &mut Criterion) {
     let mut g = c.benchmark_group("des");
@@ -33,6 +34,12 @@ fn bench_hashes(c: &mut Criterion) {
         b.iter(|| keyed_digest(b"flow-key", &[black_box(&buf)]))
     });
     g.bench_function("crc32-64k", |b| b.iter(|| crc32(black_box(&buf))));
+    // One padded block: the shape of each of the two MD5s that expand an
+    // AEAD flow key into its ChaCha20 key (16-byte key + 11-byte tag).
+    let short = [0x5Au8; 27];
+    g.throughput(Throughput::Bytes(short.len() as u64));
+    g.bench_function("md5-1block", |b| b.iter(|| md5::md5(black_box(&short))));
+    g.bench_function("sha1-1block", |b| b.iter(|| sha1::sha1(black_box(&short))));
     g.finish();
 }
 
@@ -57,6 +64,29 @@ fn bench_keying(c: &mut Criterion) {
                 &fbs_core::Principal::named("S"),
                 &fbs_core::Principal::named("D"),
             )
+        })
+    });
+    // What a host pays per AEAD flow birth: derive from the 128-byte
+    // oakley2 master key (three MD5 blocks), expand the ChaCha20 key (two
+    // more), and allocate the key the caches share.
+    let group = DhGroup::oakley2();
+    let a = PrivateValue::from_entropy(group.clone(), b"bench-a-entropy-bytes");
+    let b_pub = PrivateValue::from_entropy(group, b"bench-b-entropy-bytes").public_value();
+    let master = a.master_key(&b_pub);
+    let cfg = fbs_core::FbsConfig {
+        suite: CipherSuite::AeadChaPoly,
+        ..Default::default()
+    };
+    let (src, dst) = (
+        fbs_core::Principal::from_ipv4([10, 0, 0, 1]),
+        fbs_core::Principal::from_ipv4([10, 0, 0, 2]),
+    );
+    g.bench_function("flow-birth-aead-oakley2", |bch| {
+        let mut sfl = 0u64;
+        bch.iter(|| {
+            sfl += 1;
+            let key = fbs_core::derive_flow_key(cfg.key_derivation, sfl, &master, &src, &dst);
+            Arc::new(cfg.seal_key(key))
         })
     });
     g.finish();

@@ -84,15 +84,17 @@ impl Md5 {
     /// Finish and return the 16-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 56 mod 64, then the 64-bit bit count
-        // little-endian.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding, built in one pass: the buffered tail, 0x80, zeros to
+        // 56 mod 64 (spilling into a second block only when fewer than 9
+        // bytes are left), then the bit count little-endian.
+        let mut block = [0u8; 64];
+        block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        block[self.buf_len] = 0x80;
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        // Append length without counting it.
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_le_bytes());
+        block[56..].copy_from_slice(&bit_len.to_le_bytes());
         self.compress(&block);
         let mut out = [0u8; DIGEST_SIZE];
         for (i, word) in self.state.iter().enumerate() {
@@ -106,25 +108,43 @@ impl Md5 {
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             m[i] = u32::from_le_bytes(chunk.try_into().unwrap());
         }
-        let (mut a, mut b, mut c, mut d) =
-            (self.state[0], self.state[1], self.state[2], self.state[3]);
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
+        let [mut a, mut b, mut c, mut d] = self.state;
+        // Step `i` of RFC 1321 §3.4 with round value `f`, rotating the
+        // roles of (a, b, c, d). Each round below is its own 16-trip loop
+        // over constant tables, which the optimiser unrolls into straight
+        // code with the message index, constant and shift as immediates.
+        // `f` is added last: it is the only term that waits on the
+        // previous step.
+        macro_rules! step {
+            ($f:expr, $i:expr, $g:expr) => {
+                (a, b, c, d) = (
+                    d,
+                    b.wrapping_add(
+                        a.wrapping_add(K[$i])
+                            .wrapping_add(m[$g])
+                            .wrapping_add($f)
+                            .rotate_left(S[$i]),
+                    ),
+                    b,
+                    c,
+                )
             };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
+        }
+        // Round 1: F = (b & c) | (!b & d), in a form one operation shorter.
+        for i in 0..16 {
+            step!(d ^ (b & (c ^ d)), i, i);
+        }
+        // Round 2: G = (b & d) | (c & !d). The terms are disjoint, so `|`
+        // is `+`, and `c & !d` need not wait for `b`.
+        for i in 16..32 {
+            step!((c & !d).wrapping_add(b & d), i, (5 * i + 1) % 16);
+        }
+        // Rounds 3 and 4: H and I as RFC 1321 writes them.
+        for i in 32..48 {
+            step!(b ^ c ^ d, i, (3 * i + 5) % 16);
+        }
+        for i in 48..64 {
+            step!(c ^ (b | !d), i, (7 * i) % 16);
         }
         self.state[0] = self.state[0].wrapping_add(a);
         self.state[1] = self.state[1].wrapping_add(b);
@@ -204,6 +224,20 @@ mod tests {
             ctx.update(&data[len / 2..]);
             assert_eq!(ctx.finalize(), a, "len {len}");
         }
+    }
+
+    /// Every prefix length 0..=300 of a fixed pattern, folded into one
+    /// digest, so a padding branch (55/56/63/64/119/120) or round that
+    /// drifts at any length fails here. The pin agrees with an independent
+    /// implementation (Python's `hashlib`).
+    #[test]
+    fn every_length_to_300_pinned() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 167 + 13) as u8).collect();
+        let mut fold = Md5::new();
+        for len in 0..=data.len() {
+            fold.update(&md5(&data[..len]));
+        }
+        assert_eq!(hex(&fold.finalize()), "76916fc3d3110fa2b82d4faad906866c");
     }
 
     #[test]

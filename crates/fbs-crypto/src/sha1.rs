@@ -64,12 +64,15 @@ impl Sha1 {
     /// Finish and return the 20-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // One-pass padding, as MD5's but with a big-endian bit count.
+        let mut block = [0u8; 64];
+        block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        block[self.buf_len] = 0x80;
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; DIGEST_SIZE];
         for (i, word) in self.state.iter().enumerate() {
@@ -86,31 +89,40 @@ impl Sha1 {
         for i in 16..80 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
-        let (mut a, mut b, mut c, mut d, mut e) = (
-            self.state[0],
-            self.state[1],
-            self.state[2],
-            self.state[3],
-            self.state[4],
-        );
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i / 20 {
-                0 => ((b & c) | (!b & d), 0x5A827999),
-                1 => (b ^ c ^ d, 0x6ED9EBA1),
-                2 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
+        let [mut a, mut b, mut c, mut d, mut e] = self.state;
+        // One step with round value `f`, constant `k` and schedule word
+        // `wi`, rotating the roles of (a, b, c, d, e). Each round is its
+        // own 20-word loop, unrolled by the optimiser into straight code.
+        // `a <<< 5` is added last: it is the only term that waits on the
+        // previous step.
+        macro_rules! step {
+            ($f:expr, $k:expr, $wi:expr) => {
+                (a, b, c, d, e) = (
+                    e.wrapping_add($k)
+                        .wrapping_add($wi)
+                        .wrapping_add($f)
+                        .wrapping_add(a.rotate_left(5)),
+                    a,
+                    b.rotate_left(30),
+                    c,
+                    d,
+                )
             };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
+        }
+        // Ch = (b & c) | (!b & d) and, in round 3, Maj = (b & c) | (b & d)
+        // | (c & d), each in a form one operation shorter; rounds 2 and 4
+        // are parity.
+        for &wi in &w[..20] {
+            step!(d ^ (b & (c ^ d)), 0x5A827999, wi);
+        }
+        for &wi in &w[20..40] {
+            step!(b ^ c ^ d, 0x6ED9EBA1, wi);
+        }
+        for &wi in &w[40..60] {
+            step!((b & c) | (d & (b | c)), 0x8F1BBCDC, wi);
+        }
+        for &wi in &w[60..] {
+            step!(b ^ c ^ d, 0xCA62C1D6, wi);
         }
         self.state[0] = self.state[0].wrapping_add(a);
         self.state[1] = self.state[1].wrapping_add(b);
@@ -161,6 +173,23 @@ mod tests {
         assert_eq!(
             hex(&ctx.finalize()),
             "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+        );
+    }
+
+    /// Every prefix length 0..=300 of a fixed pattern, folded into one
+    /// digest, so a padding branch or round that drifts at any length
+    /// fails here. The pin agrees with an independent implementation
+    /// (Python's `hashlib`).
+    #[test]
+    fn every_length_to_300_pinned() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 167 + 13) as u8).collect();
+        let mut fold = Sha1::new();
+        for len in 0..=data.len() {
+            fold.update(&sha1(&data[..len]));
+        }
+        assert_eq!(
+            hex(&fold.finalize()),
+            "b6f0cb8efb951ee8eb13ae07d04d6aad503b5a85"
         );
     }
 
