@@ -4,7 +4,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fbs_crypto::dh::{DhGroup, PrivateValue};
-use fbs_crypto::{crc32, des, keyed_digest, md5, sha1, Bbs, CipherSuite, Des, DesMode, Lcg64};
+use fbs_crypto::{
+    crc32, des, keyed_digest, md5, poly1305, sha1, Bbs, ChaCha20, CipherSuite, Des, DesMode, Lcg64,
+    Poly1305,
+};
 use std::sync::Arc;
 
 fn bench_ciphers(c: &mut Criterion) {
@@ -40,6 +43,39 @@ fn bench_hashes(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(short.len() as u64));
     g.bench_function("md5-1block", |b| b.iter(|| md5::md5(black_box(&short))));
     g.bench_function("sha1-1block", |b| b.iter(|| sha1::sha1(black_box(&short))));
+    g.finish();
+}
+
+fn bench_aead(c: &mut Criterion) {
+    let mut g = c.benchmark_group("aead");
+    let key = [0x5Au8; 32];
+    let nonce = [0x3Cu8; 12];
+    for len in [64usize, 1400] {
+        let msg = vec![0xA5u8; len];
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("poly1305-{len}"), |b| {
+            b.iter(|| poly1305(&key, &[black_box(&msg)]))
+        });
+    }
+    let mut body = vec![0xA5u8; 1400];
+    g.throughput(Throughput::Bytes(body.len() as u64));
+    g.bench_function("chacha20-1400", |b| {
+        b.iter(|| ChaCha20::new(&key, &nonce).xor_keystream(1, black_box(&mut body)))
+    });
+    // The shape `seal_core` runs per AEAD datagram: keystream from block
+    // 1, then a tag keyed from block 0 over the 9-byte suite | confounder
+    // | timestamp prefix and the ciphertext.
+    let prefix = [2u8, 0, 0, 0, 7, 0, 1, 0xE2, 0x40];
+    g.bench_function("seal-1400", |b| {
+        b.iter(|| {
+            let cc = ChaCha20::new(&key, &nonce);
+            cc.xor_keystream(1, black_box(&mut body));
+            let mut p = Poly1305::new(&cc.poly1305_key());
+            p.update(&prefix);
+            p.update(&body);
+            p.finalize()
+        })
+    });
     g.finish();
 }
 
@@ -120,6 +156,7 @@ criterion_group!(
     benches,
     bench_ciphers,
     bench_hashes,
+    bench_aead,
     bench_keying,
     bench_rngs
 );

@@ -3,7 +3,8 @@
 //!
 //! * single-pass MAC+encrypt vs two-pass;
 //! * combined FST/TFKC lookup vs separate FAM + TFKC;
-//! * per-datagram cost across payload sizes and variants.
+//! * per-datagram cost across payload sizes and variants;
+//! * the UDP checksum every datagram pays on encode and on decode.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fbs_bench::endpoints::{endpoint_pair, principals};
@@ -132,11 +133,27 @@ fn bench_header_codec(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_udp_checksum(c: &mut Criterion) {
+    let mut g = c.benchmark_group("net");
+    // A 1400-byte AEAD datagram's segment and an 8192-byte datagram's,
+    // each with its 8-byte UDP header: the sum `udp::encode` and the
+    // receiver's `udp::decode` each run once per datagram.
+    for len in [1408usize, 8200] {
+        let segment: Vec<u8> = (0..len as u32).map(|i| (i * 167 + 13) as u8).collect();
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(format!("udp-checksum-{len}"), |b| {
+            b.iter(|| fbs_net::udp::udp_checksum([10, 0, 0, 1], [10, 0, 0, 2], black_box(&segment)))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_send_receive,
     bench_single_vs_two_pass,
     bench_lookup_paths,
-    bench_header_codec
+    bench_header_codec,
+    bench_udp_checksum
 );
 criterion_main!(benches);

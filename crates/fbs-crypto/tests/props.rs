@@ -10,6 +10,37 @@ fn biguint_strategy() -> impl Strategy<Value = BigUint> {
     proptest::collection::vec(any::<u8>(), 0..40).prop_map(|v| BigUint::from_bytes_be(&v))
 }
 
+/// Poly1305 as RFC 8439 §2.5.1 defines it, in [`BigUint`] arithmetic:
+/// `(Σ (mᵢ‖0x01)·r^(n−i+1) mod 2^130−5 + s) mod 2^128`, by Horner's rule.
+fn reference_poly1305(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+    let le = |bytes: &[u8]| {
+        let be: Vec<u8> = bytes.iter().rev().copied().collect();
+        BigUint::from_bytes_be(&be)
+    };
+    let p = BigUint::one().shl(130).sub(&BigUint::from_u64(5));
+    let mut r_bytes = [0u8; 16];
+    r_bytes.copy_from_slice(&key[..16]);
+    for i in [3, 7, 11, 15] {
+        r_bytes[i] &= 0x0f;
+    }
+    for i in [4, 8, 12] {
+        r_bytes[i] &= 0xfc;
+    }
+    let r = le(&r_bytes);
+    let mut acc = BigUint::zero();
+    for chunk in msg.chunks(16) {
+        let mut block = chunk.to_vec();
+        block.push(1);
+        acc = acc.add(&le(&block)).modmul(&r, &p);
+    }
+    let sum = acc.add(&le(&key[16..])).to_bytes_be_padded(17);
+    let mut tag = [0u8; 16];
+    for (t, b) in tag.iter_mut().zip(sum.iter().rev()) {
+        *t = *b;
+    }
+    tag
+}
+
 proptest! {
     // ---------------- bignum algebra ----------------
 
@@ -155,6 +186,21 @@ proptest! {
         let mut ctx = alg.begin(&key);
         ctx.update(&data);
         prop_assert_eq!(ctx.finalize(), alg.compute(&key, &[&data]));
+    }
+
+    #[test]
+    fn poly1305_streaming_equals_oneshot_equals_bignum(
+        key in any::<[u8; 32]>(),
+        data in proptest::collection::vec(any::<u8>(), 0..600),
+        split in 0usize..600,
+    ) {
+        let split = split.min(data.len());
+        let mut ctx = fbs_crypto::Poly1305::new(&key);
+        ctx.update(&data[..split]);
+        ctx.update(&data[split..]);
+        let oneshot = fbs_crypto::poly1305(&key, &[&data]);
+        prop_assert_eq!(ctx.finalize(), oneshot);
+        prop_assert_eq!(oneshot, reference_poly1305(&key, &data));
     }
 
     #[test]

@@ -182,29 +182,39 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 /// building it: the UDP pseudo-header and its segment are summed where
 /// they lie. Every part but the last must have even length, so that each
 /// starts on a 16-bit word boundary of the whole.
+///
+/// The sum runs over little-endian 32-bit words and swaps its folded
+/// result once (RFC 1071 §2(B): the one's-complement sum is byte-order
+/// independent). A 32-bit word weighs its two 16-bit halves alike because
+/// 2^16 ≡ 1 (mod 2^16 − 1), so a part may start at any even offset.
 pub(crate) fn internet_checksum_parts(parts: &[&[u8]]) -> u16 {
+    // A u64 holds the sum of 2^32 words, 16 GiB: every part here is a
+    // header or an IP payload, below 64 KiB.
     let mut sum: u64 = 0;
     for (i, part) in parts.iter().enumerate() {
         debug_assert!(
             part.len() % 2 == 0 || i + 1 == parts.len(),
             "only the last part may have odd length"
         );
-        // A u32 holds the word sum of up to 128 KiB: every part here is
-        // a header or an IP payload, below 64 KiB.
-        let mut part_sum: u32 = 0;
-        let mut words = part.chunks_exact(2);
+        let mut words = part.chunks_exact(4);
         for w in &mut words {
-            part_sum += u16::from_be_bytes([w[0], w[1]]) as u32;
+            sum += u32::from_le_bytes(w.try_into().unwrap()) as u64;
         }
-        if let [odd] = words.remainder() {
-            part_sum += (*odd as u32) << 8;
+        let mut tail = words.remainder();
+        if let [a, b, rest @ ..] = tail {
+            sum += u16::from_le_bytes([*a, *b]) as u64;
+            tail = rest;
         }
-        sum += part_sum as u64;
+        // An odd last byte is the high octet of a big-endian word: the
+        // low octet of its swapped form.
+        if let [odd] = tail {
+            sum += *odd as u64;
+        }
     }
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
-    !(sum as u16)
+    !(sum as u16).swap_bytes()
 }
 
 /// A full packet: header + payload bytes, the unit the segment carries.
@@ -313,17 +323,44 @@ mod tests {
         assert_eq!(internet_checksum(&[0xFF]), !0xFF00u16);
     }
 
-    #[test]
-    fn checksum_parts_equal_the_concatenation() {
-        let data: Vec<u8> = (0..41u8).map(|i| i.wrapping_mul(97)).collect();
-        for split in (0..data.len()).step_by(2) {
-            let (head, tail) = data.split_at(split);
-            assert_eq!(
-                internet_checksum_parts(&[head, tail]),
-                internet_checksum(&data),
-                "split at {split}"
-            );
+    /// RFC 1071's definition word by word: big-endian 16-bit words, an odd
+    /// last byte padded as the high octet, end-around carries.
+    fn reference_checksum(data: &[u8]) -> u16 {
+        let mut sum: u64 = 0;
+        for w in data.chunks(2) {
+            sum += u16::from_be_bytes([w[0], *w.get(1).unwrap_or(&0)]) as u64;
         }
+        while sum > 0xFFFF {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    /// The word-wide sum equals the 16-bit reference at every length
+    /// 0..=300, split into two parts at every even offset (so the second
+    /// part starts both on and off a 32-bit boundary), and on the
+    /// largest all-ones IP payload, whose sum carries the most.
+    #[test]
+    fn checksum_parts_equal_the_16_bit_reference() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 167 + 13) as u8).collect();
+        for len in 0..=data.len() {
+            let want = reference_checksum(&data[..len]);
+            assert_eq!(internet_checksum(&data[..len]), want, "length {len}");
+            for split in (0..=len).step_by(2) {
+                let (head, tail) = data[..len].split_at(split);
+                assert_eq!(
+                    internet_checksum_parts(&[head, tail]),
+                    want,
+                    "length {len}, split at {split}"
+                );
+            }
+        }
+        let ones = vec![0xFFu8; 65_535];
+        assert_eq!(internet_checksum(&ones), reference_checksum(&ones));
+        assert_eq!(
+            internet_checksum_parts(&[&ones[..2], &ones[2..]]),
+            reference_checksum(&ones)
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use fbs::core::{
     KeyDerivation, ManualClock, MasterKeyDaemon, PinnedDirectory, Principal, MIN_SHIPPED_MAC,
 };
 use fbs::crypto::dh::{DhGroup, PrivateValue};
-use fbs::crypto::CipherSuite;
+use fbs::crypto::{poly1305, ChaCha20, CipherSuite};
 use std::sync::Arc;
 
 fn pair(tx_cfg: FbsConfig, rx_cfg: FbsConfig) -> (FbsEndpoint, FbsEndpoint) {
@@ -224,6 +224,41 @@ fn fast_des_and_aead_wire_bytes_are_pinned() {
     );
 }
 
+/// The AEAD tag is RFC 8439 Poly1305 over all nine bytes of suite |
+/// confounder | timestamp and then the ciphertext, keyed from ChaCha20
+/// block 0 under the flow's key and the (confounder, timestamp, sfl)
+/// nonce. Recomputed here from the wire in one contiguous pass, so the
+/// seal's piecewise updates cannot drop a byte unnoticed.
+#[test]
+fn aead_tag_covers_the_header_prefix_and_the_ciphertext() {
+    let (alice, bob) = (Principal::named("alice"), Principal::named("bob"));
+    let cfg = suite_cfg(CipherSuite::AeadChaPoly);
+    let key = cfg.seal_key(derive_flow_key(
+        KeyDerivation::Md5,
+        1,
+        b"master",
+        &alice,
+        &bob,
+    ));
+    let clock = Arc::new(ManualClock::starting_at(44_000));
+    let mut codec = FlowCodec::new(alice, cfg, clock, 5);
+    let mut wire = Vec::new();
+    codec
+        .seal_with_key_into(1, &key, b"tag coverage probe", true, &mut wire)
+        .unwrap();
+    let (h, used) = HeaderView::parse(&wire).unwrap();
+    let mut nonce = [0u8; 12];
+    nonce[..4].copy_from_slice(&h.confounder.to_be_bytes());
+    nonce[4..8].copy_from_slice(&h.timestamp.to_be_bytes());
+    nonce[8..].copy_from_slice(&(h.sfl as u32).to_be_bytes());
+    let one_time_key = ChaCha20::new(key.chacha_key().unwrap(), &nonce).poly1305_key();
+    let mut tagged = vec![h.suite.wire_id()];
+    tagged.extend_from_slice(&h.confounder.to_be_bytes());
+    tagged.extend_from_slice(&h.timestamp.to_be_bytes());
+    tagged.extend_from_slice(&wire[used..]);
+    assert_eq!(h.mac, poly1305(&one_time_key, &[&tagged]));
+}
+
 fn assert_golden_wire(suite: CipherSuite, body: &[u8], golden: &str) {
     let (mut tx, mut rx) = pair(suite_cfg(suite), suite_cfg(suite));
     let pd = tx.send(7, dgram(body), true).unwrap();
@@ -288,5 +323,7 @@ const GOLDEN_PAPER_WIRE_HEX: &str = "0000000000000007cd9f4061000002dd00011000000
 /// Pinned by `fast_des_and_aead_wire_bytes_are_pinned`.
 const GOLDEN_FAST_DES_WIRE_HEX: &str = "0000000000000007cd9f4061000002dd00061001000000189d011ce2289139c3dc587ad478dc1666d0b9670344fd1585dbc7e47fbe8643eb58b87d296e25abc0";
 
-/// Pinned by `fast_des_and_aead_wire_bytes_are_pinned`.
-const GOLDEN_AEAD_WIRE_HEX: &str = "0000000000000007cd9f4061000002dd0407100200000014f5b289dffca7a7911e2213aca8775f956d3202fd31006ef8e25ef78d857fb6ad69b08753";
+/// Pinned by `fast_des_and_aead_wire_bytes_are_pinned`; its tag covers
+/// all nine prefix bytes
+/// (`aead_tag_covers_the_header_prefix_and_the_ciphertext`).
+const GOLDEN_AEAD_WIRE_HEX: &str = "0000000000000007cd9f4061000002dd040710020000001420f961b99b574af249e645759b73fb6c6d3202fd31006ef8e25ef78d857fb6ad69b08753";
