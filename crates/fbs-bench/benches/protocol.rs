@@ -4,16 +4,22 @@
 //! * single-pass MAC+encrypt vs two-pass;
 //! * combined FST/TFKC lookup vs separate FAM + TFKC;
 //! * per-datagram cost across payload sizes and variants;
+//! * the IP hooks' fixed cost per resident NOP datagram, each way;
 //! * the UDP checksum every datagram pays on encode and on decode.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fbs_bench::endpoints::{endpoint_pair, principals};
+use fbs_cert::{CertificateAuthority, Directory};
 use fbs_core::policy::IdleTimeoutPolicy;
-use fbs_core::{Datagram, FbsConfig};
+use fbs_core::{BufferPool, Datagram, FbsConfig, ManualClock};
 use fbs_core::{Fam, FlowKey, SealedFlowKey, SflAllocator};
 use fbs_crypto::dh::DhGroup;
-use fbs_ip::CombinedTable;
+use fbs_ip::{build_secure_host, CombinedTable, IpMappingConfig};
+use fbs_net::ip::{Ipv4Header, Proto};
+use fbs_net::{HookOutcome, SecurityHooks};
+use fbs_obs::Direction;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn dgram(payload: usize) -> Datagram {
     let (s, d) = principals();
@@ -78,23 +84,11 @@ fn bench_lookup_paths(c: &mut Criterion) {
         dport: 53,
     };
     let mut combined = CombinedTable::new(64, 600, SflAllocator::new(1));
-    combined
-        .lookup(tuple, 0, |sfl| {
-            Ok::<_, ()>(Arc::new(SealedFlowKey::seal(FlowKey::new(
-                &sfl.to_be_bytes().repeat(2),
-            ))))
-        })
-        .unwrap();
+    let sfl = combined.reserve_sfl();
+    let key = SealedFlowKey::seal(FlowKey::new(&sfl.to_be_bytes().repeat(2)));
+    combined.insert(tuple, sfl, Arc::new(key), 0);
     g.bench_function("combined-fst-tfkc", |b| {
-        b.iter(|| {
-            combined
-                .lookup(black_box(tuple), 1, |sfl| {
-                    Ok::<_, ()>(Arc::new(SealedFlowKey::seal(FlowKey::new(
-                        &sfl.to_be_bytes().repeat(2),
-                    ))))
-                })
-                .unwrap()
-        })
+        b.iter(|| combined.probe(black_box(&tuple), 1).map(|(sfl, _)| sfl))
     });
 
     let mut fam: Fam<Vec<u8>, IdleTimeoutPolicy> =
@@ -148,8 +142,106 @@ fn bench_udp_checksum(c: &mut Criterion) {
     g.finish();
 }
 
+/// The hooks' fixed per-datagram cost: one `FbsIpHooks::process_batch`
+/// of 1,024 resident 64-byte NOP datagrams (64 flows, keys cached on
+/// both sides) on one thread, per direction. Each iteration also stages
+/// its batch from pool buffers and recycles the verdicts' buffers; the
+/// rate is datagrams per second.
+fn bench_hooks(c: &mut Criterion) {
+    const BATCH: usize = 1024;
+    const FLOWS: usize = 64;
+    const NOW_SECS: u64 = 1_000;
+    let clock = ManualClock::starting_at(NOW_SECS);
+    let ca = CertificateAuthority::new("hooks-bench-ca", [0xB5; 16]);
+    let directory = Arc::new(Directory::new(Duration::ZERO));
+    let group = DhGroup::test_group();
+    let (a, b) = ([10, 12, 0, 1], [10, 12, 0, 2]);
+    let cfg = IpMappingConfig {
+        workers: 1,
+        fbs: FbsConfig {
+            nop_crypto: true,
+            ..FbsConfig::default()
+        },
+        ..IpMappingConfig::default()
+    };
+    let (_ha, mut tx) = build_secure_host(
+        a,
+        1500,
+        cfg.clone(),
+        clock.clone(),
+        &group,
+        &ca,
+        &directory,
+        1,
+    );
+    let (_hb, mut rx) = build_secure_host(b, 1500, cfg, clock, &group, &ca, &directory, 2);
+    let now_us = NOW_SECS * 1_000_000;
+    let mut pool = BufferPool::new();
+    let stage = |pool: &mut BufferPool, items: &[(Ipv4Header, Vec<u8>)]| -> Vec<_> {
+        items
+            .iter()
+            .map(|(header, bytes)| {
+                let mut payload = pool.take();
+                payload.extend_from_slice(bytes);
+                fbs_net::Datagram {
+                    header: header.clone(),
+                    payload,
+                }
+            })
+            .collect()
+    };
+    let passed = |verdicts: Vec<(Ipv4Header, HookOutcome)>| -> Vec<(Ipv4Header, Vec<u8>)> {
+        verdicts
+            .into_iter()
+            .map(|(header, outcome)| match outcome {
+                HookOutcome::Pass(bytes) => (header, bytes),
+                other => panic!("warm-up datagram not passed: {other:?}"),
+            })
+            .collect()
+    };
+    // 64-byte UDP segments: ports, then filler.
+    let plain: Vec<(Ipv4Header, Vec<u8>)> = (0..BATCH)
+        .map(|i| {
+            let mut p = vec![0xA5; 64];
+            p[..2].copy_from_slice(&(7000 + (i % FLOWS) as u16).to_be_bytes());
+            p[2..4].copy_from_slice(&53u16.to_be_bytes());
+            (Ipv4Header::new(a, b, Proto::Udp, p.len()), p)
+        })
+        .collect();
+    // One pass each way keys every flow on both sides; the sealed batch
+    // is the input direction's template.
+    let wire = passed(tx.process_batch(
+        Direction::Output,
+        stage(&mut pool, &plain),
+        &mut pool,
+        now_us,
+    ));
+    passed(rx.process_batch(Direction::Input, stage(&mut pool, &wire), &mut pool, now_us));
+
+    let mut g = c.benchmark_group("hooks");
+    g.throughput(Throughput::Elements(BATCH as u64));
+    for (name, hooks, dir, items) in [
+        ("nop64-out", &mut tx, Direction::Output, &plain),
+        ("nop64-in", &mut rx, Direction::Input, &wire),
+    ] {
+        g.bench_function(name, |bch| {
+            bch.iter(|| {
+                let batch = stage(&mut pool, items);
+                for (_, outcome) in hooks.process_batch(dir, batch, &mut pool, now_us) {
+                    match outcome {
+                        HookOutcome::Pass(bytes) => pool.put(bytes),
+                        other => panic!("{name}: {other:?}"),
+                    }
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_hooks,
     bench_send_receive,
     bench_single_vs_two_pass,
     bench_lookup_paths,

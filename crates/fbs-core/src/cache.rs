@@ -343,7 +343,8 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     }
 
     /// Count into `counts` under `kind` (builder style, before the
-    /// first lookup): how an endpoint's caches share its block.
+    /// first lookup): how a cache shares its endpoint's or its lock
+    /// domain's block, which only one writer at a time may write.
     pub fn with_counts(mut self, counts: Arc<CounterBlock>, kind: CacheKind) -> Self {
         self.counts = counts;
         self.kind = kind;

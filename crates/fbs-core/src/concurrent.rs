@@ -72,9 +72,9 @@ impl<T> Published<T> {
 
 /// A sharded, internally-locked wrapper over [`SoftCache`]: N inner
 /// caches (N rounded up to a power of two), each behind its own small
-/// mutex, all counting into one block under one [`CacheKind`], so
-/// `stats()` is a single lock-free aggregate with the usual coherence
-/// invariant (`hits + misses == lookups`).
+/// mutex and counting under one [`CacheKind`] into its own block, which
+/// only that mutex's holder writes. `stats()` sums the blocks lock-free,
+/// with the usual coherence invariant (`hits + misses == lookups`).
 ///
 /// The shard index uses the *upper* bits of the same hash the inner
 /// caches use for their set index (`(hash >> 16) & mask`), so sharding
@@ -82,39 +82,41 @@ impl<T> Published<T> {
 /// one cache's set do not all land in one shard, and vice versa.
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<SoftCache<K, V>>>,
+    /// Shard `i`'s block, written under `shards[i]`'s mutex.
+    blocks: Vec<Arc<CounterBlock>>,
     mask: u32,
     hash: Arc<dyn Fn(&K) -> u32 + Send + Sync>,
-    counts: Arc<CounterBlock>,
     kind: CacheKind,
 }
 
 impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
     /// `num_shards` (rounded up to a power of two, min 1) inner caches,
     /// each of `num_sets × assoc` geometry, indexed by `hash`, counting
-    /// into `counts` under `kind`.
+    /// under `kind`.
     pub fn new(
         num_shards: usize,
         num_sets: usize,
         assoc: usize,
-        counts: Arc<CounterBlock>,
         kind: CacheKind,
         hash: impl Fn(&K) -> u32 + Send + Sync + 'static,
     ) -> Self {
         let n = num_shards.max(1).next_power_of_two();
         let hash: Arc<dyn Fn(&K) -> u32 + Send + Sync> = Arc::new(hash);
-        let shards = (0..n)
-            .map(|_| {
+        let blocks: Vec<Arc<CounterBlock>> = (0..n).map(|_| Arc::default()).collect();
+        let shards = blocks
+            .iter()
+            .map(|block| {
                 let h = Arc::clone(&hash);
                 let cache = SoftCache::new(num_sets, assoc, move |k: &K| h(k))
-                    .with_counts(Arc::clone(&counts), kind);
+                    .with_counts(Arc::clone(block), kind);
                 Mutex::new(cache)
             })
             .collect();
         ShardedCache {
             shards,
+            blocks,
             mask: (n - 1) as u32,
             hash,
-            counts,
             kind,
         }
     }
@@ -148,7 +150,12 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
 
     /// Aggregate statistics across all shards — lock-free.
     pub fn stats(&self) -> CacheStats {
-        self.counts.cache(self.kind)
+        CounterBlock::sum(self.blocks.iter().map(|b| &**b)).cache(self.kind)
+    }
+
+    /// The shards' blocks, one per shard mutex.
+    pub(crate) fn blocks(&self) -> &[Arc<CounterBlock>] {
+        &self.blocks
     }
 
     /// Number of shards.
@@ -170,9 +177,10 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
 /// The shared keying service of a sharded endpoint: the master key
 /// cache (sharded, lock-free stats) in front of the one
 /// [`MasterKeyDaemon`] (its own mutex — upcalls are rare and expensive,
-/// §5.3's whole point). Both count into the daemon's block. Shard workers call
-/// [`master_key`](Self::master_key) with their shard lock RELEASED
-/// (lock-ordering rule 1).
+/// §5.3's whole point). The daemon counts into its own block under the
+/// `mkd` mutex, each MKC shard into its own under its mutex. Shard owners
+/// call [`master_key`](Self::master_key) under their owner lock, which is
+/// outermost (lock-ordering rule 1).
 ///
 /// A double-checked MKC probe under the `mkd` lock guarantees at most
 /// one upcall per peer even when several shards miss the same peer
@@ -181,33 +189,37 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
 pub struct KeyingService {
     mkc: ShardedCache<Principal, Arc<[u8]>>,
     mkd: Mutex<MasterKeyDaemon>,
-    counts: Arc<CounterBlock>,
+    /// The daemon's block, read without its mutex.
+    mkd_counts: Arc<CounterBlock>,
 }
 
 impl KeyingService {
     /// Wrap `mkd` behind an MKC of `mkc_slots` direct-mapped slots,
     /// sharded `mkc_shards` ways.
     pub fn new(mkd: MasterKeyDaemon, mkc_slots: usize, mkc_shards: usize) -> Self {
-        let counts = Arc::clone(mkd.counts());
         KeyingService {
-            mkc: ShardedCache::new(
-                mkc_shards,
-                mkc_slots,
-                1,
-                Arc::clone(&counts),
-                CacheKind::Mkc,
-                |p: &Principal| crc32(p.as_bytes()),
-            ),
+            mkc: ShardedCache::new(mkc_shards, mkc_slots, 1, CacheKind::Mkc, |p: &Principal| {
+                crc32(p.as_bytes())
+            }),
+            mkd_counts: Arc::clone(mkd.counts()),
             mkd: Mutex::new(mkd),
-            counts,
         }
     }
 
-    /// Attach a metrics registry: it reads the service's block (MKC and
-    /// MKD counts), and the daemon emits its retry/breaker events into
-    /// it.
+    /// Attach a metrics registry: it reads the service's blocks (the
+    /// MKD's and each MKC shard's), and the daemon emits its
+    /// retry/breaker events into it.
     pub fn attach_obs(&self, registry: Arc<MetricsRegistry>) {
+        for block in self.mkc.blocks() {
+            registry.attach(Arc::clone(block));
+        }
         self.mkd.lock().set_obs(registry);
+    }
+
+    /// Every block the service counts into: the MKD's, then each MKC
+    /// shard's.
+    pub fn blocks(&self) -> impl Iterator<Item = &Arc<CounterBlock>> {
+        std::iter::once(&self.mkd_counts).chain(self.mkc.blocks())
     }
 
     /// Pair master key via the MKC, upcalling the MKD on a miss
@@ -254,7 +266,7 @@ impl KeyingService {
 
     /// MKD statistics — lock-free.
     pub fn mkd_stats(&self) -> MkdStats {
-        MkdStats::read(&self.counts)
+        MkdStats::read(&self.mkd_counts)
     }
 }
 
@@ -264,10 +276,6 @@ mod tests {
     use crate::mkd::PinnedDirectory;
     use fbs_crypto::dh::{DhGroup, PrivateValue};
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn block() -> Arc<CounterBlock> {
-        Arc::new(CounterBlock::new())
-    }
 
     #[test]
     fn published_snapshot_swap() {
@@ -281,9 +289,7 @@ mod tests {
     #[test]
     fn sharded_cache_roundtrip_and_shared_stats() {
         let c: ShardedCache<u64, u64> =
-            ShardedCache::new(4, 8, 1, block(), CacheKind::Mkc, |k: &u64| {
-                crc32(&k.to_be_bytes())
-            });
+            ShardedCache::new(4, 8, 1, CacheKind::Mkc, |k: &u64| crc32(&k.to_be_bytes()));
         assert_eq!(c.num_shards(), 4);
         for k in 0..32u64 {
             assert_eq!(c.get(&k), None);
@@ -306,9 +312,9 @@ mod tests {
 
     #[test]
     fn sharded_cache_rounds_shards_to_power_of_two() {
-        let c: ShardedCache<u64, u64> = ShardedCache::new(3, 4, 1, block(), CacheKind::Mkc, |_| 0);
+        let c: ShardedCache<u64, u64> = ShardedCache::new(3, 4, 1, CacheKind::Mkc, |_| 0);
         assert_eq!(c.num_shards(), 4);
-        let c: ShardedCache<u64, u64> = ShardedCache::new(0, 4, 1, block(), CacheKind::Mkc, |_| 0);
+        let c: ShardedCache<u64, u64> = ShardedCache::new(0, 4, 1, CacheKind::Mkc, |_| 0);
         assert_eq!(c.num_shards(), 1);
     }
 

@@ -9,7 +9,13 @@
 //! decrypted *before* MAC verification because the MAC is computed over the
 //! plaintext on the send side (Fig. 4 line S6 runs before S8-9; the paper's
 //! R7 as literally written would MAC the ciphertext, which could never
-//! match — an acknowledged pseudo-code shorthand).
+//! match — an acknowledged pseudo-code shorthand). The AEAD suite is
+//! encrypt-then-MAC, so it checks its tag first and decrypts only a
+//! verified body.
+//!
+//! A receive-side flow key derived on an RFKC miss is cached only after
+//! the datagram's MAC verifies: a forged datagram with a fresh sfl costs
+//! a derivation but buys no cache slot.
 //!
 //! Data-touching operations are combined per §5.3: with
 //! [`FbsConfig::single_pass`] the MAC absorption and block encryption
@@ -268,7 +274,8 @@ pub struct EndpointStats {
     pub malformed_drops: u64,
     /// Bodies encrypted.
     pub encryptions: u64,
-    /// Bodies decrypted.
+    /// Bodies decrypted. Under the AEAD suite, verified bodies only: its
+    /// tag is checked before decryption.
     pub decryptions: u64,
 }
 
@@ -339,7 +346,8 @@ impl FlowCodec {
     }
 
     /// Count into `counts` (builder style, before the first datagram):
-    /// how an endpoint's codecs share its block.
+    /// how a codec shares its endpoint's or its owner's block, which only
+    /// one writer at a time may write.
     pub fn with_counts(mut self, counts: Arc<CounterBlock>) -> Self {
         self.counts = counts;
         self
@@ -481,34 +489,36 @@ impl FlowCodec {
         body: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        let Some((expected, full)) = self.open_compute(h, key, body, out)? else {
-            // Fig. 8's "FBS NOP": MAC verification returns immediately.
-            self.note_received(out.len() as u64);
-            return Ok(());
-        };
-        // R7-9: MAC verification (constant-time compare).
-        let used = self.cfg.shipped_mac_len(full);
-        if !mac_eq(&expected[..used], h.mac) {
-            self.note_mac_drop();
-            return Err(FbsError::BadMac);
-        }
+        self.open_verified(h, key, body, out)?;
         self.note_received(out.len() as u64);
         // R12: `out` holds the datagram body.
         Ok(())
     }
 
-    /// Recover the body into `out` and compute the expected MAC, dispatched
-    /// on the (authenticated) suite id and the key's material, which must
-    /// agree. Returns `None` in NOP-crypto mode
-    /// (body recovered, nothing to verify), otherwise the expected tag and
-    /// its untruncated length.
-    fn open_compute(
+    /// R7-9: compare the shipped prefix of `expected`, the untruncated
+    /// MAC, with the header's in constant time, counting a mismatch.
+    fn check_mac(&self, h: &HeaderView<'_>, expected: &[u8]) -> Result<()> {
+        let used = self.cfg.shipped_mac_len(expected.len());
+        if !mac_eq(&expected[..used], h.mac) {
+            self.note_mac_drop();
+            return Err(FbsError::BadMac);
+        }
+        Ok(())
+    }
+
+    /// Recover the body into `out` and verify its MAC, dispatched on the
+    /// (authenticated) suite id and the key's material, which must
+    /// agree. In NOP-crypto mode (Fig. 8's "FBS NOP") MAC verification
+    /// returns immediately. The paper and fast suites MAC the plaintext,
+    /// so they decrypt first; the AEAD suite MACs the ciphertext, so it
+    /// compares the tag first and decrypts only a verified body.
+    fn open_verified(
         &self,
         h: &HeaderView<'_>,
         key: &SealedFlowKey,
         body: &[u8],
         out: &mut Vec<u8>,
-    ) -> Result<Option<([u8; MAX_MAC_SIZE], usize)>> {
+    ) -> Result<()> {
         // Both halves of a flow must run the same profile: a frame naming
         // a different suite is keyed differently by construction (the
         // suite id is absorbed into the MAC of the non-paper suites) and
@@ -526,7 +536,7 @@ impl FlowCodec {
                 }
                 self.note_decrypted(h);
                 if self.cfg.nop_crypto {
-                    return Ok(None);
+                    return Ok(());
                 }
                 // The paper layout: MAC over confounder | timestamp |
                 // plaintext — bit-identical to the pre-suite wire format.
@@ -550,7 +560,7 @@ impl FlowCodec {
                 }
                 self.note_decrypted(h);
                 if self.cfg.nop_crypto {
-                    return Ok(None);
+                    return Ok(());
                 }
                 let mut ctx = key.mac_begin(h.mac_alg);
                 ctx.update(&[h.suite.wire_id()]);
@@ -566,29 +576,25 @@ impl FlowCodec {
                     self.note_malformed();
                     return Err(FbsError::MalformedCiphertext);
                 }
+                let cc = ChaCha20::new(chacha, &aead_nonce(h.sfl, h.confounder, h.timestamp));
+                if !self.cfg.nop_crypto {
+                    // Encrypt-then-MAC (RFC 8439 §2.8): the tag covers the
+                    // ciphertext, so a forgery is rejected before its body
+                    // is copied or any keystream is spent on it.
+                    let mut p = Poly1305::new(&cc.poly1305_key());
+                    p.update(&[h.suite.wire_id()]);
+                    p.update(&h.confounder.to_be_bytes());
+                    p.update(&h.timestamp.to_be_bytes());
+                    p.update(body);
+                    self.check_mac(h, &p.finalize())?;
+                }
                 out.clear();
                 out.extend_from_slice(body);
-                let cc = ChaCha20::new(chacha, &aead_nonce(h.sfl, h.confounder, h.timestamp));
-                if self.cfg.nop_crypto {
-                    if h.enc_alg == EncAlgorithm::ChaCha20 {
-                        cc.xor_keystream(1, out);
-                    }
-                    self.note_decrypted(h);
-                    return Ok(None);
-                }
-                // Encrypt-then-MAC: the tag covers the ciphertext, so it
-                // is computed before decryption.
-                let mut p = Poly1305::new(&cc.poly1305_key());
-                p.update(&[h.suite.wire_id()]);
-                p.update(&h.confounder.to_be_bytes());
-                p.update(&h.timestamp.to_be_bytes());
-                p.update(out);
-                expected[..16].copy_from_slice(&p.finalize());
                 if h.enc_alg == EncAlgorithm::ChaCha20 {
                     cc.xor_keystream(1, out);
                 }
                 self.note_decrypted(h);
-                16
+                return Ok(());
             }
             // A key sealed for another suite than the endpoint's: keys
             // are sealed under the endpoint's own config, so only a
@@ -599,7 +605,7 @@ impl FlowCodec {
                 return Err(FbsError::BadMac);
             }
         };
-        Ok(Some((expected, full)))
+        self.check_mac(h, &expected[..full])
     }
 
     /// Decryption accounting, fired once per secret body.
@@ -744,49 +750,32 @@ impl FbsEndpoint {
         if let Some(k) = self.tfkc.get_ref(&id) {
             return Ok(Arc::clone(k));
         }
-        let t0 = self.obs.as_ref().map(|_| self.codec.clock.now_micros());
-        let master = self.master_key(destination)?;
-        let k = Arc::new(self.codec.cfg.seal_key(derive_flow_key(
-            self.codec.cfg.key_derivation,
-            sfl,
-            &master,
-            &self.codec.local,
-            destination,
-        )));
-        self.record_derivation(t0);
+        let k = Arc::new(self.derive(sfl, destination, true)?);
         self.tfkc.insert(id, Arc::clone(&k));
         Ok(k)
     }
 
-    /// Receive-side flow key via RFKC (Fig. 4 lines R5-6).
-    fn flow_key_rx(&mut self, sfl: u64, source: &Principal) -> Result<Arc<SealedFlowKey>> {
-        let id = (sfl, source.clone(), self.codec.local.clone());
-        if let Some(k) = self.rfkc.get_ref(&id) {
-            return Ok(Arc::clone(k));
-        }
+    /// Zero-message derivation of flow `sfl`'s key with `peer`, sealed
+    /// with the material its suite reads: local → peer when `outbound`,
+    /// peer → local otherwise. Recorded as one key derivation covering
+    /// the whole miss path: MKC probe, possible MKD upcall, and the hash.
+    fn derive(&mut self, sfl: u64, peer: &Principal, outbound: bool) -> Result<SealedFlowKey> {
         let t0 = self.obs.as_ref().map(|_| self.codec.clock.now_micros());
-        let master = self.master_key(source)?;
-        let k = Arc::new(self.codec.cfg.seal_key(derive_flow_key(
-            self.codec.cfg.key_derivation,
-            sfl,
-            &master,
-            source,
-            &self.codec.local,
-        )));
-        self.record_derivation(t0);
-        self.rfkc.insert(id, Arc::clone(&k));
-        Ok(k)
-    }
-
-    /// Record a zero-message key derivation that started at `t0` (micros,
-    /// `None` when observation is off). Covers the whole miss path: MKC
-    /// probe, possible MKD upcall, and the hash.
-    fn record_derivation(&self, t0: Option<u64>) {
+        let master = self.master_key(peer)?;
+        let local = &self.codec.local;
+        let (src, dst) = if outbound {
+            (local, peer)
+        } else {
+            (peer, local)
+        };
+        let cfg = &self.codec.cfg;
+        let k = cfg.seal_key(derive_flow_key(cfg.key_derivation, sfl, &master, src, dst));
         if let (Some(reg), Some(t0)) = (&self.obs, t0) {
             reg.record(Event::KeyDerivation {
                 micros: self.codec.clock.now_micros().saturating_sub(t0),
             });
         }
+        Ok(k)
     }
 
     /// Derive a transmit flow key WITHOUT consulting the TFKC. Used by the
@@ -799,17 +788,7 @@ impl FbsEndpoint {
         sfl: u64,
         destination: &Principal,
     ) -> Result<Arc<SealedFlowKey>> {
-        let t0 = self.obs.as_ref().map(|_| self.codec.clock.now_micros());
-        let master = self.master_key(destination)?;
-        let k = derive_flow_key(
-            self.codec.cfg.key_derivation,
-            sfl,
-            &master,
-            &self.codec.local,
-            destination,
-        );
-        self.record_derivation(t0);
-        Ok(Arc::new(self.codec.cfg.seal_key(k)))
+        Ok(Arc::new(self.derive(sfl, destination, true)?))
     }
 
     /// `FBSSend` with a caller-provided flow key (the combined-table fast
@@ -936,10 +915,18 @@ impl FbsEndpoint {
         // R3-4: freshness, before key lookup so a stale datagram is
         // rejected as stale even when its key is unavailable.
         self.codec.check_freshness(h.timestamp)?;
-        // R5-6: flow key from the sfl (cached).
-        let key = self.flow_key_rx(h.sfl, source)?;
-        // R7-11: decrypt, then MAC-verify over the plaintext.
-        self.codec.open_with_key_into(h, &key, body, out)
+        // R5-6: flow key from the sfl, cached in the RFKC; R7-11: decrypt
+        // and MAC-verify under it.
+        let id = (h.sfl, source.clone(), self.codec.local.clone());
+        if let Some(key) = self.rfkc.get_ref(&id) {
+            return self.codec.open_with_key_into(h, key, body, out);
+        }
+        // A miss caches the derived key only once the datagram verifies,
+        // so a forgery leaves the RFKC as it was.
+        let key = self.derive(h.sfl, source, false)?;
+        self.codec.open_with_key_into(h, &key, body, out)?;
+        self.rfkc.insert(id, Arc::new(key));
+        Ok(())
     }
 
     /// Invalidate the cached master key for `peer` (rekey: §5.2 notes the
@@ -1362,6 +1349,9 @@ mod tests {
         let mut pd = s.send(1, dgram(b"flow one data"), true).unwrap();
         pd.header.sfl = 2;
         assert!(d.receive(pd).is_err());
+        // The forged birth derived a key but cached none.
+        assert_eq!(d.rfkc_stats().misses(), 1);
+        assert_eq!(d.rfkc_stats().insertions, 0);
     }
 
     #[test]

@@ -24,17 +24,6 @@ struct Entry {
     last_secs: u64,
 }
 
-/// Result of a combined lookup.
-pub struct CombinedHit {
-    /// The flow's sfl.
-    pub sfl: u64,
-    /// The flow key to use, with its suite's key material pre-expanded; cloning is
-    /// a refcount bump.
-    pub key: Arc<SealedFlowKey>,
-    /// True when this datagram started a new flow (key was derived).
-    pub new_flow: bool,
-}
-
 /// Statistics for the combined table: a view over the
 /// `cache.combined.*` cells of a counter block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -95,7 +84,8 @@ impl CombinedTable {
     }
 
     /// Count into `counts` (builder style, before the first lookup): how
-    /// the per-shard tables share their endpoint's block.
+    /// a shard's table shares its owner's block, which only one writer
+    /// at a time may write.
     pub fn with_counts(mut self, counts: Arc<CounterBlock>) -> Self {
         self.counts = counts;
         self
@@ -110,8 +100,8 @@ impl CombinedTable {
 
     /// Count a lookup outcome, and emit it when observed. A plain miss
     /// (no live entry displaced) is counted only under observation, as
-    /// the no-registry datapath always has: it would be one more atomic
-    /// per flow birth, and [`CombinedStats`] does not read it.
+    /// the no-registry datapath always has: [`CombinedStats`] does not
+    /// read it.
     fn note_lookup(&self, outcome: CacheOutcome) {
         let observed = self.obs.as_ref();
         if outcome != CacheOutcome::MissCold || observed.is_some() {
@@ -129,53 +119,23 @@ impl CombinedTable {
         crc32(&tuple.canonical_array()) as usize % self.slots.len()
     }
 
-    /// The single-lookup send path: returns the flow's sfl and key,
-    /// deriving a fresh key via `derive` only when a new flow starts.
-    ///
-    /// Callers that split the miss path around key derivation (the
-    /// worker-runtime hooks: reserve the sfl, derive with no endpoint
-    /// lock held, then insert) use the split
-    /// [`probe`](Self::probe)/[`reserve_sfl`](Self::reserve_sfl)/
-    /// [`peek`](Self::peek)/[`insert`](Self::insert) API instead; this
-    /// wrapper composes those pieces for single-threaded callers.
-    pub fn lookup<E>(
-        &mut self,
-        tuple: FiveTuple,
-        now_secs: u64,
-        derive: impl FnOnce(u64) -> Result<Arc<SealedFlowKey>, E>,
-    ) -> Result<CombinedHit, E> {
-        if let Some(hit) = self.probe(&tuple, now_secs) {
-            return Ok(hit);
-        }
-        let sfl = self.reserve_sfl();
-        let key = derive(sfl)?;
-        self.insert(tuple, sfl, Arc::clone(&key), now_secs);
-        Ok(CombinedHit {
-            sfl,
-            key,
-            new_flow: true,
-        })
-    }
-
-    /// Hit-or-classified-miss lookup: on an active same-tuple entry,
-    /// refresh it and return the hit; on a miss, record the miss (a
-    /// displaced live entry counts as a collision) and return `None`.
-    /// The caller then reserves an sfl, derives the key with its lock
-    /// released, and [`insert`](Self::insert)s.
-    pub fn probe(&mut self, tuple: &FiveTuple, now_secs: u64) -> Option<CombinedHit> {
+    /// The single lookup of the send path: on an active same-tuple
+    /// entry, refresh it and lend its sfl and flow key (key material
+    /// pre-expanded for its suite) for as long as the table is not
+    /// touched again; on a miss, record the miss (a displaced live entry
+    /// counts as a collision) and return `None`. The caller then starts
+    /// the flow: [`reserve_sfl`](Self::reserve_sfl), derive, and
+    /// [`insert`](Self::insert).
+    pub fn probe(&mut self, tuple: &FiveTuple, now_secs: u64) -> Option<(u64, &SealedFlowKey)> {
         let i = self.slot_of(tuple);
         let mut displaced_live = false;
-        if let Some(e) = &mut self.slots[i] {
+        if let Some(e) = &self.slots[i] {
             let active = now_secs.saturating_sub(e.last_secs) <= self.threshold_secs;
             if active && e.tuple == *tuple {
-                e.last_secs = now_secs;
-                let hit = CombinedHit {
-                    sfl: e.sfl,
-                    key: Arc::clone(&e.key),
-                    new_flow: false,
-                };
                 self.note_lookup(CacheOutcome::Hit);
-                return Some(hit);
+                let e = self.slots[i].as_mut().expect("matched above");
+                e.last_secs = now_secs;
+                return Some((e.sfl, &*e.key));
             }
             // A live different flow is displaced: premature termination
             // by hash collision (harmless for security, footnote 11).
@@ -190,35 +150,30 @@ impl CombinedTable {
     }
 
     /// Allocate the sfl for a flow about to start. Separated from
-    /// [`insert`](Self::insert) so the sfl can be reserved before the
-    /// caller drops its lock to derive the key; an sfl burned on a
-    /// derivation error is never reused (exactly the `lookup` wrapper's
-    /// historical behaviour).
+    /// [`insert`](Self::insert) so the sfl is reserved before the key is
+    /// derived: an sfl burned on a derivation error is never reused.
     pub fn reserve_sfl(&mut self) -> u64 {
         self.alloc.next_sfl()
     }
 
-    /// Quiet re-check after re-acquiring a lock: if `tuple` now has an
-    /// active entry (a racing thread inserted while we derived), return
-    /// its sfl and key WITHOUT touching stats, events, or recency —
-    /// the racing winner already did the bookkeeping.
-    pub fn peek(&self, tuple: &FiveTuple, now_secs: u64) -> Option<(u64, Arc<SealedFlowKey>)> {
-        let i = self.slot_of(tuple);
-        let e = self.slots[i].as_ref()?;
-        let active = now_secs.saturating_sub(e.last_secs) <= self.threshold_secs;
-        (active && e.tuple == *tuple).then(|| (e.sfl, Arc::clone(&e.key)))
-    }
-
-    /// Install a freshly-derived flow, counting the new flow.
-    pub fn insert(&mut self, tuple: FiveTuple, sfl: u64, key: Arc<SealedFlowKey>, now_secs: u64) {
+    /// Install a freshly-derived flow, counting the new flow, and lend
+    /// its key back, as a hit's [`probe`](Self::probe) would.
+    pub fn insert(
+        &mut self,
+        tuple: FiveTuple,
+        sfl: u64,
+        key: Arc<SealedFlowKey>,
+        now_secs: u64,
+    ) -> &SealedFlowKey {
+        self.counts.cache_insertion(CacheKind::Combined);
         let i = self.slot_of(&tuple);
-        self.slots[i] = Some(Entry {
+        let e = self.slots[i].insert(Entry {
             tuple,
             sfl,
             key,
             last_secs: now_secs,
         });
-        self.counts.cache_insertion(CacheKind::Combined);
+        &e.key
     }
 
     /// Invalidate every entry (e.g. after a rekey of the local principal).
@@ -269,26 +224,40 @@ mod tests {
         ))))
     }
 
+    /// One datagram's send-path resolution: the flow's sfl, its key
+    /// bytes, and whether it started a new flow, keyed by `derive`.
+    fn resolve<E>(
+        t: &mut CombinedTable,
+        tuple: FiveTuple,
+        now_secs: u64,
+        derive: impl FnOnce(u64) -> Result<Arc<SealedFlowKey>, E>,
+    ) -> Result<(u64, Vec<u8>, bool), E> {
+        if let Some((sfl, key)) = t.probe(&tuple, now_secs) {
+            return Ok((sfl, key.as_bytes().to_vec(), false));
+        }
+        let sfl = t.reserve_sfl();
+        let key = t.insert(tuple, sfl, derive(sfl)?, now_secs);
+        Ok((sfl, key.as_bytes().to_vec(), true))
+    }
+
     #[test]
     fn first_lookup_derives_second_reuses() {
         let mut t = table();
         let mut derived = 0;
-        let h1 = t
-            .lookup(tuple(9), 0, |sfl| {
-                derived += 1;
-                fake_key(sfl)
-            })
-            .unwrap();
-        assert!(h1.new_flow);
-        let h2 = t
-            .lookup(tuple(9), 10, |sfl| {
-                derived += 1;
-                fake_key(sfl)
-            })
-            .unwrap();
-        assert!(!h2.new_flow);
-        assert_eq!(h1.sfl, h2.sfl);
-        assert_eq!(h1.key.as_bytes(), h2.key.as_bytes());
+        let (sfl1, key1, new1) = resolve(&mut t, tuple(9), 0, |sfl| {
+            derived += 1;
+            fake_key(sfl)
+        })
+        .unwrap();
+        assert!(new1);
+        let (sfl2, key2, new2) = resolve(&mut t, tuple(9), 10, |sfl| {
+            derived += 1;
+            fake_key(sfl)
+        })
+        .unwrap();
+        assert!(!new2);
+        assert_eq!(sfl1, sfl2);
+        assert_eq!(key1, key2);
         assert_eq!(derived, 1, "key derivation happens once per flow");
         assert_eq!(t.stats().hits, 1);
     }
@@ -298,28 +267,28 @@ mod tests {
         // No sweeper call exists; expiry shows up as a new flow on the next
         // lookup after the gap.
         let mut t = table();
-        let h1 = t.lookup(tuple(9), 0, fake_key).unwrap();
-        let h2 = t.lookup(tuple(9), 601, fake_key).unwrap();
-        assert!(h2.new_flow);
-        assert_ne!(h1.sfl, h2.sfl);
-        assert_ne!(h1.key.as_bytes(), h2.key.as_bytes());
+        let (sfl1, key1, _) = resolve(&mut t, tuple(9), 0, fake_key).unwrap();
+        let (sfl2, key2, new2) = resolve(&mut t, tuple(9), 601, fake_key).unwrap();
+        assert!(new2);
+        assert_ne!(sfl1, sfl2);
+        assert_ne!(key1, key2);
     }
 
     #[test]
     fn derive_error_propagates_and_does_not_install() {
         let mut t = CombinedTable::new(4, 600, SflAllocator::new(0));
-        let r: Result<_, &str> = t.lookup(tuple(9), 0, |_| Err("mkd down"));
+        let r: Result<_, &str> = resolve(&mut t, tuple(9), 0, |_| Err("mkd down"));
         assert_eq!(r.err(), Some("mkd down"));
         // Next attempt still treats it as a new flow.
-        let h = t.lookup(tuple(9), 0, fake_key).unwrap();
-        assert!(h.new_flow);
+        let (_, _, new_flow) = resolve(&mut t, tuple(9), 0, fake_key).unwrap();
+        assert!(new_flow);
     }
 
     #[test]
     fn active_flow_count_tracks_threshold() {
         let mut t = table();
-        t.lookup(tuple(1), 0, fake_key).unwrap();
-        t.lookup(tuple(2), 100, fake_key).unwrap();
+        resolve(&mut t, tuple(1), 0, fake_key).unwrap();
+        resolve(&mut t, tuple(2), 100, fake_key).unwrap();
         assert_eq!(t.active_flows(100), 2);
         assert_eq!(t.active_flows(650), 1);
         assert_eq!(t.active_flows(5000), 0);
@@ -328,10 +297,10 @@ mod tests {
     #[test]
     fn clear_forces_rederivation() {
         let mut t = table();
-        let h1 = t.lookup(tuple(1), 0, fake_key).unwrap();
+        let (sfl1, _, _) = resolve(&mut t, tuple(1), 0, fake_key).unwrap();
         t.clear();
-        let h2 = t.lookup(tuple(1), 1, fake_key).unwrap();
-        assert!(h2.new_flow);
-        assert_ne!(h1.sfl, h2.sfl);
+        let (sfl2, _, new2) = resolve(&mut t, tuple(1), 1, fake_key).unwrap();
+        assert!(new2);
+        assert_ne!(sfl1, sfl2);
     }
 }

@@ -1,12 +1,12 @@
 //! The IP mapping's configuration and its verdict ledger: what the
 //! operator sets ([`IpMappingConfig`]), what the hooks count
-//! ([`IpHookStats`]), and the two functions through which every count is
-//! made.
+//! ([`IpHookStats`]), and the two functions through which every verdict
+//! count is made.
 
-use super::{record, HookShared};
+use super::datapath::Pass;
+use super::record;
 use fbs_core::{FbsConfig, KeyUnavailableVerdict};
-use fbs_obs::{Counter, CounterBlock, Direction, Event, MetricsRegistry};
-use std::sync::Arc;
+use fbs_obs::{Counter, CounterBlock, Direction, Event};
 
 /// Configuration of the IP mapping.
 #[derive(Clone, Debug)]
@@ -116,28 +116,29 @@ impl IpHookStats {
 }
 
 /// The verdict ledger: the only writers of the verdict counts and the
-/// only constructors of the registry's verdict events. [`IpHookStats`]
-/// and an attached registry read the same cells.
-impl HookShared {
+/// only constructors of the registry's verdict events. Each counts into
+/// the running owner's block; [`IpHookStats`] and an attached registry
+/// read the same cells.
+impl Pass<'_> {
     /// A datagram left the `dir` hook with its final verdict.
-    pub(super) fn exit(&self, obs: &Option<Arc<MetricsRegistry>>, dir: Direction, ok: bool) {
+    pub(super) fn exit(&self, dir: Direction, ok: bool) {
         self.counts.incr(match (dir, ok) {
             (Direction::Output, true) => Counter::HookOutputOk,
             (Direction::Output, false) => Counter::HookOutputErrors,
             (Direction::Input, true) => Counter::HookInputOk,
             (Direction::Input, false) => Counter::HookInputErrors,
         });
-        record(obs, Event::HookExit { dir, ok });
+        record(self.obs, Event::HookExit { dir, ok });
     }
 
     /// A key-unavailable datagram took a degradation verdict: admitted
     /// unprotected (`open`) or dropped fail-closed.
-    pub(super) fn degraded(&self, obs: &Option<Arc<MetricsRegistry>>, dir: Direction, open: bool) {
+    pub(super) fn degraded(&self, dir: Direction, open: bool) {
         self.counts.incr(if open {
             Counter::DegradeFailOpen
         } else {
             Counter::DegradeFailClosed
         });
-        record(obs, Event::Degraded { dir, open });
+        record(self.obs, Event::Degraded { dir, open });
     }
 }

@@ -18,7 +18,8 @@ use fbs_crypto::{crc32, CipherSuite};
 use fbs_net::ip::Proto;
 use fbs_net::{HookOutcome, Ipv4Header, RejectReason};
 use fbs_obs::{
-    CacheKind, Counter, Direction, Event, MetricsRegistry, SpanKind, Stage, StageTimer, TraceSpan,
+    CacheKind, Counter, CounterBlock, Direction, Event, MetricsRegistry, SpanKind, Stage,
+    StageTimer, TraceSpan,
 };
 use std::sync::Arc;
 
@@ -56,7 +57,7 @@ pub(super) fn fst_static_bytes(fst_size: usize) -> u64 {
 
 /// One shard's slice of the mutable flow state, reachable only through
 /// its owner's lock (`HookShared::owners`). Every counter inside writes
-/// the endpoint's one block in [`HookShared`].
+/// that owner's block in [`HookShared`].
 pub(super) struct Shard {
     /// Seal/open engine with this shard's confounder stream.
     codec: FlowCodec,
@@ -90,6 +91,7 @@ impl HookShared {
     /// receive-side partition stays consistent across respawns.
     pub(super) fn build_shard(&self, si: usize, generation: u64) -> Shard {
         let cfg = self.cfg.load();
+        let counts = &self.blocks[si % self.n_workers];
         let n = self.n_shards as u64;
         let salt = self
             .sfl_seed
@@ -103,19 +105,19 @@ impl HookShared {
                 ^ (si as u64).wrapping_mul(SHARD_SEED_MIX)
                 ^ generation.wrapping_mul(GENERATION_MIX),
         )
-        .with_counts(Arc::clone(&self.counts));
+        .with_counts(Arc::clone(counts));
         let combined = CombinedTable::new(
             cfg.fst_size,
             cfg.threshold_secs,
             SflAllocator::with_stride(stride_base, n),
         )
-        .with_counts(Arc::clone(&self.counts));
+        .with_counts(Arc::clone(counts));
         let mut rfkc = SoftCache::new(
             self.ep_cfg.rfkc_sets,
             self.ep_cfg.rfkc_assoc,
             fbs_core::flow_key_hash,
         )
-        .with_counts(Arc::clone(&self.counts), CacheKind::Rfkc);
+        .with_counts(Arc::clone(counts), CacheKind::Rfkc);
         // The shard enforces its own budget: reset the (possibly
         // carried-over) ledger, charge the static FST footprint, and
         // attach the key cache so it evicts before allocating past it.
@@ -229,10 +231,12 @@ pub(super) fn rx_shard(n: usize, payload: &[u8]) -> usize {
 
 /// What every per-datagram function reads, loaded once per supervised
 /// pass (or control action) by the owning worker: the shared runtime state,
-/// the config snapshot and registry handle in force for this pass, and
-/// the caller's virtual time.
+/// the owner's counter block, the config snapshot and registry handle in
+/// force for this pass, and the caller's virtual time.
 pub(super) struct Pass<'a> {
     pub(super) shared: &'a HookShared,
+    /// The running owner's block: only its lock holder writes it.
+    pub(super) counts: &'a CounterBlock,
     pub(super) cfg: &'a IpMappingConfig,
     pub(super) obs: &'a Option<Arc<MetricsRegistry>>,
     pub(super) now_us: u64,
@@ -277,7 +281,7 @@ fn derive_key(
     peer: &Principal,
     src: &Principal,
     dst: &Principal,
-) -> Result<Arc<SealedFlowKey>, FbsError> {
+) -> Result<SealedFlowKey, FbsError> {
     let Pass { shared, obs, .. } = *pass;
     let t0 = obs.as_ref().map(|_| shared.clock.now_micros());
     let timer = obs.as_ref().map(|_| StageTimer::start());
@@ -285,13 +289,13 @@ fn derive_key(
     // seal_for (via seal_key) pre-builds the material the configured
     // suite reads — the ChaCha key, or the DES schedules and the cached
     // MAC key prefix — so the per-datagram path never initializes lazily.
-    let k = Arc::new(shared.ep_cfg.seal_key(derive_flow_key(
+    let k = shared.ep_cfg.seal_key(derive_flow_key(
         shared.ep_cfg.key_derivation,
         sfl,
         &master,
         src,
         dst,
-    )));
+    ));
     if let (Some(reg), Some(t0)) = (obs.as_ref(), t0) {
         reg.record(Event::KeyDerivation {
             micros: shared.clock.now_micros().saturating_sub(t0),
@@ -303,35 +307,15 @@ fn derive_key(
     Ok(k)
 }
 
-/// Resolve the transmit (sfl, key) for `tuple` — §7.2's single lookup.
-/// A hit completes immediately; a miss reserves the sfl, derives via the
-/// keying service, and installs unconditionally — the worker is the
-/// shard's only writer, so there is no racing insert to re-check for (a
-/// failed derivation burns the reserved sfl).
-fn resolve_tx_key(
-    pass: &Pass<'_>,
-    shard: &mut Shard,
-    tuple: &FiveTuple,
-    destination: &Principal,
-) -> Result<(u64, Arc<SealedFlowKey>), FbsError> {
-    let now_secs = pass.now_us / 1_000_000;
-    if let Some(hit) = shard.combined.probe(tuple, now_secs) {
-        return Ok((hit.sfl, hit.key));
-    }
-    let sfl = shard.combined.reserve_sfl();
-    let local = &pass.shared.local;
-    let key = derive_key(pass, sfl, destination, local, destination)?;
-    shard
-        .combined
-        .insert(*tuple, sfl, Arc::clone(&key), now_secs);
-    Ok((sfl, key))
-}
-
 /// The §7.2 protect path, with no verdict handling: classify the datagram
-/// into a flow, derive/look up its key, and seal the borrowed plaintext
-/// into a pool buffer (fixing up `header`'s length on success). The
-/// caller keeps ownership of the original bytes, so no snapshot copy is
-/// ever needed for park/fail-open fallbacks.
+/// into a flow with one combined-table probe, and seal the borrowed
+/// plaintext into a pool buffer (fixing up `header`'s length on success)
+/// under the key the table lends. A miss reserves the sfl, derives via
+/// the keying service, and installs unconditionally — the owner is the
+/// shard's only writer, so there is no racing insert to re-check for (a
+/// failed derivation burns the reserved sfl). The caller keeps ownership
+/// of the original bytes, so no snapshot copy is ever needed for
+/// park/fail-open fallbacks.
 fn protect(
     pass: &Pass<'_>,
     shard: &mut Shard,
@@ -346,15 +330,23 @@ fn protect(
     let Some(tuple) = tuple else {
         return Err(FbsError::MalformedHeader("payload too short for 5-tuple"));
     };
-    let destination = Principal::from_ipv4(header.dst);
-    let (sfl, key) = resolve_tx_key(pass, shard, &tuple, &destination)?;
+    let Shard {
+        codec, combined, ..
+    } = shard;
+    let now_secs = pass.now_us / 1_000_000;
+    let (sfl, key) = match combined.probe(&tuple, now_secs) {
+        Some(hit) => hit,
+        None => {
+            let sfl = combined.reserve_sfl();
+            let destination = Principal::from_ipv4(header.dst);
+            let key = derive_key(pass, sfl, &destination, &shared.local, &destination)?;
+            (sfl, combined.insert(tuple, sfl, Arc::new(key), now_secs))
+        }
+    };
     pass.span(sfl, header.src, SpanKind::Classify, payload.len() as u64);
     let mut out = pool.take();
     let timer = obs.as_ref().map(|_| StageTimer::start());
-    match shard
-        .codec
-        .seal_with_key_into(sfl, &key, payload, cfg.encrypt, &mut out)
-    {
+    match codec.seal_with_key_into(sfl, key, payload, cfg.encrypt, &mut out) {
         Ok(()) => {
             if let Some(reg) = obs.as_ref() {
                 if let Some(timer) = timer {
@@ -377,7 +369,10 @@ fn protect(
 /// The verify path, with no verdict handling: parse the FBS framing,
 /// resolve the receive flow key, and recover the borrowed wire payload
 /// into a pool buffer, verifying its MAC there and then (R7-9, one
-/// constant-time compare); `header`'s length is fixed up on success.
+/// constant-time compare); `header`'s length is fixed up on success. A
+/// hit opens under the key the RFKC lends; a miss derives into a local
+/// and caches the key only once the MAC verifies, so a forged birth
+/// leaves the RFKC as it was.
 fn verify(
     pass: &Pass<'_>,
     shard: &mut Shard,
@@ -386,25 +381,25 @@ fn verify(
     pool: &mut BufferPool,
 ) -> Result<Vec<u8>, FbsError> {
     let Pass { shared, obs, .. } = *pass;
+    let Shard { codec, rfkc, .. } = shard;
     let source = Principal::from_ipv4(header.src);
     let (view, used) = HeaderView::parse(payload)?;
     // R3-4: freshness before key lookup, so a stale datagram is rejected
     // as stale even when its key is unavailable.
-    shard.codec.check_freshness(view.timestamp)?;
-    let id: FlowKeyId = (view.sfl, source.clone(), shared.local.clone());
-    let key = if let Some(k) = shard.rfkc.get_ref(&id) {
-        Arc::clone(k)
-    } else {
-        let key = derive_key(pass, view.sfl, &source, &source, &shared.local)?;
-        shard.rfkc.insert(id, Arc::clone(&key));
-        key
+    codec.check_freshness(view.timestamp)?;
+    let id: FlowKeyId = (view.sfl, source, shared.local.clone());
+    let mut born = None;
+    let key: &SealedFlowKey = match rfkc.get_ref(&id) {
+        Some(key) => key,
+        None => born.insert(derive_key(pass, view.sfl, &id.1, &id.1, &id.2)?),
     };
     let mut body = pool.take();
     let timer = obs.as_ref().map(|_| StageTimer::start());
-    match shard
-        .codec
-        .open_with_key_into(&view, &key, &payload[used..], &mut body)
-    {
+    let opened = codec.open_with_key_into(&view, key, &payload[used..], &mut body);
+    if let (Ok(()), Some(key)) = (&opened, born) {
+        rfkc.insert(id, Arc::new(key));
+    }
+    match opened {
         Ok(()) => {
             if let Some(reg) = obs.as_ref() {
                 if let Some(timer) = timer {
@@ -459,7 +454,7 @@ fn park_or_reject(
         Err((_, payload)) => {
             pool.put(payload);
             record(obs, Event::ParkOverflow);
-            pass.shared.exit(obs, dir, false);
+            pass.exit(dir, false);
             HookOutcome::Reject(RejectReason::ParkQueueFull)
         }
     }
@@ -492,9 +487,9 @@ fn reject(
 ) -> HookOutcome {
     pool.put(payload);
     if e.is_key_unavailable() {
-        pass.shared.degraded(pass.obs, dir, false);
+        pass.degraded(dir, false);
     }
-    pass.shared.exit(pass.obs, dir, false);
+    pass.exit(dir, false);
     HookOutcome::Reject(reject_reason(e))
 }
 
@@ -509,21 +504,20 @@ pub(super) fn output_item(
     tuple: Option<FiveTuple>,
     pool: &mut BufferPool,
 ) -> HookOutcome {
-    let Pass { shared, obs, .. } = *pass;
     let dir = Direction::Output;
-    record(obs, Event::HookEntry { dir });
+    record(pass.obs, Event::HookEntry { dir });
     let verdict = degrade_verdict(pass.cfg);
     // protect borrows the payload, so the original bytes are still owned
     // here for the fall-back verdicts — no snapshot copy needed.
     match protect(pass, shard, header, &payload, tuple, pool) {
         Ok(out) => {
             pool.put(payload);
-            shared.exit(obs, dir, true);
+            pass.exit(dir, true);
             HookOutcome::Pass(out)
         }
         Err(e) if e.is_key_unavailable() && verdict == KeyUnavailableVerdict::FailOpen => {
-            shared.degraded(obs, dir, true);
-            shared.exit(obs, dir, true); // it did exit the hook ok
+            pass.degraded(dir, true);
+            pass.exit(dir, true); // it did exit the hook ok
             HookOutcome::Pass(payload)
         }
         Err(e) if e.is_key_unavailable() && verdict == KeyUnavailableVerdict::Park => {
@@ -548,21 +542,20 @@ pub(super) fn input_item(
     payload: Vec<u8>,
     pool: &mut BufferPool,
 ) -> HookOutcome {
-    let Pass { shared, obs, .. } = *pass;
     let dir = Direction::Input;
-    record(obs, Event::HookEntry { dir });
+    record(pass.obs, Event::HookEntry { dir });
     let verdict = degrade_verdict(pass.cfg);
     match verify(pass, shard, header, &payload, pool) {
         Ok(body) => {
             pool.put(payload);
-            shared.exit(obs, dir, true);
+            pass.exit(dir, true);
             HookOutcome::Pass(body)
         }
         Err(FbsError::MalformedHeader(_) | FbsError::UnknownAlgorithm(_))
             if verdict == KeyUnavailableVerdict::FailOpen =>
         {
-            shared.degraded(obs, dir, true);
-            shared.exit(obs, dir, true);
+            pass.degraded(dir, true);
+            pass.exit(dir, true);
             HookOutcome::Pass(payload)
         }
         Err(e) if e.is_key_unavailable() && verdict == KeyUnavailableVerdict::Park => {
@@ -595,6 +588,7 @@ fn suite_counter(suite: CipherSuite, dir: Direction) -> Counter {
 /// back into it.
 pub(super) fn release_parked(
     shared: &HookShared,
+    counts: &CounterBlock,
     shards: &mut [Shard],
     dir: Direction,
     now_us: u64,
@@ -604,6 +598,7 @@ pub(super) fn release_parked(
     let obs = shared.obs_handle();
     let pass = Pass {
         shared,
+        counts,
         cfg: &cfg,
         obs: &obs,
         now_us,
@@ -658,7 +653,7 @@ pub(super) fn release_parked(
             };
             match res {
                 Ok(out) => {
-                    shared.exit(&obs, dir, true);
+                    pass.exit(dir, true);
                     let waited_us = shard.park(dir).note_released(parked_at_us, now_us);
                     record(&obs, Event::ParkReleased { waited_us });
                     // The flow's sfl leads the framed bytes: what was
@@ -681,7 +676,7 @@ pub(super) fn release_parked(
                     repark(shard, header, payload, pool);
                 }
                 Err(_) => {
-                    shared.exit(&obs, dir, false);
+                    pass.exit(dir, false);
                     pool.put(payload);
                 }
             }

@@ -62,10 +62,14 @@
 //! the keying service the order is mkd → mkc-shard; [`Published`] reads
 //! nest inside anything (leaf).
 //!
-//! Every shard, the keying service and the verdict ledger count into
-//! the endpoint's one [`CounterBlock`] of relaxed atomics, so a stats
-//! scrape never blocks a batch in flight, and the accessors and an
-//! attached registry read the same cells.
+//! Counts follow the locks: owner `w`'s shards (codec, combined table,
+//! RFKC), its verdict ledger and its supervisor count into owner `w`'s
+//! [`CounterBlock`], written only under owner `w`'s lock; the keying
+//! service keeps one block under its `mkd` mutex and one per MKC shard
+//! mutex. One writer per block makes every count a plain load and store
+//! — no locked instruction on the datapath — and a stats scrape never
+//! blocks a batch in flight: the accessors sum the blocks, and an
+//! attached registry reads the same cells.
 //!
 //! # Fault containment
 //!
@@ -155,7 +159,7 @@ struct ParkDepths {
 }
 
 /// State shared by every clone of [`FbsIpHooks`]: the keying service,
-/// the published config snapshot, the counter block, and the shard
+/// the published config snapshot, the counter blocks, and the shard
 /// owners.
 struct HookShared {
     keying: KeyingService,
@@ -170,10 +174,10 @@ struct HookShared {
     /// Base sfl allocator seed (pre shard/generation mixing).
     sfl_seed: u64,
     cfg: Published<IpMappingConfig>,
-    /// The endpoint's block (taken over from its MKD): verdicts,
-    /// supervisor panics and respawns, and every shard's codec, combined
-    /// table and RFKC count here.
-    counts: Arc<CounterBlock>,
+    /// Owner `w`'s block, written only under `owners[w]`'s lock: its
+    /// verdicts, supervisor panics and respawns, and its shards' codecs,
+    /// combined tables and RFKCs count here.
+    blocks: Box<[Arc<CounterBlock>]>,
     /// Workers that exhausted their respawn budget and now reject
     /// everything.
     quarantined: Box<[AtomicBool]>,
@@ -200,6 +204,12 @@ struct HookShared {
 impl HookShared {
     fn obs_handle(&self) -> Option<Arc<MetricsRegistry>> {
         (*self.obs.load()).clone()
+    }
+
+    /// Every block of the endpoint summed — the owners' and the keying
+    /// service's: what each statistics view reads.
+    fn total(&self) -> CounterBlock {
+        CounterBlock::sum(self.blocks.iter().chain(self.keying.blocks()).map(|b| &**b))
     }
 }
 
@@ -243,7 +253,6 @@ impl FbsIpHooks {
         let workers = cfg.workers.clamp(1, n);
         cfg.workers = workers;
         let budget_bytes = cfg.shard_budget_bytes;
-        let counts = Arc::clone(mkd.counts());
         let keying = KeyingService::new(mkd, ep_cfg.mkc_slots, n);
         let mut shared = HookShared {
             keying,
@@ -253,7 +262,7 @@ impl FbsIpHooks {
             codec_seed: seed,
             sfl_seed,
             cfg: Published::new(cfg),
-            counts,
+            blocks: (0..workers).map(|_| Arc::default()).collect(),
             quarantined: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             chaos: Published::new(None),
             obs: Published::new(None),
@@ -281,13 +290,15 @@ impl FbsIpHooks {
         }
     }
 
-    /// Attach a metrics registry: it reads the hooks' counter block
-    /// (lifetime counts, pre-attach included), the hooks emit entry/exit
-    /// events, and the registry cascades into every shard's codec,
-    /// combined table and RFKC (under each owner's lock), plus the
-    /// shared keying service, for their events.
+    /// Attach a metrics registry: it reads each of the hooks' counter
+    /// blocks once (lifetime counts, pre-attach included), the hooks
+    /// emit entry/exit events, and the registry cascades into every
+    /// shard's codec, combined table and RFKC (under each owner's lock),
+    /// plus the shared keying service, for their events.
     pub fn attach_obs(&self, registry: Arc<MetricsRegistry>) -> Result<(), RuntimeError> {
-        registry.attach(Arc::clone(&self.shared.counts));
+        for block in self.shared.blocks.iter() {
+            registry.attach(Arc::clone(block));
+        }
         self.shared.keying.attach_obs(Arc::clone(&registry));
         for w in 0..self.shared.n_workers {
             self.shared.with_owner(w, |st| st.attach_obs(&registry))?;
@@ -307,32 +318,32 @@ impl FbsIpHooks {
         self.shared.cfg.store(Arc::new(next));
     }
 
-    /// Hook-level statistics — lock-free, read off the counter block
-    /// like every accessor below.
+    /// Hook-level statistics — lock-free, read off the summed counter
+    /// blocks like every accessor below.
     pub fn stats(&self) -> IpHookStats {
-        IpHookStats::read(&self.shared.counts)
+        IpHookStats::read(&self.shared.total())
     }
 
     /// Endpoint statistics (sends, drops...) — lock-free.
     pub fn endpoint_stats(&self) -> EndpointStats {
-        EndpointStats::read(&self.shared.counts)
+        EndpointStats::read(&self.shared.total())
     }
 
     /// RFKC statistics — lock-free.
     pub fn rfkc_stats(&self) -> fbs_core::CacheStats {
-        self.shared.counts.cache(CacheKind::Rfkc)
+        self.shared.total().cache(CacheKind::Rfkc)
     }
 
     /// MKD statistics (upcalls = master key computations) — lock-free.
     pub fn mkd_stats(&self) -> MkdStats {
-        MkdStats::read(&self.shared.counts)
+        MkdStats::read(&self.shared.total())
     }
 
     /// Combined-table statistics (the §7.2 send path) — lock-free.
     /// Always `Some`: the `Option` is kept for callers written when the
     /// path was selectable.
     pub fn combined_stats(&self) -> Option<CombinedStats> {
-        Some(CombinedStats::read(&self.shared.counts))
+        Some(CombinedStats::read(&self.shared.total()))
     }
 
     /// Number of flow-state shards (a power of two).
@@ -468,13 +479,13 @@ impl FbsIpHooks {
 
     /// Panics caught by the supervisor — lock-free.
     pub fn worker_panics(&self) -> u64 {
-        self.shared.counts.counter(Counter::WorkerPanics)
+        self.shared.total().counter(Counter::WorkerPanics)
     }
 
     /// Supervised worker respawns (shard state rebuilt in place) —
     /// lock-free.
     pub fn worker_respawns(&self) -> u64 {
-        self.shared.counts.counter(Counter::WorkerRespawns)
+        self.shared.total().counter(Counter::WorkerRespawns)
     }
 
     /// Always `(0, 0)`: nothing is ever shed. Kept because the frozen

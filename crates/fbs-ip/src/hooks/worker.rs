@@ -224,6 +224,7 @@ fn finish_current(
     let cfg = shared.cfg.load();
     let pass = Pass {
         shared,
+        counts: &shared.blocks[w],
         cfg: &cfg,
         obs: &obs,
         now_us: flight.now_us,
@@ -377,7 +378,8 @@ impl WorkerState {
         now_us: u64,
         pool: &mut BufferPool,
     ) -> Vec<(Ipv4Header, Vec<u8>)> {
-        let released = release_parked(shared, &mut self.shards, dir, now_us, pool);
+        let counts = &shared.blocks[w];
+        let released = release_parked(shared, counts, &mut self.shards, dir, now_us, pool);
         pool.put_all(&mut self.pending_recycle);
         refresh_park_depths(shared, w, &self.shards);
         released
@@ -425,13 +427,13 @@ fn supervise<T>(
     if let Ok(v) = catch_unwind(AssertUnwindSafe(|| body(&mut *state, quarantined))) {
         return Some(v);
     }
-    shared.counts.incr(Counter::WorkerPanics);
+    shared.blocks[w].incr(Counter::WorkerPanics);
     if let Some(reg) = shared.obs_handle() {
         reg.worker_panic(w);
     }
     if state.respawns < MAX_RESPAWNS {
         state.respawns += 1;
-        shared.counts.incr(Counter::WorkerRespawns);
+        shared.blocks[w].incr(Counter::WorkerRespawns);
         rebuild_shards(shared, w, state);
     } else {
         quarantine(shared, w, state);

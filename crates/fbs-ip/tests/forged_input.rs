@@ -12,10 +12,12 @@
 //!   `Pass` with intact bodies;
 //! * `input_errors`, `verified` and `mac_drops` equal the ground truth;
 //! * the caller's [`BufferPool`] ledger balances exactly
-//!   (hits + misses == returns + discards).
+//!   (hits + misses == returns + discards);
+//! * a forged flow birth buys no receive flow-key cache slot, so it
+//!   cannot evict a victim flow's key.
 
 use fbs_cert::{CertificateAuthority, Directory};
-use fbs_core::{BufferPool, ManualClock};
+use fbs_core::{flow_key_hash, BufferPool, ManualClock, Principal};
 use fbs_crypto::dh::DhGroup;
 use fbs_ip::hooks::FbsIpHooks;
 use fbs_ip::hooks::IpMappingConfig;
@@ -31,16 +33,11 @@ const B: [u8; 4] = [10, 9, 0, 2];
 const NOW_US: u64 = 1_000_000;
 const BATCH: usize = 16;
 
-fn build_pair(workers: usize) -> (FbsIpHooks, FbsIpHooks, Arc<MetricsRegistry>) {
+fn build_pair(cfg: IpMappingConfig) -> (FbsIpHooks, FbsIpHooks, Arc<MetricsRegistry>) {
     let clock = ManualClock::starting_at(0);
     let ca = CertificateAuthority::new("forged-input-test-ca", [0x61; 16]);
     let directory = Arc::new(Directory::new(Duration::ZERO));
     let group = DhGroup::test_group();
-    let cfg = IpMappingConfig {
-        encrypt: true,
-        workers,
-        ..IpMappingConfig::default()
-    };
     let (_ha, sender) = build_secure_host(
         A,
         1500,
@@ -88,7 +85,11 @@ fn forged_input_rejects_bad_macs_and_balances_the_pool_ledger() {
 }
 
 fn forged_input_at(workers: usize) {
-    let (mut sender, mut receiver, reg) = build_pair(workers);
+    let (mut sender, mut receiver, reg) = build_pair(IpMappingConfig {
+        encrypt: true,
+        workers,
+        ..IpMappingConfig::default()
+    });
     let mut pool = BufferPool::new();
 
     // Warm the flow so key derivation is out of the way and the timed
@@ -218,4 +219,117 @@ fn forged_input_at(workers: usize) {
         snap.counters.get("crypto.open.paper").copied(),
         Some(sent - corrupted_total + 1)
     );
+}
+
+/// Seal one `(sport, seq)` datagram: its header and wire payload.
+fn seal_one(sender: &mut FbsIpHooks, pool: &mut BufferPool, sport: u16, seq: u32) -> Datagram {
+    let payload = payload_for(pool, sport, seq);
+    let header = Ipv4Header::new(A, B, Proto::Udp, payload.len());
+    let batch = vec![Datagram { header, payload }];
+    match sender
+        .process_batch(Direction::Output, batch, pool, NOW_US)
+        .pop()
+    {
+        Some((header, HookOutcome::Pass(payload))) => Datagram { header, payload },
+        other => panic!("seal failed: {other:?}"),
+    }
+}
+
+/// Deliver `batch` to `receiver`: per datagram, `None` if it passed
+/// (its body goes back to `pool`) or the reason it was rejected.
+fn deliver(
+    receiver: &mut FbsIpHooks,
+    pool: &mut BufferPool,
+    batch: Vec<Datagram>,
+) -> Vec<Option<RejectReason>> {
+    let verdicts = receiver.process_batch(Direction::Input, batch, pool, NOW_US);
+    verdicts
+        .into_iter()
+        .map(|(_, outcome)| match outcome {
+            HookOutcome::Pass(body) => {
+                pool.put(body);
+                None
+            }
+            HookOutcome::Reject(reason) => Some(reason),
+            other => panic!("unexpected verdict {other:?}"),
+        })
+        .collect()
+}
+
+/// The wire sfl: the first 8 bytes of a sealed payload.
+fn wire_sfl(payload: &[u8]) -> u64 {
+    u64::from_be_bytes(payload[..8].try_into().expect("framed payload"))
+}
+
+/// A forger who knows a victim flow's sfl and source relabels sealed
+/// datagrams with fresh sfls chosen to land in the victim's receive
+/// shard and RFKC set (the set index is the unkeyed CRC-32 of the sfl
+/// and both principals), one per way of the set. Each forged birth
+/// costs the receiver a derivation and is rejected — and, since a
+/// derived key is cached only once its datagram verifies, leaves the
+/// cache as it was: the victim's next datagram still hits, and the
+/// cache's insertions are exactly the verified births.
+#[test]
+fn forged_births_cannot_evict_a_victim_flows_key() {
+    for workers in [1, 2] {
+        forged_births_at(workers);
+    }
+}
+
+fn forged_births_at(workers: usize) {
+    let mut cfg = IpMappingConfig {
+        encrypt: true,
+        workers,
+        ..IpMappingConfig::default()
+    };
+    cfg.fbs.rfkc_assoc = 2;
+    let (sets, assoc) = (cfg.fbs.rfkc_sets, cfg.fbs.rfkc_assoc);
+    let (mut sender, mut receiver, _reg) = build_pair(cfg);
+    let mut pool = BufferPool::new();
+
+    // The victim flow is born on the receiver: one verified birth.
+    let first = seal_one(&mut sender, &mut pool, 4000, 0);
+    let victim = wire_sfl(&first.payload);
+    assert_eq!(deliver(&mut receiver, &mut pool, vec![first]), [None]);
+
+    // Fresh sfls in the victim's receive shard and RFKC set.
+    let set_of = |sfl: u64| {
+        flow_key_hash(&(sfl, Principal::from_ipv4(A), Principal::from_ipv4(B))) as usize % sets
+    };
+    let shards = receiver.num_shards() as u64;
+    let aimed: Vec<u64> = (1..)
+        .map(|k| victim + k * shards)
+        .filter(|&sfl| set_of(sfl) == set_of(victim))
+        .take(assoc)
+        .collect();
+    let forged: Vec<Datagram> = aimed
+        .iter()
+        .map(|&sfl| {
+            let mut d = seal_one(&mut sender, &mut pool, 4000, 1);
+            d.payload[..8].copy_from_slice(&sfl.to_be_bytes());
+            d
+        })
+        .collect();
+    assert_eq!(
+        deliver(&mut receiver, &mut pool, forged),
+        vec![Some(RejectReason::BadMac); assoc],
+        "workers {workers}"
+    );
+    let before = receiver.rfkc_stats();
+    assert_eq!(before.misses(), 1 + assoc as u64, "each forgery is a birth");
+
+    // The victim's next datagram still finds its key.
+    let next = seal_one(&mut sender, &mut pool, 4000, 2);
+    assert_eq!(deliver(&mut receiver, &mut pool, vec![next]), [None]);
+    let after = receiver.rfkc_stats();
+    assert_eq!(
+        after.hits,
+        before.hits + 1,
+        "victim evicted (workers {workers})"
+    );
+    assert_eq!(after.misses(), before.misses());
+    assert_eq!(after.insertions, 1, "insertions are the verified births");
+    assert_eq!(after.evictions, 0);
+    let s = pool.stats();
+    assert_eq!(s.hits + s.misses, s.returns + s.discards, "pool ledger");
 }

@@ -1,14 +1,26 @@
 //! Counter blocks: the one place a component's counts are written.
 //!
-//! A [`CounterBlock`] is a fixed array of relaxed atomics indexed by
-//! [`Counter`] plus per-[`CacheKind`] 3C cache counters. Every
-//! component that keeps per-instance statistics (an endpoint's codec,
-//! caches and MKD; the IP hooks' shards) writes them into one block,
-//! whether or not a registry is attached. The legacy stats structs
-//! (`EndpointStats`, [`CacheStats`], `MkdStats`, ...) are views read off
-//! a block, and a [`crate::MetricsRegistry`] sums every block
-//! [attached](crate::MetricsRegistry::attach) to it when scraped — so
-//! each count has exactly one writer.
+//! A [`CounterBlock`] holds every [`Counter`] plus per-[`CacheKind`] 3C
+//! cache counters. The legacy stats structs (`EndpointStats`,
+//! [`CacheStats`], `MkdStats`, ...) are views read off blocks, and a
+//! [`crate::MetricsRegistry`] sums every block
+//! [attached](crate::MetricsRegistry::attach) to it when scraped.
+//!
+//! # One writer per block
+//!
+//! At any moment a block has exactly one writer: the holder of the one
+//! lock that guards it, or the owner of a `&mut` to the component that
+//! holds it. Under that rule an increment needs no locked instruction:
+//! it is a relaxed load and a relaxed store of the cell, and readers on
+//! other threads load the cells at any time without blocking a writer
+//! or seeing a torn value. Two writers racing on one block would lose
+//! increments, so a component written from several lock domains keeps
+//! one block per domain, and its views [sum](CounterBlock::sum) them.
+//! The registry's own cells, which any thread writes, are the one place
+//! a count is a `fetch_add`; they are private to the registry.
+//!
+//! Blocks are cache-line aligned, so two domains' blocks never share a
+//! line.
 
 use crate::event::{CacheKind, CacheOutcome};
 use crate::registry::{Counter, NUM_COUNTERS};
@@ -118,16 +130,39 @@ struct CacheCounters {
     insertions: AtomicU64,
     evictions: AtomicU64,
     classifier_disabled: AtomicU64,
-    /// Gauge (not a counter): bytes currently charged for resident
-    /// entries. Caches add on insert and subtract on evict/invalidate,
-    /// so the value tracks live residency rather than accumulating.
-    resident_bytes: AtomicU64,
 }
 
-/// The counts of one endpoint (or of one standalone component): every
-/// [`Counter`] and the 3C counters of every [`CacheKind`], as relaxed
-/// atomics. Shared by `Arc` between the components that write it and
-/// the registries that read it; reading never blocks a writer.
+impl CacheCounters {
+    fn cells(&self) -> [&AtomicU64; 7] {
+        [
+            &self.hits,
+            &self.cold_misses,
+            &self.capacity_misses,
+            &self.collision_misses,
+            &self.insertions,
+            &self.evictions,
+            &self.classifier_disabled,
+        ]
+    }
+}
+
+/// Add `n` to `cell`: a relaxed load and a relaxed store, no locked
+/// instruction. Exact only under the block's one-writer rule (module
+/// docs); a racing second writer loses increments, never tears a cell.
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
+}
+
+/// The counts of one lock domain: every [`Counter`] and the 3C counters
+/// of every [`CacheKind`]. Shared by `Arc` between the components that
+/// write it (one at a time, see the module docs) and the registries
+/// that read it; reading never blocks a writer. Aligned to two cache
+/// lines (the unit the adjacent-line prefetcher pulls), so blocks of
+/// different domains never share one.
+#[repr(align(128))]
 pub struct CounterBlock {
     counters: [AtomicU64; NUM_COUNTERS],
     caches: [CacheCounters; 5],
@@ -154,6 +189,24 @@ impl CounterBlock {
         }
     }
 
+    /// A fresh block holding the cell-by-cell sum of `blocks`: how a
+    /// view reads a component that counts into one block per lock
+    /// domain.
+    pub fn sum<'a>(blocks: impl IntoIterator<Item = &'a CounterBlock>) -> CounterBlock {
+        let total = CounterBlock::new();
+        for b in blocks {
+            for (t, c) in total.counters.iter().zip(&b.counters) {
+                bump(t, c.load(Ordering::Relaxed));
+            }
+            for (t, c) in total.caches.iter().zip(&b.caches) {
+                for (t, c) in t.cells().into_iter().zip(c.cells()) {
+                    bump(t, c.load(Ordering::Relaxed));
+                }
+            }
+        }
+        total
+    }
+
     /// Increment a scalar counter by 1.
     pub fn incr(&self, c: Counter) {
         self.add(c, 1);
@@ -161,7 +214,7 @@ impl CounterBlock {
 
     /// Increment a scalar counter by `n`.
     pub fn add(&self, c: Counter, n: u64) {
-        self.counters[c.index()].fetch_add(n, Ordering::Relaxed);
+        bump(&self.counters[c.index()], n);
     }
 
     /// Read a scalar counter.
@@ -172,56 +225,31 @@ impl CounterBlock {
     /// Record a lookup in cache `kind`: a hit or one of the 3C misses.
     pub fn cache_lookup(&self, kind: CacheKind, outcome: CacheOutcome) {
         let c = &self.caches[kind.index()];
-        let cell = match outcome {
-            CacheOutcome::Hit => &c.hits,
-            CacheOutcome::MissCold => &c.cold_misses,
-            CacheOutcome::MissCapacity => &c.capacity_misses,
-            CacheOutcome::MissCollision => &c.collision_misses,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
+        bump(
+            match outcome {
+                CacheOutcome::Hit => &c.hits,
+                CacheOutcome::MissCold => &c.cold_misses,
+                CacheOutcome::MissCapacity => &c.capacity_misses,
+                CacheOutcome::MissCollision => &c.collision_misses,
+            },
+            1,
+        );
     }
 
     /// Record an insertion into cache `kind`. An eviction it causes is
     /// booked separately, through [`cache_eviction`](Self::cache_eviction).
     pub fn cache_insertion(&self, kind: CacheKind) {
-        self.caches[kind.index()]
-            .insertions
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.caches[kind.index()].insertions, 1);
     }
 
     /// Record an eviction from cache `kind`.
     pub fn cache_eviction(&self, kind: CacheKind) {
-        self.caches[kind.index()]
-            .evictions
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.caches[kind.index()].evictions, 1);
     }
 
     /// Record that a cache of `kind` turned its 3C classifier off.
     pub fn cache_classifier_disabled(&self, kind: CacheKind) {
-        self.caches[kind.index()]
-            .classifier_disabled
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Raise the `cache.<kind>.resident_bytes` gauge by `bytes`.
-    pub(crate) fn cache_resident_add(&self, kind: CacheKind, bytes: u64) {
-        self.caches[kind.index()]
-            .resident_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Lower the `cache.<kind>.resident_bytes` gauge by `bytes`
-    /// (saturating at zero rather than wrapping).
-    pub(crate) fn cache_resident_sub(&self, kind: CacheKind, bytes: u64) {
-        let cell = &self.caches[kind.index()].resident_bytes;
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        bump(&self.caches[kind.index()].classifier_disabled, 1);
     }
 
     /// The 3C counters of cache `kind`.
@@ -238,20 +266,14 @@ impl CounterBlock {
         }
     }
 
-    /// Fold every non-zero counter, cache counter and resident gauge of
-    /// this block into `snap` (adding to what is already there).
+    /// Fold every non-zero counter and cache counter of this block into
+    /// `snap` (adding to what is already there).
     pub(crate) fn contribute(&self, snap: &mut MetricsSnapshot) {
         for c in Counter::ALL {
             snap.add(c.name(), self.counter(c));
         }
         for kind in CacheKind::ALL {
             self.cache(kind).contribute(kind, snap);
-            snap.add(
-                &format!("cache.{}.resident_bytes", kind.name()),
-                self.caches[kind.index()]
-                    .resident_bytes
-                    .load(Ordering::Relaxed),
-            );
         }
     }
 }
@@ -275,12 +297,24 @@ mod tests {
     }
 
     #[test]
-    fn resident_gauge_saturates_at_zero() {
-        let b = CounterBlock::new();
-        b.cache_resident_add(CacheKind::Rfkc, 10);
-        b.cache_resident_sub(CacheKind::Rfkc, 25);
-        let mut snap = MetricsSnapshot::new();
-        b.contribute(&mut snap);
-        assert_eq!(snap.counter("cache.rfkc.resident_bytes"), 0);
+    fn sum_adds_every_cell_of_every_block() {
+        let (a, b) = (CounterBlock::new(), CounterBlock::new());
+        a.add(Counter::Sends, 3);
+        b.incr(Counter::Sends);
+        b.incr(Counter::MkdUpcalls);
+        a.cache_lookup(CacheKind::Rfkc, CacheOutcome::Hit);
+        b.cache_classifier_disabled(CacheKind::Rfkc);
+        let t = CounterBlock::sum([&a, &b]);
+        assert_eq!(t.counter(Counter::Sends), 4);
+        assert_eq!(t.counter(Counter::MkdUpcalls), 1);
+        let r = t.cache(CacheKind::Rfkc);
+        assert_eq!((r.hits, r.classifier_disabled), (1, 1));
+        assert_eq!(CounterBlock::sum([]).counter(Counter::Sends), 0);
+    }
+
+    #[test]
+    fn blocks_never_share_a_cache_line() {
+        assert_eq!(std::mem::align_of::<CounterBlock>(), 128);
+        assert_eq!(std::mem::size_of::<CounterBlock>() % 128, 0);
     }
 }

@@ -5,11 +5,11 @@
 //! counts, per-paradigm key-setup costs. This crate gives the
 //! reproduction one pipeline for all of that:
 //!
-//! * [`CounterBlock`] — one endpoint's counts (every [`Counter`] and the
-//!   per-cache 3C counters) as relaxed atomics: the only place a
-//!   component writes them. The legacy stats structs are views over a
-//!   block;
-//! * [`MetricsRegistry`] — its own block for counts no component keeps,
+//! * [`CounterBlock`] — one lock domain's counts (every [`Counter`] and
+//!   the per-cache 3C counters): the only place a component writes them,
+//!   one writer at a time, with no locked instruction. The legacy stats
+//!   structs are views over blocks;
+//! * [`MetricsRegistry`] — its own cells for counts no component keeps,
 //!   the blocks [attached](MetricsRegistry::attach) to it (summed at
 //!   scrape time), and log2 latency/size histograms, shared across
 //!   components via `Arc`;

@@ -1,4 +1,4 @@
-//! The metrics registry: its own counter block plus the blocks attached
+//! The metrics registry: its own counter cells plus the blocks attached
 //! to it, log2 histograms, and the flight recorder.
 
 use crate::block::CounterBlock;
@@ -429,6 +429,43 @@ impl ShardMemSample {
     }
 }
 
+/// The registry's own counts: the counts no component keeps (hook
+/// entries, suites, the net layer, events) and the resident-bytes
+/// gauges. Any thread writes them, so, unlike a [`CounterBlock`]'s, each
+/// write is a `fetch_add`.
+struct SharedCells {
+    counters: [AtomicU64; NUM_COUNTERS],
+    /// `cache.<kind>.resident_bytes`, by [`CacheKind`]: caches add on
+    /// insert and subtract on evict/invalidate, so each tracks live
+    /// residency rather than accumulating.
+    resident_bytes: [AtomicU64; 5],
+}
+
+impl SharedCells {
+    fn new() -> Self {
+        SharedCells {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            resident_bytes: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    fn counter(&self, c: Counter) -> u64 {
+        self.counters[c.index()].load(Ordering::Relaxed)
+    }
+
+    fn contribute(&self, snap: &mut MetricsSnapshot) {
+        for c in Counter::ALL {
+            snap.add(c.name(), self.counter(c));
+        }
+        for kind in CacheKind::ALL {
+            snap.add(
+                &format!("cache.{}.resident_bytes", kind.name()),
+                self.resident_bytes[kind.index()].load(Ordering::Relaxed),
+            );
+        }
+    }
+}
+
 struct RecorderInner {
     buf: Vec<EventRecord>,
     /// Next overwrite position once the ring is full.
@@ -441,11 +478,11 @@ struct RecorderInner {
 /// this on `None`).
 ///
 /// Counts come from two places, never both for one event: the
-/// registry's own block, for counts no component keeps (hook entries,
+/// registry's own cells, for counts no component keeps (hook entries,
 /// suites, the net layer, events), and the components' blocks it reads
 /// at scrape time ([`attach`](Self::attach)).
 pub struct MetricsRegistry {
-    own: CounterBlock,
+    own: SharedCells,
     /// Component blocks summed into every read, each once.
     attached: Mutex<Vec<Arc<CounterBlock>>>,
     histograms: [AtomicLogHistogram; NUM_HISTOGRAMS],
@@ -493,7 +530,7 @@ impl MetricsRegistry {
     /// histograms still work).
     pub fn with_event_capacity(capacity: usize) -> Self {
         MetricsRegistry {
-            own: CounterBlock::new(),
+            own: SharedCells::new(),
             attached: Mutex::new(Vec::new()),
             histograms: std::array::from_fn(|_| AtomicLogHistogram::new()),
             stages: std::array::from_fn(|_| AtomicLogHistogram::new()),
@@ -528,17 +565,26 @@ impl MetricsRegistry {
         }
     }
 
-    /// Increment a counter of the registry's own block by 1.
+    /// Number of distinct blocks attached: one per lock domain of every
+    /// component that attached its counts.
+    pub fn attached_blocks(&self) -> usize {
+        self.attached
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
+    }
+
+    /// Increment a counter of the registry's own cells by 1.
     pub fn incr(&self, c: Counter) {
         self.add(c, 1);
     }
 
-    /// Increment a counter of the registry's own block by `n`.
+    /// Increment a counter of the registry's own cells by `n`.
     pub fn add(&self, c: Counter, n: u64) {
-        self.own.add(c, n);
+        self.own.counters[c.index()].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Read a scalar counter: the own block plus every attached one.
+    /// Read a scalar counter: the own cells plus every attached block.
     pub fn counter(&self, c: Counter) -> u64 {
         let attached = self.attached.lock().unwrap_or_else(|e| e.into_inner());
         self.own.counter(c) + attached.iter().map(|b| b.counter(c)).sum::<u64>()
@@ -546,13 +592,21 @@ impl MetricsRegistry {
 
     /// Raise the `cache.<kind>.resident_bytes` gauge by `bytes`.
     pub fn cache_resident_add(&self, kind: CacheKind, bytes: u64) {
-        self.own.cache_resident_add(kind, bytes);
+        self.own.resident_bytes[kind.index()].fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Lower the `cache.<kind>.resident_bytes` gauge by `bytes`
     /// (saturating at zero rather than wrapping).
     pub fn cache_resident_sub(&self, kind: CacheKind, bytes: u64) {
-        self.own.cache_resident_sub(kind, bytes);
+        let cell = &self.own.resident_bytes[kind.index()];
+        let mut cur = cell.load(Ordering::Relaxed);
+        loop {
+            let next = cur.saturating_sub(bytes);
+            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return,
+                Err(seen) => cur = seen,
+            }
+        }
     }
 
     /// Publish shard `shard`'s memory ledger to the per-shard gauge
@@ -763,7 +817,7 @@ impl MetricsRegistry {
     }
 
     /// Point-in-time snapshot of every non-zero counter and cache
-    /// counter (own block plus attached blocks), the histograms, and the
+    /// counter (own cells plus attached blocks), the histograms, and the
     /// flight recorder.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
@@ -888,6 +942,16 @@ mod tests {
         other.incr(Counter::Sends);
         reg.attach(other);
         assert_eq!(reg.snapshot().counter("endpoint.sends"), 4);
+    }
+
+    #[test]
+    fn resident_gauge_saturates_at_zero() {
+        let reg = MetricsRegistry::new();
+        reg.cache_resident_add(CacheKind::Rfkc, 10);
+        reg.cache_resident_sub(CacheKind::Rfkc, 25);
+        assert_eq!(reg.snapshot().counter("cache.rfkc.resident_bytes"), 0);
+        reg.cache_resident_add(CacheKind::Rfkc, 7);
+        assert_eq!(reg.snapshot().counter("cache.rfkc.resident_bytes"), 7);
     }
 
     #[test]

@@ -13,8 +13,12 @@
 //! ahead of it by any amount — but never ahead of `value × count` as
 //! the NEXT snapshot sees it, because every sample in `sum` was in a
 //! bucket first.
+//!
+//! The registry's own cells are the one place several threads write one
+//! count, so once the writers stop they must hold exactly what each
+//! writer tallied it added: a lost update there is a miscount.
 
-use fbs_obs::{Counter, Histogram, MetricsRegistry, Stage};
+use fbs_obs::{CacheKind, Counter, Histogram, MetricsRegistry, Stage};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -33,16 +37,21 @@ fn snapshots_stay_monotone_and_sum_consistent_under_writers() {
             let reg = Arc::clone(&reg);
             let stop = Arc::clone(&stop);
             thread::spawn(move || {
+                // Each writer adds its own weight to the shared cells and
+                // tallies what it added.
+                let weight = w as u64 + 1;
                 let mut spins = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     reg.incr(Counter::Sends);
                     reg.add(Counter::PipelineBatchDatagrams, 3);
+                    reg.add(Counter::FragmentsProduced, weight);
+                    reg.cache_resident_add(CacheKind::Rfkc, weight);
                     reg.observe(Histogram::SendBytes, SAMPLE_VALUE);
                     reg.observe_stage(Stage::Seal, SAMPLE_VALUE);
                     reg.worker_busy(w, 10);
                     spins += 1;
                 }
-                spins
+                (spins, spins * weight)
             })
         })
         .collect();
@@ -112,8 +121,10 @@ fn snapshots_stay_monotone_and_sum_consistent_under_writers() {
         last = Some(snap);
     }
     stop.store(true, Ordering::Relaxed);
-    let spins: Vec<u64> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+    let (spins, weighted): (Vec<u64>, Vec<u64>) =
+        writers.into_iter().map(|w| w.join().unwrap()).unzip();
     let total: u64 = spins.iter().sum();
+    let weighted: u64 = weighted.iter().sum();
     assert!(total > 0);
     assert!(hist_seen, "scraper never observed a histogram");
 
@@ -123,6 +134,9 @@ fn snapshots_stay_monotone_and_sum_consistent_under_writers() {
     let snap = reg.snapshot();
     assert_eq!(snap.counter("endpoint.sends"), total);
     assert_eq!(snap.counter("pipeline.batch_datagrams"), 3 * total);
+    assert_eq!(snap.counter("net.fragments_produced"), weighted);
+    assert_eq!(snap.counter("cache.rfkc.resident_bytes"), weighted);
+    assert_eq!(reg.counter(Counter::Sends), total);
     for (key, last_sum) in hist_keys.iter().zip(last_sums) {
         let h = &snap.histograms[*key];
         assert_eq!(h.count(), total);
