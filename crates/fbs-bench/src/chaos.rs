@@ -21,7 +21,7 @@
 use fbs_cert::{CertSource, CertificateAuthority, Directory, Pvc};
 use fbs_chaos::{
     ChaosDirectory, ChaosDirectoryStats, ChaosPvs, ChaosPvsStats, FaultKind, FaultPlan, FlushScope,
-    VirtualClock, WorkerChaos,
+    OwnerChaos, VirtualClock,
 };
 use fbs_core::mkd::PublicValueSource;
 use fbs_core::{
@@ -93,8 +93,8 @@ pub struct PhaseTally {
     pub goodput_per_sec: f64,
 }
 
-/// The worker-fault scenario: scheduled supervised panics and stalls
-/// against the datagram-plane worker runtime, with the
+/// The worker-fault scenario: scheduled supervised panics against the
+/// datagram-plane shard owners, with the
 /// same baseline/fault/settle/recovery phase structure as the keying
 /// soak. Appears in `BENCH_chaos.json` under `"worker_fault"`.
 #[derive(Clone, Debug)]
@@ -103,7 +103,7 @@ pub struct WorkerFaultReport {
     pub cfg: SoakConfig,
     /// Fault-free yardstick phase.
     pub baseline: PhaseTally,
-    /// Tally while workers panic and stall.
+    /// Tally while owners panic.
     pub fault: PhaseTally,
     /// Tally during the settle grace.
     pub settle: PhaseTally,
@@ -687,47 +687,32 @@ pub fn run_soak(cfg: SoakConfig, trace_rate_log2: Option<u32>) -> SoakOutput {
 const WF_PHASES: [&str; 4] = ["baseline", "worker_fault", "settle", "recovery"];
 
 /// The worker-fault plan, phase-relative to `baseline_us`. Every fault
-/// is armed against *every* worker: a worker only polls its taps when
-/// it carries traffic, so arming all of them covers whatever
-/// shard-to-worker layout the seed's flows hash into (unfired pulses
-/// are inert and cost nothing). All windows sit inside the fault
-/// phase.
-fn worker_fault_plan(cfg: &SoakConfig, workers: usize) -> FaultPlan {
+/// is armed against *every* owner: an owner only polls its tap when it
+/// carries traffic, so arming all of them covers whatever
+/// shard-to-owner layout the seed's flows hash into (unfired pulses are
+/// inert and cost nothing). All windows sit inside the fault phase.
+fn worker_fault_plan(cfg: &SoakConfig, owners: usize) -> FaultPlan {
     let f0 = cfg.baseline_us;
     let half = cfg.fault_us / 2;
     let mut plan = FaultPlan::new(cfg.seed);
-    for w in 0..workers {
+    for owner in 0..owners {
         plan = plan
             // One supervised panic early in the window and one after
-            // the midpoint: the second proves the respawned worker's
+            // the midpoint: the second proves the respawned owner's
             // rebuilt shard state survives a repeat fault.
-            .with_window(
-                f0 + 100_000,
-                f0 + half,
-                FaultKind::WorkerPanic { worker: w },
-            )
+            .with_window(f0 + 100_000, f0 + half, FaultKind::OwnerPanic { owner })
             .with_window(
                 f0 + half,
                 f0 + half + 200_000,
-                FaultKind::WorkerPanic { worker: w },
-            )
-            // A bounded stall. Wall-clock only: virtual-time outputs
-            // are unaffected, so the report stays byte-identical.
-            .with_window(
-                f0 + 100_000,
-                f0 + cfg.fault_us,
-                FaultKind::WorkerStall {
-                    worker: w,
-                    stall_us: 1_500,
-                },
+                FaultKind::OwnerPanic { owner },
             );
     }
     plan
 }
 
 /// Run the worker-fault scenario: the same two-host soak shape, but the
-/// chaos targets the sender's datagram-plane worker runtime (scheduled
-/// supervised panics and stalls) instead of the keying
+/// chaos targets the sender's datagram-plane shard owners (scheduled
+/// supervised panics) instead of the keying
 /// infrastructure. Keying stays healthy throughout, so every
 /// degradation in the report is attributable to the worker faults.
 pub fn run_worker_fault(cfg: SoakConfig) -> WorkerFaultReport {
@@ -743,7 +728,7 @@ pub fn run_worker_fault(cfg: SoakConfig) -> WorkerFaultReport {
     };
 
     let mut net = Network::new(cfg.seed, Impairments::ideal());
-    // The plan's worker windows drive WorkerChaos below; its directory
+    // The plan's worker windows drive OwnerChaos below; its directory
     // and MKD taps see no outage windows, so keying never degrades.
     let (host_a, a) = {
         let plan = FaultPlan::new(cfg.seed);
@@ -764,7 +749,7 @@ pub fn run_worker_fault(cfg: SoakConfig) -> WorkerFaultReport {
     };
     let plan = worker_fault_plan(&cfg, a.hooks.num_workers());
     a.hooks
-        .set_worker_chaos(Some(Arc::new(WorkerChaos::from_plan(&plan))));
+        .set_owner_chaos(Some(Arc::new(OwnerChaos::from_plan(&plan))));
 
     // Ring sized for the whole run so the flight recorder keeps full
     // history: a healthy scenario reports zero dropped events, and the

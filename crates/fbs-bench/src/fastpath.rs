@@ -21,9 +21,7 @@ use fbs_ip::hooks::IpMappingConfig;
 use fbs_ip::host::build_secure_host;
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::{HookOutcome, SecurityHooks};
-use fbs_obs::{
-    Direction, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Stage, WorkerOccupancyRow,
-};
+use fbs_obs::{Direction, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Stage};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -117,9 +115,36 @@ pub struct MappingRate {
     /// every rep of this row: partition, seal, key derivation,
     /// dispatch. Nanosecond log2 buckets.
     pub stages: Vec<(&'static str, HistogramSnapshot)>,
-    /// Per-worker occupancy rows (sub-batches and busy-ns)
+    /// Per-owner occupancy rows (sub-batches and busy-ns)
     /// accumulated over every rep of this row.
-    pub occupancy: Vec<WorkerOccupancyRow>,
+    pub occupancy: Vec<OwnerRow>,
+}
+
+/// One shard owner's load over a mapping row, read off the hooks'
+/// `hooks.worker.<w>.*` snapshot rows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OwnerRow {
+    /// Owner index.
+    pub worker: usize,
+    /// Sub-batches the owner finished.
+    pub batches: u64,
+    /// Nanoseconds the owner spent on them.
+    pub busy_ns: u64,
+}
+
+/// The rows of `snap`'s owners `0..owners` that finished work.
+fn owner_rows(snap: &MetricsSnapshot, owners: usize) -> Vec<OwnerRow> {
+    (0..owners)
+        .map(|w| {
+            let field = |f: &str| snap.counter(&format!("hooks.worker.{w}.{f}"));
+            OwnerRow {
+                worker: w,
+                batches: field("batches"),
+                busy_ns: field("busy_ns"),
+            }
+        })
+        .filter(|r| r.batches > 0)
+        .collect()
 }
 
 /// The full `BENCH_fastpath.json` payload.
@@ -523,6 +548,9 @@ const MAPPING_FLOWS: usize = 64;
 /// batches of UDP datagrams over disjoint flows, wire buffers recycled
 /// through a per-thread [`BufferPool`]. Returns the aggregate rate and
 /// whether every thread's pool take/put ledger balanced (the leak gate).
+/// With `obs`, the run is instrumented: a registry is attached before
+/// the first batch, and its snapshot, read while the hooks still live,
+/// is folded into `obs`.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_mapping(
     payload: usize,
@@ -531,7 +559,7 @@ pub fn measure_mapping(
     threads: usize,
     shards: usize,
     workers: usize,
-    obs: Option<&Arc<MetricsRegistry>>,
+    obs: Option<&mut MetricsSnapshot>,
     alloc: &dyn Fn() -> u64,
 ) -> (Rate, bool) {
     // Generous FST so the bench's flows never collide in a slot: this
@@ -565,7 +593,7 @@ pub fn measure_mapping_with(
     workers: usize,
     fbs_cfg: FbsConfig,
     fst_size: usize,
-    obs: Option<&Arc<MetricsRegistry>>,
+    obs: Option<&mut MetricsSnapshot>,
     alloc: &dyn Fn() -> u64,
 ) -> (Rate, bool) {
     let clock = ManualClock::starting_at(0);
@@ -594,10 +622,10 @@ pub fn measure_mapping_with(
     );
     // Building B publishes its certificate, so A's sends can key.
     let (_hb, _hooks_b) = build_secure_host(b, 1500, cfg, clock, &group, &ca, &directory, 12);
-    // Attach the row's registry before any warm batch runs, so stage
-    // timers and the worker occupancy table cover the entire measured
-    // window.
-    if let Some(reg) = obs {
+    // Attach the registry before any warm batch runs, so stage timers
+    // and the owner rows cover the entire measured window.
+    let registry = obs.is_some().then(|| Arc::new(MetricsRegistry::new()));
+    if let Some(reg) = &registry {
         hooks
             .attach_obs(Arc::clone(reg))
             .expect("worker runtime alive");
@@ -669,6 +697,9 @@ pub fn measure_mapping_with(
         .map(|h| h.join().expect("mapping thread panicked"))
         .collect();
     let allocs = alloc() - a0;
+    if let (Some(acc), Some(reg)) = (obs, registry) {
+        merge_snapshot(acc, &reg.snapshot());
+    }
     let first = spans.iter().map(|s| s.0).min().expect("threads > 0");
     let last = spans.iter().map(|s| s.1).max().expect("threads > 0");
     let secs = (last - first).as_secs_f64();
@@ -745,13 +776,13 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
     // Each row reports the MEDIAN of its reps, which alternate across
     // the rows: a best-of keeps whichever rep hit a lucky scheduling
     // window, and back-to-back reps share the host's phase. A leak in
-    // ANY rep poisons the row's flag. One registry per row, shared by
-    // its reps, so its stage histograms and occupancy table describe
+    // ANY rep poisons the row's flag. Each rep's registry snapshot folds
+    // into one per row, so its stage histograms and owner rows describe
     // that grid point with enough samples to show a distribution.
     let mut rows = [(1usize, 1usize, 1usize), (1, 8, 1), (2, 8, 2), (4, 8, 4)]
-        .map(|point| (point, Arc::new(MetricsRegistry::new()), Vec::new(), true));
+        .map(|point| (point, MetricsSnapshot::new(), Vec::new(), true));
     for _ in 0..MAPPING_REPS {
-        for ((threads, shards, workers), reg, reps, balanced) in rows.iter_mut() {
+        for ((threads, shards, workers), snap, reps, balanced) in rows.iter_mut() {
             let (rate, ok) = measure_mapping(
                 payload,
                 count,
@@ -759,7 +790,7 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
                 *threads,
                 *shards,
                 *workers,
-                Some(reg),
+                Some(snap),
                 alloc,
             );
             reps.push(rate);
@@ -769,14 +800,16 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
     let mut obs = MetricsSnapshot::new();
     let mapping: Vec<MappingRate> = rows
         .into_iter()
-        .map(|((threads, shards, workers), reg, reps, pool_balanced)| {
+        .map(|((threads, shards, workers), snap, reps, pool_balanced)| {
             let stages: Vec<(&'static str, HistogramSnapshot)> = Stage::ALL
                 .iter()
-                .map(|s| (s.name(), reg.stage_histogram(*s)))
-                .filter(|(_, h)| !h.buckets.is_empty())
+                .filter_map(|s| {
+                    let h = snap.histograms.get(&format!("stage.{}_ns", s.name()))?;
+                    Some((s.name(), h.clone()))
+                })
                 .collect();
-            let occupancy = reg.worker_occupancy_table();
-            merge_snapshot(&mut obs, &reg.snapshot());
+            let occupancy = owner_rows(&snap, workers);
+            merge_snapshot(&mut obs, &snap);
             MappingRate {
                 threads,
                 shards,
@@ -851,7 +884,7 @@ mod tests {
             assert!(m.rate.datagrams_per_sec > 0.0);
             assert!(m.pool_balanced, "mapping row leaked buffers: {m:?}");
             // Every row ran with a registry attached: the hot stages
-            // must have recorded spans and every worker that drained a
+            // must have recorded spans and every owner that drained a
             // sub-batch must show up in the occupancy table.
             let stage_names: Vec<&str> = m.stages.iter().map(|(n, _)| *n).collect();
             for want in ["partition", "seal"] {

@@ -7,8 +7,8 @@
 //! certificate directory ([`ChaosDirectory`]), the master key daemon's
 //! upcall path ([`ChaosPvs`]), the flow-key caches (flush pulses /
 //! eviction storms driven by [`FaultPlan::cache_pulses`]), and the
-//! datagram-plane worker runtime itself ([`WorkerChaos`]: scheduled
-//! worker panics and stalls), all on a shared microsecond
+//! datagram-plane runtime's shard owners ([`OwnerChaos`]: scheduled
+//! owner panics), all on a shared microsecond
 //! [`VirtualClock`].
 //!
 //! Everything is a pure function of `(seed, schedule, virtual time)` —
@@ -21,11 +21,11 @@
 pub mod cert;
 pub mod clock;
 pub mod mkd;
+pub mod owner;
 pub mod plan;
-pub mod worker;
 
 pub use cert::{ChaosDirectory, ChaosDirectoryStats};
 pub use clock::VirtualClock;
 pub use mkd::{ChaosPvs, ChaosPvsStats};
+pub use owner::OwnerChaos;
 pub use plan::{FaultKind, FaultPlan, FaultWindow, FlushScope};
-pub use worker::WorkerChaos;

@@ -52,21 +52,12 @@ pub enum FaultKind {
         /// Which endpoint(s) each flush hits.
         scope: FlushScope,
     },
-    /// One worker-loop panic, on window entry, in the named worker of
-    /// the sending endpoint's datagram-plane runtime (edge-triggered
-    /// via [`WorkerChaos`](crate::WorkerChaos)).
-    WorkerPanic {
-        /// Target worker index.
-        worker: usize,
-    },
-    /// The named worker stalls (wall-clock sleep) once per window entry
-    /// before processing its next sub-batch — latency only, no
-    /// virtual-time counter moves.
-    WorkerStall {
-        /// Target worker index.
-        worker: usize,
-        /// Stall length in wall microseconds (the runtime caps it).
-        stall_us: u64,
+    /// One supervised panic, on window entry, in the named shard owner
+    /// of the sending endpoint's datagram-plane runtime (edge-triggered
+    /// via [`OwnerChaos`](crate::OwnerChaos)).
+    OwnerPanic {
+        /// Target owner index.
+        owner: usize,
     },
 }
 
@@ -82,8 +73,7 @@ impl FaultKind {
             FaultKind::MkdOutage => "mkd_outage",
             FaultKind::FlushCaches { .. } => "flush_caches",
             FaultKind::EvictionStorm { .. } => "eviction_storm",
-            FaultKind::WorkerPanic { .. } => "worker_panic",
-            FaultKind::WorkerStall { .. } => "worker_stall",
+            FaultKind::OwnerPanic { .. } => "owner_panic",
         }
     }
 }

@@ -289,8 +289,8 @@ pub struct SoftCache<K, V> {
     /// collision discrimination. `None` disables classification (all
     /// non-cold misses count as capacity) and avoids its overhead.
     classifier: Option<Classifier<K>>,
-    /// Optional metrics registry for lookup events and the resident
-    /// gauge. `None` (the default) keeps lookups observation-free.
+    /// Optional metrics registry for lookup events. `None` (the
+    /// default) keeps lookups observation-free.
     obs: Option<Arc<MetricsRegistry>>,
     /// Optional memory budget: `(ledger, kind, bytes charged per
     /// resident entry)`.
@@ -352,10 +352,9 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     }
 
     /// Attach a metrics registry: the registry reads this cache's block
-    /// (counted under `kind`, named before the first lookup), lookups
-    /// emit [`Event::CacheLookup`], and resident entries keep the
-    /// registry's `cache.<kind>.resident_bytes` gauge current when a
-    /// budget is attached.
+    /// (counted under `kind`, named before the first lookup), and
+    /// lookups emit [`Event::CacheLookup`]. Resident bytes are the
+    /// budget's ledger, which whoever owns the budget reports.
     pub fn set_obs(&mut self, registry: Arc<MetricsRegistry>, kind: CacheKind) {
         self.kind = kind;
         registry.attach(Arc::clone(&self.counts));
@@ -369,9 +368,6 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         // Entries already resident are charged retroactively so the
         // ledger is coherent no matter when the budget was attached.
         budget.charge(kind, self.live as u64 * entry_bytes);
-        if let Some(reg) = &self.obs {
-            reg.cache_resident_add(self.kind, self.live as u64 * entry_bytes);
-        }
         self.budget = Some((budget, kind, entry_bytes));
     }
 
@@ -533,29 +529,23 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         }
     }
 
-    /// Book an eviction out of the live table's `slot`: stats, budget
-    /// release, resident-bytes gauge.
+    /// Book an eviction out of the live table's `slot`: stats and
+    /// budget release.
     fn evict_live_slot(&mut self, slot: usize) -> (K, V) {
         let (k, v) = self.table.remove(slot);
         self.live -= 1;
         self.counts.cache_eviction(self.kind);
         if let Some((budget, bk, eb)) = &self.budget {
             budget.release(*bk, *eb);
-            if let Some(reg) = &self.obs {
-                reg.cache_resident_sub(self.kind, *eb);
-            }
         }
         (k, v)
     }
 
-    /// Book a brand-new resident entry (budget charge + gauge).
+    /// Book a brand-new resident entry (and its budget charge).
     fn note_resident_added(&mut self) {
         self.live += 1;
         if let Some((budget, bk, eb)) = &self.budget {
             budget.charge(*bk, *eb);
-            if let Some(reg) = &self.obs {
-                reg.cache_resident_add(self.kind, *eb);
-            }
         }
     }
 
@@ -564,9 +554,6 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         self.live -= n;
         if let Some((budget, bk, eb)) = &self.budget {
             budget.release(*bk, *eb * n as u64);
-            if let Some(reg) = &self.obs {
-                reg.cache_resident_sub(self.kind, *eb * n as u64);
-            }
         }
     }
 

@@ -51,7 +51,7 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use concurrent::{KeyingService, Published, ShardedCache};
 pub use error::{FbsError, Result, RuntimeError};
 pub use fam::{Classification, Fam, FlowPolicy, FlowRecord, FstEntry, KeyUnavailableVerdict};
-pub use fault::WorkerFaultInjector;
+pub use fault::OwnerFaultInjector;
 pub use header::{EncAlgorithm, HeaderView, SecurityFlowHeader};
 pub use keying::{derive_flow_key, FlowKey, KeyDerivation, SealedFlowKey};
 pub use mem::{BudgetKind, BudgetSnapshot, MemoryBudget};

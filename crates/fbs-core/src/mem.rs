@@ -95,9 +95,12 @@ impl BudgetSnapshot {
         self.tfkc_bytes + self.rfkc_bytes + self.mkc_bytes + self.fam_bytes
     }
 
-    /// Fold this ledger into a snapshot under `mem.shard.<i>.*` names —
-    /// the same namespace the live registry's per-shard gauge table
-    /// uses, so snapshots built either way are comparable.
+    /// Fold this ledger into a snapshot as shard `shard`: the
+    /// `mem.shard.<i>.*` rows, and its key-cache bytes added to
+    /// `cache.<kind>.resident_bytes`, so a scrape that folds every
+    /// shard's ledger reads each cache kind's residency as their sum.
+    /// The one producer of both key families: a registry derives them
+    /// through this at scrape time and keeps no copy.
     pub fn contribute(&self, shard: usize, snap: &mut fbs_obs::MetricsSnapshot) {
         snap.add(&format!("mem.shard.{shard}.tfkc_bytes"), self.tfkc_bytes);
         snap.add(&format!("mem.shard.{shard}.rfkc_bytes"), self.rfkc_bytes);
@@ -109,6 +112,9 @@ impl BudgetSnapshot {
             &format!("mem.shard.{shard}.budget_exceeded"),
             self.exceeded_events,
         );
+        snap.add("cache.tfkc.resident_bytes", self.tfkc_bytes);
+        snap.add("cache.rfkc.resident_bytes", self.rfkc_bytes);
+        snap.add("cache.mkc.resident_bytes", self.mkc_bytes);
     }
 }
 
@@ -294,6 +300,13 @@ mod tests {
         assert_eq!(m.counter("mem.shard.3.fam_bytes"), 256);
         assert_eq!(m.counter("mem.shard.3.used_bytes"), 384);
         assert_eq!(m.counter("mem.shard.3.limit_bytes"), 4096);
+        assert_eq!(m.counter("cache.tfkc.resident_bytes"), 128);
+        // A second shard's key-cache bytes add to the per-kind totals.
+        let other = MemoryBudget::bounded(4096);
+        other.charge(BudgetKind::Tfkc, 64);
+        other.snapshot().contribute(4, &mut m);
+        assert_eq!(m.counter("mem.shard.4.tfkc_bytes"), 64);
+        assert_eq!(m.counter("cache.tfkc.resident_bytes"), 192);
     }
 
     #[test]

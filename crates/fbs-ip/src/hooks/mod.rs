@@ -69,7 +69,11 @@
 //! mutex. One writer per block makes every count a plain load and store
 //! — no locked instruction on the datapath — and a stats scrape never
 //! blocks a batch in flight: the accessors sum the blocks, and an
-//! attached registry reads the same cells.
+//! attached registry reads the same cells. The registry's per-owner
+//! rows (`hooks.worker.<w>.*`) and per-shard memory rows
+//! (`mem.shard.<i>.*`, `cache.<kind>.resident_bytes`) are derived at
+//! scrape time from the owner blocks and the shard [`MemoryBudget`]s
+//! (the [`ScrapeSource`] impl below): nothing is pushed into it.
 //!
 //! # Fault containment
 //!
@@ -93,9 +97,9 @@
 //! * **Typed errors, no runtime panics.** Control calls return
 //!   [`RuntimeError`], and `process_batch` always returns, fail-closed:
 //!   a ledger entry reads `Reject` until its item writes a final
-//!   verdict, and an owner that cannot finish has its share rejected. A
-//!   [`WorkerFaultInjector`] (see `fbs-chaos`'s `WorkerChaos`) can
-//!   schedule panics and stalls deterministically on virtual time.
+//!   verdict, and an owner that cannot finish has its share rejected. An
+//!   [`OwnerFaultInjector`] (see `fbs-chaos`'s `OwnerChaos`) can
+//!   schedule owner panics deterministically on virtual time.
 //!
 //! # Graceful degradation
 //!
@@ -123,9 +127,9 @@
 
 mod config;
 mod datapath;
+mod owner;
 #[cfg(test)]
 mod tests;
-mod worker;
 
 pub use config::{IpHookStats, IpMappingConfig};
 
@@ -136,17 +140,18 @@ use fbs_core::mkd::MkdStats;
 use fbs_core::protocol::EndpointStats;
 use fbs_core::{
     BudgetSnapshot, BufferPool, Clock, FbsConfig, FbsEndpoint, KeyingService, MemoryBudget,
-    ParkStats, Principal, Published, RuntimeError, WorkerFaultInjector,
+    OwnerFaultInjector, ParkStats, Principal, Published, RuntimeError,
 };
 use fbs_net::ip::Proto;
 use fbs_net::{Datagram, HookOutcome, Ipv4Header, SecurityHooks};
 use fbs_obs::{
-    CacheKind, Counter, CounterBlock, Direction, Event, MetricsRegistry, Stage, StageTimer,
+    CacheKind, Counter, CounterBlock, Direction, Event, MetricsRegistry, MetricsSnapshot,
+    ScrapeSource, Stage, StageTimer,
 };
+use owner::{Flight, Owner, Run};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use worker::{Flight, Run, WorkerState};
+use std::sync::{Arc, Weak};
 
 /// Cached per-worker parking-queue depths, refreshed under the owner's
 /// lock after every batch/release. Lets `release_output`/`_input`
@@ -183,7 +188,7 @@ struct HookShared {
     quarantined: Box<[AtomicBool]>,
     /// Deterministic fault injector for chaos runs (`None` in
     /// production; swap-on-update like `cfg`).
-    chaos: Published<Option<Arc<dyn WorkerFaultInjector>>>,
+    chaos: Published<Option<Arc<dyn OwnerFaultInjector>>>,
     obs: Published<Option<Arc<MetricsRegistry>>>,
     /// Shard / worker geometry (fixed at construction).
     n_shards: usize,
@@ -191,7 +196,7 @@ struct HookShared {
     /// Owner `w` holds shards `{ si : si % n_workers == w }` at local
     /// index `si / n_workers`. Whoever holds an owner's lock — a batch,
     /// a control call — *is* that worker; never two at once.
-    owners: Box<[Mutex<WorkerState>]>,
+    owners: Box<[Mutex<Owner>]>,
     /// Per-worker cached parking-queue depths.
     park_depths: Box<[ParkDepths]>,
     /// One [`MemoryBudget`] per shard, stable across worker respawns
@@ -210,6 +215,23 @@ impl HookShared {
     /// service's: what each statistics view reads.
     fn total(&self) -> CounterBlock {
         CounterBlock::sum(self.blocks.iter().chain(self.keying.blocks()).map(|b| &**b))
+    }
+}
+
+/// What a registry derives from the hooks at scrape time, summed with
+/// every other attached host's rows: each owner's load off its block,
+/// and each shard's memory off its ledger.
+impl ScrapeSource for HookShared {
+    fn contribute(&self, snap: &mut MetricsSnapshot) {
+        for (w, block) in self.blocks.iter().enumerate() {
+            let row = |field| format!("hooks.worker.{w}.{field}");
+            snap.add(&row("batches"), block.counter(Counter::WorkerBatches));
+            snap.add(&row("busy_ns"), block.counter(Counter::WorkerBusyNs));
+            snap.add(&row("panics"), block.counter(Counter::WorkerPanics));
+        }
+        for (si, budget) in self.budgets.iter().enumerate() {
+            budget.snapshot().contribute(si, snap);
+        }
     }
 }
 
@@ -282,7 +304,7 @@ impl FbsIpHooks {
         }
         shared.owners = per_worker
             .into_iter()
-            .map(|shards| Mutex::new(WorkerState::new(shards)))
+            .map(|shards| Mutex::new(Owner::new(shards)))
             .collect();
         FbsIpHooks {
             shared: Arc::new(shared),
@@ -291,14 +313,16 @@ impl FbsIpHooks {
     }
 
     /// Attach a metrics registry: it reads each of the hooks' counter
-    /// blocks once (lifetime counts, pre-attach included), the hooks
-    /// emit entry/exit events, and the registry cascades into every
-    /// shard's codec, combined table and RFKC (under each owner's lock),
-    /// plus the shared keying service, for their events.
+    /// blocks once (lifetime counts, pre-attach included) and derives
+    /// the per-owner and per-shard rows from the hooks while they live,
+    /// the hooks emit entry/exit events, and the registry cascades into
+    /// every shard's codec, combined table and RFKC (under each owner's
+    /// lock), plus the shared keying service, for their events.
     pub fn attach_obs(&self, registry: Arc<MetricsRegistry>) -> Result<(), RuntimeError> {
         for block in self.shared.blocks.iter() {
             registry.attach(Arc::clone(block));
         }
+        registry.attach_source(Arc::downgrade(&self.shared) as Weak<HookShared>);
         self.shared.keying.attach_obs(Arc::clone(&registry));
         for w in 0..self.shared.n_workers {
             self.shared.with_owner(w, |st| st.attach_obs(&registry))?;
@@ -469,11 +493,10 @@ impl FbsIpHooks {
         ready
     }
 
-    /// Install (or clear) a deterministic worker-fault injector. Chaos
-    /// only: every tap is on an already-slow or failure path, so the
-    /// production hot path pays one published-pointer load per owner
-    /// per batch.
-    pub fn set_worker_chaos(&self, injector: Option<Arc<dyn WorkerFaultInjector>>) {
+    /// Install (or clear) a deterministic owner-fault injector. Chaos
+    /// only: the production hot path pays one published-pointer load
+    /// per owner per batch.
+    pub fn set_owner_chaos(&self, injector: Option<Arc<dyn OwnerFaultInjector>>) {
         self.shared.chaos.store(Arc::new(injector));
     }
 
@@ -579,7 +602,7 @@ impl SecurityHooks for FbsIpHooks {
         for w in 0..shared.n_workers {
             if flight.run.has_work(w) {
                 // This thread is worker `w` while it holds the lock.
-                worker::run_inline(shared, w, &mut shared.owners[w].lock(), &mut flight);
+                owner::run_inline(shared, w, &mut shared.owners[w].lock(), &mut flight);
             }
         }
         out

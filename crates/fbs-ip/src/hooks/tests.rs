@@ -916,13 +916,10 @@ impl TestChaos {
     }
 }
 
-impl WorkerFaultInjector for TestChaos {
+impl OwnerFaultInjector for TestChaos {
     fn take_panic(&self, _worker: usize, _now_us: u64) -> bool {
         *self.tapped_on.lock() = Some(std::thread::current().id());
         self.panic_once.swap(false, Ordering::AcqRel)
-    }
-    fn take_stall_us(&self, _worker: usize, _now_us: u64) -> u64 {
-        0
     }
 }
 
@@ -948,7 +945,7 @@ fn supervised_panic_in_mode(workers: usize) {
     let mut hooks = hooks_with(&world, mode_cfg(workers));
     let _hb = world.host(B); // publish B's certificate
     let chaos = TestChaos::panicking();
-    hooks.set_worker_chaos(Some(chaos.clone()));
+    hooks.set_owner_chaos(Some(chaos.clone()));
     let mut pool = BufferPool::new();
     let out = hooks.process_batch(Direction::Output, spread_batch(16), &mut pool, 1_000);
     assert_eq!(out.len(), 16, "every datagram got a verdict");
@@ -1021,12 +1018,9 @@ impl Clock for TripClock {
 /// says so — the tail-only passes too.
 struct PanicWhen<F>(F);
 
-impl<F: Fn(usize) -> bool + Send + Sync> WorkerFaultInjector for PanicWhen<F> {
+impl<F: Fn(usize) -> bool + Send + Sync> OwnerFaultInjector for PanicWhen<F> {
     fn take_panic(&self, worker: usize, _now_us: u64) -> bool {
         (self.0)(worker)
-    }
-    fn take_stall_us(&self, _worker: usize, _now_us: u64) -> u64 {
-        0
     }
 }
 
@@ -1086,7 +1080,7 @@ fn an_owner_that_always_panics_loses_its_share_one_datagram_per_panic() {
         let world = World::new();
         let mut hooks = hooks_with(&world, mode_cfg(workers));
         let _hb = world.host(B);
-        hooks.set_worker_chaos(Some(Arc::new(PanicWhen(|w| w == 0))));
+        hooks.set_owner_chaos(Some(Arc::new(PanicWhen(|w| w == 0))));
         let mut pool = BufferPool::new();
         let batch = spread_batch(16);
         let owner: Vec<usize> = batch
@@ -1116,7 +1110,7 @@ fn verdicts_written_before_an_unfinished_tail_stand() {
         let mut hooks = world.host_on(B, mode_cfg(workers), clock.clone());
         let mut peer = world.host(A);
         let tripped = clock.clone();
-        hooks.set_worker_chaos(Some(Arc::new(PanicWhen(move |w| {
+        hooks.set_owner_chaos(Some(Arc::new(PanicWhen(move |w| {
             w == 0 && tripped.tripped.load(Ordering::SeqCst)
         }))));
         let sealed = peer.process_batch(
@@ -1218,10 +1212,10 @@ fn quarantine_in_mode(workers: usize) {
     let mut hooks = hooks_with(&world, mode_cfg(workers));
     let _hb = world.host(B);
     let chaos = TestChaos::panicking();
-    hooks.set_worker_chaos(Some(chaos.clone()));
+    hooks.set_owner_chaos(Some(chaos.clone()));
     // Spend the respawn budget: the first owner to run takes one panic
     // per batch, on a pool of its own.
-    for _ in 0..worker::MAX_RESPAWNS {
+    for _ in 0..owner::MAX_RESPAWNS {
         chaos.panic_once.store(true, Ordering::Release);
         hooks.process_batch(
             Direction::Output,
@@ -1251,7 +1245,7 @@ fn quarantine_in_mode(workers: usize) {
     assert_eq!(hooks.worker_panics() - panics_before, 1);
     assert_eq!(
         hooks.worker_respawns(),
-        u64::from(worker::MAX_RESPAWNS),
+        u64::from(owner::MAX_RESPAWNS),
         "the budget, then no more respawns"
     );
     assert_eq!(hooks.quarantined_workers(), 1);
@@ -1288,14 +1282,15 @@ fn every_owner_count_records_the_same_stages_on_the_callers_thread() {
 
 fn stages_in_mode(workers: usize) {
     // No thread at any owner count: a registry sees the datapath's
-    // stages, one `worker_batches` per sub-batch and one occupancy row
-    // per owner that saw work.
+    // stages, one `worker_batches` per sub-batch, and a
+    // `hooks.worker.<w>.*` row for each owner that saw work, derived
+    // from that owner's block.
     let world = World::new();
     let mut hooks = hooks_with(&world, mode_cfg(workers));
     let mut peer = world.host(B);
     let reg = observe(&hooks);
     let chaos = TestChaos::new(false);
-    hooks.set_worker_chaos(Some(chaos.clone()));
+    hooks.set_owner_chaos(Some(chaos.clone()));
     assert_eq!(worker_threads(), 0, "no worker thread");
 
     let mut pool = BufferPool::new();
@@ -1322,19 +1317,25 @@ fn stages_in_mode(workers: usize) {
     for stage in [Stage::Partition, Stage::Seal, Stage::Open] {
         assert!(reg.stage_histogram(stage).count() > 0, "{stage:?}");
     }
-    let rows = reg.worker_occupancy_table();
-    let seen = rows.iter().map(|r| r.worker).collect();
+    let snap = reg.snapshot();
+    let row = |w: usize, field: &str| snap.counter(&format!("hooks.worker.{w}.{field}"));
+    let seen = (0..workers).filter(|&w| row(w, "batches") > 0).collect();
     assert_eq!(owners, seen, "a row per owner that saw work");
-    assert_eq!(rows.iter().map(|r| r.batches).sum::<u64>(), sub_batches);
-    assert_eq!(reg.snapshot().counter("hooks.worker_batches"), sub_batches);
+    assert!(owners.iter().all(|&w| row(w, "busy_ns") > 0));
+    let batches: u64 = (0..workers).map(|w| row(w, "batches")).sum();
+    assert_eq!(batches, sub_batches);
+    assert_eq!(snap.counter("hooks.worker_batches"), sub_batches);
+    let busy: u64 = (0..workers).map(|w| row(w, "busy_ns")).sum();
+    assert_eq!(snap.counter("hooks.worker_busy_ns"), busy);
     if workers > 1 {
         assert!(owners.len() > 1, "the batch must actually spread");
     }
     assert_ledger_agrees(&reg, &hooks);
 }
 
-/// A stall tap that blocks owner 0 on a channel: it reports where it is
-/// (`entered`), then waits to be let go (`release`). Other owners and
+/// A panic tap that blocks owner 0 on a channel and never panics: it
+/// reports where it is (`entered`), then waits to be let go (`release`)
+/// — inside owner 0's lock, where the tap is polled. Other owners and
 /// later calls pass straight through.
 struct BlockOwner0 {
     armed: std::sync::atomic::AtomicBool,
@@ -1342,16 +1343,13 @@ struct BlockOwner0 {
     release: Mutex<std::sync::mpsc::Receiver<()>>,
 }
 
-impl WorkerFaultInjector for BlockOwner0 {
-    fn take_panic(&self, _worker: usize, _now_us: u64) -> bool {
-        false
-    }
-    fn take_stall_us(&self, worker: usize, _now_us: u64) -> u64 {
-        if worker == 0 && self.armed.swap(false, Ordering::AcqRel) {
+impl OwnerFaultInjector for BlockOwner0 {
+    fn take_panic(&self, owner: usize, _now_us: u64) -> bool {
+        if owner == 0 && self.armed.swap(false, Ordering::AcqRel) {
             self.entered.lock().send(()).unwrap();
             self.release.lock().recv().unwrap();
         }
-        0
+        false
     }
 }
 
@@ -1369,7 +1367,7 @@ fn batch_for_owner(owner: usize, n: usize) -> Vec<Datagram> {
 
 #[test]
 fn owners_are_independent_lock_domains() {
-    // Thread A sits inside owner 0 (blocked in the stall tap, lock
+    // Thread A sits inside owner 0 (blocked in the chaos tap, lock
     // held). A batch that only touches owner 1 must complete meanwhile;
     // one that touches owner 0 must wait for A.
     for b_touches_owner_0 in [false, true] {
@@ -1378,7 +1376,7 @@ fn owners_are_independent_lock_domains() {
         let _hb = world.host(B);
         let (entered_tx, entered) = std::sync::mpsc::channel();
         let (release, release_rx) = std::sync::mpsc::channel();
-        hooks_a.set_worker_chaos(Some(Arc::new(BlockOwner0 {
+        hooks_a.set_owner_chaos(Some(Arc::new(BlockOwner0 {
             armed: std::sync::atomic::AtomicBool::new(true),
             entered: Mutex::new(entered_tx),
             release: Mutex::new(release_rx),

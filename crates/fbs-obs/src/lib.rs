@@ -11,8 +11,10 @@
 //!   structs are views over blocks;
 //! * [`MetricsRegistry`] — its own cells for counts no component keeps,
 //!   the blocks [attached](MetricsRegistry::attach) to it (summed at
-//!   scrape time), and log2 latency/size histograms, shared across
-//!   components via `Arc`;
+//!   scrape time), the [`ScrapeSource`]s whose rows it derives at
+//!   scrape time from ledgers they keep (per-owner load, per-shard
+//!   memory), and log2 latency/size histograms, shared across
+//!   components via `Arc`. It reads; nothing pushes a copy into it;
 //! * a **flight recorder** — a fixed-capacity ring buffer of typed
 //!   [`Event`]s (hook entry/exit, FAM classify decisions, cache lookups
 //!   with miss kind, zero-message key-derivation latency, replay/MAC
@@ -25,9 +27,8 @@
 //!   FAMs) through their `contribute` methods;
 //! * **stage spans** ([`Stage`]) — per-stage log2 nanosecond latency
 //!   histograms over the batch pipeline (partition, seal/open,
-//!   batch verify, keying, park/release) plus a per-worker
-//!   occupancy table, recorded with two relaxed `fetch_add`s and no
-//!   allocation;
+//!   keying, park/release), recorded with two relaxed `fetch_add`s and
+//!   no allocation;
 //! * a **flow tracer** ([`FlowTracer`]) — deterministic sfl-sampled
 //!   end-to-end traces across hosts, stamped on the simulated clock;
 //! * **health + exposition** — [`HealthModel`] turns counters into
@@ -59,7 +60,7 @@ pub use event::{
 };
 pub use health::{Condition, ConditionKind, HealthInputs, HealthModel, HealthReport, HealthStatus};
 pub use prom::DeltaTracker;
-pub use registry::{Counter, Histogram, MetricsRegistry, ShardMemSample, MAX_SHARDS};
+pub use registry::{Counter, Histogram, MetricsRegistry, ScrapeSource};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
-pub use span::{Stage, StageTimer, WorkerOccupancyRow, MAX_WORKERS};
+pub use span::{Stage, StageTimer};
 pub use trace::{FlowTracer, SpanKind, TraceAnnotation, TraceSpan};

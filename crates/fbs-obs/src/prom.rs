@@ -2,9 +2,8 @@
 //!
 //! [`render`] turns a [`MetricsSnapshot`] into the Prometheus text
 //! format (version 0.0.4): every counter becomes an `fbs_`-prefixed
-//! counter metric, per-worker occupancy-table counters
-//! (`hooks.worker.<i>.<field>`) collapse into one family with a
-//! `worker` label, and every log2 histogram becomes a native histogram
+//! counter metric, per-owner counters (`hooks.worker.<i>.<field>`)
+//! collapse into one family with a `worker` label, and every log2 histogram becomes a native histogram
 //! with cumulative `le` buckets plus `_sum`/`_count`. Like every
 //! exporter in this crate it returns a `String`; callers do the I/O.
 //!

@@ -2,12 +2,12 @@
 //! to it, log2 histograms, and the flight recorder.
 
 use crate::block::CounterBlock;
-use crate::event::{CacheKind, Event, EventRecord};
+use crate::event::{Event, EventRecord};
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
-use crate::span::{Stage, WorkerOccupancyRow, MAX_WORKERS, NUM_STAGES};
+use crate::span::{Stage, NUM_STAGES};
 use crate::trace::FlowTracer;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// Number of log2 buckets (covers the full `u64` range).
 pub(crate) const BUCKETS: usize = 64;
@@ -110,13 +110,17 @@ pub enum Counter {
     DegradeFailOpen,
     /// Datagrams dropped under a fail-closed verdict.
     DegradeFailClosed,
-    /// Per-worker sub-batches processed by the worker runtime.
+    /// Sub-batches shard owners finished while a registry was attached
+    /// (per owner: `hooks.worker.<w>.batches`).
     WorkerBatches,
-    /// Worker-loop panics caught by the in-thread supervisor.
+    /// Panics caught by an owner's supervisor.
     WorkerPanics,
-    /// Supervised respawns: a panicked worker rebuilt its shard state
+    /// Supervised respawns: a panicked owner rebuilt its shard state
     /// and resumed (soft state re-warms through normal cache misses).
     WorkerRespawns,
+    /// Nanoseconds shard owners spent on the sub-batches counted in
+    /// [`Counter::WorkerBatches`] (per owner: `hooks.worker.<w>.busy_ns`).
+    WorkerBusyNs,
     /// Flight-recorder events overwritten before anyone read them
     /// (ring overflow).
     EventsDropped,
@@ -149,7 +153,7 @@ pub enum Counter {
 }
 
 /// Number of scalar counters.
-pub(crate) const NUM_COUNTERS: usize = 60;
+pub(crate) const NUM_COUNTERS: usize = 61;
 
 impl Counter {
     /// All counters, in snapshot order.
@@ -202,6 +206,7 @@ impl Counter {
         Counter::WorkerBatches,
         Counter::WorkerPanics,
         Counter::WorkerRespawns,
+        Counter::WorkerBusyNs,
         Counter::EventsDropped,
         Counter::PoolReturns,
         Counter::PoolDiscards,
@@ -267,6 +272,7 @@ impl Counter {
             Counter::WorkerBatches => "hooks.worker_batches",
             Counter::WorkerPanics => "hooks.worker_panics",
             Counter::WorkerRespawns => "hooks.worker_respawns",
+            Counter::WorkerBusyNs => "hooks.worker_busy_ns",
             Counter::EventsDropped => "obs.events_dropped",
             Counter::PoolReturns => "pool.returns",
             Counter::PoolDiscards => "pool.discards",
@@ -375,95 +381,16 @@ impl AtomicLogHistogram {
     }
 }
 
-/// Per-worker occupancy cells (fixed-size so recording is a pair of
-/// relaxed `fetch_add`s with no allocation).
-#[derive(Default)]
-struct WorkerOccCell {
-    batches: AtomicU64,
-    busy_ns: AtomicU64,
-    panics: AtomicU64,
-}
-
-/// Rows in the per-shard memory gauge table. Shard `MAX_SHARDS - 1`
-/// also absorbs any higher-numbered shard, mirroring the worker
-/// occupancy table's clamping.
-pub const MAX_SHARDS: usize = 64;
-
-/// Per-shard memory-budget gauges (fixed-size cells; refreshing is a
-/// handful of relaxed stores with no allocation). Values are *stored*,
-/// not added: the owning worker republishes its shard's ledger after
-/// each batch.
-#[derive(Default)]
-struct ShardMemCell {
-    tfkc_bytes: AtomicU64,
-    rfkc_bytes: AtomicU64,
-    mkc_bytes: AtomicU64,
-    fam_bytes: AtomicU64,
-    limit_bytes: AtomicU64,
-    exceeded: AtomicU64,
-}
-
-/// One shard's memory ledger, as published to the registry's gauge
-/// table (see [`MetricsRegistry::set_shard_mem`]). Field names mirror
-/// the `mem.shard.<i>.*` snapshot namespace.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardMemSample {
-    /// Bytes resident in the shard's transmit flow-key cache.
-    pub tfkc_bytes: u64,
-    /// Bytes resident in the shard's receive flow-key cache.
-    pub rfkc_bytes: u64,
-    /// Bytes charged for master-key cache entries.
-    pub mkc_bytes: u64,
-    /// Bytes charged for flow attribute map state.
-    pub fam_bytes: u64,
-    /// The shard's budget ceiling (0 = unbounded).
-    pub limit_bytes: u64,
-    /// Charges that found the budget full.
-    pub exceeded: u64,
-}
-
-impl ShardMemSample {
-    /// Total resident bytes across every kind.
-    pub fn used_bytes(&self) -> u64 {
-        self.tfkc_bytes + self.rfkc_bytes + self.mkc_bytes + self.fam_bytes
-    }
-}
-
-/// The registry's own counts: the counts no component keeps (hook
-/// entries, suites, the net layer, events) and the resident-bytes
-/// gauges. Any thread writes them, so, unlike a [`CounterBlock`]'s, each
-/// write is a `fetch_add`.
-struct SharedCells {
-    counters: [AtomicU64; NUM_COUNTERS],
-    /// `cache.<kind>.resident_bytes`, by [`CacheKind`]: caches add on
-    /// insert and subtract on evict/invalidate, so each tracks live
-    /// residency rather than accumulating.
-    resident_bytes: [AtomicU64; 5],
-}
-
-impl SharedCells {
-    fn new() -> Self {
-        SharedCells {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            resident_bytes: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn counter(&self, c: Counter) -> u64 {
-        self.counters[c.index()].load(Ordering::Relaxed)
-    }
-
-    fn contribute(&self, snap: &mut MetricsSnapshot) {
-        for c in Counter::ALL {
-            snap.add(c.name(), self.counter(c));
-        }
-        for kind in CacheKind::ALL {
-            snap.add(
-                &format!("cache.{}.resident_bytes", kind.name()),
-                self.resident_bytes[kind.index()].load(Ordering::Relaxed),
-            );
-        }
-    }
+/// A component the registry reads at scrape time for rows it derives
+/// from state the component already keeps exactly — per-owner blocks,
+/// per-shard ledgers — so no copy of that state is ever pushed into the
+/// registry to drift from it. The registry holds sources weakly: it
+/// never keeps one alive, and a dropped source simply stops
+/// contributing.
+pub trait ScrapeSource: Send + Sync {
+    /// Add this source's rows to `snap` (adding to what is already
+    /// there, so several sources' rows of one key sum).
+    fn contribute(&self, snap: &mut MetricsSnapshot);
 }
 
 struct RecorderInner {
@@ -477,21 +404,22 @@ struct RecorderInner {
 /// absent (callers hold `Option<Arc<MetricsRegistry>>` and skip all of
 /// this on `None`).
 ///
-/// Counts come from two places, never both for one event: the
-/// registry's own cells, for counts no component keeps (hook entries,
-/// suites, the net layer, events), and the components' blocks it reads
-/// at scrape time ([`attach`](Self::attach)).
+/// Every key has one source, never two for one event: the registry's
+/// own cells, for counts no component keeps (hook entries, suites, the
+/// net layer, events); the components' blocks it sums at scrape time
+/// ([`attach`](Self::attach)); and the rows its scrape sources derive
+/// from their own ledgers ([`attach_source`](Self::attach_source)).
 pub struct MetricsRegistry {
-    own: SharedCells,
+    /// The own cells. Any thread writes them, so, unlike a
+    /// [`CounterBlock`]'s, each write is a `fetch_add`.
+    own: [AtomicU64; NUM_COUNTERS],
     /// Component blocks summed into every read, each once.
     attached: Mutex<Vec<Arc<CounterBlock>>>,
+    /// Components whose rows every snapshot derives, each once.
+    sources: Mutex<Vec<Weak<dyn ScrapeSource>>>,
     histograms: [AtomicLogHistogram; NUM_HISTOGRAMS],
     /// Per-stage nanosecond latency histograms for the batch pipeline.
     stages: [AtomicLogHistogram; NUM_STAGES],
-    /// Per-worker ring-stall/busy occupancy table.
-    workers: [WorkerOccCell; MAX_WORKERS],
-    /// Per-shard memory-budget gauge table.
-    shard_mem: [ShardMemCell; MAX_SHARDS],
     /// Optional flow tracer, reachable by every component that holds
     /// this registry (one atomic load when unset).
     tracer: OnceLock<Arc<FlowTracer>>,
@@ -530,12 +458,11 @@ impl MetricsRegistry {
     /// histograms still work).
     pub fn with_event_capacity(capacity: usize) -> Self {
         MetricsRegistry {
-            own: SharedCells::new(),
+            own: std::array::from_fn(|_| AtomicU64::new(0)),
             attached: Mutex::new(Vec::new()),
+            sources: Mutex::new(Vec::new()),
             histograms: std::array::from_fn(|_| AtomicLogHistogram::new()),
             stages: std::array::from_fn(|_| AtomicLogHistogram::new()),
-            workers: std::array::from_fn(|_| WorkerOccCell::default()),
-            shard_mem: std::array::from_fn(|_| ShardMemCell::default()),
             tracer: OnceLock::new(),
             recorder: Mutex::new(RecorderInner {
                 buf: Vec::with_capacity(capacity.min(4096)),
@@ -565,6 +492,16 @@ impl MetricsRegistry {
         }
     }
 
+    /// Derive `source`'s rows at every scrape from now on, for as long
+    /// as it lives. Attaching a source twice is a no-op.
+    pub fn attach_source(&self, source: Weak<dyn ScrapeSource>) {
+        let mut sources = self.sources.lock().unwrap_or_else(|e| e.into_inner());
+        sources.retain(|s| s.strong_count() > 0);
+        if !sources.iter().any(|s| Weak::ptr_eq(s, &source)) {
+            sources.push(source);
+        }
+    }
+
     /// Number of distinct blocks attached: one per lock domain of every
     /// component that attached its counts.
     pub fn attached_blocks(&self) -> usize {
@@ -581,59 +518,14 @@ impl MetricsRegistry {
 
     /// Increment a counter of the registry's own cells by `n`.
     pub fn add(&self, c: Counter, n: u64) {
-        self.own.counters[c.index()].fetch_add(n, Ordering::Relaxed);
+        self.own[c.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Read a scalar counter: the own cells plus every attached block.
     pub fn counter(&self, c: Counter) -> u64 {
         let attached = self.attached.lock().unwrap_or_else(|e| e.into_inner());
-        self.own.counter(c) + attached.iter().map(|b| b.counter(c)).sum::<u64>()
-    }
-
-    /// Raise the `cache.<kind>.resident_bytes` gauge by `bytes`.
-    pub fn cache_resident_add(&self, kind: CacheKind, bytes: u64) {
-        self.own.resident_bytes[kind.index()].fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Lower the `cache.<kind>.resident_bytes` gauge by `bytes`
-    /// (saturating at zero rather than wrapping).
-    pub fn cache_resident_sub(&self, kind: CacheKind, bytes: u64) {
-        let cell = &self.own.resident_bytes[kind.index()];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Publish shard `shard`'s memory ledger to the per-shard gauge
-    /// table (plain stores: the worker that owns the shard republishes
-    /// after each batch, so the table always shows the latest ledger).
-    pub fn set_shard_mem(&self, shard: usize, sample: ShardMemSample) {
-        let cell = &self.shard_mem[shard.min(MAX_SHARDS - 1)];
-        cell.tfkc_bytes.store(sample.tfkc_bytes, Ordering::Relaxed);
-        cell.rfkc_bytes.store(sample.rfkc_bytes, Ordering::Relaxed);
-        cell.mkc_bytes.store(sample.mkc_bytes, Ordering::Relaxed);
-        cell.fam_bytes.store(sample.fam_bytes, Ordering::Relaxed);
-        cell.limit_bytes
-            .store(sample.limit_bytes, Ordering::Relaxed);
-        cell.exceeded.store(sample.exceeded, Ordering::Relaxed);
-    }
-
-    /// Read back shard `shard`'s published memory ledger.
-    pub fn shard_mem(&self, shard: usize) -> ShardMemSample {
-        let cell = &self.shard_mem[shard.min(MAX_SHARDS - 1)];
-        ShardMemSample {
-            tfkc_bytes: cell.tfkc_bytes.load(Ordering::Relaxed),
-            rfkc_bytes: cell.rfkc_bytes.load(Ordering::Relaxed),
-            mkc_bytes: cell.mkc_bytes.load(Ordering::Relaxed),
-            fam_bytes: cell.fam_bytes.load(Ordering::Relaxed),
-            limit_bytes: cell.limit_bytes.load(Ordering::Relaxed),
-            exceeded: cell.exceeded.load(Ordering::Relaxed),
-        }
+        self.own[c.index()].load(Ordering::Relaxed)
+            + attached.iter().map(|b| b.counter(c)).sum::<u64>()
     }
 
     /// Add a sample to a histogram (without going through an event).
@@ -645,39 +537,6 @@ impl MetricsRegistry {
     /// `s`. Two relaxed `fetch_add`s; no allocation.
     pub fn observe_stage(&self, s: Stage, ns: u64) {
         self.stages[s.index()].observe(ns);
-    }
-
-    /// Record a sub-batch processed by worker `worker` that kept it
-    /// busy for `ns` nanoseconds.
-    pub fn worker_busy(&self, worker: usize, ns: u64) {
-        let cell = &self.workers[worker.min(MAX_WORKERS - 1)];
-        cell.batches.fetch_add(1, Ordering::Relaxed);
-        cell.busy_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Record a panic caught by worker `worker`'s supervisor in its
-    /// occupancy row (the total, [`Counter::WorkerPanics`], is the
-    /// hooks' block's).
-    pub fn worker_panic(&self, worker: usize) {
-        let cell = &self.workers[worker.min(MAX_WORKERS - 1)];
-        cell.panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The per-worker occupancy table (rows with activity only).
-    pub fn worker_occupancy_table(&self) -> Vec<WorkerOccupancyRow> {
-        let mut rows = Vec::new();
-        for (i, cell) in self.workers.iter().enumerate() {
-            let row = WorkerOccupancyRow {
-                worker: i,
-                batches: cell.batches.load(Ordering::Relaxed),
-                busy_ns: cell.busy_ns.load(Ordering::Relaxed),
-                panics: cell.panics.load(Ordering::Relaxed),
-            };
-            if !row.is_empty() {
-                rows.push(row);
-            }
-        }
-        rows
     }
 
     /// A stage's latency histogram.
@@ -817,11 +676,13 @@ impl MetricsRegistry {
     }
 
     /// Point-in-time snapshot of every non-zero counter and cache
-    /// counter (own cells plus attached blocks), the histograms, and the
-    /// flight recorder.
+    /// counter (own cells plus attached blocks), the rows of every live
+    /// scrape source, the histograms, and the flight recorder.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        self.own.contribute(&mut snap);
+        for c in Counter::ALL {
+            snap.add(c.name(), self.own[c.index()].load(Ordering::Relaxed));
+        }
         for block in self
             .attached
             .lock()
@@ -829,6 +690,18 @@ impl MetricsRegistry {
             .iter()
         {
             block.contribute(&mut snap);
+        }
+        // Upgrade under the lock, read outside it: a source's rows are
+        // its own atomics, and the registry never holds it past here.
+        let sources: Vec<Arc<dyn ScrapeSource>> = self
+            .sources
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .filter_map(Weak::upgrade)
+            .collect();
+        for source in sources {
+            source.contribute(&mut snap);
         }
         for h in Histogram::ALL {
             let hs = self.histograms[h.index()].snapshot();
@@ -842,28 +715,6 @@ impl MetricsRegistry {
                 snap.histograms.insert(format!("stage.{}_ns", s.name()), hs);
             }
         }
-        for row in self.worker_occupancy_table() {
-            let pre = format!("hooks.worker.{}", row.worker);
-            snap.add(&format!("{pre}.batches"), row.batches);
-            snap.add(&format!("{pre}.busy_ns"), row.busy_ns);
-            if row.panics > 0 {
-                snap.add(&format!("{pre}.panics"), row.panics);
-            }
-        }
-        for shard in 0..MAX_SHARDS {
-            let s = self.shard_mem(shard);
-            if s == ShardMemSample::default() {
-                continue;
-            }
-            let pre = format!("mem.shard.{shard}");
-            snap.add(&format!("{pre}.tfkc_bytes"), s.tfkc_bytes);
-            snap.add(&format!("{pre}.rfkc_bytes"), s.rfkc_bytes);
-            snap.add(&format!("{pre}.mkc_bytes"), s.mkc_bytes);
-            snap.add(&format!("{pre}.fam_bytes"), s.fam_bytes);
-            snap.add(&format!("{pre}.used_bytes"), s.used_bytes());
-            snap.add(&format!("{pre}.limit_bytes"), s.limit_bytes);
-            snap.add(&format!("{pre}.budget_exceeded"), s.exceeded);
-        }
         snap.events = self.events();
         snap
     }
@@ -872,7 +723,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Direction, FlowStartKind};
+    use crate::event::{CacheKind, Direction, FlowStartKind};
 
     #[test]
     fn counters_accumulate_and_snapshot() {
@@ -945,16 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_gauge_saturates_at_zero() {
-        let reg = MetricsRegistry::new();
-        reg.cache_resident_add(CacheKind::Rfkc, 10);
-        reg.cache_resident_sub(CacheKind::Rfkc, 25);
-        assert_eq!(reg.snapshot().counter("cache.rfkc.resident_bytes"), 0);
-        reg.cache_resident_add(CacheKind::Rfkc, 7);
-        assert_eq!(reg.snapshot().counter("cache.rfkc.resident_bytes"), 7);
-    }
-
-    #[test]
     fn ring_wraps_and_keeps_newest() {
         let reg = MetricsRegistry::with_event_capacity(4);
         for i in 0..10u64 {
@@ -982,31 +823,48 @@ mod tests {
     }
 
     #[test]
-    fn stage_and_worker_tables_snapshot() {
+    fn stage_histograms_snapshot() {
         let reg = MetricsRegistry::new();
         reg.observe_stage(Stage::Partition, 100);
         reg.observe_stage(Stage::Partition, 200);
         reg.observe_stage(Stage::Seal, 1_000);
-        reg.worker_busy(3, 2_000);
-        reg.worker_busy(3, 2_000);
-        let table = reg.worker_occupancy_table();
-        assert_eq!(table.len(), 1);
-        assert_eq!(table[0].worker, 3);
-        assert_eq!(table[0].batches, 2);
-        assert_eq!(table[0].busy_ns, 4_000);
         let snap = reg.snapshot();
         let part = &snap.histograms["stage.partition_ns"];
         assert_eq!(part.count(), 2);
         assert_eq!(part.sum, 300);
         assert_eq!(snap.histograms["stage.seal_ns"].count(), 1);
-        assert_eq!(snap.counter("hooks.worker.3.batches"), 2);
-        assert_eq!(snap.counter("hooks.worker.3.busy_ns"), 4_000);
-        // Out-of-range worker indices fold into the last row.
-        reg.worker_busy(1_000, 7);
-        assert!(reg
-            .worker_occupancy_table()
-            .iter()
-            .any(|r| r.worker == MAX_WORKERS - 1 && r.busy_ns == 7));
+    }
+
+    /// A source whose one row is a ledger it owns.
+    struct Ledger(AtomicU64);
+
+    impl ScrapeSource for Ledger {
+        fn contribute(&self, snap: &mut MetricsSnapshot) {
+            snap.add("mem.test_bytes", self.0.load(Ordering::Relaxed));
+        }
+    }
+
+    #[test]
+    fn scrape_sources_are_read_live_once_and_never_kept_alive() {
+        let reg = MetricsRegistry::new();
+        let a = Arc::new(Ledger(AtomicU64::new(5)));
+        let weak_a: Weak<dyn ScrapeSource> = Arc::downgrade(&a) as Weak<Ledger>;
+        reg.attach_source(weak_a.clone());
+        reg.attach_source(weak_a);
+        assert_eq!(reg.snapshot().counter("mem.test_bytes"), 5);
+        // The row is the ledger as it stands at the scrape, not a copy.
+        a.0.store(0, Ordering::Relaxed);
+        assert_eq!(reg.snapshot().counter("mem.test_bytes"), 0);
+        a.0.store(7, Ordering::Relaxed);
+        // Two sources' rows of one key sum.
+        let b = Arc::new(Ledger(AtomicU64::new(3)));
+        reg.attach_source(Arc::downgrade(&b) as Weak<Ledger>);
+        assert_eq!(reg.snapshot().counter("mem.test_bytes"), 10);
+        // The registry holds no source alive: a dropped one stops
+        // contributing.
+        drop(a);
+        assert_eq!(reg.snapshot().counter("mem.test_bytes"), 3);
+        assert_eq!(Arc::strong_count(&b), 1);
     }
 
     #[test]

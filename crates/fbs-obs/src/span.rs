@@ -1,25 +1,19 @@
 //! Stage-span profiling for the batch pipeline.
 //!
-//! PR 5 sharded the endpoint and PR 4 made the pipeline batch-first,
-//! but the time spent *inside* `process_batch` stayed a black box.
 //! This module names the stages of the batch pipeline ([`Stage`]) so
-//! the registry can keep one log2 nanosecond histogram per stage, plus
-//! a per-owner occupancy table (sub-batches, busy nanoseconds and
-//! supervised panics, per shard-owner index) that attributes load to
-//! the owner that carried it. Every stage runs on the submitting
-//! thread: a shard owner is a lock its caller takes, not a thread.
+//! the registry can keep one log2 nanosecond histogram per stage. Every
+//! stage runs on the submitting thread: a shard owner is a lock its
+//! caller takes, not a thread. (Load per owner is not a span: each
+//! owner counts its sub-batches and busy nanoseconds in its own counter
+//! block, and the hooks derive the `hooks.worker.<w>.*` rows from those
+//! blocks at scrape time.)
 //!
-//! Recording is two relaxed `fetch_add`s per sample and the tables are
-//! fixed-size atomic arrays inside the registry, so instrumented runs
-//! stay at 0 allocations per datagram — the same budget the pooled
-//! fast path is gated on in CI.
+//! Recording a span is two relaxed `fetch_add`s into a fixed-size
+//! atomic array inside the registry, so instrumented runs stay at 0
+//! allocations per datagram — the same budget the pooled fast path is
+//! gated on in CI.
 
 use std::time::Instant;
-
-/// Maximum owner index tracked by the per-owner occupancy table.
-/// Anything beyond this folds into the last slot (the endpoint
-/// currently defaults to 2 owners).
-pub const MAX_WORKERS: usize = 64;
 
 /// One instrumented stage of the batch datagram pipeline, in pipeline
 /// order. Latencies are recorded as log2 nanosecond histograms under
@@ -95,27 +89,6 @@ impl StageTimer {
         d.as_secs()
             .saturating_mul(1_000_000_000)
             .saturating_add(u64::from(d.subsec_nanos()))
-    }
-}
-
-/// One row of the per-worker occupancy table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerOccupancyRow {
-    /// Worker index (row `MAX_WORKERS - 1` also absorbs any higher
-    /// indices).
-    pub worker: usize,
-    /// Sub-batches this owner finished.
-    pub batches: u64,
-    /// Total nanoseconds this worker spent processing sub-batches.
-    pub busy_ns: u64,
-    /// Panics caught by the supervisor while this owner's lock was held.
-    pub panics: u64,
-}
-
-impl WorkerOccupancyRow {
-    /// True when the row recorded no activity at all.
-    pub fn is_empty(&self) -> bool {
-        self.batches == 0 && self.panics == 0
     }
 }
 

@@ -8,13 +8,18 @@ use fbs::cert::{CertificateAuthority, Directory, Pvc};
 use fbs::core::policy::IdleTimeoutPolicy;
 use fbs::core::{
     Datagram, Fam, FbsConfig, FbsEndpoint, FbsError, ManualClock, MasterKeyDaemon, PinnedDirectory,
-    Principal, ProtectedDatagram, SflAllocator,
+    Principal, ProtectedDatagram, SflAllocator, MIN_SHIPPED_MAC,
 };
 use fbs::crypto::dh::{DhGroup, PrivateValue};
+use fbs::crypto::CipherSuite;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn pair() -> (FbsEndpoint, FbsEndpoint, ManualClock) {
+    pair_with(FbsConfig::default())
+}
+
+fn pair_with(cfg: FbsConfig) -> (FbsEndpoint, FbsEndpoint, ManualClock) {
     let clock = ManualClock::starting_at(500_000);
     let group = DhGroup::test_group();
     let a_priv = PrivateValue::from_entropy(group.clone(), b"attack-test-alice-entropy");
@@ -28,14 +33,14 @@ fn pair() -> (FbsEndpoint, FbsEndpoint, ManualClock) {
     (
         FbsEndpoint::new(
             alice,
-            FbsConfig::default(),
+            cfg.clone(),
             Arc::new(clock.clone()),
             0xA77AC4,
             MasterKeyDaemon::new(a_priv, Box::new(da)),
         ),
         FbsEndpoint::new(
             bob,
-            FbsConfig::default(),
+            cfg,
             Arc::new(clock.clone()),
             0xDEFE45E,
             MasterKeyDaemon::new(b_priv, Box::new(db)),
@@ -48,43 +53,71 @@ fn dgram(body: &[u8]) -> Datagram {
     Datagram::new(Principal::named("alice"), Principal::named("bob"), body)
 }
 
+/// Every single-bit flip of a sealed frame that its receiver accepts,
+/// as `(suite, byte, mask)`: what an attacker can alter undetected.
+///
+/// One bit, in the AEAD suite's algorithm-ID field. Byte 16 names the
+/// MAC, which the AEAD suite never reads (its tag is always Poly1305),
+/// and clearing 0x04 turns Poly1305's id (4) into keyed MD5's (0),
+/// another id the parser knows. The body arrives unaltered. Every other
+/// bit of the header and the body is covered, in every suite, with and
+/// without encryption, with the full MAC and a truncated one.
+const ACCEPTED_FLIPS: &[(CipherSuite, usize, u8)] = &[(CipherSuite::AeadChaPoly, 16, 0x04)];
+
 #[test]
 fn bit_flips_anywhere_in_wire_payload_are_caught() {
-    // Exhaustively flip one bit in every byte position of a protected
-    // datagram's wire form; every variant must be rejected (or fail to
-    // parse) — none may decrypt to a *different accepted* datagram.
-    let (mut tx, mut rx, _) = pair();
-    let pd = tx.send(9, dgram(b"sixteen byte msg"), true).unwrap();
-    let wire = pd.encode_payload();
-    let mut accepted_identical = 0;
-    for i in 0..wire.len() {
-        let mut corrupted = wire.clone();
-        corrupted[i] ^= 0x01;
-        let Ok(parsed) = ProtectedDatagram::decode_payload(
-            Principal::named("alice"),
-            Principal::named("bob"),
-            &corrupted,
-        ) else {
-            continue; // framing rejected at parse
-        };
-        match rx.receive(parsed) {
-            Err(_) => {}
-            Ok(d) => {
-                // Only acceptable if the flip hit a bit the protocol
-                // legitimately ignores AND the payload is untouched.
-                assert_eq!(
-                    d.body, b"sixteen byte msg",
-                    "flip at byte {i} accepted with altered body"
-                );
-                accepted_identical += 1;
+    // A property over suite × {secret, MAC-only} × {full, truncated
+    // MAC}: flip every bit of a sealed frame, header and body, once. A
+    // flip is rejected with a verdict on the frame itself unless
+    // ACCEPTED_FLIPS names it, and every flip it names is accepted with
+    // the body intact: the list is exact, not an allowance.
+    const BODY: &[u8] = b"sixteen byte msg";
+    for suite in CipherSuite::ALL {
+        for secret in [true, false] {
+            for mac_truncate in [None, Some(MIN_SHIPPED_MAC)] {
+                let case = format!("{suite:?}, secret {secret}, mac_truncate {mac_truncate:?}");
+                let (mut tx, mut rx, _) = pair_with(FbsConfig {
+                    suite,
+                    mac_truncate,
+                    ..FbsConfig::default()
+                });
+                let wire = tx.send(9, dgram(BODY), secret).unwrap().encode_payload();
+                let mut accepted = Vec::new();
+                for byte in 0..wire.len() {
+                    for mask in (0..8).map(|bit| 0x80u8 >> bit) {
+                        let mut flipped = wire.clone();
+                        flipped[byte] ^= mask;
+                        let verdict = ProtectedDatagram::decode_payload(
+                            Principal::named("alice"),
+                            Principal::named("bob"),
+                            &flipped,
+                        )
+                        .and_then(|pd| rx.receive(pd));
+                        match verdict {
+                            Ok(d) => {
+                                assert_eq!(d.body, BODY, "{case}: flip {byte}/{mask:#04x}");
+                                accepted.push((suite, byte, mask));
+                            }
+                            Err(
+                                FbsError::BadMac
+                                | FbsError::StaleTimestamp { .. }
+                                | FbsError::MalformedHeader(_)
+                                | FbsError::UnknownAlgorithm(_)
+                                | FbsError::MalformedCiphertext,
+                            ) => {}
+                            Err(e) => panic!("{case}: flip {byte}/{mask:#04x} read as {e:?}"),
+                        }
+                    }
+                }
+                let named: Vec<_> = ACCEPTED_FLIPS
+                    .iter()
+                    .filter(|f| f.0 == suite)
+                    .copied()
+                    .collect();
+                assert_eq!(accepted, named, "{case}");
             }
         }
     }
-    // The only ignorable bits are inside the reserved header byte.
-    assert!(
-        accepted_identical <= 1,
-        "too many corrupted-but-accepted variants: {accepted_identical}"
-    );
 }
 
 #[test]
