@@ -4,44 +4,22 @@
 //!  [-- <count>] [--payload <bytes>] [--des | --mac-only] [--out <path.json>] [--csv]`
 //!
 //! Default mode is NOP crypto — the paper's §7.3 device for isolating
-//! protocol-processing cost, which is what the fast path optimises; pass
-//! `--des` or `--mac-only` for the real-crypto variants.
+//! protocol-processing cost; `--des` or `--mac-only` run the mapping
+//! grid with real crypto. The suite grid always runs each profile's own
+//! secret-mode crypto.
 //!
-//! Measures the zero-copy `seal_into`/`BufferPool` path against the legacy
-//! allocating `send`/`encode_payload` path, and the sharded IP mapping
-//! through the worker runtime. A counting global allocator lives
-//! here, in the binary: the library crates `forbid(unsafe_code)`, and a
-//! `#[global_allocator]` needs `unsafe impl GlobalAlloc`.
+//! Measures pooled `seal_into`/`open_into` per cipher suite and the
+//! sharded IP mapping through the worker runtime, with allocations
+//! counted by the binaries' shared counting global allocator.
 
 use fbs_bench::fastpath;
 use fbs_bench::{arg_num, emit, flag_value, write_artifact};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// System allocator wrapper counting every alloc/realloc across all
-/// threads (mapping workers included).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "shared/counting_alloc.rs"]
+mod counting_alloc;
 
 fn main() {
+    counting_alloc::check_counting("fastpath_bench");
     let count = arg_num().unwrap_or(2000) as usize;
     let payload: usize = flag_value("--payload")
         .and_then(|v| v.parse().ok())
@@ -55,7 +33,7 @@ fn main() {
     };
     let out = flag_value("--out").unwrap_or_else(|| "BENCH_fastpath.json".into());
 
-    let report = fastpath::run(payload, count, mode, &|| ALLOCS.load(Ordering::Relaxed));
+    let report = fastpath::run(payload, count, mode, &counting_alloc::allocs);
 
     let fmt = |r: &fastpath::Rate| {
         vec![
@@ -64,19 +42,7 @@ fn main() {
             format!("{:.2}", r.allocs_per_datagram),
         ]
     };
-    let mut rows: Vec<Vec<String>> = vec![
-        [vec!["legacy send".into()], fmt(&report.legacy)].concat(),
-        [vec!["inline pooled".into()], fmt(&report.inline_pooled)].concat(),
-        [vec!["inline unpooled".into()], fmt(&report.inline_unpooled)].concat(),
-    ];
-    rows.push([vec!["open legacy".into()], fmt(&report.open_legacy)].concat());
-    rows.push(
-        [
-            vec!["open inline pooled".into()],
-            fmt(&report.open_inline_pooled),
-        ]
-        .concat(),
-    );
+    let mut rows: Vec<Vec<String>> = Vec::new();
     for m in &report.mapping {
         rows.push(
             [
@@ -114,7 +80,7 @@ fn main() {
     }
     emit(
         &format!(
-            "fast path vs legacy — {} B payloads × {}, mode={}, cpus={}",
+            "fast path — {} B payloads × {}, mode={}, cpus={}",
             report.payload_bytes,
             report.count,
             report.mode.name(),
@@ -124,15 +90,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\nspeedup (inline pooled vs legacy): {:.2}x",
-        report.speedup_pooled_1w_vs_legacy
-    );
-    println!(
-        "speedup (open inline pooled vs legacy input): {:.2}x",
-        report.speedup_open_inline_vs_legacy
-    );
-    println!(
-        "sharding cost (mapping 1t sharded vs unsharded): {:.2}x",
+        "\nsharding cost (mapping 1t sharded vs unsharded): {:.2}x",
         report.mapping_sharded_vs_unsharded_1t
     );
     println!(

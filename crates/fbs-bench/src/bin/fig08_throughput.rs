@@ -1,12 +1,7 @@
 //! Fig. 8 — timing results: GENERIC vs FBS NOP vs FBS DES+MD5.
 //!
 //! `cargo run --release -p fbs-bench --bin fig08_throughput
-//!  [-- <count>] [--csv] [--metrics <path.json>] [--fastpath]`
-//!
-//! `--fastpath` appends the zero-copy seal-path comparison (pooled
-//! `seal_into` vs legacy `send`) for each crypto variant; the dedicated
-//! `fastpath_bench` binary produces the full `BENCH_fastpath.json` grid
-//! with allocation counts.
+//!  [-- <count>] [--csv] [--metrics <path.json>]`
 
 use fbs_bench::fig08::{
     fig08_rows, instrumented_snapshot, primitive_rate_kbs, suite_rows_kbps, PAPER_DESMD5_KBPS,
@@ -102,31 +97,6 @@ fn main() {
         &["suite", "native kb/s", "vs paper"],
         &rows,
     );
-
-    // The zero-copy fast-path comparison, per crypto variant.
-    if std::env::args().any(|a| a == "--fastpath") {
-        use fbs_bench::fastpath::{measure_inline, measure_legacy, Mode};
-        println!();
-        let no_alloc_counter = || 0u64;
-        let rows: Vec<Vec<String>> = [Mode::Nop, Mode::MacOnly, Mode::DesMd5]
-            .into_iter()
-            .map(|mode| {
-                let legacy = measure_legacy(512, count * 4, mode, &no_alloc_counter);
-                let fast = measure_inline(512, count * 4, mode, true, &no_alloc_counter);
-                vec![
-                    mode.name().to_string(),
-                    format!("{:.0}", legacy.datagrams_per_sec),
-                    format!("{:.0}", fast.datagrams_per_sec),
-                    format!("{:.2}x", fast.datagrams_per_sec / legacy.datagrams_per_sec),
-                ]
-            })
-            .collect();
-        emit(
-            "fast path — pooled zero-copy seal_into vs legacy send, 512 B datagrams",
-            &["mode", "legacy dgrams/s", "fastpath dgrams/s", "speedup"],
-            &rows,
-        );
-    }
 
     // An instrumented (non-timed) exchange for the observability export.
     if let Some(path) = metrics_path() {

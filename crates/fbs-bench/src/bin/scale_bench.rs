@@ -1,91 +1,32 @@
 //! Million-flow scale bench — emits `BENCH_scale.json`.
 //!
 //! `cargo run --release -p fbs-bench --bin scale_bench
-//!  [-- <top_capacity>] [--out <path.json>] [--mapping-count <n>] [--csv]`
+//!  [-- <top_capacity>] [--out <path.json>] [--csv]`
 //!
 //! Sweeps the open-addressed soft-state table from 16 k to
 //! `<top_capacity>` entries (default 2^20) under one streamed
-//! multi-million-client workload, then appends the eviction-storm,
-//! budget-capped, and pooled end-to-end mapping rows. The counting
-//! global allocator lives here for the same reason as in
-//! `fastpath_bench`: the library crates `forbid(unsafe_code)`.
+//! multi-million-client workload, then appends the eviction-storm and
+//! budget-capped rows. Steady-state allocations are counted by the
+//! binaries' shared counting global allocator.
 
-use fbs_bench::fastpath::{self, Mode};
-use fbs_bench::scale::{self, PooledMappingRow, ScaleReport};
+use fbs_bench::scale::{self, ScaleReport};
 use fbs_bench::{arg_num, emit, flag_value, write_artifact};
-use fbs_core::FbsConfig;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// System allocator wrapper counting every alloc/realloc across all
-/// threads.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "shared/counting_alloc.rs"]
+mod counting_alloc;
 
 fn main() {
+    counting_alloc::check_counting("scale_bench");
     let top_capacity = arg_num().unwrap_or(1 << 20) as usize;
-    let mapping_count: usize = flag_value("--mapping-count")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_000);
     let out = flag_value("--out").unwrap_or_else(|| "BENCH_scale.json".into());
-    let alloc = || ALLOCS.load(Ordering::Relaxed);
 
     let mut report = ScaleReport::default();
     for cfg in scale::default_rows(top_capacity) {
         eprintln!("scale_bench: {} ...", cfg.label);
-        report.rows.push(scale::run_row(&cfg, &alloc));
+        report
+            .rows
+            .push(scale::run_row(&cfg, &counting_alloc::allocs));
     }
-
-    // Pooled end-to-end mapping at scaled key-cache geometry: the
-    // worker-shard datagram path with TFKC/RFKC configured for
-    // `top_capacity` flows must stay allocation-free in steady state.
-    let kc_assoc = 4;
-    let kc_sets = (top_capacity / kc_assoc).max(64);
-    eprintln!("scale_bench: pooled mapping at {kc_sets} sets x {kc_assoc} ...");
-    let fbs = FbsConfig {
-        tfkc_sets: kc_sets,
-        tfkc_assoc: kc_assoc,
-        rfkc_sets: kc_sets,
-        rfkc_assoc: kc_assoc,
-        ..Mode::Nop.config()
-    };
-    let (rate, pool_balanced) = fastpath::measure_mapping_with(
-        512,
-        mapping_count,
-        Mode::Nop,
-        2,
-        2,
-        2,
-        fbs,
-        4_096,
-        None,
-        &alloc,
-    );
-    report.mapping = Some(PooledMappingRow {
-        kc_sets,
-        kc_assoc,
-        datagrams_per_sec: rate.datagrams_per_sec,
-        allocs_per_datagram: rate.allocs_per_datagram,
-        pool_balanced,
-    });
 
     let rows: Vec<Vec<String>> = report
         .rows
@@ -117,11 +58,5 @@ fn main() {
         ],
         &rows,
     );
-    if let Some(m) = &report.mapping {
-        eprintln!(
-            "pooled mapping @ {} sets: {:.0} dgrams/s, {:.2} allocs/dgram, pool balanced: {}",
-            m.kc_sets, m.datagrams_per_sec, m.allocs_per_datagram, m.pool_balanced
-        );
-    }
     write_artifact(&out, "report", &report.to_json());
 }

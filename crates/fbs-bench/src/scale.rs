@@ -11,11 +11,6 @@
 //! * budget-capped residency (a [`MemoryBudget`] holding a huge table
 //!   to a byte ceiling via eviction-before-allocation),
 //! * steady-state allocations per datagram once resize has finished.
-//!
-//! The binary adds one more row via
-//! [`fastpath::measure_mapping_with`](crate::fastpath::measure_mapping_with):
-//! the pooled end-to-end mapping path run against scaled TFKC/RFKC
-//! geometry, proving 0 allocs/datagram survives million-entry tables.
 
 use fbs_core::cache::PROBE_HIST_BUCKETS;
 use fbs_core::{BudgetKind, MemoryBudget, SoftCache};
@@ -241,29 +236,11 @@ pub fn default_rows(top_capacity: usize) -> Vec<ScaleRowConfig> {
     rows
 }
 
-/// The pooled end-to-end mapping measurement at scaled key-cache
-/// geometry (row appended by the binary).
-#[derive(Clone, Debug)]
-pub struct PooledMappingRow {
-    /// TFKC/RFKC sets each shard was configured with.
-    pub kc_sets: usize,
-    /// TFKC/RFKC associativity.
-    pub kc_assoc: usize,
-    /// End-to-end mapped datagrams per second.
-    pub datagrams_per_sec: f64,
-    /// Heap allocations per datagram on the pooled path.
-    pub allocs_per_datagram: f64,
-    /// Buffer-pool ledger balanced after the run.
-    pub pool_balanced: bool,
-}
-
 /// Everything `BENCH_scale.json` carries.
 #[derive(Clone, Debug, Default)]
 pub struct ScaleReport {
     /// The sweep rows, smallest capacity first, stress rows last.
     pub rows: Vec<ScaleRow>,
-    /// The pooled mapping row (absent in unit tests).
-    pub mapping: Option<PooledMappingRow>,
 }
 
 impl ScaleReport {
@@ -304,21 +281,11 @@ impl ScaleReport {
                 )
             })
             .collect();
-        let mapping = match &self.mapping {
-            Some(m) => format!(
-                "{{\"kc_sets\": {}, \"kc_assoc\": {}, \
-                 \"datagrams_per_sec\": {:.1}, \"allocs_per_datagram\": {:.2}, \
-                 \"pool_balanced\": {}}}",
-                m.kc_sets, m.kc_assoc, m.datagrams_per_sec, m.allocs_per_datagram, m.pool_balanced
-            ),
-            None => "null".into(),
-        };
         format!(
             "{{\n  \"bench\": \"scale\",\n  \"entry_bytes\": {},\n  \
-             \"rows\": [\n{}\n  ],\n  \"pooled_mapping\": {}\n}}\n",
+             \"rows\": [\n{}\n  ]\n}}\n",
             SCALE_ENTRY_BYTES,
-            rows.join(",\n"),
-            mapping
+            rows.join(",\n")
         )
     }
 }
@@ -418,19 +385,10 @@ mod tests {
     fn report_json_is_well_formed_enough() {
         let mut report = ScaleReport::default();
         report.rows.push(run_row(&tiny("j"), &|| 0));
-        report.mapping = Some(PooledMappingRow {
-            kc_sets: 65_536,
-            kc_assoc: 4,
-            datagrams_per_sec: 1.0e6,
-            allocs_per_datagram: 0.0,
-            pool_balanced: true,
-        });
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"scale\""));
         assert!(json.contains("\"flows_resident\""));
         assert!(json.contains("\"probe_hist\""));
-        assert!(json.contains("\"pooled_mapping\""));
-        assert!(json.contains("\"pool_balanced\": true"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -11,7 +11,7 @@
 #[cfg(not(debug_assertions))]
 #[test]
 fn fast_suite_outruns_paper_suite() {
-    use fbs_bench::fastpath::measure_inline_suite;
+    use fbs_bench::fastpath::measure_seal_suite;
     use fbs_crypto::CipherSuite;
     use std::time::{Duration, Instant};
 
@@ -23,7 +23,7 @@ fn fast_suite_outruns_paper_suite() {
     const PAIRS: usize = 11;
     let alloc = || 0u64;
     let pass = |suite| {
-        measure_inline_suite(512, 4000, suite, &alloc)
+        measure_seal_suite(512, 4000, suite, &alloc)
             .0
             .datagrams_per_sec
     };

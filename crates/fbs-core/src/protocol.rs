@@ -570,6 +570,12 @@ impl FlowCodec {
                 ctx.finalize_into(&mut expected)
             }
             (CipherSuite::AeadChaPoly, KeyMaterial::Aead(chacha)) => {
+                // The tag is always Poly1305: a frame naming another MAC
+                // is refused like one naming another suite.
+                if h.mac_alg != MacAlgorithm::Poly1305 {
+                    self.note_mac_drop();
+                    return Err(FbsError::BadMac);
+                }
                 if !matches!(h.enc_alg, EncAlgorithm::None | EncAlgorithm::ChaCha20)
                     || h.plaintext_len as usize != body.len()
                 {
@@ -778,31 +784,15 @@ impl FbsEndpoint {
         Ok(k)
     }
 
-    /// Derive a transmit flow key WITHOUT consulting the TFKC. Used by the
-    /// combined FST/TFKC optimisation of §7.2, where the caller keeps the
-    /// flow key in its own merged table and only needs the derivation
-    /// (MKC → MKD upcall → hash). The returned key carries its suite's
-    /// expanded material, so the caller's table amortises that too.
-    pub fn derive_flow_key_tx(
-        &mut self,
-        sfl: u64,
-        destination: &Principal,
-    ) -> Result<Arc<SealedFlowKey>> {
-        Ok(Arc::new(self.derive(sfl, destination, true)?))
-    }
-
-    /// `FBSSend` with a caller-provided flow key (the combined-table fast
-    /// path of §7.2). Performs S4-S10 of Fig. 4; the caller did S1-S3.
+    /// `FBSSend` (Fig. 4): protect `datagram` under flow `sfl` (obtained
+    /// from a FAM classification). `secret` requests confidentiality.
     ///
     /// This is a structured-view wrapper over the one seal implementation
-    /// ([`Self::seal_with_key_into`] → `seal_core`): the wire payload is
-    /// sealed exactly as the zero-copy path would, then re-parsed into a
-    /// [`ProtectedDatagram`]. Callers on the hot path should use
-    /// [`Self::seal_into`]/[`Self::seal_with_key_into`] directly.
-    pub fn send_with_key(
+    /// ([`Self::seal_into`]): the wire payload is sealed exactly as the
+    /// zero-copy path would, then re-parsed into a [`ProtectedDatagram`].
+    pub fn send(
         &mut self,
         sfl: u64,
-        key: &SealedFlowKey,
         datagram: Datagram,
         secret: bool,
     ) -> Result<ProtectedDatagram> {
@@ -811,21 +801,14 @@ impl FbsEndpoint {
             "sending from a foreign principal"
         );
         let mut wire = Vec::new();
-        self.seal_with_key_into(sfl, key, &datagram.body, secret, &mut wire)?;
+        self.seal_into(
+            sfl,
+            &datagram.destination,
+            &datagram.body,
+            secret,
+            &mut wire,
+        )?;
         ProtectedDatagram::decode_payload(datagram.source, datagram.destination, &wire)
-    }
-
-    /// `FBSSend` (Fig. 4): protect `datagram` under flow `sfl` (obtained
-    /// from a FAM classification). `secret` requests confidentiality.
-    pub fn send(
-        &mut self,
-        sfl: u64,
-        datagram: Datagram,
-        secret: bool,
-    ) -> Result<ProtectedDatagram> {
-        // S2-3: flow key (cached per Fig. 6).
-        let key = self.flow_key_tx(sfl, &datagram.destination)?;
-        self.send_with_key(sfl, &key, datagram, secret)
     }
 
     /// `FBSSend` straight into a caller-supplied buffer: encode, pad,
@@ -947,11 +930,6 @@ impl FbsEndpoint {
         self.codec.stats()
     }
 
-    /// The codec half (confounder, seal/open, freshness, counters).
-    pub fn codec(&self) -> &FlowCodec {
-        &self.codec
-    }
-
     /// TFKC statistics.
     pub fn tfkc_stats(&self) -> CacheStats {
         self.tfkc.stats()
@@ -970,12 +948,6 @@ impl FbsEndpoint {
     /// MKD statistics.
     pub fn mkd_stats(&self) -> MkdStats {
         self.mkd.stats()
-    }
-
-    /// The endpoint's master key daemon (read access: breaker state,
-    /// fast-fail checks for release loops).
-    pub fn mkd(&self) -> &MasterKeyDaemon {
-        &self.mkd
     }
 
     /// Shared clock handle.

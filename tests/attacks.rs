@@ -56,13 +56,12 @@ fn dgram(body: &[u8]) -> Datagram {
 /// Every single-bit flip of a sealed frame that its receiver accepts,
 /// as `(suite, byte, mask)`: what an attacker can alter undetected.
 ///
-/// One bit, in the AEAD suite's algorithm-ID field. Byte 16 names the
-/// MAC, which the AEAD suite never reads (its tag is always Poly1305),
-/// and clearing 0x04 turns Poly1305's id (4) into keyed MD5's (0),
-/// another id the parser knows. The body arrives unaltered. Every other
-/// bit of the header and the body is covered, in every suite, with and
-/// without encryption, with the full MAC and a truncated one.
-const ACCEPTED_FLIPS: &[(CipherSuite, usize, u8)] = &[(CipherSuite::AeadChaPoly, 16, 0x04)];
+/// None: every bit of the header and the body is covered, in every
+/// suite, with and without encryption, with the full MAC and a
+/// truncated one. The last bit to go was the AEAD suite's MAC id (byte
+/// 16, where clearing 0x04 turns Poly1305's id into keyed MD5's): its
+/// tag is always Poly1305, so a frame naming another MAC is refused.
+const ACCEPTED_FLIPS: &[(CipherSuite, usize, u8)] = &[];
 
 #[test]
 fn bit_flips_anywhere_in_wire_payload_are_caught() {
