@@ -40,8 +40,8 @@ pub struct ScaleRowConfig {
     /// Keep streaming (bounded) until this many flows are resident;
     /// 0 disables the fill loop.
     pub fill_target: usize,
-    /// Byte ceiling enforced by an attached [`MemoryBudget`];
-    /// 0 runs unbudgeted.
+    /// Byte ceiling enforced by the attached [`MemoryBudget`];
+    /// 0 only keeps the ledger.
     pub budget_bytes: u64,
     /// The streamed workload driving the row.
     pub trace: ScaleConfig,
@@ -70,7 +70,7 @@ pub struct ScaleRow {
     pub dgrams_per_sec: f64,
     /// Backing-array footprint (live + retiring table during resize).
     pub table_bytes: u64,
-    /// Budget-ledger bytes for resident entries (0 when unbudgeted).
+    /// Budget-ledger bytes for resident entries.
     pub resident_bytes: u64,
     /// `table_bytes / flows_resident`.
     pub bytes_per_resident_flow: f64,
@@ -100,9 +100,7 @@ pub fn run_row(cfg: &ScaleRowConfig, alloc: &dyn Fn() -> u64) -> ScaleRow {
             crc32(&t.canonical_array())
         });
     let budget = MemoryBudget::bounded(cfg.budget_bytes);
-    if cfg.budget_bytes > 0 {
-        cache.set_budget(budget.clone(), BudgetKind::Tfkc, SCALE_ENTRY_BYTES);
-    }
+    cache.set_budget(budget.clone(), BudgetKind::Tfkc, SCALE_ENTRY_BYTES);
 
     let mut trace = ScaleTrace::new(cfg.trace.clone());
     let mut flow_id: u64 = 0;
@@ -321,6 +319,11 @@ mod tests {
         assert!(row.bytes_per_resident_flow > 0.0);
         assert!(row.probe_hist.iter().sum::<u64>() > 0);
         assert_eq!(row.exceeded_events, 0);
+        // An unbudgeted row keeps the ledger too.
+        assert_eq!(
+            row.resident_bytes,
+            row.flows_resident as u64 * SCALE_ENTRY_BYTES
+        );
     }
 
     #[test]

@@ -108,9 +108,9 @@ impl std::fmt::Debug for FlowKey {
 /// Carrying the suite here is what lets workers dispatch crypto per *key*
 /// instead of per *config*: a config change mid-batch cannot change how
 /// already-resolved flows seal or open. The suite *is* the material's
-/// arm, so a key cannot name one suite and hold another's material.
+/// arm, so a key cannot name one suite and hold another's material. The
+/// raw flow key is kept only by the arms that read it again.
 pub struct SealedFlowKey {
-    key: FlowKey,
     material: KeyMaterial,
 }
 
@@ -121,13 +121,17 @@ pub(crate) enum KeyMaterial {
     /// `fast_des`: DES-CTR + a prefix-keyed MAC.
     FastDes(Box<DesMaterial>),
     /// `aead_chacha_poly`: the 256-bit ChaCha20 key. Poly1305's key is
-    /// one-time per datagram, drawn from the ChaCha keystream.
+    /// one-time per datagram, drawn from the ChaCha keystream, so the raw
+    /// flow key is never read again once this is derived.
     Aead([u8; 32]),
 }
 
 /// The DES suites' key material. Boxed behind [`KeyMaterial`] so an AEAD
 /// key does not carry its size.
 pub(crate) struct DesMaterial {
+    /// The raw flow key: the on-demand TDEA build and a MAC the cached
+    /// prefix does not cover both key from it.
+    key: FlowKey,
     des: Des,
     /// Built on demand, unless [`SealedFlowKey::seal_for`] was told the
     /// configured cipher is triple: a received paper-suite frame may name
@@ -140,11 +144,12 @@ pub(crate) struct DesMaterial {
 }
 
 impl DesMaterial {
-    fn new(key: &FlowKey, mac_prefix: Option<MacAlgorithm>) -> Self {
+    fn new(key: FlowKey, mac_prefix: Option<MacAlgorithm>) -> Self {
         DesMaterial {
             des: Des::new(&key.des_key()),
             tdea: OnceLock::new(),
             mac_prefix: mac_prefix.map(|alg| (alg, alg.begin(key.as_bytes()))),
+            key,
         }
     }
 
@@ -153,11 +158,21 @@ impl DesMaterial {
         &self.des
     }
 
-    /// The two-key Triple-DES (EDE2) schedule of `key`, the flow key this
-    /// material was built from.
-    pub(crate) fn tdea(&self, key: &FlowKey) -> &TripleDes {
+    /// The two-key Triple-DES (EDE2) schedule of the flow key.
+    pub(crate) fn tdea(&self) -> &TripleDes {
         self.tdea
-            .get_or_init(|| TripleDes::new_ede2(&key.tdea_key()))
+            .get_or_init(|| TripleDes::new_ede2(&self.key.tdea_key()))
+    }
+
+    /// Begin a MAC computation keyed by the flow key: clones the cached
+    /// key-prefix context when `alg` matches the sealed algorithm, falls
+    /// back to absorbing the key otherwise (e.g. a received frame naming a
+    /// different MAC than the local config).
+    pub(crate) fn mac_begin(&self, alg: MacAlgorithm) -> MacContext {
+        match &self.mac_prefix {
+            Some((cached_alg, ctx)) if *cached_alg == alg => ctx.clone(),
+            _ => alg.begin(self.key.as_bytes()),
+        }
     }
 }
 
@@ -166,8 +181,8 @@ impl SealedFlowKey {
     /// everything else on demand. Compatibility entry point; the hot path
     /// uses [`seal_for`](Self::seal_for).
     pub fn seal(key: FlowKey) -> Self {
-        let material = KeyMaterial::Paper(Box::new(DesMaterial::new(&key, None)));
-        SealedFlowKey { key, material }
+        let material = KeyMaterial::Paper(Box::new(DesMaterial::new(key, None)));
+        SealedFlowKey { material }
     }
 
     /// Seal `key` for a specific profile, building the material that
@@ -183,25 +198,26 @@ impl SealedFlowKey {
         mac_alg: MacAlgorithm,
         enc_alg: EncAlgorithm,
     ) -> Self {
-        let des = |key: &FlowKey| {
+        let des = |key: FlowKey| {
             let prefix = (mac_alg != MacAlgorithm::Poly1305).then_some(mac_alg);
             let m = DesMaterial::new(key, prefix);
             if enc_alg.is_triple() {
-                let _ = m.tdea(key);
+                let _ = m.tdea();
             }
             Box::new(m)
         };
         let material = match suite {
-            CipherSuite::Paper => KeyMaterial::Paper(des(&key)),
-            CipherSuite::FastDes => KeyMaterial::FastDes(des(&key)),
+            CipherSuite::Paper => KeyMaterial::Paper(des(key)),
+            CipherSuite::FastDes => KeyMaterial::FastDes(des(key)),
             CipherSuite::AeadChaPoly => KeyMaterial::Aead(key.chacha_key()),
         };
-        SealedFlowKey { key, material }
+        SealedFlowKey { material }
     }
 
     /// Heap bytes one `Arc<SealedFlowKey>` sealed for `suite` occupies:
-    /// the `Arc`'s two counters, the key, and the DES suites' boxed
-    /// material — what a resident flow key costs a memory ledger.
+    /// the `Arc`'s two counters, the material's arm, and the DES suites'
+    /// boxed material (raw flow key included) — what a resident flow key
+    /// costs a memory ledger.
     pub fn arc_bytes(suite: CipherSuite) -> usize {
         let boxed = match suite {
             CipherSuite::Paper | CipherSuite::FastDes => std::mem::size_of::<DesMaterial>(),
@@ -224,16 +240,6 @@ impl SealedFlowKey {
         &self.material
     }
 
-    /// The underlying flow key.
-    pub fn key(&self) -> &FlowKey {
-        &self.key
-    }
-
-    /// Key bytes (MAC keying material).
-    pub fn as_bytes(&self) -> &[u8] {
-        self.key.as_bytes()
-    }
-
     fn des_material(&self) -> Option<&DesMaterial> {
         match &self.material {
             KeyMaterial::Paper(m) | KeyMaterial::FastDes(m) => Some(m),
@@ -246,7 +252,7 @@ impl SealedFlowKey {
     /// cipher is triple; the lazy fallback covers received frames whose
     /// header names TDEA even though the local config does not.
     pub fn tdea(&self) -> Option<&TripleDes> {
-        self.des_material().map(|m| m.tdea(&self.key))
+        self.des_material().map(DesMaterial::tdea)
     }
 
     /// The 256-bit ChaCha20 key; `None` unless sealed for the AEAD suite.
@@ -256,23 +262,12 @@ impl SealedFlowKey {
             _ => None,
         }
     }
-
-    /// Begin a MAC computation keyed by this flow key: clones the cached
-    /// key-prefix context when `alg` matches the sealed algorithm, falls
-    /// back to absorbing the key otherwise (e.g. a received frame naming a
-    /// different MAC than the local config).
-    pub fn mac_begin(&self, alg: MacAlgorithm) -> MacContext {
-        match self.des_material().and_then(|m| m.mac_prefix.as_ref()) {
-            Some((cached_alg, ctx)) if *cached_alg == alg => ctx.clone(),
-            _ => alg.begin(self.key.as_bytes()),
-        }
-    }
 }
 
 impl std::fmt::Debug for SealedFlowKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Cached subkeys are key material too: redact like FlowKey.
-        write!(f, "SealedFlowKey({:?})", self.key)
+        // Cached subkeys are key material too: name only the suite.
+        write!(f, "SealedFlowKey({:?})", self.suite())
     }
 }
 
@@ -417,15 +412,16 @@ mod tests {
             MacAlgorithm::KeyedMd5,
             EncAlgorithm::DesCtr,
         );
+        let m = sealed.des_material().expect("a DES-suite key");
         for msg in [&b"datagram one"[..], b"two", b""] {
-            let mut cached = sealed.mac_begin(MacAlgorithm::KeyedMd5);
+            let mut cached = m.mac_begin(MacAlgorithm::KeyedMd5);
             cached.update(msg);
             let mut fresh = MacAlgorithm::KeyedMd5.begin(&bytes);
             fresh.update(msg);
             assert_eq!(cached.finalize(), fresh.finalize());
         }
         // A mismatching algorithm falls back to a fresh absorb.
-        let mut other = sealed.mac_begin(MacAlgorithm::KeyedSha1);
+        let mut other = m.mac_begin(MacAlgorithm::KeyedSha1);
         other.update(b"x");
         let mut fresh = MacAlgorithm::KeyedSha1.begin(&bytes);
         fresh.update(b"x");
@@ -455,9 +451,10 @@ mod tests {
 
     #[test]
     fn a_key_holds_only_its_suites_material() {
-        // The DES suites' material lives behind a box: an AEAD key is
-        // its inline flow key plus 32 bytes, and never allocates.
-        assert!(std::mem::size_of::<SealedFlowKey>() <= 80);
+        // The DES suites' material, raw flow key included, lives behind a
+        // box: an AEAD key is its 32-byte ChaCha key and a tag, and never
+        // allocates.
+        assert!(std::mem::size_of::<SealedFlowKey>() <= 40);
         assert!(!std::mem::needs_drop::<FlowKey>(), "FlowKey is inline");
         let k = derive_flow_key(KeyDerivation::Md5, 9, b"m", &p("S"), &p("D"));
         let a = aead(k.clone());

@@ -60,8 +60,8 @@ pub use park::{ParkStats, Parked, ParkingQueue};
 pub use pool::{BufferPool, PoolStats};
 pub use principal::Principal;
 pub use protocol::{
-    flow_key_hash, Datagram, FbsConfig, FbsEndpoint, FlowCodec, FlowKeyId, ProtectedDatagram,
-    MIN_SHIPPED_MAC,
+    flow_key_hash, flow_key_hash_parts, Datagram, FbsConfig, FbsEndpoint, FlowCodec, FlowKeyId,
+    ProtectedDatagram, MIN_SHIPPED_MAC,
 };
 pub use replay::FreshnessWindow;
 pub use retry::{RetryOutcome, RetryPolicy};

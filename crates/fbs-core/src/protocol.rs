@@ -303,10 +303,18 @@ pub type FlowKeyId = (u64, Principal, Principal);
 /// endpoints can build their own TFKC/RFKC slices with the exact index
 /// function the monolithic endpoint uses.
 pub fn flow_key_hash(id: &FlowKeyId) -> u32 {
+    flow_key_hash_parts(id.0, id.1.as_bytes(), id.2.as_bytes())
+}
+
+/// [`flow_key_hash`] over the id's parts: the sfl and the two
+/// principals' identity bytes. A cache that keeps one principal implicit
+/// (a receive cache's local one) hashes with this and lands every key in
+/// the set the full id would.
+pub fn flow_key_hash_parts(sfl: u64, source: &[u8], destination: &[u8]) -> u32 {
     let mut h = Crc32::new();
-    h.update(&id.0.to_be_bytes());
-    h.update(id.1.as_bytes());
-    h.update(id.2.as_bytes());
+    h.update(&sfl.to_be_bytes());
+    h.update(source);
+    h.update(destination);
     h.finalize()
 }
 
@@ -530,7 +538,7 @@ impl FlowCodec {
         let mut expected = [0u8; MAX_MAC_SIZE];
         let full = match (h.suite, key.material()) {
             (CipherSuite::Paper, KeyMaterial::Paper(m)) => {
-                if let Err(e) = open_body_into(h, m, key, body, out) {
+                if let Err(e) = open_body_into(h, m, body, out) {
                     self.note_malformed();
                     return Err(e);
                 }
@@ -540,7 +548,7 @@ impl FlowCodec {
                 }
                 // The paper layout: MAC over confounder | timestamp |
                 // plaintext — bit-identical to the pre-suite wire format.
-                let mut ctx = key.mac_begin(h.mac_alg);
+                let mut ctx = m.mac_begin(h.mac_alg);
                 ctx.update(&h.confounder.to_be_bytes());
                 ctx.update(&h.timestamp.to_be_bytes());
                 ctx.update(out);
@@ -562,7 +570,7 @@ impl FlowCodec {
                 if self.cfg.nop_crypto {
                     return Ok(());
                 }
-                let mut ctx = key.mac_begin(h.mac_alg);
+                let mut ctx = m.mac_begin(h.mac_alg);
                 ctx.update(&[h.suite.wire_id()]);
                 ctx.update(&h.confounder.to_be_bytes());
                 ctx.update(&h.timestamp.to_be_bytes());
@@ -965,9 +973,9 @@ enum FlowCipher<'a> {
 }
 
 impl<'a> FlowCipher<'a> {
-    fn for_alg(alg: EncAlgorithm, m: &'a DesMaterial, key: &SealedFlowKey) -> FlowCipher<'a> {
+    fn for_alg(alg: EncAlgorithm, m: &'a DesMaterial) -> FlowCipher<'a> {
         if alg.is_triple() {
-            FlowCipher::Triple(m.tdea(key.key()))
+            FlowCipher::Triple(m.tdea())
         } else {
             FlowCipher::Single(m.des())
         }
@@ -1047,7 +1055,7 @@ fn seal_core(
             // suite | confounder | timestamp | plaintext, fused with the
             // 4-wide DES-CTR keystream XOR in one pass over the data.
             debug_assert_eq!(body.len(), plaintext_len);
-            let mut ctx = key.mac_begin(mac_alg);
+            let mut ctx = m.mac_begin(mac_alg);
             ctx.update(&[CipherSuite::FastDes.wire_id()]);
             ctx.update(&confounder.to_be_bytes());
             ctx.update(&timestamp.to_be_bytes());
@@ -1089,7 +1097,7 @@ fn seal_core(
     let Some(mode) = enc_alg.des_mode() else {
         // MAC-only path: single data touch by construction.
         debug_assert_eq!(body.len(), plaintext_len);
-        let mut ctx = key.mac_begin(mac_alg);
+        let mut ctx = m.mac_begin(mac_alg);
         ctx.update(&confounder.to_be_bytes());
         ctx.update(&timestamp.to_be_bytes());
         ctx.update(body);
@@ -1097,11 +1105,11 @@ fn seal_core(
     };
 
     debug_assert_eq!(body.len(), padded_len(plaintext_len));
-    let des = FlowCipher::for_alg(enc_alg, m, key);
+    let des = FlowCipher::for_alg(enc_alg, m);
     let iv = ((confounder as u64) << 32) | confounder as u64;
     if !cfg.single_pass {
         // Two-pass ablation: MAC sweep, then encryption sweep.
-        let mut ctx = key.mac_begin(mac_alg);
+        let mut ctx = m.mac_begin(mac_alg);
         ctx.update(&confounder.to_be_bytes());
         ctx.update(&timestamp.to_be_bytes());
         ctx.update(&body[..plaintext_len]);
@@ -1112,7 +1120,7 @@ fn seal_core(
 
     // Single pass (§5.3): absorb each plaintext block into the MAC and
     // encrypt it in the same loop iteration.
-    let mut ctx = key.mac_begin(mac_alg);
+    let mut ctx = m.mac_begin(mac_alg);
     ctx.update(&confounder.to_be_bytes());
     ctx.update(&timestamp.to_be_bytes());
     let mut enc = BlockEncryptor::new(&des, mode, iv);
@@ -1133,7 +1141,6 @@ fn seal_core(
 fn open_body_into(
     h: &HeaderView<'_>,
     m: &DesMaterial,
-    key: &SealedFlowKey,
     body: &[u8],
     out: &mut Vec<u8>,
 ) -> Result<()> {
@@ -1154,7 +1161,7 @@ fn open_body_into(
             {
                 return Err(FbsError::MalformedCiphertext);
             }
-            let des = FlowCipher::for_alg(h.enc_alg, m, key);
+            let des = FlowCipher::for_alg(h.enc_alg, m);
             out.clear();
             out.extend_from_slice(body);
             decrypt_in_place(&des, h.iv64(), mode, out);

@@ -202,7 +202,8 @@ impl CombinedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbs_core::FlowKey;
+    use fbs_core::{EncAlgorithm, FlowKey};
+    use fbs_crypto::{CipherSuite, MacAlgorithm};
 
     fn tuple(sport: u16) -> FiveTuple {
         FiveTuple {
@@ -218,14 +219,18 @@ mod tests {
         CombinedTable::new(64, 600, SflAllocator::new(100))
     }
 
+    /// An AEAD key, whose ChaCha key tells flows apart.
     fn fake_key(sfl: u64) -> Result<Arc<SealedFlowKey>, ()> {
-        Ok(Arc::new(SealedFlowKey::seal(FlowKey::new(
-            &sfl.to_be_bytes().repeat(2),
-        ))))
+        Ok(Arc::new(SealedFlowKey::seal_for(
+            FlowKey::new(&sfl.to_be_bytes().repeat(2)),
+            CipherSuite::AeadChaPoly,
+            MacAlgorithm::Poly1305,
+            EncAlgorithm::ChaCha20,
+        )))
     }
 
-    /// One datagram's send-path resolution: the flow's sfl, its key
-    /// bytes, and whether it started a new flow, keyed by `derive`.
+    /// One datagram's send-path resolution: the flow's sfl, its ChaCha
+    /// key, and whether it started a new flow, keyed by `derive`.
     fn resolve<E>(
         t: &mut CombinedTable,
         tuple: FiveTuple,
@@ -233,11 +238,11 @@ mod tests {
         derive: impl FnOnce(u64) -> Result<Arc<SealedFlowKey>, E>,
     ) -> Result<(u64, Vec<u8>, bool), E> {
         if let Some((sfl, key)) = t.probe(&tuple, now_secs) {
-            return Ok((sfl, key.as_bytes().to_vec(), false));
+            return Ok((sfl, key.chacha_key().unwrap().to_vec(), false));
         }
         let sfl = t.reserve_sfl();
         let key = t.insert(tuple, sfl, derive(sfl)?, now_secs);
-        Ok((sfl, key.as_bytes().to_vec(), true))
+        Ok((sfl, key.chacha_key().unwrap().to_vec(), true))
     }
 
     #[test]

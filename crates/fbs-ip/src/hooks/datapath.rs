@@ -11,11 +11,11 @@ use crate::combined::CombinedTable;
 use crate::tuple::FiveTuple;
 use fbs_core::header::HeaderView;
 use fbs_core::{
-    derive_flow_key, BudgetKind, BufferPool, FbsError, FlowCodec, FlowKeyId, KeyUnavailableVerdict,
-    Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
+    derive_flow_key, flow_key_hash_parts, BudgetKind, BufferPool, FbsError, FlowCodec,
+    KeyUnavailableVerdict, Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
 };
 use fbs_crypto::{crc32, CipherSuite};
-use fbs_net::ip::Proto;
+use fbs_net::ip::{Ipv4Addr, Proto};
 use fbs_net::{HookOutcome, Ipv4Header, RejectReason};
 use fbs_obs::{
     CacheKind, Counter, CounterBlock, Direction, Event, MetricsRegistry, SpanKind, Stage,
@@ -32,14 +32,27 @@ const SHARD_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 /// or confounder bytes from its previous life.
 const GENERATION_MIX: u64 = 0xD1B5_4A32_D192_ED03;
 
+/// A receive flow key's cache id: the wire sfl and the source address.
+/// The destination principal of every entry is the host's own, so the
+/// id leaves it implicit and [`rfkc_hash`] puts it back.
+pub(super) type RxKeyId = (u64, Ipv4Addr);
+
+/// The RFKC index hash: [`fbs_core::flow_key_hash`] of the full
+/// `(sfl, source, local)` id, so every set index is the one the
+/// principal-pair id would get.
+pub(super) fn rfkc_hash(local: Principal) -> impl Fn(&RxKeyId) -> u32 + Send + Sync + 'static {
+    move |&(sfl, src)| flow_key_hash_parts(sfl, &src, local.as_bytes())
+}
+
 /// Resident bytes per receive flow-key cache entry under `suite`,
-/// charged against the shard's [`MemoryBudget`]: the SoA slot (key +
-/// value `Arc` + LRU tick + control byte) plus the allocation the `Arc`
-/// points at — the key and, for the DES suites, its boxed schedules
-/// ([`SealedFlowKey::arc_bytes`]). Allocator rounding is not counted: the
-/// budget bounds steady-state residency, it is not an allocator.
+/// charged against the shard's [`MemoryBudget`]: the SoA slot
+/// ([`RxKeyId`] + value `Arc` + LRU tick + control byte) plus the
+/// allocation the `Arc` points at — the suite's key material and, for
+/// the DES suites, its boxed schedules ([`SealedFlowKey::arc_bytes`]).
+/// Allocator rounding is not counted: the budget bounds steady-state
+/// residency, it is not an allocator.
 pub(super) fn flow_key_entry_bytes(suite: CipherSuite) -> u64 {
-    (std::mem::size_of::<Option<FlowKeyId>>()
+    (std::mem::size_of::<Option<RxKeyId>>()
         + std::mem::size_of::<Option<Arc<SealedFlowKey>>>()
         + std::mem::size_of::<u64>()
         + 1
@@ -65,7 +78,7 @@ pub(super) struct Shard {
     /// in one table, one probe per datagram.
     pub(super) combined: CombinedTable,
     /// Receive flow key cache slice for sfls ≡ shard index (mod N).
-    pub(super) rfkc: SoftCache<FlowKeyId, Arc<SealedFlowKey>>,
+    pub(super) rfkc: SoftCache<RxKeyId, Arc<SealedFlowKey>>,
     /// Output datagrams awaiting key derivation: (header, plaintext).
     pub(super) out_park: ParkingQueue<(Ipv4Header, Vec<u8>)>,
     /// Input datagrams awaiting key derivation: (header, wire payload).
@@ -115,7 +128,7 @@ impl HookShared {
         let mut rfkc = SoftCache::new(
             self.ep_cfg.rfkc_sets,
             self.ep_cfg.rfkc_assoc,
-            fbs_core::flow_key_hash,
+            rfkc_hash(self.local.clone()),
         )
         .with_counts(Arc::clone(counts), CacheKind::Rfkc);
         // The shard enforces its own budget: reset the (possibly
@@ -382,16 +395,18 @@ fn verify(
 ) -> Result<Vec<u8>, FbsError> {
     let Pass { shared, obs, .. } = *pass;
     let Shard { codec, rfkc, .. } = shard;
-    let source = Principal::from_ipv4(header.src);
     let (view, used) = HeaderView::parse(payload)?;
     // R3-4: freshness before key lookup, so a stale datagram is rejected
     // as stale even when its key is unavailable.
     codec.check_freshness(view.timestamp)?;
-    let id: FlowKeyId = (view.sfl, source, shared.local.clone());
+    let id: RxKeyId = (view.sfl, header.src);
     let mut born = None;
     let key: &SealedFlowKey = match rfkc.get_ref(&id) {
         Some(key) => key,
-        None => born.insert(derive_key(pass, view.sfl, &id.1, &id.1, &id.2)?),
+        None => {
+            let source = Principal::from_ipv4(header.src);
+            born.insert(derive_key(pass, view.sfl, &source, &source, &shared.local)?)
+        }
     };
     let mut body = pool.take();
     let timer = obs.as_ref().map(|_| StageTimer::start());

@@ -1433,18 +1433,16 @@ fn owners_are_independent_lock_domains() {
 
 #[test]
 fn the_memory_ledger_charges_each_suites_real_key_allocation() {
-    // Per resident receive key: the RFKC slot (56 B id, 8 B `Arc`, 8 B
-    // tick, 1 control byte) and the `Arc` allocation — 16 B of counters,
-    // the 64 B key and, for the DES suites, 704 B of boxed schedules.
+    // Per resident receive key: the RFKC slot (24 B `Option<(sfl,
+    // source address)>` id, 8 B `Arc`, 8 B tick, 1 control byte) and the
+    // `Arc` allocation — 16 B of counters, the 40 B key material and, for
+    // the DES suites, 728 B of boxed schedules and raw flow key.
     // The byte counts are the 64-bit layout's; the ordering holds on any.
     #[cfg(target_pointer_width = "64")]
     {
-        assert_eq!(
-            datapath::flow_key_entry_bytes(CipherSuite::AeadChaPoly),
-            153
-        );
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::Paper), 857);
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::FastDes), 857);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::AeadChaPoly), 97);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::Paper), 825);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::FastDes), 825);
         // The combined table's floor is its own 40 B slot.
         assert_eq!(datapath::fst_static_bytes(64), 64 * 40);
     }
@@ -1481,5 +1479,35 @@ fn the_memory_ledger_charges_each_suites_real_key_allocation() {
         assert!(snaps.iter().all(|s| s.fam_bytes == floor), "{snaps:?}");
         let rfkc: u64 = snaps.iter().map(|s| s.rfkc_bytes).sum();
         assert_eq!(rfkc, datapath::flow_key_entry_bytes(suite), "{suite:?}");
+    }
+}
+
+#[test]
+fn the_rfkc_index_is_the_principal_pair_ids() {
+    // The receive cache keys a flow by (sfl, source address) and leaves
+    // the local principal implicit; its hash must still be the one the
+    // full (sfl, source, local) id gets, so every set index, hit and
+    // eviction lands where it did when the id held both principals.
+    let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+    let mut next = || {
+        // splitmix64
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for _ in 0..4096 {
+        let sfl = next();
+        let src: Ipv4Addr = (next() as u32).to_be_bytes();
+        let local: Ipv4Addr = (next() as u32).to_be_bytes();
+        let hooks_hash = datapath::rfkc_hash(Principal::from_ipv4(local));
+        let full =
+            fbs_core::flow_key_hash(&(sfl, Principal::from_ipv4(src), Principal::from_ipv4(local)));
+        assert_eq!(
+            hooks_hash(&(sfl, src)),
+            full,
+            "sfl {sfl:#x} {src:?} -> {local:?}"
+        );
     }
 }
