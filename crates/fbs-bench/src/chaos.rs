@@ -369,15 +369,7 @@ fn chaos_host(
             },
             Arc::clone(&clock_arc),
         ));
-    let addr_hash = u32::from_be_bytes(addr) as u64;
-    let endpoint = fbs_core::FbsEndpoint::new(
-        principal,
-        cfg.fbs.clone(),
-        clock_arc,
-        seed ^ (addr_hash << 16) ^ 0x5DEECE66D,
-        mkd,
-    );
-    let hooks = FbsIpHooks::new(endpoint, cfg.clone(), seed.rotate_left(17) ^ addr_hash);
+    let hooks = FbsIpHooks::new(principal, cfg.clone(), clock_arc, seed, mkd);
     let mut host = Host::new(addr, 1500);
     host.install_hooks(Box::new(hooks.clone()));
     (host, ChaosHost { hooks, dir, pvs })

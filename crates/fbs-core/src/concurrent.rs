@@ -12,14 +12,17 @@
 //!
 //! # Lock-ordering rules
 //!
-//! 1. Endpoint flow-state shards sit behind their owner's lock
-//!    (`fbs-ip`'s hooks: owner `w` of `W` holds shards
-//!    `{si : si % W == w}`, and the caller runs its batch in place
-//!    under that lock, with its own buffer pool). A caller holds at
-//!    most ONE owner lock at a time and takes it outermost: a key
-//!    derivation on a miss runs under it and takes only the
-//!    [`KeyingService`] locks below, and the sfl is reserved before the
-//!    derive so a failure burns it (sfls are never reused).
+//! 1. Flow state sits outside the [`KeyingService`] and is locked
+//!    outermost: `fbs-ip`'s hooks keep it in shards behind their
+//!    owner's lock (owner `w` of `W` holds shards `{si : si % W == w}`,
+//!    and the caller runs its batch in place under that lock, with its
+//!    own buffer pool; a caller holds at most ONE owner lock at a
+//!    time), and an [`FbsEndpoint`](crate::FbsEndpoint) keeps it behind
+//!    its `&mut self`. A key derivation on a miss
+//!    ([`KeyingService::derive`], the one derive both engines call)
+//!    runs under that outer lock and takes only the service's locks
+//!    below; the hooks reserve the sfl before the derive so a failure
+//!    burns it (sfls are never reused).
 //! 2. Inside [`KeyingService`], the order is `mkd` lock → MKC shard
 //!    lock. The fast path touches only an MKC shard lock and releases
 //!    it before any `mkd` acquisition, so no cycle exists.
@@ -28,10 +31,12 @@
 
 use crate::cache::{CacheStats, SoftCache};
 use crate::error::Result;
+use crate::keying::{derive_flow_key, SealedFlowKey};
 use crate::mkd::{MasterKeyDaemon, MkdStats};
 use crate::principal::Principal;
+use crate::protocol::FlowCodec;
 use fbs_crypto::crc32;
-use fbs_obs::{CacheKind, CounterBlock, MetricsRegistry};
+use fbs_obs::{CacheKind, CounterBlock, Event, MetricsRegistry, Stage, StageTimer};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -174,13 +179,15 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
     }
 }
 
-/// The shared keying service of a sharded endpoint: the master key
-/// cache (sharded, lock-free stats) in front of the one
-/// [`MasterKeyDaemon`] (its own mutex — upcalls are rare and expensive,
-/// §5.3's whole point). The daemon counts into its own block under the
-/// `mkd` mutex, each MKC shard into its own under its mutex. Shard owners
-/// call [`master_key`](Self::master_key) under their owner lock, which is
-/// outermost (lock-ordering rule 1).
+/// The keying service of both FBS engines: the master key cache
+/// (sharded, lock-free stats) in front of the one [`MasterKeyDaemon`]
+/// (its own mutex — upcalls are rare and expensive, §5.3's whole
+/// point), and the one flow-key [`derive`](Self::derive). The daemon
+/// counts into its own block under the `mkd` mutex, each MKC shard into
+/// its own under its mutex. An [`FbsEndpoint`](crate::FbsEndpoint) holds
+/// a one-shard service; `fbs-ip`'s hooks share one across their shard
+/// owners, which derive under their owner lock, the outermost
+/// (lock-ordering rule 1).
 ///
 /// A double-checked MKC probe under the `mkd` lock guarantees at most
 /// one upcall per peer even when several shards miss the same peer
@@ -225,7 +232,7 @@ impl KeyingService {
     /// Pair master key via the MKC, upcalling the MKD on a miss
     /// (Fig. 6). Thread-safe; at most one upcall per peer under races.
     /// Every caller shares the one cached copy: a hit is a refcount bump.
-    pub fn master_key(&self, peer: &Principal) -> Result<Arc<[u8]>> {
+    fn master_key(&self, peer: &Principal) -> Result<Arc<[u8]>> {
         if let Some(k) = self.mkc.get(peer) {
             return Ok(k);
         }
@@ -239,6 +246,40 @@ impl KeyingService {
         }
         let k: Arc<[u8]> = mkd.master_key(peer)?.into();
         self.mkc.insert(peer.clone(), Arc::clone(&k));
+        Ok(k)
+    }
+
+    /// Zero-message derivation (§5.2) of flow `sfl`'s key between
+    /// `codec`'s local principal and `peer` (local → peer when
+    /// `outbound`), sealed with the material `codec`'s suite reads so
+    /// the per-datagram path never initialises lazily. The whole miss
+    /// path — MKC probe, at most one MKD upcall, hash, seal — is one key
+    /// derivation: an [`Event::KeyDerivation`] and a [`Stage::KeyDerive`]
+    /// span in `codec`'s registry, if it has one.
+    pub fn derive(
+        &self,
+        codec: &FlowCodec,
+        sfl: u64,
+        peer: &Principal,
+        outbound: bool,
+    ) -> Result<SealedFlowKey> {
+        let obs = codec.obs();
+        let t0 = obs.map(|_| (codec.clock().now_micros(), StageTimer::start()));
+        let master = self.master_key(peer)?;
+        let local = codec.local();
+        let (src, dst) = if outbound {
+            (local, peer)
+        } else {
+            (peer, local)
+        };
+        let cfg = codec.config();
+        let k = cfg.seal_key(derive_flow_key(cfg.key_derivation, sfl, &master, src, dst));
+        if let (Some(reg), Some((t0, timer))) = (obs, t0) {
+            reg.record(Event::KeyDerivation {
+                micros: codec.clock().now_micros().saturating_sub(t0),
+            });
+            reg.observe_stage(Stage::KeyDerive, timer.elapsed_ns());
+        }
         Ok(k)
     }
 

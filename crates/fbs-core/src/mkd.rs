@@ -180,8 +180,8 @@ impl MasterKeyDaemon {
         self.obs = Some(registry);
     }
 
-    /// The counter block this daemon writes; an endpoint built around
-    /// the daemon counts into it too.
+    /// The counter block this daemon writes (its keying service reads
+    /// it without the daemon's lock).
     pub fn counts(&self) -> &Arc<CounterBlock> {
         &self.counts
     }

@@ -1,9 +1,11 @@
 //! FBS protocol processing: `FBSSend` / `FBSReceive` (paper §5.2, Fig. 4)
 //! with the cached fast path of Fig. 6.
 //!
-//! An [`FbsEndpoint`] owns one principal's soft state: the master key cache
-//! (MKC), transmission and receive flow key caches (TFKC/RFKC), the LCG
-//! confounder source, and the upcall path to the master key daemon. Send
+//! An [`FbsEndpoint`] owns one principal's soft state: transmission and
+//! receive flow key caches (TFKC/RFKC), the LCG confounder source, and a
+//! [`KeyingService`] — the master key cache (MKC) in front of the upcall
+//! path to the master key daemon, and the one flow-key derivation, which
+//! `fbs-ip`'s hooks share. Send
 //! and receive follow the paper's pseudo-code line by line; the one
 //! deliberate adjustment is on the receive side, where the body is
 //! decrypted *before* MAC verification because the MAC is computed over the
@@ -23,10 +25,11 @@
 
 use crate::cache::{CacheStats, SoftCache};
 use crate::clock::Clock;
+use crate::concurrent::KeyingService;
 use crate::error::{FbsError, Result};
 use crate::fam::{Fam, FlowPolicy};
 use crate::header::{EncAlgorithm, HeaderView, SecurityFlowHeader, FIXED_PREFIX_LEN};
-use crate::keying::{derive_flow_key, DesMaterial, KeyDerivation, KeyMaterial, SealedFlowKey};
+use crate::keying::{DesMaterial, KeyDerivation, KeyMaterial, SealedFlowKey};
 use crate::mkd::{MasterKeyDaemon, MkdStats};
 use crate::principal::Principal;
 use crate::replay::FreshnessWindow;
@@ -38,7 +41,7 @@ use fbs_crypto::des::{
 };
 use fbs_crypto::mac::MAX_MAC_SIZE;
 use fbs_crypto::rng::Lcg64;
-use fbs_crypto::{crc32, mac_eq, CipherSuite, MacAlgorithm};
+use fbs_crypto::{mac_eq, CipherSuite, MacAlgorithm};
 use fbs_obs::{CacheKind, Counter, CounterBlock, Event, MetricsRegistry};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -383,6 +386,11 @@ impl FlowCodec {
         &self.clock
     }
 
+    /// The attached metrics registry, if any.
+    pub(crate) fn obs(&self) -> Option<&MetricsRegistry> {
+        self.obs.as_deref()
+    }
+
     /// Endpoint counters, read off the counter block (every codec
     /// sharing the block counts into the same cells).
     pub fn stats(&self) -> EndpointStats {
@@ -501,6 +509,31 @@ impl FlowCodec {
         self.note_received(out.len() as u64);
         // R12: `out` holds the datagram body.
         Ok(())
+    }
+
+    /// `FBSReceive`'s receive-miss rule (Fig. 4 R3-11 over Fig. 6's
+    /// RFKC), generic over the cache's id type so both engines share it:
+    /// freshness first (a stale datagram is stale even when its key is
+    /// unavailable), then `open` under the key the RFKC lends; on a miss,
+    /// `derive` into a local, `open` under it, and cache the key only
+    /// once it verified — a forged birth leaves `rfkc` as it was. `open`
+    /// wraps [`open_with_key_into`](Self::open_with_key_into).
+    pub fn open_cached<K: Eq + Hash + Clone, T>(
+        &self,
+        rfkc: &mut SoftCache<K, Arc<SealedFlowKey>>,
+        id: K,
+        timestamp: u32,
+        derive: impl FnOnce() -> Result<SealedFlowKey>,
+        open: impl FnOnce(&SealedFlowKey) -> Result<T>,
+    ) -> Result<T> {
+        self.check_freshness(timestamp)?;
+        if let Some(key) = rfkc.get_ref(&id) {
+            return open(key);
+        }
+        let key = derive()?;
+        let opened = open(&key)?;
+        rfkc.insert(id, Arc::new(key));
+        Ok(opened)
     }
 
     /// R7-9: compare the shipped prefix of `expected`, the untruncated
@@ -667,24 +700,24 @@ impl FlowCodec {
     }
 }
 
-/// One principal's FBS protocol state.
+/// One principal's FBS protocol state: a [`FlowCodec`], the
+/// [`KeyingService`] (the MKC in front of the MKD upcall, and the one
+/// derive) and the TFKC/RFKC. The codec and both flow-key caches count
+/// into one block, written only through `&mut self`; the service counts
+/// into its own (lock-ordering rule 1 of [`crate::concurrent`]).
 pub struct FbsEndpoint {
     codec: FlowCodec,
-    seed: u64,
-    mkd: MasterKeyDaemon,
-    mkc: SoftCache<Principal, Arc<[u8]>>,
+    keying: KeyingService,
     tfkc: SoftCache<FlowKeyId, Arc<SealedFlowKey>>,
     rfkc: SoftCache<FlowKeyId, Arc<SealedFlowKey>>,
-    /// Optional metrics registry; `None` (the default) keeps the datagram
-    /// path observation-free.
-    obs: Option<Arc<MetricsRegistry>>,
 }
 
 impl FbsEndpoint {
     /// Create an endpoint for `local`. `seed` randomises the confounder
-    /// generator (must differ across initialisations, §5.3); `mkd` carries
-    /// the principal's private value and certificate access, and the
-    /// counter block the whole endpoint counts into.
+    /// generator (must differ across initialisations, §5.3); `mkd`
+    /// carries the principal's private value and certificate access, and
+    /// moves into the endpoint's [`KeyingService`]: one MKC shard of
+    /// `cfg.mkc_slots` direct-mapped slots.
     pub fn new(
         local: Principal,
         cfg: FbsConfig,
@@ -692,36 +725,31 @@ impl FbsEndpoint {
         seed: u64,
         mkd: MasterKeyDaemon,
     ) -> Self {
-        let counts = mkd.counts();
-        let mkc = SoftCache::new(cfg.mkc_slots, 1, |p: &Principal| crc32(p.as_bytes()))
-            .with_counts(Arc::clone(counts), CacheKind::Mkc);
+        let keying = KeyingService::new(mkd, cfg.mkc_slots, 1);
+        let codec = FlowCodec::new(local, cfg, clock, seed);
+        let cfg = &codec.cfg;
         let tfkc = SoftCache::new(cfg.tfkc_sets, cfg.tfkc_assoc, flow_key_hash)
-            .with_counts(Arc::clone(counts), CacheKind::Tfkc);
+            .with_counts(Arc::clone(&codec.counts), CacheKind::Tfkc);
         let rfkc = SoftCache::new(cfg.rfkc_sets, cfg.rfkc_assoc, flow_key_hash)
-            .with_counts(Arc::clone(counts), CacheKind::Rfkc);
+            .with_counts(Arc::clone(&codec.counts), CacheKind::Rfkc);
         FbsEndpoint {
-            codec: FlowCodec::new(local, cfg, clock, seed).with_counts(Arc::clone(counts)),
-            seed,
-            mkd,
-            mkc,
+            codec,
+            keying,
             tfkc,
             rfkc,
-            obs: None,
         }
     }
 
-    /// Attach a metrics registry: it reads the endpoint's counter block
-    /// (lifetime counts, pre-attach included), the endpoint emits
-    /// datagram-path events (send/receive, drops, key-derivation
-    /// latency), and its MKC/TFKC/RFKC emit lookups under their own
-    /// [`CacheKind`]s.
+    /// Attach a metrics registry: it reads the endpoint's and the
+    /// keying service's counter blocks (lifetime counts, pre-attach
+    /// included), the endpoint emits datagram-path events (send/receive,
+    /// drops, key-derivation latency), and its TFKC/RFKC emit lookups
+    /// under their own [`CacheKind`]s.
     pub fn attach_obs(&mut self, registry: Arc<MetricsRegistry>) {
-        self.mkc.set_obs(Arc::clone(&registry), CacheKind::Mkc);
         self.tfkc.set_obs(Arc::clone(&registry), CacheKind::Tfkc);
         self.rfkc.set_obs(Arc::clone(&registry), CacheKind::Rfkc);
-        self.mkd.set_obs(Arc::clone(&registry));
-        self.codec.set_obs(Arc::clone(&registry));
-        self.obs = Some(registry);
+        self.keying.attach_obs(Arc::clone(&registry));
+        self.codec.set_obs(registry);
     }
 
     /// The local principal.
@@ -734,28 +762,6 @@ impl FbsEndpoint {
         self.codec.config()
     }
 
-    /// Decompose the endpoint into the parts a sharded wrapper needs:
-    /// `(local, cfg, clock, seed, mkd)`. The caller builds per-shard
-    /// [`FlowCodec`]s and its own caches from these; the endpoint's own
-    /// (still-empty, if taken at construction time) soft state is
-    /// discarded — safe by definition.
-    pub fn into_keying_parts(self) -> (Principal, FbsConfig, Arc<dyn Clock>, u64, MasterKeyDaemon) {
-        let FlowCodec {
-            local, cfg, clock, ..
-        } = self.codec;
-        (local, cfg, clock, self.seed, self.mkd)
-    }
-
-    /// Pair master key via MKC, upcalling the MKD on a miss (Fig. 6).
-    fn master_key(&mut self, peer: &Principal) -> Result<Arc<[u8]>> {
-        if let Some(k) = self.mkc.get(peer) {
-            return Ok(k);
-        }
-        let k: Arc<[u8]> = self.mkd.master_key(peer)?.into();
-        self.mkc.insert(peer.clone(), Arc::clone(&k));
-        Ok(k)
-    }
-
     /// Transmit-side flow key via TFKC (Fig. 6, replacing Fig. 4 line S3).
     /// A hit is an `Arc` refcount bump — no key bytes are copied and the
     /// key material its suite reads rides along.
@@ -764,31 +770,8 @@ impl FbsEndpoint {
         if let Some(k) = self.tfkc.get_ref(&id) {
             return Ok(Arc::clone(k));
         }
-        let k = Arc::new(self.derive(sfl, destination, true)?);
+        let k = Arc::new(self.keying.derive(&self.codec, sfl, destination, true)?);
         self.tfkc.insert(id, Arc::clone(&k));
-        Ok(k)
-    }
-
-    /// Zero-message derivation of flow `sfl`'s key with `peer`, sealed
-    /// with the material its suite reads: local → peer when `outbound`,
-    /// peer → local otherwise. Recorded as one key derivation covering
-    /// the whole miss path: MKC probe, possible MKD upcall, and the hash.
-    fn derive(&mut self, sfl: u64, peer: &Principal, outbound: bool) -> Result<SealedFlowKey> {
-        let t0 = self.obs.as_ref().map(|_| self.codec.clock.now_micros());
-        let master = self.master_key(peer)?;
-        let local = &self.codec.local;
-        let (src, dst) = if outbound {
-            (local, peer)
-        } else {
-            (peer, local)
-        };
-        let cfg = &self.codec.cfg;
-        let k = cfg.seal_key(derive_flow_key(cfg.key_derivation, sfl, &master, src, dst));
-        if let (Some(reg), Some(t0)) = (&self.obs, t0) {
-            reg.record(Event::KeyDerivation {
-                micros: self.codec.clock.now_micros().saturating_sub(t0),
-            });
-        }
         Ok(k)
     }
 
@@ -893,9 +876,9 @@ impl FbsEndpoint {
         self.open_core(source, &view, &payload[used..], out)
     }
 
-    /// The shared receive core: freshness, flow key, decrypt, MAC verify.
-    /// Statistics and events fire exactly as the legacy `receive` did —
-    /// the drop accounting now lives in the [`FlowCodec`] halves.
+    /// The shared receive core: the codec's receive-miss rule over the
+    /// endpoint's RFKC, deriving through the keying service; the drop
+    /// accounting lives in the [`FlowCodec`] halves.
     fn open_core(
         &mut self,
         source: &Principal,
@@ -903,27 +886,26 @@ impl FbsEndpoint {
         body: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        // R3-4: freshness, before key lookup so a stale datagram is
-        // rejected as stale even when its key is unavailable.
-        self.codec.check_freshness(h.timestamp)?;
-        // R5-6: flow key from the sfl, cached in the RFKC; R7-11: decrypt
-        // and MAC-verify under it.
-        let id = (h.sfl, source.clone(), self.codec.local.clone());
-        if let Some(key) = self.rfkc.get_ref(&id) {
-            return self.codec.open_with_key_into(h, key, body, out);
-        }
-        // A miss caches the derived key only once the datagram verifies,
-        // so a forgery leaves the RFKC as it was.
-        let key = self.derive(h.sfl, source, false)?;
-        self.codec.open_with_key_into(h, &key, body, out)?;
-        self.rfkc.insert(id, Arc::new(key));
-        Ok(())
+        let FbsEndpoint {
+            codec,
+            keying,
+            rfkc,
+            ..
+        } = self;
+        let id = (h.sfl, source.clone(), codec.local.clone());
+        codec.open_cached(
+            rfkc,
+            id,
+            h.timestamp,
+            || keying.derive(codec, h.sfl, source, false),
+            |key| codec.open_with_key_into(h, key, body, out),
+        )
     }
 
     /// Invalidate the cached master key for `peer` (rekey: §5.2 notes the
     /// pair master key changes when a principal's private value changes).
     pub fn forget_peer(&mut self, peer: &Principal) {
-        self.mkc.invalidate(peer);
+        self.keying.forget_peer(peer);
     }
 
     /// Drop all flow-key soft state (always safe — it is recomputed on
@@ -950,12 +932,12 @@ impl FbsEndpoint {
 
     /// MKC statistics.
     pub fn mkc_stats(&self) -> CacheStats {
-        self.mkc.stats()
+        self.keying.mkc_stats()
     }
 
     /// MKD statistics.
     pub fn mkd_stats(&self) -> MkdStats {
-        self.mkd.stats()
+        self.keying.mkd_stats()
     }
 
     /// Shared clock handle.
@@ -1599,6 +1581,17 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.event, Event::ReplayDrop { .. })));
+    }
+
+    #[test]
+    fn an_endpoint_writes_one_block_per_lock_domain() {
+        // The codec, TFKC and RFKC write the endpoint's block through
+        // `&mut self`; the keying service's MKD and its one MKC shard
+        // write their own, each under its mutex.
+        let reg = Arc::new(MetricsRegistry::new());
+        let (mut s, _, _) = endpoint_pair(FbsConfig::default());
+        s.attach_obs(Arc::clone(&reg));
+        assert_eq!(reg.attached_blocks(), 3);
     }
 
     #[test]

@@ -49,9 +49,10 @@ pub struct IpMappingConfig {
     /// worker-locally — no cross-shard coordination — and fixed at
     /// construction like the shard geometry.
     pub shard_budget_bytes: u64,
-    /// The FBS endpoint configuration [`crate::host::build_secure_host`]
-    /// builds the endpoint from. The hooks themselves read the
-    /// endpoint's own copy, never this one.
+    /// The FBS configuration the hooks' codecs and key derivations use.
+    /// Read once, at construction: like the shard geometry, changing it
+    /// through [`FbsIpHooks::update_config`](super::FbsIpHooks::update_config)
+    /// has no effect.
     pub fbs: FbsConfig,
 }
 

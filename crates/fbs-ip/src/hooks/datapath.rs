@@ -11,8 +11,8 @@ use crate::combined::CombinedTable;
 use crate::tuple::FiveTuple;
 use fbs_core::header::HeaderView;
 use fbs_core::{
-    derive_flow_key, flow_key_hash_parts, BudgetKind, BufferPool, FbsError, FlowCodec,
-    KeyUnavailableVerdict, Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
+    flow_key_hash_parts, BudgetKind, BufferPool, FbsError, FlowCodec, KeyUnavailableVerdict,
+    Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
 };
 use fbs_crypto::{crc32, CipherSuite};
 use fbs_net::ip::{Ipv4Addr, Proto};
@@ -112,7 +112,7 @@ impl HookShared {
         let stride_base = salt.wrapping_mul(n).wrapping_add(si as u64);
         let codec = FlowCodec::new(
             self.local.clone(),
-            self.ep_cfg.clone(),
+            self.fbs.clone(),
             Arc::clone(&self.clock),
             self.codec_seed
                 ^ (si as u64).wrapping_mul(SHARD_SEED_MIX)
@@ -126,8 +126,8 @@ impl HookShared {
         )
         .with_counts(Arc::clone(counts));
         let mut rfkc = SoftCache::new(
-            self.ep_cfg.rfkc_sets,
-            self.ep_cfg.rfkc_assoc,
+            self.fbs.rfkc_sets,
+            self.fbs.rfkc_assoc,
             rfkc_hash(self.local.clone()),
         )
         .with_counts(Arc::clone(counts), CacheKind::Rfkc);
@@ -140,7 +140,7 @@ impl HookShared {
         rfkc.set_budget(
             budget,
             BudgetKind::Rfkc,
-            flow_key_entry_bytes(self.ep_cfg.suite),
+            flow_key_entry_bytes(self.fbs.suite),
         );
         Shard {
             codec,
@@ -286,47 +286,14 @@ impl Pass<'_> {
     }
 }
 
-/// Zero-message key derivation via the shared keying service. `peer` is
-/// the remote principal, `(src, dst)` the derivation direction.
-fn derive_key(
-    pass: &Pass<'_>,
-    sfl: u64,
-    peer: &Principal,
-    src: &Principal,
-    dst: &Principal,
-) -> Result<SealedFlowKey, FbsError> {
-    let Pass { shared, obs, .. } = *pass;
-    let t0 = obs.as_ref().map(|_| shared.clock.now_micros());
-    let timer = obs.as_ref().map(|_| StageTimer::start());
-    let master = shared.keying.master_key(peer)?;
-    // seal_for (via seal_key) pre-builds the material the configured
-    // suite reads — the ChaCha key, or the DES schedules and the cached
-    // MAC key prefix — so the per-datagram path never initializes lazily.
-    let k = shared.ep_cfg.seal_key(derive_flow_key(
-        shared.ep_cfg.key_derivation,
-        sfl,
-        &master,
-        src,
-        dst,
-    ));
-    if let (Some(reg), Some(t0)) = (obs.as_ref(), t0) {
-        reg.record(Event::KeyDerivation {
-            micros: shared.clock.now_micros().saturating_sub(t0),
-        });
-        if let Some(timer) = timer {
-            reg.observe_stage(Stage::KeyDerive, timer.elapsed_ns());
-        }
-    }
-    Ok(k)
-}
-
 /// The §7.2 protect path, with no verdict handling: classify the datagram
 /// into a flow with one combined-table probe, and seal the borrowed
 /// plaintext into a pool buffer (fixing up `header`'s length on success)
 /// under the key the table lends. A miss reserves the sfl, derives via
-/// the keying service, and installs unconditionally — the owner is the
-/// shard's only writer, so there is no racing insert to re-check for (a
-/// failed derivation burns the reserved sfl). The caller keeps ownership
+/// [`KeyingService::derive`](fbs_core::KeyingService::derive), and
+/// installs unconditionally — the owner is the shard's only writer, so
+/// there is no racing insert to re-check for (a failed derivation burns
+/// the reserved sfl). The caller keeps ownership
 /// of the original bytes, so no snapshot copy is ever needed for
 /// park/fail-open fallbacks.
 fn protect(
@@ -352,7 +319,7 @@ fn protect(
         None => {
             let sfl = combined.reserve_sfl();
             let destination = Principal::from_ipv4(header.dst);
-            let key = derive_key(pass, sfl, &destination, &shared.local, &destination)?;
+            let key = shared.keying.derive(codec, sfl, &destination, true)?;
             (sfl, combined.insert(tuple, sfl, Arc::new(key), now_secs))
         }
     };
@@ -365,7 +332,7 @@ fn protect(
                 if let Some(timer) = timer {
                     reg.observe_stage(Stage::Seal, timer.elapsed_ns());
                 }
-                reg.incr(suite_counter(shared.ep_cfg.suite, Direction::Output));
+                reg.incr(suite_counter(shared.fbs.suite, Direction::Output));
             }
             pass.span(sfl, header.src, SpanKind::Seal, out.len() as u64);
             let delta = out.len() as isize - payload.len() as isize;
@@ -380,12 +347,13 @@ fn protect(
 }
 
 /// The verify path, with no verdict handling: parse the FBS framing,
-/// resolve the receive flow key, and recover the borrowed wire payload
-/// into a pool buffer, verifying its MAC there and then (R7-9, one
-/// constant-time compare); `header`'s length is fixed up on success. A
-/// hit opens under the key the RFKC lends; a miss derives into a local
-/// and caches the key only once the MAC verifies, so a forged birth
-/// leaves the RFKC as it was.
+/// then run the codec's receive-miss rule
+/// ([`FlowCodec::open_cached`]) over the shard's RFKC — freshness, the
+/// probe, a derive on a miss, and the key cached only once the MAC
+/// verifies, so a forged birth leaves the RFKC as it was. The borrowed
+/// wire payload is recovered into a pool buffer, drawn only once a key
+/// is at hand and returned on a failed open; `header`'s length is fixed
+/// up on success.
 fn verify(
     pass: &Pass<'_>,
     shard: &mut Shard,
@@ -396,49 +364,45 @@ fn verify(
     let Pass { shared, obs, .. } = *pass;
     let Shard { codec, rfkc, .. } = shard;
     let (view, used) = HeaderView::parse(payload)?;
-    // R3-4: freshness before key lookup, so a stale datagram is rejected
-    // as stale even when its key is unavailable.
-    codec.check_freshness(view.timestamp)?;
-    let id: RxKeyId = (view.sfl, header.src);
-    let mut born = None;
-    let key: &SealedFlowKey = match rfkc.get_ref(&id) {
-        Some(key) => key,
-        None => {
+    let body = codec.open_cached(
+        rfkc,
+        (view.sfl, header.src),
+        view.timestamp,
+        || {
             let source = Principal::from_ipv4(header.src);
-            born.insert(derive_key(pass, view.sfl, &source, &source, &shared.local)?)
-        }
-    };
-    let mut body = pool.take();
-    let timer = obs.as_ref().map(|_| StageTimer::start());
-    let opened = codec.open_with_key_into(&view, key, &payload[used..], &mut body);
-    if let (Ok(()), Some(key)) = (&opened, born) {
-        rfkc.insert(id, Arc::new(key));
-    }
-    match opened {
-        Ok(()) => {
-            if let Some(reg) = obs.as_ref() {
-                if let Some(timer) = timer {
-                    reg.observe_stage(Stage::Open, timer.elapsed_ns());
+            shared.keying.derive(codec, view.sfl, &source, false)
+        },
+        |key| {
+            let mut body = pool.take();
+            let timer = obs.as_ref().map(|_| StageTimer::start());
+            match codec.open_with_key_into(&view, key, &payload[used..], &mut body) {
+                Ok(()) => {
+                    if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
+                        reg.observe_stage(Stage::Open, timer.elapsed_ns());
+                    }
+                    Ok(body)
                 }
-                reg.incr(suite_counter(shared.ep_cfg.suite, Direction::Input));
+                Err(e) => {
+                    pool.put(body);
+                    Err(e)
+                }
             }
-            trace_span(
-                obs,
-                view.sfl,
-                header.dst,
-                SpanKind::Open,
-                shared.clock.now_micros(),
-                body.len() as u64,
-            );
-            let delta = payload.len() as isize - body.len() as isize;
-            header.grow_payload(-delta);
-            Ok(body)
-        }
-        Err(e) => {
-            pool.put(body);
-            Err(e)
-        }
+        },
+    )?;
+    if let Some(reg) = obs.as_ref() {
+        reg.incr(suite_counter(shared.fbs.suite, Direction::Input));
     }
+    trace_span(
+        obs,
+        view.sfl,
+        header.dst,
+        SpanKind::Open,
+        shared.clock.now_micros(),
+        body.len() as u64,
+    );
+    let delta = payload.len() as isize - body.len() as isize;
+    header.grow_payload(-delta);
+    Ok(body)
 }
 
 /// Hold a key-unavailable datagram in `dir`'s bounded parking queue

@@ -139,7 +139,7 @@ use fbs_core::breaker::BreakerState;
 use fbs_core::mkd::MkdStats;
 use fbs_core::protocol::EndpointStats;
 use fbs_core::{
-    BudgetSnapshot, BufferPool, Clock, FbsConfig, FbsEndpoint, KeyingService, MemoryBudget,
+    BudgetSnapshot, BufferPool, Clock, FbsConfig, KeyingService, MasterKeyDaemon, MemoryBudget,
     OwnerFaultInjector, ParkStats, Principal, Published, RuntimeError,
 };
 use fbs_net::ip::Proto;
@@ -170,10 +170,11 @@ struct HookShared {
     keying: KeyingService,
     local: Principal,
     clock: Arc<dyn Clock>,
-    /// The endpoint-side config (algorithms, key derivation, cache
-    /// geometry) the codecs were built from; kept whole so a panicked
-    /// worker's shards can be rebuilt from first principles.
-    ep_cfg: FbsConfig,
+    /// `cfg.fbs` as at construction (algorithms, key derivation, cache
+    /// geometry), fixed like the shard geometry: the codecs are built
+    /// from it, and it is kept whole so a panicked worker's shards can
+    /// be rebuilt from first principles.
+    fbs: FbsConfig,
     /// Base codec seed (pre shard/generation mixing).
     codec_seed: u64,
     /// Base sfl allocator seed (pre shard/generation mixing).
@@ -262,27 +263,43 @@ impl Clone for FbsIpHooks {
 }
 
 impl FbsIpHooks {
-    /// Wrap an FBS endpoint in IP-mapping hooks. `sfl_seed` randomises the
-    /// sfl counters' initial values (§5.3). The endpoint is decomposed:
-    /// its MKD moves into the shared [`KeyingService`], and each shard
-    /// gets its own [`FlowCodec`](fbs_core::FlowCodec) and full-geometry table slices, under
-    /// one of `workers` owners. Starts no thread.
-    pub fn new(endpoint: FbsEndpoint, cfg: IpMappingConfig, sfl_seed: u64) -> Self {
-        let (local, ep_cfg, clock, seed, mkd) = endpoint.into_keying_parts();
+    /// IP-mapping hooks for the host `local`, the arguments of
+    /// [`FbsEndpoint::new`](fbs_core::FbsEndpoint::new) with the mapping's
+    /// configuration in place of the endpoint's: the FBS configuration
+    /// is `cfg.fbs`. `mkd` moves into the shared [`KeyingService`], and
+    /// each shard gets its own [`FlowCodec`](fbs_core::FlowCodec) and
+    /// full-geometry table slices, under one of `workers` owners. `seed`
+    /// is the host's: mixed with the local address it seeds the
+    /// confounder streams and randomises the sfl counters' initial
+    /// values (§5.3). Starts no thread.
+    pub fn new(
+        local: Principal,
+        cfg: IpMappingConfig,
+        clock: Arc<dyn Clock>,
+        seed: u64,
+        mkd: MasterKeyDaemon,
+    ) -> Self {
         let mut cfg = cfg;
         let n = cfg.shards.max(1).next_power_of_two();
         cfg.shards = n;
         let workers = cfg.workers.clamp(1, n);
         cfg.workers = workers;
         let budget_bytes = cfg.shard_budget_bytes;
-        let keying = KeyingService::new(mkd, ep_cfg.mkc_slots, n);
+        let fbs = cfg.fbs.clone();
+        let keying = KeyingService::new(mkd, fbs.mkc_slots, n);
+        // The local address as a big-endian integer: hosts built from
+        // one seed draw distinct confounders and sfls.
+        let addr = local
+            .as_bytes()
+            .iter()
+            .fold(0u64, |h, &b| h << 8 | b as u64);
         let mut shared = HookShared {
             keying,
             local,
             clock,
-            ep_cfg,
-            codec_seed: seed,
-            sfl_seed,
+            fbs,
+            codec_seed: seed ^ (addr << 16) ^ 0x5DEECE66D,
+            sfl_seed: seed.rotate_left(17) ^ addr,
             cfg: Published::new(cfg),
             blocks: (0..workers).map(|_| Arc::default()).collect(),
             quarantined: (0..workers).map(|_| AtomicBool::new(false)).collect(),
@@ -335,7 +352,8 @@ impl FbsIpHooks {
     /// flight batches finish under the snapshot they loaded; the next
     /// batch sees the new one. Only policy-ish fields take effect —
     /// geometry (`shards`, `workers`, `fst_size`, cache
-    /// dimensions, park capacity) is fixed at construction.
+    /// dimensions, park capacity) and the FBS configuration `fbs` are
+    /// read once, at construction.
     pub fn update_config(&self, mutate: impl FnOnce(&mut IpMappingConfig)) {
         let mut next = (*self.shared.cfg.load()).clone();
         mutate(&mut next);
@@ -562,11 +580,11 @@ impl SecurityHooks for FbsIpHooks {
     }
 
     /// Worst-case payload growth: the security flow header exactly as
-    /// the codecs frame it — from the *endpoint's* configuration, the
-    /// one they were built from — and up to 7 bytes of DES block padding.
+    /// the codecs frame it — from the construction-time `cfg.fbs` they
+    /// were built from — and up to 7 bytes of DES block padding.
     fn max_overhead(&self) -> usize {
         let padding = if self.shared.cfg.load().encrypt { 7 } else { 0 };
-        self.shared.ep_cfg.wire_header_len() + padding
+        self.shared.fbs.wire_header_len() + padding
     }
 
     /// The single processing entry point (the scalar `output`/`input`

@@ -51,17 +51,8 @@ impl World {
     /// Hooks for `addr` on a caller-supplied clock (no stack behind
     /// them): the fault tests' seam into the middle of an item.
     fn host_on(&self, addr: Ipv4Addr, cfg: IpMappingConfig, clock: Arc<dyn Clock>) -> FbsIpHooks {
-        let fbs = cfg.fbs.clone();
-        let endpoint = crate::host::build_endpoint(
-            addr,
-            fbs,
-            clock,
-            &self.group,
-            &self.ca,
-            &self.directory,
-            42,
-        );
-        FbsIpHooks::new(endpoint, cfg, 42)
+        let mkd = crate::host::build_mkd(addr, &clock, &self.group, &self.ca, &self.directory, 42);
+        FbsIpHooks::new(Principal::from_ipv4(addr), cfg, clock, 42, mkd)
     }
 }
 
@@ -202,7 +193,7 @@ fn fail_open_input_admits_only_unframed_datagrams() {
 }
 
 /// Hooks for every row of the suite × MAC × truncation × encrypt grid,
-/// then one row off its diagonal, each with its name.
+/// each with its name.
 fn for_each_config(world: &World, mut check: impl FnMut(FbsIpHooks, String)) {
     use fbs_crypto::MacAlgorithm;
     for suite in CipherSuite::ALL {
@@ -235,26 +226,6 @@ fn for_each_config(world: &World, mut check: impl FnMut(FbsIpHooks, String)) {
             }
         }
     }
-    // One more row, off the grid's diagonal: `FbsIpHooks::new` is
-    // public, so the endpoint's configuration (a 20-byte MAC) and
-    // the mapping's `cfg.fbs` (the 16-byte default) can differ. The
-    // codecs frame with the endpoint's; the reservation must too.
-    let endpoint = crate::host::build_endpoint(
-        A,
-        FbsConfig {
-            mac_alg: MacAlgorithm::HmacSha1,
-            ..FbsConfig::default()
-        },
-        Arc::new(world.clock.clone()),
-        &world.group,
-        &world.ca,
-        &world.directory,
-        42,
-    );
-    check(
-        FbsIpHooks::new(endpoint, IpMappingConfig::default(), 42),
-        "endpoint HmacSha1, mapping default".into(),
-    );
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use crate::hooks::{FbsIpHooks, IpMappingConfig};
 use fbs_cert::{CertificateAuthority, Directory, Pvc};
-use fbs_core::{Clock, FbsConfig, FbsEndpoint, ManualClock, MasterKeyDaemon, Principal};
+use fbs_core::{Clock, ManualClock, MasterKeyDaemon, Principal};
 use fbs_crypto::dh::{DhGroup, PrivateValue};
 use fbs_net::ip::Ipv4Addr;
 use fbs_net::segment::Impairments;
@@ -18,18 +18,17 @@ use std::time::Duration;
 /// Default MTU (Ethernet).
 pub const DEFAULT_MTU: usize = 1500;
 
-/// The keying half of a secure host: private value, published
-/// certificate, PVC, MKD, and the endpoint configured from `fbs`.
-pub(crate) fn build_endpoint(
+/// The keying half of a secure host: its private value (from `seed` and
+/// the address), its certificate published in `directory`, and the MKD
+/// that fetches peers' certificates through a PVC.
+pub(crate) fn build_mkd(
     addr: Ipv4Addr,
-    fbs: FbsConfig,
-    clock: Arc<dyn Clock>,
+    clock: &Arc<dyn Clock>,
     group: &DhGroup,
     ca: &CertificateAuthority,
     directory: &Arc<Directory>,
     seed: u64,
-) -> FbsEndpoint {
-    let principal = Principal::from_ipv4(addr);
+) -> MasterKeyDaemon {
     // Per-host entropy: seed ⊕ address. A real deployment would use OS
     // entropy; the simulation needs reproducibility.
     let mut entropy = seed.to_be_bytes().to_vec();
@@ -38,32 +37,22 @@ pub(crate) fn build_endpoint(
     let private = PrivateValue::from_entropy(group.clone(), &entropy);
 
     // Publish this host's certificate.
-    let cert = ca.issue(principal.clone(), private.public_value(), 0, u64::MAX / 2);
+    let principal = Principal::from_ipv4(addr);
+    let cert = ca.issue(principal, private.public_value(), 0, u64::MAX / 2);
     directory.publish(cert);
 
-    // PVC → MKD → endpoint.
+    // PVC → MKD.
     let pvc = Pvc::new(
         32,
         Arc::clone(directory) as Arc<dyn fbs_cert::CertSource>,
         ca.verifier(),
-        Arc::clone(&clock),
+        Arc::clone(clock),
     );
-    let mkd = MasterKeyDaemon::new(private, Box::new(pvc));
-    FbsEndpoint::new(
-        principal,
-        fbs,
-        clock,
-        seed ^ (addr_hash(addr) << 16) ^ 0x5DEECE66D,
-        mkd,
-    )
+    MasterKeyDaemon::new(private, Box::new(pvc))
 }
 
-fn addr_hash(addr: Ipv4Addr) -> u64 {
-    u32::from_be_bytes(addr) as u64
-}
-
-/// Build one secure host: private value, certificate, PVC, MKD, endpoint,
-/// hooks, stack. Returns the host (hooks installed) and a hooks handle for
+/// Build one secure host: private value, certificate, PVC, MKD, hooks,
+/// stack. Returns the host (hooks installed) and a hooks handle for
 /// statistics.
 #[allow(clippy::too_many_arguments)]
 pub fn build_secure_host(
@@ -76,9 +65,9 @@ pub fn build_secure_host(
     directory: &Arc<Directory>,
     seed: u64,
 ) -> (Host, FbsIpHooks) {
-    let fbs = cfg.fbs.clone();
-    let endpoint = build_endpoint(addr, fbs, Arc::new(clock), group, ca, directory, seed);
-    let hooks = FbsIpHooks::new(endpoint, cfg, seed.rotate_left(17) ^ addr_hash(addr));
+    let clock: Arc<dyn Clock> = Arc::new(clock);
+    let mkd = build_mkd(addr, &clock, group, ca, directory, seed);
+    let hooks = FbsIpHooks::new(Principal::from_ipv4(addr), cfg, clock, seed, mkd);
 
     let mut host = Host::new(addr, mtu);
     host.install_hooks(Box::new(hooks.clone()));
