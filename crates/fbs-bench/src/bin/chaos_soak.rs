@@ -1,7 +1,7 @@
 //! Chaos soak harness — emits `BENCH_chaos.json`.
 //!
 //! `cargo run --release -p fbs-bench --bin chaos_soak
-//!  [-- --seed <n>] [--short] [--out <path.json>] [--csv]
+//!  [-- --seed <n>] [--short] [--out <path.json>]
 //!  [--trace <path.json>] [--prom <path.prom>] [--deltas <path.json>]`
 //!
 //! Runs a scripted directory/MKD outage with cache-flush storms against a
@@ -20,7 +20,7 @@
 //! changed, scrape-style, instead of ever-growing absolutes.
 
 use fbs_bench::chaos::{self, SoakConfig};
-use fbs_bench::{emit, flag_value, write_artifact};
+use fbs_bench::{flag_value, table, write_artifact};
 
 fn main() {
     let seed: u64 = flag_value("--seed")
@@ -55,21 +55,24 @@ fn main() {
             format!("{:.1}", t.goodput_per_sec),
         ]
     };
-    emit(
-        &format!(
-            "chaos soak — seed={}, fault {} ms, parks out/in peak {}/{}",
-            report.cfg.seed,
-            report.cfg.fault_us / 1_000,
-            report.out_park.peak_depth,
-            report.in_park.peak_depth
-        ),
-        &["phase", "sent", "rejected", "delivered", "goodput/s"],
-        &[
-            row("baseline", &report.baseline),
-            row("fault", &report.fault),
-            row("settle", &report.settle),
-            row("recovery", &report.recovery),
-        ],
+    print!(
+        "{}",
+        table(
+            &format!(
+                "chaos soak — seed={}, fault {} ms, parks out/in peak {}/{}",
+                report.cfg.seed,
+                report.cfg.fault_us / 1_000,
+                report.out_park.peak_depth,
+                report.in_park.peak_depth
+            ),
+            &["phase", "sent", "rejected", "delivered", "goodput/s"],
+            &[
+                row("baseline", &report.baseline),
+                row("fault", &report.fault),
+                row("settle", &report.settle),
+                row("recovery", &report.recovery),
+            ],
+        )
     );
     println!(
         "\nrecovery ratio: {:.3} (threshold 0.9), breaker closed: {}, parked left: {:?}",

@@ -1,7 +1,7 @@
 //! Fast-path throughput bench — emits `BENCH_fastpath.json`.
 //!
 //! `cargo run --release -p fbs-bench --bin fastpath_bench
-//!  [-- <count>] [--payload <bytes>] [--des | --mac-only] [--out <path.json>] [--csv]`
+//!  [-- <count>] [--payload <bytes>] [--des | --mac-only] [--out <path.json>]`
 //!
 //! Default mode is NOP crypto — the paper's §7.3 device for isolating
 //! protocol-processing cost; `--des` or `--mac-only` run the mapping
@@ -13,7 +13,7 @@
 //! counted by the binaries' shared counting global allocator.
 
 use fbs_bench::fastpath;
-use fbs_bench::{arg_num, emit, flag_value, write_artifact};
+use fbs_bench::{arg_num, flag_value, table, write_artifact};
 
 #[path = "shared/counting_alloc.rs"]
 mod counting_alloc;
@@ -78,16 +78,19 @@ fn main() {
             .concat(),
         );
     }
-    emit(
-        &format!(
-            "fast path — {} B payloads × {}, mode={}, cpus={}",
-            report.payload_bytes,
-            report.count,
-            report.mode.name(),
-            report.cpus
-        ),
-        &["path", "dgrams/s", "MB/s", "allocs/dgram"],
-        &rows,
+    print!(
+        "{}",
+        table(
+            &format!(
+                "fast path — {} B payloads × {}, mode={}, cpus={}",
+                report.payload_bytes,
+                report.count,
+                report.mode.name(),
+                report.cpus
+            ),
+            &["path", "dgrams/s", "MB/s", "allocs/dgram"],
+            &rows,
+        )
     );
     println!(
         "\nsharding cost (mapping 1t sharded vs unsharded): {:.2}x",

@@ -1,7 +1,7 @@
 //! Million-flow scale bench — emits `BENCH_scale.json`.
 //!
 //! `cargo run --release -p fbs-bench --bin scale_bench
-//!  [-- <top_capacity>] [--out <path.json>] [--csv]`
+//!  [-- <top_capacity>] [--out <path.json>]`
 //!
 //! Sweeps the open-addressed soft-state table from 16 k to
 //! `<top_capacity>` entries (default 2^20) under one streamed
@@ -10,7 +10,7 @@
 //! binaries' shared counting global allocator.
 
 use fbs_bench::scale::{self, ScaleReport};
-use fbs_bench::{arg_num, emit, flag_value, write_artifact};
+use fbs_bench::{arg_num, flag_value, table, write_artifact};
 
 #[path = "shared/counting_alloc.rs"]
 mod counting_alloc;
@@ -44,19 +44,22 @@ fn main() {
             ]
         })
         .collect();
-    emit(
-        "BENCH_scale: soft-state residency curve",
-        &[
-            "row",
-            "capacity",
-            "resident",
-            "miss_ratio",
-            "dgrams/s",
-            "B/flow",
-            "evictions",
-            "allocs/dgram",
-        ],
-        &rows,
+    print!(
+        "{}",
+        table(
+            "BENCH_scale: soft-state residency curve",
+            &[
+                "row",
+                "capacity",
+                "resident",
+                "miss_ratio",
+                "dgrams/s",
+                "B/flow",
+                "evictions",
+                "allocs/dgram",
+            ],
+            &rows,
+        )
     );
     write_artifact(&out, "report", &report.to_json());
 }

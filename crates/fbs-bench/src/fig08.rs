@@ -17,9 +17,11 @@
 //!    reproduces the paper's shape (GENERIC ≈ NOP ≫ DES+MD5).
 
 use crate::endpoints::{endpoint_pair, principals};
+use crate::{table, Figure};
 use fbs_core::{Datagram, FbsConfig};
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::{des, keyed_digest, md5, Des, DesMode};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Measured rate of one primitive in kB/s.
@@ -69,16 +71,6 @@ impl Variant {
             Variant::FbsDesMd5 => "FBS DES+MD5",
         }
     }
-
-    /// All variants, GENERIC first.
-    pub fn all() -> [Variant; 4] {
-        [
-            Variant::Generic,
-            Variant::FbsNop,
-            Variant::FbsMd5,
-            Variant::FbsDesMd5,
-        ]
-    }
 }
 
 /// Measured protocol-processing rate in kb/s of payload. With
@@ -88,14 +80,12 @@ impl Variant {
 /// one side's per-byte cost. With `one_way = false`, the receive path is
 /// timed too (the single-CPU end-to-end cost).
 pub fn processing_rate_kbps(variant: Variant, payload: usize, count: usize, one_way: bool) -> f64 {
-    let body = vec![0xA5u8; payload];
-    let (s, d) = principals();
-    let start;
-    match variant {
+    let cfg = match variant {
         Variant::Generic => {
             // Stack pass-through: a copy stands in for the non-FBS data
             // movement.
-            start = Instant::now();
+            let body = vec![0xA5u8; payload];
+            let start = Instant::now();
             let mut sink = 0u64;
             for _ in 0..count {
                 let tx: Vec<u8> = body.clone();
@@ -106,37 +96,56 @@ pub fn processing_rate_kbps(variant: Variant, payload: usize, count: usize, one_
                 }
             }
             assert!(sink > 0 || payload == 0);
+            return kbps(count * payload, start);
         }
-        _ => {
-            let cfg = match variant {
-                Variant::FbsNop => FbsConfig {
-                    nop_crypto: true,
-                    ..FbsConfig::default()
-                },
-                _ => FbsConfig::default(),
-            };
-            let secret = variant == Variant::FbsDesMd5;
-            let (mut tx, mut rx, _) = endpoint_pair(cfg, DhGroup::oakley1());
-            // Warm the key caches (the steady state Fig. 8 measures).
-            let pd = tx
-                .send(1, Datagram::new(s.clone(), d.clone(), body.clone()), secret)
-                .unwrap();
+        Variant::FbsNop => FbsConfig {
+            nop_crypto: true,
+            ..FbsConfig::default()
+        },
+        _ => FbsConfig::default(),
+    };
+    let secret = variant == Variant::FbsDesMd5;
+    endpoint_rate_kbps(cfg, secret, payload, count, one_way, None)
+}
+
+/// [`processing_rate_kbps`] through an endpoint pair under `cfg`, after
+/// one datagram warms the key caches (the steady state Fig. 8 measures);
+/// both endpoints report to `obs` when given.
+fn endpoint_rate_kbps(
+    cfg: FbsConfig,
+    secret: bool,
+    payload: usize,
+    count: usize,
+    one_way: bool,
+    obs: Option<&Arc<fbs_obs::MetricsRegistry>>,
+) -> f64 {
+    let body = vec![0xA5u8; payload];
+    let (s, d) = principals();
+    let (mut tx, mut rx, _) = endpoint_pair(cfg, DhGroup::oakley1());
+    if let Some(reg) = obs {
+        tx.attach_obs(Arc::clone(reg));
+        rx.attach_obs(Arc::clone(reg));
+    }
+    let mut send = || {
+        tx.send(1, Datagram::new(s.clone(), d.clone(), body.clone()), secret)
+            .unwrap()
+    };
+    rx.receive(send()).unwrap();
+    let start = Instant::now();
+    for _ in 0..count {
+        let pd = send();
+        if one_way {
+            std::hint::black_box(&pd);
+        } else {
             rx.receive(pd).unwrap();
-            start = Instant::now();
-            for _ in 0..count {
-                let pd = tx
-                    .send(1, Datagram::new(s.clone(), d.clone(), body.clone()), secret)
-                    .unwrap();
-                if one_way {
-                    std::hint::black_box(&pd);
-                } else {
-                    rx.receive(pd).unwrap();
-                }
-            }
         }
     }
-    let secs = start.elapsed().as_secs_f64();
-    (count * payload) as f64 * 8.0 / 1000.0 / secs
+    kbps(count * payload, start)
+}
+
+/// Payload kb/s for `bytes` moved since `start`.
+fn kbps(bytes: usize, start: Instant) -> f64 {
+    bytes as f64 * 8.0 / 1000.0 / start.elapsed().as_secs_f64()
 }
 
 /// One-way protocol-processing rate per cipher suite (kb/s of payload):
@@ -144,32 +153,18 @@ pub fn processing_rate_kbps(variant: Variant, payload: usize, count: usize, one_
 /// profile, so the fast DES-CTR and AEAD planes read side by side with
 /// the paper-faithful DES+MD5 one. Returns `(suite name, kb/s)` rows in
 /// `CipherSuite::ALL` order.
+///
+/// [`CipherSuite`]: fbs_crypto::CipherSuite
 pub fn suite_rows_kbps(payload: usize, count: usize) -> Vec<(&'static str, f64)> {
-    use fbs_crypto::CipherSuite;
-    let body = vec![0xA5u8; payload];
-    let (s, d) = principals();
-    CipherSuite::ALL
+    fbs_crypto::CipherSuite::ALL
         .iter()
         .map(|&suite| {
             let cfg = FbsConfig {
                 suite,
                 ..FbsConfig::default()
             };
-            let (mut tx, mut rx, _) = endpoint_pair(cfg, DhGroup::oakley1());
-            // Warm the key caches, as the variant rows do.
-            let pd = tx
-                .send(1, Datagram::new(s.clone(), d.clone(), body.clone()), true)
-                .unwrap();
-            rx.receive(pd).unwrap();
-            let start = Instant::now();
-            for _ in 0..count {
-                let pd = tx
-                    .send(1, Datagram::new(s.clone(), d.clone(), body.clone()), true)
-                    .unwrap();
-                std::hint::black_box(&pd);
-            }
-            let secs = start.elapsed().as_secs_f64();
-            (suite.name(), (count * payload) as f64 * 8.0 / 1000.0 / secs)
+            let rate = endpoint_rate_kbps(cfg, true, payload, count, true, None);
+            (suite.name(), rate)
         })
         .collect()
 }
@@ -214,7 +209,8 @@ pub fn fig08_rows(payload: usize, count: usize) -> Vec<Fig08Row> {
     let des_speedup = des_kbs / PAPER_DES_KBS;
     let md5_speedup = md5_kbs / PAPER_MD5_KBS;
 
-    Variant::all()
+    use Variant::*;
+    [Generic, FbsNop, FbsMd5, FbsDesMd5]
         .into_iter()
         .map(|v| {
             // One-way rate: the testbed pipelines sender and receiver.
@@ -252,25 +248,105 @@ fn scale_rate(rate_kbps: f64, speedup: f64) -> f64 {
 }
 
 /// Re-run a small DES+MD5 exchange with a live [`fbs_obs::MetricsRegistry`]
-/// attached to both endpoints and return its snapshot — the `--metrics`
-/// output of the Fig. 8 binary. Run separately from the timed loops so
-/// instrumentation cannot skew the reported rates.
+/// attached to both endpoints and return its snapshot — Fig. 8's
+/// metrics.
 pub fn instrumented_snapshot(payload: usize, count: usize) -> fbs_obs::MetricsSnapshot {
-    use std::sync::Arc;
-
-    let (s, d) = principals();
-    let (mut tx, mut rx, _) = endpoint_pair(FbsConfig::default(), DhGroup::oakley1());
     let reg = Arc::new(fbs_obs::MetricsRegistry::new());
-    tx.attach_obs(Arc::clone(&reg));
-    rx.attach_obs(Arc::clone(&reg));
-    let body = vec![0xA5u8; payload];
-    for _ in 0..count {
-        let pd = tx
-            .send(1, Datagram::new(s.clone(), d.clone(), body.clone()), true)
-            .unwrap();
-        rx.receive(pd).unwrap();
-    }
+    let cfg = FbsConfig::default();
+    endpoint_rate_kbps(cfg, true, payload, count, false, Some(&reg));
     reg.snapshot()
+}
+
+/// Fig. 8 at `count` datagrams per variant: the primitive calibration,
+/// the throughput emulation and the cipher-suite column. Its metrics come
+/// from an instrumented exchange run after the timed loops, so
+/// instrumentation cannot skew the rates.
+pub fn render(count: u64) -> Figure {
+    let count = count as usize;
+    let mut text = String::new();
+
+    // Layer 1: primitive calibration vs CryptoLib on the Pentium 133.
+    let rows: Vec<Vec<String>> = [
+        ("des-cbc", 8, PAPER_DES_KBS),
+        ("md5", 32, PAPER_MD5_KBS),
+        ("keyed-md5", 32, PAPER_MD5_KBS),
+    ]
+    .into_iter()
+    .map(|(name, mb, paper)| {
+        let (_, rate) = primitive_rate_kbs(name, mb);
+        vec![
+            name.to_string(),
+            format!("{rate:.0}"),
+            format!("{paper:.0}"),
+            format!("{:.0}x", rate / paper),
+        ]
+    })
+    .collect();
+    text += &table(
+        "primitive rates (kB/s) — ours vs CryptoLib on Pentium 133 (§7.2)",
+        &["primitive", "ours kB/s", "paper kB/s", "speedup"],
+        &rows,
+    );
+    text += "\n";
+
+    // Layers 2+3: the Fig. 8 emulation.
+    let rows: Vec<Vec<String>> = fig08_rows(8192, count)
+        .into_iter()
+        .map(|r| {
+            let paper = match r.variant {
+                "GENERIC" | "FBS NOP" => format!("{PAPER_GENERIC_KBPS:.0}"),
+                "FBS DES+MD5" => format!("{PAPER_DESMD5_KBPS:.0}"),
+                _ => "-".into(),
+            };
+            vec![
+                r.variant.to_string(),
+                format!("{:.0}", r.native_kbps),
+                format!("{:.0}", r.native_at_line),
+                format!("{:.0}", r.scaled_at_line),
+                paper,
+            ]
+        })
+        .collect();
+    text += &table(
+        "Fig. 8 — throughput (kb/s), 8 KB datagrams\n\
+         native = protocol processing on this CPU; @10Mb/s = capped at the\n\
+         paper's line rate; scaled = crypto slowed to CryptoLib/P133 rates",
+        &[
+            "variant",
+            "native kb/s",
+            "native@10Mb/s",
+            "scaled@10Mb/s",
+            "paper kb/s",
+        ],
+        &rows,
+    );
+    text += "\nshape check: GENERIC ≈ FBS NOP at line rate, FBS DES+MD5 crypto-bound\n\
+             well below it — the paper saw 7700 → 3400 kb/s.\n\n";
+
+    // Cipher-suite column: the secret-mode row re-measured per profile.
+    let suites = suite_rows_kbps(8192, count);
+    let paper_kbps = suites[0].1; // `CipherSuite::ALL` starts with the paper suite
+    let rows: Vec<Vec<String>> = suites
+        .iter()
+        .map(|(name, kbps)| {
+            vec![
+                name.to_string(),
+                format!("{kbps:.0}"),
+                format!("{:.2}x", kbps / paper_kbps),
+            ]
+        })
+        .collect();
+    text += &table(
+        "cipher suites — secret-mode one-way rate per profile, 8 KB datagrams\n\
+         paper = DES-CBC + keyed-MD5 (bit-identical wire format); fast_des =\n\
+         word-sliced DES-CTR + truncated MAC; aead = ChaCha20-Poly1305",
+        &["suite", "native kb/s", "vs paper"],
+        &rows,
+    );
+    Figure {
+        text,
+        metrics: instrumented_snapshot(8192, count.min(64)),
+    }
 }
 
 #[cfg(test)]

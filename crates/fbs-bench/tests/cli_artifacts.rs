@@ -1,5 +1,5 @@
 //! End-to-end checks of the bench/figure binaries' artifact flags:
-//! `--metrics` on the figure binaries, and `--trace`/`--prom` on the
+//! `--metrics` on `repro`, and `--trace`/`--prom` on the
 //! chaos soak — exercising the files they write, not just flag parsing.
 
 use std::path::PathBuf;
@@ -32,21 +32,23 @@ fn values_of(text: &str, key: &str) -> Vec<u64> {
 }
 
 #[test]
-fn fig11_metrics_flag_writes_parseable_snapshot() {
-    let path = tmp("fig11_metrics.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig11_cache_miss"))
-        .args(["2", "--metrics", path.to_str().unwrap()])
+fn repro_metrics_flag_writes_parseable_snapshot() {
+    // Fig. 12 is the cheapest figure in a debug build.
+    let path = tmp("fig12_metrics.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig12", "--metrics", path.to_str().unwrap()])
         .output()
-        .expect("fig11 runs");
+        .expect("repro runs");
     assert!(
         out.status.success(),
-        "fig11 failed: {}",
+        "repro failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("# figure: fig12"));
     let text = std::fs::read_to_string(&path).expect("metrics file written");
     assert!(text.starts_with('{'));
     assert!(text.contains("\"counters\""));
-    assert!(text.contains("cache.tfkc.hits"));
+    assert!(text.contains("fam.flows_started"));
     balanced(&text);
 }
 

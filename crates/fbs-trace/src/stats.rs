@@ -178,17 +178,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Render rows as CSV (for `--csv` output of the figure binaries).
-pub fn render_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = headers.join(",");
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,11 +245,5 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("name"));
         assert!(lines[3].ends_with("12345"));
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let c = render_csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(c, "a,b\n1,2\n");
     }
 }

@@ -128,6 +128,6 @@ fn main() {
         "\nThe virtual medium caps goodput near 10 Mb/s minus header overhead;\n\
          the host-CPU column shows the crypto cost separating the variants\n\
          (the paper's Pentium-133 saw 7700 → 3400 kb/s with DES+MD5).\n\
-         See fbs-bench fig08_throughput for the calibrated reproduction."
+         See `repro fig08` (fbs-bench) for the calibrated reproduction."
     );
 }
