@@ -521,8 +521,9 @@ pub fn run_soak(cfg: SoakConfig, trace_rate_log2: Option<u32>) -> SoakOutput {
     );
     // Events (breaker transitions in particular) are stamped with the
     // virtual clock, so the flight recorder and trace annotations are
-    // deterministic per seed. The ring is sized for the whole run (a
-    // few events per datagram sent) so the recorder keeps full history
+    // deterministic per seed. The ring is sized for the whole run (16
+    // slots per send interval, far above the parks, breaker moves and
+    // retries a soak's faults cause) so the recorder keeps full history
     // and a healthy soak reports zero dropped events.
     let total_us = cfg.baseline_us + cfg.fault_us + cfg.settle_us + cfg.recovery_us;
     let event_capacity =

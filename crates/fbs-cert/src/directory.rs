@@ -4,8 +4,8 @@
 //! Fetch requests "should not and need not be secure" (§5.3): they bypass
 //! FBS to avoid circularity, and certificates are verified on receipt.
 //! Fetches cost a network round trip; the directory accounts one simulated
-//! RTT per fetch (and can optionally really sleep, for live demos), which
-//! is the quantity the §5.3 cache analysis calls "extremely expensive".
+//! RTT per fetch, which is the quantity the §5.3 cache analysis calls
+//! "extremely expensive".
 
 use crate::authority::Certificate;
 use fbs_core::{FbsError, Principal, Result};
@@ -49,12 +49,9 @@ struct Inner {
 /// An in-process certificate directory with simulated fetch latency.
 pub struct Directory {
     inner: Mutex<Inner>,
-    /// Simulated per-fetch round-trip time.
+    /// Simulated per-fetch round-trip time, accounted in the stats,
+    /// never slept.
     rtt: Duration,
-    /// When true, fetches actually sleep for `rtt` (live demos); when
-    /// false, the RTT is only accounted in the stats (benchmarks and
-    /// simulation use the accounted value).
-    real_sleep: bool,
 }
 
 impl Directory {
@@ -66,14 +63,7 @@ impl Directory {
                 stats: DirectoryStats::default(),
             }),
             rtt,
-            real_sleep: false,
         }
-    }
-
-    /// Make fetches really sleep for the configured RTT.
-    pub fn with_real_latency(mut self) -> Self {
-        self.real_sleep = true;
-        self
     }
 
     /// Publish (or replace) a certificate.
@@ -89,22 +79,16 @@ impl Directory {
 
     /// Fetch the certificate for `principal`, charging one RTT.
     pub fn fetch(&self, principal: &Principal) -> Result<Certificate> {
-        let result = {
-            let mut inner = self.inner.lock();
-            inner.stats.fetches += 1;
-            inner.stats.simulated_rtt_us += self.rtt.as_micros() as u64;
-            match inner.certs.get(principal) {
-                Some(c) => Ok(c.clone()),
-                None => {
-                    inner.stats.not_found += 1;
-                    Err(FbsError::PrincipalUnknown(principal.to_string()))
-                }
+        let mut inner = self.inner.lock();
+        inner.stats.fetches += 1;
+        inner.stats.simulated_rtt_us += self.rtt.as_micros() as u64;
+        match inner.certs.get(principal) {
+            Some(c) => Ok(c.clone()),
+            None => {
+                inner.stats.not_found += 1;
+                Err(FbsError::PrincipalUnknown(principal.to_string()))
             }
-        };
-        if self.real_sleep {
-            std::thread::sleep(self.rtt);
         }
-        result
     }
 
     /// Accumulated statistics.

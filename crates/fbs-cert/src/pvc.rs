@@ -2,10 +2,10 @@
 //!
 //! The PVC caches *certificates*, not bare public values, so the cache
 //! itself need not be secure: every certificate is re-verified each time
-//! it is used. Misses fetch from the [`Directory`] through the secure-flow
-//! bypass. "The minimum size of PVC should be at least the average number
-//! of correspondent principals that a principal can concurrently
-//! communicate with."
+//! it is used. Misses fetch from the [`Directory`](crate::Directory)
+//! through the secure-flow bypass. "The minimum size of PVC should be at
+//! least the average number of correspondent principals that a principal
+//! can concurrently communicate with."
 //!
 //! [`Pvc`] implements [`fbs_core::PublicValueSource`], so it slots
 //! directly under the master key daemon: MKC miss → MKD upcall → PVC →
@@ -105,8 +105,7 @@ impl Pvc {
     }
 
     /// Attach a metrics registry: it reads the certificate cache's
-    /// counts under [`CacheKind::Pvc`], lookups emit
-    /// [`fbs_obs::Event::CacheLookup`], and fetch retries and per-use
+    /// counts under [`CacheKind::Pvc`], and fetch retries and per-use
     /// verification failures bump the registry's `retry.*` and
     /// [`Counter::PvcVerifyFailures`] counters.
     pub fn attach_obs(&self, registry: Arc<MetricsRegistry>) {

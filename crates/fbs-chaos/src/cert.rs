@@ -1,9 +1,8 @@
 //! Fault-injecting certificate-directory wrapper.
 //!
 //! [`ChaosDirectory`] sits between the PVC and the real
-//! [`Directory`](fbs_cert::Directory) behind the
-//! [`CertSource`](fbs_cert::CertSource) seam, consulting a
-//! [`FaultPlan`] at each fetch:
+//! [`Directory`](fbs_cert::Directory) behind the [`CertSource`] seam,
+//! consulting a [`FaultPlan`] at each fetch:
 //!
 //! * **outage** — the fetch fails with a transport error;
 //! * **latency** — extra RTT is accounted against the fetch;

@@ -48,7 +48,7 @@
 //! soft state makes that always safe).
 
 use crate::mem::{BudgetKind, MemoryBudget};
-use fbs_obs::{CacheKind, CacheOutcome, CounterBlock, Event, MetricsRegistry};
+use fbs_obs::{CacheKind, CacheOutcome, CounterBlock, MetricsRegistry};
 use std::collections::HashSet;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -289,9 +289,6 @@ pub struct SoftCache<K, V> {
     /// collision discrimination. `None` disables classification (all
     /// non-cold misses count as capacity) and avoids its overhead.
     classifier: Option<Classifier<K>>,
-    /// Optional metrics registry for lookup events. `None` (the
-    /// default) keeps lookups observation-free.
-    obs: Option<Arc<MetricsRegistry>>,
     /// Optional memory budget: `(ledger, kind, bytes charged per
     /// resident entry)`.
     budget: Option<(MemoryBudget, BudgetKind, u64)>,
@@ -337,7 +334,6 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             counts: Arc::new(CounterBlock::new()),
             kind: CacheKind::Tfkc,
             classifier: None,
-            obs: None,
             budget: None,
         }
     }
@@ -352,13 +348,12 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     }
 
     /// Attach a metrics registry: the registry reads this cache's block
-    /// (counted under `kind`, named before the first lookup), and
-    /// lookups emit [`Event::CacheLookup`]. Resident bytes are the
-    /// budget's ledger, which whoever owns the budget reports.
+    /// (counted under `kind`, named before the first lookup), where every
+    /// lookup is already counted. Resident bytes are the budget's ledger,
+    /// which whoever owns the budget reports.
     pub fn set_obs(&mut self, registry: Arc<MetricsRegistry>, kind: CacheKind) {
         self.kind = kind;
         registry.attach(Arc::clone(&self.counts));
-        self.obs = Some(registry);
     }
 
     /// Attach a [`MemoryBudget`]: every resident entry charges
@@ -506,19 +501,8 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             MissKind::Capacity => CacheOutcome::MissCapacity,
             MissKind::Collision => CacheOutcome::MissCollision,
         };
-        self.note_lookup(outcome);
-        kind
-    }
-
-    /// Count a lookup's outcome, and emit it when observed.
-    fn note_lookup(&self, outcome: CacheOutcome) {
         self.counts.cache_lookup(self.kind, outcome);
-        if let Some(reg) = &self.obs {
-            reg.record(Event::CacheLookup {
-                kind: self.kind,
-                outcome,
-            });
-        }
+        kind
     }
 
     fn classifier_note_hit(&mut self, key: &K) {
@@ -700,7 +684,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             self.record_probe(probed);
             self.table.used[slot] = tick;
             self.classifier_note_hit(key);
-            self.note_lookup(CacheOutcome::Hit);
+            self.counts.cache_lookup(self.kind, CacheOutcome::Hit);
             return Ok(slot);
         }
         // Not in the live table: check the un-migrated remainder of the
@@ -721,7 +705,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             self.record_probe(probed + old_probed);
             self.rehome(k, v, tick);
             self.classifier_note_hit(key);
-            self.note_lookup(CacheOutcome::Hit);
+            self.counts.cache_lookup(self.kind, CacheOutcome::Hit);
             // rehome() placed it in the live table; find it again (one
             // short window scan) to hand back its slot.
             let set = (h as usize) % self.table.sets;
@@ -1090,13 +1074,13 @@ mod tests {
         );
         assert_eq!(snap.counter("cache.tfkc.insertions"), s.insertions);
         assert_eq!(snap.counter("cache.tfkc.evictions"), s.evictions);
-        // The flight recorder saw every lookup.
-        let lookups = snap
-            .events
+        // Every lookup is a count; none is a flight-recorder event.
+        let lookups: u64 = ["hits", "cold_misses", "capacity_misses", "collision_misses"]
             .iter()
-            .filter(|e| matches!(e.event, Event::CacheLookup { .. }))
-            .count() as u64;
+            .map(|k| snap.counter(&format!("cache.tfkc.{k}")))
+            .sum();
         assert_eq!(lookups, s.lookups());
+        assert!(snap.events.is_empty());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::mkd::{MasterKeyDaemon, MkdStats};
 use crate::principal::Principal;
 use crate::protocol::FlowCodec;
 use fbs_crypto::crc32;
-use fbs_obs::{CacheKind, CounterBlock, Event, MetricsRegistry, Stage, StageTimer};
+use fbs_obs::{CacheKind, Counter, CounterBlock, Histogram, MetricsRegistry, Stage, StageTimer};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -254,8 +254,9 @@ impl KeyingService {
     /// `outbound`), sealed with the material `codec`'s suite reads so
     /// the per-datagram path never initialises lazily. The whole miss
     /// path — MKC probe, at most one MKD upcall, hash, seal — is one key
-    /// derivation: an [`Event::KeyDerivation`] and a [`Stage::KeyDerive`]
-    /// span in `codec`'s registry, if it has one.
+    /// derivation: a count of `endpoint.key_derivations`, a
+    /// `key_derivation_us` sample and a [`Stage::KeyDerive`] span in
+    /// `codec`'s registry, if it has one.
     pub fn derive(
         &self,
         codec: &FlowCodec,
@@ -275,9 +276,11 @@ impl KeyingService {
         let cfg = codec.config();
         let k = cfg.seal_key(derive_flow_key(cfg.key_derivation, sfl, &master, src, dst));
         if let (Some(reg), Some((t0, timer))) = (obs, t0) {
-            reg.record(Event::KeyDerivation {
-                micros: codec.clock().now_micros().saturating_sub(t0),
-            });
+            reg.incr(Counter::KeyDerivations);
+            reg.observe(
+                Histogram::KeyDerivationMicros,
+                codec.clock().now_micros().saturating_sub(t0),
+            );
             reg.observe_stage(Stage::KeyDerive, timer.elapsed_ns());
         }
         Ok(k)

@@ -9,10 +9,9 @@
 //! *sfl* — so no state synchronisation is needed between the two ends.
 
 use crate::sfl::SflAllocator;
-use fbs_obs::{Counter, Event, FlowStartKind, MetricsRegistry, MetricsSnapshot};
+use fbs_obs::MetricsSnapshot;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// One active flow in the flow state table (paper Fig. 7's `FSTEntry`,
 /// generalised over the attribute type).
@@ -148,8 +147,8 @@ pub struct FamStats {
 }
 
 impl FamStats {
-    /// Fold these counters into a snapshot under the `fam.*` names a live
-    /// [`MetricsRegistry`] uses.
+    /// Fold these counters into a snapshot under the `fam.*` names (the
+    /// figure simulators' export; no registry counts a FAM).
     pub fn contribute(&self, snap: &mut MetricsSnapshot) {
         snap.add("fam.classifications", self.classifications);
         snap.add("fam.joined_existing", self.joined_existing);
@@ -157,17 +156,6 @@ impl FamStats {
         snap.add("fam.collisions", self.collisions);
         snap.add("fam.repeated_flows", self.repeated_flows);
         snap.add("fam.swept", self.swept);
-    }
-}
-
-impl From<FlowStart> for FlowStartKind {
-    fn from(s: FlowStart) -> Self {
-        match s {
-            FlowStart::Existing => FlowStartKind::Existing,
-            FlowStart::Fresh => FlowStartKind::Fresh,
-            FlowStart::ReplacedExpired => FlowStartKind::ReplacedExpired,
-            FlowStart::Collision => FlowStartKind::Collision,
-        }
     }
 }
 
@@ -194,9 +182,6 @@ pub struct Fam<A, P> {
     history: Option<HashMap<A, u32>>,
     /// Finished-flow records for the §7.3 experiments; `None` disables.
     records: Option<Vec<FlowRecord>>,
-    /// Optional metrics registry; classifications and sweeps emit events
-    /// into it. `None` (the default) keeps the hot path observation-free.
-    obs: Option<Arc<MetricsRegistry>>,
 }
 
 impl<A: Clone + Eq + Hash, P: FlowPolicy<A>> Fam<A, P> {
@@ -214,14 +199,7 @@ impl<A: Clone + Eq + Hash, P: FlowPolicy<A>> Fam<A, P> {
             stats: FamStats::default(),
             history: None,
             records: None,
-            obs: None,
         }
-    }
-
-    /// Attach a metrics registry: every classification emits an
-    /// [`Event::FamClassify`] and sweeps feed `fam.swept`.
-    pub fn set_obs(&mut self, registry: Arc<MetricsRegistry>) {
-        self.obs = Some(registry);
     }
 
     /// Enable repeated-flow tracking (unbounded memory: one map entry per
@@ -264,16 +242,8 @@ impl<A: Clone + Eq + Hash, P: FlowPolicy<A>> Fam<A, P> {
                 e.packets += 1;
                 e.bytes += bytes;
                 self.stats.joined_existing += 1;
-                let sfl = e.sfl;
-                if let Some(reg) = &self.obs {
-                    reg.record(Event::FamClassify {
-                        sfl,
-                        start: FlowStartKind::Existing,
-                        repeated: false,
-                    });
-                }
                 return Classification {
-                    sfl,
+                    sfl: e.sfl,
                     start: FlowStart::Existing,
                     repeated: false,
                 };
@@ -316,13 +286,6 @@ impl<A: Clone + Eq + Hash, P: FlowPolicy<A>> Fam<A, P> {
             bytes,
         });
         self.stats.flows_started += 1;
-        if let Some(reg) = &self.obs {
-            reg.record(Event::FamClassify {
-                sfl,
-                start: start.into(),
-                repeated,
-            });
-        }
         Classification {
             sfl,
             start,
@@ -344,9 +307,6 @@ impl<A: Clone + Eq + Hash, P: FlowPolicy<A>> Fam<A, P> {
             }
         }
         self.stats.swept += removed as u64;
-        if let Some(reg) = &self.obs {
-            reg.add(Counter::FamSwept, removed as u64);
-        }
         removed
     }
 
@@ -570,10 +530,8 @@ mod tests {
     }
 
     #[test]
-    fn obs_registry_mirrors_fam_stats() {
-        let reg = Arc::new(MetricsRegistry::new());
+    fn contribute_reports_every_fam_count() {
         let mut f = fam(16, 600);
-        f.set_obs(Arc::clone(&reg));
         f.classify(1, 0, 10); // fresh
         f.classify(1, 10, 10); // existing
         f.classify(17, 20, 10); // collision with key 1
@@ -581,23 +539,13 @@ mod tests {
         f.classify(1, 1000, 10); // replaced-expired, repeated
         f.sweep(10_000);
 
-        let s = f.stats();
-        let mut from_stats = MetricsSnapshot::new();
-        s.contribute(&mut from_stats);
-        let live = reg.snapshot();
-        assert_eq!(from_stats.counters, live.counters);
-        assert_eq!(live.counter("fam.classifications"), 5);
-        assert_eq!(live.counter("fam.joined_existing"), 1);
-        assert_eq!(live.counter("fam.flows_started"), 4);
-        assert_eq!(live.counter("fam.collisions"), 2);
-        assert_eq!(live.counter("fam.repeated_flows"), 2);
-        assert_eq!(live.counter("fam.swept"), 1);
-        // One FamClassify event per classification in the recorder.
-        let classify_events = live
-            .events
-            .iter()
-            .filter(|e| matches!(e.event, Event::FamClassify { .. }))
-            .count();
-        assert_eq!(classify_events, 5);
+        let mut snap = MetricsSnapshot::new();
+        f.stats().contribute(&mut snap);
+        assert_eq!(snap.counter("fam.classifications"), 5);
+        assert_eq!(snap.counter("fam.joined_existing"), 1);
+        assert_eq!(snap.counter("fam.flows_started"), 4);
+        assert_eq!(snap.counter("fam.collisions"), 2);
+        assert_eq!(snap.counter("fam.repeated_flows"), 2);
+        assert_eq!(snap.counter("fam.swept"), 1);
     }
 }

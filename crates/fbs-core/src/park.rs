@@ -14,8 +14,9 @@
 //!
 //! The queue is FIFO and time-driven via caller-passed microsecond
 //! timestamps (no internal clock), so it is deterministic under
-//! simulated time. Counters live in [`ParkStats`]; flight-recorder
-//! events are emitted by the owner, which knows the registry.
+//! simulated time. Counters live in [`ParkStats`]; the park, release,
+//! expiry and overflow flight-recorder events are emitted by the owner,
+//! which knows the registry.
 
 use fbs_obs::MetricsSnapshot;
 use std::collections::VecDeque;

@@ -20,7 +20,7 @@ const INLINE_MAX: usize = 22;
 /// (`K_f = H(sfl | K_{S,D} | S | D)`), so two principals are "the same"
 /// exactly when their byte encodings are equal — equality, ordering, and
 /// hashing all delegate to [`Principal::as_bytes`]. Short identities
-/// (up to [`INLINE_MAX`] bytes, which covers the IP mapping's 4-byte
+/// (up to `INLINE_MAX` = 22 bytes, which covers the IP mapping's 4-byte
 /// host principals) are stored inline: the datagram fast path builds one
 /// per packet and clones it into flow-key cache IDs, and neither step
 /// may allocate. Longer identities fall back to a refcounted buffer, so

@@ -42,7 +42,7 @@ use fbs_crypto::des::{
 use fbs_crypto::mac::MAX_MAC_SIZE;
 use fbs_crypto::rng::Lcg64;
 use fbs_crypto::{mac_eq, CipherSuite, MacAlgorithm};
-use fbs_obs::{CacheKind, Counter, CounterBlock, Event, MetricsRegistry};
+use fbs_obs::{CacheKind, Counter, CounterBlock, Histogram, MetricsRegistry};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -365,7 +365,8 @@ impl FlowCodec {
     }
 
     /// Attach a metrics registry: it reads this codec's block, and the
-    /// codec emits datagram-path events into it.
+    /// codec adds its send and receive sizes and its key derivations to
+    /// the registry's own counts and histograms.
     pub fn set_obs(&mut self, registry: Arc<MetricsRegistry>) {
         registry.attach(Arc::clone(&self.counts));
         self.obs = Some(registry);
@@ -404,12 +405,6 @@ impl FlowCodec {
         let now_minutes = self.clock.now_minutes();
         if let Err(e) = self.cfg.freshness.check(timestamp, now_minutes) {
             self.counts.incr(Counter::ReplayDrops);
-            if let Some(reg) = &self.obs {
-                reg.record(Event::ReplayDrop {
-                    datagram_minutes: timestamp,
-                    now_minutes,
-                });
-            }
             return Err(e);
         }
         Ok(())
@@ -662,40 +657,30 @@ impl FlowCodec {
         }
     }
 
-    /// Malformed-frame accounting (count + event).
     fn note_malformed(&self) {
         self.counts.incr(Counter::MalformedDrops);
-        if let Some(reg) = &self.obs {
-            reg.record(Event::MalformedDrop);
-        }
     }
 
-    /// MAC-mismatch accounting (count + event).
     fn note_mac_drop(&self) {
         self.counts.incr(Counter::MacDrops);
-        if let Some(reg) = &self.obs {
-            reg.record(Event::MacDrop);
-        }
     }
 
-    /// Shared send-side accounting (counts + observation), identical
-    /// for the legacy and zero-copy paths.
+    /// Shared send-side accounting (counts, and the size histogram when
+    /// observed), identical for the legacy and zero-copy paths.
     fn note_sealed(&self, enc_alg: EncAlgorithm, plaintext_bytes: u64) {
         if enc_alg.is_secret() {
             self.counts.incr(Counter::Encryptions);
         }
         self.counts.incr(Counter::Sends);
         if let Some(reg) = &self.obs {
-            reg.record(Event::Send {
-                bytes: plaintext_bytes,
-            });
+            reg.observe(Histogram::SendBytes, plaintext_bytes);
         }
     }
 
     fn note_received(&self, bytes: u64) {
         self.counts.incr(Counter::Receives);
         if let Some(reg) = &self.obs {
-            reg.record(Event::Receive { bytes });
+            reg.observe(Histogram::ReceiveBytes, bytes);
         }
     }
 }
@@ -742,9 +727,8 @@ impl FbsEndpoint {
 
     /// Attach a metrics registry: it reads the endpoint's and the
     /// keying service's counter blocks (lifetime counts, pre-attach
-    /// included), the endpoint emits datagram-path events (send/receive,
-    /// drops, key-derivation latency), and its TFKC/RFKC emit lookups
-    /// under their own [`CacheKind`]s.
+    /// included; its TFKC/RFKC count under their own [`CacheKind`]s), and
+    /// the codec adds send/receive sizes and key-derivation latency.
     pub fn attach_obs(&mut self, registry: Arc<MetricsRegistry>) {
         self.tfkc.set_obs(Arc::clone(&registry), CacheKind::Tfkc);
         self.rfkc.set_obs(Arc::clone(&registry), CacheKind::Rfkc);
@@ -1576,11 +1560,8 @@ mod tests {
         assert_eq!(snap.counter("endpoint.replay_drops"), 1);
         assert!(snap.counter("endpoint.key_derivations") >= 3);
         assert!(snap.histograms.contains_key("key_derivation_us"));
-        // The replay drop is in the flight recorder with both timestamps.
-        assert!(snap
-            .events
-            .iter()
-            .any(|e| matches!(e.event, Event::ReplayDrop { .. })));
+        // Drops are counts: no datagram, dropped or not, writes history.
+        assert!(snap.events.is_empty());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! ChaCha20 stream cipher and Poly1305 one-time authenticator (RFC 8439).
 //!
-//! These are the modern-suite primitives behind [`CipherSuite::AeadChaPoly`]
-//! (crate root): the paper's algorithm-ID field (§5.2) explicitly anticipates
-//! deployments negotiating stronger algorithms than DES+MD5, and the fig08
-//! analysis identifies per-byte crypto cost as the throughput ceiling.
+//! These are the modern-suite primitives behind
+//! [`CipherSuite::AeadChaPoly`](crate::CipherSuite::AeadChaPoly): the
+//! paper's algorithm-ID field (§5.2) explicitly anticipates deployments
+//! negotiating stronger algorithms than DES+MD5, and the fig08 analysis
+//! identifies per-byte crypto cost as the throughput ceiling.
 //! ChaCha20-Poly1305 runs an order of magnitude faster per byte than
 //! DES+MD5 in portable scalar code, which is what raises that ceiling.
 //!

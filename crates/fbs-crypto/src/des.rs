@@ -336,7 +336,7 @@ impl Des {
     /// CTR keystream core. Each Feistel evaluation is eight dependent
     /// table loads, so four lanes leave load ports idle on wide
     /// out-of-order cores; eight independent chains keep them fed. The
-    /// scalar [`Des::crypt_block`] path is deliberately left on the
+    /// scalar `Des::crypt_block` path is deliberately left on the
     /// straightforward form.
     pub fn encrypt_blocks8(&self, blocks: &mut [u64; 8]) {
         Self::encrypt_blocks8_sk(&self.subkey_chunks(), blocks)

@@ -12,7 +12,7 @@
 use crate::tuple::FiveTuple;
 use fbs_core::{SealedFlowKey, SflAllocator};
 use fbs_crypto::crc32;
-use fbs_obs::{CacheKind, CacheOutcome, CounterBlock, Event, MetricsRegistry};
+use fbs_obs::{CacheKind, CacheOutcome, CounterBlock};
 use std::sync::Arc;
 
 /// One merged FST/TFKC entry: flow identity + its cached key.
@@ -59,7 +59,6 @@ pub struct CombinedTable {
     /// Where the counts go: a private block by default, or the
     /// endpoint's ([`with_counts`](Self::with_counts)).
     counts: Arc<CounterBlock>,
-    obs: Option<Arc<MetricsRegistry>>,
 }
 
 impl CombinedTable {
@@ -79,7 +78,6 @@ impl CombinedTable {
             threshold_secs,
             alloc,
             counts: Arc::new(CounterBlock::new()),
-            obs: None,
         }
     }
 
@@ -89,30 +87,6 @@ impl CombinedTable {
     pub fn with_counts(mut self, counts: Arc<CounterBlock>) -> Self {
         self.counts = counts;
         self
-    }
-
-    /// Attach a metrics registry: it reads this table's block, and
-    /// lookups emit [`Event::CacheLookup`] under [`CacheKind::Combined`].
-    pub fn set_obs(&mut self, registry: Arc<MetricsRegistry>) {
-        registry.attach(Arc::clone(&self.counts));
-        self.obs = Some(registry);
-    }
-
-    /// Count a lookup outcome, and emit it when observed. A plain miss
-    /// (no live entry displaced) is counted only under observation, as
-    /// the no-registry datapath always has: [`CombinedStats`] does not
-    /// read it.
-    fn note_lookup(&self, outcome: CacheOutcome) {
-        let observed = self.obs.as_ref();
-        if outcome != CacheOutcome::MissCold || observed.is_some() {
-            self.counts.cache_lookup(CacheKind::Combined, outcome);
-        }
-        if let Some(reg) = observed {
-            reg.record(Event::CacheLookup {
-                kind: CacheKind::Combined,
-                outcome,
-            });
-        }
     }
 
     fn slot_of(&self, tuple: &FiveTuple) -> usize {
@@ -132,7 +106,8 @@ impl CombinedTable {
         if let Some(e) = &self.slots[i] {
             let active = now_secs.saturating_sub(e.last_secs) <= self.threshold_secs;
             if active && e.tuple == *tuple {
-                self.note_lookup(CacheOutcome::Hit);
+                self.counts
+                    .cache_lookup(CacheKind::Combined, CacheOutcome::Hit);
                 let e = self.slots[i].as_mut().expect("matched above");
                 e.last_secs = now_secs;
                 return Some((e.sfl, &*e.key));
@@ -141,11 +116,14 @@ impl CombinedTable {
             // by hash collision (harmless for security, footnote 11).
             displaced_live = active;
         }
-        self.note_lookup(if displaced_live {
-            CacheOutcome::MissCollision
-        } else {
-            CacheOutcome::MissCold
-        });
+        self.counts.cache_lookup(
+            CacheKind::Combined,
+            if displaced_live {
+                CacheOutcome::MissCollision
+            } else {
+                CacheOutcome::MissCold
+            },
+        );
         None
     }
 

@@ -121,6 +121,17 @@ impl IpHookStats {
 /// the running owner's block; [`IpHookStats`] and an attached registry
 /// read the same cells.
 impl Pass<'_> {
+    /// A datagram entered the `dir` hook. Only an attached registry
+    /// counts entries: the blocks count verdicts.
+    pub(super) fn enter(&self, dir: Direction) {
+        if let Some(reg) = self.obs {
+            reg.incr(match dir {
+                Direction::Output => Counter::HookOutputEntries,
+                Direction::Input => Counter::HookInputEntries,
+            });
+        }
+    }
+
     /// A datagram left the `dir` hook with its final verdict.
     pub(super) fn exit(&self, dir: Direction, ok: bool) {
         self.counts.incr(match (dir, ok) {
@@ -129,7 +140,6 @@ impl Pass<'_> {
             (Direction::Input, true) => Counter::HookInputOk,
             (Direction::Input, false) => Counter::HookInputErrors,
         });
-        record(self.obs, Event::HookExit { dir, ok });
     }
 
     /// A key-unavailable datagram took a degradation verdict: admitted

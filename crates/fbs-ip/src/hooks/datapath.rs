@@ -152,12 +152,13 @@ impl HookShared {
     }
 }
 
-/// Cascade a metrics registry into one shard's components (used both by
-/// the AttachObs control message and by post-panic shard rebuilds).
+/// Cascade a metrics registry into one shard (used both by the
+/// AttachObs control message and by post-panic shard rebuilds). Only the
+/// codec holds it, for its size histograms and key derivations: the
+/// combined table and the RFKC count into the owner's block, which
+/// `attach_obs` attached.
 pub(super) fn cascade_obs(shard: &mut Shard, reg: &Arc<MetricsRegistry>) {
     shard.codec.set_obs(Arc::clone(reg));
-    shard.combined.set_obs(Arc::clone(reg));
-    shard.rfkc.set_obs(Arc::clone(reg), CacheKind::Rfkc);
 }
 
 /// Record a flow-trace span when a tracer is attached AND sampling
@@ -484,7 +485,7 @@ pub(super) fn output_item(
     pool: &mut BufferPool,
 ) -> HookOutcome {
     let dir = Direction::Output;
-    record(pass.obs, Event::HookEntry { dir });
+    pass.enter(dir);
     let verdict = degrade_verdict(pass.cfg);
     // protect borrows the payload, so the original bytes are still owned
     // here for the fall-back verdicts — no snapshot copy needed.
@@ -522,7 +523,7 @@ pub(super) fn input_item(
     pool: &mut BufferPool,
 ) -> HookOutcome {
     let dir = Direction::Input;
-    record(pass.obs, Event::HookEntry { dir });
+    pass.enter(dir);
     let verdict = degrade_verdict(pass.cfg);
     match verify(pass, shard, header, &payload, pool) {
         Ok(body) => {

@@ -12,7 +12,7 @@
 //!
 //! # Shard owners, run to completion
 //!
-//! Flow state lives in a fixed power-of-two array of [`Shard`]s. A shard
+//! Flow state lives in a fixed power-of-two array of `Shard`s. A shard
 //! owns everything a flow touches on the hot path — its slice of the
 //! combined FST/TFKC (§7.2), its RFKC slice, its [`FlowCodec`](fbs_core::FlowCodec)
 //! (confounder stream + seal/open), and its parking queues. Shards are

@@ -14,7 +14,9 @@
 //! * the caller's [`BufferPool`] ledger balances exactly
 //!   (hits + misses == returns + discards);
 //! * a forged flow birth buys no receive flow-key cache slot, so it
-//!   cannot evict a victim flow's key.
+//!   cannot evict a victim flow's key;
+//! * no datagram, friendly or forged, writes flight-recorder history,
+//!   so a forger cannot wash a rare event out of the ring.
 
 use fbs_cert::{CertificateAuthority, Directory};
 use fbs_core::{flow_key_hash, BufferPool, ManualClock, Principal};
@@ -24,7 +26,8 @@ use fbs_ip::hooks::IpMappingConfig;
 use fbs_ip::host::build_secure_host;
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::{Datagram, HookOutcome, RejectReason, SecurityHooks};
-use fbs_obs::{Direction, MetricsRegistry};
+use fbs_obs::registry::DEFAULT_EVENT_CAPACITY;
+use fbs_obs::{Direction, Event, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -332,4 +335,57 @@ fn forged_births_at(workers: usize) {
     assert_eq!(after.evictions, 0);
     let s = pool.stats();
     assert_eq!(s.hits + s.misses, s.returns + s.discards, "pool ledger");
+}
+
+/// More than a ring's worth of friendly and MAC-flipped datagrams leave
+/// the receiver's flight recorder holding exactly the one rare event it
+/// held before: every per-datagram step is a count. MAC-only, so every
+/// flipped body byte is under the MAC and every forgery is a MAC drop.
+#[test]
+fn a_forged_datagram_writes_no_history() {
+    let (mut sender, mut receiver, reg) = build_pair(IpMappingConfig {
+        encrypt: false,
+        ..IpMappingConfig::default()
+    });
+    reg.record(Event::BreakerFastFail);
+    let mut pool = BufferPool::new();
+    let rounds = (DEFAULT_EVENT_CAPACITY / BATCH + 1) as u32;
+    let mut forged = 0u64;
+    for round in 0..rounds {
+        let batch: Vec<Datagram> = (0..BATCH)
+            .map(|i| {
+                let payload = payload_for(&mut pool, 4000 + i as u16, round);
+                let header = Ipv4Header::new(A, B, Proto::Udp, payload.len());
+                Datagram { header, payload }
+            })
+            .collect();
+        let sealed = sender.process_batch(Direction::Output, batch, &mut pool, NOW_US);
+        let rx_batch: Vec<Datagram> = sealed
+            .into_iter()
+            .enumerate()
+            .map(|(i, (header, outcome))| match outcome {
+                HookOutcome::Pass(mut wire) => {
+                    if i % 2 == 1 {
+                        *wire.last_mut().expect("sealed wire is non-empty") ^= 0x5A;
+                        forged += 1;
+                    }
+                    Datagram {
+                        header,
+                        payload: wire,
+                    }
+                }
+                other => panic!("seal failed: {other:?}"),
+            })
+            .collect();
+        deliver(&mut receiver, &mut pool, rx_batch);
+    }
+    let delivered = rounds as u64 * BATCH as u64;
+    assert!(delivered > DEFAULT_EVENT_CAPACITY as u64);
+    let stats = receiver.stats();
+    assert_eq!(stats.input_errors, forged);
+    assert_eq!(stats.verified, delivered - forged);
+    assert_eq!(receiver.endpoint_stats().mac_drops, forged);
+    let events: Vec<Event> = reg.events().iter().map(|r| r.event).collect();
+    assert_eq!(events, [Event::BreakerFastFail]);
+    assert_eq!(reg.snapshot().counter("obs.events_dropped"), 0);
 }

@@ -323,16 +323,6 @@ impl MrtLayer {
         self.conns.get(key)
     }
 
-    /// Keys of connections accepted by listeners (passive opens) that have
-    /// reached `Established`.
-    pub fn established_keys(&self) -> Vec<ConnKey> {
-        self.conns
-            .iter()
-            .filter(|(_, c)| c.state == ConnState::Established)
-            .map(|(k, _)| *k)
-            .collect()
-    }
-
     /// Process an incoming MRT segment from `src`.
     pub fn deliver(&mut self, src: Ipv4Addr, segment: &[u8], now_us: u64) -> Vec<Outgoing> {
         let Ok((h, payload)) = MrtHeader::decode(segment) else {
@@ -604,11 +594,6 @@ impl MrtLayer {
             }
         }
         out
-    }
-
-    /// Earliest retransmission deadline across connections.
-    pub fn next_timer_us(&self) -> Option<u64> {
-        self.conns.values().filter_map(|c| c.retransmit_at).min()
     }
 }
 

@@ -227,11 +227,6 @@ impl Segment {
         out
     }
 
-    /// Earliest pending arrival time, if any (lets drivers skip idle time).
-    pub fn next_arrival_us(&self) -> Option<u64> {
-        self.in_flight.peek().map(|Reverse((t, _, _))| *t)
-    }
-
     /// True when no frames are in flight.
     pub fn idle(&self) -> bool {
         self.in_flight.is_empty()

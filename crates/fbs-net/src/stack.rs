@@ -325,24 +325,14 @@ impl Host {
     }
 
     /// Install security hooks. Also teaches MRT to reserve the hook's
-    /// overhead in its MSS computation (the tcp_output fix). Call
-    /// [`Self::install_hooks_without_mss_fix`] to reproduce the bug.
+    /// overhead in its MSS computation (the tcp_output fix of §7.2).
+    /// `fbs-ip`'s `without_mss_fix_df_segments_are_dropped` test zeroes
+    /// that allowance to reproduce the bug: filled-to-MSS DF segments
+    /// then exceed the MTU once the FBS header is inserted, and get
+    /// dropped with `WouldFragment`.
     pub fn install_hooks(&mut self, hooks: Box<dyn SecurityHooks>) {
         self.mrt.set_overhead_allowance(hooks.max_overhead());
         self.hooks = Some(hooks);
-    }
-
-    /// Install hooks WITHOUT adjusting the MRT segment-size calculation —
-    /// the broken pre-patch behaviour of §7.2, kept for the ablation test:
-    /// filled-to-MSS DF segments will exceed the MTU once the FBS header
-    /// is inserted, and get dropped with `WouldFragment`.
-    pub fn install_hooks_without_mss_fix(&mut self, hooks: Box<dyn SecurityHooks>) {
-        self.hooks = Some(hooks);
-    }
-
-    /// Mutable access to the installed hooks (for rekeying etc.).
-    pub fn hooks_mut(&mut self) -> Option<&mut Box<dyn SecurityHooks>> {
-        self.hooks.as_mut()
     }
 
     /// IP output: a one-element [`Self::ip_output_batch`].
@@ -467,9 +457,8 @@ impl Host {
         self.stats.frames_sent += n as u64;
         if n > 1 {
             if let Some(reg) = &self.obs {
-                reg.record(Event::Fragmented {
-                    fragments: n as u32,
-                });
+                reg.incr(Counter::FragmentedDatagrams);
+                reg.add(Counter::FragmentsProduced, n as u64);
             }
         }
         Ok(())
@@ -550,7 +539,7 @@ impl Host {
             .reasm
             .push_fragment(&header, bytes, now_us, &mut self.pool)?;
         if let Some(reg) = &self.obs {
-            reg.record(Event::Reassembled);
+            reg.incr(Counter::ReassembledDatagrams);
         }
         trace_wire_span(
             &self.obs,

@@ -1,10 +1,11 @@
-//! Typed datagram-path events for the flight recorder.
+//! Typed rare events for the flight recorder.
 //!
-//! Each variant corresponds to one observable step of a datagram's life
-//! through the FBS stack (§5–§7 of the paper): classification, keying,
-//! sealing, the IP-layer hooks, fragmentation, and retransmission. The
-//! taxonomy is deliberately small and flat — events are recorded on hot
-//! paths, so every field is `Copy`.
+//! Each variant is a step that a fault or the keying plane causes (§5–§7
+//! of the paper): retries and breaker moves of the MKD upcall, parking
+//! and degradation while key material is missing, reassembly timeouts and
+//! MRT retransmits. The steps every datagram takes (hooks, lookups, seal
+//! and open, fragmentation) are counts, not events. The taxonomy is
+//! deliberately small and flat, and every field is `Copy`.
 
 use std::fmt;
 
@@ -99,31 +100,6 @@ impl Direction {
     }
 }
 
-/// How the FAM resolved a classification (mirrors `fbs_core::fam::FlowStart`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowStartKind {
-    /// The datagram joined a live flow.
-    Existing,
-    /// A fresh flow started in an empty slot.
-    Fresh,
-    /// A fresh flow replaced an expired entry.
-    ReplacedExpired,
-    /// A fresh flow evicted a live entry (FST collision).
-    Collision,
-}
-
-impl FlowStartKind {
-    /// Lower-case name used in JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlowStartKind::Existing => "existing",
-            FlowStartKind::Fresh => "fresh",
-            FlowStartKind::ReplacedExpired => "replaced_expired",
-            FlowStartKind::Collision => "collision",
-        }
-    }
-}
-
 /// Circuit-breaker state, as carried by [`Event::BreakerTransition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerStateKind {
@@ -146,75 +122,16 @@ impl BreakerStateKind {
     }
 }
 
-/// One observable step on the datagram path.
+/// One rare event: a step that a fault or the keying plane causes, never
+/// one a datagram takes just by passing through. Per-datagram steps are
+/// counts and histograms, so no traffic, friendly or forged, washes this
+/// history out of the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// A security hook was entered.
-    HookEntry {
-        /// Output or input side.
-        dir: Direction,
-    },
-    /// A security hook returned.
-    HookExit {
-        /// Output or input side.
-        dir: Direction,
-        /// Whether the hook succeeded.
-        ok: bool,
-    },
-    /// The FAM classified an outgoing datagram.
-    FamClassify {
-        /// The security flow label assigned.
-        sfl: u64,
-        /// How the flow slot was resolved.
-        start: FlowStartKind,
-        /// Whether this sfl was seen before (a repeated flow, Fig. 14).
-        repeated: bool,
-    },
-    /// A soft-state cache lookup completed.
-    CacheLookup {
-        /// Which cache.
-        kind: CacheKind,
-        /// Hit, or which of the 3C miss kinds.
-        outcome: CacheOutcome,
-    },
-    /// A zero-message flow-key derivation ran (cache-miss path).
-    KeyDerivation {
-        /// Wall/virtual time it took, in microseconds (0 under a
-        /// simulated clock without sub-second resolution).
-        micros: u64,
-    },
-    /// A datagram failed the freshness-window check (§6.3).
-    ReplayDrop {
-        /// Timestamp carried by the datagram, in FBS minutes.
-        datagram_minutes: u32,
-        /// Receiver's current time, in FBS minutes.
-        now_minutes: u32,
-    },
-    /// A datagram failed MAC verification.
-    MacDrop,
-    /// A datagram's security header failed to parse or decrypt.
-    MalformedDrop,
-    /// An outgoing datagram was split by IP fragmentation.
-    Fragmented {
-        /// Number of fragments produced.
-        fragments: u32,
-    },
-    /// A fragmented datagram was fully reassembled.
-    Reassembled,
     /// A partial reassembly buffer timed out and was dropped.
     ReassemblyTimeout,
     /// MRT retransmitted (go-back-N rewind or handshake retry).
     MrtRetransmit,
-    /// An endpoint sealed and sent a datagram.
-    Send {
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// An endpoint verified and accepted a datagram.
-    Receive {
-        /// Payload bytes.
-        bytes: u64,
-    },
     /// A retried operation (directory fetch, MKD upcall) ran one more
     /// attempt after a failure.
     RetryAttempt {
@@ -270,20 +187,8 @@ impl Event {
     /// Snake-case event type name used in JSON.
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::HookEntry { .. } => "hook_entry",
-            Event::HookExit { .. } => "hook_exit",
-            Event::FamClassify { .. } => "fam_classify",
-            Event::CacheLookup { .. } => "cache_lookup",
-            Event::KeyDerivation { .. } => "key_derivation",
-            Event::ReplayDrop { .. } => "replay_drop",
-            Event::MacDrop => "mac_drop",
-            Event::MalformedDrop => "malformed_drop",
-            Event::Fragmented { .. } => "fragmented",
-            Event::Reassembled => "reassembled",
             Event::ReassemblyTimeout => "reassembly_timeout",
             Event::MrtRetransmit => "mrt_retransmit",
-            Event::Send { .. } => "send",
-            Event::Receive { .. } => "receive",
             Event::RetryAttempt { .. } => "retry_attempt",
             Event::RetryExhausted { .. } => "retry_exhausted",
             Event::BreakerTransition { .. } => "breaker_transition",
@@ -300,51 +205,6 @@ impl Event {
     fn json_fields(&self, out: &mut String) {
         use std::fmt::Write;
         match self {
-            Event::HookEntry { dir } => {
-                let _ = write!(out, r#","dir":"{}""#, dir.name());
-            }
-            Event::HookExit { dir, ok } => {
-                let _ = write!(out, r#","dir":"{}","ok":{}"#, dir.name(), ok);
-            }
-            Event::FamClassify {
-                sfl,
-                start,
-                repeated,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","sfl":{},"start":"{}","repeated":{}"#,
-                    sfl,
-                    start.name(),
-                    repeated
-                );
-            }
-            Event::CacheLookup { kind, outcome } => {
-                let _ = write!(
-                    out,
-                    r#","cache":"{}","outcome":"{}""#,
-                    kind.name(),
-                    outcome.name()
-                );
-            }
-            Event::KeyDerivation { micros } => {
-                let _ = write!(out, r#","micros":{micros}"#);
-            }
-            Event::ReplayDrop {
-                datagram_minutes,
-                now_minutes,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","datagram_minutes":{datagram_minutes},"now_minutes":{now_minutes}"#
-                );
-            }
-            Event::Fragmented { fragments } => {
-                let _ = write!(out, r#","fragments":{fragments}"#);
-            }
-            Event::Send { bytes } | Event::Receive { bytes } => {
-                let _ = write!(out, r#","bytes":{bytes}"#);
-            }
             Event::RetryAttempt {
                 attempt,
                 backoff_us,
@@ -376,10 +236,7 @@ impl Event {
             Event::Degraded { dir, open } => {
                 let _ = write!(out, r#","dir":"{}","open":{}"#, dir.name(), open);
             }
-            Event::MacDrop
-            | Event::MalformedDrop
-            | Event::Reassembled
-            | Event::ReassemblyTimeout
+            Event::ReassemblyTimeout
             | Event::MrtRetransmit
             | Event::BreakerFastFail
             | Event::ParkExpired
@@ -434,21 +291,21 @@ mod tests {
         let rec = EventRecord {
             seq: 7,
             t_us: 12,
-            event: Event::CacheLookup {
-                kind: CacheKind::Tfkc,
-                outcome: CacheOutcome::MissCollision,
-            },
+            event: Event::RetryExhausted { attempts: 4 },
         };
         assert_eq!(
             rec.to_json(),
-            r#"{"seq":7,"t_us":12,"type":"cache_lookup","cache":"tfkc","outcome":"miss_collision"}"#
+            r#"{"seq":7,"t_us":12,"type":"retry_exhausted","attempts":4}"#
         );
         let rec = EventRecord {
             seq: 1,
             t_us: 0,
-            event: Event::MacDrop,
+            event: Event::BreakerFastFail,
         };
-        assert_eq!(rec.to_json(), r#"{"seq":1,"t_us":0,"type":"mac_drop"}"#);
+        assert_eq!(
+            rec.to_json(),
+            r#"{"seq":1,"t_us":0,"type":"breaker_fast_fail"}"#
+        );
     }
 
     #[test]

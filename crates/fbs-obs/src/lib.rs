@@ -16,11 +16,12 @@
 //!   memory), and log2 latency/size histograms, shared across
 //!   components via `Arc`. It reads; nothing pushes a copy into it;
 //! * a **flight recorder** — a fixed-capacity ring buffer of typed
-//!   [`Event`]s (hook entry/exit, FAM classify decisions, cache lookups
-//!   with miss kind, zero-message key-derivation latency, replay/MAC
-//!   drops, fragmentation/reassembly, MRT retransmits), timestamped by a
-//!   pluggable time source so instrumented runs stay deterministic under
-//!   the workspace's simulated clock;
+//!   [`Event`]s that a fault or the keying plane causes (retries, breaker
+//!   moves and fast-fails, parks, degradations, reassembly timeouts, MRT
+//!   retransmits), timestamped by a pluggable time source so instrumented
+//!   runs stay deterministic under the workspace's simulated clock. A
+//!   datagram's own steps are counts and histograms, never events, so
+//!   traffic cannot wash this history out;
 //! * [`MetricsSnapshot`] — a point-in-time view with text-table and JSON
 //!   exporters, built live from a registry, or from the stats of
 //!   components no registry reads (the figure simulators' caches and
@@ -55,9 +56,7 @@ pub mod span;
 pub mod trace;
 
 pub use block::{CacheStats, CounterBlock};
-pub use event::{
-    BreakerStateKind, CacheKind, CacheOutcome, Direction, Event, EventRecord, FlowStartKind,
-};
+pub use event::{BreakerStateKind, CacheKind, CacheOutcome, Direction, Event, EventRecord};
 pub use health::{Condition, ConditionKind, HealthInputs, HealthModel, HealthReport, HealthStatus};
 pub use prom::DeltaTracker;
 pub use registry::{Counter, Histogram, MetricsRegistry, ScrapeSource};

@@ -205,7 +205,7 @@ mod tests {
         first.events.push(EventRecord {
             seq: 1,
             t_us: 0,
-            event: Event::MacDrop,
+            event: Event::BreakerFastFail,
         });
         let d1 = tracker.delta(&first);
         assert_eq!(d1.counter("endpoint.sends"), 5);
@@ -216,12 +216,12 @@ mod tests {
         second.events.push(EventRecord {
             seq: 1,
             t_us: 0,
-            event: Event::MacDrop,
+            event: Event::BreakerFastFail,
         });
         second.events.push(EventRecord {
             seq: 2,
             t_us: 1,
-            event: Event::MalformedDrop,
+            event: Event::ParkOverflow,
         });
         second.histograms.get_mut("send_bytes").unwrap().buckets[0].2 = 4;
         second.histograms.get_mut("send_bytes").unwrap().sum = 600;

@@ -40,18 +40,6 @@ pub enum Counter {
     MkdUpcalls,
     /// Master-key daemon failures.
     MkdFailures,
-    /// FAM classifications.
-    FamClassifications,
-    /// Datagrams that joined a live flow.
-    FamJoinedExisting,
-    /// Flows started (fresh or replacing an expired entry).
-    FamFlowsStarted,
-    /// FST collisions (live entry evicted).
-    FamCollisions,
-    /// Flows whose sfl was seen before (Fig. 14).
-    FamRepeatedFlows,
-    /// FST entries removed by sweeping.
-    FamSwept,
     /// Output-hook entries.
     HookOutputEntries,
     /// Output-hook successes (datagrams protected).
@@ -153,7 +141,7 @@ pub enum Counter {
 }
 
 /// Number of scalar counters.
-pub(crate) const NUM_COUNTERS: usize = 61;
+pub(crate) const NUM_COUNTERS: usize = 55;
 
 impl Counter {
     /// All counters, in snapshot order.
@@ -168,12 +156,6 @@ impl Counter {
         Counter::KeyDerivations,
         Counter::MkdUpcalls,
         Counter::MkdFailures,
-        Counter::FamClassifications,
-        Counter::FamJoinedExisting,
-        Counter::FamFlowsStarted,
-        Counter::FamCollisions,
-        Counter::FamRepeatedFlows,
-        Counter::FamSwept,
         Counter::HookOutputEntries,
         Counter::HookOutputOk,
         Counter::HookOutputErrors,
@@ -234,12 +216,6 @@ impl Counter {
             Counter::KeyDerivations => "endpoint.key_derivations",
             Counter::MkdUpcalls => "mkd.upcalls",
             Counter::MkdFailures => "mkd.failures",
-            Counter::FamClassifications => "fam.classifications",
-            Counter::FamJoinedExisting => "fam.joined_existing",
-            Counter::FamFlowsStarted => "fam.flows_started",
-            Counter::FamCollisions => "fam.collisions",
-            Counter::FamRepeatedFlows => "fam.repeated_flows",
-            Counter::FamSwept => "fam.swept",
             Counter::HookOutputEntries => "hooks.output_entries",
             Counter::HookOutputOk => "hooks.output_ok",
             Counter::HookOutputErrors => "hooks.output_errors",
@@ -405,10 +381,11 @@ struct RecorderInner {
 /// this on `None`).
 ///
 /// Every key has one source, never two for one event: the registry's
-/// own cells, for counts no component keeps (hook entries, suites, the
-/// net layer, events); the components' blocks it sums at scrape time
-/// ([`attach`](Self::attach)); and the rows its scrape sources derive
-/// from their own ledgers ([`attach_source`](Self::attach_source)).
+/// own cells, for counts no component keeps (hook entries, key
+/// derivations, suites, the net layer, rare events); the components'
+/// blocks it sums at scrape time ([`attach`](Self::attach)); and the rows
+/// its scrape sources derive from their own ledgers
+/// ([`attach_source`](Self::attach_source)).
 pub struct MetricsRegistry {
     /// The own cells. Any thread writes them, so, unlike a
     /// [`CounterBlock`]'s, each write is a `fetch_add`.
@@ -528,7 +505,7 @@ impl MetricsRegistry {
             + attached.iter().map(|b| b.counter(c)).sum::<u64>()
     }
 
-    /// Add a sample to a histogram (without going through an event).
+    /// Add a sample to a histogram.
     pub fn observe(&self, h: Histogram, value: u64) {
         self.histograms[h.index()].observe(value);
     }
@@ -555,8 +532,8 @@ impl MetricsRegistry {
         self.tracer.get()
     }
 
-    /// Record an event: updates the counters/histograms the event
-    /// implies, then appends it to the flight recorder.
+    /// Record a rare event: updates the counters the event implies,
+    /// then appends it to the flight recorder.
     pub fn record(&self, event: Event) {
         self.apply(&event);
         // A breaker flip is a global condition, not owned by any one
@@ -592,57 +569,21 @@ impl MetricsRegistry {
         }
     }
 
-    /// Counter/histogram side effects of an event. Events whose count
-    /// a component keeps in its block (hook verdicts, degradations,
-    /// cache lookups, endpoint drops, sends and receives, the MKD's
-    /// retries and breaker moves) only reach the flight recorder, and
-    /// a send or receive its size histogram.
+    /// Counter side effects of an event. Events whose count a component
+    /// keeps in its block (degradations, the MKD's retries and breaker
+    /// moves) only reach the flight recorder.
     fn apply(&self, event: &Event) {
-        use crate::event::Direction;
+        use crate::event::BreakerStateKind;
         match *event {
-            Event::HookEntry { dir } => self.incr(match dir {
-                Direction::Output => Counter::HookOutputEntries,
-                Direction::Input => Counter::HookInputEntries,
-            }),
-            Event::FamClassify {
-                start, repeated, ..
-            } => {
-                self.incr(Counter::FamClassifications);
-                match start {
-                    crate::event::FlowStartKind::Existing => self.incr(Counter::FamJoinedExisting),
-                    crate::event::FlowStartKind::Fresh
-                    | crate::event::FlowStartKind::ReplacedExpired => {
-                        self.incr(Counter::FamFlowsStarted)
-                    }
-                    crate::event::FlowStartKind::Collision => {
-                        self.incr(Counter::FamFlowsStarted);
-                        self.incr(Counter::FamCollisions);
-                    }
-                }
-                if repeated {
-                    self.incr(Counter::FamRepeatedFlows);
-                }
-            }
-            Event::KeyDerivation { micros } => {
-                self.incr(Counter::KeyDerivations);
-                self.observe(Histogram::KeyDerivationMicros, micros);
-            }
-            Event::Fragmented { fragments } => {
-                self.incr(Counter::FragmentedDatagrams);
-                self.add(Counter::FragmentsProduced, fragments as u64);
-            }
-            Event::Reassembled => self.incr(Counter::ReassembledDatagrams),
             Event::ReassemblyTimeout => self.incr(Counter::ReassemblyTimeouts),
             Event::MrtRetransmit => self.incr(Counter::MrtRetransmits),
-            Event::Send { bytes } => self.observe(Histogram::SendBytes, bytes),
-            Event::Receive { bytes } => self.observe(Histogram::ReceiveBytes, bytes),
             Event::BreakerTransition {
                 from, in_state_us, ..
             } => self.add(
                 match from {
-                    crate::event::BreakerStateKind::Closed => Counter::BreakerTimeClosedUs,
-                    crate::event::BreakerStateKind::Open => Counter::BreakerTimeOpenUs,
-                    crate::event::BreakerStateKind::HalfOpen => Counter::BreakerTimeHalfOpenUs,
+                    BreakerStateKind::Closed => Counter::BreakerTimeClosedUs,
+                    BreakerStateKind::Open => Counter::BreakerTimeOpenUs,
+                    BreakerStateKind::HalfOpen => Counter::BreakerTimeHalfOpenUs,
                 },
                 in_state_us,
             ),
@@ -650,12 +591,7 @@ impl MetricsRegistry {
             Event::ParkReleased { .. } => self.incr(Counter::ParkReleased),
             Event::ParkExpired => self.incr(Counter::ParkExpired),
             Event::ParkOverflow => self.incr(Counter::ParkOverflow),
-            Event::HookExit { .. }
-            | Event::Degraded { .. }
-            | Event::CacheLookup { .. }
-            | Event::ReplayDrop { .. }
-            | Event::MacDrop
-            | Event::MalformedDrop
+            Event::Degraded { .. }
             | Event::RetryAttempt { .. }
             | Event::RetryExhausted { .. }
             | Event::BreakerFastFail => {}
@@ -723,7 +659,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CacheKind, Direction, FlowStartKind};
+    use crate::event::{CacheKind, Direction};
 
     #[test]
     fn counters_accumulate_and_snapshot() {
@@ -737,39 +673,18 @@ mod tests {
     }
 
     #[test]
-    fn events_drive_counters_and_histograms() {
+    fn fault_events_drive_their_counters() {
         let reg = MetricsRegistry::new();
-        reg.record(Event::Send { bytes: 100 });
-        reg.record(Event::Send { bytes: 200 });
-        reg.record(Event::KeyDerivation { micros: 5 });
-        reg.record(Event::CacheLookup {
-            kind: CacheKind::Tfkc,
-            outcome: crate::event::CacheOutcome::Hit,
-        });
-        reg.record(Event::HookEntry {
-            dir: Direction::Output,
-        });
-        reg.record(Event::HookExit {
-            dir: Direction::Output,
-            ok: true,
-        });
-        reg.record(Event::FamClassify {
-            sfl: 9,
-            start: FlowStartKind::Fresh,
-            repeated: false,
-        });
+        reg.record(Event::ReassemblyTimeout);
+        reg.record(Event::MrtRetransmit);
+        reg.record(Event::MrtRetransmit);
+        reg.observe(Histogram::SendBytes, 100);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("endpoint.key_derivations"), 1);
-        assert_eq!(snap.counter("hooks.output_entries"), 1);
-        assert_eq!(snap.counter("fam.classifications"), 1);
-        assert_eq!(snap.counter("fam.flows_started"), 1);
+        assert_eq!(snap.counter("net.reassembly_timeouts"), 1);
+        assert_eq!(snap.counter("mrt.retransmits"), 2);
+        // A histogram sample is not an event.
         assert!(snap.histograms.contains_key("send_bytes"));
-        // A component's block counts sends, cache lookups and verdicts:
-        // their events only reach the flight recorder.
-        assert_eq!(snap.counter("endpoint.sends"), 0);
-        assert_eq!(snap.counter("cache.tfkc.hits"), 0);
-        assert_eq!(snap.counter("hooks.output_ok"), 0);
-        assert_eq!(snap.events.len(), 7);
+        assert_eq!(snap.events.len(), 3);
     }
 
     #[test]
@@ -798,8 +713,8 @@ mod tests {
     #[test]
     fn ring_wraps_and_keeps_newest() {
         let reg = MetricsRegistry::with_event_capacity(4);
-        for i in 0..10u64 {
-            reg.record(Event::Send { bytes: i });
+        for queued in 0..10u32 {
+            reg.record(Event::Parked { queued });
         }
         let events = reg.events();
         assert_eq!(events.len(), 4);
@@ -810,15 +725,15 @@ mod tests {
     #[test]
     fn ring_overflow_counts_dropped_events() {
         let reg = MetricsRegistry::with_event_capacity(4);
-        for i in 0..10u64 {
-            reg.record(Event::Send { bytes: i });
+        for queued in 0..10u32 {
+            reg.record(Event::Parked { queued });
         }
         // 10 recorded into a 4-slot ring: 6 overwritten before read.
         assert_eq!(reg.counter(Counter::EventsDropped), 6);
         assert_eq!(reg.snapshot().counter("obs.events_dropped"), 6);
         // A ring that never filled drops nothing.
         let quiet = MetricsRegistry::with_event_capacity(4);
-        quiet.record(Event::MacDrop);
+        quiet.record(Event::BreakerFastFail);
         assert_eq!(quiet.counter(Counter::EventsDropped), 0);
     }
 
@@ -881,15 +796,15 @@ mod tests {
     #[test]
     fn zero_capacity_disables_events_not_counters() {
         let reg = MetricsRegistry::with_event_capacity(0);
-        reg.record(Event::Reassembled);
+        reg.record(Event::ReassemblyTimeout);
         assert!(reg.events().is_empty());
-        assert_eq!(reg.counter(Counter::ReassembledDatagrams), 1);
+        assert_eq!(reg.counter(Counter::ReassemblyTimeouts), 1);
     }
 
     #[test]
     fn time_source_stamps_events() {
         let reg = MetricsRegistry::new().with_time_source(|| 42);
-        reg.record(Event::Reassembled);
+        reg.record(Event::ReassemblyTimeout);
         assert_eq!(reg.events()[0].t_us, 42);
     }
 

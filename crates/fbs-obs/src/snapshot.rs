@@ -119,16 +119,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Render the flight recorder as JSON-lines (one event per line).
-    pub fn events_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Render counters and histogram summaries as a right-aligned text
     /// table (the `fbs-trace::stats::render_table` idiom).
     pub fn render_table(&self) -> String {
@@ -224,13 +214,13 @@ mod tests {
         s.events.push(EventRecord {
             seq: 1,
             t_us: 0,
-            event: Event::Send { bytes: 64 },
+            event: Event::ParkExpired,
         });
         let json = s.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"endpoint.sends\":1"));
         assert!(json.contains("\"lo\":64,\"hi\":127,\"count\":1"));
-        assert!(json.contains("\"type\":\"send\""));
+        assert!(json.contains("\"type\":\"park_expired\""));
         // Balanced braces/brackets (no strings contain them).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

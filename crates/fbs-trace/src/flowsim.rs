@@ -53,9 +53,9 @@ pub struct FlowSimResult {
 
 impl FlowSimResult {
     /// Fold the FAM-level counters into a snapshot under the `fam.*`
-    /// names a live [`fbs_obs::MetricsRegistry`] uses, so trace-driven
-    /// simulations export through the same `--metrics` pipeline as
-    /// instrumented endpoints.
+    /// names [`fbs_core::fam::FamStats::contribute`] uses, so
+    /// trace-driven simulations export through the same `--metrics`
+    /// pipeline as instrumented endpoints.
     pub fn contribute(&self, snap: &mut fbs_obs::MetricsSnapshot) {
         snap.add("fam.classifications", self.classifications);
         snap.add("fam.flows_started", self.flows_started);
