@@ -42,6 +42,16 @@ fn bench_hashes(c: &mut Criterion) {
     let short = [0x5Au8; 27];
     g.throughput(Throughput::Bytes(short.len() as u64));
     g.bench_function("md5-1block", |b| b.iter(|| md5::md5(black_box(&short))));
+    // Two such digests as the lanes of one two-lane MD5: what an AEAD
+    // flow key's ChaCha20 expansion costs. Compare with two md5-1block.
+    let other = [0xA5u8; 27];
+    g.bench_function("md5x2-1block", |b| {
+        b.iter(|| {
+            let mut h = md5::Md5x2::new();
+            h.update([black_box(&short[..]), black_box(&other[..])]);
+            h.finalize()
+        })
+    });
     g.bench_function("sha1-1block", |b| b.iter(|| sha1::sha1(black_box(&short))));
     g.finish();
 }
@@ -117,12 +127,28 @@ fn bench_keying(c: &mut Criterion) {
         fbs_core::Principal::from_ipv4([10, 0, 0, 1]),
         fbs_core::Principal::from_ipv4([10, 0, 0, 2]),
     );
+    g.throughput(Throughput::Elements(1));
     g.bench_function("flow-birth-aead-oakley2", |bch| {
         let mut sfl = 0u64;
         bch.iter(|| {
             sfl += 1;
             let key = fbs_core::derive_flow_key(cfg.key_derivation, sfl, &master, &src, &dst);
             Arc::new(cfg.seal_key(key))
+        })
+    });
+    // Two births between one pair of hosts keyed together, as the hooks
+    // pair them: both derives in one two-lane MD5, then both ChaCha20
+    // expansions two lanes at a time. Two keys per iteration: elem/s is
+    // keys per second, as in the row above.
+    g.throughput(Throughput::Elements(2));
+    g.bench_function("flow-birth-aead-oakley2-pair", |bch| {
+        let mut sfl = 0u64;
+        bch.iter(|| {
+            sfl += 2;
+            let sfls = [sfl - 1, sfl];
+            let keys =
+                fbs_core::derive_flow_key_pair(cfg.key_derivation, sfls, &master, &src, &dst);
+            cfg.seal_key_pair(keys).map(Arc::new)
         })
     });
     g.finish();

@@ -246,6 +246,13 @@ impl FbsConfig {
         SealedFlowKey::seal_for(key, self.suite, self.suite_mac_alg(), self.suite_enc_alg())
     }
 
+    /// [`seal_key`](Self::seal_key) of two keys of one derivation, each
+    /// equal to the key `seal_key` seals. The AEAD suite expands both
+    /// ChaCha20 keys two MD5 lanes at a time.
+    pub fn seal_key_pair(&self, keys: [crate::keying::FlowKey; 2]) -> [SealedFlowKey; 2] {
+        SealedFlowKey::seal_pair_for(keys, self.suite, self.suite_mac_alg(), self.suite_enc_alg())
+    }
+
     /// Shipped MAC length for a MAC of `full` bytes under this config's
     /// truncation, never below [`MIN_SHIPPED_MAC`].
     fn shipped_mac_len(&self, full: usize) -> usize {
@@ -510,22 +517,23 @@ impl FlowCodec {
     /// RFKC), generic over the cache's id type so both engines share it:
     /// freshness first (a stale datagram is stale even when its key is
     /// unavailable), then `open` under the key the RFKC lends; on a miss,
-    /// `derive` into a local, `open` under it, and cache the key only
-    /// once it verified — a forged birth leaves `rfkc` as it was. `open`
-    /// wraps [`open_with_key_into`](Self::open_with_key_into).
+    /// `derive` into a local (it may peek at `rfkc` as the miss left it),
+    /// `open` under it, and cache the key only once it verified — a
+    /// forged birth leaves `rfkc` as it was. `open` wraps
+    /// [`open_with_key_into`](Self::open_with_key_into).
     pub fn open_cached<K: Eq + Hash + Clone, T>(
         &self,
         rfkc: &mut SoftCache<K, Arc<SealedFlowKey>>,
         id: K,
         timestamp: u32,
-        derive: impl FnOnce() -> Result<SealedFlowKey>,
+        derive: impl FnOnce(&SoftCache<K, Arc<SealedFlowKey>>) -> Result<SealedFlowKey>,
         open: impl FnOnce(&SealedFlowKey) -> Result<T>,
     ) -> Result<T> {
         self.check_freshness(timestamp)?;
         if let Some(key) = rfkc.get_ref(&id) {
             return open(key);
         }
-        let key = derive()?;
+        let key = derive(rfkc)?;
         let opened = open(&key)?;
         rfkc.insert(id, Arc::new(key));
         Ok(opened)
@@ -571,16 +579,27 @@ impl FlowCodec {
                     return Err(e);
                 }
                 self.note_decrypted(h);
-                if self.cfg.nop_crypto {
-                    return Ok(());
+                let len = h.plaintext_len as usize;
+                if !self.cfg.nop_crypto {
+                    // The paper layout: MAC over confounder | timestamp |
+                    // plaintext — bit-identical to the pre-suite wire
+                    // format.
+                    let mut ctx = m.mac_begin(h.mac_alg);
+                    ctx.update(&h.confounder.to_be_bytes());
+                    ctx.update(&h.timestamp.to_be_bytes());
+                    ctx.update(&out[..len]);
+                    let full = ctx.finalize_into(&mut expected);
+                    self.check_mac(h, &expected[..full])?;
                 }
-                // The paper layout: MAC over confounder | timestamp |
-                // plaintext — bit-identical to the pre-suite wire format.
-                let mut ctx = m.mac_begin(h.mac_alg);
-                ctx.update(&h.confounder.to_be_bytes());
-                ctx.update(&h.timestamp.to_be_bytes());
-                ctx.update(out);
-                ctx.finalize_into(&mut expected)
+                // The MAC does not cover the padding, and the sender
+                // zero-fills it: anything else is a second ciphertext for
+                // a verified message, refused as malformed.
+                if out[len..].iter().any(|&b| b != 0) {
+                    self.note_malformed();
+                    return Err(FbsError::MalformedCiphertext);
+                }
+                out.truncate(len);
+                return Ok(());
             }
             (CipherSuite::FastDes, KeyMaterial::FastDes(m)) => {
                 if !matches!(h.enc_alg, EncAlgorithm::None | EncAlgorithm::DesCtr)
@@ -881,7 +900,7 @@ impl FbsEndpoint {
             rfkc,
             id,
             h.timestamp,
-            || keying.derive(codec, h.sfl, source, false),
+            |_| keying.derive(codec, h.sfl, source, false),
             |key| codec.open_with_key_into(h, key, body, out),
         )
     }
@@ -1103,7 +1122,9 @@ fn seal_core(
 }
 
 /// Recover a paper-suite body into `out` (decrypting in place inside
-/// `out` if needed) and validate framing.
+/// `out` if needed) and validate framing. A block mode's padding stays
+/// at the end of `out`, `plaintext_len` bytes in, for the caller to
+/// check once the MAC has verified.
 fn open_body_into(
     h: &HeaderView<'_>,
     m: &DesMaterial,
@@ -1131,7 +1152,6 @@ fn open_body_into(
             out.clear();
             out.extend_from_slice(body);
             decrypt_in_place(&des, h.iv64(), mode, out);
-            out.truncate(len);
             Ok(())
         }
     }

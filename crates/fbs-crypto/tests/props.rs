@@ -160,6 +160,20 @@ proptest! {
     }
 
     #[test]
+    fn md5_two_lanes_equal_two_digests(
+        data in proptest::collection::vec(any::<u8>(), 0..500),
+        split in 0usize..500,
+        mask in any::<u8>(),
+    ) {
+        let split = split.min(data.len());
+        let other: Vec<u8> = data.iter().map(|b| b ^ mask).collect();
+        let mut ctx = fbs_crypto::md5::Md5x2::new();
+        ctx.update([&data[..split], &other[..split]]);
+        ctx.update([&data[split..], &other[split..]]);
+        prop_assert_eq!(ctx.finalize(), [fbs_crypto::md5(&data), fbs_crypto::md5(&other)]);
+    }
+
+    #[test]
     fn sha1_streaming_equals_oneshot(
         data in proptest::collection::vec(any::<u8>(), 0..500),
         split in 0usize..500,

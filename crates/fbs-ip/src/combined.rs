@@ -127,6 +127,30 @@ impl CombinedTable {
         None
     }
 
+    /// Would [`probe`](Self::probe) of `tuple` at `now_secs` start a new
+    /// flow, once `pending` (a flow this table is about to insert, if
+    /// any) holds its slot? A quiet look: it counts nothing and
+    /// refreshes nothing.
+    pub(crate) fn would_start(
+        &self,
+        tuple: &FiveTuple,
+        now_secs: u64,
+        pending: Option<&FiveTuple>,
+    ) -> bool {
+        let i = self.slot_of(tuple);
+        if let Some(p) = pending.filter(|p| self.slot_of(p) == i) {
+            return p != tuple;
+        }
+        !self.slots[i].as_ref().is_some_and(|e| {
+            e.tuple == *tuple && now_secs.saturating_sub(e.last_secs) <= self.threshold_secs
+        })
+    }
+
+    /// The sfl the next [`reserve_sfl`](Self::reserve_sfl) will return.
+    pub(crate) fn next_sfl(&self) -> u64 {
+        self.alloc.peek()
+    }
+
     /// Allocate the sfl for a flow about to start. Separated from
     /// [`insert`](Self::insert) so the sfl is reserved before the key is
     /// derived: an sfl burned on a derivation error is never reused.
@@ -243,6 +267,37 @@ mod tests {
         assert_eq!(key1, key2);
         assert_eq!(derived, 1, "key derivation happens once per flow");
         assert_eq!(t.stats().hits, 1);
+    }
+
+    /// `would_start` names what the probe will do, without counting or
+    /// refreshing anything: for the tuple itself, and for the next tuple
+    /// once this one (pending) holds its slot. `next_sfl` names the sfl
+    /// a start takes.
+    #[test]
+    fn would_start_predicts_the_probe_quietly() {
+        let mut t = CombinedTable::new(8, 600, SflAllocator::with_stride(3, 4));
+        for step in 0..300u64 {
+            let (x, y) = (
+                tuple((step % 13) as u16),
+                tuple(((step * 7 + 1) % 13) as u16),
+            );
+            let now = step * 41;
+            let before = t.stats();
+            let (x_starts, y_after_x) = (
+                t.would_start(&x, now, None),
+                t.would_start(&y, now, Some(&x)),
+            );
+            assert_eq!(t.stats(), before, "a quiet look counts nothing");
+            let sfl = t.next_sfl();
+            let (got, _, started) = resolve(&mut t, x, now, fake_key).unwrap();
+            assert_eq!(started, x_starts, "step {step}");
+            if started {
+                assert_eq!(got, sfl, "step {step}");
+            }
+            assert_eq!(t.would_start(&y, now, None), y_after_x, "step {step}");
+            let (_, _, started) = resolve(&mut t, y, now, fake_key).unwrap();
+            assert_eq!(started, y_after_x, "step {step}");
+        }
     }
 
     #[test]

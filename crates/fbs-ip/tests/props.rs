@@ -35,6 +35,10 @@ struct Item {
     covered: bool,
     fill: u8,
     data_len: usize,
+    /// Source port: items on different ports are different flows, so a
+    /// run of them is a run of births to one peer, which the hooks may
+    /// key in pairs.
+    sport: u16,
 }
 
 impl Item {
@@ -42,7 +46,7 @@ impl Item {
     fn payload(&self) -> Vec<u8> {
         let body = vec![self.fill; self.data_len];
         if self.covered {
-            fbs_net::udp::encode(A, B, 4000, 53, &body)
+            fbs_net::udp::encode(A, B, self.sport, 53, &body)
         } else {
             body
         }
@@ -105,14 +109,22 @@ fn cfg_for(
 }
 
 /// Padding edges: empty, sub-block, one-off-block, exact block, and a
-/// multi-fragment datagram that is 7 bytes past an 8 KiB block boundary.
+/// multi-fragment datagram that is 7 bytes past an 8 KiB block boundary;
+/// one of four source ports.
 fn item_strategy() -> impl Strategy<Value = Item> {
     const LENS: [usize; 5] = [0, 1, 7, 8, 8 * 1024 + 7];
-    (any::<bool>(), any::<u8>(), 0usize..LENS.len()).prop_map(|(covered, fill, i)| Item {
-        covered,
-        fill,
-        data_len: LENS[i],
-    })
+    (
+        any::<bool>(),
+        any::<u8>(),
+        0usize..LENS.len(),
+        4000u16..4004,
+    )
+        .prop_map(|(covered, fill, i, sport)| Item {
+            covered,
+            fill,
+            data_len: LENS[i],
+            sport,
+        })
 }
 
 /// Everything an observer can tell one run from another by.
@@ -202,7 +214,7 @@ proptest! {
 
     #[test]
     fn batch_pipeline_is_bit_identical_to_scalar(
-        items in proptest::collection::vec(item_strategy(), 1..5),
+        items in proptest::collection::vec(item_strategy(), 1..8),
         suite in 0usize..CipherSuite::ALL.len(),
         enc_id in 0u8..6,
         encrypt in any::<bool>(),

@@ -119,6 +119,67 @@ fn bit_flips_anywhere_in_wire_payload_are_caught() {
     }
 }
 
+/// The paper suite's block modes zero-pad the body, and the MAC covers
+/// only the payload bytes, so the padding is checked once the MAC
+/// verifies. A frame whose last block holds one payload byte (a 33-byte
+/// body) and seven of padding, with its last wire byte flipped, is
+/// refused in every mode, never opened as a second ciphertext for the
+/// sender's message. CBC, TDEA-CBC and ECB garble the whole last block:
+/// the MAC refuses the flip unless the payload byte decrypts unchanged
+/// (one in 256), and the padding check refuses that one. CFB and OFB
+/// flip only the padding byte, so every flip reaches the check. Before
+/// it existed, those flips all opened.
+#[test]
+fn a_flipped_padding_byte_is_refused_in_every_block_mode() {
+    use fbs::core::EncAlgorithm;
+    let body: Vec<u8> = (0..33u8).collect();
+    let mut malformed_cbc = 0;
+    for (enc_alg, frames) in [
+        (EncAlgorithm::DesCbc, 6_400),
+        (EncAlgorithm::TdeaCbc, 512),
+        (EncAlgorithm::DesEcb, 512),
+        (EncAlgorithm::DesCfb, 512),
+        (EncAlgorithm::DesOfb, 512),
+    ] {
+        let (mut tx, mut rx, _) = pair_with(FbsConfig {
+            enc_alg,
+            ..FbsConfig::default()
+        });
+        let open = |rx: &mut FbsEndpoint, wire: &[u8]| {
+            let pd = ProtectedDatagram::decode_payload(
+                Principal::named("alice"),
+                Principal::named("bob"),
+                wire,
+            )
+            .unwrap();
+            rx.receive(pd)
+        };
+        let mut malformed = 0;
+        for _ in 0..frames {
+            let mut wire = tx.send(9, dgram(&body), true).unwrap().encode_payload();
+            // The untouched frame opens: the padding it carries is zero.
+            assert_eq!(open(&mut rx, &wire).unwrap().body, body, "{enc_alg:?}");
+            *wire.last_mut().unwrap() ^= 0x5A;
+            match open(&mut rx, &wire) {
+                Err(FbsError::MalformedCiphertext) => malformed += 1,
+                Err(FbsError::BadMac) => {}
+                other => panic!("{enc_alg:?}: a flipped last byte read as {other:?}"),
+            }
+        }
+        match enc_alg {
+            EncAlgorithm::DesCfb | EncAlgorithm::DesOfb => {
+                assert_eq!(malformed, frames, "{enc_alg:?}: each flip is padding")
+            }
+            EncAlgorithm::DesCbc => malformed_cbc = malformed,
+            _ => {}
+        }
+    }
+    assert!(
+        malformed_cbc > 0,
+        "some CBC flip left the payload byte intact"
+    );
+}
+
 #[test]
 fn truncation_and_extension_rejected() {
     let (mut tx, mut rx, _) = pair();
