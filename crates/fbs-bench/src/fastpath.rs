@@ -108,8 +108,12 @@ pub struct MappingRate {
     /// Every thread's pool take/put ledger balanced: no buffer leaked on
     /// any path the run exercised.
     pub pool_balanced: bool,
-    /// The measured rate (wire buffers recycled back to the pools).
+    /// The measured rate with a registry attached, the observed rate
+    /// (wire buffers recycled back to the pools).
     pub rate: Rate,
+    /// The same point with no registry (`obs` `None`), in reps
+    /// alternating with the observed ones.
+    pub bare: Rate,
     /// Per-stage latency histograms (name, snapshot) accumulated over
     /// every rep of this row: partition, seal, key derivation,
     /// dispatch. Nanosecond log2 buckets.
@@ -117,6 +121,14 @@ pub struct MappingRate {
     /// Per-owner occupancy rows (sub-batches and busy-ns)
     /// accumulated over every rep of this row.
     pub occupancy: Vec<OwnerRow>,
+}
+
+impl MappingRate {
+    /// The share of the bare rate the registry costs:
+    /// `1 − observed / bare`.
+    pub fn obs_overhead_share(&self) -> f64 {
+        1.0 - self.rate.datagrams_per_sec / self.bare.datagrams_per_sec
+    }
 }
 
 /// One shard owner's load over a mapping row, read off the hooks'
@@ -259,7 +271,8 @@ impl FastpathReport {
                     "    {{\"threads\": {}, \"shards\": {}, \"workers\": {}, \
                      \"pool_balanced\": {}, \
                      \"datagrams_per_sec\": {:.1}, \"bytes_per_sec\": {:.1}, \
-                     \"allocs_per_datagram\": {:.2}, \"stages\": {{{}}}, \
+                     \"allocs_per_datagram\": {:.2}, \"bare\": {}, \
+                     \"obs_overhead_share\": {:.3}, \"stages\": {{{}}}, \
                      \"occupancy\": [{}]}}",
                     m.threads,
                     m.shards,
@@ -268,6 +281,8 @@ impl FastpathReport {
                     m.rate.datagrams_per_sec,
                     m.rate.bytes_per_sec,
                     m.rate.allocs_per_datagram,
+                    json_rate(&m.bare),
+                    m.obs_overhead_share(),
                     stages.join(", "),
                     occupancy.join(", ")
                 )
@@ -589,29 +604,28 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
     // window, and back-to-back reps share the host's phase. A leak in
     // ANY rep poisons the row's flag. Each rep's registry snapshot folds
     // into one per row, so its stage histograms and owner rows describe
-    // that grid point with enough samples to show a distribution.
+    // that grid point with enough samples to show a distribution. Each
+    // observed rep is followed by a bare one (no registry), so the two
+    // rates share the host's phases.
     let mut rows = [(1usize, 1usize, 1usize), (1, 8, 1), (2, 8, 2), (4, 8, 4)]
-        .map(|point| (point, MetricsSnapshot::new(), Vec::new(), true));
+        .map(|point| (point, MetricsSnapshot::new(), Vec::new(), Vec::new(), true));
     for _ in 0..MAPPING_REPS {
-        for ((threads, shards, workers), snap, reps, balanced) in rows.iter_mut() {
-            let (rate, ok) = measure_mapping(
-                payload,
-                count,
-                mode,
-                *threads,
-                *shards,
-                *workers,
-                Some(snap),
-                alloc,
-            );
-            reps.push(rate);
-            *balanced &= ok;
+        for ((threads, shards, workers), snap, reps, bare, balanced) in rows.iter_mut() {
+            let mut measure = |obs| {
+                let (rate, ok) = measure_mapping(
+                    payload, count, mode, *threads, *shards, *workers, obs, alloc,
+                );
+                *balanced &= ok;
+                rate
+            };
+            reps.push(measure(Some(snap)));
+            bare.push(measure(None));
         }
     }
     let mut obs = MetricsSnapshot::new();
     let mapping: Vec<MappingRate> = rows
         .into_iter()
-        .map(|((threads, shards, workers), snap, reps, pool_balanced)| {
+        .map(|((threads, shards, workers), snap, reps, bare, balanced)| {
             let stages: Vec<(&'static str, HistogramSnapshot)> = Stage::ALL
                 .iter()
                 .filter_map(|s| {
@@ -625,8 +639,9 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
                 threads,
                 shards,
                 workers,
-                pool_balanced,
+                pool_balanced: balanced,
                 rate: median_of(reps),
+                bare: median_of(bare),
                 stages,
                 occupancy,
             }
@@ -683,6 +698,8 @@ mod tests {
         }
         for m in &r.mapping {
             assert!(m.rate.datagrams_per_sec > 0.0);
+            assert!(m.bare.datagrams_per_sec > 0.0);
+            assert!(m.obs_overhead_share() < 1.0);
             assert!(m.pool_balanced, "mapping row leaked buffers: {m:?}");
             // Every row ran with a registry attached: the hot stages
             // must have recorded spans and every owner that drained a
@@ -703,6 +720,7 @@ mod tests {
         }
         assert!(json.contains("\"stages\""));
         assert!(json.contains("\"occupancy\""));
+        assert!(json.contains("\"bare\"") && json.contains("\"obs_overhead_share\""));
         // No row crosses a ring (there is none): no ring stage, no
         // stall column.
         assert!(!json.contains("ring_") && !json.contains("stall"));

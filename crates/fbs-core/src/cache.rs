@@ -761,6 +761,18 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     /// With a budget attached, entries are evicted (LRU-first) until the
     /// new entry's bytes fit under the ceiling *before* it is placed.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+        self.insert_with(key, |_| value)
+    }
+
+    /// [`insert`](Self::insert) with the value made by `value` once the
+    /// slot is chosen, from the entry evicted to make room for it (`None`
+    /// on an overwrite or a vacant slot): it may take that entry, e.g. to
+    /// reuse its allocation. Whatever it leaves there is returned.
+    pub fn insert_with(
+        &mut self,
+        key: K,
+        value: impl FnOnce(&mut Option<(K, V)>) -> V,
+    ) -> Option<(K, V)> {
         self.tick += 1;
         let tick = self.tick;
         if self.old.is_some() {
@@ -772,7 +784,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         let set = (h as usize) % self.table.sets;
         // Overwrite in the live table: no eviction, no residency change.
         if let (Some(slot), _, _) = self.table.probe(set, fp, &key) {
-            self.table.vals[slot] = Some(value);
+            self.table.vals[slot] = Some(value(&mut None));
             self.table.used[slot] = tick;
             return None;
         }
@@ -797,15 +809,15 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         let base = set * self.assoc;
         self.table.ensure_slots(base + self.assoc);
         let (_, _, first_empty) = self.table.probe(set, fp, &key);
-        let (slot, evicted) = match first_empty {
+        let (slot, mut evicted) = match first_empty {
             Some(slot) => (slot, None),
             None => {
                 // Evict LRU.
                 let victim = self.table.window_lru(set).expect("full window");
-                let (ek, ev) = self.evict_live_slot(victim);
-                (victim, Some((ek, ev)))
+                (victim, Some(self.evict_live_slot(victim)))
             }
         };
+        let value = value(&mut evicted);
         self.table.place(slot, fp, key, value, tick);
         if carried {
             // The move itself is residency-neutral, but the placement may

@@ -12,7 +12,7 @@ use crate::principal::Principal;
 use fbs_crypto::des::TripleDes;
 use fbs_crypto::md5::{Md5, Md5x2};
 use fbs_crypto::{sha1::Sha1, CipherSuite, Des, MacAlgorithm, MacContext};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Hash used for flow-key derivation (the paper names MD5, SHS, even DES as
 /// candidates for `H`; we provide the two real hashes).
@@ -254,6 +254,21 @@ impl SealedFlowKey {
             }
             _ => keys.map(|key| Self::seal_for(key, suite, mac_alg, enc_alg)),
         }
+    }
+
+    /// `self` in an `Arc`: `old`'s allocation, overwritten, when
+    /// [`Arc::get_mut`] shows no one else holds it, else a new one. A
+    /// birth that displaces a key then allocates nothing for an AEAD
+    /// key (a DES key still brings its boxed material), and a key
+    /// someone still holds is never written, only released.
+    pub fn into_arc_reusing(self, old: Option<Arc<SealedFlowKey>>) -> Arc<SealedFlowKey> {
+        if let Some(mut old) = old {
+            if let Some(slot) = Arc::get_mut(&mut old) {
+                *slot = self;
+                return old;
+            }
+        }
+        Arc::new(self)
     }
 
     /// Heap bytes one `Arc<SealedFlowKey>` sealed for `suite` occupies:

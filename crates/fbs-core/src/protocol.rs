@@ -518,8 +518,10 @@ impl FlowCodec {
     /// freshness first (a stale datagram is stale even when its key is
     /// unavailable), then `open` under the key the RFKC lends; on a miss,
     /// `derive` into a local (it may peek at `rfkc` as the miss left it),
-    /// `open` under it, and cache the key only once it verified — a
-    /// forged birth leaves `rfkc` as it was. `open` wraps
+    /// `open` under it, and cache the key only once it verified (a
+    /// forged birth leaves `rfkc` as it was), in the allocation of the
+    /// key its insert evicts when no one else holds that one
+    /// ([`SealedFlowKey::into_arc_reusing`]). `open` wraps
     /// [`open_with_key_into`](Self::open_with_key_into).
     pub fn open_cached<K: Eq + Hash + Clone, T>(
         &self,
@@ -535,7 +537,9 @@ impl FlowCodec {
         }
         let key = derive(rfkc)?;
         let opened = open(&key)?;
-        rfkc.insert(id, Arc::new(key));
+        rfkc.insert_with(id, |evicted| {
+            key.into_arc_reusing(evicted.take().map(|(_, old)| old))
+        });
         Ok(opened)
     }
 

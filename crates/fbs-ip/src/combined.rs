@@ -51,9 +51,53 @@ impl CombinedStats {
     }
 }
 
+/// Slots per chunk of a [`CombinedTable`]: 64 × 40 B = 2,560 B, under
+/// 4 KiB.
+const CHUNK_SLOTS: usize = 64;
+
+/// A table's slots, stored as a directory of fixed-size chunks of
+/// [`CHUNK_SLOTS`] (the last one partly unused when the size is not a
+/// multiple). A chunk is allocated by the first insert that lands in
+/// it; a missing chunk reads as empty slots, so the memory tracks the
+/// slots flows touched, not the configured size.
+struct Slots {
+    len: usize,
+    chunks: Vec<Option<Box<[Option<Entry>; CHUNK_SLOTS]>>>,
+}
+
+impl Slots {
+    fn new(len: usize) -> Self {
+        Slots {
+            len,
+            chunks: (0..len.div_ceil(CHUNK_SLOTS)).map(|_| None).collect(),
+        }
+    }
+
+    fn get(&self, i: usize) -> Option<&Entry> {
+        self.chunks[i / CHUNK_SLOTS].as_ref()?[i % CHUNK_SLOTS].as_ref()
+    }
+
+    fn get_mut(&mut self, i: usize) -> Option<&mut Entry> {
+        self.chunks[i / CHUNK_SLOTS].as_mut()?[i % CHUNK_SLOTS].as_mut()
+    }
+
+    /// Slot `i` for writing, its chunk allocated if it has none yet.
+    fn slot_mut(&mut self, i: usize) -> &mut Option<Entry> {
+        let chunk = &mut self.chunks[i / CHUNK_SLOTS];
+        &mut chunk.get_or_insert_with(|| Box::new([const { None }; CHUNK_SLOTS]))[i % CHUNK_SLOTS]
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.chunks
+            .iter()
+            .flatten()
+            .flat_map(|c| c.iter().flatten())
+    }
+}
+
 /// The merged flow-state/flow-key table.
 pub struct CombinedTable {
-    slots: Vec<Option<Entry>>,
+    slots: Slots,
     threshold_secs: u64,
     alloc: SflAllocator,
     /// Where the counts go: a private block by default, or the
@@ -62,19 +106,20 @@ pub struct CombinedTable {
 }
 
 impl CombinedTable {
-    /// Bytes one slot occupies, empty or not — the table's resident floor
-    /// per slot.
+    /// Bytes one slot occupies once its chunk is allocated, empty or not:
+    /// what a table that fills costs per configured slot.
     pub const SLOT_BYTES: usize = std::mem::size_of::<Option<Entry>>();
 
     /// Create a table with `size` direct-mapped slots and the given
-    /// THRESHOLD.
+    /// THRESHOLD. No slot is allocated until an insert lands in its
+    /// chunk.
     ///
     /// # Panics
     /// Panics if `size` is zero.
     pub fn new(size: usize, threshold_secs: u64, alloc: SflAllocator) -> Self {
         assert!(size > 0, "combined table needs at least one slot");
         CombinedTable {
-            slots: (0..size).map(|_| None).collect(),
+            slots: Slots::new(size),
             threshold_secs,
             alloc,
             counts: Arc::new(CounterBlock::new()),
@@ -90,7 +135,7 @@ impl CombinedTable {
     }
 
     fn slot_of(&self, tuple: &FiveTuple) -> usize {
-        crc32(&tuple.canonical_array()) as usize % self.slots.len()
+        crc32(&tuple.canonical_array()) as usize % self.slots.len
     }
 
     /// The single lookup of the send path: on an active same-tuple
@@ -99,16 +144,16 @@ impl CombinedTable {
     /// touched again; on a miss, record the miss (a displaced live entry
     /// counts as a collision) and return `None`. The caller then starts
     /// the flow: [`reserve_sfl`](Self::reserve_sfl), derive, and
-    /// [`insert`](Self::insert).
+    /// [`insert_reusing`](Self::insert_reusing) (or
+    /// [`insert`](Self::insert)).
     pub fn probe(&mut self, tuple: &FiveTuple, now_secs: u64) -> Option<(u64, &SealedFlowKey)> {
         let i = self.slot_of(tuple);
         let mut displaced_live = false;
-        if let Some(e) = &self.slots[i] {
+        if let Some(e) = self.slots.get_mut(i) {
             let active = now_secs.saturating_sub(e.last_secs) <= self.threshold_secs;
             if active && e.tuple == *tuple {
                 self.counts
                     .cache_lookup(CacheKind::Combined, CacheOutcome::Hit);
-                let e = self.slots[i].as_mut().expect("matched above");
                 e.last_secs = now_secs;
                 return Some((e.sfl, &*e.key));
             }
@@ -141,7 +186,7 @@ impl CombinedTable {
         if let Some(p) = pending.filter(|p| self.slot_of(p) == i) {
             return p != tuple;
         }
-        !self.slots[i].as_ref().is_some_and(|e| {
+        !self.slots.get(i).is_some_and(|e| {
             e.tuple == *tuple && now_secs.saturating_sub(e.last_secs) <= self.threshold_secs
         })
     }
@@ -167,9 +212,38 @@ impl CombinedTable {
         key: Arc<SealedFlowKey>,
         now_secs: u64,
     ) -> &SealedFlowKey {
+        self.place(tuple, sfl, now_secs, |_| key)
+    }
+
+    /// [`insert`](Self::insert) a flow born with `key`, in the allocation
+    /// of the key it displaces when no one else holds that one
+    /// ([`SealedFlowKey::into_arc_reusing`]): a birth into an occupied
+    /// slot allocates nothing for an AEAD key, and a shared key is never
+    /// written.
+    pub fn insert_reusing(
+        &mut self,
+        tuple: FiveTuple,
+        sfl: u64,
+        key: SealedFlowKey,
+        now_secs: u64,
+    ) -> &SealedFlowKey {
+        self.place(tuple, sfl, now_secs, |old| key.into_arc_reusing(old))
+    }
+
+    /// The one placement: count the new flow and fill the tuple's slot
+    /// with the key `key` makes of the displaced entry's key, if any.
+    fn place(
+        &mut self,
+        tuple: FiveTuple,
+        sfl: u64,
+        now_secs: u64,
+        key: impl FnOnce(Option<Arc<SealedFlowKey>>) -> Arc<SealedFlowKey>,
+    ) -> &SealedFlowKey {
         self.counts.cache_insertion(CacheKind::Combined);
         let i = self.slot_of(&tuple);
-        let e = self.slots[i].insert(Entry {
+        let slot = self.slots.slot_mut(i);
+        let key = key(slot.take().map(|e| e.key));
+        let e = slot.insert(Entry {
             tuple,
             sfl,
             key,
@@ -178,21 +252,27 @@ impl CombinedTable {
         &e.key
     }
 
-    /// Invalidate every entry (e.g. after a rekey of the local principal).
+    /// Invalidate every entry (e.g. after a rekey of the local
+    /// principal), freeing every chunk.
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
+        self.slots.chunks.fill_with(|| None);
     }
 
     /// Number of entries active at `now_secs` (Fig. 12's metric under the
     /// combined implementation).
     pub fn active_flows(&self, now_secs: u64) -> usize {
         self.slots
-            .iter()
-            .flatten()
+            .entries()
             .filter(|e| now_secs.saturating_sub(e.last_secs) <= self.threshold_secs)
             .count()
+    }
+
+    /// Chunks of slots allocated so far: the table's resident slot
+    /// bytes are this many × [`CHUNK_SLOTS`] ×
+    /// [`SLOT_BYTES`](Self::SLOT_BYTES).
+    #[cfg(test)]
+    pub(crate) fn chunks_owned(&self) -> usize {
+        self.slots.chunks.iter().flatten().count()
     }
 
     /// Accumulated statistics, read off the counter block.
@@ -222,13 +302,17 @@ mod tests {
     }
 
     /// An AEAD key, whose ChaCha key tells flows apart.
-    fn fake_key(sfl: u64) -> Result<Arc<SealedFlowKey>, ()> {
-        Ok(Arc::new(SealedFlowKey::seal_for(
+    fn sealed(sfl: u64) -> SealedFlowKey {
+        SealedFlowKey::seal_for(
             FlowKey::new(&sfl.to_be_bytes().repeat(2)),
             CipherSuite::AeadChaPoly,
             MacAlgorithm::Poly1305,
             EncAlgorithm::ChaCha20,
-        )))
+        )
+    }
+
+    fn fake_key(sfl: u64) -> Result<Arc<SealedFlowKey>, ()> {
+        Ok(Arc::new(sealed(sfl)))
     }
 
     /// One datagram's send-path resolution: the flow's sfl, its ChaCha
@@ -330,6 +414,147 @@ mod tests {
         assert_eq!(t.active_flows(100), 2);
         assert_eq!(t.active_flows(650), 1);
         assert_eq!(t.active_flows(5000), 0);
+    }
+
+    /// The table's slot for `tuple` as the paper defines it, outside the
+    /// table: the CRC-32 of the tuple modulo the size.
+    fn slot(tuple: &FiveTuple, size: usize) -> usize {
+        crc32(&tuple.canonical_array()) as usize % size
+    }
+
+    #[test]
+    fn a_table_with_no_insert_owns_no_chunk() {
+        let mut t = CombinedTable::new(65_536, 600, SflAllocator::new(1));
+        assert_eq!(t.chunks_owned(), 0);
+        // Misses, quiet looks and counts read missing chunks as empty.
+        for sport in 0..512 {
+            assert!(t.probe(&tuple(sport), 0).is_none());
+            assert!(t.would_start(&tuple(sport), 0, None));
+        }
+        assert_eq!(t.active_flows(0), 0);
+        t.clear();
+        assert_eq!(t.chunks_owned(), 0);
+        assert_eq!(t.stats().new_flows, 0);
+    }
+
+    #[test]
+    fn inserts_own_exactly_the_chunks_their_slots_fall_in() {
+        // 4,100 slots: 64 full chunks and one holding the last 4.
+        let size = 4_100;
+        let mut t = CombinedTable::new(size, 600, SflAllocator::new(1));
+        let mut chunks = std::collections::BTreeSet::new();
+        for sport in (0..3_000).step_by(97) {
+            let tup = tuple(sport);
+            let sfl = t.reserve_sfl();
+            t.insert_reusing(tup, sfl, sealed(sfl), 0);
+            chunks.insert(slot(&tup, size) / CHUNK_SLOTS);
+            assert_eq!(t.chunks_owned(), chunks.len(), "after sport {sport}");
+        }
+        assert!(
+            chunks.len() < size.div_ceil(CHUNK_SLOTS),
+            "some chunk stays unused"
+        );
+        t.clear();
+        assert_eq!(t.chunks_owned(), 0, "a cleared table frees its chunks");
+    }
+
+    /// A seeded mix of births, hits, expiries, quiet looks, counts and
+    /// clears against a full-array model of the same slots: the chunked
+    /// table answers every call as the array does.
+    #[test]
+    fn chunked_slots_agree_with_a_full_array() {
+        // (tuple, sfl, last_secs) per slot, every slot present up front.
+        type Model = Vec<Option<(FiveTuple, u64, u64)>>;
+        const THRESHOLD: u64 = 600;
+        let size = 200; // three chunks and 8 slots of a fourth
+        let mut t = CombinedTable::new(size, THRESHOLD, SflAllocator::new(7));
+        let mut model: Model = vec![None; size];
+        let mut model_sfl = SflAllocator::new(7);
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let live = |m: &Model, i: usize, tuple: &FiveTuple, now: u64| {
+            m[i].is_some_and(|(held, _, last)| {
+                held == *tuple && now.saturating_sub(last) <= THRESHOLD
+            })
+        };
+        let mut now = 0u64;
+        for step in 0..20_000 {
+            now += match next(100) {
+                0 => 700, // past THRESHOLD: everything expires
+                n => n % 4,
+            };
+            let tup = tuple(next(600) as u16);
+            let i = slot(&tup, size);
+            match next(100) {
+                0 => {
+                    t.clear();
+                    model.fill(None);
+                }
+                1..=5 => {
+                    let want = model.iter().flatten().filter(|e| now - e.2 <= THRESHOLD);
+                    assert_eq!(t.active_flows(now), want.count(), "step {step}");
+                }
+                6..=15 => {
+                    let pending = tuple(next(600) as u16);
+                    let want = if slot(&pending, size) == i {
+                        pending != tup
+                    } else {
+                        !live(&model, i, &tup, now)
+                    };
+                    assert_eq!(
+                        t.would_start(&tup, now, Some(&pending)),
+                        want,
+                        "step {step}"
+                    );
+                    let alone = !live(&model, i, &tup, now);
+                    assert_eq!(t.would_start(&tup, now, None), alone, "step {step}");
+                }
+                op => {
+                    let want = live(&model, i, &tup, now).then(|| model[i].unwrap().1);
+                    let got = t.probe(&tup, now).map(|(sfl, key)| {
+                        assert_eq!(key.chacha_key(), fake_key(sfl).unwrap().chacha_key());
+                        sfl
+                    });
+                    assert_eq!(got, want, "step {step}");
+                    match want {
+                        Some(sfl) => model[i] = Some((tup, sfl, now)),
+                        None => {
+                            let sfl = t.reserve_sfl();
+                            assert_eq!(sfl, model_sfl.next_sfl());
+                            if op % 2 == 0 {
+                                t.insert(tup, sfl, fake_key(sfl).unwrap(), now);
+                            } else {
+                                t.insert_reusing(tup, sfl, sealed(sfl), now);
+                            }
+                            model[i] = Some((tup, sfl, now));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A birth never writes a key someone else still holds: the shared
+    /// key keeps its bytes and the new flow gets an allocation of its
+    /// own. (That an unshared key's allocation is reused is counted by
+    /// `tests/births_allocate_nothing.rs`, which has an allocator to
+    /// count with.)
+    #[test]
+    fn a_birth_never_writes_a_shared_key() {
+        let mut t = CombinedTable::new(1, 600, SflAllocator::new(1));
+        let shared = fake_key(12).unwrap();
+        t.insert(tuple(3), 12, Arc::clone(&shared), 0);
+        let born = t.insert_reusing(tuple(4), 13, sealed(13), 0) as *const SealedFlowKey;
+        assert_ne!(born, Arc::as_ptr(&shared));
+        assert_eq!(shared.chacha_key(), sealed(12).chacha_key());
+        let (sfl, key) = t.probe(&tuple(4), 0).unwrap();
+        assert_eq!(sfl, 13);
+        assert_eq!(key.chacha_key(), sealed(13).chacha_key());
     }
 
     #[test]

@@ -61,11 +61,12 @@ pub(super) fn flow_key_entry_bytes(suite: CipherSuite) -> u64 {
         + SealedFlowKey::arc_bytes(suite)) as u64
 }
 
-/// Static bytes one shard's combined table occupies (the §7.2 table
-/// keeps `fst_size` slots resident whether or not flows occupy them),
-/// charged up front under [`BudgetKind::Fam`] so `mem.shard.<i>.*`
-/// reflects the real floor. The keys occupied slots point at are not
-/// charged (DESIGN.md, "Memory & Scale").
+/// Bytes one shard's combined table reserves: its `fst_size` slots, as
+/// resident once flows have touched every chunk. The chunks are
+/// allocated on first use, so this is a reservation, charged up front
+/// under [`BudgetKind::Fam`] so the budget's ceiling still bounds a
+/// table that fills. The keys occupied slots point at are not charged
+/// (DESIGN.md, "Memory & Scale").
 pub(super) fn fst_static_bytes(fst_size: usize) -> u64 {
     (fst_size * CombinedTable::SLOT_BYTES) as u64
 }
@@ -134,7 +135,7 @@ impl HookShared {
         )
         .with_counts(Arc::clone(counts), CacheKind::Rfkc);
         // The shard enforces its own budget: reset the (possibly
-        // carried-over) ledger, charge the static FST footprint, and
+        // carried-over) ledger, reserve the FST's full footprint, and
         // attach the key cache so it evicts before allocating past it.
         let budget = self.budgets[si].clone();
         budget.reset();
@@ -425,7 +426,7 @@ fn protect(
                 ahead.stash,
                 partner,
             )?;
-            (sfl, combined.insert(tuple, sfl, Arc::new(key), now_secs))
+            (sfl, combined.insert_reusing(tuple, sfl, key, now_secs))
         }
     };
     pass.span(sfl, header.src, SpanKind::Classify, payload.len() as u64);

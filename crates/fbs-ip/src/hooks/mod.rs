@@ -39,7 +39,9 @@
 //!   bytes) mod `N`, so a flow's RFKC entries stay in one shard.
 //! * Per-shard tables keep the FULL configured geometry (`fst_size`,
 //!   RFKC sets × assoc): a shard only ever sees tuples hashing to
-//!   its index, so dividing the tables by `N` would collapse them.
+//!   its index, so dividing the tables by `N` would collapse them. The
+//!   combined table allocates its slots a chunk at a time, on first
+//!   use, so a shard pays for the geometry its flows touch.
 //!
 //! ## Buffer economy
 //!

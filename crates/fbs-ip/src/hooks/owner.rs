@@ -356,6 +356,12 @@ impl Owner {
         self.shards.iter().enumerate().map(row).collect()
     }
 
+    /// Combined-table chunks allocated over owned shards.
+    #[cfg(test)]
+    pub(super) fn combined_chunks(&self) -> usize {
+        self.shards.iter().map(|s| s.combined.chunks_owned()).sum()
+    }
+
     /// Summed (output, input) parking counters over owned shards.
     pub(super) fn park_stats(&self) -> (ParkStats, ParkStats) {
         let mut out = ParkStats::default();

@@ -1453,6 +1453,40 @@ fn the_memory_ledger_charges_each_suites_real_key_allocation() {
     }
 }
 
+/// The combined table is the transmit side's: a host that only receives
+/// allocates none of its slots, and a sender only the chunks its flows
+/// land in.
+#[test]
+fn a_receive_only_host_owns_no_combined_chunk() {
+    let world = World::new();
+    let cfg = IpMappingConfig {
+        fst_size: 4096,
+        ..IpMappingConfig::default()
+    };
+    let mut sender = world.host_with(A, cfg.clone());
+    let mut receiver = world.host_with(B, cfg);
+    let chunks = |h: &FbsIpHooks| -> usize {
+        (0..h.shared.n_workers)
+            .map(|w| h.shared.with_owner(w, |st| st.combined_chunks()).unwrap())
+            .sum()
+    };
+    assert_eq!((chunks(&sender), chunks(&receiver)), (0, 0));
+    for round in 0..4 {
+        let opened = exchange(
+            &mut sender,
+            &mut receiver,
+            spread_batch(48),
+            None,
+            1_000 + round,
+        );
+        assert!(opened.iter().all(|(_, o)| is_pass(o)), "{opened:?}");
+    }
+    assert_eq!(receiver.stats().verified, 4 * 48);
+    assert_eq!(chunks(&receiver), 0);
+    let sent = chunks(&sender);
+    assert!((1..=48).contains(&sent), "{sent} chunks for 48 flows");
+}
+
 #[test]
 fn the_rfkc_index_is_the_principal_pair_ids() {
     // The receive cache keys a flow by (sfl, source address) and leaves
