@@ -19,12 +19,9 @@ use fbs_ip::FiveTuple;
 use fbs_trace::{ScaleConfig, ScaleTrace};
 use std::time::Instant;
 
-/// Bytes one resident bench entry is charged against a budget: the
-/// SoA slot triple (key, value, LRU tick) plus its control byte.
-pub const SCALE_ENTRY_BYTES: u64 = (std::mem::size_of::<Option<FiveTuple>>()
-    + std::mem::size_of::<Option<u64>>()
-    + std::mem::size_of::<u64>()
-    + 1) as u64;
+/// Bytes one resident bench entry is charged against a budget: its
+/// slot (control byte plus the key, value and LRU tick of its entry).
+pub const SCALE_ENTRY_BYTES: u64 = SoftCache::<FiveTuple, u64>::SLOT_BYTES as u64;
 
 /// One measurement point of the scale sweep.
 #[derive(Clone, Debug)]

@@ -18,14 +18,16 @@
 //!
 //! # Storage layout (million-flow residency)
 //!
-//! Entries live in flat open-addressed slot arrays rather than
-//! `Vec`-of-`Vec` sets: a control-byte array (one byte per slot holding
-//! either EMPTY or a 7-bit fingerprint of the index hash, swiss-table
-//! style) plus struct-of-arrays entry storage (keys, values and LRU
-//! ticks in separate parallel arrays). A lookup scans the control bytes
-//! of its set's slot window first and only compares keys on a
-//! fingerprint match, so a miss at high occupancy touches one cache line
-//! of control bytes, not `assoc` full entries. The set index is still
+//! A table's slots live in fixed chunks of 64, each holding whole sets
+//! whenever the associativity divides 64: the chunk's 64 control bytes
+//! (EMPTY or a 7-bit fingerprint of the index hash, swiss-table style)
+//! sit beside one array of entries, each entry the key, the value and
+//! the LRU tick together. A lookup scans its set's control bytes first
+//! and compares keys only on a fingerprint match, so a miss touches one
+//! line of control bytes and a hit one entry more. Chunks hang off a
+//! [`ChunkDir`] and are allocated by the first placement into them; a
+//! missing chunk reads as empty, so a cache costs 8 B per 64 slots
+//! until flows reach it. The set index is still
 //! `hash(k) % num_sets` — exactly the paper's "randomise, then take the
 //! modulo" structure — and replacement is still LRU within the set's
 //! window, so the 3C behaviour under study is unchanged.
@@ -35,11 +37,10 @@
 //! geometry as occupancy grows, and each doubling keeps the previous
 //! array alive while a migration cursor rehomes at most
 //! [`MIGRATE_SETS`] sets per lookup/insert. No single datagram ever
-//! pays a full-table rehash or a full-table zeroing stall (new arrays
-//! are initialised lazily behind a watermark). Small caches — every
-//! geometry the figure experiments sweep — allocate at full size up
-//! front and never migrate, so their behaviour is bit-identical to the
-//! direct implementation.
+//! pays a full-table rehash or a full-table zeroing stall (a new table
+//! is a directory of missing chunks). Small caches — every geometry the
+//! figure experiments sweep — start at full size and never migrate, so
+//! their behaviour is bit-identical to the direct implementation.
 //!
 //! A cache can also be attached to a [`MemoryBudget`]: each resident
 //! entry charges a fixed byte cost under the cache's [`BudgetKind`],
@@ -47,17 +48,19 @@
 //! cache's own LRU entries *before* allocating (budget-driven eviction;
 //! soft state makes that always safe).
 
+use crate::chunks::{ChunkDir, CHUNK_SLOTS};
 use crate::mem::{BudgetKind, MemoryBudget};
 use fbs_obs::{CacheKind, CacheOutcome, CounterBlock, MetricsRegistry};
 use std::collections::HashSet;
 use std::hash::Hash;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 /// Control byte for a vacant slot. Occupied slots hold the low 7 bits of
 /// `hash >> 25` (always `<= 0x7F`, so never equal to this).
 const CTRL_EMPTY: u8 = 0xFF;
 
-/// Caches configured with at most this many sets allocate at full size
+/// Caches configured with at most this many sets start at full size
 /// and never resize; larger caches start at (about) this many sets and
 /// double incrementally as they fill.
 pub const GROW_START_SETS: usize = 512;
@@ -109,54 +112,82 @@ pub enum Lookup {
 /// Running hit/miss counters: a view over the cache's counter block.
 pub use fbs_obs::CacheStats;
 
-/// One flat slot array: control bytes plus SoA entry storage. Slots
-/// past the `ctrl.len()` watermark are implicitly EMPTY — arrays are
-/// reserved to `sets * assoc` up front but initialised lazily, so
-/// standing up a doubled table during a resize never writes the whole
-/// allocation in one stall.
+/// One slot's entry: key, value and LRU tick. Ticks count from 1, so a
+/// vacant slot's `None` costs no tag byte.
+type Entry<K, V> = (K, V, NonZeroU64);
+
+/// The tick of an entry placed or touched at `tick`.
+fn stamp(tick: u64) -> NonZeroU64 {
+    NonZeroU64::new(tick).expect("ticks count from 1")
+}
+
+/// One chunk of slots: the control bytes a probe scans first, beside
+/// the entries a fingerprint match compares.
+struct Chunk<K, V> {
+    ctrl: [u8; CHUNK_SLOTS],
+    entries: [Option<Entry<K, V>>; CHUNK_SLOTS],
+}
+
+impl<K, V> Chunk<K, V> {
+    fn empty() -> Self {
+        Chunk {
+            ctrl: [CTRL_EMPTY; CHUNK_SLOTS],
+            entries: [const { None }; CHUNK_SLOTS],
+        }
+    }
+}
+
+/// One table of `sets × assoc` slots, set `s`'s window the `assoc`
+/// slots from `s × assoc`, stored in chunks of [`CHUNK_SLOTS`]
+/// consecutive slots that are allocated by the first placement into
+/// them. When `assoc` divides 64 (every geometry the hooks and the
+/// figures use) a chunk holds whole sets, so a probe makes one
+/// directory lookup; otherwise a window may straddle two chunks. A
+/// missing chunk reads as empty slots.
 struct Table<K, V> {
     sets: usize,
     assoc: usize,
-    ctrl: Vec<u8>,
-    keys: Vec<Option<K>>,
-    vals: Vec<Option<V>>,
-    used: Vec<u64>,
+    chunks: ChunkDir<Chunk<K, V>>,
 }
 
 impl<K, V> Table<K, V> {
     fn new(sets: usize, assoc: usize) -> Self {
-        let cap = sets * assoc;
         Table {
             sets,
             assoc,
-            ctrl: Vec::with_capacity(cap),
-            keys: Vec::with_capacity(cap),
-            vals: Vec::with_capacity(cap),
-            used: Vec::with_capacity(cap),
+            chunks: ChunkDir::new((sets * assoc).div_ceil(CHUNK_SLOTS)),
         }
     }
 
-    /// Extend the initialised watermark to cover slots `..end`.
-    fn ensure_slots(&mut self, end: usize) {
-        while self.ctrl.len() < end {
-            self.ctrl.push(CTRL_EMPTY);
-            self.keys.push(None);
-            self.vals.push(None);
-            self.used.push(0);
-        }
+    /// One past the last slot.
+    fn end(&self) -> usize {
+        self.sets * self.assoc
     }
 
-    fn ctrl_at(&self, slot: usize) -> u8 {
-        self.ctrl.get(slot).copied().unwrap_or(CTRL_EMPTY)
+    fn entry(&self, slot: usize) -> Option<&Entry<K, V>> {
+        self.chunks.get(slot / CHUNK_SLOTS)?.entries[slot % CHUNK_SLOTS].as_ref()
     }
 
-    /// Heap bytes held by this table's arrays (reserved capacity, which
-    /// is what the allocator actually committed).
+    fn entry_mut(&mut self, slot: usize) -> Option<&mut Entry<K, V>> {
+        self.chunks.get_mut(slot / CHUNK_SLOTS)?.entries[slot % CHUNK_SLOTS].as_mut()
+    }
+
+    /// The occupied slots among addresses `start..end`, in address
+    /// order; a missing chunk is skipped whole.
+    fn occupied(&self, start: usize, end: usize) -> impl Iterator<Item = (usize, &Entry<K, V>)> {
+        let chunks = start / CHUNK_SLOTS..end.div_ceil(CHUNK_SLOTS);
+        chunks
+            .filter_map(|c| Some((c, self.chunks.get(c)?)))
+            .flat_map(move |(c, chunk)| {
+                let first = c * CHUNK_SLOTS;
+                (start.max(first)..end.min(first + CHUNK_SLOTS))
+                    .filter_map(move |slot| Some((slot, chunk.entries[slot - first].as_ref()?)))
+            })
+    }
+
+    /// Heap bytes held by the directory and the allocated chunks.
     fn heap_bytes(&self) -> u64 {
-        (self.ctrl.capacity() * std::mem::size_of::<u8>()
-            + self.keys.capacity() * std::mem::size_of::<Option<K>>()
-            + self.vals.capacity() * std::mem::size_of::<Option<V>>()
-            + self.used.capacity() * std::mem::size_of::<u64>()) as u64
+        self.chunks.heap_bytes()
     }
 }
 
@@ -169,16 +200,29 @@ impl<K: Eq, V> Table<K, V> {
     fn probe(&self, set: usize, fp: u8, key: &K) -> (Option<usize>, usize, Option<usize>) {
         let base = set * self.assoc;
         let mut first_empty = None;
-        for i in 0..self.assoc {
+        let mut i = 0;
+        while i < self.assoc {
             let slot = base + i;
-            let c = self.ctrl_at(slot);
-            if c == CTRL_EMPTY {
-                if first_empty.is_none() {
-                    first_empty = Some(slot);
+            let off = slot % CHUNK_SLOTS;
+            let run = (CHUNK_SLOTS - off).min(self.assoc - i);
+            match self.chunks.get(slot / CHUNK_SLOTS) {
+                None => {
+                    first_empty.get_or_insert(slot);
                 }
-            } else if c == fp && self.keys[slot].as_ref() == Some(key) {
-                return (Some(slot), i + 1, first_empty);
+                Some(chunk) => {
+                    for j in 0..run {
+                        let c = chunk.ctrl[off + j];
+                        if c == CTRL_EMPTY {
+                            first_empty.get_or_insert(slot + j);
+                        } else if c == fp
+                            && chunk.entries[off + j].as_ref().is_some_and(|e| e.0 == *key)
+                        {
+                            return (Some(slot + j), i + j + 1, first_empty);
+                        }
+                    }
+                }
             }
+            i += run;
         }
         (None, self.assoc, first_empty)
     }
@@ -186,25 +230,45 @@ impl<K: Eq, V> Table<K, V> {
     /// Least-recently-used occupied slot in `set`'s window, if any.
     fn window_lru(&self, set: usize) -> Option<usize> {
         let base = set * self.assoc;
-        (base..base + self.assoc)
-            .filter(|&s| self.ctrl_at(s) != CTRL_EMPTY)
-            .min_by_key(|&s| self.used[s])
+        let mut lru: Option<(NonZeroU64, usize)> = None;
+        for slot in base..base + self.assoc {
+            if let Some(e) = self.entry(slot) {
+                if lru.is_none_or(|(tick, _)| e.2 < tick) {
+                    lru = Some((e.2, slot));
+                }
+            }
+        }
+        lru.map(|(_, slot)| slot)
     }
 
-    /// Vacate `slot`, returning its entry. Caller keeps the books.
-    fn remove(&mut self, slot: usize) -> (K, V) {
-        self.ctrl[slot] = CTRL_EMPTY;
-        let k = self.keys[slot].take().expect("occupied slot has a key");
-        let v = self.vals[slot].take().expect("occupied slot has a value");
-        (k, v)
+    /// Vacate occupied `slot`, returning its entry. Caller keeps the
+    /// books.
+    fn take(&mut self, slot: usize) -> Entry<K, V> {
+        let chunk = self
+            .chunks
+            .get_mut(slot / CHUNK_SLOTS)
+            .expect("occupied slot has a chunk");
+        chunk.ctrl[slot % CHUNK_SLOTS] = CTRL_EMPTY;
+        chunk.entries[slot % CHUNK_SLOTS]
+            .take()
+            .expect("occupied slot has an entry")
     }
 
-    /// Fill `slot` (must be initialised and empty or being overwritten).
-    fn place(&mut self, slot: usize, fp: u8, key: K, value: V, tick: u64) {
-        self.ctrl[slot] = fp;
-        self.keys[slot] = Some(key);
-        self.vals[slot] = Some(value);
-        self.used[slot] = tick;
+    /// Move every entry of `set`'s window into `into`, in slot order.
+    fn drain_window(&mut self, set: usize, into: &mut Vec<Entry<K, V>>) {
+        let base = set * self.assoc;
+        for slot in base..base + self.assoc {
+            if self.entry(slot).is_some() {
+                into.push(self.take(slot));
+            }
+        }
+    }
+
+    /// Fill empty `slot`, allocating its chunk on first use.
+    fn place(&mut self, slot: usize, fp: u8, key: K, value: V, tick: NonZeroU64) {
+        let chunk = self.chunks.get_or_alloc(slot / CHUNK_SLOTS, Chunk::empty);
+        chunk.ctrl[slot % CHUNK_SLOTS] = fp;
+        chunk.entries[slot % CHUNK_SLOTS] = Some((key, value, tick));
     }
 }
 
@@ -278,7 +342,7 @@ pub struct SoftCache<K, V> {
     /// `i` slots.
     probe_hist: [u64; PROBE_HIST_BUCKETS],
     /// Reused scratch for migration steps (no per-datagram allocation).
-    scratch: Vec<(K, V, u64)>,
+    scratch: Vec<Entry<K, V>>,
     /// The counter block this cache writes its 3C counts into, under
     /// `kind`: a private one by default, or its endpoint's
     /// ([`with_counts`](Self::with_counts)). Readers never borrow (or
@@ -294,14 +358,22 @@ pub struct SoftCache<K, V> {
     budget: Option<(MemoryBudget, BudgetKind, u64)>,
 }
 
+impl<K, V> SoftCache<K, V> {
+    /// Bytes one slot occupies once its chunk is allocated, empty or
+    /// not: its control byte and its entry (key, value and LRU tick).
+    /// What a cache that fills costs per configured slot.
+    pub const SLOT_BYTES: usize = 1 + std::mem::size_of::<Option<Entry<K, V>>>();
+}
+
 impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     /// Create a cache of `num_sets * assoc` total entries. `hash` maps a
     /// key to a 32-bit value; the set index is `hash(k) % num_sets`
     /// (exactly the paper's "randomise, then take the modulo" structure).
     ///
     /// Geometries above [`GROW_START_SETS`] sets start small and grow
-    /// incrementally (see the module docs); smaller ones are allocated
-    /// at full size immediately.
+    /// incrementally (see the module docs); smaller ones start at full
+    /// size. Either way no slot is allocated until a placement lands in
+    /// its chunk.
     ///
     /// # Panics
     /// Panics if `num_sets` or `assoc` is zero.
@@ -380,12 +452,19 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             .unwrap_or(0)
     }
 
-    /// Heap bytes held by the slot arrays themselves (both tables while
-    /// a resize is in flight). Entry *values* that own further heap
-    /// (e.g. `Arc` payloads) are accounted by the budget's
-    /// `entry_bytes`, not here.
+    /// Heap bytes held by the slots themselves: the chunk directories
+    /// and the chunks allocated so far (both tables while a resize is in
+    /// flight). Entry *values* that own further heap (e.g. `Arc`
+    /// payloads) are accounted by the budget's `entry_bytes`, not here.
     pub fn table_bytes(&self) -> u64 {
         self.table.heap_bytes() + self.old.as_ref().map(|t| t.heap_bytes()).unwrap_or(0)
+    }
+
+    /// Chunks of slots allocated so far, in both tables while a resize
+    /// is in flight. A chunk holds 64 consecutive slots and costs 64 ×
+    /// [`SLOT_BYTES`](Self::SLOT_BYTES).
+    pub fn chunks_owned(&self) -> usize {
+        self.table.chunks.owned() + self.old.as_ref().map_or(0, |t| t.chunks.owned())
     }
 
     /// Enable 3C miss classification (used by the Fig. 11 experiments).
@@ -516,7 +595,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     /// Book an eviction out of the live table's `slot`: stats and
     /// budget release.
     fn evict_live_slot(&mut self, slot: usize) -> (K, V) {
-        let (k, v) = self.table.remove(slot);
+        let (k, v, _) = self.table.take(slot);
         self.live -= 1;
         self.counts.cache_eviction(self.kind);
         if let Some((budget, bk, eb)) = &self.budget {
@@ -554,16 +633,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             let set = self.migrate_cursor;
             self.migrate_cursor += 1;
             let mut moved = std::mem::take(&mut self.scratch);
-            let base = set * old.assoc;
-            for slot in base..base + old.assoc {
-                if old.ctrl_at(slot) == CTRL_EMPTY {
-                    continue;
-                }
-                let k = old.keys[slot].take().expect("occupied");
-                let v = old.vals[slot].take().expect("occupied");
-                old.ctrl[slot] = CTRL_EMPTY;
-                moved.push((k, v, old.used[slot]));
-            }
+            old.drain_window(set, &mut moved);
             for (k, v, used) in moved.drain(..) {
                 self.rehome(k, v, used);
             }
@@ -574,12 +644,10 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     /// Place a migrated entry into the live table at its new home,
     /// evicting the window LRU if the window is full. Keeps the entry's
     /// original recency tick so LRU order survives the resize.
-    fn rehome(&mut self, key: K, value: V, used: u64) {
+    fn rehome(&mut self, key: K, value: V, used: NonZeroU64) {
         let h = (self.hash)(&key);
         let fp = fingerprint(h);
         let set = (h as usize) % self.table.sets;
-        let base = set * self.assoc;
-        self.table.ensure_slots(base + self.assoc);
         let (_, _, first_empty) = self.table.probe(set, fp, &key);
         let slot = match first_empty {
             Some(s) => s,
@@ -629,18 +697,17 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             // Window empty: scan the live table from the cursor for any
             // occupied slot. If every resident entry is still in the old
             // table, migrate a step and retry.
-            let limit = self.table.ctrl.len();
-            let mut found = None;
-            for i in 0..limit.max(1) {
-                let slot = (self.evict_cursor + i) % limit.max(1);
-                if self.table.ctrl_at(slot) != CTRL_EMPTY {
-                    found = Some(slot);
-                    break;
-                }
-            }
+            let end = self.table.end();
+            let cursor = self.evict_cursor % end;
+            let found = self
+                .table
+                .occupied(cursor, end)
+                .chain(self.table.occupied(0, cursor))
+                .map(|(slot, _)| slot)
+                .next();
             match found {
                 Some(slot) => {
-                    self.evict_cursor = (slot + 1) % limit.max(1);
+                    self.evict_cursor = (slot + 1) % end;
                     let _ = self.evict_live_slot(slot);
                 }
                 None => {
@@ -665,7 +732,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     /// [`get`](Self::get), without cloning the value.
     pub fn get_ref(&mut self, key: &K) -> Option<&V> {
         let slot = self.lookup(key).ok()?;
-        self.table.vals[slot].as_ref()
+        self.table.entry(slot).map(|e| &e.1)
     }
 
     /// The one lookup: LRU recency, statistics, classifier and events.
@@ -682,7 +749,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         let (hit, probed, _) = self.table.probe(set, fp, key);
         if let Some(slot) = hit {
             self.record_probe(probed);
-            self.table.used[slot] = tick;
+            self.table.entry_mut(slot).expect("hit slot").2 = stamp(tick);
             self.classifier_note_hit(key);
             self.counts.cache_lookup(self.kind, CacheOutcome::Hit);
             return Ok(slot);
@@ -701,9 +768,9 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         }
         if let Some(slot) = found_old {
             let old = self.old.as_mut().expect("probed above");
-            let (k, v) = old.remove(slot);
+            let (k, v, _) = old.take(slot);
             self.record_probe(probed + old_probed);
-            self.rehome(k, v, tick);
+            self.rehome(k, v, stamp(tick));
             self.classifier_note_hit(key);
             self.counts.cache_lookup(self.kind, CacheOutcome::Hit);
             // rehome() placed it in the live table; find it again (one
@@ -733,13 +800,13 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         let fp = fingerprint(h);
         let set = (h as usize) % self.table.sets;
         if let (Some(slot), _, _) = self.table.probe(set, fp, key) {
-            return self.table.vals[slot].as_ref();
+            return self.table.entry(slot).map(|e| &e.1);
         }
         if let Some(old) = &self.old {
             let oset = (h as usize) % old.sets;
             if oset >= self.migrate_cursor {
                 if let (Some(slot), _, _) = old.probe(oset, fp, key) {
-                    return old.vals[slot].as_ref();
+                    return old.entry(slot).map(|e| &e.1);
                 }
             }
         }
@@ -750,7 +817,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     /// reports what happened.
     pub fn probe(&mut self, key: &K) -> (Option<V>, Lookup) {
         match self.lookup(key) {
-            Ok(slot) => (self.table.vals[slot].clone(), Lookup::Hit),
+            Ok(slot) => (self.table.entry(slot).map(|e| e.1.clone()), Lookup::Hit),
             Err(kind) => (None, Lookup::Miss(kind)),
         }
     }
@@ -784,8 +851,8 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         let set = (h as usize) % self.table.sets;
         // Overwrite in the live table: no eviction, no residency change.
         if let (Some(slot), _, _) = self.table.probe(set, fp, &key) {
-            self.table.vals[slot] = Some(value(&mut None));
-            self.table.used[slot] = tick;
+            let e = self.table.entry_mut(slot).expect("hit slot");
+            (e.1, e.2) = (value(&mut None), stamp(tick));
             return None;
         }
         // Overwrite of an entry still in the old table: pull it out and
@@ -795,7 +862,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             let oset = (h as usize) % old.sets;
             if oset >= self.migrate_cursor {
                 if let (Some(slot), _, _) = old.probe(oset, fp, &key) {
-                    let _ = old.remove(slot);
+                    let _ = old.take(slot);
                     carried = true;
                 }
             }
@@ -806,8 +873,6 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         }
         // The grow above may have swapped tables: recompute the window.
         let set = (h as usize) % self.table.sets;
-        let base = set * self.assoc;
-        self.table.ensure_slots(base + self.assoc);
         let (_, _, first_empty) = self.table.probe(set, fp, &key);
         let (slot, mut evicted) = match first_empty {
             Some(slot) => (slot, None),
@@ -818,7 +883,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             }
         };
         let value = value(&mut evicted);
-        self.table.place(slot, fp, key, value, tick);
+        self.table.place(slot, fp, key, value, stamp(tick));
         if carried {
             // The move itself is residency-neutral, but the placement may
             // have evicted a different entry (already booked above).
@@ -835,7 +900,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         let fp = fingerprint(h);
         let set = (h as usize) % self.table.sets;
         if let (Some(slot), _, _) = self.table.probe(set, fp, key) {
-            let (_, v) = self.table.remove(slot);
+            let (_, v, _) = self.table.take(slot);
             self.note_resident_removed(1);
             return Some(v);
         }
@@ -843,7 +908,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             let oset = (h as usize) % old.sets;
             if oset >= self.migrate_cursor {
                 if let (Some(slot), _, _) = old.probe(oset, fp, key) {
-                    let (_, v) = old.remove(slot);
+                    let (_, v, _) = old.take(slot);
                     self.note_resident_removed(1);
                     return Some(v);
                 }
@@ -852,14 +917,12 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         None
     }
 
-    /// Drop every entry (soft state: always safe). The grown table
-    /// geometry is kept; the old table of an in-flight resize is freed.
+    /// Drop every entry (soft state: always safe), freeing every chunk.
+    /// The grown table geometry is kept; the old table of an in-flight
+    /// resize is freed.
     pub fn clear(&mut self) {
         let n = self.live;
-        self.table.ctrl.clear();
-        self.table.keys.clear();
-        self.table.vals.clear();
-        self.table.used.clear();
+        self.table.chunks.clear();
         self.old = None;
         self.note_resident_removed(n);
     }
@@ -1228,12 +1291,323 @@ mod tests {
         }
         let bytes = c.table_bytes();
         assert!(bytes > 0);
-        // Flat SoA slots for (u64 → u64): well under 200 bytes per slot
+        // Chunked slots for (u64 → u64): well under 200 bytes per slot
         // even counting both tables mid-resize.
         assert!(
             bytes <= (c.num_sets() * c.assoc() * 200) as u64,
             "table bytes {bytes} out of range"
         );
+    }
+
+    // ---- chunks -----------------------------------------------------
+
+    #[test]
+    fn a_cache_with_no_insert_owns_no_chunk() {
+        let mut c = growing(65_536, 4);
+        for k in 0u64..1_000 {
+            assert_eq!(c.get(&k), None);
+            assert_eq!(c.peek(&k), None);
+            assert_eq!(c.invalidate(&k), None);
+        }
+        c.clear();
+        assert_eq!(c.chunks_owned(), 0);
+        // The directory alone: 8 B per 64 slots of the starting table.
+        assert_eq!(c.table_bytes(), (c.live_sets() * 4 / 64 * 8) as u64);
+    }
+
+    #[test]
+    fn inserts_own_exactly_the_distinct_chunks_their_sets_fall_in() {
+        // 4 ways: 16 sets per chunk. 300 sets: 18 full chunks and one
+        // holding the last 12 sets.
+        let (sets, assoc) = (300, 4);
+        let mut c = growing(sets, assoc);
+        let mut chunks = std::collections::BTreeSet::new();
+        for k in (0u64..2_000).step_by(151) {
+            c.insert(k, k);
+            let set = fbs_crypto::crc32(&k.to_be_bytes()) as usize % sets;
+            chunks.insert(set * assoc / CHUNK_SLOTS);
+            assert_eq!(c.chunks_owned(), chunks.len(), "after key {k}");
+            assert_eq!(
+                c.table_bytes(),
+                (sets.div_ceil(16) * 8 + chunks.len() * 64 * SoftCache::<u64, u64>::SLOT_BYTES)
+                    as u64
+            );
+        }
+        assert!(chunks.len() < sets.div_ceil(16), "some chunk stays unused");
+        c.clear();
+        assert_eq!(c.chunks_owned(), 0, "a cleared cache frees its chunks");
+    }
+
+    #[test]
+    fn a_slot_costs_its_control_byte_and_one_entry() {
+        // The tick never reads 0, so its niche marks a vacant entry: no
+        // tag byte, whatever the key and value.
+        assert_eq!(SoftCache::<u64, u64>::SLOT_BYTES, 1 + 8 + 8 + 8);
+        assert_eq!(SoftCache::<[u8; 13], u64>::SLOT_BYTES, 1 + 16 + 8 + 8);
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(
+            SoftCache::<(u64, [u8; 4]), Arc<u64>>::SLOT_BYTES,
+            1 + 16 + 8 + 8
+        );
+    }
+
+    /// The reference: each table one flat array of `sets × assoc`
+    /// slots, set `s` at `s × assoc`, with every step of the cache's
+    /// policy (per-set LRU, growth, migration, budget eviction) written
+    /// out as plainly as it can be.
+    struct Model {
+        num_sets: usize,
+        assoc: usize,
+        table: Vec<Option<(u64, u64, u64)>>,
+        old: Option<Vec<Option<(u64, u64, u64)>>>,
+        cursor: usize,
+        evict_cursor: usize,
+        tick: u64,
+        live: usize,
+        evictions: u64,
+        /// Entries the budget holds, if one is attached.
+        room: Option<usize>,
+    }
+
+    fn model_hash(k: &u64) -> u32 {
+        fbs_crypto::crc32(&k.to_be_bytes())
+    }
+
+    impl Model {
+        fn new(num_sets: usize, assoc: usize, room: Option<usize>) -> Self {
+            let mut start = num_sets;
+            while start > GROW_START_SETS {
+                start = start.div_ceil(2);
+            }
+            Model {
+                num_sets,
+                assoc,
+                table: vec![None; start * assoc],
+                old: None,
+                cursor: 0,
+                evict_cursor: 0,
+                tick: 0,
+                live: 0,
+                evictions: 0,
+                room,
+            }
+        }
+
+        fn window(t: &[Option<(u64, u64, u64)>], assoc: usize, k: u64) -> std::ops::Range<usize> {
+            let set = model_hash(&k) as usize % (t.len() / assoc);
+            set * assoc..(set + 1) * assoc
+        }
+
+        fn find(t: &[Option<(u64, u64, u64)>], assoc: usize, k: u64) -> Option<usize> {
+            Self::window(t, assoc, k).find(|&i| t[i].is_some_and(|e| e.0 == k))
+        }
+
+        /// `k`'s slot in the un-migrated part of the old table.
+        fn find_old(&self, k: u64) -> Option<usize> {
+            let old = self.old.as_ref()?;
+            let w = Self::window(old, self.assoc, k);
+            (w.start / self.assoc >= self.cursor)
+                .then(|| Self::find(old, self.assoc, k))
+                .flatten()
+        }
+
+        fn lru(&self, w: std::ops::Range<usize>) -> Option<usize> {
+            w.filter(|&i| self.table[i].is_some())
+                .min_by_key(|&i| self.table[i].unwrap().2)
+        }
+
+        fn evict(&mut self, i: usize) -> (u64, u64) {
+            let (k, v, _) = self.table[i].take().unwrap();
+            self.live -= 1;
+            self.evictions += 1;
+            (k, v)
+        }
+
+        /// Place `e` in its live window: the first empty slot, else the
+        /// window's LRU slot, evicted.
+        fn place(&mut self, e: (u64, u64, u64)) -> Option<(u64, u64)> {
+            let w = Self::window(&self.table, self.assoc, e.0);
+            let (slot, evicted) = match w.clone().find(|&i| self.table[i].is_none()) {
+                Some(i) => (i, None),
+                None => {
+                    let i = self.lru(w).unwrap();
+                    (i, Some(self.evict(i)))
+                }
+            };
+            self.table[slot] = Some(e);
+            evicted
+        }
+
+        fn step(&mut self) {
+            for _ in 0..MIGRATE_SETS {
+                let Some(old) = &mut self.old else { return };
+                if self.cursor * self.assoc >= old.len() {
+                    self.old = None;
+                    return;
+                }
+                let w = self.cursor * self.assoc..(self.cursor + 1) * self.assoc;
+                self.cursor += 1;
+                let moved: Vec<_> = old[w].iter_mut().filter_map(Option::take).collect();
+                for e in moved {
+                    self.place(e);
+                }
+            }
+        }
+
+        fn get(&mut self, k: u64) -> Option<u64> {
+            self.tick += 1;
+            self.step();
+            if let Some(i) = Self::find(&self.table, self.assoc, k) {
+                let e = self.table[i].as_mut().unwrap();
+                e.2 = self.tick;
+                return Some(e.1);
+            }
+            let i = self.find_old(k)?;
+            let (_, v, _) = self.old.as_mut().unwrap()[i].take().unwrap();
+            self.place((k, v, self.tick));
+            Some(v)
+        }
+
+        fn peek(&self, k: u64) -> Option<u64> {
+            Self::find(&self.table, self.assoc, k)
+                .map(|i| self.table[i].unwrap().1)
+                .or_else(|| {
+                    self.find_old(k)
+                        .map(|i| self.old.as_ref().unwrap()[i].unwrap().1)
+                })
+        }
+
+        fn insert(&mut self, k: u64, v: u64) -> Option<(u64, u64)> {
+            self.tick += 1;
+            self.step();
+            if let Some(i) = Self::find(&self.table, self.assoc, k) {
+                self.table[i] = Some((k, v, self.tick));
+                return None;
+            }
+            let carried = self.find_old(k);
+            if let Some(i) = carried {
+                self.old.as_mut().unwrap()[i] = None;
+            } else {
+                let w = Self::window(&self.table, self.assoc, k);
+                while self.room.is_some_and(|room| self.live >= room) && self.live > 0 {
+                    if let Some(i) = self.lru(w.clone()) {
+                        self.evict(i);
+                        continue;
+                    }
+                    let n = self.table.len();
+                    let from = self.evict_cursor % n;
+                    match (from..n).chain(0..from).find(|&i| self.table[i].is_some()) {
+                        Some(i) => {
+                            self.evict_cursor = (i + 1) % n;
+                            self.evict(i);
+                        }
+                        None if self.old.is_some() => self.step(),
+                        None => break,
+                    }
+                }
+                let sets = self.table.len() / self.assoc;
+                if self.old.is_none()
+                    && sets < self.num_sets
+                    && (self.live + 1) * 4 > sets * self.assoc * 3
+                {
+                    let next = (sets * 2).min(self.num_sets);
+                    let fresh = vec![None; next * self.assoc];
+                    self.old = Some(std::mem::replace(&mut self.table, fresh));
+                    self.cursor = 0;
+                }
+                self.live += 1;
+            }
+            self.place((k, v, self.tick))
+        }
+
+        fn invalidate(&mut self, k: u64) -> Option<u64> {
+            let e = match Self::find(&self.table, self.assoc, k) {
+                Some(i) => self.table[i].take(),
+                None => {
+                    let i = self.find_old(k)?;
+                    self.old.as_mut().unwrap()[i].take()
+                }
+            };
+            self.live -= 1;
+            e.map(|e| e.1)
+        }
+
+        fn clear(&mut self) {
+            self.table.fill(None);
+            self.old = None;
+            self.live = 0;
+        }
+    }
+
+    /// A seeded mix of every operation, through growth with migration
+    /// in flight and budget eviction, against [`Model`]: the chunked
+    /// cache answers every call, and evicts every entry, as flat arrays
+    /// would.
+    #[test]
+    fn chunked_slots_agree_with_a_per_set_lru_model() {
+        use crate::mem::{BudgetKind, MemoryBudget};
+        // (sets, assoc, budget in entries, grows): whole sets per chunk,
+        // sets straddling chunks, a set wider than a chunk, and budgets
+        // tight enough that the window is often empty and eviction
+        // falls back to the cursor scan.
+        let geometries = [
+            (2_048, 4, None, true),
+            (1_500, 3, Some(1_400), true),
+            (700, 5, Some(60), false),
+            (9, 80, Some(500), false),
+            (64, 1, None, false),
+        ];
+        for (sets, assoc, room, grows) in geometries {
+            let mut c = SoftCache::new(sets, assoc, model_hash);
+            let budget = MemoryBudget::bounded(room.map_or(0, |r| r as u64 * 8));
+            c.set_budget(budget.clone(), BudgetKind::Rfkc, 8);
+            let mut m = Model::new(sets, assoc, room);
+            let mut x: u64 = 0x9E37_79B9_7F4A_7C15 ^ (sets * assoc) as u64;
+            let mut next = move |n: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % n
+            };
+            let keys = (sets * assoc) as u64 * 2;
+            let mut grew = false;
+            for step in 0..40_000 {
+                let k = next(keys);
+                let at = format!("{sets}x{assoc} step {step} key {k}");
+                match next(10_000) {
+                    0 => {
+                        c.clear();
+                        m.clear();
+                    }
+                    1..=300 => assert_eq!(c.invalidate(&k), m.invalidate(k), "{at}"),
+                    301..=1_500 => assert_eq!(c.peek(&k).copied(), m.peek(k), "{at}"),
+                    1_501..=5_000 => assert_eq!(c.get(&k), m.get(k), "{at}"),
+                    5_001..=7_000 => {
+                        let v = next(1 << 20);
+                        assert_eq!(c.insert(k, v), m.insert(k, v), "{at}");
+                    }
+                    _ => {
+                        // The value is made from the entry it displaces,
+                        // which stays evicted.
+                        let want = m.insert(k, k + 1);
+                        let mut seen = None;
+                        let got = c.insert_with(k, |evicted| {
+                            seen = *evicted;
+                            k + 1
+                        });
+                        assert_eq!((seen, got), (want, want), "{at}");
+                    }
+                }
+                grew |= c.resizing();
+                assert_eq!(c.len(), m.live, "{at}");
+                assert_eq!(c.stats().evictions, m.evictions, "{at}");
+                assert_eq!(budget.used_bytes(), c.len() as u64 * 8, "{at}");
+            }
+            assert_eq!(grew, grows, "{sets}x{assoc}");
+            for k in 0..keys {
+                assert_eq!(c.peek(&k).copied(), m.peek(k), "{sets}x{assoc} key {k}");
+            }
+        }
     }
 
     // ---- memory budget ----------------------------------------------

@@ -25,6 +25,7 @@
 pub mod batchauth;
 pub mod breaker;
 pub mod cache;
+pub mod chunks;
 pub mod clock;
 pub mod concurrent;
 pub mod error;
@@ -47,6 +48,7 @@ pub mod sfl;
 pub use batchauth::{BatchVerifier, ResolveStats};
 pub use breaker::{Allow, BreakerConfig, BreakerState, CircuitBreaker, Transition};
 pub use cache::{CacheStats, Lookup, MissKind, SoftCache};
+pub use chunks::{ChunkDir, CHUNK_SLOTS};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use concurrent::{Birth, KeyStash, KeyingService, Published, ShardedCache};
 pub use error::{FbsError, Result, RuntimeError};

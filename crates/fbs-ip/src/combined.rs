@@ -10,7 +10,7 @@
 //! also becomes implicit, absorbed into the mapping phase."
 
 use crate::tuple::FiveTuple;
-use fbs_core::{SealedFlowKey, SflAllocator};
+use fbs_core::{ChunkDir, SealedFlowKey, SflAllocator, CHUNK_SLOTS};
 use fbs_crypto::crc32;
 use fbs_obs::{CacheKind, CacheOutcome, CounterBlock};
 use std::sync::Arc;
@@ -51,47 +51,42 @@ impl CombinedStats {
     }
 }
 
-/// Slots per chunk of a [`CombinedTable`]: 64 × 40 B = 2,560 B, under
-/// 4 KiB.
-const CHUNK_SLOTS: usize = 64;
-
-/// A table's slots, stored as a directory of fixed-size chunks of
+/// A table's slots, stored as a [`ChunkDir`] of fixed-size chunks of
 /// [`CHUNK_SLOTS`] (the last one partly unused when the size is not a
 /// multiple). A chunk is allocated by the first insert that lands in
 /// it; a missing chunk reads as empty slots, so the memory tracks the
 /// slots flows touched, not the configured size.
 struct Slots {
     len: usize,
-    chunks: Vec<Option<Box<[Option<Entry>; CHUNK_SLOTS]>>>,
+    chunks: ChunkDir<[Option<Entry>; CHUNK_SLOTS]>,
 }
 
 impl Slots {
     fn new(len: usize) -> Self {
         Slots {
             len,
-            chunks: (0..len.div_ceil(CHUNK_SLOTS)).map(|_| None).collect(),
+            chunks: ChunkDir::new(len.div_ceil(CHUNK_SLOTS)),
         }
     }
 
     fn get(&self, i: usize) -> Option<&Entry> {
-        self.chunks[i / CHUNK_SLOTS].as_ref()?[i % CHUNK_SLOTS].as_ref()
+        self.chunks.get(i / CHUNK_SLOTS)?[i % CHUNK_SLOTS].as_ref()
     }
 
     fn get_mut(&mut self, i: usize) -> Option<&mut Entry> {
-        self.chunks[i / CHUNK_SLOTS].as_mut()?[i % CHUNK_SLOTS].as_mut()
+        self.chunks.get_mut(i / CHUNK_SLOTS)?[i % CHUNK_SLOTS].as_mut()
     }
 
     /// Slot `i` for writing, its chunk allocated if it has none yet.
     fn slot_mut(&mut self, i: usize) -> &mut Option<Entry> {
-        let chunk = &mut self.chunks[i / CHUNK_SLOTS];
-        &mut chunk.get_or_insert_with(|| Box::new([const { None }; CHUNK_SLOTS]))[i % CHUNK_SLOTS]
+        let chunk = self
+            .chunks
+            .get_or_alloc(i / CHUNK_SLOTS, || [const { None }; CHUNK_SLOTS]);
+        &mut chunk[i % CHUNK_SLOTS]
     }
 
     fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.chunks
-            .iter()
-            .flatten()
-            .flat_map(|c| c.iter().flatten())
+        self.chunks.iter().flat_map(|c| c.iter().flatten())
     }
 }
 
@@ -255,7 +250,7 @@ impl CombinedTable {
     /// Invalidate every entry (e.g. after a rekey of the local
     /// principal), freeing every chunk.
     pub fn clear(&mut self) {
-        self.slots.chunks.fill_with(|| None);
+        self.slots.chunks.clear();
     }
 
     /// Number of entries active at `now_secs` (Fig. 12's metric under the
@@ -272,7 +267,7 @@ impl CombinedTable {
     /// [`SLOT_BYTES`](Self::SLOT_BYTES).
     #[cfg(test)]
     pub(crate) fn chunks_owned(&self) -> usize {
-        self.slots.chunks.iter().flatten().count()
+        self.slots.chunks.owned()
     }
 
     /// Accumulated statistics, read off the counter block.

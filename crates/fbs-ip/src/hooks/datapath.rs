@@ -47,18 +47,15 @@ pub(super) fn rfkc_hash(local: Principal) -> impl Fn(&RxKeyId) -> u32 + Send + S
 }
 
 /// Resident bytes per receive flow-key cache entry under `suite`,
-/// charged against the shard's [`MemoryBudget`]: the SoA slot
-/// ([`RxKeyId`] + value `Arc` + LRU tick + control byte) plus the
-/// allocation the `Arc` points at — the suite's key material and, for
-/// the DES suites, its boxed schedules ([`SealedFlowKey::arc_bytes`]).
-/// Allocator rounding is not counted: the budget bounds steady-state
-/// residency, it is not an allocator.
+/// charged against the shard's [`MemoryBudget`]: the RFKC slot
+/// ([`SoftCache::SLOT_BYTES`]: control byte plus the [`RxKeyId`], value
+/// `Arc` and LRU tick of its entry) plus the allocation the `Arc`
+/// points at — the suite's key material and, for the DES suites, its
+/// boxed schedules ([`SealedFlowKey::arc_bytes`]). Allocator rounding
+/// is not counted: the budget bounds steady-state residency, it is not
+/// an allocator.
 pub(super) fn flow_key_entry_bytes(suite: CipherSuite) -> u64 {
-    (std::mem::size_of::<Option<RxKeyId>>()
-        + std::mem::size_of::<Option<Arc<SealedFlowKey>>>()
-        + std::mem::size_of::<u64>()
-        + 1
-        + SealedFlowKey::arc_bytes(suite)) as u64
+    (SoftCache::<RxKeyId, Arc<SealedFlowKey>>::SLOT_BYTES + SealedFlowKey::arc_bytes(suite)) as u64
 }
 
 /// Bytes one shard's combined table reserves: its `fst_size` slots, as

@@ -362,6 +362,12 @@ impl Owner {
         self.shards.iter().map(|s| s.combined.chunks_owned()).sum()
     }
 
+    /// RFKC chunks allocated over owned shards.
+    #[cfg(test)]
+    pub(super) fn rfkc_chunks(&self) -> usize {
+        self.shards.iter().map(|s| s.rfkc.chunks_owned()).sum()
+    }
+
     /// Summed (output, input) parking counters over owned shards.
     pub(super) fn park_stats(&self) -> (ParkStats, ParkStats) {
         let mut out = ParkStats::default();

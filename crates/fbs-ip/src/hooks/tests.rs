@@ -1404,16 +1404,17 @@ fn owners_are_independent_lock_domains() {
 
 #[test]
 fn the_memory_ledger_charges_each_suites_real_key_allocation() {
-    // Per resident receive key: the RFKC slot (24 B `Option<(sfl,
-    // source address)>` id, 8 B `Arc`, 8 B tick, 1 control byte) and the
-    // `Arc` allocation — 16 B of counters, the 40 B key material and, for
-    // the DES suites, 728 B of boxed schedules and raw flow key.
+    // Per resident receive key: the RFKC slot (1 control byte and a 32 B
+    // entry: the 16 B (sfl, source address) id, the 8 B `Arc`, the 8 B
+    // tick, whose niche marks a vacant slot) and the `Arc` allocation — 16 B
+    // of counters, the 40 B key material and, for the DES suites, 728 B
+    // of boxed schedules and raw flow key.
     // The byte counts are the 64-bit layout's; the ordering holds on any.
     #[cfg(target_pointer_width = "64")]
     {
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::AeadChaPoly), 97);
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::Paper), 825);
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::FastDes), 825);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::AeadChaPoly), 89);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::Paper), 817);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::FastDes), 817);
         // The combined table's floor is its own 40 B slot.
         assert_eq!(datapath::fst_static_bytes(64), 64 * 40);
     }
@@ -1485,6 +1486,39 @@ fn a_receive_only_host_owns_no_combined_chunk() {
     assert_eq!(chunks(&receiver), 0);
     let sent = chunks(&sender);
     assert!((1..=48).contains(&sent), "{sent} chunks for 48 flows");
+}
+
+/// The RFKC is the receive side's: a host that only sends allocates
+/// none of its slots, and a receiver only the chunks its flows' sets
+/// fall in.
+#[test]
+fn a_send_only_host_owns_no_rfkc_chunk() {
+    let world = World::new();
+    let mut sender = world.host_with(A, IpMappingConfig::default());
+    let mut receiver = world.host_with(B, IpMappingConfig::default());
+    let chunks = |h: &FbsIpHooks| -> usize {
+        (0..h.shared.n_workers)
+            .map(|w| h.shared.with_owner(w, |st| st.rfkc_chunks()).unwrap())
+            .sum()
+    };
+    assert_eq!((chunks(&sender), chunks(&receiver)), (0, 0));
+    for round in 0..4 {
+        let opened = exchange(
+            &mut sender,
+            &mut receiver,
+            spread_batch(48),
+            None,
+            1_000 + round,
+        );
+        assert!(opened.iter().all(|(_, o)| is_pass(o)), "{opened:?}");
+    }
+    assert_eq!(receiver.stats().verified, 4 * 48);
+    assert_eq!(chunks(&sender), 0);
+    let received = chunks(&receiver);
+    assert!(
+        (1..=48).contains(&received),
+        "{received} chunks for 48 flows"
+    );
 }
 
 #[test]

@@ -14,6 +14,7 @@
 use crate::error::{NetError, Result};
 use crate::ip::{Ipv4Header, Packet, IPV4_HEADER_LEN};
 use fbs_core::BufferPool;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -145,8 +146,31 @@ const MAX_PAYLOAD: usize = u16::MAX as usize - IPV4_HEADER_LEN;
 /// [`MAX_PAYLOAD`].
 const BLOCK_WORDS: usize = MAX_PAYLOAD.div_ceil(8).div_ceil(64);
 
+/// Bytes a partial's block bitmap occupies, charged beside its buffer.
+const BITMAP_BYTES: usize = BLOCK_WORDS * 8;
+
+/// Reassembly bytes a host may hold before it evicts partials: Linux's
+/// `ipfrag_high_thresh` default.
+pub const REASM_HIGH_BYTES: usize = 4 << 20;
+
+/// What an eviction brings reassembly bytes back down to: Linux's
+/// `ipfrag_low_thresh` default.
+pub const REASM_LOW_BYTES: usize = 3 << 20;
+
 /// Key identifying one datagram's fragments.
 type FragKey = ([u8; 4], [u8; 4], u16, u8);
+
+/// Why a partial datagram was dropped before it completed. Either way
+/// it is soft state lost early: its sender's retransmission (or none)
+/// decides what happens next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReassemblyDrop {
+    /// Its first fragment arrived longer ago than the timeout.
+    Timeout,
+    /// Reassembly bytes would have crossed the high mark, and it was
+    /// among the oldest partials.
+    OverBudget,
+}
 
 /// One datagram being reassembled.
 struct Partial {
@@ -163,6 +187,11 @@ struct Partial {
     /// Payload length, once the final fragment (MF clear) has arrived.
     total: Option<usize>,
     first_seen_us: u64,
+    /// Arrival order among partials: breaks ties in age.
+    seq: u64,
+    /// Bytes charged to the reassembler's budget: the buffer's capacity
+    /// and the bitmap.
+    charged: usize,
 }
 
 impl Partial {
@@ -213,22 +242,40 @@ impl Partial {
 }
 
 /// Reassembles fragments into whole datagrams, expiring stale buffers.
+///
+/// Reassembly runs below the FBS input hook (§7.2), so its state is
+/// made for bytes nobody has authenticated yet. A byte budget bounds
+/// it: each partial is charged its buffer's capacity and its bitmap,
+/// a fragment's growth (the zero-fill up to its offset included) is
+/// charged before it is made, and a charge that would cross the high
+/// mark first evicts the oldest partials down to the low mark (Linux's
+/// `ipfrag_high_thresh` / `ipfrag_low_thresh`).
 pub struct Reassembler {
     buffers: HashMap<FragKey, Partial>,
     /// Buffers older than this are dropped (BSD used 30 s; expressed in
     /// microseconds of virtual time).
     timeout_us: u64,
-    /// Datagrams whose reassembly timed out.
-    pub timeouts: u64,
+    /// Partials dropped for [`ReassemblyDrop::Timeout`].
+    timeouts: u64,
+    /// Partials dropped for [`ReassemblyDrop::OverBudget`].
+    evictions: u64,
+    /// Bytes charged by the partials held.
+    held: usize,
+    /// Partials started so far: the next one's `seq`.
+    started: u64,
 }
 
 impl Reassembler {
-    /// Create with the given reassembly timeout.
+    /// Create with the given reassembly timeout and a budget of
+    /// [`REASM_HIGH_BYTES`], evicting down to [`REASM_LOW_BYTES`].
     pub fn new(timeout_us: u64) -> Self {
         Reassembler {
             buffers: HashMap::new(),
             timeout_us,
             timeouts: 0,
+            evictions: 0,
+            held: 0,
+            started: 0,
         }
     }
 
@@ -277,27 +324,83 @@ impl Reassembler {
     ) -> Option<Packet> {
         let off = header.frag_offset as usize * 8;
         let last = !header.more_fragments;
-        if off + data.len() > MAX_PAYLOAD || (!last && !data.len().is_multiple_of(8)) {
+        let end = off + data.len();
+        if end > MAX_PAYLOAD || (!last && !data.len().is_multiple_of(8)) {
             return None;
         }
         let key = (header.src, header.dst, header.id, header.proto);
-        let partial = self.buffers.entry(key).or_insert_with(|| Partial {
-            header: header.clone(),
-            buf: pool.take(),
-            have: [0; BLOCK_WORDS],
-            blocks: 0,
-            total: None,
-            first_seen_us: now_us,
-        });
-        if !partial.add(off, data, last) {
+        let partial = match self.buffers.entry(key) {
+            Entry::Occupied(o) => o.into_mut(),
+            Entry::Vacant(v) => {
+                let buf = pool.take();
+                let charged = buf.capacity() + BITMAP_BYTES;
+                self.held += charged;
+                self.started += 1;
+                v.insert(Partial {
+                    header: header.clone(),
+                    buf,
+                    have: [0; BLOCK_WORDS],
+                    blocks: 0,
+                    total: None,
+                    first_seen_us: now_us,
+                    seq: self.started,
+                    charged,
+                })
+            }
+        };
+        // Charge the buffer's growth to `end`, the zero-fill up to the
+        // offset included, before making it.
+        let growth = end.saturating_sub(partial.buf.capacity());
+        let partial = if self.held + growth > REASM_HIGH_BYTES {
+            // `held` already counts this partial's own charge.
+            self.evict_oldest(&key, REASM_LOW_BYTES.saturating_sub(growth), pool);
+            // One partial (at most a 64 KiB buffer and its bitmap) is
+            // far below the low mark, so the oldest others always make
+            // room for it.
+            debug_assert!(self.held + growth <= REASM_LOW_BYTES);
+            self.buffers.get_mut(&key).expect("eviction keeps it")
+        } else {
+            partial
+        };
+        let whole = partial.add(off, data, last);
+        // Book the buffer as it now is.
+        let charged = partial.buf.capacity() + BITMAP_BYTES;
+        self.held = self.held - partial.charged + charged;
+        partial.charged = charged;
+        if !whole {
             return None;
         }
         let Partial {
-            mut header, buf, ..
+            mut header,
+            buf,
+            charged,
+            ..
         } = self.buffers.remove(&key).expect("entry just completed");
+        self.held -= charged;
         header.frag_offset = 0;
         header.more_fragments = false;
         Some(Packet::new(header, buf))
+    }
+
+    /// Evict partials other than `keep`, oldest first, until the bytes
+    /// held are at most `target`; their buffers go back to `pool`.
+    fn evict_oldest(&mut self, keep: &FragKey, target: usize, pool: &mut BufferPool) {
+        let mut by_age: Vec<(u64, u64, FragKey)> = self
+            .buffers
+            .iter()
+            .filter(|(k, _)| *k != keep)
+            .map(|(k, p)| (p.first_seen_us, p.seq, *k))
+            .collect();
+        by_age.sort_unstable();
+        for (_, _, k) in by_age {
+            if self.held <= target {
+                break;
+            }
+            let p = self.buffers.remove(&k).expect("listed above");
+            self.held -= p.charged;
+            pool.put(p.buf);
+            self.evictions += 1;
+        }
     }
 
     /// Drop buffers older than the timeout, recycling each partial's one
@@ -305,13 +408,16 @@ impl Reassembler {
     pub fn expire(&mut self, now_us: u64, pool: &mut BufferPool) -> usize {
         let timeout = self.timeout_us;
         let before = self.buffers.len();
+        let mut freed = 0;
         self.buffers.retain(|_, p| {
             let fresh = now_us.saturating_sub(p.first_seen_us) <= timeout;
             if !fresh {
+                freed += p.charged;
                 pool.put(std::mem::take(&mut p.buf));
             }
             fresh
         });
+        self.held -= freed;
         let dropped = before - self.buffers.len();
         self.timeouts += dropped as u64;
         dropped
@@ -320,6 +426,20 @@ impl Reassembler {
     /// Number of datagrams currently being reassembled.
     pub fn pending(&self) -> usize {
         self.buffers.len()
+    }
+
+    /// Bytes the partials held are charged: each one's buffer capacity
+    /// and bitmap. Never above the high mark.
+    pub fn held_bytes(&self) -> usize {
+        self.held
+    }
+
+    /// Partials dropped so far for `why`.
+    pub fn drops(&self, why: ReassemblyDrop) -> u64 {
+        match why {
+            ReassemblyDrop::Timeout => self.timeouts,
+            ReassemblyDrop::OverBudget => self.evictions,
+        }
     }
 }
 
@@ -509,7 +629,7 @@ mod tests {
         assert_eq!(r.pending(), 1);
         let mut pool = BufferPool::new();
         assert_eq!(r.expire(40_000_000, &mut pool), 1);
-        assert_eq!(r.timeouts, 1);
+        assert_eq!(r.drops(ReassemblyDrop::Timeout), 1);
         assert_eq!(r.pending(), 0);
         // The one buffer both held fragments were copied into was
         // recycled, not dropped.
@@ -536,6 +656,123 @@ mod tests {
         r.push(f1[1].clone(), 0);
         let done1 = r.push(f1[2].clone(), 0).unwrap();
         assert_eq!(done1.header.id, 1);
+    }
+
+    /// A non-final 8-byte fragment of datagram `id` at byte `off`: what
+    /// a forger sends to make reassembly zero-fill up to `off`.
+    fn forged(id: u16, off: usize) -> Packet {
+        let mut h = Ipv4Header::new([6, 6, 6, 6], [2, 2, 2, 2], Proto::Udp, 8);
+        h.id = id;
+        h.frag_offset = (off / 8) as u16;
+        h.more_fragments = true;
+        Packet::new(h, vec![0xA5; 8])
+    }
+
+    /// Whether forged datagram `id` is still being reassembled.
+    fn holds(r: &Reassembler, id: u16) -> bool {
+        r.buffers
+            .contains_key(&([6, 6, 6, 6], [2, 2, 2, 2], id, Proto::Udp.number()))
+    }
+
+    /// Bytes one forged partial at offset 64,800 is charged once grown:
+    /// its 64,808 B buffer and its bitmap.
+    const PER: usize = 64_808 + BITMAP_BYTES;
+
+    #[test]
+    fn a_forged_fragment_flood_stays_within_the_budget() {
+        // Each frame would hold a 64,808 B buffer and a 1 KiB bitmap for
+        // the timeout: 2,000 of them ~134 MB without a budget.
+        let mut pool = BufferPool::new();
+        let mut r = Reassembler::new(30_000_000);
+        for id in 0..2_000u16 {
+            let evicted = r.drops(ReassemblyDrop::OverBudget);
+            let f = forged(id, 64_800);
+            assert!(r
+                .push_fragment(&f.header, &f.payload, id as u64, &mut pool)
+                .is_none());
+            let held = r.held_bytes();
+            assert!(held <= REASM_HIGH_BYTES, "id {id}: {held}");
+            if r.drops(ReassemblyDrop::OverBudget) > evicted {
+                // Down to the low mark, and not one partial further:
+                // newcomers past the first crossing reuse evicted
+                // buffers, so their whole charge is already held.
+                assert!(
+                    (REASM_LOW_BYTES - PER + 1..=REASM_LOW_BYTES).contains(&held),
+                    "id {id}: {held}"
+                );
+            }
+        }
+        assert_eq!(r.pending(), r.held_bytes() / PER);
+        assert!((REASM_LOW_BYTES / PER..=REASM_HIGH_BYTES / PER).contains(&r.pending()));
+        assert_eq!(
+            r.drops(ReassemblyDrop::OverBudget),
+            2_000 - r.pending() as u64
+        );
+        // The oldest went first: the newest forged partial is held.
+        assert!(holds(&r, 1_999));
+        // A genuine datagram still reassembles beside the flood.
+        let p = packet(3000);
+        let mut whole = None;
+        for f in fragment(p.clone(), 1500).unwrap() {
+            whole = r.push_fragment(&f.header, &f.payload, 2_000, &mut pool);
+        }
+        let whole = whole.expect("the genuine datagram completes");
+        assert_eq!(whole.payload, p.payload);
+        pool.put(whole.payload);
+        // Expiry takes the rest; the books and the pool's ledger close.
+        let rest = r.pending();
+        assert_eq!(r.expire(u64::MAX, &mut pool), rest);
+        assert_eq!((r.pending(), r.held_bytes()), (0, 0));
+        assert_eq!(r.drops(ReassemblyDrop::Timeout), rest as u64);
+        let s = pool.stats();
+        assert_eq!(s.hits + s.misses, s.returns + s.discards);
+    }
+
+    #[test]
+    fn eviction_takes_the_oldest_partials_down_to_the_low_mark() {
+        // As many full-size partials as the high mark holds, one a tick.
+        let fit = REASM_HIGH_BYTES / PER;
+        let mut r = Reassembler::new(30_000_000);
+        for id in 0..fit as u16 {
+            r.push(forged(id, 64_800), id as u64);
+        }
+        assert_eq!((r.pending(), r.held_bytes()), (fit, fit * PER));
+        assert_eq!(r.drops(ReassemblyDrop::OverBudget), 0);
+        // One more crosses it: the oldest go until the newcomer, grown,
+        // fits under the low mark beside the rest.
+        r.push(forged(fit as u16, 64_800), fit as u64);
+        let kept = REASM_LOW_BYTES / PER;
+        assert_eq!((r.pending(), r.held_bytes()), (kept, kept * PER));
+        assert_eq!(r.drops(ReassemblyDrop::OverBudget), (fit + 1 - kept) as u64);
+        assert_eq!(r.drops(ReassemblyDrop::Timeout), 0);
+        for id in 0..=fit as u16 {
+            assert_eq!(holds(&r, id), id as usize > fit - kept, "id {id}");
+        }
+    }
+
+    #[test]
+    fn the_zero_fill_is_charged_before_it_is_made() {
+        // The high mark nearly full, and a small partial beside it.
+        let fit = REASM_HIGH_BYTES / PER;
+        let mut r = Reassembler::new(30_000_000);
+        for id in 0..fit as u16 {
+            r.push(forged(id, 64_800), 0);
+        }
+        let small = fit as u16;
+        r.push(forged(small, 0), 1);
+        assert_eq!(r.pending(), fit + 1);
+        assert_eq!(r.drops(ReassemblyDrop::OverBudget), 0);
+        // Its next fragment would zero-fill ~64 KiB past the high mark:
+        // that growth is charged first, so the oldest partials make room
+        // and it grows under the low mark.
+        r.push(forged(small, 64_800), 2);
+        assert!(holds(&r, small));
+        assert!(!holds(&r, 0));
+        assert!(r.held_bytes() <= REASM_LOW_BYTES, "{}", r.held_bytes());
+        assert_eq!(
+            r.drops(ReassemblyDrop::OverBudget),
+            (fit + 1 - r.pending()) as u64
+        );
     }
 
     #[test]

@@ -936,6 +936,33 @@ mod tests {
     }
 
     #[test]
+    fn a_fragment_flood_is_evicted_and_friendly_datagrams_still_pass() {
+        use crate::frag::{ReassemblyDrop, REASM_HIGH_BYTES};
+        use crate::ip::{Packet, Proto};
+        let mut net = two_hosts(Impairments::default());
+        net.host_mut(B).udp.bind(53).unwrap();
+        // 2,000 forged first-seen fragments at offset 64,800, ~65 KiB
+        // of reassembly each.
+        let flood: Vec<Vec<u8>> = (0..2_000u16)
+            .map(|id| {
+                let mut h = Ipv4Header::new([6, 6, 6, 6], B, Proto::Udp, 8);
+                (h.id, h.frag_offset, h.more_fragments) = (id, 64_800 / 8, true);
+                Packet::new(h, vec![0; 8]).encode()
+            })
+            .collect();
+        net.host_mut(B).deliver_frames(&flood, 0);
+        let evicted = net.host_mut(B).reasm.drops(ReassemblyDrop::OverBudget);
+        assert!(
+            evicted >= (2_000 - REASM_HIGH_BYTES / 64_808) as u64,
+            "{evicted}"
+        );
+        let big = vec![7u8; 6000];
+        net.host_mut(A).udp_send(1234, B, 53, &big, 0).unwrap();
+        net.run(50_000, 1_000);
+        assert_eq!(net.host_mut(B).udp.recv(53).unwrap().data, big);
+    }
+
+    #[test]
     fn bypass_datagrams_flow() {
         let mut net = two_hosts(Impairments::default());
         net.host_mut(A).bypass_send(B, b"cert request", 0).unwrap();

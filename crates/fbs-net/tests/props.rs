@@ -3,7 +3,7 @@
 
 // Property tests are opt-in: run with `cargo test --features props`.
 #![cfg(feature = "props")]
-use fbs_net::frag::{fragment, Reassembler};
+use fbs_net::frag::{fragment, Reassembler, ReassemblyDrop};
 use fbs_net::ip::{internet_checksum, Ipv4Header, Packet, Proto, IPV4_HEADER_LEN};
 use fbs_net::mrt::{Flags, MrtHeader};
 use fbs_net::udp;
@@ -306,13 +306,13 @@ fn check_stale_partials(
     let dropped = r.expire(last_push + timeout_us + 1, &mut pool);
     prop_assert_eq!(dropped, incomplete);
     prop_assert_eq!(r.pending(), 0);
-    prop_assert_eq!(r.timeouts, incomplete as u64);
+    prop_assert_eq!(r.drops(ReassemblyDrop::Timeout), incomplete as u64);
     let recycled = pool.stats().returns + pool.stats().discards;
     prop_assert_eq!(recycled, incomplete as u64);
 
     // A second purge pass finds nothing (no double counting)...
     prop_assert_eq!(r.expire(last_push + 2 * timeout_us + 2, &mut pool), 0);
-    prop_assert_eq!(r.timeouts, incomplete as u64);
+    prop_assert_eq!(r.drops(ReassemblyDrop::Timeout), incomplete as u64);
     let recycled = pool.stats().returns + pool.stats().discards;
     prop_assert_eq!(recycled, incomplete as u64);
 
@@ -323,7 +323,7 @@ fn check_stale_partials(
     }
     prop_assert_eq!(
         reg.counter(fbs_obs::Counter::ReassemblyTimeouts),
-        r.timeouts
+        r.drops(ReassemblyDrop::Timeout)
     );
     Ok(())
 }
