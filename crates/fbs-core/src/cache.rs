@@ -454,7 +454,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
 
     /// Heap bytes held by the slots themselves: the chunk directories
     /// and the chunks allocated so far (both tables while a resize is in
-    /// flight). Entry *values* that own further heap (e.g. `Arc`
+    /// flight). Entry *values* that own further heap (e.g. `Box`
     /// payloads) are accounted by the budget's `entry_bytes`, not here.
     pub fn table_bytes(&self) -> u64 {
         self.table.heap_bytes() + self.old.as_ref().map(|t| t.heap_bytes()).unwrap_or(0)

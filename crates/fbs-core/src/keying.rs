@@ -12,7 +12,7 @@ use crate::principal::Principal;
 use fbs_crypto::des::TripleDes;
 use fbs_crypto::md5::{Md5, Md5x2};
 use fbs_crypto::{sha1::Sha1, CipherSuite, Des, MacAlgorithm, MacContext};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Hash used for flow-key derivation (the paper names MD5, SHS, even DES as
 /// candidates for `H`; we provide the two real hashes).
@@ -122,21 +122,22 @@ impl std::fmt::Debug for FlowKey {
 /// A [`FlowKey`] with its [`CipherSuite`] sealed in and the key material
 /// that suite reads expanded, so per-flow setup runs once at
 /// key-derivation time rather than inside the per-datagram fast path. The
-/// flow-key caches store these behind an `Arc`: the `fbs-ip` hooks lend a
-/// cached key by reference for the datagram that hit it, and only an
-/// [`FbsEndpoint`](crate::FbsEndpoint) clones the `Arc` out of its
-/// caches.
+/// flow-key tables own these in a `Box` each, one allocation of the
+/// key's own size: a table never shares a key, it lends it by reference
+/// for the datagram that hit it.
 ///
 /// Carrying the suite here is what lets workers dispatch crypto per *key*
 /// instead of per *config*: a config change mid-batch cannot change how
 /// already-resolved flows seal or open. The suite *is* the material's
 /// arm, so a key cannot name one suite and hold another's material. The
 /// raw flow key is kept only by the arms that read it again.
+#[derive(Clone)]
 pub struct SealedFlowKey {
     material: KeyMaterial,
 }
 
 /// What one suite reads of a flow key, and nothing else.
+#[derive(Clone)]
 pub(crate) enum KeyMaterial {
     /// `paper`: DES-CBC (or TDEA-CBC) + a prefix-keyed MAC.
     Paper(Box<DesMaterial>),
@@ -150,6 +151,7 @@ pub(crate) enum KeyMaterial {
 
 /// The DES suites' key material. Boxed behind [`KeyMaterial`] so an AEAD
 /// key does not carry its size.
+#[derive(Clone)]
 pub(crate) struct DesMaterial {
     /// The raw flow key: the on-demand TDEA build and a MAC the cached
     /// prefix does not cover both key from it.
@@ -256,31 +258,30 @@ impl SealedFlowKey {
         }
     }
 
-    /// `self` in an `Arc`: `old`'s allocation, overwritten, when
-    /// [`Arc::get_mut`] shows no one else holds it, else a new one. A
-    /// birth that displaces a key then allocates nothing for an AEAD
-    /// key (a DES key still brings its boxed material), and a key
-    /// someone still holds is never written, only released.
-    pub fn into_arc_reusing(self, old: Option<Arc<SealedFlowKey>>) -> Arc<SealedFlowKey> {
-        if let Some(mut old) = old {
-            if let Some(slot) = Arc::get_mut(&mut old) {
+    /// `self` in a `Box`: `old`'s allocation, overwritten, when a table
+    /// evicted one, else a new one. A birth that displaces a key then
+    /// allocates nothing for an AEAD key (a DES key still brings its
+    /// boxed material). A table owns its keys alone, so the overwrite
+    /// needs no check.
+    pub fn into_box_reusing(self, old: Option<Box<SealedFlowKey>>) -> Box<SealedFlowKey> {
+        match old {
+            Some(mut slot) => {
                 *slot = self;
-                return old;
+                slot
             }
+            None => Box::new(self),
         }
-        Arc::new(self)
     }
 
-    /// Heap bytes one `Arc<SealedFlowKey>` sealed for `suite` occupies:
-    /// the `Arc`'s two counters, the material's arm, and the DES suites'
-    /// boxed material (raw flow key included) — what a resident flow key
-    /// costs a memory ledger.
-    pub fn arc_bytes(suite: CipherSuite) -> usize {
+    /// Heap bytes one `Box<SealedFlowKey>` sealed for `suite` occupies:
+    /// the material's arm and the DES suites' boxed material (raw flow
+    /// key included) — what a resident flow key costs a memory ledger.
+    pub fn boxed_bytes(suite: CipherSuite) -> usize {
         let boxed = match suite {
             CipherSuite::Paper | CipherSuite::FastDes => std::mem::size_of::<DesMaterial>(),
             CipherSuite::AeadChaPoly => 0,
         };
-        2 * std::mem::size_of::<usize>() + std::mem::size_of::<SealedFlowKey>() + boxed
+        std::mem::size_of::<SealedFlowKey>() + boxed
     }
 
     /// The profile this key was sealed for.

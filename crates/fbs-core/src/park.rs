@@ -80,10 +80,11 @@ pub struct ParkingQueue<T> {
 
 impl<T> ParkingQueue<T> {
     /// A queue holding at most `capacity` items, each defaulting to a
-    /// `default_ttl_us` lifetime from its first park.
+    /// `default_ttl_us` lifetime from its first park. It owns no buffer
+    /// until the first park: most queues never hold a datagram.
     pub fn new(capacity: usize, default_ttl_us: u64) -> Self {
         ParkingQueue {
-            items: VecDeque::with_capacity(capacity.min(1024)),
+            items: VecDeque::new(),
             capacity,
             default_ttl_us,
             stats: ParkStats::default(),
@@ -215,6 +216,12 @@ mod tests {
         assert_eq!(all.iter().map(|e| e.item).collect::<Vec<_>>(), vec![1, 2]);
         assert!(q.is_empty());
         assert_eq!(q.stats().parked, 2);
+    }
+
+    #[test]
+    fn a_fresh_queue_owns_no_buffer() {
+        let q: ParkingQueue<(u64, Vec<u8>)> = ParkingQueue::new(64, 1_000);
+        assert_eq!(q.items.capacity(), 0);
     }
 
     #[test]

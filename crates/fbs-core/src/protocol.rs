@@ -520,15 +520,14 @@ impl FlowCodec {
     /// `derive` into a local (it may peek at `rfkc` as the miss left it),
     /// `open` under it, and cache the key only once it verified (a
     /// forged birth leaves `rfkc` as it was), in the allocation of the
-    /// key its insert evicts when no one else holds that one
-    /// ([`SealedFlowKey::into_arc_reusing`]). `open` wraps
-    /// [`open_with_key_into`](Self::open_with_key_into).
+    /// key its insert evicts ([`SealedFlowKey::into_box_reusing`]).
+    /// `open` wraps [`open_with_key_into`](Self::open_with_key_into).
     pub fn open_cached<K: Eq + Hash + Clone, T>(
         &self,
-        rfkc: &mut SoftCache<K, Arc<SealedFlowKey>>,
+        rfkc: &mut SoftCache<K, Box<SealedFlowKey>>,
         id: K,
         timestamp: u32,
-        derive: impl FnOnce(&SoftCache<K, Arc<SealedFlowKey>>) -> Result<SealedFlowKey>,
+        derive: impl FnOnce(&SoftCache<K, Box<SealedFlowKey>>) -> Result<SealedFlowKey>,
         open: impl FnOnce(&SealedFlowKey) -> Result<T>,
     ) -> Result<T> {
         self.check_freshness(timestamp)?;
@@ -538,7 +537,7 @@ impl FlowCodec {
         let key = derive(rfkc)?;
         let opened = open(&key)?;
         rfkc.insert_with(id, |evicted| {
-            key.into_arc_reusing(evicted.take().map(|(_, old)| old))
+            key.into_box_reusing(evicted.take().map(|(_, old)| old))
         });
         Ok(opened)
     }
@@ -716,8 +715,8 @@ impl FlowCodec {
 pub struct FbsEndpoint {
     codec: FlowCodec,
     keying: KeyingService,
-    tfkc: SoftCache<FlowKeyId, Arc<SealedFlowKey>>,
-    rfkc: SoftCache<FlowKeyId, Arc<SealedFlowKey>>,
+    tfkc: SoftCache<FlowKeyId, Box<SealedFlowKey>>,
+    rfkc: SoftCache<FlowKeyId, Box<SealedFlowKey>>,
 }
 
 impl FbsEndpoint {
@@ -769,19 +768,6 @@ impl FbsEndpoint {
         self.codec.config()
     }
 
-    /// Transmit-side flow key via TFKC (Fig. 6, replacing Fig. 4 line S3).
-    /// A hit is an `Arc` refcount bump — no key bytes are copied and the
-    /// key material its suite reads rides along.
-    fn flow_key_tx(&mut self, sfl: u64, destination: &Principal) -> Result<Arc<SealedFlowKey>> {
-        let id = (sfl, destination.clone(), self.codec.local.clone());
-        if let Some(k) = self.tfkc.get_ref(&id) {
-            return Ok(Arc::clone(k));
-        }
-        let k = Arc::new(self.keying.derive(&self.codec, sfl, destination, true)?);
-        self.tfkc.insert(id, Arc::clone(&k));
-        Ok(k)
-    }
-
     /// `FBSSend` (Fig. 4): protect `datagram` under flow `sfl` (obtained
     /// from a FAM classification). `secret` requests confidentiality.
     ///
@@ -823,8 +809,26 @@ impl FbsEndpoint {
         secret: bool,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        let key = self.flow_key_tx(sfl, destination)?;
-        self.seal_with_key_into(sfl, &key, body, secret, out)
+        // The transmit flow key via the TFKC (Fig. 6, replacing Fig. 4
+        // line S3), lent to the codec beside it: a hit seals under the
+        // cached key; a miss derives into a local, seals under it, then
+        // caches it in the allocation of the key its insert evicts.
+        let FbsEndpoint {
+            codec,
+            keying,
+            tfkc,
+            ..
+        } = self;
+        let id = (sfl, destination.clone(), codec.local.clone());
+        if let Some(key) = tfkc.get_ref(&id) {
+            return codec.seal_with_key_into(sfl, key, body, secret, out);
+        }
+        let key = keying.derive(codec, sfl, destination, true)?;
+        let sealed = codec.seal_with_key_into(sfl, &key, body, secret, out);
+        tfkc.insert_with(id, |evicted| {
+            key.into_box_reusing(evicted.take().map(|(_, old)| old))
+        });
+        sealed
     }
 
     /// [`Self::seal_into`] with a caller-provided flow key (the §7.2

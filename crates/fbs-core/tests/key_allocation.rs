@@ -1,6 +1,6 @@
 //! What a resident flow key really costs the heap. The memory ledgers
-//! charge `SealedFlowKey::arc_bytes(suite)` for every cached
-//! `Arc<SealedFlowKey>`; this counts the bytes the allocator is actually
+//! charge `SealedFlowKey::boxed_bytes(suite)` for every cached
+//! `Box<SealedFlowKey>`; this counts the bytes the allocator is actually
 //! asked for when one is built, so the charge is checked against the
 //! allocator and not only against `size_of` arithmetic.
 //!
@@ -13,7 +13,6 @@ use fbs_core::{derive_flow_key, EncAlgorithm, FbsConfig, Principal, SealedFlowKe
 use fbs_crypto::CipherSuite;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// System allocator wrapper counting the bytes every alloc and realloc
 /// asks for, and the bytes every dealloc returns.
@@ -72,17 +71,17 @@ fn a_sealed_keys_allocation_is_what_the_ledger_charges() {
         let key = derive_flow_key(cfg.key_derivation, 7, b"master", &s, &d);
         let allocated = ALLOCATED.load(Ordering::Relaxed);
         let freed = FREED.load(Ordering::Relaxed);
-        let sealed = Arc::new(cfg.seal_key(key));
+        let sealed = Box::new(cfg.seal_key(key));
         let asked = ALLOCATED.load(Ordering::Relaxed) - allocated;
         let returned = FREED.load(Ordering::Relaxed) - freed;
-        let charged = SealedFlowKey::arc_bytes(cfg.suite) as u64;
+        let charged = SealedFlowKey::boxed_bytes(cfg.suite) as u64;
         assert_eq!(asked, charged, "{what}: bytes allocated");
         assert_eq!(returned, 0, "{what}: no temporary allocation");
         drop(sealed);
         let returned = FREED.load(Ordering::Relaxed) - freed;
         assert_eq!(returned, charged, "{what}: dropping the key frees it");
     }
-    // The AEAD key is the 16 B of `Arc` counters and its 40 B material.
+    // The AEAD key is its 40 B material and nothing else.
     #[cfg(target_pointer_width = "64")]
-    assert_eq!(SealedFlowKey::arc_bytes(CipherSuite::AeadChaPoly), 56);
+    assert_eq!(SealedFlowKey::boxed_bytes(CipherSuite::AeadChaPoly), 40);
 }

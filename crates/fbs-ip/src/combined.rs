@@ -20,7 +20,7 @@ use std::sync::Arc;
 struct Entry {
     tuple: FiveTuple,
     sfl: u64,
-    key: Arc<SealedFlowKey>,
+    key: Box<SealedFlowKey>,
     last_secs: u64,
 }
 
@@ -199,7 +199,12 @@ impl CombinedTable {
     }
 
     /// Install a freshly-derived flow, counting the new flow, and lend
-    /// its key back, as a hit's [`probe`](Self::probe) would.
+    /// its key back, as a hit's [`probe`](Self::probe) would. The table
+    /// owns its keys in a `Box`: `key` is moved out of its `Arc` (cloned
+    /// when someone else still holds it), and into the displaced key's
+    /// allocation as [`insert_reusing`](Self::insert_reusing) does. The
+    /// `Arc` parameter serves a caller that shares one key between
+    /// tables; ROADMAP item 1(a) retires it.
     pub fn insert(
         &mut self,
         tuple: FiveTuple,
@@ -207,14 +212,12 @@ impl CombinedTable {
         key: Arc<SealedFlowKey>,
         now_secs: u64,
     ) -> &SealedFlowKey {
-        self.place(tuple, sfl, now_secs, |_| key)
+        self.insert_reusing(tuple, sfl, Arc::unwrap_or_clone(key), now_secs)
     }
 
     /// [`insert`](Self::insert) a flow born with `key`, in the allocation
-    /// of the key it displaces when no one else holds that one
-    /// ([`SealedFlowKey::into_arc_reusing`]): a birth into an occupied
-    /// slot allocates nothing for an AEAD key, and a shared key is never
-    /// written.
+    /// of the key it displaces ([`SealedFlowKey::into_box_reusing`]): a
+    /// birth into an occupied slot allocates nothing for an AEAD key.
     pub fn insert_reusing(
         &mut self,
         tuple: FiveTuple,
@@ -222,22 +225,10 @@ impl CombinedTable {
         key: SealedFlowKey,
         now_secs: u64,
     ) -> &SealedFlowKey {
-        self.place(tuple, sfl, now_secs, |old| key.into_arc_reusing(old))
-    }
-
-    /// The one placement: count the new flow and fill the tuple's slot
-    /// with the key `key` makes of the displaced entry's key, if any.
-    fn place(
-        &mut self,
-        tuple: FiveTuple,
-        sfl: u64,
-        now_secs: u64,
-        key: impl FnOnce(Option<Arc<SealedFlowKey>>) -> Arc<SealedFlowKey>,
-    ) -> &SealedFlowKey {
         self.counts.cache_insertion(CacheKind::Combined);
         let i = self.slot_of(&tuple);
         let slot = self.slots.slot_mut(i);
-        let key = key(slot.take().map(|e| e.key));
+        let key = key.into_box_reusing(slot.take().map(|e| e.key));
         let e = slot.insert(Entry {
             tuple,
             sfl,
@@ -534,21 +525,21 @@ mod tests {
         }
     }
 
-    /// A birth never writes a key someone else still holds: the shared
-    /// key keeps its bytes and the new flow gets an allocation of its
-    /// own. (That an unshared key's allocation is reused is counted by
-    /// `tests/births_allocate_nothing.rs`, which has an allocator to
-    /// count with.)
+    /// A birth writes its key into the allocation of the key it
+    /// displaces: the slot's key sits at the same address before and
+    /// after, holding the new flow's bytes. (A `Box` cannot be shared,
+    /// so no one else sees the overwrite; that the birth allocates
+    /// nothing is counted by `tests/births_allocate_nothing.rs`, which
+    /// has an allocator to count with.)
     #[test]
-    fn a_birth_never_writes_a_shared_key() {
+    fn a_birth_writes_its_key_into_the_displaced_allocation() {
         let mut t = CombinedTable::new(1, 600, SflAllocator::new(1));
-        let shared = fake_key(12).unwrap();
-        t.insert(tuple(3), 12, Arc::clone(&shared), 0);
+        let held = t.insert(tuple(3), 12, fake_key(12).unwrap(), 0) as *const SealedFlowKey;
         let born = t.insert_reusing(tuple(4), 13, sealed(13), 0) as *const SealedFlowKey;
-        assert_ne!(born, Arc::as_ptr(&shared));
-        assert_eq!(shared.chacha_key(), sealed(12).chacha_key());
+        assert_eq!(born, held);
         let (sfl, key) = t.probe(&tuple(4), 0).unwrap();
         assert_eq!(sfl, 13);
+        assert_eq!(key as *const SealedFlowKey, held);
         assert_eq!(key.chacha_key(), sealed(13).chacha_key());
     }
 

@@ -49,13 +49,14 @@ pub(super) fn rfkc_hash(local: Principal) -> impl Fn(&RxKeyId) -> u32 + Send + S
 /// Resident bytes per receive flow-key cache entry under `suite`,
 /// charged against the shard's [`MemoryBudget`]: the RFKC slot
 /// ([`SoftCache::SLOT_BYTES`]: control byte plus the [`RxKeyId`], value
-/// `Arc` and LRU tick of its entry) plus the allocation the `Arc`
+/// `Box` and LRU tick of its entry) plus the allocation the `Box`
 /// points at — the suite's key material and, for the DES suites, its
-/// boxed schedules ([`SealedFlowKey::arc_bytes`]). Allocator rounding
+/// boxed schedules ([`SealedFlowKey::boxed_bytes`]). Allocator rounding
 /// is not counted: the budget bounds steady-state residency, it is not
 /// an allocator.
 pub(super) fn flow_key_entry_bytes(suite: CipherSuite) -> u64 {
-    (SoftCache::<RxKeyId, Arc<SealedFlowKey>>::SLOT_BYTES + SealedFlowKey::arc_bytes(suite)) as u64
+    (SoftCache::<RxKeyId, Box<SealedFlowKey>>::SLOT_BYTES + SealedFlowKey::boxed_bytes(suite))
+        as u64
 }
 
 /// Bytes one shard's combined table reserves: its `fst_size` slots, as
@@ -78,7 +79,7 @@ pub(super) struct Shard {
     /// in one table, one probe per datagram.
     pub(super) combined: CombinedTable,
     /// Receive flow key cache slice for sfls ≡ shard index (mod N).
-    pub(super) rfkc: SoftCache<RxKeyId, Arc<SealedFlowKey>>,
+    pub(super) rfkc: SoftCache<RxKeyId, Box<SealedFlowKey>>,
     /// Output datagrams awaiting key derivation: (header, plaintext).
     pub(super) out_park: ParkingQueue<(Ipv4Header, Vec<u8>)>,
     /// Input datagrams awaiting key derivation: (header, wire payload).
@@ -358,7 +359,7 @@ impl Next<'_> {
     fn input_birth(
         &self,
         si: usize,
-        rfkc: &SoftCache<RxKeyId, Arc<SealedFlowKey>>,
+        rfkc: &SoftCache<RxKeyId, Box<SealedFlowKey>>,
         id: RxKeyId,
     ) -> Option<Birth> {
         let next = (wire_sfl(&self.item.payload)?, self.item.peer);

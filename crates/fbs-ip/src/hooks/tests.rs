@@ -1405,16 +1405,16 @@ fn owners_are_independent_lock_domains() {
 #[test]
 fn the_memory_ledger_charges_each_suites_real_key_allocation() {
     // Per resident receive key: the RFKC slot (1 control byte and a 32 B
-    // entry: the 16 B (sfl, source address) id, the 8 B `Arc`, the 8 B
-    // tick, whose niche marks a vacant slot) and the `Arc` allocation — 16 B
-    // of counters, the 40 B key material and, for the DES suites, 728 B
-    // of boxed schedules and raw flow key.
+    // entry: the 16 B (sfl, source address) id, the 8 B `Box`, the 8 B
+    // tick, whose niche marks a vacant slot) and the `Box` allocation — the
+    // 40 B key material and, for the DES suites, 728 B of boxed schedules
+    // and raw flow key.
     // The byte counts are the 64-bit layout's; the ordering holds on any.
     #[cfg(target_pointer_width = "64")]
     {
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::AeadChaPoly), 89);
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::Paper), 817);
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::FastDes), 817);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::AeadChaPoly), 73);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::Paper), 801);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::FastDes), 801);
         // The combined table's floor is its own 40 B slot.
         assert_eq!(datapath::fst_static_bytes(64), 64 * 40);
     }

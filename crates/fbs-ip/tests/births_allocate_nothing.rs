@@ -13,10 +13,11 @@
 //! item 6(b).
 //!
 //! Two more fences ride along, on the receive rule both engines share
-//! (`FlowCodec::open_cached` over a `SoftCache<_, Arc<SealedFlowKey>>`,
-//! as in `FbsEndpoint`): a key someone cloned out of the cache keeps its
-//! bytes when its slot's next birth comes, and a forged birth leaves
-//! every resident key, and its allocation, as it was.
+//! (`FlowCodec::open_cached` over a `SoftCache<_, Box<SealedFlowKey>>`,
+//! as in `FbsEndpoint`): a birth writes its key into the allocation of
+//! the key it evicts while a copy taken out of the cache keeps its
+//! bytes, and a forged birth leaves every resident key, and its
+//! allocation, as it was.
 //!
 //! The counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`,
 //! so it lives in a test binary of its own (the library crates
@@ -300,9 +301,10 @@ fn hook_births_allocate_only_the_verdict_vector() {
     assert_eq!(hits(&mut pair), resident_hits);
 }
 
-/// The receive rule over an endpoint-style cache: reuse of an unshared
-/// key, a cloned key left alone, a forged birth that changes nothing.
-fn the_receive_rule_writes_only_keys_it_holds_alone() {
+/// The receive rule over an endpoint-style cache: a birth reuses the
+/// evicted key's allocation, a copied key is left alone, a forged birth
+/// changes nothing.
+fn the_receive_rule_writes_the_evicted_key_in_place() {
     let clock = ManualClock::starting_at(NOW_SECS);
     let fbs = FbsConfig {
         suite: CipherSuite::AeadChaPoly,
@@ -311,8 +313,8 @@ fn the_receive_rule_writes_only_keys_it_holds_alone() {
     let timestamp = clock.now_minutes();
     let codec = FlowCodec::new(Principal::from_ipv4(B), fbs, Arc::new(clock), 1);
     // One direct-mapped slot: every birth evicts the resident key.
-    let mut rfkc: SoftCache<u64, Arc<SealedFlowKey>> = SoftCache::new(1, 1, |_| 0);
-    let birth = |rfkc: &mut SoftCache<u64, Arc<SealedFlowKey>>, sfl: u64, forged: bool| {
+    let mut rfkc: SoftCache<u64, Box<SealedFlowKey>> = SoftCache::new(1, 1, |_| 0);
+    let birth = |rfkc: &mut SoftCache<u64, Box<SealedFlowKey>>, sfl: u64, forged: bool| {
         let key = key_of(sfl);
         let before = allocs();
         let r = codec.open_cached(
@@ -330,31 +332,35 @@ fn the_receive_rule_writes_only_keys_it_holds_alone() {
         );
         (r, allocs() - before)
     };
-    let resident = |rfkc: &SoftCache<u64, Arc<SealedFlowKey>>, sfl| {
+    let resident = |rfkc: &SoftCache<u64, Box<SealedFlowKey>>, sfl| {
         let key = rfkc.peek(&sfl).expect("resident");
-        (Arc::as_ptr(key), *key.chacha_key().unwrap())
+        (&**key as *const SealedFlowKey, *key.chacha_key().unwrap())
     };
     let chacha = |sfl| *key_of(sfl).chacha_key().unwrap();
 
     assert!(birth(&mut rfkc, 1, false).0.is_ok());
-    // A clone out of the cache, as an endpoint lends one: the next birth
-    // allocates anew and the clone keeps its bytes.
+    let (first, _) = resident(&rfkc, 1);
+    // A copy out of the cache (`get` clones the `Box`) is a key of its
+    // own: the next birth writes the evicted allocation in place, and
+    // the copy keeps its bytes.
     let held = rfkc.get(&1).expect("resident");
-    let (r, _) = birth(&mut rfkc, 2, false);
+    let (r, n) = birth(&mut rfkc, 2, false);
     assert!(r.is_ok());
+    assert_eq!(n, 0, "a birth into an evicted key allocates nothing");
     assert_eq!(
         *held.chacha_key().unwrap(),
         chacha(1),
-        "the clone is untouched"
+        "the copy is untouched"
     );
     let (at, bytes) = resident(&rfkc, 2);
-    assert_ne!(at, Arc::as_ptr(&held));
+    assert_eq!(at, first);
+    assert_ne!(at, &*held as *const SealedFlowKey);
     assert_eq!(bytes, chacha(2));
     drop(held);
-    // Held by the cache alone, a key's allocation carries the next one.
+    // The evicted key's allocation carries the next one, again.
     let (r, n) = birth(&mut rfkc, 3, false);
     assert!(r.is_ok());
-    assert_eq!(n, 0, "a birth into an unshared key allocates nothing");
+    assert_eq!(n, 0, "a birth into an evicted key allocates nothing");
     assert_eq!(resident(&rfkc, 3), (at, chacha(3)));
     // A forged birth: no insert, no eviction, no allocation.
     let (r, n) = birth(&mut rfkc, 4, true);
@@ -373,5 +379,5 @@ fn flow_births_allocate_nothing() {
     assert!(allocs() > before, "the counting allocator counts");
 
     hook_births_allocate_only_the_verdict_vector();
-    the_receive_rule_writes_only_keys_it_holds_alone();
+    the_receive_rule_writes_the_evicted_key_in_place();
 }

@@ -339,12 +339,19 @@ fn forged_births_at(workers: usize) {
 
 /// More than a ring's worth of friendly and MAC-flipped datagrams leave
 /// the receiver's flight recorder holding exactly the one rare event it
-/// held before: every per-datagram step is a count. MAC-only, so every
-/// flipped body byte is under the MAC and every forgery is a MAC drop.
+/// held before: every per-datagram step is a count. MAC-only, every
+/// flipped body byte is under the MAC and every forgery is a MAC drop;
+/// encrypted, every forgery is a MAC or a malformed drop.
 #[test]
 fn a_forged_datagram_writes_no_history() {
+    for encrypt in [false, true] {
+        forged_datagrams_write_no_history(encrypt);
+    }
+}
+
+fn forged_datagrams_write_no_history(encrypt: bool) {
     let (mut sender, mut receiver, reg) = build_pair(IpMappingConfig {
-        encrypt: false,
+        encrypt,
         ..IpMappingConfig::default()
     });
     reg.record(Event::BreakerFastFail);
@@ -382,10 +389,15 @@ fn a_forged_datagram_writes_no_history() {
     let delivered = rounds as u64 * BATCH as u64;
     assert!(delivered > DEFAULT_EVENT_CAPACITY as u64);
     let stats = receiver.stats();
-    assert_eq!(stats.input_errors, forged);
-    assert_eq!(stats.verified, delivered - forged);
-    assert_eq!(receiver.endpoint_stats().mac_drops, forged);
+    assert_eq!(stats.input_errors, forged, "encrypt {encrypt}");
+    assert_eq!(stats.verified, delivered - forged, "encrypt {encrypt}");
+    let drops = receiver.endpoint_stats();
+    if encrypt {
+        assert_eq!(drops.mac_drops + drops.malformed_drops, forged);
+    } else {
+        assert_eq!(drops.mac_drops, forged);
+    }
     let events: Vec<Event> = reg.events().iter().map(|r| r.event).collect();
-    assert_eq!(events, [Event::BreakerFastFail]);
+    assert_eq!(events, [Event::BreakerFastFail], "encrypt {encrypt}");
     assert_eq!(reg.snapshot().counter("obs.events_dropped"), 0);
 }

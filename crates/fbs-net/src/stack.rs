@@ -27,7 +27,7 @@
 //! ledger closes on both ends of a link.
 
 use crate::error::{NetError, RejectReason, Result};
-use crate::frag::{Fragments, Reassembler};
+use crate::frag::{Fragments, Reassembler, ReassemblyDrop};
 use crate::ip::{encode_frame, parse_frame, Ipv4Addr, Ipv4Header, Proto};
 use crate::mrt::MrtLayer;
 use crate::ports::PortAllocator;
@@ -535,12 +535,20 @@ impl Host {
         }
 
         // Part 2: reassembly.
+        let evicted = self.reasm.drops(ReassemblyDrop::OverBudget);
         let packet = self
             .reasm
-            .push_fragment(&header, bytes, now_us, &mut self.pool)?;
+            .push_fragment(&header, bytes, now_us, &mut self.pool);
         if let Some(reg) = &self.obs {
-            reg.incr(Counter::ReassembledDatagrams);
+            let evicted = self.reasm.drops(ReassemblyDrop::OverBudget) - evicted;
+            if evicted > 0 {
+                reg.add(Counter::ReassemblyEvictions, evicted);
+            }
+            if packet.is_some() {
+                reg.incr(Counter::ReassembledDatagrams);
+            }
         }
+        let packet = packet?;
         trace_wire_span(
             &self.obs,
             self.addr,
@@ -937,9 +945,11 @@ mod tests {
 
     #[test]
     fn a_fragment_flood_is_evicted_and_friendly_datagrams_still_pass() {
-        use crate::frag::{ReassemblyDrop, REASM_HIGH_BYTES};
+        use crate::frag::REASM_HIGH_BYTES;
         use crate::ip::{Packet, Proto};
         let mut net = two_hosts(Impairments::default());
+        let reg = Arc::new(MetricsRegistry::new());
+        net.host_mut(B).attach_obs(Arc::clone(&reg));
         net.host_mut(B).udp.bind(53).unwrap();
         // 2,000 forged first-seen fragments at offset 64,800, ~65 KiB
         // of reassembly each.
@@ -956,6 +966,7 @@ mod tests {
             evicted >= (2_000 - REASM_HIGH_BYTES / 64_808) as u64,
             "{evicted}"
         );
+        assert_eq!(reg.counter(Counter::ReassemblyEvictions), evicted);
         let big = vec![7u8; 6000];
         net.host_mut(A).udp_send(1234, B, 53, &big, 0).unwrap();
         net.run(50_000, 1_000);

@@ -60,6 +60,9 @@ pub enum Counter {
     ReassembledDatagrams,
     /// Reassembly buffers dropped on timeout.
     ReassemblyTimeouts,
+    /// Reassembly buffers evicted, oldest first, to keep a host's
+    /// reassembly within its byte budget.
+    ReassemblyEvictions,
     /// MRT retransmissions.
     MrtRetransmits,
     /// Certificate verification failures in the PVC.
@@ -141,7 +144,7 @@ pub enum Counter {
 }
 
 /// Number of scalar counters.
-pub(crate) const NUM_COUNTERS: usize = 55;
+pub(crate) const NUM_COUNTERS: usize = 56;
 
 impl Counter {
     /// All counters, in snapshot order.
@@ -166,6 +169,7 @@ impl Counter {
         Counter::FragmentsProduced,
         Counter::ReassembledDatagrams,
         Counter::ReassemblyTimeouts,
+        Counter::ReassemblyEvictions,
         Counter::MrtRetransmits,
         Counter::PvcVerifyFailures,
         Counter::PoolHits,
@@ -226,6 +230,7 @@ impl Counter {
             Counter::FragmentsProduced => "net.fragments_produced",
             Counter::ReassembledDatagrams => "net.reassembled_datagrams",
             Counter::ReassemblyTimeouts => "net.reassembly_timeouts",
+            Counter::ReassemblyEvictions => "net.reassembly_evictions",
             Counter::MrtRetransmits => "mrt.retransmits",
             Counter::PvcVerifyFailures => "pvc.verify_failures",
             Counter::PoolHits => "pool.hits",
