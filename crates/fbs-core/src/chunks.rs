@@ -7,7 +7,8 @@
 //! is first written into it; a missing chunk reads as empty, so its
 //! memory tracks the slots flows touched, not the configured size. The
 //! receive flow key caches ([`SoftCache`](crate::SoftCache)) and the
-//! hooks' combined FST/TFKC both store their slots this way.
+//! flow state table ([`Fst`](crate::Fst)) both store their slots this
+//! way.
 
 /// Slots per chunk of every table stored as a [`ChunkDir`]. A chunk
 /// holds whole sets of any power-of-two associativity up to 64 and stays

@@ -1,31 +1,48 @@
 //! The Flow Association Mechanism (FAM) — paper §5.1, Fig. 1.
 //!
 //! The FAM separates outgoing datagrams into flows. It is *policy driven*:
-//! the mechanism (a flow state table plus the classify/sweep machinery
-//! here) is fixed, while policy modules "plug in" to decide (a) which table
-//! entry a datagram's attributes map to, (b) whether an entry describes the
-//! same flow, and (c) when a flow has expired. The state is purely local to
-//! the source principal — the destination only ever demultiplexes on the
-//! *sfl* — so no state synchronisation is needed between the two ends.
+//! the mechanism (the flow state table here) is fixed, while policy
+//! modules "plug in" to decide (a) which table entry a datagram's
+//! attributes map to, (b) whether an entry describes the same flow, and
+//! (c) when a flow has expired. The state is purely local to the source
+//! principal — the destination only ever demultiplexes on the *sfl* — so
+//! no state synchronisation is needed between the two ends.
+//!
+//! One table, [`Fst`], serves both of the paper's forms, generic over
+//! what a flow keeps beside its identity. The FAM's callers keep a
+//! [`FlowUse`] and classify in one call ([`Fst::classify`]). The IP
+//! datapath keeps the flow's sealed key, the combined FST/TFKC of §7.2,
+//! and calls the two halves around its key derive: [`Fst::probe`], then
+//! [`Fst::reserve_sfl`] and [`Fst::insert_with`]. In both, the sweeper is
+//! implicit (§7.2): an expired entry is replaced by the next flow that
+//! maps to its slot.
 
+use crate::chunks::{ChunkDir, CHUNK_SLOTS};
 use crate::sfl::SflAllocator;
-use fbs_obs::MetricsSnapshot;
-use std::collections::HashMap;
-use std::hash::Hash;
+use fbs_obs::{CacheKind, CacheOutcome, CounterBlock};
+use std::sync::Arc;
 
 /// One active flow in the flow state table (paper Fig. 7's `FSTEntry`,
-/// generalised over the attribute type).
-#[derive(Clone, Debug)]
-pub struct FstEntry<A> {
-    /// Security flow label assigned to this flow.
-    pub sfl: u64,
+/// generalised over the attribute type and the per-flow value).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FstEntry<A, V> {
     /// The attributes that define the flow (e.g. a 5-tuple).
     pub attrs: A,
-    /// Seconds-since-epoch when the flow started.
-    pub created: u64,
+    /// Security flow label assigned to this flow.
+    pub sfl: u64,
     /// Seconds-since-epoch of the last datagram in the flow (Fig. 7's
     /// `last` field, compared against THRESHOLD by the sweeper).
     pub last: u64,
+    /// What the flow keeps beside its identity: a [`FlowUse`] for the
+    /// FAM, the sealed flow key for the §7.2 datapath.
+    pub value: V,
+}
+
+/// What a FAM flow has carried so far.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FlowUse {
+    /// Seconds-since-epoch when the flow started.
+    pub created: u64,
     /// Datagrams classified into this flow.
     pub packets: u64,
     /// Payload bytes classified into this flow.
@@ -37,8 +54,9 @@ pub struct FstEntry<A> {
 /// `index`/`same_flow` realise the **mapper**: locate the candidate entry
 /// and decide whether it is this datagram's flow. `expired` realises the
 /// **sweeper** predicate. The FAM mechanics never interpret attributes
-/// themselves.
-pub trait FlowPolicy<A> {
+/// themselves. `V` is the per-flow value of the table the policy serves;
+/// a policy that reads only `last` serves every table.
+pub trait FlowPolicy<A, V = FlowUse> {
     /// Map attributes to a flow-state-table index (e.g. `CRC-32(attrs) mod
     /// FSTSIZE` in the Fig. 7 policy).
     fn index(&self, attrs: &A, table_size: usize) -> usize;
@@ -49,117 +67,59 @@ pub trait FlowPolicy<A> {
 
     /// Has this flow expired (sweeper predicate)? The Fig. 7 policy expires
     /// entries whose last datagram is more than THRESHOLD seconds old.
-    fn expired(&self, entry: &FstEntry<A>, now_secs: u64) -> bool;
-}
-
-/// Graceful-degradation verdict for key-unavailable datagrams.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KeyUnavailableVerdict {
-    /// Drop the datagram and surface an error (default: never weaken
-    /// security for availability).
-    #[default]
-    FailClosed,
-    /// Let the datagram through unprotected/unverified. Only sound for
-    /// flows whose policy demanded integrity opportunistically; never
-    /// applied to encrypted traffic.
-    FailOpen,
-    /// Hold the datagram in a bounded parking queue and retry when key
-    /// material may be back; drop on deadline.
-    Park,
-}
-
-/// Why a classification started a new flow (or did not).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlowStart {
-    /// The datagram joined an existing valid flow.
-    Existing,
-    /// First flow ever seen at this table slot.
-    Fresh,
-    /// The slot held an *expired* flow (possibly with the same attributes —
-    /// that case is also counted in `repeated_flows`).
-    ReplacedExpired,
-    /// The slot held a *valid* flow with different attributes: an index
-    /// collision prematurely terminated it (footnote 11 — harmless for
-    /// security, bad for efficiency).
-    Collision,
+    fn expired(&self, entry: &FstEntry<A, V>, now_secs: u64) -> bool;
 }
 
 /// Result of classifying one datagram.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Classification {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Classification<A> {
     /// The security flow label to put in the datagram's FBS header.
     pub sfl: u64,
-    /// How the flow was (or wasn't) started.
-    pub start: FlowStart,
-    /// True when this datagram started a *new* flow whose attributes had
-    /// already identified some earlier flow — a "repeated flow" in the
-    /// Fig. 14 sense (same 5-tuple, different flow incarnation).
-    pub repeated: bool,
-}
-
-impl Classification {
     /// Did this datagram start a new flow?
-    pub fn is_new_flow(&self) -> bool {
-        self.start != FlowStart::Existing
-    }
+    pub new_flow: bool,
+    /// The flow the new one displaced from its slot, finished: expired,
+    /// or live and cut short by an index collision (footnote 11 —
+    /// harmless for security, bad for efficiency).
+    pub displaced: Option<FstEntry<A, FlowUse>>,
 }
 
-/// A completed (or in-progress, at drain time) flow, for the §7.3 flow
-/// characteristics experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlowRecord {
-    /// The flow's sfl.
-    pub sfl: u64,
-    /// Datagrams carried.
-    pub packets: u64,
-    /// Payload bytes carried.
-    pub bytes: u64,
-    /// Flow start time (seconds since epoch).
-    pub created: u64,
-    /// Last datagram time.
-    pub last: u64,
-}
-
-impl FlowRecord {
-    /// Flow duration in seconds (first to last datagram).
-    pub fn duration_secs(&self) -> u64 {
-        self.last - self.created
-    }
-}
-
-/// Counters describing FAM behaviour over its lifetime.
+/// Statistics of a flow state table: a view over the `cache.combined.*`
+/// cells of the counter block it counts into.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FamStats {
-    /// Datagrams classified.
-    pub classifications: u64,
-    /// Datagrams that joined an existing flow.
-    pub joined_existing: u64,
-    /// New flows started (any [`FlowStart`] except `Existing`).
-    pub flows_started: u64,
-    /// New flows that displaced a still-valid different flow (index
-    /// collisions; footnote 11).
+pub struct FstStats {
+    /// Datagrams that joined an active flow (single lookup, no crypto):
+    /// `cache.combined.hits`.
+    pub hits: u64,
+    /// New flows started (expired entry, empty slot, or collision):
+    /// `cache.combined.insertions`.
+    pub new_flows: u64,
+    /// New flows that displaced a still-active different flow (index
+    /// collisions; footnote 11): `cache.combined.collision_misses`.
     pub collisions: u64,
-    /// New flows whose attributes had been seen on an earlier flow
-    /// (Fig. 14's "repeated flows").
-    pub repeated_flows: u64,
-    /// Entries removed by explicit sweeps.
-    pub swept: u64,
 }
 
-impl FamStats {
-    /// Fold these counters into a snapshot under the `fam.*` names (the
-    /// figure simulators' export; no registry counts a FAM).
-    pub fn contribute(&self, snap: &mut MetricsSnapshot) {
-        snap.add("fam.classifications", self.classifications);
-        snap.add("fam.joined_existing", self.joined_existing);
-        snap.add("fam.flows_started", self.flows_started);
-        snap.add("fam.collisions", self.collisions);
-        snap.add("fam.repeated_flows", self.repeated_flows);
-        snap.add("fam.swept", self.swept);
+impl FstStats {
+    /// Read the view off `counts`.
+    pub fn read(counts: &CounterBlock) -> Self {
+        let c = counts.cache(CacheKind::Combined);
+        FstStats {
+            hits: c.hits,
+            new_flows: c.insertions,
+            collisions: c.collision_misses,
+        }
     }
 }
 
-/// The Flow Association Mechanism: flow state table + pluggable policy.
+/// The FAM's table: flows that count what they carry.
+pub type Fam<A, P> = Fst<A, P, FlowUse>;
+
+/// The flow state table: direct-mapped slots under a pluggable policy.
+///
+/// The slots are a [`ChunkDir`] of [`CHUNK_SLOTS`]-slot chunks (the last
+/// one partly unused when the size is not a multiple). A chunk is
+/// allocated by the first insert that lands in it; a missing chunk reads
+/// as empty slots, so the memory tracks the slots flows touched, not the
+/// configured size.
 ///
 /// ```
 /// use fbs_core::{Fam, SflAllocator};
@@ -172,199 +132,192 @@ impl FamStats {
 /// let other = fam.classify("conversation-b".to_string(), 30, 80);
 /// assert_ne!(first.sfl, other.sfl, "separate conversation, separate key");
 /// ```
-pub struct Fam<A, P> {
-    fst: Vec<Option<FstEntry<A>>>,
+pub struct Fst<A, P, V> {
+    len: usize,
+    slots: ChunkDir<[Option<FstEntry<A, V>>; CHUNK_SLOTS]>,
     policy: P,
     alloc: SflAllocator,
-    stats: FamStats,
-    /// Attribute history for repeated-flow detection; `None` disables the
-    /// (unbounded) tracking.
-    history: Option<HashMap<A, u32>>,
-    /// Finished-flow records for the §7.3 experiments; `None` disables.
-    records: Option<Vec<FlowRecord>>,
+    /// Where the counts go: a private block by default, or the
+    /// endpoint's ([`with_counts`](Self::with_counts)).
+    counts: Arc<CounterBlock>,
 }
 
-impl<A: Clone + Eq + Hash, P: FlowPolicy<A>> Fam<A, P> {
-    /// Create a FAM with `table_size` slots (Fig. 7's FSTSIZE), the given
-    /// policy, and an sfl allocator seeded by the caller.
+impl<A, P: FlowPolicy<A, V>, V> Fst<A, P, V> {
+    /// Bytes one slot occupies once its chunk is allocated, empty or not:
+    /// what a table that fills costs per configured slot.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<FstEntry<A, V>>>();
+
+    /// Create a table with `size` slots (Fig. 7's FSTSIZE), the given
+    /// policy, and an sfl allocator seeded by the caller. No slot is
+    /// allocated until an insert lands in its chunk.
     ///
     /// # Panics
-    /// Panics if `table_size` is zero.
-    pub fn new(table_size: usize, policy: P, alloc: SflAllocator) -> Self {
-        assert!(table_size > 0, "FST must have at least one slot");
-        Fam {
-            fst: (0..table_size).map(|_| None).collect(),
+    /// Panics if `size` is zero.
+    pub fn new(size: usize, policy: P, alloc: SflAllocator) -> Self {
+        assert!(size > 0, "FST must have at least one slot");
+        Fst {
+            len: size,
+            slots: ChunkDir::new(size.div_ceil(CHUNK_SLOTS)),
             policy,
             alloc,
-            stats: FamStats::default(),
-            history: None,
-            records: None,
+            counts: Arc::new(CounterBlock::new()),
         }
     }
 
-    /// Enable repeated-flow tracking (unbounded memory: one map entry per
-    /// distinct attribute tuple ever seen). Needed for Fig. 14.
-    pub fn with_repeat_tracking(mut self) -> Self {
-        self.enable_repeat_tracking();
+    /// Count into `counts` (builder style, before the first lookup): how
+    /// a shard's table shares its owner's block, which only one writer
+    /// at a time may write.
+    pub fn with_counts(mut self, counts: Arc<CounterBlock>) -> Self {
+        self.counts = counts;
         self
     }
 
-    /// Enable (or re-enable) repeated-flow tracking in place. The first
-    /// call pre-sizes the history to the FST's footprint so the warm-up
-    /// phase does not rehash its way up from empty; later calls clear
-    /// and *reuse* the existing allocation instead of dropping it for a
-    /// fresh `HashMap`.
-    pub fn enable_repeat_tracking(&mut self) {
-        match &mut self.history {
-            Some(h) => h.clear(),
-            None => self.history = Some(HashMap::with_capacity(self.fst.len() * 2)),
-        }
+    fn slot_of(&self, attrs: &A) -> usize {
+        self.policy.index(attrs, self.len)
     }
 
-    /// Enable finished-flow recording (unbounded memory: one record per
-    /// flow). Needed for Figs. 9 and 10.
-    pub fn with_flow_records(mut self) -> Self {
-        self.records = Some(Vec::new());
-        self
+    /// The single lookup of the §7.2 send path: on an active entry of
+    /// the same flow, refresh it and lend its sfl and value (the flow
+    /// key, pre-expanded for its suite) until the table is touched again;
+    /// on a miss, count it (a displaced live entry is a collision) and
+    /// return `None`. The caller then starts the flow:
+    /// [`reserve_sfl`](Self::reserve_sfl), derive, and
+    /// [`insert_with`](Self::insert_with).
+    pub fn probe(&mut self, attrs: &A, now_secs: u64) -> Option<(u64, &mut V)> {
+        let i = self.slot_of(attrs);
+        let slot = self.slots.get_mut(i / CHUNK_SLOTS);
+        let miss = match slot.and_then(|c| c[i % CHUNK_SLOTS].as_mut()) {
+            Some(e) if !self.policy.expired(e, now_secs) => {
+                if self.policy.same_flow(&e.attrs, attrs) {
+                    self.counts
+                        .cache_lookup(CacheKind::Combined, CacheOutcome::Hit);
+                    e.last = now_secs;
+                    return Some((e.sfl, &mut e.value));
+                }
+                CacheOutcome::MissCollision
+            }
+            _ => CacheOutcome::MissCold,
+        };
+        self.counts.cache_lookup(CacheKind::Combined, miss);
+        None
     }
 
-    /// Classify a datagram with the given attributes arriving at
-    /// `now_secs`, carrying `bytes` payload bytes. This is the mapper
-    /// invocation of Fig. 4 line S1.
-    pub fn classify(&mut self, attrs: A, now_secs: u64, bytes: u64) -> Classification {
-        self.stats.classifications += 1;
-        let i = self.policy.index(&attrs, self.fst.len());
-
-        // Existing, valid, matching entry ⇒ the datagram joins the flow.
-        if let Some(e) = &mut self.fst[i] {
-            if !self.policy.expired(e, now_secs) && self.policy.same_flow(&e.attrs, &attrs) {
-                e.last = now_secs;
-                e.packets += 1;
-                e.bytes += bytes;
-                self.stats.joined_existing += 1;
-                return Classification {
-                    sfl: e.sfl,
-                    start: FlowStart::Existing,
-                    repeated: false,
-                };
-            }
+    /// Would [`probe`](Self::probe) of `attrs` at `now_secs` start a new
+    /// flow, once `pending` (a flow this table is about to insert, if
+    /// any, born at `now_secs` and so taken to be live) holds its slot?
+    /// A quiet look: it counts nothing and refreshes nothing.
+    pub fn would_start(&self, attrs: &A, now_secs: u64, pending: Option<&A>) -> bool {
+        let i = self.slot_of(attrs);
+        if let Some(p) = pending.filter(|p| self.slot_of(p) == i) {
+            return !self.policy.same_flow(p, attrs);
         }
+        let slot = self.slots.get(i / CHUNK_SLOTS).map(|c| &c[i % CHUNK_SLOTS]);
+        !slot.and_then(Option::as_ref).is_some_and(|e| {
+            !self.policy.expired(e, now_secs) && self.policy.same_flow(&e.attrs, attrs)
+        })
+    }
 
-        // Otherwise a new flow starts at this slot.
-        let start = match &self.fst[i] {
-            None => FlowStart::Fresh,
-            Some(e) if self.policy.expired(e, now_secs) => FlowStart::ReplacedExpired,
-            Some(_) => FlowStart::Collision,
-        };
-        if start == FlowStart::Collision {
-            self.stats.collisions += 1;
-        }
-        if let Some(old) = self.fst[i].take() {
-            self.record_finished(&old);
-        }
+    /// The sfl the next [`reserve_sfl`](Self::reserve_sfl) will return.
+    pub fn next_sfl(&self) -> u64 {
+        self.alloc.peek()
+    }
 
-        let repeated = match &mut self.history {
-            None => false,
-            Some(h) => {
-                let count = h.entry(attrs.clone()).or_insert(0);
-                let repeated = *count > 0;
-                *count += 1;
-                repeated
-            }
-        };
-        if repeated {
-            self.stats.repeated_flows += 1;
-        }
+    /// Allocate the sfl for a flow about to start. Separated from
+    /// [`insert_with`](Self::insert_with) so the sfl is reserved before
+    /// the key is derived: an sfl burned on a derivation error is never
+    /// reused.
+    pub fn reserve_sfl(&mut self) -> u64 {
+        self.alloc.next_sfl()
+    }
 
-        let sfl = self.alloc.next_sfl();
-        self.fst[i] = Some(FstEntry {
-            sfl,
+    /// Install a new flow `sfl` for `attrs`, counting it, and lend its
+    /// value back, as a hit's [`probe`](Self::probe) would. `value` makes
+    /// the value from the entry the flow displaces, if any: the datapath
+    /// writes the new key into the displaced key's allocation
+    /// ([`SealedFlowKey::into_box_reusing`](crate::SealedFlowKey::into_box_reusing)).
+    pub fn insert_with(
+        &mut self,
+        attrs: A,
+        sfl: u64,
+        now_secs: u64,
+        value: impl FnOnce(Option<FstEntry<A, V>>) -> V,
+    ) -> &V {
+        self.counts.cache_insertion(CacheKind::Combined);
+        let i = self.slot_of(&attrs);
+        let chunk = self
+            .slots
+            .get_or_alloc(i / CHUNK_SLOTS, || [const { None }; CHUNK_SLOTS]);
+        let slot = &mut chunk[i % CHUNK_SLOTS];
+        let value = value(slot.take());
+        let e = slot.insert(FstEntry {
             attrs,
-            created: now_secs,
-            last: now_secs,
-            packets: 1,
-            bytes,
-        });
-        self.stats.flows_started += 1;
-        Classification {
             sfl,
-            start,
-            repeated,
-        }
+            last: now_secs,
+            value,
+        });
+        &e.value
     }
 
-    /// Run the sweeper (Fig. 7): remove expired entries, returning how many
-    /// were removed. With the combined FST/TFKC optimisation of §7.2 this
-    /// becomes implicit, but the explicit form matches Fig. 1.
-    pub fn sweep(&mut self, now_secs: u64) -> usize {
-        let mut removed = 0;
-        for i in 0..self.fst.len() {
-            let expired = matches!(&self.fst[i], Some(e) if self.policy.expired(e, now_secs));
-            if expired {
-                let old = self.fst[i].take().unwrap();
-                self.record_finished(&old);
-                removed += 1;
-            }
-        }
-        self.stats.swept += removed as u64;
-        removed
+    /// Invalidate every entry (e.g. after a rekey of the local
+    /// principal), freeing every chunk.
+    pub fn clear(&mut self) {
+        self.slots.clear();
     }
 
-    fn record_finished(&mut self, e: &FstEntry<A>) {
-        if let Some(records) = &mut self.records {
-            records.push(FlowRecord {
-                sfl: e.sfl,
-                packets: e.packets,
-                bytes: e.bytes,
-                created: e.created,
-                last: e.last,
-            });
-        }
+    /// Every occupied slot's entry, live or expired, in slot order.
+    pub fn entries(&self) -> impl Iterator<Item = &FstEntry<A, V>> {
+        self.slots.iter().flat_map(|c| c.iter().flatten())
     }
 
-    /// Number of flows currently valid at `now_secs` (Fig. 12's metric).
+    /// Number of flows valid at `now_secs` (Fig. 12's metric).
     pub fn active_flows(&self, now_secs: u64) -> usize {
-        self.fst
-            .iter()
-            .flatten()
+        self.entries()
             .filter(|e| !self.policy.expired(e, now_secs))
             .count()
     }
 
-    /// Number of occupied table slots (valid or not yet swept).
-    pub fn occupied_slots(&self) -> usize {
-        self.fst.iter().flatten().count()
+    /// Chunks of slots allocated so far: the table's resident slot
+    /// bytes are this many × [`CHUNK_SLOTS`] ×
+    /// [`SLOT_BYTES`](Self::SLOT_BYTES).
+    pub fn chunks_owned(&self) -> usize {
+        self.slots.owned()
     }
 
-    /// FST size (Fig. 7's FSTSIZE).
-    pub fn table_size(&self) -> usize {
-        self.fst.len()
+    /// Accumulated statistics, read off the counter block.
+    pub fn stats(&self) -> FstStats {
+        FstStats::read(&self.counts)
     }
+}
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> FamStats {
-        self.stats
-    }
-
-    /// Finish all remaining flows and return every flow record collected
-    /// (requires [`with_flow_records`](Self::with_flow_records)).
-    pub fn drain_records(&mut self) -> Vec<FlowRecord> {
-        for i in 0..self.fst.len() {
-            if let Some(old) = self.fst[i].take() {
-                self.record_finished(&old);
-            }
+impl<A, P: FlowPolicy<A>> Fam<A, P> {
+    /// Classify a datagram with the given attributes arriving at
+    /// `now_secs`, carrying `bytes` payload bytes: the mapper invocation
+    /// of Fig. 4 line S1, probe and insert in one call.
+    pub fn classify(&mut self, attrs: A, now_secs: u64, bytes: u64) -> Classification<A> {
+        if let Some((sfl, used)) = self.probe(&attrs, now_secs) {
+            used.packets += 1;
+            used.bytes += bytes;
+            return Classification {
+                sfl,
+                new_flow: false,
+                displaced: None,
+            };
         }
-        self.records.take().unwrap_or_default()
-    }
-
-    /// Immutable view of an FST slot (diagnostics/tests).
-    pub fn slot(&self, i: usize) -> Option<&FstEntry<A>> {
-        self.fst.get(i).and_then(|s| s.as_ref())
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> &P {
-        &self.policy
+        let sfl = self.reserve_sfl();
+        let mut displaced = None;
+        self.insert_with(attrs, sfl, now_secs, |old| {
+            displaced = old;
+            FlowUse {
+                created: now_secs,
+                packets: 1,
+                bytes,
+            }
+        });
+        Classification {
+            sfl,
+            new_flow: true,
+            displaced,
+        }
     }
 }
 
@@ -385,15 +338,13 @@ mod tests {
         fn same_flow(&self, a: &u32, b: &u32) -> bool {
             a == b
         }
-        fn expired(&self, entry: &FstEntry<u32>, now_secs: u64) -> bool {
+        fn expired(&self, entry: &FstEntry<u32, FlowUse>, now_secs: u64) -> bool {
             now_secs.saturating_sub(entry.last) > self.threshold
         }
     }
 
     fn fam(size: usize, threshold: u64) -> Fam<u32, TestPolicy> {
         Fam::new(size, TestPolicy { threshold }, SflAllocator::new(1000))
-            .with_repeat_tracking()
-            .with_flow_records()
     }
 
     #[test]
@@ -402,10 +353,10 @@ mod tests {
         let c1 = f.classify(5, 0, 100);
         let c2 = f.classify(5, 10, 200);
         assert_eq!(c1.sfl, c2.sfl);
-        assert_eq!(c1.start, FlowStart::Fresh);
-        assert_eq!(c2.start, FlowStart::Existing);
-        assert_eq!(f.stats().flows_started, 1);
-        assert_eq!(f.stats().joined_existing, 1);
+        assert!(c1.new_flow && c1.displaced.is_none());
+        assert!(!c2.new_flow);
+        assert_eq!(f.stats().new_flows, 1);
+        assert_eq!(f.stats().hits, 1);
     }
 
     #[test]
@@ -417,41 +368,15 @@ mod tests {
     }
 
     #[test]
-    fn reenabling_repeat_tracking_reuses_the_history_allocation() {
-        let mut f = fam(16, 600);
-        // First enable pre-sized the map to the FST's footprint.
-        let presized = f.history.as_ref().expect("enabled").capacity();
-        assert!(presized >= 32, "history not pre-sized: {presized}");
-        for k in 0..100u32 {
-            f.classify(k, 0, 10);
-        }
-        let grown = f.history.as_ref().expect("enabled").capacity();
-        assert!(grown >= presized);
-        // Re-enabling clears the entries but keeps the backing storage —
-        // no fresh `HashMap::new()` starting from capacity zero.
-        f.enable_repeat_tracking();
-        let h = f.history.as_ref().expect("still enabled");
-        assert!(h.is_empty(), "re-enable must clear old attribute history");
-        assert_eq!(h.capacity(), grown, "re-enable dropped the allocation");
-        // And tracking still works after the reset.
-        let c1 = f.classify(5, 1_000, 10);
-        assert!(!c1.repeated, "history was cleared, so not a repeat");
-        let c2 = f.classify(5, 2_000, 10);
-        assert_eq!(c2.start, FlowStart::ReplacedExpired);
-        assert!(c2.repeated);
-    }
-
-    #[test]
-    fn idle_flow_expires_and_restarts_as_repeated() {
+    fn idle_flow_expires_and_restarts() {
         // The §7.1 policy in miniature: a gap > THRESHOLD starts a new flow
         // with a new sfl for the same attributes.
         let mut f = fam(16, 600);
         let c1 = f.classify(5, 0, 10);
         let c2 = f.classify(5, 601, 10);
         assert_ne!(c1.sfl, c2.sfl);
-        assert_eq!(c2.start, FlowStart::ReplacedExpired);
-        assert!(c2.repeated);
-        assert_eq!(f.stats().repeated_flows, 1);
+        assert!(c2.new_flow);
+        assert_eq!(f.stats().collisions, 0, "an expired flow is no collision");
     }
 
     #[test]
@@ -470,23 +395,12 @@ mod tests {
         let c1 = f.classify(1, 0, 10);
         let c2 = f.classify(17, 1, 10);
         assert_ne!(c1.sfl, c2.sfl);
-        assert_eq!(c2.start, FlowStart::Collision);
+        assert_eq!(c2.displaced.map(|e| e.sfl), Some(c1.sfl));
         assert_eq!(f.stats().collisions, 1);
-        // Key 1 returning gets a fresh flow (its entry was displaced) and
-        // counts as repeated.
+        // Key 1 returning gets a fresh flow (its entry was displaced).
         let c3 = f.classify(1, 2, 10);
-        assert!(c3.is_new_flow());
-        assert!(c3.repeated);
-    }
-
-    #[test]
-    fn sweeper_removes_expired_only() {
-        let mut f = fam(16, 600);
-        f.classify(1, 0, 10);
-        f.classify(2, 500, 10);
-        assert_eq!(f.sweep(700), 1); // key 1 idle 700s > 600
-        assert_eq!(f.occupied_slots(), 1);
-        assert_eq!(f.stats().swept, 1);
+        assert!(c3.new_flow);
+        assert_ne!(c3.sfl, c1.sfl);
     }
 
     #[test]
@@ -500,52 +414,49 @@ mod tests {
     }
 
     #[test]
-    fn flow_records_capture_sizes_and_durations() {
+    fn a_displaced_flow_hands_back_what_it_carried() {
         let mut f = fam(16, 600);
-        f.classify(1, 0, 100);
+        let first = f.classify(1, 0, 100);
+        assert_eq!(first.displaced, None);
         f.classify(1, 50, 200);
         f.classify(1, 90, 300);
-        let records = f.drain_records();
-        assert_eq!(records.len(), 1);
-        let r = records[0];
-        assert_eq!(r.packets, 3);
-        assert_eq!(r.bytes, 600);
-        assert_eq!(r.duration_secs(), 90);
+        let next = f.classify(1, 1_000, 5);
+        let e = next.displaced.expect("the expired flow is displaced");
+        assert_eq!((e.attrs, e.sfl, e.last), (1, first.sfl, 90));
+        assert_eq!(
+            e.value,
+            FlowUse {
+                created: 0,
+                packets: 3,
+                bytes: 600
+            }
+        );
+        // The flow that replaced it is the one entry left.
+        let left: Vec<_> = f.entries().map(|e| (e.sfl, e.value.bytes)).collect();
+        assert_eq!(left, [(next.sfl, 5)]);
     }
 
     #[test]
-    fn drain_includes_swept_flows() {
+    fn stats_count_every_outcome() {
         let mut f = fam(16, 600);
-        f.classify(1, 0, 10);
-        f.sweep(10_000);
-        f.classify(2, 10_000, 20);
-        let records = f.drain_records();
-        assert_eq!(records.len(), 2);
+        f.classify(1, 0, 10); // fresh
+        f.classify(1, 10, 10); // existing
+        f.classify(17, 20, 10); // collision with key 1
+        f.classify(1, 30, 10); // collision back (17 still live)
+        f.classify(1, 1000, 10); // replaced-expired
+        assert_eq!(
+            f.stats(),
+            FstStats {
+                hits: 1,
+                new_flows: 4,
+                collisions: 2
+            }
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_size_table_panics() {
         let _ = fam(0, 600);
-    }
-
-    #[test]
-    fn contribute_reports_every_fam_count() {
-        let mut f = fam(16, 600);
-        f.classify(1, 0, 10); // fresh
-        f.classify(1, 10, 10); // existing
-        f.classify(17, 20, 10); // collision with key 1
-        f.classify(1, 30, 10); // collision back (17 still live), repeated
-        f.classify(1, 1000, 10); // replaced-expired, repeated
-        f.sweep(10_000);
-
-        let mut snap = MetricsSnapshot::new();
-        f.stats().contribute(&mut snap);
-        assert_eq!(snap.counter("fam.classifications"), 5);
-        assert_eq!(snap.counter("fam.joined_existing"), 1);
-        assert_eq!(snap.counter("fam.flows_started"), 4);
-        assert_eq!(snap.counter("fam.collisions"), 2);
-        assert_eq!(snap.counter("fam.repeated_flows"), 2);
-        assert_eq!(snap.counter("fam.swept"), 1);
     }
 }

@@ -52,13 +52,13 @@ pub use chunks::{ChunkDir, CHUNK_SLOTS};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use concurrent::{Birth, KeyStash, KeyingService, Published, ShardedCache};
 pub use error::{FbsError, Result, RuntimeError};
-pub use fam::{Classification, Fam, FlowPolicy, FlowRecord, FstEntry, KeyUnavailableVerdict};
+pub use fam::{Classification, Fam, FlowPolicy, FlowUse, Fst, FstEntry, FstStats};
 pub use fault::OwnerFaultInjector;
 pub use header::{EncAlgorithm, HeaderView, SecurityFlowHeader};
 pub use keying::{derive_flow_key, derive_flow_key_pair, FlowKey, KeyDerivation, SealedFlowKey};
 pub use mem::{BudgetKind, BudgetSnapshot, MemoryBudget};
 pub use mkd::{MasterKeyDaemon, PinnedDirectory, PublicValueSource, Resilience};
-pub use park::{ParkStats, Parked, ParkingQueue};
+pub use park::{KeyUnavailableVerdict, ParkStats, Parked, ParkingQueue};
 pub use pool::{BufferPool, PoolStats};
 pub use principal::Principal;
 pub use protocol::{

@@ -21,6 +21,23 @@
 use fbs_obs::MetricsSnapshot;
 use std::collections::VecDeque;
 
+/// What the datapath does with a datagram whose flow key is
+/// unavailable: the graceful-degradation verdict.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum KeyUnavailableVerdict {
+    /// Drop the datagram and surface an error (default: never weaken
+    /// security for availability).
+    #[default]
+    FailClosed,
+    /// Let the datagram through unprotected/unverified. Only sound for
+    /// flows whose policy demanded integrity opportunistically; never
+    /// applied to encrypted traffic.
+    FailOpen,
+    /// Hold the datagram in a bounded [`ParkingQueue`] and retry when key
+    /// material may be back; drop on deadline.
+    Park,
+}
+
 /// Park/release/expiry counters, in the shared `park.*` namespace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParkStats {

@@ -5,7 +5,7 @@
 //! by tests, baselines and experiments; the concrete 5-tuple IP policy of
 //! Fig. 7 lives in `fbs-ip`, closer to the protocol fields it inspects.
 
-use crate::fam::{FlowPolicy, FstEntry};
+use crate::fam::{FlowPolicy, FlowUse, FstEntry};
 use fbs_crypto::crc32;
 use std::hash::Hash;
 
@@ -52,7 +52,7 @@ impl FlowAttrs for u64 {
     }
 }
 
-impl<A: FlowAttrs> FlowPolicy<A> for IdleTimeoutPolicy {
+impl<A: FlowAttrs, V> FlowPolicy<A, V> for IdleTimeoutPolicy {
     fn index(&self, attrs: &A, table_size: usize) -> usize {
         crc32(&attrs.canonical_bytes()) as usize % table_size
     }
@@ -61,7 +61,7 @@ impl<A: FlowAttrs> FlowPolicy<A> for IdleTimeoutPolicy {
         entry_attrs == attrs
     }
 
-    fn expired(&self, entry: &FstEntry<A>, now_secs: u64) -> bool {
+    fn expired(&self, entry: &FstEntry<A, V>, now_secs: u64) -> bool {
         now_secs.saturating_sub(entry.last) > self.threshold_secs
     }
 }
@@ -73,7 +73,7 @@ impl<A: FlowAttrs> FlowPolicy<A> for IdleTimeoutPolicy {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HostPairPolicy;
 
-impl<A: FlowAttrs> FlowPolicy<A> for HostPairPolicy {
+impl<A: FlowAttrs, V> FlowPolicy<A, V> for HostPairPolicy {
     fn index(&self, attrs: &A, table_size: usize) -> usize {
         crc32(&attrs.canonical_bytes()) as usize % table_size
     }
@@ -82,7 +82,7 @@ impl<A: FlowAttrs> FlowPolicy<A> for HostPairPolicy {
         entry_attrs == attrs
     }
 
-    fn expired(&self, _entry: &FstEntry<A>, _now_secs: u64) -> bool {
+    fn expired(&self, _entry: &FstEntry<A, V>, _now_secs: u64) -> bool {
         false
     }
 }
@@ -94,7 +94,7 @@ impl<A: FlowAttrs> FlowPolicy<A> for HostPairPolicy {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PerDatagramPolicy;
 
-impl<A: FlowAttrs> FlowPolicy<A> for PerDatagramPolicy {
+impl<A: FlowAttrs, V> FlowPolicy<A, V> for PerDatagramPolicy {
     fn index(&self, attrs: &A, table_size: usize) -> usize {
         crc32(&attrs.canonical_bytes()) as usize % table_size
     }
@@ -104,7 +104,7 @@ impl<A: FlowAttrs> FlowPolicy<A> for PerDatagramPolicy {
         false
     }
 
-    fn expired(&self, _entry: &FstEntry<A>, _now_secs: u64) -> bool {
+    fn expired(&self, _entry: &FstEntry<A, V>, _now_secs: u64) -> bool {
         true
     }
 }
@@ -150,17 +150,17 @@ impl<A, P: FlowPolicy<A>> FlowPolicy<A> for WearOutPolicy<P> {
         self.inner.same_flow(entry_attrs, attrs)
     }
 
-    fn expired(&self, entry: &FstEntry<A>, now_secs: u64) -> bool {
+    fn expired(&self, entry: &FstEntry<A, FlowUse>, now_secs: u64) -> bool {
         self.inner.expired(entry, now_secs)
-            || entry.bytes >= self.max_bytes
-            || now_secs.saturating_sub(entry.created) >= self.max_age_secs
+            || entry.value.bytes >= self.max_bytes
+            || now_secs.saturating_sub(entry.value.created) >= self.max_age_secs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fam::{Fam, FlowStart};
+    use crate::fam::Fam;
     use crate::sfl::SflAllocator;
 
     fn fam_with<P: FlowPolicy<String>>(policy: P) -> Fam<String, P> {
@@ -191,9 +191,9 @@ mod tests {
         let c1 = fam.classify("same".into(), 0, 10);
         let c2 = fam.classify("same".into(), 0, 10);
         assert_ne!(c1.sfl, c2.sfl);
-        assert!(c2.is_new_flow());
+        assert!(c2.new_flow);
         // Replacing an expired own-entry, not a collision.
-        assert_eq!(c2.start, FlowStart::ReplacedExpired);
+        assert_eq!(fam.stats().collisions, 0);
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
         assert_eq!(c1.sfl, c2.sfl, "still under the limit at classify time");
         let c3 = fam.classify("bulk".to_string(), 2, 100);
         assert_ne!(c1.sfl, c3.sfl, "rekeyed after wearing out");
-        assert_eq!(c3.start, FlowStart::ReplacedExpired);
+        assert_eq!(c3.displaced.map(|e| e.value.bytes), Some(12_000));
     }
 
     #[test]
@@ -214,13 +214,13 @@ mod tests {
         // A chatty flow that never idles still rekeys every max_age secs.
         let policy = WearOutPolicy::new(IdleTimeoutPolicy::new(600), u64::MAX, 3600);
         let mut fam = Fam::new(64, policy, SflAllocator::new(1));
-        let first = fam.classify("telnet".to_string(), 0, 10);
+        let first = fam.classify("telnet".to_string(), 0, 10).sfl;
         let mut last = first;
         for t in (10..7200).step_by(10) {
-            last = fam.classify("telnet".to_string(), t, 10);
+            last = fam.classify("telnet".to_string(), t, 10).sfl;
         }
-        assert_ne!(first.sfl, last.sfl, "long-lived flow must have rekeyed");
-        assert!(fam.stats().flows_started >= 2);
+        assert_ne!(first, last, "long-lived flow must have rekeyed");
+        assert!(fam.stats().new_flows >= 2);
     }
 
     #[test]

@@ -853,7 +853,6 @@ impl FbsEndpoint {
         secret: bool,
     ) -> Result<ProtectedDatagram>
     where
-        A: Clone + Eq + Hash,
         P: FlowPolicy<A>,
     {
         let now = self.codec.clock.now_secs();

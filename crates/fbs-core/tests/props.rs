@@ -4,7 +4,7 @@
 // Property tests are opt-in: run with `cargo test --features props`.
 #![cfg(feature = "props")]
 use fbs_core::cache::SoftCache;
-use fbs_core::fam::{Fam, FlowPolicy, FstEntry};
+use fbs_core::fam::{Fam, FlowPolicy, FlowUse, FstEntry};
 use fbs_core::header::{EncAlgorithm, SecurityFlowHeader};
 use fbs_core::SflAllocator;
 use fbs_crypto::{CipherSuite, MacAlgorithm};
@@ -47,7 +47,7 @@ impl FlowPolicy<u64> for P {
     fn same_flow(&self, a: &u64, b: &u64) -> bool {
         a == b
     }
-    fn expired(&self, entry: &FstEntry<u64>, now: u64) -> bool {
+    fn expired(&self, entry: &FstEntry<u64, FlowUse>, now: u64) -> bool {
         now.saturating_sub(entry.last) > self.0
     }
 }
@@ -147,25 +147,26 @@ proptest! {
         table in 1usize..64,
     ) {
         // Arbitrary interleaved datagrams with non-decreasing times.
-        let mut fam = Fam::new(table, P(threshold), SflAllocator::new(1))
-            .with_flow_records();
+        let mut fam = Fam::new(table, P(threshold), SflAllocator::new(1));
         let mut now = 0u64;
         let mut total_bytes = 0u64;
+        // Every flow ends displaced or still in the table.
+        let mut flows = Vec::new();
         for (attr, bytes, dt) in &packets {
             now += dt;
-            fam.classify(*attr as u64, now, *bytes);
+            flows.extend(fam.classify(*attr as u64, now, *bytes).displaced);
             total_bytes += bytes;
         }
-        let records = fam.drain_records();
+        flows.extend(fam.entries().cloned());
         prop_assert_eq!(
-            records.iter().map(|r| r.packets).sum::<u64>(),
+            flows.iter().map(|e| e.value.packets).sum::<u64>(),
             packets.len() as u64
         );
-        prop_assert_eq!(records.iter().map(|r| r.bytes).sum::<u64>(), total_bytes);
-        // Every record's duration is within the observed time span.
-        for r in &records {
-            prop_assert!(r.created <= r.last);
-            prop_assert!(r.last <= now);
+        prop_assert_eq!(flows.iter().map(|e| e.value.bytes).sum::<u64>(), total_bytes);
+        // Every flow's duration is within the observed time span.
+        for e in &flows {
+            prop_assert!(e.value.created <= e.last);
+            prop_assert!(e.last <= now);
         }
     }
 

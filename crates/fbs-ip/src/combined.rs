@@ -8,203 +8,52 @@
 //! the new flow key. In this way, the mapper module and the key cache
 //! lookup are combined, saving an extra lookup. The job of the sweeper
 //! also becomes implicit, absorbed into the mapping phase."
+//!
+//! The table is the FAM's own [`Fst`] under the Fig. 7 policy, holding
+//! each flow's sealed key: [`CombinedFst`].
 
+use crate::policy::FiveTuplePolicy;
 use crate::tuple::FiveTuple;
-use fbs_core::{ChunkDir, SealedFlowKey, SflAllocator, CHUNK_SLOTS};
-use fbs_crypto::crc32;
-use fbs_obs::{CacheKind, CacheOutcome, CounterBlock};
+use fbs_core::{Fst, SealedFlowKey, SflAllocator};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-/// One merged FST/TFKC entry: flow identity + its cached key.
-#[derive(Clone)]
-struct Entry {
+pub use fbs_core::FstStats as CombinedStats;
+
+/// The datapath's flow state table: a 5-tuple's flow and its transmit
+/// flow key in one 40-byte slot.
+pub type CombinedFst = Fst<FiveTuple, FiveTuplePolicy, Box<SealedFlowKey>>;
+
+/// Install a flow born with `key` in `table`, the key written into the
+/// allocation of the key it displaces
+/// ([`SealedFlowKey::into_box_reusing`]): a birth into an occupied slot
+/// allocates nothing for an AEAD key.
+pub fn insert_key(
+    table: &mut CombinedFst,
     tuple: FiveTuple,
     sfl: u64,
-    key: Box<SealedFlowKey>,
-    last_secs: u64,
+    key: SealedFlowKey,
+    now_secs: u64,
+) -> &SealedFlowKey {
+    table.insert_with(tuple, sfl, now_secs, |old| {
+        key.into_box_reusing(old.map(|e| e.value))
+    })
 }
 
-/// Statistics for the combined table: a view over the
-/// `cache.combined.*` cells of a counter block.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CombinedStats {
-    /// Datagrams that reused an active entry (single lookup, no crypto):
-    /// `cache.combined.hits`.
-    pub hits: u64,
-    /// New flows started (expired entry, empty slot, or collision):
-    /// `cache.combined.insertions`.
-    pub new_flows: u64,
-    /// New flows that displaced a still-active different tuple:
-    /// `cache.combined.collision_misses`.
-    pub collisions: u64,
-}
-
-impl CombinedStats {
-    /// Read the view off `counts`.
-    pub fn read(counts: &CounterBlock) -> Self {
-        let c = counts.cache(CacheKind::Combined);
-        CombinedStats {
-            hits: c.hits,
-            new_flows: c.insertions,
-            collisions: c.collision_misses,
-        }
-    }
-}
-
-/// A table's slots, stored as a [`ChunkDir`] of fixed-size chunks of
-/// [`CHUNK_SLOTS`] (the last one partly unused when the size is not a
-/// multiple). A chunk is allocated by the first insert that lands in
-/// it; a missing chunk reads as empty slots, so the memory tracks the
-/// slots flows touched, not the configured size.
-struct Slots {
-    len: usize,
-    chunks: ChunkDir<[Option<Entry>; CHUNK_SLOTS]>,
-}
-
-impl Slots {
-    fn new(len: usize) -> Self {
-        Slots {
-            len,
-            chunks: ChunkDir::new(len.div_ceil(CHUNK_SLOTS)),
-        }
-    }
-
-    fn get(&self, i: usize) -> Option<&Entry> {
-        self.chunks.get(i / CHUNK_SLOTS)?[i % CHUNK_SLOTS].as_ref()
-    }
-
-    fn get_mut(&mut self, i: usize) -> Option<&mut Entry> {
-        self.chunks.get_mut(i / CHUNK_SLOTS)?[i % CHUNK_SLOTS].as_mut()
-    }
-
-    /// Slot `i` for writing, its chunk allocated if it has none yet.
-    fn slot_mut(&mut self, i: usize) -> &mut Option<Entry> {
-        let chunk = self
-            .chunks
-            .get_or_alloc(i / CHUNK_SLOTS, || [const { None }; CHUNK_SLOTS]);
-        &mut chunk[i % CHUNK_SLOTS]
-    }
-
-    fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.chunks.iter().flat_map(|c| c.iter().flatten())
-    }
-}
-
-/// The merged flow-state/flow-key table.
-pub struct CombinedTable {
-    slots: Slots,
-    threshold_secs: u64,
-    alloc: SflAllocator,
-    /// Where the counts go: a private block by default, or the
-    /// endpoint's ([`with_counts`](Self::with_counts)).
-    counts: Arc<CounterBlock>,
-}
+/// [`CombinedFst`] as the end-to-end benchmark builds and fills it: by
+/// THRESHOLD, with an `Arc` key per insert. ROADMAP item 1(a), which
+/// moves the benchmark onto the datapath's own calls, deletes it.
+pub struct CombinedTable(CombinedFst);
 
 impl CombinedTable {
-    /// Bytes one slot occupies once its chunk is allocated, empty or not:
-    /// what a table that fills costs per configured slot.
-    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<Entry>>();
-
-    /// Create a table with `size` direct-mapped slots and the given
-    /// THRESHOLD. No slot is allocated until an insert lands in its
-    /// chunk.
-    ///
-    /// # Panics
-    /// Panics if `size` is zero.
+    /// A table of `size` slots under the Fig. 7 policy with THRESHOLD
+    /// `threshold_secs`.
     pub fn new(size: usize, threshold_secs: u64, alloc: SflAllocator) -> Self {
-        assert!(size > 0, "combined table needs at least one slot");
-        CombinedTable {
-            slots: Slots::new(size),
-            threshold_secs,
-            alloc,
-            counts: Arc::new(CounterBlock::new()),
-        }
+        CombinedTable(Fst::new(size, FiveTuplePolicy::new(threshold_secs), alloc))
     }
 
-    /// Count into `counts` (builder style, before the first lookup): how
-    /// a shard's table shares its owner's block, which only one writer
-    /// at a time may write.
-    pub fn with_counts(mut self, counts: Arc<CounterBlock>) -> Self {
-        self.counts = counts;
-        self
-    }
-
-    fn slot_of(&self, tuple: &FiveTuple) -> usize {
-        crc32(&tuple.canonical_array()) as usize % self.slots.len
-    }
-
-    /// The single lookup of the send path: on an active same-tuple
-    /// entry, refresh it and lend its sfl and flow key (key material
-    /// pre-expanded for its suite) for as long as the table is not
-    /// touched again; on a miss, record the miss (a displaced live entry
-    /// counts as a collision) and return `None`. The caller then starts
-    /// the flow: [`reserve_sfl`](Self::reserve_sfl), derive, and
-    /// [`insert_reusing`](Self::insert_reusing) (or
-    /// [`insert`](Self::insert)).
-    pub fn probe(&mut self, tuple: &FiveTuple, now_secs: u64) -> Option<(u64, &SealedFlowKey)> {
-        let i = self.slot_of(tuple);
-        let mut displaced_live = false;
-        if let Some(e) = self.slots.get_mut(i) {
-            let active = now_secs.saturating_sub(e.last_secs) <= self.threshold_secs;
-            if active && e.tuple == *tuple {
-                self.counts
-                    .cache_lookup(CacheKind::Combined, CacheOutcome::Hit);
-                e.last_secs = now_secs;
-                return Some((e.sfl, &*e.key));
-            }
-            // A live different flow is displaced: premature termination
-            // by hash collision (harmless for security, footnote 11).
-            displaced_live = active;
-        }
-        self.counts.cache_lookup(
-            CacheKind::Combined,
-            if displaced_live {
-                CacheOutcome::MissCollision
-            } else {
-                CacheOutcome::MissCold
-            },
-        );
-        None
-    }
-
-    /// Would [`probe`](Self::probe) of `tuple` at `now_secs` start a new
-    /// flow, once `pending` (a flow this table is about to insert, if
-    /// any) holds its slot? A quiet look: it counts nothing and
-    /// refreshes nothing.
-    pub(crate) fn would_start(
-        &self,
-        tuple: &FiveTuple,
-        now_secs: u64,
-        pending: Option<&FiveTuple>,
-    ) -> bool {
-        let i = self.slot_of(tuple);
-        if let Some(p) = pending.filter(|p| self.slot_of(p) == i) {
-            return p != tuple;
-        }
-        !self.slots.get(i).is_some_and(|e| {
-            e.tuple == *tuple && now_secs.saturating_sub(e.last_secs) <= self.threshold_secs
-        })
-    }
-
-    /// The sfl the next [`reserve_sfl`](Self::reserve_sfl) will return.
-    pub(crate) fn next_sfl(&self) -> u64 {
-        self.alloc.peek()
-    }
-
-    /// Allocate the sfl for a flow about to start. Separated from
-    /// [`insert`](Self::insert) so the sfl is reserved before the key is
-    /// derived: an sfl burned on a derivation error is never reused.
-    pub fn reserve_sfl(&mut self) -> u64 {
-        self.alloc.next_sfl()
-    }
-
-    /// Install a freshly-derived flow, counting the new flow, and lend
-    /// its key back, as a hit's [`probe`](Self::probe) would. The table
-    /// owns its keys in a `Box`: `key` is moved out of its `Arc` (cloned
-    /// when someone else still holds it), and into the displaced key's
-    /// allocation as [`insert_reusing`](Self::insert_reusing) does. The
-    /// `Arc` parameter serves a caller that shares one key between
-    /// tables; ROADMAP item 1(a) retires it.
+    /// [`insert_key`] a flow whose key is moved out of its `Arc` (cloned
+    /// when someone else still holds it), and lend the key back.
     pub fn insert(
         &mut self,
         tuple: FiveTuple,
@@ -212,66 +61,28 @@ impl CombinedTable {
         key: Arc<SealedFlowKey>,
         now_secs: u64,
     ) -> &SealedFlowKey {
-        self.insert_reusing(tuple, sfl, Arc::unwrap_or_clone(key), now_secs)
+        insert_key(&mut self.0, tuple, sfl, Arc::unwrap_or_clone(key), now_secs)
     }
+}
 
-    /// [`insert`](Self::insert) a flow born with `key`, in the allocation
-    /// of the key it displaces ([`SealedFlowKey::into_box_reusing`]): a
-    /// birth into an occupied slot allocates nothing for an AEAD key.
-    pub fn insert_reusing(
-        &mut self,
-        tuple: FiveTuple,
-        sfl: u64,
-        key: SealedFlowKey,
-        now_secs: u64,
-    ) -> &SealedFlowKey {
-        self.counts.cache_insertion(CacheKind::Combined);
-        let i = self.slot_of(&tuple);
-        let slot = self.slots.slot_mut(i);
-        let key = key.into_box_reusing(slot.take().map(|e| e.key));
-        let e = slot.insert(Entry {
-            tuple,
-            sfl,
-            key,
-            last_secs: now_secs,
-        });
-        &e.key
+impl Deref for CombinedTable {
+    type Target = CombinedFst;
+    fn deref(&self) -> &CombinedFst {
+        &self.0
     }
+}
 
-    /// Invalidate every entry (e.g. after a rekey of the local
-    /// principal), freeing every chunk.
-    pub fn clear(&mut self) {
-        self.slots.chunks.clear();
-    }
-
-    /// Number of entries active at `now_secs` (Fig. 12's metric under the
-    /// combined implementation).
-    pub fn active_flows(&self, now_secs: u64) -> usize {
-        self.slots
-            .entries()
-            .filter(|e| now_secs.saturating_sub(e.last_secs) <= self.threshold_secs)
-            .count()
-    }
-
-    /// Chunks of slots allocated so far: the table's resident slot
-    /// bytes are this many × [`CHUNK_SLOTS`] ×
-    /// [`SLOT_BYTES`](Self::SLOT_BYTES).
-    #[cfg(test)]
-    pub(crate) fn chunks_owned(&self) -> usize {
-        self.slots.chunks.owned()
-    }
-
-    /// Accumulated statistics, read off the counter block.
-    pub fn stats(&self) -> CombinedStats {
-        CombinedStats::read(&self.counts)
+impl DerefMut for CombinedTable {
+    fn deref_mut(&mut self) -> &mut CombinedFst {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbs_core::{EncAlgorithm, FlowKey};
-    use fbs_crypto::{CipherSuite, MacAlgorithm};
+    use fbs_core::{EncAlgorithm, FlowKey, CHUNK_SLOTS};
+    use fbs_crypto::{crc32, CipherSuite, MacAlgorithm};
 
     fn tuple(sport: u16) -> FiveTuple {
         FiveTuple {
@@ -432,7 +243,7 @@ mod tests {
         for sport in (0..3_000).step_by(97) {
             let tup = tuple(sport);
             let sfl = t.reserve_sfl();
-            t.insert_reusing(tup, sfl, sealed(sfl), 0);
+            insert_key(&mut t, tup, sfl, sealed(sfl), 0);
             chunks.insert(slot(&tup, size) / CHUNK_SLOTS);
             assert_eq!(t.chunks_owned(), chunks.len(), "after sport {sport}");
         }
@@ -445,15 +256,20 @@ mod tests {
     }
 
     /// A seeded mix of births, hits, expiries, quiet looks, counts and
-    /// clears against a full-array model of the same slots: the chunked
-    /// table answers every call as the array does.
+    /// clears against a full-array model of the same slots: both forms of
+    /// the chunked table — the datapath's probe/insert with a key, and
+    /// the FAM's `classify` with a [`FlowUse`] — answer every call as the
+    /// array does, and a FAM birth hands back the entry it displaced.
     #[test]
     fn chunked_slots_agree_with_a_full_array() {
-        // (tuple, sfl, last_secs) per slot, every slot present up front.
-        type Model = Vec<Option<(FiveTuple, u64, u64)>>;
+        use fbs_core::{Fam, FlowUse, FstEntry};
+        // Every slot present up front.
+        type Model = Vec<Option<FstEntry<FiveTuple, FlowUse>>>;
         const THRESHOLD: u64 = 600;
         let size = 200; // three chunks and 8 slots of a fourth
         let mut t = CombinedTable::new(size, THRESHOLD, SflAllocator::new(7));
+        let policy = FiveTuplePolicy::new(THRESHOLD);
+        let mut f: Fam<FiveTuple, FiveTuplePolicy> = Fam::new(size, policy, SflAllocator::new(7));
         let mut model: Model = vec![None; size];
         let mut model_sfl = SflAllocator::new(7);
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
@@ -464,9 +280,8 @@ mod tests {
             x % n
         };
         let live = |m: &Model, i: usize, tuple: &FiveTuple, now: u64| {
-            m[i].is_some_and(|(held, _, last)| {
-                held == *tuple && now.saturating_sub(last) <= THRESHOLD
-            })
+            m[i].as_ref()
+                .is_some_and(|e| e.attrs == *tuple && now.saturating_sub(e.last) <= THRESHOLD)
         };
         let mut now = 0u64;
         for step in 0..20_000 {
@@ -479,11 +294,14 @@ mod tests {
             match next(100) {
                 0 => {
                     t.clear();
+                    f.clear();
                     model.fill(None);
                 }
                 1..=5 => {
-                    let want = model.iter().flatten().filter(|e| now - e.2 <= THRESHOLD);
-                    assert_eq!(t.active_flows(now), want.count(), "step {step}");
+                    let want = model.iter().flatten().filter(|e| now - e.last <= THRESHOLD);
+                    let want = want.count();
+                    assert_eq!(t.active_flows(now), want, "step {step}");
+                    assert_eq!(f.active_flows(now), want, "step {step}");
                 }
                 6..=15 => {
                     let pending = tuple(next(600) as u16);
@@ -499,30 +317,50 @@ mod tests {
                     );
                     let alone = !live(&model, i, &tup, now);
                     assert_eq!(t.would_start(&tup, now, None), alone, "step {step}");
+                    assert_eq!(f.would_start(&tup, now, None), alone, "step {step}");
                 }
                 op => {
-                    let want = live(&model, i, &tup, now).then(|| model[i].unwrap().1);
+                    let bytes = next(1_500);
+                    let hit = live(&model, i, &tup, now);
+                    let want = hit.then(|| model[i].as_ref().unwrap().sfl);
                     let got = t.probe(&tup, now).map(|(sfl, key)| {
-                        assert_eq!(key.chacha_key(), fake_key(sfl).unwrap().chacha_key());
+                        assert_eq!(key.chacha_key(), sealed(sfl).chacha_key());
                         sfl
                     });
                     assert_eq!(got, want, "step {step}");
-                    match want {
-                        Some(sfl) => model[i] = Some((tup, sfl, now)),
-                        None => {
-                            let sfl = t.reserve_sfl();
-                            assert_eq!(sfl, model_sfl.next_sfl());
-                            if op % 2 == 0 {
-                                t.insert(tup, sfl, fake_key(sfl).unwrap(), now);
-                            } else {
-                                t.insert_reusing(tup, sfl, sealed(sfl), now);
-                            }
-                            model[i] = Some((tup, sfl, now));
-                        }
+                    let class = f.classify(tup, now, bytes);
+                    assert_eq!(class.new_flow, !hit, "step {step}");
+                    if let Some(e) = model[i].as_mut().filter(|_| hit) {
+                        assert_eq!(class.sfl, e.sfl, "step {step}");
+                        e.last = now;
+                        e.value.packets += 1;
+                        e.value.bytes += bytes;
+                        continue;
                     }
+                    let sfl = t.reserve_sfl();
+                    assert_eq!(sfl, model_sfl.next_sfl());
+                    assert_eq!(class.sfl, sfl, "step {step}");
+                    if op % 2 == 0 {
+                        t.insert(tup, sfl, fake_key(sfl).unwrap(), now);
+                    } else {
+                        insert_key(&mut t, tup, sfl, sealed(sfl), now);
+                    }
+                    let born = FstEntry {
+                        attrs: tup,
+                        sfl,
+                        last: now,
+                        value: FlowUse {
+                            created: now,
+                            packets: 1,
+                            bytes,
+                        },
+                    };
+                    let displaced = model[i].replace(born);
+                    assert_eq!(class.displaced, displaced, "step {step}");
                 }
             }
         }
+        assert_eq!(t.stats(), f.stats(), "both forms count alike");
     }
 
     /// A birth writes its key into the allocation of the key it
@@ -535,11 +373,11 @@ mod tests {
     fn a_birth_writes_its_key_into_the_displaced_allocation() {
         let mut t = CombinedTable::new(1, 600, SflAllocator::new(1));
         let held = t.insert(tuple(3), 12, fake_key(12).unwrap(), 0) as *const SealedFlowKey;
-        let born = t.insert_reusing(tuple(4), 13, sealed(13), 0) as *const SealedFlowKey;
+        let born = insert_key(&mut t, tuple(4), 13, sealed(13), 0) as *const SealedFlowKey;
         assert_eq!(born, held);
         let (sfl, key) = t.probe(&tuple(4), 0).unwrap();
         assert_eq!(sfl, 13);
-        assert_eq!(key as *const SealedFlowKey, held);
+        assert_eq!(&**key as *const SealedFlowKey, held);
         assert_eq!(key.chacha_key(), sealed(13).chacha_key());
     }
 

@@ -8,7 +8,8 @@
 use super::config::IpMappingConfig;
 use super::owner::Item;
 use super::{record, HookShared};
-use crate::combined::CombinedTable;
+use crate::combined::{insert_key, CombinedFst};
+use crate::policy::FiveTuplePolicy;
 use crate::tuple::FiveTuple;
 use fbs_core::header::HeaderView;
 use fbs_core::{
@@ -66,7 +67,7 @@ pub(super) fn flow_key_entry_bytes(suite: CipherSuite) -> u64 {
 /// table that fills. The keys occupied slots point at are not charged
 /// (DESIGN.md, "Memory & Scale").
 pub(super) fn fst_static_bytes(fst_size: usize) -> u64 {
-    (fst_size * CombinedTable::SLOT_BYTES) as u64
+    (fst_size * CombinedFst::SLOT_BYTES) as u64
 }
 
 /// One shard's slice of the mutable flow state, reachable only through
@@ -77,7 +78,7 @@ pub(super) struct Shard {
     codec: FlowCodec,
     /// The §7.2 send path: flow association and the transmit flow key
     /// in one table, one probe per datagram.
-    pub(super) combined: CombinedTable,
+    pub(super) combined: CombinedFst,
     /// Receive flow key cache slice for sfls ≡ shard index (mod N).
     pub(super) rfkc: SoftCache<RxKeyId, Box<SealedFlowKey>>,
     /// Output datagrams awaiting key derivation: (header, plaintext).
@@ -120,9 +121,9 @@ impl HookShared {
                 ^ generation.wrapping_mul(GENERATION_MIX),
         )
         .with_counts(Arc::clone(counts));
-        let combined = CombinedTable::new(
+        let combined = CombinedFst::new(
             cfg.fst_size,
-            cfg.threshold_secs,
+            FiveTuplePolicy::new(cfg.threshold_secs),
             SflAllocator::with_stride(stride_base, n),
         )
         .with_counts(Arc::clone(counts));
@@ -331,7 +332,7 @@ impl Next<'_> {
     fn output_birth(
         &self,
         si: usize,
-        table: &CombinedTable,
+        table: &CombinedFst,
         tuple: &FiveTuple,
         peer: Ipv4Addr,
         now_secs: u64,
@@ -405,7 +406,7 @@ fn protect(
     } = shard;
     let now_secs = pass.now_us / 1_000_000;
     let (sfl, key) = match combined.probe(&tuple, now_secs) {
-        Some(hit) => hit,
+        Some((sfl, key)) => (sfl, &**key),
         None => {
             let sfl = combined.reserve_sfl();
             let destination = Principal::from_ipv4(header.dst);
@@ -424,7 +425,7 @@ fn protect(
                 ahead.stash,
                 partner,
             )?;
-            (sfl, combined.insert_reusing(tuple, sfl, key, now_secs))
+            (sfl, insert_key(combined, tuple, sfl, key, now_secs))
         }
     };
     pass.span(sfl, header.src, SpanKind::Classify, payload.len() as u64);

@@ -39,7 +39,7 @@ impl FiveTuplePolicy {
     }
 }
 
-impl FlowPolicy<FiveTuple> for FiveTuplePolicy {
+impl<V> FlowPolicy<FiveTuple, V> for FiveTuplePolicy {
     fn index(&self, attrs: &FiveTuple, table_size: usize) -> usize {
         // Fig. 7: i = CRC-32(saddr, sport, daddr, dport, proto) mod FSTSIZE
         crc32(&attrs.canonical_array()) as usize % table_size
@@ -49,7 +49,7 @@ impl FlowPolicy<FiveTuple> for FiveTuplePolicy {
         entry_attrs == attrs
     }
 
-    fn expired(&self, entry: &FstEntry<FiveTuple>, now_secs: u64) -> bool {
+    fn expired(&self, entry: &FstEntry<FiveTuple, V>, now_secs: u64) -> bool {
         // Fig. 7 sweeper: (curtime - e.last) > THRESHOLD.
         now_secs.saturating_sub(entry.last) > self.threshold_secs
     }
@@ -76,7 +76,6 @@ mod tests {
             FiveTuplePolicy::new(threshold),
             SflAllocator::new(1),
         )
-        .with_repeat_tracking()
     }
 
     #[test]
@@ -89,7 +88,7 @@ mod tests {
         assert_eq!(c1.sfl, c2.sfl);
         let c3 = f.classify(tuple(4001), 100 + 601, 50); // quiet period
         assert_ne!(c1.sfl, c3.sfl);
-        assert!(c3.repeated);
+        assert_eq!(c3.displaced.map(|e| e.last), Some(100));
     }
 
     #[test]
@@ -97,13 +96,11 @@ mod tests {
         // Periodic transfer with gaps under THRESHOLD stays one flow no
         // matter how long it lives.
         let mut f = fam(600);
-        let first = f.classify(tuple(2049), 0, 8192);
-        let mut last = first;
+        let first = f.classify(tuple(2049), 0, 8192).sfl;
         for i in 1..100 {
-            last = f.classify(tuple(2049), i * 500, 8192);
+            assert_eq!(f.classify(tuple(2049), i * 500, 8192).sfl, first);
         }
-        assert_eq!(first.sfl, last.sfl);
-        assert_eq!(f.stats().flows_started, 1);
+        assert_eq!(f.stats().new_flows, 1);
     }
 
     #[test]

@@ -974,6 +974,53 @@ mod tests {
     }
 
     #[test]
+    fn a_flood_of_small_partials_under_the_budget_lets_friendly_datagrams_pass() {
+        use crate::ip::{Packet, Proto};
+        // Each forged partial is a fresh pool buffer (2 KiB) and its
+        // 1 KiB bitmap: 1,360 × 3 KiB stays under the 4 MiB budget, so
+        // none is evicted and all of them pin their buffers.
+        const PARTIALS: usize = 1_360;
+        let mut net = two_hosts(Impairments::default());
+        net.host_mut(B).udp.bind(53).unwrap();
+        let flood: Vec<Vec<u8>> = (0..PARTIALS as u16)
+            .map(|id| {
+                let mut h = Ipv4Header::new([6, 6, 6, 6], B, Proto::Udp, 8);
+                (h.id, h.more_fragments) = (id, true);
+                Packet::new(h, vec![0; 8]).encode()
+            })
+            .collect();
+        net.host_mut(B).deliver_frames(&flood, 0);
+        let rx = net.host_mut(B);
+        assert_eq!(rx.reasm.pending(), PARTIALS);
+        assert_eq!(rx.reasm.held_bytes(), PARTIALS * 3 * 1024);
+        assert_eq!(rx.reasm.drops(ReassemblyDrop::OverBudget), 0);
+        // Friendly traffic in one tick: 64 small datagrams and one that
+        // fragments.
+        let big: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
+        for i in 0..64u8 {
+            net.host_mut(A).udp_send(1, B, 53, &[i; 64], 0).unwrap();
+        }
+        net.host_mut(A).udp_send(1, B, 53, &big, 0).unwrap();
+        net.run(50_000, 1_000);
+        let rx = net.host_mut(B);
+        let mut got = Vec::new();
+        while let Some(d) = rx.udp.recv(53) {
+            got.push(d.data);
+        }
+        let mut want: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 64]).collect();
+        want.push(big);
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "every friendly datagram is delivered");
+        // Past the reassembly timeout the flood's buffers come back too.
+        net.run(31_000_000, 1_000_000);
+        let rx = net.host_mut(B);
+        assert_eq!(rx.reasm.pending(), 0);
+        let s = rx.pool_stats();
+        assert_eq!(s.hits + s.misses, s.returns + s.discards, "{s:?}");
+    }
+
+    #[test]
     fn bypass_datagrams_flow() {
         let mut net = two_hosts(Impairments::default());
         net.host_mut(A).bypass_send(B, b"cert request", 0).unwrap();

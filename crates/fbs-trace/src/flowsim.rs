@@ -4,10 +4,54 @@
 
 use crate::record::PacketRecord;
 use fbs_core::cache::CacheStats;
-use fbs_core::{Fam, FlowRecord, SflAllocator, SoftCache};
+use fbs_core::{Classification, Fam, FlowPolicy, FlowUse, FstEntry, SflAllocator, SoftCache};
 use fbs_crypto::crc32;
 use fbs_ip::{FiveTuple, FiveTuplePolicy};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+
+/// A finished (or, at the end of a run, still open) flow of one host,
+/// for the §7.3 flow characteristics experiments.
+pub type FlowRecord = FstEntry<FiveTuple, FlowUse>;
+
+/// What the figures keep beside one host's FAM: a record of every flow
+/// it finished (Figs. 9 and 10), fed by the flows
+/// [`classify`](Self::classify) displaces, and the 5-tuple of every
+/// flow it started, which tells a repeated flow (Fig. 14). Both grow
+/// without bound, one entry per flow or per distinct 5-tuple.
+#[derive(Debug, Default)]
+pub struct FlowLog {
+    seen: HashSet<FiveTuple>,
+    records: Vec<FlowRecord>,
+    /// New flows whose 5-tuple had identified an earlier flow (Fig. 14's
+    /// "repeated flows": same 5-tuple, another incarnation).
+    pub repeated: u64,
+}
+
+impl FlowLog {
+    /// Classify a datagram through `fam` and log the flow it finished
+    /// and the flow it started, if any.
+    pub fn classify<P: FlowPolicy<FiveTuple>>(
+        &mut self,
+        fam: &mut Fam<FiveTuple, P>,
+        tuple: FiveTuple,
+        now_secs: u64,
+        bytes: u64,
+    ) -> Classification<FiveTuple> {
+        let mut class = fam.classify(tuple, now_secs, bytes);
+        if class.new_flow && !self.seen.insert(tuple) {
+            self.repeated += 1;
+        }
+        self.records.extend(class.displaced.take());
+        class
+    }
+
+    /// Every flow logged, then every flow still in `fam`, which ends
+    /// them all.
+    pub fn finish<P: FlowPolicy<FiveTuple>>(mut self, fam: &Fam<FiveTuple, P>) -> Vec<FlowRecord> {
+        self.records.extend(fam.entries().cloned());
+        self.records
+    }
+}
 
 /// Flow simulation parameters.
 #[derive(Clone, Copy, Debug)]
@@ -53,9 +97,8 @@ pub struct FlowSimResult {
 
 impl FlowSimResult {
     /// Fold the FAM-level counters into a snapshot under the `fam.*`
-    /// names [`fbs_core::fam::FamStats::contribute`] uses, so
-    /// trace-driven simulations export through the same `--metrics`
-    /// pipeline as instrumented endpoints.
+    /// names, so trace-driven simulations export through the same
+    /// `--metrics` pipeline as instrumented endpoints.
     pub fn contribute(&self, snap: &mut fbs_obs::MetricsSnapshot) {
         snap.add("fam.classifications", self.classifications);
         snap.add("fam.flows_started", self.flows_started);
@@ -64,9 +107,12 @@ impl FlowSimResult {
     }
 }
 
+/// One source host of [`simulate_flows`]: its FAM and the flows it logs.
+type Host = (Fam<FiveTuple, FiveTuplePolicy>, FlowLog);
+
 /// Run the Fig. 7 policy over `trace`, one FAM per source host.
 pub fn simulate_flows(trace: &[PacketRecord], cfg: &FlowSimConfig) -> FlowSimResult {
-    let mut fams: HashMap<[u8; 4], Fam<FiveTuple, FiveTuplePolicy>> = HashMap::new();
+    let mut fams: HashMap<[u8; 4], Host> = HashMap::new();
     let mut next_sfl_seed = 1u64;
     let mut active_series = Vec::new();
     let mut per_host_max = 0usize;
@@ -80,17 +126,16 @@ pub fn simulate_flows(trace: &[PacketRecord], cfg: &FlowSimConfig) -> FlowSimRes
             active_series.push((next_sample, total));
             next_sample += cfg.sample_interval_secs;
         }
-        let fam = fams.entry(r.tuple.saddr).or_insert_with(|| {
+        let (fam, log) = fams.entry(r.tuple.saddr).or_insert_with(|| {
             next_sfl_seed += 1 << 32;
-            Fam::new(
+            let fam = Fam::new(
                 cfg.fst_size,
                 FiveTuplePolicy::new(cfg.threshold_secs),
                 SflAllocator::new(next_sfl_seed),
-            )
-            .with_repeat_tracking()
-            .with_flow_records()
+            );
+            (fam, FlowLog::default())
         });
-        fam.classify(r.tuple, now, r.len as u64);
+        log.classify(fam, r.tuple, now, r.len as u64);
     }
     // Final sample.
     if let Some(last) = trace.last() {
@@ -104,13 +149,13 @@ pub fn simulate_flows(trace: &[PacketRecord], cfg: &FlowSimConfig) -> FlowSimRes
     let mut flows_started = 0;
     let mut repeated = 0;
     let mut collisions = 0;
-    for fam in fams.values_mut() {
+    for (fam, log) in fams.into_values() {
         let s = fam.stats();
-        classifications += s.classifications;
-        flows_started += s.flows_started;
-        repeated += s.repeated_flows;
+        classifications += s.hits + s.new_flows;
+        flows_started += s.new_flows;
+        repeated += log.repeated;
         collisions += s.collisions;
-        flows.extend(fam.drain_records());
+        flows.extend(log.finish(&fam));
     }
     FlowSimResult {
         flows,
@@ -123,13 +168,10 @@ pub fn simulate_flows(trace: &[PacketRecord], cfg: &FlowSimConfig) -> FlowSimRes
     }
 }
 
-fn active_counts(
-    fams: &HashMap<[u8; 4], Fam<FiveTuple, FiveTuplePolicy>>,
-    now: u64,
-) -> (usize, usize) {
+fn active_counts(fams: &HashMap<[u8; 4], Host>, now: u64) -> (usize, usize) {
     let mut total = 0;
     let mut host_max = 0;
-    for fam in fams.values() {
+    for (fam, _) in fams.values() {
         let a = fam.active_flows(now);
         total += a;
         host_max = host_max.max(a);
@@ -250,7 +292,7 @@ pub struct HashedFiveTuplePolicy {
     pub hash: CacheHash,
 }
 
-impl fbs_core::fam::FlowPolicy<FiveTuple> for HashedFiveTuplePolicy {
+impl FlowPolicy<FiveTuple> for HashedFiveTuplePolicy {
     fn index(&self, attrs: &FiveTuple, table_size: usize) -> usize {
         use fbs_core::policy::FlowAttrs;
         let bytes = attrs.canonical_bytes();
@@ -273,7 +315,7 @@ impl fbs_core::fam::FlowPolicy<FiveTuple> for HashedFiveTuplePolicy {
         a == b
     }
 
-    fn expired(&self, entry: &fbs_core::fam::FstEntry<FiveTuple>, now_secs: u64) -> bool {
+    fn expired(&self, entry: &FstEntry<FiveTuple, FlowUse>, now_secs: u64) -> bool {
         now_secs.saturating_sub(entry.last) > self.threshold_secs
     }
 }
@@ -318,9 +360,9 @@ pub fn simulate_fst_hash(
     let mut classifications = 0;
     for fam in fams.values() {
         let s = fam.stats();
-        flows += s.flows_started;
+        flows += s.new_flows;
         collisions += s.collisions;
-        classifications += s.classifications;
+        classifications += s.hits + s.new_flows;
     }
     FstAblation {
         flows_started: flows,
@@ -332,8 +374,8 @@ pub fn simulate_fst_hash(
 /// Convenience: flow-size distribution inputs for Fig. 9 — (packets,
 /// bytes) per flow.
 pub fn flow_sizes(result: &FlowSimResult) -> (Vec<u64>, Vec<u64>) {
-    let mut pkts: Vec<u64> = result.flows.iter().map(|f| f.packets).collect();
-    let mut bytes: Vec<u64> = result.flows.iter().map(|f| f.bytes).collect();
+    let mut pkts: Vec<u64> = result.flows.iter().map(|f| f.value.packets).collect();
+    let mut bytes: Vec<u64> = result.flows.iter().map(|f| f.value.bytes).collect();
     pkts.sort_unstable();
     bytes.sort_unstable();
     (pkts, bytes)
@@ -341,7 +383,11 @@ pub fn flow_sizes(result: &FlowSimResult) -> (Vec<u64>, Vec<u64>) {
 
 /// Convenience: flow durations in seconds for Fig. 10.
 pub fn flow_durations(result: &FlowSimResult) -> Vec<u64> {
-    let mut d: Vec<u64> = result.flows.iter().map(|f| f.duration_secs()).collect();
+    let mut d: Vec<u64> = result
+        .flows
+        .iter()
+        .map(|f| f.last - f.value.created)
+        .collect();
     d.sort_unstable();
     d
 }
@@ -349,7 +395,7 @@ pub fn flow_durations(result: &FlowSimResult) -> Vec<u64> {
 /// Sanity helper used by experiments: fraction of total bytes carried by
 /// the largest `top_fraction` of flows (the elephant share).
 pub fn elephant_share(result: &FlowSimResult, top_fraction: f64) -> f64 {
-    let mut bytes: Vec<u64> = result.flows.iter().map(|f| f.bytes).collect();
+    let mut bytes: Vec<u64> = result.flows.iter().map(|f| f.value.bytes).collect();
     if bytes.is_empty() {
         return 0.0;
     }
@@ -378,11 +424,45 @@ mod tests {
         let trace = small_trace();
         let result = simulate_flows(&trace, &FlowSimConfig::default());
         assert_eq!(result.classifications, trace.len() as u64);
-        let flow_pkts: u64 = result.flows.iter().map(|f| f.packets).sum();
+        let flow_pkts: u64 = result.flows.iter().map(|f| f.value.packets).sum();
         assert_eq!(flow_pkts, trace.len() as u64, "every packet in a flow");
-        let flow_bytes: u64 = result.flows.iter().map(|f| f.bytes).sum();
+        let flow_bytes: u64 = result.flows.iter().map(|f| f.value.bytes).sum();
         let trace_bytes: u64 = trace.iter().map(|r| r.len as u64).sum();
         assert_eq!(flow_bytes, trace_bytes);
+    }
+
+    #[test]
+    fn the_flow_log_records_finished_flows_and_counts_repeats() {
+        let tuple = |sport| FiveTuple {
+            proto: 6,
+            saddr: [10, 0, 0, 1],
+            sport,
+            daddr: [10, 0, 0, 2],
+            dport: 80,
+        };
+        let mut fam = Fam::new(16, FiveTuplePolicy::new(600), SflAllocator::new(1));
+        let mut log = FlowLog::default();
+        let first = log.classify(&mut fam, tuple(1), 0, 100).sfl;
+        log.classify(&mut fam, tuple(1), 50, 200);
+        log.classify(&mut fam, tuple(1), 90, 300);
+        assert_eq!(log.repeated, 0);
+        // Idle past THRESHOLD: the same 5-tuple starts a repeated flow.
+        assert!(log.classify(&mut fam, tuple(1), 1_000, 5).new_flow);
+        assert_eq!(log.repeated, 1);
+        log.classify(&mut fam, tuple(2), 1_000, 7);
+        assert_eq!(log.repeated, 1, "a first 5-tuple is no repeat");
+        let records = log.finish(&fam);
+        // The finished flow first, then the two still open.
+        let finished = FlowUse {
+            created: 0,
+            packets: 3,
+            bytes: 600,
+        };
+        assert_eq!((records[0].sfl, records[0].last), (first, 90));
+        assert_eq!(records[0].value, finished);
+        assert_eq!(records.len(), 3);
+        let open: u64 = records[1..].iter().map(|r| r.value.bytes).sum();
+        assert_eq!(open, 12);
     }
 
     #[test]

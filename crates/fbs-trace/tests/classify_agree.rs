@@ -1,12 +1,14 @@
 //! The figures classify like the datapath.
 //!
 //! Figs. 9-14 run `flowsim` over one `Fam<FiveTuple, FiveTuplePolicy>`
-//! per source host. The datapath classifies with the direct-mapped
-//! `CombinedTable` of §7.2, where a live slot taken by another tuple
-//! starts a new flow. At the same size and THRESHOLD, and with the same
-//! sfl allocator, both must give every datagram the same sfl, start the
-//! same flows and count the same collisions: the figures then differ
-//! from the datapath only in table size.
+//! per source host: the flow state table `Fst` counting each flow's use,
+//! in one `classify` call per datagram. The datapath keeps each flow's
+//! key in the same table (the `CombinedTable` configuration of §7.2) and
+//! splits the call around the key derive: probe, reserve the sfl, insert.
+//! At the same size and THRESHOLD, and with the same sfl allocator, both
+//! must give every datagram the same sfl, start the same flows and count
+//! the same collisions: the figures then differ from the datapath only
+//! in table size.
 
 use fbs_core::{EncAlgorithm, Fam, FlowKey, SealedFlowKey, SflAllocator};
 use fbs_crypto::{CipherSuite, MacAlgorithm};
@@ -93,7 +95,7 @@ fn replay(name: &str, trace: &[PacketRecord], size: usize) -> (Totals, Totals) {
     let mut combined_totals = Totals::default();
     for (fam, combined) in hosts.values() {
         let f = fam.stats();
-        fam_totals.flows += f.flows_started;
+        fam_totals.flows += f.new_flows;
         fam_totals.collisions += f.collisions;
         let c = combined.stats();
         combined_totals.flows += c.new_flows;

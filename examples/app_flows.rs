@@ -95,6 +95,16 @@ fn main() {
             sfls.iter().map(|s| format!("0x{s:x}")).collect::<Vec<_>>()
         );
     }
+    let flows = |m: usize| per_medium_sfls[m].1.len();
+    assert_eq!(
+        (flows(0), flows(1)),
+        (1, 1),
+        "video and audio: one flow each"
+    );
+    assert!(
+        flows(2) >= 2,
+        "the whiteboard rekeys at the 64 KiB wear-out"
+    );
     let wb = &per_medium_sfls[2].1;
     println!(
         "\nthe whiteboard crossed the 64 KB wear-out limit and was rekeyed\n\

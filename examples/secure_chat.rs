@@ -132,7 +132,7 @@ fn demo() {
     println!(
         "\nalice sent {} datagrams, {} flow(s), {} DH computation(s)",
         alice.stats().sends,
-        fam_a.stats().flows_started,
+        fam_a.stats().new_flows,
         alice.mkd_stats().upcalls
     );
 }

@@ -11,7 +11,7 @@
 //!
 //! ```
 //! use fbs::core::{
-//!     Datagram, Fam, FbsConfig, FbsEndpoint, ManualClock, MasterKeyDaemon,
+//!     Datagram, FbsConfig, FbsEndpoint, FlowUse, Fst, ManualClock, MasterKeyDaemon,
 //!     PinnedDirectory, Principal, SflAllocator,
 //! };
 //! use fbs::core::policy::IdleTimeoutPolicy;
@@ -42,8 +42,10 @@
 //!     MasterKeyDaemon::new(bob_priv, Box::new(bob_dir)),
 //! );
 //!
-//! // The flow association mechanism assigns security flow labels.
-//! let mut fam = Fam::new(64, IdleTimeoutPolicy::new(600), SflAllocator::new(1));
+//! // The flow association mechanism assigns security flow labels: a flow
+//! // state table whose flows count their use (the datapath's keeps keys).
+//! let mut fam: Fst<_, _, FlowUse> =
+//!     Fst::new(64, IdleTimeoutPolicy::new(600), SflAllocator::new(1));
 //!
 //! let datagram = Datagram::new(alice, bob, b"hello, flow".to_vec());
 //! let protected = tx
