@@ -9,17 +9,15 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fbs_bench::endpoints::{endpoint_pair, principals};
-use fbs_cert::{CertificateAuthority, Directory};
 use fbs_core::policy::IdleTimeoutPolicy;
-use fbs_core::{BufferPool, Datagram, FbsConfig, ManualClock};
+use fbs_core::{BufferPool, Datagram, FbsConfig};
 use fbs_core::{Fam, FlowKey, SealedFlowKey, SflAllocator};
 use fbs_crypto::dh::DhGroup;
-use fbs_ip::{build_secure_host, CombinedTable, IpMappingConfig};
+use fbs_ip::{CombinedTable, IpMappingConfig, World};
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::{HookOutcome, SecurityHooks};
 use fbs_obs::Direction;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn dgram(payload: usize) -> Datagram {
     let (s, d) = principals();
@@ -151,10 +149,8 @@ fn bench_hooks(c: &mut Criterion) {
     const BATCH: usize = 1024;
     const FLOWS: usize = 64;
     const NOW_SECS: u64 = 1_000;
-    let clock = ManualClock::starting_at(NOW_SECS);
-    let ca = CertificateAuthority::new("hooks-bench-ca", [0xB5; 16]);
-    let directory = Arc::new(Directory::new(Duration::ZERO));
-    let group = DhGroup::test_group();
+    let world = World::new(1, DhGroup::test_group());
+    world.clock.set(NOW_SECS);
     let (a, b) = ([10, 12, 0, 1], [10, 12, 0, 2]);
     let cfg = IpMappingConfig {
         workers: 1,
@@ -164,17 +160,8 @@ fn bench_hooks(c: &mut Criterion) {
         },
         ..IpMappingConfig::default()
     };
-    let (_ha, mut tx) = build_secure_host(
-        a,
-        1500,
-        cfg.clone(),
-        clock.clone(),
-        &group,
-        &ca,
-        &directory,
-        1,
-    );
-    let (_hb, mut rx) = build_secure_host(b, 1500, cfg, clock, &group, &ca, &directory, 2);
+    let mut tx = world.hooks(a, cfg.clone());
+    let mut rx = world.hooks(b, cfg);
     let now_us = NOW_SECS * 1_000_000;
     let mut pool = BufferPool::new();
     let stage = |pool: &mut BufferPool, items: &[(Ipv4Header, Vec<u8>)]| -> Vec<_> {

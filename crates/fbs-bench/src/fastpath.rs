@@ -12,19 +12,18 @@
 //! not parallel speedup.
 
 use crate::endpoints::{endpoint_pair, principals};
-use fbs_cert::{CertificateAuthority, Directory};
-use fbs_core::{BufferPool, FbsConfig, ManualClock};
+use fbs_core::{BufferPool, FbsConfig};
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::CipherSuite;
 use fbs_ip::hooks::IpMappingConfig;
-use fbs_ip::host::build_secure_host;
+use fbs_ip::World;
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::{HookOutcome, SecurityHooks};
 use fbs_obs::{Direction, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Stage};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Crypto mode for a bench run, mirroring the Fig. 8 variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -424,10 +423,7 @@ pub fn measure_mapping(
     obs: Option<&mut MetricsSnapshot>,
     alloc: &dyn Fn() -> u64,
 ) -> (Rate, bool) {
-    let clock = ManualClock::starting_at(0);
-    let ca = CertificateAuthority::new("fastpath-mapping-ca", [0xFA; 16]);
-    let directory = Arc::new(Directory::new(Duration::ZERO));
-    let group = DhGroup::test_group();
+    let world = World::new(11, DhGroup::test_group());
     let a: [u8; 4] = [10, 11, 0, 1];
     let b: [u8; 4] = [10, 11, 0, 2];
     let cfg = IpMappingConfig {
@@ -441,18 +437,9 @@ pub fn measure_mapping(
         fbs: mode.config(),
         ..IpMappingConfig::default()
     };
-    let (_ha, hooks) = build_secure_host(
-        a,
-        1500,
-        cfg.clone(),
-        clock.clone(),
-        &group,
-        &ca,
-        &directory,
-        11,
-    );
+    let hooks = world.hooks(a, cfg.clone());
     // Building B publishes its certificate, so A's sends can key.
-    let (_hb, _hooks_b) = build_secure_host(b, 1500, cfg, clock, &group, &ca, &directory, 12);
+    let _hooks_b = world.hooks(b, cfg);
     // Attach the registry before any warm batch runs, so stage timers
     // and the owner rows cover the entire measured window.
     let registry = obs.is_some().then(|| Arc::new(MetricsRegistry::new()));

@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod e2e;
 pub mod endpoints;
 pub mod fastpath;
 pub mod fig08;
@@ -65,8 +66,8 @@ pub const FIGURES: [FigureSpec; 8] = [
     FigureSpec {
         name: "fig08",
         file: "fig08_throughput",
-        size: 2000,
-        unit: "datagrams of 8192 B per variant",
+        size: 1000,
+        unit: "datagrams per cell and round",
         pinned: false,
         render: fig08::render,
     },

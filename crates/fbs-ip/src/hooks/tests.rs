@@ -1,7 +1,6 @@
 use super::*;
-use crate::host::build_secure_host;
+use crate::host::{build_mkd, World};
 use datapath::{rx_shard, tuple_for, tx_shard};
-use fbs_cert::{CertificateAuthority, Directory};
 use fbs_core::{Clock, KeyUnavailableVerdict, ManualClock};
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::CipherSuite;
@@ -12,47 +11,36 @@ use std::time::Duration;
 const A: Ipv4Addr = [10, 9, 0, 1];
 const B: Ipv4Addr = [10, 9, 0, 2];
 
-struct World {
-    clock: ManualClock,
-    ca: CertificateAuthority,
-    directory: Arc<Directory>,
-    group: DhGroup,
+/// The world every test here keys in: seed 42, the small test group.
+fn world() -> World {
+    World::new(42, DhGroup::test_group())
 }
 
-impl World {
-    fn new() -> Self {
-        World {
-            clock: ManualClock::starting_at(0),
-            ca: CertificateAuthority::new("degrade-test-ca", [0xD6; 16]),
-            directory: Arc::new(Directory::new(Duration::ZERO)),
-            group: DhGroup::test_group(),
-        }
-    }
+/// Shorthands over [`World`] for these tests.
+trait TestHosts {
+    /// Hooks for `addr` under the default config (publishing its
+    /// certificate).
+    fn host(&self, addr: Ipv4Addr) -> FbsIpHooks;
+    /// Hooks for `addr` on a caller-supplied clock (no stack behind
+    /// them): the fault tests' seam into the middle of an item.
+    fn host_on(&self, addr: Ipv4Addr, cfg: IpMappingConfig, clock: Arc<dyn Clock>) -> FbsIpHooks;
+}
 
-    /// Build hooks for `addr` (publishing its certificate).
+impl TestHosts for World {
     fn host(&self, addr: Ipv4Addr) -> FbsIpHooks {
-        self.host_with(addr, IpMappingConfig::default())
+        self.hooks(addr, IpMappingConfig::default())
     }
 
-    fn host_with(&self, addr: Ipv4Addr, cfg: IpMappingConfig) -> FbsIpHooks {
-        let (_host, hooks) = build_secure_host(
+    fn host_on(&self, addr: Ipv4Addr, cfg: IpMappingConfig, clock: Arc<dyn Clock>) -> FbsIpHooks {
+        let mkd = build_mkd(
             addr,
-            1500,
-            cfg,
-            self.clock.clone(),
+            &clock,
             &self.group,
             &self.ca,
             &self.directory,
-            42,
+            self.seed,
         );
-        hooks
-    }
-
-    /// Hooks for `addr` on a caller-supplied clock (no stack behind
-    /// them): the fault tests' seam into the middle of an item.
-    fn host_on(&self, addr: Ipv4Addr, cfg: IpMappingConfig, clock: Arc<dyn Clock>) -> FbsIpHooks {
-        let mkd = crate::host::build_mkd(addr, &clock, &self.group, &self.ca, &self.directory, 42);
-        FbsIpHooks::new(Principal::from_ipv4(addr), cfg, clock, 42, mkd)
+        FbsIpHooks::new(Principal::from_ipv4(addr), cfg, clock, self.seed, mkd)
     }
 }
 
@@ -65,7 +53,7 @@ fn udp_datagram(src: Ipv4Addr, dst: Ipv4Addr) -> (Ipv4Header, Vec<u8>) {
 }
 
 fn hooks_with(world: &World, cfg: IpMappingConfig) -> FbsIpHooks {
-    world.host_with(A, cfg)
+    world.hooks(A, cfg)
 }
 
 /// Owner counts: one lock over every shard, the default, and more.
@@ -126,7 +114,7 @@ fn assert_ledger_agrees(reg: &MetricsRegistry, hooks: &FbsIpHooks) {
 
 #[test]
 fn key_unavailable_fails_closed_by_default() {
-    let world = World::new();
+    let world = world();
     let mut hooks = world.host(A); // B's certificate never published
     let reg = observe(&hooks);
     let (mut header, payload) = udp_datagram(A, B);
@@ -144,7 +132,7 @@ fn key_unavailable_fails_closed_by_default() {
 
 #[test]
 fn fail_open_passes_plaintext_when_not_confidential() {
-    let world = World::new();
+    let world = world();
     let mut hooks = hooks_with(&world, fail_open_cfg(false));
     let reg = observe(&hooks);
     let (mut header, payload) = udp_datagram(A, B);
@@ -161,7 +149,7 @@ fn fail_open_passes_plaintext_when_not_confidential() {
 
 #[test]
 fn fail_open_downgrades_to_fail_closed_under_encryption() {
-    let world = World::new();
+    let world = world();
     let mut hooks = hooks_with(&world, fail_open_cfg(true));
     let reg = observe(&hooks);
     let (mut header, payload) = udp_datagram(A, B);
@@ -177,7 +165,7 @@ fn fail_open_downgrades_to_fail_closed_under_encryption() {
 
 #[test]
 fn fail_open_input_admits_only_unframed_datagrams() {
-    let world = World::new();
+    let world = world();
     let mut hooks = hooks_with(&world, fail_open_cfg(false));
     let reg = observe(&hooks);
     // A bare datagram with no FBS framing: decode fails, fail-open
@@ -234,7 +222,7 @@ fn max_overhead_bounds_sealed_growth_across_the_config_grid() {
     // must bound what the codec really adds — including where
     // normalisation clamps the truncation up and where the suite
     // overrides the configured MAC.
-    let world = World::new();
+    let world = world();
     let _b = world.host(B); // publishes B's certificate
     for_each_config(&world, |mut hooks, row| {
         // 25 bytes: the worst case for block padding.
@@ -257,7 +245,7 @@ fn tx_headroom_covers_max_overhead_across_the_config_grid() {
     // `udp::encode` leaves `TX_HEADROOM` spare bytes so a segment
     // recycled through the pool seals without regrowing: it must cover
     // the most any configuration's header and padding add.
-    let world = World::new();
+    let world = world();
     for_each_config(&world, |hooks, row| {
         assert!(
             hooks.max_overhead() <= fbs_net::udp::TX_HEADROOM,
@@ -272,7 +260,7 @@ fn tx_headroom_covers_max_overhead_across_the_config_grid() {
 fn crypto_failures_never_degrade() {
     // Even under fail-open, a framed datagram with a bad MAC is
     // rejected: crypto verdicts are final.
-    let world = World::new();
+    let world = world();
     let mut sender = hooks_with(&world, fail_open_cfg(false));
     let mut receiver = world.host(B);
     let reg = observe(&receiver);
@@ -370,7 +358,7 @@ fn exchange(
 
 #[test]
 fn a_registry_attached_mid_run_reads_what_the_accessors_read() {
-    let world = World::new();
+    let world = world();
     let mut a = world.host(A);
     let mut b = world.host(B);
     // Traffic nobody observes.
@@ -437,7 +425,7 @@ fn park_cfg(park_capacity: usize, park_deadline_us: u64) -> IpMappingConfig {
 
 impl ParkRig {
     fn new(dir: Direction, cfg: IpMappingConfig) -> Self {
-        let (full, lonely) = (World::new(), World::new());
+        let (full, lonely) = (world(), world());
         let hooks = hooks_with(&lonely, cfg);
         let _a_in_full = full.host(A); // publishes A's certificate for B
         ParkRig {
@@ -703,7 +691,7 @@ fn stats_reads_stay_lock_free_while_batches_run() {
     // batches through the shared owners. Nothing here can deadlock — the scrape path
     // is atomics only — and the final counts prove the batches all
     // landed.
-    let world = World::new();
+    let world = world();
     let hooks = world.host(A);
     let _hb = world.host(B); // publishes B's certificate
     let mut worker_handle = hooks.clone();
@@ -740,7 +728,7 @@ fn stats_reads_stay_lock_free_while_batches_run() {
 fn config_snapshot_swaps_without_rebuilding_state() {
     // Publish-on-update: the same hooks flip from fail-closed to
     // fail-open at runtime; no shard state is rebuilt.
-    let world = World::new();
+    let world = world();
     let mut hooks = world.host(A); // B never published → keyless
     let (mut header, payload) = udp_datagram(A, B);
     let out = hooks.output(&mut header, payload, 1_000);
@@ -764,7 +752,7 @@ fn batch_outcomes_stay_in_submission_order_across_shards() {
     // Flows with different tuples land in different shards (and
     // different owners); the returned vec must still be
     // positionally aligned with the submitted batch.
-    let world = World::new();
+    let world = world();
     let mut sender = world.host(A);
     let _receiver = world.host(B); // publishes B's certificate
     let mut pool = BufferPool::new();
@@ -797,7 +785,7 @@ fn batch_outcomes_stay_in_submission_order_across_shards() {
 
 #[test]
 fn workers_clamp_to_shard_count() {
-    let world = World::new();
+    let world = world();
     let cfg = IpMappingConfig {
         shards: 1,
         workers: 8,
@@ -824,7 +812,7 @@ fn drain_then_shutdown_flushes_and_balances() {
 }
 
 fn drain_then_shutdown_in_mode(workers: usize) {
-    let world = World::new();
+    let world = world();
     let cfg = IpMappingConfig {
         workers,
         ..park_cfg(64, 10_000_000)
@@ -912,7 +900,7 @@ fn supervised_panic_respawns_worker_and_batch_completes() {
 }
 
 fn supervised_panic_in_mode(workers: usize) {
-    let world = World::new();
+    let world = world();
     let mut hooks = hooks_with(&world, mode_cfg(workers));
     let _hb = world.host(B); // publish B's certificate
     let chaos = TestChaos::panicking();
@@ -1021,7 +1009,7 @@ fn panic_inside_an_item_closes_the_pool_ledger() {
     // after the item took the buffer it seals into, so the unwind frees
     // that buffer and the payload both.
     for workers in MODES {
-        let world = World::new();
+        let world = world();
         let clock = TripClock::new(&world);
         let mut hooks = world.host_on(A, mode_cfg(workers), clock.clone());
         let _hb = world.host(B);
@@ -1048,7 +1036,7 @@ fn an_owner_that_always_panics_loses_its_share_one_datagram_per_panic() {
     // of owner 0's datagrams rejected by the panic that consumed it and
     // everyone else's untouched.
     for workers in MODES {
-        let world = World::new();
+        let world = world();
         let mut hooks = hooks_with(&world, mode_cfg(workers));
         let _hb = world.host(B);
         hooks.set_owner_chaos(Some(Arc::new(PanicWhen(|w| w == 0))));
@@ -1076,7 +1064,7 @@ fn verdicts_written_before_an_unfinished_tail_stand() {
     // it. Each verdict an item writes is final, MAC check included, so
     // the passes written before the tail gave up stand.
     for workers in MODES {
-        let world = World::new();
+        let world = world();
         let clock = TripClock::new(&world);
         let mut hooks = world.host_on(B, mode_cfg(workers), clock.clone());
         let mut peer = world.host(A);
@@ -1129,7 +1117,7 @@ fn a_default_pool_covers_a_burst_of_any_size() {
     // takes a buffer when it needs one and puts the spent payload
     // straight back, so whatever the burst size it misses at most once
     // per pass — the very first take, before any payload has come back.
-    let world = World::new();
+    let world = world();
     let mut tx = world.host(A);
     let mut rx = world.host(B);
     let (mut pool_a, mut pool_b) = (BufferPool::new(), BufferPool::new());
@@ -1179,7 +1167,7 @@ fn an_exhausted_respawn_budget_quarantines_but_keeps_control_plane() {
 }
 
 fn quarantine_in_mode(workers: usize) {
-    let world = World::new();
+    let world = world();
     let mut hooks = hooks_with(&world, mode_cfg(workers));
     let _hb = world.host(B);
     let chaos = TestChaos::panicking();
@@ -1256,7 +1244,7 @@ fn stages_in_mode(workers: usize) {
     // stages, one `worker_batches` per sub-batch, and a
     // `hooks.worker.<w>.*` row for each owner that saw work, derived
     // from that owner's block.
-    let world = World::new();
+    let world = world();
     let mut hooks = hooks_with(&world, mode_cfg(workers));
     let mut peer = world.host(B);
     let reg = observe(&hooks);
@@ -1342,7 +1330,7 @@ fn owners_are_independent_lock_domains() {
     // held). A batch that only touches owner 1 must complete meanwhile;
     // one that touches owner 0 must wait for A.
     for b_touches_owner_0 in [false, true] {
-        let world = World::new();
+        let world = world();
         let mut hooks_a = hooks_with(&world, mode_cfg(2));
         let _hb = world.host(B);
         let (entered_tx, entered) = std::sync::mpsc::channel();
@@ -1424,11 +1412,11 @@ fn the_memory_ledger_charges_each_suites_real_key_allocation() {
     );
 
     for suite in CipherSuite::ALL {
-        let world = World::new();
+        let world = world();
         let mut cfg = IpMappingConfig::default();
         cfg.fbs.suite = suite;
-        let mut sender = world.host_with(A, cfg.clone());
-        let mut receiver = world.host_with(B, cfg.clone());
+        let mut sender = world.hooks(A, cfg.clone());
+        let mut receiver = world.hooks(B, cfg.clone());
         let mut pool = BufferPool::new();
         let (header, payload) = udp_datagram(A, B);
         let sealed = sender.process_batch(
@@ -1459,13 +1447,13 @@ fn the_memory_ledger_charges_each_suites_real_key_allocation() {
 /// land in.
 #[test]
 fn a_receive_only_host_owns_no_combined_chunk() {
-    let world = World::new();
+    let world = world();
     let cfg = IpMappingConfig {
         fst_size: 4096,
         ..IpMappingConfig::default()
     };
-    let mut sender = world.host_with(A, cfg.clone());
-    let mut receiver = world.host_with(B, cfg);
+    let mut sender = world.hooks(A, cfg.clone());
+    let mut receiver = world.hooks(B, cfg);
     let chunks = |h: &FbsIpHooks| -> usize {
         (0..h.shared.n_workers)
             .map(|w| h.shared.with_owner(w, |st| st.combined_chunks()).unwrap())
@@ -1493,9 +1481,9 @@ fn a_receive_only_host_owns_no_combined_chunk() {
 /// fall in.
 #[test]
 fn a_send_only_host_owns_no_rfkc_chunk() {
-    let world = World::new();
-    let mut sender = world.host_with(A, IpMappingConfig::default());
-    let mut receiver = world.host_with(B, IpMappingConfig::default());
+    let world = world();
+    let mut sender = world.hooks(A, IpMappingConfig::default());
+    let mut receiver = world.hooks(B, IpMappingConfig::default());
     let chunks = |h: &FbsIpHooks| -> usize {
         (0..h.shared.n_workers)
             .map(|w| h.shared.with_owner(w, |st| st.rfkc_chunks()).unwrap())

@@ -1,9 +1,9 @@
-//! Assembly of complete FBS-secured hosts on a simulated segment.
+//! Assembly of complete FBS-secured hosts.
 //!
-//! [`SecureNet`] is the "every machine on the LAN implements FBS" world of
-//! §7.3: it owns the shared segment, a certificate authority and directory,
-//! and a virtual clock that drives both the network and every FBS
-//! endpoint's timestamps in lockstep.
+//! A [`World`] is what the secure hosts of one simulation share, and it
+//! builds them. [`SecureNet`] is the "every machine on the LAN implements
+//! FBS" world of §7.3: a [`World`] on a shared segment, its clock in
+//! lockstep with the network's time.
 
 use crate::hooks::{FbsIpHooks, IpMappingConfig};
 use fbs_cert::{CertificateAuthority, Directory, Pvc};
@@ -51,9 +51,33 @@ pub(crate) fn build_mkd(
     MasterKeyDaemon::new(private, Box::new(pvc))
 }
 
+/// The one construction path of a secure host's hooks: its MKD, then
+/// hooks that mix `seed` with the address.
+fn secure_hooks(
+    addr: Ipv4Addr,
+    cfg: IpMappingConfig,
+    clock: ManualClock,
+    group: &DhGroup,
+    ca: &CertificateAuthority,
+    directory: &Arc<Directory>,
+    seed: u64,
+) -> FbsIpHooks {
+    let clock: Arc<dyn Clock> = Arc::new(clock);
+    let mkd = build_mkd(addr, &clock, group, ca, directory, seed);
+    FbsIpHooks::new(Principal::from_ipv4(addr), cfg, clock, seed, mkd)
+}
+
+/// `host` with `hooks` installed, and a handle onto them for statistics.
+fn with_hooks(mut host: Host, hooks: FbsIpHooks) -> (Host, FbsIpHooks) {
+    host.install_hooks(Box::new(hooks.clone()));
+    (host, hooks)
+}
+
 /// Build one secure host: private value, certificate, PVC, MKD, hooks,
-/// stack. Returns the host (hooks installed) and a hooks handle for
-/// statistics.
+/// stack, the same way [`World::secure_host`] does. Returns the host
+/// (hooks installed) and a hooks handle for statistics. ROADMAP item
+/// 1(a) retires this form along with its last caller, the end-to-end
+/// benchmark under `benchmark/`.
 #[allow(clippy::too_many_arguments)]
 pub fn build_secure_host(
     addr: Ipv4Addr,
@@ -65,13 +89,62 @@ pub fn build_secure_host(
     directory: &Arc<Directory>,
     seed: u64,
 ) -> (Host, FbsIpHooks) {
-    let clock: Arc<dyn Clock> = Arc::new(clock);
-    let mkd = build_mkd(addr, &clock, group, ca, directory, seed);
-    let hooks = FbsIpHooks::new(Principal::from_ipv4(addr), cfg, clock, seed, mkd);
+    let hooks = secure_hooks(addr, cfg, clock, group, ca, directory, seed);
+    with_hooks(Host::new(addr, mtu), hooks)
+}
 
-    let mut host = Host::new(addr, mtu);
-    host.install_hooks(Box::new(hooks.clone()));
-    (host, hooks)
+/// What every secure host of one simulation shares: the clock its
+/// timestamps read, the CA that signs its certificate, the directory it
+/// publishes to and fetches peers from, the DH group and the seed. A
+/// host's private value and its hooks' codec and sfl seeds mix the seed
+/// with the host's address, so two worlds built alike key alike.
+pub struct World {
+    /// Virtual clock feeding every endpoint's timestamps (starts at 0).
+    pub clock: ManualClock,
+    pub(crate) ca: CertificateAuthority,
+    pub(crate) directory: Arc<Directory>,
+    pub(crate) group: DhGroup,
+    pub(crate) seed: u64,
+}
+
+impl World {
+    /// A world under a keyed-MD5 CA. `group` chooses the DH group —
+    /// tests use [`DhGroup::test_group`] for speed, measurements the
+    /// real Oakley groups.
+    pub fn new(seed: u64, group: DhGroup) -> Self {
+        World {
+            clock: ManualClock::starting_at(0),
+            ca: CertificateAuthority::new("fbs-sim-ca", [0xC4; 16]),
+            // 10 ms directory RTT: a LAN certificate fetch.
+            directory: Arc::new(Directory::new(Duration::from_millis(10))),
+            group,
+            seed,
+        }
+    }
+
+    /// Like [`World::new`] but with an RSA-signing certificate authority
+    /// (hosts verify with the CA's public key only — the X.509 model of
+    /// §5.2). `ca_bits` sizes the CA modulus; tests use 256, realistic
+    /// demos ≥512.
+    pub fn new_with_rsa_ca(seed: u64, group: DhGroup, ca_bits: usize) -> Self {
+        World {
+            ca: CertificateAuthority::new_rsa("fbs-sim-rsa-ca", ca_bits, seed ^ 0xCA),
+            ..World::new(seed, group)
+        }
+    }
+
+    /// The hooks of a secure host at `addr`, with no stack behind them;
+    /// its certificate is published, so peers can key to it.
+    pub fn hooks(&self, addr: Ipv4Addr, cfg: IpMappingConfig) -> FbsIpHooks {
+        let (clock, ca, dir) = (self.clock.clone(), &self.ca, &self.directory);
+        secure_hooks(addr, cfg, clock, &self.group, ca, dir, self.seed)
+    }
+
+    /// A secure host at `addr` on a [`DEFAULT_MTU`] link, its hooks
+    /// installed, and a hooks handle for statistics.
+    pub fn secure_host(&self, addr: Ipv4Addr, cfg: IpMappingConfig) -> (Host, FbsIpHooks) {
+        with_hooks(Host::new(addr, DEFAULT_MTU), self.hooks(addr, cfg))
+    }
 }
 
 /// A simulated LAN where every host runs FBS (plus optional plain hosts
@@ -80,14 +153,9 @@ pub fn build_secure_host(
 pub struct SecureNet {
     /// The underlying network (hosts + segment).
     pub net: Network,
-    /// Virtual clock feeding every endpoint's timestamps.
-    pub clock: ManualClock,
-    ca: CertificateAuthority,
-    directory: Arc<Directory>,
-    group: DhGroup,
+    /// The shared keying world; its clock follows the network's time.
+    pub world: World,
     cfg: IpMappingConfig,
-    seed: u64,
-    mtu: usize,
 }
 
 impl SecureNet {
@@ -97,21 +165,12 @@ impl SecureNet {
     pub fn new(seed: u64, imp: Impairments, cfg: IpMappingConfig, group: DhGroup) -> Self {
         SecureNet {
             net: Network::new(seed, imp),
-            clock: ManualClock::starting_at(0),
-            ca: CertificateAuthority::new("fbs-sim-ca", [0xC4; 16]),
-            // 10 ms directory RTT: a LAN certificate fetch.
-            directory: Arc::new(Directory::new(Duration::from_millis(10))),
-            group,
+            world: World::new(seed, group),
             cfg,
-            seed,
-            mtu: DEFAULT_MTU,
         }
     }
 
-    /// Like [`SecureNet::new`] but with an RSA-signing certificate
-    /// authority (hosts verify with the CA's public key only — the X.509
-    /// model of §5.2). `ca_bits` sizes the CA modulus; tests use 256,
-    /// realistic demos ≥512.
+    /// Like [`SecureNet::new`] but on a [`World::new_with_rsa_ca`].
     pub fn new_with_rsa_ca(
         seed: u64,
         imp: Impairments,
@@ -119,30 +178,23 @@ impl SecureNet {
         group: DhGroup,
         ca_bits: usize,
     ) -> Self {
-        let mut net = SecureNet::new(seed, imp, cfg, group);
-        net.ca = CertificateAuthority::new_rsa("fbs-sim-rsa-ca", ca_bits, seed ^ 0xCA);
-        net
+        SecureNet {
+            net: Network::new(seed, imp),
+            world: World::new_with_rsa_ca(seed, group, ca_bits),
+            cfg,
+        }
     }
 
     /// Add an FBS-enabled host; returns the hooks handle for statistics.
     pub fn add_host(&mut self, addr: Ipv4Addr) -> FbsIpHooks {
-        let (host, hooks) = build_secure_host(
-            addr,
-            self.mtu,
-            self.cfg.clone(),
-            self.clock.clone(),
-            &self.group,
-            &self.ca,
-            &self.directory,
-            self.seed,
-        );
+        let (host, hooks) = self.world.secure_host(addr, self.cfg.clone());
         self.net.add_host(host);
         hooks
     }
 
     /// Add a host WITHOUT FBS (the GENERIC baseline of Fig. 8).
     pub fn add_plain_host(&mut self, addr: Ipv4Addr) {
-        self.net.add_host(Host::new(addr, self.mtu));
+        self.net.add_host(Host::new(addr, DEFAULT_MTU));
     }
 
     /// Mutable host access.
@@ -152,7 +204,7 @@ impl SecureNet {
 
     /// The certificate directory (for fetch statistics).
     pub fn directory(&self) -> &Arc<Directory> {
-        &self.directory
+        &self.world.directory
     }
 
     /// Current virtual time in microseconds.
@@ -163,7 +215,7 @@ impl SecureNet {
     /// One step: advance the network and keep the protocol clock in sync.
     pub fn step(&mut self, dt_us: u64) {
         self.net.step(dt_us);
-        self.clock.set(self.net.now_us() / 1_000_000);
+        self.world.clock.set(self.net.now_us() / 1_000_000);
     }
 
     /// Run for `duration_us` of virtual time.
@@ -204,21 +256,44 @@ mod tests {
         assert_eq!(hb.stats().verified, 1);
     }
 
+    /// Send `secret` from A to B through two hosts of one world, with no
+    /// network between them: the frames A puts on the wire and whether
+    /// B received the plaintext.
+    fn wire_frames(cfg: IpMappingConfig, secret: &[u8]) -> (Vec<Vec<u8>>, bool) {
+        let world = World::new(7, DhGroup::test_group());
+        let (mut a, _) = world.secure_host(A, cfg.clone());
+        let (mut b, _) = world.secure_host(B, cfg);
+        b.udp.bind(53).unwrap();
+        a.udp_send(4000, B, 53, secret, 0).unwrap();
+        let frames = a.take_frames();
+        b.deliver_frames(&frames, 0);
+        let received = b.udp.recv(53).is_some_and(|d| d.data == secret);
+        (frames, received)
+    }
+
     #[test]
     fn payload_is_encrypted_on_the_wire() {
-        // Sniff the segment by checking a corrupted-host... simpler: run
-        // with encryption and verify the receiving host's UDP layer never
-        // sees plaintext if the MAC is wrong — instead, directly protect
-        // and inspect: the wire bytes between hosts must not contain the
-        // plaintext. We approximate by sending to a host and checking the
-        // FBS overhead appears in the IP length accounting.
-        let (mut net, ha, _) = secure_pair(IpMappingConfig::default());
-        net.host_mut(B).udp.bind(53).unwrap();
-        net.host_mut(A)
-            .udp_send(4000, B, 53, b"find me if you can!!", 0)
-            .unwrap();
-        net.run(50_000, 1_000);
-        assert_eq!(ha.endpoint_stats().encryptions, 1);
+        const SECRET: &[u8] = b"find me if you can!!";
+        let shows = |frames: &[Vec<u8>]| {
+            frames
+                .iter()
+                .any(|f| f.windows(SECRET.len()).any(|w| w == SECRET))
+        };
+        let (frames, received) = wire_frames(IpMappingConfig::default(), SECRET);
+        assert!(!frames.is_empty());
+        assert!(!shows(&frames), "plaintext must not appear on the wire");
+        assert!(received, "B recovers the plaintext");
+        // The check can fail: with crypto nullified the plaintext shows.
+        let nop = IpMappingConfig {
+            fbs: fbs_core::FbsConfig {
+                nop_crypto: true,
+                ..fbs_core::FbsConfig::default()
+            },
+            ..IpMappingConfig::default()
+        };
+        let (frames, received) = wire_frames(nop, SECRET);
+        assert!(shows(&frames), "NOP leaves the plaintext on the wire");
+        assert!(received);
     }
 
     #[test]
@@ -276,10 +351,6 @@ mod tests {
         );
         let _ha = net.add_host(A);
         let _hb = net.add_host(B);
-        // Rebuild host A with the broken installation.
-        let ca = CertificateAuthority::new("fbs-sim-ca", [0xC4; 16]);
-        let _ = ca; // (host A's cert is already in the directory)
-                    // Simplest reproduction: disable the allowance after the fact.
         net.host_mut(A).mrt.set_overhead_allowance(0);
 
         net.host_mut(B).mrt.listen(80);

@@ -28,6 +28,6 @@ pub mod tuple;
 
 pub use combined::CombinedTable;
 pub use hooks::{FbsIpHooks, IpHookStats, IpMappingConfig};
-pub use host::build_secure_host;
+pub use host::{build_secure_host, World};
 pub use policy::FiveTuplePolicy;
 pub use tuple::FiveTuple;

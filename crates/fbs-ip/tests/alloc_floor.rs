@@ -15,18 +15,15 @@
 //! `forbid(unsafe_code)`), which holds a single test so that no sibling
 //! test allocates while it counts.
 
-use fbs_cert::{CertificateAuthority, Directory};
-use fbs_core::{FbsConfig, ManualClock, PoolStats};
+use fbs_core::{FbsConfig, PoolStats};
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::CipherSuite;
 use fbs_ip::hooks::{FbsIpHooks, IpMappingConfig};
-use fbs_ip::host::build_secure_host;
+use fbs_ip::host::World as SecureWorld;
 use fbs_net::ip::{Ipv4Addr, Ipv4Header, Proto};
 use fbs_net::{udp, Host};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// System allocator wrapper counting every alloc and realloc.
 struct CountingAlloc;
@@ -78,30 +75,16 @@ struct World {
 
 impl World {
     fn new(fbs: FbsConfig) -> World {
-        let clock = ManualClock::starting_at(NOW_SECS);
-        let ca = CertificateAuthority::new("alloc-floor-ca", [0xA1; 16]);
-        let directory = Arc::new(Directory::new(Duration::ZERO));
-        let group = DhGroup::test_group();
+        let world = SecureWorld::new(7, DhGroup::test_group());
+        world.clock.set(NOW_SECS);
         let cfg = IpMappingConfig {
             encrypt: true,
             workers: 1,
             fbs,
             ..IpMappingConfig::default()
         };
-        let host = |addr, seed| {
-            build_secure_host(
-                addr,
-                1500,
-                cfg.clone(),
-                clock.clone(),
-                &group,
-                &ca,
-                &directory,
-                seed,
-            )
-        };
-        let (a, hooks_a) = host(A, 7);
-        let (mut b, _) = host(B, 8);
+        let (a, hooks_a) = world.secure_host(A, cfg.clone());
+        let (mut b, _) = world.secure_host(B, cfg);
         b.udp.bind(PORT).expect("fresh port binds");
         World {
             a,

@@ -24,7 +24,6 @@
 //! `forbid(unsafe_code)`), which holds a single test so that no sibling
 //! test allocates while it counts.
 
-use fbs_cert::{CertificateAuthority, Directory};
 use fbs_core::{
     BufferPool, Clock, EncAlgorithm, FbsConfig, FbsError, FlowCodec, FlowKey, ManualClock,
     Principal, SealedFlowKey, SoftCache,
@@ -32,14 +31,13 @@ use fbs_core::{
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::{CipherSuite, MacAlgorithm};
 use fbs_ip::hooks::{FbsIpHooks, IpMappingConfig};
-use fbs_ip::host::build_secure_host;
+use fbs_ip::host::World;
 use fbs_net::ip::{Ipv4Addr, Ipv4Header, Proto};
 use fbs_net::{Datagram, HookOutcome, SecurityHooks};
 use fbs_obs::Direction;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// System allocator wrapper counting every alloc and realloc.
 struct CountingAlloc;
@@ -121,10 +119,8 @@ struct Pair {
 
 impl Pair {
     fn new() -> Pair {
-        let clock = ManualClock::starting_at(NOW_SECS);
-        let ca = CertificateAuthority::new("births-ca", [0xB1; 16]);
-        let directory = Arc::new(Directory::new(Duration::ZERO));
-        let group = DhGroup::test_group();
+        let world = World::new(3, DhGroup::test_group());
+        world.clock.set(NOW_SECS);
         let cfg = IpMappingConfig {
             encrypt: true,
             fbs: FbsConfig {
@@ -135,22 +131,9 @@ impl Pair {
         };
         assert_eq!((cfg.shards, cfg.fst_size), (SHARDS, SLOTS));
         assert_eq!((cfg.fbs.rfkc_sets, cfg.fbs.rfkc_assoc), (SLOTS, 1));
-        let host = |addr, seed| {
-            build_secure_host(
-                addr,
-                1500,
-                cfg.clone(),
-                clock.clone(),
-                &group,
-                &ca,
-                &directory,
-                seed,
-            )
-            .1
-        };
         Pair {
-            a: host(A, 3),
-            b: host(B, 4),
+            a: world.hooks(A, cfg.clone()),
+            b: world.hooks(B, cfg),
             pool: BufferPool::with_limits(4 * BATCH as usize, 2048),
         }
     }

@@ -18,18 +18,16 @@
 //! * no datagram, friendly or forged, writes flight-recorder history,
 //!   so a forger cannot wash a rare event out of the ring.
 
-use fbs_cert::{CertificateAuthority, Directory};
-use fbs_core::{flow_key_hash, BufferPool, ManualClock, Principal};
+use fbs_core::{flow_key_hash, BufferPool, Principal};
 use fbs_crypto::dh::DhGroup;
 use fbs_ip::hooks::FbsIpHooks;
 use fbs_ip::hooks::IpMappingConfig;
-use fbs_ip::host::build_secure_host;
+use fbs_ip::host::World;
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::{Datagram, HookOutcome, RejectReason, SecurityHooks};
 use fbs_obs::registry::DEFAULT_EVENT_CAPACITY;
 use fbs_obs::{Direction, Event, MetricsRegistry};
 use std::sync::Arc;
-use std::time::Duration;
 
 const A: [u8; 4] = [10, 9, 0, 1];
 const B: [u8; 4] = [10, 9, 0, 2];
@@ -37,21 +35,9 @@ const NOW_US: u64 = 1_000_000;
 const BATCH: usize = 16;
 
 fn build_pair(cfg: IpMappingConfig) -> (FbsIpHooks, FbsIpHooks, Arc<MetricsRegistry>) {
-    let clock = ManualClock::starting_at(0);
-    let ca = CertificateAuthority::new("forged-input-test-ca", [0x61; 16]);
-    let directory = Arc::new(Directory::new(Duration::ZERO));
-    let group = DhGroup::test_group();
-    let (_ha, sender) = build_secure_host(
-        A,
-        1500,
-        cfg.clone(),
-        clock.clone(),
-        &group,
-        &ca,
-        &directory,
-        31,
-    );
-    let (_hb, receiver) = build_secure_host(B, 1500, cfg, clock, &group, &ca, &directory, 32);
+    let world = World::new(32, DhGroup::test_group());
+    let sender = world.hooks(A, cfg.clone());
+    let receiver = world.hooks(B, cfg);
     let reg = Arc::new(MetricsRegistry::new());
     receiver
         .attach_obs(Arc::clone(&reg))

@@ -10,19 +10,16 @@
 // Property tests are opt-in: run with `cargo test --features props`.
 #![cfg(feature = "props")]
 
-use fbs_cert::{CertificateAuthority, Directory};
 use fbs_core::header::EncAlgorithm;
 use fbs_core::protocol::EndpointStats;
-use fbs_core::{FbsConfig, ManualClock};
+use fbs_core::FbsConfig;
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::CipherSuite;
 use fbs_ip::hooks::{FbsIpHooks, IpHookStats, IpMappingConfig};
-use fbs_ip::host::build_secure_host;
+use fbs_ip::host::World;
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::{Host, NetError};
 use proptest::prelude::*;
-use std::sync::Arc;
-use std::time::Duration;
 
 const A: [u8; 4] = [10, 7, 0, 1];
 const B: [u8; 4] = [10, 7, 0, 2];
@@ -67,22 +64,9 @@ impl Item {
 /// config it yields bit-identical twins (all key material derives from
 /// the fixed seeds).
 fn world(cfg: &IpMappingConfig) -> [(Host, FbsIpHooks); 2] {
-    let clock = ManualClock::starting_at(3);
-    let ca = CertificateAuthority::new("props-ca", [0x5A; 16]);
-    let directory = Arc::new(Directory::new(Duration::ZERO));
-    let group = DhGroup::test_group();
-    let mut pair = [(A, 7), (B, 8)].map(|(addr, seed)| {
-        build_secure_host(
-            addr,
-            1500,
-            cfg.clone(),
-            clock.clone(),
-            &group,
-            &ca,
-            &directory,
-            seed,
-        )
-    });
+    let world = World::new(7, DhGroup::test_group());
+    world.clock.set(3);
+    let mut pair = [A, B].map(|addr| world.secure_host(addr, cfg.clone()));
     pair[1].0.udp.bind(53).unwrap();
     pair
 }

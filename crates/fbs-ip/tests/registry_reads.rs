@@ -7,17 +7,15 @@
 //! `mem.shard.<i>.*` rows and its `cache.rfkc.resident_bytes` total with
 //! [`FbsIpHooks::shard_budgets`] at that moment.
 
-use fbs_cert::{CertificateAuthority, Directory};
-use fbs_core::{BufferPool, ManualClock, OwnerFaultInjector};
+use fbs_core::{BufferPool, OwnerFaultInjector};
 use fbs_crypto::dh::DhGroup;
 use fbs_ip::hooks::{FbsIpHooks, IpMappingConfig};
-use fbs_ip::host::build_secure_host;
+use fbs_ip::host::World;
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::{Datagram, HookOutcome, RejectReason, SecurityHooks};
 use fbs_obs::{Direction, MetricsRegistry, MetricsSnapshot};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 const A: [u8; 4] = [10, 9, 0, 1];
 const B: [u8; 4] = [10, 9, 0, 2];
@@ -28,21 +26,9 @@ const FLOWS: u16 = 64;
 /// A sender and a receiver under `cfg` (one shard owner unless `cfg`
 /// says otherwise), and a registry attached to the receiver.
 fn pair(cfg: IpMappingConfig) -> (FbsIpHooks, FbsIpHooks, Arc<MetricsRegistry>) {
-    let clock = ManualClock::starting_at(0);
-    let ca = CertificateAuthority::new("registry-reads-test-ca", [0x52; 16]);
-    let directory = Arc::new(Directory::new(Duration::ZERO));
-    let group = DhGroup::test_group();
-    let (_ha, sender) = build_secure_host(
-        A,
-        1500,
-        cfg.clone(),
-        clock.clone(),
-        &group,
-        &ca,
-        &directory,
-        41,
-    );
-    let (_hb, receiver) = build_secure_host(B, 1500, cfg, clock, &group, &ca, &directory, 42);
+    let world = World::new(41, DhGroup::test_group());
+    let sender = world.hooks(A, cfg.clone());
+    let receiver = world.hooks(B, cfg);
     let reg = Arc::new(MetricsRegistry::new());
     receiver.attach_obs(Arc::clone(&reg)).expect("attach obs");
     (sender, receiver, reg)

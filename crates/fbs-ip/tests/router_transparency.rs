@@ -2,15 +2,13 @@
 //! crosses a pure-IP forwarding router (which contains zero FBS code) and
 //! verifies on the far side — including when the router must fragment.
 
-use fbs_cert::{CertificateAuthority, Directory};
 use fbs_core::ManualClock;
 use fbs_crypto::dh::DhGroup;
 use fbs_ip::hooks::IpMappingConfig;
-use fbs_ip::host::build_secure_host;
+use fbs_ip::host::World as SecureWorld;
 use fbs_net::router::TwoLanWorld;
 use fbs_net::segment::Impairments;
-use std::sync::Arc;
-use std::time::Duration;
+use fbs_net::Host;
 
 const A1: [u8; 4] = [10, 1, 0, 1];
 const B1: [u8; 4] = [10, 2, 0, 1];
@@ -33,24 +31,13 @@ impl World {
 }
 
 fn secure_two_lan_world(mtu_b: usize) -> World {
-    let clock = ManualClock::starting_at(0);
-    let ca = CertificateAuthority::new("router-test-ca", [0x77; 16]);
-    let directory = Arc::new(Directory::new(Duration::from_millis(5)));
-    let group = DhGroup::test_group();
+    let secure = SecureWorld::new(0xAB, DhGroup::test_group());
     let cfg = IpMappingConfig::default();
 
-    let (host_a, ha) = build_secure_host(
-        A1,
-        1500,
-        cfg.clone(),
-        clock.clone(),
-        &group,
-        &ca,
-        &directory,
-        0xAB,
-    );
-    let (host_b, hb) =
-        build_secure_host(B1, mtu_b, cfg, clock.clone(), &group, &ca, &directory, 0xAB);
+    let (host_a, ha) = secure.secure_host(A1, cfg.clone());
+    let hb = secure.hooks(B1, cfg);
+    let mut host_b = Host::new(B1, mtu_b);
+    host_b.install_hooks(Box::new(hb.clone()));
 
     let mut w = TwoLanWorld::new(
         9,
@@ -61,7 +48,12 @@ fn secure_two_lan_world(mtu_b: usize) -> World {
     );
     w.add_host_a(host_a);
     w.add_host_b(host_b);
-    World { w, clock, ha, hb }
+    World {
+        w,
+        clock: secure.clock,
+        ha,
+        hb,
+    }
 }
 
 #[test]

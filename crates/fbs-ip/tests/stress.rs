@@ -23,11 +23,10 @@
 //!   and stores, so two domains sharing a block would lose counts: the
 //!   traffic repeats for [`MIN_RUN`] so that such a race cannot hide.
 
-use fbs_cert::{CertificateAuthority, Directory};
-use fbs_core::{BufferPool, ManualClock};
+use fbs_core::BufferPool;
 use fbs_crypto::dh::DhGroup;
 use fbs_ip::hooks::{FbsIpHooks, IpMappingConfig};
-use fbs_ip::host::build_secure_host;
+use fbs_ip::host::World;
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::{Datagram, HookOutcome, SecurityHooks};
 use fbs_obs::{Direction, MetricsRegistry};
@@ -51,26 +50,14 @@ const NOW_US: u64 = 1_000_000;
 /// clock, so certificates are mutually available and all key material
 /// derives from the fixed seeds.
 fn build_pair(workers: usize) -> (FbsIpHooks, FbsIpHooks) {
-    let clock = ManualClock::starting_at(0);
-    let ca = CertificateAuthority::new("stress-test-ca", [0x57; 16]);
-    let directory = Arc::new(Directory::new(Duration::ZERO));
-    let group = DhGroup::test_group();
+    let world = World::new(7, DhGroup::test_group());
     let cfg = IpMappingConfig {
         encrypt: true,
         workers,
         ..IpMappingConfig::default()
     };
-    let (_ha, sender) = build_secure_host(
-        A,
-        1500,
-        cfg.clone(),
-        clock.clone(),
-        &group,
-        &ca,
-        &directory,
-        7,
-    );
-    let (_hb, receiver) = build_secure_host(B, 1500, cfg, clock, &group, &ca, &directory, 8);
+    let sender = world.hooks(A, cfg.clone());
+    let receiver = world.hooks(B, cfg);
     (sender, receiver)
 }
 
@@ -319,27 +306,15 @@ fn four_threads_share_one_mapping(workers: usize) {
 #[test]
 fn shard_budgets_hold_their_ceilings_under_multi_worker_pressure() {
     const BUDGET: u64 = 12 * 1024;
-    let clock = ManualClock::starting_at(0);
-    let ca = CertificateAuthority::new("stress-test-ca", [0x58; 16]);
-    let directory = Arc::new(Directory::new(Duration::ZERO));
-    let group = DhGroup::test_group();
+    let world = World::new(21, DhGroup::test_group());
     let cfg = IpMappingConfig {
         encrypt: true,
         workers: 2,
         shard_budget_bytes: BUDGET,
         ..IpMappingConfig::default()
     };
-    let (_ha, mut sender) = build_secure_host(
-        A,
-        1500,
-        cfg.clone(),
-        clock.clone(),
-        &group,
-        &ca,
-        &directory,
-        21,
-    );
-    let (_hb, mut receiver) = build_secure_host(B, 1500, cfg, clock, &group, &ca, &directory, 22);
+    let mut sender = world.hooks(A, cfg.clone());
+    let mut receiver = world.hooks(B, cfg);
 
     // Before any traffic, every shard's ledger is exactly the static
     // FST footprint — identical across shards, comfortably under the

@@ -128,6 +128,7 @@ fn main() {
         "\nThe virtual medium caps goodput near 10 Mb/s minus header overhead;\n\
          the host-CPU column shows the crypto cost separating the variants\n\
          (the paper's Pentium-133 saw 7700 → 3400 kb/s with DES+MD5).\n\
-         See `repro fig08` (fbs-bench) for the calibrated reproduction."
+         `repro fig08` (fbs-bench) measures Fig. 8 through two hosts\n\
+         with no link cap."
     );
 }

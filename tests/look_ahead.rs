@@ -8,7 +8,6 @@
 //! every count. And the receive cache holds only keys whose datagram
 //! verified.
 
-use fbs::cert::{CertificateAuthority, Directory};
 use fbs::core::mkd::MkdStats;
 use fbs::core::protocol::EndpointStats;
 use fbs::core::{BufferPool, CacheStats, FbsConfig, ManualClock};
@@ -16,12 +15,11 @@ use fbs::crypto::dh::DhGroup;
 use fbs::crypto::CipherSuite;
 use fbs::ip::combined::CombinedStats;
 use fbs::ip::hooks::{FbsIpHooks, IpHookStats, IpMappingConfig};
-use fbs::ip::host::build_secure_host;
+use fbs::ip::host::World as SecureWorld;
 use fbs::net::ip::{Ipv4Addr, Ipv4Header, Proto};
 use fbs::net::{Datagram, HookOutcome, SecurityHooks};
 use fbs::obs::{Counter, Direction, MetricsRegistry};
 use std::sync::Arc;
-use std::time::Duration;
 
 const A: Ipv4Addr = [10, 12, 0, 1];
 const B: Ipv4Addr = [10, 12, 0, 2];
@@ -39,29 +37,19 @@ struct World {
 }
 
 fn world(cfg: &IpMappingConfig) -> World {
-    let clock = ManualClock::starting_at(1_000);
-    let ca = CertificateAuthority::new("look-ahead-ca", [0x3C; 16]);
-    let directory = Arc::new(Directory::new(Duration::ZERO));
-    let group = DhGroup::test_group();
-    let hooks = [(A, 41), (B, 42), (C, 43)].map(|(addr, seed)| {
-        let (_, hooks) = build_secure_host(
-            addr,
-            1500,
-            cfg.clone(),
-            clock.clone(),
-            &group,
-            &ca,
-            &directory,
-            seed,
-        );
-        hooks
-    });
+    let secure = SecureWorld::new(41, DhGroup::test_group());
+    secure.clock.set(1_000);
+    let hooks = [A, B, C].map(|addr| secure.hooks(addr, cfg.clone()));
     let regs = [0, 1, 2].map(|_| Arc::new(MetricsRegistry::new()));
     for (h, reg) in hooks.iter().zip(&regs) {
         h.attach_obs(Arc::clone(reg))
             .expect("attach before traffic");
     }
-    World { clock, hooks, regs }
+    World {
+        clock: secure.clock,
+        hooks,
+        regs,
+    }
 }
 
 /// A UDP datagram from `src` port `sport` to `dst` port 53.
