@@ -6,12 +6,13 @@
 //!
 //! Runs a scripted directory/MKD outage with cache-flush storms against a
 //! two-host FBS LAN (see `fbs_bench::chaos` for the phase script), then
-//! the worker-fault scenario (scheduled worker panics, stalls, and ring
-//! saturation against the datagram-plane runtime), and reports
-//! degradation and recovery for both. Exits non-zero when either run
-//! fails to converge — goodput under 90% of baseline, a breaker stuck
-//! open, datagrams still parked, a quarantined or dead worker, a verdict
-//! lost, or an imbalanced buffer-pool ledger — so CI can gate directly.
+//! the worker-fault scenario (scheduled supervised panics of the
+//! sender's shard owners, `FaultKind::OwnerPanic`) through the same
+//! four phases, and reports degradation and recovery for both. Exits
+//! non-zero when either run fails to converge — goodput under 90% of
+//! baseline, a breaker stuck open, datagrams still parked, a quarantined
+//! worker, no panic fired, a verdict lost, or an imbalanced buffer-pool
+//! ledger — so CI can gate directly.
 //!
 //! `--trace` writes the sampled flow trace (every flow; the soak drives
 //! one), byte-identical per seed since it runs on virtual time. `--prom`

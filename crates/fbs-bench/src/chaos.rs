@@ -21,12 +21,12 @@
 use fbs_cert::{CertSource, CertificateAuthority, Directory, Pvc};
 use fbs_chaos::{
     ChaosDirectory, ChaosDirectoryStats, ChaosPvs, ChaosPvsStats, FaultKind, FaultPlan, FlushScope,
-    OwnerChaos, VirtualClock,
+    OwnerChaos,
 };
 use fbs_core::mkd::PublicValueSource;
 use fbs_core::{
-    BreakerConfig, BreakerState, Clock, KeyUnavailableVerdict, MasterKeyDaemon, ParkStats,
-    Principal, Resilience, RetryPolicy,
+    BreakerConfig, BreakerState, Clock, KeyUnavailableVerdict, ManualClock, MasterKeyDaemon,
+    ParkStats, Principal, Resilience, RetryPolicy,
 };
 use fbs_crypto::dh::{DhGroup, PrivateValue};
 use fbs_ip::hooks::{FbsIpHooks, IpMappingConfig};
@@ -80,6 +80,18 @@ impl Default for SoakConfig {
     }
 }
 
+impl SoakConfig {
+    /// The four phase lengths, µs, in phase order.
+    fn phase_lens(&self) -> [u64; 4] {
+        [
+            self.baseline_us,
+            self.fault_us,
+            self.settle_us,
+            self.recovery_us,
+        ]
+    }
+}
+
 /// Sent/delivered tallies for one phase.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTally {
@@ -91,6 +103,39 @@ pub struct PhaseTally {
     pub delivered: u64,
     /// Delivered per second of phase time.
     pub goodput_per_sec: f64,
+}
+
+/// The `"phases_us"` member both reports carry.
+fn phases_us_json(cfg: &SoakConfig) -> String {
+    format!(
+        "\"phases_us\": {{\"baseline\": {}, \"fault\": {}, \"settle\": {}, \"recovery\": {}}}",
+        cfg.baseline_us, cfg.fault_us, cfg.settle_us, cfg.recovery_us
+    )
+}
+
+/// One member per phase, its tally under its name.
+fn tallies_json(names: [&str; 4], tallies: [&PhaseTally; 4]) -> String {
+    let members: Vec<String> = names
+        .iter()
+        .zip(tallies)
+        .map(|(name, t)| {
+            format!(
+                "\"{name}\": {{\"sent\": {}, \"send_rejected\": {}, \"delivered\": {}, \
+                 \"goodput_per_sec\": {:.1}}}",
+                t.sent, t.send_rejected, t.delivered, t.goodput_per_sec
+            )
+        })
+        .collect();
+    members.join(",\n  ")
+}
+
+/// The `"health"` timeline member, one report per phase.
+fn health_json(health: &[(&'static str, HealthReport)]) -> String {
+    let members: Vec<String> = health
+        .iter()
+        .map(|(phase, report)| format!("    \"{}\": {}", phase, report.to_json()))
+        .collect();
+    format!("\"health\": {{\n{}\n  }}", members.join(",\n"))
 }
 
 /// The worker-fault scenario: scheduled supervised panics against the
@@ -141,37 +186,19 @@ impl WorkerFaultReport {
     /// Render as one JSON object (the `"worker_fault"` member of
     /// `BENCH_chaos.json`).
     pub fn to_json(&self) -> String {
-        let tally = |t: &PhaseTally| {
-            format!(
-                "{{\"sent\": {}, \"send_rejected\": {}, \"delivered\": {}, \
-                 \"goodput_per_sec\": {:.1}}}",
-                t.sent, t.send_rejected, t.delivered, t.goodput_per_sec
-            )
-        };
-        let health: Vec<String> = self
-            .health
-            .iter()
-            .map(|(phase, report)| format!("    \"{}\": {}", phase, report.to_json()))
-            .collect();
         format!(
-            "{{\n  \"scenario\": \"worker_fault\",\n  \"seed\": {},\n  \
-             \"phases_us\": {{\"baseline\": {}, \"fault\": {}, \"settle\": {}, \"recovery\": {}}},\n  \
-             \"baseline\": {},\n  \"worker_fault\": {},\n  \"settle\": {},\n  \"recovery\": {},\n  \
+            "{{\n  \"scenario\": \"worker_fault\",\n  \"seed\": {},\n  {},\n  {},\n  \
              \"recovery_ratio\": {:.3},\n  \
              \"panics\": {},\n  \"respawns\": {},\n  \"quarantined\": {},\n  \
              \"workers\": {},\n  \
-             \"pool_balanced\": {},\n  \"verdict_loss\": {},\n  \
-             \"health\": {{\n{}\n  }},\n  \
+             \"pool_balanced\": {},\n  \"verdict_loss\": {},\n  {},\n  \
              \"converged\": {}\n}}",
             self.cfg.seed,
-            self.cfg.baseline_us,
-            self.cfg.fault_us,
-            self.cfg.settle_us,
-            self.cfg.recovery_us,
-            tally(&self.baseline),
-            tally(&self.fault),
-            tally(&self.settle),
-            tally(&self.recovery),
+            phases_us_json(&self.cfg),
+            tallies_json(
+                WF_PHASES,
+                [&self.baseline, &self.fault, &self.settle, &self.recovery]
+            ),
             self.recovery_ratio,
             self.panics,
             self.respawns,
@@ -179,7 +206,7 @@ impl WorkerFaultReport {
             self.workers,
             self.pool_balanced,
             self.verdict_loss,
-            health.join(",\n"),
+            health_json(&self.health),
             self.converged
         )
     }
@@ -235,13 +262,6 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// Render as the `BENCH_chaos.json` document.
     pub fn to_json(&self) -> String {
-        let tally = |t: &PhaseTally| {
-            format!(
-                "{{\"sent\": {}, \"send_rejected\": {}, \"delivered\": {}, \
-                 \"goodput_per_sec\": {:.1}}}",
-                t.sent, t.send_rejected, t.delivered, t.goodput_per_sec
-            )
-        };
         let park = |p: &ParkStats| {
             format!(
                 "{{\"parked\": {}, \"released\": {}, \"expired\": {}, \"overflow\": {}, \
@@ -254,42 +274,31 @@ impl ChaosReport {
             .iter()
             .map(|(k, v)| format!("    \"{k}\": {v}"))
             .collect();
-        let health: Vec<String> = self
-            .health
-            .iter()
-            .map(|(phase, report)| format!("    \"{}\": {}", phase, report.to_json()))
-            .collect();
         // Indent the nested scenario object to sit inside this one.
         let worker_fault = match &self.worker_fault {
             Some(wf) => wf.to_json().replace('\n', "\n  "),
             None => "null".to_string(),
         };
         format!(
-            "{{\n  \"bench\": \"chaos\",\n  \"seed\": {},\n  \
-             \"phases_us\": {{\"baseline\": {}, \"fault\": {}, \"settle\": {}, \"recovery\": {}}},\n  \
-             \"send_interval_us\": {},\n  \"payload_bytes\": {},\n  \
-             \"baseline\": {},\n  \"fault\": {},\n  \"settle\": {},\n  \"recovery\": {},\n  \
+            "{{\n  \"bench\": \"chaos\",\n  \"seed\": {},\n  {},\n  \
+             \"send_interval_us\": {},\n  \"payload_bytes\": {},\n  {},\n  \
              \"recovery_ratio\": {:.3},\n  \"breaker_closed\": {},\n  \
              \"out_park\": {},\n  \"in_park\": {},\n  \
              \"final_depths\": [{}, {}],\n  \
              \"dir_chaos\": {{\"fetches\": {}, \"outages\": {}, \"stale_served\": {}, \
              \"garbage_served\": {}}},\n  \
              \"mkd_chaos\": {{\"fetches\": {}, \"outages\": {}}},\n  \
-             \"flush_pulses\": {},\n  \"resilience_counters\": {{\n{}\n  }},\n  \
-             \"health\": {{\n{}\n  }},\n  \
+             \"flush_pulses\": {},\n  \"resilience_counters\": {{\n{}\n  }},\n  {},\n  \
              \"worker_fault\": {},\n  \
              \"converged\": {}\n}}\n",
             self.cfg.seed,
-            self.cfg.baseline_us,
-            self.cfg.fault_us,
-            self.cfg.settle_us,
-            self.cfg.recovery_us,
+            phases_us_json(&self.cfg),
             self.cfg.send_interval_us,
             self.cfg.payload_bytes,
-            tally(&self.baseline),
-            tally(&self.fault),
-            tally(&self.settle),
-            tally(&self.recovery),
+            tallies_json(
+                PHASES,
+                [&self.baseline, &self.fault, &self.settle, &self.recovery]
+            ),
             self.recovery_ratio,
             self.breaker_closed,
             park(&self.out_park),
@@ -304,7 +313,7 @@ impl ChaosReport {
             self.mkd_chaos.outages,
             self.flush_pulses,
             counters.join(",\n"),
-            health.join(",\n"),
+            health_json(&self.health),
             worker_fault,
             self.converged
         )
@@ -323,7 +332,7 @@ struct ChaosHost {
 fn chaos_host(
     addr: Ipv4Addr,
     cfg: &IpMappingConfig,
-    clock: &VirtualClock,
+    clock: &ManualClock,
     group: &DhGroup,
     ca: &CertificateAuthority,
     directory: &Arc<Directory>,
@@ -435,33 +444,188 @@ fn apply_pulse(scope: FlushScope, a: &ChaosHost, b: &ChaosHost) -> u64 {
     }
 }
 
-/// The live (non-counter) half of a phase-end health evaluation, read
-/// off both hosts; the counter half is the registry's phase delta.
-fn health_inputs(
-    a: &ChaosHost,
-    b: &ChaosHost,
-    ip_cfg: &IpMappingConfig,
-    phase: usize,
-    tallies: &[PhaseTally],
-) -> HealthInputs {
-    let ad = a.hooks.parked_depths();
-    let bd = b.hooks.parked_depths();
-    HealthInputs {
-        // The deepest single queue vs the per-queue bound: one full
-        // queue is turning work away even while its three siblings
-        // sit empty, and a summed-depth-vs-summed-capacity ratio
-        // would mask that.
-        park_depth: [ad.0, ad.1, bd.0, bd.1].into_iter().max().unwrap_or(0) as u64,
-        park_capacity: ip_cfg.park_capacity as u64,
-        recovery_ratio_pct: (phase == 3).then(|| {
-            (tallies[3].goodput_per_sec * 100.0 / tallies[0].goodput_per_sec.max(1e-9)) as u64
-        }),
-        workers_quarantined: (a.hooks.quarantined_workers() + b.hooks.quarantined_workers()) as u64,
-        workers_total: (a.hooks.num_workers() + b.hooks.num_workers()) as u64,
-        // Worst single shard budget across both hosts, same
-        // per-queue logic as park_depth.
-        mem_used_bytes: a.hooks.mem_bytes().0.max(b.hooks.mem_bytes().0),
-        mem_limit_bytes: a.hooks.mem_bytes().1.max(b.hooks.mem_bytes().1),
+/// Both scenarios' two-host LAN: chaos-wired hosts A and B on an ideal
+/// medium, B's port bound, and one registry, stamped by the virtual
+/// clock, that both hosts' hooks and stacks report into.
+struct Rig {
+    net: Network,
+    clock: ManualClock,
+    registry: Arc<MetricsRegistry>,
+    ip_cfg: IpMappingConfig,
+    a: ChaosHost,
+    b: ChaosHost,
+}
+
+/// What one run of the four phases measured, in phase order.
+struct Phases {
+    tallies: [PhaseTally; 4],
+    /// The health model evaluated on each phase's delta.
+    health: Vec<(&'static str, HealthReport)>,
+    /// What each phase changed in the registry.
+    deltas: Vec<(&'static str, MetricsSnapshot)>,
+}
+
+impl Phases {
+    /// recovery goodput / baseline goodput.
+    fn recovery_ratio(&self) -> f64 {
+        self.tallies[3].goodput_per_sec / self.tallies[0].goodput_per_sec.max(1e-9)
+    }
+}
+
+impl Rig {
+    /// Build the LAN with `plan` on both hosts' directory and MKD taps;
+    /// `tracer`, if any, samples flows off the registry.
+    fn new(cfg: &SoakConfig, plan: &FaultPlan, tracer: Option<Arc<FlowTracer>>) -> Rig {
+        let clock = ManualClock::starting_at_us(0);
+        let group = DhGroup::test_group();
+        let ca = CertificateAuthority::new("chaos-soak-ca", [0xC7; 16]);
+        let directory = Arc::new(Directory::new(Duration::ZERO));
+        let ip_cfg = IpMappingConfig {
+            key_unavailable: KeyUnavailableVerdict::Park,
+            park_capacity: 64,
+            park_deadline_us: 1_000_000,
+            ..IpMappingConfig::default()
+        };
+        let mut net = Network::new(cfg.seed, Impairments::ideal());
+        let host =
+            |addr, seed| chaos_host(addr, &ip_cfg, &clock, &group, &ca, &directory, plan, seed);
+        let (host_a, a) = host(A, cfg.seed);
+        let (host_b, b) = host(B, cfg.seed ^ 0xB0B);
+        // Events (breaker transitions in particular) are stamped with
+        // the virtual clock, so the flight recorder and trace
+        // annotations are deterministic per seed. The ring is sized for
+        // the whole run (16 slots per send interval, far above the
+        // parks, breaker moves and retries a soak's faults cause) so the
+        // recorder keeps full history and a healthy run reports zero
+        // dropped events.
+        let total_us: u64 = cfg.phase_lens().iter().sum();
+        let event_capacity =
+            ((total_us / cfg.send_interval_us.max(1)) as usize * 16).next_power_of_two();
+        let registry = {
+            let c = clock.clone();
+            Arc::new(
+                MetricsRegistry::with_event_capacity(event_capacity)
+                    .with_time_source(move || c.now_micros()),
+            )
+        };
+        if let Some(t) = tracer {
+            registry.set_tracer(t);
+        }
+        for h in [&a, &b] {
+            h.hooks
+                .attach_obs(Arc::clone(&registry))
+                .expect("worker runtime alive");
+        }
+        net.add_host(host_a);
+        net.add_host(host_b);
+        // The stacks observe into the same registry as the hooks: wire /
+        // reassembly / deliver spans stitch onto the hook-side spans.
+        net.host_mut(A).attach_obs(Arc::clone(&registry));
+        net.host_mut(B).attach_obs(Arc::clone(&registry));
+        net.host_mut(B)
+            .udp
+            .bind(PORT)
+            .expect("a fresh host's port is free");
+        Rig {
+            net,
+            clock,
+            registry,
+            ip_cfg,
+            a,
+            b,
+        }
+    }
+
+    /// Drive the four phases, named `names`: one datagram of `byte`s
+    /// from A to B every send interval, its source port cycling through
+    /// `flows` ports, and the virtual clock held in lockstep with the
+    /// medium. `on_step` runs at each step's start, before its sends.
+    /// Each phase ends in one health evaluation on its delta.
+    fn run_phases(
+        &mut self,
+        cfg: &SoakConfig,
+        names: [&'static str; 4],
+        flows: u64,
+        byte: u8,
+        mut on_step: impl FnMut(&ChaosHost, &ChaosHost, u64),
+    ) -> Phases {
+        let payload = vec![byte; cfg.payload_bytes];
+        let model = HealthModel::default();
+        let mut tracker = DeltaTracker::new();
+        let mut phases = Phases {
+            tallies: [PhaseTally::default(); 4],
+            health: Vec::with_capacity(4),
+            deltas: Vec::with_capacity(4),
+        };
+        let (mut end, mut next_send, mut seq, mut delivered_before) = (0, 0, 0, 0);
+        for (phase, len) in cfg.phase_lens().into_iter().enumerate() {
+            end += len;
+            let tally = &mut phases.tallies[phase];
+            while self.net.now_us() < end {
+                let prev = self.net.now_us();
+                self.clock.set_us(prev);
+                on_step(&self.a, &self.b, prev);
+                while next_send <= prev {
+                    let sport = 4000 + (seq % flows) as u16;
+                    let res = self
+                        .net
+                        .host_mut(A)
+                        .udp_send(sport, B, PORT, &payload, prev);
+                    tally.sent += 1;
+                    if res.is_err() {
+                        tally.send_rejected += 1;
+                    }
+                    seq += 1;
+                    next_send += cfg.send_interval_us;
+                }
+                self.net.step(cfg.step_us.min(end - prev));
+            }
+            self.clock.set_us(self.net.now_us());
+            let delivered_total = self.net.host_mut(B).udp.pending(PORT) as u64;
+            tally.delivered = delivered_total - delivered_before;
+            tally.goodput_per_sec = tally.delivered as f64 / (len as f64 / 1_000_000.0);
+            delivered_before = delivered_total;
+
+            // Health is judged on the *delta* — what this phase did — so
+            // a park overflow during the fault window marks the fault
+            // phase critical without smearing criticality over the
+            // recovery phases that follow (counters are cumulative;
+            // phase health is not). Both read only counters on virtual
+            // time, so the timeline stays deterministic.
+            let delta = tracker.delta(&self.registry.snapshot());
+            let inputs = self.health_inputs(phase, &phases.tallies);
+            phases
+                .health
+                .push((names[phase], model.evaluate(&delta, &inputs)));
+            phases.deltas.push((names[phase], delta));
+        }
+        phases
+    }
+
+    /// The live (non-counter) half of a phase-end health evaluation,
+    /// read off both hosts; the counter half is the registry's phase
+    /// delta.
+    fn health_inputs(&self, phase: usize, tallies: &[PhaseTally; 4]) -> HealthInputs {
+        let (a, b) = (&self.a.hooks, &self.b.hooks);
+        let ad = a.parked_depths();
+        let bd = b.parked_depths();
+        HealthInputs {
+            // The deepest single queue vs the per-queue bound: one full
+            // queue is turning work away even while its three siblings
+            // sit empty, and a summed-depth-vs-summed-capacity ratio
+            // would mask that.
+            park_depth: [ad.0, ad.1, bd.0, bd.1].into_iter().max().unwrap_or(0) as u64,
+            park_capacity: self.ip_cfg.park_capacity as u64,
+            recovery_ratio_pct: (phase == 3).then(|| {
+                (tallies[3].goodput_per_sec * 100.0 / tallies[0].goodput_per_sec.max(1e-9)) as u64
+            }),
+            workers_quarantined: (a.quarantined_workers() + b.quarantined_workers()) as u64,
+            workers_total: (a.num_workers() + b.num_workers()) as u64,
+            // Worst single shard budget across both hosts, same
+            // per-queue logic as park_depth.
+            mem_used_bytes: a.mem_bytes().0.max(b.mem_bytes().0),
+            mem_limit_bytes: a.mem_bytes().1.max(b.mem_bytes().1),
+        }
     }
 }
 
@@ -495,135 +659,27 @@ pub fn run(cfg: SoakConfig) -> ChaosReport {
 /// Run the soak, optionally sampling flows at 1 in 2^`trace_rate_log2`
 /// (0 traces the soak's single flow), and return the full output set.
 pub fn run_soak(cfg: SoakConfig, trace_rate_log2: Option<u32>) -> SoakOutput {
-    let clock = VirtualClock::starting_at_us(0);
     let plan = fault_plan(&cfg);
-    let group = DhGroup::test_group();
-    let ca = CertificateAuthority::new("chaos-soak-ca", [0xC7; 16]);
-    let directory = Arc::new(Directory::new(Duration::ZERO));
-    let ip_cfg = IpMappingConfig {
-        key_unavailable: KeyUnavailableVerdict::Park,
-        park_capacity: 64,
-        park_deadline_us: 1_000_000,
-        ..IpMappingConfig::default()
-    };
-
-    let mut net = Network::new(cfg.seed, Impairments::ideal());
-    let (host_a, a) = chaos_host(A, &ip_cfg, &clock, &group, &ca, &directory, &plan, cfg.seed);
-    let (host_b, b) = chaos_host(
-        B,
-        &ip_cfg,
-        &clock,
-        &group,
-        &ca,
-        &directory,
-        &plan,
-        cfg.seed ^ 0xB0B,
-    );
-    // Events (breaker transitions in particular) are stamped with the
-    // virtual clock, so the flight recorder and trace annotations are
-    // deterministic per seed. The ring is sized for the whole run (16
-    // slots per send interval, far above the parks, breaker moves and
-    // retries a soak's faults cause) so the recorder keeps full history
-    // and a healthy soak reports zero dropped events.
-    let total_us = cfg.baseline_us + cfg.fault_us + cfg.settle_us + cfg.recovery_us;
-    let event_capacity =
-        ((total_us / cfg.send_interval_us.max(1)) as usize * 16).next_power_of_two();
-    let registry = {
-        let c = clock.clone();
-        Arc::new(
-            MetricsRegistry::with_event_capacity(event_capacity)
-                .with_time_source(move || c.now_micros()),
-        )
-    };
-    let tracer = trace_rate_log2.map(|rate| {
-        let t = Arc::new(FlowTracer::new(rate));
-        registry.set_tracer(Arc::clone(&t));
-        t
-    });
-    a.hooks
-        .attach_obs(Arc::clone(&registry))
-        .expect("worker runtime alive");
-    b.hooks
-        .attach_obs(Arc::clone(&registry))
-        .expect("worker runtime alive");
-    net.add_host(host_a);
-    net.add_host(host_b);
-    // The stacks observe into the same registry as the hooks: wire /
-    // reassembly / deliver spans stitch onto the hook-side spans.
-    net.host_mut(A).attach_obs(Arc::clone(&registry));
-    net.host_mut(B).attach_obs(Arc::clone(&registry));
-    net.host_mut(B).udp.bind(PORT).unwrap();
-
-    let phase_ends = [
-        cfg.baseline_us,
-        cfg.baseline_us + cfg.fault_us,
-        cfg.baseline_us + cfg.fault_us + cfg.settle_us,
-        cfg.baseline_us + cfg.fault_us + cfg.settle_us + cfg.recovery_us,
-    ];
-    let phase_lens = [
-        cfg.baseline_us,
-        cfg.fault_us,
-        cfg.settle_us,
-        cfg.recovery_us,
-    ];
-    let mut tallies = [PhaseTally::default(); 4];
+    let tracer = trace_rate_log2.map(|rate| Arc::new(FlowTracer::new(rate)));
+    let mut rig = Rig::new(&cfg, &plan, tracer.clone());
     let mut flush_pulses = 0u64;
-    let mut next_send = 0u64;
-    let mut delivered_before = 0u64;
-    let payload = vec![0x5Au8; cfg.payload_bytes];
-    let health_model = HealthModel::default();
-    let mut health: Vec<(&'static str, HealthReport)> = Vec::with_capacity(4);
-    let mut delta_tracker = DeltaTracker::new();
-    let mut deltas: Vec<(&'static str, MetricsSnapshot)> = Vec::with_capacity(4);
-
-    for (phase, (&end, &len)) in phase_ends.iter().zip(phase_lens.iter()).enumerate() {
-        while net.now_us() < end {
-            let prev = net.now_us();
-            // Keep the protocol clock in lockstep with the medium, then
-            // fire any cache-chaos pulses that edge within this step.
-            clock.set_us(prev);
-            for scope in plan.cache_pulses(prev.saturating_sub(cfg.step_us), prev) {
-                flush_pulses += apply_pulse(scope, &a, &b);
-            }
-            // Fault-window edges land on the trace timeline, so a
-            // parked span can be read against the outage that caused it.
-            if let Some(t) = &tracer {
-                for (edge, fault, t_us) in plan.window_edges(prev.saturating_sub(cfg.step_us), prev)
-                {
-                    t.annotate(edge, fault, t_us, 0);
-                }
-            }
-            while next_send <= prev {
-                let res = net.host_mut(A).udp_send(4000, B, PORT, &payload, prev);
-                tallies[phase].sent += 1;
-                if res.is_err() {
-                    tallies[phase].send_rejected += 1;
-                }
-                next_send += cfg.send_interval_us;
-            }
-            net.step(cfg.step_us.min(end - prev));
+    // One flow (source port 4000). Each step first fires the cache-chaos
+    // pulses that edge within it, then puts the fault-window edges on
+    // the trace timeline, so a parked span can be read against the
+    // outage that caused it.
+    let phases = rig.run_phases(&cfg, PHASES, 1, 0x5A, |a, b, now| {
+        let since = now.saturating_sub(cfg.step_us);
+        for scope in plan.cache_pulses(since, now) {
+            flush_pulses += apply_pulse(scope, a, b);
         }
-        clock.set_us(net.now_us());
-        let delivered_total = net.host_mut(B).udp.pending(PORT) as u64;
-        tallies[phase].delivered = delivered_total - delivered_before;
-        tallies[phase].goodput_per_sec =
-            tallies[phase].delivered as f64 / (len as f64 / 1_000_000.0);
-        delivered_before = delivered_total;
+        if let Some(t) = &tracer {
+            for (edge, fault, t_us) in plan.window_edges(since, now) {
+                t.annotate(edge, fault, t_us, 0);
+            }
+        }
+    });
 
-        // Phase-end observation: one health evaluation and one delta
-        // snapshot per phase. Both read only counters (virtual-time
-        // arithmetic), so the health timeline stays deterministic.
-        // Health is judged on the *delta* — what this phase did — so a
-        // park overflow during the fault window marks the fault phase
-        // critical without smearing criticality over the recovery
-        // phases that follow (counters are cumulative; phase health is
-        // not).
-        let delta = delta_tracker.delta(&registry.snapshot());
-        let inputs = health_inputs(&a, &b, &ip_cfg, phase, &tallies);
-        health.push((PHASES[phase], health_model.evaluate(&delta, &inputs)));
-        deltas.push((PHASES[phase], delta));
-    }
-
+    let Rig { a, b, registry, .. } = &rig;
     let (out_park, _) = a.hooks.park_stats().expect("worker runtime alive");
     let (_, in_park) = b.hooks.park_stats().expect("worker runtime alive");
     let a_depths = a.hooks.parked_depths();
@@ -635,7 +691,7 @@ pub fn run_soak(cfg: SoakConfig, trace_rate_log2: Option<u32>) -> SoakOutput {
     .iter()
     .all(|s| matches!(s, None | Some(BreakerState::Closed)));
 
-    let recovery_ratio = tallies[3].goodput_per_sec / tallies[0].goodput_per_sec.max(1e-9);
+    let recovery_ratio = phases.recovery_ratio();
     let final_depths = (a_depths.0 + b_depths.0, a_depths.1 + b_depths.1);
     let resilience_counters: Vec<(String, u64)> = registry
         .snapshot()
@@ -648,13 +704,14 @@ pub fn run_soak(cfg: SoakConfig, trace_rate_log2: Option<u32>) -> SoakOutput {
         })
         .collect();
     let converged = recovery_ratio >= 0.9 && breaker_closed && final_depths == (0, 0);
+    let [baseline, fault, settle, recovery] = phases.tallies;
 
     let report = ChaosReport {
         cfg,
-        baseline: tallies[0],
-        fault: tallies[1],
-        settle: tallies[2],
-        recovery: tallies[3],
+        baseline,
+        fault,
+        settle,
+        recovery,
         recovery_ratio,
         breaker_closed,
         out_park,
@@ -664,7 +721,7 @@ pub fn run_soak(cfg: SoakConfig, trace_rate_log2: Option<u32>) -> SoakOutput {
         mkd_chaos: b.pvs.stats(),
         flush_pulses,
         resilience_counters,
-        health,
+        health: phases.health,
         worker_fault: None,
         converged,
     };
@@ -672,7 +729,7 @@ pub fn run_soak(cfg: SoakConfig, trace_rate_log2: Option<u32>) -> SoakOutput {
         report,
         trace_json: tracer.map(|t| t.to_json()),
         snapshot: registry.snapshot(),
-        deltas,
+        deltas: phases.deltas,
     }
 }
 
@@ -709,130 +766,33 @@ fn worker_fault_plan(cfg: &SoakConfig, owners: usize) -> FaultPlan {
 /// infrastructure. Keying stays healthy throughout, so every
 /// degradation in the report is attributable to the worker faults.
 pub fn run_worker_fault(cfg: SoakConfig) -> WorkerFaultReport {
-    let clock = VirtualClock::starting_at_us(0);
-    let group = DhGroup::test_group();
-    let ca = CertificateAuthority::new("chaos-soak-ca", [0xC7; 16]);
-    let directory = Arc::new(Directory::new(Duration::ZERO));
-    let ip_cfg = IpMappingConfig {
-        key_unavailable: KeyUnavailableVerdict::Park,
-        park_capacity: 64,
-        park_deadline_us: 1_000_000,
-        ..IpMappingConfig::default()
-    };
-
-    let mut net = Network::new(cfg.seed, Impairments::ideal());
-    // The plan's worker windows drive OwnerChaos below; its directory
-    // and MKD taps see no outage windows, so keying never degrades.
-    let (host_a, a) = {
-        let plan = FaultPlan::new(cfg.seed);
-        chaos_host(A, &ip_cfg, &clock, &group, &ca, &directory, &plan, cfg.seed)
-    };
-    let (host_b, b) = {
-        let plan = FaultPlan::new(cfg.seed);
-        chaos_host(
-            B,
-            &ip_cfg,
-            &clock,
-            &group,
-            &ca,
-            &directory,
-            &plan,
-            cfg.seed ^ 0xB0B,
-        )
-    };
-    let plan = worker_fault_plan(&cfg, a.hooks.num_workers());
-    a.hooks
+    // The hosts' directory and MKD taps see no outage windows, so keying
+    // never degrades; the worker plan drives OwnerChaos on A.
+    let mut rig = Rig::new(&cfg, &FaultPlan::new(cfg.seed), None);
+    let plan = worker_fault_plan(&cfg, rig.a.hooks.num_workers());
+    rig.a
+        .hooks
         .set_owner_chaos(Some(Arc::new(OwnerChaos::from_plan(&plan))));
-
-    // Ring sized for the whole run so the flight recorder keeps full
-    // history: a healthy scenario reports zero dropped events, and the
-    // events_dropped health condition stays meaningful.
-    let total_us = cfg.baseline_us + cfg.fault_us + cfg.settle_us + cfg.recovery_us;
-    let event_capacity =
-        ((total_us / cfg.send_interval_us.max(1)) as usize * 16).next_power_of_two();
-    let registry = {
-        let c = clock.clone();
-        Arc::new(
-            MetricsRegistry::with_event_capacity(event_capacity)
-                .with_time_source(move || c.now_micros()),
-        )
-    };
-    a.hooks
-        .attach_obs(Arc::clone(&registry))
-        .expect("worker runtime alive");
-    b.hooks
-        .attach_obs(Arc::clone(&registry))
-        .expect("worker runtime alive");
-    net.add_host(host_a);
-    net.add_host(host_b);
-    net.host_mut(A).attach_obs(Arc::clone(&registry));
-    net.host_mut(B).attach_obs(Arc::clone(&registry));
-    net.host_mut(B).udp.bind(PORT).unwrap();
-
-    let phase_ends = [
-        cfg.baseline_us,
-        cfg.baseline_us + cfg.fault_us,
-        cfg.baseline_us + cfg.fault_us + cfg.settle_us,
-        cfg.baseline_us + cfg.fault_us + cfg.settle_us + cfg.recovery_us,
-    ];
-    let phase_lens = [
-        cfg.baseline_us,
-        cfg.fault_us,
-        cfg.settle_us,
-        cfg.recovery_us,
-    ];
-    let mut tallies = [PhaseTally::default(); 4];
-    let mut next_send = 0u64;
-    let mut seq = 0u64;
-    let mut delivered_before = 0u64;
-    let payload = vec![0xA5u8; cfg.payload_bytes];
-    let health_model = HealthModel::default();
-    let mut health: Vec<(&'static str, HealthReport)> = Vec::with_capacity(4);
-    let mut delta_tracker = DeltaTracker::new();
-
-    for (phase, (&end, &len)) in phase_ends.iter().zip(phase_lens.iter()).enumerate() {
-        while net.now_us() < end {
-            let prev = net.now_us();
-            clock.set_us(prev);
-            while next_send <= prev {
-                // Eight source ports → eight flows → the traffic hashes
-                // across shards on every worker, so the per-worker fault
-                // windows all see load.
-                let src_port = 4000 + (seq % 8) as u16;
-                let res = net.host_mut(A).udp_send(src_port, B, PORT, &payload, prev);
-                tallies[phase].sent += 1;
-                if res.is_err() {
-                    tallies[phase].send_rejected += 1;
-                }
-                seq += 1;
-                next_send += cfg.send_interval_us;
-            }
-            net.step(cfg.step_us.min(end - prev));
-        }
-        clock.set_us(net.now_us());
-        let delivered_total = net.host_mut(B).udp.pending(PORT) as u64;
-        tallies[phase].delivered = delivered_total - delivered_before;
-        tallies[phase].goodput_per_sec =
-            tallies[phase].delivered as f64 / (len as f64 / 1_000_000.0);
-        delivered_before = delivered_total;
-
-        let delta = delta_tracker.delta(&registry.snapshot());
-        let inputs = health_inputs(&a, &b, &ip_cfg, phase, &tallies);
-        health.push((WF_PHASES[phase], health_model.evaluate(&delta, &inputs)));
-    }
+    // Eight source ports → eight flows → the traffic hashes across
+    // shards on every worker, so the per-worker fault windows all see
+    // load.
+    let phases = rig.run_phases(&cfg, WF_PHASES, 8, 0xA5, |_, _, _| {});
 
     // Post-run wire drain (off the goodput books): flush any datagrams
     // still in flight so the verdict ledger can be balanced exactly.
+    let Rig {
+        net, clock, a, b, ..
+    } = &mut rig;
     for _ in 0..8 {
         clock.set_us(net.now_us());
         net.step(cfg.step_us);
     }
     clock.set_us(net.now_us());
 
-    let recovery_ratio = tallies[3].goodput_per_sec / tallies[0].goodput_per_sec.max(1e-9);
+    let recovery_ratio = phases.recovery_ratio();
     let delivered_final = net.host_mut(B).udp.pending(PORT) as u64;
-    let sent: u64 = tallies.iter().map(|t| t.sent).sum();
-    let send_rejected: u64 = tallies.iter().map(|t| t.send_rejected).sum();
+    let sent: u64 = phases.tallies.iter().map(|t| t.sent).sum();
+    let send_rejected: u64 = phases.tallies.iter().map(|t| t.send_rejected).sum();
     let accepted = sent - send_rejected;
     let (a_out, a_in) = a.hooks.park_stats().expect("worker runtime alive");
     let (b_out, b_in) = b.hooks.park_stats().expect("worker runtime alive");
@@ -873,13 +833,14 @@ pub fn run_worker_fault(cfg: SoakConfig) -> WorkerFaultReport {
         && pool_balanced
         && quarantined == 0
         && panics >= 1;
+    let [baseline, fault, settle, recovery] = phases.tallies;
 
     WorkerFaultReport {
         cfg,
-        baseline: tallies[0],
-        fault: tallies[1],
-        settle: tallies[2],
-        recovery: tallies[3],
+        baseline,
+        fault,
+        settle,
+        recovery,
         recovery_ratio,
         panics,
         respawns,
@@ -887,7 +848,7 @@ pub fn run_worker_fault(cfg: SoakConfig) -> WorkerFaultReport {
         workers,
         pool_balanced,
         verdict_loss,
-        health,
+        health: phases.health,
         converged,
     }
 }

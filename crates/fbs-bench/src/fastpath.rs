@@ -1,6 +1,8 @@
-//! Fast-path throughput: pooled zero-copy `seal_into`/`open_into` per
-//! cipher suite, plus the sharded IP mapping driven through the fbs-ip
-//! worker runtime.
+//! Fast-path throughput: the sharded IP mapping driven through the
+//! fbs-ip worker runtime under NOP crypto (§7.3), so the rows measure
+//! protocol processing — partition, flow-table hit, framing, buffer
+//! recycling — with the cipher and MAC nullified. The cipher suites'
+//! rates are measured end to end through two hosts by `repro fig08`.
 //!
 //! Emits the `BENCH_fastpath.json` report. Allocation counts come from a
 //! counting `#[global_allocator]` that only the bench binaries install
@@ -11,10 +13,8 @@
 //! host the multi-worker mapping rows measure sharding/lock overhead,
 //! not parallel speedup.
 
-use crate::endpoints::{endpoint_pair, principals};
 use fbs_core::{BufferPool, FbsConfig};
 use fbs_crypto::dh::DhGroup;
-use fbs_crypto::CipherSuite;
 use fbs_ip::hooks::IpMappingConfig;
 use fbs_ip::World;
 use fbs_net::ip::{Ipv4Header, Proto};
@@ -25,47 +25,6 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Instant;
 
-/// Crypto mode for a bench run, mirroring the Fig. 8 variants.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// NOP crypto (§7.3): MAC and cipher nullified, so the measurement
-    /// isolates protocol processing — framing, flow-key cache, buffer
-    /// management — exactly what the zero-copy fast path optimises.
-    Nop,
-    /// Keyed-MD5 MAC only (the paper's non-secret mode).
-    MacOnly,
-    /// DES-CBC + keyed-MD5 (the paper's secret mode); software DES
-    /// dominates, so fast-path gains shrink to the allocation share.
-    DesMd5,
-}
-
-impl Mode {
-    /// JSON/report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mode::Nop => "nop",
-            Mode::MacOnly => "md5",
-            Mode::DesMd5 => "des+md5",
-        }
-    }
-
-    /// The endpoint configuration this mode implies (algorithm choices
-    /// only; geometry stays at defaults for callers to override).
-    pub fn config(self) -> FbsConfig {
-        match self {
-            Mode::Nop => FbsConfig {
-                nop_crypto: true,
-                ..FbsConfig::default()
-            },
-            _ => FbsConfig::default(),
-        }
-    }
-
-    fn secret(self) -> bool {
-        self != Mode::MacOnly
-    }
-}
-
 /// One measured configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct Rate {
@@ -75,22 +34,6 @@ pub struct Rate {
     pub bytes_per_sec: f64,
     /// Heap allocations per datagram (0 when no counting allocator).
     pub allocs_per_datagram: f64,
-}
-
-/// Side-by-side profile comparison on the pooled seal/open rows: one
-/// row per [`CipherSuite`] (secret mode, same payload/count as the
-/// mapping grid), so `BENCH_fastpath.json` shows paper DES+MD5,
-/// word-sliced DES-CTR, and the ChaCha20-Poly1305 AEAD in one table.
-#[derive(Clone, Copy, Debug)]
-pub struct SuiteRate {
-    /// The profile this row measured.
-    pub suite: CipherSuite,
-    /// Pooled `seal_into` rate under this suite.
-    pub seal_pooled: Rate,
-    /// Pooled `open_into` rate under this suite.
-    pub open_pooled: Rate,
-    /// Both rows' pool take/put ledgers balanced across every rep.
-    pub pool_balanced: bool,
 }
 
 /// A sharded-IP-mapping measurement: N threads driving output batches
@@ -167,17 +110,10 @@ pub struct FastpathReport {
     /// Host parallelism (1 ⇒ multi-worker mapping rows measure overhead,
     /// not speedup).
     pub cpus: usize,
-    /// Crypto mode the mapping grid ran under.
-    pub mode: Mode,
-    /// Cipher-suite grid: pooled seal/open per profile.
-    pub suites: Vec<SuiteRate>,
     /// Sharded-mapping grid: (threads, shards, workers) points against
     /// one shared `FbsIpHooks`, including the 1-thread
     /// `shards = workers = 1` baseline row.
     pub mapping: Vec<MappingRate>,
-    /// Headline: fast_des suite over the paper DES+MD5 suite on the
-    /// pooled seal row (the word-slicing + CTR/MAC fusion win).
-    pub speedup_fast_vs_paper: f64,
     /// Single-thread sharded mapping (8 shards, 1 worker) over the
     /// `shards = workers = 1` baseline: the cost of partitioning +
     /// sharding itself at fixed worker count, which must stay near 1.0.
@@ -208,45 +144,9 @@ fn json_hist(h: &HistogramSnapshot) -> String {
     )
 }
 
-/// Fold `s` into `acc`: counters add, histogram buckets add by lower
-/// bound. Used to merge the per-row mapping registries into the one
-/// snapshot the `--prom` exposition renders.
-fn merge_snapshot(acc: &mut MetricsSnapshot, s: &MetricsSnapshot) {
-    for (name, v) in &s.counters {
-        if *v > 0 {
-            acc.add(name, *v);
-        }
-    }
-    for (name, h) in &s.histograms {
-        let e = acc.histograms.entry(name.clone()).or_default();
-        for &(lo, hi, count) in &h.buckets {
-            match e.buckets.iter_mut().find(|(l, _, _)| *l == lo) {
-                Some(b) => b.2 += count,
-                None => e.buckets.push((lo, hi, count)),
-            }
-        }
-        e.buckets.sort_unstable_by_key(|b| b.0);
-        e.sum = e.sum.saturating_add(h.sum);
-    }
-}
-
 impl FastpathReport {
     /// Render as the `BENCH_fastpath.json` document.
     pub fn to_json(&self) -> String {
-        let suite_rows: Vec<String> = self
-            .suites
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"suite\": \"{}\", \"seal_pooled\": {}, \"open_pooled\": {}, \
-                     \"pool_balanced\": {}}}",
-                    s.suite.name(),
-                    json_rate(&s.seal_pooled),
-                    json_rate(&s.open_pooled),
-                    s.pool_balanced
-                )
-            })
-            .collect();
         let mapping_rows: Vec<String> = self
             .mapping
             .iter()
@@ -289,18 +189,13 @@ impl FastpathReport {
             .collect();
         format!(
             "{{\n  \"bench\": \"fastpath\",\n  \"payload_bytes\": {},\n  \"count\": {},\n  \
-             \"cpus\": {},\n  \"mode\": \"{}\",\n  \
-             \"suites\": [\n{}\n  ],\n  \
+             \"cpus\": {},\n  \"mode\": \"nop\",\n  \
              \"mapping\": [\n{}\n  ],\n  \
-             \"speedup_fast_vs_paper\": {:.3},\n  \
              \"mapping_sharded_vs_unsharded_1t\": {:.3}\n}}\n",
             self.payload_bytes,
             self.count,
             self.cpus,
-            self.mode.name(),
-            suite_rows.join(",\n"),
             mapping_rows.join(",\n"),
-            self.speedup_fast_vs_paper,
             self.mapping_sharded_vs_unsharded_1t
         )
     }
@@ -312,82 +207,6 @@ fn rate(count: usize, payload: usize, secs: f64, allocs: u64) -> Rate {
         bytes_per_sec: (count * payload) as f64 / secs,
         allocs_per_datagram: allocs as f64 / count as f64,
     }
-}
-
-/// An [`FbsConfig`] running `suite` in secret mode with otherwise
-/// default geometry.
-fn suite_config(suite: CipherSuite) -> FbsConfig {
-    FbsConfig {
-        suite,
-        ..FbsConfig::default()
-    }
-}
-
-/// Pooled seal row for one cipher suite (secret mode): `seal_into` a
-/// buffer that cycles through a [`BufferPool`], so steady state
-/// performs no heap allocation at all, plus the pool's take/put
-/// ledger-balance verdict.
-pub fn measure_seal_suite(
-    payload: usize,
-    count: usize,
-    suite: CipherSuite,
-    alloc: &dyn Fn() -> u64,
-) -> (Rate, bool) {
-    let (mut tx, _, _) = endpoint_pair(suite_config(suite), DhGroup::test_group());
-    let (_, d) = principals();
-    let body = vec![0xA5u8; payload];
-    let mut pool = BufferPool::new();
-    let mut warm = pool.take();
-    tx.seal_into(1, &d, &body, true, &mut warm).unwrap();
-    pool.put(warm);
-    let a0 = alloc();
-    let start = Instant::now();
-    for _ in 0..count {
-        let mut out = pool.take();
-        tx.seal_into(1, &d, &body, true, &mut out).unwrap();
-        std::hint::black_box(&out);
-        pool.put(out);
-    }
-    let r = rate(count, payload, start.elapsed().as_secs_f64(), alloc() - a0);
-    let s = pool.stats();
-    (r, s.hits + s.misses == s.returns + s.discards)
-}
-
-/// Pooled open row for one cipher suite (secret mode): `open_into` a
-/// pooled buffer over a pre-sealed stream of distinct wires (sfl
-/// cycling `0..8`), a realistic input stream rather than one cache-hot
-/// wire replayed; ledger-balance verdict included.
-pub fn measure_open_suite(
-    payload: usize,
-    count: usize,
-    suite: CipherSuite,
-    alloc: &dyn Fn() -> u64,
-) -> (Rate, bool) {
-    let (mut tx, mut rx, _) = endpoint_pair(suite_config(suite), DhGroup::test_group());
-    let (s, d) = principals();
-    let body = vec![0xA5u8; payload];
-    let wires: Vec<Vec<u8>> = (0..count as u64)
-        .map(|i| {
-            let mut wire = Vec::new();
-            tx.seal_into(i % 8, &d, &body, true, &mut wire).unwrap();
-            wire
-        })
-        .collect();
-    let mut pool = BufferPool::new();
-    let mut warm = pool.take();
-    rx.open_into(&s, &wires[0], &mut warm).unwrap();
-    pool.put(warm);
-    let a0 = alloc();
-    let start = Instant::now();
-    for wire in &wires {
-        let mut out = pool.take();
-        rx.open_into(&s, wire, &mut out).unwrap();
-        std::hint::black_box(&out);
-        pool.put(out);
-    }
-    let r = rate(count, payload, start.elapsed().as_secs_f64(), alloc() - a0);
-    let st = pool.stats();
-    (r, st.hits + st.misses == st.returns + st.discards)
 }
 
 /// Batch size for [`measure_mapping`]: large enough that the per-batch
@@ -412,11 +231,9 @@ const MAPPING_FLOWS: usize = 64;
 /// the run is instrumented: a registry is attached before the first
 /// batch, and its snapshot, read while the hooks still live, is folded
 /// into `obs`.
-#[allow(clippy::too_many_arguments)]
 pub fn measure_mapping(
     payload: usize,
     count: usize,
-    mode: Mode,
     threads: usize,
     shards: usize,
     workers: usize,
@@ -427,14 +244,17 @@ pub fn measure_mapping(
     let a: [u8; 4] = [10, 11, 0, 1];
     let b: [u8; 4] = [10, 11, 0, 2];
     let cfg = IpMappingConfig {
-        encrypt: mode.secret(),
+        encrypt: true,
         shards,
         workers,
         // Generous FST so the bench's flows never collide in a slot: the
         // rows measure the steady-state hot path (hit + seal), not
         // eviction ping-pong between same-slot flows.
         fst_size: 4096,
-        fbs: mode.config(),
+        fbs: FbsConfig {
+            nop_crypto: true,
+            ..FbsConfig::default()
+        },
         ..IpMappingConfig::default()
     };
     let hooks = world.hooks(a, cfg.clone());
@@ -516,7 +336,7 @@ pub fn measure_mapping(
         .collect();
     let allocs = alloc() - a0;
     if let (Some(acc), Some(reg)) = (obs, registry) {
-        merge_snapshot(acc, &reg.snapshot());
+        acc.merge(&reg.snapshot());
     }
     let first = spans.iter().map(|s| s.0).min().expect("threads > 0");
     let last = spans.iter().map(|s| s.1).max().expect("threads > 0");
@@ -527,10 +347,6 @@ pub fn measure_mapping(
     )
 }
 
-/// Repetitions per measured row: a lone pass on a shared (often
-/// single-CPU) host is noisy, so each row reports its best of three.
-const REPS: usize = 3;
-
 /// Repetitions per mapping row (see the mapping grid below).
 const MAPPING_REPS: usize = 7;
 
@@ -540,47 +356,8 @@ fn median_of(mut reps: Vec<Rate>) -> Rate {
     reps[reps.len() / 2]
 }
 
-fn best_of(reps: usize, f: impl Fn() -> Rate) -> Rate {
-    (0..reps)
-        .map(|_| f())
-        .max_by(|a, b| a.datagrams_per_sec.total_cmp(&b.datagrams_per_sec))
-        .expect("reps > 0")
-}
-
 /// Run the full grid and assemble the report.
-pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) -> FastpathReport {
-    // Suite grid: pooled seal/open per profile, side by side.
-    let suites: Vec<SuiteRate> = CipherSuite::ALL
-        .iter()
-        .map(|&suite| {
-            let balanced = std::cell::Cell::new(true);
-            let seal_pooled = best_of(REPS, || {
-                let (r, ok) = measure_seal_suite(payload, count, suite, alloc);
-                balanced.set(balanced.get() && ok);
-                r
-            });
-            let open_pooled = best_of(REPS, || {
-                let (r, ok) = measure_open_suite(payload, count, suite, alloc);
-                balanced.set(balanced.get() && ok);
-                r
-            });
-            SuiteRate {
-                suite,
-                seal_pooled,
-                open_pooled,
-                pool_balanced: balanced.get(),
-            }
-        })
-        .collect();
-    let suite_seal = |s: CipherSuite| {
-        suites
-            .iter()
-            .find(|row| row.suite == s)
-            .expect("suite grid complete")
-            .seal_pooled
-            .datagrams_per_sec
-    };
-    let speedup_fast_vs_paper = suite_seal(CipherSuite::FastDes) / suite_seal(CipherSuite::Paper);
+pub fn run(payload: usize, count: usize, alloc: &dyn Fn() -> u64) -> FastpathReport {
     // Mapping grid: the shards=workers=1 single-thread row is the
     // unsharded baseline; the 1-thread 8-shard 1-worker row isolates
     // partitioning cost at fixed worker count (the sharding-cost
@@ -599,9 +376,8 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
     for _ in 0..MAPPING_REPS {
         for ((threads, shards, workers), snap, reps, bare, balanced) in rows.iter_mut() {
             let mut measure = |obs| {
-                let (rate, ok) = measure_mapping(
-                    payload, count, mode, *threads, *shards, *workers, obs, alloc,
-                );
+                let (rate, ok) =
+                    measure_mapping(payload, count, *threads, *shards, *workers, obs, alloc);
                 *balanced &= ok;
                 rate
             };
@@ -621,7 +397,7 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
                 })
                 .collect();
             let occupancy = owner_rows(&snap, workers);
-            merge_snapshot(&mut obs, &snap);
+            obs.merge(&snap);
             MappingRate {
                 threads,
                 shards,
@@ -646,10 +422,7 @@ pub fn run(payload: usize, count: usize, mode: Mode, alloc: &dyn Fn() -> u64) ->
         payload_bytes: payload,
         count,
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        mode,
-        speedup_fast_vs_paper,
         mapping_sharded_vs_unsharded_1t: mapping_rate(1, 8) / mapping_rate(1, 1),
-        suites,
         mapping,
         obs,
     }
@@ -661,28 +434,13 @@ mod tests {
 
     #[test]
     fn report_json_is_well_formed() {
-        let r = run(256, 40, Mode::DesMd5, &|| 0);
+        let r = run(256, 40, &|| 0);
         let json = r.to_json();
         assert!(json.contains("\"bench\": \"fastpath\""));
         assert!(!json.contains("legacy") && !json.contains("inline"));
         assert_eq!(r.mapping.len(), 4);
         assert!(json.contains("\"mapping\""));
         assert!(json.contains("\"mapping_sharded_vs_unsharded_1t\""));
-        // Suite grid schema: one row per profile, pooled rows must keep
-        // a balanced buffer ledger and (with the binary's counting
-        // allocator absent here) a zero alloc column.
-        assert_eq!(r.suites.len(), CipherSuite::ALL.len());
-        assert!(json.contains("\"suites\""));
-        assert!(json.contains("\"speedup_fast_vs_paper\""));
-        for (row, want) in r.suites.iter().zip(CipherSuite::ALL) {
-            assert_eq!(row.suite, want);
-            assert!(json.contains(&format!("\"suite\": \"{}\"", want.name())));
-            assert!(row.seal_pooled.datagrams_per_sec > 0.0);
-            assert!(row.open_pooled.datagrams_per_sec > 0.0);
-            assert!(row.pool_balanced, "suite row leaked buffers: {row:?}");
-            assert_eq!(row.seal_pooled.allocs_per_datagram, 0.0);
-            assert_eq!(row.open_pooled.allocs_per_datagram, 0.0);
-        }
         for m in &r.mapping {
             assert!(m.rate.datagrams_per_sec > 0.0);
             assert!(m.bare.datagrams_per_sec > 0.0);
@@ -728,8 +486,4 @@ mod tests {
         let closes = json.matches('}').count() + json.matches(']').count();
         assert_eq!(opens, closes);
     }
-
-    // The paper vs fast_des speed fence, `fast_suite_outruns_paper_suite`,
-    // lives in `tests/suite_speed.rs`: its own test binary, so no sibling
-    // test loads the host while it measures.
 }

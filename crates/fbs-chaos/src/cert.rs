@@ -131,9 +131,9 @@ impl CertSource for ChaosDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
     use crate::plan::FaultKind;
     use fbs_cert::{CertificateAuthority, Directory};
+    use fbs_core::ManualClock;
     use fbs_crypto::dh::{DhGroup, PrivateValue};
     use std::time::Duration;
 
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn outage_window_fails_then_recovers() {
         let (dir, _ca) = world();
-        let clock = Arc::new(VirtualClock::default());
+        let clock = Arc::new(ManualClock::default());
         let plan = FaultPlan::new(9).with_window(100, 200, FaultKind::DirectoryOutage);
         let chaos = ChaosDirectory::new(dir, plan, clock.clone());
         let alice = Principal::named("alice");
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn stale_window_replays_first_cert() {
         let (dir, ca) = world();
-        let clock = Arc::new(VirtualClock::default());
+        let clock = Arc::new(ManualClock::default());
         let plan = FaultPlan::new(9).with_window(100, 200, FaultKind::DirectoryStale);
         let chaos =
             ChaosDirectory::new(Arc::clone(&dir) as Arc<dyn CertSource>, plan, clock.clone());
@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn garbage_window_corrupts_deterministically() {
         let (dir, _ca) = world();
-        let clock = Arc::new(VirtualClock::starting_at_us(150));
+        let clock = Arc::new(ManualClock::starting_at_us(150));
         let plan = FaultPlan::new(42).with_window(100, 200, FaultKind::DirectoryGarbage);
         let chaos = ChaosDirectory::new(Arc::clone(&dir) as Arc<dyn CertSource>, plan, clock);
         let alice = Principal::named("alice");
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn latency_window_accounts_extra_rtt() {
         let (dir, _ca) = world();
-        let clock = Arc::new(VirtualClock::starting_at_us(10));
+        let clock = Arc::new(ManualClock::starting_at_us(10));
         let plan = FaultPlan::new(9).with_window(
             0,
             100,

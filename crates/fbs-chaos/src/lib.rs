@@ -8,8 +8,8 @@
 //! upcall path ([`ChaosPvs`]), the flow-key caches (flush pulses /
 //! eviction storms driven by [`FaultPlan::cache_pulses`]), and the
 //! datagram-plane runtime's shard owners ([`OwnerChaos`]: scheduled
-//! owner panics), all on a shared microsecond
-//! [`VirtualClock`].
+//! owner panics), all on one shared microsecond
+//! [`ManualClock`](fbs_core::ManualClock).
 //!
 //! Everything is a pure function of `(seed, schedule, virtual time)` —
 //! no wall-clock, no OS entropy — so a chaos soak that fails once fails
@@ -19,13 +19,11 @@
 #![warn(missing_docs)]
 
 pub mod cert;
-pub mod clock;
 pub mod mkd;
 pub mod owner;
 pub mod plan;
 
 pub use cert::{ChaosDirectory, ChaosDirectoryStats};
-pub use clock::VirtualClock;
 pub use mkd::{ChaosPvs, ChaosPvsStats};
 pub use owner::OwnerChaos;
 pub use plan::{FaultKind, FaultPlan, FaultWindow, FlushScope};

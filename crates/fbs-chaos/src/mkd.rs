@@ -64,9 +64,9 @@ impl PublicValueSource for ChaosPvs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
     use crate::plan::FaultKind;
     use fbs_core::mkd::PinnedDirectory;
+    use fbs_core::ManualClock;
     use fbs_crypto::dh::{DhGroup, PrivateValue};
 
     #[test]
@@ -75,7 +75,7 @@ mod tests {
         let pv = PrivateValue::from_entropy(DhGroup::test_group(), b"bob").public_value();
         pinned.pin(Principal::named("bob"), pv.clone());
 
-        let clock = Arc::new(VirtualClock::default());
+        let clock = Arc::new(ManualClock::default());
         let plan = FaultPlan::new(3).with_window(50, 100, FaultKind::MkdOutage);
         let chaos = ChaosPvs::new(Arc::new(pinned), plan, clock.clone());
         let bob = Principal::named("bob");

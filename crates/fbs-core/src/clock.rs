@@ -66,38 +66,63 @@ impl Clock for SystemClock {
     }
 }
 
-/// A manually-advanced clock for tests and trace-driven simulation.
+/// A manually-advanced clock for tests, trace-driven simulation and
+/// the chaos soak.
 ///
-/// Cloning shares the underlying time cell, so a clock handed to an
-/// endpoint can be advanced from the test body.
+/// One atomic cell holds microseconds since the FBS epoch, so fault
+/// windows, backoff budgets and breaker open intervals tick on the same
+/// axis as the seconds the protocol reads. The seconds forms
+/// ([`starting_at`](Self::starting_at), [`advance`](Self::advance),
+/// [`set`](Self::set)) move it by whole seconds. Cloning shares the
+/// cell, so a clock handed to an endpoint can be advanced from the test
+/// body.
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock {
-    secs: Arc<AtomicU64>,
+    micros: Arc<AtomicU64>,
 }
 
 impl ManualClock {
     /// Start at `secs` seconds past the FBS epoch.
     pub fn starting_at(secs: u64) -> Self {
+        Self::starting_at_us(secs.saturating_mul(1_000_000))
+    }
+
+    /// Start at `micros` microseconds past the FBS epoch.
+    pub fn starting_at_us(micros: u64) -> Self {
         ManualClock {
-            secs: Arc::new(AtomicU64::new(secs)),
+            micros: Arc::new(AtomicU64::new(micros)),
         }
     }
 
     /// Advance by `secs` seconds.
     pub fn advance(&self, secs: u64) {
-        self.secs.fetch_add(secs, Ordering::SeqCst);
+        self.micros
+            .fetch_add(secs.saturating_mul(1_000_000), Ordering::SeqCst);
     }
 
     /// Jump to an absolute time (may go backwards — useful for testing
     /// unsynchronised-machine scenarios, §6.2).
     pub fn set(&self, secs: u64) {
-        self.secs.store(secs, Ordering::SeqCst);
+        self.set_us(secs.saturating_mul(1_000_000));
+    }
+
+    /// Jump to an absolute time in microseconds.
+    pub fn set_us(&self, micros: u64) {
+        self.micros.store(micros, Ordering::SeqCst);
     }
 }
 
 impl Clock for ManualClock {
     fn now_secs(&self) -> u64 {
-        self.secs.load(Ordering::SeqCst)
+        self.now_micros() / 1_000_000
+    }
+
+    fn now_minutes(&self) -> u32 {
+        (self.now_micros() / 60_000_000) as u32
+    }
+
+    fn now_micros(&self) -> u64 {
+        self.micros.load(Ordering::SeqCst)
     }
 }
 
@@ -131,6 +156,19 @@ mod tests {
         assert_eq!(c.now_minutes(), 3);
         c.set(59);
         assert_eq!(c.now_minutes(), 0);
+    }
+
+    #[test]
+    fn micros_drive_secs_and_minutes() {
+        let c = ManualClock::starting_at_us(61_500_000);
+        assert_eq!(c.now_micros(), 61_500_000);
+        assert_eq!(c.now_secs(), 61);
+        assert_eq!(c.now_minutes(), 1);
+        c.set_us(62_000_000);
+        assert_eq!(c.now_secs(), 62);
+        c.advance(58);
+        assert_eq!((c.now_secs(), c.now_minutes()), (120, 2));
+        assert_eq!(c.now_micros(), 120_000_000);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The allocation floor of the datagram path, counted. Two hosts from
-//! `build_secure_host` carry warm bursts of 1,024 UDP datagrams of 64
-//! bytes the way the end-to-end benchmark drives them — `udp::encode` →
+//! The allocation floor of the datagram path, counted. Two hosts of one
+//! `World` carry warm bursts of 1,024 UDP datagrams of 64 bytes the way
+//! the end-to-end benchmark drives them — `udp::encode` →
 //! `ip_output_batch` → `take_frames` → `deliver_frames` → `udp.recv` —
-//! and every allocation the process makes is counted.
+//! under NOP crypto and under each cipher suite, and every allocation
+//! the process makes is counted.
 //!
 //! Three allocations per single-frame datagram are the floor: the
 //! caller's `udp::encode` segment, the frame on the wire, and the copy a
@@ -142,6 +143,10 @@ fn imbalance(s: PoolStats, foreign: u64) -> u64 {
 
 #[test]
 fn warm_bursts_allocate_three_per_datagram() {
+    let suite = |suite| FbsConfig {
+        suite,
+        ..FbsConfig::default()
+    };
     let suites = [
         (
             "nop_crypto",
@@ -150,13 +155,9 @@ fn warm_bursts_allocate_three_per_datagram() {
                 ..FbsConfig::default()
             },
         ),
-        (
-            "aead_chacha_poly",
-            FbsConfig {
-                suite: CipherSuite::AeadChaPoly,
-                ..FbsConfig::default()
-            },
-        ),
+        ("aead_chacha_poly", suite(CipherSuite::AeadChaPoly)),
+        ("paper", suite(CipherSuite::Paper)),
+        ("fast_des", suite(CipherSuite::FastDes)),
     ];
     for (name, fbs) in suites {
         let mut w = World::new(fbs);

@@ -19,6 +19,7 @@
 //!   so a forger cannot wash a rare event out of the ring.
 
 use fbs_core::{flow_key_hash, BufferPool, Principal};
+use fbs_crypto::des::BLOCK_SIZE;
 use fbs_crypto::dh::DhGroup;
 use fbs_ip::hooks::FbsIpHooks;
 use fbs_ip::hooks::IpMappingConfig;
@@ -35,7 +36,7 @@ const NOW_US: u64 = 1_000_000;
 const BATCH: usize = 16;
 
 fn build_pair(cfg: IpMappingConfig) -> (FbsIpHooks, FbsIpHooks, Arc<MetricsRegistry>) {
-    let world = World::new(32, DhGroup::test_group());
+    let world = World::new(31, DhGroup::test_group());
     let sender = world.hooks(A, cfg.clone());
     let receiver = world.hooks(B, cfg);
     let reg = Arc::new(MetricsRegistry::new());
@@ -116,8 +117,14 @@ fn forged_input_at(workers: usize) {
         }
     }
 
-    // Seal a batch, then corrupt the trailing byte (ciphertext/MAC
-    // trailer — never the header) of every fourth datagram.
+    // Seal a batch, then corrupt every fourth datagram's ciphertext —
+    // never the header — one DES block before its end. CBC garbles the
+    // whole plaintext block under the flipped one, and the MAC covers
+    // that block, so the verdict is a bad MAC under every key. The last
+    // block would not do: beside one body byte it holds padding, which
+    // the MAC does not cover, and when the garbled body byte comes out
+    // unchanged (one key in 256) the padding check answers
+    // `MalformedCiphertext` instead.
     const ROUNDS: u32 = 4;
     let mut sent = 0u64;
     let mut corrupted_total = 0u64;
@@ -138,7 +145,8 @@ fn forged_input_at(workers: usize) {
             .map(|(i, (header, outcome))| match outcome {
                 HookOutcome::Pass(mut wire) => {
                     if i % 4 == 1 {
-                        *wire.last_mut().expect("sealed wire is non-empty") ^= 0x5A;
+                        let n = wire.len();
+                        wire[n - 1 - BLOCK_SIZE] ^= 0x5A;
                         corrupt_idx.push(i);
                     }
                     Datagram {
