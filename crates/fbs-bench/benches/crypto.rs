@@ -136,21 +136,6 @@ fn bench_keying(c: &mut Criterion) {
             Arc::new(cfg.seal_key(key))
         })
     });
-    // Two births between one pair of hosts keyed together, as the hooks
-    // pair them: both derives in one two-lane MD5, then both ChaCha20
-    // expansions two lanes at a time. Two keys per iteration: elem/s is
-    // keys per second, as in the row above.
-    g.throughput(Throughput::Elements(2));
-    g.bench_function("flow-birth-aead-oakley2-pair", |bch| {
-        let mut sfl = 0u64;
-        bch.iter(|| {
-            sfl += 2;
-            let sfls = [sfl - 1, sfl];
-            let keys =
-                fbs_core::derive_flow_key_pair(cfg.key_derivation, sfls, &master, &src, &dst);
-            cfg.seal_key_pair(keys).map(Arc::new)
-        })
-    });
     g.finish();
 }
 

@@ -178,7 +178,8 @@ pub struct WorkerFaultReport {
     /// set as the keying soak).
     pub health: Vec<(&'static str, HealthReport)>,
     /// Headline: ratio ≥ 0.9, zero verdict loss, pool balanced, no
-    /// worker quarantined, and the faults actually bit.
+    /// worker quarantined, the faults actually bit, and every panic
+    /// was respawned.
     pub converged: bool,
 }
 
@@ -832,7 +833,8 @@ pub fn run_worker_fault(cfg: SoakConfig) -> WorkerFaultReport {
         && verdict_loss == 0
         && pool_balanced
         && quarantined == 0
-        && panics >= 1;
+        && panics >= 1
+        && respawns == panics;
     let [baseline, fault, settle, recovery] = phases.tallies;
 
     WorkerFaultReport {

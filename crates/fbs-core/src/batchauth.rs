@@ -5,7 +5,7 @@
 //! resolves them with ONE fold over the XOR-differences: a clean batch
 //! costs a single branch instead of one comparison-and-branch per tag.
 //! The datapath does not use it — it verifies each datagram's MAC inline
-//! with `mac_eq` (DESIGN.md, "History and rationale: batch-amortised
+//! with `mac_eq` (DESIGN_HISTORY.md, "Batch-amortised
 //! authentication"). `benchmark/src/replay.rs` is now its only caller,
 //! which pins it until ROADMAP item 1(a) deletes both.
 //!

@@ -19,8 +19,7 @@
 //!    own buffer pool; a caller holds at most ONE owner lock at a
 //!    time), and an [`FbsEndpoint`](crate::FbsEndpoint) keeps it behind
 //!    its `&mut self`. A key derivation on a miss
-//!    ([`KeyingService::derive`], the one derive both engines call; the
-//!    hooks call it as [`KeyingService::derive_paired`])
+//!    ([`KeyingService::derive`], the one derive both engines call)
 //!    runs under that outer lock and takes only the service's locks
 //!    below; the hooks reserve the sfl before the derive so a failure
 //!    burns it (sfls are never reused).
@@ -32,7 +31,7 @@
 
 use crate::cache::{CacheStats, SoftCache};
 use crate::error::Result;
-use crate::keying::{derive_flow_key, derive_flow_key_pair, SealedFlowKey};
+use crate::keying::{derive_flow_key, SealedFlowKey};
 use crate::mkd::{MasterKeyDaemon, MkdStats};
 use crate::principal::Principal;
 use crate::protocol::FlowCodec;
@@ -180,58 +179,6 @@ impl<K: Eq + std::hash::Hash + Clone + 'static, V: Clone> ShardedCache<K, V> {
     }
 }
 
-/// A flow about to be born: its sfl, and the caller's shard of flow
-/// state that will hold it (always 0 for an
-/// [`FbsEndpoint`](crate::FbsEndpoint), which has one).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Birth {
-    /// The caller's shard.
-    pub shard: usize,
-    /// The flow's sfl.
-    pub sfl: u64,
-}
-
-/// The second key of a paired derive, and everything it was derived
-/// from.
-struct Early {
-    birth: Birth,
-    peer: Principal,
-    outbound: bool,
-    master: Arc<[u8]>,
-    key: SealedFlowKey,
-}
-
-/// A flow key derived one datagram early by
-/// [`KeyingService::derive_paired`], waiting for its own datagram's
-/// derive. One entry, held in place: keeping it never allocates. The key
-/// is handed out only on an exact match of everything the derive would
-/// read — the birth (shard and sfl), the peer, the direction, and the
-/// very master-key `Arc` the MKC returns at that datagram's turn — so a
-/// wrong guess costs a wasted hash and never a key. A rekey between the
-/// two datagrams ([`KeyingService::forget_peer`]) makes the MKC hand out
-/// a new `Arc`, and the stash is passed over.
-#[derive(Default)]
-pub struct KeyStash(Option<Early>);
-
-impl KeyStash {
-    /// The waiting key, if it was derived for exactly this birth, peer,
-    /// direction and master key.
-    fn take(
-        &mut self,
-        birth: Birth,
-        peer: &Principal,
-        outbound: bool,
-        master: &Arc<[u8]>,
-    ) -> Option<SealedFlowKey> {
-        let e = self.0.as_ref()?;
-        let exact = e.birth == birth
-            && e.outbound == outbound
-            && e.peer == *peer
-            && Arc::ptr_eq(&e.master, master);
-        exact.then(|| self.0.take().expect("matched above").key)
-    }
-}
-
 /// The keying service of both FBS engines: the master key cache
 /// (sharded, lock-free stats) in front of the one [`MasterKeyDaemon`]
 /// (its own mutex — upcalls are rare and expensive, §5.3's whole
@@ -317,79 +264,17 @@ impl KeyingService {
         peer: &Principal,
         outbound: bool,
     ) -> Result<SealedFlowKey> {
-        let birth = Birth { shard: 0, sfl };
-        self.derive_paired(
-            codec,
-            birth,
-            peer,
-            outbound,
-            &mut KeyStash::default(),
-            || None,
-        )
-    }
-
-    /// [`derive`](Self::derive) for a caller that can see the next
-    /// datagram. The MKC probe, the upcall rule and the count are
-    /// `derive`'s, datagram for datagram; only where the hash runs moves:
-    ///
-    /// * a key `stash` holds for exactly this birth, between these
-    ///   principals, under the master key the probe just returned, is
-    ///   taken instead of hashed;
-    /// * otherwise, if `partner` names the next datagram's birth between
-    ///   the same principals, both keys are derived in one two-lane hash
-    ///   under the master key already in hand, and the partner's waits in
-    ///   `stash` for its own datagram's derive. No upcall moves earlier:
-    ///   the partner's peer is this one's.
-    ///
-    /// `partner` runs only when a hash does, so a caller whose datagrams
-    /// all hit pays nothing for it.
-    pub fn derive_paired(
-        &self,
-        codec: &FlowCodec,
-        birth: Birth,
-        peer: &Principal,
-        outbound: bool,
-        stash: &mut KeyStash,
-        partner: impl FnOnce() -> Option<Birth>,
-    ) -> Result<SealedFlowKey> {
         let obs = codec.obs();
         let t0 = obs.map(|_| (codec.clock().now_micros(), StageTimer::start()));
         let master = self.master_key(peer)?;
-        let k = match stash.take(birth, peer, outbound, &master) {
-            Some(k) => k,
-            None => {
-                let local = codec.local();
-                let (src, dst) = if outbound {
-                    (local, peer)
-                } else {
-                    (peer, local)
-                };
-                let cfg = codec.config();
-                match partner() {
-                    None => cfg.seal_key(derive_flow_key(
-                        cfg.key_derivation,
-                        birth.sfl,
-                        &master,
-                        src,
-                        dst,
-                    )),
-                    Some(next) => {
-                        let sfls = [birth.sfl, next.sfl];
-                        let keys =
-                            derive_flow_key_pair(cfg.key_derivation, sfls, &master, src, dst);
-                        let [k, early] = cfg.seal_key_pair(keys);
-                        stash.0 = Some(Early {
-                            birth: next,
-                            peer: peer.clone(),
-                            outbound,
-                            master,
-                            key: early,
-                        });
-                        k
-                    }
-                }
-            }
+        let local = codec.local();
+        let (src, dst) = if outbound {
+            (local, peer)
+        } else {
+            (peer, local)
         };
+        let cfg = codec.config();
+        let k = cfg.seal_key(derive_flow_key(cfg.key_derivation, sfl, &master, src, dst));
         if let (Some(reg), Some((t0, timer))) = (obs, t0) {
             reg.incr(Counter::KeyDerivations);
             reg.observe(
@@ -553,115 +438,5 @@ mod tests {
         // Failures are not cached: a second attempt upcalls again.
         assert!(svc.master_key(&stranger).is_err());
         assert_eq!(svc.mkd_stats().upcalls, 2);
-    }
-
-    /// A directory whose one peer a test can re-key: a new private value
-    /// behind the same principal.
-    struct RekeyableSource(Arc<Mutex<fbs_crypto::dh::PublicValue>>);
-
-    impl crate::mkd::PublicValueSource for RekeyableSource {
-        fn fetch(&self, _: &Principal) -> Result<fbs_crypto::dh::PublicValue> {
-            Ok(self.0.lock().clone())
-        }
-    }
-
-    /// A keying service, an AEAD codec for its local principal, the peer,
-    /// and the handle that re-keys the peer.
-    fn aead_service() -> (
-        KeyingService,
-        FlowCodec,
-        Principal,
-        Arc<Mutex<fbs_crypto::dh::PublicValue>>,
-    ) {
-        let group = DhGroup::test_group();
-        let s_priv = PrivateValue::from_entropy(group.clone(), b"source-entropy-bytes");
-        let d_pub = PrivateValue::from_entropy(group, b"dest-entropy-bytes!!").public_value();
-        let value = Arc::new(Mutex::new(d_pub));
-        let source = RekeyableSource(Arc::clone(&value));
-        let svc = KeyingService::new(MasterKeyDaemon::new(s_priv, Box::new(source)), 32, 4);
-        let cfg = crate::protocol::FbsConfig {
-            suite: fbs_crypto::CipherSuite::AeadChaPoly,
-            ..Default::default()
-        };
-        let clock = Arc::new(crate::clock::ManualClock::starting_at(0));
-        let codec = FlowCodec::new(Principal::named("S"), cfg, clock, 1);
-        (svc, codec, Principal::named("D"), value)
-    }
-
-    /// A paired derive keys the partner's birth exactly as its own
-    /// derive would, hands that key only to an exact match, and leaves
-    /// every count as unpaired derives leave them.
-    #[test]
-    fn a_paired_key_waits_for_exactly_its_birth() {
-        let (svc, codec, d, _) = aead_service();
-        let single = |sfl| svc.derive(&codec, sfl, &d, true).unwrap();
-        let (want10, want11) = (single(10), single(11));
-        let mut stash = KeyStash::default();
-        let birth = |shard, sfl| Birth { shard, sfl };
-        let first = svc
-            .derive_paired(&codec, birth(3, 10), &d, true, &mut stash, || {
-                Some(birth(5, 11))
-            })
-            .unwrap();
-        assert_eq!(first.chacha_key(), want10.chacha_key());
-        assert!(stash.0.is_some());
-        // Another shard, sfl or direction passes the stash over.
-        let called = std::cell::Cell::new(0);
-        for (b, outbound) in [
-            (birth(4, 11), true),
-            (birth(5, 12), true),
-            (birth(5, 11), false),
-        ] {
-            svc.derive_paired(&codec, b, &d, outbound, &mut stash, || {
-                called.set(called.get() + 1);
-                None
-            })
-            .unwrap();
-            assert!(stash.0.is_some(), "{b:?} outbound {outbound}");
-        }
-        assert_eq!(
-            called.get(),
-            3,
-            "each of those hashed, so each looked ahead"
-        );
-        let second = svc
-            .derive_paired(&codec, birth(5, 11), &d, true, &mut stash, || {
-                panic!("a stashed key is taken, not hashed, so nothing looks ahead")
-            })
-            .unwrap();
-        assert!(stash.0.is_none());
-        assert_eq!(second.chacha_key(), want11.chacha_key());
-        // Seven derives, seven MKC probes (the first misses, and probes
-        // again under the `mkd` lock), one upcall.
-        let mkc = svc.mkc_stats();
-        assert_eq!((mkc.lookups(), mkc.hits), (8, 6));
-        assert_eq!(svc.mkd_stats().upcalls, 1);
-    }
-
-    /// A rekey between the paired datagram and its partner gives the
-    /// partner's derive a new master-key `Arc`: the stash is passed over
-    /// and the key is the new master's.
-    #[test]
-    fn a_rekey_between_the_pair_passes_the_stash_over() {
-        let (svc, codec, d, value) = aead_service();
-        let old = svc.derive(&codec, 21, &d, true).unwrap();
-        let mut stash = KeyStash::default();
-        let b = |sfl| Birth { shard: 0, sfl };
-        svc.derive_paired(&codec, b(20), &d, true, &mut stash, || Some(b(21)))
-            .unwrap();
-        let group = DhGroup::test_group();
-        *value.lock() = PrivateValue::from_entropy(group, b"dest-rekeyed-entropy").public_value();
-        svc.forget_peer(&d);
-        let after = svc
-            .derive_paired(&codec, b(21), &d, true, &mut stash, || None)
-            .unwrap();
-        assert!(stash.0.is_some(), "the stale key is not taken");
-        assert_ne!(
-            after.chacha_key(),
-            old.chacha_key(),
-            "a new master, a new key"
-        );
-        let fresh = svc.derive(&codec, 21, &d, true).unwrap();
-        assert_eq!(after.chacha_key(), fresh.chacha_key());
     }
 }

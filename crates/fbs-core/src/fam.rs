@@ -202,26 +202,6 @@ impl<A, P: FlowPolicy<A, V>, V> Fst<A, P, V> {
         None
     }
 
-    /// Would [`probe`](Self::probe) of `attrs` at `now_secs` start a new
-    /// flow, once `pending` (a flow this table is about to insert, if
-    /// any, born at `now_secs` and so taken to be live) holds its slot?
-    /// A quiet look: it counts nothing and refreshes nothing.
-    pub fn would_start(&self, attrs: &A, now_secs: u64, pending: Option<&A>) -> bool {
-        let i = self.slot_of(attrs);
-        if let Some(p) = pending.filter(|p| self.slot_of(p) == i) {
-            return !self.policy.same_flow(p, attrs);
-        }
-        let slot = self.slots.get(i / CHUNK_SLOTS).map(|c| &c[i % CHUNK_SLOTS]);
-        !slot.and_then(Option::as_ref).is_some_and(|e| {
-            !self.policy.expired(e, now_secs) && self.policy.same_flow(&e.attrs, attrs)
-        })
-    }
-
-    /// The sfl the next [`reserve_sfl`](Self::reserve_sfl) will return.
-    pub fn next_sfl(&self) -> u64 {
-        self.alloc.peek()
-    }
-
     /// Allocate the sfl for a flow about to start. Separated from
     /// [`insert_with`](Self::insert_with) so the sfl is reserved before
     /// the key is derived: an sfl burned on a derivation error is never

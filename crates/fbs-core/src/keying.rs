@@ -82,34 +82,13 @@ impl FlowKey {
     fn chacha_key(&self) -> [u8; 32] {
         let mut h = Md5x2::new();
         h.update([self.as_bytes(); 2]);
-        h.update(CHACHA_TAGS);
+        h.update([b"\x00fbs-chacha", b"\x01fbs-chacha"]);
         let [lo, hi] = h.finalize();
-        join(lo, hi)
+        let mut out = [0u8; 32];
+        out[..16].copy_from_slice(&lo);
+        out[16..].copy_from_slice(&hi);
+        out
     }
-}
-
-/// The domain tags of the ChaCha20 key's two halves.
-const CHACHA_TAGS: [&[u8]; 2] = [b"\x00fbs-chacha", b"\x01fbs-chacha"];
-
-/// Two MD5 halves as one 256-bit key.
-fn join(lo: [u8; 16], hi: [u8; 16]) -> [u8; 32] {
-    let mut out = [0u8; 32];
-    out[..16].copy_from_slice(&lo);
-    out[16..].copy_from_slice(&hi);
-    out
-}
-
-/// The ChaCha20 keys of two flow keys of one length, each equal to
-/// [`FlowKey::chacha_key`]'s: the two flows' low halves in one
-/// two-lane MD5, their high halves in another.
-fn chacha_key_pair(keys: [&FlowKey; 2]) -> [[u8; 32]; 2] {
-    let [lo, hi] = CHACHA_TAGS.map(|tag| {
-        let mut h = Md5x2::new();
-        h.update(keys.map(FlowKey::as_bytes));
-        h.update([tag; 2]);
-        h.finalize()
-    });
-    [join(lo[0], hi[0]), join(lo[1], hi[1])]
 }
 
 impl std::fmt::Debug for FlowKey {
@@ -238,26 +217,6 @@ impl SealedFlowKey {
         SealedFlowKey { material }
     }
 
-    /// [`seal_for`](Self::seal_for) of two flow keys of one derivation,
-    /// each key equal to the one `seal_for` seals: the AEAD suite expands
-    /// both ChaCha20 keys two MD5 lanes at a time, the DES suites seal one
-    /// after the other.
-    pub(crate) fn seal_pair_for(
-        keys: [FlowKey; 2],
-        suite: CipherSuite,
-        mac_alg: MacAlgorithm,
-        enc_alg: EncAlgorithm,
-    ) -> [Self; 2] {
-        match suite {
-            CipherSuite::AeadChaPoly => {
-                chacha_key_pair([&keys[0], &keys[1]]).map(|k| SealedFlowKey {
-                    material: KeyMaterial::Aead(k),
-                })
-            }
-            _ => keys.map(|key| Self::seal_for(key, suite, mac_alg, enc_alg)),
-        }
-    }
-
     /// `self` in a `Box`: `old`'s allocation, overwritten, when a table
     /// evicted one, else a new one. A birth that displaces a key then
     /// allocates nothing for an AEAD key (a DES key still brings its
@@ -329,28 +288,25 @@ impl std::fmt::Debug for SealedFlowKey {
     }
 }
 
-/// Feed the hash input of `K_f = H(sfl | K_{S,D} | S | D)` for each of
-/// `sfls` to `absorb`, part by part, one lane per sfl: the one definition
-/// the single and the pair derive both read. The parts have equal lengths
-/// across lanes; only the sfl differs.
+/// Feed the hash input of `K_f = H(sfl | K_{S,D} | S | D)` to `absorb`,
+/// part by part: the one definition both hashes read.
 ///
 /// Principal encodings are length-prefixed inside the hash input so that
 /// distinct `(S, D)` pairs can never collide by boundary-shifting (e.g.
 /// S="ab", D="c" vs S="a", D="bc").
-fn flow_key_input<const N: usize>(
-    sfls: [u64; N],
+fn flow_key_input(
+    sfl: u64,
     master_key: &[u8],
     source: &Principal,
     destination: &Principal,
-    mut absorb: impl FnMut([&[u8]; N]),
+    mut absorb: impl FnMut(&[u8]),
 ) {
-    let sfls = sfls.map(u64::to_be_bytes);
-    absorb(sfls.each_ref().map(|s| &s[..]));
-    absorb([master_key; N]);
-    absorb([&(source.len() as u32).to_be_bytes()[..]; N]);
-    absorb([source.as_bytes(); N]);
-    absorb([&(destination.len() as u32).to_be_bytes()[..]; N]);
-    absorb([destination.as_bytes(); N]);
+    absorb(&sfl.to_be_bytes());
+    absorb(master_key);
+    absorb(&(source.len() as u32).to_be_bytes());
+    absorb(source.as_bytes());
+    absorb(&(destination.len() as u32).to_be_bytes());
+    absorb(destination.as_bytes());
 }
 
 /// Derive `K_f = H(sfl | K_{S,D} | S | D)`.
@@ -364,36 +320,13 @@ pub fn derive_flow_key(
     match derivation {
         KeyDerivation::Md5 => {
             let mut h = Md5::new();
-            flow_key_input([sfl], master_key, source, destination, |[p]| h.update(p));
+            flow_key_input(sfl, master_key, source, destination, |p| h.update(p));
             FlowKey::new(&h.finalize())
         }
         KeyDerivation::Sha1 => {
             let mut h = Sha1::new();
-            flow_key_input([sfl], master_key, source, destination, |[p]| h.update(p));
+            flow_key_input(sfl, master_key, source, destination, |p| h.update(p));
             FlowKey::new(&h.finalize())
-        }
-    }
-}
-
-/// [`derive_flow_key`] of two sfls between one pair of principals under
-/// one master key, each key equal to the single derive's. Under MD5 the
-/// two hashes run in lockstep as the lanes of one [`Md5x2`]; SHA-1 has no
-/// two-lane core, so it derives one after the other.
-pub fn derive_flow_key_pair(
-    derivation: KeyDerivation,
-    sfls: [u64; 2],
-    master_key: &[u8],
-    source: &Principal,
-    destination: &Principal,
-) -> [FlowKey; 2] {
-    match derivation {
-        KeyDerivation::Md5 => {
-            let mut h = Md5x2::new();
-            flow_key_input(sfls, master_key, source, destination, |p| h.update(p));
-            h.finalize().map(|d| FlowKey::new(&d))
-        }
-        KeyDerivation::Sha1 => {
-            sfls.map(|sfl| derive_flow_key(derivation, sfl, master_key, source, destination))
         }
     }
 }
@@ -551,54 +484,6 @@ mod tests {
         assert!(a.tdea().is_none());
         let d = SealedFlowKey::seal(k);
         assert!(d.chacha_key().is_none());
-    }
-
-    /// The pair derive is two single derives: at the 16-byte test master,
-    /// the 96-byte oakley1 and the 128-byte oakley2 master (where the
-    /// hash input spans one, two and three MD5 blocks), and under SHA-1,
-    /// which falls back to two single derives.
-    #[test]
-    fn the_pair_derive_is_two_single_derives() {
-        let (s, d) = (
-            Principal::from_ipv4([10, 0, 0, 1]),
-            Principal::from_ipv4([10, 0, 0, 2]),
-        );
-        for master_len in [16usize, 96, 128] {
-            let master: Vec<u8> = (0..master_len as u32).map(|i| (i * 37 + 5) as u8).collect();
-            for derivation in [KeyDerivation::Md5, KeyDerivation::Sha1] {
-                for sfls in [[1, 2], [7, 7], [u64::MAX, 0x0123_4567_89AB_CDEF]] {
-                    let pair = derive_flow_key_pair(derivation, sfls, &master, &s, &d);
-                    let single = sfls.map(|sfl| derive_flow_key(derivation, sfl, &master, &s, &d));
-                    assert_eq!(
-                        pair, single,
-                        "{derivation:?}, {master_len} B master, {sfls:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// A paired AEAD seal expands each ChaCha20 key exactly as
-    /// `seal_for` does, and the DES suites' pair is two `seal_for`s.
-    #[test]
-    fn the_pair_seal_is_two_single_seals() {
-        let keys =
-            [1, 2].map(|sfl| derive_flow_key(KeyDerivation::Md5, sfl, b"m", &p("S"), &p("D")));
-        let (mac, enc) = (MacAlgorithm::Poly1305, EncAlgorithm::ChaCha20);
-        let pair = SealedFlowKey::seal_pair_for(keys.clone(), CipherSuite::AeadChaPoly, mac, enc);
-        for (paired, key) in pair.iter().zip(keys.clone()) {
-            let single = aead(key);
-            assert_eq!(paired.suite(), CipherSuite::AeadChaPoly);
-            assert_eq!(paired.chacha_key(), single.chacha_key());
-        }
-        let (mac, enc) = (MacAlgorithm::KeyedMd5, EncAlgorithm::DesCbc);
-        let pair = SealedFlowKey::seal_pair_for(keys.clone(), CipherSuite::Paper, mac, enc);
-        for (paired, key) in pair.iter().zip(keys) {
-            assert_eq!(paired.suite(), CipherSuite::Paper);
-            let want = key.as_bytes().to_vec();
-            let m = paired.des_material().expect("a DES-suite key");
-            assert_eq!(m.key.as_bytes(), &want[..]);
-        }
     }
 
     #[test]

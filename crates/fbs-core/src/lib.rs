@@ -50,12 +50,12 @@ pub use breaker::{Allow, BreakerConfig, BreakerState, CircuitBreaker, Transition
 pub use cache::{CacheStats, Lookup, MissKind, SoftCache};
 pub use chunks::{ChunkDir, CHUNK_SLOTS};
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use concurrent::{Birth, KeyStash, KeyingService, Published, ShardedCache};
+pub use concurrent::{KeyingService, Published, ShardedCache};
 pub use error::{FbsError, Result, RuntimeError};
 pub use fam::{Classification, Fam, FlowPolicy, FlowUse, Fst, FstEntry, FstStats};
 pub use fault::OwnerFaultInjector;
 pub use header::{EncAlgorithm, HeaderView, SecurityFlowHeader};
-pub use keying::{derive_flow_key, derive_flow_key_pair, FlowKey, KeyDerivation, SealedFlowKey};
+pub use keying::{derive_flow_key, FlowKey, KeyDerivation, SealedFlowKey};
 pub use mem::{BudgetKind, BudgetSnapshot, MemoryBudget};
 pub use mkd::{MasterKeyDaemon, PinnedDirectory, PublicValueSource, Resilience};
 pub use park::{KeyUnavailableVerdict, ParkStats, Parked, ParkingQueue};

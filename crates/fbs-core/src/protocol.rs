@@ -246,13 +246,6 @@ impl FbsConfig {
         SealedFlowKey::seal_for(key, self.suite, self.suite_mac_alg(), self.suite_enc_alg())
     }
 
-    /// [`seal_key`](Self::seal_key) of two keys of one derivation, each
-    /// equal to the key `seal_key` seals. The AEAD suite expands both
-    /// ChaCha20 keys two MD5 lanes at a time.
-    pub fn seal_key_pair(&self, keys: [crate::keying::FlowKey; 2]) -> [SealedFlowKey; 2] {
-        SealedFlowKey::seal_pair_for(keys, self.suite, self.suite_mac_alg(), self.suite_enc_alg())
-    }
-
     /// Shipped MAC length for a MAC of `full` bytes under this config's
     /// truncation, never below [`MIN_SHIPPED_MAC`].
     fn shipped_mac_len(&self, full: usize) -> usize {
@@ -517,24 +510,24 @@ impl FlowCodec {
     /// RFKC), generic over the cache's id type so both engines share it:
     /// freshness first (a stale datagram is stale even when its key is
     /// unavailable), then `open` under the key the RFKC lends; on a miss,
-    /// `derive` into a local (it may peek at `rfkc` as the miss left it),
-    /// `open` under it, and cache the key only once it verified (a
-    /// forged birth leaves `rfkc` as it was), in the allocation of the
-    /// key its insert evicts ([`SealedFlowKey::into_box_reusing`]).
+    /// `derive` into a local, `open` under it, and cache the key only
+    /// once it verified (a forged birth leaves `rfkc` as it was), in the
+    /// allocation of the key its insert evicts
+    /// ([`SealedFlowKey::into_box_reusing`]).
     /// `open` wraps [`open_with_key_into`](Self::open_with_key_into).
     pub fn open_cached<K: Eq + Hash + Clone, T>(
         &self,
         rfkc: &mut SoftCache<K, Box<SealedFlowKey>>,
         id: K,
         timestamp: u32,
-        derive: impl FnOnce(&SoftCache<K, Box<SealedFlowKey>>) -> Result<SealedFlowKey>,
+        derive: impl FnOnce() -> Result<SealedFlowKey>,
         open: impl FnOnce(&SealedFlowKey) -> Result<T>,
     ) -> Result<T> {
         self.check_freshness(timestamp)?;
         if let Some(key) = rfkc.get_ref(&id) {
             return open(key);
         }
-        let key = derive(rfkc)?;
+        let key = derive()?;
         let opened = open(&key)?;
         rfkc.insert_with(id, |evicted| {
             key.into_box_reusing(evicted.take().map(|(_, old)| old))
@@ -907,7 +900,7 @@ impl FbsEndpoint {
             rfkc,
             id,
             h.timestamp,
-            |_| keying.derive(codec, h.sfl, source, false),
+            || keying.derive(codec, h.sfl, source, false),
             |key| codec.open_with_key_into(h, key, body, out),
         )
     }

@@ -51,12 +51,6 @@ impl SflAllocator {
         sfl
     }
 
-    /// The sfl [`next_sfl`](Self::next_sfl) will issue, without issuing
-    /// it.
-    pub fn peek(&self) -> u64 {
-        self.next
-    }
-
     /// Number of labels issued since initialisation.
     pub fn issued(&self) -> u64 {
         self.issued
@@ -73,16 +67,6 @@ mod tests {
         let labels: Vec<u64> = (0..5).map(|_| a.next_sfl()).collect();
         assert_eq!(labels, vec![100, 101, 102, 103, 104]);
         assert_eq!(a.issued(), 5);
-    }
-
-    #[test]
-    fn peek_names_the_next_label_without_issuing_it() {
-        let mut a = SflAllocator::with_stride(40, 8);
-        assert_eq!(a.peek(), 40);
-        assert_eq!(a.peek(), 40);
-        assert_eq!(a.issued(), 0);
-        assert_eq!(a.next_sfl(), 40);
-        assert_eq!(a.peek(), 48);
     }
 
     #[test]

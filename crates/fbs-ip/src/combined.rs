@@ -150,37 +150,6 @@ mod tests {
         assert_eq!(t.stats().hits, 1);
     }
 
-    /// `would_start` names what the probe will do, without counting or
-    /// refreshing anything: for the tuple itself, and for the next tuple
-    /// once this one (pending) holds its slot. `next_sfl` names the sfl
-    /// a start takes.
-    #[test]
-    fn would_start_predicts_the_probe_quietly() {
-        let mut t = CombinedTable::new(8, 600, SflAllocator::with_stride(3, 4));
-        for step in 0..300u64 {
-            let (x, y) = (
-                tuple((step % 13) as u16),
-                tuple(((step * 7 + 1) % 13) as u16),
-            );
-            let now = step * 41;
-            let before = t.stats();
-            let (x_starts, y_after_x) = (
-                t.would_start(&x, now, None),
-                t.would_start(&y, now, Some(&x)),
-            );
-            assert_eq!(t.stats(), before, "a quiet look counts nothing");
-            let sfl = t.next_sfl();
-            let (got, _, started) = resolve(&mut t, x, now, fake_key).unwrap();
-            assert_eq!(started, x_starts, "step {step}");
-            if started {
-                assert_eq!(got, sfl, "step {step}");
-            }
-            assert_eq!(t.would_start(&y, now, None), y_after_x, "step {step}");
-            let (_, _, started) = resolve(&mut t, y, now, fake_key).unwrap();
-            assert_eq!(started, y_after_x, "step {step}");
-        }
-    }
-
     #[test]
     fn expiry_is_implicit_in_the_mapping_phase() {
         // No sweeper call exists; expiry shows up as a new flow on the next
@@ -223,10 +192,9 @@ mod tests {
     fn a_table_with_no_insert_owns_no_chunk() {
         let mut t = CombinedTable::new(65_536, 600, SflAllocator::new(1));
         assert_eq!(t.chunks_owned(), 0);
-        // Misses, quiet looks and counts read missing chunks as empty.
+        // Misses and counts read missing chunks as empty.
         for sport in 0..512 {
             assert!(t.probe(&tuple(sport), 0).is_none());
-            assert!(t.would_start(&tuple(sport), 0, None));
         }
         assert_eq!(t.active_flows(0), 0);
         t.clear();
@@ -255,7 +223,7 @@ mod tests {
         assert_eq!(t.chunks_owned(), 0, "a cleared table frees its chunks");
     }
 
-    /// A seeded mix of births, hits, expiries, quiet looks, counts and
+    /// A seeded mix of births, hits, expiries, counts and
     /// clears against a full-array model of the same slots: both forms of
     /// the chunked table — the datapath's probe/insert with a key, and
     /// the FAM's `classify` with a [`FlowUse`] — answer every call as the
@@ -302,22 +270,6 @@ mod tests {
                     let want = want.count();
                     assert_eq!(t.active_flows(now), want, "step {step}");
                     assert_eq!(f.active_flows(now), want, "step {step}");
-                }
-                6..=15 => {
-                    let pending = tuple(next(600) as u16);
-                    let want = if slot(&pending, size) == i {
-                        pending != tup
-                    } else {
-                        !live(&model, i, &tup, now)
-                    };
-                    assert_eq!(
-                        t.would_start(&tup, now, Some(&pending)),
-                        want,
-                        "step {step}"
-                    );
-                    let alone = !live(&model, i, &tup, now);
-                    assert_eq!(t.would_start(&tup, now, None), alone, "step {step}");
-                    assert_eq!(f.would_start(&tup, now, None), alone, "step {step}");
                 }
                 op => {
                     let bytes = next(1_500);

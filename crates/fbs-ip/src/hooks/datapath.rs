@@ -6,15 +6,14 @@
 //! the owner lock may use directly.
 
 use super::config::IpMappingConfig;
-use super::owner::Item;
 use super::{record, HookShared};
 use crate::combined::{insert_key, CombinedFst};
 use crate::policy::FiveTuplePolicy;
 use crate::tuple::FiveTuple;
 use fbs_core::header::HeaderView;
 use fbs_core::{
-    flow_key_hash_parts, Birth, BudgetKind, BufferPool, FbsError, FlowCodec, KeyStash,
-    KeyUnavailableVerdict, Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
+    flow_key_hash_parts, BudgetKind, BufferPool, FbsError, FlowCodec, KeyUnavailableVerdict,
+    Parked, ParkingQueue, Principal, SealedFlowKey, SflAllocator, SoftCache,
 };
 use fbs_crypto::{crc32, CipherSuite};
 use fbs_net::ip::{Ipv4Addr, Proto};
@@ -23,7 +22,6 @@ use fbs_obs::{
     CacheKind, Counter, CounterBlock, Direction, Event, MetricsRegistry, SpanKind, Stage,
     StageTimer, TraceSpan,
 };
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Multiplier decorrelating per-shard confounder seeds (golden-ratio
@@ -289,99 +287,12 @@ impl Pass<'_> {
     }
 }
 
-/// What a pass sees past the datagram it is running: the next datagram
-/// of the owner's share, and the key a paired birth derived early
-/// ([`KeyingService::derive_paired`](fbs_core::KeyingService::derive_paired)).
-/// Only a real miss reads `next`, so a datagram that hits pays for none
-/// of it.
-pub(super) struct Ahead<'a> {
-    /// The running datagram's shard.
-    pub(super) si: usize,
-    pub(super) next: Option<Next<'a>>,
-    /// The pass's one-entry stash, dropped with the pass.
-    pub(super) stash: &'a mut KeyStash,
-}
-
-/// The datagram after the running one in the owner's share, and the
-/// owner's other shards, which the look-ahead reads quietly: counting
-/// and refreshing nothing.
-pub(super) struct Next<'a> {
-    pub(super) item: &'a Item,
-    /// The owner's shards below the running datagram's local index, and
-    /// above it: shard `si` is at local index `si / nw`.
-    pub(super) below: &'a [Shard],
-    pub(super) above: &'a [Shard],
-    pub(super) nw: usize,
-}
-
-impl Next<'_> {
-    /// The next datagram's shard, or `None` when it is the running
-    /// datagram's (`si`), which the running datagram holds.
-    fn shard(&self, si: usize) -> Option<&Shard> {
-        let (at, other) = (si / self.nw, self.item.si / self.nw);
-        match other.cmp(&at) {
-            Ordering::Less => Some(&self.below[other]),
-            Ordering::Equal => None,
-            Ordering::Greater => Some(&self.above[other - at - 1]),
-        }
-    }
-
-    /// The flow the next (output) datagram will start, if it goes to
-    /// `peer` and its probe will miss once the running datagram's
-    /// `tuple` holds its slot in `table`, the running shard's (`si`).
-    fn output_birth(
-        &self,
-        si: usize,
-        table: &CombinedFst,
-        tuple: &FiveTuple,
-        peer: Ipv4Addr,
-        now_secs: u64,
-    ) -> Option<Birth> {
-        let next = self
-            .item
-            .tuple
-            .as_ref()
-            .filter(|_| self.item.peer == peer)?;
-        let (table, pending) = match self.shard(si) {
-            Some(other) => (&other.combined, None),
-            None => (table, Some(tuple)),
-        };
-        let sfl = table.next_sfl();
-        table.would_start(next, now_secs, pending).then_some(Birth {
-            shard: self.item.si,
-            sfl,
-        })
-    }
-
-    /// The flow the next (input) datagram will key, if it comes from
-    /// the running datagram's source and misses its RFKC (`rfkc` is the
-    /// running shard's, `si`). The running datagram's own id is no
-    /// birth: its key is cached if it verifies.
-    fn input_birth(
-        &self,
-        si: usize,
-        rfkc: &SoftCache<RxKeyId, Box<SealedFlowKey>>,
-        id: RxKeyId,
-    ) -> Option<Birth> {
-        let next = (wire_sfl(&self.item.payload)?, self.item.peer);
-        if next.1 != id.1 || next == id {
-            return None;
-        }
-        let rfkc = self.shard(si).map_or(rfkc, |other| &other.rfkc);
-        rfkc.peek(&next).is_none().then_some(Birth {
-            shard: self.item.si,
-            sfl: next.0,
-        })
-    }
-}
-
 /// The §7.2 protect path, with no verdict handling: classify the datagram
 /// into a flow with one combined-table probe, and seal the borrowed
 /// plaintext into a pool buffer (fixing up `header`'s length on success)
 /// under the key the table lends. A miss reserves the sfl, derives via
-/// [`KeyingService::derive_paired`](fbs_core::KeyingService::derive_paired)
-/// (pairing with the next datagram's birth when `ahead` predicts one),
-/// and installs unconditionally — the owner is the shard's only writer, so
+/// [`KeyingService::derive`](fbs_core::KeyingService::derive), and
+/// installs unconditionally — the owner is the shard's only writer, so
 /// there is no racing insert to re-check for (a failed derivation burns
 /// the reserved sfl). The caller keeps ownership
 /// of the original bytes, so no snapshot copy is ever needed for
@@ -393,7 +304,6 @@ fn protect(
     payload: &[u8],
     tuple: Option<FiveTuple>,
     pool: &mut BufferPool,
-    ahead: &mut Ahead<'_>,
 ) -> Result<Vec<u8>, FbsError> {
     let Pass {
         shared, cfg, obs, ..
@@ -410,21 +320,7 @@ fn protect(
         None => {
             let sfl = combined.reserve_sfl();
             let destination = Principal::from_ipv4(header.dst);
-            let birth = Birth {
-                shard: ahead.si,
-                sfl,
-            };
-            let next = ahead.next.as_ref();
-            let partner =
-                || next?.output_birth(birth.shard, combined, &tuple, header.dst, now_secs);
-            let key = shared.keying.derive_paired(
-                codec,
-                birth,
-                &destination,
-                true,
-                ahead.stash,
-                partner,
-            )?;
+            let key = shared.keying.derive(codec, sfl, &destination, true)?;
             (sfl, insert_key(combined, tuple, sfl, key, now_secs))
         }
     };
@@ -454,9 +350,8 @@ fn protect(
 /// The verify path, with no verdict handling: parse the FBS framing,
 /// then run the codec's receive-miss rule
 /// ([`FlowCodec::open_cached`]) over the shard's RFKC — freshness, the
-/// probe, a derive on a miss (paired with the next datagram's birth when
-/// `ahead` predicts one), and the key cached only once the MAC verifies,
-/// so a forged birth leaves the RFKC as it was. The borrowed
+/// probe, a derive on a miss, and the key cached only once the MAC
+/// verifies, so a forged birth leaves the RFKC as it was. The borrowed
 /// wire payload is recovered into a pool buffer, drawn only once a key
 /// is at hand and returned on a failed open; `header`'s length is fixed
 /// up on success.
@@ -466,27 +361,17 @@ fn verify(
     header: &mut Ipv4Header,
     payload: &[u8],
     pool: &mut BufferPool,
-    ahead: &mut Ahead<'_>,
 ) -> Result<Vec<u8>, FbsError> {
     let Pass { shared, obs, .. } = *pass;
     let Shard { codec, rfkc, .. } = shard;
     let (view, used) = HeaderView::parse(payload)?;
-    let id = (view.sfl, header.src);
     let body = codec.open_cached(
         rfkc,
-        id,
+        (view.sfl, header.src),
         view.timestamp,
-        |rfkc| {
+        || {
             let source = Principal::from_ipv4(header.src);
-            let birth = Birth {
-                shard: ahead.si,
-                sfl: view.sfl,
-            };
-            let next = ahead.next.as_ref();
-            let partner = || next?.input_birth(birth.shard, rfkc, id);
-            shared
-                .keying
-                .derive_paired(codec, birth, &source, false, ahead.stash, partner)
+            shared.keying.derive(codec, view.sfl, &source, false)
         },
         |key| {
             let mut body = pool.take();
@@ -598,14 +483,13 @@ pub(super) fn output_item(
     payload: Vec<u8>,
     tuple: Option<FiveTuple>,
     pool: &mut BufferPool,
-    ahead: &mut Ahead<'_>,
 ) -> HookOutcome {
     let dir = Direction::Output;
     pass.enter(dir);
     let verdict = degrade_verdict(pass.cfg);
     // protect borrows the payload, so the original bytes are still owned
     // here for the fall-back verdicts — no snapshot copy needed.
-    match protect(pass, shard, header, &payload, tuple, pool, ahead) {
+    match protect(pass, shard, header, &payload, tuple, pool) {
         Ok(out) => {
             pool.put(payload);
             pass.exit(dir, true);
@@ -637,12 +521,11 @@ pub(super) fn input_item(
     header: &mut Ipv4Header,
     payload: Vec<u8>,
     pool: &mut BufferPool,
-    ahead: &mut Ahead<'_>,
 ) -> HookOutcome {
     let dir = Direction::Input;
     pass.enter(dir);
     let verdict = degrade_verdict(pass.cfg);
-    match verify(pass, shard, header, &payload, pool, ahead) {
+    match verify(pass, shard, header, &payload, pool) {
         Ok(body) => {
             pool.put(payload);
             pass.exit(dir, true);
@@ -703,9 +586,6 @@ pub(super) fn release_parked(
     let mut ready = Vec::new();
     let timer = obs.as_ref().map(|_| StageTimer::start());
     let mut did_work = false;
-    // Parked datagrams retry one by one, with no look-ahead: nothing is
-    // paired, so the stash stays empty.
-    let mut stash = KeyStash::default();
     for shard in shards.iter_mut() {
         for expired in shard.park(dir).take_expired(now_us) {
             let (header, payload) = expired.item;
@@ -744,17 +624,12 @@ pub(super) fn release_parked(
             }
             // Both attempts only borrow the parked bytes, so they are
             // still owned here for a repark.
-            let mut ahead = Ahead {
-                si: 0,
-                next: None,
-                stash: &mut stash,
-            };
             let res = match dir {
                 Direction::Output => {
                     let tuple = tuple_for(&header, &payload);
-                    protect(&pass, shard, &mut header, &payload, tuple, pool, &mut ahead)
+                    protect(&pass, shard, &mut header, &payload, tuple, pool)
                 }
-                Direction::Input => verify(&pass, shard, &mut header, &payload, pool, &mut ahead),
+                Direction::Input => verify(&pass, shard, &mut header, &payload, pool),
             };
             match res {
                 Ok(out) => {

@@ -6,13 +6,12 @@
 //! ([`run_inline`], [`HookShared::with_owner`]).
 
 use super::datapath::{
-    cascade_obs, input_item, output_item, release_parked, rx_shard, tuple_for, tx_shard, Ahead,
-    Next, Pass, Shard,
+    cascade_obs, input_item, output_item, release_parked, rx_shard, tuple_for, tx_shard, Pass,
+    Shard,
 };
 use super::HookShared;
 use crate::tuple::FiveTuple;
-use fbs_core::{BufferPool, KeyStash, ParkStats, RuntimeError};
-use fbs_net::ip::Ipv4Addr;
+use fbs_core::{BufferPool, ParkStats, RuntimeError};
 use fbs_net::{Datagram, HookOutcome, Ipv4Header, RejectReason};
 use fbs_obs::{Counter, Direction, MetricsRegistry, StageTimer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,15 +29,12 @@ const TAIL_RETRIES: u32 = 3;
 
 /// One datagram of the batch in flight. Its header lives in the verdict
 /// ledger, at the same submission index.
-pub(super) struct Item {
-    pub(super) payload: Vec<u8>,
+struct Item {
+    payload: Vec<u8>,
     /// Owning shard.
-    pub(super) si: usize,
+    si: usize,
     /// Pre-extracted 5-tuple (output direction only).
-    pub(super) tuple: Option<FiveTuple>,
-    /// The peer: the destination of an output datagram, the source of an
-    /// input one.
-    pub(super) peer: Ipv4Addr,
+    tuple: Option<FiveTuple>,
 }
 
 /// The batch in flight, kept per handle (vectors emptied, capacity
@@ -80,20 +76,15 @@ impl Run {
         self.ends.clear();
         self.ends.resize(nw, 0);
         for Datagram { header, payload } in batch {
-            let (si, tuple, peer) = match dir {
+            let (si, tuple) = match dir {
                 Direction::Output => {
                     let tuple = tuple_for(&header, &payload);
-                    (tx_shard(n, tuple.as_ref()), tuple, header.dst)
+                    (tx_shard(n, tuple.as_ref()), tuple)
                 }
-                Direction::Input => (rx_shard(n, &payload), None, header.src),
+                Direction::Input => (rx_shard(n, &payload), None),
             };
             self.ends[si % nw] += 1;
-            self.items.push(Item {
-                payload,
-                si,
-                tuple,
-                peer,
-            });
+            self.items.push(Item { payload, si, tuple });
             // Fail-closed (and allocation-free) until the item that owns
             // the index writes its final verdict.
             out.push((header, HookOutcome::Reject(RejectReason::Unanswered)));
@@ -222,49 +213,22 @@ fn finish_current(
         .as_ref()
         .filter(|_| !reject)
         .map(|_| StageTimer::start());
-    // A key paired ahead waits here for its datagram; what no datagram
-    // takes goes with the pass (an unwind included).
-    let mut stash = KeyStash::default();
     while flight.run.next < flight.run.ends[w] {
         flight.run.mark = outstanding(flight.pool);
-        let run = &mut *flight.run;
-        let at = run.next;
-        let i = run.order[at];
-        let payload = std::mem::take(&mut run.items[i].payload);
+        let i = flight.run.order[flight.run.next];
+        let item = &mut flight.run.items[i];
+        let payload = std::mem::take(&mut item.payload);
         let (header, verdict) = &mut flight.out[i];
         *verdict = if reject {
             flight.pool.put(payload);
             HookOutcome::Reject(RejectReason::OwnerQuarantined)
         } else {
-            let item = &run.items[i];
-            // The running shard, and the owner's others around it.
-            let nw = shared.n_workers;
-            let (below, rest) = shards.split_at_mut(item.si / nw);
-            let (shard, above) = rest.split_first_mut().expect("the item's shard");
-            let next = run.order[at + 1..run.ends[w]].first().map(|&j| Next {
-                item: &run.items[j],
-                below,
-                above,
-                nw,
-            });
-            let mut ahead = Ahead {
-                si: item.si,
-                next,
-                stash: &mut stash,
-            };
+            let shard = &mut shards[item.si / shared.n_workers];
             match flight.dir {
-                Direction::Output => output_item(
-                    &pass,
-                    shard,
-                    header,
-                    payload,
-                    item.tuple,
-                    flight.pool,
-                    &mut ahead,
-                ),
-                Direction::Input => {
-                    input_item(&pass, shard, header, payload, flight.pool, &mut ahead)
+                Direction::Output => {
+                    output_item(&pass, shard, header, payload, item.tuple, flight.pool)
                 }
+                Direction::Input => input_item(&pass, shard, header, payload, flight.pool),
             }
         };
         flight.run.next += 1;

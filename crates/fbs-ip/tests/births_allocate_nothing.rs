@@ -304,7 +304,7 @@ fn the_receive_rule_writes_the_evicted_key_in_place() {
             rfkc,
             sfl,
             timestamp,
-            |_| Ok(key),
+            || Ok(key),
             |_| {
                 if forged {
                     Err(FbsError::BadMac)

@@ -13,12 +13,13 @@
 //! * `input_errors`, `verified` and `mac_drops` equal the ground truth;
 //! * the caller's [`BufferPool`] ledger balances exactly
 //!   (hits + misses == returns + discards);
-//! * a forged flow birth buys no receive flow-key cache slot, so it
-//!   cannot evict a victim flow's key;
+//! * a forged or stale flow birth buys no receive flow-key cache slot,
+//!   so it cannot evict a victim flow's key, and a batch of them reads
+//!   like one pass per datagram;
 //! * no datagram, friendly or forged, writes flight-recorder history,
 //!   so a forger cannot wash a rare event out of the ring.
 
-use fbs_core::{flow_key_hash, BufferPool, Principal};
+use fbs_core::{flow_key_hash, BufferPool, ManualClock, Principal};
 use fbs_crypto::des::BLOCK_SIZE;
 use fbs_crypto::dh::DhGroup;
 use fbs_ip::hooks::FbsIpHooks;
@@ -35,7 +36,9 @@ const B: [u8; 4] = [10, 9, 0, 2];
 const NOW_US: u64 = 1_000_000;
 const BATCH: usize = 16;
 
-fn build_pair(cfg: IpMappingConfig) -> (FbsIpHooks, FbsIpHooks, Arc<MetricsRegistry>) {
+/// A sender, a receiver with a registry, and their world's clock. Built
+/// twice from one config it yields bit-identical twins.
+fn build_pair(cfg: IpMappingConfig) -> (FbsIpHooks, FbsIpHooks, Arc<MetricsRegistry>, ManualClock) {
     let world = World::new(31, DhGroup::test_group());
     let sender = world.hooks(A, cfg.clone());
     let receiver = world.hooks(B, cfg);
@@ -43,7 +46,7 @@ fn build_pair(cfg: IpMappingConfig) -> (FbsIpHooks, FbsIpHooks, Arc<MetricsRegis
     receiver
         .attach_obs(Arc::clone(&reg))
         .expect("attach obs before traffic");
-    (sender, receiver, reg)
+    (sender, receiver, reg, world.clock)
 }
 
 /// Build a flow payload in a pool buffer: every Vec the test feeds to
@@ -75,7 +78,7 @@ fn forged_input_rejects_bad_macs_and_balances_the_pool_ledger() {
 }
 
 fn forged_input_at(workers: usize) {
-    let (mut sender, mut receiver, reg) = build_pair(IpMappingConfig {
+    let (mut sender, mut receiver, reg, _) = build_pair(IpMappingConfig {
         encrypt: true,
         workers,
         ..IpMappingConfig::default()
@@ -265,15 +268,29 @@ fn wire_sfl(payload: &[u8]) -> u64 {
 /// costs the receiver a derivation and is rejected — and, since a
 /// derived key is cached only once its datagram verifies, leaves the
 /// cache as it was: the victim's next datagram still hits, and the
-/// cache's insertions are exactly the verified births.
+/// cache's insertions are exactly the verified births. A last batch
+/// mixes births with a stale frame, a forgery ahead of its genuine twin
+/// and a duplicate: only the births that verify cache a key. Each batch
+/// reads exactly like the same datagrams one pass at a time.
 #[test]
 fn forged_births_cannot_evict_a_victim_flows_key() {
     for workers in [1, 2] {
-        forged_births_at(workers);
+        let batched = forged_births_at(workers, true);
+        let scalar = forged_births_at(workers, false);
+        assert_eq!(batched, scalar, "workers {workers}: one pass per datagram");
     }
 }
 
-fn forged_births_at(workers: usize) {
+/// The receiver's verdicts per delivery, then its RFKC, endpoint and
+/// hook counts.
+type Outcome = (
+    Vec<Vec<Option<RejectReason>>>,
+    fbs_core::CacheStats,
+    fbs_core::protocol::EndpointStats,
+    fbs_ip::hooks::IpHookStats,
+);
+
+fn forged_births_at(workers: usize, batch: bool) -> Outcome {
     let mut cfg = IpMappingConfig {
         encrypt: true,
         workers,
@@ -281,8 +298,23 @@ fn forged_births_at(workers: usize) {
     };
     cfg.fbs.rfkc_assoc = 2;
     let (sets, assoc) = (cfg.fbs.rfkc_sets, cfg.fbs.rfkc_assoc);
-    let (mut sender, mut receiver, _reg) = build_pair(cfg);
+    let (mut sender, mut receiver, _reg, clock) = build_pair(cfg);
     let mut pool = BufferPool::new();
+    let mut verdicts = Vec::new();
+    let mut deliver = |receiver: &mut FbsIpHooks, pool: &mut BufferPool, frames: Vec<Datagram>| {
+        let got = if batch {
+            deliver(receiver, pool, frames)
+        } else {
+            let one = |d| deliver(receiver, pool, vec![d]);
+            frames.into_iter().flat_map(one).collect()
+        };
+        verdicts.push(got.clone());
+        got
+    };
+
+    // A frame that goes stale before it arrives, sealed first.
+    let stale = seal_one(&mut sender, &mut pool, 4100, 0);
+    clock.advance(300);
 
     // The victim flow is born on the receiver: one verified birth.
     let first = seal_one(&mut sender, &mut pool, 4000, 0);
@@ -327,8 +359,37 @@ fn forged_births_at(workers: usize) {
     assert_eq!(after.misses(), before.misses());
     assert_eq!(after.insertions, 1, "insertions are the verified births");
     assert_eq!(after.evictions, 0);
+
+    // Four births beside a stale frame, a forgery whose genuine twin
+    // comes right after it, and a duplicate: each birth caches its key
+    // once it verifies, the stale frame and the forgery cache nothing,
+    // and the duplicate hits.
+    let [b1, b2, b3, b4] =
+        [4001, 4002, 4003, 4004].map(|sport| seal_one(&mut sender, &mut pool, sport, 3));
+    // Copies in pool buffers, so the ledger still balances.
+    let mut copy = |d: &Datagram| {
+        let mut payload = pool.take();
+        payload.extend_from_slice(&d.payload);
+        Datagram {
+            header: d.header.clone(),
+            payload,
+        }
+    };
+    let (mut forged_b3, dup_b2) = (copy(&b3), copy(&b2));
+    let n = forged_b3.payload.len();
+    forged_b3.payload[n - 1 - BLOCK_SIZE] ^= 0x5A;
+    let mixed = vec![b1, stale, b2, forged_b3, b3, dup_b2, b4];
+    let mac = Some(RejectReason::BadMac);
+    let want = [None, Some(RejectReason::Stale), None, mac, None, None, None];
+    assert_eq!(deliver(&mut receiver, &mut pool, mixed), want);
+    let last = receiver.rfkc_stats();
+    assert_eq!(last.insertions, after.insertions + 4, "workers {workers}");
+    assert_eq!(last.evictions, 0);
     let s = pool.stats();
     assert_eq!(s.hits + s.misses, s.returns + s.discards, "pool ledger");
+    let endpoint = receiver.endpoint_stats();
+    assert_eq!(endpoint.mac_drops, assoc as u64 + 1, "workers {workers}");
+    (verdicts, last, endpoint, receiver.stats())
 }
 
 /// More than a ring's worth of friendly and MAC-flipped datagrams leave
@@ -344,7 +405,7 @@ fn a_forged_datagram_writes_no_history() {
 }
 
 fn forged_datagrams_write_no_history(encrypt: bool) {
-    let (mut sender, mut receiver, reg) = build_pair(IpMappingConfig {
+    let (mut sender, mut receiver, reg, _) = build_pair(IpMappingConfig {
         encrypt,
         ..IpMappingConfig::default()
     });

@@ -15,6 +15,7 @@ use fbs_core::protocol::EndpointStats;
 use fbs_core::FbsConfig;
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::CipherSuite;
+use fbs_ip::combined::CombinedStats;
 use fbs_ip::hooks::{FbsIpHooks, IpHookStats, IpMappingConfig};
 use fbs_ip::host::World;
 use fbs_net::ip::{Ipv4Header, Proto};
@@ -33,8 +34,7 @@ struct Item {
     fill: u8,
     data_len: usize,
     /// Source port: items on different ports are different flows, so a
-    /// run of them is a run of births to one peer, which the hooks may
-    /// key in pairs.
+    /// run of them is a run of births to one peer.
     sport: u16,
 }
 
@@ -121,6 +121,8 @@ struct Observed {
     delivered: Vec<Option<Vec<u8>>>,
     /// Sender's then receiver's.
     hook_stats: [IpHookStats; 2],
+    /// The sender's flow table.
+    combined: Option<CombinedStats>,
     endpoint_stats: [EndpointStats; 2],
     input_rejects: u64,
     dispatched: u64,
@@ -162,6 +164,7 @@ fn observe(items: &[Item], cfg: &IpMappingConfig, batch: bool) -> Observed {
         frames,
         delivered,
         hook_stats: [tx_hooks.stats(), rx_hooks.stats()],
+        combined: tx_hooks.combined_stats(),
         endpoint_stats: [tx_hooks.endpoint_stats(), rx_hooks.endpoint_stats()],
         input_rejects: rx.stats().hook_input_rejects,
         dispatched: rx.stats().dispatched,
@@ -171,7 +174,8 @@ fn observe(items: &[Item], cfg: &IpMappingConfig, batch: bool) -> Observed {
 /// The pipeline equivalence law: scalar and batch submission, under 1, 2
 /// or 4 shard owners (`workers`, all over 8 shards), produce the same
 /// verdicts, byte-identical wire frames,
-/// byte-identical plaintexts in the same order, and the same counters.
+/// byte-identical plaintexts in the same order, and the same counters;
+/// the sender's table starts one flow per covered source port.
 fn check_equivalence(
     items: &[Item],
     suite: usize,
@@ -186,6 +190,13 @@ fn check_equivalence(
     for (item, got) in items.iter().zip(&reference.delivered) {
         prop_assert_eq!(got.as_ref(), Some(&vec![item.fill; item.data_len]));
     }
+    let flows: std::collections::BTreeSet<u16> = items
+        .iter()
+        .filter(|i| i.covered)
+        .map(|i| i.sport)
+        .collect();
+    let births = reference.combined.expect("combined stats").new_flows;
+    prop_assert_eq!(births, flows.len() as u64);
     for (workers, batch) in [(2, true), (1, false), (1, true), (4, false), (4, true)] {
         let got = observe(items, &cfg(workers), batch);
         prop_assert_eq!(&got, &reference, "workers {} batch {}", workers, batch);

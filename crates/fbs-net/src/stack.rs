@@ -506,9 +506,12 @@ impl Host {
     /// read off the pool as a chunk starts. A pool below its capacity by
     /// more than the buffers reassembly holds (a cold one) is read as
     /// full: its first chunk misses and fills it, where reading it as it
-    /// is would run one-datagram chunks from then on.
+    /// is would run one-datagram chunks from then on. Partials count
+    /// against the pool's capacity up to half of it, so a flood of them
+    /// cannot shrink chunks below that half.
     fn chunk_takes(&self) -> u64 {
-        let full = DEFAULT_MAX_POOLED.saturating_sub(self.reasm.pending());
+        let held = self.reasm.pending().min(DEFAULT_MAX_POOLED / 2);
+        let full = DEFAULT_MAX_POOLED - held;
         (self.pool.idle().max(full).max(2) - 1) as u64
     }
 
@@ -973,29 +976,41 @@ mod tests {
         assert_eq!(net.host_mut(B).udp.recv(53).unwrap().data, big);
     }
 
-    #[test]
-    fn a_flood_of_small_partials_under_the_budget_lets_friendly_datagrams_pass() {
-        use crate::ip::{Packet, Proto};
-        // Each forged partial is a fresh pool buffer (2 KiB) and its
-        // 1 KiB bitmap: 1,360 × 3 KiB stays under the 4 MiB budget, so
-        // none is evicted and all of them pin their buffers.
-        const PARTIALS: usize = 1_360;
-        let mut net = two_hosts(Impairments::default());
-        net.host_mut(B).udp.bind(53).unwrap();
-        let flood: Vec<Vec<u8>> = (0..PARTIALS as u16)
-            .map(|id| {
-                let mut h = Ipv4Header::new([6, 6, 6, 6], B, Proto::Udp, 8);
-                (h.id, h.more_fragments) = (id, true);
-                Packet::new(h, vec![0; 8]).encode()
-            })
-            .collect();
-        net.host_mut(B).deliver_frames(&flood, 0);
-        let rx = net.host_mut(B);
-        assert_eq!(rx.reasm.pending(), PARTIALS);
-        assert_eq!(rx.reasm.held_bytes(), PARTIALS * 3 * 1024);
-        assert_eq!(rx.reasm.drops(ReassemblyDrop::OverBudget), 0);
-        // Friendly traffic in one tick: 64 small datagrams and one that
-        // fragments.
+    /// A hook that opens as the FBS hooks do: each covered datagram's
+    /// body is copied into a buffer from the caller's pool, and the
+    /// buffer it arrived in goes back.
+    struct PoolCopy;
+
+    impl SecurityHooks for PoolCopy {
+        fn covers(&self, proto: u8) -> bool {
+            proto == Proto::Udp.number()
+        }
+        fn max_overhead(&self) -> usize {
+            0
+        }
+        fn process_batch(
+            &mut self,
+            _dir: Direction,
+            batch: Vec<Datagram>,
+            pool: &mut BufferPool,
+            _now_us: u64,
+        ) -> Vec<(Ipv4Header, HookOutcome)> {
+            let open = |dg: Datagram| {
+                let mut body = pool.take();
+                body.extend_from_slice(&dg.payload);
+                pool.put(dg.payload);
+                (dg.header, HookOutcome::Pass(body))
+            };
+            batch.into_iter().map(open).collect()
+        }
+    }
+
+    /// One tick of friendly traffic from A to B's port 53: 64 small
+    /// datagrams and one that fragments. All of it must arrive; returns
+    /// how many input batches B's hooks ran it in.
+    fn friendly_tick(net: &mut Network) -> u64 {
+        let reg = Arc::new(MetricsRegistry::new());
+        net.host_mut(B).attach_obs(Arc::clone(&reg));
         let big: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
         for i in 0..64u8 {
             net.host_mut(A).udp_send(1, B, 53, &[i; 64], 0).unwrap();
@@ -1012,6 +1027,44 @@ mod tests {
         got.sort();
         want.sort();
         assert_eq!(got, want, "every friendly datagram is delivered");
+        reg.counter(Counter::PipelineInputBatches)
+    }
+
+    #[test]
+    fn a_flood_of_small_partials_under_the_budget_lets_friendly_datagrams_pass() {
+        use crate::ip::Packet;
+        // Each forged partial is a fresh pool buffer (2 KiB) and its
+        // 1 KiB bitmap: 1,360 × 3 KiB stays under the 4 MiB budget, so
+        // none is evicted and all of them pin their buffers.
+        const PARTIALS: usize = 1_360;
+        let hosts = || {
+            let mut net = two_hosts(Impairments::default());
+            net.host_mut(B).udp.bind(53).unwrap();
+            net.host_mut(B).install_hooks(Box::new(PoolCopy));
+            net
+        };
+        let mut net = hosts();
+        let flood: Vec<Vec<u8>> = (0..PARTIALS as u16)
+            .map(|id| {
+                let mut h = Ipv4Header::new([6, 6, 6, 6], B, Proto::Udp, 8);
+                (h.id, h.more_fragments) = (id, true);
+                Packet::new(h, vec![0; 8]).encode()
+            })
+            .collect();
+        net.host_mut(B).deliver_frames(&flood, 0);
+        let rx = net.host_mut(B);
+        assert_eq!(rx.reasm.pending(), PARTIALS);
+        assert_eq!(rx.reasm.held_bytes(), PARTIALS * 3 * 1024);
+        assert_eq!(rx.reasm.drops(ReassemblyDrop::OverBudget), 0);
+        // The pinned buffers do not shrink the friendly tick's chunks:
+        // it crosses the hooks in no more batches than on a host with
+        // no partials.
+        let flooded = friendly_tick(&mut net);
+        let unflooded = friendly_tick(&mut hosts());
+        assert!(
+            flooded <= unflooded,
+            "{flooded} batches, {unflooded} unflooded"
+        );
         // Past the reassembly timeout the flood's buffers come back too.
         net.run(31_000_000, 1_000_000);
         let rx = net.host_mut(B);

@@ -2,8 +2,8 @@
 //! "item N(x)" that DESIGN.md and EXPERIMENTS.md cite is an open item
 //! (or sub-item) of ROADMAP.md, and every `file.rs:NNN` (also
 //! `file.rs:NNN-MMM` and `file.rs:NNN,MMM`) cited in DESIGN.md,
-//! EXPERIMENTS.md and ROADMAP.md names a workspace source file with at
-//! least that many lines.
+//! DESIGN_HISTORY.md, EXPERIMENTS.md and ROADMAP.md names a workspace
+//! source file with at least that many lines.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -127,7 +127,12 @@ fn cited_source_lines_exist() {
     let mut sources = Vec::new();
     workspace_sources(root(), &mut sources);
     let mut dead = Vec::new();
-    for doc in ["DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"] {
+    for doc in [
+        "DESIGN.md",
+        "DESIGN_HISTORY.md",
+        "EXPERIMENTS.md",
+        "ROADMAP.md",
+    ] {
         for (line, path, n) in cited_lines(&read(doc)) {
             let suffix = format!("/{}", path.trim_start_matches("./"));
             let long_enough = sources.iter().any(|src| {
