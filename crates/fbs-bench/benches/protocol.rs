@@ -1,7 +1,6 @@
-//! Criterion benches of the FBS protocol path itself, including the §5.3
-//! and §7.2 design-choice ablations called out in DESIGN.md:
+//! Criterion benches of the FBS protocol path itself, including the §7.2
+//! design-choice ablation called out in DESIGN.md:
 //!
-//! * single-pass MAC+encrypt vs two-pass;
 //! * combined FST/TFKC lookup vs separate FAM + TFKC;
 //! * per-datagram cost across payload sizes and variants;
 //! * the IP hooks' fixed cost per resident NOP datagram, each way;
@@ -48,24 +47,6 @@ fn bench_send_receive(c: &mut Criterion) {
                 })
             });
         }
-    }
-    g.finish();
-}
-
-fn bench_single_vs_two_pass(c: &mut Criterion) {
-    let mut g = c.benchmark_group("data-touching");
-    let payload = 8192usize;
-    g.throughput(Throughput::Bytes(payload as u64));
-    for (name, single) in [("single-pass", true), ("two-pass", false)] {
-        let cfg = FbsConfig {
-            single_pass: single,
-            ..FbsConfig::default()
-        };
-        let (mut tx, _, _) = endpoint_pair(cfg, DhGroup::oakley1());
-        tx.send(1, dgram(payload), true).unwrap(); // warm
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(tx.send(1, dgram(payload), true).unwrap()))
-        });
     }
     g.finish();
 }
@@ -230,7 +211,6 @@ criterion_group!(
     benches,
     bench_hooks,
     bench_send_receive,
-    bench_single_vs_two_pass,
     bench_lookup_paths,
     bench_header_codec,
     bench_udp_checksum

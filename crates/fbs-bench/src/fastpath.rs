@@ -370,21 +370,22 @@ pub fn run(payload: usize, count: usize, alloc: &dyn Fn() -> u64) -> FastpathRep
     // window, and back-to-back reps share the host's phase. A leak in
     // ANY rep poisons the row's flag. Each rep's registry snapshot folds
     // into one per row, so its stage histograms and owner rows describe
-    // that grid point with enough samples to show a distribution. Each
-    // observed rep is followed by a bare one (no registry), so the two
-    // rates share the host's phases.
+    // that grid point with enough samples to show a distribution. A
+    // round runs every row's observed rep, back to back, then every
+    // row's bare rep (no registry): the observed (1, 1, 1) and (1, 8, 1)
+    // reps whose ratio is the sharding cost run next to each other, and
+    // each row's two rates come from the same round.
     let mut rows = [(1usize, 1usize, 1usize), (1, 8, 1), (2, 8, 2), (4, 8, 4)]
         .map(|point| (point, MetricsSnapshot::new(), Vec::new(), Vec::new(), true));
     for _ in 0..MAPPING_REPS {
-        for ((threads, shards, workers), snap, reps, bare, balanced) in rows.iter_mut() {
-            let mut measure = |obs| {
+        for observed in [true, false] {
+            for ((threads, shards, workers), snap, reps, bare, balanced) in rows.iter_mut() {
+                let obs = observed.then_some(&mut *snap);
                 let (rate, ok) =
                     measure_mapping(payload, count, *threads, *shards, *workers, obs, alloc);
                 *balanced &= ok;
-                rate
-            };
-            reps.push(measure(Some(snap)));
-            bare.push(measure(None));
+                if observed { reps } else { bare }.push(rate);
+            }
         }
     }
     // The sharding cost, round by round (`rows[1]` is (1, 8, 1),

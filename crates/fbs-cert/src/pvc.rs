@@ -13,14 +13,15 @@
 
 use crate::authority::{CertVerifier, Certificate};
 use crate::directory::CertSource;
-use fbs_core::{Clock, Principal, PublicValueSource, Result, RetryPolicy, SoftCache};
+use fbs_core::{Clock, Principal, PublicValueSource, Result, SoftCache};
 use fbs_crypto::crc32;
 use fbs_crypto::dh::PublicValue;
-use fbs_obs::{CacheKind, Counter, Event, MetricsRegistry, MetricsSnapshot};
+use fbs_obs::{CacheKind, Counter, CounterBlock, MetricsRegistry};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// PVC statistics.
+/// PVC statistics: a view over the `cache.pvc.*` cells and
+/// `pvc.verify_failures` of the PVC's counter block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PvcStats {
     /// Lookups served from the cache.
@@ -29,147 +30,92 @@ pub struct PvcStats {
     pub misses: u64,
     /// Certificates that failed their per-use verification.
     pub verify_failures: u64,
-    /// Directory-fetch retries after a failed attempt.
-    pub retries: u64,
-    /// Fetches whose retry schedule was exhausted.
-    pub retry_exhausted: u64,
 }
 
 impl PvcStats {
-    /// Fold these counters into a snapshot under the names a live
-    /// [`MetricsRegistry`] uses. The legacy `misses` field has no 3C
-    /// breakdown, so only the exactly-mappable counters are contributed.
-    pub fn contribute(&self, snap: &mut MetricsSnapshot) {
-        snap.add("cache.pvc.hits", self.hits);
-        snap.add("pvc.verify_failures", self.verify_failures);
-        snap.add("retry.attempts", self.retries);
-        snap.add("retry.exhausted", self.retry_exhausted);
+    /// Read the view off `counts`.
+    fn read(counts: &CounterBlock) -> Self {
+        let cache = counts.cache(CacheKind::Pvc);
+        PvcStats {
+            hits: cache.hits,
+            misses: cache.misses(),
+            verify_failures: counts.counter(Counter::PvcVerifyFailures),
+        }
     }
-}
-
-struct Inner {
-    cache: SoftCache<Principal, Certificate>,
-    stats: PvcStats,
-    obs: Option<Arc<MetricsRegistry>>,
 }
 
 /// The public value cache.
 pub struct Pvc {
-    inner: Mutex<Inner>,
+    /// The certificate cache; its lock is the one writer of `counts`.
+    cache: Mutex<SoftCache<Principal, Certificate>>,
+    /// The PVC's counts, read without the lock.
+    counts: Arc<CounterBlock>,
     directory: Arc<dyn CertSource>,
     verifier: CertVerifier,
     clock: Arc<dyn Clock>,
-    retry: Option<RetryPolicy>,
 }
 
 impl Pvc {
     /// Create a PVC with `slots` direct-mapped certificate slots, backed by
     /// `directory` (a concrete [`crate::Directory`] or any
-    /// [`CertSource`]) and verifying against `verifier`.
+    /// [`CertSource`]) and verifying against `verifier`. A miss fetches
+    /// once; the MKD's resilience retries a failed upcall.
     pub fn new(
         slots: usize,
         directory: Arc<dyn CertSource>,
         verifier: CertVerifier,
         clock: Arc<dyn Clock>,
     ) -> Self {
+        let counts = Arc::new(CounterBlock::new());
         Pvc {
-            inner: Mutex::new(Inner {
-                cache: SoftCache::new(slots, 1, |p: &Principal| crc32(p.as_bytes())),
-                stats: PvcStats::default(),
-                obs: None,
-            }),
+            cache: Mutex::new(
+                SoftCache::new(slots, 1, |p: &Principal| crc32(p.as_bytes()))
+                    .with_counts(Arc::clone(&counts), CacheKind::Pvc),
+            ),
+            counts,
             directory,
             verifier,
             clock,
-            retry: None,
         }
-    }
-
-    /// Retry failed directory fetches under `policy` (builder style).
-    /// Without this, misses are single-shot as in the seed behaviour.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
     }
 
     /// Pin a certificate at initialisation (§5.3's alternative to fetches).
     /// Pinned certificates are still verified on every use.
     pub fn pin(&self, cert: Certificate) {
-        let mut inner = self.inner.lock();
-        inner.cache.insert(cert.subject.clone(), cert);
+        self.cache.lock().insert(cert.subject.clone(), cert);
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> PvcStats {
-        self.inner.lock().stats
+        PvcStats::read(&self.counts)
     }
 
-    /// Attach a metrics registry: it reads the certificate cache's
-    /// counts under [`CacheKind::Pvc`], and fetch retries and per-use
-    /// verification failures bump the registry's `retry.*` and
-    /// [`Counter::PvcVerifyFailures`] counters.
+    /// Attach a metrics registry: it reads the PVC's counter block (the
+    /// certificate cache's counts under [`CacheKind::Pvc`] and
+    /// [`Counter::PvcVerifyFailures`]).
     pub fn attach_obs(&self, registry: Arc<MetricsRegistry>) {
-        let mut inner = self.inner.lock();
-        inner.cache.set_obs(Arc::clone(&registry), CacheKind::Pvc);
-        inner.obs = Some(registry);
+        registry.attach(Arc::clone(&self.counts));
     }
 }
 
 impl PublicValueSource for Pvc {
     fn fetch(&self, principal: &Principal) -> Result<PublicValue> {
         let now = self.clock.now_secs();
-        let mut inner = self.inner.lock();
-        let cert = match inner.cache.get(principal) {
-            Some(c) => {
-                inner.stats.hits += 1;
-                c
-            }
+        let mut cache = self.cache.lock();
+        let cert = match cache.get(principal) {
+            Some(c) => c,
             None => {
-                inner.stats.misses += 1;
                 // Secure flow bypass: this request travels unprotected.
-                let c = match self.retry {
-                    None => self.directory.fetch_cert(principal)?,
-                    Some(policy) => {
-                        let outcome = policy.run(|| self.directory.fetch_cert(principal));
-                        for (i, backoff_us) in outcome.backoffs_us.iter().enumerate() {
-                            inner.stats.retries += 1;
-                            if let Some(reg) = &inner.obs {
-                                reg.incr(Counter::RetryAttempts);
-                                reg.record(Event::RetryAttempt {
-                                    attempt: i as u32 + 1,
-                                    backoff_us: *backoff_us,
-                                });
-                            }
-                        }
-                        match outcome.result {
-                            Ok(c) => c,
-                            Err(e) => {
-                                if outcome.exhausted && outcome.attempts > 1 {
-                                    inner.stats.retry_exhausted += 1;
-                                    if let Some(reg) = &inner.obs {
-                                        reg.incr(Counter::RetryExhausted);
-                                        reg.record(Event::RetryExhausted {
-                                            attempts: outcome.attempts,
-                                        });
-                                    }
-                                }
-                                return Err(e);
-                            }
-                        }
-                    }
-                };
-                inner.cache.insert(principal.clone(), c.clone());
+                let c = self.directory.fetch_cert(principal)?;
+                cache.insert(principal.clone(), c.clone());
                 c
             }
         };
         // Verified on each use — the cache is untrusted storage (§5.3).
         if let Err(e) = self.verifier.verify(&cert, now) {
-            inner.stats.verify_failures += 1;
-            if let Some(reg) = &inner.obs {
-                reg.incr(Counter::PvcVerifyFailures);
-            }
+            self.counts.incr(Counter::PvcVerifyFailures);
             // Drop the bad entry so a refreshed certificate can be fetched.
-            inner.cache.invalidate(principal);
+            cache.invalidate(principal);
             return Err(e);
         }
         Ok(cert.public_value)
@@ -274,89 +220,10 @@ mod tests {
         // The PVC runs without 3C classification, so misses are capacity.
         assert_eq!(live.counter("cache.pvc.capacity_misses"), 1);
         assert_eq!(live.counter("pvc.verify_failures"), 1);
-        let mut legacy = MetricsSnapshot::new();
-        w.pvc.stats().contribute(&mut legacy);
-        assert_eq!(
-            legacy.counter("cache.pvc.hits"),
-            live.counter("cache.pvc.hits")
-        );
-        assert_eq!(
-            legacy.counter("pvc.verify_failures"),
-            live.counter("pvc.verify_failures")
-        );
-    }
-
-    /// A [`CertSource`] that fails the first `fail_first` fetches.
-    struct FlakyDirectory {
-        inner: Arc<Directory>,
-        calls: std::sync::atomic::AtomicU64,
-        fail_first: u64,
-    }
-
-    impl CertSource for FlakyDirectory {
-        fn fetch_cert(&self, principal: &Principal) -> Result<Certificate> {
-            let n = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            if n < self.fail_first {
-                Err(fbs_core::FbsError::Transport("directory outage".into()))
-            } else {
-                self.inner.fetch(principal)
-            }
-        }
-    }
-
-    #[test]
-    fn retry_rides_out_transient_directory_failures() {
-        let ca = CertificateAuthority::new("ca", [3u8; 16]);
-        let dir = Arc::new(Directory::new(Duration::from_millis(50)));
-        let clock = ManualClock::starting_at(1000);
-        let flaky = Arc::new(FlakyDirectory {
-            inner: dir.clone(),
-            calls: std::sync::atomic::AtomicU64::new(0),
-            fail_first: 2,
-        });
-        let pvc = Pvc::new(16, flaky, ca.verifier(), Arc::new(clock)).with_retry(RetryPolicy {
-            max_attempts: 4,
-            base_backoff_us: 100,
-            max_backoff_us: 1_000,
-            deadline_us: 100_000,
-            jitter_seed: 5,
-        });
-        let pv = PrivateValue::from_entropy(DhGroup::test_group(), b"frank-e").public_value();
-        dir.publish(ca.issue(Principal::named("frank"), pv.clone(), 0, u64::MAX));
-        // Two transient failures, then success — one logical miss.
-        assert_eq!(pvc.fetch(&Principal::named("frank")).unwrap(), pv);
-        let s = pvc.stats();
-        assert_eq!((s.misses, s.retries, s.retry_exhausted), (1, 2, 0));
-        // Warm now: no further fetches or retries.
-        assert!(pvc.fetch(&Principal::named("frank")).is_ok());
-        assert_eq!(pvc.stats().retries, 2);
-    }
-
-    #[test]
-    fn retry_exhaustion_counts_and_propagates() {
-        let ca = CertificateAuthority::new("ca", [3u8; 16]);
-        let dir = Arc::new(Directory::new(Duration::ZERO));
-        let clock = ManualClock::starting_at(1000);
-        let flaky = Arc::new(FlakyDirectory {
-            inner: dir,
-            calls: std::sync::atomic::AtomicU64::new(0),
-            fail_first: u64::MAX,
-        });
-        let pvc = Pvc::new(16, flaky, ca.verifier(), Arc::new(clock)).with_retry(RetryPolicy {
-            max_attempts: 3,
-            base_backoff_us: 100,
-            max_backoff_us: 1_000,
-            deadline_us: 100_000,
-            jitter_seed: 5,
-        });
-        let reg = Arc::new(MetricsRegistry::new());
-        pvc.attach_obs(Arc::clone(&reg));
-        assert!(pvc.fetch(&Principal::named("gone")).is_err());
-        let s = pvc.stats();
-        assert_eq!((s.retries, s.retry_exhausted), (2, 1));
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("retry.attempts"), 2);
-        assert_eq!(snap.counter("retry.exhausted"), 1);
+        let s = w.pvc.stats();
+        assert_eq!(s.hits, live.counter("cache.pvc.hits"));
+        assert_eq!(s.misses, live.counter("cache.pvc.capacity_misses"));
+        assert_eq!(s.verify_failures, live.counter("pvc.verify_failures"));
     }
 
     #[test]

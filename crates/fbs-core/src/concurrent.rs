@@ -254,7 +254,8 @@ impl KeyingService {
     /// `outbound`), sealed with the material `codec`'s suite reads so
     /// the per-datagram path never initialises lazily. The whole miss
     /// path — MKC probe, at most one MKD upcall, hash, seal — is one key
-    /// derivation: a count of `endpoint.key_derivations`, a
+    /// derivation: a count of `endpoint.key_derivations` in `codec`'s
+    /// block (its caller is that block's one writer), and a
     /// `key_derivation_us` sample and a [`Stage::KeyDerive`] span in
     /// `codec`'s registry, if it has one.
     pub fn derive(
@@ -275,8 +276,8 @@ impl KeyingService {
         };
         let cfg = codec.config();
         let k = cfg.seal_key(derive_flow_key(cfg.key_derivation, sfl, &master, src, dst));
+        codec.counts().incr(Counter::KeyDerivations);
         if let (Some(reg), Some((t0, timer))) = (obs, t0) {
-            reg.incr(Counter::KeyDerivations);
             reg.observe(
                 Histogram::KeyDerivationMicros,
                 codec.clock().now_micros().saturating_sub(t0),

@@ -76,7 +76,8 @@ impl PublicValueSource for PinnedDirectory {
 }
 
 /// MKD statistics: a view over the `mkd.*`, `retry.*` and `breaker.*`
-/// cells the daemon writes in its counter block.
+/// cells the daemon writes in its counter block (the block also holds
+/// the `breaker.time_*_us` time-in-state totals, which no field reads).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MkdStats {
     /// Upcalls received (one per MKC miss).
@@ -207,17 +208,19 @@ impl MasterKeyDaemon {
                 BreakerStateKind::Closed
             }
         };
-        let from = match t.from {
-            BreakerState::Closed => BreakerStateKind::Closed,
-            BreakerState::Open { .. } => BreakerStateKind::Open,
-            BreakerState::HalfOpen => BreakerStateKind::HalfOpen,
+        let (from, time_in) = match t.from {
+            BreakerState::Closed => (BreakerStateKind::Closed, Counter::BreakerTimeClosedUs),
+            BreakerState::Open { .. } => (BreakerStateKind::Open, Counter::BreakerTimeOpenUs),
+            BreakerState::HalfOpen => (BreakerStateKind::HalfOpen, Counter::BreakerTimeHalfOpenUs),
         };
+        self.counts.add(time_in, t.in_state_us);
         self.record(Event::BreakerTransition {
             from,
             to,
             in_state_us: t.in_state_us,
         });
-        // Line the transition up against any sampled flow traces.
+        // Line the transition up against any sampled flow traces, at the
+        // transition's own time: the one annotation it gets.
         if let Some(tracer) = self.obs.as_ref().and_then(|reg| reg.tracer()) {
             tracer.annotate("breaker_transition", to.name(), t.at_us, t.in_state_us);
         }
@@ -502,5 +505,33 @@ mod tests {
         assert_eq!(snap.counter("breaker.fast_fails"), s.breaker_fast_fails);
         assert!(s.breaker_opens >= 2, "probe failure should re-open");
         assert!(s.breaker_fast_fails >= 1);
+    }
+
+    #[test]
+    fn one_transition_gives_one_annotation() {
+        let clock = Arc::new(crate::clock::ManualClock::starting_at(100));
+        let (mut mkd, d) = resilient_daemon(u64::MAX, clock);
+        let reg = Arc::new(fbs_obs::MetricsRegistry::new());
+        let tracer = Arc::new(fbs_obs::FlowTracer::new(0));
+        reg.set_tracer(Arc::clone(&tracer));
+        mkd.set_obs(Arc::clone(&reg));
+        // Two exhausted upcalls trip the breaker (threshold 2): one
+        // transition, closed -> open.
+        let _ = mkd.master_key(&d);
+        let _ = mkd.master_key(&d);
+        assert_eq!(mkd.stats().breaker_opens, 1);
+        let json = tracer.to_json();
+        assert_eq!(
+            json.matches("\"kind\":\"breaker_transition\"").count(),
+            1,
+            "{json}"
+        );
+        // The time in state it closes out is counted in the daemon's
+        // block, registry or not.
+        let closed_us = mkd.counts().counter(Counter::BreakerTimeClosedUs);
+        assert!(closed_us > 0);
+        assert_eq!(reg.snapshot().counter("breaker.time_closed_us"), closed_us);
+        assert!(json.contains("\"detail\":\"open\",\"t_us\":100"), "{json}");
+        assert!(json.contains(&format!(",\"info\":{closed_us}}}")), "{json}");
     }
 }

@@ -14,11 +14,11 @@
 //!
 //! The queue is FIFO and time-driven via caller-passed microsecond
 //! timestamps (no internal clock), so it is deterministic under
-//! simulated time. Counters live in [`ParkStats`]; the park, release,
-//! expiry and overflow flight-recorder events are emitted by the owner,
-//! which knows the registry.
+//! simulated time. Each queue keeps its own ledger in [`ParkStats`]
+//! (the direction split and the depth high-water mark); the owner
+//! counts the park, release, expiry and overflow steps in its counter
+//! block and records them as flight-recorder events.
 
-use fbs_obs::MetricsSnapshot;
 use std::collections::VecDeque;
 
 /// What the datapath does with a datagram whose flow key is
@@ -38,7 +38,7 @@ pub enum KeyUnavailableVerdict {
     Park,
 }
 
-/// Park/release/expiry counters, in the shared `park.*` namespace.
+/// One queue's park/release/expiry ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParkStats {
     /// Datagrams parked.
@@ -62,15 +62,6 @@ impl ParkStats {
         self.expired += other.expired;
         self.overflow += other.overflow;
         self.peak_depth = self.peak_depth.max(other.peak_depth);
-    }
-
-    /// Fold these counters into a snapshot under the `park.*` names a
-    /// live `MetricsRegistry` uses.
-    pub fn contribute(&self, snap: &mut MetricsSnapshot) {
-        snap.add("park.parked", self.parked);
-        snap.add("park.released", self.released);
-        snap.add("park.expired", self.expired);
-        snap.add("park.overflow", self.overflow);
     }
 }
 
@@ -125,8 +116,8 @@ impl<T> ParkingQueue<T> {
     /// keeping its original park time and deadline — so an item's total
     /// residency is bounded by its first deadline, not reset each
     /// round. Does NOT count towards `stats.parked`: that counter
-    /// tracks first admissions, coherent with the `park.parked` event
-    /// the owner emits once per datagram.
+    /// tracks first admissions, coherent with the `park.parked` count
+    /// the owner makes once per datagram.
     pub fn repark(&mut self, entry: Parked<T>) -> Result<(), T> {
         self.park_entry(entry, false)
     }
@@ -327,19 +318,5 @@ mod tests {
         let waited = q.note_released(entry.parked_at_us, 2_500);
         assert_eq!(waited, 2_000);
         assert_eq!(q.stats().released, 1);
-    }
-
-    #[test]
-    fn contribute_uses_shared_namespace() {
-        let mut q: ParkingQueue<u32> = ParkingQueue::new(1, 100);
-        q.park(1, 0).unwrap();
-        let _ = q.park(2, 0);
-        q.expire(200);
-        let mut snap = MetricsSnapshot::new();
-        q.stats().contribute(&mut snap);
-        assert_eq!(snap.counter("park.parked"), 1);
-        assert_eq!(snap.counter("park.overflow"), 1);
-        assert_eq!(snap.counter("park.expired"), 1);
-        assert_eq!(snap.counter("park.released"), 0);
     }
 }

@@ -7,7 +7,7 @@
 //! transmitted and never returned) is merely an allocation, never a leak of
 //! pool bookkeeping.
 
-use fbs_obs::{Counter, MetricsRegistry, MetricsSnapshot};
+use fbs_obs::{Counter, CounterBlock};
 use std::sync::Arc;
 
 /// Default number of buffers kept on the freelist.
@@ -18,8 +18,8 @@ pub const DEFAULT_MAX_POOLED: usize = 32;
 /// regrow it.
 pub const DEFAULT_BUF_CAPACITY: usize = 2048;
 
-/// Counters for pool behaviour; mirrors the legacy-stats idiom of the other
-/// components so snapshots and the registry share a namespace.
+/// Pool counters: a view over the `pool.*` cells of the pool's counter
+/// block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Takes served from the freelist.
@@ -33,12 +33,14 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Merge into a metrics snapshot under the `pool.*` namespace.
-    pub fn contribute(&self, snap: &mut MetricsSnapshot) {
-        snap.add("pool.hits", self.hits);
-        snap.add("pool.misses", self.misses);
-        snap.add("pool.returns", self.returns);
-        snap.add("pool.discards", self.discards);
+    /// Read the view off `counts`.
+    pub(crate) fn read(counts: &CounterBlock) -> Self {
+        PoolStats {
+            hits: counts.counter(Counter::PoolHits),
+            misses: counts.counter(Counter::PoolMisses),
+            returns: counts.counter(Counter::PoolReturns),
+            discards: counts.counter(Counter::PoolDiscards),
+        }
     }
 }
 
@@ -46,13 +48,15 @@ impl PoolStats {
 ///
 /// Not thread-safe by itself — a pool never crosses a thread (the
 /// fbs-ip datapath runs on the caller's thread and uses the caller's
-/// pool), which keeps `take`/`put` free of any synchronisation.
+/// pool), which keeps `take`/`put` free of any synchronisation. Its
+/// owner is therefore the one writer of its counter block.
 pub struct BufferPool {
     free: Vec<Vec<u8>>,
     max_pooled: usize,
     buf_capacity: usize,
-    stats: PoolStats,
-    obs: Option<Arc<MetricsRegistry>>,
+    /// Where the `pool.*` counts go: a private block by default, or
+    /// the owner's ([`with_counts`](Self::with_counts)).
+    counts: Arc<CounterBlock>,
 }
 
 impl BufferPool {
@@ -68,17 +72,17 @@ impl BufferPool {
             free: Vec::with_capacity(max_pooled),
             max_pooled,
             buf_capacity,
-            stats: PoolStats::default(),
-            obs: None,
+            counts: Arc::new(CounterBlock::new()),
         }
     }
 
-    /// Attach a metrics registry; hits/misses/returns/discards are counted
-    /// there as well as in the legacy stats, so the pool ledger
+    /// Count into `counts` (builder style, before the first take): the
+    /// block of the component that owns the pool, so the pool ledger
     /// (`takes == returns + discards` at quiesce) is checkable from a
-    /// snapshot alone.
-    pub fn attach_obs(&mut self, registry: Arc<MetricsRegistry>) {
-        self.obs = Some(registry);
+    /// snapshot of that block alone.
+    pub fn with_counts(mut self, counts: Arc<CounterBlock>) -> Self {
+        self.counts = counts;
+        self
     }
 
     /// Take a buffer: recycled if available, freshly allocated otherwise.
@@ -87,17 +91,11 @@ impl BufferPool {
         match self.free.pop() {
             Some(mut buf) => {
                 buf.clear();
-                self.stats.hits += 1;
-                if let Some(reg) = &self.obs {
-                    reg.incr(Counter::PoolHits);
-                }
+                self.counts.incr(Counter::PoolHits);
                 buf
             }
             None => {
-                self.stats.misses += 1;
-                if let Some(reg) = &self.obs {
-                    reg.incr(Counter::PoolMisses);
-                }
+                self.counts.incr(Counter::PoolMisses);
                 Vec::with_capacity(self.buf_capacity)
             }
         }
@@ -108,15 +106,9 @@ impl BufferPool {
         if self.free.len() < self.max_pooled {
             buf.clear();
             self.free.push(buf);
-            self.stats.returns += 1;
-            if let Some(reg) = &self.obs {
-                reg.incr(Counter::PoolReturns);
-            }
+            self.counts.incr(Counter::PoolReturns);
         } else {
-            self.stats.discards += 1;
-            if let Some(reg) = &self.obs {
-                reg.incr(Counter::PoolDiscards);
-            }
+            self.counts.incr(Counter::PoolDiscards);
         }
     }
 
@@ -133,9 +125,9 @@ impl BufferPool {
         self.free.len()
     }
 
-    /// Pool counters so far.
+    /// Pool counters so far (of every pool sharing the block).
     pub fn stats(&self) -> PoolStats {
-        self.stats
+        PoolStats::read(&self.counts)
     }
 }
 
@@ -204,27 +196,15 @@ mod tests {
     }
 
     #[test]
-    fn registry_sees_hits_and_misses() {
-        let reg = Arc::new(MetricsRegistry::new());
-        let mut pool = BufferPool::new();
-        pool.attach_obs(Arc::clone(&reg));
+    fn counts_go_to_the_owners_block() {
+        let block = Arc::new(CounterBlock::new());
+        let mut pool = BufferPool::new().with_counts(Arc::clone(&block));
         let a = pool.take();
         pool.put(a);
         let _b = pool.take();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("pool.misses"), 1);
-        assert_eq!(snap.counter("pool.hits"), 1);
-        assert_eq!(snap.counter("pool.returns"), 1);
-    }
-
-    #[test]
-    fn stats_contribute_uses_pool_namespace() {
-        let mut pool = BufferPool::new();
-        let a = pool.take();
-        pool.put(a);
-        let mut snap = MetricsSnapshot::new();
-        pool.stats().contribute(&mut snap);
-        assert_eq!(snap.counter("pool.misses"), 1);
-        assert_eq!(snap.counter("pool.returns"), 1);
+        assert_eq!(PoolStats::read(&block), pool.stats());
+        assert_eq!(block.counter(Counter::PoolMisses), 1);
+        assert_eq!(block.counter(Counter::PoolHits), 1);
+        assert_eq!(block.counter(Counter::PoolReturns), 1);
     }
 }

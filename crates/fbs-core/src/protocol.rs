@@ -19,9 +19,9 @@
 //! the datagram's MAC verifies: a forged datagram with a fresh sfl costs
 //! a derivation but buys no cache slot.
 //!
-//! Data-touching operations are combined per §5.3: with
-//! [`FbsConfig::single_pass`] the MAC absorption and block encryption
-//! proceed block-by-block in one loop over the payload.
+//! Data-touching operations are combined per §5.3: the MAC absorption
+//! and block encryption proceed block-by-block in one loop over the
+//! payload.
 
 use crate::cache::{CacheStats, SoftCache};
 use crate::clock::Clock;
@@ -152,8 +152,6 @@ pub struct FbsConfig {
     pub rfkc_assoc: usize,
     /// MKC slots (direct-mapped).
     pub mkc_slots: usize,
-    /// Combine MAC + encryption into a single data-touching pass (§5.3).
-    pub single_pass: bool,
     /// "FBS NOP" instrumentation mode (§7.3, Fig. 8): the full protocol
     /// path runs — FAM, caches, header insertion, parsing — but MAC
     /// computation and encryption "return immediately" (zero MAC, identity
@@ -180,7 +178,6 @@ impl Default for FbsConfig {
             rfkc_assoc: 1,
             // MKC covers concurrent correspondent principals.
             mkc_slots: 32,
-            single_pass: true,
             nop_crypto: false,
         }
     }
@@ -365,8 +362,8 @@ impl FlowCodec {
     }
 
     /// Attach a metrics registry: it reads this codec's block, and the
-    /// codec adds its send and receive sizes and its key derivations to
-    /// the registry's own counts and histograms.
+    /// codec adds its send and receive sizes and its key-derivation
+    /// times to the registry's histograms.
     pub fn set_obs(&mut self, registry: Arc<MetricsRegistry>) {
         registry.attach(Arc::clone(&self.counts));
         self.obs = Some(registry);
@@ -390,6 +387,11 @@ impl FlowCodec {
     /// The attached metrics registry, if any.
     pub(crate) fn obs(&self) -> Option<&MetricsRegistry> {
         self.obs.as_deref()
+    }
+
+    /// The block this codec counts into.
+    pub(crate) fn counts(&self) -> &CounterBlock {
+        &self.counts
     }
 
     /// Endpoint counters, read off the counter block (every codec
@@ -1092,17 +1094,6 @@ fn seal_core(
     debug_assert_eq!(body.len(), padded_len(plaintext_len));
     let des = FlowCipher::for_alg(enc_alg, m);
     let iv = ((confounder as u64) << 32) | confounder as u64;
-    if !cfg.single_pass {
-        // Two-pass ablation: MAC sweep, then encryption sweep.
-        let mut ctx = m.mac_begin(mac_alg);
-        ctx.update(&confounder.to_be_bytes());
-        ctx.update(&timestamp.to_be_bytes());
-        ctx.update(&body[..plaintext_len]);
-        let n = ctx.finalize_into(mac_out);
-        fbs_crypto::des::encrypt_in_place(&des, iv, mode, body);
-        return n;
-    }
-
     // Single pass (§5.3): absorb each plaintext block into the MAC and
     // encrypt it in the same loop iteration.
     let mut ctx = m.mac_begin(mac_alg);
@@ -1228,25 +1219,6 @@ mod tests {
             let got = d.receive(pd).unwrap();
             assert!(got.body.is_empty());
         }
-    }
-
-    #[test]
-    fn single_pass_and_two_pass_agree_on_the_wire() {
-        let cfg1 = FbsConfig {
-            single_pass: true,
-            ..FbsConfig::default()
-        };
-        let cfg2 = FbsConfig {
-            single_pass: false,
-            ..FbsConfig::default()
-        };
-        let (mut s1, _, _) = endpoint_pair(cfg1);
-        let (mut s2, _, _) = endpoint_pair(cfg2);
-        let p1 = s1.send(9, dgram(b"exactly the same bytes"), true).unwrap();
-        let p2 = s2.send(9, dgram(b"exactly the same bytes"), true).unwrap();
-        // Same seed ⇒ same confounder ⇒ identical wire output.
-        assert_eq!(p1.header.mac, p2.header.mac);
-        assert_eq!(p1.body, p2.body);
     }
 
     #[test]

@@ -116,20 +116,17 @@ impl IpHookStats {
     }
 }
 
-/// The verdict ledger: the only writers of the verdict counts and the
-/// only constructors of the registry's verdict events. Each counts into
-/// the running owner's block; [`IpHookStats`] and an attached registry
-/// read the same cells.
+/// The verdict ledger: the only writers of the entry and verdict counts
+/// and the only constructors of the registry's verdict events. Each
+/// counts into the running owner's block; [`IpHookStats`] and an
+/// attached registry read the same cells.
 impl Pass<'_> {
-    /// A datagram entered the `dir` hook. Only an attached registry
-    /// counts entries: the blocks count verdicts.
+    /// A datagram entered the `dir` hook.
     pub(super) fn enter(&self, dir: Direction) {
-        if let Some(reg) = self.obs {
-            reg.incr(match dir {
-                Direction::Output => Counter::HookOutputEntries,
-                Direction::Input => Counter::HookInputEntries,
-            });
-        }
+        self.counts.incr(match dir {
+            Direction::Output => Counter::HookOutputEntries,
+            Direction::Input => Counter::HookInputEntries,
+        });
     }
 
     /// A datagram left the `dir` hook with its final verdict.
@@ -145,11 +142,19 @@ impl Pass<'_> {
     /// A key-unavailable datagram took a degradation verdict: admitted
     /// unprotected (`open`) or dropped fail-closed.
     pub(super) fn degraded(&self, dir: Direction, open: bool) {
-        self.counts.incr(if open {
+        let c = if open {
             Counter::DegradeFailOpen
         } else {
             Counter::DegradeFailClosed
-        });
-        record(self.obs, Event::Degraded { dir, open });
+        };
+        self.rare(c, Event::Degraded { dir, open });
+    }
+
+    /// A rare step (a degradation, a park-lifecycle step): counted in
+    /// the owner's block, and recorded in an attached registry's flight
+    /// recorder.
+    pub(super) fn rare(&self, c: Counter, event: Event) {
+        self.counts.incr(c);
+        record(self.obs, event);
     }
 }

@@ -6,7 +6,7 @@
 //! the owner lock may use directly.
 
 use super::config::IpMappingConfig;
-use super::{record, HookShared};
+use super::HookShared;
 use crate::combined::{insert_key, CombinedFst};
 use crate::policy::FiveTuplePolicy;
 use crate::tuple::FiveTuple;
@@ -329,12 +329,11 @@ fn protect(
     let timer = obs.as_ref().map(|_| StageTimer::start());
     match codec.seal_with_key_into(sfl, key, payload, cfg.encrypt, &mut out) {
         Ok(()) => {
-            if let Some(reg) = obs.as_ref() {
-                if let Some(timer) = timer {
-                    reg.observe_stage(Stage::Seal, timer.elapsed_ns());
-                }
-                reg.incr(suite_counter(shared.fbs.suite, Direction::Output));
+            if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
+                reg.observe_stage(Stage::Seal, timer.elapsed_ns());
             }
+            pass.counts
+                .incr(suite_counter(shared.fbs.suite, Direction::Output));
             pass.span(sfl, header.src, SpanKind::Seal, out.len() as u64);
             let delta = out.len() as isize - payload.len() as isize;
             header.grow_payload(delta);
@@ -390,9 +389,8 @@ fn verify(
             }
         },
     )?;
-    if let Some(reg) = obs.as_ref() {
-        reg.incr(suite_counter(shared.fbs.suite, Direction::Input));
-    }
+    pass.counts
+        .incr(suite_counter(shared.fbs.suite, Direction::Input));
     trace_span(
         obs,
         view.sfl,
@@ -427,13 +425,13 @@ fn park_or_reject(
                 reg.observe_stage(Stage::Park, timer.elapsed_ns());
             }
             let queued = queue.len() as u32;
-            record(obs, Event::Parked { queued });
+            pass.rare(Counter::ParkParked, Event::Parked { queued });
             pass.trace_park(dir, header, sfl, SpanKind::Parked, "parked", queued as u64);
             HookOutcome::Park
         }
         Err((_, payload)) => {
             pool.put(payload);
-            record(obs, Event::ParkOverflow);
+            pass.rare(Counter::ParkOverflow, Event::ParkOverflow);
             pass.exit(dir, false);
             HookOutcome::Reject(RejectReason::ParkQueueFull)
         }
@@ -592,7 +590,7 @@ pub(super) fn release_parked(
             let sfl = wire_sfl(&payload);
             pass.trace_park(dir, &header, sfl, SpanKind::Expired, "park_expired", 0);
             pool.put(payload);
-            record(&obs, Event::ParkExpired);
+            pass.rare(Counter::ParkExpired, Event::ParkExpired);
             did_work = true;
         }
         for entry in shard.park(dir).take_all() {
@@ -611,7 +609,7 @@ pub(super) fn release_parked(
                     deadline_us,
                 }) {
                     pool.put(payload);
-                    record(&obs, Event::ParkOverflow);
+                    pass.rare(Counter::ParkOverflow, Event::ParkOverflow);
                 }
             };
             let peer = Principal::from_ipv4(match dir {
@@ -635,7 +633,7 @@ pub(super) fn release_parked(
                 Ok(out) => {
                     pass.exit(dir, true);
                     let waited_us = shard.park(dir).note_released(parked_at_us, now_us);
-                    record(&obs, Event::ParkReleased { waited_us });
+                    pass.rare(Counter::ParkReleased, Event::ParkReleased { waited_us });
                     // The flow's sfl leads the framed bytes: what was
                     // just sealed (the park itself had no identity to
                     // trace) or the wire payload that was parked.

@@ -235,8 +235,12 @@ fn finish_current(
     }
     flight.pool.put_all(pending_recycle);
     refresh_park_depths(shared, w, shards);
-    if let Some(busy) = busy {
+    if !reject {
         pass.counts.incr(Counter::WorkerBatches);
+    }
+    // Timing is a sample, like a span: only an observed pass pays for
+    // the clock reads.
+    if let Some(busy) = busy {
         pass.counts.add(Counter::WorkerBusyNs, busy.elapsed_ns());
     }
 }

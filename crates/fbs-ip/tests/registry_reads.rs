@@ -200,3 +200,71 @@ fn hosts_sharing_a_registry_sum_their_rows() {
     drop(sender);
     assert_rows_are_the_ledgers(&reg.snapshot(), &[&receiver]);
 }
+
+/// Counts do not wait for a registry: two hosts carry traffic, a
+/// fragmented datagram among it, with none attached, and a registry
+/// attached to each only afterwards reads every count they made.
+#[test]
+fn a_late_registry_reads_every_count_the_hosts_made() {
+    let world = World::new(43, DhGroup::test_group());
+    let (mut a, hooks_a) = world.secure_host(A, one_owner());
+    let (mut b, hooks_b) = world.secure_host(B, one_owner());
+    b.udp.bind(53).expect("bind");
+    let mut frames = Vec::new();
+    for i in 0..3u8 {
+        a.udp_send(4000, B, 53, &[i; 100], NOW_US).expect("send");
+        frames.extend(a.take_frames());
+    }
+    a.udp_send(4000, B, 53, &[7; 4_000], NOW_US).expect("send");
+    let fragments = a.take_frames();
+    assert!(fragments.len() > 1, "the large datagram fragments");
+    let produced = fragments.len() as u64;
+    frames.extend(fragments);
+    b.deliver_frames(&frames, NOW_US);
+    assert_eq!(b.stats().dispatched, 4);
+
+    let (reg_a, reg_b) = (
+        Arc::new(MetricsRegistry::new()),
+        Arc::new(MetricsRegistry::new()),
+    );
+    a.attach_obs(Arc::clone(&reg_a));
+    b.attach_obs(Arc::clone(&reg_b));
+    hooks_a.attach_obs(Arc::clone(&reg_a)).expect("attach obs");
+    hooks_b.attach_obs(Arc::clone(&reg_b)).expect("attach obs");
+    let (snap_a, snap_b) = (reg_a.snapshot(), reg_b.snapshot());
+    for (snap, host) in [(&snap_a, &a), (&snap_b, &b)] {
+        let pool = host.pool_stats();
+        assert_eq!(snap.counter("pool.hits"), pool.hits);
+        assert_eq!(snap.counter("pool.misses"), pool.misses);
+        assert_eq!(snap.counter("pool.returns"), pool.returns);
+        assert_eq!(snap.counter("pool.discards"), pool.discards);
+        assert!(pool.hits + pool.misses > 0);
+        let stats = host.stats();
+        assert_eq!(snap.counter("host.frames_sent"), stats.frames_sent);
+        assert_eq!(snap.counter("host.frames_seen"), stats.frames_seen);
+        assert_eq!(snap.counter("host.frames_for_us"), stats.frames_for_us);
+        assert_eq!(snap.counter("host.dispatched"), stats.dispatched);
+    }
+    assert_eq!(a.stats().frames_sent, 3 + produced);
+    assert_eq!(snap_a.counter("pipeline.output_batches"), 4);
+    assert_eq!(snap_a.counter("pipeline.batch_datagrams"), 4);
+    assert_eq!(snap_a.counter("net.fragmented_datagrams"), 1);
+    assert_eq!(snap_a.counter("net.fragments_produced"), produced);
+    assert_eq!(b.stats().frames_for_us, 3 + produced);
+    assert_eq!(snap_b.counter("pipeline.input_batches"), 1);
+    assert_eq!(snap_b.counter("pipeline.batch_datagrams"), 4);
+    assert_eq!(snap_b.counter("net.reassembled_datagrams"), 1);
+    // The hooks counted entries, suites, key derivations and owner
+    // sub-batches before any registry read them, too.
+    // One owner: a sub-batch per hook batch.
+    for (snap, entries, batches) in [
+        (&snap_a, "hooks.output_entries", 4),
+        (&snap_b, "hooks.input_entries", 1),
+    ] {
+        assert_eq!(snap.counter(entries), 4);
+        assert_eq!(snap.counter("hooks.worker_batches"), batches);
+        assert_eq!(snap.counter("endpoint.key_derivations"), 1);
+    }
+    assert_eq!(snap_a.counter("crypto.seal.paper"), 4);
+    assert_eq!(snap_b.counter("crypto.open.paper"), 4);
+}

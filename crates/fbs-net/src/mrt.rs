@@ -18,7 +18,7 @@
 
 use crate::error::{NetError, Result};
 use crate::ip::{Ipv4Addr, IPV4_HEADER_LEN};
-use fbs_obs::{Event, MetricsRegistry};
+use fbs_obs::{Counter, CounterBlock, Event, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -227,7 +227,19 @@ pub struct MrtLayer {
     next_iss: u32,
     /// Segments dropped because no listener/connection matched.
     pub resets: u64,
+    /// Where `mrt.retransmits` is counted: a private block by default,
+    /// or the host's ([`with_counts`](Self::with_counts)).
+    counts: Arc<CounterBlock>,
     obs: Option<Arc<MetricsRegistry>>,
+}
+
+/// One go-back-N or handshake retransmission: counted in `counts`, and
+/// recorded as [`Event::MrtRetransmit`] in an attached registry.
+fn note_retransmit(counts: &CounterBlock, obs: &Option<Arc<MetricsRegistry>>) {
+    counts.incr(Counter::MrtRetransmits);
+    if let Some(reg) = obs {
+        reg.record(Event::MrtRetransmit);
+    }
 }
 
 impl MrtLayer {
@@ -241,12 +253,21 @@ impl MrtLayer {
             window_segments: 8,
             next_iss: 1000,
             resets: 0,
+            counts: Arc::new(CounterBlock::new()),
             obs: None,
         }
     }
 
+    /// Count into `counts` (builder style): the block of the host that
+    /// owns the layer, written only through its `&mut`.
+    pub(crate) fn with_counts(mut self, counts: Arc<CounterBlock>) -> Self {
+        self.counts = counts;
+        self
+    }
+
     /// Attach a metrics registry: every go-back-N or handshake
-    /// retransmission emits [`Event::MrtRetransmit`].
+    /// retransmission emits [`Event::MrtRetransmit`] into its flight
+    /// recorder.
     pub fn set_obs(&mut self, registry: Arc<MetricsRegistry>) {
         self.obs = Some(registry);
     }
@@ -472,9 +493,7 @@ impl MrtLayer {
                     ConnState::SynSent => {
                         if conn.retries > 1 {
                             conn.retransmissions += 1;
-                            if let Some(reg) = &self.obs {
-                                reg.record(Event::MrtRetransmit);
-                            }
+                            note_retransmit(&self.counts, &self.obs);
                         }
                         let syn = MrtHeader {
                             src_port: key.0,
@@ -495,9 +514,7 @@ impl MrtLayer {
                     }
                     ConnState::SynReceived => {
                         conn.retransmissions += 1;
-                        if let Some(reg) = &self.obs {
-                            reg.record(Event::MrtRetransmit);
-                        }
+                        note_retransmit(&self.counts, &self.obs);
                         let synack = MrtHeader {
                             src_port: key.0,
                             dst_port: key.2,
@@ -516,9 +533,7 @@ impl MrtLayer {
                     _ => {
                         // Go-back-N: rewind transmission to snd_una.
                         conn.retransmissions += 1;
-                        if let Some(reg) = &self.obs {
-                            reg.record(Event::MrtRetransmit);
-                        }
+                        note_retransmit(&self.counts, &self.obs);
                         let rewound = conn.snd_nxt.wrapping_sub(conn.snd_una);
                         conn.snd_nxt = conn.snd_una;
                         if conn.fin_sent && rewound > 0 {

@@ -35,7 +35,7 @@ use crate::segment::{Impairments, Segment};
 use crate::udp::UdpLayer;
 use fbs_core::pool::DEFAULT_MAX_POOLED;
 use fbs_core::BufferPool;
-use fbs_obs::{Counter, Direction, Event, MetricsRegistry, SpanKind, TraceSpan};
+use fbs_obs::{Counter, CounterBlock, Direction, Event, MetricsRegistry, SpanKind, TraceSpan};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -206,7 +206,8 @@ pub trait SecurityHooks: Send {
     }
 }
 
-/// Host-level counters.
+/// Host-level counters: a view over the `host.*` cells of the host's
+/// counter block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostStats {
     /// Frames handed to the wire.
@@ -235,6 +236,26 @@ pub struct HostStats {
     pub would_fragment_drops: u64,
     /// Datagrams dispatched to an upper layer (UDP, MRT, bypass, raw).
     pub dispatched: u64,
+}
+
+impl HostStats {
+    /// Read the view off `counts`.
+    fn read(counts: &CounterBlock) -> Self {
+        HostStats {
+            frames_sent: counts.counter(Counter::HostFramesSent),
+            frames_seen: counts.counter(Counter::HostFramesSeen),
+            frames_for_us: counts.counter(Counter::HostFramesForUs),
+            header_drops: counts.counter(Counter::HostHeaderDrops),
+            hook_output_rejects: counts.counter(Counter::HostOutputRejects),
+            hook_input_rejects: counts.counter(Counter::HostInputRejects),
+            hook_output_parked: counts.counter(Counter::HostOutputParked),
+            hook_input_parked: counts.counter(Counter::HostInputParked),
+            hook_output_released: counts.counter(Counter::HostOutputReleased),
+            hook_input_released: counts.counter(Counter::HostInputReleased),
+            would_fragment_drops: counts.counter(Counter::HostWouldFragmentDrops),
+            dispatched: counts.counter(Counter::HostDispatched),
+        }
+    }
 }
 
 /// A simulated host: stack + transport layers + app-visible queues.
@@ -267,22 +288,26 @@ pub struct Host {
     ready: Vec<Datagram>,
     verdicts: Vec<(Ipv4Header, HookOutcome)>,
     hooked: Vec<usize>,
-    stats: HostStats,
+    /// The host's counts — its own `host.*`, `pipeline.*` and `net.*`,
+    /// its pool's `pool.*` and its MRT layer's `mrt.retransmits` — all
+    /// written through `&mut Host`, so the block has one writer.
+    counts: Arc<CounterBlock>,
     obs: Option<Arc<MetricsRegistry>>,
 }
 
 impl Host {
     /// Create a host at `addr` with the given link MTU.
     pub fn new(addr: Ipv4Addr, mtu: usize) -> Self {
+        let counts = Arc::new(CounterBlock::new());
         Host {
             addr,
             mtu,
             ip_id: 1,
             hooks: None,
             reasm: Reassembler::new(30_000_000),
-            pool: BufferPool::new(),
+            pool: BufferPool::new().with_counts(Arc::clone(&counts)),
             udp: UdpLayer::default(),
-            mrt: MrtLayer::new(mtu),
+            mrt: MrtLayer::new(mtu).with_counts(Arc::clone(&counts)),
             ports: PortAllocator::new(0),
             bypass_rx: VecDeque::new(),
             raw_rx: VecDeque::new(),
@@ -290,17 +315,18 @@ impl Host {
             ready: Vec::new(),
             verdicts: Vec::new(),
             hooked: Vec::new(),
-            stats: HostStats::default(),
+            counts,
             obs: None,
         }
     }
 
-    /// Attach a metrics registry: the stack emits fragmentation and
-    /// reassembly events, the buffer pool reports hits/misses, and the
-    /// registry cascades into the MRT layer for retransmit observation.
+    /// Attach a metrics registry: it reads the host's counter block
+    /// (counts made before the attach included), and the stack and its
+    /// MRT layer record reassembly timeouts and retransmits in its
+    /// flight recorder and trace spans in its tracer.
     pub fn attach_obs(&mut self, registry: Arc<MetricsRegistry>) {
+        registry.attach(Arc::clone(&self.counts));
         self.mrt.set_obs(Arc::clone(&registry));
-        self.pool.attach_obs(Arc::clone(&registry));
         self.obs = Some(registry);
     }
 
@@ -316,7 +342,7 @@ impl Host {
 
     /// Counters.
     pub fn stats(&self) -> HostStats {
-        self.stats
+        HostStats::read(&self.counts)
     }
 
     /// Buffer-pool counters (hits, misses, returns, discards).
@@ -379,11 +405,11 @@ impl Host {
             .map(|(header, res)| match res {
                 HookOutcome::Pass(payload) => self.fragment_and_send(header, payload),
                 HookOutcome::Reject(why) => {
-                    self.stats.hook_output_rejects += 1;
+                    self.counts.incr(Counter::HostOutputRejects);
                     Err(NetError::SecurityReject(why))
                 }
                 HookOutcome::Park => {
-                    self.stats.hook_output_parked += 1;
+                    self.counts.incr(Counter::HostOutputParked);
                     Ok(())
                 }
             })
@@ -426,13 +452,12 @@ impl Host {
             }
         }
         if let (Some(h), false) = (&mut self.hooks, batch.is_empty()) {
-            if let Some(reg) = &self.obs {
-                reg.incr(match dir {
-                    Direction::Output => Counter::PipelineOutputBatches,
-                    Direction::Input => Counter::PipelineInputBatches,
-                });
-                reg.add(Counter::PipelineBatchDatagrams, batch.len() as u64);
-            }
+            self.counts.incr(match dir {
+                Direction::Output => Counter::PipelineOutputBatches,
+                Direction::Input => Counter::PipelineInputBatches,
+            });
+            self.counts
+                .add(Counter::PipelineBatchDatagrams, batch.len() as u64);
             let staged = h.process_batch(dir, batch, &mut self.pool, now_us);
             for (&i, s) in hooked.iter().zip(staged) {
                 out[i] = s;
@@ -454,12 +479,10 @@ impl Host {
         });
         self.pool.put(payload);
         let n = sent?;
-        self.stats.frames_sent += n as u64;
+        self.counts.add(Counter::HostFramesSent, n as u64);
         if n > 1 {
-            if let Some(reg) = &self.obs {
-                reg.incr(Counter::FragmentedDatagrams);
-                reg.add(Counter::FragmentsProduced, n as u64);
-            }
+            self.counts.incr(Counter::FragmentedDatagrams);
+            self.counts.add(Counter::FragmentsProduced, n as u64);
         }
         Ok(())
     }
@@ -521,16 +544,16 @@ impl Host {
     /// are copied into one as it arrives; a fragment's are copied into
     /// its datagram's reassembly buffer. Frames not for us take nothing.
     fn ingest(&mut self, frame: &[u8], now_us: u64) -> Option<Datagram> {
-        self.stats.frames_seen += 1;
+        self.counts.incr(Counter::HostFramesSeen);
         // Part 1: parse and verify.
         let Ok((header, bytes)) = parse_frame(frame) else {
-            self.stats.header_drops += 1;
+            self.counts.incr(Counter::HostHeaderDrops);
             return None;
         };
         if header.dst != self.addr {
             return None; // not ours (shared medium)
         }
-        self.stats.frames_for_us += 1;
+        self.counts.incr(Counter::HostFramesForUs);
         if !header.is_fragment() {
             let mut payload = self.pool.take();
             payload.extend_from_slice(bytes);
@@ -542,14 +565,10 @@ impl Host {
         let packet = self
             .reasm
             .push_fragment(&header, bytes, now_us, &mut self.pool);
-        if let Some(reg) = &self.obs {
-            let evicted = self.reasm.drops(ReassemblyDrop::OverBudget) - evicted;
-            if evicted > 0 {
-                reg.add(Counter::ReassemblyEvictions, evicted);
-            }
-            if packet.is_some() {
-                reg.incr(Counter::ReassembledDatagrams);
-            }
+        let evicted = self.reasm.drops(ReassemblyDrop::OverBudget) - evicted;
+        self.counts.add(Counter::ReassemblyEvictions, evicted);
+        if packet.is_some() {
+            self.counts.incr(Counter::ReassembledDatagrams);
         }
         let packet = packet?;
         trace_wire_span(
@@ -603,12 +622,12 @@ impl Host {
             match res {
                 HookOutcome::Pass(payload) => self.dispatch(header, payload, now_us),
                 HookOutcome::Reject(_) => {
-                    self.stats.hook_input_rejects += 1;
+                    self.counts.incr(Counter::HostInputRejects);
                 }
                 HookOutcome::Park => {
                     // Held until a key derives; [`Self::poll`] dispatches it
                     // once the hook releases it.
-                    self.stats.hook_input_parked += 1;
+                    self.counts.incr(Counter::HostInputParked);
                 }
             }
         }
@@ -621,7 +640,7 @@ impl Host {
     /// from the security hook. Every layer gets its bytes copied out, so
     /// the pooled buffer goes back to the pool.
     fn dispatch(&mut self, header: Ipv4Header, payload: Vec<u8>, now_us: u64) {
-        self.stats.dispatched += 1;
+        self.counts.incr(Counter::HostDispatched);
         let mut responses = Vec::new();
         match Proto::from_number(header.proto) {
             Proto::Udp => self.udp.deliver(header.src, header.dst, &payload),
@@ -641,7 +660,7 @@ impl Host {
         match self.ip_output(header, o.bytes, now_us) {
             Ok(()) => {}
             Err(NetError::WouldFragment { .. }) => {
-                self.stats.would_fragment_drops += 1;
+                self.counts.incr(Counter::HostWouldFragmentDrops);
             }
             Err(_) => {} // hook rejects already counted
         }
@@ -651,11 +670,10 @@ impl Host {
     /// transport output. Call regularly with the current virtual time.
     pub fn poll(&mut self, now_us: u64) {
         let expired = self.reasm.expire(now_us, &mut self.pool);
-        if expired > 0 {
-            if let Some(reg) = &self.obs {
-                for _ in 0..expired {
-                    reg.record(Event::ReassemblyTimeout);
-                }
+        self.counts.add(Counter::ReassemblyTimeouts, expired as u64);
+        if let Some(reg) = &self.obs {
+            for _ in 0..expired {
+                reg.record(Event::ReassemblyTimeout);
             }
         }
         for o in self.mrt.poll(now_us) {
@@ -669,12 +687,12 @@ impl Host {
             let released_in = h.release_input(now_us, &mut self.pool);
             self.hooks = Some(h);
             for (header, payload) in released_out {
-                self.stats.hook_output_released += 1;
+                self.counts.incr(Counter::HostOutputReleased);
                 // Already protected: go straight to fragmentation.
                 let _ = self.fragment_and_send(header, payload);
             }
             for (header, payload) in released_in {
-                self.stats.hook_input_released += 1;
+                self.counts.incr(Counter::HostInputReleased);
                 self.dispatch(header, payload, now_us);
             }
         }

@@ -262,7 +262,6 @@ fn check_stale_partials(
         (state >> 33) as u32
     };
     let mut r = Reassembler::new(timeout_us);
-    let reg = fbs_obs::MetricsRegistry::new();
     let mut incomplete = 0usize;
     for i in 0..n {
         let payload_len = 1600 + (next() as usize % 4000);
@@ -315,24 +314,13 @@ fn check_stale_partials(
     prop_assert_eq!(r.drops(ReassemblyDrop::Timeout), incomplete as u64);
     let recycled = pool.stats().returns + pool.stats().discards;
     prop_assert_eq!(recycled, incomplete as u64);
-
-    // ...and the fbs-obs counter fed one event per expiry agrees with
-    // the reassembler's own ledger, as `Host::poll` wires it.
-    for _ in 0..dropped {
-        reg.record(fbs_obs::Event::ReassemblyTimeout);
-    }
-    prop_assert_eq!(
-        reg.counter(fbs_obs::Counter::ReassemblyTimeouts),
-        r.drops(ReassemblyDrop::Timeout)
-    );
     Ok(())
 }
 
 // Sustained fragment loss: every datagram that loses at least one
 // fragment leaves exactly one stale partial; the purge timer drops them
 // all once (and only once) they exceed the timeout, and the
-// reassembler's own counter stays coherent with the fbs-obs registry
-// counter fed from the same expiries.
+// reassembler's own counter counts each once.
 proptest! {
     #[test]
     fn stale_partials_expire_under_sustained_loss(

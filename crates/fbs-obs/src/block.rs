@@ -1,10 +1,12 @@
-//! Counter blocks: the one place a component's counts are written.
+//! Counter blocks: the one place any count is written.
 //!
 //! A [`CounterBlock`] holds every [`Counter`] plus per-[`CacheKind`] 3C
-//! cache counters. The legacy stats structs (`EndpointStats`,
-//! [`CacheStats`], `MkdStats`, ...) are views read off blocks, and a
-//! [`crate::MetricsRegistry`] sums every block
-//! [attached](crate::MetricsRegistry::attach) to it when scraped.
+//! cache counters. The stats structs (`EndpointStats`, [`CacheStats`],
+//! `MkdStats`, `PoolStats`, `HostStats`, ...) are views read off blocks,
+//! and a [`crate::MetricsRegistry`] sums every block
+//! [attached](crate::MetricsRegistry::attach) to it when scraped. A
+//! component counts whether or not a registry reads it, so attaching
+//! one late loses nothing.
 //!
 //! # One writer per block
 //!
@@ -16,8 +18,6 @@
 //! or seeing a torn value. Two writers racing on one block would lose
 //! increments, so a component written from several lock domains keeps
 //! one block per domain, and its views [sum](CounterBlock::sum) them.
-//! The registry's own cells, which any thread writes, are the one place
-//! a count is a `fetch_add`; they are private to the registry.
 //!
 //! Blocks are cache-line aligned, so two domains' blocks never share a
 //! line.
@@ -149,6 +149,7 @@ impl CacheCounters {
 /// Add `n` to `cell`: a relaxed load and a relaxed store, no locked
 /// instruction. Exact only under the block's one-writer rule (module
 /// docs); a racing second writer loses increments, never tears a cell.
+#[inline]
 fn bump(cell: &AtomicU64, n: u64) {
     cell.store(
         cell.load(Ordering::Relaxed).wrapping_add(n),
@@ -208,21 +209,25 @@ impl CounterBlock {
     }
 
     /// Increment a scalar counter by 1.
+    #[inline]
     pub fn incr(&self, c: Counter) {
         self.add(c, 1);
     }
 
     /// Increment a scalar counter by `n`.
+    #[inline]
     pub fn add(&self, c: Counter, n: u64) {
         bump(&self.counters[c.index()], n);
     }
 
     /// Read a scalar counter.
+    #[inline]
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c.index()].load(Ordering::Relaxed)
     }
 
     /// Record a lookup in cache `kind`: a hit or one of the 3C misses.
+    #[inline]
     pub fn cache_lookup(&self, kind: CacheKind, outcome: CacheOutcome) {
         let c = &self.caches[kind.index()];
         bump(
@@ -238,11 +243,13 @@ impl CounterBlock {
 
     /// Record an insertion into cache `kind`. An eviction it causes is
     /// booked separately, through [`cache_eviction`](Self::cache_eviction).
+    #[inline]
     pub fn cache_insertion(&self, kind: CacheKind) {
         bump(&self.caches[kind.index()].insertions, 1);
     }
 
     /// Record an eviction from cache `kind`.
+    #[inline]
     pub fn cache_eviction(&self, kind: CacheKind) {
         bump(&self.caches[kind.index()].evictions, 1);
     }

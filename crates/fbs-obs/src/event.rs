@@ -45,6 +45,7 @@ impl CacheKind {
         }
     }
 
+    #[inline]
     pub(crate) fn index(self) -> usize {
         match self {
             CacheKind::Tfkc => 0,

@@ -6,15 +6,15 @@
 //! reproduction one pipeline for all of that:
 //!
 //! * [`CounterBlock`] — one lock domain's counts (every [`Counter`] and
-//!   the per-cache 3C counters): the only place a component writes them,
-//!   one writer at a time, with no locked instruction. The legacy stats
-//!   structs are views over blocks;
-//! * [`MetricsRegistry`] — its own cells for counts no component keeps,
-//!   the blocks [attached](MetricsRegistry::attach) to it (summed at
-//!   scrape time), the [`ScrapeSource`]s whose rows it derives at
-//!   scrape time from ledgers they keep (per-owner load, per-shard
-//!   memory), and log2 latency/size histograms, shared across
-//!   components via `Arc`. It reads; nothing pushes a copy into it;
+//!   the per-cache 3C counters): the only place any count is written,
+//!   one writer at a time, with no locked instruction, whether or not a
+//!   registry reads it. The stats structs are views over blocks;
+//! * [`MetricsRegistry`] — a reader: it sums the blocks
+//!   [attached](MetricsRegistry::attach) to it at scrape time, derives
+//!   the rows of its [`ScrapeSource`]s from ledgers they keep (per-owner
+//!   load, per-shard memory), and keeps log2 latency/size histograms,
+//!   shared across components via `Arc`. It holds no counter cell;
+//!   nothing pushes a copy of a count into it;
 //! * a **flight recorder** — a fixed-capacity ring buffer of typed
 //!   [`Event`]s that a fault or the keying plane causes (retries, breaker
 //!   moves and fast-fails, parks, degradations, reassembly timeouts, MRT
@@ -39,9 +39,10 @@
 //!
 //! Observability is opt-in: components hold `Option<Arc<MetricsRegistry>>`
 //! defaulting to `None`, so the disabled per-datagram cost is a single
-//! branch on top of the block counts the component makes anyway. The crate has zero dependencies (it sits below `fbs-core` in
-//! the dependency order) and performs no I/O of its own — exporters
-//! return `String`s.
+//! branch on top of the block counts the component makes anyway. The
+//! crate has zero dependencies (it sits below `fbs-core` in the
+//! dependency order) and performs no I/O of its own — exporters return
+//! `String`s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,6 @@
-//! The metrics registry: its own counter cells plus the blocks attached
-//! to it, log2 histograms, and the flight recorder.
+//! The metrics registry: a reader of the counter blocks attached to it
+//! and of its scrape sources, plus log2 histograms and the flight
+//! recorder. It holds no counter cell of its own.
 
 use crate::block::CounterBlock;
 use crate::event::{Event, EventRecord};
@@ -101,8 +102,8 @@ pub enum Counter {
     DegradeFailOpen,
     /// Datagrams dropped under a fail-closed verdict.
     DegradeFailClosed,
-    /// Sub-batches shard owners finished while a registry was attached
-    /// (per owner: `hooks.worker.<w>.batches`).
+    /// Sub-batches shard owners finished (per owner:
+    /// `hooks.worker.<w>.batches`).
     WorkerBatches,
     /// Panics caught by an owner's supervisor.
     WorkerPanics,
@@ -110,11 +111,10 @@ pub enum Counter {
     /// and resumed (soft state re-warms through normal cache misses).
     WorkerRespawns,
     /// Nanoseconds shard owners spent on the sub-batches counted in
-    /// [`Counter::WorkerBatches`] (per owner: `hooks.worker.<w>.busy_ns`).
+    /// [`Counter::WorkerBatches`] while a registry was attached: timing,
+    /// like a stage span, is only paid for when observed (per owner:
+    /// `hooks.worker.<w>.busy_ns`).
     WorkerBusyNs,
-    /// Flight-recorder events overwritten before anyone read them
-    /// (ring overflow).
-    EventsDropped,
     /// Buffers recycled into a pool's freelist.
     PoolReturns,
     /// Returned buffers the pool discarded (freelist full or wrong
@@ -141,10 +141,34 @@ pub enum Counter {
     OpenSuiteFastDes,
     /// Datagrams opened under the ChaCha20-Poly1305 AEAD profile.
     OpenSuiteAead,
+    /// Frames a host handed to the wire.
+    HostFramesSent,
+    /// Frames a host saw on the wire, addressed to anyone.
+    HostFramesSeen,
+    /// Frames addressed to a host and accepted for processing.
+    HostFramesForUs,
+    /// Frames a host dropped for a bad IP header checksum.
+    HostHeaderDrops,
+    /// Datagrams a host's output security hook rejected.
+    HostOutputRejects,
+    /// Datagrams a host's input security hook rejected.
+    HostInputRejects,
+    /// Output datagrams a host's hook parked for later release.
+    HostOutputParked,
+    /// Input datagrams a host's hook parked for later release.
+    HostInputParked,
+    /// Parked output datagrams a host released and transmitted.
+    HostOutputReleased,
+    /// Parked input datagrams a host released and dispatched.
+    HostInputReleased,
+    /// Datagrams a host could not send: DF set and over the MTU.
+    HostWouldFragmentDrops,
+    /// Datagrams a host dispatched to an upper layer.
+    HostDispatched,
 }
 
 /// Number of scalar counters.
-pub(crate) const NUM_COUNTERS: usize = 56;
+pub(crate) const NUM_COUNTERS: usize = 67;
 
 impl Counter {
     /// All counters, in snapshot order.
@@ -193,7 +217,6 @@ impl Counter {
         Counter::WorkerPanics,
         Counter::WorkerRespawns,
         Counter::WorkerBusyNs,
-        Counter::EventsDropped,
         Counter::PoolReturns,
         Counter::PoolDiscards,
         Counter::BreakerTimeClosedUs,
@@ -205,6 +228,18 @@ impl Counter {
         Counter::OpenSuitePaper,
         Counter::OpenSuiteFastDes,
         Counter::OpenSuiteAead,
+        Counter::HostFramesSent,
+        Counter::HostFramesSeen,
+        Counter::HostFramesForUs,
+        Counter::HostHeaderDrops,
+        Counter::HostOutputRejects,
+        Counter::HostInputRejects,
+        Counter::HostOutputParked,
+        Counter::HostInputParked,
+        Counter::HostOutputReleased,
+        Counter::HostInputReleased,
+        Counter::HostWouldFragmentDrops,
+        Counter::HostDispatched,
     ];
 
     /// The hierarchical counter key.
@@ -254,7 +289,6 @@ impl Counter {
             Counter::WorkerPanics => "hooks.worker_panics",
             Counter::WorkerRespawns => "hooks.worker_respawns",
             Counter::WorkerBusyNs => "hooks.worker_busy_ns",
-            Counter::EventsDropped => "obs.events_dropped",
             Counter::PoolReturns => "pool.returns",
             Counter::PoolDiscards => "pool.discards",
             Counter::BreakerTimeClosedUs => "breaker.time_closed_us",
@@ -266,11 +300,24 @@ impl Counter {
             Counter::OpenSuitePaper => "crypto.open.paper",
             Counter::OpenSuiteFastDes => "crypto.open.fast_des",
             Counter::OpenSuiteAead => "crypto.open.aead_chacha_poly",
+            Counter::HostFramesSent => "host.frames_sent",
+            Counter::HostFramesSeen => "host.frames_seen",
+            Counter::HostFramesForUs => "host.frames_for_us",
+            Counter::HostHeaderDrops => "host.header_drops",
+            Counter::HostOutputRejects => "host.hook_output_rejects",
+            Counter::HostInputRejects => "host.hook_input_rejects",
+            Counter::HostOutputParked => "host.hook_output_parked",
+            Counter::HostInputParked => "host.hook_input_parked",
+            Counter::HostOutputReleased => "host.hook_output_released",
+            Counter::HostInputReleased => "host.hook_input_released",
+            Counter::HostWouldFragmentDrops => "host.would_fragment_drops",
+            Counter::HostDispatched => "host.dispatched",
         }
     }
 
     /// `ALL` lists the variants in declaration order (pinned by a
     /// test), so the discriminant is the slot.
+    #[inline]
     pub(crate) fn index(self) -> usize {
         self as usize
     }
@@ -379,22 +426,21 @@ struct RecorderInner {
     /// Next overwrite position once the ring is full.
     write: usize,
     seq: u64,
+    /// Events overwritten before anyone read them (`obs.events_dropped`).
+    dropped: u64,
 }
 
-/// The unified metrics registry. Cheap to share (`Arc`), cheap when
-/// absent (callers hold `Option<Arc<MetricsRegistry>>` and skip all of
-/// this on `None`).
+/// The unified metrics registry: a reader. Cheap to share (`Arc`),
+/// cheap when absent (callers hold `Option<Arc<MetricsRegistry>>` and
+/// skip all of this on `None`).
 ///
-/// Every key has one source, never two for one event: the registry's
-/// own cells, for counts no component keeps (hook entries, key
-/// derivations, suites, the net layer, rare events); the components'
-/// blocks it sums at scrape time ([`attach`](Self::attach)); and the rows
-/// its scrape sources derive from their own ledgers
-/// ([`attach_source`](Self::attach_source)).
+/// Every count is written in some component's [`CounterBlock`], whether
+/// or not a registry is attached; the registry sums the blocks
+/// [attached](Self::attach) to it at scrape time, and derives the rows
+/// of its scrape sources from their own ledgers
+/// ([`attach_source`](Self::attach_source)). What it writes itself is
+/// samples (histograms, stage spans) and the flight recorder.
 pub struct MetricsRegistry {
-    /// The own cells. Any thread writes them, so, unlike a
-    /// [`CounterBlock`]'s, each write is a `fetch_add`.
-    own: [AtomicU64; NUM_COUNTERS],
     /// Component blocks summed into every read, each once.
     attached: Mutex<Vec<Arc<CounterBlock>>>,
     /// Components whose rows every snapshot derives, each once.
@@ -440,7 +486,6 @@ impl MetricsRegistry {
     /// histograms still work).
     pub fn with_event_capacity(capacity: usize) -> Self {
         MetricsRegistry {
-            own: std::array::from_fn(|_| AtomicU64::new(0)),
             attached: Mutex::new(Vec::new()),
             sources: Mutex::new(Vec::new()),
             histograms: std::array::from_fn(|_| AtomicLogHistogram::new()),
@@ -450,6 +495,7 @@ impl MetricsRegistry {
                 buf: Vec::with_capacity(capacity.min(4096)),
                 write: 0,
                 seq: 0,
+                dropped: 0,
             }),
             capacity,
             time: Box::new(|| 0),
@@ -493,21 +539,10 @@ impl MetricsRegistry {
             .len()
     }
 
-    /// Increment a counter of the registry's own cells by 1.
-    pub fn incr(&self, c: Counter) {
-        self.add(c, 1);
-    }
-
-    /// Increment a counter of the registry's own cells by `n`.
-    pub fn add(&self, c: Counter, n: u64) {
-        self.own[c.index()].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Read a scalar counter: the own cells plus every attached block.
+    /// Read a scalar counter: its sum over every attached block.
     pub fn counter(&self, c: Counter) -> u64 {
         let attached = self.attached.lock().unwrap_or_else(|e| e.into_inner());
-        self.own[c.index()].load(Ordering::Relaxed)
-            + attached.iter().map(|b| b.counter(c)).sum::<u64>()
+        attached.iter().map(|b| b.counter(c)).sum()
     }
 
     /// Add a sample to a histogram.
@@ -537,21 +572,9 @@ impl MetricsRegistry {
         self.tracer.get()
     }
 
-    /// Record a rare event: updates the counters the event implies,
-    /// then appends it to the flight recorder.
+    /// Append a rare event to the flight recorder. It counts nothing:
+    /// the component that records it counts the step in its own block.
     pub fn record(&self, event: Event) {
-        self.apply(&event);
-        // A breaker flip is a global condition, not owned by any one
-        // flow: mirror it onto the trace timeline so a sampled flow's
-        // stall can be read against keying-plane health.
-        if let Event::BreakerTransition {
-            to, in_state_us, ..
-        } = &event
-        {
-            if let Some(tracer) = self.tracer.get() {
-                tracer.annotate("breaker_transition", to.name(), (self.time)(), *in_state_us);
-            }
-        }
         if self.capacity == 0 {
             return;
         }
@@ -567,40 +590,20 @@ impl MetricsRegistry {
             rec.buf.push(entry);
         } else {
             // Overwriting unread history: make the loss visible.
-            self.incr(Counter::EventsDropped);
+            rec.dropped += 1;
             let w = rec.write;
             rec.buf[w] = entry;
             rec.write = (w + 1) % self.capacity;
         }
     }
 
-    /// Counter side effects of an event. Events whose count a component
-    /// keeps in its block (degradations, the MKD's retries and breaker
-    /// moves) only reach the flight recorder.
-    fn apply(&self, event: &Event) {
-        use crate::event::BreakerStateKind;
-        match *event {
-            Event::ReassemblyTimeout => self.incr(Counter::ReassemblyTimeouts),
-            Event::MrtRetransmit => self.incr(Counter::MrtRetransmits),
-            Event::BreakerTransition {
-                from, in_state_us, ..
-            } => self.add(
-                match from {
-                    BreakerStateKind::Closed => Counter::BreakerTimeClosedUs,
-                    BreakerStateKind::Open => Counter::BreakerTimeOpenUs,
-                    BreakerStateKind::HalfOpen => Counter::BreakerTimeHalfOpenUs,
-                },
-                in_state_us,
-            ),
-            Event::Parked { .. } => self.incr(Counter::ParkParked),
-            Event::ParkReleased { .. } => self.incr(Counter::ParkReleased),
-            Event::ParkExpired => self.incr(Counter::ParkExpired),
-            Event::ParkOverflow => self.incr(Counter::ParkOverflow),
-            Event::Degraded { .. }
-            | Event::RetryAttempt { .. }
-            | Event::RetryExhausted { .. }
-            | Event::BreakerFastFail => {}
-        }
+    /// Flight-recorder events overwritten before anyone read them (ring
+    /// overflow), reported as `obs.events_dropped`.
+    fn events_dropped(&self) -> u64 {
+        self.recorder
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .dropped
     }
 
     /// The flight recorder's contents, oldest first.
@@ -617,13 +620,11 @@ impl MetricsRegistry {
     }
 
     /// Point-in-time snapshot of every non-zero counter and cache
-    /// counter (own cells plus attached blocks), the rows of every live
-    /// scrape source, the histograms, and the flight recorder.
+    /// counter of the attached blocks, the rows of every live scrape
+    /// source, the histograms, and the flight recorder with its
+    /// `obs.events_dropped` count.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        for c in Counter::ALL {
-            snap.add(c.name(), self.own[c.index()].load(Ordering::Relaxed));
-        }
         for block in self
             .attached
             .lock()
@@ -656,6 +657,7 @@ impl MetricsRegistry {
                 snap.histograms.insert(format!("stage.{}_ns", s.name()), hs);
             }
         }
+        snap.add("obs.events_dropped", self.events_dropped());
         snap.events = self.events();
         snap
     }
@@ -667,52 +669,25 @@ mod tests {
     use crate::event::{CacheKind, Direction};
 
     #[test]
-    fn counters_accumulate_and_snapshot() {
-        let reg = MetricsRegistry::new();
-        reg.incr(Counter::Encryptions);
-        reg.add(Counter::Encryptions, 2);
-        assert_eq!(reg.counter(Counter::Encryptions), 3);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("endpoint.encryptions"), 3);
-        assert_eq!(snap.counter("endpoint.sends"), 0);
-    }
-
-    #[test]
-    fn fault_events_drive_their_counters() {
-        let reg = MetricsRegistry::new();
-        reg.record(Event::ReassemblyTimeout);
-        reg.record(Event::MrtRetransmit);
-        reg.record(Event::MrtRetransmit);
-        reg.observe(Histogram::SendBytes, 100);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("net.reassembly_timeouts"), 1);
-        assert_eq!(snap.counter("mrt.retransmits"), 2);
-        // A histogram sample is not an event.
-        assert!(snap.histograms.contains_key("send_bytes"));
-        assert_eq!(snap.events.len(), 3);
-    }
-
-    #[test]
     fn attached_blocks_are_read_whole_and_once() {
         let reg = MetricsRegistry::new();
         let block = Arc::new(CounterBlock::new());
         block.incr(Counter::Sends);
         block.cache_lookup(CacheKind::Rfkc, crate::event::CacheOutcome::MissCold);
-        reg.incr(Counter::Sends);
         // Counts made before the attach are read too; a second attach
         // of the same block adds nothing.
         reg.attach(Arc::clone(&block));
         reg.attach(Arc::clone(&block));
         block.incr(Counter::Sends);
-        assert_eq!(reg.counter(Counter::Sends), 3);
+        assert_eq!(reg.counter(Counter::Sends), 2);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("endpoint.sends"), 3);
+        assert_eq!(snap.counter("endpoint.sends"), 2);
         assert_eq!(snap.counter("cache.rfkc.cold_misses"), 1);
         // Two blocks sum.
         let other = Arc::new(CounterBlock::new());
         other.incr(Counter::Sends);
         reg.attach(other);
-        assert_eq!(reg.snapshot().counter("endpoint.sends"), 4);
+        assert_eq!(reg.snapshot().counter("endpoint.sends"), 3);
     }
 
     #[test]
@@ -734,12 +709,12 @@ mod tests {
             reg.record(Event::Parked { queued });
         }
         // 10 recorded into a 4-slot ring: 6 overwritten before read.
-        assert_eq!(reg.counter(Counter::EventsDropped), 6);
+        assert_eq!(reg.events_dropped(), 6);
         assert_eq!(reg.snapshot().counter("obs.events_dropped"), 6);
         // A ring that never filled drops nothing.
         let quiet = MetricsRegistry::with_event_capacity(4);
         quiet.record(Event::BreakerFastFail);
-        assert_eq!(quiet.counter(Counter::EventsDropped), 0);
+        assert_eq!(quiet.events_dropped(), 0);
     }
 
     #[test]
@@ -799,11 +774,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_events_not_counters() {
+    fn zero_capacity_disables_events() {
         let reg = MetricsRegistry::with_event_capacity(0);
         reg.record(Event::ReassemblyTimeout);
         assert!(reg.events().is_empty());
-        assert_eq!(reg.counter(Counter::ReassemblyTimeouts), 1);
+        assert_eq!(reg.events_dropped(), 0);
     }
 
     #[test]
@@ -814,69 +789,48 @@ mod tests {
     }
 
     #[test]
-    fn robustness_events_drive_registry_only_counters() {
+    fn events_are_recorded_and_count_nothing() {
         use crate::event::BreakerStateKind;
         let reg = MetricsRegistry::new();
-        reg.record(Event::RetryAttempt {
-            attempt: 1,
-            backoff_us: 100,
-        });
-        reg.record(Event::RetryAttempt {
-            attempt: 2,
-            backoff_us: 200,
-        });
-        reg.record(Event::RetryExhausted { attempts: 3 });
-        reg.record(Event::BreakerTransition {
-            from: BreakerStateKind::Closed,
-            to: BreakerStateKind::Open,
-            in_state_us: 300,
-        });
-        reg.record(Event::BreakerFastFail);
-        reg.record(Event::BreakerTransition {
-            from: BreakerStateKind::Open,
-            to: BreakerStateKind::HalfOpen,
-            in_state_us: 1_000,
-        });
-        reg.record(Event::BreakerTransition {
-            from: BreakerStateKind::HalfOpen,
-            to: BreakerStateKind::Closed,
-            in_state_us: 40,
-        });
-        reg.record(Event::Parked { queued: 1 });
-        reg.record(Event::ParkReleased { waited_us: 50 });
-        reg.record(Event::ParkExpired);
-        reg.record(Event::ParkOverflow);
-        reg.record(Event::Degraded {
-            dir: Direction::Output,
-            open: true,
-        });
-        reg.record(Event::Degraded {
-            dir: Direction::Input,
-            open: false,
-        });
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("breaker.time_closed_us"), 300);
-        assert_eq!(snap.counter("breaker.time_open_us"), 1_000);
-        assert_eq!(snap.counter("breaker.time_half_open_us"), 40);
-        assert_eq!(snap.counter("park.parked"), 1);
-        assert_eq!(snap.counter("park.released"), 1);
-        assert_eq!(snap.counter("park.expired"), 1);
-        assert_eq!(snap.counter("park.overflow"), 1);
-        // The MKD's and the hooks' blocks count these; the events are
-        // the flight recorder's.
-        for name in [
-            "retry.attempts",
-            "retry.exhausted",
-            "breaker.opened",
-            "breaker.half_open",
-            "breaker.closed",
-            "breaker.fast_fails",
-            "degrade.fail_open",
-            "degrade.fail_closed",
-        ] {
-            assert_eq!(snap.counter(name), 0, "{name}");
+        let tracer = Arc::new(FlowTracer::new(0));
+        reg.set_tracer(Arc::clone(&tracer));
+        let events = [
+            Event::ReassemblyTimeout,
+            Event::MrtRetransmit,
+            Event::RetryAttempt {
+                attempt: 1,
+                backoff_us: 100,
+            },
+            Event::RetryExhausted { attempts: 3 },
+            Event::BreakerTransition {
+                from: BreakerStateKind::Closed,
+                to: BreakerStateKind::Open,
+                in_state_us: 300,
+            },
+            Event::BreakerFastFail,
+            Event::Parked { queued: 1 },
+            Event::ParkReleased { waited_us: 50 },
+            Event::ParkExpired,
+            Event::ParkOverflow,
+            Event::Degraded {
+                dir: Direction::Output,
+                open: true,
+            },
+        ];
+        for event in events {
+            reg.record(event);
         }
-        assert_eq!(snap.events.len(), 13);
+        reg.observe(Histogram::SendBytes, 100);
+        let snap = reg.snapshot();
+        // Each step is counted in the block of the component that took
+        // it; the registry only keeps the history.
+        assert!(snap.counters.is_empty(), "{:?}", snap.counters);
+        assert_eq!(snap.events.len(), events.len());
+        // A histogram sample is not an event.
+        assert!(snap.histograms.contains_key("send_bytes"));
+        // The component that moves a breaker annotates the trace, with
+        // the transition's own time; the registry adds no copy.
+        assert!(!tracer.to_json().contains("breaker_transition"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Point-in-time metric views and exporters.
 //!
 //! A [`MetricsSnapshot`] can be produced two ways: live from a
-//! [`crate::MetricsRegistry`] (its own counter block plus every attached
-//! one), or assembled from the stats of components no registry reads
+//! [`crate::MetricsRegistry`] (every counter block attached to it), or
+//! assembled from the stats of components no registry reads
 //! via their `contribute` methods (the figure simulators' caches and
 //! FAMs). Both paths use the same counter namespace, so every figure
 //! binary and example reports through one pipeline regardless of

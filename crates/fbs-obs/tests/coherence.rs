@@ -1,7 +1,7 @@
 //! Snapshot coherence under concurrent writers.
 //!
-//! Writers hammer the registry's own counter cells, histograms and
-//! stage spans while a scraper thread takes snapshots. The registry
+//! Writers hammer their counter blocks, the histograms and the stage
+//! spans while a scraper thread takes snapshots. The registry
 //! promises per-cell atomicity, not cross-cell consistency, so the
 //! invariants a scraper may rely on are: (1) every counter is
 //! monotone across successive snapshots, and (2) a histogram whose
@@ -14,13 +14,14 @@
 //! the NEXT snapshot sees it, because every sample in `sum` was in a
 //! bucket first.
 //!
-//! The registry's own cells are the one place several threads write one
-//! count, so once the writers stop they must hold exactly what each
-//! writer tallied it added: a lost update there is a miscount. (Per-owner
-//! and per-shard rows are not written here at all: a scrape derives them
-//! from the owners' blocks and the shards' ledgers.)
+//! Each writer counts into its own attached block, as each lock domain
+//! does, while all of them share the histograms. Once the writers stop,
+//! the registry's sum over the blocks must hold exactly what each writer
+//! tallied it added: a lost update or a block read twice is a miscount.
+//! (Per-owner and per-shard rows are not written here at all: a scrape
+//! derives them from the owners' blocks and the shards' ledgers.)
 
-use fbs_obs::{Counter, Histogram, MetricsRegistry, Stage};
+use fbs_obs::{Counter, CounterBlock, Histogram, MetricsRegistry, Stage};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -38,15 +39,17 @@ fn snapshots_stay_monotone_and_sum_consistent_under_writers() {
         .map(|w| {
             let reg = Arc::clone(&reg);
             let stop = Arc::clone(&stop);
+            let block = Arc::new(CounterBlock::new());
+            reg.attach(Arc::clone(&block));
             thread::spawn(move || {
-                // Each writer adds its own weight to the shared cells and
+                // Each writer adds its own weight to its own block and
                 // tallies what it added.
                 let weight = w as u64 + 1;
                 let mut spins = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    reg.incr(Counter::Sends);
-                    reg.add(Counter::PipelineBatchDatagrams, 3);
-                    reg.add(Counter::FragmentsProduced, weight);
+                    block.incr(Counter::Sends);
+                    block.add(Counter::PipelineBatchDatagrams, 3);
+                    block.add(Counter::FragmentsProduced, weight);
                     reg.observe(Histogram::SendBytes, SAMPLE_VALUE);
                     reg.observe_stage(Stage::Seal, SAMPLE_VALUE);
                     spins += 1;
@@ -109,12 +112,13 @@ fn snapshots_stay_monotone_and_sum_consistent_under_writers() {
     assert!(total > 0);
     assert!(hist_seen, "scraper never observed a histogram");
 
-    // Quiesced: every own cell must now be exact.
+    // Quiesced: every summed count must now be exact.
     let snap = reg.snapshot();
     assert_eq!(snap.counter("endpoint.sends"), total);
     assert_eq!(snap.counter("pipeline.batch_datagrams"), 3 * total);
     assert_eq!(snap.counter("net.fragments_produced"), weighted);
     assert_eq!(reg.counter(Counter::Sends), total);
+    assert_eq!(reg.attached_blocks(), WRITERS);
     for (key, last_sum) in hist_keys.iter().zip(last_sums) {
         let h = &snap.histograms[*key];
         assert_eq!(h.count(), total);
