@@ -4,6 +4,10 @@
 //!  [-- --seed <n>] [--short] [--out <path.json>]
 //!  [--trace <path.json>] [--prom <path.prom>] [--deltas <path.json>]`
 //!
+//! The report goes to `--out`, by default `BENCH_chaos.json` for the
+//! full run and `BENCH_chaos_short.json` for `--short`, so a short run
+//! never overwrites the full-run report.
+//!
 //! Runs a scripted directory/MKD outage with cache-flush storms against a
 //! two-host FBS LAN (see `fbs_bench::chaos` for the phase script), then
 //! the worker-fault scenario (scheduled supervised panics of the
@@ -31,7 +35,8 @@ fn main() {
         seed,
         ..SoakConfig::default()
     };
-    if std::env::args().any(|a| a == "--short") {
+    let short = std::env::args().any(|a| a == "--short");
+    if short {
         // CI smoke shape: ~4.5 s of virtual time instead of 13 s.
         cfg.baseline_us = 1_000_000;
         cfg.fault_us = 1_000_000;
@@ -40,7 +45,12 @@ fn main() {
         cfg.send_interval_us = 4_000;
         cfg.step_us = 1_000;
     }
-    let out = flag_value("--out").unwrap_or_else(|| "BENCH_chaos.json".into());
+    let default_out = if short {
+        "BENCH_chaos_short.json"
+    } else {
+        "BENCH_chaos.json"
+    };
+    let out = flag_value("--out").unwrap_or_else(|| default_out.into());
     let trace_path = flag_value("--trace");
 
     let mut soak = chaos::run_soak(cfg, trace_path.as_ref().map(|_| 0));

@@ -124,3 +124,26 @@ fn chaos_soak_trace_matches_committed_sample() {
     let sends: u64 = values_of(&deltas, "endpoint.sends").iter().sum();
     assert_eq!(output_ok, sends);
 }
+
+/// A short run with no `--out` writes its own default report, never the
+/// full run's `BENCH_chaos.json`.
+#[test]
+fn chaos_soak_short_keeps_the_full_report() {
+    let dir = tmp("short_default");
+    std::fs::create_dir_all(&dir).expect("run dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_chaos_soak"))
+        .args(["--short", "--seed", "7"])
+        .current_dir(&dir)
+        .output()
+        .expect("chaos_soak runs");
+    assert!(
+        out.status.success(),
+        "chaos_soak failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report =
+        std::fs::read_to_string(dir.join("BENCH_chaos_short.json")).expect("short report written");
+    assert!(report.contains("\"bench\": \"chaos\""));
+    balanced(&report);
+    assert!(!dir.join("BENCH_chaos.json").exists());
+}

@@ -18,16 +18,18 @@
 //!
 //! # Storage layout (million-flow residency)
 //!
-//! A table's slots live in fixed chunks of 64, each holding whole sets
-//! whenever the associativity divides 64: the chunk's 64 control bytes
+//! A table's slots live in fixed chunks of [`CHUNK_SLOTS`] (16), each
+//! holding whole sets whenever the associativity divides 16: the
+//! chunk's 16 control bytes
 //! (EMPTY or a 7-bit fingerprint of the index hash, swiss-table style)
 //! sit beside one array of entries, each entry the key, the value and
 //! the LRU tick together. A lookup scans its set's control bytes first
 //! and compares keys only on a fingerprint match, so a miss touches one
 //! line of control bytes and a hit one entry more. Chunks hang off a
 //! [`ChunkDir`] and are allocated by the first placement into them; a
-//! missing chunk reads as empty, so a cache costs 8 B per 64 slots
-//! until flows reach it. The set index is still
+//! missing chunk reads as empty, and the directory itself (8 B per 16
+//! slots) is allocated by the first placement, so a cache no flow
+//! reaches costs no slot bytes at all. The set index is still
 //! `hash(k) % num_sets` — exactly the paper's "randomise, then take the
 //! modulo" structure — and replacement is still LRU within the set's
 //! window, so the 3C behaviour under study is unchanged.
@@ -53,7 +55,7 @@ use crate::mem::{BudgetKind, MemoryBudget};
 use fbs_obs::{CacheKind, CacheOutcome, CounterBlock, MetricsRegistry};
 use std::collections::HashSet;
 use std::hash::Hash;
-use std::num::NonZeroU64;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 /// Control byte for a vacant slot. Occupied slots hold the low 7 bits of
@@ -112,13 +114,19 @@ pub enum Lookup {
 /// Running hit/miss counters: a view over the cache's counter block.
 pub use fbs_obs::CacheStats;
 
-/// One slot's entry: key, value and LRU tick. Ticks count from 1, so a
-/// vacant slot's `None` costs no tag byte.
-type Entry<K, V> = (K, V, NonZeroU64);
+/// One slot's entry: key, value and LRU tick. Ticks count from 1 and
+/// skip 0 when they wrap, so a vacant slot's `None` costs no tag byte.
+///
+/// A tick is 32 bits and wraps; LRU compares *ages*
+/// (`now.wrapping_sub(tick)`), never raw ticks. Ages order a set exactly
+/// as unbounded ticks would as long as its entries were touched within
+/// the last 2^31 operations; past that only the choice of eviction
+/// victim can differ, which soft state (§5.3) allows.
+type Entry<K, V> = (K, V, NonZeroU32);
 
-/// The tick of an entry placed or touched at `tick`.
-fn stamp(tick: u64) -> NonZeroU64 {
-    NonZeroU64::new(tick).expect("ticks count from 1")
+/// The tick after `tick`, skipping 0 on wrap.
+fn next_tick(tick: NonZeroU32) -> NonZeroU32 {
+    NonZeroU32::new(tick.get().wrapping_add(1)).unwrap_or(NonZeroU32::MIN)
 }
 
 /// One chunk of slots: the control bytes a probe scans first, beside
@@ -140,7 +148,7 @@ impl<K, V> Chunk<K, V> {
 /// One table of `sets × assoc` slots, set `s`'s window the `assoc`
 /// slots from `s × assoc`, stored in chunks of [`CHUNK_SLOTS`]
 /// consecutive slots that are allocated by the first placement into
-/// them. When `assoc` divides 64 (every geometry the hooks and the
+/// them. When `assoc` divides 16 (every geometry the hooks and the
 /// figures use) a chunk holds whole sets, so a probe makes one
 /// directory lookup; otherwise a window may straddle two chunks. A
 /// missing chunk reads as empty slots.
@@ -227,14 +235,16 @@ impl<K: Eq, V> Table<K, V> {
         (None, self.assoc, first_empty)
     }
 
-    /// Least-recently-used occupied slot in `set`'s window, if any.
-    fn window_lru(&self, set: usize) -> Option<usize> {
+    /// Least-recently-used occupied slot in `set`'s window at tick
+    /// `now`, if any: the oldest by wrapping age.
+    fn window_lru(&self, set: usize, now: NonZeroU32) -> Option<usize> {
         let base = set * self.assoc;
-        let mut lru: Option<(NonZeroU64, usize)> = None;
+        let mut lru: Option<(u32, usize)> = None;
         for slot in base..base + self.assoc {
             if let Some(e) = self.entry(slot) {
-                if lru.is_none_or(|(tick, _)| e.2 < tick) {
-                    lru = Some((e.2, slot));
+                let age = now.get().wrapping_sub(e.2.get());
+                if lru.is_none_or(|(oldest, _)| age > oldest) {
+                    lru = Some((age, slot));
                 }
             }
         }
@@ -265,7 +275,7 @@ impl<K: Eq, V> Table<K, V> {
     }
 
     /// Fill empty `slot`, allocating its chunk on first use.
-    fn place(&mut self, slot: usize, fp: u8, key: K, value: V, tick: NonZeroU64) {
+    fn place(&mut self, slot: usize, fp: u8, key: K, value: V, tick: NonZeroU32) {
         let chunk = self.chunks.get_or_alloc(slot / CHUNK_SLOTS, Chunk::empty);
         chunk.ctrl[slot % CHUNK_SLOTS] = fp;
         chunk.entries[slot % CHUNK_SLOTS] = Some((key, value, tick));
@@ -329,7 +339,8 @@ pub struct SoftCache<K, V> {
     num_sets: usize,
     assoc: usize,
     hash: Box<dyn Fn(&K) -> u32 + Send + Sync>,
-    tick: u64,
+    /// The last operation's tick (see [`Entry`]).
+    tick: NonZeroU32,
     /// Resident entries across both tables.
     live: usize,
     /// Entries rehomed by the incremental migrator (includes
@@ -397,7 +408,8 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             num_sets,
             assoc,
             hash: Box::new(hash),
-            tick: 0,
+            // The first operation ticks 1.
+            tick: NonZeroU32::MAX,
             live: 0,
             migrated: 0,
             evict_cursor: 0,
@@ -461,8 +473,8 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     }
 
     /// Chunks of slots allocated so far, in both tables while a resize
-    /// is in flight. A chunk holds 64 consecutive slots and costs 64 ×
-    /// [`SLOT_BYTES`](Self::SLOT_BYTES).
+    /// is in flight. A chunk holds [`CHUNK_SLOTS`] consecutive slots and
+    /// costs [`CHUNK_SLOTS`] × [`SLOT_BYTES`](Self::SLOT_BYTES).
     pub fn chunks_owned(&self) -> usize {
         self.table.chunks.owned() + self.old.as_ref().map_or(0, |t| t.chunks.owned())
     }
@@ -644,7 +656,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     /// Place a migrated entry into the live table at its new home,
     /// evicting the window LRU if the window is full. Keeps the entry's
     /// original recency tick so LRU order survives the resize.
-    fn rehome(&mut self, key: K, value: V, used: NonZeroU64) {
+    fn rehome(&mut self, key: K, value: V, used: NonZeroU32) {
         let h = (self.hash)(&key);
         let fp = fingerprint(h);
         let set = (h as usize) % self.table.sets;
@@ -652,7 +664,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         let slot = match first_empty {
             Some(s) => s,
             None => {
-                let victim = self.table.window_lru(set).expect("full window");
+                let victim = self.table.window_lru(set, self.tick).expect("full window");
                 let _ = self.evict_live_slot(victim);
                 victim
             }
@@ -690,7 +702,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             if !over || self.live == 0 {
                 return;
             }
-            if let Some(victim) = self.table.window_lru(set) {
+            if let Some(victim) = self.table.window_lru(set, self.tick) {
                 let _ = self.evict_live_slot(victim);
                 continue;
             }
@@ -738,7 +750,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
     /// The one lookup: LRU recency, statistics, classifier and events.
     /// A hit returns its live-table slot, a miss what kind it was.
     fn lookup(&mut self, key: &K) -> Result<usize, MissKind> {
-        self.tick += 1;
+        self.tick = next_tick(self.tick);
         let tick = self.tick;
         if self.old.is_some() {
             self.step_migration();
@@ -749,7 +761,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         let (hit, probed, _) = self.table.probe(set, fp, key);
         if let Some(slot) = hit {
             self.record_probe(probed);
-            self.table.entry_mut(slot).expect("hit slot").2 = stamp(tick);
+            self.table.entry_mut(slot).expect("hit slot").2 = tick;
             self.classifier_note_hit(key);
             self.counts.cache_lookup(self.kind, CacheOutcome::Hit);
             return Ok(slot);
@@ -770,7 +782,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             let old = self.old.as_mut().expect("probed above");
             let (k, v, _) = old.take(slot);
             self.record_probe(probed + old_probed);
-            self.rehome(k, v, stamp(tick));
+            self.rehome(k, v, tick);
             self.classifier_note_hit(key);
             self.counts.cache_lookup(self.kind, CacheOutcome::Hit);
             // rehome() placed it in the live table; find it again (one
@@ -840,7 +852,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         key: K,
         value: impl FnOnce(&mut Option<(K, V)>) -> V,
     ) -> Option<(K, V)> {
-        self.tick += 1;
+        self.tick = next_tick(self.tick);
         let tick = self.tick;
         if self.old.is_some() {
             self.step_migration();
@@ -852,7 +864,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
         // Overwrite in the live table: no eviction, no residency change.
         if let (Some(slot), _, _) = self.table.probe(set, fp, &key) {
             let e = self.table.entry_mut(slot).expect("hit slot");
-            (e.1, e.2) = (value(&mut None), stamp(tick));
+            (e.1, e.2) = (value(&mut None), tick);
             return None;
         }
         // Overwrite of an entry still in the old table: pull it out and
@@ -878,12 +890,12 @@ impl<K: Eq + Hash + Clone, V: Clone> SoftCache<K, V> {
             Some(slot) => (slot, None),
             None => {
                 // Evict LRU.
-                let victim = self.table.window_lru(set).expect("full window");
+                let victim = self.table.window_lru(set, tick).expect("full window");
                 (victim, Some(self.evict_live_slot(victim)))
             }
         };
         let value = value(&mut evicted);
-        self.table.place(slot, fp, key, value, stamp(tick));
+        self.table.place(slot, fp, key, value, tick);
         if carried {
             // The move itself is residency-neutral, but the placement may
             // have evicted a different entry (already booked above).
@@ -1311,15 +1323,25 @@ mod tests {
         }
         c.clear();
         assert_eq!(c.chunks_owned(), 0);
-        // The directory alone: 8 B per 64 slots of the starting table.
-        assert_eq!(c.table_bytes(), (c.live_sets() * 4 / 64 * 8) as u64);
+        // Nothing was ever placed: no directory either.
+        assert_eq!(c.table_bytes(), 0);
+        // The first placement allocates the directory, 8 B per chunk of
+        // the starting table, and the one chunk it lands in.
+        c.insert(7, 7);
+        assert_eq!(c.chunks_owned(), 1);
+        assert_eq!(
+            c.table_bytes(),
+            ((c.live_sets() * 4 / CHUNK_SLOTS) * 8
+                + CHUNK_SLOTS * SoftCache::<u64, u64>::SLOT_BYTES) as u64
+        );
     }
 
     #[test]
     fn inserts_own_exactly_the_distinct_chunks_their_sets_fall_in() {
-        // 4 ways: 16 sets per chunk. 300 sets: 18 full chunks and one
-        // holding the last 12 sets.
-        let (sets, assoc) = (300, 4);
+        // 4 ways: CHUNK_SLOTS / 4 sets per chunk; 300 sets leave the
+        // last chunk partly unused whenever that does not divide 300.
+        let (sets, assoc): (usize, usize) = (300, 4);
+        let dir_entries = (sets * assoc).div_ceil(CHUNK_SLOTS);
         let mut c = growing(sets, assoc);
         let mut chunks = std::collections::BTreeSet::new();
         for k in (0u64..2_000).step_by(151) {
@@ -1329,11 +1351,11 @@ mod tests {
             assert_eq!(c.chunks_owned(), chunks.len(), "after key {k}");
             assert_eq!(
                 c.table_bytes(),
-                (sets.div_ceil(16) * 8 + chunks.len() * 64 * SoftCache::<u64, u64>::SLOT_BYTES)
+                (dir_entries * 8 + chunks.len() * CHUNK_SLOTS * SoftCache::<u64, u64>::SLOT_BYTES)
                     as u64
             );
         }
-        assert!(chunks.len() < sets.div_ceil(16), "some chunk stays unused");
+        assert!(chunks.len() < dir_entries, "some chunk stays unused");
         c.clear();
         assert_eq!(c.chunks_owned(), 0, "a cleared cache frees its chunks");
     }
@@ -1341,14 +1363,62 @@ mod tests {
     #[test]
     fn a_slot_costs_its_control_byte_and_one_entry() {
         // The tick never reads 0, so its niche marks a vacant entry: no
-        // tag byte, whatever the key and value.
-        assert_eq!(SoftCache::<u64, u64>::SLOT_BYTES, 1 + 8 + 8 + 8);
-        assert_eq!(SoftCache::<[u8; 13], u64>::SLOT_BYTES, 1 + 16 + 8 + 8);
+        // tag byte, whatever the key and value. It is 4 bytes, padded
+        // to the entry's alignment.
+        assert_eq!(SoftCache::<u64, u64>::SLOT_BYTES, 1 + 8 + 8 + 4 + 4);
+        assert_eq!(SoftCache::<[u8; 13], u64>::SLOT_BYTES, 1 + 13 + 8 + 4 + 7);
         #[cfg(target_pointer_width = "64")]
-        assert_eq!(
-            SoftCache::<(u64, [u8; 4]), Arc<u64>>::SLOT_BYTES,
-            1 + 16 + 8 + 8
-        );
+        {
+            // A byte-aligned 12-byte key packs beside the tick: the
+            // hooks' RFKC entry is 24 B.
+            assert_eq!(SoftCache::<[u8; 12], Box<u64>>::SLOT_BYTES, 1 + 12 + 8 + 4);
+            assert_eq!(
+                SoftCache::<(u64, [u8; 4]), Arc<u64>>::SLOT_BYTES,
+                1 + 16 + 8 + 4 + 4
+            );
+        }
+    }
+
+    /// The tick wraps: a cache whose ticks cross `u32::MAX` mid-stream
+    /// answers and evicts exactly as one whose ticks start at 1, over a
+    /// seeded mix of lookups and inserts through set conflicts, growth
+    /// with migration in flight, and budget eviction.
+    #[test]
+    fn a_wrapping_tick_orders_sets_as_a_fresh_one() {
+        use crate::mem::{BudgetKind, MemoryBudget};
+        for (sets, assoc, room) in [(8, 4, None), (1_024, 2, Some(900))] {
+            let cache = || {
+                let mut c = SoftCache::new(sets, assoc, model_hash);
+                let budget = MemoryBudget::bounded(room.map_or(0, |r: u64| r * 8));
+                c.set_budget(budget, BudgetKind::Rfkc, 8);
+                c
+            };
+            let (mut fresh, mut wrapping) = (cache(), cache());
+            wrapping.tick = NonZeroU32::new(u32::MAX - 1_000).expect("nonzero");
+            let mut x: u64 = 0x2545_F491_4F6C_DD1D ^ sets as u64;
+            let mut next = move |n: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % n
+            };
+            let keys = (sets * assoc) as u64 * 2;
+            for step in 0..6_000 {
+                let k = next(keys);
+                let at = format!("{sets}x{assoc} step {step} key {k}");
+                if next(2) == 0 {
+                    assert_eq!(fresh.get(&k), wrapping.get(&k), "{at}");
+                } else {
+                    assert_eq!(fresh.insert(k, step), wrapping.insert(k, step), "{at}");
+                }
+            }
+            assert!(
+                wrapping.tick < fresh.tick,
+                "{sets}x{assoc}: the tick wrapped"
+            );
+            assert_eq!(fresh.stats(), wrapping.stats(), "{sets}x{assoc}");
+            assert!(fresh.stats().evictions > 0, "{sets}x{assoc}");
+        }
     }
 
     /// The reference: each table one flat array of `sets × assoc`

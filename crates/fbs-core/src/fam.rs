@@ -263,6 +263,13 @@ impl<A, P: FlowPolicy<A, V>, V> Fst<A, P, V> {
         self.slots.owned()
     }
 
+    /// Heap bytes held by the slots: the chunk directory, once a flow
+    /// was inserted, and the chunks allocated so far. Entry values that
+    /// own further heap (the datapath's boxed keys) are not counted.
+    pub fn table_bytes(&self) -> u64 {
+        self.slots.heap_bytes()
+    }
+
     /// Accumulated statistics, read off the counter block.
     pub fn stats(&self) -> FstStats {
         FstStats::read(&self.counts)

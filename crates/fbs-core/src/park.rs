@@ -14,11 +14,13 @@
 //!
 //! The queue is FIFO and time-driven via caller-passed microsecond
 //! timestamps (no internal clock), so it is deterministic under
-//! simulated time. Each queue keeps its own ledger in [`ParkStats`]
-//! (the direction split and the depth high-water mark); the owner
-//! counts the park, release, expiry and overflow steps in its counter
-//! block and records them as flight-recorder events.
+//! simulated time. It keeps only its depth and the depth's high-water
+//! mark; the owner counts each park, release, expiry and overflow step
+//! once, per direction, in its counter block
+//! ([`ParkStep`]), records it as a flight-recorder
+//! event, and reads both back as [`ParkStats`].
 
+use fbs_obs::{CounterBlock, Direction, ParkStep};
 use std::collections::VecDeque;
 
 /// What the datapath does with a datagram whose flow key is
@@ -38,7 +40,8 @@ pub enum KeyUnavailableVerdict {
     Park,
 }
 
-/// One queue's park/release/expiry ledger.
+/// One direction's park/release/expiry ledger: the steps its owners
+/// counted and its queues' depth high-water mark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParkStats {
     /// Datagrams parked.
@@ -54,14 +57,17 @@ pub struct ParkStats {
 }
 
 impl ParkStats {
-    /// Fold another queue's counters into these: events add, the depth
-    /// high-water mark takes the deeper queue's.
-    pub fn merge(&mut self, other: &ParkStats) {
-        self.parked += other.parked;
-        self.released += other.released;
-        self.expired += other.expired;
-        self.overflow += other.overflow;
-        self.peak_depth = self.peak_depth.max(other.peak_depth);
+    /// Read direction `dir`'s steps off `counts`, beside the deepest
+    /// its queues have been.
+    pub fn read(counts: &CounterBlock, dir: Direction, peak_depth: u64) -> Self {
+        let step = |s| counts.park_count(dir, s);
+        ParkStats {
+            parked: step(ParkStep::Parked),
+            released: step(ParkStep::Released),
+            expired: step(ParkStep::Expired),
+            overflow: step(ParkStep::Overflow),
+            peak_depth,
+        }
     }
 }
 
@@ -83,7 +89,7 @@ pub struct ParkingQueue<T> {
     items: VecDeque<Parked<T>>,
     capacity: usize,
     default_ttl_us: u64,
-    stats: ParkStats,
+    peak_depth: usize,
 }
 
 impl<T> ParkingQueue<T> {
@@ -95,43 +101,31 @@ impl<T> ParkingQueue<T> {
             items: VecDeque::new(),
             capacity,
             default_ttl_us,
-            stats: ParkStats::default(),
+            peak_depth: 0,
         }
     }
 
     /// Park `item` at `now_us` with the default TTL. On overflow the
     /// item is handed back via `Err` so the caller can count the drop.
     pub fn park(&mut self, item: T, now_us: u64) -> Result<(), T> {
-        self.park_entry(
-            Parked {
-                item,
-                parked_at_us: now_us,
-                deadline_us: now_us.saturating_add(self.default_ttl_us),
-            },
-            true,
-        )
+        self.repark(Parked {
+            item,
+            parked_at_us: now_us,
+            deadline_us: now_us.saturating_add(self.default_ttl_us),
+        })
     }
 
     /// Re-park an entry that was released but still cannot proceed,
     /// keeping its original park time and deadline — so an item's total
     /// residency is bounded by its first deadline, not reset each
-    /// round. Does NOT count towards `stats.parked`: that counter
-    /// tracks first admissions, coherent with the `park.parked` count
-    /// the owner makes once per datagram.
+    /// round. Overflow hands the item back, as [`park`](Self::park)
+    /// does.
     pub fn repark(&mut self, entry: Parked<T>) -> Result<(), T> {
-        self.park_entry(entry, false)
-    }
-
-    fn park_entry(&mut self, entry: Parked<T>, fresh: bool) -> Result<(), T> {
         if self.items.len() >= self.capacity {
-            self.stats.overflow += 1;
             return Err(entry.item);
         }
         self.items.push_back(entry);
-        if fresh {
-            self.stats.parked += 1;
-        }
-        self.stats.peak_depth = self.stats.peak_depth.max(self.items.len() as u64);
+        self.peak_depth = self.peak_depth.max(self.items.len());
         Ok(())
     }
 
@@ -149,7 +143,6 @@ impl<T> ParkingQueue<T> {
                 expired += 1;
             }
         }
-        self.stats.expired += expired;
         expired
     }
 
@@ -172,22 +165,13 @@ impl<T> ParkingQueue<T> {
                 expired.push(e);
             }
         }
-        self.stats.expired += expired.len() as u64;
         expired
     }
 
     /// Drain the whole queue (oldest first) for a release attempt. The
-    /// caller re-parks entries that still cannot proceed and calls
-    /// [`note_released`](Self::note_released) for those that could.
+    /// caller re-parks entries that still cannot proceed.
     pub fn take_all(&mut self) -> Vec<Parked<T>> {
         self.items.drain(..).collect()
-    }
-
-    /// Record a successful release of an entry first parked at
-    /// `parked_at_us`; returns how long it waited.
-    pub fn note_released(&mut self, parked_at_us: u64, now_us: u64) -> u64 {
-        self.stats.released += 1;
-        now_us.saturating_sub(parked_at_us)
     }
 
     /// Current queue depth.
@@ -205,9 +189,9 @@ impl<T> ParkingQueue<T> {
         self.capacity
     }
 
-    /// Accumulated counters.
-    pub fn stats(&self) -> ParkStats {
-        self.stats
+    /// The deepest the queue has been.
+    pub fn peak_depth(&self) -> usize {
+        self.peak_depth
     }
 }
 
@@ -223,7 +207,7 @@ mod tests {
         let all = q.take_all();
         assert_eq!(all.iter().map(|e| e.item).collect::<Vec<_>>(), vec![1, 2]);
         assert!(q.is_empty());
-        assert_eq!(q.stats().parked, 2);
+        assert_eq!(q.peak_depth(), 2);
     }
 
     #[test]
@@ -238,9 +222,8 @@ mod tests {
         q.park(1, 0).unwrap();
         q.park(2, 0).unwrap();
         assert_eq!(q.park(3, 0), Err(3));
-        assert_eq!(q.stats().overflow, 1);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.stats().peak_depth, 2);
+        assert_eq!(q.peak_depth(), 2);
     }
 
     #[test]
@@ -252,7 +235,6 @@ mod tests {
         assert_eq!(q.expire(1_200), 1);
         assert_eq!(q.len(), 1);
         assert_eq!(q.take_all()[0].item, 2);
-        assert_eq!(q.stats().expired, 1);
     }
 
     #[test]
@@ -280,7 +262,6 @@ mod tests {
             "oldest first, entries handed back for buffer reclamation"
         );
         assert_eq!(q.len(), 1);
-        assert_eq!(q.stats().expired, 2);
     }
 
     #[test]
@@ -311,12 +292,18 @@ mod tests {
     }
 
     #[test]
-    fn released_wait_is_measured_from_first_park() {
-        let mut q: ParkingQueue<u32> = ParkingQueue::new(8, 10_000);
+    fn a_repark_keeps_the_first_park_time_and_the_peak_depth() {
+        let mut q: ParkingQueue<u32> = ParkingQueue::new(2, 10_000);
         q.park(1, 500).unwrap();
-        let entry = q.take_all().pop().unwrap();
-        let waited = q.note_released(entry.parked_at_us, 2_500);
-        assert_eq!(waited, 2_000);
-        assert_eq!(q.stats().released, 1);
+        q.park(2, 600).unwrap();
+        let mut all = q.take_all();
+        assert_eq!(q.peak_depth(), 2);
+        q.repark(all.remove(0)).unwrap();
+        assert_eq!(q.take_all()[0].parked_at_us, 500);
+        assert_eq!(
+            q.peak_depth(),
+            2,
+            "a drained queue keeps its high-water mark"
+        );
     }
 }

@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn inserts_own_exactly_the_chunks_their_slots_fall_in() {
-        // 4,100 slots: 64 full chunks and one holding the last 4.
+        // 4,100 slots: full chunks and one holding the last 4.
         let size = 4_100;
         let mut t = CombinedTable::new(size, 600, SflAllocator::new(1));
         let mut chunks = std::collections::BTreeSet::new();
@@ -234,7 +234,7 @@ mod tests {
         // Every slot present up front.
         type Model = Vec<Option<FstEntry<FiveTuple, FlowUse>>>;
         const THRESHOLD: u64 = 600;
-        let size = 200; // three chunks and 8 slots of a fourth
+        let size = 200; // the last chunk partly unused
         let mut t = CombinedTable::new(size, THRESHOLD, SflAllocator::new(7));
         let policy = FiveTuplePolicy::new(THRESHOLD);
         let mut f: Fam<FiveTuple, FiveTuplePolicy> = Fam::new(size, policy, SflAllocator::new(7));

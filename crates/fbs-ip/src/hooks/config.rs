@@ -6,7 +6,7 @@
 use super::datapath::Pass;
 use super::record;
 use fbs_core::{FbsConfig, KeyUnavailableVerdict};
-use fbs_obs::{Counter, CounterBlock, Direction, Event};
+use fbs_obs::{Counter, CounterBlock, Direction, Event, ParkStep};
 
 /// Configuration of the IP mapping.
 #[derive(Clone, Debug)]
@@ -147,14 +147,15 @@ impl Pass<'_> {
         } else {
             Counter::DegradeFailClosed
         };
-        self.rare(c, Event::Degraded { dir, open });
+        self.counts.incr(c);
+        record(self.obs, Event::Degraded { dir, open });
     }
 
-    /// A rare step (a degradation, a park-lifecycle step): counted in
-    /// the owner's block, and recorded in an attached registry's flight
-    /// recorder.
-    pub(super) fn rare(&self, c: Counter, event: Event) {
-        self.counts.incr(c);
+    /// A `dir` datagram took park-lifecycle `step`: counted once, in the
+    /// owner's block under its direction, and recorded as `event` in an
+    /// attached registry's flight recorder.
+    pub(super) fn park_step(&self, dir: Direction, step: ParkStep, event: Event) {
+        self.counts.park_step(dir, step);
         record(self.obs, event);
     }
 }

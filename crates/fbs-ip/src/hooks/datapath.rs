@@ -19,7 +19,7 @@ use fbs_crypto::{crc32, CipherSuite};
 use fbs_net::ip::{Ipv4Addr, Proto};
 use fbs_net::{HookOutcome, Ipv4Header, RejectReason};
 use fbs_obs::{
-    CacheKind, Counter, CounterBlock, Direction, Event, MetricsRegistry, SpanKind, Stage,
+    CacheKind, Counter, CounterBlock, Direction, Event, MetricsRegistry, ParkStep, SpanKind, Stage,
     StageTimer, TraceSpan,
 };
 use std::sync::Arc;
@@ -33,16 +33,23 @@ const SHARD_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 /// or confounder bytes from its previous life.
 const GENERATION_MIX: u64 = 0xD1B5_4A32_D192_ED03;
 
-/// A receive flow key's cache id: the wire sfl and the source address.
-/// The destination principal of every entry is the host's own, so the
-/// id leaves it implicit and [`rfkc_hash`] puts it back.
-pub(super) type RxKeyId = (u64, Ipv4Addr);
+/// A receive flow key's cache id: the wire sfl's big-endian bytes and
+/// the source address. The destination principal of every entry is the
+/// host's own, so the id leaves it implicit and [`rfkc_hash`] puts it
+/// back. Byte-aligned, 12 bytes: beside the entry's `Box` and 4-byte
+/// LRU tick it fills a 24-byte entry with no padding.
+pub(super) type RxKeyId = ([u8; 8], Ipv4Addr);
+
+/// The RFKC id of a datagram carrying `sfl` from `source`.
+pub(super) fn rx_key_id(sfl: u64, source: Ipv4Addr) -> RxKeyId {
+    (sfl.to_be_bytes(), source)
+}
 
 /// The RFKC index hash: [`fbs_core::flow_key_hash`] of the full
 /// `(sfl, source, local)` id, so every set index is the one the
 /// principal-pair id would get.
 pub(super) fn rfkc_hash(local: Principal) -> impl Fn(&RxKeyId) -> u32 + Send + Sync + 'static {
-    move |&(sfl, src)| flow_key_hash_parts(sfl, &src, local.as_bytes())
+    move |&(sfl, src)| flow_key_hash_parts(u64::from_be_bytes(sfl), &src, local.as_bytes())
 }
 
 /// Resident bytes per receive flow-key cache entry under `suite`,
@@ -162,15 +169,16 @@ pub(super) fn cascade_obs(shard: &mut Shard, reg: &Arc<MetricsRegistry>) {
 }
 
 /// Record a flow-trace span when a tracer is attached AND sampling
-/// selects the flow. The untraced path costs one `Option` check plus one
-/// atomic load; an unsampled flow adds a hash of its sfl — no locking,
+/// selects the flow, stamped with `t_us()`, which runs only then. The
+/// untraced path costs one `Option` check plus one atomic load; an
+/// unsampled flow adds a hash of its sfl — no clock read, no locking,
 /// no allocation.
 fn trace_span(
     obs: &Option<Arc<MetricsRegistry>>,
     sfl: u64,
     host: [u8; 4],
     kind: SpanKind,
-    t_us: u64,
+    t_us: impl FnOnce() -> u64,
     info: u64,
 ) {
     if let Some(tracer) = obs.as_ref().and_then(|reg| reg.tracer()) {
@@ -179,7 +187,7 @@ fn trace_span(
                 sfl,
                 host: u32::from_be_bytes(host),
                 kind,
-                t_us,
+                t_us: t_us(),
                 info,
             });
         }
@@ -259,7 +267,7 @@ pub(super) struct Pass<'a> {
 impl Pass<'_> {
     /// A flow-trace span stamped with this pass's virtual time.
     fn span(&self, sfl: u64, host: [u8; 4], kind: SpanKind, info: u64) {
-        trace_span(self.obs, sfl, host, kind, self.now_us, info);
+        trace_span(self.obs, sfl, host, kind, || self.now_us, info);
     }
 
     /// Mark a park-lifecycle step in the flow trace. A parked *input*
@@ -366,7 +374,7 @@ fn verify(
     let (view, used) = HeaderView::parse(payload)?;
     let body = codec.open_cached(
         rfkc,
-        (view.sfl, header.src),
+        rx_key_id(view.sfl, header.src),
         view.timestamp,
         || {
             let source = Principal::from_ipv4(header.src);
@@ -396,7 +404,7 @@ fn verify(
         view.sfl,
         header.dst,
         SpanKind::Open,
-        shared.clock.now_micros(),
+        || shared.clock.now_micros(),
         body.len() as u64,
     );
     let delta = payload.len() as isize - body.len() as isize;
@@ -425,13 +433,13 @@ fn park_or_reject(
                 reg.observe_stage(Stage::Park, timer.elapsed_ns());
             }
             let queued = queue.len() as u32;
-            pass.rare(Counter::ParkParked, Event::Parked { queued });
+            pass.park_step(dir, ParkStep::Parked, Event::Parked { queued });
             pass.trace_park(dir, header, sfl, SpanKind::Parked, "parked", queued as u64);
             HookOutcome::Park
         }
         Err((_, payload)) => {
             pool.put(payload);
-            pass.rare(Counter::ParkOverflow, Event::ParkOverflow);
+            pass.park_step(dir, ParkStep::Overflow, Event::ParkOverflow);
             pass.exit(dir, false);
             HookOutcome::Reject(RejectReason::ParkQueueFull)
         }
@@ -590,7 +598,7 @@ pub(super) fn release_parked(
             let sfl = wire_sfl(&payload);
             pass.trace_park(dir, &header, sfl, SpanKind::Expired, "park_expired", 0);
             pool.put(payload);
-            pass.rare(Counter::ParkExpired, Event::ParkExpired);
+            pass.park_step(dir, ParkStep::Expired, Event::ParkExpired);
             did_work = true;
         }
         for entry in shard.park(dir).take_all() {
@@ -609,7 +617,7 @@ pub(super) fn release_parked(
                     deadline_us,
                 }) {
                     pool.put(payload);
-                    pass.rare(Counter::ParkOverflow, Event::ParkOverflow);
+                    pass.park_step(dir, ParkStep::Overflow, Event::ParkOverflow);
                 }
             };
             let peer = Principal::from_ipv4(match dir {
@@ -632,8 +640,8 @@ pub(super) fn release_parked(
             match res {
                 Ok(out) => {
                     pass.exit(dir, true);
-                    let waited_us = shard.park(dir).note_released(parked_at_us, now_us);
-                    pass.rare(Counter::ParkReleased, Event::ParkReleased { waited_us });
+                    let waited_us = now_us.saturating_sub(parked_at_us);
+                    pass.park_step(dir, ParkStep::Released, Event::ParkReleased { waited_us });
                     // The flow's sfl leads the framed bytes: what was
                     // just sealed (the park itself had no identity to
                     // trace) or the wire payload that was parked.

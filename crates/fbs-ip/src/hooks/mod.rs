@@ -463,17 +463,20 @@ impl FbsIpHooks {
         (out, inp)
     }
 
-    /// Accumulated (output, input) parking counters, summed over shards
-    /// (takes each owner's lock in turn).
+    /// Accumulated (output, input) parking counters, read off the owner
+    /// blocks, beside each direction's deepest queue (takes each owner's
+    /// lock in turn).
     pub fn park_stats(&self) -> Result<(ParkStats, ParkStats), RuntimeError> {
-        let mut out = ParkStats::default();
-        let mut inp = ParkStats::default();
+        let (mut out, mut inp) = (0, 0);
         for w in 0..self.shared.n_workers {
-            let (o, i) = self.shared.with_owner(w, |st| st.park_stats())?;
-            out.merge(&o);
-            inp.merge(&i);
+            let (o, i) = self.shared.with_owner(w, |st| st.park_peaks())?;
+            (out, inp) = (out.max(o), inp.max(i));
         }
-        Ok((out, inp))
+        let counts = self.shared.total();
+        Ok((
+            ParkStats::read(&counts, Direction::Output, out as u64),
+            ParkStats::read(&counts, Direction::Input, inp as u64),
+        ))
     }
 
     /// The MKD circuit breaker's state for `peer`, if resilience is

@@ -11,7 +11,7 @@ use super::datapath::{
 };
 use super::HookShared;
 use crate::tuple::FiveTuple;
-use fbs_core::{BufferPool, ParkStats, RuntimeError};
+use fbs_core::{BufferPool, RuntimeError};
 use fbs_net::{Datagram, HookOutcome, Ipv4Header, RejectReason};
 use fbs_obs::{Counter, Direction, MetricsRegistry, StageTimer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -336,15 +336,21 @@ impl Owner {
         self.shards.iter().map(|s| s.rfkc.chunks_owned()).sum()
     }
 
-    /// Summed (output, input) parking counters over owned shards.
-    pub(super) fn park_stats(&self) -> (ParkStats, ParkStats) {
-        let mut out = ParkStats::default();
-        let mut inp = ParkStats::default();
-        for s in self.shards.iter() {
-            out.merge(&s.out_park.stats());
-            inp.merge(&s.in_park.stats());
-        }
-        (out, inp)
+    /// Heap bytes of the (combined-table, RFKC) slots over owned shards:
+    /// directories and chunks.
+    #[cfg(test)]
+    pub(super) fn table_bytes(&self) -> (u64, u64) {
+        let combined = self.shards.iter().map(|s| s.combined.table_bytes());
+        let rfkc = self.shards.iter().map(|s| s.rfkc.table_bytes());
+        (combined.sum(), rfkc.sum())
+    }
+
+    /// The deepest (output, input) parking queue over owned shards.
+    pub(super) fn park_peaks(&self) -> (usize, usize) {
+        let peak = |q: &fbs_core::ParkingQueue<_>| q.peak_depth();
+        self.shards.iter().fold((0, 0), |(o, i), s| {
+            (o.max(peak(&s.out_park)), i.max(peak(&s.in_park)))
+        })
     }
 
     /// Run the park release loop for one direction, as owner `w`, on

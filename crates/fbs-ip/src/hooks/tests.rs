@@ -1392,17 +1392,17 @@ fn owners_are_independent_lock_domains() {
 
 #[test]
 fn the_memory_ledger_charges_each_suites_real_key_allocation() {
-    // Per resident receive key: the RFKC slot (1 control byte and a 32 B
-    // entry: the 16 B (sfl, source address) id, the 8 B `Box`, the 8 B
-    // tick, whose niche marks a vacant slot) and the `Box` allocation — the
-    // 40 B key material and, for the DES suites, 728 B of boxed schedules
-    // and raw flow key.
+    // Per resident receive key: the RFKC slot (1 control byte and a 24 B
+    // entry: the 12 B byte-aligned (sfl, source address) id, the 8 B
+    // `Box`, the 4 B tick, whose niche marks a vacant slot) and the `Box`
+    // allocation — the 40 B key material and, for the DES suites, 728 B
+    // of boxed schedules and raw flow key.
     // The byte counts are the 64-bit layout's; the ordering holds on any.
     #[cfg(target_pointer_width = "64")]
     {
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::AeadChaPoly), 73);
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::Paper), 801);
-        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::FastDes), 801);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::AeadChaPoly), 65);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::Paper), 793);
+        assert_eq!(datapath::flow_key_entry_bytes(CipherSuite::FastDes), 793);
         // The combined table's floor is its own 40 B slot.
         assert_eq!(datapath::fst_static_bytes(64), 64 * 40);
     }
@@ -1476,6 +1476,28 @@ fn a_receive_only_host_owns_no_combined_chunk() {
     assert!((1..=48).contains(&sent), "{sent} chunks for 48 flows");
 }
 
+/// A table a host never writes costs it no directory either: after
+/// one-way traffic the receiver holds no combined-table bytes and the
+/// sender no RFKC bytes, while each holds the table it did write.
+#[test]
+fn a_one_way_host_owns_no_directory_of_the_table_it_never_writes() {
+    let world = world();
+    let mut sender = world.hooks(A, IpMappingConfig::default());
+    let mut receiver = world.hooks(B, IpMappingConfig::default());
+    let bytes = |h: &FbsIpHooks| -> (u64, u64) {
+        (0..h.shared.n_workers)
+            .map(|w| h.shared.with_owner(w, |st| st.table_bytes()).unwrap())
+            .fold((0, 0), |(c, r), (dc, dr)| (c + dc, r + dr))
+    };
+    assert_eq!((bytes(&sender), bytes(&receiver)), ((0, 0), (0, 0)));
+    let opened = exchange(&mut sender, &mut receiver, spread_batch(48), None, 1_000);
+    assert!(opened.iter().all(|(_, o)| is_pass(o)), "{opened:?}");
+    let ((sent_combined, sent_rfkc), (recv_combined, recv_rfkc)) =
+        (bytes(&sender), bytes(&receiver));
+    assert_eq!((sent_rfkc, recv_combined), (0, 0));
+    assert!(sent_combined > 0 && recv_rfkc > 0);
+}
+
 /// The RFKC is the receive side's: a host that only sends allocates
 /// none of its slots, and a receiver only the chunks its flows' sets
 /// fall in.
@@ -1532,7 +1554,7 @@ fn the_rfkc_index_is_the_principal_pair_ids() {
         let full =
             fbs_core::flow_key_hash(&(sfl, Principal::from_ipv4(src), Principal::from_ipv4(local)));
         assert_eq!(
-            hooks_hash(&(sfl, src)),
+            hooks_hash(&datapath::rx_key_id(sfl, src)),
             full,
             "sfl {sfl:#x} {src:?} -> {local:?}"
         );

@@ -1,8 +1,9 @@
 //! Counter blocks: the one place any count is written.
 //!
 //! A [`CounterBlock`] holds every [`Counter`] plus per-[`CacheKind`] 3C
-//! cache counters. The stats structs (`EndpointStats`, [`CacheStats`],
-//! `MkdStats`, `PoolStats`, `HostStats`, ...) are views read off blocks,
+//! cache counters and per-[`Direction`] park counters. The stats
+//! structs (`EndpointStats`, [`CacheStats`], `MkdStats`, `PoolStats`,
+//! `HostStats`, ...) are views read off blocks,
 //! and a [`crate::MetricsRegistry`] sums every block
 //! [attached](crate::MetricsRegistry::attach) to it when scraped. A
 //! component counts whether or not a registry reads it, so attaching
@@ -22,7 +23,7 @@
 //! Blocks are cache-line aligned, so two domains' blocks never share a
 //! line.
 
-use crate::event::{CacheKind, CacheOutcome};
+use crate::event::{CacheKind, CacheOutcome, Direction};
 use crate::registry::{Counter, NUM_COUNTERS};
 use crate::snapshot::MetricsSnapshot;
 use std::fmt;
@@ -146,6 +147,42 @@ impl CacheCounters {
     }
 }
 
+/// One step in the life of a datagram parked awaiting key material,
+/// counted per [`Direction`] in a block. A snapshot reads each step as
+/// one `park.*` row, both directions summed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ParkStep {
+    /// Parked (first admissions; a re-park after a failed retry is not
+    /// counted again).
+    Parked,
+    /// Released and processed.
+    Released,
+    /// Dropped on deadline expiry.
+    Expired,
+    /// Rejected because the parking queue was full.
+    Overflow,
+}
+
+impl ParkStep {
+    /// Every step, in cell order.
+    pub const ALL: [ParkStep; 4] = [
+        ParkStep::Parked,
+        ParkStep::Released,
+        ParkStep::Expired,
+        ParkStep::Overflow,
+    ];
+
+    /// The snapshot row counting this step in both directions.
+    pub fn name(self) -> &'static str {
+        match self {
+            ParkStep::Parked => "park.parked",
+            ParkStep::Released => "park.released",
+            ParkStep::Expired => "park.expired",
+            ParkStep::Overflow => "park.overflow",
+        }
+    }
+}
+
 /// Add `n` to `cell`: a relaxed load and a relaxed store, no locked
 /// instruction. Exact only under the block's one-writer rule (module
 /// docs); a racing second writer loses increments, never tears a cell.
@@ -157,8 +194,8 @@ fn bump(cell: &AtomicU64, n: u64) {
     );
 }
 
-/// The counts of one lock domain: every [`Counter`] and the 3C counters
-/// of every [`CacheKind`]. Shared by `Arc` between the components that
+/// The counts of one lock domain: every [`Counter`], the 3C counters
+/// of every [`CacheKind`] and the [`ParkStep`]s of each direction. Shared by `Arc` between the components that
 /// write it (one at a time, see the module docs) and the registries
 /// that read it; reading never blocks a writer. Aligned to two cache
 /// lines (the unit the adjacent-line prefetcher pulls), so blocks of
@@ -167,6 +204,8 @@ fn bump(cell: &AtomicU64, n: u64) {
 pub struct CounterBlock {
     counters: [AtomicU64; NUM_COUNTERS],
     caches: [CacheCounters; 5],
+    /// `[output, input]`, each indexed by [`ParkStep`].
+    park: [[AtomicU64; 4]; 2],
 }
 
 impl Default for CounterBlock {
@@ -187,6 +226,7 @@ impl CounterBlock {
         CounterBlock {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             caches: std::array::from_fn(|_| CacheCounters::default()),
+            park: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
         }
     }
 
@@ -203,6 +243,9 @@ impl CounterBlock {
                 for (t, c) in t.cells().into_iter().zip(c.cells()) {
                     bump(t, c.load(Ordering::Relaxed));
                 }
+            }
+            for (t, c) in total.park.iter().flatten().zip(b.park.iter().flatten()) {
+                bump(t, c.load(Ordering::Relaxed));
             }
         }
         total
@@ -273,14 +316,30 @@ impl CounterBlock {
         }
     }
 
-    /// Fold every non-zero counter and cache counter of this block into
-    /// `snap` (adding to what is already there).
+    /// Count one `step` of a datagram parked in direction `dir`.
+    #[inline]
+    pub fn park_step(&self, dir: Direction, step: ParkStep) {
+        bump(&self.park[dir as usize][step as usize], 1);
+    }
+
+    /// How many datagrams took `step` in direction `dir`.
+    pub fn park_count(&self, dir: Direction, step: ParkStep) -> u64 {
+        self.park[dir as usize][step as usize].load(Ordering::Relaxed)
+    }
+
+    /// Fold every non-zero counter, cache counter and park row of this
+    /// block into `snap` (adding to what is already there).
     pub(crate) fn contribute(&self, snap: &mut MetricsSnapshot) {
         for c in Counter::ALL {
             snap.add(c.name(), self.counter(c));
         }
         for kind in CacheKind::ALL {
             self.cache(kind).contribute(kind, snap);
+        }
+        for step in ParkStep::ALL {
+            let both =
+                self.park_count(Direction::Output, step) + self.park_count(Direction::Input, step);
+            snap.add(step.name(), both);
         }
     }
 }
@@ -317,6 +376,24 @@ mod tests {
         let r = t.cache(CacheKind::Rfkc);
         assert_eq!((r.hits, r.classifier_disabled), (1, 1));
         assert_eq!(CounterBlock::sum([]).counter(Counter::Sends), 0);
+    }
+
+    #[test]
+    fn park_steps_count_per_direction_and_read_summed() {
+        let (a, b) = (CounterBlock::new(), CounterBlock::new());
+        a.park_step(Direction::Output, ParkStep::Parked);
+        a.park_step(Direction::Input, ParkStep::Parked);
+        a.park_step(Direction::Input, ParkStep::Expired);
+        b.park_step(Direction::Input, ParkStep::Parked);
+        let t = CounterBlock::sum([&a, &b]);
+        assert_eq!(t.park_count(Direction::Output, ParkStep::Parked), 1);
+        assert_eq!(t.park_count(Direction::Input, ParkStep::Parked), 2);
+        assert_eq!(t.park_count(Direction::Output, ParkStep::Expired), 0);
+        let mut snap = MetricsSnapshot::new();
+        t.contribute(&mut snap);
+        assert_eq!(snap.counter("park.parked"), 3);
+        assert_eq!(snap.counter("park.expired"), 1);
+        assert_eq!(snap.counter("park.released"), 0);
     }
 
     #[test]

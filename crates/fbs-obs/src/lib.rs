@@ -56,7 +56,7 @@ pub mod snapshot;
 pub mod span;
 pub mod trace;
 
-pub use block::{CacheStats, CounterBlock};
+pub use block::{CacheStats, CounterBlock, ParkStep};
 pub use event::{BreakerStateKind, CacheKind, CacheOutcome, Direction, Event, EventRecord};
 pub use health::{Condition, ConditionKind, HealthInputs, HealthModel, HealthReport, HealthStatus};
 pub use prom::DeltaTracker;

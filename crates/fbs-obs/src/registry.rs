@@ -90,14 +90,6 @@ pub enum Counter {
     BreakerCloses,
     /// Requests rejected without trying because a breaker was open.
     BreakerFastFails,
-    /// Datagrams parked awaiting key material.
-    ParkParked,
-    /// Parked datagrams released and processed.
-    ParkReleased,
-    /// Parked datagrams dropped on deadline expiry.
-    ParkExpired,
-    /// Datagrams rejected because the parking queue was full.
-    ParkOverflow,
     /// Datagrams passed through unprotected under a fail-open verdict.
     DegradeFailOpen,
     /// Datagrams dropped under a fail-closed verdict.
@@ -168,7 +160,7 @@ pub enum Counter {
 }
 
 /// Number of scalar counters.
-pub(crate) const NUM_COUNTERS: usize = 67;
+pub(crate) const NUM_COUNTERS: usize = 63;
 
 impl Counter {
     /// All counters, in snapshot order.
@@ -207,10 +199,6 @@ impl Counter {
         Counter::BreakerHalfOpens,
         Counter::BreakerCloses,
         Counter::BreakerFastFails,
-        Counter::ParkParked,
-        Counter::ParkReleased,
-        Counter::ParkExpired,
-        Counter::ParkOverflow,
         Counter::DegradeFailOpen,
         Counter::DegradeFailClosed,
         Counter::WorkerBatches,
@@ -279,10 +267,6 @@ impl Counter {
             Counter::BreakerHalfOpens => "breaker.half_open",
             Counter::BreakerCloses => "breaker.closed",
             Counter::BreakerFastFails => "breaker.fast_fails",
-            Counter::ParkParked => "park.parked",
-            Counter::ParkReleased => "park.released",
-            Counter::ParkExpired => "park.expired",
-            Counter::ParkOverflow => "park.overflow",
             Counter::DegradeFailOpen => "degrade.fail_open",
             Counter::DegradeFailClosed => "degrade.fail_closed",
             Counter::WorkerBatches => "hooks.worker_batches",
