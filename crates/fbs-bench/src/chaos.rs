@@ -266,8 +266,8 @@ impl ChaosReport {
         let park = |p: &ParkStats| {
             format!(
                 "{{\"parked\": {}, \"released\": {}, \"expired\": {}, \"overflow\": {}, \
-                 \"peak_depth\": {}}}",
-                p.parked, p.released, p.expired, p.overflow, p.peak_depth
+                 \"rejected\": {}, \"peak_depth\": {}}}",
+                p.parked, p.released, p.expired, p.overflow, p.rejected, p.peak_depth
             )
         };
         let counters: Vec<String> = self

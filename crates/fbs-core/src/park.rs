@@ -15,9 +15,9 @@
 //! The queue is FIFO and time-driven via caller-passed microsecond
 //! timestamps (no internal clock), so it is deterministic under
 //! simulated time. It keeps only its depth and the depth's high-water
-//! mark; the owner counts each park, release, expiry and overflow step
-//! once, per direction, in its counter block
-//! ([`ParkStep`]), records it as a flight-recorder
+//! mark; the owner counts each park, release, expiry, overflow and
+//! reject step once, per direction, in its counter block
+//! ([`ParkStep`]), records all but a reject as a flight-recorder
 //! event, and reads both back as [`ParkStats`].
 
 use fbs_obs::{CounterBlock, Direction, ParkStep};
@@ -52,6 +52,9 @@ pub struct ParkStats {
     pub expired: u64,
     /// Datagrams rejected because the queue was full.
     pub overflow: u64,
+    /// Datagrams a release retry refused for a reason other than a
+    /// missing key, and dropped.
+    pub rejected: u64,
     /// High-water mark of queue depth.
     pub peak_depth: u64,
 }
@@ -66,6 +69,7 @@ impl ParkStats {
             released: step(ParkStep::Released),
             expired: step(ParkStep::Expired),
             overflow: step(ParkStep::Overflow),
+            rejected: step(ParkStep::Rejected),
             peak_depth,
         }
     }

@@ -663,6 +663,7 @@ pub(super) fn release_parked(
                 }
                 Err(_) => {
                     pass.exit(dir, false);
+                    pass.counts.park_step(dir, ParkStep::Rejected);
                     pool.put(payload);
                 }
             }

@@ -161,15 +161,19 @@ pub enum ParkStep {
     Expired,
     /// Rejected because the parking queue was full.
     Overflow,
+    /// Retried on release and refused for a reason other than a missing
+    /// key (a forgery parked during a key outage), then dropped.
+    Rejected,
 }
 
 impl ParkStep {
     /// Every step, in cell order.
-    pub const ALL: [ParkStep; 4] = [
+    pub const ALL: [ParkStep; 5] = [
         ParkStep::Parked,
         ParkStep::Released,
         ParkStep::Expired,
         ParkStep::Overflow,
+        ParkStep::Rejected,
     ];
 
     /// The snapshot row counting this step in both directions.
@@ -179,6 +183,7 @@ impl ParkStep {
             ParkStep::Released => "park.released",
             ParkStep::Expired => "park.expired",
             ParkStep::Overflow => "park.overflow",
+            ParkStep::Rejected => "park.rejected",
         }
     }
 }
@@ -205,7 +210,7 @@ pub struct CounterBlock {
     counters: [AtomicU64; NUM_COUNTERS],
     caches: [CacheCounters; 5],
     /// `[output, input]`, each indexed by [`ParkStep`].
-    park: [[AtomicU64; 4]; 2],
+    park: [[AtomicU64; 5]; 2],
 }
 
 impl Default for CounterBlock {
