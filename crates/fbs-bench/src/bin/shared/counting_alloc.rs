@@ -1,4 +1,4 @@
-//! The counting `#[global_allocator]` of `fastpath_bench` and
+//! The counting `#[global_allocator]` of `e2e_bench` and
 //! `scale_bench`, which include this file with `#[path]`. It needs
 //! `unsafe impl GlobalAlloc`, so it stays out of the library crates,
 //! which `forbid(unsafe_code)`.

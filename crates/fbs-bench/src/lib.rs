@@ -16,7 +16,6 @@
 pub mod chaos;
 pub mod e2e;
 pub mod endpoints;
-pub mod fastpath;
 pub mod fig08;
 pub mod figs;
 pub mod paradigms;

@@ -1,6 +1,7 @@
 //! End-to-end checks of the bench/figure binaries' artifact flags:
-//! `--metrics` on `repro`, and `--trace`/`--prom` on the
-//! chaos soak — exercising the files they write, not just flag parsing.
+//! `--metrics` on `repro`, `--trace`/`--prom` on the chaos soak and
+//! `--out` on `e2e_bench` — exercising the files they write, not just
+//! flag parsing.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -146,4 +147,49 @@ fn chaos_soak_short_keeps_the_full_report() {
     assert!(report.contains("\"bench\": \"chaos\""));
     balanced(&report);
     assert!(!dir.join("BENCH_chaos.json").exists());
+}
+
+/// `e2e_bench` at a small count writes all three rows, each with no
+/// failed datagram, closed pools, and at least as many allocations
+/// observed as bare: its counting allocator counts the stacks'.
+#[test]
+fn e2e_bench_writes_every_row() {
+    let path = tmp("e2e.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_e2e_bench"))
+        .args(["200", "--out", path.to_str().unwrap()])
+        .output()
+        .expect("e2e_bench runs");
+    assert!(
+        out.status.success(),
+        "e2e_bench failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = std::fs::read_to_string(&path).expect("report written");
+    balanced(&report);
+    assert!(report.contains("\"bench\": \"e2e\""));
+    assert!(report.contains("\"cpus\": "));
+    assert!(report.contains("\"sharded_vs_unsharded_1caller\": "));
+    let rows: Vec<&str> = report
+        .lines()
+        .filter(|l| l.contains("\"callers\""))
+        .collect();
+    let shape: Vec<[u64; 3]> = rows
+        .iter()
+        .map(|r| ["callers", "shards", "workers"].map(|k| values_of(r, k)[0]))
+        .collect();
+    assert_eq!(shape, [[1, 1, 1], [1, 8, 1], [2, 8, 2]]);
+    for row in rows {
+        assert_eq!(values_of(row, "failed"), [0], "{row}");
+        assert!(row.contains("\"pool_balanced\": true"), "{row}");
+        let allocs = |k: &str| {
+            let at = row.find(&format!("\"{k}\": ")).unwrap() + k.len() + 4;
+            let end = row[at..].find(',').unwrap();
+            row[at..at + end].parse::<f64>().unwrap()
+        };
+        let (observed, bare) = (
+            allocs("allocs_per_datagram"),
+            allocs("bare_allocs_per_datagram"),
+        );
+        assert!(observed >= bare && bare > 0.0, "{row}");
+    }
 }

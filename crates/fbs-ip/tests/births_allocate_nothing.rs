@@ -19,6 +19,10 @@
 //! bytes, and a forged birth leaves every resident key, and its
 //! allocation, as it was.
 //!
+//! And the all-hit floor: a warm 1,024-datagram NOP batch over 64
+//! resident flows allocates only its verdict vector, each way, with and
+//! without a registry attached.
+//!
 //! The counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`,
 //! so it lives in a test binary of its own (the library crates
 //! `forbid(unsafe_code)`), which holds a single test so that no sibling
@@ -87,7 +91,7 @@ const SLOTS: usize = 64;
 fn datagrams(
     src: Ipv4Addr,
     dst: Ipv4Addr,
-    flows: std::ops::Range<u32>,
+    flows: impl Iterator<Item = u32>,
     pool: &mut BufferPool,
 ) -> Vec<Datagram> {
     flows
@@ -147,7 +151,7 @@ impl Pair {
     }
 
     /// Seal `flows` on one host, counting only `process_batch`.
-    fn seal(&mut self, from_a: bool, flows: std::ops::Range<u32>) -> Sealed {
+    fn seal(&mut self, from_a: bool, flows: impl Iterator<Item = u32>) -> Sealed {
         let (src, dst) = if from_a { (A, B) } else { (B, A) };
         let mut pool = std::mem::take(&mut self.pool);
         let batch = datagrams(src, dst, flows, &mut pool);
@@ -353,6 +357,53 @@ fn the_receive_rule_writes_the_evicted_key_in_place() {
     assert_eq!(resident(&rfkc, 3), (at, chacha(3)));
 }
 
+/// The all-hit half: warm NOP hooks, bare and then observed, allocate
+/// one verdict vector per `process_batch`, sealing or opening.
+fn a_warm_nop_batch_allocates_only_its_verdict_vector() {
+    let world = World::new(5, DhGroup::test_group());
+    world.clock.set(NOW_SECS);
+    let cfg = IpMappingConfig {
+        // Room for every flow: each lookup of the counted batches hits.
+        fst_size: 4096,
+        fbs: FbsConfig {
+            nop_crypto: true,
+            rfkc_sets: 4096,
+            ..FbsConfig::default()
+        },
+        ..IpMappingConfig::default()
+    };
+    let mut pair = Pair {
+        a: world.hooks(A, cfg.clone()),
+        b: world.hooks(B, cfg),
+        pool: BufferPool::with_limits(4 * 1024, 2048),
+    };
+    // 1,024 datagrams over 64 flows: source ports 0..64.
+    let batch = |pair: &mut Pair| {
+        let born = (
+            pair.a.combined_stats().unwrap().new_flows,
+            pair.b.rfkc_stats().insertions,
+        );
+        let sealed = pair.seal(true, (0..1024).map(|i| i % 64));
+        let (passed, opened) = pair.open(true, sealed.wire);
+        assert_eq!(passed, 1024);
+        let after = (
+            pair.a.combined_stats().unwrap().new_flows,
+            pair.b.rfkc_stats().insertions,
+        );
+        (sealed.allocs, opened, after == born)
+    };
+    batch(&mut pair);
+    batch(&mut pair);
+    assert_eq!(batch(&mut pair), (1, 1, true), "bare");
+    let reg = Arc::new(fbs_obs::MetricsRegistry::new());
+    for hooks in [&pair.a, &pair.b] {
+        hooks.attach_obs(Arc::clone(&reg)).unwrap();
+    }
+    batch(&mut pair);
+    assert_eq!(batch(&mut pair), (1, 1, true), "observed");
+    assert!(reg.snapshot().counter("hooks.output_ok") >= 2048);
+}
+
 #[test]
 fn flow_births_allocate_nothing() {
     // The positive control: a counter that missed this would pass every
@@ -363,4 +414,5 @@ fn flow_births_allocate_nothing() {
 
     hook_births_allocate_only_the_verdict_vector();
     the_receive_rule_writes_the_evicted_key_in_place();
+    a_warm_nop_batch_allocates_only_its_verdict_vector();
 }
