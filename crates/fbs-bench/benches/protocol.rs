@@ -10,13 +10,13 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use fbs_bench::endpoints::{endpoint_pair, principals};
 use fbs_core::policy::IdleTimeoutPolicy;
 use fbs_core::{BufferPool, Datagram, FbsConfig};
-use fbs_core::{Fam, FlowKey, SealedFlowKey, SflAllocator};
+use fbs_core::{Fam, FlowKey, Fst, SealedFlowKey, SflAllocator};
 use fbs_crypto::dh::DhGroup;
-use fbs_ip::{CombinedTable, IpMappingConfig, World};
+use fbs_ip::combined::{insert_key, CombinedFst};
+use fbs_ip::{FiveTuplePolicy, IpMappingConfig, World};
 use fbs_net::ip::{Ipv4Header, Proto};
 use fbs_net::{HookOutcome, SecurityHooks};
 use fbs_obs::Direction;
-use std::sync::Arc;
 
 fn dgram(payload: usize) -> Datagram {
     let (s, d) = principals();
@@ -62,10 +62,10 @@ fn bench_lookup_paths(c: &mut Criterion) {
         daddr: [10, 0, 0, 2],
         dport: 53,
     };
-    let mut combined = CombinedTable::new(64, 600, SflAllocator::new(1));
+    let mut combined: CombinedFst = Fst::new(64, FiveTuplePolicy::new(600), SflAllocator::new(1));
     let sfl = combined.reserve_sfl();
     let key = SealedFlowKey::seal(FlowKey::new(&sfl.to_be_bytes().repeat(2)));
-    combined.insert(tuple, sfl, Arc::new(key), 0);
+    insert_key(&mut combined, tuple, sfl, key, 0);
     g.bench_function("combined-fst-tfkc", |b| {
         b.iter(|| combined.probe(black_box(&tuple), 1).map(|(sfl, _)| sfl))
     });

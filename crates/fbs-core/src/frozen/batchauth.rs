@@ -4,10 +4,8 @@
 //! A [`BatchVerifier`] accumulates (computed, shipped) tag pairs and
 //! resolves them with ONE fold over the XOR-differences: a clean batch
 //! costs a single branch instead of one comparison-and-branch per tag.
-//! The datapath does not use it — it verifies each datagram's MAC inline
-//! with `mac_eq` (DESIGN_HISTORY.md, "Batch-amortised
-//! authentication"). `benchmark/src/replay.rs` is now its only caller,
-//! which pins it until ROADMAP item 1(a) deletes both.
+//! (The datapath verifies each MAC inline: DESIGN_HISTORY.md,
+//! "Batch-amortised authentication".)
 //!
 //! On a dirty fold the verifier bisects: ranges whose fold is clean are
 //! accepted wholesale, dirty ranges split until single datagrams are
@@ -73,16 +71,6 @@ impl BatchVerifier {
     /// An empty verifier.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of deferred comparisons.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 
     /// Defer one comparison. `computed` is the locally recomputed
@@ -175,7 +163,7 @@ mod tests {
         assert_eq!(stats.folds, 1);
         assert_eq!(stats.bisections, 0);
         assert_eq!(stats.rejected, 0);
-        assert!(v.is_empty());
+        assert_eq!(v.resolve(&mut failed).checked, 0, "nothing left pending");
     }
 
     #[test]

@@ -1,14 +1,9 @@
 //! Bounded single-producer/single-consumer rings.
 //!
 //! `SpscRing` is a bounded FIFO between one producer thread and one
-//! consumer thread. The datapath no longer uses it: it runs each batch to
-//! completion on the submitting thread, so nothing crosses a thread
-//! inside the hooks. `benchmark/src/replay.rs` is now its only caller,
-//! which pins it until ROADMAP item 1(a) deletes both. It is written in
-//! safe Rust —
-//! the library crates `forbid(unsafe_code)` — so each slot is a
-//! `Mutex<Option<T>>` rather than an `UnsafeCell`. The protocol keeps
-//! those locks uncontended:
+//! consumer thread. It is written in safe Rust — the library crates
+//! `forbid(unsafe_code)` — so each slot is a `Mutex<Option<T>>` rather
+//! than an `UnsafeCell`. The protocol keeps those locks uncontended:
 //!
 //! * the producer writes slot `tail % cap` only while `tail - head < cap`;
 //! * the consumer reads slot `head % cap` only while `head < tail`;
@@ -22,23 +17,9 @@
 //! protocol violation but stays memory-safe: the worst outcome is a
 //! blocked slot lock, never a torn value.
 //!
-//! # Producer-side contract
-//!
-//! `try_push` returning `Err(item)` means **backpressure**, nothing
-//! else: the consumer has not drained slot `tail % cap` yet. The ring
-//! never sheds, blocks, or reorders — those policies belong to the
-//! caller, and the caller must bound them:
-//!
-//! * **Never spin unbounded.** A consumer that has stalled or died will
-//!   never free a slot, so a bare `loop { try_push }` wedges the
-//!   producer forever. Spin (or park) against a deadline, then *shed*:
-//!   hand the item a terminal verdict and account for it (the fbs-ip
-//!   runtime counts these as `hooks.shed.*` and rejects the datagrams
-//!   rather than dropping them silently).
-//! * Re-offering the same item after `Err` is fine — FIFO order is
-//!   defined by successful pushes, and a failed push publishes nothing.
-//! * `Err` hands the item back by value; nothing is cloned or leaked on
-//!   the backpressure path.
+//! `try_push` returning `Err(item)` means backpressure, nothing else:
+//! the ring never sheds, blocks or reorders, and a failed push hands the
+//! item back and publishes nothing.
 //!
 //! Capacity 1 (and capacity 0, which rounds up to 1) is a valid
 //! degenerate ring: it alternates strictly between one push and one
@@ -72,23 +53,6 @@ impl<T> SpscRing<T> {
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
         }
-    }
-
-    /// Number of items currently in flight.
-    pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Acquire);
-        let head = self.head.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
-    }
-
-    /// True when no items are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of in-flight items.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// Producer side: enqueue `item`, or hand it back when the ring is
@@ -134,13 +98,11 @@ mod tests {
         for i in 0..4 {
             assert!(ring.try_push(i).is_ok());
         }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.try_push(99), Err(99));
+        assert_eq!(ring.try_push(99), Err(99), "full at 4");
         for i in 0..4 {
             assert_eq!(ring.try_pop(), Some(i));
         }
-        assert!(ring.try_pop().is_none());
-        assert!(ring.is_empty());
+        assert!(ring.try_pop().is_none(), "empty again");
     }
 
     #[test]
@@ -157,9 +119,8 @@ mod tests {
     #[test]
     fn zero_capacity_rounds_up_to_one() {
         let ring = SpscRing::with_capacity(0);
-        assert_eq!(ring.capacity(), 1);
         assert!(ring.try_push(7).is_ok());
-        assert_eq!(ring.try_push(8), Err(8));
+        assert_eq!(ring.try_push(8), Err(8), "capacity 1");
         assert_eq!(ring.try_pop(), Some(7));
     }
 
@@ -202,7 +163,7 @@ mod tests {
         }
         let rejected = producer.join().unwrap();
         assert_eq!(seen, (0..n).collect::<Vec<_>>());
-        assert!(ring.is_empty());
+        assert!(ring.try_pop().is_none());
         // A capacity-1 ring under a faster producer must have exercised
         // the backpressure path; zero rejections would mean the test
         // never hit the boundary it exists to cover. (Not asserted —

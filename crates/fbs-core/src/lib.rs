@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batchauth;
 pub mod breaker;
 pub mod cache;
 pub mod chunks;
@@ -31,6 +30,7 @@ pub mod concurrent;
 pub mod error;
 pub mod fam;
 pub mod fault;
+pub mod frozen;
 pub mod header;
 pub mod keying;
 pub mod mem;
@@ -42,10 +42,8 @@ pub mod principal;
 pub mod protocol;
 pub mod replay;
 pub mod retry;
-pub mod ring;
 pub mod sfl;
 
-pub use batchauth::{BatchVerifier, ResolveStats};
 pub use breaker::{Allow, BreakerConfig, BreakerState, CircuitBreaker, Transition};
 pub use cache::{CacheStats, Lookup, MissKind, SoftCache};
 pub use chunks::{ChunkDir, CHUNK_SLOTS};
@@ -54,6 +52,7 @@ pub use concurrent::{KeyingService, Published, ShardedCache};
 pub use error::{FbsError, Result, RuntimeError};
 pub use fam::{Classification, Fam, FlowPolicy, FlowUse, Fst, FstEntry, FstStats};
 pub use fault::OwnerFaultInjector;
+pub use frozen::{BatchVerifier, SpscRing};
 pub use header::{EncAlgorithm, HeaderView, SecurityFlowHeader};
 pub use keying::{derive_flow_key, FlowKey, KeyDerivation, SealedFlowKey};
 pub use mem::{BudgetKind, BudgetSnapshot, MemoryBudget};
@@ -62,10 +61,9 @@ pub use park::{KeyUnavailableVerdict, ParkStats, Parked, ParkingQueue};
 pub use pool::{BufferPool, PoolStats};
 pub use principal::Principal;
 pub use protocol::{
-    flow_key_hash, flow_key_hash_parts, Datagram, FbsConfig, FbsEndpoint, FlowCodec, FlowKeyId,
-    ProtectedDatagram, MIN_SHIPPED_MAC,
+    flow_key_hash_parts, Datagram, FbsConfig, FbsEndpoint, FlowCodec, ProtectedDatagram,
+    MIN_SHIPPED_MAC,
 };
 pub use replay::FreshnessWindow;
 pub use retry::{RetryOutcome, RetryPolicy};
-pub use ring::SpscRing;
 pub use sfl::SflAllocator;

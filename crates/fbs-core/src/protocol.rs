@@ -294,22 +294,13 @@ impl EndpointStats {
     }
 }
 
-/// Cache key for flow keys: (sfl, remote principal, local principal). The
-/// local principal is included for multi-homed principals (§5.3 fn. 7).
-pub type FlowKeyId = (u64, Principal, Principal);
+pub use crate::frozen::{flow_key_hash, FlowKeyId};
 
-/// The §5.3-recommended randomising hash over the concatenated id,
-/// streamed so each cache probe allocates nothing. Public so sharded
-/// endpoints can build their own TFKC/RFKC slices with the exact index
-/// function the monolithic endpoint uses.
-pub fn flow_key_hash(id: &FlowKeyId) -> u32 {
-    flow_key_hash_parts(id.0, id.1.as_bytes(), id.2.as_bytes())
-}
-
-/// [`flow_key_hash`] over the id's parts: the sfl and the two
-/// principals' identity bytes. A cache that keeps one principal implicit
-/// (a receive cache's local one) hashes with this and lands every key in
-/// the set the full id would.
+/// The §5.3-recommended randomising hash over a flow's (sfl, S, D),
+/// streamed so each cache probe allocates nothing. A flow-key cache
+/// keys a flow by `(sfl, peer)` and keeps its own principal implicit,
+/// fed to this hash as the last part (§5.3 fn. 7: a multi-homed
+/// principal's addresses key apart).
 pub fn flow_key_hash_parts(sfl: u64, source: &[u8], destination: &[u8]) -> u32 {
     let mut h = Crc32::new();
     h.update(&sfl.to_be_bytes());
@@ -702,6 +693,13 @@ impl FlowCodec {
     }
 }
 
+/// The index hash of the endpoint's TFKC and RFKC, which key a flow by
+/// (sfl, peer): [`flow_key_hash_parts`]`(sfl, peer, local)`.
+fn peer_key_hash(local: &Principal) -> impl Fn(&(u64, Principal)) -> u32 + Send + Sync + 'static {
+    let local = local.clone();
+    move |(sfl, peer)| flow_key_hash_parts(*sfl, peer.as_bytes(), local.as_bytes())
+}
+
 /// One principal's FBS protocol state: a [`FlowCodec`], the
 /// [`KeyingService`] (the MKC in front of the MKD upcall, and the one
 /// derive) and the TFKC/RFKC. The codec and both flow-key caches count
@@ -710,8 +708,8 @@ impl FlowCodec {
 pub struct FbsEndpoint {
     codec: FlowCodec,
     keying: KeyingService,
-    tfkc: SoftCache<FlowKeyId, Box<SealedFlowKey>>,
-    rfkc: SoftCache<FlowKeyId, Box<SealedFlowKey>>,
+    tfkc: SoftCache<(u64, Principal), Box<SealedFlowKey>>,
+    rfkc: SoftCache<(u64, Principal), Box<SealedFlowKey>>,
 }
 
 impl FbsEndpoint {
@@ -730,9 +728,9 @@ impl FbsEndpoint {
         let keying = KeyingService::new(mkd, cfg.mkc_slots, 1);
         let codec = FlowCodec::new(local, cfg, clock, seed);
         let cfg = &codec.cfg;
-        let tfkc = SoftCache::new(cfg.tfkc_sets, cfg.tfkc_assoc, flow_key_hash)
+        let tfkc = SoftCache::new(cfg.tfkc_sets, cfg.tfkc_assoc, peer_key_hash(&codec.local))
             .with_counts(Arc::clone(&codec.counts), CacheKind::Tfkc);
-        let rfkc = SoftCache::new(cfg.rfkc_sets, cfg.rfkc_assoc, flow_key_hash)
+        let rfkc = SoftCache::new(cfg.rfkc_sets, cfg.rfkc_assoc, peer_key_hash(&codec.local))
             .with_counts(Arc::clone(&codec.counts), CacheKind::Rfkc);
         FbsEndpoint {
             codec,
@@ -808,13 +806,8 @@ impl FbsEndpoint {
         // line S3), lent to the codec beside it: a hit seals under the
         // cached key; a miss derives into a local, seals under it, then
         // caches it in the allocation of the key its insert evicts.
-        let FbsEndpoint {
-            codec,
-            keying,
-            tfkc,
-            ..
-        } = self;
-        let id = (sfl, destination.clone(), codec.local.clone());
+        let (codec, keying, tfkc) = (&mut self.codec, &self.keying, &mut self.tfkc);
+        let id = (sfl, destination.clone());
         if let Some(key) = tfkc.get_ref(&id) {
             return codec.seal_with_key_into(sfl, key, body, secret, out);
         }
@@ -824,19 +817,6 @@ impl FbsEndpoint {
             key.into_box_reusing(evicted.take().map(|(_, old)| old))
         });
         sealed
-    }
-
-    /// [`Self::seal_into`] with a caller-provided flow key (the §7.2
-    /// combined-table fast path, zero-copy edition).
-    pub fn seal_with_key_into(
-        &mut self,
-        sfl: u64,
-        key: &SealedFlowKey,
-        body: &[u8],
-        secret: bool,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        self.codec.seal_with_key_into(sfl, key, body, secret, out)
     }
 
     /// Classify through `fam` and send: the full Fig. 4 send path (S1-S10).
@@ -891,13 +871,8 @@ impl FbsEndpoint {
         body: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        let FbsEndpoint {
-            codec,
-            keying,
-            rfkc,
-            ..
-        } = self;
-        let id = (h.sfl, source.clone(), codec.local.clone());
+        let (codec, keying, rfkc) = (&self.codec, &self.keying, &mut self.rfkc);
+        let id = (h.sfl, source.clone());
         codec.open_cached(
             rfkc,
             id,
@@ -1328,6 +1303,54 @@ mod tests {
         assert_eq!(d.rfkc_stats().hits, 9);
         assert_eq!(s.mkd_stats().upcalls, 1);
         assert_eq!(d.mkd_stats().upcalls, 1);
+    }
+
+    #[test]
+    fn the_endpoint_caches_index_the_principal_pair_ids() {
+        // Both caches key a flow by (sfl, peer) and keep the local
+        // principal in the hash: a flow lands in the set the CRC-32 of
+        // the whole (sfl, peer, local) id names, as when the id held
+        // both principals.
+        let crc_of_id = |sfl: u64, peer: &Principal, local: &Principal| {
+            let id = [&sfl.to_be_bytes()[..], peer.as_bytes(), local.as_bytes()].concat();
+            fbs_crypto::crc32(&id)
+        };
+        let (sp, dp) = (Principal::named("S"), Principal::named("D"));
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        for i in 0..4096u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let peer = Principal::named(&format!("peer-{i}"));
+            let local = if i % 2 == 0 { &sp } else { &dp };
+            let hash = peer_key_hash(local);
+            assert_eq!(
+                hash(&(x, peer.clone())),
+                crc_of_id(x, &peer, local),
+                "sfl {x:#x}"
+            );
+        }
+
+        // Through the direct-mapped 64-set caches: `b` shares `a`'s set
+        // on both sides and evicts it, `c` sits in a set of its own.
+        let (mut s, mut d, _) = endpoint_pair(FbsConfig::default());
+        let tx_set = |sfl: u64| crc_of_id(sfl, &dp, &sp) % 64;
+        let rx_set = |sfl: u64| crc_of_id(sfl, &sp, &dp) % 64;
+        let a = 1;
+        let b = (2..)
+            .find(|&sfl| tx_set(sfl) == tx_set(a) && rx_set(sfl) == rx_set(a))
+            .unwrap();
+        let c = (2..)
+            .find(|&sfl| tx_set(sfl) != tx_set(a) && rx_set(sfl) != rx_set(a))
+            .unwrap();
+        for sfl in [a, c, b, a, c] {
+            let pd = s.send(sfl, dgram(b"set"), false).unwrap();
+            d.receive(pd).unwrap();
+        }
+        for stats in [s.tfkc_stats(), d.rfkc_stats()] {
+            assert_eq!((stats.misses(), stats.hits), (4, 1), "{stats:?}");
+            assert_eq!(stats.evictions, 2, "{stats:?}");
+        }
     }
 
     #[test]

@@ -14,9 +14,7 @@
 
 use crate::policy::FiveTuplePolicy;
 use crate::tuple::FiveTuple;
-use fbs_core::{Fst, SealedFlowKey, SflAllocator};
-use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
+use fbs_core::{Fst, SealedFlowKey};
 
 pub use fbs_core::FstStats as CombinedStats;
 
@@ -40,48 +38,10 @@ pub fn insert_key(
     })
 }
 
-/// [`CombinedFst`] as the end-to-end benchmark builds and fills it: by
-/// THRESHOLD, with an `Arc` key per insert. ROADMAP item 1(a), which
-/// moves the benchmark onto the datapath's own calls, deletes it.
-pub struct CombinedTable(CombinedFst);
-
-impl CombinedTable {
-    /// A table of `size` slots under the Fig. 7 policy with THRESHOLD
-    /// `threshold_secs`.
-    pub fn new(size: usize, threshold_secs: u64, alloc: SflAllocator) -> Self {
-        CombinedTable(Fst::new(size, FiveTuplePolicy::new(threshold_secs), alloc))
-    }
-
-    /// [`insert_key`] a flow whose key is moved out of its `Arc` (cloned
-    /// when someone else still holds it), and lend the key back.
-    pub fn insert(
-        &mut self,
-        tuple: FiveTuple,
-        sfl: u64,
-        key: Arc<SealedFlowKey>,
-        now_secs: u64,
-    ) -> &SealedFlowKey {
-        insert_key(&mut self.0, tuple, sfl, Arc::unwrap_or_clone(key), now_secs)
-    }
-}
-
-impl Deref for CombinedTable {
-    type Target = CombinedFst;
-    fn deref(&self) -> &CombinedFst {
-        &self.0
-    }
-}
-
-impl DerefMut for CombinedTable {
-    fn deref_mut(&mut self) -> &mut CombinedFst {
-        &mut self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbs_core::{EncAlgorithm, FlowKey, CHUNK_SLOTS};
+    use fbs_core::{EncAlgorithm, FlowKey, SflAllocator, CHUNK_SLOTS};
     use fbs_crypto::{crc32, CipherSuite, MacAlgorithm};
 
     fn tuple(sport: u16) -> FiveTuple {
@@ -94,8 +54,13 @@ mod tests {
         }
     }
 
-    fn table() -> CombinedTable {
-        CombinedTable::new(64, 600, SflAllocator::new(100))
+    /// A table of `size` slots under the Fig. 7 policy, THRESHOLD 600 s.
+    fn table_of(size: usize, seed: u64) -> CombinedFst {
+        Fst::new(size, FiveTuplePolicy::new(600), SflAllocator::new(seed))
+    }
+
+    fn table() -> CombinedFst {
+        table_of(64, 100)
     }
 
     /// An AEAD key, whose ChaCha key tells flows apart.
@@ -108,23 +73,23 @@ mod tests {
         )
     }
 
-    fn fake_key(sfl: u64) -> Result<Arc<SealedFlowKey>, ()> {
-        Ok(Arc::new(sealed(sfl)))
+    fn fake_key(sfl: u64) -> Result<SealedFlowKey, ()> {
+        Ok(sealed(sfl))
     }
 
     /// One datagram's send-path resolution: the flow's sfl, its ChaCha
     /// key, and whether it started a new flow, keyed by `derive`.
     fn resolve<E>(
-        t: &mut CombinedTable,
+        t: &mut CombinedFst,
         tuple: FiveTuple,
         now_secs: u64,
-        derive: impl FnOnce(u64) -> Result<Arc<SealedFlowKey>, E>,
+        derive: impl FnOnce(u64) -> Result<SealedFlowKey, E>,
     ) -> Result<(u64, Vec<u8>, bool), E> {
         if let Some((sfl, key)) = t.probe(&tuple, now_secs) {
             return Ok((sfl, key.chacha_key().unwrap().to_vec(), false));
         }
         let sfl = t.reserve_sfl();
-        let key = t.insert(tuple, sfl, derive(sfl)?, now_secs);
+        let key = insert_key(t, tuple, sfl, derive(sfl)?, now_secs);
         Ok((sfl, key.chacha_key().unwrap().to_vec(), true))
     }
 
@@ -164,7 +129,7 @@ mod tests {
 
     #[test]
     fn derive_error_propagates_and_does_not_install() {
-        let mut t = CombinedTable::new(4, 600, SflAllocator::new(0));
+        let mut t = table_of(4, 0);
         let r: Result<_, &str> = resolve(&mut t, tuple(9), 0, |_| Err("mkd down"));
         assert_eq!(r.err(), Some("mkd down"));
         // Next attempt still treats it as a new flow.
@@ -190,7 +155,7 @@ mod tests {
 
     #[test]
     fn a_table_with_no_insert_owns_no_chunk() {
-        let mut t = CombinedTable::new(65_536, 600, SflAllocator::new(1));
+        let mut t = table_of(65_536, 1);
         assert_eq!(t.chunks_owned(), 0);
         // Misses and counts read missing chunks as empty.
         for sport in 0..512 {
@@ -206,7 +171,7 @@ mod tests {
     fn inserts_own_exactly_the_chunks_their_slots_fall_in() {
         // 4,100 slots: full chunks and one holding the last 4.
         let size = 4_100;
-        let mut t = CombinedTable::new(size, 600, SflAllocator::new(1));
+        let mut t = table_of(size, 1);
         let mut chunks = std::collections::BTreeSet::new();
         for sport in (0..3_000).step_by(97) {
             let tup = tuple(sport);
@@ -235,7 +200,7 @@ mod tests {
         type Model = Vec<Option<FstEntry<FiveTuple, FlowUse>>>;
         const THRESHOLD: u64 = 600;
         let size = 200; // the last chunk partly unused
-        let mut t = CombinedTable::new(size, THRESHOLD, SflAllocator::new(7));
+        let mut t = table_of(size, 7);
         let policy = FiveTuplePolicy::new(THRESHOLD);
         let mut f: Fam<FiveTuple, FiveTuplePolicy> = Fam::new(size, policy, SflAllocator::new(7));
         let mut model: Model = vec![None; size];
@@ -271,7 +236,7 @@ mod tests {
                     assert_eq!(t.active_flows(now), want, "step {step}");
                     assert_eq!(f.active_flows(now), want, "step {step}");
                 }
-                op => {
+                _ => {
                     let bytes = next(1_500);
                     let hit = live(&model, i, &tup, now);
                     let want = hit.then(|| model[i].as_ref().unwrap().sfl);
@@ -292,11 +257,7 @@ mod tests {
                     let sfl = t.reserve_sfl();
                     assert_eq!(sfl, model_sfl.next_sfl());
                     assert_eq!(class.sfl, sfl, "step {step}");
-                    if op % 2 == 0 {
-                        t.insert(tup, sfl, fake_key(sfl).unwrap(), now);
-                    } else {
-                        insert_key(&mut t, tup, sfl, sealed(sfl), now);
-                    }
+                    insert_key(&mut t, tup, sfl, sealed(sfl), now);
                     let born = FstEntry {
                         attrs: tup,
                         sfl,
@@ -323,8 +284,8 @@ mod tests {
     /// has an allocator to count with.)
     #[test]
     fn a_birth_writes_its_key_into_the_displaced_allocation() {
-        let mut t = CombinedTable::new(1, 600, SflAllocator::new(1));
-        let held = t.insert(tuple(3), 12, fake_key(12).unwrap(), 0) as *const SealedFlowKey;
+        let mut t = table_of(1, 1);
+        let held = insert_key(&mut t, tuple(3), 12, sealed(12), 0) as *const SealedFlowKey;
         let born = insert_key(&mut t, tuple(4), 13, sealed(13), 0) as *const SealedFlowKey;
         assert_eq!(born, held);
         let (sfl, key) = t.probe(&tuple(4), 0).unwrap();

@@ -45,9 +45,9 @@ pub(super) fn rx_key_id(sfl: u64, source: Ipv4Addr) -> RxKeyId {
     (sfl.to_be_bytes(), source)
 }
 
-/// The RFKC index hash: [`fbs_core::flow_key_hash`] of the full
-/// `(sfl, source, local)` id, so every set index is the one the
-/// principal-pair id would get.
+/// The RFKC index hash: [`flow_key_hash_parts`] of the full
+/// `(sfl, source, local)` id, the one `FbsEndpoint`'s RFKC gives a flow
+/// from `source`.
 pub(super) fn rfkc_hash(local: Principal) -> impl Fn(&RxKeyId) -> u32 + Send + Sync + 'static {
     move |&(sfl, src)| flow_key_hash_parts(u64::from_be_bytes(sfl), &src, local.as_bytes())
 }

@@ -400,13 +400,6 @@ impl FbsIpHooks {
         self.shared.n_workers
     }
 
-    /// Always 0: there is no ring to stall on. Kept because the frozen
-    /// `benchmark/` reads it; goes with its `hooks.ring_stalls` row
-    /// (ROADMAP, `benchmark`-archetype follow-up).
-    pub fn ring_stalls(&self) -> u64 {
-        0
-    }
-
     /// Per-shard active-flow occupancy at `now_secs` (takes each owner's
     /// lock in turn — a control-plane reader, not a hot-path one).
     pub fn shard_occupancy(&self, now_secs: u64) -> Result<Vec<usize>, RuntimeError> {
@@ -441,14 +434,6 @@ impl FbsIpHooks {
     /// datagram to/from them through the MKD upcall).
     pub fn forget_peer(&self, peer: &Principal) {
         self.shared.keying.forget_peer(peer);
-    }
-
-    /// Always `Ok`: `process_batch` is synchronous and nothing is ever
-    /// buffered inside the runtime. Kept because the frozen `benchmark/`
-    /// calls it before its ledger check (ROADMAP, `benchmark`-archetype
-    /// follow-up).
-    pub fn drain(&self) -> Result<(), RuntimeError> {
-        Ok(())
     }
 
     /// Current (output, input) parking-queue depths, summed over the
@@ -532,13 +517,6 @@ impl FbsIpHooks {
     /// lock-free.
     pub fn worker_respawns(&self) -> u64 {
         self.shared.total().counter(Counter::WorkerRespawns)
-    }
-
-    /// Always `(0, 0)`: nothing is ever shed. Kept because the frozen
-    /// `benchmark/` reads it; goes with its `hooks.shed_rejected` row
-    /// (ROADMAP, `benchmark`-archetype follow-up).
-    pub fn shed_counts(&self) -> (u64, u64) {
-        (0, 0)
     }
 
     /// Live soft-state memory pressure for health evaluation:

@@ -1,7 +1,7 @@
 use super::*;
 use crate::host::{build_mkd, World};
 use datapath::{rx_shard, tuple_for, tx_shard};
-use fbs_core::{Clock, KeyUnavailableVerdict, ManualClock};
+use fbs_core::{flow_key_hash_parts, Clock, KeyUnavailableVerdict, ManualClock};
 use fbs_crypto::dh::DhGroup;
 use fbs_crypto::CipherSuite;
 use fbs_net::ip::Ipv4Addr;
@@ -831,8 +831,7 @@ fn drain_then_shutdown_in_mode(workers: usize) {
         .collect();
     let out = hooks.process_batch(Direction::Output, batch, &mut pool, 1_000);
     assert!(out.iter().all(|(_, o)| matches!(o, HookOutcome::Park)));
-    hooks.drain().unwrap();
-    assert_eq!(hooks.parked_depths(), (4, 0), "parks survive the drain");
+    assert_eq!(hooks.parked_depths(), (4, 0));
     // Ledger: a datagram that parks takes no buffer, and the 4 parked
     // (foreign) payloads are held by the runtime: the pool is untouched.
     assert_eq!(pool.stats(), fbs_core::PoolStats::default());
@@ -1214,7 +1213,6 @@ fn quarantine_in_mode(workers: usize) {
     assert_eq!(hooks.quarantined_workers(), 1);
     // The control plane still answers on the quarantined worker.
     hooks.flush_flow_keys().unwrap();
-    hooks.drain().unwrap();
     let _ = hooks.park_stats().unwrap();
     let _ = hooks.active_flows(1).unwrap();
     // Traffic routed at the quarantined worker keeps failing closed;
@@ -1558,8 +1556,8 @@ fn the_rfkc_index_is_the_principal_pair_ids() {
         let src: Ipv4Addr = (next() as u32).to_be_bytes();
         let local: Ipv4Addr = (next() as u32).to_be_bytes();
         let hooks_hash = datapath::rfkc_hash(Principal::from_ipv4(local));
-        let full =
-            fbs_core::flow_key_hash(&(sfl, Principal::from_ipv4(src), Principal::from_ipv4(local)));
+        let (src_p, local_p) = (Principal::from_ipv4(src), Principal::from_ipv4(local));
+        let full = flow_key_hash_parts(sfl, src_p.as_bytes(), local_p.as_bytes());
         assert_eq!(
             hooks_hash(&datapath::rx_key_id(sfl, src)),
             full,

@@ -53,7 +53,7 @@ pub(crate) fn build_mkd(
 
 /// The one construction path of a secure host's hooks: its MKD, then
 /// hooks that mix `seed` with the address.
-fn secure_hooks(
+pub(crate) fn secure_hooks(
     addr: Ipv4Addr,
     cfg: IpMappingConfig,
     clock: ManualClock,
@@ -68,29 +68,9 @@ fn secure_hooks(
 }
 
 /// `host` with `hooks` installed, and a handle onto them for statistics.
-fn with_hooks(mut host: Host, hooks: FbsIpHooks) -> (Host, FbsIpHooks) {
+pub(crate) fn with_hooks(mut host: Host, hooks: FbsIpHooks) -> (Host, FbsIpHooks) {
     host.install_hooks(Box::new(hooks.clone()));
     (host, hooks)
-}
-
-/// Build one secure host: private value, certificate, PVC, MKD, hooks,
-/// stack, the same way [`World::secure_host`] does. Returns the host
-/// (hooks installed) and a hooks handle for statistics. ROADMAP item
-/// 1(a) retires this form along with its last caller, the end-to-end
-/// benchmark under `benchmark/`.
-#[allow(clippy::too_many_arguments)]
-pub fn build_secure_host(
-    addr: Ipv4Addr,
-    mtu: usize,
-    cfg: IpMappingConfig,
-    clock: ManualClock,
-    group: &DhGroup,
-    ca: &CertificateAuthority,
-    directory: &Arc<Directory>,
-    seed: u64,
-) -> (Host, FbsIpHooks) {
-    let hooks = secure_hooks(addr, cfg, clock, group, ca, directory, seed);
-    with_hooks(Host::new(addr, mtu), hooks)
 }
 
 /// What every secure host of one simulation shares: the clock its

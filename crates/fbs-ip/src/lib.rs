@@ -21,13 +21,14 @@
 #![warn(missing_docs)]
 
 pub mod combined;
+pub mod frozen;
 pub mod hooks;
 pub mod host;
 pub mod policy;
 pub mod tuple;
 
-pub use combined::CombinedTable;
+pub use frozen::{build_secure_host, CombinedTable};
 pub use hooks::{FbsIpHooks, IpHookStats, IpMappingConfig};
-pub use host::{build_secure_host, World};
+pub use host::World;
 pub use policy::FiveTuplePolicy;
 pub use tuple::FiveTuple;

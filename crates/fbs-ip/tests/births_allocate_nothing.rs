@@ -1,5 +1,5 @@
 //! A flow birth allocates nothing once the tables are full. Two AEAD
-//! hosts from `build_secure_host` warm their 64-slot combined tables and
+//! hosts' hooks from one `World` warm their 64-slot combined tables and
 //! 64-set receive caches until every slot is taken, then run bursts in
 //! which every datagram is a birth on both hosts: a transmit birth in
 //! the sender's combined table and a receive birth in the receiver's

@@ -19,7 +19,7 @@
 //! * no datagram, friendly or forged, writes flight-recorder history,
 //!   so a forger cannot wash a rare event out of the ring.
 
-use fbs_core::{flow_key_hash, BufferPool, ManualClock, Principal};
+use fbs_core::{flow_key_hash_parts, BufferPool, ManualClock, Principal};
 use fbs_crypto::des::BLOCK_SIZE;
 use fbs_crypto::dh::DhGroup;
 use fbs_ip::hooks::FbsIpHooks;
@@ -322,9 +322,8 @@ fn forged_births_at(workers: usize, batch: bool) -> Outcome {
     assert_eq!(deliver(&mut receiver, &mut pool, vec![first]), [None]);
 
     // Fresh sfls in the victim's receive shard and RFKC set.
-    let set_of = |sfl: u64| {
-        flow_key_hash(&(sfl, Principal::from_ipv4(A), Principal::from_ipv4(B))) as usize % sets
-    };
+    let (a, b) = (Principal::from_ipv4(A), Principal::from_ipv4(B));
+    let set_of = |sfl: u64| flow_key_hash_parts(sfl, a.as_bytes(), b.as_bytes()) as usize % sets;
     let shards = receiver.num_shards() as u64;
     let aimed: Vec<u64> = (1..)
         .map(|k| victim + k * shards)

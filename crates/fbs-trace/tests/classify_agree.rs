@@ -3,19 +3,19 @@
 //! Figs. 9-14 run `flowsim` over one `Fam<FiveTuple, FiveTuplePolicy>`
 //! per source host: the flow state table `Fst` counting each flow's use,
 //! in one `classify` call per datagram. The datapath keeps each flow's
-//! key in the same table (the `CombinedTable` configuration of §7.2) and
+//! key in the same table (the `CombinedFst` configuration of §7.2) and
 //! splits the call around the key derive: probe, reserve the sfl, insert.
 //! At the same size and THRESHOLD, and with the same sfl allocator, both
 //! must give every datagram the same sfl, start the same flows and count
 //! the same collisions: the figures then differ from the datapath only
 //! in table size.
 
-use fbs_core::{EncAlgorithm, Fam, FlowKey, SealedFlowKey, SflAllocator};
+use fbs_core::{EncAlgorithm, Fam, FlowKey, Fst, SealedFlowKey, SflAllocator};
 use fbs_crypto::{CipherSuite, MacAlgorithm};
-use fbs_ip::{CombinedTable, FiveTuple, FiveTuplePolicy};
+use fbs_ip::combined::{insert_key, CombinedFst};
+use fbs_ip::{FiveTuple, FiveTuplePolicy};
 use fbs_trace::{generate_campus_trace, generate_www_trace, CampusConfig, PacketRecord, WwwConfig};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The figures' trace seed and length (`fbs_bench::figs`).
 const TRACE_SEED: u64 = 1997;
@@ -54,25 +54,22 @@ struct Totals {
 /// Replay `trace` per source host through both tables of `size` slots,
 /// asserting that every datagram gets the same sfl from each.
 fn replay(name: &str, trace: &[PacketRecord], size: usize) -> (Totals, Totals) {
-    type Pair = (Fam<FiveTuple, FiveTuplePolicy>, CombinedTable);
+    type Pair = (Fam<FiveTuple, FiveTuplePolicy>, CombinedFst);
     // The table stores a key per flow; which key is irrelevant here.
-    let key = Arc::new(SealedFlowKey::seal_for(
+    let key = SealedFlowKey::seal_for(
         FlowKey::new(&[7; 16]),
         CipherSuite::AeadChaPoly,
         MacAlgorithm::Poly1305,
         EncAlgorithm::ChaCha20,
-    ));
+    );
     let mut hosts: HashMap<[u8; 4], Pair> = HashMap::new();
     for (i, r) in trace.iter().enumerate() {
         let (fam, combined) = hosts.entry(r.tuple.saddr).or_insert_with(|| {
             let seed = u32::from_be_bytes(r.tuple.saddr) as u64;
+            let policy = FiveTuplePolicy::new(THRESHOLD_SECS);
             (
-                Fam::new(
-                    size,
-                    FiveTuplePolicy::new(THRESHOLD_SECS),
-                    SflAllocator::new(seed),
-                ),
-                CombinedTable::new(size, THRESHOLD_SECS, SflAllocator::new(seed)),
+                Fam::new(size, policy, SflAllocator::new(seed)),
+                Fst::new(size, policy, SflAllocator::new(seed)),
             )
         });
         let now = r.t_secs();
@@ -81,7 +78,7 @@ fn replay(name: &str, trace: &[PacketRecord], size: usize) -> (Totals, Totals) {
             Some((sfl, _)) => sfl,
             None => {
                 let sfl = combined.reserve_sfl();
-                combined.insert(r.tuple, sfl, Arc::clone(&key), now);
+                insert_key(combined, r.tuple, sfl, key.clone(), now);
                 sfl
             }
         };
