@@ -9,7 +9,8 @@
 //! caller's `udp::encode` segment, the frame on the wire, and the copy a
 //! UDP socket queues. None of them can be a pool buffer without that
 //! buffer leaving its host's pool, which the ledger checks below forbid.
-//! What is left above three is per burst and per input chunk.
+//! What is left above three is per burst and per input chunk, and
+//! [`PER_BURST`] names each allocation of one warm burst by its site.
 //!
 //! The counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`,
 //! so it lives in a test binary of its own (the library crates
@@ -64,6 +65,28 @@ const FLOWS: u16 = 4;
 const NOW_SECS: u64 = 1_000;
 const NOW_US: u64 = NOW_SECS * 1_000_000;
 
+/// Allocations of one warm burst, per step, exactly: the same under NOP
+/// crypto and every suite. The receiver takes the burst in 34 input
+/// chunks, each of at most 31 datagrams (its pool holds 32 buffers, and
+/// a chunk leaves one idle for the hook pass).
+const PER_BURST: [(&str, u64); 5] = [
+    // The caller's `items` vector and a `udp::encode` segment per
+    // datagram.
+    ("encode", 1 + BURST as u64),
+    // A frame per datagram (`encode_frame`); per call, `through_hooks`'
+    // `batch`, `process_batch`'s verdict vector and the returned
+    // `Vec<Result>`. Collecting `items` into `Datagram`s reuses `items`'
+    // buffer, and the host's verdict and index scratch are warm.
+    ("ip_output_batch", BURST as u64 + 3),
+    // `take_frames`' `collect`.
+    ("take_frames", 1),
+    // The copy a UDP socket queues per datagram; per input chunk,
+    // `through_hooks`' `batch` and `process_batch`'s verdict vector.
+    ("deliver_frames", BURST as u64 + 2 * 34),
+    // `recv` hands back the queued copy.
+    ("udp.recv loop", 0),
+];
+
 struct World {
     a: Host,
     b: Host,
@@ -96,9 +119,16 @@ impl World {
         }
     }
 
-    /// One closed-loop burst; returns the allocations it made.
-    fn burst(&mut self) -> u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+    /// One closed-loop burst; returns the allocations each of its
+    /// [`PER_BURST`] steps made.
+    fn burst(&mut self) -> [u64; 5] {
+        let mut counts = [0; 5];
+        let mut count = |step: usize, mark: &mut u64| {
+            let now = ALLOCS.load(Ordering::Relaxed);
+            counts[step] = now - *mark;
+            *mark = now;
+        };
+        let mut mark = ALLOCS.load(Ordering::Relaxed);
         let base = self.seq;
         let items: Vec<(Ipv4Header, Vec<u8>)> = (0..BURST as u64)
             .map(|i| {
@@ -109,20 +139,25 @@ impl World {
                 (Ipv4Header::new(A, B, Proto::Udp, seg.len()), seg)
             })
             .collect();
+        count(0, &mut mark);
         let results = self.a.ip_output_batch(items, NOW_US);
+        count(1, &mut mark);
         assert!(results.iter().all(Result::is_ok), "{results:?}");
         drop(results);
         let frames = self.a.take_frames();
+        count(2, &mut mark);
         self.b.deliver_frames(&frames, NOW_US);
+        count(3, &mut mark);
         drop(frames);
         for i in 0..BURST as u64 {
             let got = self.b.udp.recv(PORT).expect("every datagram delivered");
             assert_eq!(got.data, payload(base + i), "datagram {}", base + i);
         }
         assert!(self.b.udp.recv(PORT).is_none());
+        count(4, &mut mark);
         self.attempted += BURST as u64;
         self.seq += BURST as u64;
-        ALLOCS.load(Ordering::Relaxed) - before
+        counts
     }
 }
 
@@ -171,7 +206,13 @@ fn warm_bursts_allocate_three_per_datagram() {
             .combined_stats()
             .expect("combined stats")
             .new_flows;
-        let allocs: u64 = (0..4).map(|_| w.burst()).sum();
+        let counts: Vec<[u64; 5]> = (0..4).map(|_| w.burst()).collect();
+        for burst in &counts {
+            for (&(step, want), got) in PER_BURST.iter().zip(burst) {
+                assert_eq!(*got, want, "{name}: {step}");
+            }
+        }
+        let allocs: u64 = counts.iter().flatten().sum();
         let per_dgram = allocs as f64 / (4 * BURST) as f64;
         assert!(
             per_dgram <= 3.1,
