@@ -345,8 +345,9 @@ fn drive(pairs: &mut [Pair], count: usize, alloc: &dyn Fn() -> u64) -> (f64, u64
 /// [`ROWS`] on the NOP 64 B cell, `rounds` rounds of `count` datagrams
 /// per caller. Each row runs observed, on pairs sharing one registry,
 /// and bare, on pairs of its own; both are keyed in an untimed warm-up.
-/// A round runs every row observed, back to back, then every row bare.
-/// `alloc` reads an allocation counter.
+/// A round runs every row observed, back to back, then every row bare,
+/// in [`ROWS`] order on even rounds and in reverse on odd ones, so that
+/// no row always runs first. `alloc` reads an allocation counter.
 pub fn rows(count: usize, rounds: usize, group: &DhGroup, alloc: &dyn Fn() -> u64) -> Rows {
     let registries = ROWS.map(|_| Arc::new(MetricsRegistry::new()));
     let mut sets: Vec<[Vec<Pair>; 2]> = ROWS
@@ -374,9 +375,13 @@ pub fn rows(count: usize, rounds: usize, group: &DhGroup, alloc: &dyn Fn() -> u6
             row.failed += drive(pairs, 4 * FLOWS as usize, alloc).2;
         }
     }
-    for _ in 0..rounds {
+    for round in 0..rounds {
         for mode in 0..2 {
-            for ((row, rates), set) in rows.iter_mut().zip(&mut sets) {
+            let mut order: Vec<_> = rows.iter_mut().zip(&mut sets).collect();
+            if round % 2 == 1 {
+                order.reverse();
+            }
+            for ((row, rates), set) in order {
                 let (secs, allocs, failed) = drive(&mut set[mode], count, alloc);
                 let timed = (count * row.callers) as f64;
                 rates[mode].push(timed / secs);
