@@ -375,13 +375,10 @@ pub fn rows(count: usize, rounds: usize, group: &DhGroup, alloc: &dyn Fn() -> u6
             row.failed += drive(pairs, 4 * FLOWS as usize, alloc).2;
         }
     }
-    for round in 0..rounds {
+    let mut order: Vec<_> = rows.iter_mut().zip(&mut sets).collect();
+    for _ in 0..rounds {
         for mode in 0..2 {
-            let mut order: Vec<_> = rows.iter_mut().zip(&mut sets).collect();
-            if round % 2 == 1 {
-                order.reverse();
-            }
-            for ((row, rates), set) in order {
+            for ((row, rates), set) in order.iter_mut() {
                 let (secs, allocs, failed) = drive(&mut set[mode], count, alloc);
                 let timed = (count * row.callers) as f64;
                 rates[mode].push(timed / secs);
@@ -389,6 +386,7 @@ pub fn rows(count: usize, rounds: usize, group: &DhGroup, alloc: &dyn Fn() -> u6
                 row.failed += failed;
             }
         }
+        order.reverse();
     }
     let mut sharded_ratios: Vec<f64> = rows[1].1[0]
         .iter()

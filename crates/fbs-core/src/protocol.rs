@@ -296,16 +296,15 @@ impl EndpointStats {
 
 pub use crate::frozen::{flow_key_hash, FlowKeyId};
 
-/// The §5.3-recommended randomising hash over a flow's (sfl, S, D),
-/// streamed so each cache probe allocates nothing. A flow-key cache
-/// keys a flow by `(sfl, peer)` and keeps its own principal implicit,
-/// fed to this hash as the last part (§5.3 fn. 7: a multi-homed
-/// principal's addresses key apart).
-pub fn flow_key_hash_parts(sfl: u64, source: &[u8], destination: &[u8]) -> u32 {
+/// The §5.3 randomising hash of a flow key's id — sfl, peer, then local
+/// principal — streamed so a probe allocates nothing. The caches key a
+/// flow by `(sfl, peer)`: the local principal, the same for every entry,
+/// is in the hash alone (§5.3 fn. 7: a multi-homed host's addresses).
+pub fn flow_key_hash_parts(sfl: u64, peer: &[u8], local: &[u8]) -> u32 {
     let mut h = Crc32::new();
     h.update(&sfl.to_be_bytes());
-    h.update(source);
-    h.update(destination);
+    h.update(peer);
+    h.update(local);
     h.finalize()
 }
 
