@@ -1,5 +1,5 @@
-//! Concurrency primitives for the sharded endpoint: read-mostly config
-//! snapshots, a sharded wrapper over [`SoftCache`], and the shared
+//! Concurrency primitives for the sharded endpoint: read-mostly
+//! versioned config snapshots, a sharded wrapper over [`SoftCache`], and the shared
 //! keying service that serialises MKD upcalls without serialising the
 //! datagram path.
 //!
@@ -26,8 +26,9 @@
 //! 2. Inside [`KeyingService`], the order is `mkd` lock → MKC shard
 //!    lock. The fast path touches only an MKC shard lock and releases
 //!    it before any `mkd` acquisition, so no cycle exists.
-//! 3. [`Published`] reads/writes nest inside anything (leaf lock, held
-//!    only for an `Arc` clone or swap).
+//! 3. [`Versioned`] reads/writes nest inside anything (leaf lock, held
+//!    only for an `Arc` clone or swap; a [`Snapshot`] that is still
+//!    current takes no lock at all).
 
 use crate::cache::{CacheStats, SoftCache};
 use crate::error::Result;
@@ -38,40 +39,93 @@ use crate::protocol::FlowCodec;
 use fbs_crypto::crc32;
 use fbs_obs::{CacheKind, Counter, CounterBlock, Histogram, MetricsRegistry, Stage, StageTimer};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A read-mostly value published as an `Arc` snapshot: readers pay one
-/// refcount bump (no writer can block them for longer than the swap),
-/// writers swap in a whole new snapshot. Readers that loaded the old
-/// `Arc` keep a consistent view until they drop it — exactly the
-/// semantics wanted for endpoint config/policy, which must be coherent
-/// *per datagram*, not per field.
+/// A read-mostly value published as versioned `Arc` snapshots: writers
+/// swap in a whole new value and bump the version, readers keep a
+/// [`Snapshot`] and re-read the value only when one atomic load shows
+/// the version has moved. An unchanged value costs a reader that one
+/// load — no lock, no refcount write — and a reader that loaded an old
+/// snapshot keeps a consistent view until it refreshes: exactly the
+/// semantics wanted for a runtime's configuration, which must be
+/// coherent per batch, not per field.
 ///
 /// Built on `std::sync::RwLock` (the vendored `parking_lot` exposes
-/// only `Mutex`); the critical sections are a clone and a store, so the
+/// only `Mutex`); the critical sections are a clone and a swap, so the
 /// lock is never held across user code. Poisoning is absorbed — an
 /// `Arc` clone/swap cannot leave the value torn.
 #[derive(Debug)]
-pub struct Published<T> {
+pub struct Versioned<T> {
+    /// Bumped under the write lock by every store, after the swap.
+    version: AtomicU64,
     inner: std::sync::RwLock<Arc<T>>,
 }
 
-impl<T> Published<T> {
-    /// Publish an initial value.
+/// A reader's copy of a [`Versioned`] value and the version it was
+/// read at.
+#[derive(Debug)]
+pub struct Snapshot<T> {
+    version: u64,
+    value: Arc<T>,
+}
+
+impl<T> Clone for Snapshot<T> {
+    fn clone(&self) -> Self {
+        Snapshot {
+            version: self.version,
+            value: Arc::clone(&self.value),
+        }
+    }
+}
+
+impl<T> Versioned<T> {
+    /// Publish an initial value, at version 0.
     pub fn new(value: T) -> Self {
-        Published {
+        Versioned {
+            version: AtomicU64::new(0),
             inner: std::sync::RwLock::new(Arc::new(value)),
         }
     }
 
-    /// Load the current snapshot.
-    pub fn load(&self) -> Arc<T> {
-        Arc::clone(&self.inner.read().unwrap_or_else(|e| e.into_inner()))
+    /// The current value and its version, read together under the lock.
+    pub fn snapshot(&self) -> Snapshot<T> {
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        Snapshot {
+            version: self.version.load(Ordering::Relaxed),
+            value: Arc::clone(&inner),
+        }
     }
 
-    /// Swap in a new snapshot. In-flight readers keep the old one.
-    pub fn store(&self, value: Arc<T>) {
-        *self.inner.write().unwrap_or_else(|e| e.into_inner()) = value;
+    /// Swap in `next(current)` and bump the version. Concurrent updates
+    /// serialise on the lock, so none is lost; readers holding the old
+    /// value keep it.
+    pub fn update(&self, next: impl FnOnce(&T) -> T) {
+        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        *inner = Arc::new(next(&inner));
+        self.version.fetch_add(1, Ordering::Release);
+    }
+
+    /// Whether `snap` holds the current value: one atomic load.
+    pub fn is_current(&self, snap: &Snapshot<T>) -> bool {
+        self.version.load(Ordering::Acquire) == snap.version
+    }
+}
+
+impl<T> Snapshot<T> {
+    /// The value as read.
+    pub fn get(&self) -> &T {
+        &self.value
+    }
+
+    /// Bring this copy up to `cell`'s current value and return it: one
+    /// atomic load while the version has not moved, one locked read
+    /// when it has.
+    pub fn refresh(&mut self, cell: &Versioned<T>) -> &T {
+        if !cell.is_current(self) {
+            *self = cell.snapshot();
+        }
+        &self.value
     }
 }
 
@@ -323,12 +377,28 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
-    fn published_snapshot_swap() {
-        let p = Published::new(41u32);
-        let old = p.load();
-        p.store(Arc::new(42));
-        assert_eq!(*old, 41, "in-flight reader keeps its snapshot");
-        assert_eq!(*p.load(), 42);
+    fn a_snapshot_refreshes_only_when_the_version_moves() {
+        let cell = Versioned::new(41u32);
+        let mut snap = cell.snapshot();
+        let old = snap.clone();
+        assert!(cell.is_current(&snap));
+        cell.update(|v| v + 1);
+        assert!(!cell.is_current(&snap), "every store bumps the version");
+        assert_eq!(
+            *snap.get(),
+            41,
+            "a reader keeps its snapshot until it refreshes"
+        );
+        assert_eq!(*snap.refresh(&cell), 42);
+        assert!(cell.is_current(&snap));
+        assert_eq!(*old.get(), 41, "in-flight reader keeps its snapshot");
+        let value = Arc::as_ptr(&snap.value);
+        snap.refresh(&cell);
+        assert_eq!(
+            Arc::as_ptr(&snap.value),
+            value,
+            "a current snapshot is kept"
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use breaker::{Allow, BreakerConfig, BreakerState, CircuitBreaker, Transition
 pub use cache::{CacheStats, Lookup, MissKind, SoftCache};
 pub use chunks::{ChunkDir, CHUNK_SLOTS};
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use concurrent::{KeyingService, Published, ShardedCache};
+pub use concurrent::{KeyingService, ShardedCache, Snapshot, Versioned};
 pub use error::{FbsError, Result, RuntimeError};
 pub use fam::{Classification, Fam, FlowPolicy, FlowUse, Fst, FstEntry, FstStats};
 pub use fault::OwnerFaultInjector;

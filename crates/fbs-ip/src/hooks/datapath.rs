@@ -6,7 +6,7 @@
 //! the owner lock may use directly.
 
 use super::config::IpMappingConfig;
-use super::HookShared;
+use super::{HookShared, Settings};
 use crate::combined::{insert_key, CombinedFst};
 use crate::policy::FiveTuplePolicy;
 use crate::tuple::FiveTuple;
@@ -110,7 +110,8 @@ impl HookShared {
     /// into the stride base, so `sfl % n_shards == si` still holds — the
     /// receive-side partition stays consistent across respawns.
     pub(super) fn build_shard(&self, si: usize, generation: u64) -> Shard {
-        let cfg = self.cfg.load();
+        let settings = self.settings.snapshot();
+        let cfg = &settings.get().cfg;
         let counts = &self.blocks[si % self.n_workers];
         let n = self.n_shards as u64;
         let salt = self
@@ -251,10 +252,11 @@ pub(super) fn rx_shard(n: usize, payload: &[u8]) -> usize {
     wire_sfl(payload).map_or(0, |sfl| sfl as usize & (n - 1))
 }
 
-/// What every per-datagram function reads, loaded once per supervised
-/// pass (or control action) by the owning worker: the shared runtime state,
-/// the owner's counter block, the config snapshot and registry handle in
-/// force for this pass, and the caller's virtual time.
+/// What every per-datagram function reads, built once per supervised
+/// pass (or release) by the owning worker: the shared runtime state,
+/// the owner's counter block, the configuration and registry handle of
+/// the settings the caller's batch read at its start, and the caller's
+/// virtual time.
 pub(super) struct Pass<'a> {
     pub(super) shared: &'a HookShared,
     /// The running owner's block: only its lock holder writes it.
@@ -569,24 +571,24 @@ fn suite_counter(suite: CipherSuite, dir: Direction) -> Counter {
 /// everything whose peer's circuit breaker would fast-fail, so a wall of
 /// parked traffic cannot hammer a known-broken keying path. Output
 /// retries `protect` towards `header.dst`; input retries `verify` from
-/// `header.src`, MAC check included. Returns the released datagrams,
-/// their bodies drawn from `pool`; every consumed or expired buffer goes
-/// back into it.
+/// `header.src`, MAC check included, under the caller's `settings`.
+/// Returns the released datagrams, their bodies drawn from `pool`; every
+/// consumed or expired buffer goes back into it.
 pub(super) fn release_parked(
     shared: &HookShared,
+    settings: &Settings,
     counts: &CounterBlock,
     shards: &mut [Shard],
     dir: Direction,
     now_us: u64,
     pool: &mut BufferPool,
 ) -> Vec<(Ipv4Header, Vec<u8>)> {
-    let cfg = shared.cfg.load();
-    let obs = shared.obs_handle();
+    let obs = &settings.obs;
     let pass = Pass {
         shared,
         counts,
-        cfg: &cfg,
-        obs: &obs,
+        cfg: &settings.cfg,
+        obs,
         now_us,
     };
     let mut ready = Vec::new();

@@ -21,15 +21,16 @@
 //! FBS runs inside `ip_output()`/`ip_input()`, in the caller's context,
 //! as in §7.2.
 //!
-//! [`SecurityHooks::process_batch`] runs the caller's batch **in
-//! place**: it stages the datagrams beside a fail-closed verdict ledger
-//! by submission index, groups the indices by owner, then locks each
-//! owner with work, runs its share on the calling thread, and unlocks;
-//! the ledger is the return value. Whoever holds an owner's lock *is*
-//! that worker: clones of a handle on other threads meet only where
-//! their batches touch the same owner, which is the parallelism
-//! `workers` buys; the control plane (flush, occupancy, park
-//! statistics, release) takes the same lock the same way.
+//! [`SecurityHooks::process_batch_into`] runs the caller's batch **in
+//! place**: it reads the handle's settings snapshot once, drains the
+//! caller's datagrams into its staging beside a fail-closed verdict
+//! ledger — appended to the caller's verdict vector, by submission
+//! index — groups the indices by owner, then locks each owner with
+//! work, runs its share on the calling thread, and unlocks. Whoever
+//! holds an owner's lock *is* that worker: clones of a handle on other
+//! threads meet only where their batches touch the same owner, which is
+//! the parallelism `workers` buys; the control plane (flush, occupancy,
+//! park statistics, release) takes the same lock the same way.
 //!
 //! * **Transmit** datagrams shard by `crc32(five_tuple) % N`. Each
 //!   shard's [`SflAllocator`](fbs_core::SflAllocator) is strided so every sfl it issues is
@@ -49,7 +50,18 @@
 //! caller is the thread holding it): the datapath `take`s a buffer when
 //! it seals or opens into one and `put`s each spent payload straight
 //! back, so the default pool covers a burst of any size. The staging
-//! vectors are kept per handle: no allocation per datagram.
+//! vectors are kept per handle and the datagrams and verdicts travel
+//! in the caller's vectors: no allocation per datagram or per call.
+//!
+//! ## Settings
+//!
+//! The policy configuration, the chaos tap and the registry handle are
+//! one versioned snapshot ([`Versioned`]); `update_config`,
+//! `set_owner_chaos` and `attach_obs` swap in a whole new one and bump
+//! the version. Each handle keeps its own copy and refreshes it at the
+//! start of a batch or release: one atomic load while the version has
+//! not moved, so a batch takes no lock and writes no refcount for its
+//! settings, and it runs start to end under the one value it read.
 //!
 //! ## Ordering and determinism
 //!
@@ -61,8 +73,9 @@
 //! **Lock-ordering rules** (see also `fbs_core::concurrent`): never two
 //! owner locks at once; an owner lock is outermost (held across a flow
 //! birth's keying calls; its other takers want the same shards); inside
-//! the keying service the order is mkd → mkc-shard; [`Published`] reads
-//! nest inside anything (leaf).
+//! the keying service the order is mkd → mkc-shard; the settings' lock —
+//! taken by a store, and by a read only after the version moved — nests
+//! inside anything (leaf).
 //!
 //! Counts follow the locks: owner `w`'s shards (codec, combined table,
 //! RFKC), its verdict ledger and its supervisor count into owner `w`'s
@@ -130,8 +143,6 @@
 mod config;
 mod datapath;
 mod owner;
-#[cfg(test)]
-mod tests;
 
 pub use config::{IpHookStats, IpMappingConfig};
 
@@ -142,7 +153,7 @@ use fbs_core::mkd::MkdStats;
 use fbs_core::protocol::EndpointStats;
 use fbs_core::{
     BudgetSnapshot, BufferPool, Clock, FbsConfig, KeyingService, MasterKeyDaemon, MemoryBudget,
-    OwnerFaultInjector, ParkStats, Principal, Published, RuntimeError,
+    OwnerFaultInjector, ParkStats, Principal, RuntimeError, Snapshot, Versioned,
 };
 use fbs_net::ip::Proto;
 use fbs_net::{Datagram, HookOutcome, Ipv4Header, SecurityHooks};
@@ -165,9 +176,21 @@ struct ParkDepths {
     inp: AtomicUsize,
 }
 
+/// What a batch reads of the hooks' mutable settings, published as one
+/// versioned snapshot: the policy configuration, the chaos tap and the
+/// registry handle. A batch reads it once, at its start, and runs to
+/// its end under that one value.
+#[derive(Clone)]
+struct Settings {
+    cfg: IpMappingConfig,
+    /// Deterministic fault injector for chaos runs (`None` in
+    /// production).
+    chaos: Option<Arc<dyn OwnerFaultInjector>>,
+    obs: Option<Arc<MetricsRegistry>>,
+}
+
 /// State shared by every clone of [`FbsIpHooks`]: the keying service,
-/// the published config snapshot, the counter blocks, and the shard
-/// owners.
+/// the published settings, the counter blocks, and the shard owners.
 struct HookShared {
     keying: KeyingService,
     local: Principal,
@@ -181,7 +204,9 @@ struct HookShared {
     codec_seed: u64,
     /// Base sfl allocator seed (pre shard/generation mixing).
     sfl_seed: u64,
-    cfg: Published<IpMappingConfig>,
+    /// Swap-on-update: every store bumps the version, which each
+    /// handle's [`Snapshot`] checks once per batch.
+    settings: Versioned<Settings>,
     /// Owner `w`'s block, written only under `owners[w]`'s lock: its
     /// verdicts, supervisor panics and respawns, and its shards' codecs,
     /// combined tables and RFKCs count here.
@@ -189,10 +214,6 @@ struct HookShared {
     /// Workers that exhausted their respawn budget and now reject
     /// everything.
     quarantined: Box<[AtomicBool]>,
-    /// Deterministic fault injector for chaos runs (`None` in
-    /// production; swap-on-update like `cfg`).
-    chaos: Published<Option<Arc<dyn OwnerFaultInjector>>>,
-    obs: Published<Option<Arc<MetricsRegistry>>>,
     /// Shard / worker geometry (fixed at construction).
     n_shards: usize,
     n_workers: usize,
@@ -210,10 +231,6 @@ struct HookShared {
 }
 
 impl HookShared {
-    fn obs_handle(&self) -> Option<Arc<MetricsRegistry>> {
-        (*self.obs.load()).clone()
-    }
-
     /// Every block of the endpoint summed — the owners' and the keying
     /// service's: what each statistics view reads.
     fn total(&self) -> CounterBlock {
@@ -250,6 +267,10 @@ fn record(obs: &Option<Arc<MetricsRegistry>>, event: Event) {
 /// from different threads; they serialise per shard owner.
 pub struct FbsIpHooks {
     shared: Arc<HookShared>,
+    /// This handle's copy of the published settings, brought up to date
+    /// at the start of each batch or release (one atomic load while
+    /// nothing was stored).
+    settings: Snapshot<Settings>,
     /// The batch in flight. Never shared — each clone starts its own
     /// (empty) one.
     run: Run,
@@ -259,6 +280,7 @@ impl Clone for FbsIpHooks {
     fn clone(&self) -> Self {
         FbsIpHooks {
             shared: Arc::clone(&self.shared),
+            settings: self.settings.clone(),
             run: Run::default(),
         }
     }
@@ -302,11 +324,13 @@ impl FbsIpHooks {
             fbs,
             codec_seed: seed ^ (addr << 16) ^ 0x5DEECE66D,
             sfl_seed: seed.rotate_left(17) ^ addr,
-            cfg: Published::new(cfg),
+            settings: Versioned::new(Settings {
+                cfg,
+                chaos: None,
+                obs: None,
+            }),
             blocks: (0..workers).map(|_| Arc::default()).collect(),
             quarantined: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-            chaos: Published::new(None),
-            obs: Published::new(None),
             n_shards: n,
             n_workers: workers,
             owners: Box::new([]),
@@ -326,6 +350,7 @@ impl FbsIpHooks {
             .map(|shards| Mutex::new(Owner::new(shards)))
             .collect();
         FbsIpHooks {
+            settings: shared.settings.snapshot(),
             shared: Arc::new(shared),
             run: Run::default(),
         }
@@ -346,20 +371,25 @@ impl FbsIpHooks {
         for w in 0..self.shared.n_workers {
             self.shared.with_owner(w, |st| st.attach_obs(&registry))?;
         }
-        self.shared.obs.store(Arc::new(Some(registry)));
+        self.shared.settings.update(|s| Settings {
+            obs: Some(registry),
+            ..s.clone()
+        });
         Ok(())
     }
 
-    /// Publish a modified configuration snapshot (swap-on-update): in-
-    /// flight batches finish under the snapshot they loaded; the next
-    /// batch sees the new one. Only policy-ish fields take effect —
-    /// geometry (`shards`, `workers`, `fst_size`, cache
+    /// Publish a modified configuration (swap-on-update): in-flight
+    /// batches finish under the settings they loaded; the next batch of
+    /// every handle sees the new ones. Only policy-ish fields take
+    /// effect — geometry (`shards`, `workers`, `fst_size`, cache
     /// dimensions, park capacity) and the FBS configuration `fbs` are
     /// read once, at construction.
     pub fn update_config(&self, mutate: impl FnOnce(&mut IpMappingConfig)) {
-        let mut next = (*self.shared.cfg.load()).clone();
-        mutate(&mut next);
-        self.shared.cfg.store(Arc::new(next));
+        self.shared.settings.update(|s| {
+            let mut next = s.clone();
+            mutate(&mut next.cfg);
+            next
+        });
     }
 
     /// Hook-level statistics — lock-free, read off the summed counter
@@ -475,12 +505,13 @@ impl FbsIpHooks {
     /// per poll), otherwise run the release under the owner's lock, on
     /// the caller's pool.
     fn release_dir(
-        &self,
+        &mut self,
         dir: Direction,
         now_us: u64,
         pool: &mut BufferPool,
     ) -> Vec<(Ipv4Header, Vec<u8>)> {
         let mut ready = Vec::new();
+        let settings = self.settings.refresh(&self.shared.settings);
         for w in 0..self.shared.n_workers {
             let depths = &self.shared.park_depths[w];
             let depth = match dir {
@@ -495,17 +526,32 @@ impl FbsIpHooks {
             // best-effort by contract, so errors are skipped, not
             // propagated.
             let shared = &*self.shared;
-            let released = shared.with_owner(w, |st| st.release(shared, w, dir, now_us, pool));
+            let released =
+                shared.with_owner(w, |st| st.release(shared, settings, w, dir, now_us, pool));
             ready.extend(released.unwrap_or_default());
         }
         ready
     }
 
-    /// Install (or clear) a deterministic owner-fault injector. Chaos
-    /// only: the production hot path pays one published-pointer load
-    /// per owner per batch.
+    /// Install (or clear) a deterministic owner-fault injector, seen
+    /// from the next batch on. Chaos only: the production hot path
+    /// pays one `Option` check per owner pass.
     pub fn set_owner_chaos(&self, injector: Option<Arc<dyn OwnerFaultInjector>>) {
-        self.shared.chaos.store(Arc::new(injector));
+        self.shared.settings.update(|s| Settings {
+            chaos: injector,
+            ..s.clone()
+        });
+    }
+
+    /// Read the current settings: this handle's snapshot while it is
+    /// current, else a fresh one (the `&self` trait methods cannot
+    /// refresh the handle's copy).
+    fn read_settings<R>(&self, read: impl FnOnce(&Settings) -> R) -> R {
+        if self.shared.settings.is_current(&self.settings) {
+            read(self.settings.get())
+        } else {
+            read(self.shared.settings.snapshot().get())
+        }
     }
 
     /// Panics caught by the supervisor — lock-free.
@@ -558,7 +604,7 @@ impl SecurityHooks for FbsIpHooks {
         match Proto::from_number(proto) {
             Proto::Mrt | Proto::Udp => true,
             Proto::Bypass => false,
-            Proto::Other(_) => self.shared.cfg.load().cover_raw_ip,
+            Proto::Other(_) => self.read_settings(|s| s.cfg.cover_raw_ip),
         }
     }
 
@@ -566,38 +612,44 @@ impl SecurityHooks for FbsIpHooks {
     /// the codecs frame it — from the construction-time `cfg.fbs` they
     /// were built from — and up to 7 bytes of DES block padding.
     fn max_overhead(&self) -> usize {
-        let padding = if self.shared.cfg.load().encrypt { 7 } else { 0 };
+        let padding = if self.read_settings(|s| s.cfg.encrypt) {
+            7
+        } else {
+            0
+        };
         self.shared.fbs.wire_header_len() + padding
     }
 
-    /// The single processing entry point (the scalar `output`/`input`
-    /// trait defaults wrap it): stage the batch and its verdict ledger
-    /// ONCE, run each owner's share under its lock on this thread with
-    /// the caller's pool, and return the ledger — already in submission
-    /// order.
-    fn process_batch(
+    /// The one processing path: read the settings once, stage the batch
+    /// beside its fail-closed verdicts (appended to `out`), run each
+    /// owner's share under its lock on this thread with the caller's
+    /// pool, and leave the verdicts in submission order. Drains `batch`
+    /// and allocates nothing once the handle's staging vectors are warm.
+    fn process_batch_into(
         &mut self,
         dir: Direction,
-        batch: Vec<Datagram>,
+        batch: &mut Vec<Datagram>,
         pool: &mut BufferPool,
         now_us: u64,
-    ) -> Vec<(Ipv4Header, HookOutcome)> {
+        out: &mut Vec<(Ipv4Header, HookOutcome)>,
+    ) {
         if batch.is_empty() {
-            return Vec::new();
+            return;
         }
         let shared = &*self.shared;
-        let obs = shared.obs_handle();
-        let timer = obs.as_ref().map(|_| StageTimer::start());
-        let mut out = Vec::with_capacity(batch.len());
-        self.run.fill(shared, dir, batch, &mut out);
-        if let (Some(reg), Some(timer)) = (obs.as_ref(), timer) {
+        let settings = self.settings.refresh(&shared.settings);
+        let timer = settings.obs.as_ref().map(|_| StageTimer::start());
+        let base = out.len();
+        self.run.fill(shared, dir, batch, out);
+        if let (Some(reg), Some(timer)) = (settings.obs.as_ref(), timer) {
             reg.observe_stage(Stage::Partition, timer.elapsed_ns());
         }
         let mut flight = Flight {
             dir,
             now_us,
+            settings,
             run: &mut self.run,
-            out: &mut out,
+            out: &mut out[base..],
             pool,
         };
         for w in 0..shared.n_workers {
@@ -606,6 +658,18 @@ impl SecurityHooks for FbsIpHooks {
                 owner::run_inline(shared, w, &mut shared.owners[w].lock(), &mut flight);
             }
         }
+    }
+
+    /// [`Self::process_batch_into`] into a fresh verdict vector.
+    fn process_batch(
+        &mut self,
+        dir: Direction,
+        mut batch: Vec<Datagram>,
+        pool: &mut BufferPool,
+        now_us: u64,
+    ) -> Vec<(Ipv4Header, HookOutcome)> {
+        let mut out = Vec::with_capacity(batch.len());
+        self.process_batch_into(dir, &mut batch, pool, now_us, &mut out);
         out
     }
 
@@ -622,3 +686,6 @@ impl SecurityHooks for FbsIpHooks {
         self.release_dir(Direction::Input, now_us, pool)
     }
 }
+
+#[cfg(test)]
+mod tests;

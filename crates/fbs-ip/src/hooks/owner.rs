@@ -9,7 +9,7 @@ use super::datapath::{
     cascade_obs, input_item, output_item, release_parked, rx_shard, tuple_for, tx_shard, Pass,
     Shard,
 };
-use super::HookShared;
+use super::{HookShared, Settings};
 use crate::tuple::FiveTuple;
 use fbs_core::{BufferPool, RuntimeError};
 use fbs_net::{Datagram, HookOutcome, Ipv4Header, RejectReason};
@@ -60,14 +60,15 @@ pub(super) struct Run {
 }
 
 impl Run {
-    /// Stage `batch` for `shared`'s owners: items and the fail-closed
-    /// verdict ledger `out` in one pass, then one stable counting pass
-    /// that groups the submission indices by owner.
+    /// Drain `batch` into the staging for `shared`'s owners: items, and
+    /// the fail-closed verdict ledger appended to `out`, in one pass,
+    /// then one stable counting pass that groups the submission indices
+    /// by owner.
     pub(super) fn fill(
         &mut self,
         shared: &HookShared,
         dir: Direction,
-        batch: Vec<Datagram>,
+        batch: &mut Vec<Datagram>,
         out: &mut Vec<(Ipv4Header, HookOutcome)>,
     ) {
         let (n, nw) = (shared.n_shards, shared.n_workers);
@@ -75,7 +76,7 @@ impl Run {
         self.items.clear();
         self.ends.clear();
         self.ends.resize(nw, 0);
-        for Datagram { header, payload } in batch {
+        for Datagram { header, payload } in batch.drain(..) {
             let (si, tuple) = match dir {
                 Direction::Output => {
                     let tuple = tuple_for(&header, &payload);
@@ -113,11 +114,12 @@ impl Run {
 }
 
 /// The caller's side of a batch in flight, lent to whichever owner is
-/// running: the staged batch, the verdict ledger by submission index,
-/// and the caller's pool.
+/// running: the settings read at its start, the staged batch, the
+/// verdict ledger by submission index, and the caller's pool.
 pub(super) struct Flight<'a> {
     pub(super) dir: Direction,
     pub(super) now_us: u64,
+    pub(super) settings: &'a Settings,
     pub(super) run: &'a mut Run,
     pub(super) out: &'a mut [(Ipv4Header, HookOutcome)],
     pub(super) pool: &'a mut BufferPool,
@@ -190,13 +192,12 @@ fn finish_current(
         pending_recycle,
         ..
     } = state;
-    let obs = shared.obs_handle();
-    let cfg = shared.cfg.load();
+    let settings = flight.settings;
     let pass = Pass {
         shared,
         counts: &shared.blocks[w],
-        cfg: &cfg,
-        obs: &obs,
+        cfg: &settings.cfg,
+        obs: &settings.obs,
         now_us: flight.now_us,
     };
     flight.run.mark = outstanding(flight.pool);
@@ -204,12 +205,13 @@ fn finish_current(
     // and a tail-only retry too), so an injected panic unwinds with the
     // cursor at the first unprocessed item — it then costs exactly one
     // Reject.
-    if let Some(chaos) = (*shared.chaos.load()).clone() {
+    if let Some(chaos) = &settings.chaos {
         if chaos.take_panic(w, pass.now_us) {
             panic!("injected owner panic (chaos)");
         }
     }
-    let busy = obs
+    let busy = settings
+        .obs
         .as_ref()
         .filter(|_| !reject)
         .map(|_| StageTimer::start());
@@ -275,14 +277,17 @@ fn abort_current_item(flight: &mut Flight<'_>) {
 /// deadlines keep ticking in the carried-over queues.
 fn rebuild_shards(shared: &HookShared, w: usize, state: &mut Owner) {
     state.generation += 1;
-    let obs = shared.obs_handle();
+    // The registry as published now (a respawn is rare; a control call
+    // that panicked has no batch snapshot to hand).
+    let settings = shared.settings.snapshot();
+    let obs = &settings.get().obs;
     let old = std::mem::take(&mut state.shards);
     for (local, old_shard) in old.into_iter().enumerate() {
         let si = w + local * shared.n_workers;
         let mut fresh = shared.build_shard(si, state.generation);
         fresh.out_park = old_shard.out_park;
         fresh.in_park = old_shard.in_park;
-        if let Some(reg) = &obs {
+        if let Some(reg) = obs {
             cascade_obs(&mut fresh, reg);
         }
         state.shards.push(fresh);
@@ -353,18 +358,27 @@ impl Owner {
         })
     }
 
-    /// Run the park release loop for one direction, as owner `w`, on
-    /// the caller's `pool`.
+    /// Run the park release loop for one direction, as owner `w`, under
+    /// the caller's `settings` and on its `pool`.
     pub(super) fn release(
         &mut self,
         shared: &HookShared,
+        settings: &Settings,
         w: usize,
         dir: Direction,
         now_us: u64,
         pool: &mut BufferPool,
     ) -> Vec<(Ipv4Header, Vec<u8>)> {
         let counts = &shared.blocks[w];
-        let released = release_parked(shared, counts, &mut self.shards, dir, now_us, pool);
+        let released = release_parked(
+            shared,
+            settings,
+            counts,
+            &mut self.shards,
+            dir,
+            now_us,
+            pool,
+        );
         pool.put_all(&mut self.pending_recycle);
         refresh_park_depths(shared, w, &self.shards);
         released

@@ -1565,3 +1565,86 @@ fn the_rfkc_index_is_the_principal_pair_ids() {
         );
     }
 }
+
+/// Plaintext that no sealed frame of the settings tests holds by
+/// chance: present in a frame exactly when it went out MAC-only.
+const MARKER: &[u8] = b"settings snapshot marker";
+
+/// Send one marked UDP datagram from `host` to B and say whether its
+/// frame carries the marker in the clear.
+fn send_marked(host: &mut fbs_net::Host, now_us: u64) -> fbs_net::error::Result<bool> {
+    host.udp_send(4000, B, 53, MARKER, now_us)?;
+    let frames = host.take_frames();
+    assert_eq!(frames.len(), 1);
+    Ok(frames[0].windows(MARKER.len()).any(|w| w == MARKER))
+}
+
+#[test]
+fn settings_published_through_a_handle_reach_the_installed_clones_next_batch() {
+    let world = world();
+    let (mut a, hooks) = world.secure_host(A, IpMappingConfig::default());
+    let _b = world.host(B); // publishes B's certificate
+                            // The installed clone has read its settings: sealed, unobserved.
+    assert_eq!(send_marked(&mut a, 1_000), Ok(false));
+
+    hooks.update_config(|c| c.encrypt = false);
+    assert_eq!(send_marked(&mut a, 2_000), Ok(true), "config change");
+
+    let chaos = TestChaos::panicking();
+    hooks.set_owner_chaos(Some(chaos.clone()));
+    let sent = send_marked(&mut a, 3_000);
+    let panicked = fbs_net::NetError::SecurityReject(RejectReason::OwnerPanicked);
+    assert_eq!(sent, Err(panicked), "chaos injector");
+    assert!(chaos.tapped_here());
+    assert_eq!(hooks.worker_panics(), 1);
+
+    let reg = Arc::new(MetricsRegistry::new());
+    hooks.attach_obs(Arc::clone(&reg)).unwrap();
+    assert_eq!(reg.stage_histogram(Stage::Partition).count(), 0);
+    assert_eq!(send_marked(&mut a, 4_000), Ok(true));
+    assert_eq!(
+        reg.stage_histogram(Stage::Partition).count(),
+        1,
+        "registry attach"
+    );
+}
+
+/// A chaos tap that, from owner 0's pass, publishes a MAC-only
+/// configuration through the handle it holds, once.
+struct PublishFromOwner0(Mutex<Option<FbsIpHooks>>);
+
+impl OwnerFaultInjector for PublishFromOwner0 {
+    fn take_panic(&self, owner: usize, _now_us: u64) -> bool {
+        if owner == 0 {
+            if let Some(hooks) = self.0.lock().take() {
+                hooks.update_config(|c| c.encrypt = false);
+            }
+        }
+        false
+    }
+}
+
+#[test]
+fn a_batch_keeps_the_settings_it_started_with() {
+    let world = world();
+    let mut hooks = hooks_with(&world, mode_cfg(2));
+    let _b = world.host(B);
+    let tap = PublishFromOwner0(Mutex::new(Some(hooks.clone())));
+    hooks.set_owner_chaos(Some(Arc::new(tap)));
+    let mut pool = BufferPool::new();
+    let body = b"fault containment body";
+    let mut batch = |now_us| {
+        let mut dgs = batch_for_owner(0, 4);
+        dgs.extend(batch_for_owner(1, 4));
+        let out = hooks.process_batch(Direction::Output, dgs, &mut pool, now_us);
+        let clear = |(_, o): &(Ipv4Header, HookOutcome)| match o {
+            HookOutcome::Pass(p) => p.windows(body.len()).any(|w| w == body),
+            other => panic!("{other:?}"),
+        };
+        out.iter().map(clear).collect::<Vec<bool>>()
+    };
+    // Owner 0 runs first and publishes before its share; owner 1's
+    // share still seals under the settings the batch read.
+    assert_eq!(batch(1_000), [false; 8]);
+    assert_eq!(batch(2_000), [true; 8], "the next batch reads the store");
+}

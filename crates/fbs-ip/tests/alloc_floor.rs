@@ -9,8 +9,13 @@
 //! caller's `udp::encode` segment, the frame on the wire, and the copy a
 //! UDP socket queues. None of them can be a pool buffer without that
 //! buffer leaving its host's pool, which the ledger checks below forbid.
-//! What is left above three is per burst and per input chunk, and
-//! [`PER_BURST`] names each allocation of one warm burst by its site.
+//! What is left above three is per call, and all of it is the caller's:
+//! the `items` it hands `ip_output_batch`, the `Vec<Result>` it gets
+//! back and the vector `take_frames` collects the frames into. A hook
+//! call costs nothing: the hooks drain the datagrams' own vector and
+//! append their verdicts to the host's scratch, whatever the burst or
+//! input chunk. [`PER_BURST`] names each allocation of one warm burst by
+//! its site, and [`PER_SCALAR`] those of one warm scalar round trip.
 //!
 //! The counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`,
 //! so it lives in a test binary of its own (the library crates
@@ -68,24 +73,29 @@ const NOW_US: u64 = NOW_SECS * 1_000_000;
 /// Allocations of one warm burst, per step, exactly: the same under NOP
 /// crypto and every suite. The receiver takes the burst in 34 input
 /// chunks, each of at most 31 datagrams (its pool holds 32 buffers, and
-/// a chunk leaves one idle for the hook pass).
+/// a chunk leaves one idle for the hook pass); a chunk costs nothing.
 const PER_BURST: [(&str, u64); 5] = [
     // The caller's `items` vector and a `udp::encode` segment per
     // datagram.
     ("encode", 1 + BURST as u64),
-    // A frame per datagram (`encode_frame`); per call, `through_hooks`'
-    // `batch`, `process_batch`'s verdict vector and the returned
-    // `Vec<Result>`. Collecting `items` into `Datagram`s reuses `items`'
-    // buffer, and the host's verdict and index scratch are warm.
-    ("ip_output_batch", BURST as u64 + 3),
+    // A frame per datagram (`encode_frame`) and the returned
+    // `Vec<Result>`. `items` is collected into `Datagram`s in place and
+    // drained by the hooks, and the host's verdict and index scratch
+    // are warm.
+    ("ip_output_batch", BURST as u64 + 1),
     // `take_frames`' `collect`.
     ("take_frames", 1),
-    // The copy a UDP socket queues per datagram; per input chunk,
-    // `through_hooks`' `batch` and `process_batch`'s verdict vector.
-    ("deliver_frames", BURST as u64 + 2 * 34),
+    // The copy a UDP socket queues per datagram.
+    ("deliver_frames", BURST as u64),
     // `recv` hands back the queued copy.
     ("udp.recv loop", 0),
 ];
+
+/// Allocations of one warm scalar round trip, exactly: `ip_output`'s
+/// one-element `items`, the frame and the returned `Vec<Result>`; and
+/// `deliver_frame`'s socket copy. The settings read and the hook call
+/// add nothing.
+const PER_SCALAR: [(&str, u64); 2] = [("ip_output", 3), ("deliver_frame", 1)];
 
 struct World {
     a: Host,
@@ -159,6 +169,30 @@ impl World {
         self.seq += BURST as u64;
         counts
     }
+
+    /// One datagram through the scalar entry points; returns the
+    /// allocations each of its [`PER_SCALAR`] steps made.
+    fn scalar(&mut self) -> [u64; 2] {
+        let seq = self.seq;
+        let data = payload(seq);
+        let sport = 4000 + (seq % FLOWS as u64) as u16;
+        let seg = udp::encode(A, B, sport, PORT, &data);
+        let header = Ipv4Header::new(A, B, Proto::Udp, seg.len());
+        let mark = ALLOCS.load(Ordering::Relaxed);
+        let sent = self.a.ip_output(header, seg, NOW_US);
+        let output = ALLOCS.load(Ordering::Relaxed) - mark;
+        assert!(sent.is_ok(), "{sent:?}");
+        let frames = self.a.take_frames();
+        assert_eq!(frames.len(), 1);
+        let mark = ALLOCS.load(Ordering::Relaxed);
+        self.b.deliver_frame(&frames[0], NOW_US);
+        let input = ALLOCS.load(Ordering::Relaxed) - mark;
+        let got = self.b.udp.recv(PORT).expect("the datagram is delivered");
+        assert_eq!(got.data, data, "datagram {seq}");
+        self.attempted += 1;
+        self.seq += 1;
+        [output, input]
+    }
 }
 
 /// The sequence number, then a pattern it seeds.
@@ -224,6 +258,15 @@ fn warm_bursts_allocate_three_per_datagram() {
             .expect("combined stats")
             .new_flows;
         assert_eq!(after, births, "{name}: no flow is born while counting");
+        for _ in 0..4 {
+            w.scalar();
+        }
+        for _ in 0..4 {
+            let counts = w.scalar();
+            for (&(step, want), got) in PER_SCALAR.iter().zip(&counts) {
+                assert_eq!(*got, want, "{name}: {step}");
+            }
+        }
         assert_eq!(
             imbalance(w.a.pool_stats(), w.attempted),
             0,

@@ -554,10 +554,11 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_fragment_returns_its_buffer_to_the_pool() {
-        // Frames 0, 0, 1, 2 through the pooled decode and push: every
-        // fragment buffer goes back, the duplicate's too, and the
-        // datagram's one buffer is drawn by its first fragment.
+    fn a_duplicate_fragment_takes_no_buffer_on_the_ingest_path() {
+        // Frames 0, 0, 1, 2 the way the stack ingests them: parsed in
+        // place, each fragment's bytes copied straight into its
+        // datagram's buffer, which the first fragment draws. The
+        // duplicate takes nothing.
         let p = packet(3000);
         let frames: Vec<Vec<u8>> = fragment(p.clone(), 1500)
             .unwrap()
@@ -568,21 +569,20 @@ mod tests {
         let mut r = Reassembler::new(30_000_000);
         let mut whole = None;
         for f in [&frames[0], &frames[0], &frames[1], &frames[2]] {
-            let frag = Packet::decode_pooled(f, &mut pool).unwrap();
-            whole = r.push_pooled(frag, 0, &mut pool);
+            let (header, bytes) = crate::ip::parse_frame(f).unwrap();
+            whole = r.push_fragment(&header, bytes, 0, &mut pool);
         }
         let whole = whole.expect("complete after the last fragment");
         assert_eq!(whole.payload, p.payload);
         pool.put(whole.payload);
-        // 4 decodes + 1 datagram buffer taken; 4 fragments + 1 datagram
-        // returned. The first decode and the datagram buffer miss.
+        // The datagram's one buffer, taken (a miss) and returned.
         let s = pool.stats();
         assert_eq!(
             s,
             PoolStats {
-                hits: 3,
-                misses: 2,
-                returns: 5,
+                hits: 0,
+                misses: 1,
+                returns: 1,
                 discards: 0
             }
         );

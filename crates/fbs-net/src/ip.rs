@@ -9,7 +9,6 @@
 //! ignores the possibility).
 
 use crate::error::{NetError, Result};
-use fbs_core::BufferPool;
 
 /// An IPv4 address (network byte order).
 pub type Ipv4Addr = [u8; 4];
@@ -245,15 +244,6 @@ impl Packet {
             header,
             payload: payload.to_vec(),
         })
-    }
-
-    /// Parse a packet like [`Self::decode`], but draw the payload buffer
-    /// from `pool` instead of allocating a fresh one.
-    pub fn decode_pooled(buf: &[u8], pool: &mut BufferPool) -> Result<Self> {
-        let (header, bytes) = parse_frame(buf)?;
-        let mut payload = pool.take();
-        payload.extend_from_slice(bytes);
-        Ok(Packet { header, payload })
     }
 }
 

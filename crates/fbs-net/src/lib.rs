@@ -38,6 +38,7 @@
 
 pub mod error;
 pub mod frag;
+pub mod frozen;
 pub mod ip;
 pub mod mrt;
 pub mod ports;

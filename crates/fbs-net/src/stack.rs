@@ -13,7 +13,7 @@
 //! ([`Host::ip_output`], [`Host::deliver_frame`]) are one-element wrappers
 //! over the batch pipeline ([`Host::ip_output_batch`],
 //! [`Host::deliver_frames`]). The security hooks see one
-//! [`SecurityHooks::process_batch`] call per output batch, and one per
+//! [`SecurityHooks::process_batch_into`] call per output batch, and one per
 //! pool-sized chunk of an input batch: input takes a pooled buffer per
 //! datagram before the hooks run, so it ingests only as many datagrams as
 //! the host's [`BufferPool`] can serve, runs the hooks over them, and
@@ -107,12 +107,48 @@ fn pool_takes(pool: &BufferPool) -> u64 {
     s.hits + s.misses
 }
 
+/// Interleave the `uncovered` datagrams' `Pass` verdicts with the hooks'
+/// verdicts in `out`, which stand for the ascending batch indices
+/// `hooked`, so that `out` lines up with the batch: one backward walk
+/// that moves each verdict once.
+fn merge_uncovered(
+    out: &mut Vec<(Ipv4Header, HookOutcome)>,
+    hooked: &[usize],
+    uncovered: Vec<Datagram>,
+) {
+    let mut from_hooks = out.len();
+    let total = from_hooks + uncovered.len();
+    let mut uncovered = uncovered.into_iter().rev();
+    let filler = || {
+        (
+            Ipv4Header::new([0; 4], [0; 4], Proto::Bypass, 0),
+            HookOutcome::Park,
+        )
+    };
+    out.resize_with(total, filler);
+    for at in (0..total).rev() {
+        if from_hooks > 0 && hooked[from_hooks - 1] == at {
+            // Every hooks verdict not yet moved sits below `from_hooks`:
+            // the slot at `at` holds filler, which the swap moves down.
+            from_hooks -= 1;
+            out.swap(at, from_hooks);
+        } else {
+            let dg = uncovered.next().expect("one datagram per uncovered index");
+            out[at] = (dg.header, HookOutcome::Pass(dg.payload));
+        }
+    }
+}
+
 /// Security processing plugged into the stack (implemented by `fbs-ip`).
 ///
-/// The trait is batch-first: implementations provide the single
-/// [`Self::process_batch`] entry point; the scalar [`Self::output`] /
-/// [`Self::input`] methods are thin one-element wrappers over it, so
-/// exactly one processing path exists per implementation.
+/// The trait is batch-first, with two batch entry points that wrap one
+/// another: an implementation provides [`Self::process_batch`], which
+/// the provided [`Self::process_batch_into`] wraps, or overrides
+/// `process_batch_into` and makes `process_batch` the wrapper. The
+/// scalar [`Self::output`] / [`Self::input`] methods are thin
+/// one-element wrappers over `process_batch`, so exactly one processing
+/// path exists per implementation. The stack calls
+/// `process_batch_into`, handing over its own vectors.
 ///
 /// A rejection names a [`RejectReason`], the substrate's own vocabulary:
 /// the security layer maps its errors onto it, and this crate stays
@@ -144,6 +180,26 @@ pub trait SecurityHooks: Send {
         pool: &mut BufferPool,
         now_us: u64,
     ) -> Vec<(Ipv4Header, HookOutcome)>;
+
+    /// [`Self::process_batch`] on the caller's vectors: drain `batch`
+    /// and append one `(header, outcome)` per datagram to `out`, in
+    /// submission order. The stack calls this, so an implementation
+    /// that overrides it — reusing `batch`'s and `out`'s buffers —
+    /// costs a call no allocation. Default: wraps `process_batch`,
+    /// handing it `batch`'s buffer and leaving the caller an empty one of
+    /// the same capacity.
+    fn process_batch_into(
+        &mut self,
+        dir: Direction,
+        batch: &mut Vec<Datagram>,
+        pool: &mut BufferPool,
+        now_us: u64,
+        out: &mut Vec<(Ipv4Header, HookOutcome)>,
+    ) {
+        let fresh = Vec::with_capacity(batch.capacity());
+        let batch = std::mem::replace(batch, fresh);
+        out.extend(self.process_batch(dir, batch, pool, now_us));
+    }
 
     /// Scalar output processing: a one-element [`Self::process_batch`]
     /// wrapper (with a transient non-pooling pool) kept for callers that
@@ -280,11 +336,10 @@ pub struct Host {
     /// Raw-IP datagrams received (ICMP-like protocols): (proto, src, data).
     raw_rx: VecDeque<(u8, Ipv4Addr, Vec<u8>)>,
     out: VecDeque<Vec<u8>>,
-    /// Scratch kept across batches (emptied, capacity kept), so a batch
-    /// or an input chunk pays only for the two vectors that cross
-    /// [`SecurityHooks::process_batch`] by value: the whole datagrams of
-    /// an input chunk, the verdicts in submission order, and the indices
-    /// of those the hooks gave.
+    /// Scratch kept across batches (emptied, capacity kept), so a hook
+    /// call allocates nothing: the whole datagrams of an input chunk,
+    /// which the hooks drain, the verdicts in submission order, which
+    /// they append to, and the indices of those the hooks gave.
     ready: Vec<Datagram>,
     verdicts: Vec<(Ipv4Header, HookOutcome)>,
     hooked: Vec<usize>,
@@ -369,7 +424,7 @@ impl Host {
     }
 
     /// Batch IP output: part 1 (identification) for every datagram, then
-    /// ONE [`SecurityHooks::process_batch`] call covering all protected
+    /// ONE [`SecurityHooks::process_batch_into`] call covering all protected
     /// datagrams, then per-datagram fragmentation and transmission. Frames
     /// hit the wire in submission order; the returned results line up with
     /// `items`.
@@ -383,6 +438,8 @@ impl Host {
             header.id = self.ip_id;
             self.ip_id = self.ip_id.wrapping_add(1);
         }
+        // Collected in place (the two layouts match): the hooks drain
+        // the caller's own vector.
         let mut batch: Vec<Datagram> = items
             .into_iter()
             .map(|(header, payload)| Datagram { header, payload })
@@ -420,11 +477,13 @@ impl Host {
     }
 
     /// The hook step of both directions: ONE
-    /// [`SecurityHooks::process_batch`] call for the covered subset of
-    /// `items`, which it drains; uncovered datagrams — all of them on a
-    /// host without hooks — pass as they are. Returns the verdicts in
-    /// `items`' order, and the indices of those the hooks gave, in the
-    /// host's scratch vectors: the caller empties them and puts them back.
+    /// [`SecurityHooks::process_batch_into`] call, which drains `items`
+    /// once the uncovered datagrams — all of them on a host without
+    /// hooks — have been taken out to pass as they are. Returns the
+    /// verdicts in `items`' order, and the indices of those the hooks
+    /// gave, in the host's scratch vectors: the caller empties them and
+    /// puts them back. An all-covered batch takes the same path with
+    /// nothing taken out, and allocates nothing.
     fn through_hooks(
         &mut self,
         dir: Direction,
@@ -435,33 +494,37 @@ impl Host {
         let mut hooked = std::mem::take(&mut self.hooked);
         out.clear();
         hooked.clear();
-        let mut batch = Vec::with_capacity(items.len());
-        for (i, dg) in items.drain(..).enumerate() {
-            if self
-                .hooks
-                .as_ref()
-                .is_some_and(|h| h.covers(dg.header.proto))
-            {
-                // Fail-closed until the hooks answer for it.
-                let unanswered = HookOutcome::Reject(RejectReason::Unanswered);
-                out.push((dg.header.clone(), unanswered));
-                hooked.push(i);
-                batch.push(dg);
-            } else {
-                out.push((dg.header, HookOutcome::Pass(dg.payload)));
-            }
-        }
-        if let (Some(h), false) = (&mut self.hooks, batch.is_empty()) {
+        let Some(h) = &mut self.hooks else {
+            out.extend(
+                items
+                    .drain(..)
+                    .map(|dg| (dg.header, HookOutcome::Pass(dg.payload))),
+            );
+            return (out, hooked);
+        };
+        let mut i = 0;
+        let uncovered: Vec<Datagram> = items
+            .extract_if(.., |dg| {
+                let covered = h.covers(dg.header.proto);
+                if covered {
+                    hooked.push(i);
+                }
+                i += 1;
+                !covered
+            })
+            .collect();
+        if !items.is_empty() {
             self.counts.incr(match dir {
                 Direction::Output => Counter::PipelineOutputBatches,
                 Direction::Input => Counter::PipelineInputBatches,
             });
             self.counts
-                .add(Counter::PipelineBatchDatagrams, batch.len() as u64);
-            let staged = h.process_batch(dir, batch, &mut self.pool, now_us);
-            for (&i, s) in hooked.iter().zip(staged) {
-                out[i] = s;
-            }
+                .add(Counter::PipelineBatchDatagrams, items.len() as u64);
+            h.process_batch_into(dir, items, &mut self.pool, now_us, &mut out);
+            assert_eq!(out.len(), hooked.len(), "one verdict per datagram");
+        }
+        if !uncovered.is_empty() {
+            merge_uncovered(&mut out, &hooked, uncovered);
         }
         (out, hooked)
     }
@@ -495,7 +558,7 @@ impl Host {
     /// IP input for a batch of frames arriving together (same link tick),
     /// in pool-sized chunks: parts 1-2 per frame while the pool can still
     /// serve the chunk's hook pass, then ONE
-    /// [`SecurityHooks::process_batch`] call for every whole datagram of
+    /// [`SecurityHooks::process_batch_into`] call for every whole datagram of
     /// the chunk and part-3 dispatch in arrival order — which returns the
     /// chunk's buffers — then the next chunk. A burst of any size runs
     /// off the pool's freelist.
@@ -585,7 +648,7 @@ impl Host {
     }
 
     /// The input half of the hook pipeline: one
-    /// [`SecurityHooks::process_batch`] call for the covered subset of
+    /// [`SecurityHooks::process_batch_into`] call for the covered subset of
     /// `ready`, which it drains, then part-3 dispatch in arrival order.
     fn process_input_batch(&mut self, ready: &mut Vec<Datagram>, now_us: u64) {
         if ready.is_empty() {
@@ -839,7 +902,7 @@ impl Network {
     /// Consecutive frames arriving at the same host in the same link tick
     /// are coalesced into one [`Host::deliver_frames`] batch, so a burst
     /// (an MRT window, a fragment train) crosses the input hook in a
-    /// single `process_batch` call.
+    /// single `process_batch_into` call.
     pub fn step(&mut self, dt_us: u64) {
         let now = self.segment.now_us();
         for h in self.hosts.values_mut() {
@@ -1260,6 +1323,75 @@ mod tests {
         assert_eq!(batches.load(Ordering::Relaxed), 3);
         assert_eq!(datagrams.load(Ordering::Relaxed), 5);
         assert_eq!(rx.udp.pending(53), 5);
+    }
+
+    #[test]
+    fn uncovered_datagrams_keep_their_places_beside_the_hooks_verdicts() {
+        /// Covers UDP: passes a datagram with a tag byte appended, or
+        /// rejects it when its id is a multiple of three.
+        struct Tagging;
+        impl SecurityHooks for Tagging {
+            fn covers(&self, proto: u8) -> bool {
+                proto == Proto::Udp.number()
+            }
+            fn max_overhead(&self) -> usize {
+                1
+            }
+            fn process_batch(
+                &mut self,
+                _dir: Direction,
+                batch: Vec<Datagram>,
+                _pool: &mut BufferPool,
+                _now_us: u64,
+            ) -> Vec<(Ipv4Header, HookOutcome)> {
+                let verdict = |mut dg: Datagram| {
+                    if dg.header.id.is_multiple_of(3) {
+                        (dg.header, HookOutcome::Reject(RejectReason::Unanswered))
+                    } else {
+                        dg.payload.push(0xAA);
+                        (dg.header, HookOutcome::Pass(dg.payload))
+                    }
+                };
+                batch.into_iter().map(verdict).collect()
+            }
+        }
+
+        let mut host = Host::new(B, 1500);
+        host.install_hooks(Box::new(Tagging));
+        // Every covered/uncovered pattern of seven datagrams.
+        for mask in 0u16..128 {
+            let covered = |i: u16| mask >> i & 1 == 1;
+            let mut items: Vec<Datagram> = (0..7u16)
+                .map(|i| {
+                    let proto = if covered(i) {
+                        Proto::Udp
+                    } else {
+                        Proto::Bypass
+                    };
+                    let mut header = Ipv4Header::new(A, B, proto, 1);
+                    header.id = i;
+                    let payload = vec![i as u8];
+                    Datagram { header, payload }
+                })
+                .collect();
+            let (out, hooked) = host.through_hooks(Direction::Input, &mut items, 0);
+            assert!(items.is_empty(), "{mask:#b}: the batch is drained");
+            let want: Vec<usize> = (0..7).filter(|&i| covered(i as u16)).collect();
+            assert_eq!(hooked, want, "{mask:#b}");
+            assert_eq!(out.len(), 7, "{mask:#b}");
+            for (i, (header, verdict)) in out.iter().enumerate() {
+                assert_eq!(header.id as usize, i, "{mask:#b}: verdict {i} in place");
+                match verdict {
+                    HookOutcome::Pass(p) if covered(i as u16) => {
+                        assert_eq!(p, &[i as u8, 0xAA], "{mask:#b}")
+                    }
+                    HookOutcome::Reject(_) => assert!(covered(i as u16) && i.is_multiple_of(3)),
+                    HookOutcome::Pass(p) => assert_eq!(p, &[i as u8], "{mask:#b}: as it came"),
+                    HookOutcome::Park => panic!("{mask:#b}: no park"),
+                }
+            }
+            (host.verdicts, host.hooked) = (out, hooked);
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The frozen surface stays a surface. `fbs_core::frozen` and
-//! `fbs_ip::frozen` hold what only the end-to-end benchmark under
-//! `benchmark/` reads, re-exported at the paths it imports. Two rules
-//! keep the split honest:
+//! The frozen surface stays a surface. `fbs_core::frozen`,
+//! `fbs_net::frozen` and `fbs_ip::frozen` hold what only the end-to-end
+//! benchmark under `benchmark/` reads, re-exported at the paths it
+//! imports. Two rules keep the split honest:
 //!
 //! * no `crates/*/src` file outside a `frozen/` directory names
-//!   `frozen`, a name re-exported out of it, or a method a `frozen`
-//!   module adds to a system type — apart from the re-export statements
+//!   `frozen`, a name re-exported out of it, or a method or associated
+//!   function a `frozen` module adds to a system type — apart from the re-export statements
 //!   themselves (and `pub mod frozen;`) in the crate roots and in
 //!   `fbs-core`'s `protocol.rs`;
 //! * every such name is read somewhere in `benchmark/src/*.rs`, so the
@@ -105,7 +105,8 @@ fn reexports(text: &str) -> Vec<(std::ops::RangeInclusive<usize>, Vec<String>)> 
 /// The methods a `frozen` module adds to a type defined outside it, as
 /// the call that reaches each: every `pub fn` of an inherent `impl T {`
 /// block at the file's top level whose `T` the file does not define,
-/// `.m()` when it takes only `&self`, `.m(` otherwise.
+/// `.m()` when it takes only `&self`, `.m(` when it takes another
+/// receiver, and `::m(` when it takes none.
 fn foreign_methods(text: &str) -> Vec<String> {
     let defines = |t: &str| {
         [
@@ -128,8 +129,14 @@ fn foreign_methods(text: &str) -> Vec<String> {
             foreign = false;
         } else if let (true, Some(rest)) = (foreign, line.strip_prefix("    pub fn ")) {
             let (name, sig) = rest.split_once('(').expect("a signature");
-            let args = if sig.starts_with("&self)") { "()" } else { "(" };
-            methods.push(format!(".{name}{args}"));
+            let receiver = ["&self", "&mut self", "self"]
+                .iter()
+                .any(|r| sig.starts_with(r));
+            methods.push(match (sig.starts_with("&self)"), receiver) {
+                (true, _) => format!(".{name}()"),
+                (false, true) => format!(".{name}("),
+                (false, false) => format!("::{name}("),
+            });
         }
     }
     methods
@@ -236,7 +243,15 @@ fn the_scanners_read_what_the_crates_write() {
     ] {
         assert!(exported.iter().any(|n| n == want), "{want} in {exported:?}");
     }
-    assert_eq!(methods, [".drain()", ".ring_stalls()", ".shed_counts()"]);
+    assert_eq!(
+        methods,
+        [
+            ".drain()",
+            ".ring_stalls()",
+            ".shed_counts()",
+            "::decode_pooled("
+        ]
+    );
     let multi = "pub use frozen::{\n    a,\n    b,\n};\nuse x;\npub use crate::frozen::c;\n";
     let found = reexports(multi);
     assert_eq!(found.len(), 2);
