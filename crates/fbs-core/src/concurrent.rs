@@ -1,7 +1,7 @@
 //! Concurrency primitives for the sharded endpoint: read-mostly
-//! versioned config snapshots, a sharded wrapper over [`SoftCache`], and the shared
-//! keying service that serialises MKD upcalls without serialising the
-//! datagram path.
+//! versioned config snapshots, a sharded wrapper over [`SoftCache`],
+//! and the shared keying service that serialises MKD upcalls without
+//! serialising the datagram path.
 //!
 //! The paper's scaling argument (§5.3, §7) is that per-flow soft state
 //! lets datagram security keep up with traffic; this module supplies
