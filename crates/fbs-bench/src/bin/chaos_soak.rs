@@ -57,15 +57,21 @@ fn main() {
     soak.report.worker_fault = Some(chaos::run_worker_fault(cfg));
     let report = &soak.report;
 
-    let row = |name: &str, t: &chaos::PhaseTally| {
-        vec![
-            name.to_string(),
-            t.sent.to_string(),
-            t.send_rejected.to_string(),
-            t.delivered.to_string(),
-            format!("{:.1}", t.goodput_per_sec),
-        ]
-    };
+    let phases = &report.phases;
+    let rows: Vec<Vec<String>> = phases
+        .names
+        .iter()
+        .zip(&phases.tallies)
+        .map(|(name, t)| {
+            vec![
+                name.to_string(),
+                t.sent.to_string(),
+                t.send_rejected.to_string(),
+                t.delivered.to_string(),
+                format!("{:.1}", t.goodput_per_sec),
+            ]
+        })
+        .collect();
     print!(
         "{}",
         table(
@@ -77,19 +83,15 @@ fn main() {
                 report.in_park.peak_depth
             ),
             &["phase", "sent", "rejected", "delivered", "goodput/s"],
-            &[
-                row("baseline", &report.baseline),
-                row("fault", &report.fault),
-                row("settle", &report.settle),
-                row("recovery", &report.recovery),
-            ],
+            &rows,
         )
     );
     println!(
-        "\nrecovery ratio: {:.3} (threshold 0.9), breaker closed: {}, parked left: {:?}",
-        report.recovery_ratio, report.breaker_closed, report.final_depths
+        "\nrecovery ratio: {:.3} (threshold 0.9), breaker closed: {}, parked left: {:?}, \
+         verdict loss {}",
+        phases.recovery_ratio, report.breaker_closed, report.final_depths, phases.verdict_loss
     );
-    for (phase, health) in &report.health {
+    for (phase, health) in &phases.health {
         println!("health[{phase}]: {}", health.overall.name());
     }
     let wf = report.worker_fault.as_ref().expect("scenario just ran");
@@ -100,11 +102,11 @@ fn main() {
         wf.respawns,
         wf.quarantined,
         wf.workers,
-        wf.verdict_loss,
+        wf.phases.verdict_loss,
         wf.pool_balanced,
-        wf.recovery_ratio
+        wf.phases.recovery_ratio
     );
-    for (phase, health) in &wf.health {
+    for (phase, health) in &wf.phases.health {
         println!("worker_fault health[{phase}]: {}", health.overall.name());
     }
 

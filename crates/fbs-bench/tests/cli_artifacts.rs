@@ -1,7 +1,7 @@
 //! End-to-end checks of the bench/figure binaries' artifact flags:
-//! `--metrics` on `repro`, `--trace`/`--prom` on the chaos soak and
-//! `--out` on `e2e_bench` — exercising the files they write, not just
-//! flag parsing.
+//! `--metrics` on `repro`, `--out`/`--trace`/`--prom` on the chaos soak
+//! and `--out` on `e2e_bench` — exercising the files they write, not
+//! just flag parsing.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -124,6 +124,29 @@ fn chaos_soak_trace_matches_committed_sample() {
     let output_ok: u64 = values_of(&deltas, "hooks.output_ok").iter().sum();
     let sends: u64 = values_of(&deltas, "endpoint.sends").iter().sum();
     assert_eq!(output_ok, sends);
+}
+
+/// The full seed-7 run reproduces the committed `BENCH_chaos.json` byte
+/// for byte: both scenarios run on virtual time, so the report is a pure
+/// function of the seed. If this fails after an intentional change,
+/// regenerate with
+///   cargo run --release -p fbs-bench --bin chaos_soak -- --seed 7
+#[test]
+fn chaos_soak_full_run_matches_committed_report() {
+    let path = tmp("chaos_full.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_chaos_soak"))
+        .args(["--seed", "7", "--out", path.to_str().unwrap()])
+        .output()
+        .expect("chaos_soak runs");
+    assert!(
+        out.status.success(),
+        "chaos_soak failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let got = std::fs::read_to_string(&path).expect("report written");
+    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_chaos.json");
+    let want = std::fs::read_to_string(&committed).expect("committed report readable");
+    assert_eq!(got, want, "report drifted from BENCH_chaos.json");
 }
 
 /// A short run with no `--out` writes its own default report, never the

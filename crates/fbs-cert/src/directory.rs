@@ -14,13 +14,13 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 /// Anything that can serve certificate fetches: the concrete
-/// [`Directory`], or a fault-injecting wrapper around one (`fbs-chaos`
-/// impairs fetches through this seam). The PVC holds its backing store
-/// as `Arc<dyn CertSource>` so chaos wrappers slot in without touching
-/// the cache.
+/// [`Directory`], or a fault-injecting wrapper around one (`fbs-chaos`'s
+/// `ChaosDirectory` fails fetches through this seam during an outage
+/// window). The PVC holds its backing store as `Arc<dyn CertSource>` so
+/// the wrapper slots in without touching the cache.
 pub trait CertSource: Send + Sync {
-    /// Fetch the certificate for `principal` (may charge simulated RTT,
-    /// fail transiently, or serve stale data — the PVC re-verifies).
+    /// Fetch the certificate for `principal` (may charge simulated RTT
+    /// or fail transiently; the PVC verifies what it gets).
     fn fetch_cert(&self, principal: &Principal) -> Result<Certificate>;
 }
 

@@ -3,16 +3,17 @@
 //! FBS is built on *soft state*: every cache entry (MKC, TFKC, RFKC,
 //! PVC) can vanish at any moment and the protocol must reconverge
 //! (§5.3). This crate turns that claim into an executable experiment:
-//! a [`FaultPlan`] scripts time windows of impairment against the
-//! certificate directory ([`ChaosDirectory`]), the master key daemon's
-//! upcall path ([`ChaosPvs`]), the flow-key caches (flush pulses /
-//! eviction storms driven by [`FaultPlan::cache_pulses`]), and the
-//! datagram-plane runtime's shard owners ([`OwnerChaos`]: scheduled
-//! owner panics), all on one shared microsecond
+//! a [`FaultPlan`] scripts time windows of five fault kinds
+//! ([`FaultKind`]): outages of the certificate directory
+//! ([`ChaosDirectory`]) and of the master key daemon's upcall path
+//! ([`ChaosPvs`]), one-shot flushes and periodic eviction storms of one
+//! side's flow-key caches (pulses from [`FaultPlan::cache_pulses`]), and
+//! supervised panics of the sender's datagram-plane shard owners
+//! ([`OwnerChaos`]), all on one shared microsecond
 //! [`ManualClock`](fbs_core::ManualClock).
 //!
-//! Everything is a pure function of `(seed, schedule, virtual time)` —
-//! no wall-clock, no OS entropy — so a chaos soak that fails once fails
+//! Everything is a pure function of `(schedule, virtual time)` — no
+//! wall-clock, no OS entropy — so a chaos soak that fails once fails
 //! every time, under the same datagram.
 
 #![forbid(unsafe_code)]

@@ -76,7 +76,7 @@ mod tests {
         pinned.pin(Principal::named("bob"), pv.clone());
 
         let clock = Arc::new(ManualClock::default());
-        let plan = FaultPlan::new(3).with_window(50, 100, FaultKind::MkdOutage);
+        let plan = FaultPlan::default().with_window(50, 100, FaultKind::MkdOutage);
         let chaos = ChaosPvs::new(Arc::new(pinned), plan, clock.clone());
         let bob = Principal::named("bob");
 

@@ -55,11 +55,6 @@ impl OwnerChaos {
             .collect();
         OwnerChaos { panics }
     }
-
-    /// Number of armed panic windows (for report/gate plumbing).
-    pub fn scheduled_panics(&self) -> usize {
-        self.panics.len()
-    }
 }
 
 impl OwnerFaultInjector for OwnerChaos {
@@ -74,11 +69,10 @@ mod tests {
 
     #[test]
     fn panic_pulse_fires_once_per_window_and_owner() {
-        let plan = FaultPlan::new(7)
+        let plan = FaultPlan::default()
             .with_window(100, 200, FaultKind::OwnerPanic { owner: 0 })
             .with_window(300, 400, FaultKind::OwnerPanic { owner: 0 });
         let chaos = OwnerChaos::from_plan(&plan);
-        assert_eq!(chaos.scheduled_panics(), 2);
         assert!(!chaos.take_panic(0, 50), "before the window");
         assert!(!chaos.take_panic(1, 150), "wrong owner never fires");
         assert!(chaos.take_panic(0, 150), "first poll inside fires");
@@ -89,9 +83,8 @@ mod tests {
 
     #[test]
     fn non_owner_windows_are_ignored() {
-        let plan = FaultPlan::new(7).with_window(0, 1_000, FaultKind::DirectoryOutage);
+        let plan = FaultPlan::default().with_window(0, 1_000, FaultKind::DirectoryOutage);
         let chaos = OwnerChaos::from_plan(&plan);
-        assert_eq!(chaos.scheduled_panics(), 0);
         assert!(!chaos.take_panic(0, 500));
     }
 }

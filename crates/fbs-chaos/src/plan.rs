@@ -1,19 +1,18 @@
 //! Scripted fault schedules: time windows × fault kinds.
 //!
 //! A [`FaultPlan`] is the deterministic core of every chaos run: given
-//! the same seed and windows, the same datagrams experience the same
-//! faults. Injectors ([`ChaosDirectory`](crate::ChaosDirectory),
+//! the same windows, the same datagrams experience the same faults.
+//! Injectors ([`ChaosDirectory`](crate::ChaosDirectory),
 //! [`ChaosPvs`](crate::ChaosPvs)) query *state faults* ("is the
-//! directory down at `now_us`?"); the soak driver polls *pulse faults*
-//! (cache flushes, eviction storms) via
+//! directory down at `now_us`?"); [`OwnerChaos`](crate::OwnerChaos)
+//! arms the owner panics; the chaos runner polls *pulse faults* (cache
+//! flushes, eviction storms) via
 //! [`cache_pulses`](FaultPlan::cache_pulses), which edge-triggers on
 //! window entry and ticks periodically for storms.
 
 /// Which side's caches a flush/storm hits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushScope {
-    /// Both endpoints.
-    All,
     /// The sending endpoint's TFKC (and combined table).
     Sender,
     /// The receiving endpoint's RFKC.
@@ -25,17 +24,6 @@ pub enum FlushScope {
 pub enum FaultKind {
     /// Certificate-directory fetches fail with a transport error.
     DirectoryOutage,
-    /// Directory fetches are charged extra round-trip latency.
-    DirectoryLatency {
-        /// Extra RTT per fetch, in microseconds.
-        extra_rtt_us: u64,
-    },
-    /// The directory serves the first certificate it ever served for
-    /// each principal — rekeys and renewals are invisible.
-    DirectoryStale,
-    /// The directory flips one deterministic bit in each served public
-    /// value, so per-use verification rejects it.
-    DirectoryGarbage,
     /// The MKD's public-value source fails (upcall outage).
     MkdOutage,
     /// Flush TFKC/RFKC (and the combined table) once, on window entry —
@@ -67,9 +55,6 @@ impl FaultKind {
     pub fn name(&self) -> &'static str {
         match self {
             FaultKind::DirectoryOutage => "directory_outage",
-            FaultKind::DirectoryLatency { .. } => "directory_latency",
-            FaultKind::DirectoryStale => "directory_stale",
-            FaultKind::DirectoryGarbage => "directory_garbage",
             FaultKind::MkdOutage => "mkd_outage",
             FaultKind::FlushCaches { .. } => "flush_caches",
             FaultKind::EvictionStorm { .. } => "eviction_storm",
@@ -96,24 +81,14 @@ impl FaultWindow {
     }
 }
 
-/// A seeded, scripted schedule of faults.
+/// A scripted schedule of faults; [`FaultPlan::default`] is the empty
+/// plan.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Seed feeding deterministic corruption (garbage bytes) and any
-    /// randomised injector decisions.
-    pub seed: u64,
     windows: Vec<FaultWindow>,
 }
 
 impl FaultPlan {
-    /// An empty plan (no faults) under `seed`.
-    pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            windows: Vec::new(),
-        }
-    }
-
     /// Add a fault window (builder style).
     pub fn with_window(mut self, start_us: u64, end_us: u64, kind: FaultKind) -> Self {
         assert!(start_us < end_us, "fault window must be non-empty");
@@ -130,43 +105,11 @@ impl FaultPlan {
         &self.windows
     }
 
-    /// Latest window end — the instant after which no fault can fire.
-    pub fn horizon_us(&self) -> u64 {
-        self.windows.iter().map(|w| w.end_us).max().unwrap_or(0)
-    }
-
     /// Is a directory outage active at `now_us`?
     pub fn directory_outage(&self, now_us: u64) -> bool {
         self.windows
             .iter()
             .any(|w| w.contains(now_us) && w.kind == FaultKind::DirectoryOutage)
-    }
-
-    /// Total extra directory RTT injected at `now_us` (overlapping
-    /// latency windows add).
-    pub fn directory_extra_rtt_us(&self, now_us: u64) -> u64 {
-        self.windows
-            .iter()
-            .filter(|w| w.contains(now_us))
-            .map(|w| match w.kind {
-                FaultKind::DirectoryLatency { extra_rtt_us } => extra_rtt_us,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Is stale serving active at `now_us`?
-    pub fn directory_stale(&self, now_us: u64) -> bool {
-        self.windows
-            .iter()
-            .any(|w| w.contains(now_us) && w.kind == FaultKind::DirectoryStale)
-    }
-
-    /// Is garbage corruption active at `now_us`?
-    pub fn directory_garbage(&self, now_us: u64) -> bool {
-        self.windows
-            .iter()
-            .any(|w| w.contains(now_us) && w.kind == FaultKind::DirectoryGarbage)
     }
 
     /// Is an MKD outage active at `now_us`?
@@ -243,43 +186,31 @@ mod tests {
 
     #[test]
     fn windows_are_half_open() {
-        let plan = FaultPlan::new(1).with_window(100, 200, FaultKind::DirectoryOutage);
+        let plan = FaultPlan::default().with_window(100, 200, FaultKind::DirectoryOutage);
         assert!(!plan.directory_outage(99));
         assert!(plan.directory_outage(100));
         assert!(plan.directory_outage(199));
         assert!(!plan.directory_outage(200));
-        assert_eq!(plan.horizon_us(), 200);
-    }
-
-    #[test]
-    fn latency_windows_add() {
-        let plan = FaultPlan::new(1)
-            .with_window(0, 100, FaultKind::DirectoryLatency { extra_rtt_us: 30 })
-            .with_window(50, 150, FaultKind::DirectoryLatency { extra_rtt_us: 20 });
-        assert_eq!(plan.directory_extra_rtt_us(10), 30);
-        assert_eq!(plan.directory_extra_rtt_us(60), 50);
-        assert_eq!(plan.directory_extra_rtt_us(120), 20);
-        assert_eq!(plan.directory_extra_rtt_us(200), 0);
     }
 
     #[test]
     fn flush_pulse_fires_once_on_entry() {
-        let plan = FaultPlan::new(1).with_window(
+        let plan = FaultPlan::default().with_window(
             1_000,
             2_000,
             FaultKind::FlushCaches {
-                scope: FlushScope::All,
+                scope: FlushScope::Receiver,
             },
         );
         assert!(plan.cache_pulses(0, 999).is_empty());
-        assert_eq!(plan.cache_pulses(999, 1_001), vec![FlushScope::All]);
+        assert_eq!(plan.cache_pulses(999, 1_001), vec![FlushScope::Receiver]);
         // Already inside: no re-trigger.
         assert!(plan.cache_pulses(1_001, 1_500).is_empty());
     }
 
     #[test]
     fn eviction_storm_ticks_periodically() {
-        let plan = FaultPlan::new(1).with_window(
+        let plan = FaultPlan::default().with_window(
             1_000,
             1_900,
             FaultKind::EvictionStorm {
@@ -297,7 +228,7 @@ mod tests {
 
     #[test]
     fn mkd_and_directory_faults_are_independent() {
-        let plan = FaultPlan::new(1)
+        let plan = FaultPlan::default()
             .with_window(0, 10, FaultKind::MkdOutage)
             .with_window(20, 30, FaultKind::DirectoryOutage);
         assert!(plan.mkd_outage(5));
@@ -308,7 +239,7 @@ mod tests {
 
     #[test]
     fn window_edges_fire_once_in_time_order() {
-        let plan = FaultPlan::new(1)
+        let plan = FaultPlan::default()
             .with_window(100, 300, FaultKind::DirectoryOutage)
             .with_window(200, 400, FaultKind::MkdOutage);
         assert!(plan.window_edges(0, 99).is_empty());
@@ -332,6 +263,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_window_rejected() {
-        let _ = FaultPlan::new(1).with_window(5, 5, FaultKind::DirectoryOutage);
+        let _ = FaultPlan::default().with_window(5, 5, FaultKind::DirectoryOutage);
     }
 }

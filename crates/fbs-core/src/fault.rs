@@ -7,7 +7,7 @@
 //! schedule owner panics deterministically. The trait lives here — not
 //! in `fbs-chaos` — so the runtime crate never depends on the chaos
 //! crate; `fbs-chaos` provides the production implementation
-//! (`OwnerChaos`) driven by a seeded fault plan over virtual time.
+//! (`OwnerChaos`) driven by a scripted fault plan over virtual time.
 //!
 //! Determinism contract: every decision is a pure function of
 //! `(owner, now_us)` plus internal edge-trigger state, never of wall

@@ -9,12 +9,15 @@
 //! * one flipped body bit is rejected by both of B's engines, and
 //!   neither receive flow-key cache takes an entry for it.
 
-use fbs_core::{FbsEndpoint, FbsError, ManualClock, MasterKeyDaemon, PinnedDirectory, Principal};
+use fbs_core::{
+    BufferPool, FbsEndpoint, FbsError, ManualClock, MasterKeyDaemon, PinnedDirectory, Principal,
+};
 use fbs_crypto::dh::{DhGroup, PrivateValue};
 use fbs_crypto::CipherSuite;
 use fbs_ip::{FbsIpHooks, IpMappingConfig};
 use fbs_net::ip::{Ipv4Addr, Ipv4Header, Proto};
-use fbs_net::{HookOutcome, RejectReason, SecurityHooks};
+use fbs_net::{Datagram, HookOutcome, RejectReason, SecurityHooks};
+use fbs_obs::Direction;
 use std::sync::Arc;
 
 const A: Ipv4Addr = [10, 7, 0, 1];
@@ -64,10 +67,19 @@ fn plaintext() -> Vec<u8> {
     .concat()
 }
 
+/// `hooks` in `dir` on one datagram from A to B: a batch of one
+/// through the stack's entry point, with a pool that keeps nothing.
+fn one(hooks: &mut FbsIpHooks, dir: Direction, payload: Vec<u8>) -> HookOutcome {
+    let header = Ipv4Header::new(A, B, Proto::Udp, payload.len());
+    let mut batch = vec![Datagram { header, payload }];
+    let (mut pool, mut out) = (BufferPool::with_limits(0, 0), Vec::new());
+    hooks.process_batch_into(dir, &mut batch, &mut pool, NOW_US, &mut out);
+    out.pop().expect("one outcome per datagram").1
+}
+
 /// B's input hook on `wire`, sent from A.
 fn hook_input(hooks: &mut FbsIpHooks, wire: Vec<u8>) -> HookOutcome {
-    let mut header = Ipv4Header::new(A, B, Proto::Udp, wire.len());
-    hooks.input(&mut header, wire, NOW_US)
+    one(hooks, Direction::Input, wire)
 }
 
 fn pair(suite: CipherSuite) -> (Host, Host) {
@@ -98,8 +110,7 @@ fn a_hook_seal_opens_under_the_peers_endpoint() {
     for suite in CipherSuite::ALL {
         let (mut a, mut b) = pair(suite);
         let plain = plaintext();
-        let mut header = Ipv4Header::new(A, B, Proto::Udp, plain.len());
-        let wire = match a.hooks.output(&mut header, plain.clone(), NOW_US) {
+        let wire = match one(&mut a.hooks, Direction::Output, plain.clone()) {
             HookOutcome::Pass(wire) => wire,
             other => panic!("{suite:?}: output hook failed: {other:?}"),
         };

@@ -141,14 +141,13 @@ fn merge_uncovered(
 
 /// Security processing plugged into the stack (implemented by `fbs-ip`).
 ///
-/// The trait is batch-first, with two batch entry points that wrap one
+/// The trait is batch-only, with two batch entry points that wrap one
 /// another: an implementation provides [`Self::process_batch`], which
 /// the provided [`Self::process_batch_into`] wraps, or overrides
-/// `process_batch_into` and makes `process_batch` the wrapper. The
-/// scalar [`Self::output`] / [`Self::input`] methods are thin
-/// one-element wrappers over `process_batch`, so exactly one processing
-/// path exists per implementation. The stack calls
-/// `process_batch_into`, handing over its own vectors.
+/// `process_batch_into` and makes `process_batch` the wrapper, so
+/// exactly one processing path exists per implementation. A single
+/// datagram is a batch of one. The stack calls `process_batch_into`,
+/// handing over its own vectors.
 ///
 /// A rejection names a [`RejectReason`], the substrate's own vocabulary:
 /// the security layer maps its errors onto it, and this crate stays
@@ -199,39 +198,6 @@ pub trait SecurityHooks: Send {
         let fresh = Vec::with_capacity(batch.capacity());
         let batch = std::mem::replace(batch, fresh);
         out.extend(self.process_batch(dir, batch, pool, now_us));
-    }
-
-    /// Scalar output processing: a one-element [`Self::process_batch`]
-    /// wrapper (with a transient non-pooling pool) kept for callers that
-    /// have a single datagram in hand.
-    fn output(&mut self, header: &mut Ipv4Header, payload: Vec<u8>, now_us: u64) -> HookOutcome {
-        let mut pool = BufferPool::with_limits(0, 0);
-        let dg = Datagram {
-            header: header.clone(),
-            payload,
-        };
-        let (h, outcome) = self
-            .process_batch(Direction::Output, vec![dg], &mut pool, now_us)
-            .pop()
-            .expect("one outcome per datagram");
-        *header = h;
-        outcome
-    }
-
-    /// Scalar input processing: the input-direction twin of
-    /// [`Self::output`].
-    fn input(&mut self, header: &mut Ipv4Header, payload: Vec<u8>, now_us: u64) -> HookOutcome {
-        let mut pool = BufferPool::with_limits(0, 0);
-        let dg = Datagram {
-            header: header.clone(),
-            payload,
-        };
-        let (h, outcome) = self
-            .process_batch(Direction::Input, vec![dg], &mut pool, now_us)
-            .pop()
-            .expect("one outcome per datagram");
-        *header = h;
-        outcome
     }
 
     /// Parked *output* datagrams whose keys became available: each returned

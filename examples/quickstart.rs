@@ -82,8 +82,8 @@ fn main() {
     );
     println!(
         "  certificate fetches:        {} ({} µs simulated RTT)",
-        net.directory().stats().fetches,
-        net.directory().stats().simulated_rtt_us,
+        net.world.directory().stats().fetches,
+        net.world.directory().stats().simulated_rtt_us,
     );
     println!("\nbob verified {} datagrams.", bob_hooks.stats().verified);
 }
