@@ -91,13 +91,22 @@ fn bench_aead(c: &mut Criterion) {
 
 fn bench_keying(c: &mut Criterion) {
     let mut g = c.benchmark_group("keying");
-    // The expensive once-per-pair operation: 768-bit modexp.
-    let group = DhGroup::oakley1();
-    let a = PrivateValue::from_entropy(group.clone(), b"bench-a-entropy-bytes");
-    let b_pub = PrivateValue::from_entropy(group, b"bench-b-entropy-bytes").public_value();
+    // The expensive once-per-pair operation: a modexp in the 768-bit
+    // oakley1 group, and in the 1024-bit oakley2 group the end-to-end
+    // benchmark's hosts key with.
+    let pair = |group: DhGroup| {
+        let a = PrivateValue::from_entropy(group.clone(), b"bench-a-entropy-bytes");
+        let b_pub = PrivateValue::from_entropy(group, b"bench-b-entropy-bytes").public_value();
+        (a, b_pub)
+    };
+    let (a, b_pub) = pair(DhGroup::oakley1());
+    let (a2, b2_pub) = pair(DhGroup::oakley2());
     g.sample_size(10);
     g.bench_function("dh-master-key-oakley1", |bch| {
         bch.iter(|| a.master_key(black_box(&b_pub)))
+    });
+    g.bench_function("dh-master-key-oakley2", |bch| {
+        bch.iter(|| a2.master_key(black_box(&b2_pub)))
     });
     // The cheap per-flow operation.
     let master = a.master_key(&b_pub);
@@ -115,10 +124,7 @@ fn bench_keying(c: &mut Criterion) {
     // What a host pays per AEAD flow birth: derive from the 128-byte
     // oakley2 master key (three MD5 blocks), expand the ChaCha20 key (two
     // more), and allocate the key the caches share.
-    let group = DhGroup::oakley2();
-    let a = PrivateValue::from_entropy(group.clone(), b"bench-a-entropy-bytes");
-    let b_pub = PrivateValue::from_entropy(group, b"bench-b-entropy-bytes").public_value();
-    let master = a.master_key(&b_pub);
+    let master = a2.master_key(&b2_pub);
     let cfg = fbs_core::FbsConfig {
         suite: CipherSuite::AeadChaPoly,
         ..Default::default()

@@ -109,10 +109,12 @@ impl MacAlgorithm {
 /// streaming context makes that single-pass loop possible: the protocol
 /// layer interleaves `update` calls with cipher-block processing.
 ///
-/// `Clone` lets a flow key cache a context that has already absorbed the
-/// key prefix: sealing a datagram then clones the cached state instead of
-/// re-absorbing the key, skipping one compression-function invocation per
-/// datagram for the prefix-keyed algorithms.
+/// `Clone` lets a flow key cache an HMAC context that has already
+/// absorbed `key ⊕ ipad`: sealing a datagram then clones the cached state
+/// instead of re-absorbing the 64-byte key block, skipping one
+/// compression-function invocation per datagram. A prefix-keyed context
+/// gains nothing from such a cache: its 16- or 20-byte key waits in the
+/// block buffer, uncompressed, so beginning afresh is the same copy.
 #[derive(Clone)]
 pub enum MacContext {
     /// Prefix-keyed MD5 state.
@@ -138,6 +140,17 @@ pub enum MacContext {
 }
 
 impl MacContext {
+    /// The algorithm this context computes.
+    pub fn algorithm(&self) -> MacAlgorithm {
+        match self {
+            MacContext::KeyedMd5(_) => MacAlgorithm::KeyedMd5,
+            MacContext::KeyedSha1(_) => MacAlgorithm::KeyedSha1,
+            MacContext::HmacMd5 { .. } => MacAlgorithm::HmacMd5,
+            MacContext::HmacSha1 { .. } => MacAlgorithm::HmacSha1,
+            MacContext::Poly1305(_) => MacAlgorithm::Poly1305,
+        }
+    }
+
     /// Absorb message bytes.
     pub fn update(&mut self, data: &[u8]) {
         match self {
@@ -447,9 +460,9 @@ mod tests {
         assert_eq!(ctx.finalize(), oneshot);
     }
 
-    /// The cached key-prefix pattern: cloning a context that has absorbed
+    /// The cached-context pattern: cloning a context that has absorbed
     /// only the key, then feeding each message into the clone, matches a
-    /// fresh `begin` per message.
+    /// fresh `begin` per message; the context names its algorithm.
     #[test]
     fn cloned_prefix_context_matches_fresh() {
         for alg in [
@@ -457,8 +470,10 @@ mod tests {
             MacAlgorithm::KeyedSha1,
             MacAlgorithm::HmacMd5,
             MacAlgorithm::HmacSha1,
+            MacAlgorithm::Poly1305,
         ] {
             let cached = alg.begin(b"flow key");
+            assert_eq!(cached.algorithm(), alg);
             for msg in [&b"first datagram"[..], b"second", b""] {
                 let mut from_clone = cached.clone();
                 from_clone.update(msg);

@@ -18,7 +18,7 @@ pub enum CipherSuite {
     #[default]
     Paper,
     /// Fast classical profile: word-sliced (4-wide interleaved) DES in
-    /// counter mode + prefix-keyed MD5 with a cached key-prefix context.
+    /// counter mode + prefix-keyed MD5.
     /// Same primitives as the paper, restructured for ILP.
     FastDes,
     /// Modern AEAD-style profile: ChaCha20 encryption + Poly1305 one-time
