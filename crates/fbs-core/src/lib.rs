@@ -50,7 +50,9 @@ pub use chunks::{ChunkDir, CHUNK_SLOTS};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use concurrent::{KeyingService, ShardedCache, Snapshot, Versioned};
 pub use error::{FbsError, Result, RuntimeError};
-pub use fam::{Classification, Fam, FlowPolicy, FlowUse, Fst, FstEntry, FstStats};
+pub use fam::{
+    Classification, Fam, FlowPolicy, FlowUse, Fst, FstEntry, FstStats, HashedFlowPolicy,
+};
 pub use fault::OwnerFaultInjector;
 pub use frozen::{BatchVerifier, SpscRing};
 pub use header::{EncAlgorithm, HeaderView, SecurityFlowHeader};
